@@ -82,7 +82,7 @@ race:
 # once-per-process caching effects (sync.Once indexes, memoized views).
 verify-race:
 	$(GO) test -race -count=2 \
-		-run 'TestMap|TestChunk|TestWorkers|Parallel|Concurrent|Deterministic|TestParity|TestStoreAccessors|TestStoreSummaryWorkers|TestBotDense|TestDispersionIndex|TestIngest|TestSnapshot' \
+		-run 'TestMap|TestChunk|TestWorkers|Parallel|Concurrent|Deterministic|TestParity|TestStoreAccessors|TestStoreSummaryWorkers|TestBotDense|TestDispersionIndex|TestIngest|TestSnapshot|TestAnalyzerIngested' \
 		./internal/par/ ./internal/dataset/ ./internal/core/ ./internal/stream/ ./internal/synth/ ./internal/experiments/ ./internal/cluster/
 
 # verify is the full pre-merge gate: build, stock vet, project analyzers,
@@ -110,10 +110,11 @@ bench-smoke:
 # bench-allocs runs the hot-kernel micro-benchmarks with -benchmem and
 # fails when any exceeds its budget in bench_thresholds.json (see
 # cmd/benchguard). This is the CI gate against allocation regressions in
-# the ARIMA fitter, the dispersion scan, the cross-shard merge, and the
-# columnar store build. The second pattern segment (scale1) only filters
-# sub-benchmarks, so the flat kernel benches are unaffected by it.
-BENCH_ALLOC_PATTERN := 'BenchmarkFit$$|BenchmarkAutoFit$$|BenchmarkDispersionSeries$$|BenchmarkMergeSnapshots$$|BenchmarkNewStore$$/scale1$$'
+# the ARIMA fitter, the dispersion scan, the cross-shard merge, the
+# columnar store build, and the JSONL feed codec. The second pattern
+# segment (scale1) only filters sub-benchmarks, so the flat kernel benches
+# are unaffected by it.
+BENCH_ALLOC_PATTERN := 'BenchmarkFit$$|BenchmarkAutoFit$$|BenchmarkDispersionSeries$$|BenchmarkMergeSnapshots$$|BenchmarkNewStore$$|BenchmarkDecodeJSONL$$|BenchmarkWriteJSONL$$/scale1$$'
 BENCH_ALLOC_PKGS := ./internal/timeseries ./internal/core ./internal/cluster .
 bench-allocs:
 	$(GO) test -run=^$$ -bench $(BENCH_ALLOC_PATTERN) \
@@ -162,7 +163,8 @@ load-record:
 		-commit $$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 
 # fuzz smoke-runs each decoder fuzzer (dataset codecs and the cluster
-# wire protocol) for FUZZTIME.
+# wire protocol) for FUZZTIME. FuzzDecodeJSONL is differential: the JSONL
+# scanner and encoder against encoding/json on every input.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeCSV -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeJSONL -fuzztime=$(FUZZTIME) ./internal/dataset/

@@ -1,9 +1,11 @@
 package botscope
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -444,5 +446,65 @@ func BenchmarkDetectCollaborations(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkDecodeJSONL and BenchmarkWriteJSONL pin the live feed's codec
+// on the scale-1 feed (about 52 MB, 1 KB a record): MB/s from SetBytes,
+// and allocations a record beside the per-pass figures benchguard budgets
+// (bench_thresholds.json).
+func BenchmarkDecodeJSONL(b *testing.B) {
+	b.Run("scale1", func(b *testing.B) {
+		gateFixedScale(b, 1)
+		attacks, _, _ := benchRawAt(b, 1)
+		var feed bytes.Buffer
+		if err := WriteJSONL(&feed, attacks); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(feed.Len()))
+		b.ResetTimer()
+		defer perRecord(b, len(attacks))()
+		for i := 0; i < b.N; i++ {
+			n := 0
+			err := DecodeJSONL(bytes.NewReader(feed.Bytes()), func(*Attack) error { n++; return nil })
+			if err != nil || n != len(attacks) {
+				b.Fatalf("decoded %d of %d records: %v", n, len(attacks), err)
+			}
+		}
+	})
+}
+
+func BenchmarkWriteJSONL(b *testing.B) {
+	b.Run("scale1", func(b *testing.B) {
+		gateFixedScale(b, 1)
+		attacks, _, _ := benchRawAt(b, 1)
+		var feed bytes.Buffer
+		if err := WriteJSONL(&feed, attacks); err != nil { // sizes the buffer
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(feed.Len()))
+		b.ResetTimer()
+		defer perRecord(b, len(attacks))()
+		for i := 0; i < b.N; i++ {
+			feed.Reset()
+			if err := WriteJSONL(&feed, attacks); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// perRecord starts counting allocations; the function it returns reports
+// them per record for a benchmark whose operation is one pass over
+// records records.
+func perRecord(b *testing.B, records int) func() {
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	return func() {
+		var after runtime.MemStats
+		runtime.ReadMemStats(&after)
+		n := float64(b.N) * float64(records)
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/record")
+		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/record")
 	}
 }

@@ -68,6 +68,14 @@ type Frontend struct {
 	seq       atomic.Uint64 // written under ingestMu; read lock-free by status
 	lastStart time.Time     // guarded by ingestMu
 
+	// flushChunk's scratch, kept between chunks: one chunk's owners and
+	// entries (ingestChunk long) and one payload writer per shard. Guarded
+	// by ingestMu. A payload is free again when its send returns — the
+	// client copies it into the frame it writes.
+	owners  []int
+	entries []IngestEntry
+	writers []wireWriter
+
 	// gen invalidates the merged-snapshot cache: bumped on every applied
 	// chunk and every membership change.
 	gen    atomic.Uint64
@@ -102,6 +110,8 @@ func NewFrontend(queryTimeout, ingestTimeout time.Duration) *Frontend {
 		ingestTimeout: ingestTimeout,
 		clients:       make(map[int]*shardClient),
 		addrs:         make(map[int]string),
+		owners:        make([]int, ingestChunk),
+		entries:       make([]IngestEntry, ingestChunk),
 	}
 }
 
@@ -313,14 +323,14 @@ func (f *Frontend) flushChunk(ctx context.Context, chunk []*dataset.Attack) erro
 
 	// Build each shard's payload: the owner gets the full record, everyone
 	// else gets its scalar tick, all in global order.
-	owners := make([]int, len(chunk))
+	owners, entries := f.owners[:len(chunk)], f.entries[:len(chunk)]
 	for i, a := range chunk {
 		owners[i] = f.ring.Owner(a.TargetIP)
 	}
-	payloads := make([][]byte, len(ids))
+	if len(f.writers) < len(ids) {
+		f.writers = append(f.writers, make([]wireWriter, len(ids)-len(f.writers))...)
+	}
 	for si, id := range ids {
-		w := &wireWriter{}
-		entries := make([]IngestEntry, len(chunk))
 		for i, a := range chunk {
 			e := IngestEntry{Seq: base + 1 + uint64(i), ID: a.ID, Start: a.Start, End: a.End}
 			if owners[i] == id {
@@ -328,9 +338,11 @@ func (f *Frontend) flushChunk(ctx context.Context, chunk []*dataset.Attack) erro
 			}
 			entries[i] = e
 		}
+		w := &f.writers[si]
+		w.buf = w.buf[:0]
 		encodeIngest(w, entries)
-		payloads[si] = w.buf
 	}
+	clear(entries) // keep the array, not the chunk's records
 
 	errs := par.Map(0, len(ids), func(i int) error {
 		c := clients[i]
@@ -339,7 +351,7 @@ func (f *Frontend) flushChunk(ctx context.Context, chunk []*dataset.Attack) erro
 		}
 		ictx, cancel := context.WithTimeout(ctx, f.ingestTimeout)
 		defer cancel()
-		_, err := c.sendIngest(ictx, payloads[i])
+		_, err := c.sendIngest(ictx, f.writers[i].buf)
 		return err
 	})
 

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -111,6 +110,21 @@ func ReadCSV(r io.Reader) ([]*Attack, error) {
 	return attacks, nil
 }
 
+// parseWireTime parses an RFC 3339 time the way both text codecs take it.
+// The encoders write times in UTC, and RFC 3339 has four digits for the
+// year: a zone offset next to year 0000 or 9999 names an instant they
+// could write but no decoder could read back, so it is rejected here.
+func parseWireTime(s string) (time.Time, error) {
+	t, err := time.Parse(time.RFC3339, s)
+	if err != nil {
+		return time.Time{}, err
+	}
+	if y := t.UTC().Year(); y < 0 || y > 9999 {
+		return time.Time{}, fmt.Errorf("time %q: year %d in UTC, outside 0000..9999", s, y)
+	}
+	return t, nil
+}
+
 func parseCSVRow(row []string) (*Attack, error) {
 	id, err := strconv.ParseUint(row[0], 10, 64)
 	if err != nil {
@@ -128,11 +142,11 @@ func parseCSVRow(row []string) (*Attack, error) {
 	if err != nil {
 		return nil, fmt.Errorf("target_ip: %w", err)
 	}
-	start, err := time.Parse(time.RFC3339, row[5])
+	start, err := parseWireTime(row[5])
 	if err != nil {
 		return nil, fmt.Errorf("timestamp: %w", err)
 	}
-	end, err := time.Parse(time.RFC3339, row[6])
+	end, err := parseWireTime(row[6])
 	if err != nil {
 		return nil, fmt.Errorf("end_time: %w", err)
 	}
@@ -179,6 +193,8 @@ func parseCSVRow(row []string) (*Attack, error) {
 }
 
 // attackJSON is the stable wire form of an Attack for JSON-lines export.
+// Decoding it with encoding/json and converting with attack is the
+// reference the JSONL scanner and encoder (jsonl.go) are held to.
 type attackJSON struct {
 	ID        uint64   `json:"ddos_id"`
 	BotnetID  uint32   `json:"botnet_id"`
@@ -196,31 +212,16 @@ type attackJSON struct {
 	Longitude float64  `json:"longitude"`
 }
 
-// WriteJSONL encodes attacks as one JSON object per line.
+// WriteJSONL encodes attacks as one JSON object per line, byte for byte
+// as json.Encoder encodes attackJSON, with one Write per record.
 func WriteJSONL(w io.Writer, attacks []*Attack) error {
-	enc := json.NewEncoder(w)
+	var buf []byte
 	for _, a := range attacks {
-		ips := make([]string, len(a.BotIPs))
-		for i, ip := range a.BotIPs {
-			ips[i] = ip.String()
+		var err error
+		if buf, err = appendAttackJSON(buf[:0], a); err == nil {
+			_, err = w.Write(buf)
 		}
-		rec := attackJSON{
-			ID:        uint64(a.ID),
-			BotnetID:  uint32(a.BotnetID),
-			Family:    string(a.Family),
-			Category:  a.Category.String(),
-			TargetIP:  a.TargetIP.String(),
-			Timestamp: a.Start.UTC().Format(time.RFC3339),
-			EndTime:   a.End.UTC().Format(time.RFC3339),
-			BotIPs:    ips,
-			ASN:       a.TargetASN,
-			CC:        a.TargetCountry,
-			City:      a.TargetCity,
-			Org:       a.TargetOrg,
-			Latitude:  a.TargetLat,
-			Longitude: a.TargetLon,
-		}
-		if err := enc.Encode(&rec); err != nil {
+		if err != nil {
 			return fmt.Errorf("dataset: encode attack %d: %w", a.ID, err)
 		}
 	}
@@ -233,17 +234,14 @@ func WriteJSONL(w io.Writer, attacks []*Attack) error {
 // fn aborts decoding and is returned as-is (ErrStop aborts and returns
 // nil).
 func DecodeJSONL(r io.Reader, fn func(*Attack) error) error {
-	dec := json.NewDecoder(r)
+	s := acquireJSONLScanner(r)
+	defer s.release()
 	for n := 1; ; n++ {
-		var rec attackJSON
-		if err := dec.Decode(&rec); err == io.EOF {
+		a, err := s.next(n)
+		if err == io.EOF {
 			return nil
 		} else if err != nil {
-			return fmt.Errorf("dataset: decode jsonl record %d: %w", n, err)
-		}
-		a, err := rec.attack()
-		if err != nil {
-			return fmt.Errorf("dataset: jsonl record %d: %w", n, err)
+			return err
 		}
 		if err := fn(a); err != nil {
 			if errors.Is(err, ErrStop) {
@@ -264,11 +262,11 @@ func (rec *attackJSON) attack() (*Attack, error) {
 	if err != nil {
 		return nil, fmt.Errorf("target_ip: %w", err)
 	}
-	start, err := time.Parse(time.RFC3339, rec.Timestamp)
+	start, err := parseWireTime(rec.Timestamp)
 	if err != nil {
 		return nil, fmt.Errorf("timestamp: %w", err)
 	}
-	end, err := time.Parse(time.RFC3339, rec.EndTime)
+	end, err := parseWireTime(rec.EndTime)
 	if err != nil {
 		return nil, fmt.Errorf("end_time: %w", err)
 	}

@@ -1,0 +1,90 @@
+package serve
+
+import (
+	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"botscope/internal/cluster"
+)
+
+// ingestRecord is one feed line as WriteJSONL writes it; minute places it
+// in event time and org goes in verbatim, escapes included.
+func ingestRecord(id, minute int, targetIP, org string) string {
+	return fmt.Sprintf(`{"ddos_id":%d,"botnet_id":7,"family":"optima","category":"HTTP","target_ip":"%s",`+
+		`"timestamp":"2012-08-01T00:%02d:00Z","end_time":"2012-08-01T01:00:00Z","botnet_ips":["198.51.100.1","198.51.100.2"],`+
+		`"asn":64500,"cc":"US","city":"Seattle","org":"%s","latitude":47.6,"longitude":-122.3}`+"\n",
+		id, targetIP, minute, org)
+}
+
+// TestIngestResponsesUnchanged posts batches that take the JSONL
+// scanner's own path, its encoding/json path and each way a batch can be
+// refused, to the single-process server and to a live server over a
+// two-shard cluster. Status and body must be, byte for byte, what both
+// tiers answered when encoding/json decoded every record.
+func TestIngestResponsesUnchanged(t *testing.T) {
+	ok := func(id, minute int) string { return ingestRecord(id, minute, "192.0.2.1", "Example Net") }
+	tests := []struct {
+		name, body string
+		status     int
+		want       string // both tiers' response body at the parent commit
+	}{
+		{
+			name:   "three records the scanner takes",
+			body:   ok(1, 0) + ok(2, 1) + ok(3, 2),
+			status: http.StatusOK,
+			want:   "{\n  \"ingested\": 3,\n  \"total\": 3\n}",
+		},
+		{
+			name:   "an escaped org between two plain records",
+			body:   ok(1, 0) + ingestRecord(2, 1, "192.0.2.1", `Example \"Net\" & Co`) + ok(3, 2),
+			status: http.StatusOK,
+			want:   "{\n  \"ingested\": 3,\n  \"total\": 3\n}",
+		},
+		{
+			name:   "malformed JSON between two valid records",
+			body:   ok(1, 0) + `{"ddos_id":2,"botnet_id":}` + "\n" + ok(3, 2),
+			status: http.StatusUnprocessableEntity,
+			want:   `{"error":"dataset: decode jsonl record 2: invalid character '}' looking for beginning of value","ingested":1,"total":1}`,
+		},
+		{
+			name:   "an out-of-order record between two valid ones",
+			body:   ok(1, 5) + ok(2, 1) + ok(3, 6),
+			status: http.StatusUnprocessableEntity,
+			want:   `{"error":"stream: attack starts before the previously ingested attack: 2012-08-01 00:01:00 +0000 UTC \u003c 2012-08-01 00:05:00 +0000 UTC (attack 2)","ingested":1,"total":1}`,
+		},
+		{
+			name:   "a bad target_ip after a valid record",
+			body:   ok(1, 0) + ingestRecord(2, 1, "192.0.2.256", "Example Net"),
+			status: http.StatusUnprocessableEntity,
+			want:   `{"error":"dataset: jsonl record 2: target_ip: ParseAddr(\"192.0.2.256\"): IPv4 field has value \u003e255","ingested":1,"total":1}`,
+		},
+	}
+
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			single := New(testServer(t).store, 0.03)
+			local, err := cluster.StartLocal(context.Background(), 2, 0, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer local.Close()
+			tiers := map[string]http.Handler{"single": single, "sharded": NewLiveServer(local.Frontend)}
+			for name, h := range tiers {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/ingest", strings.NewReader(tc.body)))
+				if got := strings.TrimSpace(rec.Body.String()); rec.Code != tc.status || got != tc.want {
+					t.Errorf("%s: %d %s\nwant %d %s", name, rec.Code, got, tc.status, tc.want)
+				}
+			}
+			// The single-process total is the analyzer's O(1) counter, and
+			// the counter is what a snapshot would have said.
+			if got, snap := single.Live().Ingested(), single.Live().Snapshot().Ingested; got != snap {
+				t.Errorf("Ingested() = %d, Snapshot().Ingested = %d", got, snap)
+			}
+		})
+	}
+}

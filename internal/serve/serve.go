@@ -86,7 +86,7 @@ func (s *Server) LiveIngest(_ context.Context, body io.Reader) (int, int, error)
 		ingested++
 		return nil
 	})
-	return ingested, s.live.Snapshot().Ingested, err
+	return ingested, s.live.Ingested(), err
 }
 
 func (s *Server) routes() {

@@ -187,6 +187,14 @@ type Snapshot struct {
 	Collaborations CollabSummary
 }
 
+// Ingested returns the number of attacks folded in so far — what
+// Snapshot().Ingested reports, without building the snapshot.
+func (s *Analyzer) Ingested() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.scalars.N()
+}
+
 // Snapshot materializes the current online state. It is safe to call
 // concurrently with Ingest and returns fresh slices/maps that never alias
 // analyzer state. Unlike the batch summaries, an empty or single-attack

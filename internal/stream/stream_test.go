@@ -241,6 +241,43 @@ func TestConcurrentSnapshots(t *testing.T) {
 	}
 }
 
+// TestAnalyzerIngestedMatchesSnapshot holds the O(1) counter the ingest
+// endpoint reports to the snapshot's: equal after every record on the
+// writer, and bracketing a concurrent snapshot on a reader.
+func TestAnalyzerIngestedMatchesSnapshot(t *testing.T) {
+	sa := New()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			lo := sa.Ingested()
+			snap := sa.Snapshot().Ingested
+			if hi := sa.Ingested(); snap < lo || snap > hi {
+				t.Errorf("snapshot saw %d ingested between Ingested() = %d and %d", snap, lo, hi)
+				return
+			}
+		}
+	}()
+	t0 := time.Date(2012, 8, 29, 0, 0, 0, 0, time.UTC)
+	for i := 1; i <= 500; i++ {
+		if err := sa.Ingest(mkAttack(uint64(i), t0.Add(time.Duration(i)*time.Minute), time.Hour)); err != nil {
+			t.Fatal(err)
+		}
+		if got, snap := sa.Ingested(), sa.Snapshot().Ingested; got != i || snap != i {
+			t.Fatalf("after %d records Ingested() = %d, Snapshot().Ingested = %d", i, got, snap)
+		}
+	}
+	close(done)
+	wg.Wait()
+}
+
 func mkAttack(id uint64, start time.Time, dur time.Duration) *dataset.Attack {
 	return &dataset.Attack{
 		ID:       dataset.DDoSID(id),
