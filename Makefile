@@ -78,8 +78,10 @@ race:
 # verify-race is the dynamic complement of the static gate: the worker
 # parity, determinism, and concurrent-access tests — everything the
 # sharedslice/parmerge analyzers reason about statically — run under the
-# race detector with the full machine's parallelism. -count=2 shakes out
-# once-per-process caching effects (sync.Once indexes, memoized views).
+# race detector with the full machine's parallelism; TestSnapshot also
+# selects the analyzer's generation-published snapshot tests (one writer
+# against eight polling readers). -count=2 shakes out once-per-process
+# caching effects (sync.Once indexes, memoized views).
 verify-race:
 	$(GO) test -race -count=2 \
 		-run 'TestMap|TestChunk|TestWorkers|Parallel|Concurrent|Deterministic|TestParity|TestStoreAccessors|TestStoreSummaryWorkers|TestBotDense|TestDispersionIndex|TestIngest|TestSnapshot|TestAnalyzerIngested' \
@@ -111,11 +113,12 @@ bench-smoke:
 # fails when any exceeds its budget in bench_thresholds.json (see
 # cmd/benchguard). This is the CI gate against allocation regressions in
 # the ARIMA fitter, the dispersion scan, the cross-shard merge, the
-# columnar store build, and the JSONL feed codec. The second pattern
-# segment (scale1) only filters sub-benchmarks, so the flat kernel benches
-# are unaffected by it.
-BENCH_ALLOC_PATTERN := 'BenchmarkFit$$|BenchmarkAutoFit$$|BenchmarkDispersionSeries$$|BenchmarkMergeSnapshots$$|BenchmarkNewStore$$|BenchmarkDecodeJSONL$$|BenchmarkWriteJSONL$$/scale1$$'
-BENCH_ALLOC_PKGS := ./internal/timeseries ./internal/core ./internal/cluster .
+# columnar store build, the JSONL feed codec, and the live snapshot (the
+# first read of a generation, and every later one). Each alternative
+# selects all of a benchmark's sub-benchmarks; the /scale1 segment belongs
+# to the last alternative only.
+BENCH_ALLOC_PATTERN := 'BenchmarkFit$$|BenchmarkAutoFit$$|BenchmarkDispersionSeries$$|BenchmarkMergeSnapshots$$|BenchmarkNewStore$$|BenchmarkDecodeJSONL$$|BenchmarkAnalyzerSnapshot$$|BenchmarkWriteJSONL$$/scale1$$'
+BENCH_ALLOC_PKGS := ./internal/timeseries ./internal/core ./internal/cluster ./internal/stream .
 bench-allocs:
 	$(GO) test -run=^$$ -bench $(BENCH_ALLOC_PATTERN) \
 		-benchmem -benchtime=10x $(BENCH_ALLOC_PKGS) > bench_allocs.out

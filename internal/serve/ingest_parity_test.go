@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -86,5 +87,54 @@ func TestIngestResponsesUnchanged(t *testing.T) {
 				t.Errorf("Ingested() = %d, Snapshot().Ingested = %d", got, snap)
 			}
 		})
+	}
+}
+
+// TestOneLiveRouteTable holds serve.New's live plane to the LiveServer's:
+// after the same good batch, refused batch and good batch, a Server and a
+// LiveServer over a Server answer every live route, an unknown one and a
+// wrong method with the same status and bytes. A second handler set in
+// serve.New would have to be kept equal to pass.
+func TestOneLiveRouteTable(t *testing.T) {
+	ok := func(id, minute int) string { return ingestRecord(id, minute, "192.0.2.1", "Example Net") }
+	batches := []string{
+		ok(1, 0) + ingestRecord(2, 0, "192.0.2.1", "Example Net") + ok(3, 2),
+		ok(4, 3) + `{"ddos_id":5,"botnet_id":}` + "\n" + ok(6, 5),
+		ok(7, 1), // out of order: refused whole
+		ok(8, 6) + ok(9, 7),
+	}
+	store := testServer(t).store
+	direct, mounted := http.Handler(New(store, 0.03)), http.Handler(NewLiveServer(New(store, 0.03)))
+
+	// last_ingest is the wall clock to the second; every other byte of
+	// every body is a function of the feed.
+	lastIngest := regexp.MustCompile(`"last_ingest": "[^"]*"`)
+	same := func(method, path, body string) {
+		t.Helper()
+		var got [2]string
+		for i, h := range []http.Handler{direct, mounted} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+			got[i] = fmt.Sprintf("%d %s %s", rec.Code, rec.Header().Get("Content-Type"),
+				lastIngest.ReplaceAllString(rec.Body.String(), `"last_ingest": ""`))
+		}
+		if got[0] != got[1] {
+			t.Errorf("%s %s\nserve.New:       %s\nNewLiveServer:   %s", method, path, got[0], got[1])
+		}
+	}
+	refresh := func() {
+		t.Helper()
+		for _, route := range []string{"summary", "daily", "intervals", "durations", "load", "collaborations", "ingeststats", "nope"} {
+			same(http.MethodGet, "/api/live/"+route, "")
+		}
+		same(http.MethodGet, "/healthz", "")
+		same(http.MethodPost, "/api/live/daily", "")
+		same(http.MethodGet, "/api/ingest", "")
+	}
+
+	refresh()
+	for _, b := range batches {
+		same(http.MethodPost, "/api/ingest", b)
+		refresh()
 	}
 }

@@ -74,13 +74,13 @@ const (
 	HeaderMissingShards = "X-Botscope-Missing-Shards"
 )
 
-// errNoIngest is the shared empty-feed error, identical on every
-// deployment shape.
+// errNoIngest is the empty-feed error.
 var errNoIngest = errors.New("serve: no attacks ingested yet")
 
 // LiveServer serves the live plane only — ingest, live queries, health,
 // and (when the source supports it) cluster administration. It is the
-// HTTP face of a cluster frontend: all analytics state lives behind the
+// HTTP face of a cluster frontend, and Server mounts one over itself for
+// the single-process live routes: all analytics state lives behind the
 // LiveSource.
 type LiveServer struct {
 	src   LiveSource
@@ -199,8 +199,8 @@ func (s *LiveServer) handleLive(write func(http.ResponseWriter, stream.Snapshot)
 	}
 }
 
-// handleLiveGuarded serves an endpoint that 422s until the first ingest,
-// mirroring the single-process server.
+// handleLiveGuarded serves an endpoint that 422s until the first ingest
+// (mirroring the batch handlers' empty-workload behaviour).
 func (s *LiveServer) handleLiveGuarded(write func(http.ResponseWriter, stream.Snapshot)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		snap, ok := s.snapshot(w, r)
@@ -236,11 +236,24 @@ func (s *LiveServer) recordIngest(records int, rejected bool) {
 	s.lastIngest = time.Now()
 }
 
+// handleIngestStats reports the feed-driving telemetry: requests served,
+// records accepted, rejected requests, and the wall-clock time of the last
+// ingest call (omitted until the first one).
 func (s *LiveServer) handleIngestStats(w http.ResponseWriter, _ *http.Request) {
+	var out struct {
+		Requests   int    `json:"requests"`
+		Records    int    `json:"records"`
+		Rejected   int    `json:"rejected"`
+		LastIngest string `json:"last_ingest,omitempty"`
+	}
 	s.statsMu.Lock()
-	requests, records, rejected, last := s.ingestRequests, s.ingestRecords, s.ingestRejected, s.lastIngest
+	out.Requests, out.Records, out.Rejected = s.ingestRequests, s.ingestRecords, s.ingestRejected
+	last := s.lastIngest
 	s.statsMu.Unlock()
-	writeIngestStats(w, requests, records, rejected, last)
+	if !last.IsZero() {
+		out.LastIngest = last.UTC().Format(time.RFC3339)
+	}
+	writeJSON(w, out)
 }
 
 func (s *LiveServer) handleClusterStatus(w http.ResponseWriter, _ *http.Request) {
@@ -309,30 +322,14 @@ func writeIngestError(w http.ResponseWriter, err error, ingested, total int) {
 	})
 }
 
-// handleHealthz is the shared liveness probe.
+// handleHealthz is the liveness probe.
 func handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write([]byte("ok"))
 }
 
-// writeIngestStats renders the feed-driving telemetry shared by both
-// server shapes.
-func writeIngestStats(w http.ResponseWriter, requests, records, rejected int, last time.Time) {
-	out := struct {
-		Requests   int    `json:"requests"`
-		Records    int    `json:"records"`
-		Rejected   int    `json:"rejected"`
-		LastIngest string `json:"last_ingest,omitempty"`
-	}{Requests: requests, Records: records, Rejected: rejected}
-	if !last.IsZero() {
-		out.LastIngest = last.UTC().Format(time.RFC3339)
-	}
-	writeJSON(w, out)
-}
-
-// The writeLive* functions format one snapshot for one route. Both the
-// single-process server and the cluster LiveServer call exactly these, so
-// their response bodies are byte-identical by construction.
+// The writeLive* functions format one snapshot for one route, whatever
+// LiveSource it came from.
 
 func writeLiveSummary(w http.ResponseWriter, snap stream.Snapshot) {
 	type protoRow struct {

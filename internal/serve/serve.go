@@ -12,7 +12,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"botscope/internal/core"
@@ -36,14 +35,6 @@ type Server struct {
 	live      *stream.Analyzer
 	mux       *http.ServeMux
 	h         http.Handler
-
-	// Ingest telemetry: how the live feed is being driven, independent of
-	// the event-time analytics the stream analyzer owns.
-	statsMu        sync.Mutex
-	ingestRequests int       // guarded by statsMu
-	ingestRecords  int       // guarded by statsMu
-	ingestRejected int       // guarded by statsMu
-	lastIngest     time.Time // guarded by statsMu
 }
 
 // New builds a server for the workload; scale feeds the experiment layer's
@@ -103,15 +94,14 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /api/chains", s.handleChains)
 	s.mux.HandleFunc("GET /api/experiments", s.handleExperimentList)
 	s.mux.HandleFunc("GET /api/experiments/{id}", s.handleExperiment)
-	s.mux.HandleFunc("POST /api/ingest", s.handleIngest)
-	s.mux.HandleFunc("GET /api/live/summary", s.handleLiveSummary)
-	s.mux.HandleFunc("GET /api/live/daily", s.handleLiveDaily)
-	s.mux.HandleFunc("GET /api/live/intervals", s.handleLiveIntervals)
-	s.mux.HandleFunc("GET /api/live/durations", s.handleLiveDurations)
-	s.mux.HandleFunc("GET /api/live/load", s.handleLiveLoad)
-	s.mux.HandleFunc("GET /api/live/collaborations", s.handleLiveCollaborations)
-	s.mux.HandleFunc("GET /api/live/ingeststats", s.handleIngestStats)
-	s.mux.HandleFunc("GET /healthz", handleHealthz)
+
+	// The live plane is the LiveServer's route table over this server as
+	// its LiveSource — the one the cluster frontend is served through —
+	// mounted whole, under this server's jsonErrors.
+	live := NewLiveServer(s).mux
+	s.mux.Handle("/api/ingest", live)
+	s.mux.Handle("/api/live/", live)
+	s.mux.Handle("/healthz", live)
 }
 
 // writeJSON encodes v with a 200 status.
@@ -347,103 +337,6 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeError(w, http.StatusNotFound, fmt.Errorf("unknown experiment %q", id))
-}
-
-// handleIngest streams JSONL attack records from the request body into the
-// live analyzer without materializing them. The response reports how many
-// records this request ingested and the analyzer's running total. A
-// malformed or out-of-order record aborts the request with 422 after the
-// preceding records have been applied.
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	ingested, total, err := s.LiveIngest(r.Context(), r.Body)
-	s.recordIngest(ingested, err != nil)
-	if err != nil {
-		writeIngestError(w, err, ingested, total)
-		return
-	}
-	writeJSON(w, map[string]any{"ingested": ingested, "total": total})
-}
-
-// recordIngest folds one POST /api/ingest outcome into the telemetry
-// counters.
-func (s *Server) recordIngest(records int, rejected bool) {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	s.ingestRequests++
-	s.ingestRecords += records
-	if rejected {
-		s.ingestRejected++
-	}
-	s.lastIngest = time.Now()
-}
-
-// handleIngestStats reports feed-driving telemetry: requests served,
-// records accepted, rejected requests, and the wall-clock time of the last
-// ingest call (zero until the first one).
-func (s *Server) handleIngestStats(w http.ResponseWriter, _ *http.Request) {
-	s.statsMu.Lock()
-	requests, records, rejected, last := s.ingestRequests, s.ingestRecords, s.ingestRejected, s.lastIngest
-	s.statsMu.Unlock()
-	writeIngestStats(w, requests, records, rejected, last)
-}
-
-// liveSnapshot fetches the current snapshot, 422-ing when nothing has been
-// ingested yet (mirroring the batch handlers' empty-workload behaviour).
-func (s *Server) liveSnapshot(w http.ResponseWriter) (stream.Snapshot, bool) {
-	snap := s.live.Snapshot()
-	if snap.Ingested == 0 {
-		writeError(w, http.StatusUnprocessableEntity, errNoIngest)
-		return snap, false
-	}
-	return snap, true
-}
-
-// The live handlers delegate to the shared writeLive* formatters in
-// live.go — the same functions the cluster LiveServer uses — so both
-// deployment shapes emit byte-identical bodies by construction.
-
-func (s *Server) handleLiveSummary(w http.ResponseWriter, _ *http.Request) {
-	writeLiveSummary(w, s.live.Snapshot())
-}
-
-func (s *Server) handleLiveDaily(w http.ResponseWriter, _ *http.Request) {
-	snap, ok := s.liveSnapshot(w)
-	if !ok {
-		return
-	}
-	writeLiveDaily(w, snap)
-}
-
-func (s *Server) handleLiveIntervals(w http.ResponseWriter, _ *http.Request) {
-	snap, ok := s.liveSnapshot(w)
-	if !ok {
-		return
-	}
-	writeLiveIntervals(w, snap)
-}
-
-func (s *Server) handleLiveDurations(w http.ResponseWriter, _ *http.Request) {
-	snap, ok := s.liveSnapshot(w)
-	if !ok {
-		return
-	}
-	writeLiveDurations(w, snap)
-}
-
-func (s *Server) handleLiveLoad(w http.ResponseWriter, _ *http.Request) {
-	snap, ok := s.liveSnapshot(w)
-	if !ok {
-		return
-	}
-	writeLiveLoad(w, snap)
-}
-
-func (s *Server) handleLiveCollaborations(w http.ResponseWriter, _ *http.Request) {
-	snap, ok := s.liveSnapshot(w)
-	if !ok {
-		return
-	}
-	writeLiveCollaborations(w, snap)
 }
 
 // ListenAndServe runs the server with sane timeouts until the listener

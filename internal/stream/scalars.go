@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"botscope/internal/core"
@@ -168,19 +169,19 @@ func (sc *Scalars) DurationStats() core.DurationStats {
 	return st
 }
 
-// LoadStats finishes the time-weighted integral over a copy of the active
-// heap (draining the still-active attacks to their ends), so at end of
-// stream TimeWeightedMean matches the batch sweep exactly.
+// LoadStats finishes the time-weighted integral over a sorted copy of the
+// active heap (retiring the still-active attacks at their ends, earliest
+// first), so at end of stream TimeWeightedMean matches the batch sweep
+// exactly.
 func (sc *Scalars) LoadStats() core.LoadStats {
 	st := core.LoadStats{Peak: sc.peak, PeakTime: sc.peakTime}
 	weight, total := sc.weightSum, sc.timeSum
 	if len(sc.ends) > 0 {
-		rest := make(endHeap, len(sc.ends))
-		copy(rest, sc.ends)
+		rest := slices.Clone(sc.ends)
+		slices.Sort(rest)
 		active := sc.active
 		sweep := sc.sweepTime.UnixNano()
-		for len(rest) > 0 {
-			e := heap.Pop(&rest).(int64)
+		for _, e := range rest {
 			dt := time.Duration(e - sweep).Seconds()
 			if dt > 0 {
 				weight += float64(active) * dt

@@ -9,17 +9,21 @@
 // Analyzer produces, so parity is directly testable.
 package stream
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // QuantileSketch is a bounded-memory streaming quantile estimator over
 // non-negative values, in the DDSketch family: values are counted in
 // logarithmically spaced buckets chosen so that every estimate carries a
-// guaranteed relative error of at most Alpha. Memory is O(log(max/min) /
-// Alpha) buckets regardless of stream length; with the default Alpha and
-// second-scaled durations/intervals that is under ~2,000 buckets.
+// guaranteed relative error of at most Alpha.
+//
+// Buckets live in key order in one dense array: counts[i] is the bucket
+// with key base+i, so Add is an array increment and Quantile an ordered
+// walk — neither sorts nor allocates. The array spans the lowest to the
+// highest key seen (and, after growing downward, as many spare slots
+// again): O(log(max/min) / Alpha) slots regardless of stream length. With
+// the default Alpha, second-scaled gaps and durations from 1 µs to 260 ks
+// span ~2,700 slots (21 KB), and nothing a time.Duration can express
+// spans more than ~3,700.
 //
 // The zero value is not usable; construct with NewQuantileSketch. A sketch
 // is not safe for concurrent mutation; Quantile and friends are read-only.
@@ -29,8 +33,10 @@ type QuantileSketch struct {
 	lnGamma float64
 	maxBins int
 
-	zero   uint64 // count of values <= minIndexable
-	counts map[int]uint64
+	zero   uint64   // count of values <= minIndexable
+	base   int      // key of counts[0]
+	counts []uint64 // dense log buckets in key order
+	live   int      // non-empty log buckets
 	n      uint64
 	min    float64
 	max    float64
@@ -41,6 +47,10 @@ type QuantileSketch struct {
 // inside the 2% parity tolerance against the batch quantiles.
 const DefaultAlpha = 0.005
 
+// defaultMaxBins caps the non-empty log buckets; past it the two lowest
+// collapse into one.
+const defaultMaxBins = 4096
+
 // minIndexable is the smallest magnitude tracked in log buckets; values at
 // or below it (including all zeros, which dominate inter-attack gap series)
 // land in a dedicated exact-zero bucket. One microsecond is far below any
@@ -50,6 +60,10 @@ const minIndexable = 1e-6
 // NewQuantileSketch builds a sketch with the given relative-error target
 // (0 means DefaultAlpha). Alpha must stay in (0, 1).
 func NewQuantileSketch(alpha float64) *QuantileSketch {
+	return newQuantileSketch(alpha, defaultMaxBins)
+}
+
+func newQuantileSketch(alpha float64, maxBins int) *QuantileSketch {
 	if alpha <= 0 {
 		alpha = DefaultAlpha
 	}
@@ -61,8 +75,7 @@ func NewQuantileSketch(alpha float64) *QuantileSketch {
 		alpha:   alpha,
 		gamma:   gamma,
 		lnGamma: math.Log(gamma),
-		maxBins: 4096,
-		counts:  make(map[int]uint64),
+		maxBins: maxBins,
 	}
 }
 
@@ -73,11 +86,13 @@ func (s *QuantileSketch) Alpha() float64 { return s.alpha }
 func (s *QuantileSketch) N() int { return int(s.n) }
 
 // Bins returns the number of live log buckets (excluding the zero bucket),
-// the sketch's memory footprint measure.
-func (s *QuantileSketch) Bins() int { return len(s.counts) }
+// the sketch's accuracy-relevant size.
+func (s *QuantileSketch) Bins() int { return s.live }
 
 // Add folds x into the sketch. Negative values are clamped to zero (the
 // analyzer only feeds non-negative gap/duration seconds).
+//
+//botscope:hotpath
 func (s *QuantileSketch) Add(x float64) {
 	if math.IsNaN(x) {
 		return
@@ -101,29 +116,61 @@ func (s *QuantileSketch) Add(x float64) {
 		return
 	}
 	key := int(math.Ceil(math.Log(x) / s.lnGamma))
-	s.counts[key]++
-	if len(s.counts) > s.maxBins {
+	if key < s.base || key >= s.base+len(s.counts) {
+		s.extend(key)
+	}
+	i := key - s.base
+	if s.counts[i] == 0 {
+		s.live++
+	}
+	s.counts[i]++
+	if s.live > s.maxBins {
 		s.collapse()
 	}
 }
 
-// collapse merges the two lowest buckets, trading accuracy at the cheap
-// low end for a hard memory cap (the DDSketch collapsing strategy).
-func (s *QuantileSketch) collapse() {
-	lowest, second := math.MaxInt, math.MaxInt
-	for k := range s.counts {
-		if k < lowest {
-			second = lowest
-			lowest = k
-		} else if k < second {
-			second = k
-		}
+// extend grows the array until key is addressable. Upward growth appends;
+// downward growth reallocates with as many spare slots below as the array
+// already holds, so a descending stream still pays amortized O(1) per Add.
+func (s *QuantileSketch) extend(key int) {
+	switch {
+	case len(s.counts) == 0:
+		s.base = key
+		s.counts = append(s.counts, 0)
+	case key >= s.base:
+		s.counts = append(s.counts, make([]uint64, key-s.base+1-len(s.counts))...)
+	default:
+		pad := max(s.base-key, len(s.counts))
+		grown := make([]uint64, pad+len(s.counts))
+		copy(grown[pad:], s.counts)
+		s.counts = grown
+		s.base -= pad
 	}
-	if second == math.MaxInt {
+}
+
+// collapse merges the two lowest non-empty buckets, trading accuracy at
+// the cheap low end for a hard cap on live buckets (the DDSketch
+// collapsing strategy). The emptied slot stays: a later low value reuses
+// it instead of regrowing the array.
+func (s *QuantileSketch) collapse() {
+	lowest, second := -1, -1
+	for i, c := range s.counts {
+		if c == 0 {
+			continue
+		}
+		if lowest < 0 {
+			lowest = i
+			continue
+		}
+		second = i
+		break
+	}
+	if second < 0 {
 		return
 	}
 	s.counts[second] += s.counts[lowest]
-	delete(s.counts, lowest)
+	s.counts[lowest] = 0
+	s.live--
 }
 
 // Quantile estimates the q-th quantile (0 <= q <= 1) of the values added
@@ -138,18 +185,13 @@ func (s *QuantileSketch) Quantile(q float64) float64 {
 	if rank < s.zero {
 		return 0
 	}
-	keys := make([]int, 0, len(s.counts))
-	for k := range s.counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
 	cum := s.zero
-	for _, k := range keys {
-		cum += s.counts[k]
+	for i, c := range s.counts {
+		cum += c
 		if rank < cum {
 			// Mid-bucket estimate: bucket k covers (gamma^(k-1), gamma^k];
 			// 2*gamma^k/(gamma+1) is within alpha of every value inside.
-			est := 2 * math.Pow(s.gamma, float64(k)) / (s.gamma + 1)
+			est := 2 * math.Pow(s.gamma, float64(s.base+i)) / (s.gamma + 1)
 			return clamp(est, s.min, s.max)
 		}
 	}
@@ -180,132 +222,4 @@ func (s *QuantileSketch) Max() float64 {
 		return math.NaN()
 	}
 	return s.max
-}
-
-// P2Quantile is the classic P² (Jain & Chlamtac 1985) single-quantile
-// estimator: five markers updated with parabolic interpolation, O(1) memory
-// and time per observation. It is kept alongside QuantileSketch as the
-// constant-memory option when even log-bucket memory is too much (e.g. one
-// estimator per tracked target); the Analyzer's snapshots use the sketch,
-// whose error is guaranteed rather than distribution-dependent.
-//
-// The zero value is not usable; construct with NewP2Quantile.
-type P2Quantile struct {
-	p    float64
-	n    int
-	q    [5]float64 // marker heights
-	pos  [5]float64 // marker positions (1-based)
-	want [5]float64 // desired marker positions
-	dpos [5]float64 // desired position increments per observation
-	init []float64  // first five observations
-}
-
-// NewP2Quantile builds a P² estimator for quantile p in (0, 1).
-func NewP2Quantile(p float64) *P2Quantile {
-	if p <= 0 || p >= 1 {
-		p = 0.5
-	}
-	return &P2Quantile{
-		p:    p,
-		dpos: [5]float64{0, p / 2, p, (1 + p) / 2, 1},
-		init: make([]float64, 0, 5),
-	}
-}
-
-// N returns the number of observations added.
-func (e *P2Quantile) N() int { return e.n }
-
-// Add folds x into the estimator.
-func (e *P2Quantile) Add(x float64) {
-	if math.IsNaN(x) {
-		return
-	}
-	e.n++
-	if len(e.init) < 5 {
-		e.init = append(e.init, x)
-		if len(e.init) == 5 {
-			sort.Float64s(e.init)
-			for i := 0; i < 5; i++ {
-				e.q[i] = e.init[i]
-				e.pos[i] = float64(i + 1)
-			}
-			e.want = [5]float64{1, 1 + 2*e.p, 1 + 4*e.p, 3 + 2*e.p, 5}
-		}
-		return
-	}
-
-	// Locate the cell containing x, extending the extremes when needed.
-	var k int
-	switch {
-	case x < e.q[0]:
-		e.q[0] = x
-		k = 0
-	case x >= e.q[4]:
-		e.q[4] = x
-		k = 3
-	default:
-		for k = 0; k < 3; k++ {
-			if x < e.q[k+1] {
-				break
-			}
-		}
-	}
-	for i := k + 1; i < 5; i++ {
-		e.pos[i]++
-	}
-	for i := 0; i < 5; i++ {
-		e.want[i] += e.dpos[i]
-	}
-
-	// Adjust the three interior markers toward their desired positions.
-	for i := 1; i <= 3; i++ {
-		d := e.want[i] - e.pos[i]
-		if (d >= 1 && e.pos[i+1]-e.pos[i] > 1) || (d <= -1 && e.pos[i-1]-e.pos[i] < -1) {
-			sign := 1.0
-			if d < 0 {
-				sign = -1
-			}
-			qn := e.parabolic(i, sign)
-			if !(e.q[i-1] < qn && qn < e.q[i+1]) {
-				qn = e.linear(i, sign)
-			}
-			e.q[i] = qn
-			e.pos[i] += sign
-		}
-	}
-}
-
-// parabolic is the P² piecewise-parabolic marker update.
-func (e *P2Quantile) parabolic(i int, d float64) float64 {
-	return e.q[i] + d/(e.pos[i+1]-e.pos[i-1])*
-		((e.pos[i]-e.pos[i-1]+d)*(e.q[i+1]-e.q[i])/(e.pos[i+1]-e.pos[i])+
-			(e.pos[i+1]-e.pos[i]-d)*(e.q[i]-e.q[i-1])/(e.pos[i]-e.pos[i-1]))
-}
-
-// linear is the fallback update when the parabola overshoots a neighbour.
-func (e *P2Quantile) linear(i int, d float64) float64 {
-	j := i + int(d)
-	return e.q[i] + d*(e.q[j]-e.q[i])/(e.pos[j]-e.pos[i])
-}
-
-// Value returns the current quantile estimate, or NaN before any
-// observation. With fewer than five observations it falls back to the
-// exact small-sample quantile.
-func (e *P2Quantile) Value() float64 {
-	if e.n == 0 {
-		return math.NaN()
-	}
-	if e.n < 5 {
-		sorted := append([]float64(nil), e.init...)
-		sort.Float64s(sorted)
-		pos := e.p * float64(len(sorted)-1)
-		lo := int(math.Floor(pos))
-		hi := int(math.Ceil(pos))
-		if lo == hi {
-			return sorted[lo]
-		}
-		frac := pos - float64(lo)
-		return sorted[lo]*(1-frac) + sorted[hi]*frac
-	}
-	return e.q[2]
 }

@@ -84,8 +84,7 @@ func TestQuantileSketchEdgeCases(t *testing.T) {
 }
 
 func TestQuantileSketchMemoryBound(t *testing.T) {
-	sk := NewQuantileSketch(0)
-	sk.maxBins = 64
+	sk := newQuantileSketch(0, 64)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 100000; i++ {
 		sk.Add(math.Exp(rng.Float64()*20 - 5)) // values across ~11 decades
@@ -102,37 +101,168 @@ func TestQuantileSketchMemoryBound(t *testing.T) {
 	}
 }
 
-func TestP2QuantileNormal(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, p := range []float64{0.5, 0.8, 0.95} {
-		est := NewP2Quantile(p)
-		xs := make([]float64, 0, 50000)
-		for i := 0; i < 50000; i++ {
-			x := 100 + 15*rng.NormFloat64()
-			est.Add(x)
-			xs = append(xs, x)
-		}
-		sort.Float64s(xs)
-		want := exactQuantile(xs, p)
-		got := est.Value()
-		if math.Abs(got-want)/want > 0.02 {
-			t.Errorf("P2(p=%v) = %v, exact %v", p, got, want)
-		}
+// refSketch is the map-and-sort sketch the dense array replaced, kept as
+// the reference the differential test compares against: same bucket keys,
+// same collapse of the two lowest buckets, quantiles by sorting the keys.
+type refSketch struct {
+	gamma, lnGamma float64
+	maxBins        int
+	zero, n        uint64
+	counts         map[int]uint64
+	min, max       float64
+}
+
+func newRefSketch(alpha float64, maxBins int) *refSketch {
+	gamma := (1 + alpha) / (1 - alpha)
+	return &refSketch{gamma: gamma, lnGamma: math.Log(gamma), maxBins: maxBins, counts: make(map[int]uint64)}
+}
+
+func (s *refSketch) add(x float64) {
+	if math.IsNaN(x) {
+		return
+	}
+	if x < 0 {
+		x = 0
+	}
+	if s.n == 0 {
+		s.min, s.max = x, x
+	} else {
+		s.min, s.max = math.Min(s.min, x), math.Max(s.max, x)
+	}
+	s.n++
+	if x <= minIndexable {
+		s.zero++
+		return
+	}
+	s.counts[int(math.Ceil(math.Log(x)/s.lnGamma))]++
+	if len(s.counts) > s.maxBins {
+		keys := s.keys()
+		s.counts[keys[1]] += s.counts[keys[0]]
+		delete(s.counts, keys[0])
 	}
 }
 
-func TestP2QuantileSmallSample(t *testing.T) {
-	est := NewP2Quantile(0.5)
-	if !math.IsNaN(est.Value()) {
-		t.Error("empty estimator should be NaN")
+func (s *refSketch) keys() []int {
+	keys := make([]int, 0, len(s.counts))
+	for k := range s.counts {
+		keys = append(keys, k)
 	}
-	for _, x := range []float64{5, 1, 3} {
-		est.Add(x)
+	sort.Ints(keys)
+	return keys
+}
+
+func (s *refSketch) quantile(q float64) float64 {
+	if s.n == 0 || q < 0 || q > 1 || math.IsNaN(q) {
+		return math.NaN()
 	}
-	if got := est.Value(); got != 3 {
-		t.Errorf("small-sample median = %v, want 3", got)
+	rank := uint64(math.Round(q * float64(s.n-1)))
+	if rank < s.zero {
+		return 0
 	}
-	if est.N() != 3 {
-		t.Errorf("n = %d, want 3", est.N())
+	cum := s.zero
+	for _, k := range s.keys() {
+		cum += s.counts[k]
+		if rank < cum {
+			return clamp(2*math.Pow(s.gamma, float64(k))/(s.gamma+1), s.min, s.max)
+		}
+	}
+	return s.max
+}
+
+// sameBits is bit equality, so NaN matches NaN and -0 does not match 0.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestQuantileSketchMatchesReference feeds the dense sketch and the
+// map-and-sort reference the same streams and requires every estimate,
+// bound and count to agree bit for bit after every few values.
+func TestQuantileSketchMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	gen := func(n int, f func(i int) float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = f(i)
+		}
+		return xs
+	}
+	streams := []struct {
+		name    string
+		maxBins int
+		xs      []float64
+	}{
+		{"lognormal durations", defaultMaxBins, gen(20000, func(int) float64 { return 1800 * math.Exp(1.4*rng.NormFloat64()) })},
+		{"pareto gaps", defaultMaxBins, gen(20000, func(int) float64 { return 0.5 / math.Pow(1-rng.Float64(), 1/1.2) })},
+		{"all zeros", defaultMaxBins, gen(500, func(int) float64 { return 0 })},
+		{"descending", defaultMaxBins, gen(3000, func(i int) float64 { return 1e6 * math.Pow(0.99, float64(i)) })},
+		{"wide, collapsing", 48, gen(20000, func(int) float64 { return math.Exp(rng.Float64()*40 - 12) })},
+		{"descending, collapsing", 16, gen(2000, func(i int) float64 { return 1e9 * math.Pow(0.97, float64(i)) })},
+		{"NaN, negative and tiny", 32, gen(5000, func(i int) float64 {
+			switch i % 5 {
+			case 0:
+				return math.NaN()
+			case 1:
+				return -rng.Float64() * 100
+			case 2:
+				return rng.Float64() * 2e-6
+			}
+			return math.Exp(rng.NormFloat64() * 6)
+		})},
+	}
+	qs := []float64{0, 0.5, 0.8, 0.95, 1, -0.1, 1.1, math.NaN()}
+
+	for _, st := range streams {
+		t.Run(st.name, func(t *testing.T) {
+			sk := newQuantileSketch(0, st.maxBins)
+			ref := newRefSketch(DefaultAlpha, st.maxBins)
+			check := func(i int) {
+				t.Helper()
+				if sk.N() != int(ref.n) || sk.Bins() != len(ref.counts) {
+					t.Fatalf("after %d values: N %d Bins %d, reference %d %d", i, sk.N(), sk.Bins(), ref.n, len(ref.counts))
+				}
+				if ref.n > 0 && (!sameBits(sk.Min(), ref.min) || !sameBits(sk.Max(), ref.max)) {
+					t.Fatalf("after %d values: min %v max %v, reference %v %v", i, sk.Min(), sk.Max(), ref.min, ref.max)
+				}
+				for _, q := range qs {
+					if got, want := sk.Quantile(q), ref.quantile(q); !sameBits(got, want) {
+						t.Fatalf("after %d values: Quantile(%v) = %v, reference %v", i, q, got, want)
+					}
+				}
+			}
+			check(0)
+			for i, x := range st.xs {
+				sk.Add(x)
+				ref.add(x)
+				if i%97 == 0 {
+					check(i + 1)
+				}
+			}
+			check(len(st.xs))
+			if sk.Bins() > st.maxBins {
+				t.Errorf("%d live buckets, cap %d", sk.Bins(), st.maxBins)
+			}
+		})
 	}
 }
+
+// TestQuantileSketchAllocations pins the point of the dense layout: a
+// quantile read never allocates, and neither does an Add whose bucket the
+// array already spans.
+func TestQuantileSketchAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	xs := make([]float64, 4096)
+	for i := range xs {
+		xs[i] = 1800 * math.Exp(1.4*rng.NormFloat64())
+	}
+	sk := NewQuantileSketch(0)
+	for _, x := range xs {
+		sk.Add(x)
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = sk.Quantile(0.5) + sk.Quantile(0.95) }); n != 0 {
+		t.Errorf("Quantile allocates %v times a call", n)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() { sk.Add(xs[i%len(xs)]); i++ }); n != 0 {
+		t.Errorf("Add on a warmed sketch allocates %v times a call", n)
+	}
+}
+
+var sink float64

@@ -3,8 +3,10 @@ package stream
 import (
 	"container/heap"
 	"errors"
+	"maps"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"botscope/internal/core"
@@ -20,10 +22,12 @@ var ErrOutOfOrder = errors.New("stream: attack starts before the previously inge
 
 // Analyzer is a thread-safe, bounded-memory online analyzer over a live
 // attack feed. One writer calls Ingest; any number of readers may call
-// Snapshot concurrently (RWMutex-guarded).
+// Snapshot concurrently (RWMutex-guarded). Every accepted write starts a
+// new generation of the state, and a generation's snapshot is built by
+// the first reader to ask, published once, and handed to every later one.
 //
 // Memory grows with the number of distinct (day, family) buckets, sketch
-// buckets (hard-capped), currently active attacks, and open collaboration
+// buckets (bounded by the value range), currently active attacks, and open collaboration
 // windows — never with the total number of ingested attacks.
 //
 // The global-order scalar statistics (gaps, durations, load) live in an
@@ -35,16 +39,34 @@ var ErrOutOfOrder = errors.New("stream: attack starts before the previously inge
 type Analyzer struct {
 	mu sync.RWMutex
 
+	// gen counts accepted writes: every Ingest, IngestAt, Tick and Advance
+	// that changed the state bumps it, a rejected record does not.
+	gen uint64 // guarded by mu
+	// published is the snapshot of generation published.gen, current while
+	// that equals gen. Readers that find it stale build under the read
+	// lock — gen cannot move meanwhile — and publish with CompareAndSwap,
+	// so of several that built at once one wins and none replaces a
+	// snapshot already handed out with an equal copy.
+	//
+	//botscope:memo
+	published atomic.Pointer[publishedSnapshot]
+
 	scalars *Scalars // guarded by mu
 
 	// Protocol / family counters (Figs 1-2, Table II).
 	byCategory map[dataset.Category]int                    // guarded by mu
 	byCatFam   map[dataset.Category]map[dataset.Family]int // guarded by mu
 
-	// Daily buckets keyed by day index from the UTC midnight of the first
-	// attack's day, mirroring core.DailyDistribution's anchoring.
-	dayAnchor time.Time          // guarded by mu
-	days      map[int]*dayBucket // guarded by mu
+	// Daily buckets by day index from the UTC midnight of the first
+	// attack's day, mirroring core.DailyDistribution's anchoring. The feed
+	// is start-ordered, so only the newest day can still change: closed
+	// holds the earlier days already rendered, with their headline
+	// statistics folded in, and is only ever appended to.
+	dayAnchor time.Time       // guarded by mu
+	closed    core.DailyStats // guarded by mu; Average holds nothing
+	closedSum int             // guarded by mu
+	openDay   int             // guarded by mu
+	open      *dayBucket      // guarded by mu; nil before the first attack
 
 	// Windowed cross-botnet collaboration detection (§V).
 	collab *collabTracker // guarded by mu
@@ -55,6 +77,11 @@ type dayBucket struct {
 	byFamily map[dataset.Family]int
 }
 
+type publishedSnapshot struct {
+	gen  uint64
+	snap Snapshot
+}
+
 // New builds an empty streaming analyzer with the paper's collaboration
 // windows (60 s start window, 30 min duration window).
 func New() *Analyzer {
@@ -62,7 +89,6 @@ func New() *Analyzer {
 		scalars:    NewScalars(),
 		byCategory: make(map[dataset.Category]int),
 		byCatFam:   make(map[dataset.Category]map[dataset.Family]int),
-		days:       make(map[int]*dayBucket),
 		collab:     newCollabTracker(core.SimultaneousThreshold, core.CollabDurationWindow),
 	}
 }
@@ -96,6 +122,7 @@ func (s *Analyzer) ingest(a *dataset.Attack, seq uint64) error {
 	if err := s.scalars.Observe(a.ID, a.Start, a.End); err != nil {
 		return err
 	}
+	s.gen++
 	if seq == 0 {
 		seq = uint64(s.scalars.N())
 	}
@@ -116,14 +143,12 @@ func (s *Analyzer) ingest(a *dataset.Attack, seq uint64) error {
 	if s.dayAnchor.IsZero() {
 		s.dayAnchor = time.Date(a.Start.Year(), a.Start.Month(), a.Start.Day(), 0, 0, 0, 0, time.UTC)
 	}
-	d := int(a.Start.Sub(s.dayAnchor).Hours() / 24)
-	db := s.days[d]
-	if db == nil {
-		db = &dayBucket{byFamily: make(map[dataset.Family]int)}
-		s.days[d] = db
+	if d := int(a.Start.Sub(s.dayAnchor).Hours() / 24); s.open == nil || d != s.openDay {
+		s.closeDay()
+		s.openDay, s.open = d, &dayBucket{byFamily: make(map[dataset.Family]int)}
 	}
-	db.count++
-	db.byFamily[a.Family]++
+	s.open.count++
+	s.open.byFamily[a.Family]++
 
 	// Collaboration windows.
 	s.collab.ingest(a, seq)
@@ -139,6 +164,7 @@ func (s *Analyzer) ingest(a *dataset.Attack, seq uint64) error {
 func (s *Analyzer) Advance(t time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.gen++
 	s.collab.advance(t)
 }
 
@@ -154,6 +180,7 @@ func (s *Analyzer) Tick(id dataset.DDoSID, start, end time.Time) error {
 	if err := s.scalars.Observe(id, start, end); err != nil {
 		return err
 	}
+	s.gen++
 	s.collab.advance(start)
 	return nil
 }
@@ -195,15 +222,33 @@ func (s *Analyzer) Ingested() int {
 	return s.scalars.N()
 }
 
-// Snapshot materializes the current online state. It is safe to call
-// concurrently with Ingest and returns fresh slices/maps that never alias
-// analyzer state. Unlike the batch summaries, an empty or single-attack
-// snapshot reports zero statistics rather than NaNs, keeping the result
-// JSON-encodable.
+// Snapshot returns the current online state. It is safe to call
+// concurrently with Ingest. The value is immutable and shared: every
+// caller between two writes gets the same slices and maps, so callers
+// only read them; nothing in it aliases state the analyzer still writes.
+// Unlike the batch summaries, an empty or single-attack snapshot reports
+// zero statistics rather than NaNs, keeping the result JSON-encodable.
 func (s *Analyzer) Snapshot() Snapshot {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 
+	prev := s.published.Load()
+	if prev != nil && prev.gen == s.gen {
+		return prev.snap
+	}
+	next := &publishedSnapshot{gen: s.gen, snap: s.build()}
+	if !s.published.CompareAndSwap(prev, next) {
+		// Lost to a reader that built the same generation: gen is pinned
+		// by the read lock and writers never touch the slot.
+		next = s.published.Load()
+	}
+	return next.snap
+}
+
+// build materializes the state from scratch.
+//
+//lockguard:held mu
+func (s *Analyzer) build() Snapshot {
 	snap := Snapshot{
 		Ingested:      s.scalars.N(),
 		FirstStart:    s.scalars.FirstStart(),
@@ -258,48 +303,59 @@ func (s *Analyzer) familyProtocolTable() []core.FamilyProtocolRow {
 	return out
 }
 
-// dailyStats rebuilds core.DailyStats from the daily buckets with the same
-// tie rules as core.DailyDistribution (earliest peak day wins; dominant
-// family by count, ties alphabetically).
+// render is the bucket as day d's row; the row takes the bucket's map.
+func (b *dayBucket) render(anchor time.Time, d int) core.DailyCount {
+	return core.DailyCount{Day: anchor.AddDate(0, 0, d), Count: b.count, ByFamily: b.byFamily}
+}
+
+// foldDay folds one rendered day into st's headline statistics with
+// core.DailyDistribution's tie rules: the earliest peak day wins; its
+// dominant family is by count, ties alphabetically.
+func foldDay(st *core.DailyStats, dc core.DailyCount) {
+	if dc.Count <= st.Max {
+		return
+	}
+	st.Max, st.MaxDay = dc.Count, dc.Day
+	best, bestN := dataset.Family(""), 0
+	for f, n := range dc.ByFamily {
+		if n > bestN || (n == bestN && f < best) {
+			best, bestN = f, n
+		}
+	}
+	st.MaxDominantFamily = best
+}
+
+// closeDay moves the open day, which no later attack can fall in, to the
+// rendered prefix.
+//
+//lockguard:held mu
+func (s *Analyzer) closeDay() {
+	if s.open == nil {
+		return
+	}
+	dc := s.open.render(s.dayAnchor, s.openDay)
+	s.closed.Days = append(s.closed.Days, dc)
+	s.closedSum += dc.Count
+	foldDay(&s.closed, dc)
+}
+
+// dailyStats is the closed days plus the open one, rendered over a copy of
+// its still-changing family map. Closed rows are shared between
+// snapshots; nothing writes them again. A shard that has seen only ticks
+// so far has no days.
 //
 //lockguard:held mu
 func (s *Analyzer) dailyStats() core.DailyStats {
-	idx := make([]int, 0, len(s.days))
-	for d := range s.days {
-		idx = append(idx, d)
+	if s.open == nil {
+		return core.DailyStats{}
 	}
-	sort.Ints(idx)
-
-	st := core.DailyStats{Days: make([]core.DailyCount, 0, len(idx))}
-	total := 0
-	for _, d := range idx {
-		db := s.days[d]
-		dc := core.DailyCount{
-			Day:      s.dayAnchor.AddDate(0, 0, d),
-			Count:    db.count,
-			ByFamily: make(map[dataset.Family]int, len(db.byFamily)),
-		}
-		for f, n := range db.byFamily {
-			dc.ByFamily[f] = n
-		}
-		st.Days = append(st.Days, dc)
-		total += db.count
-		if db.count > st.Max {
-			st.Max = db.count
-			st.MaxDay = dc.Day
-			best, bestN := dataset.Family(""), 0
-			for f, n := range db.byFamily {
-				if n > bestN || (n == bestN && f < best) {
-					best, bestN = f, n
-				}
-			}
-			st.MaxDominantFamily = best
-		}
-	}
-	if len(idx) > 0 {
-		span := idx[len(idx)-1] - idx[0] + 1
-		st.Average = float64(total) / float64(span)
-	}
+	st := s.closed
+	today := s.open.render(s.dayAnchor, s.openDay)
+	today.ByFamily = maps.Clone(today.ByFamily)
+	st.Days = append(append(make([]core.DailyCount, 0, len(st.Days)+1), st.Days...), today)
+	foldDay(&st, today)
+	span := int(today.Day.Sub(st.Days[0].Day).Hours()/24) + 1
+	st.Average = float64(s.closedSum+today.Count) / float64(span)
 	return st
 }
 
