@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build build-cross test vet botvet botvet-json botvet-sarif botvet-timed race verify verify-race bench bench-smoke bench-allocs bench-update bench-record bench-stream bench-trajectory load-smoke load-record snapshot-smoke report fmt fmt-check fuzz
+.PHONY: build build-cross loc test vet botvet botvet-json botvet-sarif botvet-timed race verify verify-race bench bench-smoke bench-allocs bench-update bench-record bench-stream bench-trajectory load-smoke load-record snapshot-smoke report fmt fmt-check fuzz
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,17 @@ build:
 build-cross:
 	GOOS=windows $(GO) build ./...
 	GOOS=darwin $(GO) build ./...
+
+# loc prints non-test, non-vendor, non-testdata Go lines per package and
+# in total: the unit the ROADMAP's simplification items are denominated
+# in. benchmark/ gets its own total because a PR outside it may not touch
+# it. Raw lines (wc -l), so comment and blank lines count.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './vendor/*' ! -path '*/testdata/*' ! -path './.bench_build/*' -print0 \
+	| xargs -0 wc -l \
+	| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1; if (d !~ /^\.\/benchmark/) o += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
+		printf "%7d total\n%7d total outside benchmark/\n", t, o }'
 
 test:
 	$(GO) test ./...

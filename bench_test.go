@@ -323,7 +323,7 @@ func BenchmarkAblationStoreIndex(b *testing.B) {
 	b.Run("indexed", func(b *testing.B) {
 		var n int
 		for i := 0; i < b.N; i++ {
-			n = len(w.Store.ByFamily(dataset.Pandora))
+			n = len(w.Store.RowsByFamily(dataset.Pandora))
 		}
 		b.ReportMetric(float64(n), "attacks")
 	})

@@ -49,8 +49,8 @@ func ExampleNewScenario() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, f := range store.Families() {
-		fmt.Printf("%s: %d attacks\n", f, len(store.ByFamily(f)))
+	for _, fc := range store.FamilyCounts() {
+		fmt.Printf("%s: %d attacks\n", fc.Family, fc.Attacks)
 	}
 	// Output:
 	// dirtjumper: 173 attacks

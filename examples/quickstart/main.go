@@ -55,10 +55,13 @@ func run() error {
 	fmt.Printf("durations (Fig 7): median %.0fs, mean %.0fs, %.0f%% under 4 hours\n",
 		durations.Median, durations.Mean, durations.FracUnder4h*100)
 
+	counts := make(map[botscope.Family]int)
+	for _, fc := range store.FamilyCounts() {
+		counts[fc.Family] = fc.Attacks
+	}
 	fmt.Println("\nmost active families:")
 	for i, f := range botscope.ActiveFamilies() {
-		n := len(store.ByFamily(f))
-		if n > 0 && i < 10 {
+		if n := counts[f]; n > 0 && i < 10 {
 			fmt.Printf("  %-12s %6d attacks\n", f, n)
 		}
 	}

@@ -31,13 +31,16 @@ func run() error {
 	const mirai = botscope.Family("mirailike")
 
 	fmt.Println("scenario: 2013-era families + a Mirai-like IoT botnet")
+	counts := make(map[botscope.Family]int)
+	for _, fc := range store.FamilyCounts() {
+		counts[fc.Family] = fc.Attacks
+	}
 	for _, f := range []botscope.Family{mirai, botscope.Dirtjumper, botscope.Pandora} {
-		n := len(store.ByFamily(f))
 		mag, err := a.MagnitudeProfile(f)
 		if err != nil {
 			continue
 		}
-		fmt.Printf("  %-12s %5d attacks, median magnitude %4.0f bots\n", f, n, mag.Median)
+		fmt.Printf("  %-12s %5d attacks, median magnitude %4.0f bots\n", f, counts[f], mag.Median)
 	}
 
 	// 1. Geolocation affinity: does the IoT family's dispersion still show

@@ -6,7 +6,7 @@
 // marks its API with two directives:
 //
 //	//botscope:materializes  — rebuilds the full record arena
-//	                           (Store.Attacks, ByFamily, InRange, ...)
+//	                           (Store.Attacks, Bot, Botnet)
 //	//botscope:recordbridge  — materializes one row on demand through
 //	                           the CAS memo (AttackRecordAt, AttackRecords)
 //

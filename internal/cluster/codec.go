@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"time"
 
+	"botscope/internal/binenc"
 	"botscope/internal/dataset"
 )
 
@@ -32,20 +33,20 @@ const (
 // encodeIngest appends the msgIngest payload for entries to w.
 //
 //botvet:codec encode ingest
-func encodeIngest(w *wireWriter, entries []IngestEntry) {
-	w.uvarint(uint64(len(entries)))
+func encodeIngest(w *binenc.Writer, entries []IngestEntry) {
+	w.Uvarint(uint64(len(entries)))
 	for i := range entries {
 		e := &entries[i]
 		if e.Record == nil {
-			w.buf = append(w.buf, entryTick)
-			w.uvarint(e.Seq)
-			w.uvarint(uint64(e.ID))
-			w.varint(e.Start.UnixNano())
-			w.varint(e.End.UnixNano())
+			w.Buf = append(w.Buf, entryTick)
+			w.Uvarint(e.Seq)
+			w.Uvarint(uint64(e.ID))
+			w.Varint(e.Start.UnixNano())
+			w.Varint(e.End.UnixNano())
 			continue
 		}
-		w.buf = append(w.buf, entryRecord)
-		w.uvarint(e.Seq)
+		w.Buf = append(w.Buf, entryRecord)
+		w.Uvarint(e.Seq)
 		encodeAttack(w, e.Record)
 	}
 }
@@ -54,28 +55,28 @@ func encodeIngest(w *wireWriter, entries []IngestEntry) {
 //
 //botvet:codec decode ingest
 func decodeIngest(payload []byte) ([]IngestEntry, error) {
-	r := &wireReader{buf: payload}
+	r := &binenc.Reader{Buf: payload}
 	// A tick costs at least 5 bytes (kind + 4 varints).
-	n := r.count(5)
+	n := r.Count(5)
 	entries := make([]IngestEntry, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		if len(r.buf) < 1 {
-			r.fail()
+	for i := 0; i < n && r.Err == nil; i++ {
+		if len(r.Buf) < 1 {
+			r.Fail()
 			break
 		}
-		kind := r.buf[0]
-		r.buf = r.buf[1:]
+		kind := r.Buf[0]
+		r.Buf = r.Buf[1:]
 		switch kind {
 		case entryTick:
-			seq := r.uvarint()
-			id := dataset.DDoSID(r.uvarint())
-			start := time.Unix(0, r.varint()).UTC()
-			end := time.Unix(0, r.varint()).UTC()
+			seq := r.Uvarint()
+			id := dataset.DDoSID(r.Uvarint())
+			start := time.Unix(0, r.Varint()).UTC()
+			end := time.Unix(0, r.Varint()).UTC()
 			entries = append(entries, IngestEntry{Seq: seq, ID: id, Start: start, End: end})
 		case entryRecord:
-			seq := r.uvarint()
+			seq := r.Uvarint()
 			a := decodeAttack(r)
-			if r.err != nil {
+			if r.Err != nil {
 				break
 			}
 			entries = append(entries, IngestEntry{
@@ -85,8 +86,8 @@ func decodeIngest(payload []byte) ([]IngestEntry, error) {
 			return nil, fmt.Errorf("cluster: unknown ingest entry kind %d", kind)
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if err := payloadErr(r); err != nil {
+		return nil, err
 	}
 	return entries, nil
 }
@@ -96,53 +97,62 @@ func decodeIngest(payload []byte) ([]IngestEntry, error) {
 // shard's analyzer sees exactly the record the frontend validated.
 //
 //botvet:codec encode attack
-func encodeAttack(w *wireWriter, a *dataset.Attack) {
-	w.uvarint(uint64(a.ID))
-	w.uvarint(uint64(a.BotnetID))
-	w.str(string(a.Family))
-	w.varint(int64(a.Category))
-	w.addr(a.TargetIP)
-	w.varint(a.Start.UnixNano())
-	w.varint(a.End.UnixNano())
-	w.uvarint(uint64(len(a.BotIPs)))
+func encodeAttack(w *binenc.Writer, a *dataset.Attack) {
+	w.Uvarint(uint64(a.ID))
+	w.Uvarint(uint64(a.BotnetID))
+	w.Str(string(a.Family))
+	w.Varint(int64(a.Category))
+	w.Addr(a.TargetIP)
+	w.Varint(a.Start.UnixNano())
+	w.Varint(a.End.UnixNano())
+	w.Uvarint(uint64(len(a.BotIPs)))
 	for _, ip := range a.BotIPs {
-		w.addr(ip)
+		w.Addr(ip)
 	}
-	w.varint(int64(a.TargetASN))
-	w.str(a.TargetCountry)
-	w.str(a.TargetCity)
-	w.str(a.TargetOrg)
-	w.f64(a.TargetLat)
-	w.f64(a.TargetLon)
+	w.Varint(int64(a.TargetASN))
+	w.Str(a.TargetCountry)
+	w.Str(a.TargetCity)
+	w.Str(a.TargetOrg)
+	w.F64(a.TargetLat)
+	w.F64(a.TargetLon)
 }
 
-// decodeAttack parses one full record; on malformed input it sets r.err
+// decodeAttack parses one full record; on malformed input it sets r.Err
 // and returns an undefined record.
 //
 //botvet:codec decode attack
-func decodeAttack(r *wireReader) *dataset.Attack {
+func decodeAttack(r *binenc.Reader) *dataset.Attack {
 	a := &dataset.Attack{
-		ID:       dataset.DDoSID(r.uvarint()),
-		BotnetID: dataset.BotnetID(r.uvarint()),
-		Family:   dataset.Family(r.str()),
-		Category: dataset.Category(r.varint()),
-		TargetIP: r.addr(),
-		Start:    time.Unix(0, r.varint()).UTC(),
-		End:      time.Unix(0, r.varint()).UTC(),
+		ID:       dataset.DDoSID(r.Uvarint()),
+		BotnetID: dataset.BotnetID(r.Uvarint()),
+		Family:   dataset.Family(r.Str()),
+		Category: dataset.Category(r.Varint()),
+		TargetIP: r.Addr(),
+		Start:    time.Unix(0, r.Varint()).UTC(),
+		End:      time.Unix(0, r.Varint()).UTC(),
 	}
-	n := r.count(5) // every bot IP costs at least 5 bytes
-	if n > 0 && r.err == nil {
+	// BSCW refuses the zero-address tag (BSCS uses it for an absent
+	// controller): every address in a record names a real host.
+	if !a.TargetIP.IsValid() {
+		r.Fail()
+	}
+	n := r.Count(5) // every bot IP costs at least 5 bytes
+	if n > 0 && r.Err == nil {
 		a.BotIPs = make([]netip.Addr, 0, n)
 	}
-	for i := 0; i < n && r.err == nil; i++ {
-		a.BotIPs = append(a.BotIPs, r.addr())
+	for i := 0; i < n && r.Err == nil; i++ {
+		ip := r.Addr()
+		if !ip.IsValid() {
+			r.Fail()
+		}
+		a.BotIPs = append(a.BotIPs, ip)
 	}
-	a.TargetASN = int(r.varint())
-	a.TargetCountry = r.str()
-	a.TargetCity = r.str()
-	a.TargetOrg = r.str()
-	a.TargetLat = r.f64()
-	a.TargetLon = r.f64()
+	a.TargetASN = int(r.Varint())
+	a.TargetCountry = r.Str()
+	a.TargetCity = r.Str()
+	a.TargetOrg = r.Str()
+	a.TargetLat = r.F64()
+	a.TargetLon = r.F64()
 	return a
 }
 
@@ -155,16 +165,16 @@ type helloAck struct {
 }
 
 //botvet:codec encode helloAck
-func encodeHelloAck(w *wireWriter, h helloAck) {
-	w.varint(int64(h.ShardID))
-	w.uvarint(h.Applied)
+func encodeHelloAck(w *binenc.Writer, h helloAck) {
+	w.Varint(int64(h.ShardID))
+	w.Uvarint(h.Applied)
 }
 
 //botvet:codec decode helloAck
 func decodeHelloAck(payload []byte) (helloAck, error) {
-	r := &wireReader{buf: payload}
-	h := helloAck{ShardID: int(r.varint()), Applied: r.uvarint()}
-	return h, r.err
+	r := &binenc.Reader{Buf: payload}
+	h := helloAck{ShardID: int(r.Varint()), Applied: r.Uvarint()}
+	return h, payloadErr(r)
 }
 
 // ingestAck reports how many entries the shard has applied in total after
@@ -174,13 +184,13 @@ type ingestAck struct {
 }
 
 //botvet:codec encode ingestAck
-func encodeIngestAck(w *wireWriter, a ingestAck) {
-	w.uvarint(a.Applied)
+func encodeIngestAck(w *binenc.Writer, a ingestAck) {
+	w.Uvarint(a.Applied)
 }
 
 //botvet:codec decode ingestAck
 func decodeIngestAck(payload []byte) (ingestAck, error) {
-	r := &wireReader{buf: payload}
-	a := ingestAck{Applied: r.uvarint()}
-	return a, r.err
+	r := &binenc.Reader{Buf: payload}
+	a := ingestAck{Applied: r.Uvarint()}
+	return a, payloadErr(r)
 }

@@ -317,17 +317,21 @@ func TestFrontendShardLossDegrades(t *testing.T) {
 	victimCtx, killVictim := context.WithCancel(ctx)
 	defer killVictim()
 	addrs := make(map[int]string)
+	var victimDone <-chan error
 	for id := 0; id < 2; id++ {
 		sctx := ctx
 		if id == 1 {
 			sctx = victimCtx
 		}
 		sh := cluster.NewShard(id, 0)
-		addr, _, err := cluster.ListenLocal(sctx, sh)
+		addr, done, err := cluster.ListenLocal(sctx, sh)
 		if err != nil {
 			t.Fatal(err)
 		}
 		addrs[id] = addr
+		if id == 1 {
+			victimDone = done
+		}
 	}
 	f := cluster.NewFrontend(500*time.Millisecond, time.Second)
 	if err := f.Connect(ctx, addrs); err != nil {
@@ -338,6 +342,12 @@ func TestFrontendShardLossDegrades(t *testing.T) {
 
 	postIngest(t, h, batches[0], http.StatusOK)
 	killVictim()
+	// Wait until the victim has closed its connections: a shard that is
+	// still dying can answer the first query, and the frontend rightly
+	// caches that undegraded merge for the generation.
+	if err := <-victimDone; err != nil {
+		t.Fatalf("victim shard: %v", err)
+	}
 
 	// The dead shard times out or errors; the next query must still answer
 	// from the survivor and flag the loss.

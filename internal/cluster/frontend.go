@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"botscope/internal/binenc"
 	"botscope/internal/dataset"
 	"botscope/internal/par"
 	"botscope/internal/stream"
@@ -74,7 +75,7 @@ type Frontend struct {
 	// client copies it into the frame it writes.
 	owners  []int
 	entries []IngestEntry
-	writers []wireWriter
+	writers []binenc.Writer
 
 	// gen invalidates the merged-snapshot cache: bumped on every applied
 	// chunk and every membership change.
@@ -328,7 +329,7 @@ func (f *Frontend) flushChunk(ctx context.Context, chunk []*dataset.Attack) erro
 		owners[i] = f.ring.Owner(a.TargetIP)
 	}
 	if len(f.writers) < len(ids) {
-		f.writers = append(f.writers, make([]wireWriter, len(ids)-len(f.writers))...)
+		f.writers = append(f.writers, make([]binenc.Writer, len(ids)-len(f.writers))...)
 	}
 	for si, id := range ids {
 		for i, a := range chunk {
@@ -339,7 +340,7 @@ func (f *Frontend) flushChunk(ctx context.Context, chunk []*dataset.Attack) erro
 			entries[i] = e
 		}
 		w := &f.writers[si]
-		w.buf = w.buf[:0]
+		w.Buf = w.Buf[:0]
 		encodeIngest(w, entries)
 	}
 	clear(entries) // keep the array, not the chunk's records
@@ -351,7 +352,7 @@ func (f *Frontend) flushChunk(ctx context.Context, chunk []*dataset.Attack) erro
 		}
 		ictx, cancel := context.WithTimeout(ctx, f.ingestTimeout)
 		defer cancel()
-		_, err := c.sendIngest(ictx, f.writers[i].buf)
+		_, err := c.sendIngest(ictx, f.writers[i].Buf)
 		return err
 	})
 

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"botscope/internal/binenc"
 )
 
 // FuzzDecodeWire throws arbitrary bytes at the frame parser and, for
@@ -17,24 +19,24 @@ func FuzzDecodeWire(f *testing.F) {
 	f.Add([]byte("XXXX\x01\x01\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00"))
 
 	{
-		w := &wireWriter{}
+		w := &binenc.Writer{}
 		start := time.Date(2012, 8, 1, 12, 0, 0, 0, time.UTC)
 		encodeIngest(w, []IngestEntry{
 			{Seq: 1, ID: 5, Start: start, End: start.Add(time.Hour)},
 			{Seq: 2, Record: testAttack(6, "198.51.100.9", start.Add(time.Minute)),
 				ID: 6, Start: start.Add(time.Minute), End: start.Add(91 * time.Minute)},
 		})
-		f.Add(AppendFrame(nil, &Frame{Type: msgIngest, ReqID: 3, Payload: w.buf}))
+		f.Add(AppendFrame(nil, &Frame{Type: msgIngest, ReqID: 3, Payload: w.Buf}))
 	}
 	{
-		w := &wireWriter{}
+		w := &binenc.Writer{}
 		encodeIngestAck(w, ingestAck{Applied: 10000})
-		f.Add(AppendFrame(nil, &Frame{Type: msgIngestAck, ReqID: 4, Payload: w.buf}))
+		f.Add(AppendFrame(nil, &Frame{Type: msgIngestAck, ReqID: 4, Payload: w.Buf}))
 	}
 	{
-		w := &wireWriter{}
+		w := &binenc.Writer{}
 		encodeHelloAck(w, helloAck{ShardID: 2, Applied: 7})
-		f.Add(AppendFrame(nil, &Frame{Type: msgHelloAck, ReqID: 5, Payload: w.buf}))
+		f.Add(AppendFrame(nil, &Frame{Type: msgHelloAck, ReqID: 5, Payload: w.Buf}))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -59,16 +61,16 @@ func FuzzDecodeWire(f *testing.F) {
 				return
 			}
 			// A decoded batch always re-encodes into a decodable payload.
-			w := &wireWriter{}
+			w := &binenc.Writer{}
 			encodeIngest(w, entries)
-			if _, err := decodeIngest(w.buf); err != nil {
+			if _, err := decodeIngest(w.Buf); err != nil {
 				t.Fatalf("re-encoded ingest does not decode: %v", err)
 			}
 		case msgSnapResp:
 			if s, err := decodeSnapshot(fr.Payload); err == nil {
-				w := &wireWriter{}
+				w := &binenc.Writer{}
 				encodeSnapshot(w, &s)
-				if _, err := decodeSnapshot(w.buf); err != nil {
+				if _, err := decodeSnapshot(w.Buf); err != nil {
 					t.Fatalf("re-encoded snapshot does not decode: %v", err)
 				}
 			}

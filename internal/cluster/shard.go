@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"botscope/internal/binenc"
 	"botscope/internal/stream"
 )
 
@@ -135,9 +136,9 @@ func (s *Shard) readLoop(c *shardConn) {
 		}
 		switch f.Type {
 		case msgHello:
-			w := &wireWriter{}
+			w := &binenc.Writer{}
 			encodeHelloAck(w, helloAck{ShardID: s.id, Applied: s.applied.Load()})
-			if c.writeFrame(&Frame{Type: msgHelloAck, ReqID: f.ReqID, Payload: w.buf}) != nil {
+			if c.writeFrame(&Frame{Type: msgHelloAck, ReqID: f.ReqID, Payload: w.Buf}) != nil {
 				return
 			}
 		case msgPing:
@@ -195,9 +196,9 @@ func (s *Shard) applyIngest(job shardJob) {
 		})
 		return
 	}
-	w := &wireWriter{}
+	w := &binenc.Writer{}
 	encodeIngestAck(w, ingestAck{Applied: s.applied.Load()})
-	_ = job.conn.writeFrame(&Frame{Type: msgIngestAck, ReqID: job.frame.ReqID, Payload: w.buf})
+	_ = job.conn.writeFrame(&Frame{Type: msgIngestAck, ReqID: job.frame.ReqID, Payload: w.Buf})
 }
 
 // apply folds an ordered batch into the analyzer: full records for the
@@ -223,10 +224,10 @@ func (s *Shard) applySnap(job shardJob) {
 	key := s.resets<<32 | s.applied.Load() + 1
 	if key != s.cacheKey {
 		snap := ShardSnapshot{ShardID: s.id, Applied: s.applied.Load(), Snap: s.an.Snapshot()}
-		w := &wireWriter{}
+		w := &binenc.Writer{}
 		encodeSnapshot(w, &snap)
 		s.cacheKey = key
-		s.cachePayload = w.buf
+		s.cachePayload = w.Buf
 	}
 	_ = job.conn.writeFrame(&Frame{Type: msgSnapResp, ReqID: job.frame.ReqID, Payload: s.cachePayload})
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"botscope/internal/binenc"
 	"botscope/internal/core"
 	"botscope/internal/dataset"
 	"botscope/internal/stats"
@@ -29,73 +30,73 @@ type ShardSnapshot struct {
 // reconstructs values bit-exactly.
 //
 //botvet:codec encode snapshot
-func encodeSnapshot(w *wireWriter, s *ShardSnapshot) {
-	w.varint(int64(s.ShardID))
-	w.uvarint(s.Applied)
+func encodeSnapshot(w *binenc.Writer, s *ShardSnapshot) {
+	w.Varint(int64(s.ShardID))
+	w.Uvarint(s.Applied)
 	sn := &s.Snap
 
-	w.varint(int64(sn.Ingested))
-	w.varint(sn.FirstStart.UnixNano())
-	w.varint(sn.LastStart.UnixNano())
-	w.varint(int64(sn.ActiveAttacks))
+	w.Varint(int64(sn.Ingested))
+	w.Varint(sn.FirstStart.UnixNano())
+	w.Varint(sn.LastStart.UnixNano())
+	w.Varint(int64(sn.ActiveAttacks))
 
-	w.uvarint(uint64(len(sn.Protocols)))
+	w.Uvarint(uint64(len(sn.Protocols)))
 	for _, p := range sn.Protocols {
-		w.varint(int64(p.Category))
-		w.varint(int64(p.Count))
+		w.Varint(int64(p.Category))
+		w.Varint(int64(p.Count))
 	}
 
-	w.uvarint(uint64(len(sn.FamilyProtocol)))
+	w.Uvarint(uint64(len(sn.FamilyProtocol)))
 	for _, fp := range sn.FamilyProtocol {
-		w.varint(int64(fp.Category))
-		w.str(string(fp.Family))
-		w.varint(int64(fp.Count))
+		w.Varint(int64(fp.Category))
+		w.Str(string(fp.Family))
+		w.Varint(int64(fp.Count))
 	}
 
 	encodeDaily(w, &sn.Daily)
 	encodeSummary(w, &sn.Intervals.Summary)
-	w.f64(sn.Intervals.SimultaneousFrac)
-	w.f64(sn.Intervals.ExactZeroFrac)
+	w.F64(sn.Intervals.SimultaneousFrac)
+	w.F64(sn.Intervals.ExactZeroFrac)
 	encodeSummary(w, &sn.Durations.Summary)
-	w.f64(sn.Durations.FracUnder4h)
-	w.f64(sn.Durations.FracUnder60s)
-	w.varint(int64(sn.Load.Peak))
-	w.varint(sn.Load.PeakTime.UnixNano())
-	w.f64(sn.Load.TimeWeightedMean)
+	w.F64(sn.Durations.FracUnder4h)
+	w.F64(sn.Durations.FracUnder60s)
+	w.Varint(int64(sn.Load.Peak))
+	w.Varint(sn.Load.PeakTime.UnixNano())
+	w.F64(sn.Load.TimeWeightedMean)
 	encodeCollab(w, &sn.Collaborations)
 }
 
 //botvet:codec encode daily
-func encodeDaily(w *wireWriter, d *core.DailyStats) {
-	w.f64(d.Average)
-	w.varint(int64(d.Max))
-	w.varint(d.MaxDay.UnixNano())
-	w.str(string(d.MaxDominantFamily))
-	w.uvarint(uint64(len(d.Days)))
+func encodeDaily(w *binenc.Writer, d *core.DailyStats) {
+	w.F64(d.Average)
+	w.Varint(int64(d.Max))
+	w.Varint(d.MaxDay.UnixNano())
+	w.Str(string(d.MaxDominantFamily))
+	w.Uvarint(uint64(len(d.Days)))
 	for _, dc := range d.Days {
-		w.varint(dc.Day.UnixNano())
-		w.varint(int64(dc.Count))
+		w.Varint(dc.Day.UnixNano())
+		w.Varint(int64(dc.Count))
 		encodeFamilyCounts(w, dc.ByFamily)
 	}
 }
 
 //botvet:codec encode summary
-func encodeSummary(w *wireWriter, s *stats.Summary) {
-	w.varint(int64(s.N))
-	w.f64(s.Mean)
-	w.f64(s.Median)
-	w.f64(s.StdDev)
-	w.f64(s.Min)
-	w.f64(s.Max)
-	w.f64(s.P80)
-	w.f64(s.P95)
+func encodeSummary(w *binenc.Writer, s *stats.Summary) {
+	w.Varint(int64(s.N))
+	w.F64(s.Mean)
+	w.F64(s.Median)
+	w.F64(s.StdDev)
+	w.F64(s.Min)
+	w.F64(s.Max)
+	w.F64(s.P80)
+	w.F64(s.P95)
 }
 
 //botvet:codec encode collab
-func encodeCollab(w *wireWriter, c *stream.CollabSummary) {
-	w.varint(int64(c.TotalIntra))
-	w.varint(int64(c.TotalInter))
-	w.f64(c.MeanBotnets)
+func encodeCollab(w *binenc.Writer, c *stream.CollabSummary) {
+	w.Varint(int64(c.TotalIntra))
+	w.Varint(int64(c.TotalInter))
+	w.F64(c.MeanBotnets)
 	encodeFamilyCounts(w, c.Intra)
 	encodeFamilyCounts(w, c.Inter)
 
@@ -104,44 +105,44 @@ func encodeCollab(w *wireWriter, c *stream.CollabSummary) {
 		pairs = append(pairs, p)
 	}
 	sort.Strings(pairs)
-	w.uvarint(uint64(len(pairs)))
+	w.Uvarint(uint64(len(pairs)))
 	for _, p := range pairs {
-		w.str(p)
-		w.varint(int64(c.PairCounts[p]))
+		w.Str(p)
+		w.Varint(int64(c.PairCounts[p]))
 	}
 
-	w.uvarint(uint64(len(c.Recent)))
+	w.Uvarint(uint64(len(c.Recent)))
 	for _, cand := range c.Recent {
-		w.str(cand.Target)
-		w.varint(cand.Start.UnixNano())
-		w.uvarint(uint64(len(cand.Families)))
+		w.Str(cand.Target)
+		w.Varint(cand.Start.UnixNano())
+		w.Uvarint(uint64(len(cand.Families)))
 		for _, f := range cand.Families {
-			w.str(string(f))
+			w.Str(string(f))
 		}
-		w.varint(int64(cand.Botnets))
-		w.varint(int64(cand.Attacks))
-		w.uvarint(cand.Seq)
-		w.bool(cand.Open)
+		w.Varint(int64(cand.Botnets))
+		w.Varint(int64(cand.Attacks))
+		w.Uvarint(cand.Seq)
+		w.Bool(cand.Open)
 	}
-	w.varint(int64(c.OpenWindows))
-	w.varint(int64(c.Qualified))
-	w.varint(int64(c.BotnetTotal))
+	w.Varint(int64(c.OpenWindows))
+	w.Varint(int64(c.Qualified))
+	w.Varint(int64(c.BotnetTotal))
 }
 
 // encodeFamilyCounts writes a family→count map in sorted-family order so
 // the encoding is deterministic regardless of map iteration.
 //
 //botvet:codec encode familyCounts
-func encodeFamilyCounts(w *wireWriter, m map[dataset.Family]int) {
+func encodeFamilyCounts(w *binenc.Writer, m map[dataset.Family]int) {
 	fams := make([]dataset.Family, 0, len(m))
 	for f := range m {
 		fams = append(fams, f)
 	}
 	sort.Slice(fams, func(i, j int) bool { return fams[i] < fams[j] })
-	w.uvarint(uint64(len(fams)))
+	w.Uvarint(uint64(len(fams)))
 	for _, f := range fams {
-		w.str(string(f))
-		w.varint(int64(m[f]))
+		w.Str(string(f))
+		w.Varint(int64(m[f]))
 	}
 }
 
@@ -149,46 +150,46 @@ func encodeFamilyCounts(w *wireWriter, m map[dataset.Family]int) {
 //
 //botvet:codec decode snapshot
 func decodeSnapshot(payload []byte) (ShardSnapshot, error) {
-	r := &wireReader{buf: payload}
+	r := &binenc.Reader{Buf: payload}
 	var s ShardSnapshot
-	s.ShardID = int(r.varint())
-	s.Applied = r.uvarint()
+	s.ShardID = int(r.Varint())
+	s.Applied = r.Uvarint()
 	sn := &s.Snap
 
-	sn.Ingested = int(r.varint())
-	sn.FirstStart = wireTime(r.varint())
-	sn.LastStart = wireTime(r.varint())
-	sn.ActiveAttacks = int(r.varint())
+	sn.Ingested = int(r.Varint())
+	sn.FirstStart = wireTime(r.Varint())
+	sn.LastStart = wireTime(r.Varint())
+	sn.ActiveAttacks = int(r.Varint())
 
-	n := r.count(2)
-	for i := 0; i < n && r.err == nil; i++ {
+	n := r.Count(2)
+	for i := 0; i < n && r.Err == nil; i++ {
 		sn.Protocols = append(sn.Protocols, core.ProtocolCount{
-			Category: dataset.Category(r.varint()),
-			Count:    int(r.varint()),
+			Category: dataset.Category(r.Varint()),
+			Count:    int(r.Varint()),
 		})
 	}
 
-	n = r.count(3)
-	for i := 0; i < n && r.err == nil; i++ {
+	n = r.Count(3)
+	for i := 0; i < n && r.Err == nil; i++ {
 		sn.FamilyProtocol = append(sn.FamilyProtocol, core.FamilyProtocolRow{
-			Category: dataset.Category(r.varint()),
-			Family:   dataset.Family(r.str()),
-			Count:    int(r.varint()),
+			Category: dataset.Category(r.Varint()),
+			Family:   dataset.Family(r.Str()),
+			Count:    int(r.Varint()),
 		})
 	}
 
 	decodeDaily(r, &sn.Daily)
 	decodeSummary(r, &sn.Intervals.Summary)
-	sn.Intervals.SimultaneousFrac = r.f64()
-	sn.Intervals.ExactZeroFrac = r.f64()
+	sn.Intervals.SimultaneousFrac = r.F64()
+	sn.Intervals.ExactZeroFrac = r.F64()
 	decodeSummary(r, &sn.Durations.Summary)
-	sn.Durations.FracUnder4h = r.f64()
-	sn.Durations.FracUnder60s = r.f64()
-	sn.Load.Peak = int(r.varint())
-	sn.Load.PeakTime = wireTime(r.varint())
-	sn.Load.TimeWeightedMean = r.f64()
+	sn.Durations.FracUnder4h = r.F64()
+	sn.Durations.FracUnder60s = r.F64()
+	sn.Load.Peak = int(r.Varint())
+	sn.Load.PeakTime = wireTime(r.Varint())
+	sn.Load.TimeWeightedMean = r.F64()
 	decodeCollab(r, &sn.Collaborations)
-	return s, r.err
+	return s, payloadErr(r)
 }
 
 // wireTime reconstructs a wire timestamp; the zero time round-trips as
@@ -202,16 +203,16 @@ func wireTime(nanos int64) time.Time {
 }
 
 //botvet:codec decode daily
-func decodeDaily(r *wireReader, d *core.DailyStats) {
-	d.Average = r.f64()
-	d.Max = int(r.varint())
-	d.MaxDay = wireTime(r.varint())
-	d.MaxDominantFamily = dataset.Family(r.str())
-	n := r.count(3)
-	for i := 0; i < n && r.err == nil; i++ {
+func decodeDaily(r *binenc.Reader, d *core.DailyStats) {
+	d.Average = r.F64()
+	d.Max = int(r.Varint())
+	d.MaxDay = wireTime(r.Varint())
+	d.MaxDominantFamily = dataset.Family(r.Str())
+	n := r.Count(3)
+	for i := 0; i < n && r.Err == nil; i++ {
 		dc := core.DailyCount{
-			Day:      wireTime(r.varint()),
-			Count:    int(r.varint()),
+			Day:      wireTime(r.Varint()),
+			Count:    int(r.Varint()),
 			ByFamily: decodeFamilyCounts(r),
 		}
 		d.Days = append(d.Days, dc)
@@ -219,60 +220,60 @@ func decodeDaily(r *wireReader, d *core.DailyStats) {
 }
 
 //botvet:codec decode summary
-func decodeSummary(r *wireReader, s *stats.Summary) {
-	s.N = int(r.varint())
-	s.Mean = r.f64()
-	s.Median = r.f64()
-	s.StdDev = r.f64()
-	s.Min = r.f64()
-	s.Max = r.f64()
-	s.P80 = r.f64()
-	s.P95 = r.f64()
+func decodeSummary(r *binenc.Reader, s *stats.Summary) {
+	s.N = int(r.Varint())
+	s.Mean = r.F64()
+	s.Median = r.F64()
+	s.StdDev = r.F64()
+	s.Min = r.F64()
+	s.Max = r.F64()
+	s.P80 = r.F64()
+	s.P95 = r.F64()
 }
 
 //botvet:codec decode collab
-func decodeCollab(r *wireReader, c *stream.CollabSummary) {
-	c.TotalIntra = int(r.varint())
-	c.TotalInter = int(r.varint())
-	c.MeanBotnets = r.f64()
+func decodeCollab(r *binenc.Reader, c *stream.CollabSummary) {
+	c.TotalIntra = int(r.Varint())
+	c.TotalInter = int(r.Varint())
+	c.MeanBotnets = r.F64()
 	c.Intra = decodeFamilyCounts(r)
 	c.Inter = decodeFamilyCounts(r)
 
-	n := r.count(2)
+	n := r.Count(2)
 	c.PairCounts = make(map[string]int, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		p := r.str()
-		c.PairCounts[p] = int(r.varint())
+	for i := 0; i < n && r.Err == nil; i++ {
+		p := r.Str()
+		c.PairCounts[p] = int(r.Varint())
 	}
 
-	n = r.count(6)
-	for i := 0; i < n && r.err == nil; i++ {
+	n = r.Count(6)
+	for i := 0; i < n && r.Err == nil; i++ {
 		cand := stream.CollabCandidate{
-			Target: r.str(),
-			Start:  wireTime(r.varint()),
+			Target: r.Str(),
+			Start:  wireTime(r.Varint()),
 		}
-		fn := r.count(1)
-		for j := 0; j < fn && r.err == nil; j++ {
-			cand.Families = append(cand.Families, dataset.Family(r.str()))
+		fn := r.Count(1)
+		for j := 0; j < fn && r.Err == nil; j++ {
+			cand.Families = append(cand.Families, dataset.Family(r.Str()))
 		}
-		cand.Botnets = int(r.varint())
-		cand.Attacks = int(r.varint())
-		cand.Seq = r.uvarint()
-		cand.Open = r.bool()
+		cand.Botnets = int(r.Varint())
+		cand.Attacks = int(r.Varint())
+		cand.Seq = r.Uvarint()
+		cand.Open = r.Bool()
 		c.Recent = append(c.Recent, cand)
 	}
-	c.OpenWindows = int(r.varint())
-	c.Qualified = int(r.varint())
-	c.BotnetTotal = int(r.varint())
+	c.OpenWindows = int(r.Varint())
+	c.Qualified = int(r.Varint())
+	c.BotnetTotal = int(r.Varint())
 }
 
 //botvet:codec decode familyCounts
-func decodeFamilyCounts(r *wireReader) map[dataset.Family]int {
-	n := r.count(2)
+func decodeFamilyCounts(r *binenc.Reader) map[dataset.Family]int {
+	n := r.Count(2)
 	m := make(map[dataset.Family]int, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		f := dataset.Family(r.str())
-		m[f] = int(r.varint())
+	for i := 0; i < n && r.Err == nil; i++ {
+		f := dataset.Family(r.Str())
+		m[f] = int(r.Varint())
 	}
 	return m
 }

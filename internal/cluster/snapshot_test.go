@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"botscope/internal/binenc"
 	"botscope/internal/dataset"
 	"botscope/internal/stream"
 	"botscope/internal/synth"
@@ -58,9 +59,9 @@ func mergeFixture(t testing.TB) ([]*ShardSnapshot, stream.Snapshot) {
 			s := ShardSnapshot{ShardID: id, Applied: seq, Snap: an.Snapshot()}
 			// Round-trip through the wire codec so the fixture covers
 			// exactly what the frontend merges: decoded snapshots.
-			w := &wireWriter{}
+			w := &binenc.Writer{}
 			encodeSnapshot(w, &s)
-			dec, err := decodeSnapshot(w.buf)
+			dec, err := decodeSnapshot(w.Buf)
 			if err != nil {
 				mergeErr = err
 				return

@@ -23,8 +23,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
-	"net/netip"
+
+	"botscope/internal/binenc"
 )
 
 // Wire protocol constants. The magic and version lead every frame so a
@@ -194,178 +194,12 @@ func DecodeFrame(data []byte) (Frame, error) {
 	return f, nil
 }
 
-// wireWriter appends primitive values to a reusable buffer. All integers
-// are unsigned varints (signed values zigzag first), floats cross as their
-// IEEE-754 bit patterns so they survive the wire bit-exactly, strings and
-// byte blobs are length-prefixed.
-type wireWriter struct {
-	buf []byte
-}
-
-//botscope:hotpath
-func (w *wireWriter) uvarint(v uint64) {
-	w.buf = binary.AppendUvarint(w.buf, v)
-}
-
-//botscope:hotpath
-func (w *wireWriter) varint(v int64) {
-	w.buf = binary.AppendVarint(w.buf, v)
-}
-
-//botscope:hotpath
-func (w *wireWriter) f64(v float64) {
-	w.buf = binary.BigEndian.AppendUint64(w.buf, math.Float64bits(v))
-}
-
-//botscope:hotpath
-func (w *wireWriter) str(s string) {
-	w.buf = binary.AppendUvarint(w.buf, uint64(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-//botscope:hotpath
-func (w *wireWriter) bool(b bool) {
-	if b {
-		w.buf = append(w.buf, 1)
-	} else {
-		w.buf = append(w.buf, 0)
+// payloadErr reports how a payload decode ended. Payloads are read with
+// the shared binenc primitives; the only way one stops early is a buffer
+// that ends, or holds a malformed value, before the message does.
+func payloadErr(r *binenc.Reader) error {
+	if r.Err != nil {
+		return ErrTruncated
 	}
-}
-
-// addr encodes a netip.Addr as a 1-byte length (4 or 16) plus raw bytes.
-func (w *wireWriter) addr(a netip.Addr) {
-	if a.Is4() {
-		b := a.As4()
-		w.buf = append(w.buf, 4)
-		w.buf = append(w.buf, b[:]...)
-		return
-	}
-	b := a.As16()
-	w.buf = append(w.buf, 16)
-	w.buf = append(w.buf, b[:]...)
-}
-
-// wireReader consumes primitives from a payload with a sticky error, so
-// decode paths read linearly and check once at the end.
-type wireReader struct {
-	buf []byte
-	err error
-}
-
-func (r *wireReader) fail() {
-	if r.err == nil {
-		r.err = ErrTruncated
-	}
-}
-
-func (r *wireReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-func (r *wireReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.buf)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-func (r *wireReader) f64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) < 8 {
-		r.fail()
-		return 0
-	}
-	v := math.Float64frombits(binary.BigEndian.Uint64(r.buf))
-	r.buf = r.buf[8:]
-	return v
-}
-
-func (r *wireReader) str() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if uint64(len(r.buf)) < n {
-		r.fail()
-		return ""
-	}
-	s := string(r.buf[:n])
-	r.buf = r.buf[n:]
-	return s
-}
-
-func (r *wireReader) bool() bool {
-	if r.err != nil {
-		return false
-	}
-	if len(r.buf) < 1 {
-		r.fail()
-		return false
-	}
-	b := r.buf[0]
-	r.buf = r.buf[1:]
-	return b != 0
-}
-
-func (r *wireReader) addr() netip.Addr {
-	if r.err != nil {
-		return netip.Addr{}
-	}
-	if len(r.buf) < 1 {
-		r.fail()
-		return netip.Addr{}
-	}
-	n := int(r.buf[0])
-	r.buf = r.buf[1:]
-	if n != 4 && n != 16 {
-		r.fail()
-		return netip.Addr{}
-	}
-	if len(r.buf) < n {
-		r.fail()
-		return netip.Addr{}
-	}
-	var a netip.Addr
-	if n == 4 {
-		a = netip.AddrFrom4([4]byte(r.buf[:4]))
-	} else {
-		a = netip.AddrFrom16([16]byte(r.buf[:16]))
-	}
-	r.buf = r.buf[n:]
-	return a
-}
-
-// count reads a collection length and sanity-checks it against the bytes
-// remaining (every element costs at least minBytes), so a corrupt count
-// cannot force an arbitrary allocation.
-func (r *wireReader) count(minBytes int) int {
-	n := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if minBytes < 1 {
-		minBytes = 1
-	}
-	if n > uint64(len(r.buf)/minBytes) {
-		r.fail()
-		return 0
-	}
-	return int(n)
+	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"botscope/internal/binenc"
 	"botscope/internal/dataset"
 )
 
@@ -100,10 +101,10 @@ func TestIngestCodecRoundTrip(t *testing.T) {
 			ID: 6, Start: start.Add(time.Minute), End: start.Add(time.Minute + 90*time.Minute)},
 		{Seq: 3, ID: 7, Start: start.Add(2 * time.Minute), End: start.Add(2 * time.Minute)},
 	}
-	w := &wireWriter{}
+	w := &binenc.Writer{}
 	encodeIngest(w, entries)
 
-	got, err := decodeIngest(w.buf)
+	got, err := decodeIngest(w.Buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,27 +116,41 @@ func TestIngestCodecRoundTrip(t *testing.T) {
 	}
 
 	// Every truncation of a valid payload must fail cleanly, never panic.
-	for i := 0; i < len(w.buf); i++ {
-		if _, err := decodeIngest(w.buf[:i]); err == nil && i < len(w.buf) {
+	for i := 0; i < len(w.Buf); i++ {
+		if _, err := decodeIngest(w.Buf[:i]); err == nil && i < len(w.Buf) {
 			// A strict prefix can only be valid if it still decodes the
-			// declared count; decodeIngest checks r.err, so any nil error
+			// declared count; decodeIngest checks r.Err, so any nil error
 			// on a truncation is a bug.
 			t.Fatalf("decodeIngest accepted truncation at %d bytes", i)
+		}
+	}
+
+	// BSCW refuses the zero-address tag wherever a record carries one.
+	for name, zero := range map[string]func(a *dataset.Attack){
+		"target": func(a *dataset.Attack) { a.TargetIP = netip.Addr{} },
+		"bot":    func(a *dataset.Attack) { a.BotIPs[1] = netip.Addr{} },
+	} {
+		a := testAttack(8, "198.51.100.9", start)
+		zero(a)
+		w := &binenc.Writer{}
+		encodeIngest(w, []IngestEntry{{Seq: 1, Record: a, ID: a.ID, Start: a.Start, End: a.End}})
+		if _, err := decodeIngest(w.Buf); !errors.Is(err, ErrTruncated) {
+			t.Errorf("zero %s address: err = %v, want ErrTruncated", name, err)
 		}
 	}
 }
 
 func TestHelloAndIngestAckRoundTrip(t *testing.T) {
-	w := &wireWriter{}
+	w := &binenc.Writer{}
 	encodeHelloAck(w, helloAck{ShardID: 42, Applied: 1 << 40})
-	h, err := decodeHelloAck(w.buf)
+	h, err := decodeHelloAck(w.Buf)
 	if err != nil || h.ShardID != 42 || h.Applied != 1<<40 {
 		t.Errorf("helloAck = %+v, %v", h, err)
 	}
 
-	w = &wireWriter{}
+	w = &binenc.Writer{}
 	encodeIngestAck(w, ingestAck{Applied: 12345})
-	a, err := decodeIngestAck(w.buf)
+	a, err := decodeIngestAck(w.Buf)
 	if err != nil || a.Applied != 12345 {
 		t.Errorf("ingestAck = %+v, %v", a, err)
 	}

@@ -69,7 +69,7 @@ func TestDenseDispersionMatchesMapScan(t *testing.T) {
 	for _, f := range s.Families() {
 		got := DispersionSeries(s, f)
 		var want []DispersionPoint
-		for _, a := range s.ByFamily(f) {
+		for _, a := range s.AttackRecords(s.RowsByFamily(f)) {
 			pts := make([]geo.LatLon, 0, len(a.BotIPs))
 			for _, ip := range a.BotIPs {
 				if b, ok := s.Bot(ip); ok {

@@ -17,9 +17,8 @@ import (
 // geolocation trigonometry is precomputed once for the store's lifetime.
 //
 // The id numbering and reference spans come straight from the columnar
-// core: on the record path they are derived from the reference arena, on
-// the snapshot path they are decoded from the file, so a reloaded store
-// carries the identical dense addressing without re-walking 10M+
+// core's dense layer, which a snapshot carries in the file, so a reloaded
+// store has the identical dense addressing without re-walking 10M+
 // references. Everything the column-native kernels touch (ips, rows,
 // pts, row-addressed spans, interned attributes) is built from the
 // columns alone; the record-facing conveniences — Rec and the
@@ -55,7 +54,7 @@ func (s *Store) BotDense() *BotIndex {
 }
 
 func (s *Store) buildBotIndex() {
-	c := s.Cols()
+	c := s.cols
 	d := s.denseBots()
 	ix := &BotIndex{
 		s:    s,

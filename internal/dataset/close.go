@@ -19,7 +19,7 @@ func (s *Store) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	if s.cols != nil && s.cols.mmap != nil {
+	if s.cols.mmap != nil {
 		s.cols.mmap.release()
 	}
 	return nil

@@ -150,15 +150,15 @@ func TestStoreIndexConsistencyProperty(t *testing.T) {
 		// Per-family index totals must sum to the store size.
 		sum := 0
 		for _, fam := range s.Families() {
-			sum += len(s.ByFamily(fam))
+			sum += len(s.RowsByFamily(fam))
 		}
 		if sum != n {
 			return false
 		}
 		// Per-target index totals too.
 		sum = 0
-		for _, ip := range s.Targets() {
-			sum += len(s.ByTarget(ip))
+		for _, tid := range s.TargetIDs() {
+			sum += len(s.TargetRows(tid))
 		}
 		return sum == n
 	}

@@ -10,20 +10,16 @@ package dataset
 // what the analysis kernels iterate through the cursor API (cursor.go),
 // and what the dense BotIndex is derived from.
 //
-// Columns are built on one of two paths:
+// Columns come from one of two producers, both of which finish before
+// the store is published: NewStore validates and sorts the caller's
+// records and flattens them (columnize); the snapshot decoder parses them
+// from the file and validateColumns re-checks every store invariant over
+// the flat arrays. The one difference the producers leave behind is the
+// dense source-IP layer, which the file carries and columnize leaves to
+// first use (it costs more than the rest of construction together).
 //
-//   - record path: NewStore keeps the caller's records; Columns are
-//     derived lazily (Store.Cols) the first time a columnar consumer —
-//     the summary scan, the dense index, the snapshot encoder — needs
-//     them.
-//   - snapshot path: the decoder produces Columns directly from the
-//     file, validateColumns re-checks every store invariant over the
-//     flat arrays, and the record views stay unbuilt until a caller
-//     actually asks for *Attack/*Bot pointers (Store.records). A full
-//     column-native analysis run never pays for them.
-//
-// Either way the columns are immutable once published and safe for
-// concurrent readers.
+// The columns are immutable once published and safe for concurrent
+// readers.
 
 import (
 	"fmt"
@@ -83,12 +79,10 @@ type Columns struct {
 	aLon    []float64
 	aOff    []int64 // len n+1; attack i's sources are span [aOff[i], aOff[i+1])
 
-	// refIPs expands the reference spans to addresses. The record path
-	// fills it during columnize; the snapshot path derives it on demand
-	// from the dense layer (refArena), since column-native consumers only
-	// ever need the dense ids.
-	refsOnce sync.Once
-	refIPs   []netip.Addr // all attacks' source IPs, concatenated in attack order
+	// refIPs is all attacks' source IPs, concatenated in attack order:
+	// what columnize leaves for the dense layer to be derived from. The
+	// snapshot decoder reads the dense layer itself and leaves this nil.
+	refIPs []netip.Addr
 
 	// Bot columns (Botlist rows, deduplicated by IP, first-occurrence
 	// order, last record wins).
@@ -113,7 +107,7 @@ type Columns struct {
 	nRowByID map[uint32]int32 // botnet id -> row; written once inside nRowOnce.Do
 
 	denseOnce sync.Once
-	dense     *denseBots // written once inside denseOnce.Do (or by the decoder); immutable after
+	dense     *denseBots // set by the snapshot decoder, else written once inside denseOnce.Do; immutable after
 
 	// mmap pins the mapped snapshot region alive for as long as any
 	// column that aliases it (aCat) is reachable. nil when the snapshot
@@ -142,24 +136,6 @@ func (c *Columns) NumRefs() int {
 
 // NumStrings returns the size of the interned string table.
 func (c *Columns) NumStrings() int { return len(c.strs) }
-
-// refArena returns the expanded source-IP arena, deriving it from the
-// dense layer on first use. The record path pre-fills it in columnize,
-// so there the call is free; on the snapshot path it is the one big
-// allocation the lazy load defers until a record view is materialized.
-func (c *Columns) refArena() []netip.Addr {
-	c.refsOnce.Do(func() {
-		if c.refIPs != nil || c.dense == nil {
-			return
-		}
-		ips := make([]netip.Addr, len(c.dense.refs))
-		for i, id := range c.dense.refs {
-			ips[i] = c.dense.ips[id]
-		}
-		c.refIPs = ips
-	})
-	return c.refIPs
-}
 
 // botnetRow resolves a botnet id to its column row. The reverse map is
 // built lazily: most analyses only walk attack columns.
@@ -214,41 +190,40 @@ func buildDense(refIPs []netip.Addr, nBotsHint int, rows map[netip.Addr]int32) *
 	return &denseBots{ips: ips, refs: refs, rec: rec}
 }
 
-// Cols returns the store's columnar form, deriving it from the records
-// on first use. The snapshot path pre-populates it, so there the call is
-// free. The returned columns are shared and immutable.
-//
-//botscope:mmap
-func (s *Store) Cols() *Columns {
-	s.colsOnce.Do(func() {
-		if s.cols == nil {
-			s.cols = s.columnize()
-		}
-	})
-	return s.cols
+// expand writes the addresses of the reference span [lo, hi) into dst,
+// which must have the span's length, and returns it.
+func (d *denseBots) expand(dst []netip.Addr, lo, hi int64) []netip.Addr {
+	for i, id := range d.refs[lo:hi] {
+		dst[i] = d.ips[id]
+	}
+	return dst
 }
 
+// Cols returns the store's columns. They are shared and immutable.
+//
+//botscope:mmap
+func (s *Store) Cols() *Columns { return s.cols }
+
 // denseBots returns the dense source-IP layer, deriving it from the
-// reference arena on first use. The snapshot path decodes it from the
-// file instead.
+// reference arena on first use when the columns did not come with one.
 func (s *Store) denseBots() *denseBots {
-	c := s.Cols()
+	c := s.cols
 	c.denseOnce.Do(func() {
 		if c.dense == nil {
-			c.dense = buildDense(c.refIPs, len(s.botList), s.botRowsMap())
+			c.dense = buildDense(c.refIPs, len(c.bIP), s.botRowsMap())
 		}
 	})
 	return c.dense
 }
 
-// columnize flattens the store's records into columns. Attack rows
-// follow the sorted attack order, bot rows the deduplicated Botlist
-// order, botnet rows the input order — all deterministic, so the columns
-// (and the snapshot bytes derived from them) are identical across runs.
-func (s *Store) columnize() *Columns {
-	n := len(s.attacks)
+// columnize flattens validated records into columns: attacks already in
+// (Start, ID) order, bots already deduplicated, botnets in input order —
+// all deterministic, so the columns (and the snapshot bytes derived from
+// them) are identical across runs.
+func columnize(attacks []*Attack, botnets []*Botnet, bots []*Bot) *Columns {
+	n := len(attacks)
 	totalRefs := 0
-	for _, a := range s.attacks {
+	for _, a := range attacks {
 		totalRefs += len(a.BotIPs)
 	}
 	c := &Columns{
@@ -268,11 +243,11 @@ func (s *Store) columnize() *Columns {
 		aOff:    make([]int64, n+1),
 		refIPs:  make([]netip.Addr, totalRefs),
 	}
-	in := newInterner(1024 + len(s.botList)/64)
-	tgtIDs := make(map[netip.Addr]int32, len(s.byTarget))
-	c.targets = make([]netip.Addr, 0, len(s.byTarget))
+	in := newInterner(1024 + len(bots)/64)
+	tgtIDs := make(map[netip.Addr]int32, n/4)
+	c.targets = make([]netip.Addr, 0, n/4)
 	off := int64(0)
-	for i, a := range s.attacks {
+	for i, a := range attacks {
 		c.aID[i] = uint64(a.ID)
 		c.aBotnet[i] = uint32(a.BotnetID)
 		c.aFam[i] = in.id(string(a.Family))
@@ -297,7 +272,7 @@ func (s *Store) columnize() *Columns {
 	}
 	c.aOff[n] = off
 
-	nb := len(s.botList)
+	nb := len(bots)
 	c.bIP = make([]netip.Addr, nb)
 	c.bASN = make([]int64, nb)
 	c.bCC = make([]int32, nb)
@@ -306,7 +281,7 @@ func (s *Store) columnize() *Columns {
 	c.bLat = make([]float64, nb)
 	c.bLon = make([]float64, nb)
 	c.bLast = make([]int64, nb)
-	for i, b := range s.botList {
+	for i, b := range bots {
 		c.bIP[i] = b.IP
 		c.bASN[i] = int64(b.ASN)
 		c.bCC[i] = in.id(b.CountryCode)
@@ -317,14 +292,14 @@ func (s *Store) columnize() *Columns {
 		c.bLast[i] = b.LastActive.UnixNano()
 	}
 
-	nn := len(s.botnetList)
+	nn := len(botnets)
 	c.nID = make([]uint32, nn)
 	c.nFam = make([]int32, nn)
 	c.nHash = make([]int32, nn)
 	c.nCtrl = make([]netip.Addr, nn)
 	c.nFirst = make([]int64, nn)
 	c.nLast = make([]int64, nn)
-	for i, b := range s.botnetList {
+	for i, b := range botnets {
 		c.nID[i] = uint32(b.ID)
 		c.nFam[i] = in.id(string(b.Family))
 		c.nHash[i] = in.id(b.Hash)
@@ -342,8 +317,8 @@ func (s *Store) columnize() *Columns {
 // round trip preserves instants and RFC 3339 formatting exactly.
 func nanoTime(ns int64) time.Time { return time.Unix(0, ns).UTC() }
 
-// Column timestamps must sit inside the UnixNano-representable range the
-// record-path Validate enforces (years 1678..2261), expressed here as
+// Column timestamps must sit inside the UnixNano-representable range
+// Attack.Validate enforces (years 1678..2261), expressed here as
 // nanosecond bounds so validation never has to construct a time.Time on
 // the happy path.
 var (
@@ -353,10 +328,10 @@ var (
 
 // validateColumns re-checks every Store invariant directly over decoded
 // columns — the column-native equivalent of running Attack.Validate plus
-// the duplicate-id, sort-order, and dense cross-checks the old eager
-// materializer performed — so a hostile snapshot cannot construct a
-// Store that violates the package's invariants, and the record views can
-// later be materialized without any re-validation.
+// the duplicate-id, sort-order, and dense cross-checks — so a hostile
+// snapshot cannot construct a Store that violates the package's
+// invariants, and the record views can later be materialized without any
+// re-validation.
 func validateColumns(c *Columns) error {
 	seenStr := make(map[string]struct{}, len(c.strs))
 	for i, str := range c.strs {
@@ -446,28 +421,36 @@ func validateColumns(c *Columns) error {
 	return nil
 }
 
-// newLazyStore wraps validated columns in a Store whose record views are
-// materialized on demand (Store.records). validate is skipped when the
-// snapshot's section checksums were already validated by an earlier load
-// in this process (see the v2 CRC layout in snapshot.go).
-func newLazyStore(c *Columns, validate bool) (*Store, error) {
-	if validate {
-		if err := validateColumns(c); err != nil {
-			return nil, err
-		}
+// fillAttack is the one row -> record fill: it overwrites a with attack
+// row's fields, taking ips as its source set.
+func (c *Columns) fillAttack(a *Attack, row int, ips []netip.Addr) {
+	*a = Attack{
+		ID:            DDoSID(c.aID[row]),
+		BotnetID:      BotnetID(c.aBotnet[row]),
+		Family:        Family(c.strs[c.aFam[row]]),
+		Category:      Category(c.aCat[row]),
+		TargetIP:      c.targets[c.aTgt[row]],
+		Start:         nanoTime(c.aStart[row]),
+		End:           nanoTime(c.aEnd[row]),
+		BotIPs:        ips,
+		TargetASN:     int(c.aASN[row]),
+		TargetCountry: c.strs[c.aCC[row]],
+		TargetCity:    c.strs[c.aCity[row]],
+		TargetOrg:     c.strs[c.aOrg[row]],
+		TargetLat:     c.aLat[row],
+		TargetLon:     c.aLon[row],
 	}
-	return &Store{fromSnapshot: true, cols: c}, nil
 }
 
-// materializeRecords builds the record views and record-keyed indexes
-// over already-validated columns: arena-allocated Attack/Bot/Botnet
-// structs whose strings come from the interned table and whose BotIPs
-// alias the shared reference arena. It runs at most once per store,
-// inside Store.recOnce, and only when a caller actually asks for the
-// record face — a column-native analysis pass never gets here.
+// materializeRecords builds the record views over already-validated
+// columns: arena-allocated Attack/Bot/Botnet structs whose strings come
+// from the interned table and whose BotIPs alias one shared address
+// arena. It runs at most once per store, inside Store.recOnce, and only
+// when a caller actually asks for the record face — a column-native
+// analysis pass never gets here.
 func (s *Store) materializeRecords() {
 	c := s.cols
-	refIPs := c.refArena()
+	d := s.denseBots()
 
 	nb := len(c.bIP)
 	botArena := make([]Bot, nb)
@@ -487,7 +470,6 @@ func (s *Store) materializeRecords() {
 
 	nn := len(c.nID)
 	netArena := make([]Botnet, nn)
-	botnetList := make([]*Botnet, nn)
 	botnets := make(map[BotnetID]*Botnet, nn)
 	for i := range netArena {
 		b := &netArena[i]
@@ -498,39 +480,20 @@ func (s *Store) materializeRecords() {
 		b.FirstSeen = nanoTime(c.nFirst[i])
 		b.LastSeen = nanoTime(c.nLast[i])
 		botnets[b.ID] = b
-		botnetList[i] = b
 	}
 
 	n := len(c.aID)
+	refIPs := d.expand(make([]netip.Addr, len(d.refs)), 0, int64(len(d.refs)))
 	arena := make([]Attack, n)
 	attacks := make([]*Attack, n)
 	for i := range arena {
-		a := &arena[i]
-		a.ID = DDoSID(c.aID[i])
-		a.BotnetID = BotnetID(c.aBotnet[i])
-		a.Family = Family(c.strs[c.aFam[i]])
-		a.Category = Category(c.aCat[i])
-		a.TargetIP = c.targets[c.aTgt[i]]
-		a.Start = nanoTime(c.aStart[i])
-		a.End = nanoTime(c.aEnd[i])
 		lo, hi := c.aOff[i], c.aOff[i+1]
-		a.BotIPs = refIPs[lo:hi:hi]
-		a.TargetASN = int(c.aASN[i])
-		a.TargetCountry = c.strs[c.aCC[i]]
-		a.TargetCity = c.strs[c.aCity[i]]
-		a.TargetOrg = c.strs[c.aOrg[i]]
-		a.TargetLat = c.aLat[i]
-		a.TargetLon = c.aLon[i]
-		attacks[i] = a
+		c.fillAttack(&arena[i], i, refIPs[lo:hi:hi])
+		attacks[i] = &arena[i]
 	}
 
-	s.botnetList = botnetList
 	s.botnets = botnets
 	s.botList = botList
 	s.attacks = attacks
-	scratch := make([]int32, n)
-	s.byFamily = buildBuckets(attacks, scratch, func(a *Attack) Family { return a.Family })
-	s.byTarget = buildBuckets(attacks, scratch, func(a *Attack) netip.Addr { return a.TargetIP })
-	s.byBotnet = buildBuckets(attacks, scratch, func(a *Attack) BotnetID { return a.BotnetID })
 	s.recBuilt.Store(true)
 }

@@ -142,7 +142,7 @@ func TestSnapshotConcurrentMaterialize(t *testing.T) {
 					}
 				case 1:
 					for _, f := range got.Families() {
-						if len(got.ByFamily(f)) == 0 {
+						if len(got.AttackRecords(got.RowsByFamily(f))) == 0 {
 							errs <- "empty family bucket"
 						}
 					}

@@ -4,25 +4,20 @@ package dataset
 // A snapshot serializes the columnar core (columns.go) — interned string
 // table, attack/bot/botnet columns, and the dense source-IP layer — so a
 // generated workload reloads in seconds instead of being regenerated and
-// re-indexed. The encoding reuses the discipline of internal/cluster's
-// BSCW wire codec: unsigned varints everywhere, zigzag varints for
-// signed values, IEEE-754 bit patterns for floats (bit-exact round
-// trips), length-prefixed strings, tagged 0/4/16-byte addresses, and a
-// sticky-error reader whose collection counts are sanity-checked against
-// the bytes remaining so a corrupt length cannot force an arbitrary
-// allocation.
+// re-indexed. Values are written with the internal/binenc primitives it
+// shares with internal/cluster's BSCW wire codec; this file adds the
+// framing, the typed located errors, and the interned-string ids.
 //
 // Format versioning rules: the magic never changes; the version byte
 // bumps on any layout change (there is no in-place migration — a
 // snapshot is a cache of a reproducible workload, so "regenerate and
 // re-snapshot" is always safe); decoders reject unknown versions rather
-// than guessing. Writers emit the current version; readers accept both
-// v2 and the legacy v1 layout. Within a version, decode is strict: every
-// interned-id and row reference is bounds-checked, attack rows must
-// arrive sorted by (Start, ID) with unique ids, dense ids must be
-// numbered in first-appearance order, and trailing bytes (in the stream,
-// and in v2 inside each section frame) are an error. A decoded store
-// therefore satisfies exactly the invariants NewStore enforces.
+// than guessing, and version 2 is the only one written or read. Decode
+// is strict: every interned-id and row reference is bounds-checked,
+// attack rows must arrive sorted by (Start, ID) with unique ids, dense
+// ids must be numbered in first-appearance order, and trailing bytes (in
+// the stream, and inside each section frame) are an error. A decoded
+// store therefore satisfies exactly the invariants NewStore enforces.
 //
 // Layout (version 2):
 //
@@ -36,8 +31,7 @@ package dataset
 //
 // The fixed-width frame header lets the encoder emit each payload
 // straight into the output buffer and backfill length + checksum, and
-// lets a reader verify or skip a section without parsing it. Payload
-// encodings are byte-identical to the v1 section bodies:
+// lets a reader verify or skip a section without parsing it. Payloads:
 //
 //	strings:  count | (len | bytes)*
 //	targets:  count | addr*
@@ -46,8 +40,6 @@ package dataset
 //	attacks:  count | nRefs | id* | botnet* | fam* | cat* | tgt* |
 //	          startΔ* | endΔ* | asn* | cc* | city* | org* | lat* | lon* | span*
 //	dense:    count | ip* | ref* | rec*
-//
-// Version 1 is the same six payloads concatenated with no frame headers.
 //
 // Sections are column-major: each column is one contiguous run, which
 // keeps related varints adjacent. Attack starts are deltas from the
@@ -71,13 +63,14 @@ import (
 	"net/netip"
 	"os"
 	"sync"
+
+	"botscope/internal/binenc"
 )
 
 // Snapshot codec constants.
 const (
-	snapMagic     = "BSCS"
-	snapVersion   = 2
-	snapVersionV1 = 1
+	snapMagic   = "BSCS"
+	snapVersion = 2
 )
 
 // Section ids of the v2 frame layout, in stream order.
@@ -121,8 +114,8 @@ func (e *SnapshotError) Error() string {
 
 func (e *SnapshotError) Unwrap() error { return e.Err }
 
-// validatedSnapshots caches the (length, crc) frame headers of v2
-// snapshots that fully passed validateColumns in this process, so
+// validatedSnapshots caches the (length, crc) frame headers of snapshots
+// that fully passed validateColumns in this process, so
 // re-loading a byte-identical snapshot skips semantic re-validation.
 var validatedSnapshots sync.Map // string (concatenated frame headers) -> struct{}
 
@@ -137,73 +130,32 @@ type SnapshotInfo struct {
 // the store was built from records, not a snapshot.
 func (s *Store) SnapshotInfo() SnapshotInfo { return s.snapInfo }
 
-// snapWriter appends primitives to a growing buffer, mirroring the wire
-// codec's value discipline.
-type snapWriter struct {
-	buf []byte
-}
-
-func (w *snapWriter) uvarint(v uint64) {
-	w.buf = binary.AppendUvarint(w.buf, v)
-}
-
-func (w *snapWriter) varint(v int64) {
-	w.buf = binary.AppendVarint(w.buf, v)
-}
-
-func (w *snapWriter) f64(v float64) {
-	w.buf = binary.BigEndian.AppendUint64(w.buf, math.Float64bits(v))
-}
-
-func (w *snapWriter) str(s string) {
-	w.buf = binary.AppendUvarint(w.buf, uint64(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-// addr encodes a netip.Addr as a 1-byte tag (0 = zero value, 4, or 16)
-// plus raw bytes. Unlike attack targets, bot and controller addresses
-// may legitimately be the zero Addr, which As16 would silently turn into
-// IPv6 "::" — the 0 tag preserves it.
-func (w *snapWriter) addr(a netip.Addr) {
-	if !a.IsValid() {
-		w.buf = append(w.buf, 0)
-		return
-	}
-	if a.Is4() {
-		b := a.As4()
-		w.buf = append(w.buf, 4)
-		w.buf = append(w.buf, b[:]...)
-		return
-	}
-	b := a.As16()
-	w.buf = append(w.buf, 16)
-	w.buf = append(w.buf, b[:]...)
-}
-
-// snapReader consumes primitives with a sticky error, so decode paths
-// read linearly and check once per section. section and end track where
-// the reader is for typed errors: end is the absolute offset (from the
-// start of the snapshot) of the last byte of buf, so the current
-// position is end - len(buf).
+// snapReader is a binenc.Reader that knows where in the snapshot it is,
+// so a decode failure can name its section and absolute offset. end is
+// the absolute offset (from the start of the snapshot) of the last byte
+// of Buf, so the current position is end - len(Buf).
 type snapReader struct {
-	buf     []byte
-	err     error
+	binenc.Reader
 	section string
 	end     int64
 }
 
 // off returns the reader's absolute offset into the snapshot bytes.
-func (r *snapReader) off() int64 { return r.end - int64(len(r.buf)) }
+func (r *snapReader) off() int64 { return r.end - int64(len(r.Buf)) }
 
-func (r *snapReader) fail() {
-	if r.err == nil {
-		r.err = &SnapshotError{Section: r.section, Offset: r.off(), Err: ErrSnapshotTruncated}
+// failure returns the sticky error, located. A short buffer stops the
+// reader where it happened, so its position is still the failing one.
+func (r *snapReader) failure() error {
+	if r.Err == binenc.ErrShort {
+		return &SnapshotError{Section: r.section, Offset: r.off(), Err: ErrSnapshotTruncated}
 	}
+	return r.Err
 }
 
+// failf stops the reader with a located ErrSnapshotCorrupt.
 func (r *snapReader) failf(format string, args ...any) {
-	if r.err == nil {
-		r.err = &SnapshotError{
+	if r.Err == nil {
+		r.Err = &SnapshotError{
 			Section: r.section,
 			Offset:  r.off(),
 			Err:     fmt.Errorf("%w: "+format, append([]any{ErrSnapshotCorrupt}, args...)...),
@@ -211,114 +163,10 @@ func (r *snapReader) failf(format string, args ...any) {
 	}
 }
 
-func (r *snapReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-func (r *snapReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.buf)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-func (r *snapReader) f64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) < 8 {
-		r.fail()
-		return 0
-	}
-	v := math.Float64frombits(binary.BigEndian.Uint64(r.buf))
-	r.buf = r.buf[8:]
-	return v
-}
-
-func (r *snapReader) str() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if uint64(len(r.buf)) < n {
-		r.fail()
-		return ""
-	}
-	s := string(r.buf[:n])
-	r.buf = r.buf[n:]
-	return s
-}
-
-func (r *snapReader) addr() netip.Addr {
-	if r.err != nil {
-		return netip.Addr{}
-	}
-	if len(r.buf) < 1 {
-		r.fail()
-		return netip.Addr{}
-	}
-	n := int(r.buf[0])
-	r.buf = r.buf[1:]
-	switch n {
-	case 0:
-		return netip.Addr{}
-	case 4, 16:
-	default:
-		r.fail()
-		return netip.Addr{}
-	}
-	if len(r.buf) < n {
-		r.fail()
-		return netip.Addr{}
-	}
-	var a netip.Addr
-	if n == 4 {
-		a = netip.AddrFrom4([4]byte(r.buf[:4]))
-	} else {
-		a = netip.AddrFrom16([16]byte(r.buf[:16]))
-	}
-	r.buf = r.buf[n:]
-	return a
-}
-
-// count reads a collection length and sanity-checks it against the bytes
-// remaining (every element costs at least minBytes somewhere later in
-// the stream — in v2, later in the same section payload), so a corrupt
-// count cannot force an arbitrary allocation.
-func (r *snapReader) count(minBytes int) int {
-	n := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if minBytes < 1 {
-		minBytes = 1
-	}
-	if n > uint64(len(r.buf)/minBytes) {
-		r.fail()
-		return 0
-	}
-	return int(n)
-}
-
 // strID reads an interned string id and bounds-checks it.
 func (r *snapReader) strID(nStr int) int32 {
-	v := r.uvarint()
-	if r.err != nil {
+	v := r.Uvarint()
+	if r.Err != nil {
 		return 0
 	}
 	if v >= uint64(nStr) {
@@ -411,19 +259,19 @@ func EncodeSnapshot(s *Store) []byte {
 	hint := 160 + strBytes +
 		21*(len(c.targets)+len(d.ips)+len(c.nID)) +
 		64*len(c.bIP) + 80*len(c.aID) + 5*c.NumRefs() + 2*len(d.rec)
-	w := &snapWriter{buf: make([]byte, 0, hint)}
-	w.buf = append(w.buf, snapMagic...)
-	w.uvarint(snapVersion)
+	w := &binenc.Writer{Buf: make([]byte, 0, hint)}
+	w.Buf = append(w.Buf, snapMagic...)
+	w.Uvarint(snapVersion)
 
 	frame := func(id byte, enc func()) {
-		w.buf = append(w.buf, id)
-		hdr := len(w.buf)
-		w.buf = append(w.buf, make([]byte, 12)...)
-		start := len(w.buf)
+		w.Buf = append(w.Buf, id)
+		hdr := len(w.Buf)
+		w.Buf = append(w.Buf, make([]byte, 12)...)
+		start := len(w.Buf)
 		enc()
-		payload := w.buf[start:]
-		binary.BigEndian.PutUint64(w.buf[hdr:hdr+8], uint64(len(payload)))
-		binary.BigEndian.PutUint32(w.buf[hdr+8:hdr+12], crc32.Checksum(payload, castagnoli))
+		payload := w.Buf[start:]
+		binary.BigEndian.PutUint64(w.Buf[hdr:hdr+8], uint64(len(payload)))
+		binary.BigEndian.PutUint32(w.Buf[hdr+8:hdr+12], crc32.Checksum(payload, castagnoli))
 	}
 	frame(secStrings, func() { encStrings(w, c) })
 	frame(secTargets, func() { encTargets(w, c) })
@@ -431,147 +279,145 @@ func EncodeSnapshot(s *Store) []byte {
 	frame(secBots, func() { encBots(w, c) })
 	frame(secAttacks, func() { encAttacks(w, c) })
 	frame(secDense, func() { encDense(w, d) })
-	return w.buf
+	return w.Buf
 }
 
-// The enc* functions emit one section payload each; both the v2 encoder
-// and the test-only v1 encoder compose them, which is what keeps the two
-// layouts byte-compatible at the payload level.
+// The enc* functions emit one section payload each.
 
 //botvet:codec encode strings
-func encStrings(w *snapWriter, c *Columns) {
-	w.uvarint(uint64(len(c.strs)))
+func encStrings(w *binenc.Writer, c *Columns) {
+	w.Uvarint(uint64(len(c.strs)))
 	for _, str := range c.strs {
-		w.str(str)
+		w.Str(str)
 	}
 }
 
 //botvet:codec encode targets
-func encTargets(w *snapWriter, c *Columns) {
-	w.uvarint(uint64(len(c.targets)))
+func encTargets(w *binenc.Writer, c *Columns) {
+	w.Uvarint(uint64(len(c.targets)))
 	for _, a := range c.targets {
-		w.addr(a)
+		w.Addr(a)
 	}
 }
 
 //botvet:codec encode botnets
-func encBotnets(w *snapWriter, c *Columns) {
-	w.uvarint(uint64(len(c.nID)))
+func encBotnets(w *binenc.Writer, c *Columns) {
+	w.Uvarint(uint64(len(c.nID)))
 	for _, v := range c.nID {
-		w.uvarint(uint64(v))
+		w.Uvarint(uint64(v))
 	}
 	for _, v := range c.nFam {
-		w.uvarint(uint64(v))
+		w.Uvarint(uint64(v))
 	}
 	for _, v := range c.nHash {
-		w.uvarint(uint64(v))
+		w.Uvarint(uint64(v))
 	}
 	for _, a := range c.nCtrl {
-		w.addr(a)
+		w.Addr(a)
 	}
 	for _, v := range c.nFirst {
-		w.varint(v)
+		w.Varint(v)
 	}
 	for _, v := range c.nLast {
-		w.varint(v)
+		w.Varint(v)
 	}
 }
 
 //botvet:codec encode bots
-func encBots(w *snapWriter, c *Columns) {
-	w.uvarint(uint64(len(c.bIP)))
+func encBots(w *binenc.Writer, c *Columns) {
+	w.Uvarint(uint64(len(c.bIP)))
 	for _, a := range c.bIP {
-		w.addr(a)
+		w.Addr(a)
 	}
 	for _, v := range c.bASN {
-		w.varint(v)
+		w.Varint(v)
 	}
 	for _, v := range c.bCC {
-		w.uvarint(uint64(v))
+		w.Uvarint(uint64(v))
 	}
 	for _, v := range c.bCity {
-		w.uvarint(uint64(v))
+		w.Uvarint(uint64(v))
 	}
 	for _, v := range c.bOrg {
-		w.uvarint(uint64(v))
+		w.Uvarint(uint64(v))
 	}
 	for _, v := range c.bLat {
-		w.f64(v)
+		w.F64(v)
 	}
 	for _, v := range c.bLon {
-		w.f64(v)
+		w.F64(v)
 	}
 	prev := int64(0)
 	for _, v := range c.bLast {
-		w.varint(v - prev)
+		w.Varint(v - prev)
 		prev = v
 	}
 }
 
 //botvet:codec encode attacks
-func encAttacks(w *snapWriter, c *Columns) {
+func encAttacks(w *binenc.Writer, c *Columns) {
 	n := len(c.aID)
-	w.uvarint(uint64(n))
-	w.uvarint(uint64(c.NumRefs()))
+	w.Uvarint(uint64(n))
+	w.Uvarint(uint64(c.NumRefs()))
 	for _, v := range c.aID {
-		w.uvarint(v)
+		w.Uvarint(v)
 	}
 	for _, v := range c.aBotnet {
-		w.uvarint(uint64(v))
+		w.Uvarint(uint64(v))
 	}
 	for _, v := range c.aFam {
-		w.uvarint(uint64(v))
+		w.Uvarint(uint64(v))
 	}
-	w.buf = append(w.buf, c.aCat...)
+	w.Buf = append(w.Buf, c.aCat...)
 	for _, v := range c.aTgt {
-		w.uvarint(uint64(v))
+		w.Uvarint(uint64(v))
 	}
 	prev := int64(0)
 	for i, v := range c.aStart {
 		if i == 0 {
-			w.varint(v)
+			w.Varint(v)
 		} else {
-			w.uvarint(uint64(v - prev)) // sorted: non-negative
+			w.Uvarint(uint64(v - prev)) // sorted: non-negative
 		}
 		prev = v
 	}
 	for i, v := range c.aEnd {
-		w.uvarint(uint64(v - c.aStart[i])) // validated: End >= Start
+		w.Uvarint(uint64(v - c.aStart[i])) // validated: End >= Start
 	}
 	for _, v := range c.aASN {
-		w.varint(v)
+		w.Varint(v)
 	}
 	for _, v := range c.aCC {
-		w.uvarint(uint64(v))
+		w.Uvarint(uint64(v))
 	}
 	for _, v := range c.aCity {
-		w.uvarint(uint64(v))
+		w.Uvarint(uint64(v))
 	}
 	for _, v := range c.aOrg {
-		w.uvarint(uint64(v))
+		w.Uvarint(uint64(v))
 	}
 	for _, v := range c.aLat {
-		w.f64(v)
+		w.F64(v)
 	}
 	for _, v := range c.aLon {
-		w.f64(v)
+		w.F64(v)
 	}
 	for i := 0; i < n; i++ {
-		w.uvarint(uint64(c.aOff[i+1] - c.aOff[i]))
+		w.Uvarint(uint64(c.aOff[i+1] - c.aOff[i]))
 	}
 }
 
 //botvet:codec encode dense
-func encDense(w *snapWriter, d *denseBots) {
-	w.uvarint(uint64(len(d.ips)))
+func encDense(w *binenc.Writer, d *denseBots) {
+	w.Uvarint(uint64(len(d.ips)))
 	for _, a := range d.ips {
-		w.addr(a)
+		w.Addr(a)
 	}
 	for _, v := range d.refs {
-		w.uvarint(uint64(v))
+		w.Uvarint(uint64(v))
 	}
 	for _, row := range d.rec {
-		w.uvarint(uint64(row + 1)) // 0 = unresolved
+		w.Uvarint(uint64(row + 1)) // 0 = unresolved
 	}
 }
 
@@ -587,111 +433,71 @@ func DecodeSnapshot(data []byte) (*Store, error) {
 // decodeSnapshot is the shared decode core. alias permits columns to
 // reference data directly (the caller guarantees data is immutable and
 // outlives the store); mapped records provenance in SnapshotInfo.
+// Semantic validation is skipped when a snapshot with the same section
+// checksums already passed it in this process.
 func decodeSnapshot(data []byte, alias, mapped bool) (*Store, error) {
-	c, version, crcKey, err := decodeColumns(data, alias)
+	c, crcKey, err := decodeColumns(data, alias)
 	if err != nil {
 		return nil, err
 	}
-	validate := true
-	if crcKey != "" {
-		if _, ok := validatedSnapshots.Load(crcKey); ok {
-			validate = false
+	if _, ok := validatedSnapshots.Load(crcKey); !ok {
+		if err := validateColumns(c); err != nil {
+			return nil, err
 		}
-	}
-	s, err := newLazyStore(c, validate)
-	if err != nil {
-		return nil, err
-	}
-	if validate && crcKey != "" {
 		validatedSnapshots.Store(crcKey, struct{}{})
 	}
-	s.snapInfo = SnapshotInfo{Version: version, Bytes: int64(len(data)), Mapped: mapped}
-	return s, nil
+	return &Store{
+		cols:     c,
+		snapInfo: SnapshotInfo{Version: snapVersion, Bytes: int64(len(data)), Mapped: mapped},
+	}, nil
 }
 
-// decodeColumns parses either snapshot layout into columns. It returns
-// the format version and, for v2, the concatenated frame headers as the
-// validation-cache key ("" for v1: without checksums there is no safe
-// identity to cache under).
-func decodeColumns(data []byte, alias bool) (*Columns, int, string, error) {
+// decodeColumns parses a snapshot into columns. It also returns the
+// concatenated frame headers, the validation-cache key.
+func decodeColumns(data []byte, alias bool) (*Columns, string, error) {
 	if len(data) < len(snapMagic) {
-		return nil, 0, "", ErrSnapshotTruncated
+		return nil, "", ErrSnapshotTruncated
 	}
 	if string(data[:len(snapMagic)]) != snapMagic {
-		return nil, 0, "", ErrSnapshotMagic
+		return nil, "", ErrSnapshotMagic
 	}
-	r := &snapReader{buf: data[len(snapMagic):], end: int64(len(data)), section: "header"}
-	v := r.uvarint()
-	if r.err != nil {
-		return nil, 0, "", r.err
+	r := &snapReader{Reader: binenc.Reader{Buf: data[len(snapMagic):]}, end: int64(len(data)), section: "header"}
+	v := r.Uvarint()
+	if r.Err != nil {
+		return nil, "", r.failure()
 	}
-	switch v {
-	case snapVersionV1:
-		c, err := decodeColumnsV1(r, alias)
-		return c, snapVersionV1, "", err
-	case snapVersion:
-		c, key, err := decodeColumnsV2(r, alias)
-		return c, snapVersion, key, err
-	default:
-		return nil, 0, "", fmt.Errorf("%w: got %d, want <= %d", ErrSnapshotVersion, v, snapVersion)
+	if v != snapVersion {
+		return nil, "", fmt.Errorf("%w: got %d, want %d", ErrSnapshotVersion, v, snapVersion)
 	}
-}
-
-// decodeColumnsV1 parses the legacy flat layout: the six section
-// payloads concatenated with no frame headers.
-func decodeColumnsV1(r *snapReader, alias bool) (*Columns, error) {
-	c := &Columns{}
-	nStr := parseStrings(r, c)
-	nTgt := parseTargets(r, c)
-	parseBotnets(r, c, nStr)
-	nb := parseBots(r, c, nStr)
-	nRefs := parseAttacks(r, c, nStr, nTgt, alias)
-	parseDense(r, c, nRefs, nb)
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.buf) != 0 {
-		return nil, &SnapshotError{
-			Section: r.section,
-			Offset:  r.off(),
-			Err:     fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, len(r.buf)),
-		}
-	}
-	return c, nil
-}
-
-// decodeColumnsV2 parses the framed layout: six checksummed sections in
-// fixed order.
-func decodeColumnsV2(r *snapReader, alias bool) (*Columns, string, error) {
 	c := &Columns{}
 	key := make([]byte, 0, 6*13)
 	var nStr, nTgt, nb, nRefs int
 	for sec := byte(secStrings); sec <= secDense; sec++ {
 		r.section = snapSectionName[sec]
-		if len(r.buf) < 13 {
-			r.fail()
-			return nil, "", r.err
+		if len(r.Buf) < 13 {
+			r.Fail()
+			return nil, "", r.failure()
 		}
-		if r.buf[0] != sec {
-			r.failf("section id %d, want %d (%s)", r.buf[0], sec, snapSectionName[sec])
-			return nil, "", r.err
+		if r.Buf[0] != sec {
+			r.failf("section id %d, want %d (%s)", r.Buf[0], sec, snapSectionName[sec])
+			return nil, "", r.failure()
 		}
-		plen := binary.BigEndian.Uint64(r.buf[1:9])
-		sum := binary.BigEndian.Uint32(r.buf[9:13])
-		key = append(key, r.buf[:13]...)
-		r.buf = r.buf[13:]
-		if uint64(len(r.buf)) < plen {
-			r.fail()
-			return nil, "", r.err
+		plen := binary.BigEndian.Uint64(r.Buf[1:9])
+		sum := binary.BigEndian.Uint32(r.Buf[9:13])
+		key = append(key, r.Buf[:13]...)
+		r.Buf = r.Buf[13:]
+		if uint64(len(r.Buf)) < plen {
+			r.Fail()
+			return nil, "", r.failure()
 		}
-		payload := r.buf[:plen]
+		payload := r.Buf[:plen]
 		if crc32.Checksum(payload, castagnoli) != sum {
 			r.failf("%s section checksum mismatch", snapSectionName[sec])
-			return nil, "", r.err
+			return nil, "", r.failure()
 		}
 		base := r.off()
-		r.buf = r.buf[plen:]
-		sr := &snapReader{buf: payload, end: base + int64(plen), section: snapSectionName[sec]}
+		r.Buf = r.Buf[plen:]
+		sr := &snapReader{Reader: binenc.Reader{Buf: payload}, end: base + int64(plen), section: snapSectionName[sec]}
 		switch sec {
 		case secStrings:
 			nStr = parseStrings(sr, c)
@@ -706,41 +512,38 @@ func decodeColumnsV2(r *snapReader, alias bool) (*Columns, string, error) {
 		case secDense:
 			parseDense(sr, c, nRefs, nb)
 		}
-		if sr.err != nil {
-			return nil, "", sr.err
+		if sr.Err != nil {
+			return nil, "", sr.failure()
 		}
-		if len(sr.buf) != 0 {
+		if len(sr.Buf) != 0 {
 			return nil, "", &SnapshotError{
 				Section: snapSectionName[sec],
 				Offset:  sr.off(),
-				Err:     fmt.Errorf("%w: %d trailing bytes in %s section", ErrSnapshotCorrupt, len(sr.buf), snapSectionName[sec]),
+				Err:     fmt.Errorf("%w: %d trailing bytes in %s section", ErrSnapshotCorrupt, len(sr.Buf), snapSectionName[sec]),
 			}
 		}
 	}
-	if len(r.buf) != 0 {
+	if len(r.Buf) != 0 {
 		return nil, "", &SnapshotError{
 			Section: "trailer",
 			Offset:  r.off(),
-			Err:     fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, len(r.buf)),
+			Err:     fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, len(r.Buf)),
 		}
 	}
 	return c, string(key), nil
 }
 
-// The parse* functions consume one section payload each; the v1 decoder
-// runs them back to back over one reader, the v2 decoder gives each its
-// own framed sub-reader. Each sets the reader's section name so sticky
-// errors carry their location.
+// The parse* functions consume one section payload each, from a reader
+// framed to exactly that payload.
 
 //botvet:codec decode strings
 func parseStrings(r *snapReader, c *Columns) int {
-	r.section = snapSectionName[secStrings]
-	nStr := r.count(1)
+	nStr := r.Count(1)
 	c.strs = make([]string, nStr)
 	for i := range c.strs {
-		c.strs[i] = r.str()
+		c.strs[i] = r.Str()
 	}
-	if r.err == nil && (nStr == 0 || c.strs[0] != "") {
+	if r.Err == nil && (nStr == 0 || c.strs[0] != "") {
 		r.failf("string table must start with the empty string")
 	}
 	return nStr
@@ -748,24 +551,22 @@ func parseStrings(r *snapReader, c *Columns) int {
 
 //botvet:codec decode targets
 func parseTargets(r *snapReader, c *Columns) int {
-	r.section = snapSectionName[secTargets]
-	nTgt := r.count(1)
+	nTgt := r.Count(1)
 	c.targets = make([]netip.Addr, nTgt)
 	for i := range c.targets {
-		c.targets[i] = r.addr()
+		c.targets[i] = r.Addr()
 	}
 	return nTgt
 }
 
 //botvet:codec decode botnets
 func parseBotnets(r *snapReader, c *Columns, nStr int) {
-	r.section = snapSectionName[secBotnets]
 	// Botnet rows cost at least 1 byte in each of 6 columns.
-	nn := r.count(6)
+	nn := r.Count(6)
 	c.nID = make([]uint32, nn)
 	for i := range c.nID {
-		v := r.uvarint()
-		if r.err == nil && v > math.MaxUint32 {
+		v := r.Uvarint()
+		if r.Err == nil && v > math.MaxUint32 {
 			r.failf("botnet id %d overflows uint32", v)
 		}
 		c.nID[i] = uint32(v)
@@ -780,30 +581,29 @@ func parseBotnets(r *snapReader, c *Columns, nStr int) {
 	}
 	c.nCtrl = make([]netip.Addr, nn)
 	for i := range c.nCtrl {
-		c.nCtrl[i] = r.addr()
+		c.nCtrl[i] = r.Addr()
 	}
 	c.nFirst = make([]int64, nn)
 	for i := range c.nFirst {
-		c.nFirst[i] = r.varint()
+		c.nFirst[i] = r.Varint()
 	}
 	c.nLast = make([]int64, nn)
 	for i := range c.nLast {
-		c.nLast[i] = r.varint()
+		c.nLast[i] = r.Varint()
 	}
 }
 
 //botvet:codec decode bots
 func parseBots(r *snapReader, c *Columns, nStr int) int {
-	r.section = snapSectionName[secBots]
 	// Bot rows cost at least 1+1+1+1+1+8+8+1 = 22 bytes across columns.
-	nb := r.count(22)
+	nb := r.Count(22)
 	c.bIP = make([]netip.Addr, nb)
 	for i := range c.bIP {
-		c.bIP[i] = r.addr()
+		c.bIP[i] = r.Addr()
 	}
 	c.bASN = make([]int64, nb)
 	for i := range c.bASN {
-		c.bASN[i] = r.varint()
+		c.bASN[i] = r.Varint()
 	}
 	c.bCC = make([]int32, nb)
 	for i := range c.bCC {
@@ -819,16 +619,16 @@ func parseBots(r *snapReader, c *Columns, nStr int) int {
 	}
 	c.bLat = make([]float64, nb)
 	for i := range c.bLat {
-		c.bLat[i] = r.f64()
+		c.bLat[i] = r.F64()
 	}
 	c.bLon = make([]float64, nb)
 	for i := range c.bLon {
-		c.bLon[i] = r.f64()
+		c.bLon[i] = r.F64()
 	}
 	c.bLast = make([]int64, nb)
 	prev := int64(0)
 	for i := range c.bLast {
-		prev += r.varint()
+		prev += r.Varint()
 		c.bLast[i] = prev
 	}
 	return nb
@@ -836,27 +636,26 @@ func parseBots(r *snapReader, c *Columns, nStr int) int {
 
 //botvet:codec decode attacks
 func parseAttacks(r *snapReader, c *Columns, nStr, nTgt int, alias bool) int {
-	r.section = snapSectionName[secAttacks]
 	// Attack rows cost at least 1 byte in each of 12 varint/byte columns
 	// plus 8 each for the two float columns: 28 bytes.
-	n := r.count(28)
+	n := r.Count(28)
 	// The references themselves live in the dense section, so nRefs is
 	// only sanity-bounded here (the span sum must hit it exactly below,
 	// and the dense parser re-bounds it against its own payload before
 	// allocating).
-	nRefs64 := r.uvarint()
-	if r.err == nil && nRefs64 > math.MaxInt64/4 {
+	nRefs64 := r.Uvarint()
+	if r.Err == nil && nRefs64 > math.MaxInt64/4 {
 		r.failf("reference count %d implausibly large", nRefs64)
 	}
 	nRefs := int(nRefs64)
 	c.aID = make([]uint64, n)
 	for i := range c.aID {
-		c.aID[i] = r.uvarint()
+		c.aID[i] = r.Uvarint()
 	}
 	c.aBotnet = make([]uint32, n)
 	for i := range c.aBotnet {
-		v := r.uvarint()
-		if r.err == nil && v > math.MaxUint32 {
+		v := r.Uvarint()
+		if r.Err == nil && v > math.MaxUint32 {
 			r.failf("attack botnet id %d overflows uint32", v)
 		}
 		c.aBotnet[i] = uint32(v)
@@ -865,27 +664,27 @@ func parseAttacks(r *snapReader, c *Columns, nStr, nTgt int, alias bool) int {
 	for i := range c.aFam {
 		c.aFam[i] = r.strID(nStr)
 	}
-	if r.err == nil && len(r.buf) < n {
-		r.fail()
+	if r.Err == nil && len(r.Buf) < n {
+		r.Fail()
 	}
-	if r.err == nil {
+	if r.Err == nil {
 		if alias {
 			// The category column is stored as raw bytes, so over a mapped
 			// snapshot it can alias the file instead of being copied; the
 			// columns pin the mapping (Columns.mmap).
-			c.aCat = r.buf[:n:n]
+			c.aCat = r.Buf[:n:n]
 		} else {
 			c.aCat = make([]uint8, n)
-			copy(c.aCat, r.buf[:n])
+			copy(c.aCat, r.Buf[:n])
 		}
-		r.buf = r.buf[n:]
+		r.Buf = r.Buf[n:]
 	} else {
 		c.aCat = make([]uint8, n)
 	}
 	c.aTgt = make([]int32, n)
 	for i := range c.aTgt {
-		v := r.uvarint()
-		if r.err == nil && v >= uint64(nTgt) {
+		v := r.Uvarint()
+		if r.Err == nil && v >= uint64(nTgt) {
 			r.failf("attack target id %d out of range (%d targets)", v, nTgt)
 		}
 		c.aTgt[i] = int32(v)
@@ -894,19 +693,19 @@ func parseAttacks(r *snapReader, c *Columns, nStr, nTgt int, alias bool) int {
 	prev := int64(0)
 	for i := range c.aStart {
 		if i == 0 {
-			prev = r.varint()
+			prev = r.Varint()
 		} else {
-			prev += int64(r.uvarint())
+			prev += int64(r.Uvarint())
 		}
 		c.aStart[i] = prev
 	}
 	c.aEnd = make([]int64, n)
 	for i := range c.aEnd {
-		c.aEnd[i] = c.aStart[i] + int64(r.uvarint())
+		c.aEnd[i] = c.aStart[i] + int64(r.Uvarint())
 	}
 	c.aASN = make([]int64, n)
 	for i := range c.aASN {
-		c.aASN[i] = r.varint()
+		c.aASN[i] = r.Varint()
 	}
 	c.aCC = make([]int32, n)
 	for i := range c.aCC {
@@ -922,23 +721,23 @@ func parseAttacks(r *snapReader, c *Columns, nStr, nTgt int, alias bool) int {
 	}
 	c.aLat = make([]float64, n)
 	for i := range c.aLat {
-		c.aLat[i] = r.f64()
+		c.aLat[i] = r.F64()
 	}
 	c.aLon = make([]float64, n)
 	for i := range c.aLon {
-		c.aLon[i] = r.f64()
+		c.aLon[i] = r.F64()
 	}
 	c.aOff = make([]int64, n+1)
 	off := int64(0)
 	for i := 0; i < n; i++ {
 		c.aOff[i] = off
-		off += int64(r.uvarint())
-		if r.err == nil && off > int64(nRefs) {
+		off += int64(r.Uvarint())
+		if r.Err == nil && off > int64(nRefs) {
 			r.failf("attack spans exceed declared reference count %d", nRefs)
 		}
 	}
 	c.aOff[n] = off
-	if r.err == nil && off != int64(nRefs) {
+	if r.Err == nil && off != int64(nRefs) {
 		r.failf("attack spans cover %d references, header declares %d", off, nRefs)
 	}
 	return nRefs
@@ -946,26 +745,25 @@ func parseAttacks(r *snapReader, c *Columns, nStr, nTgt int, alias bool) int {
 
 //botvet:codec decode dense
 func parseDense(r *snapReader, c *Columns, nRefs, nb int) {
-	r.section = snapSectionName[secDense]
-	nDense := r.count(2)
+	nDense := r.Count(2)
 	ips := make([]netip.Addr, nDense)
 	for i := range ips {
-		ips[i] = r.addr()
+		ips[i] = r.Addr()
 	}
 	// Every reference costs at least 1 byte in the refs column, which
 	// bounds the allocation below even though nRefs was declared back in
 	// the attacks section.
-	if r.err == nil && uint64(nRefs) > uint64(len(r.buf)) {
-		r.fail()
+	if r.Err == nil && uint64(nRefs) > uint64(len(r.Buf)) {
+		r.Fail()
 	}
-	if r.err != nil {
+	if r.Err != nil {
 		return
 	}
 	refs := make([]int32, nRefs)
 	nextID := int32(0)
 	for i := range refs {
-		v := r.uvarint()
-		if r.err != nil {
+		v := r.Uvarint()
+		if r.Err != nil {
 			break
 		}
 		if v >= uint64(nDense) {
@@ -975,7 +773,7 @@ func parseDense(r *snapReader, c *Columns, nRefs, nb int) {
 		id := int32(v)
 		// Dense ids are canonical: id k must first appear only after ids
 		// 0..k-1 have, which pins the numbering to first appearance in
-		// attack order — the same numbering the record path derives.
+		// attack order — the same numbering buildDense derives.
 		if id > nextID {
 			r.failf("dense id %d appears before id %d", id, nextID)
 			break
@@ -985,13 +783,13 @@ func parseDense(r *snapReader, c *Columns, nRefs, nb int) {
 		}
 		refs[i] = id
 	}
-	if r.err == nil && nextID != int32(nDense) {
+	if r.Err == nil && nextID != int32(nDense) {
 		r.failf("dense table has %d ids but only %d are referenced", nDense, nextID)
 	}
 	rec := make([]int32, nDense)
 	for i := range rec {
-		v := r.uvarint()
-		if r.err != nil {
+		v := r.Uvarint()
+		if r.Err != nil {
 			break
 		}
 		if v == 0 {
@@ -1004,7 +802,7 @@ func parseDense(r *snapReader, c *Columns, nRefs, nb int) {
 		}
 		rec[i] = int32(v - 1)
 	}
-	if r.err != nil {
+	if r.Err != nil {
 		return
 	}
 	c.dense = &denseBots{ips: ips, refs: refs, rec: rec}

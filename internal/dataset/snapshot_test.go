@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"botscope/internal/binenc"
 )
 
 // snapFixtureStore builds a small workload that exercises the codec's
@@ -221,18 +223,28 @@ func TestSnapshotSubsetAfterReload(t *testing.T) {
 func TestSnapshotRejectsCorrupt(t *testing.T) {
 	valid := EncodeSnapshot(snapFixtureStore(t))
 
-	cases := map[string][]byte{
-		"empty":            {},
-		"short magic":      []byte("BS"),
-		"bad magic":        []byte("BSCX\x01\x00\x00\x00"),
-		"bad version":      append([]byte(snapMagic), 99),
-		"overlong varint":  append([]byte{'B', 'S', 'C', 'S'}, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF),
-		"huge count":       append(append([]byte(snapMagic), 1), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F),
-		"trailing garbage": append(append([]byte{}, valid...), 0xAB),
+	hugeCount := append(append([]byte(snapMagic), snapVersion), v2Section(secStrings, func(w *binenc.Writer) {
+		w.Uvarint(1 << 62)
+	})...)
+	cases := map[string]struct {
+		data []byte
+		want error // nil: any error will do
+	}{
+		"empty":            {[]byte{}, ErrSnapshotTruncated},
+		"short magic":      {[]byte("BS"), ErrSnapshotTruncated},
+		"bad magic":        {[]byte("BSCX\x01\x00\x00\x00"), ErrSnapshotMagic},
+		"bad version":      {append([]byte(snapMagic), 99), ErrSnapshotVersion},
+		"version 1":        {append([]byte(snapMagic), 1), ErrSnapshotVersion},
+		"overlong varint":  {append([]byte{'B', 'S', 'C', 'S'}, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF), nil},
+		"huge count":       {hugeCount, ErrSnapshotTruncated},
+		"trailing garbage": {append(append([]byte{}, valid...), 0xAB), ErrSnapshotCorrupt},
 	}
-	for name, data := range cases {
-		if _, err := DecodeSnapshot(data); err == nil {
+	for name, tc := range cases {
+		_, err := DecodeSnapshot(tc.data)
+		if err == nil {
 			t.Errorf("%s: decode accepted malformed input", name)
+		} else if tc.want != nil && !errors.Is(err, tc.want) {
+			t.Errorf("%s: error %v is not %v", name, err, tc.want)
 		}
 	}
 
@@ -325,21 +337,21 @@ func snapshotSeedCorpus(t testing.TB) []snapshotSeed {
 	dangling := func() []byte {
 		buf := []byte(snapMagic)
 		buf = append(buf, snapVersion)
-		buf = append(buf, v2Section(secStrings, func(w *snapWriter) {
-			w.uvarint(1) // one string
-			w.str("")
+		buf = append(buf, v2Section(secStrings, func(w *binenc.Writer) {
+			w.Uvarint(1) // one string
+			w.Str("")
 		})...)
-		buf = append(buf, v2Section(secTargets, func(w *snapWriter) {
-			w.uvarint(0) // no targets
+		buf = append(buf, v2Section(secTargets, func(w *binenc.Writer) {
+			w.Uvarint(0) // no targets
 		})...)
-		buf = append(buf, v2Section(secBotnets, func(w *snapWriter) {
-			w.uvarint(1) // one botnet
-			w.uvarint(7) // id
-			w.uvarint(5) // family id 5: out of range
-			w.uvarint(0)
-			w.addr(netip.Addr{})
-			w.varint(0)
-			w.varint(0)
+		buf = append(buf, v2Section(secBotnets, func(w *binenc.Writer) {
+			w.Uvarint(1) // one botnet
+			w.Uvarint(7) // id
+			w.Uvarint(5) // family id 5: out of range
+			w.Uvarint(0)
+			w.Addr(netip.Addr{})
+			w.Varint(0)
+			w.Varint(0)
 		})...)
 		return buf
 	}()
@@ -349,45 +361,45 @@ func snapshotSeedCorpus(t testing.TB) []snapshotSeed {
 	danglingDense := func() []byte {
 		buf := []byte(snapMagic)
 		buf = append(buf, snapVersion)
-		buf = append(buf, v2Section(secStrings, func(w *snapWriter) {
-			w.uvarint(4)
+		buf = append(buf, v2Section(secStrings, func(w *binenc.Writer) {
+			w.Uvarint(4)
 			for _, s := range []string{"", "nitol", "US", "X"} {
-				w.str(s)
+				w.Str(s)
 			}
 		})...)
-		buf = append(buf, v2Section(secTargets, func(w *snapWriter) {
-			w.uvarint(1)
-			w.addr(netip.MustParseAddr("192.0.2.9"))
+		buf = append(buf, v2Section(secTargets, func(w *binenc.Writer) {
+			w.Uvarint(1)
+			w.Addr(netip.MustParseAddr("192.0.2.9"))
 		})...)
-		buf = append(buf, v2Section(secBotnets, func(w *snapWriter) {
-			w.uvarint(0) // no botnets
+		buf = append(buf, v2Section(secBotnets, func(w *binenc.Writer) {
+			w.Uvarint(0) // no botnets
 		})...)
-		buf = append(buf, v2Section(secBots, func(w *snapWriter) {
-			w.uvarint(0) // no bots
+		buf = append(buf, v2Section(secBots, func(w *binenc.Writer) {
+			w.Uvarint(0) // no bots
 		})...)
-		buf = append(buf, v2Section(secAttacks, func(w *snapWriter) {
-			w.uvarint(1) // one attack
-			w.uvarint(1) // one ref
-			w.uvarint(1) // id
-			w.uvarint(1) // botnet
-			w.uvarint(1) // family
-			w.buf = append(w.buf, byte(CategoryTCP))
-			w.uvarint(0) // target
-			w.varint(time.Date(2012, 10, 1, 0, 0, 0, 0, time.UTC).UnixNano())
-			w.uvarint(uint64(30 * time.Minute))
-			w.varint(0)  // asn
-			w.uvarint(2) // cc
-			w.uvarint(3) // city
-			w.uvarint(0) // org
-			w.f64(1)
-			w.f64(2)
-			w.uvarint(1) // span length
+		buf = append(buf, v2Section(secAttacks, func(w *binenc.Writer) {
+			w.Uvarint(1) // one attack
+			w.Uvarint(1) // one ref
+			w.Uvarint(1) // id
+			w.Uvarint(1) // botnet
+			w.Uvarint(1) // family
+			w.Buf = append(w.Buf, byte(CategoryTCP))
+			w.Uvarint(0) // target
+			w.Varint(time.Date(2012, 10, 1, 0, 0, 0, 0, time.UTC).UnixNano())
+			w.Uvarint(uint64(30 * time.Minute))
+			w.Varint(0)  // asn
+			w.Uvarint(2) // cc
+			w.Uvarint(3) // city
+			w.Uvarint(0) // org
+			w.F64(1)
+			w.F64(2)
+			w.Uvarint(1) // span length
 		})...)
-		buf = append(buf, v2Section(secDense, func(w *snapWriter) {
-			w.uvarint(1) // one dense id
-			w.addr(netip.MustParseAddr("198.51.100.77"))
-			w.uvarint(9) // ref -> dense id 9: out of range
-			w.uvarint(0) // rec
+		buf = append(buf, v2Section(secDense, func(w *binenc.Writer) {
+			w.Uvarint(1) // one dense id
+			w.Addr(netip.MustParseAddr("198.51.100.77"))
+			w.Uvarint(9) // ref -> dense id 9: out of range
+			w.Uvarint(0) // rec
 		})...)
 		return buf
 	}()
@@ -405,7 +417,7 @@ func snapshotSeedCorpus(t testing.TB) []snapshotSeed {
 		{"valid", valid},
 		{"valid-empty", validEmpty},
 		{"valid-one-attack", validOne},
-		{"valid-v1", encodeSnapshotV1(snapFixtureStore(t))},
+		{"valid-v1", append([]byte(snapMagic), 1)}, // must reject: version 1 has no reader
 		{"empty-input", []byte{}},
 		{"bad-magic", []byte("BSCXjunkjunk")},
 		{"bad-version", badVersion},
@@ -422,54 +434,14 @@ func snapshotSeedCorpus(t testing.TB) []snapshotSeed {
 
 // v2Section frames one section payload the way EncodeSnapshot does:
 // id byte, payload length, CRC-32C, payload.
-func v2Section(id byte, build func(w *snapWriter)) []byte {
-	w := &snapWriter{}
+func v2Section(id byte, build func(w *binenc.Writer)) []byte {
+	w := &binenc.Writer{}
 	build(w)
 	hdr := make([]byte, 13)
 	hdr[0] = id
-	binary.BigEndian.PutUint64(hdr[1:9], uint64(len(w.buf)))
-	binary.BigEndian.PutUint32(hdr[9:13], crc32.Checksum(w.buf, castagnoli))
-	return append(hdr, w.buf...)
-}
-
-// encodeSnapshotV1 emits the legacy flat layout — the same six section
-// payloads with no frame headers — for backward-compatibility tests.
-func encodeSnapshotV1(s *Store) []byte {
-	c := s.Cols()
-	d := s.denseBots()
-	w := &snapWriter{}
-	w.buf = append(w.buf, snapMagic...)
-	w.uvarint(snapVersionV1)
-	encStrings(w, c)
-	encTargets(w, c)
-	encBotnets(w, c)
-	encBots(w, c)
-	encAttacks(w, c)
-	encDense(w, d)
-	return w.buf
-}
-
-// TestSnapshotV1Compat pins that the legacy v1 flat layout still decodes
-// to the identical store, and that re-encoding it upgrades to the current
-// framed format.
-func TestSnapshotV1Compat(t *testing.T) {
-	s := snapFixtureStore(t)
-	got, err := DecodeSnapshot(encodeSnapshotV1(s))
-	if err != nil {
-		t.Fatalf("decode v1: %v", err)
-	}
-	if got.SnapshotInfo().Version != snapVersionV1 {
-		t.Fatalf("v1 decode reports version %d", got.SnapshotInfo().Version)
-	}
-	if !bytes.Equal(csvBytes(t, s), csvBytes(t, got)) {
-		t.Fatalf("attack records differ after v1 decode")
-	}
-	if got.Summary() != s.Summary() {
-		t.Fatalf("summary differs after v1 decode")
-	}
-	if !bytes.Equal(EncodeSnapshot(got), EncodeSnapshot(s)) {
-		t.Fatalf("re-encode of a v1-loaded store is not byte-identical to the v2 encode")
-	}
+	binary.BigEndian.PutUint64(hdr[1:9], uint64(len(w.Buf)))
+	binary.BigEndian.PutUint32(hdr[9:13], crc32.Checksum(w.Buf, castagnoli))
+	return append(hdr, w.Buf...)
 }
 
 // TestSnapshotTruncatedTyped pins the typed decode error: every

@@ -15,45 +15,35 @@ import (
 )
 
 // Store is an immutable, indexed view over one workload: the attack list
-// plus the bot and botnet schemas it references. Construction sorts and
-// indexes everything once; queries are then cheap. A Store is safe for
+// plus the bot and botnet schemas it references. A Store is safe for
 // concurrent readers.
 //
-// The record slices and index maps are thin views: the canonical storage
-// is the columnar core (columns.go), derived lazily from records on the
-// NewStore path and decoded directly from the file on the snapshot path.
+// The columns (columns.go) are the store: both constructors — NewStore
+// from records, the snapshot decoder from a file — set cols before the
+// store is published, and every count, index and bound is answered from
+// them. The record views are a memo over the columns: a snapshot-loaded
+// store materializes them on first use, a NewStore store keeps the
+// caller's records as that memo, already filled.
 //
-// The sorted Families/Targets views and the per-family counts are
-// memoized lazily: hot paths call them once per target or family scan,
-// and re-sorting the full key set on every call dominated the analysis
-// kernels at scale. Each cached slice is built exactly once inside its
-// sync.Once and is immutable afterwards, so returning the shared slice to
-// concurrent readers is safe.
+// The sorted Families/Targets views, the per-family counts and the row
+// indexes are memoized lazily: hot paths call them once per target or
+// family scan, and re-sorting the full key set on every call dominated
+// the analysis kernels at scale. Each cached slice is built exactly once
+// inside its sync.Once and is immutable afterwards, so returning the
+// shared slice to concurrent readers is safe.
 type Store struct {
-	// fromSnapshot discriminates the store's two construction paths. It
-	// is set before the store is published and immutable after: false
-	// means NewStore built the record views eagerly (and cols is lazy),
-	// true means the snapshot decoder set cols eagerly and the record
-	// views below are materialized on demand inside recOnce.
-	fromSnapshot bool
-	closed       atomic.Bool // set once by Close; the mapping is gone after
-	recOnce      sync.Once
-	recBuilt     atomic.Bool // set at the end of materializeRecords (always true on the record path)
+	cols   *Columns    // set at construction, never nil; immutable after
+	closed atomic.Bool // set once by Close; the mapping is gone after
 
-	attacks  []*Attack // sorted by (Start, ID); lazy on the snapshot path (recOnce)
-	byFamily map[Family][]*Attack
-	byTarget map[netip.Addr][]*Attack
-	byBotnet map[BotnetID][]*Attack
+	recOnce  sync.Once
+	recBuilt atomic.Bool // the record views below exist: set by NewStore, or at the end of materializeRecords
 
-	botnetList []*Botnet // Botnetlist input order; lazy on the snapshot path (recOnce)
-	botnets    map[BotnetID]*Botnet
-	botList    []*Bot // deduplicated by IP, first-occurrence order, last record wins
+	attacks []*Attack // attack row -> record
+	botnets map[BotnetID]*Botnet
+	botList []*Bot // bot row -> record
 
 	botRowOnce sync.Once
-	botRows    map[netip.Addr]int32 // ip -> row in botList; NewStore fills it eagerly, the snapshot path lazily
-
-	colsOnce sync.Once
-	cols     *Columns // written once inside colsOnce.Do (or by the snapshot path); immutable after
+	botRows    map[netip.Addr]int32 // ip -> bot row; written once inside botRowOnce.Do
 
 	famOnce      sync.Once
 	families     []Family      // written once inside famOnce.Do; immutable after
@@ -71,10 +61,10 @@ type Store struct {
 	tgtOrder    []int32   // target ids in ascending address order; written once inside tgtRowsOnce.Do
 
 	recRowsOnce sync.Once
-	// recRows is the per-row record memo (snapshot path,
-	// pre-materialization). Each slot is published with
-	// CompareAndSwap(nil, rec) and re-read with Load so concurrent
-	// bridges converge on one canonical record per row.
+	// recRows is the per-row record memo used until the record views
+	// exist. Each slot is published with CompareAndSwap(nil, rec) and
+	// re-read with Load so concurrent bridges converge on one canonical
+	// record per row.
 	//
 	//botscope:memo
 	recRows []atomic.Pointer[Attack]
@@ -82,30 +72,25 @@ type Store struct {
 	nbOnce         sync.Once
 	nAttackBotnets int // distinct botnet ids across attacks; written once inside nbOnce.Do
 
-	boundsOnce     sync.Once
-	firstT, lastT  time.Time // written once inside boundsOnce.Do (snapshot path only)
-	haveTimeBounds bool
+	boundsOnce    sync.Once
+	firstT, lastT time.Time // written once inside boundsOnce.Do
 
-	snapInfo SnapshotInfo // how the snapshot path loaded this store; zero on the record path
+	snapInfo SnapshotInfo // how the snapshot decoder loaded this store; zero for a NewStore store
 }
 
-// records materializes the pointer-rich record views of a snapshot-
-// backed store on first use. On the record path (NewStore) it is a
-// no-op: the records are the construction input.
+// records materializes the record views on first use.
 func (s *Store) records() {
-	if s.fromSnapshot {
+	if !s.recBuilt.Load() {
 		s.recOnce.Do(s.materializeRecords)
 	}
 }
 
-// RecordsMaterialized reports whether the record views (Attacks,
-// ByFamily, Bot, ...) exist. A store built by NewStore always has them;
-// a snapshot-loaded store only after some caller touched the record
-// face. The column-native analysis kernels keep it false for a full
-// report run.
-func (s *Store) RecordsMaterialized() bool {
-	return !s.fromSnapshot || s.recBuilt.Load()
-}
+// RecordsMaterialized reports whether the record views (Attacks, Bot,
+// Botnet) exist. A store built by NewStore always has them; a
+// snapshot-loaded store only after some caller touched the record face.
+// The column-native analysis kernels keep it false for a full report
+// run.
+func (s *Store) RecordsMaterialized() bool { return s.recBuilt.Load() }
 
 // FamilyCount pairs a family with its attack count, ordered by family.
 type FamilyCount struct {
@@ -122,8 +107,10 @@ type sortRec struct {
 	a     *Attack
 }
 
-// NewStore validates, sorts, and indexes a workload. Bots and botnets may
-// be nil when only attack-level analyses are needed.
+// NewStore validates and sorts a workload, then columnizes it. Bots and
+// botnets may be nil when only attack-level analyses are needed. The
+// caller's records are kept as the store's record views (Attacks returns
+// these very pointers) and must not be modified afterwards.
 func NewStore(attacks []*Attack, botnets []*Botnet, bots []*Bot) (*Store, error) {
 	recs := make([]sortRec, 0, len(attacks))
 	seen := make(map[DDoSID]struct{}, len(attacks))
@@ -149,109 +136,59 @@ func NewStore(attacks []*Attack, botnets []*Botnet, bots []*Bot) (*Store, error)
 		}
 		return 1
 	})
-	s := &Store{attacks: make([]*Attack, len(recs))}
+	sorted := make([]*Attack, len(recs))
 	for i := range recs {
-		s.attacks[i] = recs[i].a
+		sorted[i] = recs[i].a
 	}
-	scratch := make([]int32, len(s.attacks))
-	s.byFamily = buildBuckets(s.attacks, scratch, func(a *Attack) Family { return a.Family })
-	s.byTarget = buildBuckets(s.attacks, scratch, func(a *Attack) netip.Addr { return a.TargetIP })
-	s.byBotnet = buildBuckets(s.attacks, scratch, func(a *Attack) BotnetID { return a.BotnetID })
 
-	s.botnetList = make([]*Botnet, 0, len(botnets))
-	s.botnets = make(map[BotnetID]*Botnet, len(botnets))
+	byID := make(map[BotnetID]*Botnet, len(botnets))
 	for _, b := range botnets {
-		if _, dup := s.botnets[b.ID]; dup {
+		if _, dup := byID[b.ID]; dup {
 			return nil, fmt.Errorf("dataset: duplicate botnet_id %d", b.ID)
 		}
-		s.botnets[b.ID] = b
-		s.botnetList = append(s.botnetList, b)
+		byID[b.ID] = b
 	}
 
-	s.botList = make([]*Bot, 0, len(bots))
+	botList := make([]*Bot, 0, len(bots))
 	rows := make(map[netip.Addr]int32, len(bots))
 	for _, b := range bots {
 		if row, ok := rows[b.IP]; ok {
-			s.botList[row] = b
+			botList[row] = b
 			continue
 		}
-		rows[b.IP] = int32(len(s.botList))
-		s.botList = append(s.botList, b)
+		rows[b.IP] = int32(len(botList))
+		botList = append(botList, b)
 	}
-	s.botRows = rows
+
+	s := &Store{
+		cols:    columnize(sorted, botnets, botList),
+		attacks: sorted,
+		botnets: byID,
+		botList: botList,
+	}
 	s.recBuilt.Store(true)
 	return s, nil
 }
 
-// buildBuckets groups the sorted attack list by key into one shared
-// arena: one counting pass assigns each key a slot in first-seen order
-// and one fill pass places every attack, so each bucket is a contiguous
-// subslice in start-time order and the whole index costs two array
-// sweeps plus one map lookup per attack instead of per-bucket append
-// growth. Buckets are three-index subslices so an append through one
-// cannot clobber its neighbor. scratch must have len(attacks) and is
-// reused across calls.
-func buildBuckets[K comparable](attacks []*Attack, scratch []int32, key func(*Attack) K) map[K][]*Attack {
-	slots := make(map[K]int32, 64)
-	var keys []K
-	var counts []int32
-	for i, a := range attacks {
-		k := key(a)
-		slot, ok := slots[k]
-		if !ok {
-			slot = int32(len(keys))
-			slots[k] = slot
-			keys = append(keys, k)
-			counts = append(counts, 0)
-		}
-		scratch[i] = slot
-		counts[slot]++
-	}
-	offs := make([]int32, len(keys)+1)
-	for i, cnt := range counts {
-		offs[i+1] = offs[i] + cnt
-	}
-	arena := make([]*Attack, len(attacks))
-	next := counts // reuse: counts[slot] becomes the next write position
-	copy(next, offs[:len(keys)])
-	for i, a := range attacks {
-		slot := scratch[i]
-		arena[next[slot]] = a
-		next[slot]++
-	}
-	m := make(map[K][]*Attack, len(keys))
-	for slot, k := range keys {
-		lo, hi := offs[slot], offs[slot+1]
-		m[k] = arena[lo:hi:hi]
-	}
-	return m
-}
-
-// botRowsMap returns the ip -> Botlist row map, building it on first use
-// on the snapshot path (NewStore produces it as a byproduct of
-// deduplication).
+// botRowsMap returns the ip -> Botlist row map, building it from the bot
+// columns on first use. (NewStore's dedupe map holds the same pairs but
+// is not kept: a store that never resolves a bot by IP — one built only
+// to be served live over, say — would carry it for nothing.)
 func (s *Store) botRowsMap() map[netip.Addr]int32 {
 	s.botRowOnce.Do(func() {
-		if s.botRows == nil {
-			m := make(map[netip.Addr]int32, len(s.botList))
-			for i, b := range s.botList {
-				if _, ok := m[b.IP]; !ok {
-					m[b.IP] = int32(i)
-				}
+		m := make(map[netip.Addr]int32, len(s.cols.bIP))
+		for i, ip := range s.cols.bIP {
+			if _, ok := m[ip]; !ok {
+				m[ip] = int32(i)
 			}
-			s.botRows = m
 		}
+		s.botRows = m
 	})
 	return s.botRows
 }
 
 // NumAttacks returns the number of attack records.
-func (s *Store) NumAttacks() int {
-	if s.fromSnapshot {
-		return len(s.cols.aID)
-	}
-	return len(s.attacks)
-}
+func (s *Store) NumAttacks() int { return len(s.cols.aID) }
 
 // Attacks returns all attacks ordered by start time. The slice is shared
 // and must not be modified; records themselves are shared too.
@@ -261,36 +198,6 @@ func (s *Store) NumAttacks() int {
 func (s *Store) Attacks() []*Attack {
 	s.records()
 	return s.attacks
-}
-
-// ByFamily returns the family's attacks in start-time order. The slice
-// is the shared index bucket and must not be modified.
-//
-//botscope:shared
-//botscope:materializes
-func (s *Store) ByFamily(f Family) []*Attack {
-	s.records()
-	return s.byFamily[f]
-}
-
-// ByTarget returns all attacks against one target IP in start-time
-// order. The slice is the shared index bucket and must not be modified.
-//
-//botscope:shared
-//botscope:materializes
-func (s *Store) ByTarget(ip netip.Addr) []*Attack {
-	s.records()
-	return s.byTarget[ip]
-}
-
-// ByBotnet returns all attacks launched by one botnet in start-time
-// order. The slice is the shared index bucket and must not be modified.
-//
-//botscope:shared
-//botscope:materializes
-func (s *Store) ByBotnet(id BotnetID) []*Attack {
-	s.records()
-	return s.byBotnet[id]
 }
 
 // Botnet resolves a botnet record.
@@ -315,20 +222,10 @@ func (s *Store) Bot(ip netip.Addr) (*Bot, bool) {
 }
 
 // NumBots returns the number of Botlist records.
-func (s *Store) NumBots() int {
-	if s.fromSnapshot {
-		return len(s.cols.bIP)
-	}
-	return len(s.botList)
-}
+func (s *Store) NumBots() int { return len(s.cols.bIP) }
 
 // NumBotnets returns the number of Botnetlist records.
-func (s *Store) NumBotnets() int {
-	if s.fromSnapshot {
-		return len(s.cols.nID)
-	}
-	return len(s.botnetList)
-}
+func (s *Store) NumBotnets() int { return len(s.cols.nID) }
 
 // Families returns every family that launched at least one attack,
 // sorted. The slice is computed once and shared: callers must not modify
@@ -351,29 +248,15 @@ func (s *Store) FamilyCounts() []FamilyCount {
 }
 
 func (s *Store) buildFamilies() {
-	if s.fromSnapshot {
-		rows := s.famRowsMap()
-		fams := make([]Family, 0, len(rows))
-		for f := range rows {
-			fams = append(fams, f)
-		}
-		sort.Slice(fams, func(i, j int) bool { return fams[i] < fams[j] })
-		counts := make([]FamilyCount, len(fams))
-		for i, f := range fams {
-			counts[i] = FamilyCount{Family: f, Attacks: len(rows[f])}
-		}
-		s.families = fams
-		s.familyCounts = counts
-		return
-	}
-	fams := make([]Family, 0, len(s.byFamily))
-	for f := range s.byFamily {
+	rows := s.famRowsMap()
+	fams := make([]Family, 0, len(rows))
+	for f := range rows {
 		fams = append(fams, f)
 	}
 	sort.Slice(fams, func(i, j int) bool { return fams[i] < fams[j] })
 	counts := make([]FamilyCount, len(fams))
 	for i, f := range fams {
-		counts[i] = FamilyCount{Family: f, Attacks: len(s.byFamily[f])}
+		counts[i] = FamilyCount{Family: f, Attacks: len(rows[f])}
 	}
 	s.families = fams
 	s.familyCounts = counts
@@ -421,42 +304,18 @@ func (s *Store) famRowsMap() map[Family][]int32 {
 //botscope:shared
 func (s *Store) Targets() []netip.Addr {
 	s.tgtOnce.Do(func() {
-		if s.fromSnapshot {
-			c := s.cols
-			out := make([]netip.Addr, 0, len(c.targets))
-			for _, tid := range s.targetIDs() {
-				out = append(out, c.targets[tid])
-			}
-			s.targets = out
-			return
+		c := s.cols
+		out := make([]netip.Addr, 0, len(c.targets))
+		for _, tid := range s.TargetIDs() {
+			out = append(out, c.targets[tid])
 		}
-		out := make([]netip.Addr, 0, len(s.byTarget))
-		for ip := range s.byTarget {
-			out = append(out, ip)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 		s.targets = out
 	})
 	return s.targets
 }
 
 // NumTargets returns the number of distinct attacked IPs.
-func (s *Store) NumTargets() int {
-	if s.fromSnapshot {
-		return len(s.cols.targets)
-	}
-	return len(s.byTarget)
-}
-
-// targetIDs returns the column target ids in ascending address order —
-// aligned index-for-index with Targets() on the snapshot path — building
-// the per-target row index as a byproduct.
-//
-//botscope:shared
-func (s *Store) targetIDs() []int32 {
-	s.buildTargetRows()
-	return s.tgtOrder
-}
+func (s *Store) NumTargets() int { return len(s.cols.targets) }
 
 // TargetRows returns the ascending attack rows against one column target
 // id. The slice is a shared arena bucket and must not be modified.
@@ -469,17 +328,19 @@ func (s *Store) TargetRows(tid int32) []int32 {
 }
 
 // TargetIDs returns every column target id, ordered by target address
-// (so index i here corresponds to Targets()[i] on the snapshot path).
-// The slice is shared and must not be modified.
+// (so index i here corresponds to Targets()[i]). The slice is shared and
+// must not be modified.
 //
 //botscope:shared
 //botscope:mmap
-func (s *Store) TargetIDs() []int32 { return s.targetIDs() }
+func (s *Store) TargetIDs() []int32 {
+	s.buildTargetRows()
+	return s.tgtOrder
+}
 
 // buildTargetRows buckets attack rows by target id in one counting pass
 // and one fill pass over a shared arena, and sorts the target ids by
-// address so column-native target scans visit targets in the same order
-// as the record-face Targets() loop.
+// address, the order Targets() lists them in.
 func (s *Store) buildTargetRows() {
 	s.tgtRowsOnce.Do(func() {
 		c := s.Cols()
@@ -574,23 +435,6 @@ func (s *Store) attackBotnets() int {
 	return s.nAttackBotnets
 }
 
-// InRange returns attacks with Start in [from, to), using the start-time
-// ordering for a binary-searched slice rather than a scan. The result
-// aliases the shared attack list and must not be modified.
-//
-//botscope:shared
-//botscope:materializes
-func (s *Store) InRange(from, to time.Time) []*Attack {
-	s.records()
-	lo := sort.Search(len(s.attacks), func(i int) bool {
-		return !s.attacks[i].Start.Before(from)
-	})
-	hi := sort.Search(len(s.attacks), func(i int) bool {
-		return !s.attacks[i].Start.Before(to)
-	})
-	return s.attacks[lo:hi]
-}
-
 // RowsInRange returns the half-open attack row range [lo, hi) whose
 // starts fall in [from, to), using the column start ordering.
 func (s *Store) RowsInRange(from, to time.Time) (lo, hi int) {
@@ -604,80 +448,47 @@ func (s *Store) RowsInRange(from, to time.Time) (lo, hi int) {
 // TimeBounds returns the earliest start and the latest end across all
 // attacks. ok is false for an empty store.
 func (s *Store) TimeBounds() (first, last time.Time, ok bool) {
-	if s.fromSnapshot {
-		s.boundsOnce.Do(func() {
-			c := s.cols
-			if len(c.aStart) == 0 {
-				return
-			}
-			maxEnd := c.aEnd[0]
-			for _, e := range c.aEnd[1:] {
-				if e > maxEnd {
-					maxEnd = e
-				}
-			}
-			s.firstT, s.lastT = nanoTime(c.aStart[0]), nanoTime(maxEnd)
-			s.haveTimeBounds = true
-		})
-		return s.firstT, s.lastT, s.haveTimeBounds
-	}
-	if len(s.attacks) == 0 {
+	c := s.cols
+	if len(c.aStart) == 0 {
 		return time.Time{}, time.Time{}, false
 	}
-	first = s.attacks[0].Start
-	for _, a := range s.attacks {
-		if a.End.After(last) {
-			last = a.End
-		}
-	}
-	return first, last, true
+	s.boundsOnce.Do(func() {
+		s.firstT, s.lastT = nanoTime(c.aStart[0]), nanoTime(slices.Max(c.aEnd))
+	})
+	return s.firstT, s.lastT, true
+}
+
+// initRecMemo allocates the per-row record memo's slots on first use.
+func (s *Store) initRecMemo() {
+	s.recRowsOnce.Do(func() {
+		s.recRows = make([]atomic.Pointer[Attack], len(s.cols.aID))
+	})
 }
 
 // AttackRecordAt returns the attack record for one column row. When the
 // record face is already materialized it returns the shared record;
-// otherwise it builds a fresh, caller-owned record (including a fresh
-// BotIPs slice expanded from the dense layer) without triggering full
+// otherwise it builds the record (including a fresh BotIPs slice
+// expanded from the dense layer) without triggering full
 // materialization — detection kernels use it to realize only the few
 // rows that qualify for an event.
 //
 //botscope:recordbridge
 func (s *Store) AttackRecordAt(row int) *Attack {
-	if s.RecordsMaterialized() {
+	if s.recBuilt.Load() {
 		return s.attacks[row]
 	}
 	// Per-row memo: detectors that revisit the same rows (the collab
 	// phases run detection twice, Table VI a third time) build each
 	// record at most once. Slots are CAS-published — concurrent builders
 	// of one row produce identical records, and the first one wins.
-	s.recRowsOnce.Do(func() {
-		s.recRows = make([]atomic.Pointer[Attack], len(s.cols.aID))
-	})
+	s.initRecMemo()
 	if a := s.recRows[row].Load(); a != nil {
 		return a
 	}
 	c := s.cols
-	d := s.denseBots()
 	lo, hi := c.aOff[row], c.aOff[row+1]
-	ips := make([]netip.Addr, hi-lo)
-	for i, id := range d.refs[lo:hi] {
-		ips[i] = d.ips[id]
-	}
-	a := &Attack{
-		ID:            DDoSID(c.aID[row]),
-		BotnetID:      BotnetID(c.aBotnet[row]),
-		Family:        Family(c.strs[c.aFam[row]]),
-		Category:      Category(c.aCat[row]),
-		TargetIP:      c.targets[c.aTgt[row]],
-		Start:         nanoTime(c.aStart[row]),
-		End:           nanoTime(c.aEnd[row]),
-		BotIPs:        ips,
-		TargetASN:     int(c.aASN[row]),
-		TargetCountry: c.strs[c.aCC[row]],
-		TargetCity:    c.strs[c.aCity[row]],
-		TargetOrg:     c.strs[c.aOrg[row]],
-		TargetLat:     c.aLat[row],
-		TargetLon:     c.aLon[row],
-	}
+	a := new(Attack)
+	c.fillAttack(a, row, s.denseBots().expand(make([]netip.Addr, hi-lo), lo, hi))
 	if !s.recRows[row].CompareAndSwap(nil, a) {
 		return s.recRows[row].Load()
 	}
@@ -695,15 +506,13 @@ func (s *Store) AttackRecordAt(row int) *Attack {
 //botscope:recordbridge
 func (s *Store) AttackRecords(rows []int32) []*Attack {
 	out := make([]*Attack, len(rows))
-	if s.RecordsMaterialized() {
+	if s.recBuilt.Load() {
 		for i, row := range rows {
 			out[i] = s.attacks[row]
 		}
 		return out
 	}
-	s.recRowsOnce.Do(func() {
-		s.recRows = make([]atomic.Pointer[Attack], len(s.cols.aID))
-	})
+	s.initRecMemo()
 	c := s.cols
 	need, refs := 0, 0
 	for i, row := range rows {
@@ -727,29 +536,10 @@ func (s *Store) AttackRecords(rows []int32) []*Attack {
 		}
 		lo, hi := c.aOff[row], c.aOff[row+1]
 		n := int(hi - lo)
-		ips := ipsArena[off : off+n : off+n]
-		off += n
-		for j, id := range d.refs[lo:hi] {
-			ips[j] = d.ips[id]
-		}
 		a := &arena[k]
 		k++
-		*a = Attack{
-			ID:            DDoSID(c.aID[row]),
-			BotnetID:      BotnetID(c.aBotnet[row]),
-			Family:        Family(c.strs[c.aFam[row]]),
-			Category:      Category(c.aCat[row]),
-			TargetIP:      c.targets[c.aTgt[row]],
-			Start:         nanoTime(c.aStart[row]),
-			End:           nanoTime(c.aEnd[row]),
-			BotIPs:        ips,
-			TargetASN:     int(c.aASN[row]),
-			TargetCountry: c.strs[c.aCC[row]],
-			TargetCity:    c.strs[c.aCity[row]],
-			TargetOrg:     c.strs[c.aOrg[row]],
-			TargetLat:     c.aLat[row],
-			TargetLon:     c.aLon[row],
-		}
+		c.fillAttack(a, int(row), d.expand(ipsArena[off:off+n:off+n], lo, hi))
+		off += n
 		if !s.recRows[row].CompareAndSwap(nil, a) {
 			a = s.recRows[row].Load()
 		}

@@ -37,14 +37,19 @@ func TestNewStoreSortsAndIndexes(t *testing.T) {
 			t.Errorf("attacks not sorted at %d", i)
 		}
 	}
-	if got := len(s.ByFamily(Dirtjumper)); got != 2 {
-		t.Errorf("ByFamily(dirtjumper) = %d, want 2", got)
+	if got := len(s.RowsByFamily(Dirtjumper)); got != 2 {
+		t.Errorf("RowsByFamily(dirtjumper) = %d, want 2", got)
 	}
-	if got := len(s.ByTarget(netip.MustParseAddr("5.5.5.5"))); got != 2 {
-		t.Errorf("ByTarget(5.5.5.5) = %d, want 2", got)
+	// TargetIDs is in address order: 5.5.5.5 first.
+	tid := s.TargetIDs()[0]
+	if got := s.TargetAddr(tid); got != netip.MustParseAddr("5.5.5.5") {
+		t.Fatalf("first target = %v, want 5.5.5.5", got)
 	}
-	if got := len(s.ByBotnet(1)); got != 2 {
-		t.Errorf("ByBotnet(1) = %d, want 2", got)
+	if got := len(s.TargetRows(tid)); got != 2 {
+		t.Errorf("TargetRows(5.5.5.5) = %d, want 2", got)
+	}
+	if got := s.Summary().Botnets; got != 2 {
+		t.Errorf("Summary().Botnets = %d, want 2", got)
 	}
 	if got := s.Families(); len(got) != 2 || got[0] != Dirtjumper || got[1] != Pandora {
 		t.Errorf("Families = %v", got)
@@ -96,8 +101,8 @@ func TestStoreInRange(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := len(s.InRange(tt.from, tt.to)); got != tt.want {
-				t.Errorf("InRange = %d attacks, want %d", got, tt.want)
+			if lo, hi := s.RowsInRange(tt.from, tt.to); hi-lo != tt.want {
+				t.Errorf("RowsInRange = [%d, %d), want %d rows", lo, hi, tt.want)
 			}
 		})
 	}

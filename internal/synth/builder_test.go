@@ -81,7 +81,7 @@ func TestMiraiLikeScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mirai := store.ByFamily("mirailike")
+	mirai := store.AttackRecords(store.RowsByFamily("mirailike"))
 	if len(mirai) != 300 {
 		t.Fatalf("mirailike attacks = %d, want 300", len(mirai))
 	}
@@ -92,7 +92,7 @@ func TestMiraiLikeScenario(t *testing.T) {
 		miraiMag += float64(a.Magnitude())
 	}
 	miraiMag /= float64(len(mirai))
-	dj := store.ByFamily(dataset.Dirtjumper)
+	dj := store.AttackRecords(store.RowsByFamily(dataset.Dirtjumper))
 	for _, a := range dj {
 		djMag += float64(a.Magnitude())
 	}

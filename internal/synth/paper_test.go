@@ -169,7 +169,7 @@ func TestGenerateDeterminism(t *testing.T) {
 
 func TestGenerateDirtjumperDominates(t *testing.T) {
 	store := genSmall(t)
-	dj := len(store.ByFamily(dataset.Dirtjumper))
+	dj := len(store.RowsByFamily(dataset.Dirtjumper))
 	if frac := float64(dj) / float64(store.NumAttacks()); frac < 0.5 {
 		t.Errorf("dirtjumper share = %v, want > 0.5 (paper: 68%%)", frac)
 	}

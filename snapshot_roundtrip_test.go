@@ -3,8 +3,11 @@ package botscope
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
+	"time"
 
+	"botscope/internal/dataset"
 	"botscope/internal/experiments"
 )
 
@@ -105,4 +108,92 @@ func renderAll(t *testing.T, s *Store, scale float64) map[string][]byte {
 		out[res.ID] = []byte(fmt.Sprintf("== %s — %s\n%s%s\n", res.ID, res.Title, res.Text, res.MetricsText()))
 	}
 	return out
+}
+
+// TestStoreOriginsAgree pins that the two constructors return the same
+// store: a NewStore store and its snapshot reload answer every count,
+// index and bound identically, encode to the same bytes, and differ only
+// in whose records back the record view — NewStore keeps the caller's.
+func TestStoreOriginsAgree(t *testing.T) {
+	attacks, botnets, bots, err := GenerateRaw(GenerateConfig{Seed: 1, Scale: 0.1})
+	if err != nil {
+		t.Fatalf("GenerateRaw: %v", err)
+	}
+	built, err := NewStore(attacks, botnets, bots)
+	if err != nil {
+		t.Fatalf("NewStore: %v", err)
+	}
+	snap := dataset.EncodeSnapshot(built)
+	reloaded, err := ReadSnapshot(bytes.NewReader(snap))
+	if err != nil {
+		t.Fatalf("ReadSnapshot: %v", err)
+	}
+
+	first, last, _ := built.TimeBounds()
+	mid := first.Add(last.Sub(first) / 2)
+	rowsInRange := func(s *Store) any {
+		lo, hi := s.RowsInRange(first.Add(time.Hour), mid)
+		return [2]int{lo, hi}
+	}
+	perTarget := func(s *Store) any {
+		var rows [][]int32
+		for _, tid := range s.TargetIDs() {
+			rows = append(rows, s.TargetRows(tid))
+		}
+		return rows
+	}
+	perFamily := func(s *Store) any {
+		var rows [][]int32
+		for _, f := range s.Families() {
+			rows = append(rows, s.RowsByFamily(f))
+		}
+		return rows
+	}
+	for _, tc := range []struct {
+		name string
+		get  func(s *Store) any
+	}{
+		{"NumAttacks", func(s *Store) any { return s.NumAttacks() }},
+		{"NumBots", func(s *Store) any { return s.NumBots() }},
+		{"NumBotnets", func(s *Store) any { return s.NumBotnets() }},
+		{"NumTargets", func(s *Store) any { return s.NumTargets() }},
+		{"Families", func(s *Store) any { return s.Families() }},
+		{"FamilyCounts", func(s *Store) any { return s.FamilyCounts() }},
+		{"Targets", func(s *Store) any { return s.Targets() }},
+		{"TimeBounds", func(s *Store) any {
+			first, last, ok := s.TimeBounds()
+			return []any{first, last, ok}
+		}},
+		{"Summary", func(s *Store) any { return s.Summary() }},
+		{"RowsByFamily", perFamily},
+		{"TargetRows", perTarget},
+		{"RowsInRange", rowsInRange},
+	} {
+		if got, want := tc.get(reloaded), tc.get(built); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: reloaded store answers %v, NewStore store %v", tc.name, got, want)
+		}
+	}
+	if built.NumAttacks() == 0 || built.NumBots() == 0 || len(built.Families()) < 2 {
+		t.Fatal("workload too small; the agreement check is vacuous")
+	}
+	if !bytes.Equal(dataset.EncodeSnapshot(reloaded), snap) {
+		t.Error("EncodeSnapshot bytes differ between the NewStore store and its reload")
+	}
+
+	if !built.RecordsMaterialized() || reloaded.RecordsMaterialized() {
+		t.Errorf("RecordsMaterialized: NewStore store %v (want true), reloaded %v (want false)",
+			built.RecordsMaterialized(), reloaded.RecordsMaterialized())
+	}
+	own := make(map[*Attack]bool, len(attacks))
+	for _, a := range attacks {
+		own[a] = true
+	}
+	for i, a := range built.Attacks() {
+		if !own[a] {
+			t.Fatalf("Attacks()[%d] on the NewStore store is not one of the caller's records", i)
+		}
+		if a != built.AttackRecordAt(i) {
+			t.Fatalf("AttackRecordAt(%d) on the NewStore store is not the caller's record", i)
+		}
+	}
 }
