@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build build-cross loc test vet botvet botvet-json botvet-sarif botvet-timed race verify verify-race bench bench-smoke bench-allocs bench-update bench-record bench-stream bench-trajectory load-smoke load-record snapshot-smoke report fmt fmt-check fuzz
+.PHONY: build build-cross loc test vet botvet botvet-json botvet-timed race verify verify-race benchmark benchmark-smoke bench bench-smoke bench-allocs bench-update bench-record bench-stream bench-trajectory load-smoke load-record snapshot-smoke report fmt fmt-check fuzz
 
 build:
 	$(GO) build ./...
@@ -16,13 +16,16 @@ build-cross:
 # loc prints non-test, non-vendor, non-testdata Go lines per package and
 # in total: the unit the ROADMAP's simplification items are denominated
 # in. benchmark/ gets its own total because a PR outside it may not touch
-# it. Raw lines (wc -l), so comment and blank lines count.
+# it, and the static gate (cmd/botvet + internal/analysis) gets one
+# because ROADMAP item 5 is denominated in it. Raw lines (wc -l), so
+# comment and blank lines count.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './vendor/*' ! -path '*/testdata/*' ! -path './.bench_build/*' -print0 \
 	| xargs -0 wc -l \
-	| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1; if (d !~ /^\.\/benchmark/) o += $$1 } \
+	| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1; if (d !~ /^\.\/benchmark/) o += $$1; \
+			if (d ~ /^\.\/(cmd\/botvet|internal\/analysis)/) g += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
-		printf "%7d total\n%7d total outside benchmark/\n", t, o }'
+		printf "%7d total\n%7d total outside benchmark/\n%7d gate\n", t, o, g }'
 
 test:
 	$(GO) test ./...
@@ -38,21 +41,28 @@ BOTVET_SRC := go.mod $(wildcard go.sum) $(shell find cmd/botvet internal/analysi
 bin/botvet: $(BOTVET_SRC)
 	$(GO) build -o bin/botvet ./cmd/botvet
 
-# botvet runs the project-specific analyzers — the SSA tier (goleak,
-# ctxflow, wireframe), the invariant tier (nodeterm, lockguard,
-# snapshotalias, floateq, sharedslice, parmerge, hotalloc, rngstream),
-# and the columnar-era tier (mmaplife, lazymat, codecsym, memodisc) —
-# over every package via go vet's -vettool hook. Exit code 0 means every
-# analyzer ran clean; 1 means diagnostics (or build failure); 2 means the
-# tool was misused.
+# BOTVET_ANALYZERS is the registered gate, in cmd/botvet/main.go's order
+# (a cmd/botvet test fails when the two disagree): the SSA tier (goleak,
+# ctxflow, wireframe), the invariant tier (nodeterm, lockguard, floateq,
+# sharedslice, parmerge, hotalloc) and the columnar-era tier (mmaplife,
+# lazymat, codecsym).
+BOTVET_ANALYZERS := codecsym ctxflow floateq goleak hotalloc lazymat lockguard mmaplife nodeterm parmerge sharedslice wireframe
+
+# botvet runs them over every package via go vet's -vettool hook. Exit
+# code 0 means every analyzer ran clean; 1 means diagnostics (or build
+# failure); 2 means the tool was misused. The binary has no modes of its
+# own: `go vet -vettool=bin/botvet -goleak ./...` runs one analyzer,
+# `-goleak=false` all but one.
 #
-# The run is stamp-cached: the key hashes go.mod/go.sum, every .go file,
-# and the built botvet binary itself (so a tool rebuilt from the same
-# sources but a different toolchain re-runs). A no-op invocation skips
-# the vet sweep entirely. Delete bin/.botvet-clean to force a re-run.
+# The run is stamp-cached: the key hashes go.mod/go.sum, every .go file
+# the vet sweep can see (root package and benchmark/ included; only the
+# benchmark's .bench_build scratch is left out), and the built botvet
+# binary itself (so a tool rebuilt from the same sources but a different
+# toolchain re-runs). A no-op invocation skips the vet sweep entirely.
+# Delete bin/.botvet-clean to force a re-run.
 BOTVET_STAMP := bin/.botvet-clean
 botvet: bin/botvet
-	@hash=$$( { cat go.mod go.sum 2>/dev/null; cat bin/botvet; find cmd examples internal vendor -name '*.go' -print0 2>/dev/null | sort -z | xargs -0 cat; } | sha256sum | cut -d' ' -f1 ); \
+	@hash=$$( { cat go.mod go.sum 2>/dev/null; cat bin/botvet; find . -name '*.go' ! -path './.bench_build/*' -print0 | sort -z | xargs -0 cat; } | sha256sum | cut -d' ' -f1 ); \
 	if [ -f $(BOTVET_STAMP) ] && [ "$$(cat $(BOTVET_STAMP))" = "$$hash" ]; then \
 		echo "botvet: clean (cached, key $${hash%??????????????????????????????????????????????????})"; \
 	else \
@@ -62,21 +72,16 @@ botvet: bin/botvet
 
 # botvet-json is the same gate with machine-readable output: go vet -json
 # emits one JSON object per package keyed by analyzer name, suitable for
-# editor integrations and CI annotation tooling.
+# editor integrations and CI annotation tooling. go vet -json exits 0
+# even with findings: read the output, not the status.
 botvet-json: bin/botvet
 	$(GO) vet -json -vettool=$(abspath bin/botvet) ./...
 
-# botvet-sarif converts the gate's findings to a SARIF 2.1.0 log for the
-# CI code-scanning upload. The log is written even when findings fail the
-# target, so the artifact survives a red run.
-botvet-sarif: bin/botvet
-	$(abspath bin/botvet) -format=sarif ./... > botvet.sarif
-
-# botvet-timed runs each SSA- and columnar-tier analyzer alone and
-# reports wall-clock, so a slow interprocedural pass shows up in CI logs
-# before it slows the merge gate for everyone.
+# botvet-timed runs each registered analyzer alone and reports
+# wall-clock, so a slow interprocedural pass shows up in CI logs before
+# it slows the merge gate for everyone.
 botvet-timed: bin/botvet
-	@for a in goleak ctxflow wireframe mmaplife lazymat codecsym memodisc; do \
+	@for a in $(BOTVET_ANALYZERS); do \
 		start=$$(date +%s%N); \
 		$(GO) vet -vettool=$(abspath bin/botvet) -$$a ./... || exit 1; \
 		end=$$(date +%s%N); \
@@ -98,9 +103,20 @@ verify-race:
 		-run 'TestMap|TestChunk|TestWorkers|Parallel|Concurrent|Deterministic|TestParity|TestStoreAccessors|TestStoreSummaryWorkers|TestBotDense|TestDispersionIndex|TestIngest|TestSnapshot|TestAnalyzerIngested' \
 		./internal/par/ ./internal/dataset/ ./internal/core/ ./internal/stream/ ./internal/synth/ ./internal/experiments/ ./internal/cluster/
 
+# benchmark runs the repo's benchmark as the pipeline does (BENCHMARK.json:
+# four workloads, eight end-to-end metrics; ~30 s a workload). It is the
+# only harness whose numbers a PR may claim. benchmark-smoke drives the
+# same four workloads at scale 0.05 for two passes: it checks the output
+# digests and every code path in a couple of seconds and measures nothing.
+benchmark:
+	bash benchmark/run.sh --workload all
+
+benchmark-smoke:
+	$(GO) run ./benchmark -smoke -workload all
+
 # verify is the full pre-merge gate: build, stock vet, project analyzers,
-# formatting, the race-enabled test suite, and the wall-clock trajectory
-# gate over the committed BENCH records.
+# formatting, the race-enabled test suite, the benchmark's smoke run, and
+# the wall-clock trajectory gate over the committed BENCH records.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -110,6 +126,7 @@ verify:
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; \
 	fi
 	$(GO) test -race ./...
+	$(MAKE) benchmark-smoke
 	$(MAKE) bench-trajectory
 
 bench:

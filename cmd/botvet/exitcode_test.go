@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -74,9 +73,23 @@ func main() {
 }
 `
 
+const reasonlessSrc = `package main
+
+func main() {
+	go func() { //botvet:ignore goleak
+		for {
+		}
+	}()
+	select {}
+}
+`
+
 // TestExitCodes pins the gate's observable contract: go vet with the
-// botvet vettool exits 0 on clean code, 1 when any analyzer reports, and
-// 0 again when the only finding carries a //botvet:ignore audit.
+// botvet vettool exits 0 on clean code, 1 when any analyzer reports, 0
+// again when the only finding carries a //botvet:ignore audit — and 1
+// when that audit gives no reason, with both the finding and the bare
+// ignore reported. The last two rows pin go vet's own per-analyzer flags,
+// the documented replacement for the deleted -only/-skip driver.
 func TestExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary and shells out to go vet; skipped in -short")
@@ -86,17 +99,21 @@ func TestExitCodes(t *testing.T) {
 	cases := []struct {
 		name     string
 		src      string
+		flags    []string
 		wantExit int
-		wantMsg  string
+		wantMsgs []string
 	}{
 		{name: "clean", src: cleanSrc, wantExit: 0},
-		{name: "dirty", src: dirtySrc, wantExit: 1, wantMsg: "not provably joinable"},
+		{name: "dirty", src: dirtySrc, wantExit: 1, wantMsgs: []string{"not provably joinable"}},
 		{name: "ignored", src: ignoredSrc, wantExit: 0},
+		{name: "reasonless-ignore", src: reasonlessSrc, wantExit: 1, wantMsgs: []string{"not provably joinable", "carries no reason"}},
+		{name: "only-goleak", src: dirtySrc, flags: []string{"-goleak"}, wantExit: 1, wantMsgs: []string{"not provably joinable"}},
+		{name: "all-but-goleak", src: dirtySrc, flags: []string{"-goleak=false"}, wantExit: 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := writeScratchModule(t, tc.src)
-			vet := exec.Command("go", "vet", "-vettool="+tool, "./...")
+			vet := exec.Command("go", append(append([]string{"vet", "-vettool=" + tool}, tc.flags...), "./...")...)
 			vet.Dir = dir
 			out, err := vet.CombinedOutput()
 			exit := 0
@@ -108,159 +125,11 @@ func TestExitCodes(t *testing.T) {
 			if exit != tc.wantExit {
 				t.Errorf("exit = %d, want %d\n%s", exit, tc.wantExit, out)
 			}
-			if tc.wantMsg != "" && !bytes.Contains(out, []byte(tc.wantMsg)) {
-				t.Errorf("output does not mention %q:\n%s", tc.wantMsg, out)
-			}
-		})
-	}
-}
-
-// TestSelectionExitCodes pins the -only/-skip wrappers against a module
-// whose only finding is goleak's: selecting the analyzer keeps the exit-1
-// contract, skipping it silences the gate, and a name the gate does not
-// carry (or a selection that empties the gate) is misuse, exit 2.
-func TestSelectionExitCodes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and shells out to go vet; skipped in -short")
-	}
-	tool := buildTool(t)
-
-	cases := []struct {
-		name     string
-		args     []string
-		wantExit int
-		wantMsg  string
-	}{
-		{name: "only-hit", args: []string{"-only=goleak", "./..."}, wantExit: 1, wantMsg: "not provably joinable"},
-		{name: "only-miss", args: []string{"-only=floateq", "./..."}, wantExit: 0},
-		{name: "skip-hit", args: []string{"-skip=goleak", "./..."}, wantExit: 0},
-		{name: "skip-miss", args: []string{"-skip=floateq", "./..."}, wantExit: 1, wantMsg: "not provably joinable"},
-		{name: "unknown", args: []string{"-only=nosuch", "./..."}, wantExit: 2, wantMsg: "unknown analyzer"},
-		{name: "empty-selection", args: []string{"-only=goleak", "-skip=goleak", "./..."}, wantExit: 2, wantMsg: "no analyzers"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := writeScratchModule(t, dirtySrc)
-			cmd := exec.Command(tool, tc.args...)
-			cmd.Dir = dir
-			out, err := cmd.CombinedOutput()
-			exit := 0
-			if ee, ok := err.(*exec.ExitError); ok {
-				exit = ee.ExitCode()
-			} else if err != nil {
-				t.Fatalf("botvet %v did not run: %v\n%s", tc.args, err, out)
-			}
-			if exit != tc.wantExit {
-				t.Errorf("exit = %d, want %d\n%s", exit, tc.wantExit, out)
-			}
-			if tc.wantMsg != "" && !bytes.Contains(out, []byte(tc.wantMsg)) {
-				t.Errorf("output does not mention %q:\n%s", tc.wantMsg, out)
-			}
-		})
-	}
-
-	t.Run("sarif-only", func(t *testing.T) {
-		dir := writeScratchModule(t, dirtySrc)
-		cmd := exec.Command(tool, "-format=sarif", "-only=goleak", "./...")
-		cmd.Dir = dir
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout = &stdout
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		exit := 0
-		if ee, ok := err.(*exec.ExitError); ok {
-			exit = ee.ExitCode()
-		} else if err != nil {
-			t.Fatalf("botvet -format=sarif -only=goleak did not run: %v\n%s", err, stderr.String())
-		}
-		if exit != 1 {
-			t.Errorf("exit = %d, want 1", exit)
-		}
-		var log sarifLog
-		if err := json.Unmarshal(stdout.Bytes(), &log); err != nil {
-			t.Fatalf("stdout is not SARIF JSON: %v\n%s", err, stdout.String())
-		}
-		rules := log.Runs[0].Tool.Driver.Rules
-		if len(rules) != 1 || rules[0].ID != "goleak" {
-			t.Errorf("selected run's rule table = %+v, want just goleak", rules)
-		}
-	})
-}
-
-// TestSarifExitCodes pins the -format=sarif wrapper: a dirty module still
-// writes a parseable SARIF log on stdout (CI uploads it before failing)
-// and exits 1; a clean module exits 0 with an empty result set.
-func TestSarifExitCodes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and shells out to go vet; skipped in -short")
-	}
-	tool := buildTool(t)
-
-	run := func(t *testing.T, src string) (int, *bytes.Buffer) {
-		t.Helper()
-		dir := writeScratchModule(t, src)
-		cmd := exec.Command(tool, "-format=sarif", "./...")
-		cmd.Dir = dir
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout = &stdout
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		exit := 0
-		if ee, ok := err.(*exec.ExitError); ok {
-			exit = ee.ExitCode()
-		} else if err != nil {
-			t.Fatalf("botvet -format=sarif did not run: %v\n%s", err, stderr.String())
-		}
-		return exit, &stdout
-	}
-
-	decode := func(t *testing.T, raw *bytes.Buffer) sarifLog {
-		t.Helper()
-		var log sarifLog
-		if err := json.Unmarshal(raw.Bytes(), &log); err != nil {
-			t.Fatalf("stdout is not SARIF JSON: %v\n%s", err, raw.String())
-		}
-		if log.Version != "2.1.0" || len(log.Runs) != 1 {
-			t.Fatalf("malformed SARIF log: version %q, %d runs", log.Version, len(log.Runs))
-		}
-		return log
-	}
-
-	t.Run("dirty", func(t *testing.T) {
-		exit, raw := run(t, dirtySrc)
-		if exit != 1 {
-			t.Errorf("exit = %d, want 1", exit)
-		}
-		log := decode(t, raw)
-		results := log.Runs[0].Results
-		if len(results) == 0 {
-			t.Fatal("dirty module produced no SARIF results")
-		}
-		found := false
-		for _, r := range results {
-			if r.RuleID == "goleak" {
-				found = true
-				if len(r.Locations) == 0 || r.Locations[0].PhysicalLocation.ArtifactLocation.URI == "" {
-					t.Errorf("goleak result lacks a file location: %+v", r)
+			for _, msg := range tc.wantMsgs {
+				if !bytes.Contains(out, []byte(msg)) {
+					t.Errorf("output does not mention %q:\n%s", msg, out)
 				}
 			}
-		}
-		if !found {
-			t.Errorf("no goleak result in SARIF output: %+v", results)
-		}
-	})
-
-	t.Run("clean", func(t *testing.T) {
-		exit, raw := run(t, cleanSrc)
-		if exit != 0 {
-			t.Errorf("exit = %d, want 0", exit)
-		}
-		log := decode(t, raw)
-		if n := len(log.Runs[0].Results); n != 0 {
-			t.Errorf("clean module produced %d SARIF results", n)
-		}
-		if len(log.Runs[0].Tool.Driver.Rules) != len(analyzers) {
-			t.Errorf("rules = %d, want one per analyzer (%d)", len(log.Runs[0].Tool.Driver.Rules), len(analyzers))
-		}
-	})
+		})
+	}
 }

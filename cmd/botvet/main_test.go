@@ -4,6 +4,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -23,16 +26,33 @@ func TestBotvetCleanOnRepo(t *testing.T) {
 		t.Fatalf("repo root not found at %s: %v", root, err)
 	}
 
-	tool := filepath.Join(t.TempDir(), "botvet")
-	build := exec.Command("go", "build", "-o", tool, "./cmd/botvet")
-	build.Dir = root
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/botvet: %v\n%s", err, out)
-	}
+	tool := buildTool(t)
 
 	vet := exec.Command("go", "vet", "-vettool="+tool, "./...")
 	vet.Dir = root
 	if out, err := vet.CombinedOutput(); err != nil {
 		t.Errorf("botvet reported diagnostics on the repo:\n%s", out)
+	}
+}
+
+// TestMakefileListsEveryAnalyzer keeps the Makefile's BOTVET_ANALYZERS —
+// the list botvet-timed iterates — equal to the registered gate, so a new
+// analyzer cannot go untimed and a removed one cannot linger as a flag go
+// vet rejects.
+func TestMakefileListsEveryAnalyzer(t *testing.T) {
+	mk, err := os.ReadFile(filepath.Join("..", "..", "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?m)^BOTVET_ANALYZERS := (.*)$`).FindSubmatch(mk)
+	if m == nil {
+		t.Fatal("Makefile has no BOTVET_ANALYZERS := line")
+	}
+	var registered []string
+	for _, a := range analyzers {
+		registered = append(registered, a.Name)
+	}
+	if listed := strings.Fields(string(m[1])); !reflect.DeepEqual(listed, registered) {
+		t.Errorf("Makefile BOTVET_ANALYZERS = %v\nmain.go analyzers      = %v", listed, registered)
 	}
 }

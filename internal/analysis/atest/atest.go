@@ -15,6 +15,8 @@
 // Each backquoted or double-quoted string after "want" is a regexp that
 // must match one diagnostic reported on that line; diagnostics with no
 // matching want (and wants with no matching diagnostic) fail the test.
+// A /* want ... */ block works too, for a line whose // comment is itself
+// the thing under test.
 //
 // RunPkgs extends the harness to a sequence of fixture packages checked in
 // dependency order against a shared fact store, so interprocedural
@@ -317,7 +319,7 @@ func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []an
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+				text := strings.TrimSpace(strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*"))
 				rest, ok := strings.CutPrefix(text, "want ")
 				if !ok {
 					continue

@@ -23,7 +23,6 @@
 //
 // The analyzer reports, once per pair, the first divergence (kind, count,
 // or field), plus missing/duplicate halves and wrong-side pair calls.
-// Audited exceptions carry "//botvet:ignore codecsym <reason>".
 package codecsym
 
 import (
@@ -44,13 +43,13 @@ import (
 // "//botvet:codec <encode|decode> <pair>".
 const directive = "botvet:codec"
 
-var Analyzer = &analysis.Analyzer{
+var Analyzer = vetutil.Wrap(&analysis.Analyzer{
 	Name:      "codecsym",
 	Doc:       "paired //botvet:codec encode/decode functions must touch the same fields in the same order with the same primitive kinds",
 	Requires:  []*analysis.Analyzer{ssabuild.Analyzer},
 	FactTypes: []analysis.Fact{(*codecFact)(nil)},
 	Run:       run,
-}
+})
 
 // codecFact publishes a function's codec role so cross-package pair calls
 // resolve to the right side.
@@ -178,10 +177,6 @@ type checker struct {
 	local map[*types.Func]*codecFact
 }
 
-func (c *checker) skip(pos token.Pos) bool {
-	return vetutil.IsTestFile(c.pass.Fset, pos) || vetutil.Suppressed(c.pass, pos, "codecsym")
-}
-
 // roleOf resolves a callee's codec role, local or through facts.
 func (c *checker) roleOf(fn *types.Func) *codecFact {
 	if fn == nil {
@@ -231,12 +226,12 @@ func (c *checker) extract(h *half) {
 	var walkStmt func(s ast.Stmt)
 
 	record := func(call *ast.CallExpr, target string) bool {
-		fn := calleeOf(c.pass.TypesInfo, call)
+		fn := vetutil.Callee(c.pass.TypesInfo, call)
 		if fn == nil {
 			return false
 		}
 		if role := c.roleOf(fn); role != nil {
-			if role.Side != h.side && !c.skip(call.Pos()) {
+			if role.Side != h.side {
 				c.pass.Reportf(call.Pos(),
 					"codec pair %q: %s half calls the %s half of pair %q; nested pairs must be invoked on the matching side",
 					h.pair, h.side, role.Side, role.Pair)
@@ -268,7 +263,7 @@ func (c *checker) extract(h *half) {
 			// A conversion or single-argument wrapper (wireTime) carries
 			// the assignment target through to the primitive inside it.
 			inner := ""
-			if len(x.Args) == 1 && !isBuiltin(c.pass.TypesInfo, x.Fun) {
+			if len(x.Args) == 1 && vetutil.BuiltinName(c.pass.TypesInfo, x) == "" {
 				inner = target
 			}
 			for _, a := range x.Args {
@@ -452,11 +447,9 @@ func (c *checker) checkPair(name string, hs []*half) {
 			slot = &dec
 		}
 		if *slot != nil {
-			if !c.skip(h.decl.Pos()) {
-				c.pass.Reportf(h.decl.Pos(),
-					"codec pair %q has two %s halves (%s and %s); each side must be declared exactly once",
-					name, h.side, (*slot).obj.Name(), h.obj.Name())
-			}
+			c.pass.Reportf(h.decl.Pos(),
+				"codec pair %q has two %s halves (%s and %s); each side must be declared exactly once",
+				name, h.side, (*slot).obj.Name(), h.obj.Name())
 			continue
 		}
 		*slot = h
@@ -467,11 +460,9 @@ func (c *checker) checkPair(name string, hs []*half) {
 		if h == nil {
 			h, missing = dec, "encode"
 		}
-		if !c.skip(h.decl.Pos()) {
-			c.pass.Reportf(h.decl.Pos(),
-				"codec pair %q declares only its %s half; the %s half is missing from this package — a one-sided codec is schema drift by construction",
-				name, h.side, missing)
-		}
+		c.pass.Reportf(h.decl.Pos(),
+			"codec pair %q declares only its %s half; the %s half is missing from this package — a one-sided codec is schema drift by construction",
+			name, h.side, missing)
 		return
 	}
 
@@ -479,19 +470,15 @@ func (c *checker) checkPair(name string, hs []*half) {
 	for i := 0; i < n; i++ {
 		e, d := enc.ops[i], dec.ops[i]
 		if e.kind != d.kind {
-			if !c.skip(d.pos) {
-				c.pass.Reportf(d.pos,
-					"codec pair %q diverges at op %d: encode writes %s but decode reads %s",
-					name, i+1, e.describe(), d.describe())
-			}
+			c.pass.Reportf(d.pos,
+				"codec pair %q diverges at op %d: encode writes %s but decode reads %s",
+				name, i+1, e.describe(), d.describe())
 			return
 		}
 		if e.label != "" && d.label != "" && e.label != d.label {
-			if !c.skip(d.pos) {
-				c.pass.Reportf(d.pos,
-					"codec pair %q field drift at op %d: encode writes %s but decode stores it into %s",
-					name, i+1, e.describe(), d.describe())
-			}
+			c.pass.Reportf(d.pos,
+				"codec pair %q field drift at op %d: encode writes %s but decode stores it into %s",
+				name, i+1, e.describe(), d.describe())
 			return
 		}
 	}
@@ -501,31 +488,8 @@ func (c *checker) checkPair(name string, hs []*half) {
 			longer, verb = dec, "reads"
 		}
 		extra := longer.ops[n]
-		if !c.skip(extra.pos) {
-			c.pass.Reportf(extra.pos,
-				"codec pair %q is asymmetric: encode emits %d ops but decode consumes %d; the %s half additionally %s %s",
-				name, len(enc.ops), len(dec.ops), longer.side, verb, extra.describe())
-		}
+		c.pass.Reportf(extra.pos,
+			"codec pair %q is asymmetric: encode emits %d ops but decode consumes %d; the %s half additionally %s %s",
+			name, len(enc.ops), len(dec.ops), longer.side, verb, extra.describe())
 	}
-}
-
-func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch e := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[e].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := info.Uses[e.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
-func isBuiltin(info *types.Info, fun ast.Expr) bool {
-	id, ok := ast.Unparen(fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	_, isB := info.ObjectOf(id).(*types.Builtin)
-	return isB
 }

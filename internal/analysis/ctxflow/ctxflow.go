@@ -4,8 +4,8 @@
 // an unbounded RPC: the handler's deadline and the client's disconnect
 // stop propagating, and a slow shard pins frontend resources forever.
 //
-// Within the scoped packages (default: internal/cluster and
-// internal/serve), outside tests, the analyzer reports:
+// Within the cluster plane (internal/cluster and internal/serve),
+// outside tests, the analyzer reports:
 //
 //   - context.Background() / context.TODO() in any function that already
 //     has a context in scope (a context.Context or *http.Request
@@ -22,12 +22,13 @@
 //     exported fact — to manufacture its own background context below the
 //     edge.
 //
-// Audited exceptions carry "//botvet:ignore ctxflow <reason>".
+// An audited background context ("//botvet:ignore ctxflow <reason>") is
+// also kept out of the exported fact: the exception does not propagate to
+// callers.
 package ctxflow
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"golang.org/x/tools/go/analysis"
@@ -36,22 +37,13 @@ import (
 	"botscope/internal/analysis/vetutil"
 )
 
-const defaultScope = "botscope/internal/cluster,botscope/internal/serve"
-
-var Analyzer = &analysis.Analyzer{
+var Analyzer = vetutil.Wrap(&analysis.Analyzer{
 	Name:      "ctxflow",
 	Doc:       "keep context.Context threaded from the request edge through the cluster plane; no fresh background contexts below the handler layer",
 	Requires:  []*analysis.Analyzer{ssabuild.Analyzer},
 	FactTypes: []analysis.Fact{(*bgFact)(nil)},
 	Run:       run,
-}
-
-var scopeFlag string
-
-func init() {
-	Analyzer.Flags.StringVar(&scopeFlag, "pkgs", defaultScope,
-		"comma-separated import paths (with subpackages) the analyzer applies to")
-}
+})
 
 // bgFact marks a context-less function that (transitively) creates its own
 // background context below the edge; ctx-holding callers in other packages
@@ -68,7 +60,7 @@ type checker struct {
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	if !vetutil.InScope(pass.Pkg.Path(), vetutil.SplitList(scopeFlag)) {
+	if !vetutil.InScope(pass.Pkg.Path(), vetutil.ClusterPlanePkgs) {
 		return nil, nil
 	}
 	c := &checker{
@@ -114,9 +106,6 @@ func (c *checker) checkFunc(f *ssabuild.Func) {
 				continue
 			}
 			dropped[argCall] = true
-			if c.skip(argCall.Pos()) {
-				continue
-			}
 			if carrier {
 				c.pass.Reportf(argCall.Pos(),
 					"deadline dropped: %s receives a fresh context.%s() while the caller's ctx is in scope; pass ctx (or context.WithoutCancel(ctx)) instead",
@@ -134,9 +123,6 @@ func (c *checker) checkFunc(f *ssabuild.Func) {
 			continue
 		}
 		if name, isBG := backgroundName(c.pass.TypesInfo, call.Node); isBG && !dropped[call.Node] {
-			if c.skip(call.Node.Pos()) {
-				continue
-			}
 			if carrier {
 				c.pass.Reportf(call.Node.Pos(),
 					"context.%s() below the edge discards the in-scope ctx; thread ctx (or context.WithoutCancel(ctx) to detach explicitly)", name)
@@ -152,17 +138,13 @@ func (c *checker) checkFunc(f *ssabuild.Func) {
 			if sigHasCarrier(call.Callee) {
 				continue
 			}
-			if c.pass.ImportObjectFact(call.Callee, &bgFact{}) && !c.skip(call.Node.Pos()) {
+			if c.pass.ImportObjectFact(call.Callee, &bgFact{}) {
 				c.pass.Reportf(call.Node.Pos(),
 					"call to %s.%s discards ctx: it creates its own background context below the edge; thread ctx through it",
 					call.Callee.Pkg().Name(), call.Callee.Name())
 			}
 		}
 	}
-}
-
-func (c *checker) skip(pos token.Pos) bool {
-	return vetutil.IsTestFile(c.pass.Fset, pos) || vetutil.Suppressed(c.pass, pos, "ctxflow")
 }
 
 // usesBackground reports whether f reaches a (non-audited) background
@@ -187,7 +169,7 @@ func (c *checker) decideBackground(f *ssabuild.Func, visited map[*ssabuild.Func]
 			continue
 		}
 		if _, isBG := backgroundName(c.pass.TypesInfo, call.Node); isBG {
-			if c.skip(call.Node.Pos()) {
+			if vetutil.Ignored(c.pass, call.Node.Pos()) {
 				continue // audited: the exception must not propagate
 			}
 			return true
@@ -213,7 +195,7 @@ func (c *checker) decideBackground(f *ssabuild.Func, visited map[*ssabuild.Func]
 // backgroundName matches context.Background() / context.TODO() calls,
 // returning the function name.
 func backgroundName(info *types.Info, call *ast.CallExpr) (string, bool) {
-	fn := staticCallee(info, call)
+	fn := vetutil.Callee(info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
 		return "", false
 	}
@@ -221,18 +203,6 @@ func backgroundName(info *types.Info, call *ast.CallExpr) (string, bool) {
 		return fn.Name(), true
 	}
 	return "", false
-}
-
-func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch e := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[e].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := info.Uses[e.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }
 
 // hasCarrier reports whether the signature carries a context: a
@@ -243,7 +213,7 @@ func hasCarrier(sig *types.Signature) bool {
 	}
 	for i := 0; i < sig.Params().Len(); i++ {
 		t := sig.Params().At(i).Type()
-		if isContextType(t) || isHTTPRequest(t) {
+		if isContextType(t) || vetutil.IsNamed(t, "net/http", "Request") {
 			return true
 		}
 	}
@@ -255,24 +225,6 @@ func sigHasCarrier(fn *types.Func) bool {
 	return ok && hasCarrier(sig)
 }
 
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
-func isHTTPRequest(t types.Type) bool {
-	p, ok := t.Underlying().(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := p.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "net/http" && obj.Name() == "Request"
-}
+// isContextType reports whether t is context.Context (a pointer to one
+// counts: it carries the same deadline).
+func isContextType(t types.Type) bool { return vetutil.IsNamed(t, "context", "Context") }

@@ -7,9 +7,7 @@
 // NaN idiom x != x is flagged too — write math.IsNaN(x).
 //
 // Comparisons where both operands are compile-time constants are allowed
-// (they are evaluated exactly, once). _test.go files are skipped: tests
-// legitimately pin exact expected values of deterministic arithmetic.
-// Intentional exceptions carry "//botvet:allow floateq".
+// (they are evaluated exactly, once).
 package floateq
 
 import (
@@ -24,24 +22,15 @@ import (
 	"botscope/internal/analysis/vetutil"
 )
 
-const defaultScope = "botscope/internal/stats,botscope/internal/core,botscope/internal/stream"
-
-var Analyzer = &analysis.Analyzer{
+var Analyzer = vetutil.Wrap(&analysis.Analyzer{
 	Name:     "floateq",
 	Doc:      "forbid ==/!= on float operands in statistics packages; use epsilon helpers",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
-}
-
-var scopeFlag string
-
-func init() {
-	Analyzer.Flags.StringVar(&scopeFlag, "pkgs", defaultScope,
-		"comma-separated import paths (with subpackages) the analyzer applies to")
-}
+})
 
 func run(pass *analysis.Pass) (any, error) {
-	if !vetutil.InScope(pass.Pkg.Path(), vetutil.SplitList(scopeFlag)) {
+	if !vetutil.InScope(pass.Pkg.Path(), vetutil.StatsPkgs) {
 		return nil, nil
 	}
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
@@ -50,18 +39,12 @@ func run(pass *analysis.Pass) (any, error) {
 		if be.Op != token.EQL && be.Op != token.NEQ {
 			return
 		}
-		if vetutil.IsTestFile(pass.Fset, be.Pos()) {
-			return
-		}
 		xt, yt := pass.TypesInfo.Types[be.X], pass.TypesInfo.Types[be.Y]
 		if !isFloat(xt.Type) && !isFloat(yt.Type) {
 			return
 		}
 		if xt.Value != nil && yt.Value != nil {
 			return // constant comparison, evaluated exactly at compile time
-		}
-		if vetutil.Suppressed(pass, be.Pos(), "floateq") {
-			return
 		}
 		pass.Reportf(be.Pos(), "float %s comparison; use an epsilon helper (stats.ApproxEqual) or compare exact representations", be.Op)
 	})

@@ -41,5 +41,5 @@ func isNaN(x float64) bool {
 }
 
 func allowed(a float64) bool {
-	return a == 0 //botvet:allow floateq
+	return a == 0 //botvet:ignore floateq fixture exercises the ignore directive
 }

@@ -31,9 +31,6 @@
 // reported wherever it appears: each iteration allocates a timer the
 // runtime holds until it fires, which under a tight retry loop is a leak
 // with a wall-clock fuse. Hoist a time.Ticker or a reusable time.Timer.
-//
-// Audited exceptions carry "//botvet:ignore goleak <reason>" on or above
-// the offending line.
 package goleak
 
 import (
@@ -45,13 +42,13 @@ import (
 	"botscope/internal/analysis/vetutil"
 )
 
-var Analyzer = &analysis.Analyzer{
+var Analyzer = vetutil.Wrap(&analysis.Analyzer{
 	Name:      "goleak",
 	Doc:       "prove every goroutine launched outside tests joinable or cancellable; flag timer churn in select loops",
 	Requires:  []*analysis.Analyzer{ssabuild.Analyzer},
 	FactTypes: []analysis.Fact{(*joinableFact)(nil)},
 	Run:       run,
-}
+})
 
 // joinableFact marks a function proven joinable, so goroutines in other
 // packages launching it (directly) inherit the proof. Cancel records
@@ -99,12 +96,6 @@ func run(pass *analysis.Pass) (any, error) {
 
 	for _, f := range c.ssa.Funcs {
 		for _, g := range f.Gos {
-			if vetutil.IsTestFile(pass.Fset, g.Node.Pos()) {
-				continue
-			}
-			if vetutil.Suppressed(pass, g.Node.Pos(), "goleak") {
-				continue
-			}
 			c.checkGo(g)
 		}
 		for _, call := range f.Calls {
@@ -112,10 +103,6 @@ func run(pass *analysis.Pass) (any, error) {
 				continue
 			}
 			if call.Callee.Pkg() == nil || call.Callee.Pkg().Path() != "time" || call.Callee.Name() != "After" {
-				continue
-			}
-			if vetutil.IsTestFile(pass.Fset, call.Node.Pos()) ||
-				vetutil.Suppressed(pass, call.Node.Pos(), "goleak") {
 				continue
 			}
 			pass.Reportf(call.Node.Pos(),
@@ -222,14 +209,6 @@ func isWaitGroupDone(fn *types.Func) bool {
 	if fn.Name() != "Done" || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return false
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "WaitGroup"
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && vetutil.IsNamed(recv.Type(), "sync", "WaitGroup")
 }

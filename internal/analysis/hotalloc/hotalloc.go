@@ -23,9 +23,6 @@
 //   - closures that capture enclosing variables — each closure value
 //     allocates its capture environment (capture-free literals are
 //     statically allocated and legal).
-//
-// Intentional exceptions carry "//botvet:allow hotalloc" or
-// "//botvet:ignore hotalloc <reason>".
 package hotalloc
 
 import (
@@ -40,21 +37,18 @@ import (
 	"botscope/internal/analysis/vetutil"
 )
 
-// Directive is the doc-comment marker a hot-path function carries.
-const Directive = "botscope:hotpath"
-
-var Analyzer = &analysis.Analyzer{
+var Analyzer = vetutil.Wrap(&analysis.Analyzer{
 	Name:     "hotalloc",
 	Doc:      "report allocation-inducing constructs inside //botscope:hotpath functions",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
-}
+})
 
 func run(pass *analysis.Pass) (any, error) {
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		decl := n.(*ast.FuncDecl)
-		if decl.Body == nil || !vetutil.HasDirective(decl.Doc, Directive) {
+		if decl.Body == nil || !vetutil.HasDirective(decl.Doc, vetutil.HotpathDirective) {
 			return
 		}
 		checkHotFunc(pass, decl)
@@ -63,12 +57,6 @@ func run(pass *analysis.Pass) (any, error) {
 }
 
 func checkHotFunc(pass *analysis.Pass, decl *ast.FuncDecl) {
-	report := func(pos ast.Node, format string, args ...any) {
-		if !vetutil.Suppressed(pass, pos.Pos(), "hotalloc") {
-			pass.Reportf(pos.Pos(), format, args...)
-		}
-	}
-
 	params := paramObjects(pass.TypesInfo, decl)
 	prealloc := preallocatedSlices(pass.TypesInfo, decl.Body)
 
@@ -92,7 +80,7 @@ func checkHotFunc(pass *analysis.Pass, decl *ast.FuncDecl) {
 			return
 		case *ast.FuncLit:
 			if caps := capturedNames(pass.TypesInfo, x); len(caps) > 0 {
-				report(x, "closure in hot path captures %s; each closure value allocates its environment — hoist the state or pass it explicitly", strings.Join(caps, ", "))
+				pass.Reportf(x.Pos(), "closure in hot path captures %s; each closure value allocates its environment — hoist the state or pass it explicitly", strings.Join(caps, ", "))
 			}
 			// The literal's body runs on its own schedule; don't double-
 			// report its internals against the enclosing hot path.
@@ -105,15 +93,15 @@ func checkHotFunc(pass *analysis.Pass, decl *ast.FuncDecl) {
 			switch t.Underlying().(type) {
 			case *types.Map:
 				if loopDepth > 0 {
-					report(x, "map literal allocated every loop iteration in hot path; hoist it out of the loop")
+					pass.Reportf(x.Pos(), "map literal allocated every loop iteration in hot path; hoist it out of the loop")
 				}
 			case *types.Slice:
 				if loopDepth > 0 {
-					report(x, "slice literal allocated every loop iteration in hot path; hoist it out of the loop")
+					pass.Reportf(x.Pos(), "slice literal allocated every loop iteration in hot path; hoist it out of the loop")
 				}
 			}
 		case *ast.CallExpr:
-			checkHotCall(pass, x, loopDepth, params, prealloc, report)
+			checkHotCall(pass, x, loopDepth, params, prealloc)
 		}
 		// Default: recurse through all children at the same loop depth.
 		children(n, func(c ast.Node) { walk(c, loopDepth) })
@@ -122,37 +110,33 @@ func checkHotFunc(pass *analysis.Pass, decl *ast.FuncDecl) {
 }
 
 // checkHotCall inspects one call inside a hot-path function.
-func checkHotCall(pass *analysis.Pass, call *ast.CallExpr, loopDepth int,
-	params, prealloc map[types.Object]bool, report func(ast.Node, string, ...any)) {
-
+func checkHotCall(pass *analysis.Pass, call *ast.CallExpr, loopDepth int, params, prealloc map[types.Object]bool) {
 	// Builtins: make in a loop, and unbounded append in a loop.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, isB := pass.TypesInfo.Uses[id].(*types.Builtin); isB {
-			switch b.Name() {
-			case "make":
-				if loopDepth > 0 {
-					report(call, "make allocates every loop iteration in hot path; hoist the buffer out of the loop and reuse it")
-				}
-			case "new":
-				if loopDepth > 0 {
-					report(call, "new allocates every loop iteration in hot path; hoist the value out of the loop")
-				}
-			case "append":
-				if loopDepth > 0 && len(call.Args) > 0 {
-					if obj, isIdent := appendDest(pass.TypesInfo, call.Args[0]); isIdent && !params[obj] && !prealloc[obj] {
-						report(call, "append grows %s inside a hot loop without preallocation; make(..., 0, n) it up front", obj.Name())
-					}
+	if name := vetutil.BuiltinName(pass.TypesInfo, call); name != "" {
+		switch name {
+		case "make":
+			if loopDepth > 0 {
+				pass.Reportf(call.Pos(), "make allocates every loop iteration in hot path; hoist the buffer out of the loop and reuse it")
+			}
+		case "new":
+			if loopDepth > 0 {
+				pass.Reportf(call.Pos(), "new allocates every loop iteration in hot path; hoist the value out of the loop")
+			}
+		case "append":
+			if loopDepth > 0 && len(call.Args) > 0 {
+				if obj, isIdent := appendDest(pass.TypesInfo, call.Args[0]); isIdent && !params[obj] && !prealloc[obj] {
+					pass.Reportf(call.Pos(), "append grows %s inside a hot loop without preallocation; make(..., 0, n) it up front", obj.Name())
 				}
 			}
-			return
 		}
+		return
 	}
 
-	fn := calleeFunc(pass.TypesInfo, call)
+	fn := vetutil.Callee(pass.TypesInfo, call)
 	if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
 		switch fn.Name() {
 		case "Sprintf", "Sprint", "Sprintln", "Errorf", "Appendf", "Append", "Appendln":
-			report(call, "fmt.%s allocates its result and boxes every argument in hot path; precompute or restructure the output", fn.Name())
+			pass.Reportf(call.Pos(), "fmt.%s allocates its result and boxes every argument in hot path; precompute or restructure the output", fn.Name())
 			return // boxing into its variadic args is implied; don't double-report
 		}
 	}
@@ -176,7 +160,7 @@ func checkHotCall(pass *analysis.Pass, call *ast.CallExpr, loopDepth int,
 			continue
 		}
 		if basic, isBasic := at.Underlying().(*types.Basic); isBasic && basic.Kind() != types.UntypedNil {
-			report(arg, "scalar %s boxed into interface parameter in hot path; avoid the conversion or keep it off the hot path", at.String())
+			pass.Reportf(arg.Pos(), "scalar %s boxed into interface parameter in hot path; avoid the conversion or keep it off the hot path", at.String())
 		}
 	}
 }
@@ -250,14 +234,7 @@ func preallocatedSlices(info *types.Info, body *ast.BlockStmt) map[types.Object]
 		}
 		for i, rhs := range as.Rhs {
 			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-			if !ok || len(call.Args) < 2 {
-				continue
-			}
-			id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-			if !ok {
-				continue
-			}
-			if b, isB := info.Uses[id].(*types.Builtin); !isB || b.Name() != "make" {
+			if !ok || len(call.Args) < 2 || vetutil.BuiltinName(info, call) != "make" {
 				continue
 			}
 			if lhs, ok := ast.Unparen(as.Lhs[i]).(*ast.Ident); ok {
@@ -297,19 +274,6 @@ func capturedNames(info *types.Info, lit *ast.FuncLit) []string {
 		return true
 	})
 	return names
-}
-
-// calleeFunc resolves a call's target to a *types.Func, or nil.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch e := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[e].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := info.Uses[e.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }
 
 // children invokes f on each direct child node of n.

@@ -11,8 +11,8 @@
 //	                           the CAS memo (AttackRecordAt, AttackRecords)
 //
 // and the facts travel across packages. Within the column-native scope
-// (default: internal/core, internal/monitor, internal/stream) the
-// analyzer reports:
+// (internal/core, internal/monitor, internal/stream) the analyzer
+// reports:
 //
 //   - any call to a //botscope:materializes function — the package-level
 //     contract PR 9 pinned with a runtime test ("full runall never
@@ -21,13 +21,10 @@
 //     record face at all — even the per-row bridge allocates, so hot
 //     paths must stay on cursors; the reach test is interprocedural
 //     through the ssabuild summaries and exported facts.
-//
-// Audited exceptions carry "//botvet:ignore lazymat <reason>".
 package lazymat
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"golang.org/x/tools/go/analysis"
@@ -40,25 +37,15 @@ import (
 const (
 	MaterializesDirective = "botscope:materializes"
 	BridgeDirective       = "botscope:recordbridge"
-	hotpathDirective      = "botscope:hotpath"
 )
 
-const defaultScope = "botscope/internal/core,botscope/internal/monitor,botscope/internal/stream"
-
-var Analyzer = &analysis.Analyzer{
+var Analyzer = vetutil.Wrap(&analysis.Analyzer{
 	Name:      "lazymat",
 	Doc:       "column-native packages must not materialize attack records: no //botscope:materializes calls in scope, no record-face reach from //botscope:hotpath functions",
 	Requires:  []*analysis.Analyzer{ssabuild.Analyzer},
 	FactTypes: []analysis.Fact{(*matFact)(nil)},
 	Run:       run,
-}
-
-var scopeFlag string
-
-func init() {
-	Analyzer.Flags.StringVar(&scopeFlag, "pkgs", defaultScope,
-		"comma-separated import paths (with subpackages) held to the column-native contract")
-}
+})
 
 // matFact classifies a function's relationship to the record face.
 type matFact struct {
@@ -92,31 +79,11 @@ func run(pass *analysis.Pass) (any, error) {
 		memo:  map[*ssabuild.Func]bool{},
 	}
 
-	hotpath := map[*ssabuild.Func]bool{}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if obj == nil {
-				continue
-			}
-			switch {
-			case vetutil.HasDirective(fd.Doc, MaterializesDirective):
-				c.local[obj] = 1
-				pass.ExportObjectFact(obj, &matFact{Kind: 1})
-			case vetutil.HasDirective(fd.Doc, BridgeDirective):
-				c.local[obj] = 2
-				pass.ExportObjectFact(obj, &matFact{Kind: 2})
-			}
-			if vetutil.HasDirective(fd.Doc, hotpathDirective) {
-				if f := c.ssa.FuncFor(fd); f != nil {
-					hotpath[f] = true
-				}
-			}
-		}
+	for fn := range vetutil.ExportDirective(pass, BridgeDirective, &matFact{Kind: 2}) {
+		c.local[fn] = 2
+	}
+	for fn := range vetutil.ExportDirective(pass, MaterializesDirective, &matFact{Kind: 1}) {
+		c.local[fn] = 1
 	}
 
 	// Export reach facts for every plain function that transitively
@@ -131,15 +98,16 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 	}
 
-	inScope := vetutil.InScope(pass.Pkg.Path(), vetutil.SplitList(scopeFlag))
+	inScope := vetutil.InScope(pass.Pkg.Path(), vetutil.ColumnNativePkgs)
 	for _, f := range c.ssa.Funcs {
-		hot := hotpath[f]
+		fd, _ := f.Node.(*ast.FuncDecl)
+		hot := fd != nil && vetutil.HasDirective(fd.Doc, vetutil.HotpathDirective)
 		if !inScope && !hot {
 			continue
 		}
 		for _, call := range f.Calls {
 			kind := c.kindOf(call.Callee)
-			if kind == 0 || c.skip(call.Node.Pos()) {
+			if kind == 0 {
 				continue
 			}
 			switch {
@@ -159,10 +127,6 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 	}
 	return nil, nil
-}
-
-func (c *checker) skip(pos token.Pos) bool {
-	return vetutil.IsTestFile(c.pass.Fset, pos) || vetutil.Suppressed(c.pass, pos, "lazymat")
 }
 
 // kindOf resolves a callee's record-face classification: directive kinds

@@ -16,10 +16,7 @@
 // checked: the caller must also hold (acquire or be annotated), which
 // propagates the invariant through same-package helpers. Composite
 // literals constructing the struct are exempt — a value that has not
-// escaped yet cannot be contended. _test.go files are skipped: tests
-// exercise single-goroutine state directly.
-//
-// Intentional exceptions carry "//botvet:allow lockguard".
+// escaped yet cannot be contended.
 package lockguard
 
 import (
@@ -35,12 +32,12 @@ import (
 	"botscope/internal/analysis/vetutil"
 )
 
-var Analyzer = &analysis.Analyzer{
+var Analyzer = vetutil.Wrap(&analysis.Analyzer{
 	Name:     "lockguard",
 	Doc:      "check that fields annotated '// guarded by mu' are only touched with the mutex held",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
-}
+})
 
 var guardedRe = regexp.MustCompile(`guarded by (\w+)`)
 
@@ -60,7 +57,7 @@ func run(pass *analysis.Pass) (any, error) {
 
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		decl := n.(*ast.FuncDecl)
-		if decl.Body == nil || vetutil.IsTestFile(pass.Fset, decl.Pos()) {
+		if decl.Body == nil {
 			return
 		}
 		acquired := acquiredMutexes(pass, decl.Body)
@@ -78,7 +75,7 @@ func run(pass *analysis.Pass) (any, error) {
 			if !ok {
 				return true
 			}
-			callee := calleeObj(pass.TypesInfo, call)
+			callee := vetutil.Callee(pass.TypesInfo, call)
 			if callee == nil {
 				return true
 			}
@@ -87,7 +84,7 @@ func run(pass *analysis.Pass) (any, error) {
 				return true
 			}
 			for mu := range reqs {
-				if mu != nil && !holds(mu) && !vetutil.Suppressed(pass, call.Pos(), "lockguard") {
+				if mu != nil && !holds(mu) {
 					pass.Reportf(call.Pos(), "call to %s requires holding %s", callee.Name(), mu.Name())
 				}
 			}
@@ -111,7 +108,7 @@ func checkNode(pass *analysis.Pass, guards map[*types.Var]guard, n ast.Node, hol
 	if !guarded {
 		return true
 	}
-	if !holds(g.mutex) && !vetutil.Suppressed(pass, sel.Pos(), "lockguard") {
+	if !holds(g.mutex) {
 		pass.Reportf(sel.Pos(), "access to %s (guarded by %s) without holding the mutex", obj.Name(), g.mutex.Name())
 	}
 	return true
@@ -258,15 +255,4 @@ func acquiredMutexes(pass *analysis.Pass, body *ast.BlockStmt) map[*types.Var]bo
 		return true
 	})
 	return out
-}
-
-// calleeObj resolves a call target to its declaration object.
-func calleeObj(info *types.Info, call *ast.CallExpr) types.Object {
-	switch e := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return info.Uses[e]
-	case *ast.SelectorExpr:
-		return info.Uses[e.Sel]
-	}
-	return nil
 }

@@ -42,7 +42,7 @@ func (c *counter) BadAdd(name string) {
 }
 
 func (c *counter) Allowed() int {
-	//botvet:allow lockguard
+	//botvet:ignore lockguard fixture exercises the ignore directive
 	return c.n
 }
 

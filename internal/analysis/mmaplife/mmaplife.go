@@ -21,7 +21,7 @@
 //     doc comment).
 //
 // Scalar loads (ints, floats, strings, bools) are copies and never
-// scoped. Audited exceptions carry "//botvet:ignore mmaplife <reason>".
+// scoped.
 package mmaplife
 
 import (
@@ -43,13 +43,13 @@ const Directive = "botscope:mmap"
 // the owning Store is closed.
 const PinDirective = "botscope:pinned"
 
-var Analyzer = &analysis.Analyzer{
+var Analyzer = vetutil.Wrap(&analysis.Analyzer{
 	Name:      "mmaplife",
 	Doc:       "mmap-backed column views (//botscope:mmap producers) must not outlive the owning Store: no package-level stores, no unpinned goroutine captures, no undocumented exported returns",
 	Requires:  []*analysis.Analyzer{ssabuild.Analyzer},
 	FactTypes: []analysis.Fact{(*mmapFact)(nil)},
 	Run:       run,
-}
+})
 
 // mmapFact marks a function whose results are mmap-scoped.
 type mmapFact struct{}
@@ -63,37 +63,15 @@ type checker struct {
 	// producers holds this package's directive-marked functions; imported
 	// ones are resolved through facts.
 	producers map[*types.Func]bool
-	// docs maps declared functions to their doc comments, for the
-	// exported-return aliasing-contract check.
-	docs map[*types.Func]*ast.CommentGroup
 }
 
 func run(pass *analysis.Pass) (any, error) {
+	// Producer facts first, so that dependent packages (and later phases
+	// here) can resolve them.
 	c := &checker{
 		pass:      pass,
 		ssa:       pass.ResultOf[ssabuild.Analyzer].(*ssabuild.SSA),
-		producers: map[*types.Func]bool{},
-		docs:      map[*types.Func]*ast.CommentGroup{},
-	}
-
-	// Collect and export producer facts first so that dependent packages
-	// (and later phases here) can resolve them.
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if obj == nil {
-				continue
-			}
-			c.docs[obj] = fd.Doc
-			if vetutil.HasDirective(fd.Doc, Directive) {
-				c.producers[obj] = true
-				pass.ExportObjectFact(obj, &mmapFact{})
-			}
-		}
+		producers: vetutil.ExportDirective(pass, Directive, &mmapFact{}),
 	}
 
 	c.checkPackageInits()
@@ -101,10 +79,6 @@ func run(pass *analysis.Pass) (any, error) {
 		c.checkFunc(f)
 	}
 	return nil, nil
-}
-
-func (c *checker) skip(pos token.Pos) bool {
-	return vetutil.IsTestFile(c.pass.Fset, pos) || vetutil.Suppressed(c.pass, pos, "mmaplife")
 }
 
 // isProducer reports whether fn is a directive-marked producer, local or
@@ -150,7 +124,7 @@ func (c *checker) scopedExpr(e ast.Expr, scoped map[types.Object]bool) bool {
 	case *ast.IndexExpr:
 		return c.scopedExpr(x.X, scoped)
 	case *ast.CallExpr:
-		if fn := staticCallee(c.pass.TypesInfo, x); fn != nil {
+		if fn := vetutil.Callee(c.pass.TypesInfo, x); fn != nil {
 			return c.isProducer(fn)
 		}
 		// A conversion keeps the backing array; unwrap it.
@@ -230,7 +204,7 @@ func (c *checker) checkPackageInits() {
 					continue
 				}
 				for i, v := range vs.Values {
-					if c.scopedExpr(v, nil) && !c.skip(v.Pos()) {
+					if c.scopedExpr(v, nil) {
 						c.pass.Reportf(v.Pos(),
 							"mmap-scoped value stored in package-level variable %s: the column view outlives every Store; copy the data instead",
 							vs.Names[i].Name)
@@ -261,9 +235,6 @@ func (c *checker) checkFunc(f *ssabuild.Func) {
 			if root == nil || root.Parent() != c.pass.Pkg.Scope() {
 				continue
 			}
-			if c.skip(as.Pos()) {
-				continue
-			}
 			c.pass.Reportf(as.Pos(),
 				"mmap-scoped value stored in package-level variable %s: the column view outlives every Store; copy the data instead",
 				root.Name())
@@ -278,7 +249,7 @@ func (c *checker) checkFunc(f *ssabuild.Func) {
 			continue
 		}
 		for _, arg := range g.Node.Call.Args {
-			if c.scopedExpr(arg, scoped) && !c.skip(g.Node.Pos()) {
+			if c.scopedExpr(arg, scoped) {
 				c.pass.Reportf(g.Node.Pos(),
 					"mmap-scoped value passed into a goroutine: the view may outlive the Store; annotate //botscope:pinned if the Store provably survives it, or copy the data")
 			}
@@ -299,10 +270,8 @@ func (c *checker) checkFunc(f *ssabuild.Func) {
 			if vetutil.DeclaredWithin(obj, g.Lit.Pos(), g.Lit.End()) {
 				return true // the literal's own variable, not a capture
 			}
-			if !c.skip(g.Node.Pos()) {
-				c.pass.Reportf(g.Node.Pos(),
-					"goroutine captures mmap-scoped %s: the view may outlive the Store; annotate //botscope:pinned if the Store provably survives it, or copy the data", obj.Name())
-			}
+			c.pass.Reportf(g.Node.Pos(),
+				"goroutine captures mmap-scoped %s: the view may outlive the Store; annotate //botscope:pinned if the Store provably survives it, or copy the data", obj.Name())
 			reported = true
 			return false
 		})
@@ -313,7 +282,7 @@ func (c *checker) checkFunc(f *ssabuild.Func) {
 	if f.Obj == nil || !f.Obj.Exported() {
 		return
 	}
-	if doc := c.docs[f.Obj]; vetutil.HasDirective(doc, Directive) || vetutil.HasDirective(doc, "botscope:shared") {
+	if fd, ok := f.Node.(*ast.FuncDecl); c.producers[f.Obj] || ok && vetutil.HasDirective(fd.Doc, vetutil.SharedDirective) {
 		return
 	}
 	ast.Inspect(f.Body, func(n ast.Node) bool {
@@ -325,7 +294,7 @@ func (c *checker) checkFunc(f *ssabuild.Func) {
 			return true
 		}
 		for _, res := range ret.Results {
-			if c.scopedExpr(res, scoped) && !c.skip(ret.Pos()) {
+			if c.scopedExpr(res, scoped) {
 				c.pass.Reportf(ret.Pos(),
 					"exported %s returns an mmap-scoped value without an aliasing contract; document it with //botscope:mmap (or //botscope:shared) or return a copy",
 					f.Obj.Name())
@@ -333,16 +302,4 @@ func (c *checker) checkFunc(f *ssabuild.Func) {
 		}
 		return true
 	})
-}
-
-func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch e := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[e].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := info.Uses[e.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }

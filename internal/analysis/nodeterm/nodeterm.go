@@ -12,10 +12,12 @@
 //     an intervening sort is flagged — map iteration order would leak into
 //     results;
 //   - printing or encoding directly inside a map range is flagged for the
-//     same reason.
-//
-// Intentional exceptions carry a "//botvet:allow nodeterm" comment on the
-// offending line or the line above.
+//     same reason;
+//   - in the generator packages (internal/synth, internal/botnet), so is a
+//     draw from a seeded *rand.Rand inside a map range: the parallel
+//     generator is byte-identical for any worker count only because each
+//     family consumes its own stream in program order, and a map range
+//     splices the stream in iteration order even though it is seeded.
 package nodeterm
 
 import (
@@ -30,184 +32,91 @@ import (
 	"botscope/internal/analysis/vetutil"
 )
 
-const defaultScope = "botscope/internal/synth,botscope/internal/botnet,botscope/internal/geo,botscope/internal/core"
-
-var Analyzer = &analysis.Analyzer{
+var Analyzer = vetutil.Wrap(&analysis.Analyzer{
 	Name:     "nodeterm",
-	Doc:      "forbid wall-clock reads, global randomness, and map-iteration-ordered output in deterministic packages",
+	Doc:      "forbid wall-clock reads, global randomness, and map-iteration-ordered output or seeded draws in deterministic packages",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
-}
-
-var scopeFlag string
-
-func init() {
-	Analyzer.Flags.StringVar(&scopeFlag, "pkgs", defaultScope,
-		"comma-separated import paths (with subpackages) the analyzer applies to")
-}
+})
 
 func run(pass *analysis.Pass) (any, error) {
-	if !vetutil.InScope(pass.Pkg.Path(), vetutil.SplitList(scopeFlag)) {
+	if !vetutil.InScope(pass.Pkg.Path(), vetutil.DeterministicPkgs) {
 		return nil, nil
 	}
+	generator := vetutil.InScope(pass.Pkg.Path(), vetutil.GeneratorPkgs)
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 
 	ins.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
 		call := n.(*ast.CallExpr)
-		if vetutil.IsTestFile(pass.Fset, call.Pos()) {
-			return
-		}
-		fn := calleeFunc(pass.TypesInfo, call)
+		fn := vetutil.Callee(pass.TypesInfo, call)
 		if fn == nil || fn.Pkg() == nil {
 			return
 		}
 		switch fn.Pkg().Path() {
 		case "time":
 			if fn.Name() == "Now" || fn.Name() == "Since" || fn.Name() == "Until" {
-				if !vetutil.Suppressed(pass, call.Pos(), "nodeterm") {
-					pass.Reportf(call.Pos(),
-						"call to time.%s in deterministic package; take event time from the data, not the wall clock", fn.Name())
-				}
+				pass.Reportf(call.Pos(),
+					"call to time.%s in deterministic package; take event time from the data, not the wall clock", fn.Name())
 			}
 		case "math/rand", "math/rand/v2":
 			if fn.Type().(*types.Signature).Recv() != nil || strings.HasPrefix(fn.Name(), "New") {
 				return // methods on a seeded generator, and constructors, are fine
 			}
-			if !vetutil.Suppressed(pass, call.Pos(), "nodeterm") {
-				pass.Reportf(call.Pos(),
-					"call to global %s.%s in deterministic package; use an injected seeded *rand.Rand", fn.Pkg().Name(), fn.Name())
-			}
+			pass.Reportf(call.Pos(),
+				"call to global %s.%s in deterministic package; use an injected seeded *rand.Rand", fn.Pkg().Name(), fn.Name())
 		}
+	})
+
+	ins.Preorder([]ast.Node{(*ast.RangeStmt)(nil)}, func(n ast.Node) {
+		rng, ok := vetutil.IsMapRange(pass.TypesInfo, n)
+		if !ok {
+			return
+		}
+		ast.Inspect(rng.Body, func(m ast.Node) bool {
+			call, ok := m.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if emitsOutput(pass.TypesInfo, call) {
+				pass.Reportf(call.Pos(), "output emitted during map iteration has nondeterministic order; collect and sort first")
+			}
+			if generator && isRandMethod(pass.TypesInfo, call) {
+				pass.Reportf(call.Pos(),
+					"*rand.Rand draw inside a map range consumes the seeded stream in map-iteration order; iterate a sorted key slice instead")
+			}
+			return true
+		})
 	})
 
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		decl := n.(*ast.FuncDecl)
-		if decl.Body == nil || vetutil.IsTestFile(pass.Fset, decl.Pos()) {
+		if decl.Body == nil {
 			return
 		}
-		checkMapOrder(pass, decl)
+		for _, site := range vetutil.MapOrderedReturns(pass.TypesInfo, decl.Body, decl.Type.Results) {
+			pass.Reportf(site.Range.Pos(),
+				"%s is built in map-iteration order and returned without sorting", site.Obj.Name())
+		}
 	})
 	return nil, nil
 }
 
-// calleeFunc resolves a call's target to a *types.Func, or nil for builtins
-// and indirect calls.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch e := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[e].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := info.Uses[e.Sel].(*types.Func)
-		return fn
+// isRandMethod reports whether the call is a method on math/rand's (or
+// math/rand/v2's) Rand type — a draw from a seeded stream.
+func isRandMethod(info *types.Info, call *ast.CallExpr) bool {
+	fn := vetutil.Callee(info, call)
+	if fn == nil {
+		return false
 	}
-	return nil
-}
-
-// checkMapOrder flags two map-iteration-order leaks inside one function:
-// emitting output from a map range body, and returning a slice that was
-// appended to inside a map range without ever handing it to another
-// function (which is where a sort would happen).
-func checkMapOrder(pass *analysis.Pass, decl *ast.FuncDecl) {
-	type appendSite struct {
-		obj types.Object
-		rng *ast.RangeStmt
-	}
-	var appends []appendSite
-
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		rng, ok := n.(*ast.RangeStmt)
-		if !ok || rng.X == nil {
-			return true
-		}
-		tv, ok := pass.TypesInfo.Types[rng.X]
-		if !ok {
-			return true
-		}
-		if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-			return true
-		}
-		ast.Inspect(rng.Body, func(m ast.Node) bool {
-			switch x := m.(type) {
-			case *ast.CallExpr:
-				if emitsOutput(pass.TypesInfo, x) && !vetutil.Suppressed(pass, x.Pos(), "nodeterm") {
-					pass.Reportf(x.Pos(), "output emitted during map iteration has nondeterministic order; collect and sort first")
-				}
-			case *ast.AssignStmt:
-				if obj := appendTarget(pass.TypesInfo, x); obj != nil {
-					if _, isMap := obj.Type().Underlying().(*types.Map); !isMap {
-						appends = append(appends, appendSite{obj, rng})
-					}
-				}
-			}
-			return true
-		})
-		return true
-	})
-	if len(appends) == 0 {
-		return
-	}
-
-	// A slice that is ever passed to another function is assumed sorted (or
-	// otherwise order-normalized) there; one that is only appended to and
-	// returned keeps the map's iteration order.
-	passed := map[types.Object]bool{}
-	returned := map[types.Object]bool{}
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
-				if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok {
-					switch b.Name() {
-					case "append", "len", "cap":
-						return true // builtins never sort for you
-					}
-				}
-			}
-			for _, arg := range x.Args {
-				if obj := vetutil.SelectorBase(pass.TypesInfo, arg); obj != nil {
-					passed[obj] = true
-				}
-				if u, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok {
-					if obj := vetutil.SelectorBase(pass.TypesInfo, u.X); obj != nil {
-						passed[obj] = true
-					}
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, res := range x.Results {
-				if obj := vetutil.SelectorBase(pass.TypesInfo, res); obj != nil {
-					returned[obj] = true
-				}
-			}
-		}
-		return true
-	})
-	// Named results are returned by bare `return` statements too.
-	if decl.Type.Results != nil {
-		for _, f := range decl.Type.Results.List {
-			for _, name := range f.Names {
-				if obj := pass.TypesInfo.Defs[name]; obj != nil {
-					returned[obj] = true
-				}
-			}
-		}
-	}
-	for _, site := range appends {
-		if returned[site.obj] && !passed[site.obj] {
-			if !vetutil.Suppressed(pass, site.rng.Pos(), "nodeterm") {
-				pass.Reportf(site.rng.Pos(),
-					"%s is built in map-iteration order and returned without sorting", site.obj.Name())
-			}
-		}
-	}
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && (vetutil.IsNamed(recv.Type(), "math/rand", "Rand") || vetutil.IsNamed(recv.Type(), "math/rand/v2", "Rand"))
 }
 
 // emitsOutput reports whether a call writes or encodes data directly (fmt
 // printing, io writes, encoder calls) — the sinks that would leak map
 // order straight into program output.
 func emitsOutput(info *types.Info, call *ast.CallExpr) bool {
-	fn := calleeFunc(info, call)
+	fn := vetutil.Callee(info, call)
 	if fn == nil {
 		return false
 	}
@@ -222,24 +131,4 @@ func emitsOutput(info *types.Info, call *ast.CallExpr) bool {
 		}
 	}
 	return false
-}
-
-// appendTarget returns the object of v in `v = append(v, ...)` or
-// `x.f = append(x.f, ...)` (the base object x), or nil.
-func appendTarget(info *types.Info, as *ast.AssignStmt) types.Object {
-	if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-		return nil
-	}
-	call, ok := as.Rhs[0].(*ast.CallExpr)
-	if !ok {
-		return nil
-	}
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if b, isBuiltin := info.Uses[id].(*types.Builtin); !isBuiltin || b.Name() != "append" {
-		return nil
-	}
-	return vetutil.SelectorBase(info, as.Lhs[0])
 }

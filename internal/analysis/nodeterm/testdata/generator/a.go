@@ -8,16 +8,16 @@ import (
 // badGlobalDraws uses the process-wide math/rand stream: every top-level
 // draw is shared across families and workers.
 func badGlobalDraws(n int) int {
-	x := rand.Intn(n)                  // want `global rand.Intn draws from the process-wide stream`
-	y := rand.Float64()                // want `global rand.Float64 draws from the process-wide stream`
-	rand.Shuffle(n, func(i, j int) {}) // want `global rand.Shuffle draws from the process-wide stream`
+	x := rand.Intn(n)                  // want `call to global rand.Intn in deterministic package`
+	y := rand.Float64()                // want `call to global rand.Float64 in deterministic package`
+	rand.Shuffle(n, func(i, j int) {}) // want `call to global rand.Shuffle in deterministic package`
 	return x + int(y)
 }
 
 // badWallClock reads the wall clock for seeds and jitter.
 func badWallClock() int64 {
-	now := time.Now()    // want `call to time.Now in a seeded-stream package`
-	d := time.Since(now) // want `call to time.Since in a seeded-stream package`
+	now := time.Now()    // want `call to time.Now in deterministic package`
+	d := time.Since(now) // want `call to time.Since in deterministic package`
 	return int64(d)
 }
 
@@ -56,5 +56,5 @@ func goodMapReadOnly(weights map[string]float64) float64 {
 
 // allowedException documents a sanctioned wall-clock read.
 func allowedException() time.Time {
-	return time.Now() //botvet:ignore rngstream fixture exercises the ignore directive
+	return time.Now() //botvet:ignore nodeterm fixture exercises the ignore directive
 }

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// Outside internal/synth and internal/botnet the same constructs are the
-// other analyzers' business; rngstream stays silent.
+// Outside the deterministic packages nodeterm stays silent, the
+// generator-only map-range draw rule included.
 func unscopedDraws(n int) int64 {
 	x := rand.Intn(n)
 	now := time.Now()

@@ -20,9 +20,6 @@
 //   - slices built in map-iteration order and returned from the closure
 //     without passing through another call (where a sort would happen) —
 //     the shard's content would depend on map hashing.
-//
-// Intentional exceptions carry "//botvet:allow parmerge" or
-// "//botvet:ignore parmerge <reason>".
 package parmerge
 
 import (
@@ -46,30 +43,22 @@ type IsPool struct{}
 func (*IsPool) AFact()         {}
 func (*IsPool) String() string { return "parpool" }
 
-var Analyzer = &analysis.Analyzer{
+var Analyzer = vetutil.Wrap(&analysis.Analyzer{
 	Name:      "parmerge",
 	Doc:       "enforce the determinism contract of closures passed to //botscope:parpool kernels",
 	Requires:  []*analysis.Analyzer{inspect.Analyzer},
 	FactTypes: []analysis.Fact{(*IsPool)(nil)},
 	Run:       run,
-}
+})
 
 func run(pass *analysis.Pass) (any, error) {
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 
-	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		decl := n.(*ast.FuncDecl)
-		if !vetutil.HasDirective(decl.Doc, Directive) {
-			return
-		}
-		if fn, ok := pass.TypesInfo.Defs[decl.Name].(*types.Func); ok {
-			pass.ExportObjectFact(fn, &IsPool{})
-		}
-	})
+	vetutil.ExportDirective(pass, Directive, &IsPool{})
 
 	ins.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
 		call := n.(*ast.CallExpr)
-		fn := calleeFunc(pass.TypesInfo, call)
+		fn := vetutil.Callee(pass.TypesInfo, call)
 		if fn == nil || !pass.ImportObjectFact(fn, &IsPool{}) {
 			return
 		}
@@ -84,12 +73,6 @@ func run(pass *analysis.Pass) (any, error) {
 
 // checkClosure enforces the pool contract inside one closure literal.
 func checkClosure(pass *analysis.Pass, poolName string, lit *ast.FuncLit) {
-	report := func(pos ast.Node, format string, args ...any) {
-		if !vetutil.Suppressed(pass, pos.Pos(), "parmerge") {
-			pass.Reportf(pos.Pos(), format, args...)
-		}
-	}
-
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.FuncLit:
@@ -97,23 +80,29 @@ func checkClosure(pass *analysis.Pass, poolName string, lit *ast.FuncLit) {
 				return false // nested closures are that closure's business
 			}
 		case *ast.GoStmt:
-			report(x, "go statement inside a closure passed to %s bypasses the bounded pool; let the kernel schedule the work", poolName)
+			pass.Reportf(x.Pos(), "go statement inside a closure passed to %s bypasses the bounded pool; let the kernel schedule the work", poolName)
 		case *ast.AssignStmt:
 			for _, lhs := range x.Lhs {
-				checkWrite(pass, poolName, lit, lhs, x.Tok.String(), report)
+				checkWrite(pass, poolName, lit, lhs, x.Tok.String())
 			}
 		case *ast.IncDecStmt:
-			checkWrite(pass, poolName, lit, x.X, x.Tok.String(), report)
+			checkWrite(pass, poolName, lit, x.X, x.Tok.String())
 		}
 		return true
 	})
 
-	checkMapOrderedReturn(pass, poolName, lit, report)
+	// A slice appended to inside a map range and returned without ever
+	// being handed to another call: the shard's element order would follow
+	// map hashing, and the kernel's ordered merge would faithfully preserve
+	// the nondeterminism.
+	for _, site := range vetutil.MapOrderedReturns(pass.TypesInfo, lit.Body, lit.Type.Results) {
+		pass.Reportf(site.Range.Pos(), "closure passed to %s returns %s built in map-iteration order; the merged shards differ run to run — collect and sort first", poolName, site.Obj.Name())
+	}
 }
 
 // checkWrite flags stores whose destination is captured from outside the
 // closure and not addressed by one of the closure's own parameters.
-func checkWrite(pass *analysis.Pass, poolName string, lit *ast.FuncLit, lhs ast.Expr, tok string, report func(ast.Node, string, ...any)) {
+func checkWrite(pass *analysis.Pass, poolName string, lit *ast.FuncLit, lhs ast.Expr, tok string) {
 	root, indexed := writeRoot(pass.TypesInfo, lit, lhs)
 	if root == nil || indexed {
 		return
@@ -121,7 +110,7 @@ func checkWrite(pass *analysis.Pass, poolName string, lit *ast.FuncLit, lhs ast.
 	if vetutil.DeclaredWithin(root, lit.Pos(), lit.End()) {
 		return // the closure's own local or parameter
 	}
-	report(lhs, "closure passed to %s writes captured %s (%s) outside an index-addressed slot; shard results through the return value instead", poolName, root.Name(), tok)
+	pass.Reportf(lhs.Pos(), "closure passed to %s writes captured %s (%s) outside an index-addressed slot; shard results through the return value instead", poolName, root.Name(), tok)
 }
 
 // writeRoot peels a store destination down to its root object and reports
@@ -168,126 +157,4 @@ func usesClosureParam(info *types.Info, lit *ast.FuncLit, e ast.Expr) bool {
 		return !found
 	})
 	return found
-}
-
-// checkMapOrderedReturn flags slices appended to inside a map range and
-// returned from the closure without ever being handed to another call —
-// the shard's element order would follow map hashing, and the kernel's
-// ordered merge would faithfully preserve the nondeterminism.
-func checkMapOrderedReturn(pass *analysis.Pass, poolName string, lit *ast.FuncLit, report func(ast.Node, string, ...any)) {
-	type appendSite struct {
-		obj types.Object
-		rng *ast.RangeStmt
-	}
-	var appends []appendSite
-
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		rng, ok := n.(*ast.RangeStmt)
-		if !ok || rng.X == nil {
-			return true
-		}
-		tv, ok := pass.TypesInfo.Types[rng.X]
-		if !ok {
-			return true
-		}
-		if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-			return true
-		}
-		ast.Inspect(rng.Body, func(m ast.Node) bool {
-			as, ok := m.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			if obj := appendTarget(pass.TypesInfo, as); obj != nil {
-				if _, isMap := obj.Type().Underlying().(*types.Map); !isMap {
-					appends = append(appends, appendSite{obj, rng})
-				}
-			}
-			return true
-		})
-		return true
-	})
-	if len(appends) == 0 {
-		return
-	}
-
-	passed := map[types.Object]bool{}
-	returned := map[types.Object]bool{}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
-				if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok {
-					switch b.Name() {
-					case "append", "len", "cap":
-						return true // builtins never sort for you
-					}
-				}
-			}
-			for _, arg := range x.Args {
-				if obj := vetutil.SelectorBase(pass.TypesInfo, arg); obj != nil {
-					passed[obj] = true
-				}
-				if u, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok {
-					if obj := vetutil.SelectorBase(pass.TypesInfo, u.X); obj != nil {
-						passed[obj] = true
-					}
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, res := range x.Results {
-				if obj := vetutil.SelectorBase(pass.TypesInfo, res); obj != nil {
-					returned[obj] = true
-				}
-			}
-		}
-		return true
-	})
-	if lit.Type.Results != nil {
-		for _, f := range lit.Type.Results.List {
-			for _, name := range f.Names {
-				if obj := pass.TypesInfo.Defs[name]; obj != nil {
-					returned[obj] = true
-				}
-			}
-		}
-	}
-	for _, site := range appends {
-		if returned[site.obj] && !passed[site.obj] {
-			report(site.rng, "closure passed to %s returns %s built in map-iteration order; the merged shards differ run to run — collect and sort first", poolName, site.obj.Name())
-		}
-	}
-}
-
-// appendTarget returns the object of v in `v = append(v, ...)` (or the
-// base object of x.f in `x.f = append(x.f, ...)`), or nil.
-func appendTarget(info *types.Info, as *ast.AssignStmt) types.Object {
-	if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-		return nil
-	}
-	call, ok := as.Rhs[0].(*ast.CallExpr)
-	if !ok {
-		return nil
-	}
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if b, isBuiltin := info.Uses[id].(*types.Builtin); !isBuiltin || b.Name() != "append" {
-		return nil
-	}
-	return vetutil.SelectorBase(info, as.Lhs[0])
-}
-
-// calleeFunc resolves a call's target to a *types.Func, or nil.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch e := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[e].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := info.Uses[e.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }

@@ -1,11 +1,13 @@
-// Package sharedslice defines a botvet analyzer that protects the data
-// plane's Once-cached shared slices. Accessors such as Store.Families,
-// Store.Targets, BotIndex.Refs, and DispersionIndex.Series build their
-// result exactly once and then hand the same backing array to every
-// caller — concurrent readers included — so any mutation through a
-// returned slice corrupts every other reader, silently and racily.
+// Package sharedslice defines the botvet analyzer for slices and maps
+// that several goroutines read through one backing store. It has two
+// rules, one per way such a reference is handed out.
 //
-// Producers opt in with the comment directive
+// Once-cached producers. Accessors such as Store.Families, Store.Targets,
+// BotIndex.Refs, and DispersionIndex.Series build their result exactly
+// once and then hand the same backing array to every caller — concurrent
+// readers included — so any mutation through a returned slice corrupts
+// every other reader, silently and racily. Producers opt in with the
+// comment directive
 //
 //	//botscope:shared
 //
@@ -24,8 +26,17 @@
 //
 // Rebinding the variable to anything else — most commonly the clone
 // idiom append([]T(nil), v...) — ends the tracking, so clone-then-sort
-// stays silent. Intentional exceptions carry "//botvet:allow sharedslice"
-// or "//botvet:ignore sharedslice <reason>".
+// stays silent.
+//
+// Read-locked snapshots. An exported method that holds only a read lock
+// (calls <field>.RLock and never <field>.Lock on a sync.RWMutex field of
+// its receiver) must not let a map- or slice-typed receiver field escape
+// by reference: once the RLock is released a concurrent writer mutates
+// the shared backing store under the caller's feet. Escapes are bare uses
+// of the field — returned directly, placed in a composite literal, or
+// assigned to another variable. Reading through the field (indexing,
+// ranging, len/cap, passing to append/copy as a source, method calls on
+// it) is fine: those consume the data without retaining the reference.
 package sharedslice
 
 import (
@@ -39,9 +50,6 @@ import (
 	"botscope/internal/analysis/vetutil"
 )
 
-// Directive is the doc-comment marker a shared-slice producer carries.
-const Directive = "botscope:shared"
-
 // IsShared is the object fact exported for every function or method whose
 // doc comment carries the //botscope:shared directive.
 type IsShared struct{}
@@ -49,36 +57,32 @@ type IsShared struct{}
 func (*IsShared) AFact()         {}
 func (*IsShared) String() string { return "shared" }
 
-var Analyzer = &analysis.Analyzer{
+var Analyzer = vetutil.Wrap(&analysis.Analyzer{
 	Name:      "sharedslice",
-	Doc:       "flag mutation of slices returned by //botscope:shared Once-cached accessors",
+	Doc:       "flag mutation of slices returned by //botscope:shared Once-cached accessors, and map/slice fields escaping exported methods that hold only an RLock",
 	Requires:  []*analysis.Analyzer{inspect.Analyzer},
 	FactTypes: []analysis.Fact{(*IsShared)(nil)},
 	Run:       run,
-}
+})
 
 func run(pass *analysis.Pass) (any, error) {
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 
-	// Phase 1: export a fact for every annotated producer in this package,
-	// so both this pass and downstream packages can resolve them.
-	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		decl := n.(*ast.FuncDecl)
-		if !vetutil.HasDirective(decl.Doc, Directive) {
-			return
-		}
-		if fn, ok := pass.TypesInfo.Defs[decl.Name].(*types.Func); ok {
-			pass.ExportObjectFact(fn, &IsShared{})
-		}
-	})
+	// Facts first, so both this pass and downstream packages can resolve
+	// the annotated producers.
+	vetutil.ExportDirective(pass, vetutil.SharedDirective, &IsShared{})
 
-	// Phase 2: walk every function body looking for mutations.
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		decl := n.(*ast.FuncDecl)
 		if decl.Body == nil {
 			return
 		}
 		checkBody(pass, decl.Body)
+		if recv := vetutil.ReceiverObj(pass.TypesInfo, decl); recv != nil && decl.Name.IsExported() {
+			if rlocked, wlocked := lockCalls(pass, decl.Body, recv); rlocked && !wlocked {
+				checkEscapes(pass, decl, recv)
+			}
+		}
 	})
 	return nil, nil
 }
@@ -105,12 +109,6 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 		return false
 	}
 
-	report := func(pos ast.Node, format string, args ...any) {
-		if !vetutil.Suppressed(pass, pos.Pos(), "sharedslice") {
-			pass.Reportf(pos.Pos(), format, args...)
-		}
-	}
-
 	// checked marks calls already examined eagerly at their enclosing
 	// assignment — before the assignment killed the binding they mutate —
 	// so the traversal's own visit does not re-report them.
@@ -124,14 +122,14 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 			// the RHS (v = append(v, ...) must see v as still shared).
 			for _, lhs := range x.Lhs {
 				if idx, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && isSharedExpr(idx.X) {
-					report(lhs, "write into shared slice %s returned by a //botscope:shared accessor; clone it first", exprName(idx.X))
+					pass.Reportf(lhs.Pos(), "write into shared slice %s returned by a //botscope:shared accessor; clone it first", exprName(idx.X))
 				}
 			}
 			for _, rhs := range x.Rhs {
 				ast.Inspect(rhs, func(m ast.Node) bool {
 					if call, ok := m.(*ast.CallExpr); ok && !checked[call] {
 						checked[call] = true
-						checkCall(pass, call, isSharedExpr, report)
+						checkCall(pass, call, isSharedExpr)
 					}
 					return true
 				})
@@ -157,12 +155,12 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 			}
 		case *ast.IncDecStmt:
 			if idx, ok := ast.Unparen(x.X).(*ast.IndexExpr); ok && isSharedExpr(idx.X) {
-				report(x, "write into shared slice %s returned by a //botscope:shared accessor; clone it first", exprName(idx.X))
+				pass.Reportf(x.Pos(), "write into shared slice %s returned by a //botscope:shared accessor; clone it first", exprName(idx.X))
 			}
 		case *ast.CallExpr:
 			if !checked[x] {
 				checked[x] = true
-				checkCall(pass, x, isSharedExpr, report)
+				checkCall(pass, x, isSharedExpr)
 			}
 		}
 		return true
@@ -170,32 +168,26 @@ func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
 }
 
 // checkCall flags calls that mutate a shared slice argument in place.
-func checkCall(pass *analysis.Pass, call *ast.CallExpr, isSharedExpr func(ast.Expr) bool, report func(ast.Node, string, ...any)) {
+func checkCall(pass *analysis.Pass, call *ast.CallExpr, isSharedExpr func(ast.Expr) bool) {
 	if len(call.Args) == 0 {
 		return
 	}
 	// Builtins: append(shared, ...) and copy(shared, ...) write the shared
 	// backing array (append does whenever spare capacity exists).
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, isB := pass.TypesInfo.Uses[id].(*types.Builtin); isB {
-			switch b.Name() {
+	if name := vetutil.BuiltinName(pass.TypesInfo, call); name != "" {
+		if isSharedExpr(call.Args[0]) {
+			switch name {
 			case "append":
-				if isSharedExpr(call.Args[0]) {
-					report(call, "append to shared slice %s may write the Once-cached backing array; clone with append([]T(nil), s...) first", exprName(call.Args[0]))
-				}
+				pass.Reportf(call.Pos(), "append to shared slice %s may write the Once-cached backing array; clone with append([]T(nil), s...) first", exprName(call.Args[0]))
 			case "copy":
-				if isSharedExpr(call.Args[0]) {
-					report(call, "copy into shared slice %s mutates the Once-cached backing array", exprName(call.Args[0]))
-				}
+				pass.Reportf(call.Pos(), "copy into shared slice %s mutates the Once-cached backing array", exprName(call.Args[0]))
 			case "clear":
-				if isSharedExpr(call.Args[0]) {
-					report(call, "clear of shared slice %s mutates the Once-cached backing array", exprName(call.Args[0]))
-				}
+				pass.Reportf(call.Pos(), "clear of shared slice %s mutates the Once-cached backing array", exprName(call.Args[0]))
 			}
-			return
 		}
+		return
 	}
-	fn := calleeFunc(pass.TypesInfo, call)
+	fn := vetutil.Callee(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil {
 		return
 	}
@@ -203,7 +195,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, isSharedExpr func(ast.Ex
 		return
 	}
 	if isSharedExpr(call.Args[0]) {
-		report(call, "%s.%s reorders shared slice %s in place; clone it before sorting", fn.Pkg().Name(), fn.Name(), exprName(call.Args[0]))
+		pass.Reportf(call.Pos(), "%s.%s reorders shared slice %s in place; clone it before sorting", fn.Pkg().Name(), fn.Name(), exprName(call.Args[0]))
 	}
 }
 
@@ -227,27 +219,13 @@ func mutatesFirstArg(fn *types.Func) bool {
 }
 
 // isSharedCall reports whether the call's callee carries the IsShared
-// fact (exported locally in phase 1, or imported from another package).
+// fact (exported by this pass, or imported from another package).
 func isSharedCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	fn := calleeFunc(pass.TypesInfo, call)
+	fn := vetutil.Callee(pass.TypesInfo, call)
 	if fn == nil {
 		return false
 	}
 	return pass.ImportObjectFact(fn, &IsShared{})
-}
-
-// calleeFunc resolves a call's target to a *types.Func, or nil for
-// builtins and indirect calls.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch e := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[e].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := info.Uses[e.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }
 
 // exprName renders a compact name for diagnostics: the identifier, the
@@ -267,4 +245,90 @@ func exprName(e ast.Expr) string {
 		return exprName(x.X)
 	}
 	return "slice"
+}
+
+// lockCalls reports whether the body calls RLock (and/or Lock) on a
+// sync.RWMutex field of the receiver.
+func lockCalls(pass *analysis.Pass, body *ast.BlockStmt, recv types.Object) (rlocked, wlocked bool) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock") {
+			return true
+		}
+		inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
+		if !ok || !vetutil.IsNamed(pass.TypesInfo.TypeOf(sel.X), "sync", "RWMutex") ||
+			vetutil.SelectorBase(pass.TypesInfo, inner.X) != recv {
+			return true
+		}
+		if sel.Sel.Name == "RLock" {
+			rlocked = true
+		} else {
+			wlocked = true
+		}
+		return true
+	})
+	return rlocked, wlocked
+}
+
+// checkEscapes reports bare, reference-retaining uses of the receiver's
+// map/slice fields within the body of a read-locked method.
+func checkEscapes(pass *analysis.Pass, decl *ast.FuncDecl, recv types.Object) {
+	// consumed marks selector expressions that appear in a position that
+	// reads through the reference instead of retaining it. A reslice still
+	// aliases the backing array, so it is not one of them; writing *into*
+	// the field (s.f[k] = v) is covered by the index case.
+	consumed := map[*ast.SelectorExpr]bool{}
+	markSel := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			consumed[sel] = true
+		}
+	}
+	ast.Inspect(decl.Body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.IndexExpr:
+			markSel(x.X)
+		case *ast.RangeStmt:
+			markSel(x.X)
+		case *ast.CallExpr:
+			// len/cap/delete/clear consume; append/copy consume their
+			// *source* operands (the destination is fresh storage the
+			// caller owns). A method call on the field consumes it too.
+			if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok {
+				markSel(sel.X)
+			}
+			switch vetutil.BuiltinName(pass.TypesInfo, x) {
+			case "len", "cap", "delete", "clear":
+				for _, a := range x.Args {
+					markSel(a)
+				}
+			case "append", "copy":
+				for _, a := range x.Args[1:] {
+					markSel(a)
+				}
+			}
+		}
+		return true
+	})
+
+	ast.Inspect(decl.Body, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok || consumed[sel] {
+			return true
+		}
+		field, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Var)
+		if !ok || !field.IsField() || vetutil.SelectorBase(pass.TypesInfo, sel.X) != recv {
+			return true
+		}
+		switch field.Type().Underlying().(type) {
+		case *types.Map, *types.Slice:
+			pass.Reportf(sel.Pos(),
+				"%s.%s (reference type) escapes %s while only an RLock is held; deep-copy it before returning",
+				recv.Name(), field.Name(), decl.Name.Name)
+		}
+		return true
+	})
 }

@@ -1,4 +1,4 @@
-// Package basic seeds snapshotalias violations and the approved
+// Package basic seeds read-locked-snapshot violations and the approved
 // deep-copy idioms.
 package basic
 
@@ -49,7 +49,7 @@ func (r *reg) Count() int {
 	return r.n
 }
 
-// Mutate holds the write lock; snapshotalias only polices read-locked
+// Mutate holds the write lock; the rule only polices read-locked
 // paths (writers hand out ownership deliberately).
 func (r *reg) Mutate() []int {
 	r.mu.Lock()
@@ -66,7 +66,7 @@ func (r *reg) unexported() []int {
 func (r *reg) Allowed() []int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	//botvet:allow snapshotalias
+	//botvet:ignore sharedslice fixture exercises the ignore directive
 	return r.list
 }
 

@@ -16,8 +16,7 @@
 //     default is for corrupt input, not for known frames.
 //
 // Duplicate constant values (aliases) count as one member; covering any
-// alias covers the value. Audited exceptions carry
-// "//botvet:ignore wireframe <reason>" on or above the switch.
+// alias covers the value.
 package wireframe
 
 import (
@@ -33,13 +32,13 @@ import (
 	"botscope/internal/analysis/vetutil"
 )
 
-var Analyzer = &analysis.Analyzer{
+var Analyzer = vetutil.Wrap(&analysis.Analyzer{
 	Name:      "wireframe",
 	Doc:       "switches over //botvet:wire enum types must be exhaustive against the declared constant set",
 	Requires:  []*analysis.Analyzer{inspect.Analyzer},
 	FactTypes: []analysis.Fact{(*enumFact)(nil)},
 	Run:       run,
-}
+})
 
 // Member is one declared constant of a wire enum: its name and the exact
 // string form of its value (the dedup key).
@@ -126,11 +125,6 @@ func run(pass *analysis.Pass) (any, error) {
 			}
 			fact = imported
 		}
-		if vetutil.IsTestFile(pass.Fset, sw.Pos()) ||
-			vetutil.Suppressed(pass, sw.Pos(), "wireframe") {
-			return
-		}
-
 		covered := map[string]bool{}
 		for _, clause := range sw.Body.List {
 			cc := clause.(*ast.CaseClause)

@@ -12,6 +12,7 @@ import (
 
 	"botscope/internal/binenc"
 	"botscope/internal/dataset"
+	"botscope/internal/memo"
 	"botscope/internal/par"
 	"botscope/internal/stream"
 )
@@ -85,9 +86,7 @@ type Frontend struct {
 	// lock-free on the read path. Rebuilds publish with
 	// CompareAndSwap against the value loaded under snapMu so a
 	// racing writer can never clobber a newer snapshot.
-	//
-	//botscope:memo
-	cache atomic.Pointer[mergedSnap]
+	cache memo.Slot[mergedSnap]
 }
 
 type mergedSnap struct {

@@ -17,7 +17,9 @@ func TestLiveSnapshotCacheFastPath(t *testing.T) {
 	defer f.Close()
 
 	want := stream.Snapshot{Ingested: 42}
-	f.cache.Store(&mergedSnap{gen: f.gen.Load(), snap: want})
+	if !f.cache.CompareAndSwap(nil, &mergedSnap{gen: f.gen.Load(), snap: want}) {
+		t.Fatal("seeding a cold cache failed")
+	}
 
 	got, degraded, err := f.LiveSnapshot(context.Background())
 	if err != nil {
@@ -41,8 +43,8 @@ func TestLiveSnapshotCacheFastPath(t *testing.T) {
 // TestSnapshotCachePublishDiscipline pins the CompareAndSwap publish on
 // the memo slot: a rebuild that loaded prev before a newer snapshot was
 // published must lose the race, never clobber the newer value. The
-// production path in LiveSnapshot follows exactly this sequence; reverting
-// it to a plain Store also trips the memodisc analyzer in make botvet.
+// production path in LiveSnapshot follows exactly this sequence, and a
+// plain Store does not compile: memo.Slot has no such method.
 func TestSnapshotCachePublishDiscipline(t *testing.T) {
 	f := NewFrontend(time.Second, time.Second)
 	defer f.Close()

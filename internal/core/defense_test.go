@@ -240,7 +240,7 @@ func TestBlacklistTruncateClipsCapacity(t *testing.T) {
 		t.Fatalf("Truncate(%d) entries cap = %d, want %d (capacity must be clipped)", keep, got, keep)
 	}
 	tail := full.Entries()[keep]
-	_ = append(short.Entries(), BlacklistEntry{}) //botvet:ignore sharedslice test proves the clipped append reallocates
+	_ = append(short.Entries(), BlacklistEntry{}) // the clipped append must reallocate
 	if full.Entries()[keep] != tail {
 		t.Fatalf("append through truncated view clobbered receiver entry %d", keep)
 	}

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"botscope/internal/memo"
 	"botscope/internal/par"
 )
 
@@ -65,9 +66,7 @@ type Store struct {
 	// exist. Each slot is published with CompareAndSwap(nil, rec) and
 	// re-read with Load so concurrent bridges converge on one canonical
 	// record per row.
-	//
-	//botscope:memo
-	recRows []atomic.Pointer[Attack]
+	recRows []memo.Slot[Attack]
 
 	nbOnce         sync.Once
 	nAttackBotnets int // distinct botnet ids across attacks; written once inside nbOnce.Do
@@ -461,7 +460,7 @@ func (s *Store) TimeBounds() (first, last time.Time, ok bool) {
 // initRecMemo allocates the per-row record memo's slots on first use.
 func (s *Store) initRecMemo() {
 	s.recRowsOnce.Do(func() {
-		s.recRows = make([]atomic.Pointer[Attack], len(s.cols.aID))
+		s.recRows = make([]memo.Slot[Attack], len(s.cols.aID))
 	})
 }
 

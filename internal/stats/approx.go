@@ -15,7 +15,7 @@ func ApproxEqual(a, b, eps float64) bool {
 	if math.IsNaN(a) || math.IsNaN(b) {
 		return false
 	}
-	if a == b { //botvet:allow floateq — fast path; also handles equal infinities
+	if a == b { //botvet:ignore floateq fast path; also handles equal infinities
 		return true
 	}
 	d := math.Abs(a - b)
@@ -26,5 +26,5 @@ func ApproxEqual(a, b, eps float64) bool {
 // greppable form of the exact zero test — division guards and
 // zero-sentinel counts mean precisely zero, not "small".
 func IsZero(x float64) bool {
-	return x == 0 //botvet:allow floateq — exact zero is the intended semantics here
+	return x == 0 //botvet:ignore floateq exact zero is the intended semantics here
 }

@@ -47,12 +47,12 @@ func KolmogorovSmirnov(a, b []float64) (KSResult, error) {
 		default:
 			j++
 		}
-		if x1 == x2 { //botvet:allow floateq — ties are exact duplicates of sampled values
+		if x1 == x2 { //botvet:ignore floateq ties are exact duplicates of sampled values
 			// Advance both past ties to evaluate the CDFs after the tie.
-			for i < len(sa) && sa[i] == x1 { //botvet:allow floateq — exact-tie scan
+			for i < len(sa) && sa[i] == x1 { //botvet:ignore floateq exact-tie scan
 				i++
 			}
-			for j < len(sb) && sb[j] == x1 { //botvet:allow floateq — exact-tie scan
+			for j < len(sb) && sb[j] == x1 { //botvet:ignore floateq exact-tie scan
 				j++
 			}
 		}
@@ -136,10 +136,10 @@ func WassersteinDistance(a, b []float64) (float64, error) {
 		}
 		first = false
 		prev = x
-		for i < len(sa) && sa[i] == x { //botvet:allow floateq — exact-tie scan
+		for i < len(sa) && sa[i] == x { //botvet:ignore floateq exact-tie scan
 			i++
 		}
-		for j < len(sb) && sb[j] == x { //botvet:allow floateq — exact-tie scan
+		for j < len(sb) && sb[j] == x { //botvet:ignore floateq exact-tie scan
 			j++
 		}
 	}

@@ -234,8 +234,8 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 // analyzer's memo slot, as TestSnapshotCachePublishDiscipline does for
 // the frontend's: a reader that loaded the slot before another published
 // must lose, never replace the value already handed out. Snapshot follows
-// exactly this sequence; a plain Store there also fails memodisc in make
-// botvet.
+// exactly this sequence, and a plain Store there does not compile:
+// memo.Slot has no such method.
 func TestSnapshotPublishDiscipline(t *testing.T) {
 	sa := New()
 	prev := sa.published.Load() // nil: nothing published yet

@@ -6,11 +6,11 @@ import (
 	"maps"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"botscope/internal/core"
 	"botscope/internal/dataset"
+	"botscope/internal/memo"
 	"botscope/internal/stats"
 )
 
@@ -47,9 +47,7 @@ type Analyzer struct {
 	// lock — gen cannot move meanwhile — and publish with CompareAndSwap,
 	// so of several that built at once one wins and none replaces a
 	// snapshot already handed out with an equal copy.
-	//
-	//botscope:memo
-	published atomic.Pointer[publishedSnapshot]
+	published memo.Slot[publishedSnapshot]
 
 	scalars *Scalars // guarded by mu
 

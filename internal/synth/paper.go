@@ -19,8 +19,8 @@
 // workloads while cmd/botreport regenerates the full-size dataset.
 //
 // Determinism is statically gated: the whole package sits inside the
-// nodeterm and rngstream analyzer scopes (see DESIGN.md §7), so the only
-// legal randomness here is the per-family seeded *rand.Rand streams the
+// nodeterm analyzer's scope (see DESIGN.md §7), so the only legal
+// randomness here is the per-family seeded *rand.Rand streams the
 // simulator threads through internal/botnet, whose sampling inner loops
 // carry the //botscope:hotpath allocation contract.
 package synth
