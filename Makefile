@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build build-cross loc test vet botvet botvet-json botvet-timed race verify verify-race benchmark benchmark-smoke bench bench-smoke bench-allocs bench-update bench-record bench-stream bench-trajectory load-smoke load-record snapshot-smoke report fmt fmt-check fuzz
+.PHONY: build build-cross loc test vet botvet botvet-json botvet-timed race verify verify-race benchmark benchmark-smoke bench bench-smoke bench-allocs bench-update bench-stream snapshot-smoke report fmt fmt-check fuzz
 
 build:
 	$(GO) build ./...
@@ -96,7 +96,8 @@ race:
 # sharedslice/parmerge analyzers reason about statically — run under the
 # race detector with the full machine's parallelism; TestSnapshot also
 # selects the analyzer's generation-published snapshot tests (one writer
-# against eight polling readers). -count=2 shakes out once-per-process
+# against eight polling readers), and Concurrent the cluster's
+# readers-during-shard-churn test. -count=2 shakes out once-per-process
 # caching effects (sync.Once indexes, memoized views).
 verify-race:
 	$(GO) test -race -count=2 \
@@ -115,19 +116,14 @@ benchmark-smoke:
 	$(GO) run ./benchmark -smoke -workload all
 
 # verify is the full pre-merge gate: build, stock vet, project analyzers,
-# formatting, the race-enabled test suite, the benchmark's smoke run, and
-# the wall-clock trajectory gate over the committed BENCH records.
+# formatting, the race-enabled test suite, and the benchmark's smoke run.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(MAKE) botvet
-	@fmtout=$$(gofmt -l . | grep -v '^vendor/' || true); \
-	if [ -n "$$fmtout" ]; then \
-		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; \
-	fi
+	$(MAKE) fmt-check
 	$(GO) test -race ./...
 	$(MAKE) benchmark-smoke
-	$(MAKE) bench-trajectory
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$
@@ -164,34 +160,9 @@ bench-update:
 	$(GO) run ./cmd/benchguard -in bench_allocs.out -thresholds bench_thresholds.json -update
 	@rm -f bench_allocs.out
 
-# bench-record runs the trajectory harness and appends the next
-# BENCH_<n>.json. BENCH_SCALE=10 BENCH_BASELINE=BENCH_0.json make bench-record
-BENCH_SCALE ?= 1
-BENCH_BASELINE ?=
-bench-record:
-	$(GO) run ./cmd/botbench -scale $(BENCH_SCALE) \
-		$(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE)) \
-		-commit $$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
-
 # bench-stream records streaming ingest throughput (attacks/sec).
 bench-stream:
 	$(GO) test -bench='BenchmarkStream(Ingest|Snapshot)' -benchmem -run=^$$
-
-# load-smoke drives a 2-shard cluster in-process with a small client
-# fleet and fails when p99 latency blows the budget. The report lands in
-# load_smoke.json (not the committed trajectory) so CI can archive it.
-LOAD_P99 ?= 250ms
-load-smoke:
-	$(GO) run ./cmd/botload -mode direct -shards 2 -clients 256 \
-		-duration 3s -scale 0.02 -churn 1s \
-		-assert-p99 $(LOAD_P99) -out load_smoke.json
-
-# load-record runs the full-size load test (10k clients over 4 shards)
-# and appends the next BENCH_<n>.json to the committed trajectory.
-load-record:
-	$(GO) run ./cmd/botload -mode direct -shards 4 -clients 10000 \
-		-duration 10s -scale 0.05 \
-		-commit $$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 
 # fuzz smoke-runs each decoder fuzzer (dataset codecs and the cluster
 # wire protocol) for FUZZTIME. FuzzDecodeJSONL is differential: the JSONL
@@ -201,14 +172,6 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeJSONL -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeWire -fuzztime=$(FUZZTIME) ./internal/cluster/
-
-# bench-trajectory enforces the wall-clock regression gate over the
-# committed BENCH_<n>.json sequence (see benchguard -trajectory): the two
-# newest same-scale reports are compared phase by phase, and the absolute
-# ceilings in bench_wall_budgets.json (e.g. scale-10 snapshot load ≤ 5s)
-# are checked against the newest matching report.
-bench-trajectory:
-	$(GO) run ./cmd/benchguard -trajectory . -wall-budgets bench_wall_budgets.json
 
 # snapshot-smoke proves the binary columnar snapshot codec end to end at
 # scale 0.2: write a snapshot with botgen, reload it with botreport — once
@@ -232,8 +195,9 @@ snapshot-smoke:
 report:
 	$(GO) run ./cmd/botreport -scale 0.2
 
+# fmt and fmt-check cover one file set: every Go file outside vendor/.
 fmt:
-	gofmt -l -w cmd examples internal *.go
+	gofmt -l . | grep -v '^vendor/' | xargs -r gofmt -l -w
 
 fmt-check:
 	@fmtout=$$(gofmt -l . | grep -v '^vendor/' || true); \

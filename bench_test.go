@@ -40,7 +40,7 @@ var (
 func benchWorkload(b *testing.B) *experiments.Workload {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchWl, benchErr = experiments.NewWorkload(1, benchScale())
+		benchWl, benchErr = experiments.NewWorkload(GenerateConfig{Seed: 1, Scale: benchScale()})
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)

@@ -15,16 +15,6 @@
 // the next power of two at least 2x the observation. The benchmark set is
 // taken from the existing file, so a kernel cannot gain or lose its guard
 // by accident; a budgeted benchmark missing from the run is still an error.
-//
-// With -trajectory DIR, benchguard instead enforces wall-clock regression
-// budgets over the committed BENCH_<n>.json sequence: the two newest
-// reports at the same scale and GOMAXPROCS are compared phase by phase,
-// and a phase that slowed by more than -max-regress-fold (and by more
-// than -min-seconds absolute, to ignore timer noise) fails the gate. An
-// optional -wall-budgets file adds hard per-phase ceilings, e.g. pinning
-// snapshot_load at scale 10 under 5 seconds:
-//
-//	benchguard -trajectory . -wall-budgets bench_wall_budgets.json
 package main
 
 import (
@@ -67,18 +57,9 @@ func run(args []string, stdout io.Writer) error {
 		in         = fs.String("in", "", "benchmark output file (default stdin)")
 		thresholds = fs.String("thresholds", "bench_thresholds.json", "JSON file of per-benchmark budgets")
 		update     = fs.Bool("update", false, "rewrite the threshold file from this run with headroom instead of enforcing")
-
-		trajectory  = fs.String("trajectory", "", "enforce wall-clock budgets over the BENCH_<n>.json trajectory in this directory")
-		maxRegress  = fs.Float64("max-regress", 1.5, "max slowdown ratio between consecutive same-scale BENCH reports")
-		minSeconds  = fs.Float64("min-seconds", 0.05, "ignore regressions smaller than this many absolute seconds")
-		wallBudgets = fs.String("wall-budgets", "", "JSON file of absolute {phase, scale, max_seconds} ceilings (with -trajectory)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *trajectory != "" {
-		return runTrajectory(*trajectory, *maxRegress, *minSeconds, *wallBudgets, stdout)
 	}
 
 	data, err := os.ReadFile(*thresholds)

@@ -10,7 +10,7 @@
 // The export carries the DDoSAttack schema (Table I); use -summary to
 // print the Table III entity counts of the generated workload. -snapshot
 // writes the full workload (attacks, bots, botnets, indexes) as a binary
-// columnar snapshot that botbench/botreport/botserve reload in seconds
+// columnar snapshot that botreport/botserve reload in seconds
 // instead of regenerating; when -snapshot is given without -out, the
 // record export to stdout is skipped.
 package main

@@ -85,60 +85,58 @@ func run(args []string, stdout io.Writer) error {
 		w = experiments.FromStore(store, *scale)
 	} else {
 		fmt.Fprintf(os.Stderr, "generating workload (seed %d, scale %.3f)...\n", *seed, *scale)
-		w, err = experiments.NewWorkloadWorkers(*seed, *scale, *workers)
+		w, err = experiments.NewWorkload(botscope.GenerateConfig{Seed: *seed, Scale: *scale, Workers: *workers})
 		if err != nil {
 			return err
 		}
 	}
 
-	if *markdown {
-		return writeMarkdown(stdout, w)
-	}
-
-	if *parallel > 0 && *only == "" {
-		results, err := w.RunAllParallel(context.Background(), *parallel)
-		for _, res := range results {
-			fmt.Fprintf(stdout, "== %s — %s\n%s%s\n", res.ID, res.Title, res.Text, res.MetricsText())
+	exps := w.All()
+	if *only != "" {
+		var match []experiments.Experiment
+		for _, e := range exps {
+			if strings.EqualFold(e.ID, *only) {
+				match = append(match, e)
+			}
 		}
+		if len(match) == 0 {
+			return fmt.Errorf("no experiment matches %q", *only)
+		}
+		exps = match
+	}
+	// Every mode prints what succeeded, names what failed, and returns the
+	// runner's error so a partial report exits non-zero. -parallel 0 is the
+	// sequential case, not the runner's "all cores".
+	outs, err := experiments.Run(context.Background(), exps, max(*parallel, 1))
+	if *markdown {
+		writeMarkdown(stdout, outs)
 		return err
 	}
-
-	ran := 0
-	for _, e := range w.All() {
-		if *only != "" && !strings.EqualFold(e.ID, *only) {
+	for _, o := range outs {
+		if o.Err != nil {
+			fmt.Fprintf(stdout, "== %s: FAILED: %v\n\n", o.ID, o.Err)
 			continue
 		}
-		res, err := e.Run()
-		if err != nil {
-			fmt.Fprintf(stdout, "== %s: FAILED: %v\n\n", e.ID, err)
-			continue
-		}
-		fmt.Fprintf(stdout, "== %s — %s\n%s%s\n", res.ID, res.Title, res.Text, res.MetricsText())
-		ran++
+		fmt.Fprintf(stdout, "== %s — %s\n%s%s\n", o.Res.ID, o.Res.Title, o.Res.Text, o.Res.MetricsText())
 	}
-	if *only != "" && ran == 0 {
-		return fmt.Errorf("no experiment matches %q", *only)
-	}
-	return nil
+	return err
 }
 
 // writeMarkdown emits the EXPERIMENTS.md comparison table.
-func writeMarkdown(w io.Writer, wl *experiments.Workload) error {
+func writeMarkdown(w io.Writer, outs []experiments.Outcome) {
 	fmt.Fprintln(w, "| Experiment | Metric | Measured | Paper |")
 	fmt.Fprintln(w, "|---|---|---:|---:|")
-	for _, e := range wl.All() {
-		res, err := e.Run()
-		if err != nil {
-			fmt.Fprintf(w, "| %s | (failed: %v) | | |\n", e.ID, err)
+	for _, o := range outs {
+		if o.Err != nil {
+			fmt.Fprintf(w, "| %s | (failed: %v) | | |\n", o.ID, o.Err)
 			continue
 		}
-		for _, m := range res.Metrics {
+		for _, m := range o.Res.Metrics {
 			paper := ""
 			if m.PaperKnown {
 				paper = fmt.Sprintf("%.3f", m.Paper)
 			}
-			fmt.Fprintf(w, "| %s | %s | %.3f | %s |\n", res.ID, m.Name, m.Measured, paper)
+			fmt.Fprintf(w, "| %s | %s | %.3f | %s |\n", o.Res.ID, m.Name, m.Measured, paper)
 		}
 	}
-	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,6 +45,43 @@ func TestRunMarkdown(t *testing.T) {
 		if !strings.Contains(text, id) {
 			t.Errorf("markdown missing %s", id)
 		}
+	}
+}
+
+// At scale 0.001 three experiments lack the data they need. Every mode
+// must still print the rest, name each failure on stdout, and return an
+// error so the process exits 1.
+func TestRunReportsFailedExperiments(t *testing.T) {
+	failing := []string{"Figure 12", "Figure 13", "Ext: Transfer"}
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		failFmt string // what a failed experiment's line starts with
+		ok      string
+	}{
+		{"sequential", nil, "== %s: FAILED: ", "== Table II — "},
+		{"parallel", []string{"-parallel", "2"}, "== %s: FAILED: ", "== Table II — "},
+		{"markdown", []string{"-markdown"}, "| %s | (failed: ", "| Table II | "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			err := run(append([]string{"-scale", "0.001"}, tc.args...), &out)
+			if err == nil {
+				t.Fatal("run returned nil with failed experiments")
+			}
+			text := out.String()
+			for _, id := range failing {
+				if !strings.Contains(text, fmt.Sprintf(tc.failFmt, id)) {
+					t.Errorf("stdout does not name failed %s", id)
+				}
+				if !strings.Contains(err.Error(), id+": ") {
+					t.Errorf("error does not name %s: %v", id, err)
+				}
+			}
+			if !strings.Contains(text, tc.ok) {
+				t.Errorf("successful experiments not printed:\n%.300s", text)
+			}
+		})
 	}
 }
 

@@ -50,20 +50,19 @@ func DetectCollaborations(s *dataset.Store) []*Collaboration {
 // thresholds, used by the window-sensitivity ablation. Attacks on one
 // target are grouped by start windows of startWindow; a group qualifies
 // when it has >= 2 distinct botnets and its duration spread fits
-// durationWindow. Detection is sharded by target across all cores; see
-// DetectCollaborationsWindowWorkers for the determinism argument.
+// durationWindow. Detection is sharded by target across all cores.
 func DetectCollaborationsWindow(s *dataset.Store, startWindow, durationWindow time.Duration) []*Collaboration {
-	return DetectCollaborationsWindowWorkers(s, startWindow, durationWindow, 0)
+	return detectCollaborations(s, startWindow, durationWindow, 0)
 }
 
-// DetectCollaborationsWindowWorkers is DetectCollaborationsWindow with an
-// explicit worker count (0 = all cores, 1 = sequential). Targets are
+// detectCollaborations is the detector with its worker count exposed
+// (0 = all cores, 1 = sequential) for the parity tests. Targets are
 // independent — an attack group never spans two target IPs — so each
 // worker detects over a disjoint target shard. Shards are merged in
 // sorted-target order and the merged list is sorted by the total
 // (Start, Target) order, making the output identical for every worker
 // count.
-func DetectCollaborationsWindowWorkers(s *dataset.Store, startWindow, durationWindow time.Duration, workers int) []*Collaboration {
+func detectCollaborations(s *dataset.Store, startWindow, durationWindow time.Duration, workers int) []*Collaboration {
 	tids := s.TargetIDs()
 	starts, durs := attackTimes(s)
 	shards := par.ChunkMap(workers, len(tids), func(lo, hi int) []*Collaboration {

@@ -197,12 +197,12 @@ func TestCollabOnSynthWorkload(t *testing.T) {
 // order must equal the sequential scan exactly, for any worker count.
 func TestDetectCollaborationsParallelMatchesSequential(t *testing.T) {
 	s := synthWorkload(t)
-	seq := DetectCollaborationsWindowWorkers(s, SimultaneousThreshold, CollabDurationWindow, 1)
+	seq := detectCollaborations(s, SimultaneousThreshold, CollabDurationWindow, 1)
 	if len(seq) == 0 {
 		t.Fatal("sequential detection found no collaborations; comparison is vacuous")
 	}
 	for _, workers := range []int{0, 2, 3, 16} {
-		par := DetectCollaborationsWindowWorkers(s, SimultaneousThreshold, CollabDurationWindow, workers)
+		par := detectCollaborations(s, SimultaneousThreshold, CollabDurationWindow, workers)
 		if len(par) != len(seq) {
 			t.Fatalf("workers=%d: %d collaborations, sequential found %d", workers, len(par), len(seq))
 		}

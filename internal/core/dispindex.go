@@ -153,17 +153,18 @@ func (ix *DispersionIndex) Transfer(source, target dataset.Family, order timeser
 // index, with the ordered pairs sharded across workers (0 = all cores).
 // Pairs are independent fits; results are kept in canonical pair order.
 func (ix *DispersionIndex) TransferMatrix(families []dataset.Family, order timeseries.Order, minSeries int) []*TransferResult {
-	return ix.TransferMatrixWorkers(families, order, minSeries, 0)
+	return ix.transferMatrix(families, order, minSeries, 0)
 }
 
-// TransferMatrixWorkers is TransferMatrix with an explicit worker count.
+// transferMatrix is TransferMatrix with its worker count exposed for the
+// parity tests.
 //
 // An n-family matrix has n(n-1) ordered pairs but only 2n distinct ARIMA
 // fits — the source-role model depends only on the source series and the
 // native-role score only on the target series — so both are computed once
 // per family (in parallel) and shared across every pair. Pair scoring
 // reuses them and only runs the cheap transfer forecast.
-func (ix *DispersionIndex) TransferMatrixWorkers(families []dataset.Family, order timeseries.Order, minSeries int, workers int) []*TransferResult {
+func (ix *DispersionIndex) transferMatrix(families []dataset.Family, order timeseries.Order, minSeries int, workers int) []*TransferResult {
 	if minSeries <= 0 {
 		minSeries = 60
 	}

@@ -657,12 +657,12 @@ func countStamps(stamps []bool) int {
 // sets — sharded across contiguous ranges and merged by union, so the
 // counts are identical to a sequential pass.
 func (s *Store) Summary() SummaryCounts {
-	return s.SummaryWorkers(0)
+	return s.summary(0)
 }
 
-// SummaryWorkers is Summary with an explicit worker count (0 = all
-// cores, 1 = sequential).
-func (s *Store) SummaryWorkers(workers int) SummaryCounts {
+// summary is Summary with its worker count exposed (0 = all cores,
+// 1 = sequential) for the parity tests.
+func (s *Store) summary(workers int) SummaryCounts {
 	c := s.Cols()
 	d := s.denseBots()
 	nStr := len(c.strs)

@@ -287,8 +287,8 @@ func TestStoreAccessorsConcurrent(t *testing.T) {
 				if got := len(s.Targets()); got != 300 {
 					t.Errorf("Targets() = %d, want 300", got)
 				}
-				if sum := s.SummaryWorkers(4); sum.Attacks != 300 || sum.TargetIPs != 300 {
-					t.Errorf("SummaryWorkers = %+v", sum)
+				if sum := s.summary(4); sum.Attacks != 300 || sum.TargetIPs != 300 {
+					t.Errorf("summary = %+v", sum)
 				}
 			}
 		}()
@@ -308,10 +308,10 @@ func TestStoreSummaryWorkersMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := s.SummaryWorkers(1)
+	want := s.summary(1)
 	for _, workers := range []int{0, 2, 3, 16} {
-		if got := s.SummaryWorkers(workers); got != want {
-			t.Fatalf("SummaryWorkers(%d) = %+v, want %+v", workers, got, want)
+		if got := s.summary(workers); got != want {
+			t.Fatalf("summary(%d) = %+v, want %+v", workers, got, want)
 		}
 	}
 }

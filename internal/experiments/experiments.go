@@ -6,14 +6,15 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
 	"botscope/internal/core"
 	"botscope/internal/dataset"
 	"botscope/internal/monitor"
+	"botscope/internal/par"
 	"botscope/internal/synth"
 )
 
@@ -70,7 +71,7 @@ func (r *Result) MetricsText() string {
 // Expensive shared aggregates — the per-family dispersion series and the
 // collaboration list — are memoized here, because roughly a dozen
 // experiments re-derive them from scratch otherwise. Both caches are safe
-// for the concurrent experiment runs of RunAllParallel.
+// for concurrent experiment runs (Run with several workers).
 type Workload struct {
 	Store *dataset.Store
 	// Scale is the generation scale (1.0 = paper size); experiments use it
@@ -98,24 +99,18 @@ func (w *Workload) Collabs() []*core.Collaboration {
 	return w.collabs
 }
 
-// NewWorkload generates a synthetic workload at the given scale, using
-// all cores for generation.
-func NewWorkload(seed int64, scale float64) (*Workload, error) {
-	return NewWorkloadWorkers(seed, scale, 0)
-}
-
-// NewWorkloadWorkers is NewWorkload with an explicit generation worker
-// count (0 = all cores, 1 = sequential). The workload is byte-identical
-// for every worker count.
-func NewWorkloadWorkers(seed int64, scale float64, workers int) (*Workload, error) {
-	if scale <= 0 {
-		scale = 1
+// NewWorkload generates the synthetic workload cfg describes; a Scale
+// <= 0 means paper size. cfg.Workers is the generation worker count
+// (0 = all cores, 1 = sequential) and never changes the workload.
+func NewWorkload(cfg synth.Config) (*Workload, error) {
+	if cfg.Scale <= 0 {
+		cfg.Scale = 1
 	}
-	store, err := synth.GenerateStore(synth.Config{Seed: seed, Scale: scale, Workers: workers})
+	store, err := synth.GenerateStore(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: generate workload: %w", err)
 	}
-	return FromStore(store, scale), nil
+	return FromStore(store, cfg.Scale), nil
 }
 
 // FromStore wraps an existing store (e.g. loaded from CSV).
@@ -172,23 +167,38 @@ func (w *Workload) All() []Experiment {
 	}
 }
 
-// RunAll executes every experiment, collecting failures by ID.
-func (w *Workload) RunAll() ([]*Result, error) {
-	var (
-		results []*Result
-		errs    []string
-	)
-	for _, e := range w.All() {
-		res, err := e.Run()
-		if err != nil {
-			errs = append(errs, fmt.Sprintf("%s: %v", e.ID, err))
-			continue
+// Outcome is what one experiment produced: its Result, or the error that
+// replaced it.
+type Outcome struct {
+	ID  string
+	Res *Result
+	Err error
+}
+
+// Run executes exps with at most workers goroutines (1 runs them in order
+// on the calling goroutine, 0 means all cores) and returns one Outcome per
+// experiment, in the order given. An experiment not yet started when ctx
+// is done is reported as a failure; running ones finish normally (analyses
+// are CPU-bound and short). The error is nil only if every experiment
+// succeeded, and otherwise names each failure by ID.
+func Run(ctx context.Context, exps []Experiment, workers int) ([]Outcome, error) {
+	outs := par.Map(workers, len(exps), func(i int) Outcome {
+		o := Outcome{ID: exps[i].ID}
+		if err := ctx.Err(); err != nil {
+			o.Err = fmt.Errorf("canceled: %w", err)
+			return o
 		}
-		results = append(results, res)
+		o.Res, o.Err = exps[i].Run()
+		return o
+	})
+	var errs []string
+	for _, o := range outs {
+		if o.Err != nil {
+			errs = append(errs, fmt.Sprintf("%s: %v", o.ID, o.Err))
+		}
 	}
 	if len(errs) > 0 {
-		sort.Strings(errs)
-		return results, fmt.Errorf("experiments: %s", strings.Join(errs, "; "))
+		return outs, fmt.Errorf("experiments: %s", strings.Join(errs, "; "))
 	}
-	return results, nil
+	return outs, nil
 }

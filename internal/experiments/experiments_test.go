@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
+
+	"botscope/internal/synth"
 )
 
 var (
@@ -15,7 +18,7 @@ var (
 func sharedWorkload(t *testing.T) *Workload {
 	t.Helper()
 	wlOnce.Do(func() {
-		wl, wlErr = NewWorkload(17, 0.05)
+		wl, wlErr = NewWorkload(synth.Config{Seed: 17, Scale: 0.05})
 	})
 	if wlErr != nil {
 		t.Fatal(wlErr)
@@ -39,15 +42,16 @@ func TestRunAllExperiments(t *testing.T) {
 		t.Skip("workload generation is slow")
 	}
 	w := sharedWorkload(t)
-	results, err := w.RunAll()
+	outs, err := Run(context.Background(), w.All(), 1)
 	if err != nil {
-		t.Fatalf("RunAll: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
-	if len(results) != len(w.All()) {
-		t.Fatalf("results = %d, want %d", len(results), len(w.All()))
+	if len(outs) != len(w.All()) {
+		t.Fatalf("outcomes = %d, want %d", len(outs), len(w.All()))
 	}
 	seen := make(map[string]bool)
-	for _, r := range results {
+	for _, o := range outs {
+		r := o.Res
 		if r.ID == "" || r.Title == "" {
 			t.Errorf("incomplete result: %+v", r)
 		}

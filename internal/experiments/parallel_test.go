@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"testing"
 )
 
@@ -10,11 +11,11 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 		t.Skip("workload generation is slow")
 	}
 	w := sharedWorkload(t)
-	seq, err := w.RunAll()
+	seq, err := Run(context.Background(), w.All(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := w.RunAllParallel(context.Background(), 8)
+	par, err := Run(context.Background(), w.All(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,14 +29,15 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 			t.Errorf("order mismatch at %d: %s vs %s", i, par[i].ID, seq[i].ID)
 			continue
 		}
-		if len(par[i].Metrics) != len(seq[i].Metrics) {
+		pm, sm := par[i].Res.Metrics, seq[i].Res.Metrics
+		if len(pm) != len(sm) {
 			t.Errorf("%s metric count differs", par[i].ID)
 			continue
 		}
-		for j := range seq[i].Metrics {
-			if par[i].Metrics[j].Measured != seq[i].Metrics[j].Measured {
+		for j := range sm {
+			if pm[j].Measured != sm[j].Measured {
 				t.Errorf("%s metric %q differs: %v vs %v", par[i].ID,
-					seq[i].Metrics[j].Name, par[i].Metrics[j].Measured, seq[i].Metrics[j].Measured)
+					sm[j].Name, pm[j].Measured, sm[j].Measured)
 			}
 		}
 	}
@@ -45,18 +47,20 @@ func TestRunAllParallelCanceled(t *testing.T) {
 	w := sharedWorkload(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before any work starts
-	results, err := w.RunAllParallel(ctx, 2)
+	outs, err := Run(ctx, w.All(), 2)
 	if err == nil {
 		t.Fatal("canceled run succeeded")
 	}
-	// Some experiments may still have been fed before the cancel won the
-	// race; none may be duplicated.
-	seen := make(map[string]bool)
-	for _, r := range results {
-		if seen[r.ID] {
-			t.Errorf("duplicate result %s", r.ID)
+	if len(outs) != len(w.All()) {
+		t.Fatalf("outcomes = %d, want one per experiment (%d)", len(outs), len(w.All()))
+	}
+	for i, o := range outs {
+		if o.ID != w.All()[i].ID {
+			t.Errorf("outcome %d is %s, want %s", i, o.ID, w.All()[i].ID)
 		}
-		seen[r.ID] = true
+		if !errors.Is(o.Err, context.Canceled) || o.Res != nil {
+			t.Errorf("%s ran under a canceled context: res=%v err=%v", o.ID, o.Res, o.Err)
+		}
 	}
 }
 
@@ -65,11 +69,11 @@ func TestRunAllParallelDefaultWorkers(t *testing.T) {
 		t.Skip("workload generation is slow")
 	}
 	w := sharedWorkload(t)
-	results, err := w.RunAllParallel(context.Background(), 0)
+	outs, err := Run(context.Background(), w.All(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(w.All()) {
-		t.Errorf("results = %d, want %d", len(results), len(w.All()))
+	if len(outs) != len(w.All()) {
+		t.Errorf("outcomes = %d, want %d", len(outs), len(w.All()))
 	}
 }
