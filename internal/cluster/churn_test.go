@@ -83,10 +83,11 @@ func TestClusterConcurrentReadersDuringChurn(t *testing.T) {
 				}
 			default:
 			}
-			// An ingest chunk in flight when the shard left marks it down
-			// a second time when its send fails, which can land after the
-			// rejoin; the next leave then finds it already gone (404).
-			if code := admin("leave"); code != http.StatusOK && code != http.StatusNotFound {
+			// An ingest chunk in flight when the shard left reports its old
+			// session down when the send fails, possibly after the rejoin;
+			// that must not take the new session with it (the next leave
+			// would find the shard already gone and answer 404).
+			if code := admin("leave"); code != http.StatusOK {
 				t.Errorf("leave = %d", code)
 			}
 			if code := admin("join"); code != http.StatusOK {

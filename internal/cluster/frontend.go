@@ -162,15 +162,19 @@ func (f *Frontend) join(ctx context.Context, id int, addr string) error {
 	return nil
 }
 
-// markDown removes a shard that failed mid-operation: its keys reroute to
-// the survivors and queries report it as degraded until it rejoins.
-func (f *Frontend) markDown(id int) {
+// markDown removes a shard whose session c (nil: the caller found none)
+// failed mid-operation: its keys reroute to the survivors and queries
+// report it as degraded until it rejoins. If it has rejoined since, the
+// failure belongs to a closed session and the new one is left alone.
+func (f *Frontend) markDown(id int, c *shardClient) {
 	f.mu.Lock()
-	if c := f.clients[id]; c != nil {
-		c.close()
-		delete(f.clients, id)
+	if f.clients[id] == c {
+		if c != nil {
+			c.close()
+			delete(f.clients, id)
+		}
+		f.ring.Remove(id)
 	}
-	f.ring.Remove(id)
 	f.mu.Unlock()
 	f.gen.Add(1)
 }
@@ -364,7 +368,7 @@ func (f *Frontend) flushChunk(ctx context.Context, chunk []*dataset.Attack) erro
 		if errors.Is(err, context.Canceled) {
 			return err
 		}
-		f.markDown(ids[i])
+		f.markDown(ids[i], clients[i])
 	}
 	if acked == 0 {
 		return ErrNoShards
@@ -429,7 +433,7 @@ func (f *Frontend) ShardLeave(ctx context.Context, id int) error {
 	ctx, cancel := context.WithTimeout(ctx, f.ingestTimeout)
 	defer cancel()
 	_ = c.leave(ctx) // best effort: a dead shard is removed regardless
-	f.markDown(id)
+	f.markDown(id, c)
 	return nil
 }
 

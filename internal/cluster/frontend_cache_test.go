@@ -63,3 +63,55 @@ func TestSnapshotCachePublishDiscipline(t *testing.T) {
 		t.Fatalf("cache holds %+v, want the newer snapshot", got)
 	}
 }
+
+// TestMarkDownIgnoresAStaleSession pins the rejoin race: an ingest chunk
+// in flight while a shard leaves fails its send on the old session and
+// reports it down after the shard has rejoined. That report names a
+// session the frontend no longer holds, so the ring and the new session
+// must be left alone; the same report about the current session removes
+// the shard.
+func TestMarkDownIgnoresAStaleSession(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	l, err := StartLocal(ctx, 2, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	f := l.Frontend
+	session := func() *shardClient {
+		f.mu.RLock()
+		defer f.mu.RUnlock()
+		return f.clients[1]
+	}
+	isClosed := func(c *shardClient) bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.closed
+	}
+
+	old := session()
+	if err := f.ShardJoin(ctx, 1); err != nil { // rejoin replaces the session
+		t.Fatal(err)
+	}
+	fresh := session()
+	if fresh == old || !isClosed(old) {
+		t.Fatalf("rejoin: new session %p, old %p (closed=%v)", fresh, old, isClosed(old))
+	}
+
+	f.markDown(1, old)
+	if session() != fresh || isClosed(fresh) || f.ring.Size() != 2 {
+		t.Fatalf("stale report took the rejoined shard down: session %p (want %p, closed=%v), ring size %d",
+			session(), fresh, isClosed(fresh), f.ring.Size())
+	}
+	f.markDown(1, nil) // a caller that found no session, before the rejoin
+	if session() != fresh || f.ring.Size() != 2 {
+		t.Fatal("a no-session report took the rejoined shard down")
+	}
+	if err := f.ShardLeave(ctx, 1); err != nil {
+		t.Fatalf("leave after a stale report: %v", err)
+	}
+	if session() != nil || !isClosed(fresh) || f.ring.Size() != 1 {
+		t.Fatalf("leave: session %p, closed=%v, ring size %d", session(), isClosed(fresh), f.ring.Size())
+	}
+}

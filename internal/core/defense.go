@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -30,10 +33,15 @@ type BlacklistEntry struct {
 	Families int
 }
 
-// Blacklist is an ordered bot blacklist with fast membership checks.
+// Blacklist is an ordered bot blacklist with fast membership checks. It
+// stays in the dense-id space of the store it was ranked over: a bot is
+// listed when its position in the full ranking falls inside entries, so a
+// truncated list is the same rank array behind a shorter entries prefix.
+// Both are read-only after BuildBlacklist returns.
 type Blacklist struct {
 	entries []BlacklistEntry
-	members map[netip.Addr]bool
+	ix      *dataset.BotIndex // the index rank is addressed by; nil only in the zero Blacklist
+	rank    []int32           // dense id -> position in the full ranking, -1 unlisted
 }
 
 // Len returns the number of blacklisted IPs.
@@ -45,14 +53,22 @@ func (b *Blacklist) Len() int { return len(b.entries) }
 //botscope:shared
 func (b *Blacklist) Entries() []BlacklistEntry { return b.entries }
 
-// Contains reports whether ip is blacklisted.
-func (b *Blacklist) Contains(ip netip.Addr) bool { return b.members[ip] }
+// Contains reports whether ip is blacklisted. It is the one membership
+// test that starts from an address, so it alone pays for the index's
+// reverse map. The unsigned compare rejects -1 and truncated positions.
+func (b *Blacklist) Contains(ip netip.Addr) bool {
+	if b.ix == nil {
+		return false
+	}
+	id, ok := b.ix.ID(ip)
+	return ok && uint32(b.rank[id]) < uint32(len(b.entries))
+}
 
 // Truncate returns a blacklist keeping only the top maxSize entries.
 // Entries are already ranked, so this equals rebuilding with
 // BuildBlacklist(..., maxSize) without rescanning the workload; the entry
-// slice is shared with the receiver. maxSize <= 0 or >= Len returns the
-// receiver unchanged.
+// slice and the rank array are shared with the receiver. maxSize <= 0 or
+// >= Len returns the receiver unchanged.
 func (b *Blacklist) Truncate(maxSize int) *Blacklist {
 	if maxSize <= 0 || maxSize >= len(b.entries) {
 		return b
@@ -60,12 +76,16 @@ func (b *Blacklist) Truncate(maxSize int) *Blacklist {
 	// Clip capacity with a three-index slice: the truncated list shares the
 	// receiver's backing array, and a later append through the short view
 	// would otherwise clobber the receiver's tail entries in place.
-	entries := b.entries[:maxSize:maxSize]
-	members := make(map[netip.Addr]bool, len(entries))
-	for _, e := range entries {
-		members[e.IP] = true
-	}
-	return &Blacklist{entries: entries, members: members}
+	return &Blacklist{entries: b.entries[:maxSize:maxSize], ix: b.ix, rank: b.rank}
+}
+
+// rankRec is one bot in the ranking sort, packed so that a compare is a
+// few integer tests. key is occurrences<<32 | families<<8 | ^BitLen: the
+// larger key ranks first, the shorter address family first among ties.
+type rankRec struct {
+	key    uint64
+	hi, lo uint64 // the address as a 128-bit integer (netip.Addr.As16)
+	id     int32
 }
 
 // BuildBlacklist ranks every bot seen in attacks starting inside
@@ -73,9 +93,11 @@ func (b *Blacklist) Truncate(maxSize int) *Blacklist {
 // (0 = keep everything). Zero times extend to the workload bounds.
 //
 // Accumulation runs over the store's dense bot index: a counts array plus
-// a per-bot family bitset replace the map of per-IP accumulators the old
-// scan allocated for every distinct bot. The ranking comparator is total
-// (ties break on IP), so the entries are identical to the map-based build.
+// a per-bot family bitset. The ranking order is occurrences, then
+// families, both descending, then netip.Addr.Compare ascending — total,
+// since dense ids are distinct addresses — and the address leg is compared
+// the way Compare does (bit length, then the 128-bit value), falling back
+// to Compare itself only for addresses that differ in zone alone.
 func BuildBlacklist(s *dataset.Store, from, to time.Time, maxSize int) (*Blacklist, error) {
 	n := s.AttackRows()
 	if n == 0 {
@@ -114,7 +136,7 @@ func BuildBlacklist(s *dataset.Store, from, to time.Time, maxSize int) (*Blackli
 	if total == 0 {
 		return nil, fmt.Errorf("core: no attacks inside the training window")
 	}
-	entries := make([]BlacklistEntry, 0, total)
+	recs := make([]rankRec, 0, total)
 	for id, c := range counts {
 		if c == 0 {
 			continue
@@ -123,25 +145,39 @@ func BuildBlacklist(s *dataset.Store, from, to time.Time, maxSize int) (*Blackli
 		for w := 0; w < famWords; w++ {
 			nf += bits.OnesCount64(famSets[id*famWords+w])
 		}
-		entries = append(entries, BlacklistEntry{IP: ix.IP(int32(id)), Occurrences: int(c), Families: nf})
+		ip := ix.IP(int32(id))
+		b := ip.As16()
+		recs = append(recs, rankRec{
+			key: uint64(c)<<32 | uint64(nf)<<8 | uint64(^uint8(ip.BitLen())), id: int32(id),
+			hi: binary.BigEndian.Uint64(b[:8]), lo: binary.BigEndian.Uint64(b[8:]),
+		})
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Occurrences != entries[j].Occurrences {
-			return entries[i].Occurrences > entries[j].Occurrences
+	slices.SortFunc(recs, func(a, b rankRec) int {
+		switch {
+		case a.key != b.key:
+			return cmp.Compare(b.key, a.key)
+		case a.hi != b.hi:
+			return cmp.Compare(a.hi, b.hi)
+		case a.lo != b.lo:
+			return cmp.Compare(a.lo, b.lo)
 		}
-		if entries[i].Families != entries[j].Families {
-			return entries[i].Families > entries[j].Families
-		}
-		return entries[i].IP.Less(entries[j].IP)
+		return ix.IP(a.id).Compare(ix.IP(b.id))
 	})
-	if maxSize > 0 && len(entries) > maxSize {
-		entries = entries[:maxSize]
+	rank := make([]int32, len(counts))
+	for id := range rank {
+		rank[id] = -1
 	}
-	members := make(map[netip.Addr]bool, len(entries))
-	for _, e := range entries {
-		members[e.IP] = true
+	for pos, r := range recs {
+		rank[r.id] = int32(pos)
 	}
-	return &Blacklist{entries: entries, members: members}, nil
+	if maxSize > 0 && len(recs) > maxSize {
+		recs = recs[:maxSize]
+	}
+	entries := make([]BlacklistEntry, len(recs))
+	for pos, r := range recs {
+		entries[pos] = BlacklistEntry{IP: ix.IP(r.id), Occurrences: int(r.key >> 32), Families: int(uint32(r.key) >> 8)}
+	}
+	return &Blacklist{entries: entries, ix: ix, rank: rank}, nil
 }
 
 // BlacklistEvaluation scores a blacklist against a held-out attack window.
@@ -161,20 +197,26 @@ type BlacklistEvaluation struct {
 // EvaluateBlacklist replays the attacks starting inside [from, to) against
 // the blacklist. Zero times extend to the workload bounds.
 //
-// Membership is projected onto the dense bot index once up front — a
-// bool per distinct bot — so the replay tests each of the millions of bot
-// references with an array load instead of a map probe. Blacklist entries
-// absent from the index cannot match any reference, so dropping them from
-// the projection changes nothing.
+// The replay tests each of the millions of bot references with one load
+// from a rank array addressed by s's dense ids. Against the store the
+// list was built on that is the list's own array, untouched. A list built
+// on another store is first projected onto s's ids by address; entries s
+// never saw cannot match any reference, so dropping them changes nothing.
 func EvaluateBlacklist(s *dataset.Store, bl *Blacklist, from, to time.Time) (BlacklistEvaluation, error) {
 	if bl == nil || bl.Len() == 0 {
 		return BlacklistEvaluation{}, fmt.Errorf("core: empty blacklist")
 	}
 	ix := s.BotDense()
-	listed := make([]bool, ix.NumIDs())
-	for _, e := range bl.entries {
-		if id, ok := ix.ID(e.IP); ok {
-			listed[id] = true
+	rank, limit := bl.rank, uint32(len(bl.entries))
+	if bl.ix != ix {
+		rank = make([]int32, ix.NumIDs())
+		for id := range rank {
+			rank[id] = -1
+		}
+		for pos, e := range bl.entries {
+			if id, ok := ix.ID(e.IP); ok {
+				rank[id] = int32(pos)
+			}
 		}
 	}
 	var (
@@ -195,12 +237,12 @@ func EvaluateBlacklist(s *dataset.Store, bl *Blacklist, from, to time.Time) (Bla
 		hit := 0
 		span := ix.RefsRow(i)
 		for _, id := range span {
-			refs++
-			if listed[id] {
-				blocked++
+			if uint32(rank[id]) < limit {
 				hit++
 			}
 		}
+		refs += len(span)
+		blocked += hit
 		frac := float64(hit) / float64(len(span))
 		perAttack = append(perAttack, frac)
 		if frac >= 0.5 {

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"botscope/internal/dataset"
@@ -77,56 +77,56 @@ type LoadPoint struct {
 // ConcurrentLoad sweeps the workload and returns the number of in-progress
 // attacks at every start/end boundary, plus the peak and the time-weighted
 // average. The error is non-nil for an empty workload.
+//
+// Attack rows ascend by start, so only the ends are sorted and the sweep
+// merges two ascending nanosecond streams.
 func ConcurrentLoad(s *dataset.Store) ([]LoadPoint, LoadStats, error) {
 	n := s.AttackRows()
 	if n == 0 {
 		return nil, LoadStats{}, fmt.Errorf("core: empty workload")
 	}
-	type boundary struct {
-		t     time.Time
-		delta int
+	ends := make([]int64, n)
+	for i := range ends {
+		ends[i] = s.AttackAt(i).EndNano()
 	}
-	events := make([]boundary, 0, 2*n)
-	for i := 0; i < n; i++ {
-		v := s.AttackAt(i)
-		events = append(events, boundary{t: v.Start(), delta: 1})
-		events = append(events, boundary{t: v.End(), delta: -1})
-	}
-	sort.Slice(events, func(i, j int) bool {
-		if !events[i].t.Equal(events[j].t) {
-			return events[i].t.Before(events[j].t)
-		}
-		// Ends before starts at the same instant, so zero-duration attacks
-		// do not inflate the concurrent count.
-		return events[i].delta < events[j].delta
-	})
+	slices.Sort(ends)
 
 	var (
-		pts       []LoadPoint
+		pts       = make([]LoadPoint, 0, 2*n)
 		active    int
 		st        LoadStats
-		prevT     time.Time
-		prevSet   bool
+		prev      int64
 		weightSum float64
 		timeSum   float64
 	)
-	for i := 0; i < len(events); {
-		t := events[i].t
-		if prevSet {
-			dt := t.Sub(prevT).Seconds()
+	for i, j := 0, 0; i < n || j < n; {
+		var t int64 // the earlier of the next start and the next end
+		if i < n {
+			t = s.AttackAt(i).StartNano()
+		}
+		if j < n && (i == n || ends[j] < t) {
+			t = ends[j]
+		}
+		if len(pts) > 0 {
+			dt := time.Duration(t - prev).Seconds()
 			weightSum += float64(active) * dt
 			timeSum += dt
 		}
-		for i < len(events) && events[i].t.Equal(t) {
-			active += events[i].delta
-			i++
+		// Every boundary of an instant is applied before its point is
+		// emitted, so a zero-duration attack never shows as active.
+		for ; j < n && ends[j] == t; j++ {
+			active--
 		}
-		pts = append(pts, LoadPoint{Time: t, Active: active})
+		for ; i < n && s.AttackAt(i).StartNano() == t; i++ {
+			active++
+		}
+		at := time.Unix(0, t).UTC()
+		pts = append(pts, LoadPoint{Time: at, Active: active})
 		if active > st.Peak {
 			st.Peak = active
-			st.PeakTime = t
+			st.PeakTime = at
 		}
-		prevT, prevSet = t, true
+		prev = t
 	}
 	if timeSum > 0 {
 		st.TimeWeightedMean = weightSum / timeSum

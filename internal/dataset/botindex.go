@@ -110,15 +110,16 @@ func (ix *BotIndex) Bot(id int32) (BotView, bool) {
 	return ix.cols.BotRow(row), true
 }
 
-// CountryOf returns the country code of a dense id's Botlist row, or ""
-// when unresolved — the column-native form of Rec(id).CountryCode that
-// the monitor kernels use without materializing records.
-func (ix *BotIndex) CountryOf(id int32) string {
+// CountryID returns the interned-string id of a dense id's country code
+// (Columns.NumStrings bounds it, Columns.Str resolves it), or -1 when
+// unresolved — so kernels count per country in a flat array and touch
+// strings only when they write their output.
+func (ix *BotIndex) CountryID(id int32) int32 {
 	row := ix.rows[id]
 	if row < 0 {
-		return ""
+		return -1
 	}
-	return ix.cols.strs[ix.cols.bCC[row]]
+	return ix.cols.bCC[row]
 }
 
 // Rec returns the Botlist record of a dense id, or nil when the IP never

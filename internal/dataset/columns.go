@@ -137,6 +137,9 @@ func (c *Columns) NumRefs() int {
 // NumStrings returns the size of the interned string table.
 func (c *Columns) NumStrings() int { return len(c.strs) }
 
+// Str resolves an interned-string id; distinct ids are distinct strings.
+func (c *Columns) Str(id int32) string { return c.strs[id] }
+
 // botnetRow resolves a botnet id to its column row. The reverse map is
 // built lazily: most analyses only walk attack columns.
 func (c *Columns) botnetRow(id uint32) (int32, bool) {

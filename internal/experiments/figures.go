@@ -257,8 +257,9 @@ func (w *Workload) Figure8() (*Result, error) {
 				a = &weekAgg{}
 				agg[wk.Week] = a
 			}
-			a.existing += wk.ExistingShift()
-			a.fresh += wk.NewShift()
+			existing, fresh := wk.Shifts()
+			a.existing += existing
+			a.fresh += fresh
 		}
 	}
 	if len(agg) == 0 {

@@ -57,55 +57,65 @@ func (c *Collector) HourlyReports(family dataset.Family) ([]HourlyReport, error)
 	}
 
 	// Sweep: every attack contributes its bot references to reports in
-	// [Start, End+Lookback). Build per-step deltas, then prefix-sum.
+	// [Start, End+Lookback). Build signed per-step deltas, then prefix-sum.
 	steps := int(last.Add(c.Lookback).Sub(first)/c.Step) + 1
-	addDeltas := make([]delta, steps+1)
-	subDeltas := make([]delta, steps+1)
-	activeAdd := make([]int, steps+1)
-	activeSub := make([]int, steps+1)
-
+	deltas := make([]delta, steps+1)
 	stepIdx := func(t time.Time) int {
-		i := int(t.Sub(first) / c.Step)
-		if i < 0 {
-			i = 0
-		}
-		if i > steps {
-			i = steps
-		}
-		return i
+		return max(0, min(steps, int(t.Sub(first)/c.Step)))
 	}
 
+	// Countries are counted by interned-string id in one scratch array
+	// that each attack resets through its touched list; strings are read
+	// once per report. live is the family's source countries, each once.
 	ix := c.store.BotDense()
+	cols := c.store.Cols()
+	count := make([]int32, cols.NumStrings())
+	seen := make([]bool, cols.NumStrings())
+	var touched, live []int32
 	for _, row := range rows {
 		v := c.store.AttackAt(int(row))
-		countries := make(map[string]int)
-		refs := 0
-		for _, id := range ix.RefsRow(int(row)) {
-			refs++
-			if ix.Resolved(id) {
-				countries[ix.CountryOf(id)]++
+		span := ix.RefsRow(int(row))
+		for _, id := range span {
+			cid := ix.CountryID(id)
+			if cid < 0 {
+				continue
+			}
+			if count[cid] == 0 {
+				touched = append(touched, cid)
+			}
+			count[cid]++
+		}
+		add := &deltas[stepIdx(v.Start())]
+		sub := &deltas[stepIdx(v.End().Add(c.Lookback))]
+		add.refs += len(span)
+		sub.refs -= len(span)
+		for _, cid := range touched {
+			add.countries = append(add.countries, countryCount{cid, count[cid]})
+			sub.countries = append(sub.countries, countryCount{cid, -count[cid]})
+			count[cid] = 0
+			if !seen[cid] {
+				seen[cid] = true
+				live = append(live, cid)
 			}
 		}
-		from := stepIdx(v.Start())
-		to := stepIdx(v.End().Add(c.Lookback))
-		mergeDelta(&addDeltas[from], refs, countries)
-		mergeDelta(&subDeltas[to], refs, countries)
-		activeAdd[from]++
-		activeSub[stepIdx(v.End())]++
+		touched = touched[:0]
+		add.active++
+		deltas[stepIdx(v.End())].active--
 	}
 
 	reports := make([]HourlyReport, 0, steps)
-	curRefs := 0
-	curActive := 0
-	curCountries := make(map[string]int)
-	for i := 0; i < steps; i++ {
-		applyDelta(curCountries, &curRefs, addDeltas[i], 1)
-		applyDelta(curCountries, &curRefs, subDeltas[i], -1)
-		curActive += activeAdd[i] - activeSub[i]
-		snapshot := make(map[string]int, len(curCountries))
-		for cc, n := range curCountries {
-			if n > 0 {
-				snapshot[cc] = n
+	curRefs, curActive := 0, 0
+	cur := count // all zero again: the running per-country total
+	for i, d := range deltas[:steps] {
+		curRefs += d.refs
+		curActive += d.active
+		for _, cn := range d.countries {
+			cur[cn.cid] += cn.n
+		}
+		snapshot := make(map[string]int, len(live))
+		for _, cid := range live {
+			if n := cur[cid]; n > 0 {
+				snapshot[cols.Str(cid)] = int(n)
 			}
 		}
 		reports = append(reports, HourlyReport{
@@ -119,28 +129,14 @@ func (c *Collector) HourlyReports(family dataset.Family) ([]HourlyReport, error)
 	return reports, nil
 }
 
-// delta is one sweep-line increment of the hourly-report accumulator.
+// delta is the signed change one report step applies to the totals.
 type delta struct {
-	refs    int
-	country map[string]int
+	refs, active int
+	countries    []countryCount
 }
 
-func mergeDelta(d *delta, refs int, countries map[string]int) {
-	d.refs += refs
-	if d.country == nil {
-		d.country = make(map[string]int, len(countries))
-	}
-	for cc, n := range countries {
-		d.country[cc] += n
-	}
-}
-
-func applyDelta(cur map[string]int, curRefs *int, d delta, sign int) {
-	*curRefs += sign * d.refs
-	for cc, n := range d.country {
-		cur[cc] += sign * n
-	}
-}
+// countryCount is n bot references from the country with interned id cid.
+type countryCount struct{ cid, n int32 }
 
 // WeekStats aggregates one family's attack sources over one week: the
 // unique bots seen per country, and which countries are new relative to
@@ -153,46 +149,45 @@ type WeekStats struct {
 	NewCountries []string
 }
 
-// ExistingShift returns the number of bot observations in countries
-// already known from earlier weeks.
-func (w WeekStats) ExistingShift() int {
+// Shifts returns the number of bot observations in countries already
+// known from earlier weeks, and in newly seen ones.
+func (w WeekStats) Shifts() (existing, fresh int) {
 	newSet := make(map[string]bool, len(w.NewCountries))
 	for _, cc := range w.NewCountries {
 		newSet[cc] = true
 	}
-	n := 0
 	for cc, c := range w.BotsByCountry {
-		if !newSet[cc] {
-			n += c
+		if newSet[cc] {
+			fresh += c
+		} else {
+			existing += c
 		}
 	}
-	return n
+	return existing, fresh
+}
+
+// ExistingShift returns the number of bot observations in countries
+// already known from earlier weeks.
+func (w WeekStats) ExistingShift() int {
+	existing, _ := w.Shifts()
+	return existing
 }
 
 // NewShift returns the number of bot observations in newly seen countries.
 func (w WeekStats) NewShift() int {
-	newSet := make(map[string]bool, len(w.NewCountries))
-	for _, cc := range w.NewCountries {
-		newSet[cc] = true
-	}
-	n := 0
-	for cc, c := range w.BotsByCountry {
-		if newSet[cc] {
-			n += c
-		}
-	}
-	return n
+	_, fresh := w.Shifts()
+	return fresh
 }
 
 // WeeklySources computes the week-by-week source aggregation for a family.
 // An error is returned when the family has no attacks.
 //
 // The family's attacks arrive sorted by start time, so week indexes are
-// nondecreasing along the scan. That ordering invariant lets a single
-// stamp array over the dense bot index ("which week was this bot last
-// counted in") replace the per-week map[ip]country the old scan built —
-// no per-bot map writes, no per-week map allocations, and unresolved bots
-// still deduplicate without being counted, exactly as before.
+// nondecreasing along the scan and one stamp array over the dense bot
+// index ("which week was this bot last counted in") deduplicates bots
+// within a week — unresolved ones too, which are never counted. Countries
+// are counted by interned-string id; a week's BotsByCountry map is
+// written once, at flush, from the ids the week touched.
 func (c *Collector) WeeklySources(family dataset.Family) ([]WeekStats, error) {
 	rows := c.store.RowsByFamily(family)
 	if len(rows) == 0 {
@@ -203,26 +198,31 @@ func (c *Collector) WeeklySources(family dataset.Family) ([]WeekStats, error) {
 		return int(t.Sub(first).Hours() / (24 * 7))
 	}
 	ix := c.store.BotDense()
+	cols := c.store.Cols()
 	stamp := make([]int32, ix.NumIDs()) // 0 = never seen; week+1 otherwise
+	count := make([]int32, cols.NumStrings())
+	seen := make([]bool, cols.NumStrings()) // countries of earlier weeks
+	var touched []int32
 
-	seen := make(map[string]bool)
 	out := make([]WeekStats, 0, 8)
 	curWeek := -1
-	var byCountry map[string]int
 	flush := func() {
 		if curWeek < 0 {
 			return
 		}
+		byCountry := make(map[string]int, len(touched))
 		var fresh []string
-		for cc := range byCountry {
-			if !seen[cc] {
+		for _, cid := range touched {
+			cc := cols.Str(cid)
+			byCountry[cc] = int(count[cid])
+			count[cid] = 0
+			if !seen[cid] {
+				seen[cid] = true
 				fresh = append(fresh, cc)
 			}
 		}
+		touched = touched[:0]
 		sort.Strings(fresh)
-		for _, cc := range fresh {
-			seen[cc] = true
-		}
 		out = append(out, WeekStats{Week: curWeek, BotsByCountry: byCountry, NewCountries: fresh})
 	}
 	for _, row := range rows {
@@ -230,16 +230,20 @@ func (c *Collector) WeeklySources(family dataset.Family) ([]WeekStats, error) {
 		if w != curWeek {
 			flush()
 			curWeek = w
-			byCountry = make(map[string]int)
 		}
 		for _, id := range ix.RefsRow(int(row)) {
 			if stamp[id] == int32(w+1) {
 				continue
 			}
 			stamp[id] = int32(w + 1)
-			if ix.Resolved(id) {
-				byCountry[ix.CountryOf(id)]++
+			cid := ix.CountryID(id)
+			if cid < 0 {
+				continue
 			}
+			if count[cid] == 0 {
+				touched = append(touched, cid)
+			}
+			count[cid]++
 		}
 	}
 	flush()
