@@ -17,7 +17,7 @@ build-cross:
 # in total: the unit the ROADMAP's simplification items are denominated
 # in. benchmark/ gets its own total because a PR outside it may not touch
 # it, and the static gate (cmd/botvet + internal/analysis) gets one
-# because ROADMAP item 5 is denominated in it. Raw lines (wc -l), so
+# because ROADMAP item 7(c) is denominated in it. Raw lines (wc -l), so
 # comment and blank lines count.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './vendor/*' ! -path '*/testdata/*' ! -path './.bench_build/*' -print0 \

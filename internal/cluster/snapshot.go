@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"net/netip"
 	"sort"
 	"time"
 
@@ -278,18 +277,15 @@ func decodeFamilyCounts(r *binenc.Reader) map[dataset.Family]int {
 	return m
 }
 
-// maxRecent mirrors internal/stream's bound on the live candidate ring.
-const maxRecent = 32
-
 // MergeSnapshots reassembles a single-process stream.Snapshot from shard
 // partials. The scalar half comes verbatim from the most advanced shard
 // (highest Ingested, ties to the lowest shard id) — every up-to-date shard
 // replicated the identical tick stream, so their scalars are bit-identical
-// and any one of them is the global truth. The keyed half is summed across
-// the disjoint target partitions and reordered with exactly the tie rules
-// internal/stream applies, so the merged snapshot is byte-identical to the
-// one a single analyzer over the whole feed would produce, for any shard
-// count.
+// and any one of them is the global truth. The keyed half goes back into
+// the accumulators in internal/core that every shard rendered it from —
+// each a sum over the disjoint target partitions — so the merged snapshot
+// is byte-identical to the one a single analyzer over the whole feed would
+// produce, for any shard count.
 //
 // Snapshots must be sorted by ShardID (the frontend's fan-out preserves
 // that order). An empty input or an all-empty cluster yields the zero
@@ -318,205 +314,22 @@ func MergeSnapshots(snaps []*ShardSnapshot) stream.Snapshot {
 	out.Durations = src.Snap.Durations
 	out.Load = src.Snap.Load
 
-	out.Protocols = mergeProtocols(snaps)
-	out.FamilyProtocol = mergeFamilyProtocol(snaps)
-	out.Daily = mergeDaily(snaps)
-	out.Collaborations = mergeCollab(snaps)
-	return out
-}
-
-// mergeProtocols sums the per-category counts and rebuilds the breakdown
-// with core.ProtocolBreakdown's ordering: count descending, ties by
-// category display order.
-func mergeProtocols(snaps []*ShardSnapshot) []core.ProtocolCount {
-	counts := make(map[dataset.Category]int)
-	for _, s := range snaps {
-		if s == nil {
-			continue
-		}
-		for _, p := range s.Snap.Protocols {
-			counts[p.Category] += p.Count
-		}
-	}
-	out := make([]core.ProtocolCount, 0, len(counts))
-	for _, c := range dataset.Categories {
-		if counts[c] > 0 {
-			out = append(out, core.ProtocolCount{Category: c, Count: counts[c]})
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Count > out[j].Count })
-	return out
-}
-
-// mergeFamilyProtocol sums the per-(category, family) counts and rebuilds
-// the Table II ordering: categories in display order, families
-// alphabetically inside each.
-func mergeFamilyProtocol(snaps []*ShardSnapshot) []core.FamilyProtocolRow {
-	counts := make(map[dataset.Category]map[dataset.Family]int)
+	var types core.TypeCounts
+	daily := make([]core.DailyStats, 0, len(snaps))
+	collab := make([]*stream.CollabSummary, 0, len(snaps))
 	for _, s := range snaps {
 		if s == nil {
 			continue
 		}
 		for _, fp := range s.Snap.FamilyProtocol {
-			m := counts[fp.Category]
-			if m == nil {
-				m = make(map[dataset.Family]int)
-				counts[fp.Category] = m
-			}
-			m[fp.Family] += fp.Count
+			types.Add(fp.Category, fp.Family, fp.Count)
 		}
+		daily = append(daily, s.Snap.Daily)
+		collab = append(collab, &s.Snap.Collaborations)
 	}
-	var out []core.FamilyProtocolRow
-	for _, c := range dataset.Categories {
-		fams := make([]dataset.Family, 0, len(counts[c]))
-		for f := range counts[c] {
-			fams = append(fams, f)
-		}
-		sort.Slice(fams, func(i, j int) bool { return fams[i] < fams[j] })
-		for _, f := range fams {
-			out = append(out, core.FamilyProtocolRow{Category: c, Family: f, Count: counts[c][f]})
-		}
-	}
+	out.Protocols = types.Protocols()
+	out.FamilyProtocol = types.FamilyProtocol()
+	out.Daily = core.MergeDaily(daily...)
+	out.Collaborations = stream.MergeCollab(collab...)
 	return out
-}
-
-// mergeDaily sums the day buckets by calendar day and recomputes the
-// headline statistics with the Analyzer's exact tie rules (earliest peak
-// day wins; dominant family by count, ties alphabetically; the average
-// spans first day through last day inclusive).
-func mergeDaily(snaps []*ShardSnapshot) core.DailyStats {
-	type bucket struct {
-		count    int
-		byFamily map[dataset.Family]int
-	}
-	days := make(map[int64]*bucket)
-	for _, s := range snaps {
-		if s == nil {
-			continue
-		}
-		for _, dc := range s.Snap.Daily.Days {
-			key := dc.Day.UnixNano()
-			b := days[key]
-			if b == nil {
-				b = &bucket{byFamily: make(map[dataset.Family]int)}
-				days[key] = b
-			}
-			b.count += dc.Count
-			for f, n := range dc.ByFamily {
-				b.byFamily[f] += n
-			}
-		}
-	}
-
-	keys := make([]int64, 0, len(days))
-	for k := range days {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-
-	st := core.DailyStats{Days: make([]core.DailyCount, 0, len(keys))}
-	total := 0
-	for _, k := range keys {
-		b := days[k]
-		dc := core.DailyCount{
-			Day:      time.Unix(0, k).UTC(),
-			Count:    b.count,
-			ByFamily: make(map[dataset.Family]int, len(b.byFamily)),
-		}
-		for f, n := range b.byFamily {
-			dc.ByFamily[f] = n
-		}
-		st.Days = append(st.Days, dc)
-		total += b.count
-		if b.count > st.Max {
-			st.Max = b.count
-			st.MaxDay = dc.Day
-			best, bestN := dataset.Family(""), 0
-			for f, n := range b.byFamily {
-				if n > bestN || (n == bestN && f < best) {
-					best, bestN = f, n
-				}
-			}
-			st.MaxDominantFamily = best
-		}
-	}
-	if len(keys) > 0 {
-		span := int(time.Unix(0, keys[len(keys)-1]).UTC().Sub(time.Unix(0, keys[0]).UTC()).Hours()/24) + 1
-		st.Average = float64(total) / float64(span)
-	}
-	return st
-}
-
-// mergeCollab sums the Table VI counters over the disjoint target
-// partitions and interleaves the candidate rings back into the exact
-// order a single tracker emits: closed candidates by global sequence of
-// their window's first attack (finalization follows window-creation
-// order, which is seq order), then still-open candidates by (start,
-// target address) — the snapshot's pending sort.
-func mergeCollab(snaps []*ShardSnapshot) stream.CollabSummary {
-	out := stream.CollabSummary{
-		Intra:      make(map[dataset.Family]int),
-		Inter:      make(map[dataset.Family]int),
-		PairCounts: make(map[string]int),
-	}
-	var closed, open []stream.CollabCandidate
-	for _, s := range snaps {
-		if s == nil {
-			continue
-		}
-		c := &s.Snap.Collaborations
-		out.TotalIntra += c.TotalIntra
-		out.TotalInter += c.TotalInter
-		out.OpenWindows += c.OpenWindows
-		out.Qualified += c.Qualified
-		out.BotnetTotal += c.BotnetTotal
-		for f, n := range c.Intra {
-			out.Intra[f] += n
-		}
-		for f, n := range c.Inter {
-			out.Inter[f] += n
-		}
-		for p, n := range c.PairCounts {
-			out.PairCounts[p] += n
-		}
-		for _, cand := range c.Recent {
-			if cand.Open {
-				open = append(open, cand)
-			} else {
-				closed = append(closed, cand)
-			}
-		}
-	}
-	sort.Slice(closed, func(i, j int) bool { return closed[i].Seq < closed[j].Seq })
-	sort.Slice(open, func(i, j int) bool {
-		if !open[i].Start.Equal(open[j].Start) {
-			return open[i].Start.Before(open[j].Start)
-		}
-		return lessTarget(open[i].Target, open[j].Target)
-	})
-	out.Recent = append(closed, open...)
-	if len(out.Recent) > maxRecent {
-		out.Recent = out.Recent[len(out.Recent)-maxRecent:]
-	}
-	if len(out.Recent) == 0 {
-		// A single-process snapshot reports null, not [], when no
-		// candidates exist; keep the merged JSON identical.
-		out.Recent = nil
-	}
-	if out.Qualified > 0 {
-		out.MeanBotnets = float64(out.BotnetTotal) / float64(out.Qualified)
-	}
-	return out
-}
-
-// lessTarget orders candidate targets the way the tracker's pending sort
-// does — by address value, not lexically ("9.0.0.1" sorts before
-// "10.0.0.1"). Unparseable targets fall back to string order.
-func lessTarget(a, b string) bool {
-	ia, errA := netip.ParseAddr(a)
-	ib, errB := netip.ParseAddr(b)
-	if errA != nil || errB != nil {
-		return a < b
-	}
-	return ia.Less(ib)
 }

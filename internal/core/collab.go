@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -33,9 +35,12 @@ func (c *Collaboration) Intra() bool { return len(c.Families) == 1 }
 // Botnets returns the number of distinct botnet IDs involved — the paper's
 // Fig 15 reports an average of 2.19.
 func (c *Collaboration) Botnets() int {
-	seen := make(map[dataset.BotnetID]bool, len(c.Attacks))
+	var buf [8]dataset.BotnetID
+	seen := buf[:0]
 	for _, a := range c.Attacks {
-		seen[a.BotnetID] = true
+		if !containsBotnet(seen, a.BotnetID) {
+			seen = append(seen, a.BotnetID)
+		}
 	}
 	return len(seen)
 }
@@ -66,7 +71,14 @@ func detectCollaborations(s *dataset.Store, startWindow, durationWindow time.Dur
 	tids := s.TargetIDs()
 	starts, durs := attackTimes(s)
 	shards := par.ChunkMap(workers, len(tids), func(lo, hi int) []*Collaboration {
-		d := &collabDetector{s: s, starts: starts, durs: durs, startWindow: startWindow, durationWindow: durationWindow}
+		d := &collabDetector{starts: starts, startWindow: startWindow, q: qualifier{
+			durs:   durs,
+			window: int64(durationWindow),
+			member: func(row int32) (dataset.BotnetID, dataset.Family) {
+				v := s.AttackAt(int(row))
+				return v.BotnetID(), v.Family()
+			},
+		}}
 		var shard []*Collaboration
 		for _, tid := range tids[lo:hi] {
 			shard = d.target(shard, s.TargetAddr(tid).String(), s.TargetRows(tid))
@@ -154,18 +166,14 @@ func attackTimes(s *dataset.Store) (starts, durs []int64) {
 	return starts, durs
 }
 
-// collabDetector carries the shared read-only detection inputs plus one
-// shard-local sort scratch, so per-group qualification allocates only for
-// groups that actually qualify.
+// collabDetector groups one shard's targets into start windows over the
+// per-row start column and qualifies them on the columns too, through
+// scratch it reuses: only a group that qualifies allocates.
 type collabDetector struct {
-	s              *dataset.Store
-	starts         []int64 // per-row attack starts, UTC nanoseconds
-	durs           []int64 // per-row attack durations, nanoseconds
-	startWindow    time.Duration
-	durationWindow time.Duration
-	scratch        []int32            // reused duration-sort buffer; never escapes a qualify call
-	botnets        []dataset.BotnetID // reused distinct-botnet scratch
-	fams           []dataset.Family   // reused distinct-family scratch
+	starts      []int64 // per-row attack starts, UTC nanoseconds
+	startWindow time.Duration
+	q           qualifier // over attack rows and the per-row duration column
+	scratch     []int32   // reused copy of the group under test
 }
 
 // target appends the qualifying collaborations of one target's
@@ -182,8 +190,9 @@ func (d *collabDetector) target(out []*Collaboration, target string, rows []int3
 			j++
 		}
 		if j-i >= 2 {
-			if c := d.qualify(target, rows[i:j]); c != nil {
-				out = append(out, c)
+			d.scratch = append(d.scratch[:0], rows[i:j]...)
+			if subset, fams := d.q.qualify(d.scratch); subset != nil {
+				out = append(out, &Collaboration{Target: target, rows: append([]int32(nil), subset...), Families: fams})
 			}
 		}
 		i = j
@@ -191,65 +200,72 @@ func (d *collabDetector) target(out []*Collaboration, target string, rows []int3
 	return out
 }
 
-// qualify applies QualifyCollaboration's criteria to one start-window
-// group of attack rows using column loads only, so candidate groups that
-// fail the botnet-distinctness or duration-window tests never build a
-// record. The duration sort sees the same initial order and the same
-// comparator outcomes as the record-face qualifier (durs holds the same
-// nanosecond difference Attack.Duration returns), so the detected subset
-// — and the member order inside it — is identical.
-func (d *collabDetector) qualify(target string, group []int32) *Collaboration {
-	s, durs := d.s, d.durs
-	sorted := append(d.scratch[:0], group...)
-	d.scratch = sorted
+// qualifier is the §V criterion over one start-window group on a single
+// target: the widest subset whose durations fit the duration window
+// qualifies when it has at least two members from at least two distinct
+// botnets. Members are indices, so the detector (attack rows, the per-row
+// duration column) and QualifyCollaboration (positions in its group, a
+// local duration scratch) run the same code and therefore pick the same
+// subset in the same member order.
+type qualifier struct {
+	durs    []int64 // member index -> duration, nanoseconds
+	window  int64   // duration window, nanoseconds
+	member  func(int32) (dataset.BotnetID, dataset.Family)
+	botnets []dataset.BotnetID // reused distinct-botnet scratch
+	fams    []dataset.Family   // reused distinct-family scratch
+}
+
+// qualify sorts group by duration in place and returns the qualifying
+// subset — a sub-slice of group — with its distinct families, sorted, or
+// nil when the group does not qualify.
+func (q *qualifier) qualify(group []int32) ([]int32, []dataset.Family) {
+	durs := q.durs
 	// Candidate groups are almost always tiny. sort.Slice hands any range
 	// of <= 12 elements straight to its insertion sort, so the inlined
 	// insertion sort below produces the exact same permutation while
 	// skipping the func-value indirection and the interface conversion.
-	if len(sorted) <= 12 {
-		for i := 1; i < len(sorted); i++ {
-			for j := i; j > 0 && durs[sorted[j]] < durs[sorted[j-1]]; j-- {
-				sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+	if len(group) <= 12 {
+		for i := 1; i < len(group); i++ {
+			for j := i; j > 0 && durs[group[j]] < durs[group[j-1]]; j-- {
+				group[j], group[j-1] = group[j-1], group[j]
 			}
 		}
 	} else {
-		sort.Slice(sorted, func(i, j int) bool { return durs[sorted[i]] < durs[sorted[j]] })
+		sort.Slice(group, func(i, j int) bool { return durs[group[i]] < durs[group[j]] })
 	}
-	window := int64(d.durationWindow)
 	bestLo, bestHi := 0, 0
 	lo := 0
-	for hi := range sorted {
-		for durs[sorted[hi]]-durs[sorted[lo]] > window {
+	for hi := range group {
+		for durs[group[hi]]-durs[group[lo]] > q.window {
 			lo++
 		}
 		if hi-lo > bestHi-bestLo {
 			bestLo, bestHi = lo, hi
 		}
 	}
-	subset := sorted[bestLo : bestHi+1]
+	subset := group[bestLo : bestHi+1]
 	if len(subset) < 2 {
-		return nil
+		return nil, nil
 	}
 	// Distinctness over a handful of members: linear-scan dedup into
-	// reused scratch slices. First-appearance order followed by the same
-	// final sort keeps famList identical to the map-based qualifier.
-	botnets, fams := d.botnets[:0], d.fams[:0]
-	for _, row := range subset {
-		v := s.AttackAt(int(row))
-		if b := v.BotnetID(); !containsBotnet(botnets, b) {
+	// reused scratch slices.
+	botnets, fams := q.botnets[:0], q.fams[:0]
+	for _, m := range subset {
+		b, f := q.member(m)
+		if !containsBotnet(botnets, b) {
 			botnets = append(botnets, b)
 		}
-		if f := v.Family(); !containsFamily(fams, f) {
+		if !containsFamily(fams, f) {
 			fams = append(fams, f)
 		}
 	}
-	d.botnets, d.fams = botnets, fams
+	q.botnets, q.fams = botnets, fams
 	if len(botnets) < 2 {
-		return nil
+		return nil, nil
 	}
 	famList := append([]dataset.Family(nil), fams...)
-	sort.Slice(famList, func(i, j int) bool { return famList[i] < famList[j] })
-	return &Collaboration{Target: target, rows: append([]int32(nil), subset...), Families: famList}
+	slices.Sort(famList)
+	return subset, famList
 }
 
 func containsBotnet(list []dataset.BotnetID, b dataset.BotnetID) bool {
@@ -270,66 +286,133 @@ func containsFamily(list []dataset.Family, f dataset.Family) bool {
 	return false
 }
 
-// QualifyCollaboration checks the botnet-distinctness and duration-window
-// criteria over one start-window group of attacks on a single target,
-// trimming the group to the largest duration-compatible subset. It returns
-// nil when the group does not qualify. It is exported so the streaming
-// analyzer (internal/stream) applies the exact same criteria to its
-// windowed candidate groups as the batch detector does.
+// QualifyCollaboration applies the §V criterion to one start-window group
+// of attack records on a single target, trimming the group to the largest
+// duration-compatible subset; nil when the group does not qualify. It is
+// the record face of the detector's qualifier, for the streaming analyzer's
+// windowed candidate groups.
 func QualifyCollaboration(target string, group []*dataset.Attack, durationWindow time.Duration) *Collaboration {
-	// Find the largest subset whose durations sit inside the duration
-	// window: sort by duration and slide a window.
-	sorted := append([]*dataset.Attack(nil), group...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Duration() < sorted[j].Duration() })
-	bestLo, bestHi := 0, 0
-	lo := 0
-	for hi := range sorted {
-		for sorted[hi].Duration()-sorted[lo].Duration() > durationWindow {
-			lo++
-		}
-		if hi-lo > bestHi-bestLo {
-			bestLo, bestHi = lo, hi
-		}
+	idx, durs := make([]int32, len(group)), make([]int64, len(group))
+	for i, a := range group {
+		idx[i], durs[i] = int32(i), int64(a.Duration())
 	}
-	subset := sorted[bestLo : bestHi+1]
-	if len(subset) < 2 {
+	q := qualifier{
+		durs:    durs,
+		window:  int64(durationWindow),
+		member:  func(i int32) (dataset.BotnetID, dataset.Family) { return group[i].BotnetID, group[i].Family },
+		botnets: make([]dataset.BotnetID, 0, len(group)),
+		fams:    make([]dataset.Family, 0, len(group)),
+	}
+	subset, fams := q.qualify(idx)
+	if subset == nil {
 		return nil
 	}
-	botnets := make(map[dataset.BotnetID]bool)
-	fams := make(map[dataset.Family]bool)
-	for _, a := range subset {
-		botnets[a.BotnetID] = true
-		fams[a.Family] = true
-	}
-	if len(botnets) < 2 {
-		return nil
-	}
-	famList := make([]dataset.Family, 0, len(fams))
-	for f := range fams {
-		famList = append(famList, f)
-	}
-	sort.Slice(famList, func(i, j int) bool { return famList[i] < famList[j] })
-	start := subset[0].Start
-	for _, a := range subset {
-		if a.Start.Before(start) {
-			start = a.Start
+	c := &Collaboration{Target: target, Start: group[subset[0]].Start, Attacks: make([]*dataset.Attack, len(subset)), Families: fams}
+	for k, i := range subset {
+		c.Attacks[k] = group[i]
+		if group[i].Start.Before(c.Start) {
+			c.Start = group[i].Start
 		}
 	}
-	return &Collaboration{Target: target, Start: start, Attacks: subset, Families: famList}
+	return c
 }
 
-// CollabStats is Table VI: per-family counts of intra- and inter-family
-// collaborations.
-type CollabStats struct {
-	Intra map[dataset.Family]int
-	Inter map[dataset.Family]int
+// CollabCounts is Table VI as a mergeable count: per-family intra- and
+// inter-family collaborations, inter-family pairs, and the mean botnets per
+// collaboration (paper: 2.19) kept as its integer numerator and
+// denominator. The batch table adds detected collaborations, the streaming
+// tracker holds one, and the cluster frontend merges the shards'; every
+// field is a sum, so disjoint target partitions merge to the whole in any
+// order. The JSON shape is the live collaborations panel's.
+type CollabCounts struct {
+	TotalIntra  int                    `json:"total_intra"`
+	TotalInter  int                    `json:"total_inter"`
+	MeanBotnets float64                `json:"mean_botnets"`
+	Intra       map[dataset.Family]int `json:"intra"`
+	Inter       map[dataset.Family]int `json:"inter"`
 	// PairCounts counts inter-family pairs, keyed "famA+famB" with A < B
 	// (the paper: Dirtjumper+Pandora dominates).
-	PairCounts map[string]int
-	// Total counts, and the mean botnets per collaboration (paper: 2.19).
-	TotalIntra     int
-	TotalInter     int
-	MeanBotnets    float64
+	PairCounts map[string]int `json:"pair_counts"`
+
+	// Qualified and BotnetTotal are MeanBotnets' denominator and numerator.
+	Qualified   int `json:"-"`
+	BotnetTotal int `json:"-"`
+}
+
+// NewCollabCounts returns an empty count with its maps made: an empty
+// table renders {} rather than null.
+func NewCollabCounts() CollabCounts {
+	return CollabCounts{
+		Intra:      make(map[dataset.Family]int),
+		Inter:      make(map[dataset.Family]int),
+		PairCounts: make(map[string]int),
+	}
+}
+
+// Add counts one collaboration and returns its distinct-botnet count, for
+// callers that report it per collaboration too.
+func (cc *CollabCounts) Add(c *Collaboration) (botnets int) {
+	botnets = c.Botnets()
+	cc.Qualified++
+	cc.BotnetTotal += botnets
+	if c.Intra() {
+		cc.TotalIntra++
+		cc.Intra[c.Families[0]]++
+	} else {
+		cc.TotalInter++
+		for _, f := range c.Families {
+			cc.Inter[f]++
+		}
+		countFamilyPairs(cc.PairCounts, c.Families)
+	}
+	cc.mean()
+	return botnets
+}
+
+// Merge adds o's counts.
+func (cc *CollabCounts) Merge(o *CollabCounts) {
+	cc.TotalIntra += o.TotalIntra
+	cc.TotalInter += o.TotalInter
+	cc.Qualified += o.Qualified
+	cc.BotnetTotal += o.BotnetTotal
+	for f, n := range o.Intra {
+		cc.Intra[f] += n
+	}
+	for f, n := range o.Inter {
+		cc.Inter[f] += n
+	}
+	for p, n := range o.PairCounts {
+		cc.PairCounts[p] += n
+	}
+	cc.mean()
+}
+
+func (cc *CollabCounts) mean() {
+	if cc.Qualified > 0 {
+		cc.MeanBotnets = float64(cc.BotnetTotal) / float64(cc.Qualified)
+	}
+}
+
+// Clone returns a copy that shares no map with cc.
+func (cc *CollabCounts) Clone() CollabCounts {
+	out := *cc
+	out.Intra, out.Inter, out.PairCounts = maps.Clone(cc.Intra), maps.Clone(cc.Inter), maps.Clone(cc.PairCounts)
+	return out
+}
+
+// countFamilyPairs adds one to every unordered pair of the sorted family
+// list, keyed "famA+famB" with A < B.
+func countFamilyPairs(counts map[string]int, fams []dataset.Family) {
+	for x := 0; x < len(fams); x++ {
+		for y := x + 1; y < len(fams); y++ {
+			counts[string(fams[x])+"+"+string(fams[y])]++
+		}
+	}
+}
+
+// CollabStats is Table VI over a detected collaboration list.
+type CollabStats struct {
+	CollabCounts
 	Collaborations []*Collaboration
 }
 
@@ -342,32 +425,9 @@ func AnalyzeCollaborations(s *dataset.Store) CollabStats {
 // collaboration list, letting callers that need both the table and the
 // per-pair drill-downs detect once and share the result.
 func AnalyzeCollaborationsFrom(collabs []*Collaboration) CollabStats {
-	out := CollabStats{
-		Intra:          make(map[dataset.Family]int),
-		Inter:          make(map[dataset.Family]int),
-		PairCounts:     make(map[string]int),
-		Collaborations: collabs,
-	}
-	totalBotnets := 0
+	out := CollabStats{CollabCounts: NewCollabCounts(), Collaborations: collabs}
 	for _, c := range collabs {
-		totalBotnets += c.Botnets()
-		if c.Intra() {
-			out.TotalIntra++
-			out.Intra[c.Families[0]]++
-			continue
-		}
-		out.TotalInter++
-		for _, f := range c.Families {
-			out.Inter[f]++
-		}
-		for x := 0; x < len(c.Families); x++ {
-			for y := x + 1; y < len(c.Families); y++ {
-				out.PairCounts[string(c.Families[x])+"+"+string(c.Families[y])]++
-			}
-		}
-	}
-	if len(collabs) > 0 {
-		out.MeanBotnets = float64(totalBotnets) / float64(len(collabs))
+		out.Add(c)
 	}
 	return out
 }

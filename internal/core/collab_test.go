@@ -26,6 +26,9 @@ func TestDetectCollaborationsIntra(t *testing.T) {
 	if c.Botnets() != 2 {
 		t.Errorf("botnets = %d, want 2", c.Botnets())
 	}
+	if n := testing.AllocsPerRun(100, func() { c.Botnets() }); n != 0 {
+		t.Errorf("Botnets allocates %v times a call", n)
+	}
 }
 
 func TestDetectCollaborationsRejectsSameBotnet(t *testing.T) {

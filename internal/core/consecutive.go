@@ -87,13 +87,7 @@ func buildChain(target string, attacks []*dataset.Attack, gaps []float64) *Chain
 	for _, a := range attacks {
 		counts[a.Family]++
 	}
-	best, bestN := dataset.Family(""), 0
-	for f, n := range counts {
-		if n > bestN || (n == bestN && f < best) {
-			best, bestN = f, n
-		}
-	}
-	return &Chain{Target: target, Family: best, Attacks: attacks, Gaps: gaps}
+	return &Chain{Target: target, Family: dominantFamily(counts), Attacks: attacks, Gaps: gaps}
 }
 
 // ChainStats summarizes §V-B: which families run multistage attacks, the

@@ -197,11 +197,7 @@ func AnalyzeConcurrency(s *dataset.Store) ConcurrencyStats {
 					list = append(list, f)
 				}
 				sort.Slice(list, func(a, b int) bool { return list[a] < list[b] })
-				for x := 0; x < len(list); x++ {
-					for y := x + 1; y < len(list); y++ {
-						out.PairCounts[string(list[x])+"+"+string(list[y])]++
-					}
-				}
+				countFamilyPairs(out.PairCounts, list)
 			}
 		}
 		i = j

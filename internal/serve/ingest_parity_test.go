@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -87,6 +89,72 @@ func TestIngestResponsesUnchanged(t *testing.T) {
 				t.Errorf("Ingested() = %d, Snapshot().Ingested = %d", got, snap)
 			}
 		})
+	}
+}
+
+// repeatReader serves rec over and over until n bytes have gone out.
+type repeatReader struct {
+	rec []byte
+	off int
+	n   int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	if r.n == 0 {
+		return 0, io.EOF
+	}
+	c := copy(p[:min(len(p), r.n)], r.rec[r.off:])
+	r.off, r.n = (r.off+c)%len(r.rec), r.n-c
+	return c, nil
+}
+
+// TestIngestBodyLimit posts, to both tiers, a batch of the benchmark's
+// size and then a body past maxIngestBody streamed from one repeating
+// valid record. The first is taken whole; the second is cut off at the
+// limit and answered 413 in the ingest error shape, with the records
+// before the cut applied and the request counted as rejected.
+func TestIngestBodyLimit(t *testing.T) {
+	var batch strings.Builder
+	for i := 0; i < 250; i++ {
+		batch.WriteString(ingestRecord(i+1, i*60/250, "192.0.2.1", "Example Net"))
+	}
+	// One fat record, an hour after the batch, keeps the record count —
+	// and so the test — small.
+	fat := []byte(strings.Replace(ingestRecord(999, 0, "192.0.2.1", strings.Repeat("Example Net ", 10000)), "T00:", "T01:", 1))
+
+	local, err := cluster.StartLocal(context.Background(), 2, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	tiers := map[string]http.Handler{"single": New(testServer(t).store, 0.03), "sharded": NewLiveServer(local.Frontend)}
+	for name, h := range tiers {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/ingest", strings.NewReader(batch.String())))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: 250-record batch = %d %s", name, rec.Code, rec.Body)
+		}
+
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/ingest", &repeatReader{rec: fat, n: maxIngestBody + len(fat)}))
+		var resp struct {
+			Error           string
+			Ingested, Total int
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s: over-limit body = %d %q: %v", name, rec.Code, rec.Body, err)
+		}
+		if want := maxIngestBody / len(fat); rec.Code != http.StatusRequestEntityTooLarge || resp.Error == "" ||
+			resp.Ingested != want || resp.Total != 250+want {
+			t.Errorf("%s: over-limit body = %d %+v, want 413 with the %d whole records applied", name, rec.Code, resp, want)
+		}
+
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/live/ingeststats", nil))
+		var stats struct{ Requests, Records, Rejected int }
+		if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil || stats.Requests != 2 || stats.Rejected != 1 {
+			t.Errorf("%s: ingeststats = %s (%v), want 2 requests, 1 rejected", name, rec.Body, err)
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"botscope/internal/core"
 	"botscope/internal/stream"
 )
 
@@ -76,6 +77,12 @@ const (
 
 // errNoIngest is the empty-feed error.
 var errNoIngest = errors.New("serve: no attacks ingested yet")
+
+// maxIngestBody bounds one POST /api/ingest body: sixteen records of the
+// largest size the JSONL decoder buffers (dataset's jsonlMaxRecord, 4 MiB).
+// A longer body is cut off there and answered 413; the records before the
+// cut stay applied, like those before a malformed one.
+const maxIngestBody = 64 << 20
 
 // LiveServer serves the live plane only — ingest, live queries, health,
 // and (when the source supports it) cluster administration. It is the
@@ -216,7 +223,7 @@ func (s *LiveServer) handleLiveGuarded(write func(http.ResponseWriter, stream.Sn
 }
 
 func (s *LiveServer) handleIngest(w http.ResponseWriter, r *http.Request) {
-	ingested, total, err := s.src.LiveIngest(r.Context(), r.Body)
+	ingested, total, err := s.src.LiveIngest(r.Context(), http.MaxBytesReader(w, r.Body, maxIngestBody))
 	s.recordIngest(ingested, err != nil)
 	if err != nil {
 		writeIngestError(w, err, ingested, total)
@@ -301,13 +308,16 @@ func writeSourceError(w http.ResponseWriter, err error, fallback int) {
 
 // writeIngestError emits the ingest failure shape shared by every
 // deployment: the error plus how much of the batch was applied. Errors
-// carrying their own HTTP status (backpressure → 503) keep it; malformed
-// or out-of-order input reports 422.
+// carrying their own HTTP status (backpressure → 503) keep it; a body past
+// maxIngestBody reports 413, malformed or out-of-order input 422.
 func writeIngestError(w http.ResponseWriter, err error, ingested, total int) {
 	status := http.StatusUnprocessableEntity
 	var sc interface{ HTTPStatus() int }
+	var tooLarge *http.MaxBytesError
 	if errors.As(err, &sc) {
 		status = sc.HTTPStatus()
+	} else if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
 	}
 	var ra interface{ RetryAfter() int }
 	if errors.As(err, &ra) && ra.RetryAfter() > 0 {
@@ -354,7 +364,10 @@ func writeLiveSummary(w http.ResponseWriter, snap stream.Snapshot) {
 	writeJSON(w, out)
 }
 
-func writeLiveDaily(w http.ResponseWriter, snap stream.Snapshot) {
+func writeLiveDaily(w http.ResponseWriter, snap stream.Snapshot) { writeDaily(w, snap.Daily) }
+
+// writeDaily is the Fig 2 body of /api/daily and /api/live/daily.
+func writeDaily(w http.ResponseWriter, st core.DailyStats) {
 	type day struct {
 		Day   string `json:"day"`
 		Count int    `json:"count"`
@@ -364,8 +377,8 @@ func writeLiveDaily(w http.ResponseWriter, snap stream.Snapshot) {
 		Max     int     `json:"max"`
 		MaxDay  string  `json:"max_day"`
 		Days    []day   `json:"days"`
-	}{Average: snap.Daily.Average, Max: snap.Daily.Max, MaxDay: snap.Daily.MaxDay.Format("2006-01-02")}
-	for _, d := range snap.Daily.Days {
+	}{Average: st.Average, Max: st.Max, MaxDay: st.MaxDay.Format("2006-01-02")}
+	for _, d := range st.Days {
 		out.Days = append(out.Days, day{Day: d.Day.Format("2006-01-02"), Count: d.Count})
 	}
 	writeJSON(w, out)

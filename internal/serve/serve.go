@@ -145,20 +145,7 @@ func (s *Server) handleDaily(w http.ResponseWriter, _ *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	type day struct {
-		Day   string `json:"day"`
-		Count int    `json:"count"`
-	}
-	out := struct {
-		Average float64 `json:"average"`
-		Max     int     `json:"max"`
-		MaxDay  string  `json:"max_day"`
-		Days    []day   `json:"days"`
-	}{Average: st.Average, Max: st.Max, MaxDay: st.MaxDay.Format("2006-01-02")}
-	for _, d := range st.Days {
-		out.Days = append(out.Days, day{Day: d.Day.Format("2006-01-02"), Count: d.Count})
-	}
-	writeJSON(w, out)
+	writeDaily(w, st)
 }
 
 func (s *Server) handleIntervals(w http.ResponseWriter, r *http.Request) {

@@ -9,7 +9,8 @@ import (
 	"botscope/internal/dataset"
 )
 
-// maxRecentCandidates bounds the live candidate ring exposed by snapshots.
+// maxRecentCandidates bounds the live candidate ring exposed by snapshots
+// and kept by MergeCollab.
 const maxRecentCandidates = 32
 
 // CollabCandidate is one detected (or still-open) collaborative attack:
@@ -31,29 +32,68 @@ type CollabCandidate struct {
 	Open bool   `json:"-"`
 }
 
-// CollabSummary aggregates live collaboration detection the way the batch
-// core.CollabStats does (Table VI), plus a bounded ring of the most recent
+// CollabSummary is the live collaborations panel: Table VI as the batch
+// core.CollabStats counts it, plus a bounded ring of the most recent
 // candidates and the number of still-open windows.
 type CollabSummary struct {
-	TotalIntra  int                    `json:"total_intra"`
-	TotalInter  int                    `json:"total_inter"`
-	MeanBotnets float64                `json:"mean_botnets"`
-	Intra       map[dataset.Family]int `json:"intra"`
-	Inter       map[dataset.Family]int `json:"inter"`
-	// PairCounts counts inter-family pairs, keyed "famA+famB" with A < B.
-	PairCounts map[string]int `json:"pair_counts"`
+	core.CollabCounts
 	// Recent holds the latest qualified candidates, oldest first.
 	Recent []CollabCandidate `json:"recent"`
 	// OpenWindows is the number of per-target start windows still inside
 	// the 60 s horizon at snapshot time.
 	OpenWindows int `json:"open_windows"`
+}
 
-	// Qualified and BotnetTotal are the integer numerator/denominator
-	// behind MeanBotnets, exposed (JSON-hidden) so the sharded serve tier
-	// can sum them across disjoint target partitions and recompute the
-	// mean with the identical division a single tracker performs.
-	Qualified   int `json:"-"`
-	BotnetTotal int `json:"-"`
+// MergeCollab reassembles one tracker's summary from the summaries of
+// trackers over disjoint target partitions of its feed. The counts merge;
+// the candidate rings interleave back into the order a single tracker
+// emits: closed candidates by the global sequence of their window's first
+// attack (finalization follows window-creation order, which is seq order),
+// then still-open ones by (start, target address) — snapshot's pending
+// sort, by address value rather than lexically ("9.0.0.1" before
+// "10.0.0.1"; an unparseable target sorts first).
+func MergeCollab(parts ...*CollabSummary) CollabSummary {
+	out := CollabSummary{CollabCounts: core.NewCollabCounts()}
+	type openCandidate struct {
+		CollabCandidate
+		addr netip.Addr
+	}
+	var open []openCandidate
+	for _, p := range parts {
+		out.CollabCounts.Merge(&p.CollabCounts)
+		out.OpenWindows += p.OpenWindows
+		for _, cand := range p.Recent {
+			if cand.Open {
+				addr, _ := netip.ParseAddr(cand.Target)
+				open = append(open, openCandidate{cand, addr})
+			} else {
+				out.Recent = append(out.Recent, cand)
+			}
+		}
+	}
+	sort.Slice(out.Recent, func(i, j int) bool { return out.Recent[i].Seq < out.Recent[j].Seq })
+	sort.Slice(open, func(i, j int) bool {
+		if !open[i].Start.Equal(open[j].Start) {
+			return open[i].Start.Before(open[j].Start)
+		}
+		if open[i].addr != open[j].addr {
+			return open[i].addr.Less(open[j].addr)
+		}
+		return open[i].Target < open[j].Target
+	})
+	for _, c := range open {
+		out.Recent = append(out.Recent, c.CollabCandidate)
+	}
+	out.Recent = lastCandidates(out.Recent)
+	return out
+}
+
+// lastCandidates trims a candidate list to the ring's bound.
+func lastCandidates(recent []CollabCandidate) []CollabCandidate {
+	if len(recent) > maxRecentCandidates {
+		return recent[len(recent)-maxRecentCandidates:]
+	}
+	return recent
 }
 
 // collabTracker performs windowed cross-botnet collaboration detection:
@@ -69,14 +109,8 @@ type collabTracker struct {
 	open  map[netip.Addr]*openGroup
 	queue []*openGroup // anchor-ordered, for horizon expiry
 
-	totalIntra   int
-	totalInter   int
-	totalBotnets int
-	qualified    int
-	intra        map[dataset.Family]int
-	inter        map[dataset.Family]int
-	pairs        map[string]int
-	recent       []CollabCandidate
+	counts core.CollabCounts // over the closed windows
+	recent []CollabCandidate // the closed windows' ring
 }
 
 type openGroup struct {
@@ -92,9 +126,7 @@ func newCollabTracker(startWindow, durationWindow time.Duration) *collabTracker 
 		startWindow:    startWindow,
 		durationWindow: durationWindow,
 		open:           make(map[netip.Addr]*openGroup),
-		intra:          make(map[dataset.Family]int),
-		inter:          make(map[dataset.Family]int),
-		pairs:          make(map[string]int),
+		counts:         core.NewCollabCounts(),
 	}
 }
 
@@ -122,9 +154,9 @@ func (t *collabTracker) ingest(a *dataset.Attack, seq uint64) {
 
 // advance expires every window whose 60 s horizon precedes event time now:
 // no attack at or after now can join it, so it can be finalized and
-// released. ingest calls it with each attack's start; shard workers also
-// call it (via Analyzer.Advance) for attacks homed on other shards, so
-// windows close at the same global event times on every shard layout.
+// released. ingest calls it with each attack's start and Analyzer.Tick
+// with the start of each attack homed on another shard, so windows close
+// at the same global event times on every shard layout.
 func (t *collabTracker) advance(now time.Time) {
 	for len(t.queue) > 0 && now.Sub(t.queue[0].anchor) >= t.startWindow {
 		g := t.queue[0]
@@ -143,7 +175,7 @@ func (t *collabTracker) finalize(g *openGroup) {
 		delete(t.open, g.target)
 	}
 	if c := t.qualify(g); c != nil {
-		t.record(c, g.seq)
+		t.recent = lastCandidates(append(t.recent, candidate(c, t.counts.Add(c), g.seq, false)))
 	}
 	g.attacks = nil
 }
@@ -156,34 +188,16 @@ func (t *collabTracker) qualify(g *openGroup) *core.Collaboration {
 	return core.QualifyCollaboration(g.target.String(), g.attacks, t.durationWindow)
 }
 
-// record folds one qualified collaboration into the Table VI counters.
-func (t *collabTracker) record(c *core.Collaboration, seq uint64) {
-	t.qualified++
-	t.totalBotnets += c.Botnets()
-	if c.Intra() {
-		t.totalIntra++
-		t.intra[c.Families[0]]++
-	} else {
-		t.totalInter++
-		for _, f := range c.Families {
-			t.inter[f]++
-		}
-		for x := 0; x < len(c.Families); x++ {
-			for y := x + 1; y < len(c.Families); y++ {
-				t.pairs[string(c.Families[x])+"+"+string(c.Families[y])]++
-			}
-		}
-	}
-	t.recent = append(t.recent, CollabCandidate{
+// candidate trims a qualified collaboration to its ring entry.
+func candidate(c *core.Collaboration, botnets int, seq uint64, open bool) CollabCandidate {
+	return CollabCandidate{
 		Target:   c.Target,
 		Start:    c.Start,
-		Families: append([]dataset.Family(nil), c.Families...),
-		Botnets:  c.Botnets(),
+		Families: c.Families,
+		Botnets:  botnets,
 		Attacks:  len(c.Attacks),
 		Seq:      seq,
-	})
-	if len(t.recent) > maxRecentCandidates {
-		t.recent = t.recent[len(t.recent)-maxRecentCandidates:]
+		Open:     open,
 	}
 }
 
@@ -192,25 +206,10 @@ func (t *collabTracker) record(c *core.Collaboration, seq uint64) {
 // exactly. It never mutates tracker state.
 func (t *collabTracker) snapshot() CollabSummary {
 	out := CollabSummary{
-		TotalIntra:  t.totalIntra,
-		TotalInter:  t.totalInter,
-		Intra:       make(map[dataset.Family]int, len(t.intra)),
-		Inter:       make(map[dataset.Family]int, len(t.inter)),
-		PairCounts:  make(map[string]int, len(t.pairs)),
-		Recent:      append([]CollabCandidate(nil), t.recent...),
-		OpenWindows: len(t.open),
+		CollabCounts: t.counts.Clone(),
+		Recent:       append([]CollabCandidate(nil), t.recent...),
+		OpenWindows:  len(t.open),
 	}
-	for f, n := range t.intra {
-		out.Intra[f] = n
-	}
-	for f, n := range t.inter {
-		out.Inter[f] = n
-	}
-	for p, n := range t.pairs {
-		out.PairCounts[p] = n
-	}
-
-	qualified, botnets := t.qualified, t.totalBotnets
 	// Qualify open windows as the batch detector would at end of input.
 	// Deterministic order (by anchor, then target) keeps Recent stable.
 	pending := make([]*openGroup, 0, len(t.open))
@@ -224,43 +223,10 @@ func (t *collabTracker) snapshot() CollabSummary {
 		return pending[i].target.Less(pending[j].target)
 	})
 	for _, g := range pending {
-		c := t.qualify(g)
-		if c == nil {
-			continue
+		if c := t.qualify(g); c != nil {
+			out.Recent = append(out.Recent, candidate(c, out.CollabCounts.Add(c), g.seq, true))
 		}
-		qualified++
-		botnets += c.Botnets()
-		if c.Intra() {
-			out.TotalIntra++
-			out.Intra[c.Families[0]]++
-		} else {
-			out.TotalInter++
-			for _, f := range c.Families {
-				out.Inter[f]++
-			}
-			for x := 0; x < len(c.Families); x++ {
-				for y := x + 1; y < len(c.Families); y++ {
-					out.PairCounts[string(c.Families[x])+"+"+string(c.Families[y])]++
-				}
-			}
-		}
-		out.Recent = append(out.Recent, CollabCandidate{
-			Target:   c.Target,
-			Start:    c.Start,
-			Families: append([]dataset.Family(nil), c.Families...),
-			Botnets:  c.Botnets(),
-			Attacks:  len(c.Attacks),
-			Seq:      g.seq,
-			Open:     true,
-		})
 	}
-	if len(out.Recent) > maxRecentCandidates {
-		out.Recent = out.Recent[len(out.Recent)-maxRecentCandidates:]
-	}
-	out.Qualified = qualified
-	out.BotnetTotal = botnets
-	if qualified > 0 {
-		out.MeanBotnets = float64(botnets) / float64(qualified)
-	}
+	out.Recent = lastCandidates(out.Recent)
 	return out
 }

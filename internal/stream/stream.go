@@ -3,8 +3,6 @@ package stream
 import (
 	"container/heap"
 	"errors"
-	"maps"
-	"sort"
 	"sync"
 	"time"
 
@@ -34,13 +32,13 @@ var ErrOutOfOrder = errors.New("stream: attack starts before the previously inge
 // embedded Scalars; the keyed statistics (protocol/family counters, daily
 // buckets, collaboration windows) live here. The sharded serve tier
 // (internal/cluster) splits along exactly this seam: each shard runs the
-// keyed state over its hash partition via IngestAt/Advance, and a
-// separate Scalars over the full tick stream.
+// keyed state over its hash partition via IngestAt, and the scalars over
+// the full feed via IngestAt and Tick.
 type Analyzer struct {
 	mu sync.RWMutex
 
-	// gen counts accepted writes: every Ingest, IngestAt, Tick and Advance
-	// that changed the state bumps it, a rejected record does not.
+	// gen counts accepted writes: every Ingest, IngestAt and Tick that
+	// changed the state bumps it, a rejected record does not.
 	gen uint64 // guarded by mu
 	// published is the snapshot of generation published.gen, current while
 	// that equals gen. Readers that find it stale build under the read
@@ -51,28 +49,12 @@ type Analyzer struct {
 
 	scalars *Scalars // guarded by mu
 
-	// Protocol / family counters (Figs 1-2, Table II).
-	byCategory map[dataset.Category]int                    // guarded by mu
-	byCatFam   map[dataset.Category]map[dataset.Family]int // guarded by mu
-
-	// Daily buckets by day index from the UTC midnight of the first
-	// attack's day, mirroring core.DailyDistribution's anchoring. The feed
-	// is start-ordered, so only the newest day can still change: closed
-	// holds the earlier days already rendered, with their headline
-	// statistics folded in, and is only ever appended to.
-	dayAnchor time.Time       // guarded by mu
-	closed    core.DailyStats // guarded by mu; Average holds nothing
-	closedSum int             // guarded by mu
-	openDay   int             // guarded by mu
-	open      *dayBucket      // guarded by mu; nil before the first attack
-
-	// Windowed cross-botnet collaboration detection (§V).
-	collab *collabTracker // guarded by mu
-}
-
-type dayBucket struct {
-	count    int
-	byFamily map[dataset.Family]int
+	// The keyed answers, each held as the accumulator in internal/core
+	// that defines it: Fig 1 and Table II, Fig 2, and (inside collab) §V's
+	// Table VI.
+	types  core.TypeCounts // guarded by mu
+	daily  core.DailyFold  // guarded by mu
+	collab *collabTracker  // guarded by mu
 }
 
 type publishedSnapshot struct {
@@ -84,10 +66,8 @@ type publishedSnapshot struct {
 // windows (60 s start window, 30 min duration window).
 func New() *Analyzer {
 	return &Analyzer{
-		scalars:    NewScalars(),
-		byCategory: make(map[dataset.Category]int),
-		byCatFam:   make(map[dataset.Category]map[dataset.Family]int),
-		collab:     newCollabTracker(core.SimultaneousThreshold, core.CollabDurationWindow),
+		scalars: NewScalars(),
+		collab:  newCollabTracker(core.SimultaneousThreshold, core.CollabDurationWindow),
 	}
 }
 
@@ -125,45 +105,10 @@ func (s *Analyzer) ingest(a *dataset.Attack, seq uint64) error {
 		seq = uint64(s.scalars.N())
 	}
 
-	// Counters.
-	s.byCategory[a.Category]++
-	fams := s.byCatFam[a.Category]
-	if fams == nil {
-		fams = make(map[dataset.Family]int)
-		s.byCatFam[a.Category] = fams
-	}
-	fams[a.Family]++
-
-	// Daily buckets, anchored like core.DailyDistribution. The anchor is
-	// the UTC midnight of the first *ingested* attack (not the first tick):
-	// bucket d resolves to the absolute date anchor+d either way, so shards
-	// with different anchors still agree on every bucket's calendar day.
-	if s.dayAnchor.IsZero() {
-		s.dayAnchor = time.Date(a.Start.Year(), a.Start.Month(), a.Start.Day(), 0, 0, 0, 0, time.UTC)
-	}
-	if d := int(a.Start.Sub(s.dayAnchor).Hours() / 24); s.open == nil || d != s.openDay {
-		s.closeDay()
-		s.openDay, s.open = d, &dayBucket{byFamily: make(map[dataset.Family]int)}
-	}
-	s.open.count++
-	s.open.byFamily[a.Family]++
-
-	// Collaboration windows.
+	s.types.Add(a.Category, a.Family, 1)
+	s.daily.Observe(a.Start, a.Family)
 	s.collab.ingest(a, seq)
-
 	return nil
-}
-
-// Advance moves the analyzer's event horizon to t without ingesting an
-// attack, expiring collaboration windows no future attack can join. Shard
-// workers call it for every foreign tick (an attack homed on another
-// shard), so windows close at exactly the same global event times they
-// would close at in a single analyzer over the whole feed.
-func (s *Analyzer) Advance(t time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gen++
-	s.collab.advance(t)
 }
 
 // Tick folds a foreign attack's (id, start, end) into the scalar state and
@@ -257,104 +202,14 @@ func (s *Analyzer) build() Snapshot {
 		return snap
 	}
 
-	snap.Protocols = s.protocolBreakdown()
-	snap.FamilyProtocol = s.familyProtocolTable()
-	snap.Daily = s.dailyStats()
+	snap.Protocols = s.types.Protocols()
+	snap.FamilyProtocol = s.types.FamilyProtocol()
+	snap.Daily = s.daily.Result()
 	snap.Intervals = s.scalars.IntervalStats()
 	snap.Durations = s.scalars.DurationStats()
 	snap.Load = s.scalars.LoadStats()
 	snap.Collaborations = s.collab.snapshot()
 	return snap
-}
-
-// protocolBreakdown mirrors core.ProtocolBreakdown's ordering: count
-// descending, ties by category display order.
-//
-//lockguard:held mu
-func (s *Analyzer) protocolBreakdown() []core.ProtocolCount {
-	out := make([]core.ProtocolCount, 0, len(s.byCategory))
-	for _, c := range dataset.Categories {
-		if s.byCategory[c] > 0 {
-			out = append(out, core.ProtocolCount{Category: c, Count: s.byCategory[c]})
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Count > out[j].Count })
-	return out
-}
-
-// familyProtocolTable mirrors core.FamilyProtocolTable's ordering:
-// categories in display order, families alphabetically inside each.
-//
-//lockguard:held mu
-func (s *Analyzer) familyProtocolTable() []core.FamilyProtocolRow {
-	var out []core.FamilyProtocolRow
-	for _, c := range dataset.Categories {
-		fams := make([]dataset.Family, 0, len(s.byCatFam[c]))
-		for f := range s.byCatFam[c] {
-			fams = append(fams, f)
-		}
-		sort.Slice(fams, func(i, j int) bool { return fams[i] < fams[j] })
-		for _, f := range fams {
-			out = append(out, core.FamilyProtocolRow{Category: c, Family: f, Count: s.byCatFam[c][f]})
-		}
-	}
-	return out
-}
-
-// render is the bucket as day d's row; the row takes the bucket's map.
-func (b *dayBucket) render(anchor time.Time, d int) core.DailyCount {
-	return core.DailyCount{Day: anchor.AddDate(0, 0, d), Count: b.count, ByFamily: b.byFamily}
-}
-
-// foldDay folds one rendered day into st's headline statistics with
-// core.DailyDistribution's tie rules: the earliest peak day wins; its
-// dominant family is by count, ties alphabetically.
-func foldDay(st *core.DailyStats, dc core.DailyCount) {
-	if dc.Count <= st.Max {
-		return
-	}
-	st.Max, st.MaxDay = dc.Count, dc.Day
-	best, bestN := dataset.Family(""), 0
-	for f, n := range dc.ByFamily {
-		if n > bestN || (n == bestN && f < best) {
-			best, bestN = f, n
-		}
-	}
-	st.MaxDominantFamily = best
-}
-
-// closeDay moves the open day, which no later attack can fall in, to the
-// rendered prefix.
-//
-//lockguard:held mu
-func (s *Analyzer) closeDay() {
-	if s.open == nil {
-		return
-	}
-	dc := s.open.render(s.dayAnchor, s.openDay)
-	s.closed.Days = append(s.closed.Days, dc)
-	s.closedSum += dc.Count
-	foldDay(&s.closed, dc)
-}
-
-// dailyStats is the closed days plus the open one, rendered over a copy of
-// its still-changing family map. Closed rows are shared between
-// snapshots; nothing writes them again. A shard that has seen only ticks
-// so far has no days.
-//
-//lockguard:held mu
-func (s *Analyzer) dailyStats() core.DailyStats {
-	if s.open == nil {
-		return core.DailyStats{}
-	}
-	st := s.closed
-	today := s.open.render(s.dayAnchor, s.openDay)
-	today.ByFamily = maps.Clone(today.ByFamily)
-	st.Days = append(append(make([]core.DailyCount, 0, len(st.Days)+1), st.Days...), today)
-	foldDay(&st, today)
-	span := int(today.Day.Sub(st.Days[0].Day).Hours()/24) + 1
-	st.Average = float64(s.closedSum+today.Count) / float64(span)
-	return st
 }
 
 // sketchSummary assembles a stats.Summary from exact online moments plus

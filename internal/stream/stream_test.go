@@ -98,6 +98,14 @@ func TestParityDaily(t *testing.T) {
 	}
 }
 
+// Intervals, durations and load stay two implementations by design — the
+// stream answers quantiles from a bounded sketch where the batch sorts the
+// exact ECDF, and Scalars sweeps load online over a heap of end times where
+// core.ConcurrentLoad merges the start and end columns and also emits the
+// 2n-point series — so the three tests below are what ties each pair
+// together; the keyed panels above and below them are one definition in
+// internal/core, held here.
+
 func TestParityIntervals(t *testing.T) {
 	store := parityWorkload(t)
 	snap := ingestAll(t, store).Snapshot()
@@ -321,8 +329,8 @@ func TestEmptySnapshot(t *testing.T) {
 	}
 }
 
-// TestZeroDurationAttacksDoNotInflateLoad mirrors the batch sweep's tie
-// rule: a zero-duration attack never counts as active.
+// TestZeroDurationAttacksDoNotInflateLoad holds the online sweep to the
+// batch sweep's tie rule: a zero-duration attack never counts as active.
 func TestZeroDurationAttacksDoNotInflateLoad(t *testing.T) {
 	sa := New()
 	t0 := time.Date(2012, 8, 29, 0, 0, 0, 0, time.UTC)
