@@ -17,7 +17,7 @@ build-cross:
 # in total: the unit the ROADMAP's simplification items are denominated
 # in. benchmark/ gets its own total because a PR outside it may not touch
 # it, and the static gate (cmd/botvet + internal/analysis) gets one
-# because ROADMAP item 7(c) is denominated in it. Raw lines (wc -l), so
+# because ROADMAP item 10(c) is denominated in it. Raw lines (wc -l), so
 # comment and blank lines count.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './vendor/*' ! -path '*/testdata/*' ! -path './.bench_build/*' -print0 \
@@ -44,9 +44,8 @@ bin/botvet: $(BOTVET_SRC)
 # BOTVET_ANALYZERS is the registered gate, in cmd/botvet/main.go's order
 # (a cmd/botvet test fails when the two disagree): the SSA tier (goleak,
 # ctxflow, wireframe), the invariant tier (nodeterm, lockguard, floateq,
-# sharedslice, parmerge, hotalloc) and the columnar-era tier (mmaplife,
-# lazymat, codecsym).
-BOTVET_ANALYZERS := codecsym ctxflow floateq goleak hotalloc lazymat lockguard mmaplife nodeterm parmerge sharedslice wireframe
+# sharedslice) and the columnar-era tier (mmaplife, lazymat, codecsym).
+BOTVET_ANALYZERS := codecsym ctxflow floateq goleak lazymat lockguard mmaplife nodeterm sharedslice wireframe
 
 # botvet runs them over every package via go vet's -vettool hook. Exit
 # code 0 means every analyzer ran clean; 1 means diagnostics (or build
@@ -92,17 +91,19 @@ race:
 	$(GO) test -race ./...
 
 # verify-race is the dynamic complement of the static gate: the worker
-# parity, determinism, and concurrent-access tests — everything the
-# sharedslice/parmerge analyzers reason about statically — run under the
-# race detector with the full machine's parallelism; TestSnapshot also
-# selects the analyzer's generation-published snapshot tests (one writer
-# against eight polling readers), and Concurrent the cluster's
+# parity, determinism, and concurrent-access tests — what holds the
+# par.Map/ChunkMap kernels to "any worker count, same answer", and what
+# the sharedslice analyzer reasons about statically — run under the race
+# detector with the full machine's parallelism; TestLazy is the
+# build-once holder of every derived product, TestSnapshot also selects
+# the analyzer's generation-published snapshot tests (one writer against
+# eight polling readers), and Concurrent the cluster's
 # readers-during-shard-churn test. -count=2 shakes out once-per-process
-# caching effects (sync.Once indexes, memoized views).
+# caching effects (memo.Lazy products, memoized views).
 verify-race:
 	$(GO) test -race -count=2 \
-		-run 'TestMap|TestChunk|TestWorkers|Parallel|Concurrent|Deterministic|TestParity|TestStoreAccessors|TestStoreSummaryWorkers|TestBotDense|TestDispersionIndex|TestIngest|TestSnapshot|TestAnalyzerIngested' \
-		./internal/par/ ./internal/dataset/ ./internal/core/ ./internal/stream/ ./internal/synth/ ./internal/experiments/ ./internal/cluster/
+		-run 'TestMap|TestChunk|TestWorkers|Parallel|Concurrent|Deterministic|TestParity|TestStoreAccessors|TestStoreSummaryWorkers|TestBotDense|TestDispersionIndex|TestIngest|TestSnapshot|TestAnalyzerIngested|TestLazy' \
+		./internal/par/ ./internal/memo/ ./internal/dataset/ ./internal/core/ ./internal/stream/ ./internal/synth/ ./internal/experiments/ ./internal/cluster/
 
 # benchmark runs the repo's benchmark as the pipeline does (BENCHMARK.json:
 # four workloads, eight end-to-end metrics; ~30 s a workload). It is the

@@ -248,34 +248,36 @@ type (
 
 // Analyzer exposes every analysis of the paper over one workload.
 // The zero value is not usable; construct it with NewAnalyzer.
-// An Analyzer is safe for concurrent use.
+// An Analyzer is safe for concurrent use. The per-family dispersion
+// series and the §V collaboration list are derived once per Analyzer and
+// shared by every method that reads them.
 type Analyzer struct {
-	store     *Store
+	w         *experiments.Workload // the store and its derived products
 	collector *monitor.Collector
 }
 
 // NewAnalyzer wraps a workload store.
 func NewAnalyzer(store *Store) *Analyzer {
-	return &Analyzer{store: store, collector: monitor.NewCollector(store)}
+	return &Analyzer{w: experiments.FromStore(store, 1), collector: monitor.NewCollector(store)}
 }
 
 // Store returns the underlying workload.
-func (a *Analyzer) Store() *Store { return a.store }
+func (a *Analyzer) Store() *Store { return a.w.Store }
 
 // Summary computes the Table III entity counts.
-func (a *Analyzer) Summary() SummaryCounts { return a.store.Summary() }
+func (a *Analyzer) Summary() SummaryCounts { return a.w.Store.Summary() }
 
 // ProtocolBreakdown counts attacks per category (Fig 1).
-func (a *Analyzer) ProtocolBreakdown() []ProtocolCount { return core.ProtocolBreakdown(a.store) }
+func (a *Analyzer) ProtocolBreakdown() []ProtocolCount { return core.ProtocolBreakdown(a.w.Store) }
 
 // DailyDistribution buckets attacks per day (Fig 2).
-func (a *Analyzer) DailyDistribution() (DailyStats, error) { return core.DailyDistribution(a.store) }
+func (a *Analyzer) DailyDistribution() (DailyStats, error) { return core.DailyDistribution(a.w.Store) }
 
 // AllIntervals returns the global inter-attack gap series in seconds.
-func (a *Analyzer) AllIntervals() []float64 { return core.AllIntervals(a.store) }
+func (a *Analyzer) AllIntervals() []float64 { return core.AllIntervals(a.w.Store) }
 
 // FamilyIntervals returns one family's gap series in seconds.
-func (a *Analyzer) FamilyIntervals(f Family) []float64 { return core.FamilyIntervals(a.store, f) }
+func (a *Analyzer) FamilyIntervals(f Family) []float64 { return core.FamilyIntervals(a.w.Store, f) }
 
 // AnalyzeIntervals summarizes a gap series (§III-B).
 func (a *Analyzer) AnalyzeIntervals(gaps []float64) (IntervalStats, error) {
@@ -283,7 +285,7 @@ func (a *Analyzer) AnalyzeIntervals(gaps []float64) (IntervalStats, error) {
 }
 
 // Durations returns all attack durations in seconds, time-ordered.
-func (a *Analyzer) Durations() []float64 { return core.Durations(a.store) }
+func (a *Analyzer) Durations() []float64 { return core.Durations(a.w.Store) }
 
 // AnalyzeDurations summarizes a duration series (§III-C).
 func (a *Analyzer) AnalyzeDurations(durs []float64) (DurationStats, error) {
@@ -292,94 +294,98 @@ func (a *Analyzer) AnalyzeDurations(durs []float64) (DurationStats, error) {
 
 // DispersionProfile characterizes one family's source geometry (§IV-A).
 func (a *Analyzer) DispersionProfile(f Family) (DispersionProfile, error) {
-	return core.ProfileDispersion(a.store, f)
+	return a.w.Disp().Profile(f)
 }
 
 // DispersionSeries returns a family's per-attack dispersion values in km.
 func (a *Analyzer) DispersionSeries(f Family) []float64 {
-	return core.DispersionValues(core.DispersionSeries(a.store, f))
+	return core.DispersionValues(a.w.Disp().Series(f))
 }
 
 // PredictDispersion runs the §IV-A ARIMA forecasting experiment.
 func (a *Analyzer) PredictDispersion(f Family, cfg PredictConfig) (*PredictionResult, error) {
-	return core.PredictDispersion(a.store, f, cfg)
+	return a.w.Disp().Predict(f, cfg)
 }
 
 // PredictAllFamilies runs the forecasting experiment for every family with
 // enough data (Table IV).
 func (a *Analyzer) PredictAllFamilies(cfg PredictConfig) []*PredictionResult {
-	return core.PredictAllFamilies(a.store, cfg)
+	return a.w.Disp().PredictAll(cfg, 0)
 }
 
 // PredictNextAttacks forecasts the next-attack start gap per repeat target.
 func (a *Analyzer) PredictNextAttacks(minAttacks int) []NextAttackPrediction {
-	return core.PredictNextAttacks(a.store, minAttacks)
+	return core.PredictNextAttacks(a.w.Store, minAttacks)
 }
 
 // TargetCountries computes one family's Table V profile.
 func (a *Analyzer) TargetCountries(f Family, topN int) TargetCountryProfile {
-	return core.TargetCountries(a.store, f, topN)
+	return core.TargetCountries(a.w.Store, f, topN)
 }
 
 // GlobalTargetCountries ranks victim countries across families.
 func (a *Analyzer) GlobalTargetCountries(topN int) []core.CountryCount {
-	return core.GlobalTargetCountries(a.store, topN)
+	return core.GlobalTargetCountries(a.w.Store, topN)
 }
 
 // OrgHotspots computes the Fig 14 organization-level hotspots for one
 // family inside [from, to); zero times mean the whole workload.
 func (a *Analyzer) OrgHotspots(f Family, from, to time.Time) []OrgHotspot {
-	return core.OrgHotspots(a.store, f, from, to)
+	return core.OrgHotspots(a.w.Store, f, from, to)
 }
 
 // Collaborations detects and summarizes §V collaborative attacks.
-func (a *Analyzer) Collaborations() CollabStats { return core.AnalyzeCollaborations(a.store) }
+func (a *Analyzer) Collaborations() CollabStats {
+	return core.AnalyzeCollaborationsFrom(a.w.Collabs())
+}
 
 // Pair analyzes the collaborations between two families (Fig 16).
-func (a *Analyzer) Pair(x, y Family) core.PairSummary { return core.AnalyzePair(a.store, x, y) }
+func (a *Analyzer) Pair(x, y Family) core.PairSummary {
+	return core.AnalyzePairFrom(a.w.Collabs(), x, y)
+}
 
 // Chains detects and summarizes §V-B multistage attacks.
-func (a *Analyzer) Chains() ChainStats { return core.AnalyzeChains(a.store) }
+func (a *Analyzer) Chains() ChainStats { return core.AnalyzeChains(a.w.Store) }
 
 // MagnitudeProfile characterizes one family's attack magnitudes.
 func (a *Analyzer) MagnitudeProfile(f Family) (MagnitudeProfile, error) {
-	return core.ProfileMagnitudes(a.store, f)
+	return core.ProfileMagnitudes(a.w.Store, f)
 }
 
 // ConcurrentLoad sweeps the workload for the number of simultaneously
 // active attacks over time (§II-B's "243 simultaneous attacks" figure).
 func (a *Analyzer) ConcurrentLoad() ([]core.LoadPoint, LoadStats, error) {
-	return core.ConcurrentLoad(a.store)
+	return core.ConcurrentLoad(a.w.Store)
 }
 
 // TransferPredict applies a dispersion model fitted on one family to
 // another (the paper's cross-family learning claim).
 func (a *Analyzer) TransferPredict(source, target Family, order ARIMAOrder, minSeries int) (*TransferResult, error) {
-	return core.TransferPredict(a.store, source, target, order, minSeries)
+	return a.w.Disp().Transfer(source, target, order, minSeries)
 }
 
 // AnalyzeDiurnal scores hour-of-day / day-of-week timing concentration
 // against a user-driven reference profile (§III-A: DDoS launches show no
 // diurnal pattern).
 func (a *Analyzer) AnalyzeDiurnal() (DiurnalAnalysis, error) {
-	return core.AnalyzeDiurnal(a.store)
+	return core.AnalyzeDiurnal(a.w.Store)
 }
 
 // BuildBlacklist ranks bots observed in [from, to) by attack participation
 // and keeps the top maxSize (0 = all). Zero times mean the whole workload.
 func (a *Analyzer) BuildBlacklist(from, to time.Time, maxSize int) (*Blacklist, error) {
-	return core.BuildBlacklist(a.store, from, to, maxSize)
+	return core.BuildBlacklist(a.w.Store, from, to, maxSize)
 }
 
 // EvaluateBlacklist replays the attacks in [from, to) against a blacklist.
 func (a *Analyzer) EvaluateBlacklist(bl *Blacklist, from, to time.Time) (BlacklistEvaluation, error) {
-	return core.EvaluateBlacklist(a.store, bl, from, to)
+	return core.EvaluateBlacklist(a.w.Store, bl, from, to)
 }
 
 // PlanMitigation derives per-target high-alert windows from historical
 // inter-attack gaps for targets with at least minAttacks attacks.
 func (a *Analyzer) PlanMitigation(minAttacks int) []MitigationWindow {
-	return core.PlanMitigation(a.store, minAttacks)
+	return core.PlanMitigation(a.w.Store, minAttacks)
 }
 
 // WeeklySources computes the Fig 8 week-by-week source aggregation.

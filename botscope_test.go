@@ -2,6 +2,7 @@ package botscope
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -350,5 +351,43 @@ func TestStreamAnalyzerViaAPI(t *testing.T) {
 	}
 	if err := sa.Ingest(store.Attacks()[0]); err == nil {
 		t.Error("out-of-order ingest accepted")
+	}
+}
+
+// TestAnalyzerSharesDerivedProducts pins that an Analyzer derives the §V
+// collaboration list and a family's dispersion series once: two Pair calls
+// hand out the same events, and a second DispersionProfile allocates its
+// own summary only — under 1 % of the bytes the first spent on the dense
+// bot index and the series (0.45 % here; a re-scan of the series alone
+// reads 1.8 %).
+func TestAnalyzerSharesDerivedProducts(t *testing.T) {
+	store, err := Generate(GenerateConfig{Seed: 123, Scale: 0.04}) // not apiWorkload: the first call must find nothing built
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewAnalyzer(store)
+
+	p1, p2 := a.Pair(Dirtjumper, Pandora), a.Pair(Dirtjumper, Pandora)
+	if len(p1.Events) == 0 {
+		t.Fatal("no dirtjumper-pandora events; the comparison below is vacuous")
+	}
+	for i := range p1.Events {
+		if p1.Events[i] != p2.Events[i] {
+			t.Fatalf("Pair event %d is a different *Collaboration on the second call: detection ran twice", i)
+		}
+	}
+
+	allocated := func() uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, err := a.DispersionProfile(Dirtjumper); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	first, second := allocated(), allocated()
+	if second*100 >= first {
+		t.Errorf("second DispersionProfile allocated %d bytes, first %d: want under 1 %%", second, first)
 	}
 }

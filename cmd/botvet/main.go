@@ -1,4 +1,4 @@
-// Botvet is the project-specific static-analysis gate: the twelve botscope
+// Botvet is the project-specific static-analysis gate: the ten botscope
 // analyzers bundled into a unitchecker binary that `go vet` drives over
 // every package:
 //
@@ -34,30 +34,26 @@ import (
 	"botscope/internal/analysis/ctxflow"
 	"botscope/internal/analysis/floateq"
 	"botscope/internal/analysis/goleak"
-	"botscope/internal/analysis/hotalloc"
 	"botscope/internal/analysis/lazymat"
 	"botscope/internal/analysis/lockguard"
 	"botscope/internal/analysis/mmaplife"
 	"botscope/internal/analysis/nodeterm"
-	"botscope/internal/analysis/parmerge"
 	"botscope/internal/analysis/sharedslice"
 	"botscope/internal/analysis/wireframe"
 )
 
 // analyzers is the full gate. The Makefile's BOTVET_ANALYZERS list names
-// the same twelve for botvet-timed; TestMakefileListsEveryAnalyzer keeps
+// the same ten for botvet-timed; TestMakefileListsEveryAnalyzer keeps
 // the two in step.
 var analyzers = []*analysis.Analyzer{
 	codecsym.Analyzer,
 	ctxflow.Analyzer,
 	floateq.Analyzer,
 	goleak.Analyzer,
-	hotalloc.Analyzer,
 	lazymat.Analyzer,
 	lockguard.Analyzer,
 	mmaplife.Analyzer,
 	nodeterm.Analyzer,
-	parmerge.Analyzer,
 	sharedslice.Analyzer,
 	wireframe.Analyzer,
 }

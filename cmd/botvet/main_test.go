@@ -12,7 +12,7 @@ import (
 
 // TestBotvetCleanOnRepo builds the botvet binary and drives it over the
 // whole module with go vet, asserting zero diagnostics: the annotation
-// contracts (//botscope:shared, //botscope:parpool, //botscope:hotpath)
+// contracts (//botscope:shared, //botscope:mmap, //botscope:hotpath)
 // and the determinism scopes must hold on every package at all times.
 func TestBotvetCleanOnRepo(t *testing.T) {
 	if testing.Short() {

@@ -15,9 +15,9 @@ import (
 	"golang.org/x/tools/go/types/typeutil"
 )
 
-// Directives read by more than one analyzer.
+// Directive spellings, kept beside the helpers that read them.
 const (
-	HotpathDirective = "botscope:hotpath" // hotalloc, lazymat
+	HotpathDirective = "botscope:hotpath" // lazymat
 	SharedDirective  = "botscope:shared"  // sharedslice, mmaplife
 )
 
@@ -312,9 +312,9 @@ func appendTarget(info *types.Info, as *ast.AssignStmt) types.Object {
 }
 
 // DeclaredWithin reports whether the object's declaration position lies
-// inside the source range [lo, hi] — the test the parmerge and hotalloc
-// analyzers use to distinguish a closure's own locals and parameters from
-// variables captured from the enclosing function (or package scope).
+// inside the source range [lo, hi] — how mmaplife tells a closure's own
+// locals and parameters from variables captured from the enclosing
+// function (or package scope).
 func DeclaredWithin(obj types.Object, lo, hi token.Pos) bool {
 	return obj != nil && obj.Pos() >= lo && obj.Pos() <= hi
 }

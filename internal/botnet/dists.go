@@ -25,12 +25,6 @@ func LogNormal(rng *rand.Rand, median, sigma, max float64) float64 {
 	return max
 }
 
-// NormalPositive samples |N(mean, std)| — used for dispersion-style
-// quantities that are magnitudes by construction.
-func NormalPositive(rng *rand.Rand, mean, std float64) float64 {
-	return math.Abs(mean + std*rng.NormFloat64())
-}
-
 // IntervalMode is one component of the inter-attack interval mixture.
 type IntervalMode struct {
 	// Weight is the relative probability of this mode.

@@ -30,15 +30,6 @@ func TestLogNormalTruncation(t *testing.T) {
 	}
 }
 
-func TestNormalPositive(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 5000; i++ {
-		if v := NormalPositive(rng, 100, 500); v < 0 {
-			t.Fatalf("NormalPositive returned %v", v)
-		}
-	}
-}
-
 func TestIntervalModelZeroShare(t *testing.T) {
 	m := IntervalModel{
 		Modes: []IntervalMode{

@@ -416,13 +416,8 @@ type CollabStats struct {
 	Collaborations []*Collaboration
 }
 
-// AnalyzeCollaborations runs detection and aggregates Table VI.
-func AnalyzeCollaborations(s *dataset.Store) CollabStats {
-	return AnalyzeCollaborationsFrom(DetectCollaborations(s))
-}
-
-// AnalyzeCollaborationsFrom aggregates Table VI over an already-detected
-// collaboration list, letting callers that need both the table and the
+// AnalyzeCollaborationsFrom aggregates Table VI over a detected
+// collaboration list, so callers that need both the table and the
 // per-pair drill-downs detect once and share the result.
 func AnalyzeCollaborationsFrom(collabs []*Collaboration) CollabStats {
 	out := CollabStats{CollabCounts: NewCollabCounts(), Collaborations: collabs}
@@ -455,13 +450,8 @@ type PairSummary struct {
 	Events []*Collaboration
 }
 
-// AnalyzePair summarizes the collaborations between two specific families.
-func AnalyzePair(s *dataset.Store, a, b dataset.Family) PairSummary {
-	return AnalyzePairFrom(DetectCollaborations(s), a, b)
-}
-
-// AnalyzePairFrom is AnalyzePair over an already-detected collaboration
-// list.
+// AnalyzePairFrom summarizes the collaborations between two specific
+// families in a detected collaboration list.
 func AnalyzePairFrom(collabs []*Collaboration, a, b dataset.Family) PairSummary {
 	out := PairSummary{A: a, B: b}
 	targets := make(map[string]bool)

@@ -109,7 +109,7 @@ func TestAnalyzeCollaborations(t *testing.T) {
 		mkAttack(4, dataset.Pandora, 3, "5.5.5.2", t0.Add(time.Hour), time.Hour),
 	}
 	s := mustStore(t, attacks)
-	st := AnalyzeCollaborations(s)
+	st := AnalyzeCollaborationsFrom(DetectCollaborations(s))
 	if st.TotalIntra != 1 || st.TotalInter != 1 {
 		t.Fatalf("intra/inter = %d/%d, want 1/1", st.TotalIntra, st.TotalInter)
 	}
@@ -137,7 +137,7 @@ func TestAnalyzePair(t *testing.T) {
 	attacks[2].TargetCountry = "RU"
 	attacks[3].TargetCountry = "RU"
 	s := mustStore(t, attacks)
-	sum := AnalyzePair(s, dataset.Dirtjumper, dataset.Pandora)
+	sum := AnalyzePairFrom(DetectCollaborations(s), dataset.Dirtjumper, dataset.Pandora)
 	if sum.Count != 2 {
 		t.Fatalf("pair collaborations = %d, want 2", sum.Count)
 	}
@@ -154,7 +154,7 @@ func TestAnalyzePair(t *testing.T) {
 
 func TestCollabOnSynthWorkload(t *testing.T) {
 	s := synthWorkload(t)
-	st := AnalyzeCollaborations(s)
+	st := AnalyzeCollaborationsFrom(DetectCollaborations(s))
 	if st.TotalIntra == 0 {
 		t.Fatal("no intra-family collaborations detected")
 	}
@@ -186,7 +186,7 @@ func TestCollabOnSynthWorkload(t *testing.T) {
 		t.Errorf("mean botnets per collaboration = %v, want about 2.19", st.MeanBotnets)
 	}
 
-	pair := AnalyzePair(s, dataset.Dirtjumper, dataset.Pandora)
+	pair := AnalyzePairFrom(st.Collaborations, dataset.Dirtjumper, dataset.Pandora)
 	if pair.Count == 0 {
 		t.Fatal("no dirtjumper-pandora pair events")
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"botscope/internal/dataset"
+	"botscope/internal/memo"
 	"botscope/internal/par"
 	"botscope/internal/stats"
 	"botscope/internal/timeseries"
@@ -12,24 +13,18 @@ import (
 
 // DispersionIndex memoizes per-family dispersion series over one store.
 // Computing a family's series walks every attack's bot formation, and the
-// figures, Table IV prediction, and the transfer matrix all re-derive the
-// same series — roughly thirty recomputations per full report before this
-// index existed. The index computes each family's series at most once and
-// serves the shared immutable slice afterwards.
+// figures, Table IV prediction, and the transfer matrix all read the same
+// series; the index computes each family's at most once and serves the
+// shared slice afterwards.
 //
 // It is safe for concurrent use: the family map is guarded by mu, while
-// each entry carries its own sync.Once so a slow series computation never
+// each entry is its own memo.Lazy, so a slow series computation never
 // holds the map lock and two families can be computed concurrently.
 type DispersionIndex struct {
 	store *dataset.Store
 
 	mu    sync.Mutex
-	byFam map[dataset.Family]*dispEntry // guarded by mu
-}
-
-type dispEntry struct {
-	once   sync.Once
-	series []DispersionPoint // written once inside once.Do; immutable after
+	byFam map[dataset.Family]*memo.Lazy[[]DispersionPoint] // guarded by mu
 }
 
 // NewDispersionIndex creates an empty index over s. Series are computed
@@ -37,30 +32,8 @@ type dispEntry struct {
 func NewDispersionIndex(s *dataset.Store) *DispersionIndex {
 	return &DispersionIndex{
 		store: s,
-		byFam: make(map[dataset.Family]*dispEntry),
+		byFam: make(map[dataset.Family]*memo.Lazy[[]DispersionPoint]),
 	}
-}
-
-var (
-	dispMemoMu    sync.Mutex
-	dispMemoStore *dataset.Store   // guarded by dispMemoMu
-	dispMemoIx    *DispersionIndex // guarded by dispMemoMu
-)
-
-// IndexFor returns a memoized DispersionIndex for s, so package-level
-// entry points that don't thread a Workloads value (ActiveDispersion-
-// Families, TransferPredict) still share series across calls. Exactly one
-// store is cached — the one most recently asked about — which covers the
-// realistic access pattern (one store per process) with a bounded
-// footprint; switching stores just drops the previous index.
-func IndexFor(s *dataset.Store) *DispersionIndex {
-	dispMemoMu.Lock()
-	defer dispMemoMu.Unlock()
-	if dispMemoStore != s {
-		dispMemoStore = s
-		dispMemoIx = NewDispersionIndex(s)
-	}
-	return dispMemoIx
 }
 
 // Store returns the underlying store.
@@ -74,14 +47,11 @@ func (ix *DispersionIndex) Series(f dataset.Family) []DispersionPoint {
 	ix.mu.Lock()
 	e, ok := ix.byFam[f]
 	if !ok {
-		e = &dispEntry{}
+		e = new(memo.Lazy[[]DispersionPoint])
 		ix.byFam[f] = e
 	}
 	ix.mu.Unlock()
-	e.once.Do(func() {
-		e.series = DispersionSeries(ix.store, f)
-	})
-	return e.series
+	return e.Get(func() []DispersionPoint { return DispersionSeries(ix.store, f) })
 }
 
 // Precompute fills the index for every family in the store, sharded by
@@ -95,35 +65,43 @@ func (ix *DispersionIndex) Precompute(workers int) {
 	})
 }
 
-// Profile is ProfileDispersion served from the index.
+// Profile builds a family's dispersion profile. The error is non-nil when
+// the family has no usable attacks.
 func (ix *DispersionIndex) Profile(f dataset.Family) (DispersionProfile, error) {
 	return profileFromSeries(f, ix.Series(f))
 }
 
-// CDF is DispersionCDF served from the index.
+// CDF builds the Fig 9 per-family CDF over all dispersion values
+// (symmetric included).
 func (ix *DispersionIndex) CDF(f dataset.Family) (*stats.ECDF, error) {
 	return cdfFromSeries(f, ix.Series(f))
 }
 
-// Histogram is DispersionHistogram served from the index.
+// Histogram builds the Figs 10/11 histogram of the asymmetric dispersion
+// values (symmetric ones removed, exactly as the paper does).
 func (ix *DispersionIndex) Histogram(f dataset.Family, bins int) (*stats.Histogram, error) {
 	return histogramFromSeries(f, ix.Series(f), bins)
 }
 
-// ActiveFamilies is ActiveDispersionFamilies served from the index.
+// ActiveFamilies returns the families with at least minPoints dispersion
+// observations, sorted by count descending. Fig 9 reports the six
+// families with >= 10 snapshots.
 func (ix *DispersionIndex) ActiveFamilies(minPoints int) []dataset.Family {
 	return activeFamiliesFrom(ix.store.Families(), ix.Series, minPoints)
 }
 
-// Predict is PredictDispersion served from the index.
+// Predict runs the paper's experiment for one family: fit ARIMA on the
+// first half of its dispersion series, predict the second half
+// one-step-ahead, score with mean/std/cosine similarity.
 func (ix *DispersionIndex) Predict(f dataset.Family, cfg PredictConfig) (*PredictionResult, error) {
 	return PredictSeries(f, DispersionValues(ix.Series(f)), cfg)
 }
 
-// PredictAll is PredictAllFamilies served from the index, with the
-// per-family fits sharded across workers (0 = all cores). Families are
-// evaluated independently and results are kept in the canonical
-// ActiveFamilies order, so the output matches the sequential loop.
+// PredictAll runs Predict for every family with enough data, in count
+// order (Table IV covers five families; Darkshell drops out for
+// insufficient data), with the per-family fits sharded across workers
+// (0 = all cores). Families that fail to fit are skipped; results keep
+// the ActiveFamilies order, so the output matches the sequential loop.
 func (ix *DispersionIndex) PredictAll(cfg PredictConfig, workers int) []*PredictionResult {
 	fams := ix.ActiveFamilies(1)
 	results := par.Map(workers, len(fams), func(i int) *PredictionResult {
@@ -142,16 +120,19 @@ func (ix *DispersionIndex) PredictAll(cfg PredictConfig, workers int) []*Predict
 	return out
 }
 
-// Transfer is TransferPredict served from the index.
+// Transfer fits ARIMA on source's dispersion series and evaluates it
+// one-step-ahead on target's series (second half), against a natively
+// fitted reference. Both families need at least minSeries points.
 func (ix *DispersionIndex) Transfer(source, target dataset.Family, order timeseries.Order, minSeries int) (*TransferResult, error) {
 	src := DispersionValues(ix.Series(source))
 	tgt := DispersionValues(ix.Series(target))
 	return transferFromSeries(source, target, src, tgt, order, minSeries)
 }
 
-// TransferMatrix is the package-level TransferMatrix served from the
-// index, with the ordered pairs sharded across workers (0 = all cores).
-// Pairs are independent fits; results are kept in canonical pair order.
+// TransferMatrix evaluates every ordered pair of the given families and
+// returns the successful results in pair order; pairs whose series are
+// too short or whose fits fail are skipped. The ordered pairs are sharded
+// across all cores.
 func (ix *DispersionIndex) TransferMatrix(families []dataset.Family, order timeseries.Order, minSeries int) []*TransferResult {
 	return ix.transferMatrix(families, order, minSeries, 0)
 }

@@ -32,47 +32,24 @@ func TestDispersionIndexMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestDispersionIndexDerived checks the derived accessors agree with their
-// package-level counterparts.
+// TestDispersionIndexDerived checks the two sharded accessors against
+// the sequential loops they replace: PredictAll against Predict per
+// active family, and transferMatrix — which fits each family once and
+// shares the fits across pairs — against Transfer per ordered pair.
 func TestDispersionIndexDerived(t *testing.T) {
-	s := synthWorkload(t)
-	ix := NewDispersionIndex(s)
-
-	wantFams := ActiveDispersionFamilies(s, 10)
-	gotFams := ix.ActiveFamilies(10)
-	if len(wantFams) != len(gotFams) {
-		t.Fatalf("ActiveFamilies: %v vs %v", gotFams, wantFams)
-	}
-	for i := range wantFams {
-		if wantFams[i] != gotFams[i] {
-			t.Fatalf("ActiveFamilies order differs: %v vs %v", gotFams, wantFams)
-		}
-	}
-	if len(wantFams) == 0 {
-		t.Fatal("no active families; comparisons below are vacuous")
-	}
-	f := wantFams[0]
-
-	wantProf, err1 := ProfileDispersion(s, f)
-	gotProf, err2 := ix.Profile(f)
-	if (err1 == nil) != (err2 == nil) {
-		t.Fatalf("Profile error mismatch: %v vs %v", err2, err1)
-	}
-	if wantProf != gotProf {
-		t.Errorf("Profile(%s): %+v vs %+v", f, gotProf, wantProf)
+	ix := NewDispersionIndex(synthWorkload(t))
+	fams := ix.ActiveFamilies(10)
+	if len(fams) < 2 {
+		t.Fatalf("active families = %v; comparisons below are vacuous", fams)
 	}
 
 	cfg := PredictConfig{Order: timeseries.Order{P: 1}}
-	wantPred, err1 := PredictDispersion(s, f, cfg)
-	gotPred, err2 := ix.Predict(f, cfg)
-	if (err1 == nil) != (err2 == nil) {
-		t.Fatalf("Predict error mismatch: %v vs %v", err2, err1)
+	var wantAll []*PredictionResult
+	for _, f := range ix.ActiveFamilies(1) {
+		if res, err := ix.Predict(f, cfg); err == nil {
+			wantAll = append(wantAll, res)
+		}
 	}
-	if err1 == nil && (wantPred.Similarity != gotPred.Similarity || wantPred.MeanPred != gotPred.MeanPred) {
-		t.Errorf("Predict(%s): similarity %v vs %v", f, gotPred.Similarity, wantPred.Similarity)
-	}
-
-	wantAll := PredictAllFamilies(s, cfg)
 	gotAll := ix.PredictAll(cfg, 4)
 	if len(wantAll) != len(gotAll) {
 		t.Fatalf("PredictAll: %d results vs %d", len(gotAll), len(wantAll))
@@ -84,17 +61,25 @@ func TestDispersionIndexDerived(t *testing.T) {
 		}
 	}
 
-	if len(wantFams) >= 2 {
-		order := timeseries.Order{P: 1}
-		wantTM := TransferMatrix(s, wantFams[:2], order, 10)
-		gotTM := ix.transferMatrix(wantFams[:2], order, 10, 4)
-		if len(wantTM) != len(gotTM) {
-			t.Fatalf("TransferMatrix: %d results vs %d", len(gotTM), len(wantTM))
-		}
-		for i := range wantTM {
-			if *wantTM[i] != *gotTM[i] {
-				t.Errorf("TransferMatrix[%d]: %+v vs %+v", i, gotTM[i], wantTM[i])
+	order := timeseries.Order{P: 1}
+	var wantTM []*TransferResult
+	for _, src := range fams[:2] {
+		for _, tgt := range fams[:2] {
+			if src == tgt {
+				continue
 			}
+			if res, err := ix.Transfer(src, tgt, order, 10); err == nil {
+				wantTM = append(wantTM, res)
+			}
+		}
+	}
+	gotTM := ix.transferMatrix(fams[:2], order, 10, 4)
+	if len(wantTM) != len(gotTM) {
+		t.Fatalf("TransferMatrix: %d results vs %d", len(gotTM), len(wantTM))
+	}
+	for i := range wantTM {
+		if *wantTM[i] != *gotTM[i] {
+			t.Errorf("TransferMatrix[%d]: %+v vs %+v", i, gotTM[i], wantTM[i])
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"botscope/internal/dataset"
 	"botscope/internal/stats"
@@ -16,16 +15,6 @@ func Durations(s *dataset.Store) []float64 {
 	out := make([]float64, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, s.AttackAt(i).Duration().Seconds())
-	}
-	return out
-}
-
-// FamilyDurations returns one family's durations in start-time order.
-func FamilyDurations(s *dataset.Store, f dataset.Family) []float64 {
-	rows := s.RowsByFamily(f)
-	out := make([]float64, 0, len(rows))
-	for _, row := range rows {
-		out = append(out, s.AttackAt(int(row)).Duration().Seconds())
 	}
 	return out
 }
@@ -125,23 +114,4 @@ func normQuantile(p float64) float64 {
 		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
 			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
 	}
-}
-
-// DurationPoint pairs an attack's start time with its duration, for the
-// Fig 6 scatter rendering.
-type DurationPoint struct {
-	Start    time.Time
-	Family   dataset.Family
-	Duration float64 // seconds
-}
-
-// DurationSeries returns the full (start, duration) scatter of Fig 6.
-func DurationSeries(s *dataset.Store) []DurationPoint {
-	n := s.AttackRows()
-	out := make([]DurationPoint, 0, n)
-	for i := 0; i < n; i++ {
-		v := s.AttackAt(i)
-		out = append(out, DurationPoint{Start: v.Start(), Family: v.Family(), Duration: v.Duration().Seconds()})
-	}
-	return out
 }

@@ -19,10 +19,6 @@ func TestDurations(t *testing.T) {
 	if len(durs) != 2 || durs[0] != 3600 || durs[1] != 1800 {
 		t.Errorf("durations = %v, want [3600 1800]", durs)
 	}
-	fd := FamilyDurations(s, dataset.Pandora)
-	if len(fd) != 1 || fd[0] != 1800 {
-		t.Errorf("pandora durations = %v, want [1800]", fd)
-	}
 }
 
 func TestAnalyzeDurations(t *testing.T) {
@@ -84,17 +80,6 @@ func TestNormQuantile(t *testing.T) {
 	}
 	if got := normQuantile(1); got != 8 {
 		t.Errorf("normQuantile(1) = %v, want clamp 8", got)
-	}
-}
-
-func TestDurationSeries(t *testing.T) {
-	attacks := []*dataset.Attack{
-		mkAttack(1, dataset.Dirtjumper, 1, "5.5.5.1", t0, time.Hour),
-	}
-	s := mustStore(t, attacks)
-	pts := DurationSeries(s)
-	if len(pts) != 1 || pts[0].Duration != 3600 || pts[0].Family != dataset.Dirtjumper {
-		t.Errorf("series = %+v", pts)
 	}
 }
 

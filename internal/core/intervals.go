@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"botscope/internal/dataset"
@@ -157,53 +156,6 @@ const (
 	// MultiFamily means at least two families launched within the window.
 	MultiFamily
 )
-
-// ConcurrencyStats counts concurrent-launch groups by kind, and the most
-// frequent cross-family pairs.
-type ConcurrencyStats struct {
-	SingleFamilyGroups int
-	MultiFamilyGroups  int
-	// PairCounts counts co-occurrences of family pairs in multi-family
-	// groups, keyed "familyA+familyB" with A < B.
-	PairCounts map[string]int
-}
-
-// AnalyzeConcurrency groups attacks whose starts fall within the
-// 60-second threshold of the group's first start, then classifies groups
-// with at least two attacks. This regenerates §III-B's 3,692 single-family
-// and 956 multi-family concurrent events and the Dirtjumper+Blackenergy /
-// Dirtjumper+Pandora pair counts.
-func AnalyzeConcurrency(s *dataset.Store) ConcurrencyStats {
-	n := s.AttackRows()
-	out := ConcurrencyStats{PairCounts: make(map[string]int)}
-	i := 0
-	for i < n {
-		si := s.AttackAt(i).StartNano()
-		j := i + 1
-		for j < n && time.Duration(s.AttackAt(j).StartNano()-si) < SimultaneousThreshold {
-			j++
-		}
-		if j-i >= 2 {
-			fams := make(map[dataset.Family]bool)
-			for k := i; k < j; k++ {
-				fams[s.AttackAt(k).Family()] = true
-			}
-			if len(fams) == 1 {
-				out.SingleFamilyGroups++
-			} else {
-				out.MultiFamilyGroups++
-				list := make([]dataset.Family, 0, len(fams))
-				for f := range fams {
-					list = append(list, f)
-				}
-				sort.Slice(list, func(a, b int) bool { return list[a] < list[b] })
-				countFamilyPairs(out.PairCounts, list)
-			}
-		}
-		i = j
-	}
-	return out
-}
 
 // TargetIntervals returns, for each target attacked at least minAttacks
 // times, the gap series between consecutive attacks on it. The paper uses

@@ -86,30 +86,6 @@ func TestClusterIntervals(t *testing.T) {
 	}
 }
 
-func TestAnalyzeConcurrency(t *testing.T) {
-	attacks := []*dataset.Attack{
-		// Group 1: two dirtjumper attacks 10 s apart -> single family.
-		mkAttack(1, dataset.Dirtjumper, 1, "5.5.5.1", t0, time.Hour),
-		mkAttack(2, dataset.Dirtjumper, 2, "5.5.5.2", t0.Add(10*time.Second), time.Hour),
-		// Lone attack.
-		mkAttack(3, dataset.Dirtjumper, 1, "5.5.5.3", t0.Add(2*time.Hour), time.Hour),
-		// Group 2: dirtjumper + pandora 5 s apart -> multi family.
-		mkAttack(4, dataset.Dirtjumper, 1, "5.5.5.4", t0.Add(5*time.Hour), time.Hour),
-		mkAttack(5, dataset.Pandora, 3, "5.5.5.5", t0.Add(5*time.Hour+5*time.Second), time.Hour),
-	}
-	s := mustStore(t, attacks)
-	got := AnalyzeConcurrency(s)
-	if got.SingleFamilyGroups != 1 {
-		t.Errorf("SingleFamilyGroups = %d, want 1", got.SingleFamilyGroups)
-	}
-	if got.MultiFamilyGroups != 1 {
-		t.Errorf("MultiFamilyGroups = %d, want 1", got.MultiFamilyGroups)
-	}
-	if got.PairCounts["dirtjumper+pandora"] != 1 {
-		t.Errorf("pair counts = %v, want dirtjumper+pandora x1", got.PairCounts)
-	}
-}
-
 func TestTargetIntervals(t *testing.T) {
 	attacks := []*dataset.Attack{
 		mkAttack(1, dataset.Dirtjumper, 1, "5.5.5.1", t0, time.Hour),
@@ -172,10 +148,5 @@ func TestIntervalsOnSynthWorkload(t *testing.T) {
 	cdf := IntervalCDF(gaps)
 	if p := cdf.Eval(math.Inf(1)); p != 1 {
 		t.Errorf("CDF at +inf = %v", p)
-	}
-
-	conc := AnalyzeConcurrency(s)
-	if conc.SingleFamilyGroups == 0 || conc.MultiFamilyGroups == 0 {
-		t.Errorf("concurrency groups = %+v, want both kinds present (§III-B)", conc)
 	}
 }

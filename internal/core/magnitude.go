@@ -15,26 +15,6 @@ import (
 // load over time — the "on average, there was 243 simultaneous verified
 // DDoS attacks" observation of §II-B.
 
-// Magnitudes returns every attack's magnitude in start-time order.
-func Magnitudes(s *dataset.Store) []float64 {
-	n := s.AttackRows()
-	out := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, float64(s.AttackAt(i).Magnitude()))
-	}
-	return out
-}
-
-// FamilyMagnitudes returns one family's magnitudes in start-time order.
-func FamilyMagnitudes(s *dataset.Store, f dataset.Family) []float64 {
-	rows := s.RowsByFamily(f)
-	out := make([]float64, 0, len(rows))
-	for _, row := range rows {
-		out = append(out, float64(s.AttackAt(int(row)).Magnitude()))
-	}
-	return out
-}
-
 // MagnitudeProfile summarizes one family's attack strength.
 type MagnitudeProfile struct {
 	Family dataset.Family

@@ -20,22 +20,6 @@ func withMagnitude(a *dataset.Attack, n int) *dataset.Attack {
 	return a
 }
 
-func TestMagnitudes(t *testing.T) {
-	attacks := []*dataset.Attack{
-		withMagnitude(mkAttack(1, dataset.Dirtjumper, 1, "5.5.5.1", t0, time.Hour), 10),
-		withMagnitude(mkAttack(2, dataset.Pandora, 2, "5.5.5.2", t0.Add(time.Hour), time.Hour), 20),
-	}
-	s := mustStore(t, attacks)
-	mags := Magnitudes(s)
-	if len(mags) != 2 || mags[0] != 10 || mags[1] != 20 {
-		t.Errorf("magnitudes = %v", mags)
-	}
-	fm := FamilyMagnitudes(s, dataset.Pandora)
-	if len(fm) != 1 || fm[0] != 20 {
-		t.Errorf("pandora magnitudes = %v", fm)
-	}
-}
-
 func TestProfileMagnitudes(t *testing.T) {
 	// Magnitude strictly grows with duration -> correlation 1.
 	attacks := []*dataset.Attack{

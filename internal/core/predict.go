@@ -43,16 +43,8 @@ type PredictConfig struct {
 	MinSeries int
 }
 
-// PredictDispersion runs the paper's experiment for one family: fit ARIMA
-// on the first half of its dispersion series, predict the second half
-// one-step-ahead, score with mean/std/cosine similarity.
-func PredictDispersion(s *dataset.Store, f dataset.Family, cfg PredictConfig) (*PredictionResult, error) {
-	series := DispersionValues(DispersionSeries(s, f))
-	return PredictSeries(f, series, cfg)
-}
-
-// PredictSeries is PredictDispersion on a pre-extracted series, so callers
-// can forecast any per-attack quantity.
+// PredictSeries is DispersionIndex.Predict on a pre-extracted series, so
+// callers can forecast any per-attack quantity.
 func PredictSeries(f dataset.Family, series []float64, cfg PredictConfig) (*PredictionResult, error) {
 	minSeries := cfg.MinSeries
 	if minSeries <= 0 {
@@ -110,21 +102,6 @@ func PredictSeries(f dataset.Family, series []float64, cfg PredictConfig) (*Pred
 		StdTruth:   stats.StdDev(truth),
 		Similarity: sim,
 	}, nil
-}
-
-// PredictAllFamilies runs the experiment for every family with enough
-// data, in count order (Table IV covers five families; Darkshell drops
-// out for insufficient data). Families that fail to fit are skipped.
-func PredictAllFamilies(s *dataset.Store, cfg PredictConfig) []*PredictionResult {
-	var out []*PredictionResult
-	for _, f := range ActiveDispersionFamilies(s, 1) {
-		res, err := PredictDispersion(s, f, cfg)
-		if err != nil {
-			continue
-		}
-		out = append(out, res)
-	}
-	return out
 }
 
 // NextAttackPrediction is the target-side §III insight: for a repeatedly

@@ -68,7 +68,7 @@ func TestPredictSeriesTestPointsCap(t *testing.T) {
 
 func TestPredictDispersionOnSynthWorkload(t *testing.T) {
 	s := synthWorkload(t)
-	res, err := PredictDispersion(s, dataset.Dirtjumper, PredictConfig{
+	res, err := NewDispersionIndex(s).Predict(dataset.Dirtjumper, PredictConfig{
 		Order:      timeseries.Order{P: 1},
 		TestPoints: 200,
 	})
@@ -88,7 +88,7 @@ func TestPredictAllFamilies(t *testing.T) {
 	// Half split (TestPoints 0) so small families keep enough training
 	// data; the paper's 2,700-point evaluation and its >0.8 similarities
 	// are asserted at full scale by the experiments package.
-	results := PredictAllFamilies(s, PredictConfig{Order: timeseries.Order{P: 1}})
+	results := NewDispersionIndex(s).PredictAll(PredictConfig{Order: timeseries.Order{P: 1}}, 0)
 	if len(results) < 5 {
 		t.Fatalf("predicted families = %d, want >= 5 (Table IV covers 5)", len(results))
 	}

@@ -89,12 +89,6 @@ type DispersionProfile struct {
 	Asymmetric stats.Summary
 }
 
-// ProfileDispersion builds a family's dispersion profile. The error is
-// non-nil when the family has no usable attacks.
-func ProfileDispersion(s *dataset.Store, f dataset.Family) (DispersionProfile, error) {
-	return profileFromSeries(f, DispersionSeries(s, f))
-}
-
 func profileFromSeries(f dataset.Family, series []DispersionPoint) (DispersionProfile, error) {
 	if len(series) == 0 {
 		return DispersionProfile{}, fmt.Errorf("core: family %s has no dispersion data", f)
@@ -116,23 +110,11 @@ func profileFromSeries(f dataset.Family, series []DispersionPoint) (DispersionPr
 	}, nil
 }
 
-// DispersionCDF builds the Fig 9 per-family CDF over all dispersion values
-// (symmetric included).
-func DispersionCDF(s *dataset.Store, f dataset.Family) (*stats.ECDF, error) {
-	return cdfFromSeries(f, DispersionSeries(s, f))
-}
-
 func cdfFromSeries(f dataset.Family, series []DispersionPoint) (*stats.ECDF, error) {
 	if len(series) == 0 {
 		return nil, fmt.Errorf("core: family %s has no dispersion data", f)
 	}
 	return stats.NewECDF(DispersionValues(series)), nil
-}
-
-// DispersionHistogram builds the Figs 10/11 histogram of the asymmetric
-// dispersion values (symmetric ones removed, exactly as the paper does).
-func DispersionHistogram(s *dataset.Store, f dataset.Family, bins int) (*stats.Histogram, error) {
-	return histogramFromSeries(f, DispersionSeries(s, f), bins)
 }
 
 func histogramFromSeries(f dataset.Family, series []DispersionPoint, bins int) (*stats.Histogram, error) {
@@ -152,18 +134,6 @@ func histogramFromSeries(f dataset.Family, series []DispersionPoint, bins int) (
 	}
 	h.AddAll(asym)
 	return h, nil
-}
-
-// ActiveDispersionFamilies returns the families with at least minPoints
-// dispersion observations, sorted by count descending. Fig 9 reports the
-// six families with >= 10 snapshots.
-//
-// The per-family series are served from IndexFor's memoized
-// DispersionIndex: callers outside the Workloads plumbing (report tools,
-// ad-hoc filters) used to recompute every family's series on each call,
-// which made this the most expensive "cheap" query in the package.
-func ActiveDispersionFamilies(s *dataset.Store, minPoints int) []dataset.Family {
-	return IndexFor(s).ActiveFamilies(minPoints)
 }
 
 func activeFamiliesFrom(families []dataset.Family, seriesOf func(dataset.Family) []DispersionPoint, minPoints int) []dataset.Family {
@@ -186,32 +156,6 @@ func activeFamiliesFrom(families []dataset.Family, seriesOf func(dataset.Family)
 	out := make([]dataset.Family, len(list))
 	for i, x := range list {
 		out[i] = x.f
-	}
-	return out
-}
-
-// AttackerTargetDistance returns, for each attack of a family, the
-// distance in km between the bot formation's center and the target — the
-// quantity behind the paper's "average distance between attackers and
-// targets is about 3,500 km" observation.
-//
-//botscope:hotpath
-func AttackerTargetDistance(s *dataset.Store, f dataset.Family) []float64 {
-	rows := s.RowsByFamily(f)
-	ix := s.BotDense()
-	out := make([]float64, 0, len(rows))
-	var scratch []geo.CachedPoint
-	for _, row := range rows {
-		scratch = appendRowPoints(scratch[:0], ix, int(row))
-		if len(scratch) == 0 {
-			continue
-		}
-		center, ok := geo.CenterCached(scratch)
-		if !ok {
-			continue
-		}
-		v := s.AttackAt(int(row))
-		out = append(out, geo.Haversine(center, geo.LatLon{Lat: v.TargetLat(), Lon: v.TargetLon()}))
 	}
 	return out
 }

@@ -58,7 +58,7 @@ func TestProfileDispersion(t *testing.T) {
 	a2.BotIPs = []netip.Addr{bots[2].IP, bots[3].IP, bots[4].IP}
 	s := mustStore(t, []*dataset.Attack{a1, a2}, bots...)
 
-	prof, err := ProfileDispersion(s, dataset.Pandora)
+	prof, err := NewDispersionIndex(s).Profile(dataset.Pandora)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestProfileDispersion(t *testing.T) {
 		t.Errorf("asymmetric summary = %+v, want one large value", prof.Asymmetric)
 	}
 
-	if _, err := ProfileDispersion(s, dataset.Optima); err == nil {
+	if _, err := NewDispersionIndex(s).Profile(dataset.Optima); err == nil {
 		t.Error("family without data succeeded")
 	}
 }
@@ -86,29 +86,29 @@ func TestDispersionHistogram(t *testing.T) {
 	a := mkAttack(1, dataset.Blackenergy, 1, "5.5.5.1", t0, time.Hour)
 	a.BotIPs = []netip.Addr{bots[0].IP, bots[1].IP, bots[2].IP}
 	s := mustStore(t, []*dataset.Attack{a}, bots...)
-	h, err := DispersionHistogram(s, dataset.Blackenergy, 10)
+	h, err := NewDispersionIndex(s).Histogram(dataset.Blackenergy, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.Total() != 1 {
 		t.Errorf("histogram total = %d, want 1", h.Total())
 	}
-	if _, err := DispersionHistogram(s, dataset.Optima, 10); err == nil {
+	if _, err := NewDispersionIndex(s).Histogram(dataset.Optima, 10); err == nil {
 		t.Error("family without asymmetric data succeeded")
 	}
 }
 
 func TestSourceOnSynthWorkload(t *testing.T) {
-	s := synthWorkload(t)
+	ix := NewDispersionIndex(synthWorkload(t))
 
 	// Fig 9's family selection: several families have enough snapshots.
-	active := ActiveDispersionFamilies(s, 10)
+	active := ix.ActiveFamilies(10)
 	if len(active) < 6 {
 		t.Errorf("families with >= 10 dispersion points = %d, want >= 6", len(active))
 	}
 
 	// Pandora and Blackenergy symmetric shares (paper: 76.7% and 89.5%).
-	pand, err := ProfileDispersion(s, dataset.Pandora)
+	pand, err := ix.Profile(dataset.Pandora)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestSourceOnSynthWorkload(t *testing.T) {
 	if pand.SymmetricFrac < 0.55 || pand.SymmetricFrac > 0.95 {
 		t.Errorf("pandora symmetric fraction = %v, want about 0.767", pand.SymmetricFrac)
 	}
-	be, err := ProfileDispersion(s, dataset.Blackenergy)
+	be, err := ix.Profile(dataset.Blackenergy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestSourceOnSynthWorkload(t *testing.T) {
 	}
 
 	// Dirtjumper: >40% of values at "zero" (Fig 9).
-	dj, err := ProfileDispersion(s, dataset.Dirtjumper)
+	dj, err := ix.Profile(dataset.Dirtjumper)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,26 +142,11 @@ func TestSourceOnSynthWorkload(t *testing.T) {
 	}
 
 	// CDF is well-formed.
-	cdf, err := DispersionCDF(s, dataset.Pandora)
+	cdf, err := ix.CDF(dataset.Pandora)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cdf.N() != pand.N {
 		t.Errorf("CDF N = %d, profile N = %d", cdf.N(), pand.N)
-	}
-
-	// Attacker-target distances are continental scale (paper: ~3,500 km
-	// on average across families).
-	dists := AttackerTargetDistance(s, dataset.Dirtjumper)
-	if len(dists) == 0 {
-		t.Fatal("no attacker-target distances")
-	}
-	var sum float64
-	for _, d := range dists {
-		sum += d
-	}
-	mean := sum / float64(len(dists))
-	if mean < 500 || mean > 12000 {
-		t.Errorf("mean attacker-target distance = %v km, want continental scale", mean)
 	}
 }

@@ -125,17 +125,3 @@ func OrgHotspots(s *dataset.Store, f dataset.Family, from, to time.Time) []OrgHo
 	})
 	return out
 }
-
-// OrgBreadth counts distinct attacked organizations per family — the
-// paper notes Dirtjumper attacks more organizations than any other family.
-func OrgBreadth(s *dataset.Store) map[dataset.Family]int {
-	out := make(map[dataset.Family]int)
-	for _, f := range s.Families() {
-		orgs := make(map[string]bool)
-		for _, row := range s.RowsByFamily(f) {
-			orgs[s.AttackAt(int(row)).TargetOrg()] = true
-		}
-		out[f] = len(orgs)
-	}
-	return out
-}

@@ -78,20 +78,6 @@ func TestOrgHotspots(t *testing.T) {
 	}
 }
 
-func TestOrgBreadth(t *testing.T) {
-	attacks := []*dataset.Attack{
-		mkAttack(1, dataset.Dirtjumper, 1, "5.5.5.1", t0, time.Hour),
-		mkAttack(2, dataset.Dirtjumper, 1, "5.5.5.2", t0.Add(time.Hour), time.Hour),
-		mkAttack(3, dataset.Pandora, 2, "5.5.5.3", t0.Add(2*time.Hour), time.Hour),
-	}
-	attacks[1].TargetOrg = "Second Org"
-	s := mustStore(t, attacks)
-	got := OrgBreadth(s)
-	if got[dataset.Dirtjumper] != 2 || got[dataset.Pandora] != 1 {
-		t.Errorf("breadth = %v, want dirtjumper 2, pandora 1", got)
-	}
-}
-
 func TestTargetsOnSynthWorkload(t *testing.T) {
 	s := synthWorkload(t)
 
@@ -131,14 +117,6 @@ func TestTargetsOnSynthWorkload(t *testing.T) {
 	dj := TargetCountries(s, dataset.Dirtjumper, 2)
 	if cc := dj.Top[0].CC; cc != "US" && cc != "RU" {
 		t.Errorf("dirtjumper top country = %s, want US or RU", cc)
-	}
-
-	// Dirtjumper has the widest organizational breadth.
-	breadth := OrgBreadth(s)
-	for f, n := range breadth {
-		if f != dataset.Dirtjumper && n > breadth[dataset.Dirtjumper] {
-			t.Errorf("%s breadth %d exceeds dirtjumper %d", f, n, breadth[dataset.Dirtjumper])
-		}
 	}
 
 	// Fig 14: hotspots exist and are concentrated.

@@ -30,18 +30,6 @@ type TransferResult struct {
 	Retention float64
 }
 
-// TransferPredict fits ARIMA on source's dispersion series and evaluates
-// it one-step-ahead on target's series (second half), against a natively
-// fitted reference. Both families need at least minSeries points. The
-// series come from IndexFor's memoized index, so repeated pairs over the
-// same store never recompute a family's dispersion scan.
-func TransferPredict(s *dataset.Store, source, target dataset.Family, order timeseries.Order, minSeries int) (*TransferResult, error) {
-	ix := IndexFor(s)
-	src := DispersionValues(ix.Series(source))
-	tgt := DispersionValues(ix.Series(target))
-	return transferFromSeries(source, target, src, tgt, order, minSeries)
-}
-
 func transferFromSeries(source, target dataset.Family, src, tgt []float64, order timeseries.Order, minSeries int) (*TransferResult, error) {
 	if minSeries <= 0 {
 		minSeries = 60
@@ -128,24 +116,4 @@ func clampNonNegative(xs []float64) {
 			xs[i] = 0
 		}
 	}
-}
-
-// TransferMatrix evaluates every ordered pair of the given families and
-// returns the successful results. Pairs whose series are too short or
-// whose fits fail are skipped.
-func TransferMatrix(s *dataset.Store, families []dataset.Family, order timeseries.Order, minSeries int) []*TransferResult {
-	var out []*TransferResult
-	for _, src := range families {
-		for _, tgt := range families {
-			if src == tgt {
-				continue
-			}
-			res, err := TransferPredict(s, src, tgt, order, minSeries)
-			if err != nil {
-				continue
-			}
-			out = append(out, res)
-		}
-	}
-	return out
 }

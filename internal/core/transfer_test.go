@@ -8,19 +8,18 @@ import (
 )
 
 func TestTransferPredictValidation(t *testing.T) {
-	s := synthWorkload(t)
+	ix := NewDispersionIndex(synthWorkload(t))
 	// Aldibot has far fewer than 60 dispersion points at this scale.
-	if _, err := TransferPredict(s, dataset.Aldibot, dataset.Dirtjumper, timeseries.Order{P: 1}, 60); err == nil {
+	if _, err := ix.Transfer(dataset.Aldibot, dataset.Dirtjumper, timeseries.Order{P: 1}, 60); err == nil {
 		t.Error("short source series accepted")
 	}
-	if _, err := TransferPredict(s, dataset.Dirtjumper, dataset.Aldibot, timeseries.Order{P: 1}, 60); err == nil {
+	if _, err := ix.Transfer(dataset.Dirtjumper, dataset.Aldibot, timeseries.Order{P: 1}, 60); err == nil {
 		t.Error("short target series accepted")
 	}
 }
 
 func TestTransferPredictAcrossFamilies(t *testing.T) {
-	s := synthWorkload(t)
-	res, err := TransferPredict(s, dataset.Dirtjumper, dataset.Pandora, timeseries.Order{P: 1}, 60)
+	res, err := NewDispersionIndex(synthWorkload(t)).Transfer(dataset.Dirtjumper, dataset.Pandora, timeseries.Order{P: 1}, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,9 +39,8 @@ func TestTransferPredictAcrossFamilies(t *testing.T) {
 }
 
 func TestTransferMatrix(t *testing.T) {
-	s := synthWorkload(t)
 	fams := []dataset.Family{dataset.Dirtjumper, dataset.Pandora, dataset.Blackenergy}
-	results := TransferMatrix(s, fams, timeseries.Order{P: 1}, 60)
+	results := NewDispersionIndex(synthWorkload(t)).TransferMatrix(fams, timeseries.Order{P: 1}, 60)
 	if len(results) == 0 {
 		t.Fatal("no transfer results")
 	}

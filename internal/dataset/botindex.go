@@ -2,9 +2,9 @@ package dataset
 
 import (
 	"net/netip"
-	"sync"
 
 	"botscope/internal/geo"
+	"botscope/internal/memo"
 )
 
 // BotIndex is the store's dense bot addressing layer: every IP that
@@ -19,45 +19,29 @@ import (
 // The id numbering and reference spans come straight from the columnar
 // core's dense layer, which a snapshot carries in the file, so a reloaded
 // store has the identical dense addressing without re-walking 10M+
-// references. Everything the column-native kernels touch (ips, rows,
-// pts, row-addressed spans, interned attributes) is built from the
-// columns alone; the record-facing conveniences — Rec and the
-// DDoSID-keyed Refs — materialize their inputs lazily, so an index over
-// a snapshot-loaded store stays record-free until one of those is
-// called.
+// references. Everything in it is built from the columns alone, so an
+// index over a snapshot-loaded store never touches the record face.
 //
-// All eager fields are written once inside Store.botOnce and immutable
-// after, so an index is safe for concurrent readers; returned slices
-// are shared and must not be modified.
+// The index is the value of a memo.Lazy on the store: complete before any
+// caller sees it, safe for concurrent readers; returned slices are shared
+// and must not be modified.
 type BotIndex struct {
-	s    *Store
 	cols *Columns
 	ips  []netip.Addr      // id -> ip (shared with the columnar dense layer)
 	rows []int32           // id -> Botlist row, -1 when unresolved
 	pts  []geo.CachedPoint // id -> cached location; zero when unresolved
 	refs []int32           // per-attack id spans, concatenated in attack order
 
-	offsOnce sync.Once
-	offs     map[DDoSID]int // attack -> offset of its span in refs; written once inside offsOnce.Do
-
-	recsOnce sync.Once
-	recs     []*Bot // id -> Botlist record; written once inside recsOnce.Do
-
-	idsOnce sync.Once
-	ids     map[netip.Addr]int32 // ip -> dense id; written once inside idsOnce.Do, immutable after
+	ids memo.Lazy[map[netip.Addr]int32] // ip -> dense id
 }
 
 // BotDense returns the store's dense bot index, building it on first use.
-func (s *Store) BotDense() *BotIndex {
-	s.botOnce.Do(s.buildBotIndex)
-	return s.botIdx
-}
+func (s *Store) BotDense() *BotIndex { return s.botIdx.Get(s.buildBotIndex) }
 
-func (s *Store) buildBotIndex() {
+func (s *Store) buildBotIndex() *BotIndex {
 	c := s.cols
 	d := s.denseBots()
 	ix := &BotIndex{
-		s:    s,
 		cols: c,
 		ips:  d.ips,
 		rows: d.rec,
@@ -70,7 +54,7 @@ func (s *Store) buildBotIndex() {
 		}
 		ix.pts[id] = geo.NewCachedPoint(geo.LatLon{Lat: c.bLat[row], Lon: c.bLon[row]})
 	}
-	s.botIdx = ix
+	return ix
 }
 
 // NumIDs returns the number of distinct bot IPs across all attacks.
@@ -80,15 +64,16 @@ func (ix *BotIndex) NumIDs() int { return len(ix.ips) }
 // first call: the hot kernels only ever go id -> record, so most stores
 // never pay for it.
 func (ix *BotIndex) ID(ip netip.Addr) (int32, bool) {
-	ix.idsOnce.Do(func() {
-		m := make(map[netip.Addr]int32, len(ix.ips))
-		for i, a := range ix.ips {
-			m[a] = int32(i)
-		}
-		ix.ids = m
-	})
-	id, ok := ix.ids[ip]
+	id, ok := ix.ids.Get(ix.buildIDs)[ip]
 	return id, ok
+}
+
+func (ix *BotIndex) buildIDs() map[netip.Addr]int32 {
+	m := make(map[netip.Addr]int32, len(ix.ips))
+	for i, a := range ix.ips {
+		m[a] = int32(i)
+	}
+	return m
 }
 
 // IP returns the address of a dense id.
@@ -122,23 +107,6 @@ func (ix *BotIndex) CountryID(id int32) int32 {
 	return ix.cols.bCC[row]
 }
 
-// Rec returns the Botlist record of a dense id, or nil when the IP never
-// resolved in the Botlist. This is the record face of the index: on a
-// snapshot-loaded store the first call materializes the Bot records.
-func (ix *BotIndex) Rec(id int32) *Bot {
-	ix.recsOnce.Do(func() {
-		ix.s.records()
-		recs := make([]*Bot, len(ix.ips))
-		for i, row := range ix.rows {
-			if row >= 0 {
-				recs[i] = ix.s.botList[row]
-			}
-		}
-		ix.recs = recs
-	})
-	return ix.recs[id]
-}
-
 // Point returns the precomputed location of a resolved dense id. The
 // value is meaningful only when Resolved(id).
 func (ix *BotIndex) Point(id int32) geo.CachedPoint { return ix.pts[id] }
@@ -151,26 +119,4 @@ func (ix *BotIndex) Point(id int32) geo.CachedPoint { return ix.pts[id] }
 func (ix *BotIndex) RefsRow(i int) []int32 {
 	lo, hi := ix.cols.aOff[i], ix.cols.aOff[i+1]
 	return ix.refs[lo:hi:hi]
-}
-
-// Refs returns the attack's source set as dense ids, aligned with
-// a.BotIPs. It returns nil for attacks not belonging to this store. The
-// span aliases the index's shared refs array and must not be modified.
-//
-//botscope:shared
-//botscope:mmap
-func (ix *BotIndex) Refs(a *Attack) []int32 {
-	ix.offsOnce.Do(func() {
-		c := ix.cols
-		offs := make(map[DDoSID]int, len(c.aID))
-		for i, id := range c.aID {
-			offs[DDoSID(id)] = int(c.aOff[i])
-		}
-		ix.offs = offs
-	})
-	off, ok := ix.offs[a.ID]
-	if !ok {
-		return nil
-	}
-	return ix.refs[off : off+len(a.BotIPs)]
 }

@@ -43,17 +43,18 @@ func denseFixture(t *testing.T) *Store {
 }
 
 // TestBotIndexMatchesMaps pins the dense index to the maps it replaces:
-// every attack's Refs span aligns with its BotIPs, ids round-trip through
-// ID/IP, and Rec agrees with Store.Bot for resolved and unresolved IPs.
+// every attack row's RefsRow span aligns with its BotIPs, ids round-trip
+// through ID/IP, and Bot agrees with Store.Bot for resolved and
+// unresolved IPs.
 func TestBotIndexMatchesMaps(t *testing.T) {
 	s := denseFixture(t)
 	ix := s.BotDense()
 
 	distinct := make(map[netip.Addr]bool)
-	for _, a := range s.Attacks() {
-		refs := ix.Refs(a)
+	for row, a := range s.Attacks() {
+		refs := ix.RefsRow(row)
 		if len(refs) != len(a.BotIPs) {
-			t.Fatalf("attack %d: Refs len %d, BotIPs len %d", a.ID, len(refs), len(a.BotIPs))
+			t.Fatalf("attack %d: RefsRow len %d, BotIPs len %d", a.ID, len(refs), len(a.BotIPs))
 		}
 		for i, id := range refs {
 			if ix.IP(id) != a.BotIPs[i] {
@@ -64,17 +65,15 @@ func TestBotIndexMatchesMaps(t *testing.T) {
 				t.Fatalf("ID(%v) = %d,%v, want %d", a.BotIPs[i], got, ok, id)
 			}
 			rec, resolved := s.Bot(a.BotIPs[i])
-			if resolved != (ix.Rec(id) != nil) || (resolved && ix.Rec(id) != rec) {
-				t.Fatalf("Rec(%d) disagrees with Store.Bot(%v)", id, a.BotIPs[i])
+			view, ok := ix.Bot(id)
+			if resolved != ok || resolved != ix.Resolved(id) || (resolved && (view.IP() != rec.IP || view.ASN() != rec.ASN)) {
+				t.Fatalf("Bot(%d) disagrees with Store.Bot(%v)", id, a.BotIPs[i])
 			}
 			distinct[a.BotIPs[i]] = true
 		}
 	}
 	if ix.NumIDs() != len(distinct) {
 		t.Fatalf("NumIDs = %d, want %d distinct attack-referenced IPs", ix.NumIDs(), len(distinct))
-	}
-	if unknown := validAttack(9999); ix.Refs(unknown) != nil {
-		t.Error("Refs on a foreign attack returned a span, want nil")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -11,7 +12,7 @@ import (
 
 // randomAttack generates a structurally valid random attack.
 func randomAttack(rng *rand.Rand, id DDoSID) *Attack {
-	families := AllFamilies()
+	families := slices.Concat(ActiveFamilies, InactiveFamilies)
 	cities := []string{"Moscow", "New York", "Sao Paulo", "a b c", "x,y"}
 	orgs := []string{"Org One", "Hosting, Inc", `Quote"Org`, "Plain"}
 	nBots := 1 + rng.Intn(6)

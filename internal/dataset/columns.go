@@ -24,8 +24,9 @@ package dataset
 import (
 	"fmt"
 	"net/netip"
-	"sync"
 	"time"
+
+	"botscope/internal/memo"
 )
 
 // interner assigns dense int32 ids to strings in first-seen order. Id 0
@@ -103,11 +104,8 @@ type Columns struct {
 	nFirst []int64
 	nLast  []int64
 
-	nRowOnce sync.Once
-	nRowByID map[uint32]int32 // botnet id -> row; written once inside nRowOnce.Do
-
-	denseOnce sync.Once
-	dense     *denseBots // set by the snapshot decoder, else written once inside denseOnce.Do; immutable after
+	nRowByID memo.Lazy[map[uint32]int32] // botnet id -> row
+	dense    memo.Lazy[*denseBots]       // filled by the snapshot decoder, else derived from refIPs on first use
 
 	// mmap pins the mapped snapshot region alive for as long as any
 	// column that aliases it (aCat) is reachable. nil when the snapshot
@@ -143,17 +141,18 @@ func (c *Columns) Str(id int32) string { return c.strs[id] }
 // botnetRow resolves a botnet id to its column row. The reverse map is
 // built lazily: most analyses only walk attack columns.
 func (c *Columns) botnetRow(id uint32) (int32, bool) {
-	c.nRowOnce.Do(func() {
-		m := make(map[uint32]int32, len(c.nID))
-		for i, v := range c.nID {
-			if _, ok := m[v]; !ok {
-				m[v] = int32(i)
-			}
-		}
-		c.nRowByID = m
-	})
-	row, ok := c.nRowByID[id]
+	row, ok := c.nRowByID.Get(c.buildBotnetRows)[id]
 	return row, ok
+}
+
+func (c *Columns) buildBotnetRows() map[uint32]int32 {
+	m := make(map[uint32]int32, len(c.nID))
+	for i, v := range c.nID {
+		if _, ok := m[v]; !ok {
+			m[v] = int32(i)
+		}
+	}
+	return m
 }
 
 // denseBots is the dense addressing layer over the reference arena:
@@ -209,14 +208,10 @@ func (s *Store) Cols() *Columns { return s.cols }
 
 // denseBots returns the dense source-IP layer, deriving it from the
 // reference arena on first use when the columns did not come with one.
-func (s *Store) denseBots() *denseBots {
-	c := s.cols
-	c.denseOnce.Do(func() {
-		if c.dense == nil {
-			c.dense = buildDense(c.refIPs, len(c.bIP), s.botRowsMap())
-		}
-	})
-	return c.dense
+func (s *Store) denseBots() *denseBots { return s.cols.dense.Get(s.buildDense) }
+
+func (s *Store) buildDense() *denseBots {
+	return buildDense(s.cols.refIPs, len(s.cols.bIP), s.botRowsMap())
 }
 
 // columnize flattens validated records into columns: attacks already in
@@ -335,7 +330,7 @@ var (
 // snapshot cannot construct a Store that violates the package's
 // invariants, and the record views can later be materialized without any
 // re-validation.
-func validateColumns(c *Columns) error {
+func validateColumns(c *Columns, d *denseBots) error {
 	seenStr := make(map[string]struct{}, len(c.strs))
 	for i, str := range c.strs {
 		if _, dup := seenStr[str]; dup {
@@ -414,11 +409,9 @@ func validateColumns(c *Columns) error {
 		}
 	}
 
-	if d := c.dense; d != nil {
-		for id, row := range d.rec {
-			if row >= 0 && d.ips[id] != c.bIP[row] {
-				return fmt.Errorf("dataset: snapshot dense id %d resolves to bot row %d with mismatched IP", id, row)
-			}
+	for id, row := range d.rec {
+		if row >= 0 && d.ips[id] != c.bIP[row] {
+			return fmt.Errorf("dataset: snapshot dense id %d resolves to bot row %d with mismatched IP", id, row)
 		}
 	}
 	return nil
@@ -448,10 +441,10 @@ func (c *Columns) fillAttack(a *Attack, row int, ips []netip.Addr) {
 // materializeRecords builds the record views over already-validated
 // columns: arena-allocated Attack/Bot/Botnet structs whose strings come
 // from the interned table and whose BotIPs alias one shared address
-// arena. It runs at most once per store, inside Store.recOnce, and only
-// when a caller actually asks for the record face — a column-native
-// analysis pass never gets here.
-func (s *Store) materializeRecords() {
+// arena. It is the build of Store.recs, so it runs at most once per store
+// and only when a caller actually asks for the record face — a
+// column-native analysis pass never gets here.
+func (s *Store) materializeRecords() *recordViews {
 	c := s.cols
 	d := s.denseBots()
 
@@ -495,8 +488,6 @@ func (s *Store) materializeRecords() {
 		attacks[i] = &arena[i]
 	}
 
-	s.botnets = botnets
-	s.botList = botList
-	s.attacks = attacks
 	s.recBuilt.Store(true)
+	return &recordViews{attacks: attacks, botnets: botnets, botList: botList}
 }

@@ -66,9 +66,9 @@ func (f *Filter) match(a *Attack) bool {
 // still appear in at least one kept attack. It returns an error when the
 // filter keeps nothing — an empty analysis is almost always a mistake.
 func (s *Store) Subset(f Filter) (*Store, error) {
-	s.records()
+	recs := s.records()
 	var kept []*Attack
-	for _, a := range s.attacks {
+	for _, a := range recs.attacks {
 		if f.match(a) {
 			kept = append(kept, a)
 		}
@@ -83,7 +83,7 @@ func (s *Store) Subset(f Filter) (*Store, error) {
 	for _, a := range kept {
 		if !seenBotnets[a.BotnetID] {
 			seenBotnets[a.BotnetID] = true
-			if b, ok := s.botnets[a.BotnetID]; ok {
+			if b, ok := recs.botnets[a.BotnetID]; ok {
 				botnets = append(botnets, b)
 			}
 		}

@@ -119,7 +119,7 @@ func TestAttackRecordAtMatchesRecords(t *testing.T) {
 
 // TestSnapshotConcurrentMaterialize hammers first-touch of the lazy
 // record view from many goroutines under -race: every reader must see a
-// fully built, identical record arena regardless of who wins the Once.
+// fully built, identical record arena regardless of who wins the build.
 func TestSnapshotConcurrentMaterialize(t *testing.T) {
 	s := snapFixtureStore(t)
 	data := EncodeSnapshot(s)
@@ -155,7 +155,9 @@ func TestSnapshotConcurrentMaterialize(t *testing.T) {
 				case 3:
 					ix := got.BotDense()
 					for id := int32(0); id < int32(ix.NumIDs()); id++ {
-						_ = ix.Rec(id)
+						if b, ok := got.Bot(ix.IP(id)); ok != ix.Resolved(id) || (ok && b.IP != ix.IP(id)) {
+							errs <- "dense id disagrees with the Bot record"
+						}
 					}
 				}
 			}(g)

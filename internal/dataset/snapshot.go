@@ -65,6 +65,7 @@ import (
 	"sync"
 
 	"botscope/internal/binenc"
+	"botscope/internal/memo"
 )
 
 // Snapshot codec constants.
@@ -440,16 +441,17 @@ func decodeSnapshot(data []byte, alias, mapped bool) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	s := &Store{
+		cols:     c,
+		snapInfo: SnapshotInfo{Version: snapVersion, Bytes: int64(len(data)), Mapped: mapped},
+	}
 	if _, ok := validatedSnapshots.Load(crcKey); !ok {
-		if err := validateColumns(c); err != nil {
+		if err := validateColumns(c, s.denseBots()); err != nil {
 			return nil, err
 		}
 		validatedSnapshots.Store(crcKey, struct{}{})
 	}
-	return &Store{
-		cols:     c,
-		snapInfo: SnapshotInfo{Version: snapVersion, Bytes: int64(len(data)), Mapped: mapped},
-	}, nil
+	return s, nil
 }
 
 // decodeColumns parses a snapshot into columns. It also returns the
@@ -805,5 +807,5 @@ func parseDense(r *snapReader, c *Columns, nRefs, nb int) {
 	if r.Err != nil {
 		return
 	}
-	c.dense = &denseBots{ips: ips, refs: refs, rec: rec}
+	c.dense = memo.Filled(&denseBots{ips: ips, refs: refs, rec: rec})
 }

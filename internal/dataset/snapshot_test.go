@@ -153,23 +153,23 @@ func TestSnapshotDensePreserved(t *testing.T) {
 		if want.IP(id) != have.IP(id) {
 			t.Fatalf("dense id %d maps to %v vs %v", id, want.IP(id), have.IP(id))
 		}
-		wr, hr := want.Rec(id), have.Rec(id)
-		if (wr == nil) != (hr == nil) {
+		wr, wok := want.Bot(id)
+		hr, hok := have.Bot(id)
+		if wok != hok {
 			t.Fatalf("dense id %d resolution differs", id)
 		}
-		if wr != nil && (wr.IP != hr.IP || wr.ASN != hr.ASN) {
+		if wok && (wr.IP() != hr.IP() || wr.ASN() != hr.ASN()) {
 			t.Fatalf("dense id %d resolves to different records", id)
 		}
 	}
-	for wi, a := range s.Attacks() {
-		ga := got.Attacks()[wi]
-		wRefs, hRefs := want.Refs(a), have.Refs(ga)
+	for row := 0; row < s.NumAttacks(); row++ {
+		wRefs, hRefs := want.RefsRow(row), have.RefsRow(row)
 		if len(wRefs) != len(hRefs) {
-			t.Fatalf("attack %d ref span length differs", a.ID)
+			t.Fatalf("attack row %d ref span length differs", row)
 		}
 		for j := range wRefs {
 			if wRefs[j] != hRefs[j] {
-				t.Fatalf("attack %d ref %d differs: %d vs %d", a.ID, j, wRefs[j], hRefs[j])
+				t.Fatalf("attack row %d ref %d differs: %d vs %d", row, j, wRefs[j], hRefs[j])
 			}
 		}
 	}

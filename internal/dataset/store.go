@@ -7,7 +7,6 @@ import (
 	"net/netip"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,67 +21,58 @@ import (
 // The columns (columns.go) are the store: both constructors — NewStore
 // from records, the snapshot decoder from a file — set cols before the
 // store is published, and every count, index and bound is answered from
-// them. The record views are a memo over the columns: a snapshot-loaded
-// store materializes them on first use, a NewStore store keeps the
-// caller's records as that memo, already filled.
-//
-// The sorted Families/Targets views, the per-family counts and the row
-// indexes are memoized lazily: hot paths call them once per target or
-// family scan, and re-sorting the full key set on every call dominated
-// the analysis kernels at scale. Each cached slice is built exactly once
-// inside its sync.Once and is immutable afterwards, so returning the
-// shared slice to concurrent readers is safe.
+// them. Everything else is a derived product held in a memo.Lazy: built
+// once by the first caller that needs it, shared and read-only afterwards
+// (TestLazyBuildsOnce pins the type; sharedslice reports a write through
+// one of the shared slices). The record views are one such product — a
+// snapshot-loaded store materializes them on first use, a NewStore store
+// holds the caller's records, already filled.
 type Store struct {
 	cols   *Columns    // set at construction, never nil; immutable after
 	closed atomic.Bool // set once by Close; the mapping is gone after
 
-	recOnce  sync.Once
-	recBuilt atomic.Bool // the record views below exist: set by NewStore, or at the end of materializeRecords
+	recs     memo.Lazy[*recordViews]
+	recBuilt atomic.Bool // recs holds its value: lets RecordsMaterialized and the row bridges ask without building
 
-	attacks []*Attack // attack row -> record
-	botnets map[BotnetID]*Botnet
-	botList []*Bot // bot row -> record
+	botRows     memo.Lazy[map[netip.Addr]int32] // ip -> bot row
+	fams        memo.Lazy[familyViews]
+	targets     memo.Lazy[[]netip.Addr]       // Targets()
+	botIdx      memo.Lazy[*BotIndex]          // BotDense()
+	famRows     memo.Lazy[map[Family][]int32] // family -> ascending attack rows
+	tgtRows     memo.Lazy[targetRows]
+	botnetCount memo.Lazy[int] // distinct botnet ids across attacks
+	bounds      memo.Lazy[timeBounds]
 
-	botRowOnce sync.Once
-	botRows    map[netip.Addr]int32 // ip -> bot row; written once inside botRowOnce.Do
-
-	famOnce      sync.Once
-	families     []Family      // written once inside famOnce.Do; immutable after
-	familyCounts []FamilyCount // written once inside famOnce.Do; immutable after
-	tgtOnce      sync.Once
-	targets      []netip.Addr // written once inside tgtOnce.Do; immutable after
-	botOnce      sync.Once
-	botIdx       *BotIndex // written once inside botOnce.Do; immutable after
-
-	famRowsOnce sync.Once
-	famRows     map[Family][]int32 // family -> ascending attack rows; written once inside famRowsOnce.Do
-
-	tgtRowsOnce sync.Once
-	tgtRows     [][]int32 // target id -> ascending attack rows; written once inside tgtRowsOnce.Do
-	tgtOrder    []int32   // target ids in ascending address order; written once inside tgtRowsOnce.Do
-
-	recRowsOnce sync.Once
 	// recRows is the per-row record memo used until the record views
 	// exist. Each slot is published with CompareAndSwap(nil, rec) and
 	// re-read with Load so concurrent bridges converge on one canonical
 	// record per row.
-	recRows []memo.Slot[Attack]
-
-	nbOnce         sync.Once
-	nAttackBotnets int // distinct botnet ids across attacks; written once inside nbOnce.Do
-
-	boundsOnce    sync.Once
-	firstT, lastT time.Time // written once inside boundsOnce.Do
+	recRows memo.Lazy[[]memo.Slot[Attack]]
 
 	snapInfo SnapshotInfo // how the snapshot decoder loaded this store; zero for a NewStore store
 }
 
-// records materializes the record views on first use.
-func (s *Store) records() {
-	if !s.recBuilt.Load() {
-		s.recOnce.Do(s.materializeRecords)
-	}
+// recordViews is the record face of the columns, row-aligned with them.
+type recordViews struct {
+	attacks []*Attack // attack row -> record
+	botnets map[BotnetID]*Botnet
+	botList []*Bot // bot row -> record
 }
+
+type familyViews struct {
+	families []Family      // sorted
+	counts   []FamilyCount // same order
+}
+
+type targetRows struct {
+	rows  [][]int32 // target id -> ascending attack rows
+	order []int32   // target ids in ascending address order
+}
+
+type timeBounds struct{ first, last time.Time }
+
+// records returns the record views, materializing them on first use.
+func (s *Store) records() *recordViews { return s.recs.Get(s.materializeRecords) }
 
 // RecordsMaterialized reports whether the record views (Attacks, Bot,
 // Botnet) exist. A store built by NewStore always has them; a
@@ -160,10 +150,8 @@ func NewStore(attacks []*Attack, botnets []*Botnet, bots []*Bot) (*Store, error)
 	}
 
 	s := &Store{
-		cols:    columnize(sorted, botnets, botList),
-		attacks: sorted,
-		botnets: byID,
-		botList: botList,
+		cols: columnize(sorted, botnets, botList),
+		recs: memo.Filled(&recordViews{attacks: sorted, botnets: byID, botList: botList}),
 	}
 	s.recBuilt.Store(true)
 	return s, nil
@@ -173,17 +161,16 @@ func NewStore(attacks []*Attack, botnets []*Botnet, bots []*Bot) (*Store, error)
 // columns on first use. (NewStore's dedupe map holds the same pairs but
 // is not kept: a store that never resolves a bot by IP — one built only
 // to be served live over, say — would carry it for nothing.)
-func (s *Store) botRowsMap() map[netip.Addr]int32 {
-	s.botRowOnce.Do(func() {
-		m := make(map[netip.Addr]int32, len(s.cols.bIP))
-		for i, ip := range s.cols.bIP {
-			if _, ok := m[ip]; !ok {
-				m[ip] = int32(i)
-			}
+func (s *Store) botRowsMap() map[netip.Addr]int32 { return s.botRows.Get(s.buildBotRows) }
+
+func (s *Store) buildBotRows() map[netip.Addr]int32 {
+	m := make(map[netip.Addr]int32, len(s.cols.bIP))
+	for i, ip := range s.cols.bIP {
+		if _, ok := m[ip]; !ok {
+			m[ip] = int32(i)
 		}
-		s.botRows = m
-	})
-	return s.botRows
+	}
+	return m
 }
 
 // NumAttacks returns the number of attack records.
@@ -194,17 +181,13 @@ func (s *Store) NumAttacks() int { return len(s.cols.aID) }
 //
 //botscope:shared
 //botscope:materializes
-func (s *Store) Attacks() []*Attack {
-	s.records()
-	return s.attacks
-}
+func (s *Store) Attacks() []*Attack { return s.records().attacks }
 
 // Botnet resolves a botnet record.
 //
 //botscope:materializes
 func (s *Store) Botnet(id BotnetID) (*Botnet, bool) {
-	s.records()
-	b, ok := s.botnets[id]
+	b, ok := s.records().botnets[id]
 	return b, ok
 }
 
@@ -212,12 +195,11 @@ func (s *Store) Botnet(id BotnetID) (*Botnet, bool) {
 //
 //botscope:materializes
 func (s *Store) Bot(ip netip.Addr) (*Bot, bool) {
-	s.records()
 	row, ok := s.botRowsMap()[ip]
 	if !ok {
 		return nil, false
 	}
-	return s.botList[row], true
+	return s.records().botList[row], true
 }
 
 // NumBots returns the number of Botlist records.
@@ -231,22 +213,16 @@ func (s *Store) NumBotnets() int { return len(s.cols.nID) }
 // it.
 //
 //botscope:shared
-func (s *Store) Families() []Family {
-	s.famOnce.Do(s.buildFamilies)
-	return s.families
-}
+func (s *Store) Families() []Family { return s.fams.Get(s.buildFamilies).families }
 
 // FamilyCounts returns every family with its attack count, sorted by
 // family. The slice is computed once and shared: callers must not modify
 // it.
 //
 //botscope:shared
-func (s *Store) FamilyCounts() []FamilyCount {
-	s.famOnce.Do(s.buildFamilies)
-	return s.familyCounts
-}
+func (s *Store) FamilyCounts() []FamilyCount { return s.fams.Get(s.buildFamilies).counts }
 
-func (s *Store) buildFamilies() {
+func (s *Store) buildFamilies() familyViews {
 	rows := s.famRowsMap()
 	fams := make([]Family, 0, len(rows))
 	for f := range rows {
@@ -257,60 +233,57 @@ func (s *Store) buildFamilies() {
 	for i, f := range fams {
 		counts[i] = FamilyCount{Family: f, Attacks: len(rows[f])}
 	}
-	s.families = fams
-	s.familyCounts = counts
+	return familyViews{families: fams, counts: counts}
 }
 
 // famRowsMap returns the family -> ascending-attack-row index over the
 // columns, building it once. One counting pass sizes each bucket and one
 // fill pass places every row in a shared arena, so the buckets are
 // contiguous and the rows within each family stay in (start, id) order.
-func (s *Store) famRowsMap() map[Family][]int32 {
-	s.famRowsOnce.Do(func() {
-		c := s.Cols()
-		nStr := len(c.strs)
-		counts := make([]int32, nStr)
-		for _, f := range c.aFam {
-			counts[f]++
+func (s *Store) famRowsMap() map[Family][]int32 { return s.famRows.Get(s.buildFamRows) }
+
+func (s *Store) buildFamRows() map[Family][]int32 {
+	c := s.Cols()
+	nStr := len(c.strs)
+	counts := make([]int32, nStr)
+	for _, f := range c.aFam {
+		counts[f]++
+	}
+	offs := make([]int32, nStr+1) // string id -> arena start
+	for i, cnt := range counts {
+		offs[i+1] = offs[i] + cnt
+	}
+	arena := make([]int32, len(c.aFam))
+	next := counts // reuse: counts[f] becomes the next write position
+	copy(next, offs[:nStr])
+	for i, f := range c.aFam {
+		arena[next[f]] = int32(i)
+		next[f]++
+	}
+	rows := make(map[Family][]int32, 64)
+	for f := 0; f < nStr; f++ {
+		lo, hi := offs[f], offs[f+1]
+		if lo == hi {
+			continue
 		}
-		offs := make([]int32, nStr+1) // string id -> arena start
-		for i, cnt := range counts {
-			offs[i+1] = offs[i] + cnt
-		}
-		arena := make([]int32, len(c.aFam))
-		next := counts // reuse: counts[f] becomes the next write position
-		copy(next, offs[:nStr])
-		for i, f := range c.aFam {
-			arena[next[f]] = int32(i)
-			next[f]++
-		}
-		rows := make(map[Family][]int32, 64)
-		for f := 0; f < nStr; f++ {
-			lo, hi := offs[f], offs[f+1]
-			if lo == hi {
-				continue
-			}
-			rows[Family(c.strs[f])] = arena[lo:hi:hi]
-		}
-		s.famRows = rows
-	})
-	return s.famRows
+		rows[Family(c.strs[f])] = arena[lo:hi:hi]
+	}
+	return rows
 }
 
 // Targets returns every attacked IP, sorted. The slice is computed once
 // and shared: callers must not modify it.
 //
 //botscope:shared
-func (s *Store) Targets() []netip.Addr {
-	s.tgtOnce.Do(func() {
-		c := s.cols
-		out := make([]netip.Addr, 0, len(c.targets))
-		for _, tid := range s.TargetIDs() {
-			out = append(out, c.targets[tid])
-		}
-		s.targets = out
-	})
-	return s.targets
+func (s *Store) Targets() []netip.Addr { return s.targets.Get(s.buildTargets) }
+
+func (s *Store) buildTargets() []netip.Addr {
+	c := s.cols
+	out := make([]netip.Addr, 0, len(c.targets))
+	for _, tid := range s.TargetIDs() {
+		out = append(out, c.targets[tid])
+	}
+	return out
 }
 
 // NumTargets returns the number of distinct attacked IPs.
@@ -321,10 +294,7 @@ func (s *Store) NumTargets() int { return len(s.cols.targets) }
 //
 //botscope:shared
 //botscope:mmap
-func (s *Store) TargetRows(tid int32) []int32 {
-	s.buildTargetRows()
-	return s.tgtRows[tid]
-}
+func (s *Store) TargetRows(tid int32) []int32 { return s.tgtRows.Get(s.buildTargetRows).rows[tid] }
 
 // TargetIDs returns every column target id, ordered by target address
 // (so index i here corresponds to Targets()[i]). The slice is shared and
@@ -332,82 +302,76 @@ func (s *Store) TargetRows(tid int32) []int32 {
 //
 //botscope:shared
 //botscope:mmap
-func (s *Store) TargetIDs() []int32 {
-	s.buildTargetRows()
-	return s.tgtOrder
-}
+func (s *Store) TargetIDs() []int32 { return s.tgtRows.Get(s.buildTargetRows).order }
 
 // buildTargetRows buckets attack rows by target id in one counting pass
 // and one fill pass over a shared arena, and sorts the target ids by
 // address, the order Targets() lists them in.
-func (s *Store) buildTargetRows() {
-	s.tgtRowsOnce.Do(func() {
-		c := s.Cols()
-		nt := len(c.targets)
-		counts := make([]int32, nt)
-		for _, tid := range c.aTgt {
-			counts[tid]++
+func (s *Store) buildTargetRows() targetRows {
+	c := s.Cols()
+	nt := len(c.targets)
+	counts := make([]int32, nt)
+	for _, tid := range c.aTgt {
+		counts[tid]++
+	}
+	offs := make([]int32, nt+1)
+	for i, cnt := range counts {
+		offs[i+1] = offs[i] + cnt
+	}
+	arena := make([]int32, len(c.aTgt))
+	next := counts // reuse: counts[tid] becomes the next write position
+	copy(next, offs[:nt])
+	for i, tid := range c.aTgt {
+		arena[next[tid]] = int32(i)
+		next[tid]++
+	}
+	rows := make([][]int32, nt)
+	for tid := 0; tid < nt; tid++ {
+		lo, hi := offs[tid], offs[tid+1]
+		rows[tid] = arena[lo:hi:hi]
+	}
+	order := make([]int32, nt)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	zoned := false
+	for _, a := range c.targets {
+		if a.Zone() != "" {
+			zoned = true
+			break
 		}
-		offs := make([]int32, nt+1)
-		for i, cnt := range counts {
-			offs[i+1] = offs[i] + cnt
+	}
+	if zoned {
+		sort.Slice(order, func(i, j int) bool {
+			return c.targets[order[i]].Less(c.targets[order[j]])
+		})
+	} else {
+		// Zone-free addresses (every synth and snapshot workload)
+		// order exactly like netip.Addr.Compare: bit length first,
+		// then the 128-bit value — which As16 exposes big-endian. The
+		// integer keys make the comparator a few register compares
+		// instead of Addr.Less calls.
+		hi := make([]uint64, nt)
+		lo := make([]uint64, nt)
+		bl := make([]uint8, nt)
+		for i, a := range c.targets {
+			b := a.As16()
+			hi[i] = binary.BigEndian.Uint64(b[:8])
+			lo[i] = binary.BigEndian.Uint64(b[8:])
+			bl[i] = uint8(a.BitLen())
 		}
-		arena := make([]int32, len(c.aTgt))
-		next := counts // reuse: counts[tid] becomes the next write position
-		copy(next, offs[:nt])
-		for i, tid := range c.aTgt {
-			arena[next[tid]] = int32(i)
-			next[tid]++
-		}
-		rows := make([][]int32, nt)
-		for tid := 0; tid < nt; tid++ {
-			lo, hi := offs[tid], offs[tid+1]
-			rows[tid] = arena[lo:hi:hi]
-		}
-		order := make([]int32, nt)
-		for i := range order {
-			order[i] = int32(i)
-		}
-		zoned := false
-		for _, a := range c.targets {
-			if a.Zone() != "" {
-				zoned = true
-				break
+		sort.Slice(order, func(i, j int) bool {
+			a, b := order[i], order[j]
+			if bl[a] != bl[b] {
+				return bl[a] < bl[b]
 			}
-		}
-		if zoned {
-			sort.Slice(order, func(i, j int) bool {
-				return c.targets[order[i]].Less(c.targets[order[j]])
-			})
-		} else {
-			// Zone-free addresses (every synth and snapshot workload)
-			// order exactly like netip.Addr.Compare: bit length first,
-			// then the 128-bit value — which As16 exposes big-endian. The
-			// integer keys make the comparator a few register compares
-			// instead of Addr.Less calls.
-			hi := make([]uint64, nt)
-			lo := make([]uint64, nt)
-			bl := make([]uint8, nt)
-			for i, a := range c.targets {
-				b := a.As16()
-				hi[i] = binary.BigEndian.Uint64(b[:8])
-				lo[i] = binary.BigEndian.Uint64(b[8:])
-				bl[i] = uint8(a.BitLen())
+			if hi[a] != hi[b] {
+				return hi[a] < hi[b]
 			}
-			sort.Slice(order, func(i, j int) bool {
-				a, b := order[i], order[j]
-				if bl[a] != bl[b] {
-					return bl[a] < bl[b]
-				}
-				if hi[a] != hi[b] {
-					return hi[a] < hi[b]
-				}
-				return lo[a] < lo[b]
-			})
-		}
-		s.tgtRows = rows
-		s.tgtOrder = order
-	})
+			return lo[a] < lo[b]
+		})
+	}
+	return targetRows{rows: rows, order: order}
 }
 
 // TargetAddr resolves a column target id to its address.
@@ -422,16 +386,14 @@ func (s *Store) RowsByFamily(f Family) []int32 { return s.famRowsMap()[f] }
 
 // attackBotnets counts the distinct botnet ids that appear across
 // attacks (which may be fewer than the Botnetlist rows), memoized.
-func (s *Store) attackBotnets() int {
-	s.nbOnce.Do(func() {
-		c := s.Cols()
-		seen := make(map[uint32]struct{}, 256)
-		for _, id := range c.aBotnet {
-			seen[id] = struct{}{}
-		}
-		s.nAttackBotnets = len(seen)
-	})
-	return s.nAttackBotnets
+func (s *Store) attackBotnets() int { return s.botnetCount.Get(s.countAttackBotnets) }
+
+func (s *Store) countAttackBotnets() int {
+	seen := make(map[uint32]struct{}, 256)
+	for _, id := range s.cols.aBotnet {
+		seen[id] = struct{}{}
+	}
+	return len(seen)
 }
 
 // RowsInRange returns the half-open attack row range [lo, hi) whose
@@ -447,22 +409,22 @@ func (s *Store) RowsInRange(from, to time.Time) (lo, hi int) {
 // TimeBounds returns the earliest start and the latest end across all
 // attacks. ok is false for an empty store.
 func (s *Store) TimeBounds() (first, last time.Time, ok bool) {
-	c := s.cols
-	if len(c.aStart) == 0 {
+	if len(s.cols.aStart) == 0 {
 		return time.Time{}, time.Time{}, false
 	}
-	s.boundsOnce.Do(func() {
-		s.firstT, s.lastT = nanoTime(c.aStart[0]), nanoTime(slices.Max(c.aEnd))
-	})
-	return s.firstT, s.lastT, true
+	b := s.bounds.Get(s.buildBounds)
+	return b.first, b.last, true
 }
 
-// initRecMemo allocates the per-row record memo's slots on first use.
-func (s *Store) initRecMemo() {
-	s.recRowsOnce.Do(func() {
-		s.recRows = make([]memo.Slot[Attack], len(s.cols.aID))
-	})
+func (s *Store) buildBounds() timeBounds {
+	return timeBounds{nanoTime(s.cols.aStart[0]), nanoTime(slices.Max(s.cols.aEnd))}
 }
+
+// recMemo returns the per-row record memo, allocating its slots on first
+// use.
+func (s *Store) recMemo() []memo.Slot[Attack] { return s.recRows.Get(s.newRecMemo) }
+
+func (s *Store) newRecMemo() []memo.Slot[Attack] { return make([]memo.Slot[Attack], len(s.cols.aID)) }
 
 // AttackRecordAt returns the attack record for one column row. When the
 // record face is already materialized it returns the shared record;
@@ -474,22 +436,22 @@ func (s *Store) initRecMemo() {
 //botscope:recordbridge
 func (s *Store) AttackRecordAt(row int) *Attack {
 	if s.recBuilt.Load() {
-		return s.attacks[row]
+		return s.records().attacks[row]
 	}
 	// Per-row memo: detectors that revisit the same rows (the collab
 	// phases run detection twice, Table VI a third time) build each
 	// record at most once. Slots are CAS-published — concurrent builders
 	// of one row produce identical records, and the first one wins.
-	s.initRecMemo()
-	if a := s.recRows[row].Load(); a != nil {
+	slot := &s.recMemo()[row]
+	if a := slot.Load(); a != nil {
 		return a
 	}
 	c := s.cols
 	lo, hi := c.aOff[row], c.aOff[row+1]
 	a := new(Attack)
 	c.fillAttack(a, row, s.denseBots().expand(make([]netip.Addr, hi-lo), lo, hi))
-	if !s.recRows[row].CompareAndSwap(nil, a) {
-		return s.recRows[row].Load()
+	if !slot.CompareAndSwap(nil, a) {
+		return slot.Load()
 	}
 	return a
 }
@@ -506,16 +468,17 @@ func (s *Store) AttackRecordAt(row int) *Attack {
 func (s *Store) AttackRecords(rows []int32) []*Attack {
 	out := make([]*Attack, len(rows))
 	if s.recBuilt.Load() {
+		attacks := s.records().attacks
 		for i, row := range rows {
-			out[i] = s.attacks[row]
+			out[i] = attacks[row]
 		}
 		return out
 	}
-	s.initRecMemo()
+	slots := s.recMemo()
 	c := s.cols
 	need, refs := 0, 0
 	for i, row := range rows {
-		if a := s.recRows[row].Load(); a != nil {
+		if a := slots[row].Load(); a != nil {
 			out[i] = a
 			continue
 		}
@@ -539,8 +502,8 @@ func (s *Store) AttackRecords(rows []int32) []*Attack {
 		k++
 		c.fillAttack(a, int(row), d.expand(ipsArena[off:off+n:off+n], lo, hi))
 		off += n
-		if !s.recRows[row].CompareAndSwap(nil, a) {
-			a = s.recRows[row].Load()
+		if !slots[row].CompareAndSwap(nil, a) {
+			a = slots[row].Load()
 		}
 		out[i] = a
 	}

@@ -119,14 +119,6 @@ var InactiveFamilies = []Family{
 	"zemra",
 }
 
-// AllFamilies returns all 23 tracked families.
-func AllFamilies() []Family {
-	out := make([]Family, 0, len(ActiveFamilies)+len(InactiveFamilies))
-	out = append(out, ActiveFamilies...)
-	out = append(out, InactiveFamilies...)
-	return out
-}
-
 // IsActive reports whether f is one of the 10 active families.
 func (f Family) IsActive() bool {
 	for _, a := range ActiveFamilies {

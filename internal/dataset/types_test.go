@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 )
@@ -83,8 +84,9 @@ func TestFamilies(t *testing.T) {
 	if len(ActiveFamilies) != 10 {
 		t.Errorf("len(ActiveFamilies) = %d, want 10 (the paper's active set)", len(ActiveFamilies))
 	}
-	if got := len(AllFamilies()); got != 23 {
-		t.Errorf("len(AllFamilies) = %d, want 23 (the paper's tracked set)", got)
+	all := slices.Concat(ActiveFamilies, InactiveFamilies)
+	if got := len(all); got != 23 {
+		t.Errorf("active + inactive families = %d, want 23 (the paper's tracked set)", got)
 	}
 	if !Dirtjumper.IsActive() {
 		t.Error("dirtjumper must be active")
@@ -93,7 +95,7 @@ func TestFamilies(t *testing.T) {
 		t.Error("zemra must be inactive")
 	}
 	seen := make(map[Family]bool)
-	for _, f := range AllFamilies() {
+	for _, f := range all {
 		if seen[f] {
 			t.Errorf("duplicate family %q", f)
 		}

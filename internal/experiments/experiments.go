@@ -9,10 +9,10 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"botscope/internal/core"
 	"botscope/internal/dataset"
+	"botscope/internal/memo"
 	"botscope/internal/monitor"
 	"botscope/internal/par"
 	"botscope/internal/synth"
@@ -68,10 +68,11 @@ func (r *Result) MetricsText() string {
 
 // Workload bundles the generated dataset with the knobs experiments need.
 //
-// Expensive shared aggregates — the per-family dispersion series and the
-// collaboration list — are memoized here, because roughly a dozen
-// experiments re-derive them from scratch otherwise. Both caches are safe
-// for concurrent experiment runs (Run with several workers).
+// It is the one holder of the derived products that belong to a store but
+// live above dataset — the per-family dispersion series and the
+// collaboration list — for the experiments, the serve tier and the
+// library's Analyzer alike. Both are safe for concurrent use (Run with
+// several workers).
 type Workload struct {
 	Store *dataset.Store
 	// Scale is the generation scale (1.0 = paper size); experiments use it
@@ -83,8 +84,7 @@ type Workload struct {
 	// Ext: Transfer); it is internally synchronized.
 	disp *core.DispersionIndex
 
-	collabOnce sync.Once
-	collabs    []*core.Collaboration // written once inside collabOnce.Do; immutable after
+	collabs memo.Lazy[[]*core.Collaboration]
 }
 
 // Disp returns the workload's shared dispersion index.
@@ -93,10 +93,7 @@ func (w *Workload) Disp() *core.DispersionIndex { return w.disp }
 // Collabs returns the workload's collaboration list (paper criteria),
 // detecting it on first call and serving the shared slice afterwards.
 func (w *Workload) Collabs() []*core.Collaboration {
-	w.collabOnce.Do(func() {
-		w.collabs = core.DetectCollaborations(w.Store)
-	})
-	return w.collabs
+	return w.collabs.Get(func() []*core.Collaboration { return core.DetectCollaborations(w.Store) })
 }
 
 // NewWorkload generates the synthetic workload cfg describes; a Scale

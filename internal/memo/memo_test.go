@@ -3,6 +3,8 @@ package memo
 import (
 	"reflect"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -45,5 +47,65 @@ func TestSlotPublishOnce(t *testing.T) {
 	}
 	if !s.CompareAndSwap(a, b) || s.Load() != b {
 		t.Fatal("publish against the current value did not take")
+	}
+}
+
+// TestLazyMethodSet: the only way into a Lazy is Get. There is no setter
+// to replace a value readers already share, no peek that could race a
+// build, and the Once and the value stay unexported.
+func TestLazyMethodSet(t *testing.T) {
+	typ := reflect.TypeOf((*Lazy[int])(nil))
+	var got []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		got = append(got, typ.Method(i).Name)
+	}
+	if want := []string{"Get"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("*Lazy[T] method set = %v, want exactly %v", got, want)
+	}
+	for i := 0; i < typ.Elem().NumField(); i++ {
+		if f := typ.Elem().Field(i); f.IsExported() {
+			t.Errorf("Lazy field %s is exported; the value must be reachable through Get only", f.Name)
+		}
+	}
+}
+
+// TestLazyBuildsOnce races 64 first callers (run under -race by make
+// verify-race): build runs once and everyone gets the value it returned.
+func TestLazyBuildsOnce(t *testing.T) {
+	var (
+		l      Lazy[*int]
+		builds atomic.Int32
+		wg     sync.WaitGroup
+		got    [64]*int
+	)
+	build := func() *int {
+		builds.Add(1)
+		return new(int)
+	}
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = l.Get(build)
+		}()
+	}
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("build ran %d times, want 1", n)
+	}
+	for g, p := range got {
+		if p == nil || p != got[0] {
+			t.Fatalf("caller %d got %p, caller 0 got %p", g, p, got[0])
+		}
+	}
+}
+
+func TestLazyFilledNeverBuilds(t *testing.T) {
+	v := new(int)
+	l := Filled(v)
+	for i := 0; i < 2; i++ {
+		if got := l.Get(func() *int { t.Error("build called on a filled Lazy"); return nil }); got != v {
+			t.Fatalf("filled Lazy returned %p, want %p", got, v)
+		}
 	}
 }

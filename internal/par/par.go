@@ -28,8 +28,6 @@ func Workers(n int) int {
 // goroutines and returns the results in index order. workers <= 0 means
 // GOMAXPROCS; a single worker (or n <= 1) runs inline with no goroutines.
 // f must be safe for concurrent invocation on distinct indexes.
-//
-//botscope:parpool
 func Map[T any](workers, n int, f func(i int) T) []T {
 	if n <= 0 {
 		return nil
@@ -71,8 +69,6 @@ func Map[T any](workers, n int, f func(i int) T) []T {
 // out[c] = f(lo, hi) for each chunk [lo, hi). Use it for reduction-style
 // scans (counting, summing) where per-index goroutines would cost more
 // than the work itself; merge the per-chunk partials in slice order.
-//
-//botscope:parpool
 func ChunkMap[T any](workers, n int, f func(lo, hi int) T) []T {
 	if n <= 0 {
 		return nil

@@ -41,62 +41,3 @@ func ACF(xs []float64, maxLag int) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// PACF returns the partial autocorrelation function at lags 1..maxLag via
-// the Durbin-Levinson recursion. It is the standard diagnostic for choosing
-// the AR order of an ARIMA model.
-func PACF(xs []float64, maxLag int) ([]float64, error) {
-	acf, err := ACF(xs, maxLag)
-	if err != nil {
-		return nil, err
-	}
-	if maxLag == 0 {
-		return nil, nil
-	}
-	// Durbin-Levinson: phi[k][j] are AR(k) coefficients; pacf[k] = phi[k][k].
-	pacf := make([]float64, maxLag)
-	phi := make([]float64, maxLag+1)
-	prev := make([]float64, maxLag+1)
-
-	phi[1] = acf[1]
-	pacf[0] = acf[1]
-	v := 1 - acf[1]*acf[1]
-	for k := 2; k <= maxLag; k++ {
-		copy(prev, phi)
-		num := acf[k]
-		for j := 1; j < k; j++ {
-			num -= prev[j] * acf[k-j]
-		}
-		if v <= 0 {
-			// Degenerate (perfectly predictable) series; remaining partials
-			// carry no information.
-			for i := k - 1; i < maxLag; i++ {
-				pacf[i] = 0
-			}
-			return pacf, nil
-		}
-		phikk := num / v
-		phi[k] = phikk
-		for j := 1; j < k; j++ {
-			phi[j] = prev[j] - phikk*prev[k-j]
-		}
-		v *= 1 - phikk*phikk
-		pacf[k-1] = phikk
-	}
-	return pacf, nil
-}
-
-// LjungBox returns the Ljung-Box Q statistic over lags 1..maxLag, a
-// goodness-of-fit check that ARIMA residuals are white noise.
-func LjungBox(residuals []float64, maxLag int) (float64, error) {
-	acf, err := ACF(residuals, maxLag)
-	if err != nil {
-		return 0, err
-	}
-	n := float64(len(residuals))
-	var q float64
-	for k := 1; k <= maxLag; k++ {
-		q += acf[k] * acf[k] / (n - float64(k))
-	}
-	return n * (n + 2) * q, nil
-}

@@ -77,78 +77,3 @@ func TestACFErrors(t *testing.T) {
 		t.Error("ACF of constant series succeeded, want error")
 	}
 }
-
-func TestPACFOfAR1CutsOffAfterLagOne(t *testing.T) {
-	const phi = 0.7
-	xs := ar1Series(phi, 20000, 3)
-	pacf, err := PACF(xs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(pacf[0]-phi) > 0.05 {
-		t.Errorf("PACF[1] = %v, want about %v", pacf[0], phi)
-	}
-	for k := 1; k < len(pacf); k++ {
-		if math.Abs(pacf[k]) > 0.05 {
-			t.Errorf("PACF at lag %d = %v, want about 0 for AR(1)", k+1, pacf[k])
-		}
-	}
-}
-
-func TestPACFOfAR2(t *testing.T) {
-	// AR(2): x_t = 0.5 x_{t-1} + 0.3 x_{t-2} + e_t. PACF at lag 2 must be
-	// close to 0.3 and near zero at lag 3.
-	rng := rand.New(rand.NewSource(4))
-	n := 30000
-	xs := make([]float64, n)
-	for i := 2; i < n; i++ {
-		xs[i] = 0.5*xs[i-1] + 0.3*xs[i-2] + rng.NormFloat64()
-	}
-	pacf, err := PACF(xs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(pacf[1]-0.3) > 0.05 {
-		t.Errorf("PACF[2] = %v, want about 0.3", pacf[1])
-	}
-	if math.Abs(pacf[2]) > 0.05 {
-		t.Errorf("PACF[3] = %v, want about 0", pacf[2])
-	}
-}
-
-func TestPACFZeroMaxLag(t *testing.T) {
-	got, err := PACF([]float64{1, 2, 1, 2}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != nil {
-		t.Errorf("PACF(maxLag=0) = %v, want nil", got)
-	}
-}
-
-func TestLjungBoxWhiteNoiseIsSmall(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := 2000
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	q, err := LjungBox(xs, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Q ~ chi-squared with 10 dof for white noise; 99.9th percentile ~ 29.6.
-	if q > 35 {
-		t.Errorf("LjungBox(white noise) = %v, implausibly large", q)
-	}
-
-	// A strongly autocorrelated series must blow far past that.
-	ar := ar1Series(0.9, n, 6)
-	qAR, err := LjungBox(ar, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qAR < 100 {
-		t.Errorf("LjungBox(AR(1) phi=0.9) = %v, want large", qAR)
-	}
-}

@@ -1,21 +1,16 @@
 package stats
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Histogram is a fixed-bin histogram over a half-open interval [Lo, Hi).
 // Figures 10 and 11 (geolocation-distance histograms) are built on it.
 type Histogram struct {
-	lo, hi   float64
-	width    float64
-	counts   []int
-	under    int // observations below lo
-	over     int // observations at or above hi
-	total    int
-	logScale bool
+	lo, hi float64
+	width  float64
+	counts []int
+	under  int // observations below lo
+	over   int // observations at or above hi
+	total  int
 }
 
 // NewHistogram creates a histogram with bins equal-width bins over [lo, hi).
@@ -35,46 +30,16 @@ func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
 	}, nil
 }
 
-// NewLogHistogram creates a histogram whose bins are equal-width in
-// log-space over [lo, hi); lo must be positive. The paper's duration and
-// interval panels use log-scaled axes, which map to log-binned counts.
-func NewLogHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if lo <= 0 {
-		return nil, errors.New("stats: log histogram needs lo > 0")
-	}
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: histogram bins must be positive, got %d", bins)
-	}
-	if !(hi > lo) {
-		return nil, fmt.Errorf("stats: histogram needs hi > lo, got [%g, %g)", lo, hi)
-	}
-	return &Histogram{
-		lo:       math.Log(lo),
-		hi:       math.Log(hi),
-		width:    (math.Log(hi) - math.Log(lo)) / float64(bins),
-		counts:   make([]int, bins),
-		logScale: true,
-	}, nil
-}
-
 // Add records one observation.
 func (h *Histogram) Add(x float64) {
 	h.total++
-	v := x
-	if h.logScale {
-		if x <= 0 {
-			h.under++
-			return
-		}
-		v = math.Log(x)
-	}
 	switch {
-	case v < h.lo:
+	case x < h.lo:
 		h.under++
-	case v >= h.hi:
+	case x >= h.hi:
 		h.over++
 	default:
-		idx := int((v - h.lo) / h.width)
+		idx := int((x - h.lo) / h.width)
 		if idx >= len(h.counts) { // float round-off at the top edge
 			idx = len(h.counts) - 1
 		}
@@ -111,23 +76,15 @@ func (h *Histogram) Overflow() int { return h.over }
 // Total returns the number of observations added, including out-of-range.
 func (h *Histogram) Total() int { return h.total }
 
-// BinEdges returns the lower and upper edge of bin i in data space.
+// BinEdges returns the lower and upper edge of bin i.
 func (h *Histogram) BinEdges(i int) (lo, hi float64) {
 	lo = h.lo + float64(i)*h.width
-	hi = lo + h.width
-	if h.logScale {
-		return math.Exp(lo), math.Exp(hi)
-	}
-	return lo, hi
+	return lo, lo + h.width
 }
 
-// BinCenter returns the midpoint of bin i in data space (geometric mean for
-// log-scaled histograms).
+// BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	lo, hi := h.BinEdges(i)
-	if h.logScale {
-		return math.Sqrt(lo * hi)
-	}
 	return (lo + hi) / 2
 }
 

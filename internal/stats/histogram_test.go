@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -67,48 +66,6 @@ func TestHistogramBinEdgesAndCenter(t *testing.T) {
 	}
 	if c := h.BinCenter(3); c != 35 {
 		t.Errorf("BinCenter(3) = %v, want 35", c)
-	}
-}
-
-func TestLogHistogram(t *testing.T) {
-	h, err := NewLogHistogram(1, 10000, 4) // decade bins
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.AddAll([]float64{2, 5, 20, 200, 2000, 0, -3})
-	if got := h.Count(0); got != 2 { // [1,10): 2, 5
-		t.Errorf("bin 0 = %d, want 2", got)
-	}
-	if got := h.Count(1); got != 1 { // [10,100): 20
-		t.Errorf("bin 1 = %d, want 1", got)
-	}
-	if got := h.Count(2); got != 1 { // [100,1000): 200
-		t.Errorf("bin 2 = %d, want 1", got)
-	}
-	if got := h.Count(3); got != 1 { // [1000,10000): 2000
-		t.Errorf("bin 3 = %d, want 1", got)
-	}
-	if got := h.Underflow(); got != 2 { // 0, -3 cannot be logged
-		t.Errorf("underflow = %d, want 2", got)
-	}
-	lo, hi := h.BinEdges(1)
-	if !almostEqual(lo, 10, 1e-9) || !almostEqual(hi, 100, 1e-9) {
-		t.Errorf("log BinEdges(1) = [%v, %v), want [10, 100)", lo, hi)
-	}
-	if c := h.BinCenter(1); !almostEqual(c, math.Sqrt(1000), 1e-9) {
-		t.Errorf("log BinCenter(1) = %v, want %v", c, math.Sqrt(1000))
-	}
-}
-
-func TestLogHistogramValidation(t *testing.T) {
-	if _, err := NewLogHistogram(0, 100, 5); err == nil {
-		t.Error("NewLogHistogram with lo=0 succeeded, want error")
-	}
-	if _, err := NewLogHistogram(-1, 100, 5); err == nil {
-		t.Error("NewLogHistogram with lo<0 succeeded, want error")
-	}
-	if _, err := NewLogHistogram(1, 100, 0); err == nil {
-		t.Error("NewLogHistogram with 0 bins succeeded, want error")
 	}
 }
 

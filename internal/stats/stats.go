@@ -76,11 +76,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
 
-// PopStdDev returns the population standard deviation of xs.
-func PopStdDev(xs []float64) float64 {
-	return math.Sqrt(PopVariance(xs))
-}
-
 // Min returns the smallest value in xs, or NaN if xs is empty.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -62,9 +62,6 @@ func TestVarianceAndStdDev(t *testing.T) {
 	if got := Variance(xs); !almostEqual(got, 32.0/7.0, 1e-12) {
 		t.Errorf("Variance = %v, want %v", got, 32.0/7.0)
 	}
-	if got := PopStdDev(xs); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("PopStdDev = %v, want 2", got)
-	}
 	if got := Variance([]float64{1}); !math.IsNaN(got) {
 		t.Errorf("Variance of singleton = %v, want NaN", got)
 	}

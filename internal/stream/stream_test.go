@@ -182,7 +182,7 @@ func TestParityLoad(t *testing.T) {
 func TestParityCollaborations(t *testing.T) {
 	store := parityWorkload(t)
 	snap := ingestAll(t, store).Snapshot()
-	want := core.AnalyzeCollaborations(store)
+	want := core.AnalyzeCollaborationsFrom(core.DetectCollaborations(store))
 
 	if snap.Collaborations.TotalIntra != want.TotalIntra {
 		t.Errorf("intra collaborations = %d, want %d", snap.Collaborations.TotalIntra, want.TotalIntra)
