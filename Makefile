@@ -6,12 +6,15 @@ FUZZTIME ?= 15s
 build:
 	$(GO) build ./...
 
-# build-cross type-checks the non-unix build tags: the dataset package
-# carries a !unix mmap stub (mmap_other.go), and nothing may grow a
-# silent unix-only dependency outside it. Compile-only — no tests run.
+# build-cross type-checks what this machine never runs: the non-unix
+# build tags (the dataset package carries a !unix mmap stub,
+# mmap_other.go, and nothing may grow a silent unix-only dependency
+# outside it) and a big-endian target, where the snapshot's copying
+# decode path is the only one. Compile-only — no tests run.
 build-cross:
 	GOOS=windows $(GO) build ./...
 	GOOS=darwin $(GO) build ./...
+	GOOS=linux GOARCH=s390x $(GO) build ./...
 
 # loc prints non-test, non-vendor, non-testdata Go lines per package and
 # in total: the unit the ROADMAP's simplification items are denominated
@@ -138,13 +141,14 @@ bench-smoke:
 # fails when any exceeds its budget in bench_thresholds.json (see
 # cmd/benchguard). This is the CI gate against allocation regressions in
 # the ARIMA fitter, the dispersion scan, the cross-shard merge, the
-# columnar store build, the JSONL feed codec, the live snapshot (the
-# first read of a generation, and every later one), and the two report
-# kernels that must stay in dense-id space (Ext: Defense, Ext: Load, at
-# the benches' default scale 0.1). Each alternative
+# columnar store build, the snapshot open (a per-row decode coming back
+# is megabytes; the budget is one), the JSONL feed codec, the live
+# snapshot (the first read of a generation, and every later one), and the
+# two report kernels that must stay in dense-id space (Ext: Defense, Ext:
+# Load, at the benches' default scale 0.1). Each alternative
 # selects all of a benchmark's sub-benchmarks; the /scale1 segment belongs
 # to the last alternative only.
-BENCH_ALLOC_PATTERN := 'BenchmarkFit$$|BenchmarkAutoFit$$|BenchmarkDispersionSeries$$|BenchmarkMergeSnapshots$$|BenchmarkNewStore$$|BenchmarkDecodeJSONL$$|BenchmarkAnalyzerSnapshot$$|BenchmarkExtDefense$$|BenchmarkExtLoad$$|BenchmarkWriteJSONL$$/scale1$$'
+BENCH_ALLOC_PATTERN := 'BenchmarkFit$$|BenchmarkAutoFit$$|BenchmarkDispersionSeries$$|BenchmarkMergeSnapshots$$|BenchmarkNewStore$$|BenchmarkReadSnapshot$$|BenchmarkDecodeJSONL$$|BenchmarkAnalyzerSnapshot$$|BenchmarkExtDefense$$|BenchmarkExtLoad$$|BenchmarkWriteJSONL$$/scale1$$'
 BENCH_ALLOC_PKGS := ./internal/timeseries ./internal/core ./internal/cluster ./internal/stream .
 bench-allocs:
 	$(GO) test -run=^$$ -bench $(BENCH_ALLOC_PATTERN) \
@@ -182,7 +186,7 @@ fuzz:
 # snapshot-smoke proves the binary columnar snapshot codec end to end at
 # scale 0.2: write a snapshot with botgen, reload it with botreport — once
 # over the default mmap path and once with BOTSCOPE_NO_MMAP=1 forcing the
-# io.ReadAll fallback — and require both reloaded Table IIIs to match the
+# read-into-the-heap fallback — and require both reloaded Table IIIs to match the
 # regenerated one byte for byte. The stderr load line pins which path each
 # run actually took. The .bscs file is left behind for the CI artifact
 # upload.

@@ -3,8 +3,10 @@ package botscope
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"sync"
@@ -447,6 +449,44 @@ func BenchmarkDetectCollaborations(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkReadSnapshot pins "open allocates nothing per row": a cold
+// open of the scale-1 snapshot file is the header walk, the CRCs, the
+// range checks and one copy of the string table — budgeted in
+// bench_thresholds.json well under the megabytes any per-row decode costs.
+func BenchmarkReadSnapshot(b *testing.B) {
+	b.Run("scale1", func(b *testing.B) {
+		gateFixedScale(b, 1)
+		store, err := NewStore(benchRawAt(b, 1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		f, err := os.Create(filepath.Join(b.TempDir(), "scale1.bscs"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer f.Close()
+		if err := WriteSnapshot(f, store); err != nil {
+			b.Fatal(err)
+		}
+		size, _ := f.Seek(0, io.SeekCurrent)
+		b.SetBytes(size)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := f.Seek(0, io.SeekStart); err != nil {
+				b.Fatal(err)
+			}
+			s, err := ReadSnapshot(f)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if s.NumAttacks() != store.NumAttacks() {
+				b.Fatalf("reopened %d of %d attacks", s.NumAttacks(), store.NumAttacks())
+			}
+			s.Close()
+		}
+	})
 }
 
 // BenchmarkDecodeJSONL and BenchmarkWriteJSONL pin the live feed's codec

@@ -1,10 +1,11 @@
 // Package codecsym defines the columnar-tier botvet analyzer that keeps
-// the hand-rolled binary codecs symmetric. The BSCS snapshot sections and
-// the BSCW cluster wire payloads are encoded and decoded by paired
-// functions that must agree on field order and count forever — a field
-// added to the encoder but not the decoder shifts every later byte and
-// produces silently wrong data, a failure mode round-trip fuzzing only
-// finds when the drift happens to break framing.
+// the hand-rolled binary codec symmetric. The BSCW cluster wire payloads
+// are encoded and decoded by paired functions that must agree on field
+// order and count forever — a field added to the encoder but not the
+// decoder shifts every later byte and produces silently wrong data, a
+// failure mode round-trip fuzzing only finds when the drift happens to
+// break framing. (The BSCS snapshot needs no pairs: one layout table
+// drives its encoder and both decoders, internal/dataset/snapshot.go.)
 //
 // Pairs are declared with a doc directive on both halves:
 //
@@ -14,8 +15,8 @@
 // For each half the analyzer extracts the sequence of codec-primitive
 // operations reachable from entry (via the ssabuild summaries, so dead
 // code is excluded): writer/reader method calls named uvarint, varint,
-// f64, str, bool, addr — with the reader-side refinements count and
-// strID normalized to the uvarint they consume — plus calls into other
+// f64, str, bool, addr — with the reader-side refinement count
+// normalized to the uvarint it consumes — plus calls into other
 // directive-marked pairs, which must be invoked on the matching side.
 // The two sequences must be identical op for op; where both sides name
 // the struct field they touch, the field names must agree too, so a
@@ -62,8 +63,7 @@ func (*codecFact) AFact()           {}
 func (f *codecFact) String() string { return fmt.Sprintf("codec %s half of %q", f.Side, f.Pair) }
 
 // kinds maps writer/reader primitive method names to the wire kind they
-// move. count (length guard) and strID (bounds-checked table index) are
-// reader-side refinements of uvarint.
+// move. count (length guard) is a reader-side refinement of uvarint.
 var kinds = map[string]string{
 	"uvarint": "uvarint", "Uvarint": "uvarint",
 	"varint": "varint", "Varint": "varint",
@@ -72,7 +72,6 @@ var kinds = map[string]string{
 	"bool": "bool", "Bool": "bool",
 	"addr": "addr", "Addr": "addr",
 	"count": "uvarint", "Count": "uvarint",
-	"strID": "uvarint", "StrID": "uvarint",
 }
 
 // op is one primitive operation in a codec half's linearized sequence.

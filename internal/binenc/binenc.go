@@ -1,12 +1,12 @@
-// Package binenc is the one binary primitive codec behind botscope's two
-// formats, the BSCS columnar snapshot (internal/dataset) and the BSCW
-// cluster wire protocol (internal/cluster): unsigned varints everywhere,
-// zigzag varints for signed values, IEEE-754 bit patterns for floats
-// (bit-exact round trips), length-prefixed strings, tagged 0/4/16-byte
-// addresses, and collection counts that are sanity-checked against the
-// bytes remaining so a corrupt length cannot force an arbitrary
-// allocation. The formats keep only what is theirs: framing, versioning,
-// and how a short buffer is reported.
+// Package binenc is the primitive codec behind BSCW, the cluster wire
+// protocol (internal/cluster): unsigned varints everywhere, zigzag varints
+// for signed values, IEEE-754 bit patterns for floats (bit-exact round
+// trips), length-prefixed strings, tagged 0/4/16-byte addresses, and
+// collection counts that are sanity-checked against the bytes remaining
+// so a corrupt length cannot force an arbitrary allocation. The protocol
+// keeps only what is its own: framing, versioning, and how a short buffer
+// is reported. (The BSCS snapshot is fixed-width columns viewed in place
+// and shares nothing with it but the address tag values.)
 package binenc
 
 import (

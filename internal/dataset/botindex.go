@@ -27,7 +27,7 @@ import (
 // and must not be modified.
 type BotIndex struct {
 	cols *Columns
-	ips  []netip.Addr      // id -> ip (shared with the columnar dense layer)
+	ips  addrCol           // id -> ip (shared with the columnar dense layer)
 	rows []int32           // id -> Botlist row, -1 when unresolved
 	pts  []geo.CachedPoint // id -> cached location; zero when unresolved
 	refs []int32           // per-attack id spans, concatenated in attack order
@@ -46,7 +46,7 @@ func (s *Store) buildBotIndex() *BotIndex {
 		ips:  d.ips,
 		rows: d.rec,
 		refs: d.refs,
-		pts:  make([]geo.CachedPoint, len(d.ips)),
+		pts:  make([]geo.CachedPoint, d.ips.len()),
 	}
 	for id, row := range d.rec {
 		if row < 0 {
@@ -58,7 +58,7 @@ func (s *Store) buildBotIndex() *BotIndex {
 }
 
 // NumIDs returns the number of distinct bot IPs across all attacks.
-func (ix *BotIndex) NumIDs() int { return len(ix.ips) }
+func (ix *BotIndex) NumIDs() int { return ix.ips.len() }
 
 // ID resolves an IP to its dense id. The reverse map is built lazily on
 // first call: the hot kernels only ever go id -> record, so most stores
@@ -69,15 +69,15 @@ func (ix *BotIndex) ID(ip netip.Addr) (int32, bool) {
 }
 
 func (ix *BotIndex) buildIDs() map[netip.Addr]int32 {
-	m := make(map[netip.Addr]int32, len(ix.ips))
-	for i, a := range ix.ips {
-		m[a] = int32(i)
+	m := make(map[netip.Addr]int32, ix.ips.len())
+	for i := int32(0); i < int32(ix.ips.len()); i++ {
+		m[ix.ips.at(i)] = i
 	}
 	return m
 }
 
 // IP returns the address of a dense id.
-func (ix *BotIndex) IP(id int32) netip.Addr { return ix.ips[id] }
+func (ix *BotIndex) IP(id int32) netip.Addr { return ix.ips.at(id) }
 
 // Resolved reports whether a dense id has a Botlist row.
 func (ix *BotIndex) Resolved(id int32) bool { return ix.rows[id] >= 0 }

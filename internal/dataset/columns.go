@@ -12,11 +12,12 @@ package dataset
 //
 // Columns come from one of two producers, both of which finish before
 // the store is published: NewStore validates and sorts the caller's
-// records and flattens them (columnize); the snapshot decoder parses them
-// from the file and validateColumns re-checks every store invariant over
-// the flat arrays. The one difference the producers leave behind is the
-// dense source-IP layer, which the file carries and columnize leaves to
-// first use (it costs more than the rest of construction together).
+// records and flattens them (columnize); the snapshot decoder views or
+// copies them out of the file and validateColumns re-checks every store
+// invariant over the flat arrays. The one difference the producers leave
+// behind is the dense source-IP layer, which the file carries and
+// columnize leaves to first use (it costs more than the rest of
+// construction together).
 //
 // The columns are immutable once published and safe for concurrent
 // readers.
@@ -55,6 +56,109 @@ func (in *interner) id(s string) int32 {
 	return id
 }
 
+// addrCol is a packed address column: 16 bytes (the As16 form) and a tag
+// (0 = the zero Addr, 4, 16) a row, the netip.Addr built at the accessor.
+// Against []netip.Addr it is 17 bytes a row instead of 24, holds nothing
+// for the collector to scan, and is what a snapshot stores, so the two
+// large address columns (Botlist IPs, dense source IPs) alias the file.
+// Zones are a NewStore-only side table: no snapshot has ever carried one.
+type addrCol struct {
+	b     []byte
+	tag   []uint8
+	zones map[int32]string // row -> zone, nil when no row has one
+}
+
+func newAddrCol(capacity int) addrCol {
+	return addrCol{b: make([]byte, 0, 16*capacity), tag: make([]uint8, 0, capacity)}
+}
+
+func (a addrCol) len() int { return len(a.tag) }
+
+// at returns row i's address. It does not allocate.
+func (a addrCol) at(i int32) netip.Addr {
+	var ip netip.Addr
+	switch b := a.b[16*int(i):][:16]; a.tag[i] {
+	case 4:
+		ip = netip.AddrFrom4([4]byte(b[12:]))
+	case 16:
+		ip = netip.AddrFrom16([16]byte(b))
+	}
+	if a.zones != nil {
+		if z, ok := a.zones[i]; ok {
+			ip = ip.WithZone(z)
+		}
+	}
+	return ip
+}
+
+// same reports whether row i of a and row j of o hold one address.
+func (a addrCol) same(i int32, o addrCol, j int32) bool {
+	return a.tag[i] == o.tag[j] && [16]byte(a.b[16*int(i):]) == [16]byte(o.b[16*int(j):])
+}
+
+// append adds one row.
+func (a *addrCol) append(ip netip.Addr) {
+	i := int32(len(a.tag))
+	b := ip.As16()
+	switch {
+	case !ip.IsValid():
+		a.tag = append(a.tag, 0)
+	case ip.Is4():
+		a.tag = append(a.tag, 4)
+	default:
+		a.tag = append(a.tag, 16)
+		if z := ip.Zone(); z != "" {
+			if a.zones == nil {
+				a.zones = make(map[int32]string)
+			}
+			a.zones[i] = z
+		}
+	}
+	a.b = append(a.b, b[:]...)
+}
+
+func packAddrs(ips []netip.Addr) addrCol {
+	a := newAddrCol(len(ips))
+	for _, ip := range ips {
+		a.append(ip)
+	}
+	return a
+}
+
+func (a addrCol) unpack() []netip.Addr {
+	ips := make([]netip.Addr, a.len())
+	for i := range ips {
+		ips[i] = a.at(int32(i))
+	}
+	return ips
+}
+
+// v4Prefix is what As16 puts before an IPv4 address's four bytes.
+var v4Prefix = [12]byte{10: 0xff, 11: 0xff}
+
+// canonical reports whether every row is what append would have written:
+// a known tag, the mapped prefix before an IPv4 address, zero bytes under
+// the zero Addr. When one is not it returns that row.
+func (a addrCol) canonical() (int, bool) {
+	for i, tag := range a.tag {
+		b := [16]byte(a.b[16*i:])
+		switch tag {
+		case 16:
+		case 4:
+			if [12]byte(b[:12]) != v4Prefix {
+				return i, false
+			}
+		case 0:
+			if b != [16]byte{} {
+				return i, false
+			}
+		default:
+			return i, false
+		}
+	}
+	return 0, true
+}
+
 // Columns is the struct-of-arrays form of one workload. Attack columns
 // are aligned with the store's sorted attack order; bot columns with the
 // deduplicated Botlist row order; botnet columns with Botnetlist input
@@ -68,7 +172,7 @@ type Columns struct {
 	aID     []uint64 // ddos_id
 	aBotnet []uint32 // botnet_id
 	aFam    []int32  // family, interned
-	aCat    []uint8  // Category value; may alias a mapped snapshot (see mmap)
+	aCat    []uint8  // Category value
 	aTgt    []int32  // index into targets
 	aStart  []int64  // Start, UTC nanoseconds
 	aEnd    []int64  // End, UTC nanoseconds
@@ -87,7 +191,7 @@ type Columns struct {
 
 	// Bot columns (Botlist rows, deduplicated by IP, first-occurrence
 	// order, last record wins).
-	bIP   []netip.Addr
+	bIP   addrCol
 	bASN  []int64
 	bCC   []int32 // interned
 	bCity []int32 // interned
@@ -107,10 +211,11 @@ type Columns struct {
 	nRowByID memo.Lazy[map[uint32]int32] // botnet id -> row
 	dense    memo.Lazy[*denseBots]       // filled by the snapshot decoder, else derived from refIPs on first use
 
-	// mmap pins the mapped snapshot region alive for as long as any
-	// column that aliases it (aCat) is reachable. nil when the snapshot
-	// was decoded from a heap buffer or the store was columnized from
-	// records.
+	// mmap is the mapped snapshot every fixed-width column above aliases
+	// (strs, targets and nCtrl are always heap copies); holding it here
+	// keeps the region mapped while the columns are reachable. nil when
+	// the columns live in the heap: columnized from records, copied out of
+	// a snapshot, or aliasing ReadSnapshot's private buffer.
 	mmap *mmapRegion
 }
 
@@ -118,7 +223,7 @@ type Columns struct {
 func (c *Columns) NumAttacks() int { return len(c.aID) }
 
 // NumBots returns the number of Botlist rows.
-func (c *Columns) NumBots() int { return len(c.bIP) }
+func (c *Columns) NumBots() int { return c.bIP.len() }
 
 // NumBotnets returns the number of Botnetlist rows.
 func (c *Columns) NumBotnets() int { return len(c.nID) }
@@ -161,29 +266,29 @@ func (c *Columns) buildBotnetRows() map[uint32]int32 {
 // given workload. rec maps a dense id to its Botlist row, -1 when the IP
 // never resolved in the Botlist.
 type denseBots struct {
-	ips  []netip.Addr // id -> address
-	refs []int32      // refIPs re-expressed as dense ids, same order
-	rec  []int32      // id -> bot row, or -1
+	ips  addrCol // id -> address
+	refs []int32 // refIPs re-expressed as dense ids, same order
+	rec  []int32 // id -> bot row, or -1
 }
 
 // buildDense derives the dense layer from the reference arena. rows maps
 // a bot IP to its Botlist row.
 func buildDense(refIPs []netip.Addr, nBotsHint int, rows map[netip.Addr]int32) *denseBots {
 	ids := make(map[netip.Addr]int32, nBotsHint)
-	ips := make([]netip.Addr, 0, nBotsHint)
+	ips := newAddrCol(nBotsHint)
 	refs := make([]int32, len(refIPs))
 	for i, ip := range refIPs {
 		id, ok := ids[ip]
 		if !ok {
-			id = int32(len(ips))
+			id = int32(ips.len())
 			ids[ip] = id
-			ips = append(ips, ip)
+			ips.append(ip)
 		}
 		refs[i] = id
 	}
-	rec := make([]int32, len(ips))
-	for i, ip := range ips {
-		if row, ok := rows[ip]; ok {
+	rec := make([]int32, ips.len())
+	for i := range rec {
+		if row, ok := rows[ips.at(int32(i))]; ok {
 			rec[i] = row
 		} else {
 			rec[i] = -1
@@ -196,7 +301,7 @@ func buildDense(refIPs []netip.Addr, nBotsHint int, rows map[netip.Addr]int32) *
 // which must have the span's length, and returns it.
 func (d *denseBots) expand(dst []netip.Addr, lo, hi int64) []netip.Addr {
 	for i, id := range d.refs[lo:hi] {
-		dst[i] = d.ips[id]
+		dst[i] = d.ips.at(id)
 	}
 	return dst
 }
@@ -211,7 +316,7 @@ func (s *Store) Cols() *Columns { return s.cols }
 func (s *Store) denseBots() *denseBots { return s.cols.dense.Get(s.buildDense) }
 
 func (s *Store) buildDense() *denseBots {
-	return buildDense(s.cols.refIPs, len(s.cols.bIP), s.botRowsMap())
+	return buildDense(s.cols.refIPs, s.cols.bIP.len(), s.botRowsMap())
 }
 
 // columnize flattens validated records into columns: attacks already in
@@ -271,7 +376,7 @@ func columnize(attacks []*Attack, botnets []*Botnet, bots []*Bot) *Columns {
 	c.aOff[n] = off
 
 	nb := len(bots)
-	c.bIP = make([]netip.Addr, nb)
+	c.bIP = newAddrCol(nb)
 	c.bASN = make([]int64, nb)
 	c.bCC = make([]int32, nb)
 	c.bCity = make([]int32, nb)
@@ -280,7 +385,7 @@ func columnize(attacks []*Attack, botnets []*Botnet, bots []*Bot) *Columns {
 	c.bLon = make([]float64, nb)
 	c.bLast = make([]int64, nb)
 	for i, b := range bots {
-		c.bIP[i] = b.IP
+		c.bIP.append(b.IP)
 		c.bASN[i] = int64(b.ASN)
 		c.bCC[i] = in.id(b.CountryCode)
 		c.bCity[i] = in.id(b.City)
@@ -324,12 +429,13 @@ var (
 	maxValidNano = time.Date(2262, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano() - 1
 )
 
-// validateColumns re-checks every Store invariant directly over decoded
-// columns — the column-native equivalent of running Attack.Validate plus
-// the duplicate-id, sort-order, and dense cross-checks — so a hostile
-// snapshot cannot construct a Store that violates the package's
-// invariants, and the record views can later be materialized without any
-// re-validation.
+// validateColumns checks, directly over decoded columns, the Store
+// invariants the snapshot open does not already check on every load (ids
+// in range, End >= Start, the (Start, ID) order, the dense numbering: see
+// snapshot.go) — the column-native equivalent of Attack.Validate plus the
+// duplicate-id and dense cross-checks — so a hostile snapshot cannot
+// construct a Store that violates the package's invariants, and the
+// record views can later be materialized without any re-validation.
 func validateColumns(c *Columns, d *denseBots) error {
 	seenStr := make(map[string]struct{}, len(c.strs))
 	for i, str := range c.strs {
@@ -373,10 +479,6 @@ func validateColumns(c *Columns, d *denseBots) error {
 			return fmt.Errorf("dataset: snapshot attack row %d: dataset: attack %d has invalid target IP", i, id)
 		}
 		tgtSeen[c.aTgt[i]] = true
-		if c.aEnd[i] < c.aStart[i] {
-			return fmt.Errorf("dataset: snapshot attack row %d: dataset: attack %d ends (%v) before it starts (%v)",
-				i, id, nanoTime(c.aEnd[i]), nanoTime(c.aStart[i]))
-		}
 		if c.aStart[i] < minValidNano || c.aStart[i] > maxValidNano {
 			return fmt.Errorf("dataset: snapshot attack row %d: dataset: attack %d start year %d outside representable range",
 				i, id, nanoTime(c.aStart[i]).Year())
@@ -396,12 +498,6 @@ func validateColumns(c *Columns, d *denseBots) error {
 			return fmt.Errorf("dataset: snapshot has duplicate ddos_id %d", id)
 		}
 		seen[id] = struct{}{}
-		if i > 0 {
-			if c.aStart[i] < c.aStart[i-1] ||
-				(c.aStart[i] == c.aStart[i-1] && c.aID[i] <= c.aID[i-1]) {
-				return fmt.Errorf("dataset: snapshot attack rows not sorted by (start, id) at row %d", i)
-			}
-		}
 	}
 	for tid, ok := range tgtSeen {
 		if !ok {
@@ -410,7 +506,7 @@ func validateColumns(c *Columns, d *denseBots) error {
 	}
 
 	for id, row := range d.rec {
-		if row >= 0 && d.ips[id] != c.bIP[row] {
+		if row >= 0 && !d.ips.same(int32(id), c.bIP, row) {
 			return fmt.Errorf("dataset: snapshot dense id %d resolves to bot row %d with mismatched IP", id, row)
 		}
 	}
@@ -448,12 +544,12 @@ func (s *Store) materializeRecords() *recordViews {
 	c := s.cols
 	d := s.denseBots()
 
-	nb := len(c.bIP)
+	nb := c.bIP.len()
 	botArena := make([]Bot, nb)
 	botList := make([]*Bot, nb)
 	for i := range botArena {
 		b := &botArena[i]
-		b.IP = c.bIP[i]
+		b.IP = c.bIP.at(int32(i))
 		b.ASN = int(c.bASN[i])
 		b.CountryCode = c.strs[c.bCC[i]]
 		b.City = c.strs[c.bCity[i]]

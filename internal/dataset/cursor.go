@@ -110,7 +110,7 @@ type BotView struct {
 func (c *Columns) BotRow(i int32) BotView { return BotView{c: c, row: i} }
 
 // IP returns the bot's address.
-func (v BotView) IP() netip.Addr { return v.c.bIP[v.row] }
+func (v BotView) IP() netip.Addr { return v.c.bIP.at(v.row) }
 
 // ASN returns the bot's ASN.
 func (v BotView) ASN() int { return int(v.c.bASN[v.row]) }

@@ -176,7 +176,7 @@ func TestSnapshotConcurrentMaterialize(t *testing.T) {
 // TestReadSnapshotMmapInfo pins the load-path provenance and the lazy
 // contract across every load path in one table: a regular file takes the
 // mmap path (where the platform supports it), BOTSCOPE_NO_MMAP forces the
-// io.ReadAll fallback, a non-file reader never maps — and on all three
+// read-into-the-heap fallback, a non-file reader never maps — and on all three
 // the store arrives with no record arena, stays column-native until the
 // first record-face touch, and produces identical records after it.
 func TestReadSnapshotMmapInfo(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 )
 
 // mmapRegion is the stub region for platforms without mmap support; the
-// snapshot reader falls back to io.ReadAll there.
+// snapshot reader reads the file into the heap there.
 type mmapRegion struct {
 	data []byte
 }

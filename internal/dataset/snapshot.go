@@ -1,80 +1,81 @@
 package dataset
 
 // snapshot.go is the versioned binary columnar snapshot codec ("BSCS").
-// A snapshot serializes the columnar core (columns.go) — interned string
-// table, attack/bot/botnet columns, and the dense source-IP layer — so a
-// generated workload reloads in seconds instead of being regenerated and
-// re-indexed. Values are written with the internal/binenc primitives it
-// shares with internal/cluster's BSCW wire codec; this file adds the
-// framing, the typed located errors, and the interned-string ids.
+// A snapshot stores the columnar core (columns.go) — interned string
+// table, attack/bot/botnet columns, and the dense source-IP layer — in
+// the form the kernels read it: every column is a run of little-endian
+// fixed-width cells at an 8-byte-aligned file offset, so opening a
+// snapshot is checking it, not decoding it.
 //
 // Format versioning rules: the magic never changes; the version byte
 // bumps on any layout change (there is no in-place migration — a
 // snapshot is a cache of a reproducible workload, so "regenerate and
 // re-snapshot" is always safe); decoders reject unknown versions rather
-// than guessing, and version 2 is the only one written or read. Decode
-// is strict: every interned-id and row reference is bounds-checked,
-// attack rows must arrive sorted by (Start, ID) with unique ids, dense
-// ids must be numbered in first-appearance order, and trailing bytes (in
-// the stream, and inside each section frame) are an error. A decoded
-// store therefore satisfies exactly the invariants NewStore enforces.
+// than guessing, and version 3 is the only one written or read.
 //
-// Layout (version 2):
+// Layout (version 3), all integers little-endian:
 //
-//	"BSCS" | version uvarint
+//	"BSCS" | version byte | 3 zero bytes
 //	6 section frames, in fixed order (strings, targets, botnets, bots,
 //	attacks, dense), each:
-//	    section id byte (1..6) |
-//	    payload length uint64 BE |
-//	    payload crc32 (Castagnoli) uint32 BE |
-//	    payload
+//	    section id byte (1..6) | 3 zero bytes |
+//	    payload crc32 (Castagnoli) uint32 |
+//	    payload length uint64 (a multiple of 8) |
+//	    payload: the section's row counts as uint64 words (snapDimMax),
+//	             then its columns in layout order, each zero-padded to 8
 //
-// The fixed-width frame header lets the encoder emit each payload
-// straight into the output buffer and backfill length + checksum, and
-// lets a reader verify or skip a section without parsing it. Payloads:
+// Header and frame headers are 8 and 16 bytes, so every column starts at
+// a multiple of 8 from the start of the snapshot. Which columns a section
+// holds, how wide their cells are and where they land in memory is one
+// table, snapImage.layout, that the encoder, both decode paths and the
+// range checks all walk; the string table (one heap blob sliced into
+// []string) and the two small address tables are converted from and to
+// their file columns beside it (imageOf, finish).
 //
-//	strings:  count | (len | bytes)*
-//	targets:  count | addr*
-//	botnets:  count | id* | fam* | hash* | ctrl* | first* | last*
-//	bots:     count | ip* | asn* | cc* | city* | org* | lat* | lon* | lastΔ*
-//	attacks:  count | nRefs | id* | botnet* | fam* | cat* | tgt* |
-//	          startΔ* | endΔ* | asn* | cc* | city* | org* | lat* | lon* | span*
-//	dense:    count | ip* | ref* | rec*
+// There are two decode paths. The view aliases each column in place
+// (unsafe.Slice over the mapping, or over ReadSnapshot's private heap
+// buffer) and needs a little-endian host and an 8-byte-aligned base,
+// both tested at open. The copy allocates each column and is what
+// big-endian hosts, a misaligned base and DecodeSnapshot (whose caller
+// keeps its bytes) get. Everything after a column is placed is shared,
+// so the two produce indistinguishable stores.
 //
-// Sections are column-major: each column is one contiguous run, which
-// keeps related varints adjacent. Attack starts are deltas from the
-// previous row (the sort makes them small and non-negative), ends are
-// deltas from their own start, bot LastActive values are zigzag deltas
-// from the previous row (clustered inside the paper window).
-//
-// The per-section checksums also feed a process-local validation cache:
-// when a snapshot whose six (length, crc) pairs were already fully
-// validated by an earlier load is decoded again, the structural parse
-// still runs (it is what builds the columns) but the semantic
-// re-validation (validateColumns) is skipped.
+// Every open checks, whichever path: per-section CRC, exact section
+// length (no trailing bytes in a section or after the last), zero
+// padding, string/target/dense/bot-row ids in range, address tags and
+// their canonical bytes, End >= Start, rows sorted by (Start, ID),
+// reference spans monotone and summing to the declared count, dense ids
+// numbered in first-appearance order and all referenced. The remaining
+// store invariants (validateColumns) are skipped when a snapshot with
+// the same six frame headers already passed them in this process.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
-	"net/netip"
 	"os"
+	"slices"
 	"sync"
+	"unsafe"
 
-	"botscope/internal/binenc"
 	"botscope/internal/memo"
 )
 
 // Snapshot codec constants.
 const (
-	snapMagic   = "BSCS"
-	snapVersion = 2
+	snapMagic     = "BSCS"
+	snapVersion   = 3
+	snapHeaderLen = 8  // magic, version, three zero bytes
+	snapFrameLen  = 16 // section id, three zero bytes, crc32, payload length
+	snapMaxArena  = 1 << 40
+	snapMaxRows   = math.MaxInt32
 )
 
-// Section ids of the v2 frame layout, in stream order.
+// Section ids of the frame layout, in stream order.
 const (
 	secStrings = 1
 	secTargets = 2
@@ -88,8 +89,24 @@ const (
 // the pre-section header.
 var snapSectionName = [...]string{"header", "strings", "targets", "botnets", "bots", "attacks", "dense"}
 
+// snapDimMax lists the row-count words each section's payload opens with
+// and the largest value each may hold: rows are int32 ids everywhere,
+// byte and reference totals index int64 arenas.
+var snapDimMax = [...][]uint64{
+	secStrings: {snapMaxRows, snapMaxArena}, // strings, blob bytes
+	secTargets: {snapMaxRows},
+	secBotnets: {snapMaxRows},
+	secBots:    {snapMaxRows},
+	secAttacks: {snapMaxRows, snapMaxArena}, // attacks, source references
+	secDense:   {snapMaxRows},
+}
+
 // castagnoli is the CRC-32C table used for section checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// hostLittle reports whether this host stores integers the way the file
+// does; only then can a column be viewed in place.
+var hostLittle = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // Snapshot codec errors.
 var (
@@ -115,9 +132,19 @@ func (e *SnapshotError) Error() string {
 
 func (e *SnapshotError) Unwrap() error { return e.Err }
 
-// validatedSnapshots caches the (length, crc) frame headers of snapshots
-// that fully passed validateColumns in this process, so
-// re-loading a byte-identical snapshot skips semantic re-validation.
+// snapTruncated and snapCorrupt build the two located decode errors.
+func snapTruncated(section string, off int) error {
+	return &SnapshotError{Section: section, Offset: int64(off), Err: ErrSnapshotTruncated}
+}
+
+func snapCorrupt(section string, off int, format string, args ...any) error {
+	return &SnapshotError{Section: section, Offset: int64(off),
+		Err: fmt.Errorf("%w: "+format, append([]any{ErrSnapshotCorrupt}, args...)...)}
+}
+
+// validatedSnapshots caches the frame headers (length, crc) of snapshots
+// that fully passed validateColumns in this process, so re-loading a
+// byte-identical snapshot skips semantic re-validation.
 var validatedSnapshots sync.Map // string (concatenated frame headers) -> struct{}
 
 // SnapshotInfo describes how a store's snapshot was loaded.
@@ -131,50 +158,251 @@ type SnapshotInfo struct {
 // the store was built from records, not a snapshot.
 func (s *Store) SnapshotInfo() SnapshotInfo { return s.snapInfo }
 
-// snapReader is a binenc.Reader that knows where in the snapshot it is,
-// so a decode failure can name its section and absolute offset. end is
-// the absolute offset (from the start of the snapshot) of the last byte
-// of Buf, so the current position is end - len(Buf).
-type snapReader struct {
-	binenc.Reader
-	section string
-	end     int64
+// fixed is the set of cell types a column may have: the file stores each
+// as its little-endian bytes.
+type fixed interface {
+	~uint8 | ~int32 | ~uint32 | ~int64 | ~uint64 | ~float64
 }
 
-// off returns the reader's absolute offset into the snapshot bytes.
-func (r *snapReader) off() int64 { return r.end - int64(len(r.Buf)) }
+// column is one destination of the section layout: a typed slice the
+// file stores as fixed-width cells.
+type column interface {
+	width() int            // bytes per cell
+	raw() []byte           // the cells as host-order bytes
+	view(b []byte)         // alias b as the cells; b is host-order and aligned to width
+	alloc(rows int) []byte // replace the cells with rows fresh ones, returned as raw()
+}
 
-// failure returns the sticky error, located. A short buffer stops the
-// reader where it happened, so its position is still the failing one.
-func (r *snapReader) failure() error {
-	if r.Err == binenc.ErrShort {
-		return &SnapshotError{Section: r.section, Offset: r.off(), Err: ErrSnapshotTruncated}
+// cells is the column over *p. It is the only place a snapshot byte
+// range and a typed slice are converted into each other.
+type cells[T fixed] struct{ p *[]T }
+
+func (c cells[T]) width() int {
+	var cell T
+	return int(unsafe.Sizeof(cell))
+}
+
+func (c cells[T]) raw() []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(*c.p))), len(*c.p)*c.width())
+}
+
+func (c cells[T]) view(b []byte) {
+	*c.p = unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/c.width())
+}
+
+func (c cells[T]) alloc(rows int) []byte {
+	*c.p = make([]T, rows)
+	return c.raw()
+}
+
+// swapCells reverses every w-byte cell of b in place: all a big-endian
+// host does differently, after copying a column in or out.
+func swapCells(b []byte, w int) {
+	for ; w > 1 && len(b) >= w; b = b[w:] {
+		slices.Reverse(b[:w])
 	}
-	return r.Err
 }
 
-// failf stops the reader with a located ErrSnapshotCorrupt.
-func (r *snapReader) failf(format string, args ...any) {
-	if r.Err == nil {
-		r.Err = &SnapshotError{
-			Section: r.section,
-			Offset:  r.off(),
-			Err:     fmt.Errorf("%w: "+format, append([]any{ErrSnapshotCorrupt}, args...)...),
+// snapCol is one row of the section layout: a named column, how many
+// cells it holds, and what every open checks about them.
+type snapCol struct {
+	name string
+	col  column
+	rows int
+
+	ids     *[]int32 // set on an id column: every cell lies in [lo, lim)
+	lo, lim int32
+	addr    *addrCol // set on an address column's tags: tags and bytes are canonical
+}
+
+func num[T fixed](name string, p *[]T, rows int) snapCol {
+	return snapCol{name: name, col: cells[T]{p}, rows: rows}
+}
+
+func ids(name string, p *[]int32, rows int, lo, lim int) snapCol {
+	return snapCol{name: name, col: cells[int32]{p}, rows: rows, ids: p, lo: int32(lo), lim: int32(lim)}
+}
+
+func addrs(name string, a *addrCol, rows int) []snapCol {
+	tags := num(name+" tags", &a.tag, rows)
+	tags.addr = a
+	return []snapCol{num(name, &a.b, 16*rows), tags}
+}
+
+// snapImage is a snapshot's content as the flat arrays the file holds:
+// the store's columns and dense layer, plus the three tables the store
+// keeps in another form.
+type snapImage struct {
+	c *Columns
+	d *denseBots
+
+	strLens   []uint32 // byte length of each interned string
+	strBlob   []byte   // the strings, concatenated
+	tgt, ctrl addrCol  // Columns.targets and Columns.nCtrl, packed
+}
+
+// imageOf lays the store out for encoding.
+func imageOf(s *Store) *snapImage {
+	c := s.Cols()
+	im := &snapImage{c: c, d: s.denseBots(), tgt: packAddrs(c.targets), ctrl: packAddrs(c.nCtrl)}
+	im.strLens = make([]uint32, len(c.strs))
+	for i, str := range c.strs {
+		im.strLens[i] = uint32(len(str))
+		im.strBlob = append(im.strBlob, str...)
+	}
+	return im
+}
+
+// dims returns the row counts a section's payload opens with, in
+// snapDimMax order.
+func (im *snapImage) dims(sec byte) []int {
+	switch sec {
+	case secStrings:
+		return []int{len(im.strLens), len(im.strBlob)}
+	case secTargets:
+		return []int{im.tgt.len()}
+	case secBotnets:
+		return []int{len(im.c.nID)}
+	case secBots:
+		return []int{im.c.bIP.len()}
+	case secAttacks:
+		return []int{len(im.c.aID), im.c.NumRefs()}
+	default:
+		return []int{im.d.ips.len()}
+	}
+}
+
+// layout is the section table: the columns of section sec in file order,
+// bound to where they live in the image, for the row counts dm. Id
+// bounds come from the sections before it, which are complete — encoded
+// from a store, or decoded and checked — by the time a section is laid
+// out.
+func (im *snapImage) layout(sec byte, dm []int) []snapCol {
+	c, d, n := im.c, im.d, dm[0]
+	nStr := len(c.strs)
+	switch sec {
+	case secStrings:
+		return []snapCol{num("lengths", &im.strLens, n), num("bytes", &im.strBlob, dm[1])}
+	case secTargets:
+		return addrs("targets", &im.tgt, n)
+	case secBotnets:
+		return append(addrs("nCtrl", &im.ctrl, n),
+			num("nID", &c.nID, n),
+			ids("nFam", &c.nFam, n, 0, nStr),
+			ids("nHash", &c.nHash, n, 0, nStr),
+			num("nFirst", &c.nFirst, n),
+			num("nLast", &c.nLast, n))
+	case secBots:
+		return append(addrs("bIP", &c.bIP, n),
+			num("bASN", &c.bASN, n),
+			ids("bCC", &c.bCC, n, 0, nStr),
+			ids("bCity", &c.bCity, n, 0, nStr),
+			ids("bOrg", &c.bOrg, n, 0, nStr),
+			num("bLat", &c.bLat, n),
+			num("bLon", &c.bLon, n),
+			num("bLast", &c.bLast, n))
+	case secAttacks:
+		return []snapCol{
+			num("aID", &c.aID, n),
+			num("aBotnet", &c.aBotnet, n),
+			ids("aFam", &c.aFam, n, 0, nStr),
+			num("aCat", &c.aCat, n),
+			ids("aTgt", &c.aTgt, n, 0, len(c.targets)),
+			num("aStart", &c.aStart, n),
+			num("aEnd", &c.aEnd, n),
+			num("aASN", &c.aASN, n),
+			ids("aCC", &c.aCC, n, 0, nStr),
+			ids("aCity", &c.aCity, n, 0, nStr),
+			ids("aOrg", &c.aOrg, n, 0, nStr),
+			num("aLat", &c.aLat, n),
+			num("aLon", &c.aLon, n),
+			num("aOff", &c.aOff, n+1),
+		}
+	default:
+		return append(addrs("ips", &d.ips, n),
+			ids("refs", &d.refs, c.NumRefs(), 0, n),
+			ids("rec", &d.rec, n, -1, c.bIP.len()))
+	}
+}
+
+// pad8 rounds n up to a multiple of 8.
+func pad8(n int64) int64 { return (n + 7) &^ 7 }
+
+// payloadLen returns the exact payload size of a section with nDims
+// count words and these columns.
+func payloadLen(nDims int, cols []snapCol) int64 {
+	n := int64(8 * nDims)
+	for _, sc := range cols {
+		n += pad8(int64(sc.rows) * int64(sc.col.width()))
+	}
+	return n
+}
+
+// finish runs what a section still owes once its columns are placed and
+// range-checked: it converts the three tables the store keeps in another
+// form, and checks the orderings the kernels rely on.
+func (im *snapImage) finish(sec byte, dm []int) error {
+	c, d := im.c, im.d
+	switch sec {
+	case secStrings:
+		// The one copy of an open: strings escape into results that
+		// outlive the store, so they never alias the file.
+		blob := string(im.strBlob)
+		c.strs = make([]string, len(im.strLens))
+		off := 0
+		for i, n := range im.strLens {
+			if int64(n) > int64(len(blob)-off) {
+				return fmt.Errorf("string %d runs past the %d string bytes", i, len(blob))
+			}
+			c.strs[i] = blob[off : off+int(n)]
+			off += int(n)
+		}
+		if off != len(blob) {
+			return fmt.Errorf("string lengths cover %d of %d string bytes", off, len(blob))
+		}
+		if len(c.strs) == 0 || c.strs[0] != "" {
+			return errors.New("string table must start with the empty string")
+		}
+		im.strLens, im.strBlob = nil, nil
+	case secTargets:
+		c.targets = im.tgt.unpack()
+	case secBotnets:
+		c.nCtrl = im.ctrl.unpack()
+	case secAttacks:
+		n := len(c.aID)
+		for i := 0; i < n; i++ {
+			if c.aEnd[i] < c.aStart[i] {
+				return fmt.Errorf("attack row %d ends before it starts", i)
+			}
+			if i > 0 && (c.aStart[i] < c.aStart[i-1] ||
+				(c.aStart[i] == c.aStart[i-1] && c.aID[i] <= c.aID[i-1])) {
+				return fmt.Errorf("attack rows not sorted by (start, id) at row %d", i)
+			}
+			if c.aOff[i+1] < c.aOff[i] {
+				return fmt.Errorf("attack row %d has a negative reference span", i)
+			}
+		}
+		if c.aOff[0] != 0 || c.aOff[n] != int64(dm[1]) {
+			return fmt.Errorf("attack spans cover [%d, %d), header declares %d references", c.aOff[0], c.aOff[n], dm[1])
+		}
+	case secDense:
+		// Dense ids are canonical: id k first appears only after ids
+		// 0..k-1 have, which pins the numbering to first appearance in
+		// attack order — the same numbering buildDense derives.
+		next := int32(0)
+		for _, id := range d.refs {
+			if id > next {
+				return fmt.Errorf("dense id %d appears before id %d", id, next)
+			}
+			if id == next {
+				next++
+			}
+		}
+		if int(next) != d.ips.len() {
+			return fmt.Errorf("dense table has %d ids but only %d are referenced", d.ips.len(), next)
 		}
 	}
-}
-
-// strID reads an interned string id and bounds-checks it.
-func (r *snapReader) strID(nStr int) int32 {
-	v := r.Uvarint()
-	if r.Err != nil {
-		return 0
-	}
-	if v >= uint64(nStr) {
-		r.failf("string id %d out of range (%d interned)", v, nStr)
-		return 0
-	}
-	return int32(v)
+	return nil
 }
 
 // WriteSnapshot writes the store's BSCS snapshot to w. It returns
@@ -188,238 +416,118 @@ func WriteSnapshot(w io.Writer, s *Store) error {
 	return err
 }
 
+// EncodeSnapshot serializes the store's columnar form in the current
+// (v3) layout. The bytes are a pure function of the workload.
+func EncodeSnapshot(s *Store) []byte {
+	im := imageOf(s)
+	var dims [secDense + 1][]int
+	var cols [secDense + 1][]snapCol
+	size := int64(snapHeaderLen)
+	for sec := byte(secStrings); sec <= secDense; sec++ {
+		dims[sec] = im.dims(sec)
+		cols[sec] = im.layout(sec, dims[sec])
+		size += snapFrameLen + payloadLen(len(dims[sec]), cols[sec])
+	}
+	buf := make([]byte, 0, size)
+	buf = append(buf, snapMagic...)
+	buf = append(buf, snapVersion, 0, 0, 0)
+	for sec := byte(secStrings); sec <= secDense; sec++ {
+		hdr := len(buf)
+		buf = append(buf, make([]byte, snapFrameLen)...)
+		for _, v := range dims[sec] {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+		}
+		for _, sc := range cols[sec] {
+			at := len(buf)
+			buf = append(buf, sc.col.raw()...)
+			if !hostLittle {
+				swapCells(buf[at:], sc.col.width())
+			}
+			for len(buf)%8 != 0 {
+				buf = append(buf, 0)
+			}
+		}
+		payload := buf[hdr+snapFrameLen:]
+		buf[hdr] = sec
+		binary.LittleEndian.PutUint32(buf[hdr+4:], crc32.Checksum(payload, castagnoli))
+		binary.LittleEndian.PutUint64(buf[hdr+8:], uint64(len(payload)))
+	}
+	return buf
+}
+
 // ReadSnapshot reads one BSCS snapshot from r and returns a lazy store
-// over the decoded columns. When r is a regular file (and mmap is
-// supported and not disabled via BOTSCOPE_NO_MMAP), the snapshot bytes
-// are memory-mapped rather than read into the heap, and the columns that
-// the codec stores as raw bytes decode zero-copy over the mapping; any
-// mmap failure falls back to the plain read path. The record views of
-// the returned store are materialized on demand (see Store.records); a
-// column-native analysis run never builds them.
+// over its columns. When r is a regular file (and mmap is supported and
+// not disabled via BOTSCOPE_NO_MMAP), the snapshot bytes are
+// memory-mapped and the columns alias the mapping; otherwise they are
+// read into one buffer — sized from the file when r is one — that the
+// columns alias instead. The record views of the returned store are
+// materialized on demand (see Store.records); a column-native analysis
+// run never builds them.
 func ReadSnapshot(r io.Reader) (*Store, error) {
-	if f, ok := r.(*os.File); ok && os.Getenv("BOTSCOPE_NO_MMAP") == "" {
-		if s, err, done := readSnapshotMapped(f); done {
-			return s, err
+	var rest int64
+	if f, ok := r.(*os.File); ok {
+		if pos, size, ok := fileSpan(f); ok {
+			rest = size - pos
+			if os.Getenv("BOTSCOPE_NO_MMAP") == "" {
+				if s, err, done := readSnapshotMapped(f, pos, size); done {
+					return s, err
+				}
+			}
 		}
 	}
-	data, err := io.ReadAll(r)
-	if err != nil {
+	buf := bytes.NewBuffer(make([]byte, 0, rest+bytes.MinRead))
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, err
 	}
 	// The buffer is private to this call, so columns may alias it.
-	return decodeSnapshot(data, true, false)
+	s, _, err := decodeSnapshot(buf.Bytes(), true)
+	return s, err
 }
 
-// readSnapshotMapped maps the rest of f and decodes over the mapping.
-// done is false when the mapped path is unavailable (not a regular file,
-// empty remainder, mmap failure) and the caller should fall back to the
-// read path; when done is true the decode outcome — success or a decode
-// error identical to the one the read path would produce — is final.
-func readSnapshotMapped(f *os.File) (s *Store, err error, done bool) {
+// fileSpan returns f's read position and size when f is a regular file
+// with bytes left to read.
+func fileSpan(f *os.File) (pos, size int64, ok bool) {
 	pos, err := f.Seek(0, io.SeekCurrent)
-	if err != nil || pos < 0 {
-		return nil, nil, false
+	if err != nil {
+		return 0, 0, false
 	}
 	fi, err := f.Stat()
-	if err != nil || !fi.Mode().IsRegular() {
-		return nil, nil, false
+	if err != nil || !fi.Mode().IsRegular() || fi.Size() <= pos {
+		return 0, 0, false
 	}
-	size := fi.Size()
-	if size <= pos {
-		return nil, nil, false
-	}
+	return pos, fi.Size(), true
+}
+
+// readSnapshotMapped maps f (size bytes) and decodes from pos over the
+// mapping. done is false when the file cannot be mapped and the caller
+// should fall back to the read path; when done is true the decode
+// outcome — success or a decode error identical to the one the read path
+// would produce — is final. The store keeps the mapping only when its
+// columns alias it; a copying decode (misaligned read position,
+// big-endian host) releases it at once.
+func readSnapshotMapped(f *os.File, pos, size int64) (s *Store, err error, done bool) {
 	m, err := mmapFile(f, size)
 	if err != nil {
 		return nil, nil, false
 	}
-	s, err = decodeSnapshot(m.data[pos:], true, true)
+	s, aliased, err := decodeSnapshot(m.data[pos:], true)
 	if err != nil {
 		m.close()
 		return nil, err, true
 	}
-	// Consume the reader like io.ReadAll would, so callers that share the
-	// file handle see the same position either way.
+	// Consume the reader like a full read would, so callers that share
+	// the file handle see the same position either way.
 	if _, err := f.Seek(size, io.SeekStart); err != nil {
 		m.close()
 		return nil, err, true
 	}
+	if !aliased {
+		m.close()
+		return s, nil, true
+	}
 	s.cols.mmap = m
+	s.snapInfo.Mapped = true
 	return s, nil, true
-}
-
-// EncodeSnapshot serializes the store's columnar form (deriving it from
-// the records first if this store was never columnized) in the current
-// (v2) frame layout.
-func EncodeSnapshot(s *Store) []byte {
-	c := s.Cols()
-	d := s.denseBots()
-	strBytes := 0
-	for _, str := range c.strs {
-		strBytes += len(str) + 2
-	}
-	hint := 160 + strBytes +
-		21*(len(c.targets)+len(d.ips)+len(c.nID)) +
-		64*len(c.bIP) + 80*len(c.aID) + 5*c.NumRefs() + 2*len(d.rec)
-	w := &binenc.Writer{Buf: make([]byte, 0, hint)}
-	w.Buf = append(w.Buf, snapMagic...)
-	w.Uvarint(snapVersion)
-
-	frame := func(id byte, enc func()) {
-		w.Buf = append(w.Buf, id)
-		hdr := len(w.Buf)
-		w.Buf = append(w.Buf, make([]byte, 12)...)
-		start := len(w.Buf)
-		enc()
-		payload := w.Buf[start:]
-		binary.BigEndian.PutUint64(w.Buf[hdr:hdr+8], uint64(len(payload)))
-		binary.BigEndian.PutUint32(w.Buf[hdr+8:hdr+12], crc32.Checksum(payload, castagnoli))
-	}
-	frame(secStrings, func() { encStrings(w, c) })
-	frame(secTargets, func() { encTargets(w, c) })
-	frame(secBotnets, func() { encBotnets(w, c) })
-	frame(secBots, func() { encBots(w, c) })
-	frame(secAttacks, func() { encAttacks(w, c) })
-	frame(secDense, func() { encDense(w, d) })
-	return w.Buf
-}
-
-// The enc* functions emit one section payload each.
-
-//botvet:codec encode strings
-func encStrings(w *binenc.Writer, c *Columns) {
-	w.Uvarint(uint64(len(c.strs)))
-	for _, str := range c.strs {
-		w.Str(str)
-	}
-}
-
-//botvet:codec encode targets
-func encTargets(w *binenc.Writer, c *Columns) {
-	w.Uvarint(uint64(len(c.targets)))
-	for _, a := range c.targets {
-		w.Addr(a)
-	}
-}
-
-//botvet:codec encode botnets
-func encBotnets(w *binenc.Writer, c *Columns) {
-	w.Uvarint(uint64(len(c.nID)))
-	for _, v := range c.nID {
-		w.Uvarint(uint64(v))
-	}
-	for _, v := range c.nFam {
-		w.Uvarint(uint64(v))
-	}
-	for _, v := range c.nHash {
-		w.Uvarint(uint64(v))
-	}
-	for _, a := range c.nCtrl {
-		w.Addr(a)
-	}
-	for _, v := range c.nFirst {
-		w.Varint(v)
-	}
-	for _, v := range c.nLast {
-		w.Varint(v)
-	}
-}
-
-//botvet:codec encode bots
-func encBots(w *binenc.Writer, c *Columns) {
-	w.Uvarint(uint64(len(c.bIP)))
-	for _, a := range c.bIP {
-		w.Addr(a)
-	}
-	for _, v := range c.bASN {
-		w.Varint(v)
-	}
-	for _, v := range c.bCC {
-		w.Uvarint(uint64(v))
-	}
-	for _, v := range c.bCity {
-		w.Uvarint(uint64(v))
-	}
-	for _, v := range c.bOrg {
-		w.Uvarint(uint64(v))
-	}
-	for _, v := range c.bLat {
-		w.F64(v)
-	}
-	for _, v := range c.bLon {
-		w.F64(v)
-	}
-	prev := int64(0)
-	for _, v := range c.bLast {
-		w.Varint(v - prev)
-		prev = v
-	}
-}
-
-//botvet:codec encode attacks
-func encAttacks(w *binenc.Writer, c *Columns) {
-	n := len(c.aID)
-	w.Uvarint(uint64(n))
-	w.Uvarint(uint64(c.NumRefs()))
-	for _, v := range c.aID {
-		w.Uvarint(v)
-	}
-	for _, v := range c.aBotnet {
-		w.Uvarint(uint64(v))
-	}
-	for _, v := range c.aFam {
-		w.Uvarint(uint64(v))
-	}
-	w.Buf = append(w.Buf, c.aCat...)
-	for _, v := range c.aTgt {
-		w.Uvarint(uint64(v))
-	}
-	prev := int64(0)
-	for i, v := range c.aStart {
-		if i == 0 {
-			w.Varint(v)
-		} else {
-			w.Uvarint(uint64(v - prev)) // sorted: non-negative
-		}
-		prev = v
-	}
-	for i, v := range c.aEnd {
-		w.Uvarint(uint64(v - c.aStart[i])) // validated: End >= Start
-	}
-	for _, v := range c.aASN {
-		w.Varint(v)
-	}
-	for _, v := range c.aCC {
-		w.Uvarint(uint64(v))
-	}
-	for _, v := range c.aCity {
-		w.Uvarint(uint64(v))
-	}
-	for _, v := range c.aOrg {
-		w.Uvarint(uint64(v))
-	}
-	for _, v := range c.aLat {
-		w.F64(v)
-	}
-	for _, v := range c.aLon {
-		w.F64(v)
-	}
-	for i := 0; i < n; i++ {
-		w.Uvarint(uint64(c.aOff[i+1] - c.aOff[i]))
-	}
-}
-
-//botvet:codec encode dense
-func encDense(w *binenc.Writer, d *denseBots) {
-	w.Uvarint(uint64(len(d.ips)))
-	for _, a := range d.ips {
-		w.Addr(a)
-	}
-	for _, v := range d.refs {
-		w.Uvarint(uint64(v))
-	}
-	for _, row := range d.rec {
-		w.Uvarint(uint64(row + 1)) // 0 = unresolved
-	}
 }
 
 // DecodeSnapshot parses a BSCS snapshot and returns a lazy store over
@@ -428,384 +536,149 @@ func encDense(w *binenc.Writer, d *denseBots) {
 // This is the fuzzer's entry point. The caller keeps ownership of data:
 // nothing in the returned store aliases it.
 func DecodeSnapshot(data []byte) (*Store, error) {
-	return decodeSnapshot(data, false, false)
+	s, _, err := decodeSnapshot(data, false)
+	return s, err
 }
 
 // decodeSnapshot is the shared decode core. alias permits columns to
 // reference data directly (the caller guarantees data is immutable and
-// outlives the store); mapped records provenance in SnapshotInfo.
-// Semantic validation is skipped when a snapshot with the same section
-// checksums already passed it in this process.
-func decodeSnapshot(data []byte, alias, mapped bool) (*Store, error) {
-	c, crcKey, err := decodeColumns(data, alias)
+// outlives the store); aliased reports whether they do, which also takes
+// a little-endian host and an 8-byte-aligned data. Semantic validation
+// is skipped when a snapshot with the same section checksums already
+// passed it in this process.
+func decodeSnapshot(data []byte, alias bool) (s *Store, aliased bool, err error) {
+	aliased = alias && hostLittle && uintptr(unsafe.Pointer(unsafe.SliceData(data)))%8 == 0
+	c, crcKey, err := decodeColumns(data, aliased)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	s := &Store{
-		cols:     c,
-		snapInfo: SnapshotInfo{Version: snapVersion, Bytes: int64(len(data)), Mapped: mapped},
-	}
+	s = &Store{cols: c, snapInfo: SnapshotInfo{Version: snapVersion, Bytes: int64(len(data))}}
 	if _, ok := validatedSnapshots.Load(crcKey); !ok {
 		if err := validateColumns(c, s.denseBots()); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		validatedSnapshots.Store(crcKey, struct{}{})
 	}
-	return s, nil
+	return s, aliased, nil
 }
 
-// decodeColumns parses a snapshot into columns. It also returns the
-// concatenated frame headers, the validation-cache key.
-func decodeColumns(data []byte, alias bool) (*Columns, string, error) {
+// decodeColumns checks a snapshot and returns its columns, viewed in
+// place or copied. It also returns the concatenated frame headers, the
+// validation-cache key.
+func decodeColumns(data []byte, view bool) (*Columns, string, error) {
 	if len(data) < len(snapMagic) {
 		return nil, "", ErrSnapshotTruncated
 	}
 	if string(data[:len(snapMagic)]) != snapMagic {
 		return nil, "", ErrSnapshotMagic
 	}
-	r := &snapReader{Reader: binenc.Reader{Buf: data[len(snapMagic):]}, end: int64(len(data)), section: "header"}
-	v := r.Uvarint()
-	if r.Err != nil {
-		return nil, "", r.failure()
+	if len(data) == len(snapMagic) {
+		return nil, "", snapTruncated("header", len(data))
 	}
-	if v != snapVersion {
+	if v := data[len(snapMagic)]; v != snapVersion {
 		return nil, "", fmt.Errorf("%w: got %d, want %d", ErrSnapshotVersion, v, snapVersion)
 	}
-	c := &Columns{}
-	key := make([]byte, 0, 6*13)
-	var nStr, nTgt, nb, nRefs int
+	if len(data) < snapHeaderLen {
+		return nil, "", snapTruncated("header", len(data))
+	}
+	if data[5]|data[6]|data[7] != 0 {
+		return nil, "", snapCorrupt("header", 5, "nonzero header padding")
+	}
+	im := &snapImage{c: &Columns{}, d: &denseBots{}}
+	key := make([]byte, 0, 6*snapFrameLen)
+	off := snapHeaderLen
 	for sec := byte(secStrings); sec <= secDense; sec++ {
-		r.section = snapSectionName[sec]
-		if len(r.Buf) < 13 {
-			r.Fail()
-			return nil, "", r.failure()
+		name := snapSectionName[sec]
+		if len(data)-off < snapFrameLen {
+			return nil, "", snapTruncated(name, off)
 		}
-		if r.Buf[0] != sec {
-			r.failf("section id %d, want %d (%s)", r.Buf[0], sec, snapSectionName[sec])
-			return nil, "", r.failure()
+		h := data[off : off+snapFrameLen]
+		if h[0] != sec || h[1]|h[2]|h[3] != 0 {
+			return nil, "", snapCorrupt(name, off, "section id %d, want %d (%s)", h[0], sec, name)
 		}
-		plen := binary.BigEndian.Uint64(r.Buf[1:9])
-		sum := binary.BigEndian.Uint32(r.Buf[9:13])
-		key = append(key, r.Buf[:13]...)
-		r.Buf = r.Buf[13:]
-		if uint64(len(r.Buf)) < plen {
-			r.Fail()
-			return nil, "", r.failure()
+		sum, plen := binary.LittleEndian.Uint32(h[4:]), binary.LittleEndian.Uint64(h[8:])
+		key = append(key, h...)
+		off += snapFrameLen
+		if uint64(len(data)-off) < plen {
+			return nil, "", snapTruncated(name, off)
 		}
-		payload := r.Buf[:plen]
+		if plen%8 != 0 {
+			return nil, "", snapCorrupt(name, off-8, "%s section length %d is not a multiple of 8", name, plen)
+		}
+		payload := data[off : off+int(plen)]
 		if crc32.Checksum(payload, castagnoli) != sum {
-			r.failf("%s section checksum mismatch", snapSectionName[sec])
-			return nil, "", r.failure()
+			return nil, "", snapCorrupt(name, off, "%s section checksum mismatch", name)
 		}
-		base := r.off()
-		r.Buf = r.Buf[plen:]
-		sr := &snapReader{Reader: binenc.Reader{Buf: payload}, end: base + int64(plen), section: snapSectionName[sec]}
-		switch sec {
-		case secStrings:
-			nStr = parseStrings(sr, c)
-		case secTargets:
-			nTgt = parseTargets(sr, c)
-		case secBotnets:
-			parseBotnets(sr, c, nStr)
-		case secBots:
-			nb = parseBots(sr, c, nStr)
-		case secAttacks:
-			nRefs = parseAttacks(sr, c, nStr, nTgt, alias)
-		case secDense:
-			parseDense(sr, c, nRefs, nb)
+		if err := im.readSection(sec, payload, off, view); err != nil {
+			return nil, "", err
 		}
-		if sr.Err != nil {
-			return nil, "", sr.failure()
+		off += int(plen)
+	}
+	if off != len(data) {
+		return nil, "", snapCorrupt("trailer", off, "%d trailing bytes", len(data)-off)
+	}
+	im.c.dense = memo.Filled(im.d)
+	return im.c, string(key), nil
+}
+
+// readSection places and checks one section's columns from its payload
+// p, which starts at absolute offset base.
+func (im *snapImage) readSection(sec byte, p []byte, base int, view bool) error {
+	name := snapSectionName[sec]
+	maxes := snapDimMax[sec]
+	if len(p) < 8*len(maxes) {
+		return snapTruncated(name, base+len(p))
+	}
+	var dims [2]int
+	dm := dims[:len(maxes)]
+	for i, max := range maxes {
+		v := binary.LittleEndian.Uint64(p[8*i:])
+		if v > max {
+			// A count the payload cannot hold, like any other short payload.
+			return snapTruncated(name, base+8*i)
 		}
-		if len(sr.Buf) != 0 {
-			return nil, "", &SnapshotError{
-				Section: snapSectionName[sec],
-				Offset:  sr.off(),
-				Err:     fmt.Errorf("%w: %d trailing bytes in %s section", ErrSnapshotCorrupt, len(sr.Buf), snapSectionName[sec]),
+		dm[i] = int(v)
+	}
+	cols := im.layout(sec, dm)
+	if want := payloadLen(len(dm), cols); want > int64(len(p)) {
+		return snapTruncated(name, base+len(p))
+	} else if want < int64(len(p)) {
+		return snapCorrupt(name, base+int(want), "%d trailing bytes in %s section", int64(len(p))-want, name)
+	}
+	off := 8 * len(dm)
+	for _, sc := range cols {
+		w := sc.col.width()
+		end := off + sc.rows*w
+		if b := p[off:end:end]; view {
+			sc.col.view(b)
+		} else {
+			dst := sc.col.alloc(sc.rows)
+			copy(dst, b)
+			if !hostLittle {
+				swapCells(dst, w)
 			}
 		}
-	}
-	if len(r.Buf) != 0 {
-		return nil, "", &SnapshotError{
-			Section: "trailer",
-			Offset:  r.off(),
-			Err:     fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, len(r.Buf)),
+		for ; end%8 != 0; end++ {
+			if p[end] != 0 {
+				return snapCorrupt(name, base+end, "nonzero padding after %s column", sc.name)
+			}
 		}
-	}
-	return c, string(key), nil
-}
-
-// The parse* functions consume one section payload each, from a reader
-// framed to exactly that payload.
-
-//botvet:codec decode strings
-func parseStrings(r *snapReader, c *Columns) int {
-	nStr := r.Count(1)
-	c.strs = make([]string, nStr)
-	for i := range c.strs {
-		c.strs[i] = r.Str()
-	}
-	if r.Err == nil && (nStr == 0 || c.strs[0] != "") {
-		r.failf("string table must start with the empty string")
-	}
-	return nStr
-}
-
-//botvet:codec decode targets
-func parseTargets(r *snapReader, c *Columns) int {
-	nTgt := r.Count(1)
-	c.targets = make([]netip.Addr, nTgt)
-	for i := range c.targets {
-		c.targets[i] = r.Addr()
-	}
-	return nTgt
-}
-
-//botvet:codec decode botnets
-func parseBotnets(r *snapReader, c *Columns, nStr int) {
-	// Botnet rows cost at least 1 byte in each of 6 columns.
-	nn := r.Count(6)
-	c.nID = make([]uint32, nn)
-	for i := range c.nID {
-		v := r.Uvarint()
-		if r.Err == nil && v > math.MaxUint32 {
-			r.failf("botnet id %d overflows uint32", v)
+		if sc.ids != nil {
+			for i, v := range *sc.ids {
+				if v < sc.lo || v >= sc.lim {
+					return snapCorrupt(name, base+off+4*i, "%s id %d out of range [%d, %d)", sc.name, v, sc.lo, sc.lim)
+				}
+			}
 		}
-		c.nID[i] = uint32(v)
-	}
-	c.nFam = make([]int32, nn)
-	for i := range c.nFam {
-		c.nFam[i] = r.strID(nStr)
-	}
-	c.nHash = make([]int32, nn)
-	for i := range c.nHash {
-		c.nHash[i] = r.strID(nStr)
-	}
-	c.nCtrl = make([]netip.Addr, nn)
-	for i := range c.nCtrl {
-		c.nCtrl[i] = r.Addr()
-	}
-	c.nFirst = make([]int64, nn)
-	for i := range c.nFirst {
-		c.nFirst[i] = r.Varint()
-	}
-	c.nLast = make([]int64, nn)
-	for i := range c.nLast {
-		c.nLast[i] = r.Varint()
-	}
-}
-
-//botvet:codec decode bots
-func parseBots(r *snapReader, c *Columns, nStr int) int {
-	// Bot rows cost at least 1+1+1+1+1+8+8+1 = 22 bytes across columns.
-	nb := r.Count(22)
-	c.bIP = make([]netip.Addr, nb)
-	for i := range c.bIP {
-		c.bIP[i] = r.Addr()
-	}
-	c.bASN = make([]int64, nb)
-	for i := range c.bASN {
-		c.bASN[i] = r.Varint()
-	}
-	c.bCC = make([]int32, nb)
-	for i := range c.bCC {
-		c.bCC[i] = r.strID(nStr)
-	}
-	c.bCity = make([]int32, nb)
-	for i := range c.bCity {
-		c.bCity[i] = r.strID(nStr)
-	}
-	c.bOrg = make([]int32, nb)
-	for i := range c.bOrg {
-		c.bOrg[i] = r.strID(nStr)
-	}
-	c.bLat = make([]float64, nb)
-	for i := range c.bLat {
-		c.bLat[i] = r.F64()
-	}
-	c.bLon = make([]float64, nb)
-	for i := range c.bLon {
-		c.bLon[i] = r.F64()
-	}
-	c.bLast = make([]int64, nb)
-	prev := int64(0)
-	for i := range c.bLast {
-		prev += r.Varint()
-		c.bLast[i] = prev
-	}
-	return nb
-}
-
-//botvet:codec decode attacks
-func parseAttacks(r *snapReader, c *Columns, nStr, nTgt int, alias bool) int {
-	// Attack rows cost at least 1 byte in each of 12 varint/byte columns
-	// plus 8 each for the two float columns: 28 bytes.
-	n := r.Count(28)
-	// The references themselves live in the dense section, so nRefs is
-	// only sanity-bounded here (the span sum must hit it exactly below,
-	// and the dense parser re-bounds it against its own payload before
-	// allocating).
-	nRefs64 := r.Uvarint()
-	if r.Err == nil && nRefs64 > math.MaxInt64/4 {
-		r.failf("reference count %d implausibly large", nRefs64)
-	}
-	nRefs := int(nRefs64)
-	c.aID = make([]uint64, n)
-	for i := range c.aID {
-		c.aID[i] = r.Uvarint()
-	}
-	c.aBotnet = make([]uint32, n)
-	for i := range c.aBotnet {
-		v := r.Uvarint()
-		if r.Err == nil && v > math.MaxUint32 {
-			r.failf("attack botnet id %d overflows uint32", v)
+		if sc.addr != nil {
+			if i, ok := sc.addr.canonical(); !ok {
+				return snapCorrupt(name, base+off+i, "%s: row %d is not a canonical 0/4/16 address", sc.name, i)
+			}
 		}
-		c.aBotnet[i] = uint32(v)
+		off = end
 	}
-	c.aFam = make([]int32, n)
-	for i := range c.aFam {
-		c.aFam[i] = r.strID(nStr)
+	if err := im.finish(sec, dm); err != nil {
+		return snapCorrupt(name, base, "%v", err)
 	}
-	if r.Err == nil && len(r.Buf) < n {
-		r.Fail()
-	}
-	if r.Err == nil {
-		if alias {
-			// The category column is stored as raw bytes, so over a mapped
-			// snapshot it can alias the file instead of being copied; the
-			// columns pin the mapping (Columns.mmap).
-			c.aCat = r.Buf[:n:n]
-		} else {
-			c.aCat = make([]uint8, n)
-			copy(c.aCat, r.Buf[:n])
-		}
-		r.Buf = r.Buf[n:]
-	} else {
-		c.aCat = make([]uint8, n)
-	}
-	c.aTgt = make([]int32, n)
-	for i := range c.aTgt {
-		v := r.Uvarint()
-		if r.Err == nil && v >= uint64(nTgt) {
-			r.failf("attack target id %d out of range (%d targets)", v, nTgt)
-		}
-		c.aTgt[i] = int32(v)
-	}
-	c.aStart = make([]int64, n)
-	prev := int64(0)
-	for i := range c.aStart {
-		if i == 0 {
-			prev = r.Varint()
-		} else {
-			prev += int64(r.Uvarint())
-		}
-		c.aStart[i] = prev
-	}
-	c.aEnd = make([]int64, n)
-	for i := range c.aEnd {
-		c.aEnd[i] = c.aStart[i] + int64(r.Uvarint())
-	}
-	c.aASN = make([]int64, n)
-	for i := range c.aASN {
-		c.aASN[i] = r.Varint()
-	}
-	c.aCC = make([]int32, n)
-	for i := range c.aCC {
-		c.aCC[i] = r.strID(nStr)
-	}
-	c.aCity = make([]int32, n)
-	for i := range c.aCity {
-		c.aCity[i] = r.strID(nStr)
-	}
-	c.aOrg = make([]int32, n)
-	for i := range c.aOrg {
-		c.aOrg[i] = r.strID(nStr)
-	}
-	c.aLat = make([]float64, n)
-	for i := range c.aLat {
-		c.aLat[i] = r.F64()
-	}
-	c.aLon = make([]float64, n)
-	for i := range c.aLon {
-		c.aLon[i] = r.F64()
-	}
-	c.aOff = make([]int64, n+1)
-	off := int64(0)
-	for i := 0; i < n; i++ {
-		c.aOff[i] = off
-		off += int64(r.Uvarint())
-		if r.Err == nil && off > int64(nRefs) {
-			r.failf("attack spans exceed declared reference count %d", nRefs)
-		}
-	}
-	c.aOff[n] = off
-	if r.Err == nil && off != int64(nRefs) {
-		r.failf("attack spans cover %d references, header declares %d", off, nRefs)
-	}
-	return nRefs
-}
-
-//botvet:codec decode dense
-func parseDense(r *snapReader, c *Columns, nRefs, nb int) {
-	nDense := r.Count(2)
-	ips := make([]netip.Addr, nDense)
-	for i := range ips {
-		ips[i] = r.Addr()
-	}
-	// Every reference costs at least 1 byte in the refs column, which
-	// bounds the allocation below even though nRefs was declared back in
-	// the attacks section.
-	if r.Err == nil && uint64(nRefs) > uint64(len(r.Buf)) {
-		r.Fail()
-	}
-	if r.Err != nil {
-		return
-	}
-	refs := make([]int32, nRefs)
-	nextID := int32(0)
-	for i := range refs {
-		v := r.Uvarint()
-		if r.Err != nil {
-			break
-		}
-		if v >= uint64(nDense) {
-			r.failf("dense ref %d out of range (%d ids)", v, nDense)
-			break
-		}
-		id := int32(v)
-		// Dense ids are canonical: id k must first appear only after ids
-		// 0..k-1 have, which pins the numbering to first appearance in
-		// attack order — the same numbering buildDense derives.
-		if id > nextID {
-			r.failf("dense id %d appears before id %d", id, nextID)
-			break
-		}
-		if id == nextID {
-			nextID++
-		}
-		refs[i] = id
-	}
-	if r.Err == nil && nextID != int32(nDense) {
-		r.failf("dense table has %d ids but only %d are referenced", nDense, nextID)
-	}
-	rec := make([]int32, nDense)
-	for i := range rec {
-		v := r.Uvarint()
-		if r.Err != nil {
-			break
-		}
-		if v == 0 {
-			rec[i] = -1
-			continue
-		}
-		if v-1 >= uint64(nb) {
-			r.failf("dense record row %d out of range (%d bots)", v-1, nb)
-			break
-		}
-		rec[i] = int32(v - 1)
-	}
-	if r.Err != nil {
-		return
-	}
-	c.dense = memo.Filled(&denseBots{ips: ips, refs: refs, rec: rec})
+	return nil
 }

@@ -11,8 +11,7 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
-
-	"botscope/internal/binenc"
+	"unsafe"
 )
 
 // snapFixtureStore builds a small workload that exercises the codec's
@@ -220,12 +219,102 @@ func TestSnapshotSubsetAfterReload(t *testing.T) {
 	}
 }
 
+// snapHeader is the fixed eight bytes a v3 snapshot opens with.
+func snapHeader() []byte { return append([]byte(snapMagic), snapVersion, 0, 0, 0) }
+
+// v3Section frames one section payload the way EncodeSnapshot does: the
+// row-count words, each column zero-padded to 8, behind a 16-byte frame
+// header carrying the payload's CRC-32C and length.
+func v3Section(id byte, dims []uint64, cols ...[]byte) []byte {
+	var payload []byte
+	for _, d := range dims {
+		payload = binary.LittleEndian.AppendUint64(payload, d)
+	}
+	for _, col := range cols {
+		payload = append(payload, col...)
+		payload = append(payload, make([]byte, pad8(int64(len(payload)))-int64(len(payload)))...)
+	}
+	return append(sealFrame(id, payload), payload...)
+}
+
+func sealFrame(id byte, payload []byte) []byte {
+	hdr := make([]byte, snapFrameLen)
+	hdr[0] = id
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(payload)))
+	return hdr
+}
+
+// frameSpan is where one section sits in an encoded snapshot.
+type frameSpan struct {
+	name         string
+	hdr, payload int // offsets of the frame header and of the payload
+	plen         int
+}
+
+// snapFrames recovers each section's bounds from the encoded headers.
+func snapFrames(t testing.TB, data []byte) []frameSpan {
+	t.Helper()
+	var frames []frameSpan
+	off := snapHeaderLen
+	for sec := byte(secStrings); sec <= secDense; sec++ {
+		plen := int(binary.LittleEndian.Uint64(data[off+8:]))
+		frames = append(frames, frameSpan{snapSectionName[sec], off, off + snapFrameLen, plen})
+		off += snapFrameLen + plen
+	}
+	if off != len(data) {
+		t.Fatalf("frame walk covered %d of %d bytes", off, len(data))
+	}
+	return frames
+}
+
+// reframe returns data with section sec's payload replaced by
+// edit(payload) and its frame header re-sealed, so a test reaches the
+// checks that sit behind the checksum.
+func reframe(t testing.TB, data []byte, sec byte, edit func(p []byte) []byte) []byte {
+	t.Helper()
+	f := snapFrames(t, data)[sec-1]
+	payload := edit(append([]byte{}, data[f.payload:f.payload+f.plen]...))
+	out := append([]byte{}, data[:f.hdr]...)
+	out = append(out, sealFrame(sec, payload)...)
+	out = append(out, payload...)
+	return append(out, data[f.payload+f.plen:]...)
+}
+
+// patchCell overwrites cell i of one named column (found through the
+// section layout, as the decoder finds it) and re-seals the section.
+func patchCell(t testing.TB, data []byte, sec byte, col string, i int, cell []byte) []byte {
+	t.Helper()
+	s, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatalf("patchCell: %v", err)
+	}
+	im := imageOf(s)
+	dm := im.dims(sec)
+	off := 8 * len(dm)
+	for _, sc := range im.layout(sec, dm) {
+		if sc.name == col {
+			if len(cell) != sc.col.width() || i >= sc.rows {
+				t.Fatalf("patchCell: %s has %d cells of %d bytes", col, sc.rows, sc.col.width())
+			}
+			return reframe(t, data, sec, func(p []byte) []byte {
+				copy(p[off+i*len(cell):], cell)
+				return p
+			})
+		}
+		off += int(pad8(int64(sc.rows * sc.col.width())))
+	}
+	t.Fatalf("patchCell: no column %q in the %s section", col, snapSectionName[sec])
+	return nil
+}
+
+func le32(v int32) []byte { return binary.LittleEndian.AppendUint32(nil, uint32(v)) }
+func le64(v int64) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(v)) }
+
 func TestSnapshotRejectsCorrupt(t *testing.T) {
 	valid := EncodeSnapshot(snapFixtureStore(t))
 
-	hugeCount := append(append([]byte(snapMagic), snapVersion), v2Section(secStrings, func(w *binenc.Writer) {
-		w.Uvarint(1 << 62)
-	})...)
+	hugeCount := append(snapHeader(), v3Section(secStrings, []uint64{1 << 62, 0})...)
 	cases := map[string]struct {
 		data []byte
 		want error // nil: any error will do
@@ -235,6 +324,7 @@ func TestSnapshotRejectsCorrupt(t *testing.T) {
 		"bad magic":        {[]byte("BSCX\x01\x00\x00\x00"), ErrSnapshotMagic},
 		"bad version":      {append([]byte(snapMagic), 99), ErrSnapshotVersion},
 		"version 1":        {append([]byte(snapMagic), 1), ErrSnapshotVersion},
+		"version 2":        {append([]byte(snapMagic), 2), ErrSnapshotVersion},
 		"overlong varint":  {append([]byte{'B', 'S', 'C', 'S'}, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF), nil},
 		"huge count":       {hugeCount, ErrSnapshotTruncated},
 		"trailing garbage": {append(append([]byte{}, valid...), 0xAB), ErrSnapshotCorrupt},
@@ -256,6 +346,127 @@ func TestSnapshotRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// TestSnapshotChecksOnEveryOpen walks the checks that v2 made while it
+// decoded and v3 makes over columns already in place: each row breaks one
+// cell of a valid snapshot behind a correct CRC, and both decode paths
+// must refuse it in the named section — on a second open too, when the
+// CRC-keyed validation cache could have been consulted.
+func TestSnapshotChecksOnEveryOpen(t *testing.T) {
+	valid := EncodeSnapshot(snapFixtureStore(t))
+	bump := func(sec byte, by int) []byte {
+		return reframe(t, valid, sec, func(p []byte) []byte {
+			binary.LittleEndian.PutUint64(p, uint64(int(binary.LittleEndian.Uint64(p))+by))
+			return p
+		})
+	}
+	cases := []struct {
+		name    string
+		data    []byte
+		section string
+		want    error
+	}{
+		{"string id past the table", patchCell(t, valid, secBotnets, "nFam", 0, le32(99)), "botnets", ErrSnapshotCorrupt},
+		{"negative string id", patchCell(t, valid, secBots, "bCity", 1, le32(-1)), "bots", ErrSnapshotCorrupt},
+		{"target id past the table", patchCell(t, valid, secAttacks, "aTgt", 2, le32(2)), "attacks", ErrSnapshotCorrupt},
+		{"end before start", patchCell(t, valid, secAttacks, "aEnd", 0, le64(1)), "attacks", ErrSnapshotCorrupt},
+		{"rows out of start order", patchCell(t, valid, secAttacks, "aStart", 2, le64(2)), "attacks", ErrSnapshotCorrupt},
+		{"start tie out of id order", patchCell(t, valid, secAttacks, "aID", 1, le64(2)), "attacks", ErrSnapshotCorrupt},
+		{"reference spans not monotone", patchCell(t, valid, secAttacks, "aOff", 1, le64(5)), "attacks", ErrSnapshotCorrupt},
+		{"reference spans short of the declared count", patchCell(t, valid, secAttacks, "aOff", 3, le64(5)), "attacks", ErrSnapshotCorrupt},
+		{"first span does not start at zero", patchCell(t, valid, secAttacks, "aOff", 0, le64(-1)), "attacks", ErrSnapshotCorrupt},
+		{"dense ref past the table", patchCell(t, valid, secDense, "refs", 0, le32(9)), "dense", ErrSnapshotCorrupt},
+		{"dense ids not in first-appearance order", patchCell(t, valid, secDense, "refs", 0, le32(1)), "dense", ErrSnapshotCorrupt},
+		{"dense id never referenced", patchCell(t, valid, secDense, "refs", 4, le32(0)), "dense", ErrSnapshotCorrupt},
+		{"bot row past the Botlist", patchCell(t, valid, secDense, "rec", 0, le32(3)), "dense", ErrSnapshotCorrupt},
+		{"bot row below unresolved", patchCell(t, valid, secDense, "rec", 0, le32(-2)), "dense", ErrSnapshotCorrupt},
+		{"unknown address tag", patchCell(t, valid, secBots, "bIP tags", 0, []byte{7}), "bots", ErrSnapshotCorrupt},
+		{"IPv4 without the mapped prefix", patchCell(t, valid, secDense, "ips", 0, []byte{1}), "dense", ErrSnapshotCorrupt},
+		{"bytes under the zero address", patchCell(t, valid, secBotnets, "nCtrl", 16, []byte{1}), "botnets", ErrSnapshotCorrupt},
+		{"string lengths past the blob", patchCell(t, valid, secStrings, "lengths", 1, le32(1<<20)), "strings", ErrSnapshotCorrupt},
+		{"first string not empty", reframe(t, valid, secStrings, func(p []byte) []byte {
+			p[2*8], p[2*8+4] = 1, p[2*8+4]-1 // lengths follow the two counts: move string 1's first byte into string 0
+			return p
+		}), "strings", ErrSnapshotCorrupt},
+		{"nonzero padding", reframe(t, valid, secAttacks, func(p []byte) []byte {
+			p[2*8+3*8+16+16+3] = 1 // counts, aID, aBotnet, aFam, then aCat: three cells and five bytes of padding
+			return p
+		}), "attacks", ErrSnapshotCorrupt},
+		{"count larger than the payload", bump(secBots, 1), "bots", ErrSnapshotTruncated},
+		{"count smaller than the payload", bump(secBots, -1), "bots", ErrSnapshotCorrupt},
+		{"payload length not a multiple of 8", reframe(t, valid, secTargets, func(p []byte) []byte { return append(p, 0) }), "targets", ErrSnapshotCorrupt},
+		// The shape codecsym existed to catch — an encoder that writes a
+		// column the decoder has never heard of — cannot be built from one
+		// layout table; if the bytes arrive anyway they are refused as
+		// trailing, never read as the next column.
+		{"a column the layout does not have", reframe(t, valid, secBots, func(p []byte) []byte { return append(p, make([]byte, 8)...) }), "bots", ErrSnapshotCorrupt},
+	}
+	for _, tc := range cases {
+		for round := 0; round < 2; round++ {
+			for path, decode := range map[string]func([]byte) error{
+				"copy": func(b []byte) error { _, err := DecodeSnapshot(b); return err },
+				"view": func(b []byte) error { _, _, err := decodeSnapshot(alignedCopy(b), true); return err },
+			} {
+				err := decode(tc.data)
+				var se *SnapshotError
+				if !errors.Is(err, tc.want) || !errors.As(err, &se) || se.Section != tc.section {
+					t.Errorf("%s (%s path, open %d): error %v, want %v in the %s section", tc.name, path, round+1, err, tc.want, tc.section)
+				} else if se.Offset < 0 || se.Offset >= int64(len(tc.data)) {
+					t.Errorf("%s (%s path): offset %d outside the %d input bytes", tc.name, path, se.Offset, len(tc.data))
+				}
+			}
+		}
+	}
+}
+
+// alignedCopy returns a copy of data that starts on an 8-byte boundary,
+// which the in-place view needs and a small []byte does not promise.
+func alignedCopy(data []byte) []byte {
+	words := make([]uint64, (len(data)+7)/8+1)
+	buf := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), 8*len(words))[:len(data)]
+	copy(buf, data)
+	return buf
+}
+
+// TestSnapshotViewNeedsAlignment pins that alignment is tested, not
+// assumed: the same bytes are viewed in place from an aligned base and
+// copied from any other, and the two stores re-encode identically.
+func TestSnapshotViewNeedsAlignment(t *testing.T) {
+	valid := EncodeSnapshot(snapFixtureStore(t))
+	for shift := 0; shift < 8; shift++ {
+		buf := alignedCopy(append(make([]byte, shift), valid...))[shift:]
+		s, aliased, err := decodeSnapshot(buf, true)
+		if err != nil {
+			t.Fatalf("shift %d: %v", shift, err)
+		}
+		if want := hostLittle && shift == 0; aliased != want {
+			t.Fatalf("shift %d: aliased = %t, want %t", shift, aliased, want)
+		}
+		if !bytes.Equal(EncodeSnapshot(s), valid) {
+			t.Fatalf("shift %d: re-encoding differs", shift)
+		}
+	}
+	if _, aliased, _ := decodeSnapshot(alignedCopy(valid), false); aliased {
+		t.Fatal("DecodeSnapshot's path aliased its caller's bytes")
+	}
+}
+
+// TestSwapCells pins the one thing a big-endian host does differently.
+func TestSwapCells(t *testing.T) {
+	b := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	swapCells(b, 1)
+	if !bytes.Equal(b, []byte{1, 2, 3, 4, 5, 6, 7, 8}) {
+		t.Fatalf("width 1 moved bytes: %v", b)
+	}
+	swapCells(b, 4)
+	if !bytes.Equal(b, []byte{4, 3, 2, 1, 8, 7, 6, 5}) {
+		t.Fatalf("width 4: %v", b)
+	}
+	swapCells(b, 8)
+	if !bytes.Equal(b, []byte{5, 6, 7, 8, 1, 2, 3, 4}) {
+		t.Fatalf("width 8: %v", b)
+	}
+}
+
 // TestSnapshotVersionGate pins that a future-version snapshot is refused
 // with ErrSnapshotVersion rather than misread.
 func TestSnapshotVersionGate(t *testing.T) {
@@ -268,20 +479,31 @@ func TestSnapshotVersionGate(t *testing.T) {
 	}
 }
 
-// FuzzDecodeSnapshot asserts the snapshot decoder never panics on
-// arbitrary input, and that anything it accepts reaches a stable
-// fixpoint: re-encoding the decoded store succeeds, re-decodes, and
-// re-encodes to the identical bytes with identical entity counts.
+// FuzzDecodeSnapshot asserts neither decode path panics on arbitrary
+// input, that the in-place view and the copy agree — the same error, or
+// stores that re-encode to the same bytes — and that anything accepted
+// reaches a stable fixpoint: the re-encoding decodes, and re-encodes to
+// the identical bytes with identical entity counts.
 func FuzzDecodeSnapshot(f *testing.F) {
 	for _, seed := range snapshotSeedCorpus(f) {
 		f.Add(seed.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSnapshot(data)
+		viewed, aliased, verr := decodeSnapshot(alignedCopy(data), true)
+		if aliased != (verr == nil && hostLittle) {
+			t.Fatalf("aligned input: aliased = %t, error %v", aliased, verr)
+		}
+		if (err == nil) != (verr == nil) || (err != nil && err.Error() != verr.Error()) {
+			t.Fatalf("decode paths disagree: copy %v, view %v", err, verr)
+		}
 		if err != nil {
 			return // malformed input rejected cleanly; nothing more to check
 		}
 		e1 := EncodeSnapshot(s)
+		if !bytes.Equal(e1, EncodeSnapshot(viewed)) {
+			t.Fatalf("copied and viewed stores re-encode differently")
+		}
 		s2, err := DecodeSnapshot(e1)
 		if err != nil {
 			t.Fatalf("re-decode of accepted input failed: %v", err)
@@ -305,9 +527,9 @@ type snapshotSeed struct {
 
 // snapshotSeedCorpus builds the seed inputs: valid snapshots of
 // different shapes plus structurally-targeted malformed frames
-// (truncations, bad version, overlong varints, dangling int32 refs).
-// The same set is written to testdata/fuzz/FuzzDecodeSnapshot by
-// TestRegenSnapshotCorpus.
+// (truncations, bad and retired versions, dangling int32 refs behind a
+// correct CRC). The same set is written to
+// testdata/fuzz/FuzzDecodeSnapshot by TestRegenSnapshotCorpus.
 func snapshotSeedCorpus(t testing.TB) []snapshotSeed {
 	t.Helper()
 	valid := EncodeSnapshot(snapFixtureStore(t))
@@ -332,86 +554,14 @@ func snapshotSeedCorpus(t testing.TB) []snapshotSeed {
 	}
 	validOne := EncodeSnapshot(one)
 
-	// danglingStrID: a v2 frame sequence whose first botnet family id
-	// points past the string table.
-	dangling := func() []byte {
-		buf := []byte(snapMagic)
-		buf = append(buf, snapVersion)
-		buf = append(buf, v2Section(secStrings, func(w *binenc.Writer) {
-			w.Uvarint(1) // one string
-			w.Str("")
-		})...)
-		buf = append(buf, v2Section(secTargets, func(w *binenc.Writer) {
-			w.Uvarint(0) // no targets
-		})...)
-		buf = append(buf, v2Section(secBotnets, func(w *binenc.Writer) {
-			w.Uvarint(1) // one botnet
-			w.Uvarint(7) // id
-			w.Uvarint(5) // family id 5: out of range
-			w.Uvarint(0)
-			w.Addr(netip.Addr{})
-			w.Varint(0)
-			w.Varint(0)
-		})...)
-		return buf
-	}()
-
-	// danglingDenseRef: a valid-prefix v2 frame sequence whose dense ref
-	// indexes past the dense table.
-	danglingDense := func() []byte {
-		buf := []byte(snapMagic)
-		buf = append(buf, snapVersion)
-		buf = append(buf, v2Section(secStrings, func(w *binenc.Writer) {
-			w.Uvarint(4)
-			for _, s := range []string{"", "nitol", "US", "X"} {
-				w.Str(s)
-			}
-		})...)
-		buf = append(buf, v2Section(secTargets, func(w *binenc.Writer) {
-			w.Uvarint(1)
-			w.Addr(netip.MustParseAddr("192.0.2.9"))
-		})...)
-		buf = append(buf, v2Section(secBotnets, func(w *binenc.Writer) {
-			w.Uvarint(0) // no botnets
-		})...)
-		buf = append(buf, v2Section(secBots, func(w *binenc.Writer) {
-			w.Uvarint(0) // no bots
-		})...)
-		buf = append(buf, v2Section(secAttacks, func(w *binenc.Writer) {
-			w.Uvarint(1) // one attack
-			w.Uvarint(1) // one ref
-			w.Uvarint(1) // id
-			w.Uvarint(1) // botnet
-			w.Uvarint(1) // family
-			w.Buf = append(w.Buf, byte(CategoryTCP))
-			w.Uvarint(0) // target
-			w.Varint(time.Date(2012, 10, 1, 0, 0, 0, 0, time.UTC).UnixNano())
-			w.Uvarint(uint64(30 * time.Minute))
-			w.Varint(0)  // asn
-			w.Uvarint(2) // cc
-			w.Uvarint(3) // city
-			w.Uvarint(0) // org
-			w.F64(1)
-			w.F64(2)
-			w.Uvarint(1) // span length
-		})...)
-		buf = append(buf, v2Section(secDense, func(w *binenc.Writer) {
-			w.Uvarint(1) // one dense id
-			w.Addr(netip.MustParseAddr("198.51.100.77"))
-			w.Uvarint(9) // ref -> dense id 9: out of range
-			w.Uvarint(0) // rec
-		})...)
-		return buf
-	}()
-
 	// crcMismatch: a valid snapshot with one payload byte flipped, so the
 	// strings section checksum no longer matches.
 	crcMismatch := append([]byte{}, validOne...)
-	crcMismatch[len(snapMagic)+1+13] ^= 0xFF
+	crcMismatch[snapHeaderLen+snapFrameLen] ^= 0xFF
 
 	overlong := append([]byte(snapMagic), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
 	badVersion := append([]byte(snapMagic), 0x63)
-	hugeCount := append(append([]byte(snapMagic), 1), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F)
+	hugeCount := append(snapHeader(), v3Section(secStrings, []uint64{1 << 62, 0})...)
 
 	return []snapshotSeed{
 		{"valid", valid},
@@ -425,24 +575,24 @@ func snapshotSeedCorpus(t testing.TB) []snapshotSeed {
 		{"truncated-header", append([]byte{}, valid[:6]...)},
 		{"overlong-varint", overlong},
 		{"huge-count", hugeCount},
-		{"dangling-string-id", dangling},
-		{"dangling-dense-ref", danglingDense},
+		{"dangling-string-id", patchCell(t, valid, secBotnets, "nFam", 0, le32(5))},
+		{"dangling-dense-ref", patchCell(t, validOne, secDense, "refs", 0, le32(9))},
 		{"crc-mismatch", crcMismatch},
 		{"trailing-garbage", append(append([]byte{}, validOne...), 0xAB)},
+		{"valid-v2", snapshotV2Empty}, // must reject: version 2's reader left with its writer
 	}
 }
 
-// v2Section frames one section payload the way EncodeSnapshot does:
-// id byte, payload length, CRC-32C, payload.
-func v2Section(id byte, build func(w *binenc.Writer)) []byte {
-	w := &binenc.Writer{}
-	build(w)
-	hdr := make([]byte, 13)
-	hdr[0] = id
-	binary.BigEndian.PutUint64(hdr[1:9], uint64(len(w.Buf)))
-	binary.BigEndian.PutUint32(hdr[9:13], crc32.Checksum(w.Buf, castagnoli))
-	return append(hdr, w.Buf...)
-}
+// snapshotV2Empty is what the v2 encoder wrote for the empty store: the
+// varint version byte and six big-endian (id, length, CRC-32C) frames
+// over varint payloads. Kept byte for byte as the must-reject input.
+var snapshotV2Empty = []byte("BSCS\x02" +
+	"\x01\x00\x00\x00\x00\x00\x00\x00\x02\xe2\xc3\xef\xa5\x01\x00" +
+	"\x02\x00\x00\x00\x00\x00\x00\x00\x01R}SQ\x00" +
+	"\x03\x00\x00\x00\x00\x00\x00\x00\x01R}SQ\x00" +
+	"\x04\x00\x00\x00\x00\x00\x00\x00\x01R}SQ\x00" +
+	"\x05\x00\x00\x00\x00\x00\x00\x00\x02\xf1aw\xd2\x00\x00" +
+	"\x06\x00\x00\x00\x00\x00\x00\x00\x01R}SQ\x00")
 
 // TestSnapshotTruncatedTyped pins the typed decode error: every
 // truncation reports ErrSnapshotTruncated, and once the header survives,
@@ -451,23 +601,6 @@ func v2Section(id byte, build func(w *binenc.Writer)) []byte {
 func TestSnapshotTruncatedTyped(t *testing.T) {
 	valid := EncodeSnapshot(snapFixtureStore(t))
 
-	// Recover each section's frame bounds from the encoded headers.
-	type frameSpan struct {
-		name         string
-		hdr, payload int // offsets of the header and payload start
-		plen         int
-	}
-	var frames []frameSpan
-	off := len(snapMagic) + 1
-	for sec := byte(secStrings); sec <= secDense; sec++ {
-		plen := int(binary.BigEndian.Uint64(valid[off+1 : off+9]))
-		frames = append(frames, frameSpan{snapSectionName[sec], off, off + 13, plen})
-		off += 13 + plen
-	}
-	if off != len(valid) {
-		t.Fatalf("frame walk covered %d of %d bytes", off, len(valid))
-	}
-
 	cases := []struct {
 		name    string
 		cut     int
@@ -475,8 +608,9 @@ func TestSnapshotTruncatedTyped(t *testing.T) {
 	}{
 		{"mid-magic", 2, ""},
 		{"magic-only", len(snapMagic), "header"},
+		{"mid-header", snapHeaderLen - 2, "header"},
 	}
-	for _, f := range frames {
+	for _, f := range snapFrames(t, valid) {
 		cases = append(cases,
 			struct {
 				name    string
@@ -520,7 +654,7 @@ func TestSnapshotTruncatedTyped(t *testing.T) {
 func TestSnapshotChecksumTyped(t *testing.T) {
 	valid := EncodeSnapshot(snapFixtureStore(t))
 	bad := append([]byte{}, valid...)
-	bad[len(snapMagic)+1+13] ^= 0xFF // first byte of the strings payload
+	bad[snapHeaderLen+snapFrameLen] ^= 0xFF // first byte of the strings payload
 	_, err := DecodeSnapshot(bad)
 	if err == nil {
 		t.Fatal("corrupted payload accepted")

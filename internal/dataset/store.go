@@ -164,10 +164,12 @@ func NewStore(attacks []*Attack, botnets []*Botnet, bots []*Bot) (*Store, error)
 func (s *Store) botRowsMap() map[netip.Addr]int32 { return s.botRows.Get(s.buildBotRows) }
 
 func (s *Store) buildBotRows() map[netip.Addr]int32 {
-	m := make(map[netip.Addr]int32, len(s.cols.bIP))
-	for i, ip := range s.cols.bIP {
+	bIP := s.cols.bIP
+	m := make(map[netip.Addr]int32, bIP.len())
+	for i := int32(0); i < int32(bIP.len()); i++ {
+		ip := bIP.at(i)
 		if _, ok := m[ip]; !ok {
-			m[ip] = int32(i)
+			m[ip] = i
 		}
 	}
 	return m
@@ -203,7 +205,7 @@ func (s *Store) Bot(ip netip.Addr) (*Bot, bool) {
 }
 
 // NumBots returns the number of Botlist records.
-func (s *Store) NumBots() int { return len(s.cols.bIP) }
+func (s *Store) NumBots() int { return s.cols.bIP.len() }
 
 // NumBotnets returns the number of Botnetlist records.
 func (s *Store) NumBotnets() int { return len(s.cols.nID) }
@@ -685,7 +687,7 @@ func (s *Store) summary(workers int) SummaryCounts {
 		Attacks:         len(c.aID),
 		Botnets:         s.attackBotnets(),
 		TrafficTypes:    bits.OnesCount32(tgt.catBits),
-		BotIPs:          len(d.ips),
+		BotIPs:          d.ips.len(),
 		SourceCountries: countStamps(src.cc),
 		SourceCities:    len(src.cities),
 		SourceOrgs:      countStamps(src.org),

@@ -129,9 +129,12 @@ type Experiment struct {
 	Run func() (*Result, error)
 }
 
-// All lists every experiment in paper order.
+// All lists every experiment in paper order. Each runner answers
+// dataset.ErrStoreClosed once the store is closed: on a mapped store the
+// columns are gone, and the one check at entry is what stands between a
+// late caller and a fault — the kernels behind it stay branch-free.
 func (w *Workload) All() []Experiment {
-	return []Experiment{
+	all := []Experiment{
 		{ID: "Figure 1", Run: w.Figure1},
 		{ID: "Table II", Run: w.TableII},
 		{ID: "Table III", Run: w.TableIII},
@@ -162,6 +165,16 @@ func (w *Workload) All() []Experiment {
 		{ID: "Ext: Defense", Run: w.ExtDefense},
 		{ID: "Ext: Transfer", Run: w.ExtTransfer},
 	}
+	for i := range all {
+		run := all[i].Run
+		all[i].Run = func() (*Result, error) {
+			if w.Store.Closed() {
+				return nil, dataset.ErrStoreClosed
+			}
+			return run()
+		}
+	}
+	return all
 }
 
 // Outcome is what one experiment produced: its Result, or the error that

@@ -2,10 +2,15 @@ package experiments
 
 import (
 	"context"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"botscope/internal/dataset"
 	"botscope/internal/synth"
 )
 
@@ -156,4 +161,44 @@ func metric(t *testing.T, r *Result, name string) float64 {
 	}
 	t.Fatalf("metric %q not found in %s (have %v)", name, r.ID, r.Metrics)
 	return 0
+}
+
+// TestClosedStoreTypedError pins that a closed store is an error, not a
+// fault: every runner of a workload over a mapped snapshot answers
+// dataset.ErrStoreClosed after Close, where reading the unmapped columns
+// would kill the process.
+func TestClosedStoreTypedError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "closed.bscs")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := dataset.WriteSnapshot(f, sharedWorkload(t).Store); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	store, err := dataset.ReadSnapshot(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := FromStore(store, 0.05)
+	all := w.All()
+	if _, err := all[0].Run(); err != nil {
+		t.Fatalf("%s on the open store: %v", all[0].ID, err)
+	}
+	store.Close()
+	for _, e := range all {
+		if res, err := e.Run(); !errors.Is(err, dataset.ErrStoreClosed) {
+			t.Errorf("%s on a closed store: result %v, error %v; want ErrStoreClosed", e.ID, res, err)
+		}
+	}
+	outs, _ := Run(context.Background(), w.All(), 2)
+	for _, o := range outs {
+		if !errors.Is(o.Err, dataset.ErrStoreClosed) {
+			t.Errorf("Run: %s on a closed store: %v", o.ID, o.Err)
+		}
+	}
 }

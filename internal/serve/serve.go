@@ -49,8 +49,19 @@ func New(store *dataset.Store, scale float64) *Server {
 		mux:       http.NewServeMux(),
 	}
 	s.routes()
-	s.h = jsonErrors(s.mux)
+	s.h = jsonErrors(http.HandlerFunc(s.serve))
 	return s
+}
+
+// serve answers 503 on every route once the store is closed: on a mapped
+// store the columns the handlers read are gone. One check per request;
+// the loops behind it stay branch-free.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
+	if s.store.Closed() {
+		writeError(w, http.StatusServiceUnavailable, dataset.ErrStoreClosed)
+		return
+	}
+	s.mux.ServeHTTP(w, r)
 }
 
 // Live returns the server's streaming analyzer (for in-process feeders).

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -410,5 +413,38 @@ func TestIngestStatsEndpoint(t *testing.T) {
 	}
 	if _, err := time.Parse(time.RFC3339, st.LastIngest); err != nil {
 		t.Fatalf("last_ingest %q not RFC3339: %v", st.LastIngest, err)
+	}
+}
+
+// TestClosedStoreIs503 pins the serve tier's half of "a closed store is
+// an error, not a fault": once a mapped store is closed, every route
+// answers 503 with the JSON error shape instead of reading unmapped
+// columns.
+func TestClosedStoreIs503(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "closed.bscs")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := dataset.WriteSnapshot(f, testServer(t).store); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	store, err := dataset.ReadSnapshot(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(store, 0.03)
+	get(t, s, "/api/summary", http.StatusOK, nil)
+	store.Close()
+	for _, path := range []string{"/api/summary", "/api/family/dirtjumper/dispersion", "/api/experiments/Table%20III"} {
+		var body struct{ Error string }
+		get(t, s, path, http.StatusServiceUnavailable, &body)
+		if body.Error != dataset.ErrStoreClosed.Error() {
+			t.Errorf("GET %s on a closed store: error %q, want %q", path, body.Error, dataset.ErrStoreClosed)
+		}
 	}
 }
