@@ -47,8 +47,8 @@ bin/botvet: $(BOTVET_SRC)
 # BOTVET_ANALYZERS is the registered gate, in cmd/botvet/main.go's order
 # (a cmd/botvet test fails when the two disagree): the SSA tier (goleak,
 # ctxflow, wireframe), the invariant tier (nodeterm, lockguard, floateq,
-# sharedslice) and the columnar-era tier (mmaplife, lazymat, codecsym).
-BOTVET_ANALYZERS := codecsym ctxflow floateq goleak lazymat lockguard mmaplife nodeterm sharedslice wireframe
+# sharedslice) and the columnar-era tier (mmaplife, lazymat).
+BOTVET_ANALYZERS := ctxflow floateq goleak lazymat lockguard mmaplife nodeterm sharedslice wireframe
 
 # botvet runs them over every package via go vet's -vettool hook. Exit
 # code 0 means every analyzer ran clean; 1 means diagnostics (or build
@@ -140,15 +140,16 @@ bench-smoke:
 # bench-allocs runs the hot-kernel micro-benchmarks with -benchmem and
 # fails when any exceeds its budget in bench_thresholds.json (see
 # cmd/benchguard). This is the CI gate against allocation regressions in
-# the ARIMA fitter, the dispersion scan, the cross-shard merge, the
-# columnar store build, the snapshot open (a per-row decode coming back
+# the ARIMA fitter, the dispersion scan, the cross-shard merge, the BSCW
+# payload walks (encode nothing, decode what the message holds: a closure
+# per field shows here, not in live_sharded), the columnar store build, the snapshot open (a per-row decode coming back
 # is megabytes; the budget is one), the JSONL feed codec, the live
 # snapshot (the first read of a generation, and every later one), and the
 # two report kernels that must stay in dense-id space (Ext: Defense, Ext:
 # Load, at the benches' default scale 0.1). Each alternative
 # selects all of a benchmark's sub-benchmarks; the /scale1 segment belongs
 # to the last alternative only.
-BENCH_ALLOC_PATTERN := 'BenchmarkFit$$|BenchmarkAutoFit$$|BenchmarkDispersionSeries$$|BenchmarkMergeSnapshots$$|BenchmarkNewStore$$|BenchmarkReadSnapshot$$|BenchmarkDecodeJSONL$$|BenchmarkAnalyzerSnapshot$$|BenchmarkExtDefense$$|BenchmarkExtLoad$$|BenchmarkWriteJSONL$$/scale1$$'
+BENCH_ALLOC_PATTERN := 'BenchmarkFit$$|BenchmarkAutoFit$$|BenchmarkDispersionSeries$$|BenchmarkMergeSnapshots$$|BenchmarkWireCodec$$|BenchmarkNewStore$$|BenchmarkReadSnapshot$$|BenchmarkDecodeJSONL$$|BenchmarkAnalyzerSnapshot$$|BenchmarkExtDefense$$|BenchmarkExtLoad$$|BenchmarkWriteJSONL$$/scale1$$'
 BENCH_ALLOC_PKGS := ./internal/timeseries ./internal/core ./internal/cluster ./internal/stream .
 bench-allocs:
 	$(GO) test -run=^$$ -bench $(BENCH_ALLOC_PATTERN) \

@@ -1,4 +1,4 @@
-// Botvet is the project-specific static-analysis gate: the ten botscope
+// Botvet is the project-specific static-analysis gate: the nine botscope
 // analyzers bundled into a unitchecker binary that `go vet` drives over
 // every package:
 //
@@ -30,7 +30,6 @@ import (
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/unitchecker"
 
-	"botscope/internal/analysis/codecsym"
 	"botscope/internal/analysis/ctxflow"
 	"botscope/internal/analysis/floateq"
 	"botscope/internal/analysis/goleak"
@@ -43,10 +42,9 @@ import (
 )
 
 // analyzers is the full gate. The Makefile's BOTVET_ANALYZERS list names
-// the same ten for botvet-timed; TestMakefileListsEveryAnalyzer keeps
+// the same nine for botvet-timed; TestMakefileListsEveryAnalyzer keeps
 // the two in step.
 var analyzers = []*analysis.Analyzer{
-	codecsym.Analyzer,
 	ctxflow.Analyzer,
 	floateq.Analyzer,
 	goleak.Analyzer,

@@ -4,61 +4,90 @@ import (
 	"errors"
 	"math"
 	"net/netip"
+	"reflect"
 	"testing"
+	"time"
 )
 
-// writeAll emits one value of every primitive kind, the zero address
-// included.
-func writeAll(w *Writer) {
-	w.Uvarint(1 << 40)
-	w.Varint(-12345)
-	w.F64(math.Copysign(0, -1))
-	w.Str("dirtjumper")
-	w.Bool(true)
-	w.Addr(netip.MustParseAddr("198.51.100.9"))
-	w.Addr(netip.MustParseAddr("2001:db8::1"))
-	w.Addr(netip.Addr{})
-	w.Uvarint(2) // a count of two one-byte elements
-	w.Bool(false)
-	w.Bool(true)
+type family string
+
+// every holds one field of every primitive kind, the zero address and the
+// zero time included.
+type every struct {
+	U      uint64
+	U32    uint32
+	I      int
+	F      float64
+	S      family
+	B      bool
+	V4, V6 netip.Addr
+	None   netip.Addr
+	Host   netip.Addr
+	At     time.Time
+	Never  time.Time
+	Flags  []bool
+	Counts map[family]int
+}
+
+// walk is the message: written once, run both ways.
+func (v *every) walk(c *Codec) {
+	Uint(c, &v.U)
+	Uint(c, &v.U32)
+	Int(c, &v.I)
+	c.F64(&v.F)
+	Str(c, &v.S)
+	c.Bool(&v.B)
+	c.Addr(&v.V4)
+	c.Addr(&v.V6)
+	c.Addr(&v.None)
+	c.Host(&v.Host)
+	c.Time(&v.At)
+	c.Time(&v.Never)
+	Len(c, &v.Flags, 1)
+	for i := range v.Flags {
+		c.Bool(&v.Flags[i])
+	}
+	Counts(c, &v.Counts)
+}
+
+func sample() every {
+	return every{
+		U: 1 << 40, U32: 97, I: -12345, F: math.Copysign(0, -1), S: "dirtjumper", B: true,
+		V4: netip.MustParseAddr("198.51.100.9"), V6: netip.MustParseAddr("2001:db8::1"),
+		Host:   netip.MustParseAddr("10.0.0.1"),
+		At:     time.Date(2012, 8, 29, 23, 59, 30, 7, time.UTC),
+		Flags:  []bool{false, true},
+		Counts: map[family]int{"pandora": 2, "dirtjumper": 1},
+	}
+}
+
+func encoded(v every) []byte {
+	c := Encoder(nil)
+	v.walk(&c)
+	return c.Buf
 }
 
 func TestRoundTrip(t *testing.T) {
-	w := &Writer{}
-	writeAll(w)
-	r := &Reader{Buf: w.Buf}
-	if v := r.Uvarint(); v != 1<<40 {
-		t.Errorf("Uvarint = %d", v)
+	in := sample()
+	buf := encoded(in)
+	if again := encoded(in); string(again) != string(buf) {
+		t.Error("encoding is not deterministic (map order leaked)")
 	}
-	if v := r.Varint(); v != -12345 {
-		t.Errorf("Varint = %d", v)
+
+	var out every
+	c := Decoder(buf)
+	out.walk(&c)
+	if err := c.Finish(); err != nil || len(c.Buf) != 0 {
+		t.Fatalf("after full read: err %v, %d bytes left", err, len(c.Buf))
 	}
-	if v := r.F64(); math.Float64bits(v) != math.Float64bits(math.Copysign(0, -1)) {
-		t.Errorf("F64 = %v, want -0 bit-exactly", v)
+	if math.Float64bits(out.F) != math.Float64bits(in.F) {
+		t.Errorf("F64 = %v, want -0 bit-exactly", out.F)
 	}
-	if v := r.Str(); v != "dirtjumper" {
-		t.Errorf("Str = %q", v)
+	if !out.Never.IsZero() {
+		t.Errorf("zero time came back as %v", out.Never)
 	}
-	if !r.Bool() {
-		t.Error("Bool = false")
-	}
-	if a := r.Addr(); a != netip.MustParseAddr("198.51.100.9") {
-		t.Errorf("Addr = %v", a)
-	}
-	if a := r.Addr(); a != netip.MustParseAddr("2001:db8::1") {
-		t.Errorf("Addr = %v", a)
-	}
-	if a := r.Addr(); a.IsValid() {
-		t.Errorf("zero Addr came back as %v", a)
-	}
-	if n := r.Count(1); n != 2 {
-		t.Errorf("Count = %d", n)
-	}
-	if r.Bool() || !r.Bool() {
-		t.Error("trailing bools differ")
-	}
-	if r.Err != nil || len(r.Buf) != 0 {
-		t.Errorf("after full read: err %v, %d bytes left", r.Err, len(r.Buf))
+	if !reflect.DeepEqual(in, out) {
+		t.Errorf("round trip:\n got %+v\nwant %+v", out, in)
 	}
 }
 
@@ -66,50 +95,63 @@ func TestRoundTrip(t *testing.T) {
 // each must stop with ErrShort, stay stopped, and leave Buf where it
 // stopped.
 func TestShortBufferIsSticky(t *testing.T) {
-	w := &Writer{}
-	writeAll(w)
-	for cut := 0; cut < len(w.Buf); cut++ {
-		r := &Reader{Buf: w.Buf[:cut]}
-		r.Uvarint()
-		r.Varint()
-		r.F64()
-		_ = r.Str()
-		r.Bool()
-		r.Addr()
-		r.Addr()
-		r.Addr()
-		r.Count(1)
-		r.Bool()
-		r.Bool()
-		if r.Err != ErrShort {
-			t.Fatalf("cut %d: err = %v, want ErrShort", cut, r.Err)
+	buf := encoded(sample())
+	for cut := 0; cut < len(buf); cut++ {
+		var out every
+		c := Decoder(buf[:cut])
+		out.walk(&c)
+		if c.Err != ErrShort {
+			t.Fatalf("cut %d: err = %v, want ErrShort", cut, c.Err)
 		}
-		left := len(r.Buf)
-		if r.Uvarint() != 0 || r.Str() != "" || r.Addr().IsValid() || len(r.Buf) != left {
-			t.Fatalf("cut %d: reader moved after failing", cut)
+		left := len(c.Buf)
+		u, s, a := uint64(7), family("kept"), netip.MustParseAddr("10.9.8.7")
+		Uint(&c, &u)
+		Str(&c, &s)
+		c.Addr(&a)
+		if u != 7 || s != "kept" || !a.IsValid() || len(c.Buf) != left {
+			t.Fatalf("cut %d: decode moved after failing", cut)
 		}
 	}
 }
 
 func TestMalformed(t *testing.T) {
 	// A count larger than the bytes that could hold its elements.
-	r := &Reader{Buf: []byte{200, 1, 0, 0}}
-	if n := r.Count(2); n != 0 || r.Err != ErrShort {
-		t.Errorf("oversized count: n = %d, err = %v", n, r.Err)
+	var pairs []uint64
+	c := Decoder([]byte{200, 1, 0, 0})
+	if Len(&c, &pairs, 2); pairs != nil || c.Err != ErrShort {
+		t.Errorf("oversized count: %d elements, err = %v", len(pairs), c.Err)
 	}
 	// An address tag that is none of 0, 4, 16.
-	r = &Reader{Buf: []byte{5, 1, 2, 3, 4, 5}}
-	if a := r.Addr(); a.IsValid() || r.Err != ErrShort {
-		t.Errorf("bad address tag: %v, err = %v", a, r.Err)
+	var a netip.Addr
+	c = Decoder([]byte{5, 1, 2, 3, 4, 5})
+	if c.Addr(&a); a.IsValid() || c.Err != ErrShort {
+		t.Errorf("bad address tag: %v, err = %v", a, c.Err)
 	}
-	// A caller's own error stops the reader like ErrShort does.
-	r = &Reader{Buf: []byte{1}, Err: errOwn}
-	if r.Uvarint() != 0 || r.Err != errOwn || len(r.Buf) != 1 {
-		t.Errorf("caller-set error not sticky: err = %v", r.Err)
+	// The zero tag where a host is required.
+	c = Decoder([]byte{0})
+	if c.Host(&a); c.Err != ErrShort {
+		t.Errorf("zero host address: err = %v", c.Err)
 	}
-	r.Fail()
-	if r.Err != errOwn {
-		t.Errorf("Fail overwrote the first error with %v", r.Err)
+	// A bool is the byte 0 or 1.
+	b := true
+	c = Decoder([]byte{2})
+	if c.Bool(&b); c.Err != ErrShort {
+		t.Errorf("bool byte 2: b = %v, err = %v", b, c.Err)
+	}
+	// A message that ends before its buffer does.
+	c = Decoder([]byte{1, 0})
+	if c.Bool(&b); c.Err != nil || c.Finish() != ErrShort {
+		t.Errorf("trailing byte: err = %v", c.Err)
+	}
+	// A caller's own error stops a decode like ErrShort does.
+	u := uint64(7)
+	c = Decoder([]byte{1})
+	c.Err = errOwn
+	if Uint(&c, &u); u != 7 || c.Err != errOwn || len(c.Buf) != 1 {
+		t.Errorf("caller-set error not sticky: err = %v", c.Err)
+	}
+	if c.Fail(); c.Finish() != errOwn {
+		t.Errorf("Fail overwrote the first error with %v", c.Err)
 	}
 }
 

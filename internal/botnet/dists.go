@@ -79,21 +79,6 @@ func (m IntervalModel) Sample(rng *rand.Rand) float64 {
 	return v
 }
 
-// SimultaneousWeight returns the probability mass of the exact-zero mode.
-func (m IntervalModel) SimultaneousWeight() float64 {
-	var total, zero float64
-	for _, mode := range m.Modes {
-		total += mode.Weight
-		if mode.MedianSec == 0 {
-			zero += mode.Weight
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return zero / total
-}
-
 // WeightedChoice picks an index of weights proportionally. It returns -1
 // for an empty or all-zero weight vector.
 func WeightedChoice(rng *rand.Rand, weights []float64) int {

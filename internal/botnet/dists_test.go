@@ -38,9 +38,6 @@ func TestIntervalModelZeroShare(t *testing.T) {
 		},
 		MaxSec: 1e6,
 	}
-	if got := m.SimultaneousWeight(); math.Abs(got-0.4) > 1e-12 {
-		t.Errorf("SimultaneousWeight = %v, want 0.4", got)
-	}
 	rng := rand.New(rand.NewSource(4))
 	zeros := 0
 	n := 20000
@@ -74,9 +71,6 @@ func TestIntervalModelEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	if got := m.Sample(rng); got != 42 {
 		t.Errorf("empty model sample = %v, want MinSec fallback", got)
-	}
-	if got := m.SimultaneousWeight(); got != 0 {
-		t.Errorf("empty model SimultaneousWeight = %v, want 0", got)
 	}
 }
 

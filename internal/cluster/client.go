@@ -7,6 +7,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"botscope/internal/binenc"
 )
 
 // Client errors.
@@ -147,7 +149,10 @@ func (c *shardClient) hello(ctx context.Context) (helloAck, error) {
 	if err != nil {
 		return helloAck{}, err
 	}
-	return decodeHelloAck(resp.Payload)
+	var ack helloAck
+	r := binenc.Decoder(resp.Payload)
+	wireHelloAck(&r, &ack)
+	return ack, payloadErr(&r)
 }
 
 // sendIngest ships one ordered batch and waits for the applied ack,
@@ -169,7 +174,10 @@ func (c *shardClient) sendIngest(ctx context.Context, payload []byte) (ingestAck
 	for {
 		resp, err := c.call(ctx, msgIngest, payload)
 		if err == nil {
-			return decodeIngestAck(resp.Payload)
+			var ack ingestAck
+			r := binenc.Decoder(resp.Payload)
+			wireIngestAck(&r, &ack)
+			return ack, payloadErr(&r)
 		}
 		if !errors.Is(err, ErrShardBusy) {
 			return ingestAck{}, err
@@ -196,7 +204,10 @@ func (c *shardClient) snapshot(ctx context.Context) (ShardSnapshot, error) {
 	if err != nil {
 		return ShardSnapshot{}, err
 	}
-	return decodeSnapshot(resp.Payload)
+	var s ShardSnapshot
+	r := binenc.Decoder(resp.Payload)
+	wireSnapshot(&r, &s)
+	return s, payloadErr(&r)
 }
 
 // leave asks the shard to drop state for a clean future rejoin.

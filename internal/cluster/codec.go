@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"fmt"
-	"net/netip"
 	"time"
 
 	"botscope/internal/binenc"
@@ -30,130 +28,74 @@ const (
 	entryRecord byte = 1
 )
 
-// encodeIngest appends the msgIngest payload for entries to w.
-//
-//botvet:codec encode ingest
-func encodeIngest(w *binenc.Writer, entries []IngestEntry) {
-	w.Uvarint(uint64(len(entries)))
-	for i := range entries {
-		e := &entries[i]
-		if e.Record == nil {
-			w.Buf = append(w.Buf, entryTick)
-			w.Uvarint(e.Seq)
-			w.Uvarint(uint64(e.ID))
-			w.Varint(e.Start.UnixNano())
-			w.Varint(e.End.UnixNano())
-			continue
-		}
-		w.Buf = append(w.Buf, entryRecord)
-		w.Uvarint(e.Seq)
-		encodeAttack(w, e.Record)
-	}
-}
+// A BSCW payload is defined once, as a walk over its fields with a
+// binenc.Codec: the same function encodes the message and decodes it, so
+// the two ends cannot disagree about field order. Times cross as UTC
+// unix-nanoseconds, floats as their IEEE-754 bits, and every string and
+// address verbatim, so the far side reconstructs values bit-exactly.
 
-// decodeIngest parses an msgIngest payload.
-//
-//botvet:codec decode ingest
-func decodeIngest(payload []byte) ([]IngestEntry, error) {
-	r := &binenc.Reader{Buf: payload}
-	// A tick costs at least 5 bytes (kind + 4 varints).
-	n := r.Count(5)
-	entries := make([]IngestEntry, 0, n)
-	for i := 0; i < n && r.Err == nil; i++ {
-		if len(r.Buf) < 1 {
-			r.Fail()
-			break
-		}
-		kind := r.Buf[0]
-		r.Buf = r.Buf[1:]
+// wireIngest is the msgIngest payload: the entries, in global order. A
+// tick costs at least 5 bytes (kind + 4 varints).
+func wireIngest(c *binenc.Codec, entries *[]IngestEntry) {
+	binenc.Len(c, entries, 5)
+	for i := range *entries {
+		e := &(*entries)[i]
+		kind := e.wireKind(c)
+		binenc.Uint(c, &e.Seq)
 		switch kind {
 		case entryTick:
-			seq := r.Uvarint()
-			id := dataset.DDoSID(r.Uvarint())
-			start := time.Unix(0, r.Varint()).UTC()
-			end := time.Unix(0, r.Varint()).UTC()
-			entries = append(entries, IngestEntry{Seq: seq, ID: id, Start: start, End: end})
+			binenc.Uint(c, &e.ID)
+			c.Time(&e.Start)
+			c.Time(&e.End)
 		case entryRecord:
-			seq := r.Uvarint()
-			a := decodeAttack(r)
-			if r.Err != nil {
-				break
-			}
-			entries = append(entries, IngestEntry{
-				Seq: seq, Record: a, ID: a.ID, Start: a.Start, End: a.End,
-			})
+			wireAttack(c, e.Record)
+			// A record entry's tick fields mirror its record.
+			binenc.Derived(c, &e.ID, e.Record.ID)
+			binenc.Derived(c, &e.Start, e.Record.Start)
+			binenc.Derived(c, &e.End, e.Record.End)
 		default:
-			return nil, fmt.Errorf("cluster: unknown ingest entry kind %d", kind)
+			c.Fail()
 		}
 	}
-	if err := payloadErr(r); err != nil {
-		return nil, err
-	}
-	return entries, nil
 }
 
-// encodeAttack appends one full dataset.Attack. Times cross as UTC
-// unix-nanoseconds; every string and address round-trips verbatim so the
-// shard's analyzer sees exactly the record the frontend validated.
-//
-//botvet:codec encode attack
-func encodeAttack(w *binenc.Writer, a *dataset.Attack) {
-	w.Uvarint(uint64(a.ID))
-	w.Uvarint(uint64(a.BotnetID))
-	w.Str(string(a.Family))
-	w.Varint(int64(a.Category))
-	w.Addr(a.TargetIP)
-	w.Varint(a.Start.UnixNano())
-	w.Varint(a.End.UnixNano())
-	w.Uvarint(uint64(len(a.BotIPs)))
-	for _, ip := range a.BotIPs {
-		w.Addr(ip)
+// wireKind carries the entry-kind byte: what e is when the byte is going
+// out, what e is to become when it came in — a record entry arrives with a
+// Record for the walk to fill.
+func (e *IngestEntry) wireKind(c *binenc.Codec) byte {
+	kind := entryTick
+	if e.Record != nil {
+		kind = entryRecord
 	}
-	w.Varint(int64(a.TargetASN))
-	w.Str(a.TargetCountry)
-	w.Str(a.TargetCity)
-	w.Str(a.TargetOrg)
-	w.F64(a.TargetLat)
-	w.F64(a.TargetLon)
+	c.Byte(&kind)
+	if kind == entryRecord && e.Record == nil {
+		e.Record = new(dataset.Attack)
+	}
+	return kind
 }
 
-// decodeAttack parses one full record; on malformed input it sets r.Err
-// and returns an undefined record.
-//
-//botvet:codec decode attack
-func decodeAttack(r *binenc.Reader) *dataset.Attack {
-	a := &dataset.Attack{
-		ID:       dataset.DDoSID(r.Uvarint()),
-		BotnetID: dataset.BotnetID(r.Uvarint()),
-		Family:   dataset.Family(r.Str()),
-		Category: dataset.Category(r.Varint()),
-		TargetIP: r.Addr(),
-		Start:    time.Unix(0, r.Varint()).UTC(),
-		End:      time.Unix(0, r.Varint()).UTC(),
+// wireAttack is one full dataset.Attack, so the shard's analyzer sees
+// exactly the record the frontend validated. Every address in a record
+// names a real host (BSCS uses the zero tag for an absent controller; BSCW
+// refuses it), and every bot IP costs at least 5 bytes.
+func wireAttack(c *binenc.Codec, a *dataset.Attack) {
+	binenc.Uint(c, &a.ID)
+	binenc.Uint(c, &a.BotnetID)
+	binenc.Str(c, &a.Family)
+	binenc.Int(c, &a.Category)
+	c.Host(&a.TargetIP)
+	c.Time(&a.Start)
+	c.Time(&a.End)
+	binenc.Len(c, &a.BotIPs, 5)
+	for i := range a.BotIPs {
+		c.Host(&a.BotIPs[i])
 	}
-	// BSCW refuses the zero-address tag (BSCS uses it for an absent
-	// controller): every address in a record names a real host.
-	if !a.TargetIP.IsValid() {
-		r.Fail()
-	}
-	n := r.Count(5) // every bot IP costs at least 5 bytes
-	if n > 0 && r.Err == nil {
-		a.BotIPs = make([]netip.Addr, 0, n)
-	}
-	for i := 0; i < n && r.Err == nil; i++ {
-		ip := r.Addr()
-		if !ip.IsValid() {
-			r.Fail()
-		}
-		a.BotIPs = append(a.BotIPs, ip)
-	}
-	a.TargetASN = int(r.Varint())
-	a.TargetCountry = r.Str()
-	a.TargetCity = r.Str()
-	a.TargetOrg = r.Str()
-	a.TargetLat = r.F64()
-	a.TargetLon = r.F64()
-	return a
+	binenc.Int(c, &a.TargetASN)
+	binenc.Str(c, &a.TargetCountry)
+	binenc.Str(c, &a.TargetCity)
+	binenc.Str(c, &a.TargetOrg)
+	c.F64(&a.TargetLat)
+	c.F64(&a.TargetLon)
 }
 
 // helloAck is the shard's session greeting: its identity and how many
@@ -164,17 +106,9 @@ type helloAck struct {
 	Applied uint64
 }
 
-//botvet:codec encode helloAck
-func encodeHelloAck(w *binenc.Writer, h helloAck) {
-	w.Varint(int64(h.ShardID))
-	w.Uvarint(h.Applied)
-}
-
-//botvet:codec decode helloAck
-func decodeHelloAck(payload []byte) (helloAck, error) {
-	r := &binenc.Reader{Buf: payload}
-	h := helloAck{ShardID: int(r.Varint()), Applied: r.Uvarint()}
-	return h, payloadErr(r)
+func wireHelloAck(c *binenc.Codec, h *helloAck) {
+	binenc.Int(c, &h.ShardID)
+	binenc.Uint(c, &h.Applied)
 }
 
 // ingestAck reports how many entries the shard has applied in total after
@@ -183,14 +117,6 @@ type ingestAck struct {
 	Applied uint64
 }
 
-//botvet:codec encode ingestAck
-func encodeIngestAck(w *binenc.Writer, a ingestAck) {
-	w.Uvarint(a.Applied)
-}
-
-//botvet:codec decode ingestAck
-func decodeIngestAck(payload []byte) (ingestAck, error) {
-	r := &binenc.Reader{Buf: payload}
-	a := ingestAck{Applied: r.Uvarint()}
-	return a, payloadErr(r)
+func wireIngestAck(c *binenc.Codec, a *ingestAck) {
+	binenc.Uint(c, &a.Applied)
 }

@@ -71,12 +71,12 @@ type Frontend struct {
 	lastStart time.Time     // guarded by ingestMu
 
 	// flushChunk's scratch, kept between chunks: one chunk's owners and
-	// entries (ingestChunk long) and one payload writer per shard. Guarded
+	// entries (ingestChunk long) and one payload buffer per shard. Guarded
 	// by ingestMu. A payload is free again when its send returns — the
 	// client copies it into the frame it writes.
-	owners  []int
-	entries []IngestEntry
-	writers []binenc.Writer
+	owners   []int
+	entries  []IngestEntry
+	payloads [][]byte
 
 	// gen invalidates the merged-snapshot cache: bumped on every applied
 	// chunk and every membership change.
@@ -331,8 +331,8 @@ func (f *Frontend) flushChunk(ctx context.Context, chunk []*dataset.Attack) erro
 	for i, a := range chunk {
 		owners[i] = f.ring.Owner(a.TargetIP)
 	}
-	if len(f.writers) < len(ids) {
-		f.writers = append(f.writers, make([]binenc.Writer, len(ids)-len(f.writers))...)
+	if len(f.payloads) < len(ids) {
+		f.payloads = append(f.payloads, make([][]byte, len(ids)-len(f.payloads))...)
 	}
 	for si, id := range ids {
 		for i, a := range chunk {
@@ -342,9 +342,9 @@ func (f *Frontend) flushChunk(ctx context.Context, chunk []*dataset.Attack) erro
 			}
 			entries[i] = e
 		}
-		w := &f.writers[si]
-		w.Buf = w.Buf[:0]
-		encodeIngest(w, entries)
+		w := binenc.Encoder(f.payloads[si][:0])
+		wireIngest(&w, &entries)
+		f.payloads[si] = w.Buf
 	}
 	clear(entries) // keep the array, not the chunk's records
 
@@ -355,7 +355,7 @@ func (f *Frontend) flushChunk(ctx context.Context, chunk []*dataset.Attack) erro
 		}
 		ictx, cancel := context.WithTimeout(ctx, f.ingestTimeout)
 		defer cancel()
-		_, err := c.sendIngest(ictx, f.writers[i].Buf)
+		_, err := c.sendIngest(ictx, f.payloads[i])
 		return err
 	})
 

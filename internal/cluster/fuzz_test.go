@@ -1,42 +1,32 @@
 package cluster
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
-	"time"
 
 	"botscope/internal/binenc"
 )
 
 // FuzzDecodeWire throws arbitrary bytes at the frame parser and, for
-// frames that parse, at the payload decoders behind each message type. The
-// invariants: never panic, never allocate unboundedly, and any frame that
-// decodes re-encodes into bytes that decode to the same frame.
+// frames that parse, at the payload walk behind each message type. The
+// invariants: never panic, never allocate unboundedly, any frame that
+// decodes re-encodes into bytes that decode to the same frame, and any
+// payload that decodes reaches a fixed point in one step (fixedPoint).
 func FuzzDecodeWire(f *testing.F) {
 	f.Add(AppendFrame(nil, &Frame{Type: msgHello, ReqID: 1}))
 	f.Add(AppendFrame(nil, &Frame{Type: msgPing, ReqID: 2}))
 	f.Add([]byte("BSCW\x01"))
 	f.Add([]byte("XXXX\x01\x01\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00"))
 
-	{
-		w := &binenc.Writer{}
-		start := time.Date(2012, 8, 1, 12, 0, 0, 0, time.UTC)
-		encodeIngest(w, []IngestEntry{
-			{Seq: 1, ID: 5, Start: start, End: start.Add(time.Hour)},
-			{Seq: 2, Record: testAttack(6, "198.51.100.9", start.Add(time.Minute)),
-				ID: 6, Start: start.Add(time.Minute), End: start.Add(91 * time.Minute)},
-		})
-		f.Add(AppendFrame(nil, &Frame{Type: msgIngest, ReqID: 3, Payload: w.Buf}))
-	}
-	{
-		w := &binenc.Writer{}
-		encodeIngestAck(w, ingestAck{Applied: 10000})
-		f.Add(AppendFrame(nil, &Frame{Type: msgIngestAck, ReqID: 4, Payload: w.Buf}))
-	}
-	{
-		w := &binenc.Writer{}
-		encodeHelloAck(w, helloAck{ShardID: 2, Applied: 7})
-		f.Add(AppendFrame(nil, &Frame{Type: msgHelloAck, ReqID: 5, Payload: w.Buf}))
+	// One seed per payload kind: the golden's, so the fuzzer starts from
+	// every field of every message.
+	golden := readGolden(f)
+	for _, seed := range []struct {
+		name string
+		kind FrameKind
+	}{{"ingest", msgIngest}, {"ingestAck", msgIngestAck}, {"helloAck", msgHelloAck}, {"snapshot", msgSnapResp}} {
+		f.Add(AppendFrame(nil, &Frame{Type: seed.kind, ReqID: uint32(seed.kind), Payload: golden[seed.name]}))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -56,28 +46,32 @@ func FuzzDecodeWire(f *testing.F) {
 
 		switch fr.Type {
 		case msgIngest:
-			entries, err := decodeIngest(fr.Payload)
-			if err != nil {
-				return
-			}
-			// A decoded batch always re-encodes into a decodable payload.
-			w := &binenc.Writer{}
-			encodeIngest(w, entries)
-			if _, err := decodeIngest(w.Buf); err != nil {
-				t.Fatalf("re-encoded ingest does not decode: %v", err)
-			}
+			fixedPoint(t, "ingest", wireIngest, fr.Payload)
 		case msgSnapResp:
-			if s, err := decodeSnapshot(fr.Payload); err == nil {
-				w := &binenc.Writer{}
-				encodeSnapshot(w, &s)
-				if _, err := decodeSnapshot(w.Buf); err != nil {
-					t.Fatalf("re-encoded snapshot does not decode: %v", err)
-				}
-			}
+			fixedPoint(t, "snapshot", wireSnapshot, fr.Payload)
 		case msgHelloAck:
-			_, _ = decodeHelloAck(fr.Payload)
+			fixedPoint(t, "helloAck", wireHelloAck, fr.Payload)
 		case msgIngestAck:
-			_, _ = decodeIngestAck(fr.Payload)
+			fixedPoint(t, "ingestAck", wireIngestAck, fr.Payload)
 		}
 	})
+}
+
+// fixedPoint requires encode∘decode to settle after one step on any
+// payload that decodes at all: the re-encoding decodes, and encoding that
+// decode yields the re-encoding again. The comparison is on bytes, so a NaN
+// float or a non-minimal varint in the fuzzer's input does not matter.
+func fixedPoint[T any](t *testing.T, name string, wire func(*binenc.Codec, *T), payload []byte) {
+	v, err := decodeMsg(wire, payload)
+	if err != nil {
+		return
+	}
+	once := encodeMsg(wire, &v)
+	v2, err := decodeMsg(wire, once)
+	if err != nil {
+		t.Fatalf("%s: re-encoding does not decode: %v", name, err)
+	}
+	if twice := encodeMsg(wire, &v2); !bytes.Equal(once, twice) {
+		t.Fatalf("%s: encode(decode(x)) is not a fixed point:\n once  %x\n twice %x", name, once, twice)
+	}
 }

@@ -136,8 +136,8 @@ func (s *Shard) readLoop(c *shardConn) {
 		}
 		switch f.Type {
 		case msgHello:
-			w := &binenc.Writer{}
-			encodeHelloAck(w, helloAck{ShardID: s.id, Applied: s.applied.Load()})
+			w := binenc.Encoder(nil)
+			wireHelloAck(&w, &helloAck{ShardID: s.id, Applied: s.applied.Load()})
 			if c.writeFrame(&Frame{Type: msgHelloAck, ReqID: f.ReqID, Payload: w.Buf}) != nil {
 				return
 			}
@@ -185,7 +185,10 @@ func (s *Shard) applier() {
 }
 
 func (s *Shard) applyIngest(job shardJob) {
-	entries, err := decodeIngest(job.frame.Payload)
+	var entries []IngestEntry
+	r := binenc.Decoder(job.frame.Payload)
+	wireIngest(&r, &entries)
+	err := payloadErr(&r)
 	if err == nil {
 		err = s.apply(entries)
 	}
@@ -196,8 +199,8 @@ func (s *Shard) applyIngest(job shardJob) {
 		})
 		return
 	}
-	w := &binenc.Writer{}
-	encodeIngestAck(w, ingestAck{Applied: s.applied.Load()})
+	w := binenc.Encoder(nil)
+	wireIngestAck(&w, &ingestAck{Applied: s.applied.Load()})
 	_ = job.conn.writeFrame(&Frame{Type: msgIngestAck, ReqID: job.frame.ReqID, Payload: w.Buf})
 }
 
@@ -224,8 +227,8 @@ func (s *Shard) applySnap(job shardJob) {
 	key := s.resets<<32 | s.applied.Load() + 1
 	if key != s.cacheKey {
 		snap := ShardSnapshot{ShardID: s.id, Applied: s.applied.Load(), Snap: s.an.Snapshot()}
-		w := &binenc.Writer{}
-		encodeSnapshot(w, &snap)
+		w := binenc.Encoder(nil)
+		wireSnapshot(&w, &snap)
 		s.cacheKey = key
 		s.cachePayload = w.Buf
 	}

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"botscope/internal/binenc"
 	"botscope/internal/dataset"
 	"botscope/internal/stream"
 	"botscope/internal/synth"
@@ -59,9 +58,7 @@ func mergeFixture(t testing.TB) ([]*ShardSnapshot, stream.Snapshot) {
 			s := ShardSnapshot{ShardID: id, Applied: seq, Snap: an.Snapshot()}
 			// Round-trip through the wire codec so the fixture covers
 			// exactly what the frontend merges: decoded snapshots.
-			w := &binenc.Writer{}
-			encodeSnapshot(w, &s)
-			dec, err := decodeSnapshot(w.Buf)
+			dec, err := decodeMsg(wireSnapshot, encodeMsg(wireSnapshot, &s))
 			if err != nil {
 				mergeErr = err
 				return

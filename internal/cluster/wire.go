@@ -39,7 +39,11 @@ const (
 	headerLen = 16
 
 	// maxPayload bounds a frame's payload so a corrupt or malicious length
-	// prefix cannot force an arbitrary allocation.
+	// prefix cannot force an arbitrary allocation. A decode makes each
+	// slice at its declared count (binenc.Len), checked only against the
+	// wire minimum of an element, so a malformed payload of this size can
+	// cost ~14x as much heap before it is refused (a 5-byte tick is a
+	// 72-byte IngestEntry, a 7-byte candidate ~100 bytes).
 	maxPayload = 64 << 20
 )
 
@@ -194,11 +198,13 @@ func DecodeFrame(data []byte) (Frame, error) {
 	return f, nil
 }
 
-// payloadErr reports how a payload decode ended. Payloads are read with
-// the shared binenc primitives; the only way one stops early is a buffer
-// that ends, or holds a malformed value, before the message does.
-func payloadErr(r *binenc.Reader) error {
-	if r.Err != nil {
+// payloadErr reports how a payload decode ended: nil only when the walk
+// consumed the buffer exactly. A buffer that ends before the message does,
+// goes on after it, or holds a value the message cannot carry (a bool byte
+// other than 0/1, a zero host address, an unknown entry kind, a count the
+// remaining bytes cannot hold) is ErrTruncated.
+func payloadErr(c *binenc.Codec) error {
+	if c.Finish() != nil {
 		return ErrTruncated
 	}
 	return nil

@@ -74,6 +74,36 @@ func TestDecodeFrameRejectsMalformedHeaders(t *testing.T) {
 	}
 }
 
+// encodeMsg and decodeMsg run one payload walk each way, the way the call
+// sites in shard.go, client.go and frontend.go do.
+func encodeMsg[T any](wire func(*binenc.Codec, *T), v *T) []byte {
+	c := binenc.Encoder(nil)
+	wire(&c, v)
+	return c.Buf
+}
+
+func decodeMsg[T any](wire func(*binenc.Codec, *T), payload []byte) (T, error) {
+	var v T
+	c := binenc.Decoder(payload)
+	wire(&c, &v)
+	return v, payloadErr(&c)
+}
+
+// rejectsMalformed holds one payload walk to the decode contract: every
+// strict prefix of a valid payload, and the payload plus one byte, is
+// ErrTruncated — never a panic, never a quiet success.
+func rejectsMalformed[T any](t *testing.T, name string, wire func(*binenc.Codec, *T), payload []byte) {
+	t.Helper()
+	for i := 0; i < len(payload); i++ {
+		if _, err := decodeMsg(wire, payload[:i]); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("%s: truncation at %d bytes: err = %v, want ErrTruncated", name, i, err)
+		}
+	}
+	if _, err := decodeMsg(wire, append(payload[:len(payload):len(payload)], 0)); !errors.Is(err, ErrTruncated) {
+		t.Errorf("%s: one trailing byte: err = %v, want ErrTruncated", name, err)
+	}
+}
+
 func testAttack(id uint64, target string, start time.Time) *dataset.Attack {
 	return &dataset.Attack{
 		ID:            dataset.DDoSID(id),
@@ -101,10 +131,9 @@ func TestIngestCodecRoundTrip(t *testing.T) {
 			ID: 6, Start: start.Add(time.Minute), End: start.Add(time.Minute + 90*time.Minute)},
 		{Seq: 3, ID: 7, Start: start.Add(2 * time.Minute), End: start.Add(2 * time.Minute)},
 	}
-	w := &binenc.Writer{}
-	encodeIngest(w, entries)
+	payload := encodeMsg(wireIngest, &entries)
 
-	got, err := decodeIngest(w.Buf)
+	got, err := decodeMsg(wireIngest, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +144,22 @@ func TestIngestCodecRoundTrip(t *testing.T) {
 		t.Errorf("tick flags = %v, %v; want true, false", got[0].Tick(), got[1].Tick())
 	}
 
-	// Every truncation of a valid payload must fail cleanly, never panic.
-	for i := 0; i < len(w.Buf); i++ {
-		if _, err := decodeIngest(w.Buf[:i]); err == nil && i < len(w.Buf) {
-			// A strict prefix can only be valid if it still decodes the
-			// declared count; decodeIngest checks r.Err, so any nil error
-			// on a truncation is a bug.
-			t.Fatalf("decodeIngest accepted truncation at %d bytes", i)
-		}
+	rejectsMalformed(t, "ingest", wireIngest, payload)
+
+	// Encoding only reads: a record entry whose tick fields disagree with
+	// its record keeps them, and arrives mirrored from the record.
+	odd := []IngestEntry{{Seq: 9, Record: testAttack(6, "198.51.100.9", start), ID: 77}}
+	got, err = decodeMsg(wireIngest, encodeMsg(wireIngest, &odd))
+	if err != nil || odd[0].ID != 77 || !odd[0].Start.IsZero() ||
+		got[0].ID != 6 || !got[0].Start.Equal(start) || !got[0].End.Equal(odd[0].Record.End) {
+		t.Errorf("encode stored, or decode did not mirror: sent %+v, got %+v, %v", odd[0], got, err)
+	}
+
+	// An entry is a tick or a record; no third kind decodes.
+	bad := append([]byte{}, payload...)
+	bad[1] = 2 // the first entry's kind byte follows the one-byte count
+	if _, err := decodeMsg(wireIngest, bad); !errors.Is(err, ErrTruncated) {
+		t.Errorf("unknown entry kind: err = %v, want ErrTruncated", err)
 	}
 
 	// BSCW refuses the zero-address tag wherever a record carries one.
@@ -132,28 +169,27 @@ func TestIngestCodecRoundTrip(t *testing.T) {
 	} {
 		a := testAttack(8, "198.51.100.9", start)
 		zero(a)
-		w := &binenc.Writer{}
-		encodeIngest(w, []IngestEntry{{Seq: 1, Record: a, ID: a.ID, Start: a.Start, End: a.End}})
-		if _, err := decodeIngest(w.Buf); !errors.Is(err, ErrTruncated) {
+		batch := []IngestEntry{{Seq: 1, Record: a, ID: a.ID, Start: a.Start, End: a.End}}
+		if _, err := decodeMsg(wireIngest, encodeMsg(wireIngest, &batch)); !errors.Is(err, ErrTruncated) {
 			t.Errorf("zero %s address: err = %v, want ErrTruncated", name, err)
 		}
 	}
 }
 
 func TestHelloAndIngestAckRoundTrip(t *testing.T) {
-	w := &binenc.Writer{}
-	encodeHelloAck(w, helloAck{ShardID: 42, Applied: 1 << 40})
-	h, err := decodeHelloAck(w.Buf)
+	hello := encodeMsg(wireHelloAck, &helloAck{ShardID: 42, Applied: 1 << 40})
+	h, err := decodeMsg(wireHelloAck, hello)
 	if err != nil || h.ShardID != 42 || h.Applied != 1<<40 {
 		t.Errorf("helloAck = %+v, %v", h, err)
 	}
+	rejectsMalformed(t, "helloAck", wireHelloAck, hello)
 
-	w = &binenc.Writer{}
-	encodeIngestAck(w, ingestAck{Applied: 12345})
-	a, err := decodeIngestAck(w.Buf)
+	ack := encodeMsg(wireIngestAck, &ingestAck{Applied: 12345})
+	a, err := decodeMsg(wireIngestAck, ack)
 	if err != nil || a.Applied != 12345 {
 		t.Errorf("ingestAck = %+v, %v", a, err)
 	}
+	rejectsMalformed(t, "ingestAck", wireIngestAck, ack)
 }
 
 // TestShardBusyAckWhenQueueFull pins the backpressure signal at the wire
@@ -187,7 +223,7 @@ func TestShardBusyAckWhenQueueFull(t *testing.T) {
 	if resp.Type != msgHelloAck || resp.Flags != 0 {
 		t.Fatalf("hello resp = %+v", resp)
 	}
-	h, err := decodeHelloAck(resp.Payload)
+	h, err := decodeMsg(wireHelloAck, resp.Payload)
 	if err != nil || h.ShardID != 3 {
 		t.Fatalf("hello ack = %+v, %v", h, err)
 	}

@@ -139,11 +139,6 @@ type BotnetView struct {
 	row int32
 }
 
-// BotnetRow returns a cursor over Botnetlist row i.
-//
-//botscope:mmap
-func (c *Columns) BotnetRow(i int32) BotnetView { return BotnetView{c: c, row: i} }
-
 // BotnetByID returns a cursor over the botnet with the given id. ok is
 // false when the id has no Botnetlist row.
 //

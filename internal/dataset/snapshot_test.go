@@ -394,7 +394,7 @@ func TestSnapshotChecksOnEveryOpen(t *testing.T) {
 		{"count larger than the payload", bump(secBots, 1), "bots", ErrSnapshotTruncated},
 		{"count smaller than the payload", bump(secBots, -1), "bots", ErrSnapshotCorrupt},
 		{"payload length not a multiple of 8", reframe(t, valid, secTargets, func(p []byte) []byte { return append(p, 0) }), "targets", ErrSnapshotCorrupt},
-		// The shape codecsym existed to catch — an encoder that writes a
+		// The drift a hand-paired codec invites — an encoder that writes a
 		// column the decoder has never heard of — cannot be built from one
 		// layout table; if the bytes arrive anyway they are refused as
 		// trailing, never read as the next column.

@@ -119,16 +119,6 @@ var InactiveFamilies = []Family{
 	"zemra",
 }
 
-// IsActive reports whether f is one of the 10 active families.
-func (f Family) IsActive() bool {
-	for _, a := range ActiveFamilies {
-		if f == a {
-			return true
-		}
-	}
-	return false
-}
-
 // DDoSID is the globally unique identifier of one DDoS attack.
 type DDoSID uint64
 

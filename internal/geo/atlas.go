@@ -405,9 +405,6 @@ func (a *Atlas) Countries() []*Country {
 // Len returns the number of countries in the atlas.
 func (a *Atlas) Len() int { return len(a.ordered) }
 
-// TotalWeight returns the sum of all country weights.
-func (a *Atlas) TotalWeight() float64 { return a.total }
-
 // PickByWeight maps u in [0, 1) to a country proportionally to weight,
 // giving the synthetic GeoIP database its population-realistic placement.
 func (a *Atlas) PickByWeight(u float64) *Country {

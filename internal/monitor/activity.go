@@ -28,11 +28,6 @@ type BotnetActivity struct {
 	PeakMagnitude int
 }
 
-// Lifetime returns the observed active span of the generation.
-func (b BotnetActivity) Lifetime() time.Duration {
-	return b.LastAttack.Sub(b.FirstAttack)
-}
-
 // BotnetActivities profiles every attack-launching botnet of a family,
 // ordered by attack count descending. The error is non-nil when the
 // family launched nothing.

@@ -63,8 +63,8 @@ func TestBotnetActivities(t *testing.T) {
 	if top.PeakMagnitude != 5 {
 		t.Errorf("peak magnitude = %d, want 5", top.PeakMagnitude)
 	}
-	if top.Lifetime() != 48*time.Hour {
-		t.Errorf("lifetime = %v, want 48h", top.Lifetime())
+	if got := top.LastAttack.Sub(top.FirstAttack); got != 48*time.Hour {
+		t.Errorf("first to last attack = %v, want 48h", got)
 	}
 	if _, err := NewCollector(s).BotnetActivities(dataset.Optima); err == nil {
 		t.Error("family without attacks succeeded")

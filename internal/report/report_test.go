@@ -36,13 +36,12 @@ func TestTableRowShapeHandling(t *testing.T) {
 	tbl := NewTable("", "a", "b")
 	tbl.AddRow("only")            // short row
 	tbl.AddRow("x", "y", "extra") // long row truncated
-	tbl.AddRowf("p\tq")           // tab-split
 	out := tbl.String()
 	if strings.Contains(out, "extra") {
 		t.Error("extra cell not truncated")
 	}
-	if !strings.Contains(out, "p") || !strings.Contains(out, "q") {
-		t.Errorf("AddRowf row missing:\n%s", out)
+	if !strings.Contains(out, "only") || !strings.Contains(out, "y") {
+		t.Errorf("short or long row missing:\n%s", out)
 	}
 }
 

@@ -55,12 +55,6 @@ func (t *Table) AddRow(cells ...string) *Table {
 	return t
 }
 
-// AddRowf appends a row of formatted values.
-func (t *Table) AddRowf(format string, args ...any) *Table {
-	// Split a pre-formatted line on tabs for convenience.
-	return t.AddRow(strings.Split(fmt.Sprintf(format, args...), "\t")...)
-}
-
 // NumRows returns the number of data rows.
 func (t *Table) NumRows() int { return len(t.rows) }
 

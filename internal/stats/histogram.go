@@ -60,13 +60,6 @@ func (h *Histogram) Bins() int { return len(h.counts) }
 // Count returns the number of observations in bin i.
 func (h *Histogram) Count(i int) int { return h.counts[i] }
 
-// Counts returns a copy of all bin counts.
-func (h *Histogram) Counts() []int {
-	out := make([]int, len(h.counts))
-	copy(out, h.counts)
-	return out
-}
-
 // Underflow returns the number of observations below the range.
 func (h *Histogram) Underflow() int { return h.under }
 
@@ -80,32 +73,4 @@ func (h *Histogram) Total() int { return h.total }
 func (h *Histogram) BinEdges(i int) (lo, hi float64) {
 	lo = h.lo + float64(i)*h.width
 	return lo, lo + h.width
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	lo, hi := h.BinEdges(i)
-	return (lo + hi) / 2
-}
-
-// MaxCount returns the largest bin count (0 for an empty histogram).
-func (h *Histogram) MaxCount() int {
-	m := 0
-	for _, c := range h.counts {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
-
-// ModeBin returns the index of the fullest bin, or -1 if all bins are empty.
-func (h *Histogram) ModeBin() int {
-	best, bestCount := -1, 0
-	for i, c := range h.counts {
-		if c > bestCount {
-			best, bestCount = i, c
-		}
-	}
-	return best
 }

@@ -64,39 +64,6 @@ func TestHistogramBinEdgesAndCenter(t *testing.T) {
 	if lo != 30 || hi != 40 {
 		t.Errorf("BinEdges(3) = [%v, %v), want [30, 40)", lo, hi)
 	}
-	if c := h.BinCenter(3); c != 35 {
-		t.Errorf("BinCenter(3) = %v, want 35", c)
-	}
-}
-
-func TestHistogramModeAndMax(t *testing.T) {
-	h, err := NewHistogram(0, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := h.ModeBin(); got != -1 {
-		t.Errorf("ModeBin of empty = %d, want -1", got)
-	}
-	h.AddAll([]float64{1, 3, 3, 3, 7})
-	if got := h.ModeBin(); got != 3 {
-		t.Errorf("ModeBin = %d, want 3", got)
-	}
-	if got := h.MaxCount(); got != 3 {
-		t.Errorf("MaxCount = %d, want 3", got)
-	}
-}
-
-func TestHistogramCountsCopy(t *testing.T) {
-	h, err := NewHistogram(0, 10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Add(1)
-	counts := h.Counts()
-	counts[0] = 99
-	if h.Count(0) != 1 {
-		t.Error("Counts() aliases internal state")
-	}
 }
 
 // Property: every observation lands in exactly one of {bins, under, over},
