@@ -47,8 +47,8 @@ bin/botvet: $(BOTVET_SRC)
 # BOTVET_ANALYZERS is the registered gate, in cmd/botvet/main.go's order
 # (a cmd/botvet test fails when the two disagree): the SSA tier (goleak,
 # ctxflow, wireframe), the invariant tier (nodeterm, lockguard, floateq,
-# sharedslice) and the columnar-era tier (mmaplife, lazymat).
-BOTVET_ANALYZERS := ctxflow floateq goleak lazymat lockguard mmaplife nodeterm sharedslice wireframe
+# sharedslice) and the columnar-era tier (mmaplife).
+BOTVET_ANALYZERS := ctxflow floateq goleak lockguard mmaplife nodeterm sharedslice wireframe
 
 # botvet runs them over every package via go vet's -vettool hook. Exit
 # code 0 means every analyzer ran clean; 1 means diagnostics (or build

@@ -61,8 +61,6 @@ type (
 	Category = dataset.Category
 	// SummaryCounts mirrors the paper's Table III.
 	SummaryCounts = dataset.SummaryCounts
-	// Filter selects a sub-workload for Store.Subset.
-	Filter = dataset.Filter
 )
 
 // The ten active families of the paper's analysis window.
@@ -248,17 +246,17 @@ type (
 
 // Analyzer exposes every analysis of the paper over one workload.
 // The zero value is not usable; construct it with NewAnalyzer.
-// An Analyzer is safe for concurrent use. The per-family dispersion
-// series and the §V collaboration list are derived once per Analyzer and
-// shared by every method that reads them.
+// An Analyzer is safe for concurrent use. The monitoring collector, the
+// per-family dispersion series and the §V event lists (collaborations,
+// chains) are derived once per Analyzer and shared by every method that
+// reads them.
 type Analyzer struct {
-	w         *experiments.Workload // the store and its derived products
-	collector *monitor.Collector
+	w *experiments.Workload // the store and its derived products
 }
 
 // NewAnalyzer wraps a workload store.
 func NewAnalyzer(store *Store) *Analyzer {
-	return &Analyzer{w: experiments.FromStore(store, 1), collector: monitor.NewCollector(store)}
+	return &Analyzer{w: experiments.FromStore(store, 1)}
 }
 
 // Store returns the underlying workload.
@@ -344,8 +342,9 @@ func (a *Analyzer) Pair(x, y Family) core.PairSummary {
 	return core.AnalyzePairFrom(a.w.Collabs(), x, y)
 }
 
-// Chains detects and summarizes §V-B multistage attacks.
-func (a *Analyzer) Chains() ChainStats { return core.AnalyzeChains(a.w.Store) }
+// Chains summarizes §V-B multistage attacks. The chains are detected on
+// the first call and shared afterwards: callers must not modify them.
+func (a *Analyzer) Chains() ChainStats { return a.w.Chains() }
 
 // MagnitudeProfile characterizes one family's attack magnitudes.
 func (a *Analyzer) MagnitudeProfile(f Family) (MagnitudeProfile, error) {
@@ -390,24 +389,24 @@ func (a *Analyzer) PlanMitigation(minAttacks int) []MitigationWindow {
 
 // WeeklySources computes the Fig 8 week-by-week source aggregation.
 func (a *Analyzer) WeeklySources(f Family) ([]WeekStats, error) {
-	return a.collector.WeeklySources(f)
+	return a.w.Collector().WeeklySources(f)
 }
 
 // HourlyReports replays the paper's hourly collection pipeline (§II-B).
 func (a *Analyzer) HourlyReports(f Family) ([]HourlyReport, error) {
-	return a.collector.HourlyReports(f)
+	return a.w.Collector().HourlyReports(f)
 }
 
 // BotnetActivities profiles every generation of a family (activity spans,
 // targets, peak magnitudes), most active first.
 func (a *Analyzer) BotnetActivities(f Family) ([]BotnetActivity, error) {
-	return a.collector.BotnetActivities(f)
+	return a.w.Collector().BotnetActivities(f)
 }
 
 // Churn measures how concentrated a family's attacks are across its
 // botnet generations.
 func (a *Analyzer) Churn(f Family) (GenerationChurn, error) {
-	return a.collector.Churn(f)
+	return a.w.Collector().Churn(f)
 }
 
 // FitARIMA fits an ARIMA model to an arbitrary series.

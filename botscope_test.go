@@ -283,22 +283,6 @@ func TestExtendedAnalyzerAPIs(t *testing.T) {
 	}
 }
 
-func TestSubsetViaAPI(t *testing.T) {
-	store := apiWorkload(t)
-	sub, err := store.Subset(Filter{Families: []Family{Pandora}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.NumAttacks() == 0 || sub.NumAttacks() >= store.NumAttacks() {
-		t.Errorf("subset attacks = %d of %d", sub.NumAttacks(), store.NumAttacks())
-	}
-	// The subset is a fully working store: analyses run on it.
-	a := NewAnalyzer(sub)
-	if _, err := a.DailyDistribution(); err != nil {
-		t.Errorf("analysis on subset: %v", err)
-	}
-}
-
 func TestForecastIntervalsViaAPI(t *testing.T) {
 	store := apiWorkload(t)
 	a := NewAnalyzer(store)
@@ -355,11 +339,12 @@ func TestStreamAnalyzerViaAPI(t *testing.T) {
 }
 
 // TestAnalyzerSharesDerivedProducts pins that an Analyzer derives the §V
-// collaboration list and a family's dispersion series once: two Pair calls
-// hand out the same events, and a second DispersionProfile allocates its
-// own summary only — under 1 % of the bytes the first spent on the dense
-// bot index and the series (0.45 % here; a re-scan of the series alone
-// reads 1.8 %).
+// event lists and a family's dispersion series once: two Pair calls hand
+// out the same events, two Chains calls the same chains and the second
+// allocates nothing, and a second DispersionProfile allocates its own
+// summary only — under 1 % of the bytes the first spent on the dense bot
+// index and the series (0.45 % here; a re-scan of the series alone reads
+// 1.8 %).
 func TestAnalyzerSharesDerivedProducts(t *testing.T) {
 	store, err := Generate(GenerateConfig{Seed: 123, Scale: 0.04}) // not apiWorkload: the first call must find nothing built
 	if err != nil {
@@ -375,6 +360,17 @@ func TestAnalyzerSharesDerivedProducts(t *testing.T) {
 		if p1.Events[i] != p2.Events[i] {
 			t.Fatalf("Pair event %d is a different *Collaboration on the second call: detection ran twice", i)
 		}
+	}
+
+	c1, c2 := a.Chains(), a.Chains()
+	if len(c1.Chains) == 0 {
+		t.Fatal("no multistage chains; the comparison below is vacuous")
+	}
+	if &c1.Chains[0] != &c2.Chains[0] || c1.Longest != c2.Longest {
+		t.Fatal("Chains returned a different chain list on the second call: detection ran twice")
+	}
+	if n := testing.AllocsPerRun(10, func() { a.Chains() }); n != 0 {
+		t.Errorf("a repeat Chains call allocated %v objects, want 0", n)
 	}
 
 	allocated := func() uint64 {

@@ -92,9 +92,10 @@ func run(args []string, stdout io.Writer) error {
 			}
 		}
 		defer store.Close()
-		// Replay through the column cursors: each row materializes one
-		// attack record on demand, so a snapshot-loaded store streams
-		// without ever building the full record arena.
+		// Replay row by row: each row builds one attack record that the
+		// store does not keep, so a snapshot-loaded store streams without
+		// building the full record arena, and a record is garbage once
+		// the sink is done with it.
 		feed = func(fn func(*botscope.Attack) error) error {
 			for i, n := 0, store.AttackRows(); i < n; i++ {
 				if err := fn(store.AttackRecordAt(i)); err != nil {

@@ -1,4 +1,4 @@
-// Botvet is the project-specific static-analysis gate: the nine botscope
+// Botvet is the project-specific static-analysis gate: the eight botscope
 // analyzers bundled into a unitchecker binary that `go vet` drives over
 // every package:
 //
@@ -33,7 +33,6 @@ import (
 	"botscope/internal/analysis/ctxflow"
 	"botscope/internal/analysis/floateq"
 	"botscope/internal/analysis/goleak"
-	"botscope/internal/analysis/lazymat"
 	"botscope/internal/analysis/lockguard"
 	"botscope/internal/analysis/mmaplife"
 	"botscope/internal/analysis/nodeterm"
@@ -42,13 +41,12 @@ import (
 )
 
 // analyzers is the full gate. The Makefile's BOTVET_ANALYZERS list names
-// the same nine for botvet-timed; TestMakefileListsEveryAnalyzer keeps
+// the same eight for botvet-timed; TestMakefileListsEveryAnalyzer keeps
 // the two in step.
 var analyzers = []*analysis.Analyzer{
 	ctxflow.Analyzer,
 	floateq.Analyzer,
 	goleak.Analyzer,
-	lazymat.Analyzer,
 	lockguard.Analyzer,
 	mmaplife.Analyzer,
 	nodeterm.Analyzer,

@@ -12,8 +12,8 @@ import (
 
 // TestBotvetCleanOnRepo builds the botvet binary and drives it over the
 // whole module with go vet, asserting zero diagnostics: the annotation
-// contracts (//botscope:shared, //botscope:mmap, //botscope:hotpath)
-// and the determinism scopes must hold on every package at all times.
+// contracts (//botscope:shared, //botscope:mmap, //botvet:wire) and the
+// determinism scopes must hold on every package at all times.
 func TestBotvetCleanOnRepo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary and re-typechecks the module; skipped in -short")

@@ -15,11 +15,9 @@ import (
 	"golang.org/x/tools/go/types/typeutil"
 )
 
-// Directive spellings, kept beside the helpers that read them.
-const (
-	HotpathDirective = "botscope:hotpath" // lazymat
-	SharedDirective  = "botscope:shared"  // sharedslice, mmaplife
-)
+// SharedDirective is the one directive spelling more than one analyzer
+// reads (sharedslice, mmaplife).
+const SharedDirective = "botscope:shared"
 
 // Package scopes: the import paths (subpackages included) an analyzer
 // holds to its rule. One table, so "which packages promise what" is read
@@ -28,7 +26,6 @@ var (
 	DeterministicPkgs = []string{"botscope/internal/synth", "botscope/internal/botnet", "botscope/internal/geo", "botscope/internal/core"}
 	GeneratorPkgs     = []string{"botscope/internal/synth", "botscope/internal/botnet"}
 	StatsPkgs         = []string{"botscope/internal/stats", "botscope/internal/core", "botscope/internal/stream"}
-	ColumnNativePkgs  = []string{"botscope/internal/core", "botscope/internal/monitor", "botscope/internal/stream"}
 	ClusterPlanePkgs  = []string{"botscope/internal/cluster", "botscope/internal/serve"}
 )
 

@@ -91,8 +91,6 @@ func (c *Codec) readUvarint() uint64 {
 }
 
 // Uint carries an unsigned value as a uvarint.
-//
-//botscope:hotpath
 func Uint[T ~uint64 | ~uint32](c *Codec, p *T) {
 	if !c.dec {
 		c.Buf = binary.AppendUvarint(c.Buf, uint64(*p))
@@ -102,8 +100,6 @@ func Uint[T ~uint64 | ~uint32](c *Codec, p *T) {
 }
 
 // Int carries a signed value as a zigzag varint.
-//
-//botscope:hotpath
 func Int[T ~int | ~int64](c *Codec, p *T) {
 	if !c.dec {
 		c.Buf = binary.AppendVarint(c.Buf, int64(*p))
@@ -122,8 +118,6 @@ func Int[T ~int | ~int64](c *Codec, p *T) {
 }
 
 // F64 carries a float as its IEEE-754 bits.
-//
-//botscope:hotpath
 func (c *Codec) F64(p *float64) {
 	if !c.dec {
 		c.Buf = binary.BigEndian.AppendUint64(c.Buf, math.Float64bits(*p))
@@ -133,8 +127,6 @@ func (c *Codec) F64(p *float64) {
 }
 
 // Str carries a string behind its uvarint length.
-//
-//botscope:hotpath
 func Str[T ~string](c *Codec, p *T) {
 	if !c.dec {
 		c.Buf = binary.AppendUvarint(c.Buf, uint64(len(*p)))
@@ -151,8 +143,6 @@ func Str[T ~string](c *Codec, p *T) {
 }
 
 // Byte carries one raw byte.
-//
-//botscope:hotpath
 func (c *Codec) Byte(p *byte) {
 	if !c.dec {
 		c.Buf = append(c.Buf, *p)
@@ -181,8 +171,6 @@ func (c *Codec) Bool(p *bool) {
 // Derived fills a field that is not on the wire from one that is: a decode
 // stores v and an encode does nothing, so encoding a message never writes
 // to the caller's value.
-//
-//botscope:hotpath
 func Derived[T any](c *Codec, p *T, v T) {
 	if c.dec && c.Err == nil {
 		*p = v
@@ -191,8 +179,6 @@ func Derived[T any](c *Codec, p *T, v T) {
 
 // Time carries an instant as UTC unix-nanoseconds. The zero time
 // round-trips as itself so "never set" survives the trip.
-//
-//botscope:hotpath
 func (c *Codec) Time(p *time.Time) {
 	nanos := p.UnixNano()
 	Int(c, &nanos)

@@ -319,8 +319,6 @@ func (pool *Pool) pickFrom(dst []*dataset.Bot, c *cityCluster, n int) []*dataset
 // a full Perm per attack would dominate generation time). The rejection
 // dedup uses the pool's epoch-stamped scratch array instead of a per-call
 // set; the sequence of Intn draws and retries is exactly the old one.
-//
-//botscope:hotpath
 func (pool *Pool) sampleInto(dst []*dataset.Bot, c *cityCluster, n int) []*dataset.Bot {
 	if n >= len(c.bots) {
 		return append(dst, c.bots...)
@@ -345,8 +343,6 @@ func (pool *Pool) sampleInto(dst []*dataset.Bot, c *cityCluster, n int) []*datas
 // clusterForDispersion finds the offset cluster whose two-cluster formation
 // with the anchor (m1 anchor bots, m2 offset bots) has predicted dispersion
 // closest to wantKm.
-//
-//botscope:hotpath
 func (pool *Pool) clusterForDispersion(anchor *cityCluster, m1, m2 int, wantKm float64) *cityCluster {
 	var (
 		best     *cityCluster
@@ -411,8 +407,6 @@ func PredictDispersion(a, b geo.LatLon, m1, m2 int) float64 {
 // centers; bit-identical to PredictDispersion(a.Deg, b.Deg, m1, m2). The
 // offset-cluster search evaluates every cluster against a fixed anchor per
 // attack, so the cached trig halves that loop's math.
-//
-//botscope:hotpath
 func predictDispersionCached(a, b geo.CachedPoint, m1, m2 int) float64 {
 	if m1 <= 0 && m2 <= 0 {
 		return 0

@@ -447,3 +447,30 @@ func TestFormationMarksLastActive(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolSamplingZeroAlloc holds the generator's per-formation kernels
+// to zero allocations once the pool's scratch has grown (DESIGN §5b): one
+// formation per attack, hundreds of thousands per family at scale 1.
+func TestPoolSamplingZeroAlloc(t *testing.T) {
+	db := geo.NewDB(geo.DBConfig{Seed: 21})
+	p := testProfile(dataset.Optima, 10)
+	pool, err := NewPool(rand.New(rand.NewSource(21)), db, p, 2000, make(map[netip.Addr]bool))
+	if err != nil {
+		t.Fatal(err)
+	}
+	anchor := pool.clusters[0]
+	dst := make([]*dataset.Bot, 0, len(anchor.bots))
+	var sink float64
+	for name, kernel := range map[string]func(){
+		"sampleInto":           func() { dst = pool.sampleInto(dst[:0], anchor, len(anchor.bots)/2) },
+		"clusterForDispersion": func() { pool.clusterForDispersion(anchor, 30, 10, 500) },
+		"predictDispersionCached": func() {
+			sink += predictDispersionCached(anchor.centerC, pool.clusters[len(pool.clusters)-1].centerC, 30, 10)
+		},
+	} {
+		if n := testing.AllocsPerRun(100, kernel); n != 0 {
+			t.Errorf("%s allocates %.1f objects per call, want 0", name, n)
+		}
+	}
+	_ = sink
+}

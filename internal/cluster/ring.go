@@ -111,8 +111,6 @@ func (r *Ring) Version() uint64 {
 // clockwise from the target's hash point. It returns -1 for an empty
 // ring. Ownership depends only on the membership set, never on join
 // order.
-//
-//botscope:hotpath
 func (r *Ring) Owner(addr netip.Addr) int {
 	h := addrHash(addr)
 	r.mu.RLock()
@@ -144,8 +142,6 @@ const (
 
 // addrHash hashes a target address (its 16-byte form, so a v4 target and
 // its v4-mapped form land identically) with FNV-1a.
-//
-//botscope:hotpath
 func addrHash(a netip.Addr) uint64 {
 	b := a.As16()
 	h := uint64(fnvOffset)
@@ -157,8 +153,6 @@ func addrHash(a netip.Addr) uint64 {
 }
 
 // pointHash places virtual node rep of a shard on the ring.
-//
-//botscope:hotpath
 func pointHash(id, rep int) uint64 {
 	h := uint64(fnvOffset)
 	v := uint64(id)<<16 | uint64(uint16(rep))

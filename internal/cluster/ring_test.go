@@ -110,3 +110,23 @@ func TestRingOwnerDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestRingHashZeroAlloc holds the per-record routing path to zero
+// allocations (DESIGN §5b): the frontend asks Owner once per ingested
+// record, and a membership change hashes every virtual node.
+func TestRingHashZeroAlloc(t *testing.T) {
+	r := NewRing(0, 1, 2)
+	addrs := testAddrs(64)
+	i := 0
+	var sink uint64
+	for name, kernel := range map[string]func(){
+		"Ring.Owner": func() { sink += uint64(r.Owner(addrs[i%len(addrs)])); i++ },
+		"addrHash":   func() { sink += addrHash(addrs[i%len(addrs)]); i++ },
+		"pointHash":  func() { sink += pointHash(i%7, i); i++ },
+	} {
+		if n := testing.AllocsPerRun(100, kernel); n != 0 {
+			t.Errorf("%s allocates %.1f objects per call, want 0", name, n)
+		}
+	}
+	_ = sink
+}

@@ -130,8 +130,6 @@ var (
 
 // AppendFrame appends f's wire encoding to dst and returns the extended
 // slice (caller owns the buffer).
-//
-//botscope:hotpath
 func AppendFrame(dst []byte, f *Frame) []byte {
 	dst = append(dst, wireMagic...)
 	dst = append(dst, wireVersion, byte(f.Type))

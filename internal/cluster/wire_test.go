@@ -290,3 +290,13 @@ func TestRateLimiterTokenBucket(t *testing.T) {
 		t.Fatalf("after idle, %d allowed; want burst of 2", allowed)
 	}
 }
+
+// TestAppendFrameZeroAlloc: framing into a buffer with room allocates
+// nothing (DESIGN §5b), so a connection's writer can reuse one buffer.
+func TestAppendFrameZeroAlloc(t *testing.T) {
+	f := &Frame{Type: msgIngest, ReqID: 7, Payload: make([]byte, 512)}
+	buf := make([]byte, 0, headerLen+len(f.Payload))
+	if n := testing.AllocsPerRun(100, func() { buf = AppendFrame(buf[:0], f) }); n != 0 {
+		t.Errorf("AppendFrame allocates %.1f objects per frame, want 0", n)
+	}
+}

@@ -23,9 +23,6 @@ type Collaboration struct {
 	Attacks []*dataset.Attack
 	// Families lists the distinct families involved, sorted.
 	Families []dataset.Family
-	// rows holds the member attack rows between column-native detection
-	// and the batched record build; nil once Attacks is filled.
-	rows []int32
 }
 
 // Intra reports whether the collaboration stays inside one family
@@ -71,7 +68,7 @@ func detectCollaborations(s *dataset.Store, startWindow, durationWindow time.Dur
 	tids := s.TargetIDs()
 	starts, durs := attackTimes(s)
 	shards := par.ChunkMap(workers, len(tids), func(lo, hi int) []*Collaboration {
-		d := &collabDetector{starts: starts, startWindow: startWindow, q: qualifier{
+		d := &collabDetector{s: s, starts: starts, startWindow: startWindow, q: qualifier{
 			durs:   durs,
 			window: int64(durationWindow),
 			member: func(row int32) (dataset.BotnetID, dataset.Family) {
@@ -89,7 +86,6 @@ func detectCollaborations(s *dataset.Store, startWindow, durationWindow time.Dur
 	for _, shard := range shards {
 		out = append(out, shard...)
 	}
-	materializeCollabAttacks(s, out)
 	sort.Slice(out, func(i, j int) bool {
 		if !out[i].Start.Equal(out[j].Start) {
 			return out[i].Start.Before(out[j].Start)
@@ -97,56 +93,6 @@ func detectCollaborations(s *dataset.Store, startWindow, durationWindow time.Dur
 		return out[i].Target < out[j].Target
 	})
 	return out
-}
-
-// materializeCollabAttacks fills every detected collaboration's member
-// records in one batch. Member rows across collaborations never overlap
-// (a row belongs to one target and one start window), so the batch visits
-// them in ascending row order — the column and reference-arena reads
-// sweep forward instead of hopping per collaboration, and the record
-// arenas are allocated once for the whole detection.
-func materializeCollabAttacks(s *dataset.Store, out []*Collaboration) {
-	total := 0
-	for _, c := range out {
-		total += len(c.rows)
-	}
-	if total == 0 {
-		return
-	}
-	rows := make([]int32, 0, total)
-	slotC := make([]*Collaboration, 0, total)
-	slotI := make([]int, 0, total)
-	for _, c := range out {
-		c.Attacks = make([]*dataset.Attack, len(c.rows))
-		for i, row := range c.rows {
-			rows = append(rows, row)
-			slotC = append(slotC, c)
-			slotI = append(slotI, i)
-		}
-		c.rows = nil
-	}
-	ord := make([]int, total)
-	for k := range ord {
-		ord[k] = k
-	}
-	sort.Slice(ord, func(a, b int) bool { return rows[ord[a]] < rows[ord[b]] })
-	sortedRows := make([]int32, total)
-	for k, o := range ord {
-		sortedRows[k] = rows[o]
-	}
-	attacks := s.AttackRecords(sortedRows)
-	for k, o := range ord {
-		slotC[o].Attacks[slotI[o]] = attacks[k]
-	}
-	for _, c := range out {
-		start := c.Attacks[0].Start
-		for _, a := range c.Attacks[1:] {
-			if a.Start.Before(start) {
-				start = a.Start
-			}
-		}
-		c.Start = start
-	}
 }
 
 // attackTimes extracts every attack's start and duration into dense
@@ -170,6 +116,7 @@ func attackTimes(s *dataset.Store) (starts, durs []int64) {
 // per-row start column and qualifies them on the columns too, through
 // scratch it reuses: only a group that qualifies allocates.
 type collabDetector struct {
+	s           *dataset.Store
 	starts      []int64 // per-row attack starts, UTC nanoseconds
 	startWindow time.Duration
 	q           qualifier // over attack rows and the per-row duration column
@@ -178,8 +125,8 @@ type collabDetector struct {
 
 // target appends the qualifying collaborations of one target's
 // chronologically ordered attack rows. Grouping and qualification both
-// run on the columns; only the members of a qualifying subset
-// materialize attack records.
+// run on the columns; only the members of a qualifying subset are built
+// as attack records.
 func (d *collabDetector) target(out []*Collaboration, target string, rows []int32) []*Collaboration {
 	starts, window := d.starts, int64(d.startWindow)
 	i := 0
@@ -192,12 +139,27 @@ func (d *collabDetector) target(out []*Collaboration, target string, rows []int3
 		if j-i >= 2 {
 			d.scratch = append(d.scratch[:0], rows[i:j]...)
 			if subset, fams := d.q.qualify(d.scratch); subset != nil {
-				out = append(out, &Collaboration{Target: target, rows: append([]int32(nil), subset...), Families: fams})
+				out = append(out, d.collaboration(target, subset, fams))
 			}
 		}
 		i = j
 	}
 	return out
+}
+
+// collaboration builds the records of one qualifying subset, in subset
+// order; the event starts with its earliest member.
+func (d *collabDetector) collaboration(target string, subset []int32, fams []dataset.Family) *Collaboration {
+	c := &Collaboration{Target: target, Attacks: make([]*dataset.Attack, len(subset)), Families: fams}
+	first := 0
+	for k, row := range subset {
+		c.Attacks[k] = d.s.AttackRecordAt(int(row))
+		if d.starts[row] < d.starts[subset[first]] {
+			first = k
+		}
+	}
+	c.Start = c.Attacks[first].Start
+	return c
 }
 
 // qualifier is the §V criterion over one start-window group on a single

@@ -13,20 +13,6 @@ import (
 // treats two launches as concurrent (§II-D, §V).
 const SimultaneousThreshold = 60 * time.Second
 
-// Intervals extracts the gaps (in seconds) between consecutive attack
-// starts in the given chronologically ordered attack list. It returns nil
-// for fewer than two attacks.
-func Intervals(attacks []*dataset.Attack) []float64 {
-	if len(attacks) < 2 {
-		return nil
-	}
-	out := make([]float64, 0, len(attacks)-1)
-	for i := 1; i < len(attacks); i++ {
-		out = append(out, attacks[i].Start.Sub(attacks[i-1].Start).Seconds())
-	}
-	return out
-}
-
 // AllIntervals returns the gaps between consecutive attacks across all
 // families (the "all attacks" curve of Fig 3).
 func AllIntervals(s *dataset.Store) []float64 {
@@ -50,11 +36,8 @@ func FamilyIntervals(s *dataset.Store, f dataset.Family) []float64 {
 	return rowIntervals(s, s.RowsByFamily(f))
 }
 
-// rowIntervals is Intervals over attack rows: the gaps in seconds
-// between consecutive starts of a chronologically ordered row list,
-// computed from the start column. time.Duration seconds-conversion
-// matches Time.Sub exactly, so the series is bit-identical to the
-// record-based one.
+// rowIntervals returns the gaps in seconds between consecutive starts of
+// a chronologically ordered row list, computed from the start column.
 func rowIntervals(s *dataset.Store, rows []int32) []float64 {
 	if len(rows) < 2 {
 		return nil

@@ -11,18 +11,18 @@ import (
 func TestIntervals(t *testing.T) {
 	attacks := []*dataset.Attack{
 		mkAttack(1, dataset.Dirtjumper, 1, "5.5.5.1", t0, time.Hour),
-		mkAttack(2, dataset.Dirtjumper, 1, "5.5.5.2", t0.Add(30*time.Second), time.Hour),
+		mkAttack(2, dataset.Pandora, 2, "5.5.5.2", t0.Add(30*time.Second), time.Hour),
 		mkAttack(3, dataset.Dirtjumper, 1, "5.5.5.3", t0.Add(10*time.Minute), time.Hour),
 	}
-	gaps := Intervals(attacks)
-	if len(gaps) != 2 {
-		t.Fatalf("gaps = %d, want 2", len(gaps))
+	s := mustStore(t, attacks)
+	if gaps := AllIntervals(s); len(gaps) != 2 || gaps[0] != 30 || gaps[1] != 570 {
+		t.Errorf("AllIntervals = %v, want [30 570]", gaps)
 	}
-	if gaps[0] != 30 || gaps[1] != 570 {
-		t.Errorf("gaps = %v, want [30 570]", gaps)
+	if gaps := FamilyIntervals(s, dataset.Dirtjumper); len(gaps) != 1 || gaps[0] != 600 {
+		t.Errorf("FamilyIntervals(dirtjumper) = %v, want [600]", gaps)
 	}
-	if Intervals(attacks[:1]) != nil {
-		t.Error("single attack produced gaps")
+	if FamilyIntervals(s, dataset.Pandora) != nil || AllIntervals(mustStore(t, attacks[:1])) != nil {
+		t.Error("a single attack produced gaps")
 	}
 }
 

@@ -66,14 +66,19 @@ func TestDispersionScanZeroAlloc(t *testing.T) {
 // values: the dense index is a pure representation change.
 func TestDenseDispersionMatchesMapScan(t *testing.T) {
 	s := dispersionFixture(t)
+	bots := make(map[netip.Addr]dataset.BotView, s.NumBots())
+	for r := int32(0); r < int32(s.NumBots()); r++ {
+		bots[s.Cols().BotRow(r).IP()] = s.Cols().BotRow(r)
+	}
 	for _, f := range s.Families() {
 		got := DispersionSeries(s, f)
 		var want []DispersionPoint
-		for _, a := range s.AttackRecords(s.RowsByFamily(f)) {
+		for _, row := range s.RowsByFamily(f) {
+			a := s.AttackRecordAt(int(row))
 			pts := make([]geo.LatLon, 0, len(a.BotIPs))
 			for _, ip := range a.BotIPs {
-				if b, ok := s.Bot(ip); ok {
-					pts = append(pts, geo.LatLon{Lat: b.Lat, Lon: b.Lon})
+				if b, ok := bots[ip]; ok {
+					pts = append(pts, geo.LatLon{Lat: b.Lat(), Lon: b.Lon()})
 				}
 			}
 			if len(pts) == 0 {

@@ -32,8 +32,6 @@ type DispersionPoint struct {
 // and one scratch buffer serves every attack in the family — the loop
 // allocates nothing beyond the result slice once the scratch has grown to
 // the largest formation.
-//
-//botscope:hotpath
 func DispersionSeries(s *dataset.Store, f dataset.Family) []DispersionPoint {
 	rows := s.RowsByFamily(f)
 	ix := s.BotDense()
@@ -57,8 +55,6 @@ func DispersionSeries(s *dataset.Store, f dataset.Family) []DispersionPoint {
 // dst, in source order — the column-cursor equivalent of the old
 // record-keyed appendBotPoints, so the scan never touches the record
 // face.
-//
-//botscope:hotpath
 func appendRowPoints(dst []geo.CachedPoint, ix *dataset.BotIndex, row int) []geo.CachedPoint {
 	for _, id := range ix.RefsRow(row) {
 		if ix.Resolved(id) {

@@ -44,11 +44,15 @@ func denseFixture(t *testing.T) *Store {
 
 // TestBotIndexMatchesMaps pins the dense index to the maps it replaces:
 // every attack row's RefsRow span aligns with its BotIPs, ids round-trip
-// through ID/IP, and Bot agrees with Store.Bot for resolved and
+// through ID/IP, and Bot agrees with the Botlist rows for resolved and
 // unresolved IPs.
 func TestBotIndexMatchesMaps(t *testing.T) {
 	s := denseFixture(t)
 	ix := s.BotDense()
+	botRows := make(map[netip.Addr]BotView, s.NumBots())
+	for r := int32(0); r < int32(s.NumBots()); r++ {
+		botRows[s.Cols().BotRow(r).IP()] = s.Cols().BotRow(r)
+	}
 
 	distinct := make(map[netip.Addr]bool)
 	for row, a := range s.Attacks() {
@@ -64,10 +68,10 @@ func TestBotIndexMatchesMaps(t *testing.T) {
 			if !ok || got != id {
 				t.Fatalf("ID(%v) = %d,%v, want %d", a.BotIPs[i], got, ok, id)
 			}
-			rec, resolved := s.Bot(a.BotIPs[i])
+			row, resolved := botRows[a.BotIPs[i]]
 			view, ok := ix.Bot(id)
-			if resolved != ok || resolved != ix.Resolved(id) || (resolved && (view.IP() != rec.IP || view.ASN() != rec.ASN)) {
-				t.Fatalf("Bot(%d) disagrees with Store.Bot(%v)", id, a.BotIPs[i])
+			if resolved != ok || resolved != ix.Resolved(id) || (resolved && (view.IP() != row.IP() || view.ASN() != row.ASN())) {
+				t.Fatalf("Bot(%d) disagrees with the Botlist row of %v", id, a.BotIPs[i])
 			}
 			distinct[a.BotIPs[i]] = true
 		}

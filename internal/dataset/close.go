@@ -11,10 +11,11 @@ var ErrStoreClosed = errors.New("dataset: store is closed")
 // idempotent and safe to call on stores that were never mapped (NewStore
 // stores, heap-decoded snapshots), where it only marks the store closed.
 //
-// After Close, no mmap-scoped value derived from the store — column
-// views, cursor slices, anything handed out by a //botscope:mmap
-// producer — may be used: the bytes they alias are gone. Operations that
-// would re-read the columns through the public API report ErrStoreClosed.
+// A mmap-scoped value derived from the store — column views, cursors,
+// row spans, anything handed out by a //botscope:mmap producer — is valid
+// until Close, not for as long as the store is reachable: after it, the
+// bytes such a value aliases are gone. Operations that would re-read the
+// columns through the public API report ErrStoreClosed.
 func (s *Store) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil

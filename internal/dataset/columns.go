@@ -316,7 +316,7 @@ func (s *Store) Cols() *Columns { return s.cols }
 func (s *Store) denseBots() *denseBots { return s.cols.dense.Get(s.buildDense) }
 
 func (s *Store) buildDense() *denseBots {
-	return buildDense(s.cols.refIPs, s.cols.bIP.len(), s.botRowsMap())
+	return buildDense(s.cols.refIPs, s.cols.bIP.len(), s.botRowsByIP())
 }
 
 // columnize flattens validated records into columns: attacks already in
@@ -435,7 +435,7 @@ var (
 // snapshot.go) — the column-native equivalent of Attack.Validate plus the
 // duplicate-id and dense cross-checks — so a hostile snapshot cannot
 // construct a Store that violates the package's invariants, and the
-// record views can later be materialized without any re-validation.
+// attack records can later be built without any re-validation.
 func validateColumns(c *Columns, d *denseBots) error {
 	seenStr := make(map[string]struct{}, len(c.strs))
 	for i, str := range c.strs {
@@ -534,46 +534,15 @@ func (c *Columns) fillAttack(a *Attack, row int, ips []netip.Addr) {
 	}
 }
 
-// materializeRecords builds the record views over already-validated
-// columns: arena-allocated Attack/Bot/Botnet structs whose strings come
-// from the interned table and whose BotIPs alias one shared address
-// arena. It is the build of Store.recs, so it runs at most once per store
-// and only when a caller actually asks for the record face — a
-// column-native analysis pass never gets here.
-func (s *Store) materializeRecords() *recordViews {
+// materializeRecords builds the attack records over already-validated
+// columns: one arena of Attack structs whose strings come from the
+// interned table and whose BotIPs alias one shared address arena. It is
+// the build of Store.recs, so it runs at most once per store and only
+// when a caller asks for Attacks — a column-native analysis pass never
+// gets here.
+func (s *Store) materializeRecords() []*Attack {
 	c := s.cols
 	d := s.denseBots()
-
-	nb := c.bIP.len()
-	botArena := make([]Bot, nb)
-	botList := make([]*Bot, nb)
-	for i := range botArena {
-		b := &botArena[i]
-		b.IP = c.bIP.at(int32(i))
-		b.ASN = int(c.bASN[i])
-		b.CountryCode = c.strs[c.bCC[i]]
-		b.City = c.strs[c.bCity[i]]
-		b.Org = c.strs[c.bOrg[i]]
-		b.Lat = c.bLat[i]
-		b.Lon = c.bLon[i]
-		b.LastActive = nanoTime(c.bLast[i])
-		botList[i] = b
-	}
-
-	nn := len(c.nID)
-	netArena := make([]Botnet, nn)
-	botnets := make(map[BotnetID]*Botnet, nn)
-	for i := range netArena {
-		b := &netArena[i]
-		b.ID = BotnetID(c.nID[i])
-		b.Family = Family(c.strs[c.nFam[i]])
-		b.Hash = c.strs[c.nHash[i]]
-		b.ControllerIP = c.nCtrl[i]
-		b.FirstSeen = nanoTime(c.nFirst[i])
-		b.LastSeen = nanoTime(c.nLast[i])
-		botnets[b.ID] = b
-	}
-
 	n := len(c.aID)
 	refIPs := d.expand(make([]netip.Addr, len(d.refs)), 0, int64(len(d.refs)))
 	arena := make([]Attack, n)
@@ -583,7 +552,6 @@ func (s *Store) materializeRecords() *recordViews {
 		c.fillAttack(&arena[i], i, refIPs[lo:hi:hi])
 		attacks[i] = &arena[i]
 	}
-
 	s.recBuilt.Store(true)
-	return &recordViews{attacks: attacks, botnets: botnets, botList: botList}
+	return attacks
 }

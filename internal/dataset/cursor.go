@@ -4,9 +4,9 @@ package dataset
 // analysis kernels read one attack/bot/botnet row straight out of the
 // columnar arrays without materializing pointer-rich records. A view is
 // two words (columns pointer + row); every accessor is a direct array
-// load, so cursor loops are allocation-free and safe to use inside
-// //botscope:hotpath functions. Views are read-only and remain valid as
-// long as the owning Store/Columns is reachable.
+// load, so cursor loops are allocation-free. Views are read-only and
+// valid until the owning Store is closed: on a mapped store the columns
+// they read are the file's bytes, which Close unmaps.
 
 import (
 	"net/netip"
@@ -48,9 +48,6 @@ func (v AttackView) Family() Family { return Family(v.c.strs[v.c.aFam[v.row]]) }
 
 // Category returns the traffic category.
 func (v AttackView) Category() Category { return Category(v.c.aCat[v.row]) }
-
-// TargetID returns the column target id (index into the target table).
-func (v AttackView) TargetID() int32 { return v.c.aTgt[v.row] }
 
 // TargetIP returns the victim address.
 func (v AttackView) TargetIP() netip.Addr { return v.c.targets[v.c.aTgt[v.row]] }

@@ -231,8 +231,6 @@ func moreOrSlow(b []byte, i int) scanResult {
 // bytes used; or scanMore when b ends before the record does; or scanSlow
 // for the caller to decode the value by the reference instead — which is
 // also how every malformed record gets its error.
-//
-//botscope:hotpath
 func (s *jsonlScanner) scanRecord(b []byte) (a *Attack, used int, res scanResult) {
 	const maxKey = len(`"botnet_ips"`)
 	var (
@@ -514,8 +512,6 @@ func scanAddrString(b []byte, i int) (addr netip.Addr, next int, ok bool) {
 }
 
 // scanAddrs scans an array of address strings into s.ips.
-//
-//botscope:hotpath
 func (s *jsonlScanner) scanAddrs(b []byte, i int) (next int, ok bool) {
 	if i >= len(b) || b[i] != '[' {
 		return i, false

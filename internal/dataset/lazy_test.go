@@ -76,9 +76,10 @@ func TestSnapshotLazyRecords(t *testing.T) {
 	}
 }
 
-// TestAttackRecordAtMatchesRecords pins that the per-row record bridge
-// used by the chain/collaboration detectors builds records identical to
-// the materialized arena — without itself triggering materialization.
+// TestAttackRecordAtMatchesRecords pins that the row builder used by the
+// chain/collaboration detectors builds records identical to the
+// materialized arena — without itself triggering materialization, and
+// without keeping what it built.
 func TestAttackRecordAtMatchesRecords(t *testing.T) {
 	s := snapFixtureStore(t)
 	got, err := DecodeSnapshot(EncodeSnapshot(s))
@@ -108,7 +109,10 @@ func TestAttackRecordAtMatchesRecords(t *testing.T) {
 	if got.RecordsMaterialized() {
 		t.Fatal("AttackRecordAt materialized the record view")
 	}
-	// After materialization the bridge must return the shared records.
+	if got.AttackRecordAt(0) == got.AttackRecordAt(0) {
+		t.Fatal("AttackRecordAt returned one record twice before materialization: it memoized the row")
+	}
+	// After materialization the builder must return the shared records.
 	_ = got.Attacks()
 	for i := range want {
 		if got.AttackRecordAt(i) != got.Attacks()[i] {
@@ -142,8 +146,10 @@ func TestSnapshotConcurrentMaterialize(t *testing.T) {
 					}
 				case 1:
 					for _, f := range got.Families() {
-						if len(got.AttackRecords(got.RowsByFamily(f))) == 0 {
-							errs <- "empty family bucket"
+						for _, row := range got.RowsByFamily(f) {
+							if got.AttackRecordAt(int(row)).Family != f {
+								errs <- "family bucket row built with another family"
+							}
 						}
 					}
 				case 2:
@@ -155,8 +161,8 @@ func TestSnapshotConcurrentMaterialize(t *testing.T) {
 				case 3:
 					ix := got.BotDense()
 					for id := int32(0); id < int32(ix.NumIDs()); id++ {
-						if b, ok := got.Bot(ix.IP(id)); ok != ix.Resolved(id) || (ok && b.IP != ix.IP(id)) {
-							errs <- "dense id disagrees with the Bot record"
+						if b, ok := ix.Bot(id); ok != ix.Resolved(id) || (ok && b.IP() != ix.IP(id)) {
+							errs <- "dense id disagrees with its Botlist row"
 						}
 					}
 				}

@@ -460,8 +460,8 @@ func EncodeSnapshot(s *Store) []byte {
 // not disabled via BOTSCOPE_NO_MMAP), the snapshot bytes are
 // memory-mapped and the columns alias the mapping; otherwise they are
 // read into one buffer — sized from the file when r is one — that the
-// columns alias instead. The record views of the returned store are
-// materialized on demand (see Store.records); a column-native analysis
+// columns alias instead. The attack records of the returned store are
+// materialized on demand (see Store.Attacks); a column-native analysis
 // run never builds them.
 func ReadSnapshot(r io.Reader) (*Store, error) {
 	var rest int64

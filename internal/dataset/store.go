@@ -24,17 +24,16 @@ import (
 // them. Everything else is a derived product held in a memo.Lazy: built
 // once by the first caller that needs it, shared and read-only afterwards
 // (TestLazyBuildsOnce pins the type; sharedslice reports a write through
-// one of the shared slices). The record views are one such product — a
+// one of the shared slices). The attack records are one such product — a
 // snapshot-loaded store materializes them on first use, a NewStore store
 // holds the caller's records, already filled.
 type Store struct {
 	cols   *Columns    // set at construction, never nil; immutable after
 	closed atomic.Bool // set once by Close; the mapping is gone after
 
-	recs     memo.Lazy[*recordViews]
-	recBuilt atomic.Bool // recs holds its value: lets RecordsMaterialized and the row bridges ask without building
+	recs     memo.Lazy[[]*Attack] // attack row -> record
+	recBuilt atomic.Bool          // recs holds its value: lets RecordsMaterialized and AttackRecordAt ask without building
 
-	botRows     memo.Lazy[map[netip.Addr]int32] // ip -> bot row
 	fams        memo.Lazy[familyViews]
 	targets     memo.Lazy[[]netip.Addr]       // Targets()
 	botIdx      memo.Lazy[*BotIndex]          // BotDense()
@@ -43,20 +42,7 @@ type Store struct {
 	botnetCount memo.Lazy[int] // distinct botnet ids across attacks
 	bounds      memo.Lazy[timeBounds]
 
-	// recRows is the per-row record memo used until the record views
-	// exist. Each slot is published with CompareAndSwap(nil, rec) and
-	// re-read with Load so concurrent bridges converge on one canonical
-	// record per row.
-	recRows memo.Lazy[[]memo.Slot[Attack]]
-
 	snapInfo SnapshotInfo // how the snapshot decoder loaded this store; zero for a NewStore store
-}
-
-// recordViews is the record face of the columns, row-aligned with them.
-type recordViews struct {
-	attacks []*Attack // attack row -> record
-	botnets map[BotnetID]*Botnet
-	botList []*Bot // bot row -> record
 }
 
 type familyViews struct {
@@ -71,14 +57,10 @@ type targetRows struct {
 
 type timeBounds struct{ first, last time.Time }
 
-// records returns the record views, materializing them on first use.
-func (s *Store) records() *recordViews { return s.recs.Get(s.materializeRecords) }
-
-// RecordsMaterialized reports whether the record views (Attacks, Bot,
-// Botnet) exist. A store built by NewStore always has them; a
-// snapshot-loaded store only after some caller touched the record face.
-// The column-native analysis kernels keep it false for a full report
-// run.
+// RecordsMaterialized reports whether Attacks' records exist. A store
+// built by NewStore always has them; a snapshot-loaded store only after
+// some caller asked for Attacks. The analysis kernels keep it false for a
+// full report run.
 func (s *Store) RecordsMaterialized() bool { return s.recBuilt.Load() }
 
 // FamilyCount pairs a family with its attack count, ordered by family.
@@ -98,8 +80,8 @@ type sortRec struct {
 
 // NewStore validates and sorts a workload, then columnizes it. Bots and
 // botnets may be nil when only attack-level analyses are needed. The
-// caller's records are kept as the store's record views (Attacks returns
-// these very pointers) and must not be modified afterwards.
+// caller's attack records are kept (Attacks returns these very pointers)
+// and must not be modified afterwards.
 func NewStore(attacks []*Attack, botnets []*Botnet, bots []*Bot) (*Store, error) {
 	recs := make([]sortRec, 0, len(attacks))
 	seen := make(map[DDoSID]struct{}, len(attacks))
@@ -130,12 +112,12 @@ func NewStore(attacks []*Attack, botnets []*Botnet, bots []*Bot) (*Store, error)
 		sorted[i] = recs[i].a
 	}
 
-	byID := make(map[BotnetID]*Botnet, len(botnets))
+	netIDs := make(map[BotnetID]struct{}, len(botnets))
 	for _, b := range botnets {
-		if _, dup := byID[b.ID]; dup {
+		if _, dup := netIDs[b.ID]; dup {
 			return nil, fmt.Errorf("dataset: duplicate botnet_id %d", b.ID)
 		}
-		byID[b.ID] = b
+		netIDs[b.ID] = struct{}{}
 	}
 
 	botList := make([]*Bot, 0, len(bots))
@@ -151,19 +133,17 @@ func NewStore(attacks []*Attack, botnets []*Botnet, bots []*Bot) (*Store, error)
 
 	s := &Store{
 		cols: columnize(sorted, botnets, botList),
-		recs: memo.Filled(&recordViews{attacks: sorted, botnets: byID, botList: botList}),
+		recs: memo.Filled(sorted),
 	}
 	s.recBuilt.Store(true)
 	return s, nil
 }
 
-// botRowsMap returns the ip -> Botlist row map, building it from the bot
-// columns on first use. (NewStore's dedupe map holds the same pairs but
-// is not kept: a store that never resolves a bot by IP — one built only
-// to be served live over, say — would carry it for nothing.)
-func (s *Store) botRowsMap() map[netip.Addr]int32 { return s.botRows.Get(s.buildBotRows) }
-
-func (s *Store) buildBotRows() map[netip.Addr]int32 {
+// botRowsByIP maps each Botlist address to its first row, for deriving
+// the dense layer. (NewStore's dedupe map holds the same pairs but is not
+// kept: a store that never derives its dense layer — one built only to be
+// served live over, say — would carry it for nothing.)
+func (s *Store) botRowsByIP() map[netip.Addr]int32 {
 	bIP := s.cols.bIP
 	m := make(map[netip.Addr]int32, bIP.len())
 	for i := int32(0); i < int32(bIP.len()); i++ {
@@ -178,31 +158,12 @@ func (s *Store) buildBotRows() map[netip.Addr]int32 {
 // NumAttacks returns the number of attack records.
 func (s *Store) NumAttacks() int { return len(s.cols.aID) }
 
-// Attacks returns all attacks ordered by start time. The slice is shared
-// and must not be modified; records themselves are shared too.
+// Attacks returns all attacks ordered by start time, materializing every
+// record on first use. The slice is shared and must not be modified;
+// records themselves are shared too.
 //
 //botscope:shared
-//botscope:materializes
-func (s *Store) Attacks() []*Attack { return s.records().attacks }
-
-// Botnet resolves a botnet record.
-//
-//botscope:materializes
-func (s *Store) Botnet(id BotnetID) (*Botnet, bool) {
-	b, ok := s.records().botnets[id]
-	return b, ok
-}
-
-// Bot resolves a bot record by IP.
-//
-//botscope:materializes
-func (s *Store) Bot(ip netip.Addr) (*Bot, bool) {
-	row, ok := s.botRowsMap()[ip]
-	if !ok {
-		return nil, false
-	}
-	return s.records().botList[row], true
-}
+func (s *Store) Attacks() []*Attack { return s.recs.Get(s.materializeRecords) }
 
 // NumBots returns the number of Botlist records.
 func (s *Store) NumBots() int { return s.cols.bIP.len() }
@@ -422,94 +383,20 @@ func (s *Store) buildBounds() timeBounds {
 	return timeBounds{nanoTime(s.cols.aStart[0]), nanoTime(slices.Max(s.cols.aEnd))}
 }
 
-// recMemo returns the per-row record memo, allocating its slots on first
-// use.
-func (s *Store) recMemo() []memo.Slot[Attack] { return s.recRows.Get(s.newRecMemo) }
-
-func (s *Store) newRecMemo() []memo.Slot[Attack] { return make([]memo.Slot[Attack], len(s.cols.aID)) }
-
-// AttackRecordAt returns the attack record for one column row. When the
-// record face is already materialized it returns the shared record;
-// otherwise it builds the record (including a fresh BotIPs slice
-// expanded from the dense layer) without triggering full
-// materialization — detection kernels use it to realize only the few
-// rows that qualify for an event.
-//
-//botscope:recordbridge
+// AttackRecordAt returns the attack record for one column row: the shared
+// record once Attacks has materialized them, otherwise a fresh one
+// (including its own BotIPs, expanded from the dense layer) that nothing
+// else holds. The §V detectors build only the rows that qualify for an
+// event through it, so a report run never materializes the records.
 func (s *Store) AttackRecordAt(row int) *Attack {
 	if s.recBuilt.Load() {
-		return s.records().attacks[row]
-	}
-	// Per-row memo: detectors that revisit the same rows (the collab
-	// phases run detection twice, Table VI a third time) build each
-	// record at most once. Slots are CAS-published — concurrent builders
-	// of one row produce identical records, and the first one wins.
-	slot := &s.recMemo()[row]
-	if a := slot.Load(); a != nil {
-		return a
+		return s.Attacks()[row]
 	}
 	c := s.cols
 	lo, hi := c.aOff[row], c.aOff[row+1]
 	a := new(Attack)
 	c.fillAttack(a, row, s.denseBots().expand(make([]netip.Addr, hi-lo), lo, hi))
-	if !slot.CompareAndSwap(nil, a) {
-		return slot.Load()
-	}
 	return a
-}
-
-// AttackRecords materializes the records of a batch of attack rows,
-// sharing one record arena and one BotIPs arena across the batch instead
-// of allocating per member. Rows already memoized (or a materialized
-// record view) reuse their records; the rest are built and CAS-published
-// exactly like AttackRecordAt. Detectors that emit record-rich results
-// from a lazy store (collaboration subsets) use this to keep per-member
-// allocation off the detection path.
-//
-//botscope:recordbridge
-func (s *Store) AttackRecords(rows []int32) []*Attack {
-	out := make([]*Attack, len(rows))
-	if s.recBuilt.Load() {
-		attacks := s.records().attacks
-		for i, row := range rows {
-			out[i] = attacks[row]
-		}
-		return out
-	}
-	slots := s.recMemo()
-	c := s.cols
-	need, refs := 0, 0
-	for i, row := range rows {
-		if a := slots[row].Load(); a != nil {
-			out[i] = a
-			continue
-		}
-		need++
-		refs += int(c.aOff[row+1] - c.aOff[row])
-	}
-	if need == 0 {
-		return out
-	}
-	d := s.denseBots()
-	arena := make([]Attack, need)
-	ipsArena := make([]netip.Addr, refs)
-	k, off := 0, 0
-	for i, row := range rows {
-		if out[i] != nil {
-			continue
-		}
-		lo, hi := c.aOff[row], c.aOff[row+1]
-		n := int(hi - lo)
-		a := &arena[k]
-		k++
-		c.fillAttack(a, int(row), d.expand(ipsArena[off:off+n:off+n], lo, hi))
-		off += n
-		if !slots[row].CompareAndSwap(nil, a) {
-			a = slots[row].Load()
-		}
-		out[i] = a
-	}
-	return out
 }
 
 // SummaryCounts mirrors the paper's Table III: distinct entities on the

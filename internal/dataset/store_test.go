@@ -144,17 +144,14 @@ func TestStoreBotAndBotnetLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b, ok := s.Botnet(7); !ok || b.Family != Pandora {
-		t.Errorf("Botnet(7) = %+v, %v", b, ok)
+	if b, ok := s.BotnetByID(7); !ok || b.Family() != Pandora || b.Hash() != "abc123" {
+		t.Errorf("BotnetByID(7) = %v, %v", b.Family(), ok)
 	}
-	if _, ok := s.Botnet(8); ok {
-		t.Error("Botnet(8) resolved, want miss")
+	if _, ok := s.BotnetByID(8); ok {
+		t.Error("BotnetByID(8) resolved, want miss")
 	}
-	if b, ok := s.Bot(netip.MustParseAddr("9.9.9.9")); !ok || b.ASN != 42 {
-		t.Errorf("Bot lookup = %+v, %v", b, ok)
-	}
-	if _, ok := s.Bot(netip.MustParseAddr("1.1.1.1")); ok {
-		t.Error("unknown bot resolved")
+	if b := s.Cols().BotRow(0); b.IP() != netip.MustParseAddr("9.9.9.9") || b.ASN() != 42 || b.City() != "Ashburn" {
+		t.Errorf("Botlist row 0 = %v AS%d %s", b.IP(), b.ASN(), b.City())
 	}
 	if s.NumBots() != 1 || s.NumBotnets() != 1 {
 		t.Errorf("NumBots/NumBotnets = %d/%d, want 1/1", s.NumBots(), s.NumBotnets())

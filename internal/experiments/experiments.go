@@ -69,23 +69,27 @@ func (r *Result) MetricsText() string {
 // Workload bundles the generated dataset with the knobs experiments need.
 //
 // It is the one holder of the derived products that belong to a store but
-// live above dataset — the per-family dispersion series and the
-// collaboration list — for the experiments, the serve tier and the
-// library's Analyzer alike. Both are safe for concurrent use (Run with
-// several workers).
+// live above dataset — the monitoring collector, the per-family
+// dispersion series and the two §V event lists (collaborations, chains) —
+// for the experiments, the serve tier and the library's Analyzer alike.
+// Each is built once, on first use, and safe for concurrent use (Run with
+// several workers); the event lists are shared and must not be modified.
 type Workload struct {
 	Store *dataset.Store
 	// Scale is the generation scale (1.0 = paper size); experiments use it
 	// to scale count expectations.
 	Scale float64
-	// collector is lazily shared across source experiments.
+
 	collector *monitor.Collector
-	// disp memoizes per-family dispersion series (Figs 9-13, Table IV,
-	// Ext: Transfer); it is internally synchronized.
-	disp *core.DispersionIndex
+	disp      *core.DispersionIndex // internally synchronized
 
 	collabs memo.Lazy[[]*core.Collaboration]
+	chains  memo.Lazy[core.ChainStats]
 }
+
+// Collector returns the workload's monitoring collector (Fig 8, the
+// hourly pipeline, botnet activity).
+func (w *Workload) Collector() *monitor.Collector { return w.collector }
 
 // Disp returns the workload's shared dispersion index.
 func (w *Workload) Disp() *core.DispersionIndex { return w.disp }
@@ -94,6 +98,13 @@ func (w *Workload) Disp() *core.DispersionIndex { return w.disp }
 // detecting it on first call and serving the shared slice afterwards.
 func (w *Workload) Collabs() []*core.Collaboration {
 	return w.collabs.Get(func() []*core.Collaboration { return core.DetectCollaborations(w.Store) })
+}
+
+// Chains returns the workload's multistage-attack summary (Figs 17-18),
+// detecting the chains on first call and serving the shared result
+// afterwards.
+func (w *Workload) Chains() core.ChainStats {
+	return w.chains.Get(func() core.ChainStats { return core.AnalyzeChains(w.Store) })
 }
 
 // NewWorkload generates the synthetic workload cfg describes; a Scale

@@ -540,7 +540,7 @@ func (w *Workload) Figure16() (*Result, error) {
 
 // Figure17 regenerates the consecutive-attack gap CDF.
 func (w *Workload) Figure17() (*Result, error) {
-	st := core.AnalyzeChains(w.Store)
+	st := w.Chains()
 	if len(st.Chains) == 0 {
 		return nil, fmt.Errorf("no multistage chains")
 	}
@@ -556,7 +556,7 @@ func (w *Workload) Figure17() (*Result, error) {
 
 // Figure18 regenerates the consecutive-attack timeline.
 func (w *Workload) Figure18() (*Result, error) {
-	st := core.AnalyzeChains(w.Store)
+	st := w.Chains()
 	if len(st.Chains) == 0 {
 		return nil, fmt.Errorf("no multistage chains")
 	}

@@ -37,8 +37,6 @@ func NewCachedPoint(p LatLon) CachedPoint {
 
 // HaversineCached is Haversine over precomputed points; bit-identical to
 // Haversine(a.Deg, b.Deg).
-//
-//botscope:hotpath
 func HaversineCached(a, b CachedPoint) float64 {
 	dLat := b.LatRad - a.LatRad
 	dLon := b.LonRad - a.LonRad
@@ -53,8 +51,6 @@ func HaversineCached(a, b CachedPoint) float64 {
 
 // CenterCached is Center over precomputed points; bit-identical to
 // Center over the same points in degrees.
-//
-//botscope:hotpath
 func CenterCached(pts []CachedPoint) (LatLon, bool) {
 	if len(pts) == 0 {
 		return LatLon{}, false
@@ -80,8 +76,6 @@ func CenterCached(pts []CachedPoint) (LatLon, bool) {
 
 // SignedDistanceCached is SignedDistance from a precomputed center to a
 // precomputed point; bit-identical to SignedDistance(center.Deg, p.Deg).
-//
-//botscope:hotpath
 func SignedDistanceCached(center, p CachedPoint) float64 {
 	d := HaversineCached(center, p)
 	dLon := p.Deg.Lon - center.Deg.Lon
@@ -107,8 +101,6 @@ func SignedDistanceCached(center, p CachedPoint) float64 {
 // DispersionCached is Dispersion over precomputed points; bit-identical to
 // Dispersion over the same points in degrees. The center's trigonometry is
 // computed once instead of once per point.
-//
-//botscope:hotpath
 func DispersionCached(pts []CachedPoint) (float64, bool) {
 	center, ok := CenterCached(pts)
 	if !ok {
@@ -126,8 +118,6 @@ func DispersionCached(pts []CachedPoint) (float64, bool) {
 // bit-identical to WeightedCenter(a.Deg, b.Deg, wa, wb). The generator's
 // cluster-selection loop evaluates every cluster against a fixed anchor,
 // so caching both endpoints' trig halves the loop's math.
-//
-//botscope:hotpath
 func WeightedCenterCached(a, b CachedPoint, wa, wb float64) (LatLon, bool) {
 	total := wa + wb
 	if total <= 0 {
@@ -148,8 +138,6 @@ func WeightedCenterCached(a, b CachedPoint, wa, wb float64) (LatLon, bool) {
 // SignedDistanceTo is SignedDistance from an uncached center (typically a
 // freshly computed centroid) to a precomputed point; bit-identical to
 // SignedDistance(center, p.Deg).
-//
-//botscope:hotpath
 func SignedDistanceTo(center LatLon, p CachedPoint) float64 {
 	lat1, lon1 := degToRad(center.Lat), degToRad(center.Lon)
 	dLat := p.LatRad - lat1

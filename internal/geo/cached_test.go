@@ -107,3 +107,24 @@ func TestPickByWeightMatchesLinearScan(t *testing.T) {
 		check(acc/a.total - 1e-16)
 	}
 }
+
+// TestCachedKernelsZeroAlloc holds every cached kernel to zero
+// allocations (DESIGN §5b): the dispersion scan calls the first four per
+// bot reference, the generator's cluster search the last two per cluster.
+func TestCachedKernelsZeroAlloc(t *testing.T) {
+	pts := cachePoints(randPoints(rand.New(rand.NewSource(5)), 64))
+	var sink float64
+	for name, kernel := range map[string]func(){
+		"HaversineCached":      func() { sink += HaversineCached(pts[0], pts[1]) },
+		"CenterCached":         func() { c, _ := CenterCached(pts); sink += c.Lat },
+		"SignedDistanceCached": func() { sink += SignedDistanceCached(pts[0], pts[1]) },
+		"DispersionCached":     func() { d, _ := DispersionCached(pts); sink += d },
+		"WeightedCenterCached": func() { c, _ := WeightedCenterCached(pts[0], pts[1], 3, 1); sink += c.Lon },
+		"SignedDistanceTo":     func() { sink += SignedDistanceTo(pts[2].Deg, pts[1]) },
+	} {
+		if n := testing.AllocsPerRun(100, kernel); n != 0 {
+			t.Errorf("%s allocates %.1f objects per call, want 0", name, n)
+		}
+	}
+	_ = sink
+}

@@ -1,10 +1,10 @@
 // Package memo holds the two shapes a value computed by whoever needs it
 // first and read without a lock ever after takes. Slot is the lock-free
-// publish cell that may be republished (dataset.Store's per-row records,
-// the stream analyzer's per-generation snapshot, the frontend's merged
-// snapshot); Lazy is the build-once holder of every per-store derived
-// product (dataset's indexes and views, core's per-family dispersion
-// series, the workload's collaboration list).
+// publish cell that may be republished (the stream analyzer's
+// per-generation snapshot, the frontend's merged snapshot); Lazy is the
+// build-once holder of every per-store derived product (dataset's indexes
+// and records, core's per-family dispersion series, the workload's §V
+// event lists).
 package memo
 
 import (

@@ -17,7 +17,6 @@ import (
 	"botscope/internal/core"
 	"botscope/internal/dataset"
 	"botscope/internal/experiments"
-	"botscope/internal/monitor"
 	"botscope/internal/stream"
 	"botscope/internal/timeseries"
 )
@@ -29,12 +28,11 @@ const shutdownGrace = 10 * time.Second
 // Server serves analysis endpoints over one workload plus a live ingest
 // stream.
 type Server struct {
-	store     *dataset.Store
-	collector *monitor.Collector
-	workload  *experiments.Workload
-	live      *stream.Analyzer
-	mux       *http.ServeMux
-	h         http.Handler
+	store    *dataset.Store
+	workload *experiments.Workload
+	live     *stream.Analyzer
+	mux      *http.ServeMux
+	h        http.Handler
 }
 
 // New builds a server for the workload; scale feeds the experiment layer's
@@ -42,11 +40,10 @@ type Server struct {
 // and fills through POST /api/ingest.
 func New(store *dataset.Store, scale float64) *Server {
 	s := &Server{
-		store:     store,
-		collector: monitor.NewCollector(store),
-		workload:  experiments.FromStore(store, scale),
-		live:      stream.New(),
-		mux:       http.NewServeMux(),
+		store:    store,
+		workload: experiments.FromStore(store, scale),
+		live:     stream.New(),
+		mux:      http.NewServeMux(),
 	}
 	s.routes()
 	s.h = jsonErrors(http.HandlerFunc(s.serve))
@@ -293,7 +290,7 @@ func (s *Server) handleCollaborations(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleChains(w http.ResponseWriter, _ *http.Request) {
-	st := core.AnalyzeChains(s.store)
+	st := s.workload.Chains()
 	out := struct {
 		Chains        int     `json:"chains"`
 		FracWithin10s float64 `json:"frac_within_10s"`

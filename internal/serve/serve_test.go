@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"botscope/internal/core"
 	"botscope/internal/dataset"
 	"botscope/internal/synth"
 )
@@ -421,7 +422,24 @@ func TestIngestStatsEndpoint(t *testing.T) {
 // answers 503 with the JSON error shape instead of reading unmapped
 // columns.
 func TestClosedStoreIs503(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "closed.bscs")
+	store := reloadedStore(t)
+	s := New(store, 0.03)
+	get(t, s, "/api/summary", http.StatusOK, nil)
+	store.Close()
+	for _, path := range []string{"/api/summary", "/api/family/dirtjumper/dispersion", "/api/experiments/Table%20III"} {
+		var body struct{ Error string }
+		get(t, s, path, http.StatusServiceUnavailable, &body)
+		if body.Error != dataset.ErrStoreClosed.Error() {
+			t.Errorf("GET %s on a closed store: error %q, want %q", path, body.Error, dataset.ErrStoreClosed)
+		}
+	}
+}
+
+// reloadedStore writes the shared workload to a snapshot file and opens
+// it again: a mapped store, with no attack record built.
+func reloadedStore(t *testing.T) *dataset.Store {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "reloaded.bscs")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -437,14 +455,72 @@ func TestClosedStoreIs503(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return store
+}
+
+// TestServeKeepsRecordsLazy is the run-time form of "the analysis layer
+// never materializes the records": on a snapshot-loaded store, every
+// experiment and one GET of every explore route — the §V event lists
+// included, which build their members' records one row at a time — leave
+// Attacks' records unbuilt.
+func TestServeKeepsRecordsLazy(t *testing.T) {
+	store := reloadedStore(t)
+	defer store.Close()
 	s := New(store, 0.03)
-	get(t, s, "/api/summary", http.StatusOK, nil)
-	store.Close()
-	for _, path := range []string{"/api/summary", "/api/family/dirtjumper/dispersion", "/api/experiments/Table%20III"} {
-		var body struct{ Error string }
-		get(t, s, path, http.StatusServiceUnavailable, &body)
-		if body.Error != dataset.ErrStoreClosed.Error() {
-			t.Errorf("GET %s on a closed store: error %q, want %q", path, body.Error, dataset.ErrStoreClosed)
+	for _, e := range s.workload.All() {
+		e.Run() // a failure at this scale is an answer too; only the records matter here
+	}
+	paths := []string{"/api/summary", "/api/protocols", "/api/daily", "/api/intervals",
+		"/api/durations", "/api/families", "/api/collaborations", "/api/chains", "/api/experiments"}
+	for _, f := range dataset.ActiveFamilies {
+		paths = append(paths, "/api/family/"+string(f)+"/dispersion", "/api/family/"+string(f)+"/predict",
+			"/api/family/"+string(f)+"/targets", "/api/intervals?family="+string(f))
+	}
+	for _, path := range paths {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code >= 500 {
+			t.Fatalf("GET %s = %d: %s", path, rec.Code, rec.Body.String())
 		}
+	}
+	if store.RecordsMaterialized() {
+		t.Fatal("a report pass or an explore route materialized the attack records")
+	}
+}
+
+// TestWorkloadBuildsEventsOnce pins that the chains are a product of the
+// workload: Figure 17 builds them, and Figure 18 and GET /api/chains read
+// that one ChainStats instead of detecting again.
+func TestWorkloadBuildsEventsOnce(t *testing.T) {
+	store, err := synth.GenerateStore(synth.Config{Seed: 6, Scale: 0.03})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(store, 0.03)
+	w := s.workload
+	if _, err := w.Figure17(); err != nil {
+		t.Fatal(err)
+	}
+	st := w.Chains()
+	if len(st.Chains) == 0 {
+		t.Fatal("no multistage chains; the checks below are vacuous")
+	}
+	if n := testing.AllocsPerRun(10, func() { w.Chains() }); n != 0 {
+		t.Errorf("Chains after Figure 17 allocated %v objects, want 0: Figure 17 did not build the workload's chains", n)
+	}
+	detect := testing.AllocsPerRun(1, func() { core.AnalyzeChains(store) })
+	for _, read := range []struct {
+		name string
+		run  func()
+	}{
+		{"Figure 18", func() { w.Figure18() }},
+		{"GET /api/chains", func() { get(t, s, "/api/chains", http.StatusOK, nil) }},
+	} {
+		if n := testing.AllocsPerRun(1, read.run); n*2 > detect {
+			t.Errorf("%s allocated %v objects, a chain detection %v: it detected again", read.name, n, detect)
+		}
+	}
+	if again := w.Chains(); &again.Chains[0] != &st.Chains[0] || again.Longest != st.Longest {
+		t.Error("the workload's ChainStats changed after Figure 18 and GET /api/chains")
 	}
 }

@@ -91,8 +91,6 @@ func (s *QuantileSketch) Bins() int { return s.live }
 
 // Add folds x into the sketch. Negative values are clamped to zero (the
 // analyzer only feeds non-negative gap/duration seconds).
-//
-//botscope:hotpath
 func (s *QuantileSketch) Add(x float64) {
 	if math.IsNaN(x) {
 		return

@@ -81,7 +81,14 @@ func TestMiraiLikeScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mirai := store.AttackRecords(store.RowsByFamily("mirailike"))
+	rows := func(f dataset.Family) []dataset.AttackView {
+		var out []dataset.AttackView
+		for _, row := range store.RowsByFamily(f) {
+			out = append(out, store.AttackAt(int(row)))
+		}
+		return out
+	}
+	mirai := rows("mirailike")
 	if len(mirai) != 300 {
 		t.Fatalf("mirailike attacks = %d, want 300", len(mirai))
 	}
@@ -92,7 +99,7 @@ func TestMiraiLikeScenario(t *testing.T) {
 		miraiMag += float64(a.Magnitude())
 	}
 	miraiMag /= float64(len(mirai))
-	dj := store.AttackRecords(store.RowsByFamily(dataset.Dirtjumper))
+	dj := rows(dataset.Dirtjumper)
 	for _, a := range dj {
 		djMag += float64(a.Magnitude())
 	}
@@ -103,7 +110,7 @@ func TestMiraiLikeScenario(t *testing.T) {
 	// Volumetric transports dominate.
 	udpSyn := 0
 	for _, a := range mirai {
-		if a.Category == dataset.CategoryUDP || a.Category == dataset.CategorySYN {
+		if a.Category() == dataset.CategoryUDP || a.Category() == dataset.CategorySYN {
 			udpSyn++
 		}
 	}
@@ -113,7 +120,7 @@ func TestMiraiLikeScenario(t *testing.T) {
 	// US is the top victim country.
 	counts := make(map[string]int)
 	for _, a := range mirai {
-		counts[a.TargetCountry]++
+		counts[a.TargetCountry()]++
 	}
 	for cc, n := range counts {
 		if cc != "US" && n > counts["US"] {

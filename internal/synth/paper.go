@@ -22,7 +22,7 @@
 // nodeterm analyzer's scope (see DESIGN.md §7), so the only legal
 // randomness here is the per-family seeded *rand.Rand streams the
 // simulator threads through internal/botnet, whose sampling inner loops
-// carry the //botscope:hotpath allocation contract.
+// allocate nothing (DESIGN.md §5b).
 package synth
 
 import (

@@ -156,8 +156,6 @@ func fitDiffed(xs, w []float64, order Order, warm []float64, sc *fitScratch) (*M
 // recursion state into resid (len(w) scratch owned by the caller) so the
 // evaluation itself allocates nothing. Exploding recursions
 // (non-stationary/non-invertible parameters) return +Inf.
-//
-//botscope:hotpath
 func cssObjective(w []float64, p, q int, params, resid []float64) float64 {
 	mu := params[0]
 	phi := params[1 : 1+p]
@@ -196,8 +194,6 @@ func (m *Model) residuals(w []float64) []float64 {
 }
 
 // residualsInto is residuals writing into caller-owned scratch.
-//
-//botscope:hotpath
 func (m *Model) residualsInto(w, resid []float64) []float64 {
 	p, q := m.Order.P, m.Order.Q
 	resid = resid[:len(w)]

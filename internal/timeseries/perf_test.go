@@ -19,6 +19,13 @@ func TestCSSObjectiveZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("cssObjective allocates %.1f objects per evaluation, want 0", allocs)
 	}
+	m, err := Fit(xs, Order{P: 1, Q: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { m.residualsInto(xs, resid) }); n != 0 {
+		t.Errorf("residualsInto allocates %.1f objects per pass, want 0", n)
+	}
 }
 
 // TestAutoFitMatchesFitSelection guards the shared-scratch/warm-start grid:
