@@ -93,19 +93,22 @@ botvet-timed: bin/botvet
 race:
 	$(GO) test -race ./...
 
-# verify-race is the dynamic complement of the static gate: the worker
-# parity, determinism, and concurrent-access tests — what holds the
-# par.Map/ChunkMap kernels to "any worker count, same answer", and what
-# the sharedslice analyzer reasons about statically — run under the race
-# detector with the full machine's parallelism; TestLazy is the
-# build-once holder of every derived product, TestSnapshot also selects
-# the analyzer's generation-published snapshot tests (one writer against
-# eight polling readers), and Concurrent the cluster's
-# readers-during-shard-churn test. -count=2 shakes out once-per-process
-# caching effects (memo.Lazy products, memoized views).
+# verify-race is the dynamic complement of the static gate: the
+# GOMAXPROCS parity, determinism, and concurrent-access tests — what holds
+# the par.Map/ChunkMap kernels to "any GOMAXPROCS, same answer" (each
+# parity test sets the counts it compares and restores the old one), and
+# what the sharedslice analyzer reasons about statically — run under the
+# race detector. TestLazy is the build-once holder of every derived
+# product; Concurrent selects TestWorkloadConcurrentAll (four callers
+# sharing one Workload, as botserve does) and the cluster's
+# readers-during-shard-churn test; TestSnapshot also selects the
+# analyzer's generation-published snapshot tests (one writer against
+# eight polling readers); TestFanOut is the shard fan-out on one core.
+# -count=2 shakes out once-per-process caching effects (memo.Lazy
+# products, memoized views).
 verify-race:
 	$(GO) test -race -count=2 \
-		-run 'TestMap|TestChunk|TestWorkers|Parallel|Concurrent|Deterministic|TestParity|TestStoreAccessors|TestStoreSummaryWorkers|TestBotDense|TestDispersionIndex|TestIngest|TestSnapshot|TestAnalyzerIngested|TestLazy' \
+		-run 'TestMap|TestChunk|Parallel|Concurrent|Deterministic|TestParity|TestStoreAccessors|TestStoreSummaryWorkers|TestBotDense|TestDispersionIndex|TestIngest|TestSnapshot|TestAnalyzerIngested|TestLazy|TestFanOut' \
 		./internal/par/ ./internal/memo/ ./internal/dataset/ ./internal/core/ ./internal/stream/ ./internal/synth/ ./internal/experiments/ ./internal/cluster/
 
 # benchmark runs the repo's benchmark as the pipeline does (BENCHMARK.json:

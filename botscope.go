@@ -308,7 +308,7 @@ func (a *Analyzer) PredictDispersion(f Family, cfg PredictConfig) (*PredictionRe
 // PredictAllFamilies runs the forecasting experiment for every family with
 // enough data (Table IV).
 func (a *Analyzer) PredictAllFamilies(cfg PredictConfig) []*PredictionResult {
-	return a.w.Disp().PredictAll(cfg, 0)
+	return a.w.Disp().PredictAll(cfg)
 }
 
 // PredictNextAttacks forecasts the next-attack start gap per repeat target.

@@ -40,14 +40,13 @@ func run(args []string, stdout io.Writer) error {
 		format   = fs.String("format", "csv", "output format: csv or jsonl")
 		out      = fs.String("out", "", "output file (default stdout)")
 		summary  = fs.Bool("summary", false, "print Table III-style workload summary to stderr")
-		workers  = fs.Int("workers", 0, "generation worker count (0 = all cores; output is identical either way)")
 		snapshot = fs.String("snapshot", "", "also write a binary columnar snapshot (.bscs) to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	store, err := botscope.Generate(botscope.GenerateConfig{Seed: *seed, Scale: *scale, Workers: *workers})
+	store, err := botscope.Generate(botscope.GenerateConfig{Seed: *seed, Scale: *scale})
 	if err != nil {
 		return err
 	}

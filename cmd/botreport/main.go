@@ -39,8 +39,6 @@ func run(args []string, stdout io.Writer) error {
 		snapshot = fs.String("snapshot", "", "analyze this binary columnar snapshot (.bscs) instead of generating")
 		only     = fs.String("only", "", "run only the experiment with this ID (e.g. 'Figure 3')")
 		markdown = fs.Bool("markdown", false, "emit a markdown metric comparison instead of full text")
-		parallel = fs.Int("parallel", 0, "run experiments concurrently with this many workers (0 = sequential)")
-		workers  = fs.Int("workers", 0, "generation worker count (0 = all cores; output is identical either way)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -85,7 +83,7 @@ func run(args []string, stdout io.Writer) error {
 		w = experiments.FromStore(store, *scale)
 	} else {
 		fmt.Fprintf(os.Stderr, "generating workload (seed %d, scale %.3f)...\n", *seed, *scale)
-		w, err = experiments.NewWorkload(botscope.GenerateConfig{Seed: *seed, Scale: *scale, Workers: *workers})
+		w, err = experiments.NewWorkload(botscope.GenerateConfig{Seed: *seed, Scale: *scale})
 		if err != nil {
 			return err
 		}
@@ -105,9 +103,8 @@ func run(args []string, stdout io.Writer) error {
 		exps = match
 	}
 	// Every mode prints what succeeded, names what failed, and returns the
-	// runner's error so a partial report exits non-zero. -parallel 0 is the
-	// sequential case, not the runner's "all cores".
-	outs, err := experiments.Run(context.Background(), exps, max(*parallel, 1))
+	// runner's error so a partial report exits non-zero.
+	outs, err := experiments.Run(context.Background(), exps)
 	if *markdown {
 		writeMarkdown(stdout, outs)
 		return err

@@ -60,7 +60,6 @@ func TestRunReportsFailedExperiments(t *testing.T) {
 		ok      string
 	}{
 		{"sequential", nil, "== %s: FAILED: ", "== Table II — "},
-		{"parallel", []string{"-parallel", "2"}, "== %s: FAILED: ", "== Table II — "},
 		{"markdown", []string{"-markdown"}, "| %s | (failed: ", "| Table II | "},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

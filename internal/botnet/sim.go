@@ -49,12 +49,6 @@ type Config struct {
 	Seed         int64
 	Window       Window
 	InterCollabs []InterCollab
-	// Workers bounds how many families generate concurrently (0 = all
-	// cores, 1 = sequential). The output is identical for every value:
-	// each family's RNG stream is derived solely from Seed and the family
-	// name, its ID ranges are computed up front, and results merge in
-	// profile order.
-	Workers int
 }
 
 // Output is a complete generated workload in the three Table I schemas.
@@ -130,13 +124,13 @@ type famOutput struct {
 }
 
 // Run executes the simulation and returns the full workload. Families are
-// generated concurrently (see Config.Workers): each family's RNG stream
+// generated concurrently on the par pool: each family's RNG stream
 // depends only on the seed and the family name, each family draws bots
 // from its own IP-dedup set, and each family's ID ranges are precomputed
 // — gen.run emits exactly p.TotalAttacks() attacks and p.Botnets botnets,
 // so the ranges a sequential pass would assign are known up front. Results
 // merge in profile order, making the output byte-identical for every
-// worker count.
+// GOMAXPROCS.
 //
 // Bot IPs are deduplicated within a family, not across families; the rare
 // cross-family duplicate collapses to the first family's record at merge
@@ -152,7 +146,7 @@ func (s *Simulator) Run() (*Output, error) {
 		nextD += dataset.DDoSID(p.TotalAttacks())
 	}
 
-	results := par.Map(s.cfg.Workers, len(s.profiles), func(i int) famOutput {
+	results := par.Map(len(s.profiles), func(i int) famOutput {
 		p := s.profiles[i]
 		rng := rand.New(rand.NewSource(s.cfg.Seed ^ familyHash(p.Family)))
 		g := &familyGen{

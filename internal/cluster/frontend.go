@@ -13,7 +13,6 @@ import (
 	"botscope/internal/binenc"
 	"botscope/internal/dataset"
 	"botscope/internal/memo"
-	"botscope/internal/par"
 	"botscope/internal/stream"
 )
 
@@ -216,7 +215,7 @@ func (f *Frontend) LiveSnapshot(ctx context.Context) (stream.Snapshot, []int, er
 	if len(ids) == 0 {
 		return stream.Snapshot{}, nil, ErrNoShards
 	}
-	snaps := par.Map(0, len(ids), func(i int) *ShardSnapshot {
+	snaps := eachShard(len(ids), func(i int) *ShardSnapshot {
 		c := clients[i]
 		if c == nil {
 			return nil
@@ -348,7 +347,7 @@ func (f *Frontend) flushChunk(ctx context.Context, chunk []*dataset.Attack) erro
 	}
 	clear(entries) // keep the array, not the chunk's records
 
-	errs := par.Map(0, len(ids), func(i int) error {
+	errs := eachShard(len(ids), func(i int) error {
 		c := clients[i]
 		if c == nil {
 			return ErrShardDown
@@ -375,6 +374,25 @@ func (f *Frontend) flushChunk(ctx context.Context, chunk []*dataset.Attack) erro
 	}
 	f.gen.Add(1)
 	return nil
+}
+
+// eachShard runs f(i) for every member index i in [0, n), each on its
+// own goroutine, and returns the results in index order. A shard call
+// waits on its peer, not on a core, so the fan-out is as wide as the
+// membership: shards that stall cost one timeout together, whatever
+// GOMAXPROCS is.
+func eachShard[T any](n int, f func(i int) T) []T {
+	out := make([]T, n)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i] = f(i)
+		}()
+	}
+	wg.Wait()
+	return out
 }
 
 // ShardStatus describes one shard the frontend knows about.

@@ -52,22 +52,18 @@ func DetectCollaborations(s *dataset.Store) []*Collaboration {
 // thresholds, used by the window-sensitivity ablation. Attacks on one
 // target are grouped by start windows of startWindow; a group qualifies
 // when it has >= 2 distinct botnets and its duration spread fits
-// durationWindow. Detection is sharded by target across all cores.
-func DetectCollaborationsWindow(s *dataset.Store, startWindow, durationWindow time.Duration) []*Collaboration {
-	return detectCollaborations(s, startWindow, durationWindow, 0)
-}
-
-// detectCollaborations is the detector with its worker count exposed
-// (0 = all cores, 1 = sequential) for the parity tests. Targets are
+// durationWindow.
+//
+// Detection is sharded by target over the par pool. Targets are
 // independent — an attack group never spans two target IPs — so each
 // worker detects over a disjoint target shard. Shards are merged in
 // sorted-target order and the merged list is sorted by the total
-// (Start, Target) order, making the output identical for every worker
-// count.
-func detectCollaborations(s *dataset.Store, startWindow, durationWindow time.Duration, workers int) []*Collaboration {
+// (Start, Target) order, making the output identical for every
+// GOMAXPROCS.
+func DetectCollaborationsWindow(s *dataset.Store, startWindow, durationWindow time.Duration) []*Collaboration {
 	tids := s.TargetIDs()
 	starts, durs := attackTimes(s)
-	shards := par.ChunkMap(workers, len(tids), func(lo, hi int) []*Collaboration {
+	shards := par.ChunkMap(len(tids), func(lo, hi int) []*Collaboration {
 		d := &collabDetector{s: s, starts: starts, startWindow: startWindow, q: qualifier{
 			durs:   durs,
 			window: int64(durationWindow),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -197,28 +198,31 @@ func TestCollabOnSynthWorkload(t *testing.T) {
 
 // TestDetectCollaborationsParallelMatchesSequential pins the sharding
 // invariant: detection over disjoint target shards merged in canonical
-// order must equal the sequential scan exactly, for any worker count.
+// order must equal the sequential scan exactly, for any GOMAXPROCS.
 func TestDetectCollaborationsParallelMatchesSequential(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	s := synthWorkload(t)
-	seq := detectCollaborations(s, SimultaneousThreshold, CollabDurationWindow, 1)
+	seq := DetectCollaborations(s)
 	if len(seq) == 0 {
 		t.Fatal("sequential detection found no collaborations; comparison is vacuous")
 	}
-	for _, workers := range []int{0, 2, 3, 16} {
-		par := detectCollaborations(s, SimultaneousThreshold, CollabDurationWindow, workers)
+	for _, procs := range []int{2, 3, 7, 16} {
+		runtime.GOMAXPROCS(procs)
+		par := DetectCollaborations(s)
 		if len(par) != len(seq) {
-			t.Fatalf("workers=%d: %d collaborations, sequential found %d", workers, len(par), len(seq))
+			t.Fatalf("GOMAXPROCS=%d: %d collaborations, sequential found %d", procs, len(par), len(seq))
 		}
 		for i := range seq {
 			a, b := seq[i], par[i]
 			if a.Target != b.Target || !a.Start.Equal(b.Start) || len(a.Attacks) != len(b.Attacks) {
-				t.Fatalf("workers=%d: collaboration %d differs: %s@%v (%d attacks) vs %s@%v (%d attacks)",
-					workers, i, b.Target, b.Start, len(b.Attacks), a.Target, a.Start, len(a.Attacks))
+				t.Fatalf("GOMAXPROCS=%d: collaboration %d differs: %s@%v (%d attacks) vs %s@%v (%d attacks)",
+					procs, i, b.Target, b.Start, len(b.Attacks), a.Target, a.Start, len(a.Attacks))
 			}
 			for j := range a.Attacks {
 				if a.Attacks[j].ID != b.Attacks[j].ID {
-					t.Fatalf("workers=%d: collaboration %d attack %d: ID %d vs %d",
-						workers, i, j, b.Attacks[j].ID, a.Attacks[j].ID)
+					t.Fatalf("GOMAXPROCS=%d: collaboration %d attack %d: ID %d vs %d",
+						procs, i, j, b.Attacks[j].ID, a.Attacks[j].ID)
 				}
 			}
 		}

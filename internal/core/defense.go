@@ -96,8 +96,8 @@ type rankRec struct {
 // a per-bot family bitset. The ranking order is occurrences, then
 // families, both descending, then netip.Addr.Compare ascending — total,
 // since dense ids are distinct addresses — and the address leg is compared
-// the way Compare does (bit length, then the 128-bit value), falling back
-// to Compare itself only for addresses that differ in zone alone.
+// the way Compare does for zone-free addresses (bit length, then the
+// 128-bit value).
 func BuildBlacklist(s *dataset.Store, from, to time.Time, maxSize int) (*Blacklist, error) {
 	n := s.AttackRows()
 	if n == 0 {
@@ -158,10 +158,8 @@ func BuildBlacklist(s *dataset.Store, from, to time.Time, maxSize int) (*Blackli
 			return cmp.Compare(b.key, a.key)
 		case a.hi != b.hi:
 			return cmp.Compare(a.hi, b.hi)
-		case a.lo != b.lo:
-			return cmp.Compare(a.lo, b.lo)
 		}
-		return ix.IP(a.id).Compare(ix.IP(b.id))
+		return cmp.Compare(a.lo, b.lo)
 	})
 	rank := make([]int32, len(counts))
 	for id := range rank {

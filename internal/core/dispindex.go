@@ -54,12 +54,20 @@ func (ix *DispersionIndex) Series(f dataset.Family) []DispersionPoint {
 	return e.Get(func() []DispersionPoint { return DispersionSeries(ix.store, f) })
 }
 
-// Precompute fills the index for every family in the store, sharded by
-// family across workers (0 = all cores). Calling it is optional — it only
-// moves the work earlier and spreads it over cores.
+// Precompute fills the index for every family in the store. Calling it
+// is optional — it only moves the work earlier. workers == 1 computes the
+// families in order on the calling goroutine, which is how
+// benchmark/layers.go times the kernel; any other value shards them over
+// the par pool.
 func (ix *DispersionIndex) Precompute(workers int) {
 	fams := ix.store.Families()
-	par.Map(workers, len(fams), func(i int) struct{} {
+	if workers == 1 {
+		for _, f := range fams {
+			ix.Series(f)
+		}
+		return
+	}
+	par.Map(len(fams), func(i int) struct{} {
 		ix.Series(fams[i])
 		return struct{}{}
 	})
@@ -99,12 +107,12 @@ func (ix *DispersionIndex) Predict(f dataset.Family, cfg PredictConfig) (*Predic
 
 // PredictAll runs Predict for every family with enough data, in count
 // order (Table IV covers five families; Darkshell drops out for
-// insufficient data), with the per-family fits sharded across workers
-// (0 = all cores). Families that fail to fit are skipped; results keep
-// the ActiveFamilies order, so the output matches the sequential loop.
-func (ix *DispersionIndex) PredictAll(cfg PredictConfig, workers int) []*PredictionResult {
+// insufficient data), with the per-family fits sharded over the par pool.
+// Families that fail to fit are skipped; results keep the ActiveFamilies
+// order, so the output matches the sequential loop.
+func (ix *DispersionIndex) PredictAll(cfg PredictConfig) []*PredictionResult {
 	fams := ix.ActiveFamilies(1)
-	results := par.Map(workers, len(fams), func(i int) *PredictionResult {
+	results := par.Map(len(fams), func(i int) *PredictionResult {
 		res, err := ix.Predict(fams[i], cfg)
 		if err != nil {
 			return nil
@@ -132,24 +140,18 @@ func (ix *DispersionIndex) Transfer(source, target dataset.Family, order timeser
 // TransferMatrix evaluates every ordered pair of the given families and
 // returns the successful results in pair order; pairs whose series are
 // too short or whose fits fail are skipped. The ordered pairs are sharded
-// across all cores.
-func (ix *DispersionIndex) TransferMatrix(families []dataset.Family, order timeseries.Order, minSeries int) []*TransferResult {
-	return ix.transferMatrix(families, order, minSeries, 0)
-}
-
-// transferMatrix is TransferMatrix with its worker count exposed for the
-// parity tests.
+// over the par pool.
 //
 // An n-family matrix has n(n-1) ordered pairs but only 2n distinct ARIMA
 // fits — the source-role model depends only on the source series and the
 // native-role score only on the target series — so both are computed once
 // per family (in parallel) and shared across every pair. Pair scoring
 // reuses them and only runs the cheap transfer forecast.
-func (ix *DispersionIndex) transferMatrix(families []dataset.Family, order timeseries.Order, minSeries int, workers int) []*TransferResult {
+func (ix *DispersionIndex) TransferMatrix(families []dataset.Family, order timeseries.Order, minSeries int) []*TransferResult {
 	if minSeries <= 0 {
 		minSeries = 60
 	}
-	vals := par.Map(workers, len(families), func(i int) []float64 {
+	vals := par.Map(len(families), func(i int) []float64 {
 		return DispersionValues(ix.Series(families[i]))
 	})
 	type famFit struct {
@@ -159,7 +161,7 @@ func (ix *DispersionIndex) transferMatrix(families []dataset.Family, order times
 		nativeSim float64
 		nativeErr error
 	}
-	fits := par.Map(workers, len(families), func(i int) *famFit {
+	fits := par.Map(len(families), func(i int) *famFit {
 		v := vals[i]
 		if len(v) < minSeries {
 			err := fmt.Errorf("core: %s has %d dispersion points, need %d", families[i], len(v), minSeries)
@@ -179,7 +181,7 @@ func (ix *DispersionIndex) transferMatrix(families []dataset.Family, order times
 			}
 		}
 	}
-	results := par.Map(workers, len(pairs), func(i int) *TransferResult {
+	results := par.Map(len(pairs), func(i int) *TransferResult {
 		src, tgt := fits[pairs[i].src], fits[pairs[i].tgt]
 		if src.srcErr != nil || tgt.nativeErr != nil {
 			return nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -33,10 +34,13 @@ func TestDispersionIndexMatchesDirect(t *testing.T) {
 }
 
 // TestDispersionIndexDerived checks the two sharded accessors against
-// the sequential loops they replace: PredictAll against Predict per
-// active family, and transferMatrix — which fits each family once and
-// shares the fits across pairs — against Transfer per ordered pair.
+// the sequential loops they replace, at several GOMAXPROCS: PredictAll
+// against Predict per active family, and TransferMatrix — which fits each
+// family once and shares the fits across pairs — against Transfer per
+// ordered pair.
 func TestDispersionIndexDerived(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	ix := NewDispersionIndex(synthWorkload(t))
 	fams := ix.ActiveFamilies(10)
 	if len(fams) < 2 {
@@ -50,14 +54,18 @@ func TestDispersionIndexDerived(t *testing.T) {
 			wantAll = append(wantAll, res)
 		}
 	}
-	gotAll := ix.PredictAll(cfg, 4)
-	if len(wantAll) != len(gotAll) {
-		t.Fatalf("PredictAll: %d results vs %d", len(gotAll), len(wantAll))
-	}
-	for i := range wantAll {
-		if wantAll[i].Family != gotAll[i].Family || wantAll[i].Similarity != gotAll[i].Similarity {
-			t.Errorf("PredictAll[%d]: %s/%v vs %s/%v", i,
-				gotAll[i].Family, gotAll[i].Similarity, wantAll[i].Family, wantAll[i].Similarity)
+	procs := []int{1, 3, 7}
+	for _, p := range procs {
+		runtime.GOMAXPROCS(p)
+		gotAll := ix.PredictAll(cfg)
+		if len(wantAll) != len(gotAll) {
+			t.Fatalf("GOMAXPROCS=%d: PredictAll: %d results vs %d", p, len(gotAll), len(wantAll))
+		}
+		for i := range wantAll {
+			if wantAll[i].Family != gotAll[i].Family || wantAll[i].Similarity != gotAll[i].Similarity {
+				t.Errorf("GOMAXPROCS=%d: PredictAll[%d]: %s/%v vs %s/%v", p, i,
+					gotAll[i].Family, gotAll[i].Similarity, wantAll[i].Family, wantAll[i].Similarity)
+			}
 		}
 	}
 
@@ -73,13 +81,16 @@ func TestDispersionIndexDerived(t *testing.T) {
 			}
 		}
 	}
-	gotTM := ix.transferMatrix(fams[:2], order, 10, 4)
-	if len(wantTM) != len(gotTM) {
-		t.Fatalf("TransferMatrix: %d results vs %d", len(gotTM), len(wantTM))
-	}
-	for i := range wantTM {
-		if *wantTM[i] != *gotTM[i] {
-			t.Errorf("TransferMatrix[%d]: %+v vs %+v", i, gotTM[i], wantTM[i])
+	for _, p := range procs {
+		runtime.GOMAXPROCS(p)
+		gotTM := ix.TransferMatrix(fams[:2], order, 10)
+		if len(wantTM) != len(gotTM) {
+			t.Fatalf("GOMAXPROCS=%d: TransferMatrix: %d results vs %d", p, len(gotTM), len(wantTM))
+		}
+		for i := range wantTM {
+			if *wantTM[i] != *gotTM[i] {
+				t.Errorf("GOMAXPROCS=%d: TransferMatrix[%d]: %+v vs %+v", p, i, gotTM[i], wantTM[i])
+			}
 		}
 	}
 }
@@ -97,7 +108,7 @@ func TestDispersionIndexConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			if g == 0 {
-				ix.Precompute(4)
+				ix.Precompute(0)
 				return
 			}
 			for r := 0; r < 3; r++ {

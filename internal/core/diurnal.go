@@ -21,7 +21,7 @@ import (
 func HourOfDayCounts(s *dataset.Store) [24]int {
 	n := s.AttackRows()
 	var out [24]int
-	for _, shard := range par.ChunkMap(0, n, func(lo, hi int) [24]int {
+	for _, shard := range par.ChunkMap(n, func(lo, hi int) [24]int {
 		var c [24]int
 		for i := lo; i < hi; i++ {
 			c[s.AttackAt(i).Start().Hour()]++
@@ -40,7 +40,7 @@ func HourOfDayCounts(s *dataset.Store) [24]int {
 func DayOfWeekCounts(s *dataset.Store) [7]int {
 	n := s.AttackRows()
 	var out [7]int
-	for _, shard := range par.ChunkMap(0, n, func(lo, hi int) [7]int {
+	for _, shard := range par.ChunkMap(n, func(lo, hi int) [7]int {
 		var c [7]int
 		for i := lo; i < hi; i++ {
 			c[int(s.AttackAt(i).Start().Weekday())]++

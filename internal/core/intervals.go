@@ -150,7 +150,7 @@ func TargetIntervals(s *dataset.Store, minAttacks int) map[string][]float64 {
 		minAttacks = 2
 	}
 	tids := s.TargetIDs()
-	shards := par.ChunkMap(0, len(tids), func(lo, hi int) map[string][]float64 {
+	shards := par.ChunkMap(len(tids), func(lo, hi int) map[string][]float64 {
 		m := make(map[string][]float64)
 		for _, tid := range tids[lo:hi] {
 			rows := s.TargetRows(tid)

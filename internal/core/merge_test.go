@@ -185,7 +185,7 @@ func TestQualifierFacesAgree(t *testing.T) {
 	}
 
 	byTarget := make(map[string]*Collaboration)
-	for _, c := range detectCollaborations(mustStore(t, all), SimultaneousThreshold, CollabDurationWindow, 1) {
+	for _, c := range DetectCollaborations(mustStore(t, all)) {
 		byTarget[c.Target] = c
 	}
 	qualified := 0

@@ -61,11 +61,10 @@ func (in *interner) id(s string) int32 {
 // Against []netip.Addr it is 17 bytes a row instead of 24, holds nothing
 // for the collector to scan, and is what a snapshot stores, so the two
 // large address columns (Botlist IPs, dense source IPs) alias the file.
-// Zones are a NewStore-only side table: no snapshot has ever carried one.
+// There is no zone: Attack.Validate rejects a zoned address.
 type addrCol struct {
-	b     []byte
-	tag   []uint8
-	zones map[int32]string // row -> zone, nil when no row has one
+	b   []byte
+	tag []uint8
 }
 
 func newAddrCol(capacity int) addrCol {
@@ -83,11 +82,6 @@ func (a addrCol) at(i int32) netip.Addr {
 	case 16:
 		ip = netip.AddrFrom16([16]byte(b))
 	}
-	if a.zones != nil {
-		if z, ok := a.zones[i]; ok {
-			ip = ip.WithZone(z)
-		}
-	}
 	return ip
 }
 
@@ -98,7 +92,6 @@ func (a addrCol) same(i int32, o addrCol, j int32) bool {
 
 // append adds one row.
 func (a *addrCol) append(ip netip.Addr) {
-	i := int32(len(a.tag))
 	b := ip.As16()
 	switch {
 	case !ip.IsValid():
@@ -107,12 +100,6 @@ func (a *addrCol) append(ip netip.Addr) {
 		a.tag = append(a.tag, 4)
 	default:
 		a.tag = append(a.tag, 16)
-		if z := ip.Zone(); z != "" {
-			if a.zones == nil {
-				a.zones = make(map[int32]string)
-			}
-			a.zones[i] = z
-		}
 	}
 	a.b = append(a.b, b[:]...)
 }

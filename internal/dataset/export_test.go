@@ -32,7 +32,7 @@ func diffFields(owner string, a, b reflect.Value) string {
 		}
 		fa, fb := readable(a.Field(i)), readable(b.Field(i))
 		if ca, ok := fa.Interface().(addrCol); ok {
-			if cb := fb.Interface().(addrCol); !bytes.Equal(ca.b, cb.b) || !bytes.Equal(ca.tag, cb.tag) || len(ca.zones) != len(cb.zones) {
+			if cb := fb.Interface().(addrCol); !bytes.Equal(ca.b, cb.b) || !bytes.Equal(ca.tag, cb.tag) {
 				return name + " differs"
 			}
 			continue

@@ -297,43 +297,29 @@ func (s *Store) buildTargetRows() targetRows {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	zoned := false
-	for _, a := range c.targets {
-		if a.Zone() != "" {
-			zoned = true
-			break
-		}
+	// Addresses order exactly like netip.Addr.Compare (no zones: Validate
+	// rejects them): bit length first, then the 128-bit value — which As16
+	// exposes big-endian. The integer keys make the comparator a few
+	// register compares instead of Addr.Less calls.
+	hi := make([]uint64, nt)
+	lo := make([]uint64, nt)
+	bl := make([]uint8, nt)
+	for i, a := range c.targets {
+		b := a.As16()
+		hi[i] = binary.BigEndian.Uint64(b[:8])
+		lo[i] = binary.BigEndian.Uint64(b[8:])
+		bl[i] = uint8(a.BitLen())
 	}
-	if zoned {
-		sort.Slice(order, func(i, j int) bool {
-			return c.targets[order[i]].Less(c.targets[order[j]])
-		})
-	} else {
-		// Zone-free addresses (every synth and snapshot workload)
-		// order exactly like netip.Addr.Compare: bit length first,
-		// then the 128-bit value — which As16 exposes big-endian. The
-		// integer keys make the comparator a few register compares
-		// instead of Addr.Less calls.
-		hi := make([]uint64, nt)
-		lo := make([]uint64, nt)
-		bl := make([]uint8, nt)
-		for i, a := range c.targets {
-			b := a.As16()
-			hi[i] = binary.BigEndian.Uint64(b[:8])
-			lo[i] = binary.BigEndian.Uint64(b[8:])
-			bl[i] = uint8(a.BitLen())
+	sort.Slice(order, func(i, j int) bool {
+		a, b := order[i], order[j]
+		if bl[a] != bl[b] {
+			return bl[a] < bl[b]
 		}
-		sort.Slice(order, func(i, j int) bool {
-			a, b := order[i], order[j]
-			if bl[a] != bl[b] {
-				return bl[a] < bl[b]
-			}
-			if hi[a] != hi[b] {
-				return hi[a] < hi[b]
-			}
-			return lo[a] < lo[b]
-		})
-	}
+		if hi[a] != hi[b] {
+			return hi[a] < hi[b]
+		}
+		return lo[a] < lo[b]
+	})
 	return targetRows{rows: rows, order: order}
 }
 
@@ -506,19 +492,13 @@ func countStamps(stamps []bool) int {
 // counts (attacks, botnets, bot IPs, target IPs) fall out of the store's
 // standing indexes; the remaining distinct sets are computed over the
 // columnar form — interned-id stamp arrays instead of string-keyed hash
-// sets — sharded across contiguous ranges and merged by union, so the
-// counts are identical to a sequential pass.
+// sets — sharded over the par pool by contiguous ranges and merged by
+// union, so the counts are identical to a sequential pass.
 func (s *Store) Summary() SummaryCounts {
-	return s.summary(0)
-}
-
-// summary is Summary with its worker count exposed (0 = all cores,
-// 1 = sequential) for the parity tests.
-func (s *Store) summary(workers int) SummaryCounts {
 	c := s.Cols()
 	d := s.denseBots()
 	nStr := len(c.strs)
-	tgtShards := par.ChunkMap(workers, len(c.aID), func(lo, hi int) *tgtShard {
+	tgtShards := par.ChunkMap(len(c.aID), func(lo, hi int) *tgtShard {
 		sh := &tgtShard{
 			cc:     make([]bool, nStr),
 			org:    make([]bool, nStr),
@@ -534,7 +514,7 @@ func (s *Store) summary(workers int) SummaryCounts {
 		}
 		return sh
 	})
-	srcShards := par.ChunkMap(workers, len(d.rec), func(lo, hi int) *srcShard {
+	srcShards := par.ChunkMap(len(d.rec), func(lo, hi int) *srcShard {
 		sh := &srcShard{
 			cc:     make([]bool, nStr),
 			org:    make([]bool, nStr),

@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"net/netip"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -75,6 +77,21 @@ func TestNewStoreRejectsInvalid(t *testing.T) {
 	bad.BotIPs = nil
 	if _, err := NewStore([]*Attack{bad}, nil, nil); err == nil {
 		t.Error("invalid attack accepted")
+	}
+}
+
+// TestNewStoreRejectsZones: neither a snapshot nor the cluster wire
+// carries an IPv6 zone, so a store that took fe80::1%eth0 would write a
+// snapshot reading back as fe80::1. NewStore refuses the record instead.
+func TestNewStoreRejectsZones(t *testing.T) {
+	target := validAttack(1)
+	target.TargetIP = netip.MustParseAddr("fe80::1%eth0")
+	source := validAttack(2)
+	source.BotIPs = []netip.Addr{netip.MustParseAddr("fe80::2"), netip.MustParseAddr("fe80::2%eth0")}
+	for name, a := range map[string]*Attack{"target": target, "source": source} {
+		if _, err := NewStore([]*Attack{validAttack(3), a}, nil, nil); err == nil || !strings.Contains(err.Error(), "has a zone") {
+			t.Errorf("zoned %s IP: NewStore error = %v, want a zone error", name, err)
+		}
 	}
 }
 
@@ -284,7 +301,7 @@ func TestStoreAccessorsConcurrent(t *testing.T) {
 				if got := len(s.Targets()); got != 300 {
 					t.Errorf("Targets() = %d, want 300", got)
 				}
-				if sum := s.summary(4); sum.Attacks != 300 || sum.TargetIPs != 300 {
+				if sum := s.Summary(); sum.Attacks != 300 || sum.TargetIPs != 300 {
 					t.Errorf("summary = %+v", sum)
 				}
 			}
@@ -294,7 +311,7 @@ func TestStoreAccessorsConcurrent(t *testing.T) {
 }
 
 // TestStoreSummaryWorkersMatchesSequential pins the shard-merge
-// invariant: any worker count yields the sequential counts.
+// invariant: any pool width (GOMAXPROCS) yields the sequential counts.
 func TestStoreSummaryWorkersMatchesSequential(t *testing.T) {
 	attacks := make([]*Attack, 0, 100)
 	for i := 0; i < 100; i++ {
@@ -305,10 +322,13 @@ func TestStoreSummaryWorkersMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := s.summary(1)
-	for _, workers := range []int{0, 2, 3, 16} {
-		if got := s.summary(workers); got != want {
-			t.Fatalf("summary(%d) = %+v, want %+v", workers, got, want)
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	want := s.Summary()
+	for _, procs := range []int{2, 3, 7, 16} {
+		runtime.GOMAXPROCS(procs)
+		if got := s.Summary(); got != want {
+			t.Fatalf("GOMAXPROCS=%d: Summary = %+v, want %+v", procs, got, want)
 		}
 	}
 }

@@ -209,6 +209,16 @@ func (a *Attack) Validate() error {
 	if !a.TargetIP.IsValid() {
 		return fmt.Errorf("dataset: attack %d has invalid target IP", a.ID)
 	}
+	// Neither the snapshot nor the wire format carries an IPv6 zone, so a
+	// zoned address would come back as a different one.
+	if a.TargetIP.Zone() != "" {
+		return fmt.Errorf("dataset: attack %d target IP %v has a zone", a.ID, a.TargetIP)
+	}
+	for _, ip := range a.BotIPs {
+		if ip.Zone() != "" {
+			return fmt.Errorf("dataset: attack %d source IP %v has a zone", a.ID, ip)
+		}
+	}
 	if a.End.Before(a.Start) {
 		return fmt.Errorf("dataset: attack %d ends (%v) before it starts (%v)", a.ID, a.End, a.Start)
 	}

@@ -123,6 +123,8 @@ func TestAttackValidate(t *testing.T) {
 		{name: "empty family", mutate: func(a *Attack) { a.Family = "" }},
 		{name: "bad category", mutate: func(a *Attack) { a.Category = Category(42) }},
 		{name: "invalid target", mutate: func(a *Attack) { a.TargetIP = netip.Addr{} }},
+		{name: "zoned target", mutate: func(a *Attack) { a.TargetIP = netip.MustParseAddr("fe80::1%eth0") }},
+		{name: "zoned source", mutate: func(a *Attack) { a.BotIPs = append(a.BotIPs, netip.MustParseAddr("fe80::2%eth0")) }},
 		{name: "end before start", mutate: func(a *Attack) { a.End = a.Start.Add(-time.Second) }},
 		{name: "no sources", mutate: func(a *Attack) { a.BotIPs = nil }},
 		{name: "bad latitude", mutate: func(a *Attack) { a.TargetLat = 91 }},

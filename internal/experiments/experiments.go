@@ -14,7 +14,6 @@ import (
 	"botscope/internal/dataset"
 	"botscope/internal/memo"
 	"botscope/internal/monitor"
-	"botscope/internal/par"
 	"botscope/internal/synth"
 )
 
@@ -72,8 +71,9 @@ func (r *Result) MetricsText() string {
 // live above dataset — the monitoring collector, the per-family
 // dispersion series and the two §V event lists (collaborations, chains) —
 // for the experiments, the serve tier and the library's Analyzer alike.
-// Each is built once, on first use, and safe for concurrent use (Run with
-// several workers); the event lists are shared and must not be modified.
+// Each is built once, on first use, and safe for concurrent use (serve's
+// handlers, TestWorkloadConcurrentAll); the event lists are shared and
+// must not be modified.
 type Workload struct {
 	Store *dataset.Store
 	// Scale is the generation scale (1.0 = paper size); experiments use it
@@ -108,8 +108,7 @@ func (w *Workload) Chains() core.ChainStats {
 }
 
 // NewWorkload generates the synthetic workload cfg describes; a Scale
-// <= 0 means paper size. cfg.Workers is the generation worker count
-// (0 = all cores, 1 = sequential) and never changes the workload.
+// <= 0 means paper size.
 func NewWorkload(cfg synth.Config) (*Workload, error) {
 	if cfg.Scale <= 0 {
 		cfg.Scale = 1
@@ -196,22 +195,22 @@ type Outcome struct {
 	Err error
 }
 
-// Run executes exps with at most workers goroutines (1 runs them in order
-// on the calling goroutine, 0 means all cores) and returns one Outcome per
-// experiment, in the order given. An experiment not yet started when ctx
-// is done is reported as a failure; running ones finish normally (analyses
-// are CPU-bound and short). The error is nil only if every experiment
+// Run executes exps in order on the calling goroutine and returns one
+// Outcome per experiment, in the order given. An experiment not yet
+// started when ctx is done is reported as a failure; a running one
+// finishes normally (analyses are CPU-bound and short, and parallelise
+// inside their kernels). The error is nil only if every experiment
 // succeeded, and otherwise names each failure by ID.
-func Run(ctx context.Context, exps []Experiment, workers int) ([]Outcome, error) {
-	outs := par.Map(workers, len(exps), func(i int) Outcome {
-		o := Outcome{ID: exps[i].ID}
+func Run(ctx context.Context, exps []Experiment) ([]Outcome, error) {
+	outs := make([]Outcome, len(exps))
+	for i, e := range exps {
+		outs[i].ID = e.ID
 		if err := ctx.Err(); err != nil {
-			o.Err = fmt.Errorf("canceled: %w", err)
-			return o
+			outs[i].Err = fmt.Errorf("canceled: %w", err)
+			continue
 		}
-		o.Res, o.Err = exps[i].Run()
-		return o
-	})
+		outs[i].Res, outs[i].Err = e.Run()
+	}
 	var errs []string
 	for _, o := range outs {
 		if o.Err != nil {

@@ -47,7 +47,7 @@ func TestRunAllExperiments(t *testing.T) {
 		t.Skip("workload generation is slow")
 	}
 	w := sharedWorkload(t)
-	outs, err := Run(context.Background(), w.All(), 1)
+	outs, err := Run(context.Background(), w.All())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -195,7 +195,7 @@ func TestClosedStoreTypedError(t *testing.T) {
 			t.Errorf("%s on a closed store: result %v, error %v; want ErrStoreClosed", e.ID, res, err)
 		}
 	}
-	outs, _ := Run(context.Background(), w.All(), 2)
+	outs, _ := Run(context.Background(), w.All())
 	for _, o := range outs {
 		if !errors.Is(o.Err, dataset.ErrStoreClosed) {
 			t.Errorf("Run: %s on a closed store: %v", o.ID, o.Err)

@@ -243,7 +243,7 @@ func (w *Workload) Figure8() (*Result, error) {
 	agg := make(map[int]*weekAgg)
 	// The per-family weekly scans are independent; shard them and merge in
 	// family order (integer sums, so the merge order cannot change totals).
-	famWeeks := par.Map(0, len(dataset.ActiveFamilies), func(i int) []monitor.WeekStats {
+	famWeeks := par.Map(len(dataset.ActiveFamilies), func(i int) []monitor.WeekStats {
 		weeks, err := w.collector.WeeklySources(dataset.ActiveFamilies[i])
 		if err != nil {
 			return nil

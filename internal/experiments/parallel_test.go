@@ -3,42 +3,53 @@ package experiments
 import (
 	"context"
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
+
+	"botscope/internal/synth"
 )
 
-func TestRunAllParallelMatchesSequential(t *testing.T) {
+// TestWorkloadConcurrentAll is the -race exercise of what botserve does:
+// one Workload shared by concurrent callers. Four goroutines run the
+// whole suite on a fresh Workload, so they race on the first build of
+// every shared product (store indexes, dispersion series, collaborations,
+// chains), and each must get exactly the sequential results.
+func TestWorkloadConcurrentAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("workload generation is slow")
 	}
-	w := sharedWorkload(t)
-	seq, err := Run(context.Background(), w.All(), 1)
+	want, err := Run(context.Background(), sharedWorkload(t).All())
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(context.Background(), w.All(), 8)
+	w, err := NewWorkload(synth.Config{Seed: 17, Scale: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(par) != len(seq) {
-		t.Fatalf("parallel results = %d, sequential = %d", len(par), len(seq))
+	const callers = 4
+	got := make([][]Outcome, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for g := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g], errs[g] = Run(context.Background(), w.All())
+		}()
 	}
-	// Results arrive in All() order; IDs must match pairwise and metric
-	// values must be identical (analyses are deterministic).
-	for i := range seq {
-		if par[i].ID != seq[i].ID {
-			t.Errorf("order mismatch at %d: %s vs %s", i, par[i].ID, seq[i].ID)
-			continue
+	wg.Wait()
+	for g := range callers {
+		if errs[g] != nil {
+			t.Fatalf("caller %d: %v", g, errs[g])
 		}
-		pm, sm := par[i].Res.Metrics, seq[i].Res.Metrics
-		if len(pm) != len(sm) {
-			t.Errorf("%s metric count differs", par[i].ID)
-			continue
-		}
-		for j := range sm {
-			if pm[j].Measured != sm[j].Measured {
-				t.Errorf("%s metric %q differs: %v vs %v", par[i].ID,
-					sm[j].Name, pm[j].Measured, sm[j].Measured)
+		if !reflect.DeepEqual(got[g], want) {
+			for i := range want {
+				if i < len(got[g]) && !reflect.DeepEqual(got[g][i], want[i]) {
+					t.Errorf("caller %d: %s differs from the sequential run", g, want[i].ID)
+				}
 			}
+			t.Fatalf("caller %d: %d outcomes differ from the sequential run's %d", g, len(got[g]), len(want))
 		}
 	}
 }
@@ -47,7 +58,7 @@ func TestRunAllParallelCanceled(t *testing.T) {
 	w := sharedWorkload(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before any work starts
-	outs, err := Run(ctx, w.All(), 2)
+	outs, err := Run(ctx, w.All())
 	if err == nil {
 		t.Fatal("canceled run succeeded")
 	}
@@ -61,19 +72,5 @@ func TestRunAllParallelCanceled(t *testing.T) {
 		if !errors.Is(o.Err, context.Canceled) || o.Res != nil {
 			t.Errorf("%s ran under a canceled context: res=%v err=%v", o.ID, o.Res, o.Err)
 		}
-	}
-}
-
-func TestRunAllParallelDefaultWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("workload generation is slow")
-	}
-	w := sharedWorkload(t)
-	outs, err := Run(context.Background(), w.All(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != len(w.All()) {
-		t.Errorf("outcomes = %d, want %d", len(outs), len(w.All()))
 	}
 }

@@ -93,7 +93,7 @@ func (w *Workload) TableIV() (*Result, error) {
 	if cfg.TestPoints < 20 {
 		cfg.TestPoints = 20
 	}
-	results := w.Disp().PredictAll(cfg, 0)
+	results := w.Disp().PredictAll(cfg)
 	if len(results) == 0 {
 		return nil, fmt.Errorf("no family had enough dispersion data")
 	}

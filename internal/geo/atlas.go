@@ -1,7 +1,6 @@
 package geo
 
 import (
-	"math"
 	"sort"
 )
 
@@ -363,11 +362,6 @@ var atlas = []Country{
 type Atlas struct {
 	byCode  map[string]*Country
 	ordered []*Country // sorted by code for deterministic iteration
-	total   float64    // sum of weights
-	// cum[i] is the left-to-right prefix sum of ordered[:i+1] weights,
-	// accumulated in exactly the order the old linear PickByWeight scan
-	// added them — so binary-searching cum picks byte-identical countries.
-	cum []float64
 }
 
 // NewAtlas builds the lookup structures over the built-in country table.
@@ -377,15 +371,8 @@ func NewAtlas() *Atlas {
 		c := &atlas[i]
 		a.byCode[c.Code] = c
 		a.ordered = append(a.ordered, c)
-		a.total += c.Weight
 	}
 	sort.Slice(a.ordered, func(i, j int) bool { return a.ordered[i].Code < a.ordered[j].Code })
-	a.cum = make([]float64, len(a.ordered))
-	var acc float64
-	for i, c := range a.ordered {
-		acc += c.Weight
-		a.cum[i] = acc
-	}
 	return a
 }
 
@@ -404,25 +391,3 @@ func (a *Atlas) Countries() []*Country {
 
 // Len returns the number of countries in the atlas.
 func (a *Atlas) Len() int { return len(a.ordered) }
-
-// PickByWeight maps u in [0, 1) to a country proportionally to weight,
-// giving the synthetic GeoIP database its population-realistic placement.
-func (a *Atlas) PickByWeight(u float64) *Country {
-	if u < 0 {
-		u = 0
-	}
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	target := u * a.total
-	// First index whose prefix sum exceeds target. cum is strictly
-	// increasing (weights are positive), so this returns the same country
-	// the old linear accumulation scan did, including on boundary values.
-	i := sort.Search(len(a.cum), func(i int) bool { return target < a.cum[i] })
-	if i == len(a.cum) {
-		// target fell past the final prefix sum: a.total is accumulated in
-		// table order and cum in code order, so their last ulp can differ.
-		return a.ordered[len(a.ordered)-1]
-	}
-	return a.ordered[i]
-}

@@ -64,47 +64,25 @@ func TestCachedVariantsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPickByWeightMatchesLinearScan pins the binary-searched PickByWeight
-// to the old linear accumulation scan on a dense sweep plus random draws:
-// the synthetic GeoIP database is seeded through this function, so any
-// difference would change every generated workload byte.
+// TestPickByWeightMatchesLinearScan pins weighted placement to its
+// formula: a linear scan over every allocated /16 finds each country
+// holding round(Weight × BlocksPerWeight) blocks, at least one, plus the
+// infrastructure block NewDB forces where its draw produced none.
 func TestPickByWeightMatchesLinearScan(t *testing.T) {
-	a := NewAtlas()
-	linear := func(u float64) *Country {
-		if u < 0 {
-			u = 0
+	db := NewDB(DBConfig{Seed: 3})
+	held := make(map[string]int)
+	for _, prefix := range db.prefixes {
+		loc, ok := db.Lookup(addrFromUint32(prefix << 16))
+		if !ok {
+			t.Fatalf("allocated prefix %d does not resolve", prefix)
 		}
-		if u >= 1 {
-			u = 0.9999999999999999
+		held[loc.CountryCode]++
+	}
+	for _, c := range db.Countries().Countries() {
+		want := max(1, int(c.Weight*db.cfg.BlocksPerWeight+0.5))
+		if got := held[c.Code]; got != want && got != want+1 {
+			t.Errorf("%s (weight %v) holds %d blocks, want %d or %d", c.Code, c.Weight, got, want, want+1)
 		}
-		target := u * a.total
-		var acc float64
-		for _, c := range a.ordered {
-			acc += c.Weight
-			if target < acc {
-				return c
-			}
-		}
-		return a.ordered[len(a.ordered)-1]
-	}
-	check := func(u float64) {
-		if got, want := a.PickByWeight(u), linear(u); got != want {
-			t.Fatalf("PickByWeight(%v) = %s, linear scan gives %s", u, got.Code, want.Code)
-		}
-	}
-	for i := 0; i <= 100000; i++ {
-		check(float64(i) / 100000)
-	}
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 100000; i++ {
-		check(rng.Float64())
-	}
-	// Exact cumulative boundaries are where a search off-by-one would bite.
-	var acc float64
-	for _, c := range a.ordered {
-		acc += c.Weight
-		check(acc / a.total)
-		check(acc/a.total - 1e-16)
 	}
 }
 

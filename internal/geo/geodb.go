@@ -280,12 +280,6 @@ func NewDB(cfg DBConfig) *DB {
 	return db
 }
 
-// NumBlocks returns how many /16 blocks are allocated.
-func (db *DB) NumBlocks() int { return len(db.blocks) }
-
-// NumOrgs returns how many organizations exist.
-func (db *DB) NumOrgs() int { return len(db.orgs) }
-
 // Countries returns the underlying atlas.
 func (db *DB) Countries() *Atlas { return db.atlas }
 

@@ -3,6 +3,7 @@ package geo
 import (
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 )
 
@@ -59,27 +60,19 @@ func TestAtlasCoversPaperCountries(t *testing.T) {
 	}
 }
 
+// TestAtlasPickByWeight: a country's weight is its share of the address
+// space, so uniformly sampled addresses land in heavy countries far more
+// often than in light ones.
 func TestAtlasPickByWeight(t *testing.T) {
-	a := NewAtlas()
-	if got := a.PickByWeight(0); got == nil {
-		t.Fatal("PickByWeight(0) = nil")
-	}
-	if got := a.PickByWeight(0.99999); got == nil {
-		t.Fatal("PickByWeight(~1) = nil")
-	}
-	// Clamped out-of-range inputs still return a country.
-	if got := a.PickByWeight(-1); got == nil {
-		t.Fatal("PickByWeight(-1) = nil")
-	}
-	if got := a.PickByWeight(2); got == nil {
-		t.Fatal("PickByWeight(2) = nil")
-	}
-
-	// High-weight countries must be picked far more often than low-weight.
+	db := NewDB(DBConfig{Seed: 1})
 	rng := rand.New(rand.NewSource(1))
 	counts := make(map[string]int)
 	for i := 0; i < 20000; i++ {
-		counts[a.PickByWeight(rng.Float64()).Code]++
+		loc, ok := db.Lookup(db.SampleIP(rng))
+		if !ok {
+			t.Fatal("sampled address does not resolve")
+		}
+		counts[loc.CountryCode]++
 	}
 	if counts["US"] < counts["IS"]*10 {
 		t.Errorf("US picked %d times vs Iceland %d; weighting looks broken", counts["US"], counts["IS"])
@@ -89,9 +82,9 @@ func TestAtlasPickByWeight(t *testing.T) {
 func TestDBDeterminism(t *testing.T) {
 	db1 := NewDB(DBConfig{Seed: 42})
 	db2 := NewDB(DBConfig{Seed: 42})
-	if db1.NumBlocks() != db2.NumBlocks() || db1.NumOrgs() != db2.NumOrgs() {
+	if !slices.Equal(db1.prefixes, db2.prefixes) || len(db1.orgs) != len(db2.orgs) {
 		t.Fatalf("same seed produced different databases: %d/%d blocks, %d/%d orgs",
-			db1.NumBlocks(), db2.NumBlocks(), db1.NumOrgs(), db2.NumOrgs())
+			len(db1.prefixes), len(db2.prefixes), len(db1.orgs), len(db2.orgs))
 	}
 	ip := netip.MustParseAddr("93.158.1.7")
 	l1, ok1 := db1.Lookup(ip)
@@ -204,11 +197,11 @@ func TestDBScale(t *testing.T) {
 	db := NewDB(DBConfig{Seed: 1})
 	// Rough scale check against the paper's source-side statistics:
 	// thousands of orgs, thousands of blocks across all countries.
-	if db.NumBlocks() < 500 {
-		t.Errorf("NumBlocks = %d, want >= 500", db.NumBlocks())
+	if len(db.blocks) < 500 {
+		t.Errorf("%d blocks, want >= 500", len(db.blocks))
 	}
-	if db.NumOrgs() < 300 {
-		t.Errorf("NumOrgs = %d, want >= 300", db.NumOrgs())
+	if len(db.orgs) < 300 {
+		t.Errorf("%d orgs, want >= 300", len(db.orgs))
 	}
 }
 

@@ -1,12 +1,16 @@
 // Package par provides the bounded-parallelism primitives behind the
 // sharded analysis kernels and the parallel workload generator.
 //
-// Every helper preserves determinism by construction: work is addressed
-// by index, results are written into index-addressed slots, and callers
-// merge shards in canonical (index) order. The only thing parallelism may
-// change is wall-clock time — never output bytes. Each helper also has a
-// true sequential fallback (workers == 1 runs inline on the calling
-// goroutine), so single-core environments pay no scheduling overhead.
+// The pool is runtime.GOMAXPROCS(0) wide, read at each call; there is no
+// other setting. Every helper preserves determinism by construction: work
+// is addressed by index, results are written into index-addressed slots,
+// and callers merge shards in canonical (index) order. The only thing the
+// pool width may change is wall-clock time — never output bytes. A pool
+// of one (GOMAXPROCS=1, or n <= 1) runs inline on the calling goroutine,
+// so single-core environments pay no scheduling overhead.
+//
+// The pool is for CPU work. A fan-out that waits on peers (network calls)
+// is sized by its peers, not by the core count, and does not belong here.
 package par
 
 import (
@@ -15,28 +19,15 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a requested worker count: values <= 0 select
-// runtime.GOMAXPROCS(0), anything else is returned unchanged.
-func Workers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
-
-// Map computes out[i] = f(i) for i in [0, n) using at most workers
-// goroutines and returns the results in index order. workers <= 0 means
-// GOMAXPROCS; a single worker (or n <= 1) runs inline with no goroutines.
-// f must be safe for concurrent invocation on distinct indexes.
-func Map[T any](workers, n int, f func(i int) T) []T {
+// Map computes out[i] = f(i) for i in [0, n) on at most GOMAXPROCS
+// goroutines and returns the results in index order. f must be safe for
+// concurrent invocation on distinct indexes.
+func Map[T any](n int, f func(i int) T) []T {
 	if n <= 0 {
 		return nil
 	}
 	out := make([]T, n)
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
+	w := min(runtime.GOMAXPROCS(0), n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			out[i] = f(i)
@@ -69,16 +60,12 @@ func Map[T any](workers, n int, f func(i int) T) []T {
 // out[c] = f(lo, hi) for each chunk [lo, hi). Use it for reduction-style
 // scans (counting, summing) where per-index goroutines would cost more
 // than the work itself; merge the per-chunk partials in slice order.
-func ChunkMap[T any](workers, n int, f func(lo, hi int) T) []T {
+func ChunkMap[T any](n int, f func(lo, hi int) T) []T {
 	if n <= 0 {
 		return nil
 	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	bounds := chunkBounds(n, w)
-	return Map(w, len(bounds), func(c int) T {
+	bounds := chunkBounds(n, runtime.GOMAXPROCS(0))
+	return Map(len(bounds), func(c int) T {
 		return f(bounds[c].lo, bounds[c].hi)
 	})
 }

@@ -27,8 +27,8 @@ func TestTableRendering(t *testing.T) {
 	if !strings.Contains(lines[3], "  10") {
 		t.Errorf("right alignment broken: %q", lines[3])
 	}
-	if tbl.NumRows() != 2 {
-		t.Errorf("NumRows = %d, want 2", tbl.NumRows())
+	if len(tbl.rows) != 2 {
+		t.Errorf("table holds %d rows, want 2", len(tbl.rows))
 	}
 }
 

@@ -55,9 +55,6 @@ func (t *Table) AddRow(cells ...string) *Table {
 	return t
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // String renders the table with a box-drawing-free ASCII layout.
 func (t *Table) String() string {
 	widths := make([]int, len(t.headers))

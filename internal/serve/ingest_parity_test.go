@@ -92,6 +92,39 @@ func TestIngestResponsesUnchanged(t *testing.T) {
 	}
 }
 
+// TestIngestRejectsZonedAddresses: a zoned target or source address is
+// refused with 422 by both tiers, after the valid record before it. The
+// cluster wire carries no zone, so a sharded tier that took one would
+// route and report a different address than the single-process server.
+func TestIngestRejectsZonedAddresses(t *testing.T) {
+	ok := ingestRecord(1, 0, "192.0.2.1", "Example Net")
+	for name, bad := range map[string]string{
+		"target": ingestRecord(2, 1, "fe80::1%eth0", "Example Net"),
+		"source": strings.Replace(ingestRecord(2, 1, "192.0.2.1", "Example Net"), `"198.51.100.2"`, `"fe80::2%eth0"`, 1),
+	} {
+		local, err := cluster.StartLocal(context.Background(), 2, 0, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tiers := map[string]http.Handler{"single": New(testServer(t).store, 0.03), "sharded": NewLiveServer(local.Frontend)}
+		for tier, h := range tiers {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/ingest", strings.NewReader(ok+bad)))
+			var resp struct {
+				Error           string
+				Ingested, Total int
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("%s/%s: body %q: %v", name, tier, rec.Body, err)
+			}
+			if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(resp.Error, "has a zone") || resp.Ingested != 1 || resp.Total != 1 {
+				t.Errorf("zoned %s on %s: %d %+v, want 422 naming the zone with 1 ingested", name, tier, rec.Code, resp)
+			}
+		}
+		local.Close()
+	}
+}
+
 // repeatReader serves rec over and over until n bytes have gone out.
 type repeatReader struct {
 	rec []byte

@@ -4,6 +4,7 @@ import (
 	"math"
 	"net/netip"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -296,6 +297,26 @@ func mkAttack(id uint64, start time.Time, dur time.Duration) *dataset.Attack {
 		Start:    start,
 		End:      start.Add(dur),
 		BotIPs:   []netip.Addr{netip.MustParseAddr("198.51.100.1")},
+	}
+}
+
+// TestIngestRejectsZones: a zoned address is refused at ingest, as
+// NewStore refuses it, so a live view never holds an address the sharded
+// tier's wire would strip.
+func TestIngestRejectsZones(t *testing.T) {
+	sa := New()
+	t0 := time.Date(2012, 8, 29, 0, 0, 0, 0, time.UTC)
+	target := mkAttack(1, t0, time.Hour)
+	target.TargetIP = netip.MustParseAddr("fe80::1%eth0")
+	source := mkAttack(2, t0, time.Hour)
+	source.BotIPs = append(source.BotIPs, netip.MustParseAddr("fe80::2%eth0"))
+	for _, a := range []*dataset.Attack{target, source} {
+		if err := sa.Ingest(a); err == nil || !strings.Contains(err.Error(), "has a zone") {
+			t.Errorf("attack %d: Ingest error = %v, want a zone error", a.ID, err)
+		}
+	}
+	if n := sa.Ingested(); n != 0 {
+		t.Errorf("Ingested() = %d after two refused records, want 0", n)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 type ScenarioBuilder struct {
 	seed     int64
 	window   botnet.Window
-	workers  int
 	profiles []*botnet.Profile
 	collabs  []botnet.InterCollab
 	bursts   map[dataset.Family]*botnet.BurstSpec
@@ -44,16 +43,6 @@ func (b *ScenarioBuilder) WithWindow(start, end time.Time) *ScenarioBuilder {
 		return b
 	}
 	b.window = botnet.Window{Start: start, End: end}
-	return b
-}
-
-// WithWorkers bounds how many families generate concurrently (0 = all
-// cores, 1 = sequential). The built workload is identical either way.
-func (b *ScenarioBuilder) WithWorkers(n int) *ScenarioBuilder {
-	if b.err != nil {
-		return b
-	}
-	b.workers = n
 	return b
 }
 
@@ -118,7 +107,6 @@ func (b *ScenarioBuilder) Build() (*dataset.Store, error) {
 		Seed:         b.seed,
 		Window:       b.window,
 		InterCollabs: b.collabs,
-		Workers:      b.workers,
 	}, db, b.profiles)
 	if err != nil {
 		return nil, fmt.Errorf("synth: build scenario: %w", err)

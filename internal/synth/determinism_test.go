@@ -3,6 +3,7 @@ package synth
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"botscope/internal/dataset"
@@ -61,15 +62,18 @@ func TestGenerateDeterministic(t *testing.T) {
 
 // TestGenerateParallelMatchesSequential pins the tentpole invariant of the
 // parallel generator: family shards are seeded independently, ID ranges
-// are precomputed, and the merge happens in profile order — so any worker
-// count must reproduce the sequential output byte for byte, across all
-// three record kinds (attacks, botnets, bots).
+// are precomputed, and the merge happens in profile order — so any
+// GOMAXPROCS must reproduce the sequential output byte for byte, across
+// all three record kinds (attacks, botnets, bots).
 func TestGenerateParallelMatchesSequential(t *testing.T) {
-	encode := func(workers int) []byte {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	encode := func(procs int) []byte {
 		t.Helper()
-		out, err := Generate(Config{Seed: 7, Scale: 0.05, Workers: workers})
+		runtime.GOMAXPROCS(procs)
+		out, err := Generate(Config{Seed: 7, Scale: 0.05})
 		if err != nil {
-			t.Fatalf("Generate(workers=%d): %v", workers, err)
+			t.Fatalf("Generate(GOMAXPROCS=%d): %v", procs, err)
 		}
 		var buf bytes.Buffer
 		if err := dataset.WriteCSV(&buf, out.Attacks); err != nil {
@@ -88,9 +92,9 @@ func TestGenerateParallelMatchesSequential(t *testing.T) {
 	if len(seq) == 0 {
 		t.Fatal("sequential generation produced no output; comparison is vacuous")
 	}
-	for _, workers := range []int{0, 2, 8} {
-		if got := encode(workers); !bytes.Equal(seq, got) {
-			t.Errorf("workers=%d output differs from sequential (%d vs %d bytes)", workers, len(got), len(seq))
+	for _, procs := range []int{2, 3, 7} {
+		if got := encode(procs); !bytes.Equal(seq, got) {
+			t.Errorf("GOMAXPROCS=%d output differs from sequential (%d vs %d bytes)", procs, len(got), len(seq))
 		}
 	}
 }

@@ -42,10 +42,6 @@ type Config struct {
 	// Scale multiplies every count; 1.0 is paper scale (50,704 attacks),
 	// 0.05 is a fast test workload. Zero means 1.0.
 	Scale float64
-	// Workers bounds how many families are generated concurrently
-	// (0 = all cores, 1 = sequential). Output is byte-identical for every
-	// value; see botnet.Config.Workers.
-	Workers int
 }
 
 // scaled multiplies n by the scale, keeping at least min when n > 0.
@@ -436,7 +432,6 @@ func Generate(cfg Config) (*botnet.Output, error) {
 		Seed:         cfg.Seed,
 		Window:       botnet.PaperWindow(),
 		InterCollabs: InterCollabs(cfg.Scale),
-		Workers:      cfg.Workers,
 	}, db, Profiles(cfg.Scale))
 	if err != nil {
 		return nil, fmt.Errorf("synth: build simulator: %w", err)
