@@ -45,16 +45,16 @@ bin/botvet: $(BOTVET_SRC)
 	$(GO) build -o bin/botvet ./cmd/botvet
 
 # BOTVET_ANALYZERS is the registered gate, in cmd/botvet/main.go's order
-# (a cmd/botvet test fails when the two disagree): the SSA tier (goleak,
-# ctxflow, wireframe), the invariant tier (nodeterm, lockguard, floateq,
-# sharedslice) and the columnar-era tier (mmaplife).
-BOTVET_ANALYZERS := ctxflow floateq goleak lockguard mmaplife nodeterm sharedslice wireframe
+# (a cmd/botvet test fails when the two disagree): the invariant tier
+# (nodeterm, lockguard, floateq, sharedslice) and the protocol check
+# (wireframe). All five are AST-and-types passes; none builds SSA.
+BOTVET_ANALYZERS := floateq lockguard nodeterm sharedslice wireframe
 
 # botvet runs them over every package via go vet's -vettool hook. Exit
 # code 0 means every analyzer ran clean; 1 means diagnostics (or build
 # failure); 2 means the tool was misused. The binary has no modes of its
-# own: `go vet -vettool=bin/botvet -goleak ./...` runs one analyzer,
-# `-goleak=false` all but one.
+# own: `go vet -vettool=bin/botvet -lockguard ./...` runs one analyzer,
+# `-lockguard=false` all but one.
 #
 # The run is stamp-cached: the key hashes go.mod/go.sum, every .go file
 # the vet sweep can see (root package and benchmark/ included; only the
@@ -103,13 +103,15 @@ race:
 # sharing one Workload, as botserve does) and the cluster's
 # readers-during-shard-churn test; TestSnapshot also selects the
 # analyzer's generation-published snapshot tests (one writer against
-# eight polling readers); TestFanOut is the shard fan-out on one core.
+# eight polling readers); TestFanOut is the shard fan-out on one core;
+# TestHoldDelaysClose and TestCloseWaitsForHandlers are the store hold
+# that Close waits for, alone and under four serving handlers.
 # -count=2 shakes out once-per-process caching effects (memo.Lazy
 # products, memoized views).
 verify-race:
 	$(GO) test -race -count=2 \
-		-run 'TestMap|TestChunk|Parallel|Concurrent|Deterministic|TestParity|TestStoreAccessors|TestStoreSummaryWorkers|TestBotDense|TestDispersionIndex|TestIngest|TestSnapshot|TestAnalyzerIngested|TestLazy|TestFanOut' \
-		./internal/par/ ./internal/memo/ ./internal/dataset/ ./internal/core/ ./internal/stream/ ./internal/synth/ ./internal/experiments/ ./internal/cluster/
+		-run 'TestMap|TestChunk|Parallel|Concurrent|Deterministic|TestParity|TestStoreAccessors|TestStoreSummaryWorkers|TestBotDense|TestDispersionIndex|TestIngest|TestSnapshot|TestAnalyzerIngested|TestLazy|TestFanOut|TestHoldDelaysClose|TestCloseWaitsForHandlers' \
+		./internal/par/ ./internal/memo/ ./internal/dataset/ ./internal/core/ ./internal/stream/ ./internal/synth/ ./internal/experiments/ ./internal/cluster/ ./internal/serve/
 
 # benchmark runs the repo's benchmark as the pipeline does (BENCHMARK.json:
 # four workloads, eight end-to-end metrics; ~30 s a workload). It is the

@@ -31,7 +31,7 @@ func buildTool(t *testing.T) string {
 func writeScratchModule(t *testing.T, mainSrc string) string {
 	t.Helper()
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module scratch\n\ngo 1.22\n"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module scratch\n\ngo 1.24\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(mainSrc), 0o644); err != nil {
@@ -40,48 +40,73 @@ func writeScratchModule(t *testing.T, mainSrc string) string {
 	return dir
 }
 
+// The fixtures are one counter whose field is "guarded by mu"; they
+// differ only in whether inc takes the lock and how an unlocked write is
+// audited.
 const cleanSrc = `package main
 
-func main() {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-	}()
-	<-done
+import "sync"
+
+type counter struct {
+	mu sync.Mutex
+	n  int // guarded by mu
 }
+
+func (c *counter) inc() {
+	c.mu.Lock()
+	c.n++
+	c.mu.Unlock()
+}
+
+func main() { new(counter).inc() }
 `
 
 const dirtySrc = `package main
 
-func main() {
-	go func() {
-		for {
-		}
-	}()
-	select {}
+import "sync"
+
+type counter struct {
+	mu sync.Mutex
+	n  int // guarded by mu
 }
+
+func (c *counter) inc() {
+	c.n++
+}
+
+func main() { new(counter).inc() }
 `
 
 const ignoredSrc = `package main
 
-func main() {
-	go func() { //botvet:ignore goleak audited: scratch fixture
-		for {
-		}
-	}()
-	select {}
+import "sync"
+
+type counter struct {
+	mu sync.Mutex
+	n  int // guarded by mu
 }
+
+func (c *counter) inc() {
+	c.n++ //botvet:ignore lockguard audited: scratch fixture
+}
+
+func main() { new(counter).inc() }
 `
 
 const reasonlessSrc = `package main
 
-func main() {
-	go func() { //botvet:ignore goleak
-		for {
-		}
-	}()
-	select {}
+import "sync"
+
+type counter struct {
+	mu sync.Mutex
+	n  int // guarded by mu
 }
+
+func (c *counter) inc() {
+	c.n++ //botvet:ignore lockguard
+}
+
+func main() { new(counter).inc() }
 `
 
 // TestExitCodes pins the gate's observable contract: go vet with the
@@ -104,11 +129,11 @@ func TestExitCodes(t *testing.T) {
 		wantMsgs []string
 	}{
 		{name: "clean", src: cleanSrc, wantExit: 0},
-		{name: "dirty", src: dirtySrc, wantExit: 1, wantMsgs: []string{"not provably joinable"}},
+		{name: "dirty", src: dirtySrc, wantExit: 1, wantMsgs: []string{"without holding the mutex"}},
 		{name: "ignored", src: ignoredSrc, wantExit: 0},
-		{name: "reasonless-ignore", src: reasonlessSrc, wantExit: 1, wantMsgs: []string{"not provably joinable", "carries no reason"}},
-		{name: "only-goleak", src: dirtySrc, flags: []string{"-goleak"}, wantExit: 1, wantMsgs: []string{"not provably joinable"}},
-		{name: "all-but-goleak", src: dirtySrc, flags: []string{"-goleak=false"}, wantExit: 0},
+		{name: "reasonless-ignore", src: reasonlessSrc, wantExit: 1, wantMsgs: []string{"without holding the mutex", "carries no reason"}},
+		{name: "only-lockguard", src: dirtySrc, flags: []string{"-lockguard"}, wantExit: 1, wantMsgs: []string{"without holding the mutex"}},
+		{name: "all-but-lockguard", src: dirtySrc, flags: []string{"-lockguard=false"}, wantExit: 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,4 +1,4 @@
-// Botvet is the project-specific static-analysis gate: the eight botscope
+// Botvet is the project-specific static-analysis gate: the five botscope
 // analyzers bundled into a unitchecker binary that `go vet` drives over
 // every package:
 //
@@ -8,8 +8,8 @@
 // `make botvet` (and `make verify`) wire this up. The binary has no modes
 // of its own; everything else is go vet's:
 //
-//	go vet -vettool=bin/botvet -goleak ./...          only the named analyzers
-//	go vet -vettool=bin/botvet -goleak=false ./...    all but the named ones
+//	go vet -vettool=bin/botvet -lockguard ./...          only the named analyzers
+//	go vet -vettool=bin/botvet -lockguard=false ./...    all but the named ones
 //	go vet -vettool=bin/botvet -json ./...            machine-readable (make botvet-json)
 //
 // Exit codes follow the `go vet` convention the CI gate relies on:
@@ -30,25 +30,19 @@ import (
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/unitchecker"
 
-	"botscope/internal/analysis/ctxflow"
 	"botscope/internal/analysis/floateq"
-	"botscope/internal/analysis/goleak"
 	"botscope/internal/analysis/lockguard"
-	"botscope/internal/analysis/mmaplife"
 	"botscope/internal/analysis/nodeterm"
 	"botscope/internal/analysis/sharedslice"
 	"botscope/internal/analysis/wireframe"
 )
 
 // analyzers is the full gate. The Makefile's BOTVET_ANALYZERS list names
-// the same eight for botvet-timed; TestMakefileListsEveryAnalyzer keeps
+// the same five for botvet-timed; TestMakefileListsEveryAnalyzer keeps
 // the two in step.
 var analyzers = []*analysis.Analyzer{
-	ctxflow.Analyzer,
 	floateq.Analyzer,
-	goleak.Analyzer,
 	lockguard.Analyzer,
-	mmaplife.Analyzer,
 	nodeterm.Analyzer,
 	sharedslice.Analyzer,
 	wireframe.Analyzer,

@@ -19,8 +19,8 @@
 // the thing under test.
 //
 // RunPkgs extends the harness to a sequence of fixture packages checked in
-// dependency order against a shared fact store, so interprocedural
-// analyzers (the SSA tier: goleak, ctxflow, wireframe) can be tested for
+// dependency order against a shared fact store, so fact-exporting
+// analyzers (wireframe) can be tested for
 // cross-package fact propagation: a producer package exports facts, a
 // consumer package imports the producer by path and the harness checks the
 // consumer's diagnostics depend on them.

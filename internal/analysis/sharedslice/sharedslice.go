@@ -70,7 +70,7 @@ func run(pass *analysis.Pass) (any, error) {
 
 	// Facts first, so both this pass and downstream packages can resolve
 	// the annotated producers.
-	vetutil.ExportDirective(pass, vetutil.SharedDirective, &IsShared{})
+	vetutil.ExportDirective(pass, "botscope:shared", &IsShared{})
 
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		decl := n.(*ast.FuncDecl)

@@ -24,8 +24,8 @@ func reasonless() {
 // cover this one, and a bare ignore for another analyzer is that
 // analyzer's to report.
 func otherAnalyzer() {
-	bad() /* want `call to bad` */ //botvet:ignore goleak audited for a different analyzer
-	bad() /* want `call to bad` */ //botvet:ignore goleak
+	bad() /* want `call to bad` */ //botvet:ignore lockguard audited for a different analyzer
+	bad() /* want `call to bad` */ //botvet:ignore lockguard
 }
 
 // tooFar: the audit reaches its own line and the next, no further.

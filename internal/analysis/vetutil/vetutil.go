@@ -1,8 +1,8 @@
 // Package vetutil is the annotation framework the botvet analyzers
 // share: the Wrap filter that applies the one suppression comment and
 // the test-file exemption to every diagnostic, the doc-directive → fact
-// export, the directives and package scopes more than one analyzer reads,
-// and the few AST/type helpers each of them would otherwise spell out.
+// export, the package scopes, and the few AST/type helpers each analyzer
+// would otherwise spell out.
 package vetutil
 
 import (
@@ -15,10 +15,6 @@ import (
 	"golang.org/x/tools/go/types/typeutil"
 )
 
-// SharedDirective is the one directive spelling more than one analyzer
-// reads (sharedslice, mmaplife).
-const SharedDirective = "botscope:shared"
-
 // Package scopes: the import paths (subpackages included) an analyzer
 // holds to its rule. One table, so "which packages promise what" is read
 // in one place.
@@ -26,7 +22,6 @@ var (
 	DeterministicPkgs = []string{"botscope/internal/synth", "botscope/internal/botnet", "botscope/internal/geo", "botscope/internal/core"}
 	GeneratorPkgs     = []string{"botscope/internal/synth", "botscope/internal/botnet"}
 	StatsPkgs         = []string{"botscope/internal/stats", "botscope/internal/core", "botscope/internal/stream"}
-	ClusterPlanePkgs  = []string{"botscope/internal/cluster", "botscope/internal/serve"}
 )
 
 // InScope reports whether pkgPath is one of paths or lies beneath one of
@@ -55,7 +50,7 @@ func Wrap(a *analysis.Analyzer) *analysis.Analyzer {
 	a.Run = func(pass *analysis.Pass) (any, error) {
 		inner := *pass
 		inner.Report = func(d analysis.Diagnostic) {
-			if !strings.HasSuffix(pass.Fset.Position(d.Pos).Filename, "_test.go") && !Ignored(pass, d.Pos) {
+			if !strings.HasSuffix(pass.Fset.Position(d.Pos).Filename, "_test.go") && !ignored(pass, d.Pos) {
 				pass.Report(d)
 			}
 		}
@@ -88,30 +83,9 @@ func parseIgnore(text string) (name string, reason bool) {
 	return fields[0], len(fields) > 1
 }
 
-// Ignored reports whether pos is covered by an audited ignore for the
-// pass's analyzer. Wrap asks it for every diagnostic; an analyzer calls it
-// only where an audited site must also stay out of a fact it derives.
-func Ignored(pass *analysis.Pass, pos token.Pos) bool {
-	return lineComment(pass, pos, func(text string) bool {
-		name, reason := parseIgnore(text)
-		return reason && name == pass.Analyzer.Name
-	})
-}
-
-// LineDirective reports whether the source line holding pos, or the line
-// directly above it, carries the given comment directive (e.g.
-// "botscope:pinned") — the statement-level analogue of HasDirective for
-// annotations that attach to a single go statement or call rather than a
-// declaration.
-func LineDirective(pass *analysis.Pass, pos token.Pos, directive string) bool {
-	return lineComment(pass, pos, func(text string) bool {
-		return strings.TrimSpace(strings.TrimPrefix(text, "//")) == directive
-	})
-}
-
-// lineComment reports whether match accepts a comment on the line holding
-// pos or the line above it.
-func lineComment(pass *analysis.Pass, pos token.Pos, match func(text string) bool) bool {
+// ignored reports whether the line holding pos, or the line above it,
+// carries an audited ignore for the pass's analyzer.
+func ignored(pass *analysis.Pass, pos token.Pos) bool {
 	pp := pass.Fset.Position(pos)
 	for _, f := range pass.Files {
 		if pass.Fset.Position(f.Pos()).Filename != pp.Filename {
@@ -119,7 +93,10 @@ func lineComment(pass *analysis.Pass, pos token.Pos, match func(text string) boo
 		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if cl := pass.Fset.Position(c.Pos()).Line; (cl == pp.Line || cl == pp.Line-1) && match(c.Text) {
+				if cl := pass.Fset.Position(c.Pos()).Line; cl != pp.Line && cl != pp.Line-1 {
+					continue
+				}
+				if name, reason := parseIgnore(c.Text); reason && name == pass.Analyzer.Name {
 					return true
 				}
 			}
@@ -306,14 +283,6 @@ func appendTarget(info *types.Info, as *ast.AssignStmt) types.Object {
 		return nil
 	}
 	return SelectorBase(info, as.Lhs[0])
-}
-
-// DeclaredWithin reports whether the object's declaration position lies
-// inside the source range [lo, hi] — how mmaplife tells a closure's own
-// locals and parameters from variables captured from the enclosing
-// function (or package scope).
-func DeclaredWithin(obj types.Object, lo, hi token.Pos) bool {
-	return obj != nil && obj.Pos() >= lo && obj.Pos() <= hi
 }
 
 // ReceiverObj resolves the object of a method's receiver variable, or nil.

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"botscope/internal/cluster"
 	"botscope/internal/serve"
 )
 
@@ -38,7 +39,8 @@ func smallBatches(batches [][]byte, per int) [][]byte {
 // empty), that nothing answers 5xx, that the writer's running total stays
 // exact, that every goroutine exits, and that what the cluster serves
 // afterwards either matches the single-process server byte for byte or
-// says it is degraded.
+// says it is degraded. Once the cluster is closed, no goroutine of it is
+// left.
 func TestClusterConcurrentReadersDuringChurn(t *testing.T) {
 	const (
 		readers   = 16
@@ -47,6 +49,7 @@ func TestClusterConcurrentReadersDuringChurn(t *testing.T) {
 	)
 	store, feed := replayFeed(t)
 	batches := smallBatches(feed, 64)
+	t.Cleanup(func() { cluster.Settled(t) }) // runs after startCluster's Local.Close
 	_, h := startCluster(t, 4)
 
 	var (

@@ -45,11 +45,11 @@ func dialShard(ctx context.Context, id int, addr string) (*shardClient, error) {
 		return nil, err
 	}
 	c := &shardClient{id: id, addr: addr, conn: conn, pending: make(map[uint32]chan Frame)}
-	// The reader's loop has no channel receive to prove cancellation, but
-	// close() (run on any error, by Frontend teardown, and by markDown)
-	// closes the conn, which fails ReadFrame and ends the loop; reply
-	// sends target the per-request 1-buffered channels and cannot block.
-	go c.readLoop() //botvet:ignore goleak audited: terminated by conn close, sends are buffered per request
+	// The reader ends when close() (run on any error, by Frontend
+	// teardown, and by markDown) closes the conn and fails ReadFrame;
+	// reply sends target the per-request 1-buffered channels and cannot
+	// block.
+	go c.readLoop()
 	ack, err := c.hello(ctx)
 	if err != nil {
 		c.close()
@@ -96,8 +96,12 @@ func (c *shardClient) close() {
 	}
 }
 
-// call sends one request frame and waits for its ack (or ctx expiry).
+// call sends one request frame and waits for its ack (or ctx expiry). A
+// ctx already done sends nothing: the shard never sees the request.
 func (c *shardClient) call(ctx context.Context, typ FrameKind, payload []byte) (Frame, error) {
+	if err := ctx.Err(); err != nil {
+		return Frame{}, err
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -161,16 +165,6 @@ func (c *shardClient) hello(ctx context.Context) (helloAck, error) {
 // HTTP edge above.
 func (c *shardClient) sendIngest(ctx context.Context, payload []byte) (ingestAck, error) {
 	backoff := 2 * time.Millisecond
-	// One timer reused across retries: time.After would allocate a timer
-	// per iteration that the runtime holds until it fires. The select
-	// always drains timer.C (the other branch returns), so a plain Reset
-	// is safe.
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
 	for {
 		resp, err := c.call(ctx, msgIngest, payload)
 		if err == nil {
@@ -182,15 +176,10 @@ func (c *shardClient) sendIngest(ctx context.Context, payload []byte) (ingestAck
 		if !errors.Is(err, ErrShardBusy) {
 			return ingestAck{}, err
 		}
-		if timer == nil {
-			timer = time.NewTimer(backoff)
-		} else {
-			timer.Reset(backoff)
-		}
 		select {
 		case <-ctx.Done():
 			return ingestAck{}, fmt.Errorf("%w: %v", ErrShardBusy, ctx.Err())
-		case <-timer.C:
+		case <-time.After(backoff):
 		}
 		if backoff < 100*time.Millisecond {
 			backoff *= 2

@@ -55,8 +55,10 @@ func silentShard(t *testing.T, id int) string {
 // queue behind the core count: on one core, with two of three shards
 // silent, a snapshot answers degraded after about one query timeout and
 // an ingest chunk after about one ingest timeout — not one per silent
-// shard, as a GOMAXPROCS-wide pool would take.
+// shard, as a GOMAXPROCS-wide pool would take. Once the frontend and
+// the shards are closed, no goroutine of them is left.
 func TestFanOutIsAsWideAsTheMembership(t *testing.T) {
+	t.Cleanup(func() { settled(t) }) // runs last: after the deferred closes and the silent shards' listeners
 	prev := runtime.GOMAXPROCS(1)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	ctx, cancel := context.WithCancel(context.Background())

@@ -85,8 +85,6 @@ func (ix *BotIndex) Resolved(id int32) bool { return ix.rows[id] >= 0 }
 // Bot returns a cursor over the Botlist row of a resolved dense id. ok
 // is false when the IP never resolved in the Botlist. The view reads the
 // store's columns in place and must not outlive it.
-//
-//botscope:mmap
 func (ix *BotIndex) Bot(id int32) (BotView, bool) {
 	row := ix.rows[id]
 	if row < 0 {
@@ -115,7 +113,6 @@ func (ix *BotIndex) Point(id int32) geo.CachedPoint { return ix.pts[id] }
 // aliases the index's shared refs array and must not be modified.
 //
 //botscope:shared
-//botscope:mmap
 func (ix *BotIndex) RefsRow(i int) []int32 {
 	lo, hi := ix.cols.aOff[i], ix.cols.aOff[i+1]
 	return ix.refs[lo:hi:hi]

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // TestStoreClose pins the deterministic unmap contract: Close releases a
@@ -40,14 +41,16 @@ func TestStoreClose(t *testing.T) {
 		}
 	}
 
-	if got.Closed() {
-		t.Fatal("fresh store reports closed")
+	release, ok := got.Hold()
+	if !ok {
+		t.Fatal("fresh store refused a hold")
 	}
+	release()
 	if err := got.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if !got.Closed() {
-		t.Fatal("Closed() is false after Close")
+	if _, ok := got.Hold(); ok {
+		t.Fatal("Hold succeeded after Close")
 	}
 	if got.cols.mmap != nil && got.cols.mmap.mapped() {
 		t.Fatal("Close left the snapshot region mapped")
@@ -78,7 +81,51 @@ func TestStoreCloseUnmapped(t *testing.T) {
 	if err := heap.Close(); err != nil {
 		t.Fatalf("close of heap-decoded store: %v", err)
 	}
-	if !heap.Closed() {
-		t.Fatal("heap-decoded store not marked closed")
+	if _, ok := heap.Hold(); ok {
+		t.Fatal("heap-decoded store still grants holds after Close")
+	}
+}
+
+// TestHoldDelaysClose pins the hold contract: Close does not return (nor
+// unmap) while a hold is outstanding, nested holds count separately, and
+// a hold asked for once Close has begun reports !ok.
+func TestHoldDelaysClose(t *testing.T) {
+	s := snapFixtureStore(t)
+	outer, ok := s.Hold()
+	if !ok {
+		t.Fatal("fresh store refused a hold")
+	}
+	inner, ok := s.Hold()
+	if !ok {
+		t.Fatal("nested hold refused")
+	}
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	// Close has begun once it refuses new holds.
+	for {
+		release, ok := s.Hold()
+		if !ok {
+			break
+		}
+		release()
+		runtime.Gosched()
+	}
+	inner()
+	select {
+	case <-closed:
+		t.Fatal("Close returned with a hold outstanding")
+	case <-time.After(50 * time.Millisecond):
+	}
+	outer()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the last hold was released")
+	}
+	if _, ok := s.Hold(); ok {
+		t.Fatal("Hold succeeded after Close returned")
 	}
 }

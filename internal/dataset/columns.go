@@ -294,8 +294,6 @@ func (d *denseBots) expand(dst []netip.Addr, lo, hi int64) []netip.Addr {
 }
 
 // Cols returns the store's columns. They are shared and immutable.
-//
-//botscope:mmap
 func (s *Store) Cols() *Columns { return s.cols }
 
 // denseBots returns the dense source-IP layer, deriving it from the

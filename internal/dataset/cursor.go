@@ -5,8 +5,8 @@ package dataset
 // columnar arrays without materializing pointer-rich records. A view is
 // two words (columns pointer + row); every accessor is a direct array
 // load, so cursor loops are allocation-free. Views are read-only and
-// valid until the owning Store is closed: on a mapped store the columns
-// they read are the file's bytes, which Close unmaps.
+// valid while the caller holds the owning Store (close.go): on a mapped
+// store the columns they read are the file's bytes, which Close unmaps.
 
 import (
 	"net/netip"
@@ -21,8 +21,6 @@ type AttackView struct {
 
 // Attack returns a cursor over attack row i (the store's sorted attack
 // order).
-//
-//botscope:mmap
 func (c *Columns) Attack(i int) AttackView { return AttackView{c: c, row: int32(i)} }
 
 // AttackRows returns the number of attack rows, for cursor loops.
@@ -30,8 +28,6 @@ func (s *Store) AttackRows() int { return len(s.Cols().aID) }
 
 // AttackAt returns a cursor over attack row i without touching the
 // record face.
-//
-//botscope:mmap
 func (s *Store) AttackAt(i int) AttackView { return s.Cols().Attack(i) }
 
 // Row returns the view's attack row.
@@ -102,8 +98,6 @@ type BotView struct {
 }
 
 // BotRow returns a cursor over Botlist row i.
-//
-//botscope:mmap
 func (c *Columns) BotRow(i int32) BotView { return BotView{c: c, row: i} }
 
 // IP returns the bot's address.
@@ -138,8 +132,6 @@ type BotnetView struct {
 
 // BotnetByID returns a cursor over the botnet with the given id. ok is
 // false when the id has no Botnetlist row.
-//
-//botscope:mmap
 func (s *Store) BotnetByID(id BotnetID) (BotnetView, bool) {
 	c := s.Cols()
 	row, ok := c.botnetRow(uint32(id))

@@ -405,13 +405,15 @@ func (im *snapImage) finish(sec byte, dm []int) error {
 	return nil
 }
 
-// WriteSnapshot writes the store's BSCS snapshot to w. It returns
-// ErrStoreClosed for a closed store: encoding reads the columns, and on
-// a mapped store those bytes were released by Close.
+// WriteSnapshot writes the store's BSCS snapshot to w under a hold. It
+// returns ErrStoreClosed for a closed store: encoding reads the columns,
+// and on a mapped store those bytes were released by Close.
 func WriteSnapshot(w io.Writer, s *Store) error {
-	if s.Closed() {
+	release, ok := s.Hold()
+	if !ok {
 		return ErrStoreClosed
 	}
+	defer release()
 	_, err := w.Write(EncodeSnapshot(s))
 	return err
 }

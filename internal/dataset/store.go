@@ -28,8 +28,14 @@ import (
 // snapshot-loaded store materializes them on first use, a NewStore store
 // holds the caller's records, already filled.
 type Store struct {
-	cols   *Columns    // set at construction, never nil; immutable after
-	closed atomic.Bool // set once by Close; the mapping is gone after
+	cols *Columns // set at construction, never nil; immutable after
+
+	// Hold/Close (close.go): the outstanding holds plus the closing bit,
+	// the flag that makes Close run once, and the channel the last hold
+	// out wakes Close on.
+	holds   atomic.Int64
+	closed  atomic.Bool
+	drained chan struct{}
 
 	recs     memo.Lazy[[]*Attack] // attack row -> record
 	recBuilt atomic.Bool          // recs holds its value: lets RecordsMaterialized and AttackRecordAt ask without building
@@ -256,7 +262,6 @@ func (s *Store) NumTargets() int { return len(s.cols.targets) }
 // id. The slice is a shared arena bucket and must not be modified.
 //
 //botscope:shared
-//botscope:mmap
 func (s *Store) TargetRows(tid int32) []int32 { return s.tgtRows.Get(s.buildTargetRows).rows[tid] }
 
 // TargetIDs returns every column target id, ordered by target address
@@ -264,7 +269,6 @@ func (s *Store) TargetRows(tid int32) []int32 { return s.tgtRows.Get(s.buildTarg
 // must not be modified.
 //
 //botscope:shared
-//botscope:mmap
 func (s *Store) TargetIDs() []int32 { return s.tgtRows.Get(s.buildTargetRows).order }
 
 // buildTargetRows buckets attack rows by target id in one counting pass
@@ -330,7 +334,6 @@ func (s *Store) TargetAddr(tid int32) netip.Addr { return s.Cols().targets[tid] 
 // slice is a shared arena bucket and must not be modified.
 //
 //botscope:shared
-//botscope:mmap
 func (s *Store) RowsByFamily(f Family) []int32 { return s.famRowsMap()[f] }
 
 // attackBotnets counts the distinct botnet ids that appear across

@@ -178,9 +178,11 @@ func (w *Workload) All() []Experiment {
 	for i := range all {
 		run := all[i].Run
 		all[i].Run = func() (*Result, error) {
-			if w.Store.Closed() {
+			release, ok := w.Store.Hold()
+			if !ok {
 				return nil, dataset.ErrStoreClosed
 			}
+			defer release()
 			return run()
 		}
 	}

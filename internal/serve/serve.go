@@ -8,6 +8,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -50,14 +51,16 @@ func New(store *dataset.Store, scale float64) *Server {
 	return s
 }
 
-// serve answers 503 on every route once the store is closed: on a mapped
-// store the columns the handlers read are gone. One check per request;
-// the loops behind it stay branch-free.
+// serve runs every route under a store hold, so Close waits for the
+// handlers in flight, and answers 503 once Close has begun. One hold per
+// request; the loops behind it stay branch-free.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
-	if s.store.Closed() {
+	release, ok := s.store.Hold()
+	if !ok {
 		writeError(w, http.StatusServiceUnavailable, dataset.ErrStoreClosed)
 		return
 	}
+	defer release()
 	s.mux.ServeHTTP(w, r)
 }
 
@@ -324,7 +327,11 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		res, err := e.Run()
-		if err != nil {
+		switch {
+		case errors.Is(err, dataset.ErrStoreClosed):
+			writeError(w, http.StatusServiceUnavailable, err)
+			return
+		case err != nil:
 			writeError(w, http.StatusUnprocessableEntity, err)
 			return
 		}
@@ -338,7 +345,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 // fails. It is the non-cancellable entry point; long-lived callers should
 // prefer ListenAndServeContext.
 func (s *Server) ListenAndServe(addr string) error {
-	return s.ListenAndServeContext(context.Background(), addr) //botvet:ignore ctxflow audited: documented non-cancellable entry point
+	return s.ListenAndServeContext(context.Background(), addr)
 }
 
 // ListenAndServeContext runs the server until the listener fails or ctx is

@@ -368,6 +368,7 @@ func TestListenAndServeContextShutdown(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("server did not shut down after context cancellation")
 	}
+	settled(t)
 }
 
 func TestListenAndServeContextBadAddr(t *testing.T) {
@@ -433,6 +434,56 @@ func TestClosedStoreIs503(t *testing.T) {
 			t.Errorf("GET %s on a closed store: error %q, want %q", path, body.Error, dataset.ErrStoreClosed)
 		}
 	}
+}
+
+// TestCloseWaitsForHandlers closes a mapped store while four clients are
+// mid-request: Close waits for the handlers that hold the store, and
+// every answer is a 200 or the JSON 503 — never a read of unmapped
+// columns.
+func TestCloseWaitsForHandlers(t *testing.T) {
+	store := reloadedStore(t)
+	s := New(store, 0.03)
+	paths := []string{"/api/summary", "/api/family/dirtjumper/dispersion", "/api/experiments/Figure%209", "/api/collaborations"}
+	// answer makes one GET and reports whether it was refused.
+	answer := func(path string) bool {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		switch rec.Code {
+		case http.StatusOK:
+			return false
+		case http.StatusServiceUnavailable:
+			var body struct{ Error string }
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error != dataset.ErrStoreClosed.Error() {
+				t.Errorf("GET %s = 503 with body %.200s, want the JSON ErrStoreClosed", path, rec.Body.String())
+			}
+		default:
+			t.Errorf("GET %s = %d, want 200 or 503 (body: %.200s)", path, rec.Code, rec.Body.String())
+		}
+		return true
+	}
+	var started, done sync.WaitGroup
+	for g := range 4 {
+		started.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			answer(paths[g])
+			started.Done()
+			for refused := 0; refused < len(paths); {
+				refused = 0
+				for _, path := range paths {
+					if answer(path) {
+						refused++
+					}
+				}
+			}
+		}()
+	}
+	started.Wait()
+	if err := store.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	done.Wait()
 }
 
 // reloadedStore writes the shared workload to a snapshot file and opens
