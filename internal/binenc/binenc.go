@@ -239,12 +239,13 @@ func (c *Codec) Host(p *netip.Addr) {
 	}
 }
 
-// count reads a collection length and sanity-checks it against the bytes
-// remaining (every element costs at least minBytes somewhere later in
-// Buf), so a corrupt count cannot force an arbitrary allocation.
-func (c *Codec) count(minBytes int) int {
+// count reads a collection length and sanity-checks it against maxN and
+// against the bytes remaining (every element costs at least minBytes
+// somewhere later in Buf), so a corrupt count cannot force an arbitrary
+// allocation.
+func (c *Codec) count(minBytes, maxN int) int {
 	n := c.readUvarint()
-	if n > uint64(len(c.Buf)/max(minBytes, 1)) {
+	if n > uint64(min(len(c.Buf)/max(minBytes, 1), maxN)) {
 		c.Fail()
 	}
 	if c.Err != nil {
@@ -261,12 +262,19 @@ func (c *Codec) count(minBytes int) int {
 // allocate is len(Buf)/minBytes elements: pass the true per-element
 // minimum, and bound the payload (cluster.maxPayload).
 func Len[T any](c *Codec, s *[]T, minBytes int) {
+	LenMax(c, s, minBytes, math.MaxInt)
+}
+
+// LenMax is Len for a slice the message declares at most maxN long: a
+// decode also refuses a count above maxN, before making anything. An
+// encode writes len(*s) as given; keeping to maxN is the sender's part.
+func LenMax[T any](c *Codec, s *[]T, minBytes, maxN int) {
 	if !c.dec {
 		c.Buf = binary.AppendUvarint(c.Buf, uint64(len(*s)))
 		return
 	}
 	*s = nil
-	if n := c.count(minBytes); n > 0 {
+	if n := c.count(minBytes, maxN); n > 0 {
 		*s = make([]T, n)
 	}
 }
@@ -276,7 +284,7 @@ func Len[T any](c *Codec, s *[]T, minBytes int) {
 // freshly made map in.
 func Counts[K ~string](c *Codec, m *map[K]int) {
 	if c.dec {
-		n := c.count(2)
+		n := c.count(2, math.MaxInt)
 		*m = make(map[K]int, n)
 		for ; n > 0 && c.Err == nil; n-- {
 			var k K

@@ -121,6 +121,15 @@ func TestMalformed(t *testing.T) {
 	if Len(&c, &pairs, 2); pairs != nil || c.Err != ErrShort {
 		t.Errorf("oversized count: %d elements, err = %v", len(pairs), c.Err)
 	}
+	// A count above a declared maximum, with bytes enough behind it.
+	c = Decoder([]byte{3, 0, 0, 0})
+	if LenMax(&c, &pairs, 1, 2); pairs != nil || c.Err != ErrShort {
+		t.Errorf("count over maximum: %d elements, err = %v", len(pairs), c.Err)
+	}
+	c = Decoder([]byte{2, 0, 0})
+	if LenMax(&c, &pairs, 1, 2); len(pairs) != 2 || c.Err != nil {
+		t.Errorf("count at maximum: %d elements, err = %v", len(pairs), c.Err)
+	}
 	// An address tag that is none of 0, 4, 16.
 	var a netip.Addr
 	c = Decoder([]byte{5, 1, 2, 3, 4, 5})

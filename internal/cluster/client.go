@@ -28,6 +28,7 @@ type shardClient struct {
 	addr string
 
 	wmu  sync.Mutex // serializes frame writes
+	wbuf []byte     // guarded by wmu: each frame is built here, then written
 	conn net.Conn
 
 	mu      sync.Mutex
@@ -115,7 +116,8 @@ func (c *shardClient) call(ctx context.Context, typ FrameKind, payload []byte) (
 
 	f := Frame{Type: typ, ReqID: reqID, Payload: payload}
 	c.wmu.Lock()
-	_, err := c.conn.Write(AppendFrame(nil, &f))
+	c.wbuf = AppendFrame(c.wbuf[:0], &f)
+	_, err := c.conn.Write(c.wbuf)
 	c.wmu.Unlock()
 	if err != nil {
 		c.drop(reqID)

@@ -7,11 +7,17 @@ import (
 	"botscope/internal/dataset"
 )
 
-// IngestEntry is one element of an msgIngest payload: either a full attack
-// record (the shard owns this attack's target partition) or a lightweight
-// (id, start, end) tick (the attack is homed elsewhere; the shard folds it
-// into its replicated scalar state only). Entries arrive in global stream
-// order; Seq is the record's 1-based position in the global stream.
+// IngestEntry is one element of an msgIngest payload: either an attack's
+// key record (the shard owns this attack's target partition) or a
+// lightweight (id, start, end) tick (the attack is homed elsewhere; the
+// shard folds it into its replicated scalar state only). Entries arrive in
+// global stream order; Seq is the record's 1-based position in the global
+// stream.
+//
+// A decoded Record holds the attack's key — ID, BotnetID, Family,
+// Category, TargetIP, Start, End — and nothing else: no bot IPs and no
+// target geolocation cross the wire (wireAttack), because the shard's
+// analyzer reads none of them.
 type IngestEntry struct {
 	Seq    uint64
 	Record *dataset.Attack // nil for a tick
@@ -34,10 +40,13 @@ const (
 // unix-nanoseconds, floats as their IEEE-754 bits, and every string and
 // address verbatim, so the far side reconstructs values bit-exactly.
 
-// wireIngest is the msgIngest payload: the entries, in global order. A
-// tick costs at least 5 bytes (kind + 4 varints).
+// wireIngest is the msgIngest payload: the entries, in global order, at
+// most ingestChunk of them — the frontend never sends more, and a decode
+// refuses a larger count before making anything, so one ingest frame costs
+// a shard at most ingestChunk entries whatever its length. A tick costs at
+// least 5 bytes (kind + 4 varints).
 func wireIngest(c *binenc.Codec, entries *[]IngestEntry) {
-	binenc.Len(c, entries, 5)
+	binenc.LenMax(c, entries, 5, ingestChunk)
 	for i := range *entries {
 		e := &(*entries)[i]
 		kind := e.wireKind(c)
@@ -74,10 +83,11 @@ func (e *IngestEntry) wireKind(c *binenc.Codec) byte {
 	return kind
 }
 
-// wireAttack is one full dataset.Attack, so the shard's analyzer sees
-// exactly the record the frontend validated. Every address in a record
-// names a real host (BSCS uses the zero tag for an absent controller; BSCW
-// refuses it), and every bot IP costs at least 5 bytes.
+// wireAttack is an attack's key: the seven fields the shard's analyzer
+// reads (stream.Analyzer.IngestAt) and checks (dataset.Attack.ValidateKey).
+// The bot IPs and target geolocation stay at the frontend, which validated
+// them. The target names a real host (BSCS uses the zero tag for an absent
+// controller; BSCW refuses it).
 func wireAttack(c *binenc.Codec, a *dataset.Attack) {
 	binenc.Uint(c, &a.ID)
 	binenc.Uint(c, &a.BotnetID)
@@ -86,16 +96,6 @@ func wireAttack(c *binenc.Codec, a *dataset.Attack) {
 	c.Host(&a.TargetIP)
 	c.Time(&a.Start)
 	c.Time(&a.End)
-	binenc.Len(c, &a.BotIPs, 5)
-	for i := range a.BotIPs {
-		c.Host(&a.BotIPs[i])
-	}
-	binenc.Int(c, &a.TargetASN)
-	binenc.Str(c, &a.TargetCountry)
-	binenc.Str(c, &a.TargetCity)
-	binenc.Str(c, &a.TargetOrg)
-	c.F64(&a.TargetLat)
-	c.F64(&a.TargetLon)
 }
 
 // helloAck is the shard's session greeting: its identity and how many

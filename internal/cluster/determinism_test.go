@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
 	"strings"
 	"sync"
 	"testing"
@@ -302,6 +303,40 @@ func TestFrontendIngestBusy(t *testing.T) {
 	pw.Close()
 	if err := <-done; err != nil {
 		t.Fatalf("first ingest failed: %v", err)
+	}
+}
+
+// TestFrontendBoundsBotIPs: the frontend refuses a record naming more than
+// dataset.MaxBotIPs sources before sequencing it — no shard could, since
+// none receives a bot list — and keeps the valid record before it.
+func TestFrontendBoundsBotIPs(t *testing.T) {
+	local, _ := startCluster(t, 2)
+	start := time.Date(2012, 8, 1, 0, 0, 0, 0, time.UTC)
+	var attacks []*dataset.Attack
+	for id := 1; id <= 2; id++ {
+		a := &dataset.Attack{
+			ID: dataset.DDoSID(id), BotnetID: 7, Family: dataset.Optima, Category: dataset.CategoryHTTP,
+			TargetIP: netip.MustParseAddr("192.0.2.1"), Start: start, End: start.Add(time.Hour),
+			BotIPs: []netip.Addr{netip.MustParseAddr("198.51.100.1")},
+		}
+		attacks = append(attacks, a)
+	}
+	for i := range dataset.MaxBotIPs {
+		attacks[1].BotIPs = append(attacks[1].BotIPs, netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}))
+	}
+	var feed bytes.Buffer
+	if err := dataset.WriteJSONL(&feed, attacks); err != nil {
+		t.Fatal(err)
+	}
+
+	ingested, total, err := local.Frontend.LiveIngest(context.Background(), &feed)
+	if err == nil || !strings.Contains(err.Error(), "more than 65536") || ingested != 1 || total != 1 {
+		t.Errorf("LiveIngest = %d, %d, %v; want 1, 1 and the cap named", ingested, total, err)
+	}
+	for _, s := range local.Shards {
+		if got := s.Applied(); got != 1 {
+			t.Errorf("shard %d applied %d entries, want 1", s.ID(), got)
+		}
 	}
 }
 

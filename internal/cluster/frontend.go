@@ -25,7 +25,8 @@ const (
 	// DefaultIngestTimeout bounds one chunk's fan-out (including busy
 	// retries); a shard that cannot ack within it is marked down.
 	DefaultIngestTimeout = 5 * time.Second
-	// ingestChunk is how many records the frontend batches per fan-out.
+	// ingestChunk is how many records the frontend batches per fan-out,
+	// and so the most entries one ingest frame may carry (wireIngest).
 	ingestChunk = 256
 )
 
@@ -51,9 +52,10 @@ var ErrIngestBusy = &StatusError{Status: 503, Message: "cluster: ingest in progr
 var ErrNoShards = &StatusError{Status: 503, Message: "cluster: no shards reachable", RetryAfterSec: 5}
 
 // Frontend is the stateless query/ingest tier over a set of shard
-// workers. It validates and orders the global ingest stream, fans each
-// chunk out as records-plus-ticks, and answers live queries by merging
-// shard snapshots deterministically. The only state it holds is routing
+// workers. It validates whole records and orders the global ingest
+// stream, fans each chunk out as owned attacks' keys plus everyone else's
+// ticks, and answers live queries by merging shard snapshots
+// deterministically. The only state it holds is routing
 // (the ring and shard sessions) and the global stream cursor — all
 // analytics state lives on the shards.
 type Frontend struct {
@@ -257,10 +259,11 @@ func (f *Frontend) LiveSnapshot(ctx context.Context) (stream.Snapshot, []int, er
 }
 
 // LiveIngest streams JSONL records from body into the cluster: validate
-// and order-check at the edge, assign global sequence numbers, fan each
-// chunk out with full records to the owning shard and ticks to the rest,
-// and wait for every ack. It returns how many records this call applied
-// and the cluster's running total.
+// and order-check at the edge — the only place a record's bot IPs and
+// target geolocation are checked, since no shard receives them — assign
+// global sequence numbers, fan each chunk out with the attack's key to the
+// owning shard and ticks to the rest, and wait for every ack. It returns
+// how many records this call applied and the cluster's running total.
 //
 // Semantics match the single-process ingest endpoint: records preceding a
 // malformed or out-of-order record stay applied. A concurrent ingest is
@@ -324,8 +327,9 @@ func (f *Frontend) flushChunk(ctx context.Context, chunk []*dataset.Attack) erro
 	// f.seq - len(chunk) + 1 + i.
 	base := f.seq.Load() - uint64(len(chunk))
 
-	// Build each shard's payload: the owner gets the full record, everyone
-	// else gets its scalar tick, all in global order.
+	// Build each shard's payload: the owner gets the record, of which
+	// wireAttack sends only the key, everyone else gets its scalar tick,
+	// all in global order.
 	owners, entries := f.owners[:len(chunk)], f.entries[:len(chunk)]
 	for i, a := range chunk {
 		owners[i] = f.ring.Owner(a.TargetIP)

@@ -18,8 +18,8 @@ import (
 const DefaultQueueDepth = 64
 
 // Shard is one worker of the sharded serve tier. It owns a target
-// partition of the live feed in a stream.Analyzer (full records for its
-// own partition, scalar ticks for everything else) and speaks the wire
+// partition of the live feed in a stream.Analyzer (attack keys for its own
+// partition, scalar ticks for everything else) and speaks the wire
 // protocol over TCP: ingest batches and snapshot requests queue through a
 // single applier goroutine, so reads observe every batch acked before
 // them (FIFO read-your-writes).
@@ -49,15 +49,18 @@ type shardJob struct {
 
 // shardConn serializes writes to one accepted connection: the applier
 // goroutine writes acks while the reader goroutine writes busy refusals.
+// Each frame is built in wbuf, reused for the session's lifetime.
 type shardConn struct {
 	conn net.Conn
 	wmu  sync.Mutex
+	wbuf []byte // guarded by wmu
 }
 
 func (c *shardConn) writeFrame(f *Frame) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	_, err := c.conn.Write(AppendFrame(nil, f))
+	c.wbuf = AppendFrame(c.wbuf[:0], f)
+	_, err := c.conn.Write(c.wbuf)
 	return err
 }
 
@@ -204,8 +207,9 @@ func (s *Shard) applyIngest(job shardJob) {
 	_ = job.conn.writeFrame(&Frame{Type: msgIngestAck, ReqID: job.frame.ReqID, Payload: w.Buf})
 }
 
-// apply folds an ordered batch into the analyzer: full records for the
-// shard's own partition, ticks for the rest.
+// apply folds an ordered batch into the analyzer: key records for the
+// shard's own partition (IngestAt checks each with ValidateKey), ticks
+// for the rest.
 func (s *Shard) apply(entries []IngestEntry) error {
 	for i := range entries {
 		e := &entries[i]

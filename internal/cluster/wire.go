@@ -7,15 +7,17 @@
 //
 // The determinism argument has two halves. Keyed statistics (protocol and
 // family counters, daily buckets, collaboration windows) are partitioned
-// by target IP — the same key the collaboration detector groups by — so
-// each shard's partial is exact over a disjoint partition and the merge is
-// integer addition plus a canonical reorder. Global-order scalar
-// statistics (inter-attack gaps, durations, the concurrent-load sweep)
-// depend on the interleaving of the whole stream and cannot be merged from
-// partitioned accumulators without float reassociation; instead every
-// attack's (id, start, end) tick is replicated to every shard, each shard
-// folds the identical tick sequence through the identical stream.Scalars
-// code, and the merge takes the scalars from any up-to-date shard.
+// by target IP — the same key the collaboration detector groups by — and
+// driven by each owned attack's key (id, botnet, family, category, target,
+// start, end), sent only to its owner; so each shard's partial is exact
+// over a disjoint partition and the merge is integer addition plus a
+// canonical reorder. Global-order scalar statistics (inter-attack gaps,
+// durations, the concurrent-load sweep) depend on the interleaving of the
+// whole stream and cannot be merged from partitioned accumulators without
+// float reassociation; instead every attack's (id, start, end) tick is
+// replicated to every shard, each shard folds the identical tick sequence
+// through the identical stream.Scalars code, and the merge takes the
+// scalars from any up-to-date shard.
 package cluster
 
 import (
@@ -29,21 +31,26 @@ import (
 
 // Wire protocol constants. The magic and version lead every frame so a
 // frontend and shard from different builds fail fast instead of
-// misinterpreting each other.
+// misinterpreting each other. Version 2 carries an owned attack as its
+// key only (wireAttack); a version-1 peer is refused with ErrBadVersion.
 const (
 	wireMagic   = "BSCW"
-	wireVersion = 1
+	wireVersion = 2
 
 	// headerLen is magic(4) + version(1) + type(1) + flags(2) + reqID(4) +
 	// payload length(4).
 	headerLen = 16
 
 	// maxPayload bounds a frame's payload so a corrupt or malicious length
-	// prefix cannot force an arbitrary allocation. A decode makes each
-	// slice at its declared count (binenc.Len), checked only against the
-	// wire minimum of an element, so a malformed payload of this size can
-	// cost ~14x as much heap before it is refused (a 5-byte tick is a
-	// 72-byte IngestEntry, a 7-byte candidate ~100 bytes).
+	// prefix cannot force an arbitrary allocation. An ingest payload is
+	// capped at ingestChunk entries (wireIngest), so its decode costs at
+	// most 256 × ~280 bytes — a ~13-byte key record becomes a 72-byte
+	// IngestEntry plus a 208-byte Attack — whatever the frame's length.
+	// Every other slice is made at its declared count (binenc.Len), checked
+	// only against the wire minimum of an element, so a malformed snapshot
+	// payload of this size can cost ~16x as much heap before it is refused
+	// (a 1-byte family name is a 16-byte string header, a 7-byte candidate
+	// ~100 bytes).
 	maxPayload = 64 << 20
 )
 

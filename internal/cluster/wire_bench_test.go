@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"botscope/internal/binenc"
@@ -9,12 +10,13 @@ import (
 )
 
 // BenchmarkWireCodec budgets the payload walks where the pipeline cannot
-// see them: one 5,000-entry ingest batch from a scale-0.1 feed (half
-// records, half ticks) each way, and that feed's shard snapshot there and
-// back. Encode reuses its buffer and allocates nothing; decode allocates
-// what the message holds (the entry slice; a record, its bot IPs and its
-// strings) and nothing for the walk itself — a closure or method value per
-// field shows up here as allocs/op, not downstream as alloc_mb_per_pass.
+// see them: 5,000 ingest entries from a scale-0.1 feed (half records, half
+// ticks) each way, as the ingestChunk-entry payloads the frontend sends,
+// and that feed's shard snapshot there and back. Encode reuses its buffer
+// and allocates nothing; decode allocates what the message holds (each
+// payload's entry slice; a record and its family string) and nothing for
+// the walk itself — a closure or method value per field shows up here as
+// allocs/op, not downstream as alloc_mb_per_pass.
 func BenchmarkWireCodec(b *testing.B) {
 	store, err := synth.GenerateStore(synth.Config{Seed: 1, Scale: 0.1})
 	if err != nil {
@@ -35,26 +37,37 @@ func BenchmarkWireCodec(b *testing.B) {
 		}
 	}
 	snap := ShardSnapshot{ShardID: 1, Applied: uint64(an.Ingested()), Snap: an.Snapshot()}
-	payload := encodeMsg(wireIngest, &entries)
+	var chunks [][]IngestEntry
+	var payloads [][]byte
+	longest := 0
+	for c := range slices.Chunk(entries, ingestChunk) {
+		chunks = append(chunks, c)
+		payloads = append(payloads, encodeMsg(wireIngest, &c))
+		longest = max(longest, len(payloads[len(payloads)-1]))
+	}
 
 	b.Run("ingest_encode", func(b *testing.B) {
-		buf := make([]byte, 0, len(payload))
+		buf := make([]byte, 0, longest)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			w := binenc.Encoder(buf[:0])
-			wireIngest(&w, &entries)
-			buf = w.Buf
+			for j := range chunks {
+				w := binenc.Encoder(buf[:0])
+				wireIngest(&w, &chunks[j])
+				buf = w.Buf
+			}
 		}
 	})
 	b.Run("ingest_decode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			var got []IngestEntry
-			r := binenc.Decoder(payload)
-			wireIngest(&r, &got)
-			if err := payloadErr(&r); err != nil {
-				b.Fatal(err)
+			for _, payload := range payloads {
+				var got []IngestEntry
+				r := binenc.Decoder(payload)
+				wireIngest(&r, &got)
+				if err := payloadErr(&r); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})

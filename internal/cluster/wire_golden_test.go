@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
-	"net/netip"
 	"os"
 	"reflect"
 	"strings"
@@ -47,19 +46,18 @@ func goldenSnapshot(t testing.TB) ShardSnapshot {
 }
 
 // goldenIngest is one batch with every entry shape: a tick, a record on an
-// IPv4 target, a record whose second bot is IPv6, a zero-duration tick.
+// IPv4 target, a record on an IPv6 target, a zero-duration tick. Its
+// records are keys, as a shard decodes them.
 func goldenIngest() []IngestEntry {
 	start := time.Date(2012, 8, 1, 12, 0, 0, 0, time.UTC)
 	rec := func(seq, id uint64, target string, at time.Time) IngestEntry {
-		a := testAttack(id, target, at)
+		a := keyOf(testAttack(id, target, at))
 		return IngestEntry{Seq: seq, Record: a, ID: a.ID, Start: a.Start, End: a.End}
 	}
-	v6 := rec(3, 7, "203.0.113.40", start.Add(2*time.Minute))
-	v6.Record.BotIPs = []netip.Addr{netip.MustParseAddr("2001:db8::99")}
 	return []IngestEntry{
 		{Seq: 1, ID: 5, Start: start, End: start.Add(time.Hour)},
 		rec(2, 6, "198.51.100.9", start.Add(time.Minute)),
-		v6,
+		rec(3, 7, "2001:db8::99", start.Add(2*time.Minute)),
 		{Seq: 4, ID: 8, Start: start.Add(3 * time.Minute), End: start.Add(3 * time.Minute)},
 	}
 }
@@ -69,11 +67,13 @@ var (
 	goldenAck   = ingestAck{Applied: 12345}
 )
 
-// goldenPath pins the BSCW v1 payload bytes, one "name hex" line a message.
-// It was written by the hand-paired encoders this package had before PR 28
-// (at commit c304832) and is what lets wireVersion stay 1: a walk that
-// moves a byte fails here, and the fix is the walk, not the file.
-const goldenPath = "testdata/bscw_v1.golden"
+// goldenPath pins the BSCW v2 payload bytes, one "name hex" line a message.
+// Its snapshot, helloAck and ingestAck lines are v1's byte for byte (v1's
+// were written by the hand-paired encoders this package had before the
+// payload walks); v2 moved only the ingest line, whose records became
+// keys. A walk that moves a byte fails here: the fix is the walk, or a
+// wireVersion bump with a new file — never an edit to this one.
+const goldenPath = "testdata/bscw_v2.golden"
 
 // readGolden returns the pinned payloads by line name.
 func readGolden(t testing.TB) map[string][]byte {

@@ -6,6 +6,8 @@ import (
 	"net"
 	"net/netip"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -56,6 +58,9 @@ func TestDecodeFrameRejectsMalformedHeaders(t *testing.T) {
 		{"short", valid[:headerLen-1], ErrTruncated},
 		{"bad magic", append([]byte("XSCW"), valid[4:]...), ErrBadMagic},
 		{"bad version", append(append([]byte{}, valid[:4]...), append([]byte{99}, valid[5:]...)...), ErrBadVersion},
+		// v1 sent whole records (bot IPs, target geolocation); v2 peers
+		// refuse it at the header.
+		{"version 1", append(append([]byte{}, valid[:4]...), append([]byte{1}, valid[5:]...)...), ErrBadVersion},
 		{"payload past end", func() []byte {
 			b := append([]byte{}, valid...)
 			b[15] = 10 // declares 10 payload bytes that are not there
@@ -123,6 +128,15 @@ func testAttack(id uint64, target string, start time.Time) *dataset.Attack {
 	}
 }
 
+// keyOf is what a shard decodes from a: the attack's key — id, botnet,
+// family, category, target, start, end — with no bot IPs and zero geo.
+func keyOf(a *dataset.Attack) *dataset.Attack {
+	return &dataset.Attack{
+		ID: a.ID, BotnetID: a.BotnetID, Family: a.Family, Category: a.Category,
+		TargetIP: a.TargetIP, Start: a.Start, End: a.End,
+	}
+}
+
 func TestIngestCodecRoundTrip(t *testing.T) {
 	start := time.Date(2012, 8, 1, 12, 0, 0, 0, time.UTC)
 	entries := []IngestEntry{
@@ -137,8 +151,11 @@ func TestIngestCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(entries, got) {
-		t.Errorf("round trip:\n got %+v\nwant %+v", got, entries)
+	// The record arrives as its key projection: nil BotIPs, zero geo.
+	want := slices.Clone(entries)
+	want[1].Record = keyOf(entries[1].Record)
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("round trip:\n got %+v\nwant %+v", got, want)
 	}
 	if !got[0].Tick() || got[1].Tick() {
 		t.Errorf("tick flags = %v, %v; want true, false", got[0].Tick(), got[1].Tick())
@@ -162,17 +179,100 @@ func TestIngestCodecRoundTrip(t *testing.T) {
 		t.Errorf("unknown entry kind: err = %v, want ErrTruncated", err)
 	}
 
-	// BSCW refuses the zero-address tag wherever a record carries one.
-	for name, zero := range map[string]func(a *dataset.Attack){
-		"target": func(a *dataset.Attack) { a.TargetIP = netip.Addr{} },
-		"bot":    func(a *dataset.Attack) { a.BotIPs[1] = netip.Addr{} },
-	} {
-		a := testAttack(8, "198.51.100.9", start)
-		zero(a)
-		batch := []IngestEntry{{Seq: 1, Record: a, ID: a.ID, Start: a.Start, End: a.End}}
-		if _, err := decodeMsg(wireIngest, encodeMsg(wireIngest, &batch)); !errors.Is(err, ErrTruncated) {
-			t.Errorf("zero %s address: err = %v, want ErrTruncated", name, err)
+	// BSCW refuses the zero-address tag for a record's target, the one
+	// address the key carries.
+	a := testAttack(8, "198.51.100.9", start)
+	a.TargetIP = netip.Addr{}
+	batch := []IngestEntry{{Seq: 1, Record: a, ID: a.ID, Start: a.Start, End: a.End}}
+	if _, err := decodeMsg(wireIngest, encodeMsg(wireIngest, &batch)); !errors.Is(err, ErrTruncated) {
+		t.Errorf("zero target address: err = %v, want ErrTruncated", err)
+	}
+}
+
+// TestIngestCountCapped: ingestChunk entries decode; a payload declaring
+// one more — which the frontend never sends — is refused by its count,
+// before anything is made.
+func TestIngestCountCapped(t *testing.T) {
+	start := time.Date(2012, 8, 1, 12, 0, 0, 0, time.UTC)
+	ticks := make([]IngestEntry, ingestChunk+1)
+	for i := range ticks {
+		ticks[i] = IngestEntry{Seq: uint64(i + 1), ID: dataset.DDoSID(i + 1), Start: start, End: start}
+	}
+	full := ticks[:ingestChunk]
+	if got, err := decodeMsg(wireIngest, encodeMsg(wireIngest, &full)); err != nil || len(got) != ingestChunk {
+		t.Fatalf("%d entries: decoded %d, %v", ingestChunk, len(got), err)
+	}
+	forged := encodeMsg(wireIngest, &ticks)
+	if _, err := decodeMsg(wireIngest, forged); !errors.Is(err, ErrTruncated) {
+		t.Errorf("%d entries: err = %v, want ErrTruncated", len(ticks), err)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		var got []IngestEntry
+		c := binenc.Decoder(forged)
+		wireIngest(&c, &got)
+	}); n != 0 {
+		t.Errorf("%d entries: decode allocates %.0f objects, want 0", len(ticks), n)
+	}
+}
+
+// TestShardRefusesInvalidKey sends raw ingest frames whose one record
+// decodes but fails ValidateKey. Each is answered with a flagError ack
+// naming the fault, and nothing is applied.
+func TestShardRefusesInvalidKey(t *testing.T) {
+	s := NewShard(0, 4)
+	go s.applier()
+	t.Cleanup(func() { close(s.work) })
+	client, server := netPipe(t)
+	go s.readLoop(&shardConn{conn: server})
+
+	send := func(reqID uint32, a *dataset.Attack) Frame {
+		t.Helper()
+		batch := []IngestEntry{{Seq: uint64(reqID), Record: a}}
+		if _, err := client.Write(AppendFrame(nil, &Frame{Type: msgIngest, ReqID: reqID, Payload: encodeMsg(wireIngest, &batch)})); err != nil {
+			t.Fatal(err)
 		}
+		resp, err := ReadFrame(client)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	start := time.Date(2012, 8, 1, 12, 0, 0, 0, time.UTC)
+	if resp := send(1, testAttack(1, "198.51.100.9", start)); resp.Flags != 0 {
+		t.Fatalf("valid record: ack %+v (%s)", resp, resp.Payload)
+	}
+	for i, tc := range []struct {
+		name, want string
+		mutate     func(*dataset.Attack)
+	}{
+		{"zero botnet id", "zero botnet_id", func(a *dataset.Attack) { a.BotnetID = 0 }},
+		{"end before start", "ends", func(a *dataset.Attack) { a.End = a.Start.Add(-time.Second) }},
+	} {
+		a := testAttack(uint64(i+2), "198.51.100.9", start.Add(time.Minute))
+		tc.mutate(a)
+		resp := send(uint32(i+2), a)
+		if resp.Type != msgIngestAck || resp.Flags != flagError || !strings.Contains(string(resp.Payload), tc.want) {
+			t.Errorf("%s: ack %+v (%q), want an error ack naming %q", tc.name, resp, resp.Payload, tc.want)
+		}
+		if got := s.Applied(); got != 1 {
+			t.Errorf("%s: Applied() = %d, want 1", tc.name, got)
+		}
+	}
+}
+
+// discardConn is a connection whose writes all succeed and go nowhere.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestWriteFrameReusesBuffer: once a session's write buffer has grown to a
+// frame's size, writing another frame allocates nothing.
+func TestWriteFrameReusesBuffer(t *testing.T) {
+	c := &shardConn{conn: discardConn{}}
+	f := &Frame{Type: msgSnapResp, ReqID: 7, Payload: make([]byte, 4096)}
+	if n := testing.AllocsPerRun(100, func() { _ = c.writeFrame(f) }); n != 0 {
+		t.Errorf("writeFrame allocates %.1f objects per frame, want 0", n)
 	}
 }
 

@@ -40,11 +40,11 @@ func (s *Store) unhold() {
 }
 
 // Close releases the store's memory-mapped snapshot region, if any,
-// deterministically instead of waiting for the finalizer. It refuses new
-// holds at once, waits until every outstanding hold is released, and
-// then unmaps. It is idempotent and safe on stores that were never
-// mapped (NewStore stores, heap-decoded snapshots), where it only refuses
-// later holds.
+// deterministically instead of waiting for the region's cleanup. It
+// refuses new holds at once, waits until every outstanding hold is
+// released, and then unmaps. It is idempotent and safe on stores that
+// were never mapped (NewStore stores, heap-decoded snapshots), where it
+// only refuses later holds.
 func (s *Store) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil

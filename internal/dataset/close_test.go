@@ -12,7 +12,7 @@ import (
 )
 
 // TestStoreClose pins the deterministic unmap contract: Close releases a
-// mapped store's region immediately (not at finalizer time), is
+// mapped store's region immediately (not when a cleanup runs), is
 // idempotent, and flips every later snapshot write into ErrStoreClosed.
 func TestStoreClose(t *testing.T) {
 	s := snapFixtureStore(t)

@@ -17,8 +17,6 @@ func mmapFile(_ *os.File, _ int64) (*mmapRegion, error) {
 	return nil, errors.New("dataset: mmap unsupported on this platform")
 }
 
-func (m *mmapRegion) close() {}
-
 func (m *mmapRegion) release() {}
 
 func (m *mmapRegion) mapped() bool { return false }

@@ -11,10 +11,12 @@ import (
 
 // mmapRegion owns one read-only file mapping. Columns that alias the
 // mapping hold a pointer to the region (Columns.mmap), which keeps it
-// reachable; the finalizer unmaps once nothing references it. close is
-// idempotent so error paths can unmap eagerly.
+// reachable; a cleanup unmaps once nothing references it. release unmaps
+// eagerly and is idempotent, so error paths and Store.Close can both call
+// it.
 type mmapRegion struct {
-	data []byte
+	data    []byte
+	cleanup runtime.Cleanup
 }
 
 // mmapFile maps the first size bytes of f read-only and shared. The
@@ -29,23 +31,21 @@ func mmapFile(f *os.File, size int64) (*mmapRegion, error) {
 		return nil, fmt.Errorf("dataset: mmap: %w", err)
 	}
 	m := &mmapRegion{data: data}
-	runtime.SetFinalizer(m, (*mmapRegion).close)
+	m.cleanup = runtime.AddCleanup(m, munmap, data)
 	return m, nil
 }
 
-func (m *mmapRegion) close() {
+func munmap(data []byte) { _ = syscall.Munmap(data) }
+
+// release unmaps now. The cleanup is stopped first, so the range is not
+// unmapped a second time — by then possibly another mapping's — when the
+// region becomes unreachable.
+func (m *mmapRegion) release() {
 	if m.data != nil {
-		_ = syscall.Munmap(m.data)
+		m.cleanup.Stop()
+		munmap(m.data)
 		m.data = nil
 	}
-}
-
-// release unmaps eagerly on behalf of Store.Close: the finalizer is
-// cleared first so the region is not unmapped a second time when it
-// becomes unreachable.
-func (m *mmapRegion) release() {
-	runtime.SetFinalizer(m, nil)
-	m.close()
 }
 
 // mapped reports whether the region still holds a live mapping.

@@ -514,17 +514,17 @@ func readSnapshotMapped(f *os.File, pos, size int64) (s *Store, err error, done 
 	}
 	s, aliased, err := decodeSnapshot(m.data[pos:], true)
 	if err != nil {
-		m.close()
+		m.release()
 		return nil, err, true
 	}
 	// Consume the reader like a full read would, so callers that share
 	// the file handle see the same position either way.
 	if _, err := f.Seek(size, io.SeekStart); err != nil {
-		m.close()
+		m.release()
 		return nil, err, true
 	}
 	if !aliased {
-		m.close()
+		m.release()
 		return s, nil, true
 	}
 	s.cols.mmap = m

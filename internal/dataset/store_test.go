@@ -95,6 +95,29 @@ func TestNewStoreRejectsZones(t *testing.T) {
 	}
 }
 
+// TestNewStoreBoundsBotIPs: a record may name MaxBotIPs sources and no
+// more; NewStore refuses a longer list by name.
+func TestNewStoreBoundsBotIPs(t *testing.T) {
+	at, over := validAttack(1), validAttack(2)
+	at.BotIPs = manyAddrs(MaxBotIPs)
+	over.BotIPs = manyAddrs(MaxBotIPs + 1)
+	if _, err := NewStore([]*Attack{at}, nil, nil); err != nil {
+		t.Errorf("%d source IPs: %v", MaxBotIPs, err)
+	}
+	if _, err := NewStore([]*Attack{over}, nil, nil); err == nil || !strings.Contains(err.Error(), "more than 65536") {
+		t.Errorf("%d source IPs: NewStore error = %v, want the cap named", MaxBotIPs+1, err)
+	}
+}
+
+// manyAddrs returns n distinct IPv4 addresses.
+func manyAddrs(n int) []netip.Addr {
+	ips := make([]netip.Addr, n)
+	for i := range ips {
+		ips[i] = netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})
+	}
+	return ips
+}
+
 func TestStoreInRange(t *testing.T) {
 	var attacks []*Attack
 	for i := 0; i < 10; i++ {

@@ -185,8 +185,37 @@ func (a *Attack) Duration() time.Duration { return a.End.Sub(a.Start) }
 // strength.
 func (a *Attack) Magnitude() int { return len(a.BotIPs) }
 
-// Validate checks the structural invariants a well-formed record obeys.
+// MaxBotIPs bounds an attack's source list, so one hostile record cannot
+// cost the ingest edge an unbounded slice; generated data tops out near 300.
+const MaxBotIPs = 1 << 16
+
+// Validate checks the structural invariants a well-formed record obeys:
+// its key (ValidateKey), then its source IPs and target coordinates.
 func (a *Attack) Validate() error {
+	if err := a.ValidateKey(); err != nil {
+		return err
+	}
+	if len(a.BotIPs) == 0 {
+		return fmt.Errorf("dataset: attack %d has no source IPs", a.ID)
+	}
+	if len(a.BotIPs) > MaxBotIPs {
+		return fmt.Errorf("dataset: attack %d has %d source IPs, more than %d", a.ID, len(a.BotIPs), MaxBotIPs)
+	}
+	for _, ip := range a.BotIPs {
+		if ip.Zone() != "" {
+			return fmt.Errorf("dataset: attack %d source IP %v has a zone", a.ID, ip)
+		}
+	}
+	if a.TargetLat < -90 || a.TargetLat > 90 || a.TargetLon < -180 || a.TargetLon > 180 {
+		return fmt.Errorf("dataset: attack %d has out-of-range coordinates (%v, %v)", a.ID, a.TargetLat, a.TargetLon)
+	}
+	return nil
+}
+
+// ValidateKey checks the fields the keyed live answers read — id, botnet,
+// family, category, target address, start and end — and nothing else: it
+// is what a shard, which receives only those fields, can check.
+func (a *Attack) ValidateKey() error {
 	if a.ID == 0 {
 		return fmt.Errorf("dataset: attack has zero ddos_id")
 	}
@@ -214,11 +243,6 @@ func (a *Attack) Validate() error {
 	if a.TargetIP.Zone() != "" {
 		return fmt.Errorf("dataset: attack %d target IP %v has a zone", a.ID, a.TargetIP)
 	}
-	for _, ip := range a.BotIPs {
-		if ip.Zone() != "" {
-			return fmt.Errorf("dataset: attack %d source IP %v has a zone", a.ID, ip)
-		}
-	}
 	if a.End.Before(a.Start) {
 		return fmt.Errorf("dataset: attack %d ends (%v) before it starts (%v)", a.ID, a.End, a.Start)
 	}
@@ -230,12 +254,6 @@ func (a *Attack) Validate() error {
 	}
 	if y := a.End.Year(); y < 1678 || y > 2261 {
 		return fmt.Errorf("dataset: attack %d end year %d outside representable range", a.ID, y)
-	}
-	if len(a.BotIPs) == 0 {
-		return fmt.Errorf("dataset: attack %d has no source IPs", a.ID)
-	}
-	if a.TargetLat < -90 || a.TargetLat > 90 || a.TargetLon < -180 || a.TargetLon > 180 {
-		return fmt.Errorf("dataset: attack %d has out-of-range coordinates (%v, %v)", a.ID, a.TargetLat, a.TargetLon)
 	}
 	return nil
 }

@@ -113,29 +113,46 @@ func TestAttackDurationAndMagnitude(t *testing.T) {
 	}
 }
 
+// TestAttackValidate holds each check to its single-fault text, and
+// ValidateKey to the same text for a fault in the key and to nil for any
+// other.
 func TestAttackValidate(t *testing.T) {
 	tests := []struct {
 		name   string
+		key    bool // the fault is in the key, so ValidateKey refuses it too
 		mutate func(*Attack)
+		want   string
 	}{
-		{name: "zero id", mutate: func(a *Attack) { a.ID = 0 }},
-		{name: "zero botnet", mutate: func(a *Attack) { a.BotnetID = 0 }},
-		{name: "empty family", mutate: func(a *Attack) { a.Family = "" }},
-		{name: "bad category", mutate: func(a *Attack) { a.Category = Category(42) }},
-		{name: "invalid target", mutate: func(a *Attack) { a.TargetIP = netip.Addr{} }},
-		{name: "zoned target", mutate: func(a *Attack) { a.TargetIP = netip.MustParseAddr("fe80::1%eth0") }},
-		{name: "zoned source", mutate: func(a *Attack) { a.BotIPs = append(a.BotIPs, netip.MustParseAddr("fe80::2%eth0")) }},
-		{name: "end before start", mutate: func(a *Attack) { a.End = a.Start.Add(-time.Second) }},
-		{name: "no sources", mutate: func(a *Attack) { a.BotIPs = nil }},
-		{name: "bad latitude", mutate: func(a *Attack) { a.TargetLat = 91 }},
-		{name: "bad longitude", mutate: func(a *Attack) { a.TargetLon = -181 }},
+		{"zero id", true, func(a *Attack) { a.ID = 0 }, "dataset: attack has zero ddos_id"},
+		{"zero botnet", true, func(a *Attack) { a.BotnetID = 0 }, "dataset: attack 1 has zero botnet_id"},
+		{"empty family", true, func(a *Attack) { a.Family = "" }, "dataset: attack 1 has empty family"},
+		{"bad category", true, func(a *Attack) { a.Category = Category(42) }, "dataset: attack 1 has invalid category 42"},
+		{"invalid target", true, func(a *Attack) { a.TargetIP = netip.Addr{} }, "dataset: attack 1 has invalid target IP"},
+		{"zoned target", true, func(a *Attack) { a.TargetIP = netip.MustParseAddr("fe80::1%eth0") },
+			"dataset: attack 1 target IP fe80::1%eth0 has a zone"},
+		{"end before start", true, func(a *Attack) { a.End = a.Start.Add(-time.Second) },
+			"dataset: attack 1 ends (2012-08-28 23:59:59 +0000 UTC) before it starts (2012-08-29 00:00:00 +0000 UTC)"},
+		{"start year", true, func(a *Attack) { a.Start = time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC) },
+			"dataset: attack 1 start year 1600 outside representable range"},
+		{"end year", true, func(a *Attack) { a.End = time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC) },
+			"dataset: attack 1 end year 2300 outside representable range"},
+		{"zoned source", false, func(a *Attack) { a.BotIPs = append(a.BotIPs, netip.MustParseAddr("fe80::2%eth0")) },
+			"dataset: attack 1 source IP fe80::2%eth0 has a zone"},
+		{"no sources", false, func(a *Attack) { a.BotIPs = nil }, "dataset: attack 1 has no source IPs"},
+		{"too many sources", false, func(a *Attack) { a.BotIPs = manyAddrs(MaxBotIPs + 1) },
+			"dataset: attack 1 has 65537 source IPs, more than 65536"},
+		{"bad latitude", false, func(a *Attack) { a.TargetLat = 91 }, "dataset: attack 1 has out-of-range coordinates (91, 37.62)"},
+		{"bad longitude", false, func(a *Attack) { a.TargetLon = -181 }, "dataset: attack 1 has out-of-range coordinates (55.76, -181)"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			a := validAttack(1)
 			tt.mutate(a)
-			if err := a.Validate(); err == nil {
-				t.Error("Validate succeeded, want error")
+			if err := a.Validate(); err == nil || err.Error() != tt.want {
+				t.Errorf("Validate = %v, want %q", err, tt.want)
+			}
+			if err := a.ValidateKey(); tt.key && (err == nil || err.Error() != tt.want) || !tt.key && err != nil {
+				t.Errorf("ValidateKey = %v, want an error: %v", err, tt.key)
 			}
 		})
 	}
@@ -147,5 +164,10 @@ func TestAttackValidate(t *testing.T) {
 	a.End = a.Start
 	if err := a.Validate(); err != nil {
 		t.Errorf("zero-duration attack rejected: %v", err)
+	}
+	// The key alone — no sources, no geolocation — is a valid key.
+	key := &Attack{ID: a.ID, BotnetID: a.BotnetID, Family: a.Family, Category: a.Category, TargetIP: a.TargetIP, Start: a.Start, End: a.End}
+	if err := key.ValidateKey(); err != nil {
+		t.Errorf("key-only record rejected by ValidateKey: %v", err)
 	}
 }

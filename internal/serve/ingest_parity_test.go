@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"botscope/internal/cluster"
+	"botscope/internal/dataset"
 )
 
 // ingestRecord is one feed line as WriteJSONL writes it; minute places it
@@ -122,6 +123,42 @@ func TestIngestRejectsZonedAddresses(t *testing.T) {
 			}
 		}
 		local.Close()
+	}
+}
+
+// TestIngestBoundsBotIPs: a record naming more than dataset.MaxBotIPs
+// sources is refused with 422 by both tiers, after the valid record before
+// it. The sharded tier's edge is the only place it can be: shards never
+// receive a bot list.
+func TestIngestBoundsBotIPs(t *testing.T) {
+	ips := make([]string, dataset.MaxBotIPs+1)
+	for i := range ips {
+		ips[i] = fmt.Sprintf(`"10.%d.%d.%d"`, i>>16, i>>8&0xff, i&0xff)
+	}
+	ok := ingestRecord(1, 0, "192.0.2.1", "Example Net")
+	bad := strings.Replace(ingestRecord(2, 1, "192.0.2.1", "Example Net"),
+		`"198.51.100.1","198.51.100.2"`, strings.Join(ips, ","), 1)
+
+	local, err := cluster.StartLocal(context.Background(), 2, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	tiers := map[string]http.Handler{"single": New(testServer(t).store, 0.03), "sharded": NewLiveServer(local.Frontend)}
+	for tier, h := range tiers {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/ingest", strings.NewReader(ok+bad)))
+		var resp struct {
+			Error           string
+			Ingested, Total int
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s: body %q: %v", tier, rec.Body, err)
+		}
+		if want := "attack 2 has 65537 source IPs, more than 65536"; rec.Code != http.StatusUnprocessableEntity ||
+			!strings.Contains(resp.Error, want) || resp.Ingested != 1 || resp.Total != 1 {
+			t.Errorf("%s: %d %+v, want 422 naming %q with 1 ingested", tier, rec.Code, resp, want)
+		}
 	}
 }
 

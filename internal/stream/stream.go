@@ -77,6 +77,9 @@ func New() *Analyzer {
 // heap and open collaboration windows, both of which drain as event time
 // advances.
 func (s *Analyzer) Ingest(a *dataset.Attack) error {
+	if err := a.Validate(); err != nil {
+		return err
+	}
 	return s.ingest(a, 0)
 }
 
@@ -84,16 +87,22 @@ func (s *Analyzer) Ingest(a *dataset.Attack) error {
 // workers that see only a hash partition of the feed: seq is the record's
 // 1-based position in the *global* stream, so collaboration candidates
 // detected on different shards can be merged back into the exact order a
-// single analyzer over the whole feed would report. Ingest is equivalent
-// to IngestAt with the analyzer's own running count.
+// single analyzer over the whole feed would report.
+//
+// A shard's record holds the attack's key — id, botnet, family, category,
+// target, start and end — and nothing else (the frontend validated the
+// rest at the edge), so IngestAt checks only the key (ValidateKey) and
+// reads no other field. Given a record that passes Validate, Ingest is
+// equivalent to IngestAt with the analyzer's own running count.
 func (s *Analyzer) IngestAt(a *dataset.Attack, seq uint64) error {
+	if err := a.ValidateKey(); err != nil {
+		return err
+	}
 	return s.ingest(a, seq)
 }
 
+// ingest folds a validated record.
 func (s *Analyzer) ingest(a *dataset.Attack, seq uint64) error {
-	if err := a.Validate(); err != nil {
-		return err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
