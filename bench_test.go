@@ -53,8 +53,10 @@ func benchWorkload(b *testing.B) *experiments.Workload {
 // BenchmarkGenerateWorkload times the synthetic workload generation
 // pipeline itself (geo DB + simulation + indexing) at 1% scale.
 func BenchmarkGenerateWorkload(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := Generate(GenerateConfig{Seed: int64(i + 1), Scale: 0.01}); err != nil {
+	seed := int64(0)
+	for b.Loop() {
+		seed++
+		if _, err := Generate(GenerateConfig{Seed: seed, Scale: 0.01}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -69,14 +71,15 @@ func BenchmarkStreamIngest(b *testing.B) {
 		b.Skip("empty workload")
 	}
 	var sa *StreamAnalyzer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%len(attacks) == 0 {
+	i := 0
+	for b.Loop() {
+		if i == 0 {
 			sa = NewStreamAnalyzer()
 		}
-		if err := sa.Ingest(attacks[i%len(attacks)]); err != nil {
+		if err := sa.Ingest(attacks[i]); err != nil {
 			b.Fatal(err)
 		}
+		i = (i + 1) % len(attacks)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "attacks/sec")
 }
@@ -91,8 +94,7 @@ func BenchmarkStreamSnapshot(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if snap := sa.Snapshot(); snap.Ingested != len(attacks) {
 			b.Fatalf("snapshot ingested = %d, want %d", snap.Ingested, len(attacks))
 		}
@@ -102,10 +104,12 @@ func BenchmarkStreamSnapshot(b *testing.B) {
 // benchExperiment is the common driver: one bench per table/figure.
 func benchExperiment(b *testing.B, run func() (*experiments.Result, error)) {
 	b.Helper()
-	w := benchWorkload(b)
-	_ = w
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	// One run before the loop builds the derived products the experiment
+	// reads, so the loop times and budgets the warm steady state.
+	if _, err := run(); err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
 		res, err := run()
 		if err != nil {
 			b.Fatal(err)
@@ -177,7 +181,7 @@ func BenchmarkAblationIntervalModel(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			inBands := 0
 			total := 0
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				v := model.Sample(rng)
 				total++
 				if (v >= 300 && v < 600) || (v >= 1200 && v < 2400) || (v >= 5400 && v < 14400) {
@@ -227,7 +231,7 @@ func BenchmarkAblationDispersion(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var symSum, asymSum float64
 			n := 0
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				s, _ := metric(mkFormation(true))
 				a, _ := metric(mkFormation(false))
 				symSum += s
@@ -257,7 +261,7 @@ func BenchmarkAblationForecasters(b *testing.B) {
 
 	b.Run("arima(1,0,0)", func(b *testing.B) {
 		var sim float64
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			m, err := timeseries.Fit(series[:split], timeseries.Order{P: 1})
 			if err != nil {
 				b.Fatal(err)
@@ -283,7 +287,7 @@ func BenchmarkAblationForecasters(b *testing.B) {
 	for _, f := range baselines {
 		b.Run(f.Name(), func(b *testing.B) {
 			var sim float64
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				preds, err := timeseries.Rolling(f, series, split)
 				if err != nil {
 					b.Fatal(err)
@@ -308,7 +312,7 @@ func BenchmarkAblationCollabWindow(b *testing.B) {
 	for _, win := range windows {
 		b.Run(win.String(), func(b *testing.B) {
 			var count int
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				count = len(core.DetectCollaborationsWindow(w.Store, win, core.CollabDurationWindow))
 			}
 			b.ReportMetric(float64(count), "collaborations")
@@ -324,14 +328,14 @@ func BenchmarkAblationStoreIndex(b *testing.B) {
 	w := benchWorkload(b)
 	b.Run("indexed", func(b *testing.B) {
 		var n int
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			n = len(w.Store.RowsByFamily(dataset.Pandora))
 		}
 		b.ReportMetric(float64(n), "attacks")
 	})
 	b.Run("linear-scan", func(b *testing.B) {
 		var n int
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			n = 0
 			for _, a := range w.Store.Attacks() {
 				if a.Family == dataset.Pandora {
@@ -351,8 +355,7 @@ func BenchmarkARIMAFit(b *testing.B) {
 	for i := 1; i < len(series); i++ {
 		series[i] = 0.7*series[i-1] + rng.NormFloat64()
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := timeseries.Fit(series, timeseries.Order{P: 1, Q: 1}); err != nil {
 			b.Fatal(err)
 		}
@@ -367,8 +370,7 @@ func BenchmarkDispersion(b *testing.B) {
 	for i := range pts {
 		pts[i] = geo.LatLon{Lat: rng.Float64()*140 - 70, Lon: rng.Float64()*360 - 180}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, ok := geo.Dispersion(pts); !ok {
 			b.Fatal("empty formation")
 		}
@@ -421,8 +423,7 @@ func BenchmarkNewStore(b *testing.B) {
 		b.Run(fmt.Sprintf("scale%g", scale), func(b *testing.B) {
 			gateFixedScale(b, scale)
 			attacks, botnets, bots := benchRawAt(b, scale)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				if _, err := NewStore(attacks, botnets, bots); err != nil {
 					b.Fatal(err)
 				}
@@ -441,8 +442,7 @@ func BenchmarkDetectCollaborations(b *testing.B) {
 				b.Fatal(err)
 			}
 			store.Targets() // build the target index outside the timed region
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				if n := len(core.DetectCollaborations(store)); n == 0 {
 					b.Fatal("no collaborations detected")
 				}
@@ -472,8 +472,7 @@ func BenchmarkReadSnapshot(b *testing.B) {
 		}
 		size, _ := f.Seek(0, io.SeekCurrent)
 		b.SetBytes(size)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			if _, err := f.Seek(0, io.SeekStart); err != nil {
 				b.Fatal(err)
 			}
@@ -492,26 +491,34 @@ func BenchmarkReadSnapshot(b *testing.B) {
 // BenchmarkDecodeJSONL and BenchmarkWriteJSONL pin the live feed's codec
 // on the scale-1 feed (about 52 MB, 1 KB a record): MB/s from SetBytes,
 // and allocations a record beside the per-pass figures benchguard budgets
-// (bench_thresholds.json).
+// (bench_thresholds.json). keys_scale1 is the live tiers' decoder, which
+// validates each record whole and keeps its key alone.
 func BenchmarkDecodeJSONL(b *testing.B) {
-	b.Run("scale1", func(b *testing.B) {
-		gateFixedScale(b, 1)
-		attacks, _, _ := benchRawAt(b, 1)
-		var feed bytes.Buffer
-		if err := WriteJSONL(&feed, attacks); err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(feed.Len()))
-		b.ResetTimer()
-		defer perRecord(b, len(attacks))()
-		for i := 0; i < b.N; i++ {
-			n := 0
-			err := DecodeJSONL(bytes.NewReader(feed.Bytes()), func(*Attack) error { n++; return nil })
-			if err != nil || n != len(attacks) {
-				b.Fatalf("decoded %d of %d records: %v", n, len(attacks), err)
+	gateFixedScale(b, 1)
+	attacks, _, _ := benchRawAt(b, 1)
+	var feed bytes.Buffer
+	if err := WriteJSONL(&feed, attacks); err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name   string
+		decode func(io.Reader, func(*Attack) error) error
+	}{
+		{"scale1", DecodeJSONL},
+		{"keys_scale1", dataset.DecodeJSONLKeys},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(feed.Len()))
+			defer perRecord(b, len(attacks))()
+			for b.Loop() {
+				n := 0
+				err := bc.decode(bytes.NewReader(feed.Bytes()), func(*Attack) error { n++; return nil })
+				if err != nil || n != len(attacks) {
+					b.Fatalf("decoded %d of %d records: %v", n, len(attacks), err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 func BenchmarkWriteJSONL(b *testing.B) {
@@ -523,9 +530,8 @@ func BenchmarkWriteJSONL(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(feed.Len()))
-		b.ResetTimer()
 		defer perRecord(b, len(attacks))()
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			feed.Reset()
 			if err := WriteJSONL(&feed, attacks); err != nil {
 				b.Fatal(err)

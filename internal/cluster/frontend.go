@@ -52,9 +52,10 @@ var ErrIngestBusy = &StatusError{Status: 503, Message: "cluster: ingest in progr
 var ErrNoShards = &StatusError{Status: 503, Message: "cluster: no shards reachable", RetryAfterSec: 5}
 
 // Frontend is the stateless query/ingest tier over a set of shard
-// workers. It validates whole records and orders the global ingest
-// stream, fans each chunk out as owned attacks' keys plus everyone else's
-// ticks, and answers live queries by merging shard snapshots
+// workers. It validates whole records and keeps their keys
+// (dataset.DecodeJSONLKeys), orders the global ingest stream, fans each
+// chunk out as owned attacks' keys plus everyone else's ticks, and
+// answers live queries by merging shard snapshots
 // deterministically. The only state it holds is routing
 // (the ring and shard sessions) and the global stream cursor — all
 // analytics state lives on the shards.
@@ -259,8 +260,9 @@ func (f *Frontend) LiveSnapshot(ctx context.Context) (stream.Snapshot, []int, er
 }
 
 // LiveIngest streams JSONL records from body into the cluster: validate
-// and order-check at the edge — the only place a record's bot IPs and
-// target geolocation are checked, since no shard receives them — assign
+// whole and order-check at the edge — dataset.DecodeJSONLKeys is the only
+// place a record's bot IPs and target geolocation are checked, and it
+// hands over the key alone, since no shard receives the rest — assign
 // global sequence numbers, fan each chunk out with the attack's key to the
 // owning shard and ticks to the rest, and wait for every ack. It returns
 // how many records this call applied and the cluster's running total.
@@ -291,10 +293,7 @@ func (f *Frontend) LiveIngest(ctx context.Context, body io.Reader) (int, int, er
 		return nil
 	}
 
-	decErr := dataset.DecodeJSONL(body, func(a *dataset.Attack) error {
-		if err := a.Validate(); err != nil {
-			return err
-		}
+	decErr := dataset.DecodeJSONLKeys(body, func(a *dataset.Attack) error {
 		if f.seq.Load() > 0 && a.Start.Before(f.lastStart) {
 			return fmt.Errorf("%w: %v < %v (attack %d)", stream.ErrOutOfOrder, a.Start, f.lastStart, a.ID)
 		}

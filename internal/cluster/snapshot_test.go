@@ -136,8 +136,7 @@ func TestMergeSnapshotsEmpty(t *testing.T) {
 func BenchmarkMergeSnapshots(b *testing.B) {
 	snaps, _ := mergeFixture(b)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		merged := MergeSnapshots(snaps)
 		if merged.Ingested == 0 {
 			b.Fatal("empty merge")

@@ -49,8 +49,7 @@ func BenchmarkWireCodec(b *testing.B) {
 	b.Run("ingest_encode", func(b *testing.B) {
 		buf := make([]byte, 0, longest)
 		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			for j := range chunks {
 				w := binenc.Encoder(buf[:0])
 				wireIngest(&w, &chunks[j])
@@ -60,7 +59,7 @@ func BenchmarkWireCodec(b *testing.B) {
 	})
 	b.Run("ingest_decode", func(b *testing.B) {
 		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			for _, payload := range payloads {
 				var got []IngestEntry
 				r := binenc.Decoder(payload)
@@ -74,7 +73,7 @@ func BenchmarkWireCodec(b *testing.B) {
 	b.Run("snapshot_roundtrip", func(b *testing.B) {
 		b.ReportAllocs()
 		var buf []byte
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			w := binenc.Encoder(buf[:0])
 			wireSnapshot(&w, &snap)
 			buf = w.Buf

@@ -106,8 +106,7 @@ func BenchmarkDispersionSeries(b *testing.B) {
 	f := s.Families()[0]
 	DispersionSeries(s, f) // build the index outside the timed loop
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if got := DispersionSeries(s, f); len(got) == 0 {
 			b.Fatal("empty series")
 		}

@@ -234,7 +234,22 @@ func WriteJSONL(w io.Writer, attacks []*Attack) error {
 // fn aborts decoding and is returned as-is (ErrStop aborts and returns
 // nil).
 func DecodeJSONL(r io.Reader, fn func(*Attack) error) error {
-	s := acquireJSONLScanner(r)
+	return decodeJSONL(r, false, fn)
+}
+
+// DecodeJSONLKeys is DecodeJSONL for consumers of an attack's key alone:
+// the live tiers, whose every answer reads id, botnet, family, category,
+// target, start and end. Each record is checked whole (Attack.Validate) —
+// a failure stops decoding with Validate's error, as if fn had returned
+// it — and then reduced to those seven fields before fn sees it: BotIPs is
+// nil and the target geolocation zero. The sources are checked in the
+// decoder's scratch, so no record costs a source list.
+func DecodeJSONLKeys(r io.Reader, fn func(*Attack) error) error {
+	return decodeJSONL(r, true, fn)
+}
+
+func decodeJSONL(r io.Reader, keys bool, fn func(*Attack) error) error {
+	s := acquireJSONLScanner(r, keys)
 	defer s.release()
 	for n := 1; ; n++ {
 		a, err := s.next(n)
@@ -242,6 +257,13 @@ func DecodeJSONL(r io.Reader, fn func(*Attack) error) error {
 			return nil
 		} else if err != nil {
 			return err
+		}
+		if keys {
+			if err := a.Validate(); err != nil {
+				return err
+			}
+			*a = Attack{ID: a.ID, BotnetID: a.BotnetID, Family: a.Family, Category: a.Category,
+				TargetIP: a.TargetIP, Start: a.Start, End: a.End}
 		}
 		if err := fn(a); err != nil {
 			if errors.Is(err, ErrStop) {

@@ -170,10 +170,49 @@ func checkDecodeJSONLAgainstReference(t *testing.T, data string) []*Attack {
 	return got
 }
 
+// keyOf is the projection DecodeJSONLKeys delivers: a's seven key fields,
+// with nil BotIPs and zero target geolocation.
+func keyOf(a *Attack) *Attack {
+	return &Attack{ID: a.ID, BotnetID: a.BotnetID, Family: a.Family, Category: a.Category,
+		TargetIP: a.TargetIP, Start: a.Start, End: a.End}
+}
+
+// checkDecodeJSONLKeys holds DecodeJSONLKeys to DecodeJSONL on data: the
+// key of each record DecodeJSONL delivers, in order, up to the first that
+// fails Validate, then exactly that record's Validate error — or, when
+// none fails, DecodeJSONL's own result.
+func checkDecodeJSONLKeys(t *testing.T, data string) {
+	t.Helper()
+	var want, got []*Attack
+	wantErr := DecodeJSONL(strings.NewReader(data), func(a *Attack) error {
+		if err := a.Validate(); err != nil {
+			return err
+		}
+		want = append(want, keyOf(a))
+		return nil
+	})
+	gotErr := DecodeJSONLKeys(strings.NewReader(data), func(a *Attack) error {
+		got = append(got, a)
+		return nil
+	})
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("DecodeJSONLKeys error %v, want %v", gotErr, wantErr)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("DecodeJSONLKeys delivered %d records, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if d := diffAttacks(got[i], want[i]); d != "" {
+			t.Fatalf("key of record %d: %s", i+1, d)
+		}
+	}
+}
+
 // FuzzDecodeJSONL is differential: on every input DecodeJSONL must agree
-// with the encoding/json reference (see the check above), and input both
-// accept must survive an encode/decode round trip through WriteJSONL,
-// itself compared with the json.Encoder reference.
+// with the encoding/json reference (see the check above) and
+// DecodeJSONLKeys with DecodeJSONL, and input both accept must survive an
+// encode/decode round trip through WriteJSONL, itself compared with the
+// json.Encoder reference.
 func FuzzDecodeJSONL(f *testing.F) {
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, fuzzSeedAttacks(f)); err != nil {
@@ -184,9 +223,14 @@ func FuzzDecodeJSONL(f *testing.F) {
 	f.Add("{}\n")
 	f.Add("{\"ddos_id\":1}\nnot json\n")
 	f.Add("null\n")
+	// Records DecodeJSONLKeys refuses after the one before: out-of-range
+	// coordinates; a zoned source the slow path decodes.
+	f.Add(fastRecord + "\n" + strings.Replace(fastRecord, `47.6`, `91`, 1) + "\n")
+	f.Add(fastRecord + strings.NewReplacer(`Example Net`, `Example \"Net\"`, `198.51.100.2`, `fe80::2%eth0`).Replace(fastRecord))
 
 	f.Fuzz(func(t *testing.T, data string) {
 		decoded := checkDecodeJSONLAgainstReference(t, data)
+		checkDecodeJSONLKeys(t, data)
 		var out, ref bytes.Buffer
 		err, refErr := WriteJSONL(&out, decoded), referenceWriteJSONL(&ref, decoded)
 		if fmt.Sprint(err) != fmt.Sprint(refErr) || !bytes.Equal(out.Bytes(), ref.Bytes()) {

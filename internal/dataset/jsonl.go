@@ -12,10 +12,11 @@ import (
 	"time"
 )
 
-// The JSONL ingest path (DESIGN §5, "JSONL ingest"). DecodeJSONL reads
-// through a jsonlScanner: one pooled buffer, a hand-written scan of the
-// attackJSON schema for the records WriteJSONL and feeds like it produce,
-// and encoding/json — the semantic reference — for every other input.
+// The JSONL ingest path (DESIGN §5, "JSONL ingest"). DecodeJSONL and
+// DecodeJSONLKeys read through a jsonlScanner: one pooled buffer, a
+// hand-written scan of the attackJSON schema for the records WriteJSONL and
+// feeds like it produce, and encoding/json — the semantic reference — for
+// every other input.
 
 const (
 	// jsonlBufSize is the pooled read buffer. A record is scanned in
@@ -61,6 +62,10 @@ type jsonlScanner struct {
 
 	ips    []netip.Addr // scratch for the record being scanned
 	intern map[string]string
+
+	// keys marks a DecodeJSONLKeys scan: a record's BotIPs alias ips, and
+	// cc, city and org are scanned but not kept.
+	keys bool
 }
 
 // The pool keeps the read buffers and nothing else: the scratch and the
@@ -70,9 +75,9 @@ var jsonlScanners = sync.Pool{
 	New: func() any { return &jsonlScanner{buf: make([]byte, jsonlBufSize)} },
 }
 
-func acquireJSONLScanner(r io.Reader) *jsonlScanner {
+func acquireJSONLScanner(r io.Reader, keys bool) *jsonlScanner {
 	s := jsonlScanners.Get().(*jsonlScanner)
-	s.src, s.err, s.pos, s.end = r, nil, 0, 0
+	s.src, s.err, s.pos, s.end, s.keys = r, nil, 0, 0, keys
 	s.intern = make(map[string]string)
 	return s
 }
@@ -299,15 +304,15 @@ func (s *jsonlScanner) scanRecord(b []byte) (a *Attack, used int, res scanResult
 		case "cc":
 			bit = keyCC
 			str, i, ok = scanPlainString(b, i)
-			rec.TargetCountry = s.internString(str)
+			rec.TargetCountry = s.geoString(str)
 		case "city":
 			bit = keyCity
 			str, i, ok = scanPlainString(b, i)
-			rec.TargetCity = s.internString(str)
+			rec.TargetCity = s.geoString(str)
 		case "org":
 			bit = keyOrg
 			str, i, ok = scanPlainString(b, i)
-			rec.TargetOrg = s.internString(str)
+			rec.TargetOrg = s.geoString(str)
 		case "category":
 			bit = keyCategory
 			str, i, ok = scanPlainString(b, i)
@@ -350,9 +355,15 @@ func (s *jsonlScanner) scanRecord(b []byte) (a *Attack, used int, res scanResult
 	}
 	// One allocation each for the record and its sources, the latter at
 	// its exact length. Neither is pooled: the stream analyzer keeps
-	// records that sit in an open collaboration window.
-	rec.BotIPs = make([]netip.Addr, len(s.ips))
-	copy(rec.BotIPs, s.ips)
+	// records that sit in an open collaboration window. A keys scan lends
+	// the record the scratch instead: DecodeJSONLKeys validates the sources
+	// there and drops them before the record leaves the decoder.
+	if s.keys {
+		rec.BotIPs = s.ips
+	} else {
+		rec.BotIPs = make([]netip.Addr, len(s.ips))
+		copy(rec.BotIPs, s.ips)
+	}
 	a = new(Attack)
 	*a = rec
 	return a, i + 1, scanOK
@@ -459,6 +470,15 @@ func (s *jsonlScanner) internString(b []byte) string {
 	v := string(b)
 	s.intern[v] = v
 	return v
+}
+
+// geoString is internString for the target's cc, city and org, which a
+// keys scan does not keep: Validate never reads them.
+func (s *jsonlScanner) geoString(b []byte) string {
+	if s.keys {
+		return ""
+	}
+	return s.internString(b)
 }
 
 // categoryOf is ParseCategory on bytes; 0 for an unknown label.

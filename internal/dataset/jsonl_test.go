@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/netip"
@@ -80,7 +81,7 @@ func TestScanRecordGrammar(t *testing.T) {
 		{"unknown category at the end", upTo(`"category":`) + `"http"`, scanSlow},
 		{"bad address at the end", upTo(`"target_ip":`) + `"192.0.2.256"`, scanSlow},
 	}
-	s := acquireJSONLScanner(strings.NewReader(""))
+	s := acquireJSONLScanner(strings.NewReader(""), false)
 	defer s.release()
 	for _, tc := range tests {
 		a, used, got := s.scanRecord([]byte(tc.line))
@@ -136,6 +137,42 @@ func TestDecodeJSONLReaders(t *testing.T) {
 	ref := referenceDecodeJSONL(failing(), func(*Attack) error { return nil })
 	if n != 1 || !errors.Is(got, boom) || got.Error() != ref.Error() {
 		t.Errorf("after %d records: %v, reference: %v", n, got, ref)
+	}
+}
+
+// TestDecodeJSONLKeysRetention keeps every record DecodeJSONLKeys delivers
+// from a stream several buffers long, with every seventh record on the
+// slow path, and checks after the call that each is still its key: no
+// record may share the scanner's address scratch, which the next record
+// overwrites.
+func TestDecodeJSONLKeysRetention(t *testing.T) {
+	var stream strings.Builder
+	for i := 1; stream.Len() <= 3*jsonlBufSize; i++ {
+		rec := strings.NewReplacer(
+			`"ddos_id":1`, fmt.Sprintf(`"ddos_id":%d`, i),
+			`"192.0.2.1"`, fmt.Sprintf(`"192.0.2.%d"`, i%250+1),
+			`"198.51.100.1"`, `"198.51.100.1"`+strings.Repeat(`,"198.51.100.9"`, i%40),
+		).Replace(fastRecord)
+		if i%7 == 0 {
+			rec = strings.Replace(rec, `Example Net`, `Example \"Net\"`, 1)
+		}
+		stream.WriteString(rec + "\n")
+	}
+	full, err := ReadJSONL(strings.NewReader(stream.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []*Attack
+	if err := DecodeJSONLKeys(strings.NewReader(stream.String()), func(a *Attack) error {
+		kept = append(kept, a)
+		return nil
+	}); err != nil || len(kept) != len(full) {
+		t.Fatalf("kept %d of %d records: %v", len(kept), len(full), err)
+	}
+	for i, a := range kept {
+		if d := diffAttacks(a, keyOf(full[i])); d != "" {
+			t.Errorf("record %d after the call: %s", i+1, d)
+		}
 	}
 }
 

@@ -126,6 +126,49 @@ func TestIngestRejectsZonedAddresses(t *testing.T) {
 	}
 }
 
+// TestIngestEdgeChecks: every check on a record's sources and coordinates
+// still runs at the edge of both tiers, which now keep only the key. Each
+// bad record is refused with 422 and its exact error, after the valid
+// record before it.
+func TestIngestEdgeChecks(t *testing.T) {
+	ok := ingestRecord(1, 0, "192.0.2.1", "Example Net")
+	bad := func(old, new string) string {
+		return strings.Replace(ingestRecord(2, 1, "192.0.2.1", "Example Net"), old, new, 1)
+	}
+	tests := []struct{ name, record, want string }{
+		{"no sources", bad(`"198.51.100.1","198.51.100.2"`, ``),
+			"dataset: attack 2 has no source IPs"},
+		{"latitude 91", bad(`"latitude":47.6`, `"latitude":91`),
+			"dataset: attack 2 has out-of-range coordinates (91, -122.3)"},
+		{"zoned source on the slow path", strings.Replace(bad(`"198.51.100.2"`, `"fe80::2%eth0"`), `Example Net`, `Example \"Net\"`, 1),
+			"dataset: attack 2 source IP fe80::2%eth0 has a zone"},
+		{"malformed source", bad(`"198.51.100.2"`, `"198.51.100.256"`),
+			`dataset: jsonl record 2: botnet_ips: ParseAddr("198.51.100.256"): IPv4 field has value >255`},
+	}
+	for _, tc := range tests {
+		local, err := cluster.StartLocal(context.Background(), 2, 0, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tiers := map[string]http.Handler{"single": New(testServer(t).store, 0.03), "sharded": NewLiveServer(local.Frontend)}
+		for tier, h := range tiers {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/ingest", strings.NewReader(ok+tc.record)))
+			var resp struct {
+				Error           string
+				Ingested, Total int
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("%s/%s: body %q: %v", tc.name, tier, rec.Body, err)
+			}
+			if rec.Code != http.StatusUnprocessableEntity || resp.Error != tc.want || resp.Ingested != 1 || resp.Total != 1 {
+				t.Errorf("%s on %s: %d %+v, want 422 %q with 1 ingested", tc.name, tier, rec.Code, resp, tc.want)
+			}
+		}
+		local.Close()
+	}
+}
+
 // TestIngestBoundsBotIPs: a record naming more than dataset.MaxBotIPs
 // sources is refused with 422 by both tiers, after the valid record before
 // it. The sharded tier's edge is the only place it can be: shards never

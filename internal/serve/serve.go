@@ -77,12 +77,14 @@ func (s *Server) LiveSnapshot(context.Context) (stream.Snapshot, []int, error) {
 }
 
 // LiveIngest implements LiveSource: it streams JSONL records from body
-// into the live analyzer without materializing them. Records preceding a
-// malformed or out-of-order record stay applied.
+// into the live analyzer. dataset.DecodeJSONLKeys validates each record
+// whole and hands over its key alone, which IngestAt at seq 0 folds as
+// Ingest would; no source list is allocated. Records preceding a
+// malformed, invalid or out-of-order record stay applied.
 func (s *Server) LiveIngest(_ context.Context, body io.Reader) (int, int, error) {
 	ingested := 0
-	err := dataset.DecodeJSONL(body, func(a *dataset.Attack) error {
-		if err := s.live.Ingest(a); err != nil {
+	err := dataset.DecodeJSONLKeys(body, func(a *dataset.Attack) error {
+		if err := s.live.IngestAt(a, 0); err != nil {
 			return err
 		}
 		ingested++

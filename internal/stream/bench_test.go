@@ -38,8 +38,7 @@ func BenchmarkAnalyzerSnapshot(b *testing.B) {
 		// however many iterations run.
 		last := sa.Snapshot().LastStart
 		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			if err := sa.Tick(next.ID, last, last); err != nil {
 				b.Fatal(err)
 			}
@@ -52,8 +51,7 @@ func BenchmarkAnalyzerSnapshot(b *testing.B) {
 	b.Run("cached", func(b *testing.B) {
 		sa.Snapshot()
 		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			if snap := sa.Snapshot(); snap.Ingested != want {
 				b.Fatalf("snapshot ingested = %d, want %d", snap.Ingested, want)
 			}

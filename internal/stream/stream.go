@@ -92,8 +92,10 @@ func (s *Analyzer) Ingest(a *dataset.Attack) error {
 // A shard's record holds the attack's key — id, botnet, family, category,
 // target, start and end — and nothing else (the frontend validated the
 // rest at the edge), so IngestAt checks only the key (ValidateKey) and
-// reads no other field. Given a record that passes Validate, Ingest is
-// equivalent to IngestAt with the analyzer's own running count.
+// reads no other field. seq 0 means the analyzer's own running count, the
+// sequence Ingest uses: given a record that passes Validate, Ingest(a) is
+// IngestAt(a, 0). The single-process server calls it that way with the
+// keys dataset.DecodeJSONLKeys already validated whole.
 func (s *Analyzer) IngestAt(a *dataset.Attack, seq uint64) error {
 	if err := a.ValidateKey(); err != nil {
 		return err

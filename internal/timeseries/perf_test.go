@@ -48,8 +48,7 @@ func TestAutoFitWinnerIsSelfContained(t *testing.T) {
 func BenchmarkFit(b *testing.B) {
 	xs := genARMA([]float64{0.6}, []float64{0.3}, 5, 4000, 23)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := Fit(xs, Order{P: 1, Q: 1}); err != nil {
 			b.Fatal(err)
 		}
@@ -59,8 +58,7 @@ func BenchmarkFit(b *testing.B) {
 func BenchmarkAutoFit(b *testing.B) {
 	xs := genARMA([]float64{0.6}, []float64{0.3}, 5, 2000, 24)
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := AutoFit(xs, 0, 2, 1); err != nil {
 			b.Fatal(err)
 		}
