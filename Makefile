@@ -145,7 +145,9 @@ bench-smoke:
 # bench-allocs runs the hot-kernel micro-benchmarks with -benchmem and
 # fails when any exceeds its budget in bench_thresholds.json (see
 # cmd/benchguard). This is the CI gate against allocation regressions in
-# the ARIMA fitter, the dispersion scan, the cross-shard merge, the BSCW
+# the ARIMA fitter, the dispersion scan, the cross-shard merge, the
+# snapshot fan-out after an ingest (120 held days: a day series sent or
+# merged whole again shows here), the BSCW
 # payload walks (encode nothing, decode what the message holds: a closure
 # per field shows here, not in live_sharded), the columnar store build, the snapshot open (a per-row decode coming back
 # is megabytes; the budget is one), the JSONL feed codec, the live
@@ -154,7 +156,7 @@ bench-smoke:
 # Load, at the benches' default scale 0.1). Each alternative
 # selects all of a benchmark's sub-benchmarks; the /scale1 segment belongs
 # to the last alternative only.
-BENCH_ALLOC_PATTERN := 'BenchmarkFit$$|BenchmarkAutoFit$$|BenchmarkDispersionSeries$$|BenchmarkMergeSnapshots$$|BenchmarkWireCodec$$|BenchmarkNewStore$$|BenchmarkReadSnapshot$$|BenchmarkDecodeJSONL$$|BenchmarkAnalyzerSnapshot$$|BenchmarkExtDefense$$|BenchmarkExtLoad$$|BenchmarkWriteJSONL$$/scale1$$'
+BENCH_ALLOC_PATTERN := 'BenchmarkFit$$|BenchmarkAutoFit$$|BenchmarkDispersionSeries$$|BenchmarkMergeSnapshots$$|BenchmarkFrontendSnapshotAfterIngest$$|BenchmarkWireCodec$$|BenchmarkNewStore$$|BenchmarkReadSnapshot$$|BenchmarkDecodeJSONL$$|BenchmarkAnalyzerSnapshot$$|BenchmarkExtDefense$$|BenchmarkExtLoad$$|BenchmarkWriteJSONL$$/scale1$$'
 BENCH_ALLOC_PKGS := ./internal/timeseries ./internal/core ./internal/cluster ./internal/stream .
 bench-allocs:
 	$(GO) test -run=^$$ -bench $(BENCH_ALLOC_PATTERN) \

@@ -257,7 +257,7 @@ func (c *Codec) count(minBytes, maxN int) int {
 // Len carries a slice's length, leaving the elements to the walk's own
 // loop over *s: encoding writes len(*s); decoding reads a count, refuses
 // one the remaining bytes cannot hold at minBytes an element, and makes *s
-// that long (nil when empty or refused) for the loop to fill. The slice is
+// that long (empty when refused) for the loop to fill. The slice is
 // made whole before its first element is read, so what a hostile count can
 // allocate is len(Buf)/minBytes elements: pass the true per-element
 // minimum, and bound the payload (cluster.maxPayload).
@@ -268,15 +268,22 @@ func Len[T any](c *Codec, s *[]T, minBytes int) {
 // LenMax is Len for a slice the message declares at most maxN long: a
 // decode also refuses a count above maxN, before making anything. An
 // encode writes len(*s) as given; keeping to maxN is the sender's part.
+//
+// A decode into a slice with the capacity reuses its array, zeroed first:
+// the walk fills every element as if freshly made, and pointers the old
+// elements held are left to whoever else kept them.
 func LenMax[T any](c *Codec, s *[]T, minBytes, maxN int) {
 	if !c.dec {
 		c.Buf = binary.AppendUvarint(c.Buf, uint64(len(*s)))
 		return
 	}
-	*s = nil
-	if n := c.count(minBytes, maxN); n > 0 {
+	n := c.count(minBytes, maxN)
+	if n > cap(*s) {
 		*s = make([]T, n)
+		return
 	}
+	*s = (*s)[:n]
+	clear(*s)
 }
 
 // Counts carries a string-keyed count map whole: in sorted-key order out,

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"botscope/internal/binenc"
+	"botscope/internal/core"
 )
 
 // Client errors.
@@ -35,6 +36,11 @@ type shardClient struct {
 	nextReq uint32
 	pending map[uint32]chan Frame // guarded by mu
 	closed  bool                  // guarded by mu
+
+	// days is the shard's Fig 2 series as of the session's last snapshot:
+	// the rows it sent, appended from where each answer started. Only
+	// snapshot touches it, and Frontend.snapMu serializes those calls.
+	days []core.DailyCount
 }
 
 // dialShard connects, performs the hello exchange, and verifies the shard
@@ -189,16 +195,33 @@ func (c *shardClient) sendIngest(ctx context.Context, payload []byte) (ingestAck
 	}
 }
 
-// snapshot fetches and decodes the shard's current view.
+// snapshot fetches and decodes the shard's current view, asking for the
+// day rows from the session's last held one on — the one that may still
+// have been open. It appends them to the held rows from where the answer
+// starts, so c.days is the shard's whole series after every answer, and
+// returns the snapshot with that series as its Daily rows (DaysFrom 0),
+// as MergeSnapshots takes it; they alias the held rows, which the merge
+// only reads. An answer that starts past the held rows fails, and leaves
+// them alone.
 func (c *shardClient) snapshot(ctx context.Context) (ShardSnapshot, error) {
-	resp, err := c.call(ctx, msgSnap, nil)
+	w := binenc.Encoder(nil)
+	wireSnapReq(&w, &snapReq{Cursor: max(len(c.days)-1, 0)})
+	resp, err := c.call(ctx, msgSnap, w.Buf)
 	if err != nil {
 		return ShardSnapshot{}, err
 	}
 	var s ShardSnapshot
 	r := binenc.Decoder(resp.Payload)
 	wireSnapshot(&r, &s)
-	return s, payloadErr(&r)
+	if err := payloadErr(&r); err != nil {
+		return ShardSnapshot{}, err
+	}
+	if s.DaysFrom < 0 || s.DaysFrom > len(c.days) {
+		return ShardSnapshot{}, fmt.Errorf("cluster: shard %d sent days from row %d, session holds %d", c.id, s.DaysFrom, len(c.days))
+	}
+	c.days = append(c.days[:s.DaysFrom], s.Snap.Daily.Days...)
+	s.DaysFrom, s.Snap.Daily.Days = 0, c.days
+	return s, nil
 }
 
 // leave asks the shard to drop state for a clean future rejoin.

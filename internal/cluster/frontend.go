@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"botscope/internal/binenc"
+	"botscope/internal/core"
 	"botscope/internal/dataset"
 	"botscope/internal/memo"
 	"botscope/internal/stream"
@@ -51,14 +53,16 @@ var ErrIngestBusy = &StatusError{Status: 503, Message: "cluster: ingest in progr
 // ErrNoShards means no shard could serve the request.
 var ErrNoShards = &StatusError{Status: 503, Message: "cluster: no shards reachable", RetryAfterSec: 5}
 
-// Frontend is the stateless query/ingest tier over a set of shard
-// workers. It validates whole records and keeps their keys
-// (dataset.DecodeJSONLKeys), orders the global ingest stream, fans each
-// chunk out as owned attacks' keys plus everyone else's ticks, and
-// answers live queries by merging shard snapshots
-// deterministically. The only state it holds is routing
-// (the ring and shard sessions) and the global stream cursor — all
-// analytics state lives on the shards.
+// Frontend is the query/ingest tier over a set of shard workers. It
+// validates whole records and keeps their keys (dataset.DecodeJSONLKeys),
+// orders the global ingest stream, fans each chunk out as owned attacks'
+// keys plus everyone else's ticks, and answers live queries by merging
+// shard snapshots deterministically. Besides routing (the ring and shard
+// sessions) and the global stream cursor, it holds one analytics state:
+// Fig 2's days. Each session holds its shard's day rows, so a snapshot
+// carries only the rows past them, and the closed days of the sessions
+// that answer are folded once into a held core.DailyMerge. Everything
+// else lives on the shards.
 type Frontend struct {
 	ring          *Ring
 	queryTimeout  time.Duration
@@ -89,6 +93,12 @@ type Frontend struct {
 	// CompareAndSwap against the value loaded under snapMu so a
 	// racing writer can never clobber a newer snapshot.
 	cache memo.Slot[mergedSnap]
+
+	// daily merges Fig 2 over the sessions in dailyFor, the ones that
+	// answered the last rebuild; a rebuild answered by any other set
+	// starts it again from zero.
+	daily    core.DailyMerge // guarded by snapMu
+	dailyFor []*shardClient  // guarded by snapMu
 }
 
 type mergedSnap struct {
@@ -232,7 +242,16 @@ func (f *Frontend) LiveSnapshot(ctx context.Context) (stream.Snapshot, []int, er
 		return &s
 	})
 
-	merged := MergeSnapshots(snaps)
+	answered := make([]*shardClient, 0, len(snaps))
+	for i, s := range snaps {
+		if s != nil {
+			answered = append(answered, clients[i])
+		}
+	}
+	if !slices.Equal(answered, f.dailyFor) {
+		f.daily, f.dailyFor = core.DailyMerge{}, answered
+	}
+	merged := mergeSnapshots(snaps, &f.daily)
 	var degraded []int
 	ok := 0
 	for i, s := range snaps {

@@ -16,8 +16,8 @@ import (
 func FuzzDecodeWire(f *testing.F) {
 	f.Add(AppendFrame(nil, &Frame{Type: msgHello, ReqID: 1}))
 	f.Add(AppendFrame(nil, &Frame{Type: msgPing, ReqID: 2}))
-	f.Add([]byte("BSCW\x02"))
-	f.Add([]byte("XXXX\x02\x01\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00"))
+	f.Add([]byte("BSCW\x03"))
+	f.Add([]byte("XXXX\x03\x01\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00"))
 
 	// One seed per payload kind: the golden's, so the fuzzer starts from
 	// every field of every message.
@@ -25,7 +25,7 @@ func FuzzDecodeWire(f *testing.F) {
 	for _, seed := range []struct {
 		name string
 		kind FrameKind
-	}{{"ingest", msgIngest}, {"ingestAck", msgIngestAck}, {"helloAck", msgHelloAck}, {"snapshot", msgSnapResp}} {
+	}{{"ingest", msgIngest}, {"ingestAck", msgIngestAck}, {"helloAck", msgHelloAck}, {"snapshot", msgSnapResp}, {"snapReq", msgSnap}} {
 		f.Add(AppendFrame(nil, &Frame{Type: seed.kind, ReqID: uint32(seed.kind), Payload: golden[seed.name]}))
 	}
 
@@ -47,6 +47,8 @@ func FuzzDecodeWire(f *testing.F) {
 		switch fr.Type {
 		case msgIngest:
 			fixedPoint(t, "ingest", wireIngest, fr.Payload)
+		case msgSnap:
+			fixedPoint(t, "snapReq", wireSnapReq, fr.Payload)
 		case msgSnapResp:
 			fixedPoint(t, "snapshot", wireSnapshot, fr.Payload)
 		case msgHelloAck:

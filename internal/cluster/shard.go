@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"botscope/internal/binenc"
+	"botscope/internal/core"
 	"botscope/internal/stream"
 )
 
@@ -32,11 +33,10 @@ type Shard struct {
 
 	work chan shardJob
 
-	// Snapshot cache, applier-local: the encoded response is rebuilt only
-	// when a batch or reset has been applied since the cached build.
-	cacheKey     uint64 // applied+1 at build time (0 = no cache)
-	cachePayload []byte
-	resets       uint64 // bumped on msgLeave so the cache key never reuses
+	// Applier-local scratch, reused from frame to frame: the decoded ingest
+	// entries, and the snapshot response's encoding (writeFrame copies it).
+	entries []IngestEntry
+	snapBuf []byte
 
 	mu    sync.Mutex
 	conns map[net.Conn]bool // guarded by mu
@@ -187,13 +187,15 @@ func (s *Shard) applier() {
 	}
 }
 
+// applyIngest decodes a batch into the applier's one entry slice: the
+// decode clears it first, so every record entry gets a fresh Attack —
+// open collaboration windows keep the ones from earlier frames.
 func (s *Shard) applyIngest(job shardJob) {
-	var entries []IngestEntry
 	r := binenc.Decoder(job.frame.Payload)
-	wireIngest(&r, &entries)
+	wireIngest(&r, &s.entries)
 	err := payloadErr(&r)
 	if err == nil {
-		err = s.apply(entries)
+		err = s.apply(s.entries)
 	}
 	if err != nil {
 		_ = job.conn.writeFrame(&Frame{
@@ -227,16 +229,33 @@ func (s *Shard) apply(entries []IngestEntry) error {
 	return nil
 }
 
+// applySnap answers a snapshot request with the day rows from the
+// request's cursor on, clamped to the shard's newest row. The analyzer
+// caches its snapshot per generation, so a repeated request re-encodes
+// only. A negative or malformed cursor is refused with an error ack.
 func (s *Shard) applySnap(job shardJob) {
-	key := s.resets<<32 | s.applied.Load() + 1
-	if key != s.cacheKey {
-		snap := ShardSnapshot{ShardID: s.id, Applied: s.applied.Load(), Snap: s.an.Snapshot()}
-		w := binenc.Encoder(nil)
-		wireSnapshot(&w, &snap)
-		s.cacheKey = key
-		s.cachePayload = w.Buf
+	var req snapReq
+	r := binenc.Decoder(job.frame.Payload)
+	wireSnapReq(&r, &req)
+	err := payloadErr(&r)
+	if err == nil && req.Cursor < 0 {
+		err = fmt.Errorf("cluster: shard %d: negative daily cursor %d", s.id, req.Cursor)
 	}
-	_ = job.conn.writeFrame(&Frame{Type: msgSnapResp, ReqID: job.frame.ReqID, Payload: s.cachePayload})
+	if err != nil {
+		_ = job.conn.writeFrame(&Frame{
+			Type: msgSnapResp, Flags: flagError, ReqID: job.frame.ReqID,
+			Payload: []byte(err.Error()),
+		})
+		return
+	}
+	snap := ShardSnapshot{ShardID: s.id, Applied: s.applied.Load(), Snap: s.an.Snapshot()}
+	days := snap.Snap.Daily.Days
+	snap.DaysFrom = max(min(req.Cursor, len(days)-1), 0)
+	snap.Snap.Daily = core.DailyStats{Days: days[snap.DaysFrom:]}
+	w := binenc.Encoder(s.snapBuf[:0])
+	wireSnapshot(&w, &snap)
+	s.snapBuf = w.Buf
+	_ = job.conn.writeFrame(&Frame{Type: msgSnapResp, ReqID: job.frame.ReqID, Payload: s.snapBuf})
 }
 
 // applyLeave resets the shard to empty for a clean rejoin: a shard that
@@ -246,9 +265,6 @@ func (s *Shard) applySnap(job shardJob) {
 func (s *Shard) applyLeave(job shardJob) {
 	s.an = stream.New()
 	s.applied.Store(0)
-	s.resets++
-	s.cacheKey = 0
-	s.cachePayload = nil
 	_ = job.conn.writeFrame(&Frame{Type: msgLeaveAck, ReqID: job.frame.ReqID})
 }
 

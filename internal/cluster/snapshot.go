@@ -14,10 +14,29 @@ import (
 // replicates it from the tick feed — while the keyed half (Protocols,
 // FamilyProtocol, Daily, Collaborations) covers only the shard's target
 // partition.
+//
+// Snap.Daily.Days holds the shard's day rows from DaysFrom on; a session
+// already holds the ones before (Frontend). The Daily headline (Average,
+// Max, MaxDay, MaxDominantFamily) does not cross the wire: the merge
+// recomputes it from rows.
 type ShardSnapshot struct {
-	ShardID int
-	Applied uint64
-	Snap    stream.Snapshot
+	ShardID  int
+	Applied  uint64
+	DaysFrom int
+	Snap     stream.Snapshot
+}
+
+// snapReq is the msgSnap payload. Cursor is the number of day rows the
+// session holds less one, since its last held row may still have been
+// open then: the shard answers with its rows from min(Cursor, rows−1) on.
+// A request carries everything the shard needs, so a shard keeps no
+// per-session state and a lost or replayed request is harmless.
+type snapReq struct {
+	Cursor int
+}
+
+func wireSnapReq(c *binenc.Codec, r *snapReq) {
+	binenc.Int(c, &r.Cursor)
 }
 
 // wireSnapshot is the msgSnapResp payload.
@@ -46,7 +65,8 @@ func wireSnapshot(c *binenc.Codec, s *ShardSnapshot) {
 		binenc.Int(c, &fp.Count)
 	}
 
-	wireDaily(c, &sn.Daily)
+	binenc.Int(c, &s.DaysFrom)
+	wireDays(c, &sn.Daily.Days)
 	wireSummary(c, &sn.Intervals.Summary)
 	c.F64(&sn.Intervals.SimultaneousFrac)
 	c.F64(&sn.Intervals.ExactZeroFrac)
@@ -59,14 +79,10 @@ func wireSnapshot(c *binenc.Codec, s *ShardSnapshot) {
 	wireCollab(c, &sn.Collaborations)
 }
 
-func wireDaily(c *binenc.Codec, d *core.DailyStats) {
-	c.F64(&d.Average)
-	binenc.Int(c, &d.Max)
-	c.Time(&d.MaxDay)
-	binenc.Str(c, &d.MaxDominantFamily)
-	binenc.Len(c, &d.Days, 3)
-	for i := range d.Days {
-		dc := &d.Days[i]
+func wireDays(c *binenc.Codec, days *[]core.DailyCount) {
+	binenc.Len(c, days, 3)
+	for i := range *days {
+		dc := &(*days)[i]
 		c.Time(&dc.Day)
 		binenc.Int(c, &dc.Count)
 		binenc.Counts(c, &dc.ByFamily)
@@ -124,9 +140,18 @@ func wireCollab(c *binenc.Codec, s *stream.CollabSummary) {
 // produce, for any shard count.
 //
 // Snapshots must be sorted by ShardID (the frontend's fan-out preserves
-// that order). An empty input or an all-empty cluster yields the zero
-// snapshot, matching an analyzer that has ingested nothing.
+// that order) and carry their whole day series (DaysFrom 0). An empty
+// input or an all-empty cluster yields the zero snapshot, matching an
+// analyzer that has ingested nothing.
 func MergeSnapshots(snaps []*ShardSnapshot) stream.Snapshot {
+	var daily core.DailyMerge
+	return mergeSnapshots(snaps, &daily)
+}
+
+// mergeSnapshots is MergeSnapshots with Fig 2 merged by daily, which
+// holds the closed days of the same non-nil snapshots' shards from one
+// call to the next.
+func mergeSnapshots(snaps []*ShardSnapshot, daily *core.DailyMerge) stream.Snapshot {
 	var out stream.Snapshot
 	var src *ShardSnapshot
 	for _, s := range snaps {
@@ -151,7 +176,7 @@ func MergeSnapshots(snaps []*ShardSnapshot) stream.Snapshot {
 	out.Load = src.Snap.Load
 
 	var types core.TypeCounts
-	daily := make([]core.DailyStats, 0, len(snaps))
+	parts := make([]core.DailyPart, 0, len(snaps))
 	collab := make([]*stream.CollabSummary, 0, len(snaps))
 	for _, s := range snaps {
 		if s == nil {
@@ -160,12 +185,12 @@ func MergeSnapshots(snaps []*ShardSnapshot) stream.Snapshot {
 		for _, fp := range s.Snap.FamilyProtocol {
 			types.Add(fp.Category, fp.Family, fp.Count)
 		}
-		daily = append(daily, s.Snap.Daily)
+		parts = append(parts, core.DailyPart{Days: s.Snap.Daily.Days, Through: s.Snap.LastStart})
 		collab = append(collab, &s.Snap.Collaborations)
 	}
 	out.Protocols = types.Protocols()
 	out.FamilyProtocol = types.FamilyProtocol()
-	out.Daily = core.MergeDaily(daily...)
+	out.Daily = daily.Merge(parts)
 	out.Collaborations = stream.MergeCollab(collab...)
 	return out
 }

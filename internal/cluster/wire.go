@@ -1,9 +1,11 @@
 // Package cluster implements botscope's sharded serve tier: N shard
 // workers each own a consistent-hash partition of the live ingest stream
-// (reusing internal/stream's online analyzer per shard), and a stateless
-// frontend fans /api/live/* queries and /api/ingest batches out over a
-// versioned binary wire protocol, merging shard responses so the cluster's
-// output is byte-identical to a single-process server for any shard count.
+// (reusing internal/stream's online analyzer per shard), and a frontend
+// fans /api/live/* queries and /api/ingest batches out over a versioned
+// binary wire protocol, merging shard responses so the cluster's output is
+// byte-identical to a single-process server for any shard count. The
+// frontend's only analytics state is Fig 2's closed days: each session
+// holds its shard's day rows, so a snapshot carries only the open tail.
 //
 // The determinism argument has two halves. Keyed statistics (protocol and
 // family counters, daily buckets, collaboration windows) are partitioned
@@ -32,10 +34,12 @@ import (
 // Wire protocol constants. The magic and version lead every frame so a
 // frontend and shard from different builds fail fast instead of
 // misinterpreting each other. Version 2 carries an owned attack as its
-// key only (wireAttack); a version-1 peer is refused with ErrBadVersion.
+// key only (wireAttack); version 3 sends a snapshot's daily series as the
+// rows past the session's cursor (wireSnapReq, wireSnapshot). An older
+// peer is refused with ErrBadVersion.
 const (
 	wireMagic   = "BSCW"
-	wireVersion = 2
+	wireVersion = 3
 
 	// headerLen is magic(4) + version(1) + type(1) + flags(2) + reqID(4) +
 	// payload length(4).
@@ -69,8 +73,8 @@ const (
 	msgHelloAck  FrameKind = 2 // shard → frontend: shard id + applied count
 	msgIngest    FrameKind = 3 // frontend → shard: ordered batch of records/ticks
 	msgIngestAck FrameKind = 4 // shard → frontend: batch applied (or busy)
-	msgSnap      FrameKind = 5 // frontend → shard: request a snapshot
-	msgSnapResp  FrameKind = 6 // shard → frontend: encoded ShardSnapshot
+	msgSnap      FrameKind = 5 // frontend → shard: request a snapshot past a daily cursor
+	msgSnapResp  FrameKind = 6 // shard → frontend: encoded ShardSnapshot, daily rows from DaysFrom
 	msgLeave     FrameKind = 7 // frontend → shard: reset state for a clean rejoin
 	msgLeaveAck  FrameKind = 8 // shard → frontend: state dropped
 	msgPing      FrameKind = 9 // liveness probe

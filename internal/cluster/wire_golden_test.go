@@ -11,15 +11,18 @@ import (
 	"time"
 
 	"botscope/internal/binenc"
+	"botscope/internal/core"
 	"botscope/internal/dataset"
 	"botscope/internal/stream"
 )
 
-// goldenSnapshot is a shard's view after five attacks: two families on
+// goldenSnapshot is a shard's answer after five attacks: two families on
 // three targets across two days, one collaboration window closed (ids 1-2,
-// inter-family) and one still open at snapshot time (ids 4-5). PeakTime is
-// zeroed by hand: the analyzer only leaves it unset when nothing ever ran,
-// and the wire's zero-time rule needs a row.
+// inter-family) and one still open at snapshot time (ids 4-5), sent to a
+// session that holds both days — so only the second day crosses, as
+// DaysFrom 1, and the daily headline never does. PeakTime is zeroed by
+// hand: the analyzer only leaves it unset when nothing ever ran, and the
+// wire's zero-time rule needs a row.
 func goldenSnapshot(t testing.TB) ShardSnapshot {
 	t.Helper()
 	t0 := time.Date(2012, 8, 29, 23, 59, 30, 0, time.UTC)
@@ -40,8 +43,9 @@ func goldenSnapshot(t testing.TB) ShardSnapshot {
 			t.Fatal(err)
 		}
 	}
-	s := ShardSnapshot{ShardID: 3, Applied: 5, Snap: an.Snapshot()}
+	s := ShardSnapshot{ShardID: 3, Applied: 5, DaysFrom: 1, Snap: an.Snapshot()}
 	s.Snap.Load.PeakTime = time.Time{}
+	s.Snap.Daily = core.DailyStats{Days: s.Snap.Daily.Days[1:]}
 	return s
 }
 
@@ -63,17 +67,20 @@ func goldenIngest() []IngestEntry {
 }
 
 var (
-	goldenHello = helloAck{ShardID: 2, Applied: 1 << 40}
-	goldenAck   = ingestAck{Applied: 12345}
+	goldenHello   = helloAck{ShardID: 2, Applied: 1 << 40}
+	goldenAck     = ingestAck{Applied: 12345}
+	goldenSnapReq = snapReq{Cursor: 149}
 )
 
-// goldenPath pins the BSCW v2 payload bytes, one "name hex" line a message.
-// Its snapshot, helloAck and ingestAck lines are v1's byte for byte (v1's
-// were written by the hand-paired encoders this package had before the
-// payload walks); v2 moved only the ingest line, whose records became
-// keys. A walk that moves a byte fails here: the fix is the walk, or a
-// wireVersion bump with a new file — never an edit to this one.
-const goldenPath = "testdata/bscw_v2.golden"
+// goldenPath pins the BSCW v3 payload bytes, one "name hex" line a message.
+// Its helloAck and ingestAck lines are v1's byte for byte (v1's were
+// written by the hand-paired encoders this package had before the payload
+// walks); v2 moved the ingest line, whose records became keys; v3 moved
+// the snapshot line, whose daily series became the rows past a cursor,
+// and added the snapReq line that carries the cursor. A walk that moves a
+// byte fails here: the fix is the walk, or a wireVersion bump with a new
+// file — never an edit to this one.
+const goldenPath = "testdata/bscw_v3.golden"
 
 // readGolden returns the pinned payloads by line name.
 func readGolden(t testing.TB) map[string][]byte {
@@ -120,6 +127,7 @@ func TestWireGolden(t *testing.T) {
 	checkGolden(t, golden, "ingest", wireIngest, &batch)
 	checkGolden(t, golden, "helloAck", wireHelloAck, &goldenHello)
 	checkGolden(t, golden, "ingestAck", wireIngestAck, &goldenAck)
+	checkGolden(t, golden, "snapReq", wireSnapReq, &goldenSnapReq)
 
 	// The snapshot payload ends where its message does, and its one bool —
 	// the open candidate's flag, four bytes from the end, ahead of three

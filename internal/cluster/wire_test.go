@@ -58,9 +58,11 @@ func TestDecodeFrameRejectsMalformedHeaders(t *testing.T) {
 		{"short", valid[:headerLen-1], ErrTruncated},
 		{"bad magic", append([]byte("XSCW"), valid[4:]...), ErrBadMagic},
 		{"bad version", append(append([]byte{}, valid[:4]...), append([]byte{99}, valid[5:]...)...), ErrBadVersion},
-		// v1 sent whole records (bot IPs, target geolocation); v2 peers
-		// refuse it at the header.
+		// v1 sent whole records (bot IPs, target geolocation) and v2 every
+		// day of a snapshot's daily series; v3 peers refuse both at the
+		// header.
 		{"version 1", append(append([]byte{}, valid[:4]...), append([]byte{1}, valid[5:]...)...), ErrBadVersion},
+		{"version 2", append(append([]byte{}, valid[:4]...), append([]byte{2}, valid[5:]...)...), ErrBadVersion},
 		{"payload past end", func() []byte {
 			b := append([]byte{}, valid...)
 			b[15] = 10 // declares 10 payload bytes that are not there
@@ -220,22 +222,11 @@ func TestIngestCountCapped(t *testing.T) {
 // naming the fault, and nothing is applied.
 func TestShardRefusesInvalidKey(t *testing.T) {
 	s := NewShard(0, 4)
-	go s.applier()
-	t.Cleanup(func() { close(s.work) })
-	client, server := netPipe(t)
-	go s.readLoop(&shardConn{conn: server})
-
+	roundTrip := pipeShard(t, s)
 	send := func(reqID uint32, a *dataset.Attack) Frame {
 		t.Helper()
 		batch := []IngestEntry{{Seq: uint64(reqID), Record: a}}
-		if _, err := client.Write(AppendFrame(nil, &Frame{Type: msgIngest, ReqID: reqID, Payload: encodeMsg(wireIngest, &batch)})); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := ReadFrame(client)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
+		return roundTrip(Frame{Type: msgIngest, ReqID: reqID, Payload: encodeMsg(wireIngest, &batch)})
 	}
 
 	start := time.Date(2012, 8, 1, 12, 0, 0, 0, time.UTC)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -109,6 +110,88 @@ func TestDailyFoldMergeLaw(t *testing.T) {
 				want.Max, want.MaxDay, want.MaxDominantFamily, want.Average, len(want.Days))
 		}
 	})
+}
+
+// TestDailyMergeHeld holds the held Fig 2 merge to MergeDaily the way the
+// sharded frontend runs it. A seeded feed is split over k = 1..5
+// partitions, each applying the feed at its own pace, so one may not have
+// seen its first attack while another is days ahead. At every step a
+// random subset answers, and each answer reaches its session as a delta:
+// the partition's rows from a current, stale or repeated cursor on. The
+// held merge over the sessions' rows must then equal MergeDaily over the
+// answering partitions' whole series; a different subset starts it again.
+func TestDailyMergeHeld(t *testing.T) {
+	type event struct {
+		start time.Time
+		fam   dataset.Family
+		owner int
+	}
+	for seed := int64(1); seed <= 500; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		k := 1 + int(seed%5)
+		feed := make([]event, 200+rng.Intn(200))
+		start := t0.Add(time.Duration(rng.Intn(24)) * time.Hour)
+		for i := range feed {
+			start = start.Add(time.Duration(rng.Intn(240)) * time.Minute)
+			if rng.Intn(80) == 0 {
+				start = start.Add(50 * time.Hour)
+			}
+			feed[i] = event{start, lawFamilies[rng.Intn(len(lawFamilies))], rng.Intn(k)}
+		}
+
+		folds := make([]DailyFold, k)
+		applied := make([]int, k) // the feed prefix each partition has seen
+		held := make([][]DailyCount, k)
+		cursors := make([]int, k) // the last cursor each session sent
+		var merge DailyMerge
+		var key []int
+		for step := 0; slices.Min(applied) < len(feed); step++ {
+			for p := range folds {
+				for n := rng.Intn(30); n > 0 && applied[p] < len(feed); n-- {
+					if e := feed[applied[p]]; e.owner == p {
+						folds[p].Observe(e.start, e.fam)
+					}
+					applied[p]++
+				}
+			}
+			var answered []int
+			var parts []DailyPart
+			var whole []DailyStats
+			for p := range folds {
+				if rng.Intn(4) == 0 {
+					continue
+				}
+				res := folds[p].Result()
+				switch rng.Intn(3) {
+				case 0: // current
+					cursors[p] = max(len(held[p])-1, 0)
+				case 1: // stale
+					cursors[p] = rng.Intn(max(len(held[p]), 1))
+				} // else repeated: the last request, replayed
+				from := max(min(cursors[p], len(res.Days)-1), 0)
+				held[p] = append(held[p][:from], res.Days[from:]...)
+				if !reflect.DeepEqual(held[p], res.Days) {
+					t.Fatalf("seed %d step %d: partition %d holds %d rows after a delta from %d, has %d", seed, step, p, len(held[p]), from, len(res.Days))
+				}
+				var through time.Time
+				if applied[p] > 0 {
+					through = feed[applied[p]-1].start
+				}
+				answered = append(answered, p)
+				parts = append(parts, DailyPart{Days: held[p], Through: through})
+				whole = append(whole, res)
+			}
+			if !slices.Equal(answered, key) {
+				merge, key = DailyMerge{}, answered
+			}
+			got, want := merge.Merge(parts), MergeDaily(whole...)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d (k=%d, partitions %v at %v): held merge peak (%d, %v) average %v over %d days, MergeDaily (%d, %v) %v over %d",
+					seed, step, k, answered, applied, got.Max, got.MaxDay, got.Average, len(got.Days),
+					want.Max, want.MaxDay, want.Average, len(want.Days))
+			}
+		}
+	}
 }
 
 func TestCollabCountsMergeLaw(t *testing.T) {

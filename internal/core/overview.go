@@ -216,10 +216,62 @@ func (d *DailyFold) Result() DailyStats {
 
 // MergeDaily is the distribution over the union of disjoint partitions of
 // one feed, from each partition's result: their ascending day series,
-// merged in day order.
+// merged in day order. It is a DailyMerge's first call.
 func MergeDaily(parts ...DailyStats) DailyStats {
-	var d DailyFold
-	next := make([]int, len(parts))
+	in := make([]DailyPart, len(parts))
+	for i, p := range parts {
+		in[i].Days = p.Days
+	}
+	var m DailyMerge
+	return m.Merge(in)
+}
+
+// DailyPart is one partition's side of a DailyMerge: its whole ascending
+// day series, and Through, the start of the latest attack of the whole
+// feed — its own or another partition's — the partition has seen (zero:
+// none). Its later rows cannot fall on an earlier UTC day than Through's.
+type DailyPart struct {
+	Days    []DailyCount
+	Through time.Time
+}
+
+// DailyMerge is MergeDaily held across calls, for one fixed set of
+// partitions of a feed that arrives in start order, each of whose series
+// only grows and changes only in its days from Through's on. A call folds
+// into the held fold, once, every row on a day before the earliest
+// partition's Through day: no partition can change or add such a row, an
+// empty or lagging one included. It then forks the held fold and adds the
+// rest, the open tail. A caller whose set of partitions changes starts
+// again from the zero value, which is empty and ready to use.
+type DailyMerge struct {
+	held DailyFold
+	next []int // per partition: its rows already in held
+}
+
+// Merge returns the distribution over parts, equal to MergeDaily over
+// their series, and keeps their closed rows folded for the next call.
+// Nothing the next call writes is shared with the result.
+func (m *DailyMerge) Merge(parts []DailyPart) DailyStats {
+	if len(m.next) != len(parts) {
+		*m = DailyMerge{next: make([]int, len(parts))}
+	}
+	var bound time.Time
+	for i, p := range parts {
+		if day := p.Through.Truncate(24 * time.Hour); i == 0 || day.Before(bound) {
+			bound = day
+		}
+	}
+	foldDays(&m.held, parts, m.next, &bound)
+	fork := m.held
+	fork.closed.Days = slices.Clip(fork.closed.Days)
+	foldDays(&fork, parts, slices.Clone(m.next), nil)
+	return fork.Result()
+}
+
+// foldDays adds the parts' rows to d in day order, starting at next[i] in
+// part i and advancing it, up to the first row not before *until (nil: to
+// the end).
+func foldDays(d *DailyFold, parts []DailyPart, next []int, until *time.Time) {
 	for {
 		first := -1
 		for i, p := range parts {
@@ -227,8 +279,8 @@ func MergeDaily(parts ...DailyStats) DailyStats {
 				first = i
 			}
 		}
-		if first < 0 {
-			return d.Result()
+		if first < 0 || until != nil && !parts[first].Days[next[first]].Day.Before(*until) {
+			return
 		}
 		d.AddDay(parts[first].Days[next[first]])
 		next[first]++
