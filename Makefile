@@ -100,8 +100,11 @@ race:
 # what the sharedslice analyzer reasons about statically — run under the
 # race detector. TestLazy is the build-once holder of every derived
 # product; Concurrent selects TestWorkloadConcurrentAll (four callers
-# sharing one Workload, as botserve does) and the cluster's
-# readers-during-shard-churn test; TestSnapshot also selects the
+# sharing one Workload, as botserve does), TestWarmServerConcurrentReads
+# (eight clients cycling the explore routes on one warm server, each body
+# checked against a fresh server's), the fit-slot sweep from eight
+# goroutines (TestDispersionIndexFitSlotConcurrent: slots replaced while
+# read) and the cluster's readers-during-shard-churn test; TestSnapshot also selects the
 # analyzer's generation-published snapshot tests (one writer against
 # eight polling readers); TestFanOut is the shard fan-out on one core;
 # TestHoldDelaysClose and TestCloseWaitsForHandlers are the store hold
@@ -151,12 +154,14 @@ bench-smoke:
 # payload walks (encode nothing, decode what the message holds: a closure
 # per field shows here, not in live_sharded), the columnar store build, the snapshot open (a per-row decode coming back
 # is megabytes; the budget is one), the JSONL feed codec, the live
-# snapshot (the first read of a generation, and every later one), and the
+# snapshot (the first read of a generation, and every later one), the
 # two report kernels that must stay in dense-id space (Ext: Defense, Ext:
-# Load, at the benches' default scale 0.1). Each alternative
+# Load, at the benches' default scale 0.1), and one warm cycle of
+# botserve's explore routes (every answer a held product: a product
+# rebuilt per request, or an ARIMA refit, shows there). Each alternative
 # selects all of a benchmark's sub-benchmarks; the /scale1 segment belongs
 # to the last alternative only.
-BENCH_ALLOC_PATTERN := 'BenchmarkFit$$|BenchmarkAutoFit$$|BenchmarkDispersionSeries$$|BenchmarkMergeSnapshots$$|BenchmarkFrontendSnapshotAfterIngest$$|BenchmarkWireCodec$$|BenchmarkNewStore$$|BenchmarkReadSnapshot$$|BenchmarkDecodeJSONL$$|BenchmarkAnalyzerSnapshot$$|BenchmarkExtDefense$$|BenchmarkExtLoad$$|BenchmarkWriteJSONL$$/scale1$$'
+BENCH_ALLOC_PATTERN := 'BenchmarkFit$$|BenchmarkAutoFit$$|BenchmarkDispersionSeries$$|BenchmarkMergeSnapshots$$|BenchmarkFrontendSnapshotAfterIngest$$|BenchmarkWireCodec$$|BenchmarkNewStore$$|BenchmarkReadSnapshot$$|BenchmarkDecodeJSONL$$|BenchmarkAnalyzerSnapshot$$|BenchmarkExtDefense$$|BenchmarkExtLoad$$|BenchmarkExploreCycle$$|BenchmarkWriteJSONL$$/scale1$$'
 BENCH_ALLOC_PKGS := ./internal/timeseries ./internal/core ./internal/cluster ./internal/stream .
 bench-allocs:
 	$(GO) test -run=^$$ -bench $(BENCH_ALLOC_PATTERN) \
@@ -168,9 +173,12 @@ bench-allocs:
 # bench-update re-measures the budgeted kernels and regenerates
 # bench_thresholds.json with headroom (see benchguard -update). Run after
 # a deliberate allocation-profile change, then review the diff — and keep
-# BenchmarkExtLoad's byte budget at 1 MiB (observed 0.59 MB): the 2 MiB
+# BenchmarkExtLoad's byte budget at 1 MiB (observed 0.44 MB): the 2 MiB
 # -update writes would let the 2n-event sort (1.65 MB) or an unsized
-# append on the load points (~1.1 MB) back in.
+# append on the load points (~1.1 MB) back in. Its 60 allocs are the
+# sweep's own: re-deriving the daily series and durations it reads from
+# the workload costs ~350 more. BenchmarkExploreCycle's bytes stay at 1 MiB
+# too (observed 0.68 MB; a cycle that rebuilds its products spends 1.9 MB).
 bench-update:
 	$(GO) test -run=^$$ -bench $(BENCH_ALLOC_PATTERN) \
 		-benchmem -benchtime=10x $(BENCH_ALLOC_PKGS) > bench_allocs.out

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -18,6 +20,7 @@ import (
 	"botscope/internal/dataset"
 	"botscope/internal/experiments"
 	"botscope/internal/geo"
+	"botscope/internal/serve"
 	"botscope/internal/stats"
 	"botscope/internal/timeseries"
 )
@@ -150,6 +153,36 @@ func BenchmarkExtDiurnal(b *testing.B)     { benchExperiment(b, benchWorkload(b)
 func BenchmarkExtCalibration(b *testing.B) { benchExperiment(b, benchWorkload(b).ExtCalibration) }
 func BenchmarkExtDefense(b *testing.B)     { benchExperiment(b, benchWorkload(b).ExtDefense) }
 func BenchmarkExtTransfer(b *testing.B)    { benchExperiment(b, benchWorkload(b).ExtTransfer) }
+
+// BenchmarkExploreCycle is one cycle of botserve's explore routes (the
+// batch GETs a dashboard repeats over a fixed store) on a warm server over
+// the bench workload. Every answer is read from a product the workload
+// built on the cycle before the loop, so an op allocates the JSON bodies
+// and /predict's per-call forecasts; a product rebuilt per request shows
+// here (bench_thresholds.json).
+func BenchmarkExploreCycle(b *testing.B) {
+	w := benchWorkload(b)
+	srv := serve.New(w.Store, w.Scale)
+	paths := []string{"/api/summary", "/api/protocols", "/api/daily", "/api/intervals",
+		"/api/durations", "/api/families", "/api/collaborations", "/api/chains"}
+	for _, f := range dataset.ActiveFamilies {
+		paths = append(paths, "/api/family/"+string(f)+"/dispersion", "/api/family/"+string(f)+"/predict",
+			"/api/family/"+string(f)+"/targets", "/api/intervals?family="+string(f))
+	}
+	cycle := func() {
+		for _, p := range paths {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, p, nil))
+			if rec.Code >= 500 {
+				b.Fatalf("GET %s = %d: %s", p, rec.Code, rec.Body.String())
+			}
+		}
+	}
+	cycle()
+	for b.Loop() {
+		cycle()
+	}
+}
 
 // --- Ablation 1: interval mixture model vs a single lognormal ----------
 //

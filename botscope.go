@@ -33,6 +33,8 @@ package botscope
 
 import (
 	"io"
+	"maps"
+	"slices"
 	"time"
 
 	"botscope/internal/botnet"
@@ -246,10 +248,13 @@ type (
 
 // Analyzer exposes every analysis of the paper over one workload.
 // The zero value is not usable; construct it with NewAnalyzer.
-// An Analyzer is safe for concurrent use. The monitoring collector, the
-// per-family dispersion series and the §V event lists (collaborations,
-// chains) are derived once per Analyzer and shared by every method that
-// reads them.
+// An Analyzer is safe for concurrent use. The Table III counts, the §III
+// overview products (protocols, daily series, intervals, durations,
+// target-country rankings), the monitoring collector, the per-family
+// dispersion series, profiles and ARIMA fits, and the §V event lists
+// (collaborations, chains) are derived once per Analyzer and shared by
+// every method that reads them; a method that returns a slice or map
+// returns its own copy, except Chains.
 type Analyzer struct {
 	w *experiments.Workload // the store and its derived products
 }
@@ -266,16 +271,29 @@ func (a *Analyzer) Store() *Store { return a.w.Store }
 func (a *Analyzer) Summary() SummaryCounts { return a.w.Store.Summary() }
 
 // ProtocolBreakdown counts attacks per category (Fig 1).
-func (a *Analyzer) ProtocolBreakdown() []ProtocolCount { return core.ProtocolBreakdown(a.w.Store) }
+func (a *Analyzer) ProtocolBreakdown() []ProtocolCount { return slices.Clone(a.w.Protocols()) }
 
 // DailyDistribution buckets attacks per day (Fig 2).
-func (a *Analyzer) DailyDistribution() (DailyStats, error) { return core.DailyDistribution(a.w.Store) }
+func (a *Analyzer) DailyDistribution() (DailyStats, error) {
+	st, err := a.w.Daily()
+	st.Days = slices.Clone(st.Days)
+	for i := range st.Days {
+		st.Days[i].ByFamily = maps.Clone(st.Days[i].ByFamily)
+	}
+	return st, err
+}
 
 // AllIntervals returns the global inter-attack gap series in seconds.
-func (a *Analyzer) AllIntervals() []float64 { return core.AllIntervals(a.w.Store) }
+func (a *Analyzer) AllIntervals() []float64 {
+	gaps, _, _ := a.w.AllIntervals()
+	return slices.Clone(gaps)
+}
 
 // FamilyIntervals returns one family's gap series in seconds.
-func (a *Analyzer) FamilyIntervals(f Family) []float64 { return core.FamilyIntervals(a.w.Store, f) }
+func (a *Analyzer) FamilyIntervals(f Family) []float64 {
+	gaps, _, _ := a.w.FamilyIntervals(f)
+	return slices.Clone(gaps)
+}
 
 // AnalyzeIntervals summarizes a gap series (§III-B).
 func (a *Analyzer) AnalyzeIntervals(gaps []float64) (IntervalStats, error) {
@@ -283,7 +301,10 @@ func (a *Analyzer) AnalyzeIntervals(gaps []float64) (IntervalStats, error) {
 }
 
 // Durations returns all attack durations in seconds, time-ordered.
-func (a *Analyzer) Durations() []float64 { return core.Durations(a.w.Store) }
+func (a *Analyzer) Durations() []float64 {
+	durs, _, _ := a.w.Durations()
+	return slices.Clone(durs)
+}
 
 // AnalyzeDurations summarizes a duration series (§III-C).
 func (a *Analyzer) AnalyzeDurations(durs []float64) (DurationStats, error) {
@@ -318,7 +339,9 @@ func (a *Analyzer) PredictNextAttacks(minAttacks int) []NextAttackPrediction {
 
 // TargetCountries computes one family's Table V profile.
 func (a *Analyzer) TargetCountries(f Family, topN int) TargetCountryProfile {
-	return core.TargetCountries(a.w.Store, f, topN)
+	p := a.w.TargetCountries(f).Head(topN)
+	p.Top = slices.Clone(p.Top)
+	return p
 }
 
 // GlobalTargetCountries ranks victim countries across families.

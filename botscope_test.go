@@ -2,10 +2,13 @@ package botscope
 
 import (
 	"bytes"
-	"runtime"
+	"maps"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"botscope/internal/core"
 )
 
 var (
@@ -339,12 +342,11 @@ func TestStreamAnalyzerViaAPI(t *testing.T) {
 }
 
 // TestAnalyzerSharesDerivedProducts pins that an Analyzer derives the §V
-// event lists and a family's dispersion series once: two Pair calls hand
+// event lists and a family's dispersion profile once: two Pair calls hand
 // out the same events, two Chains calls the same chains and the second
-// allocates nothing, and a second DispersionProfile allocates its own
-// summary only — under 1 % of the bytes the first spent on the dense bot
-// index and the series (0.45 % here; a re-scan of the series alone reads
-// 1.8 %).
+// allocates nothing, and a second DispersionProfile allocates nothing
+// either, where the first built the dense bot index, the series and the
+// profile.
 func TestAnalyzerSharesDerivedProducts(t *testing.T) {
 	store, err := Generate(GenerateConfig{Seed: 123, Scale: 0.04}) // not apiWorkload: the first call must find nothing built
 	if err != nil {
@@ -373,17 +375,67 @@ func TestAnalyzerSharesDerivedProducts(t *testing.T) {
 		t.Errorf("a repeat Chains call allocated %v objects, want 0", n)
 	}
 
-	allocated := func() uint64 {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		if _, err := a.DispersionProfile(Dirtjumper); err != nil {
+	if _, err := a.DispersionProfile(Dirtjumper); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(10, func() { a.DispersionProfile(Dirtjumper) }); n != 0 {
+		t.Errorf("a repeat DispersionProfile call allocated %v objects, want 0", n)
+	}
+}
+
+// TestAnalyzerCopiesSharedProducts pins the library's boundary: the
+// Analyzer reads the workload's held products, and a caller that writes
+// into what a method returned changes nothing the next call sees.
+func TestAnalyzerCopiesSharedProducts(t *testing.T) {
+	a := NewAnalyzer(apiWorkload(t))
+	daily, err := a.DailyDistribution()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type answers struct {
+		durs, gaps, famGaps []float64
+		top                 []core.CountryCount
+		protocols           []ProtocolCount
+		day                 core.DailyCount
+	}
+	read := func() answers {
+		d, err := a.DailyDistribution()
+		if err != nil {
 			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&m1)
-		return m1.TotalAlloc - m0.TotalAlloc
+		return answers{
+			durs:      a.Durations(),
+			gaps:      a.AllIntervals(),
+			famGaps:   a.FamilyIntervals(Dirtjumper),
+			top:       a.TargetCountries(Dirtjumper, 5).Top,
+			protocols: a.ProtocolBreakdown(),
+			day:       d.Days[0],
+		}
 	}
-	first, second := allocated(), allocated()
-	if second*100 >= first {
-		t.Errorf("second DispersionProfile allocated %d bytes, first %d: want under 1 %%", second, first)
+	want := read()
+	want.day.ByFamily = maps.Clone(want.day.ByFamily)
+	want = answers{slices.Clone(want.durs), slices.Clone(want.gaps), slices.Clone(want.famGaps),
+		slices.Clone(want.top), slices.Clone(want.protocols), want.day}
+	if len(want.durs) == 0 || len(want.gaps) == 0 || len(want.famGaps) == 0 || len(want.top) == 0 || len(daily.Days) == 0 {
+		t.Fatal("an empty answer; the checks below are vacuous")
+	}
+
+	got := read()
+	got.durs[0], got.gaps[0], got.famGaps[0] = -1, -1, -1
+	got.top[0] = core.CountryCount{CC: "XX", Count: -1}
+	got.protocols[0].Count = -1
+	got.day.ByFamily[Dirtjumper] = -1
+	daily.Days[0].Count = -1
+	slices.Reverse(got.durs)
+
+	again := read()
+	if !slices.Equal(again.durs, want.durs) || !slices.Equal(again.gaps, want.gaps) || !slices.Equal(again.famGaps, want.famGaps) {
+		t.Error("a write into Durations, AllIntervals or FamilyIntervals reached the next call")
+	}
+	if !slices.Equal(again.top, want.top) || !slices.Equal(again.protocols, want.protocols) {
+		t.Error("a write into TargetCountries' Top or ProtocolBreakdown reached the next call")
+	}
+	if again.day.Count != want.day.Count || !maps.Equal(again.day.ByFamily, want.day.ByFamily) {
+		t.Error("a write into DailyDistribution's days reached the next call")
 	}
 }

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 
+	"botscope/internal/dataset"
+	"botscope/internal/synth"
 	"botscope/internal/timeseries"
 )
 
@@ -50,7 +53,7 @@ func TestDispersionIndexDerived(t *testing.T) {
 	cfg := PredictConfig{Order: timeseries.Order{P: 1}}
 	var wantAll []*PredictionResult
 	for _, f := range ix.ActiveFamilies(1) {
-		if res, err := ix.Predict(f, cfg); err == nil {
+		if res, err := PredictSeries(f, DispersionValues(ix.Series(f)), cfg); err == nil {
 			wantAll = append(wantAll, res)
 		}
 	}
@@ -124,5 +127,150 @@ func TestDispersionIndexConcurrent(t *testing.T) {
 		if got := ix.Series(f); len(got) != len(want) {
 			t.Fatalf("%s: concurrent fill produced %d points, want %d", f, len(got), len(want))
 		}
+	}
+}
+
+// heldFits counts the fits the index holds.
+func (ix *DispersionIndex) heldFits() int {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	n := 0
+	for _, slot := range ix.fits {
+		if slot.Load() != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// sweepFams and sweepPoints are the hostile /predict sweep: every
+// test_points a client could send up to 300, on a long and a short series,
+// so most calls move the split and miss the held fit. The store is small
+// enough for a fit a call to stay cheap under the race detector.
+var sweepFams = []dataset.Family{dataset.Dirtjumper, dataset.Pandora}
+
+const sweepPoints = 300
+
+var (
+	sweepOnce  sync.Once
+	sweepStore *dataset.Store
+	sweepWant  map[dataset.Family][]*PredictionResult // [tp-1]
+	sweepErr   error
+)
+
+// sweepReference returns the sweep's store and the unmemoized answer for
+// every (family, test_points): PredictSeries, which fits afresh, once per
+// distinct split.
+func sweepReference(t *testing.T) (*dataset.Store, map[dataset.Family][]*PredictionResult) {
+	t.Helper()
+	sweepOnce.Do(func() {
+		if sweepStore, sweepErr = synth.GenerateStore(synth.Config{Seed: 99, Scale: 0.01}); sweepErr != nil {
+			return
+		}
+		sweepWant = make(map[dataset.Family][]*PredictionResult)
+		for _, f := range sweepFams {
+			vals := DispersionValues(DispersionSeries(sweepStore, f))
+			bySplit := make(map[int]*PredictionResult)
+			for tp := 1; tp <= sweepPoints; tp++ {
+				split := len(vals) - min(tp, len(vals)-len(vals)/2)
+				res, ok := bySplit[split]
+				if !ok {
+					if res, sweepErr = PredictSeries(f, vals, PredictConfig{Order: timeseries.Order{P: 1}, TestPoints: tp}); sweepErr != nil {
+						return
+					}
+					bySplit[split] = res
+				}
+				sweepWant[f] = append(sweepWant[f], res)
+			}
+		}
+	})
+	if sweepErr != nil {
+		t.Fatal(sweepErr)
+	}
+	return sweepStore, sweepWant
+}
+
+// checkSweepAnswer asks ix for one point of the sweep and compares it with
+// the unmemoized reference (NaN equal to NaN: a one-point split has no
+// standard deviation).
+func checkSweepAnswer(t *testing.T, ix *DispersionIndex, want map[dataset.Family][]*PredictionResult, f dataset.Family, tp int) {
+	got, err := ix.Predict(f, PredictConfig{Order: timeseries.Order{P: 1}, TestPoints: tp})
+	if err != nil {
+		t.Errorf("%s test_points %d: %v", f, tp, err)
+		return
+	}
+	if fmt.Sprint(*got) != fmt.Sprint(*want[f][tp-1]) {
+		t.Errorf("%s test_points %d: held-fit answer differs from PredictSeries (similarity %v vs %v)",
+			f, tp, got.Similarity, want[f][tp-1].Similarity)
+	}
+}
+
+// TestDispersionIndexFitSlotBounded sweeps test_points over 1..300 on two
+// families, asking each twice: every answer equals a fresh PredictSeries,
+// and the index never holds more than one fit per (family, order) — a
+// client that walks the splits costs a fit a call, not memory. A second
+// order adds a slot per family and no more.
+func TestDispersionIndexFitSlotBounded(t *testing.T) {
+	s, want := sweepReference(t)
+	ix := NewDispersionIndex(s)
+	for _, f := range sweepFams {
+		for tp := 1; tp <= sweepPoints; tp++ {
+			checkSweepAnswer(t, ix, want, f, tp)
+			checkSweepAnswer(t, ix, want, f, tp) // the held fit
+			if n := ix.heldFits(); n > len(sweepFams) {
+				t.Fatalf("%d fits held after %s test_points %d, want at most %d", n, f, tp, len(sweepFams))
+			}
+		}
+	}
+	for _, f := range sweepFams {
+		if _, err := ix.Predict(f, PredictConfig{TestPoints: 20}); err != nil { // AutoFit: the zero order
+			t.Fatal(err)
+		}
+	}
+	if n := ix.heldFits(); n != 2*len(sweepFams) {
+		t.Errorf("%d fits held over two orders, want %d", n, 2*len(sweepFams))
+	}
+}
+
+// TestDispersionIndexFitSlotConcurrent runs the sweep from 8 goroutines on
+// one index, four a family, each taking every fourth test_points, so slots
+// are replaced while others read them (verify-race runs it under the race
+// detector).
+func TestDispersionIndexFitSlotConcurrent(t *testing.T) {
+	s, want := sweepReference(t)
+	ix := NewDispersionIndex(s)
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f := sweepFams[g%len(sweepFams)]
+			for tp := g/len(sweepFams) + 1; tp <= sweepPoints; tp += 4 {
+				checkSweepAnswer(t, ix, want, f, tp)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := ix.heldFits(); n > len(sweepFams) {
+		t.Errorf("%d fits held, want at most %d", n, len(sweepFams))
+	}
+}
+
+// TestDispersionIndexUnknownFamily pins that a family with no attacks —
+// any name a client puts in a URL — creates no entry in the index.
+func TestDispersionIndexUnknownFamily(t *testing.T) {
+	ix := NewDispersionIndex(synthWorkload(t))
+	const f = dataset.Family("no-such-family")
+	if got := ix.Series(f); len(got) != 0 {
+		t.Errorf("Series = %d points", len(got))
+	}
+	if _, err := ix.Profile(f); err == nil {
+		t.Error("Profile succeeded")
+	}
+	if _, err := ix.Predict(f, PredictConfig{Order: timeseries.Order{P: 1}}); err == nil {
+		t.Error("Predict succeeded")
+	}
+	if len(ix.byFam) != 0 {
+		t.Errorf("the index holds %d entries after reads of an unknown family", len(ix.byFam))
 	}
 }

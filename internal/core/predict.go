@@ -44,8 +44,25 @@ type PredictConfig struct {
 }
 
 // PredictSeries is DispersionIndex.Predict on a pre-extracted series, so
-// callers can forecast any per-attack quantity.
+// callers can forecast any per-attack quantity. It fits afresh on every
+// call.
 func PredictSeries(f dataset.Family, series []float64, cfg PredictConfig) (*PredictionResult, error) {
+	return predict(f, series, cfg, fitOrder)
+}
+
+// fitOrder fits order on train; the zero order selects one via AutoFit over
+// a small grid with d = 0.
+func fitOrder(train []float64, order timeseries.Order) (*timeseries.Model, error) {
+	if order == (timeseries.Order{}) {
+		return timeseries.AutoFit(train, 0, 2, 1)
+	}
+	return timeseries.Fit(train, order)
+}
+
+// predict is PredictSeries with the fit of the training split left to fit,
+// which DispersionIndex answers from its held fits. The model fit returns
+// is only read.
+func predict(f dataset.Family, series []float64, cfg PredictConfig, fit func(train []float64, order timeseries.Order) (*timeseries.Model, error)) (*PredictionResult, error) {
 	minSeries := cfg.MinSeries
 	if minSeries <= 0 {
 		minSeries = 40
@@ -59,15 +76,7 @@ func PredictSeries(f dataset.Family, series []float64, cfg PredictConfig) (*Pred
 		split = len(series) - cfg.TestPoints
 	}
 
-	var (
-		model *timeseries.Model
-		err   error
-	)
-	if cfg.Order == (timeseries.Order{}) {
-		model, err = timeseries.AutoFit(series[:split], 0, 2, 1)
-	} else {
-		model, err = timeseries.Fit(series[:split], cfg.Order)
-	}
+	model, err := fit(series[:split], cfg.Order)
 	if err != nil {
 		return nil, fmt.Errorf("core: fit dispersion model for %s: %w", f, err)
 	}

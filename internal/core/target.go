@@ -23,6 +23,15 @@ type TargetCountryProfile struct {
 	Top []CountryCount
 }
 
+// Head returns the profile with Top cut to its first n countries (all of
+// them when n <= 0). The cut shares p's backing array.
+func (p TargetCountryProfile) Head(n int) TargetCountryProfile {
+	if n > 0 && len(p.Top) > n {
+		p.Top = p.Top[:n]
+	}
+	return p
+}
+
 // TargetCountries computes the Table V profile for one family; topN caps
 // the Top list (the paper shows 5).
 func TargetCountries(s *dataset.Store, f dataset.Family, topN int) TargetCountryProfile {
@@ -40,10 +49,7 @@ func TargetCountries(s *dataset.Store, f dataset.Family, topN int) TargetCountry
 		}
 		return out.Top[i].CC < out.Top[j].CC
 	})
-	if topN > 0 && len(out.Top) > topN {
-		out.Top = out.Top[:topN]
-	}
-	return out
+	return out.Head(topN)
 }
 
 // GlobalTargetCountries ranks victim countries across all families (the

@@ -30,38 +30,13 @@ type TransferResult struct {
 	Retention float64
 }
 
-func transferFromSeries(source, target dataset.Family, src, tgt []float64, order timeseries.Order, minSeries int) (*TransferResult, error) {
-	if minSeries <= 0 {
-		minSeries = 60
-	}
-	if len(src) < minSeries {
-		return nil, fmt.Errorf("core: source %s has %d dispersion points, need %d", source, len(src), minSeries)
-	}
-	if len(tgt) < minSeries {
-		return nil, fmt.Errorf("core: target %s has %d dispersion points, need %d", target, len(tgt), minSeries)
-	}
-	srcModel, err := timeseries.Fit(src, order)
-	if err != nil {
-		return nil, fmt.Errorf("core: fit source %s: %w", source, err)
-	}
-	muTrain, nativeSim, err := nativeFit(target, tgt, order)
-	if err != nil {
-		return nil, err
-	}
-	return transferScore(source, target, srcModel, tgt, muTrain, nativeSim)
-}
-
-// nativeFit fits the target's own model on its training half and scores
-// its one-step forecasts on the evaluation half. Both outputs depend only
-// on the target, so TransferMatrix computes them once per family and
-// reuses them for every source.
-func nativeFit(target dataset.Family, tgt []float64, order timeseries.Order) (muTrain, nativeSim float64, err error) {
+// nativeScore scores the target's own model, fitted on its training half,
+// by its one-step forecasts on the evaluation half, and returns the
+// training half's mean beside it. Both depend only on the target, so
+// TransferMatrix computes them once per family and reuses them for every
+// source.
+func nativeScore(tgt []float64, nativeModel *timeseries.Model) (muTrain, nativeSim float64, err error) {
 	split := len(tgt) / 2
-	muTrain = stats.Mean(tgt[:split])
-	nativeModel, err := timeseries.Fit(tgt[:split], order)
-	if err != nil {
-		return 0, 0, fmt.Errorf("core: fit native %s: %w", target, err)
-	}
 	nativePreds, err := nativeModel.OneStepForecasts(tgt, split)
 	if err != nil {
 		return 0, 0, err
@@ -71,7 +46,7 @@ func nativeFit(target dataset.Family, tgt []float64, order timeseries.Order) (mu
 	if err != nil {
 		return 0, 0, err
 	}
-	return muTrain, nativeSim, nil
+	return stats.Mean(tgt[:split]), nativeSim, nil
 }
 
 // transferScore applies a source-fitted model to the target's evaluation

@@ -47,6 +47,7 @@ type Store struct {
 	tgtRows     memo.Lazy[targetRows]
 	botnetCount memo.Lazy[int] // distinct botnet ids across attacks
 	bounds      memo.Lazy[timeBounds]
+	summary     memo.Lazy[SummaryCounts]
 
 	snapInfo SnapshotInfo // how the snapshot decoder loaded this store; zero for a NewStore store
 }
@@ -489,15 +490,19 @@ func countStamps(stamps []bool) int {
 	return n
 }
 
-// Summary computes Table III's counts over the full workload. Source-side
-// entity counts come from the Botlist records of the bots that appear in
-// attacks; target-side counts come from the attack records. Identity
-// counts (attacks, botnets, bot IPs, target IPs) fall out of the store's
-// standing indexes; the remaining distinct sets are computed over the
-// columnar form — interned-id stamp arrays instead of string-keyed hash
-// sets — sharded over the par pool by contiguous ranges and merged by
-// union, so the counts are identical to a sequential pass.
-func (s *Store) Summary() SummaryCounts {
+// Summary returns Table III's counts over the full workload, computing
+// them on first call. Source-side entity counts come from the Botlist
+// records of the bots that appear in attacks; target-side counts come from
+// the attack records.
+func (s *Store) Summary() SummaryCounts { return s.summary.Get(s.buildSummary) }
+
+// buildSummary counts what Summary returns. Identity counts (attacks,
+// botnets, bot IPs, target IPs) fall out of the store's standing indexes;
+// the remaining distinct sets are computed over the columnar form —
+// interned-id stamp arrays instead of string-keyed hash sets — sharded over
+// the par pool by contiguous ranges and merged by union, so the counts are
+// identical to a sequential pass.
+func (s *Store) buildSummary() SummaryCounts {
 	c := s.Cols()
 	d := s.denseBots()
 	nStr := len(c.strs)

@@ -68,12 +68,16 @@ func (r *Result) MetricsText() string {
 // Workload bundles the generated dataset with the knobs experiments need.
 //
 // It is the one holder of the derived products that belong to a store but
-// live above dataset — the monitoring collector, the per-family
-// dispersion series and the two §V event lists (collaborations, chains) —
-// for the experiments, the serve tier and the library's Analyzer alike.
-// Each is built once, on first use, and safe for concurrent use (serve's
-// handlers, TestWorkloadConcurrentAll); the event lists are shared and
-// must not be modified.
+// live above dataset — the monitoring collector, the §III overview
+// products (products.go: protocols, daily series, intervals, durations,
+// target-country rankings), the per-family dispersion series, profiles and
+// ARIMA fits, and the two §V event lists (collaborations, chains) — for
+// the experiments, the serve tier and the library's Analyzer alike. Each
+// is built once, on first use, and safe for concurrent use (serve's
+// handlers, TestWorkloadConcurrentAll); the slices and maps inside them
+// are shared and must not be modified. Every product is a heap value: a
+// closed store's reader gets ErrStoreClosed from the runner or the
+// handler's hold, never a product in its place.
 type Workload struct {
 	Store *dataset.Store
 	// Scale is the generation scale (1.0 = paper size); experiments use it
@@ -82,6 +86,13 @@ type Workload struct {
 
 	collector *monitor.Collector
 	disp      *core.DispersionIndex // internally synchronized
+
+	protocols memo.Lazy[[]core.ProtocolCount]
+	daily     memo.Lazy[dailyProduct]
+	allGaps   memo.Lazy[gapProduct]
+	famGaps   memo.Lazy[map[dataset.Family]gapProduct]
+	durations memo.Lazy[durProduct]
+	targets   memo.Lazy[map[dataset.Family]core.TargetCountryProfile]
 
 	collabs memo.Lazy[[]*core.Collaboration]
 	chains  memo.Lazy[core.ChainStats]

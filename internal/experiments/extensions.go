@@ -20,7 +20,7 @@ import (
 // against their calibration targets with two-sample KS and Wasserstein
 // statistics — a self-test of the substitution argument in DESIGN.md.
 func (w *Workload) ExtCalibration() (*Result, error) {
-	durs := core.Durations(w.Store)
+	durs, _, _ := w.Durations()
 	if len(durs) == 0 {
 		return nil, fmt.Errorf("no durations")
 	}
@@ -170,11 +170,11 @@ func (w *Workload) ExtLoad() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	daily, err := core.DailyDistribution(w.Store)
+	daily, err := w.Daily()
 	if err != nil {
 		return nil, err
 	}
-	durStats, err := core.AnalyzeDurations(core.Durations(w.Store))
+	_, durStats, err := w.Durations()
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@ import (
 
 // Figure1 regenerates the attack-type popularity chart.
 func (w *Workload) Figure1() (*Result, error) {
-	rows := core.ProtocolBreakdown(w.Store)
+	rows := w.Protocols()
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("no attacks in workload")
 	}
@@ -48,7 +48,7 @@ func (w *Workload) Figure1() (*Result, error) {
 
 // Figure2 regenerates the daily attack distribution.
 func (w *Workload) Figure2() (*Result, error) {
-	st, err := core.DailyDistribution(w.Store)
+	st, err := w.Daily()
 	if err != nil {
 		return nil, err
 	}
@@ -83,18 +83,13 @@ func (w *Workload) Figure2() (*Result, error) {
 
 // Figure3 regenerates the all-vs-family interval CDF comparison.
 func (w *Workload) Figure3() (*Result, error) {
-	all := core.AllIntervals(w.Store)
-	st, err := core.AnalyzeIntervals(all)
+	all, st, err := w.AllIntervals()
 	if err != nil {
 		return nil, err
 	}
 	names := []string{"all attacks"}
 	cdfs := []*stats.ECDF{core.IntervalCDF(all)}
-	var famGaps []float64
-	for _, f := range dataset.ActiveFamilies {
-		gaps := core.FamilyIntervals(w.Store, f)
-		famGaps = append(famGaps, gaps...)
-	}
+	famGaps := w.activeFamilyGaps()
 	famStats, err := core.AnalyzeIntervals(famGaps)
 	if err != nil {
 		return nil, err
@@ -116,12 +111,20 @@ func (w *Workload) Figure3() (*Result, error) {
 	return res, nil
 }
 
+// activeFamilyGaps joins the active families' gap series in family
+// order: Figure 3's family-based curve and Figure 4's clusters.
+func (w *Workload) activeFamilyGaps() []float64 {
+	var out []float64
+	for _, f := range dataset.ActiveFamilies {
+		gaps, _, _ := w.FamilyIntervals(f)
+		out = append(out, gaps...)
+	}
+	return out
+}
+
 // Figure4 regenerates the interval-cluster distribution.
 func (w *Workload) Figure4() (*Result, error) {
-	var famGaps []float64
-	for _, f := range dataset.ActiveFamilies {
-		famGaps = append(famGaps, core.FamilyIntervals(w.Store, f)...)
-	}
+	famGaps := w.activeFamilyGaps()
 	if len(famGaps) == 0 {
 		return nil, fmt.Errorf("no intervals in workload")
 	}
@@ -161,7 +164,7 @@ func (w *Workload) Figure5() (*Result, error) {
 	)
 	res := &Result{ID: "Figure 5", Title: "Per-family interval CDF"}
 	for _, f := range dataset.ActiveFamilies {
-		gaps := core.FamilyIntervals(w.Store, f)
+		gaps, _, _ := w.FamilyIntervals(f)
 		if len(gaps) == 0 {
 			continue
 		}
@@ -190,11 +193,10 @@ func (w *Workload) Figure5() (*Result, error) {
 
 // Figure6 regenerates the duration-over-time panel.
 func (w *Workload) Figure6() (*Result, error) {
-	durs := core.Durations(w.Store)
+	durs, st, err := w.Durations()
 	if len(durs) == 0 {
 		return nil, fmt.Errorf("no durations")
 	}
-	st, err := core.AnalyzeDurations(durs)
 	if err != nil {
 		return nil, err
 	}
@@ -211,11 +213,10 @@ func (w *Workload) Figure6() (*Result, error) {
 
 // Figure7 regenerates the duration CDF with the Mao et al. baseline.
 func (w *Workload) Figure7() (*Result, error) {
-	durs := core.Durations(w.Store)
+	durs, st, err := w.Durations()
 	if len(durs) == 0 {
 		return nil, fmt.Errorf("no durations")
 	}
-	st, err := core.AnalyzeDurations(durs)
 	if err != nil {
 		return nil, err
 	}

@@ -134,7 +134,7 @@ func (w *Workload) TableV() (*Result, error) {
 	t.SetAlign(3, report.AlignRight)
 	res := &Result{ID: "Table V", Title: "Top target countries per family"}
 	for _, f := range dataset.ActiveFamilies {
-		prof := core.TargetCountries(w.Store, f, 5)
+		prof := w.TargetCountries(f).Head(5)
 		if prof.Countries == 0 {
 			continue
 		}
@@ -163,7 +163,7 @@ func (w *Workload) TableV() (*Result, error) {
 		}
 	}
 	res.AddPaperMetric("dirtjumper target countries",
-		float64(core.TargetCountries(w.Store, dataset.Dirtjumper, 0).Countries), 71)
+		float64(w.TargetCountries(dataset.Dirtjumper).Countries), 71)
 	return res, nil
 }
 

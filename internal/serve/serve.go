@@ -1,6 +1,7 @@
 // Package serve exposes botscope analyses over HTTP as JSON — the
 // integration surface a monitoring operation would embed in dashboards.
-// The batch routes are read-only over a workload loaded once; the
+// The batch routes are read-only over a workload loaded once, and answer
+// from the products its experiments.Workload builds once; the
 // streaming routes (POST /api/ingest, GET /api/live/*) feed and query a
 // bounded-memory online analyzer for live telemetry.
 package serve
@@ -140,7 +141,7 @@ func (s *Server) handleSummary(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleProtocols(w http.ResponseWriter, _ *http.Request) {
-	rows := core.ProtocolBreakdown(s.store)
+	rows := s.workload.Protocols()
 	type row struct {
 		Protocol string `json:"protocol"`
 		Count    int    `json:"count"`
@@ -153,7 +154,7 @@ func (s *Server) handleProtocols(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleDaily(w http.ResponseWriter, _ *http.Request) {
-	st, err := core.DailyDistribution(s.store)
+	st, err := s.workload.Daily()
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
@@ -162,11 +163,15 @@ func (s *Server) handleDaily(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleIntervals(w http.ResponseWriter, r *http.Request) {
-	gaps := core.AllIntervals(s.store)
+	var (
+		st  core.IntervalStats
+		err error
+	)
 	if fam := r.URL.Query().Get("family"); fam != "" {
-		gaps = core.FamilyIntervals(s.store, dataset.Family(fam))
+		_, st, err = s.workload.FamilyIntervals(dataset.Family(fam))
+	} else {
+		_, st, err = s.workload.AllIntervals()
 	}
-	st, err := core.AnalyzeIntervals(gaps)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
@@ -175,7 +180,7 @@ func (s *Server) handleIntervals(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDurations(w http.ResponseWriter, _ *http.Request) {
-	st, err := core.AnalyzeDurations(core.Durations(s.store))
+	_, st, err := s.workload.Durations()
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
@@ -272,7 +277,7 @@ func (s *Server) handleTargets(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, core.TargetCountries(s.store, f, 10))
+	writeJSON(w, s.workload.TargetCountries(f).Head(10))
 }
 
 func (s *Server) handleCollaborations(w http.ResponseWriter, _ *http.Request) {

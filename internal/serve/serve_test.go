@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -418,16 +420,79 @@ func TestIngestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// explorePaths is the batch routes' GET cycle: the workload-wide routes
+// plus four keyed routes for each active family.
+func explorePaths() []string {
+	paths := []string{"/api/summary", "/api/protocols", "/api/daily", "/api/intervals",
+		"/api/durations", "/api/families", "/api/collaborations", "/api/chains", "/api/experiments"}
+	for _, f := range dataset.ActiveFamilies {
+		paths = append(paths, "/api/family/"+string(f)+"/dispersion", "/api/family/"+string(f)+"/predict",
+			"/api/family/"+string(f)+"/targets", "/api/intervals?family="+string(f))
+	}
+	return paths
+}
+
+// TestWarmServerConcurrentReads pins that the products a warm server
+// shares are read-only: 8 clients each make two shuffled cycles of every
+// explore route on one server, and every answer equals, byte for byte, the
+// one a fresh server over the same store gives that route alone. Under
+// verify-race a handler that wrote into a shared product shows as a race.
+func TestWarmServerConcurrentReads(t *testing.T) {
+	store := testServer(t).store
+	paths := explorePaths()
+	type answer struct {
+		code int
+		body string
+	}
+	serveOne := func(s *Server, path string) answer {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return answer{rec.Code, rec.Body.String()}
+	}
+	want := make(map[string]answer, len(paths))
+	for _, path := range paths {
+		want[path] = serveOne(New(store, 0.03), path)
+	}
+	warm := New(store, 0.03)
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			order := slices.Clone(paths)
+			for range 2 {
+				rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+				for _, path := range order {
+					if got := serveOne(warm, path); got != want[path] {
+						t.Errorf("GET %s on the warm server = %d %.120s, a fresh server %d %.120s",
+							path, got.code, got.body, want[path].code, want[path].body)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestClosedStoreIs503 pins the serve tier's half of "a closed store is
 // an error, not a fault": once a mapped store is closed, every route
 // answers 503 with the JSON error shape instead of reading unmapped
-// columns.
+// columns — or answering from the products one cycle of every route
+// built before the close.
 func TestClosedStoreIs503(t *testing.T) {
 	store := reloadedStore(t)
 	s := New(store, 0.03)
-	get(t, s, "/api/summary", http.StatusOK, nil)
+	paths := append(explorePaths(), "/api/experiments/Table%20III")
+	for _, path := range paths {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code >= 500 {
+			t.Fatalf("GET %s on the open store = %d: %s", path, rec.Code, rec.Body.String())
+		}
+	}
 	store.Close()
-	for _, path := range []string{"/api/summary", "/api/family/dirtjumper/dispersion", "/api/experiments/Table%20III"} {
+	for _, path := range paths {
 		var body struct{ Error string }
 		get(t, s, path, http.StatusServiceUnavailable, &body)
 		if body.Error != dataset.ErrStoreClosed.Error() {
@@ -521,13 +586,7 @@ func TestServeKeepsRecordsLazy(t *testing.T) {
 	for _, e := range s.workload.All() {
 		e.Run() // a failure at this scale is an answer too; only the records matter here
 	}
-	paths := []string{"/api/summary", "/api/protocols", "/api/daily", "/api/intervals",
-		"/api/durations", "/api/families", "/api/collaborations", "/api/chains", "/api/experiments"}
-	for _, f := range dataset.ActiveFamilies {
-		paths = append(paths, "/api/family/"+string(f)+"/dispersion", "/api/family/"+string(f)+"/predict",
-			"/api/family/"+string(f)+"/targets", "/api/intervals?family="+string(f))
-	}
-	for _, path := range paths {
+	for _, path := range explorePaths() {
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
 		if rec.Code >= 500 {
