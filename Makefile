@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build build-cross loc test vet botvet botvet-json botvet-timed race verify verify-race benchmark benchmark-smoke bench bench-smoke bench-allocs bench-update bench-stream snapshot-smoke report fmt fmt-check fuzz
+.PHONY: build build-cross loc test vet race verify verify-race benchmark benchmark-smoke bench bench-smoke bench-allocs bench-update bench-stream snapshot-smoke report fmt fmt-check fuzz
 
 build:
 	$(GO) build ./...
@@ -16,79 +16,22 @@ build-cross:
 	GOOS=darwin $(GO) build ./...
 	GOOS=linux GOARCH=s390x $(GO) build ./...
 
-# loc prints non-test, non-vendor, non-testdata Go lines per package and
-# in total: the unit the ROADMAP's simplification items are denominated
-# in. benchmark/ gets its own total because a PR outside it may not touch
-# it, and the static gate (cmd/botvet + internal/analysis) gets one
-# because ROADMAP item 10(c) is denominated in it. Raw lines (wc -l), so
-# comment and blank lines count.
+# loc prints non-test, non-testdata Go lines per package and in total:
+# the unit the ROADMAP's simplification items are denominated in.
+# benchmark/ gets its own total because a PR outside it may not touch
+# it. Raw lines (wc -l), so comment and blank lines count.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './vendor/*' ! -path '*/testdata/*' ! -path './.bench_build/*' -print0 \
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.bench_build/*' -print0 \
 	| xargs -0 wc -l \
-	| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1; if (d !~ /^\.\/benchmark/) o += $$1; \
-			if (d ~ /^\.\/(cmd\/botvet|internal\/analysis)/) g += $$1 } \
+	| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1; if (d !~ /^\.\/benchmark/) o += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
-		printf "%7d total\n%7d total outside benchmark/\n%7d gate\n", t, o, g }'
+		printf "%7d total\n%7d total outside benchmark/\n", t, o }'
 
 test:
 	$(GO) test ./...
 
 vet:
 	$(GO) vet ./...
-
-# BOTVET_SRC is everything the botvet binary is built from; touching any
-# of it invalidates bin/botvet without forcing a rebuild on unrelated
-# repo edits.
-BOTVET_SRC := go.mod $(wildcard go.sum) $(shell find cmd/botvet internal/analysis vendor -name '*.go' 2>/dev/null)
-
-bin/botvet: $(BOTVET_SRC)
-	$(GO) build -o bin/botvet ./cmd/botvet
-
-# BOTVET_ANALYZERS is the registered gate, in cmd/botvet/main.go's order
-# (a cmd/botvet test fails when the two disagree): the invariant tier
-# (nodeterm, lockguard, floateq, sharedslice) and the protocol check
-# (wireframe). All five are AST-and-types passes; none builds SSA.
-BOTVET_ANALYZERS := floateq lockguard nodeterm sharedslice wireframe
-
-# botvet runs them over every package via go vet's -vettool hook. Exit
-# code 0 means every analyzer ran clean; 1 means diagnostics (or build
-# failure); 2 means the tool was misused. The binary has no modes of its
-# own: `go vet -vettool=bin/botvet -lockguard ./...` runs one analyzer,
-# `-lockguard=false` all but one.
-#
-# The run is stamp-cached: the key hashes go.mod/go.sum, every .go file
-# the vet sweep can see (root package and benchmark/ included; only the
-# benchmark's .bench_build scratch is left out), and the built botvet
-# binary itself (so a tool rebuilt from the same sources but a different
-# toolchain re-runs). A no-op invocation skips the vet sweep entirely.
-# Delete bin/.botvet-clean to force a re-run.
-BOTVET_STAMP := bin/.botvet-clean
-botvet: bin/botvet
-	@hash=$$( { cat go.mod go.sum 2>/dev/null; cat bin/botvet; find . -name '*.go' ! -path './.bench_build/*' -print0 | sort -z | xargs -0 cat; } | sha256sum | cut -d' ' -f1 ); \
-	if [ -f $(BOTVET_STAMP) ] && [ "$$(cat $(BOTVET_STAMP))" = "$$hash" ]; then \
-		echo "botvet: clean (cached, key $${hash%??????????????????????????????????????????????????})"; \
-	else \
-		rm -f $(BOTVET_STAMP); \
-		$(GO) vet -vettool=$(abspath bin/botvet) ./... && echo "$$hash" > $(BOTVET_STAMP); \
-	fi
-
-# botvet-json is the same gate with machine-readable output: go vet -json
-# emits one JSON object per package keyed by analyzer name, suitable for
-# editor integrations and CI annotation tooling. go vet -json exits 0
-# even with findings: read the output, not the status.
-botvet-json: bin/botvet
-	$(GO) vet -json -vettool=$(abspath bin/botvet) ./...
-
-# botvet-timed runs each registered analyzer alone and reports
-# wall-clock, so a slow interprocedural pass shows up in CI logs before
-# it slows the merge gate for everyone.
-botvet-timed: bin/botvet
-	@for a in $(BOTVET_ANALYZERS); do \
-		start=$$(date +%s%N); \
-		$(GO) vet -vettool=$(abspath bin/botvet) -$$a ./... || exit 1; \
-		end=$$(date +%s%N); \
-		printf 'botvet[%s]: %d ms\n' "$$a" $$(( (end - start) / 1000000 )); \
-	done
 
 race:
 	$(GO) test -race ./...
@@ -97,7 +40,7 @@ race:
 # GOMAXPROCS parity, determinism, and concurrent-access tests — what holds
 # the par.Map/ChunkMap kernels to "any GOMAXPROCS, same answer" (each
 # parity test sets the counts it compares and restores the old one), and
-# what the sharedslice analyzer reasons about statically — run under the
+# what the gate's sharedslice rule reasons about statically — run under the
 # race detector. TestLazy is the build-once holder of every derived
 # product; Concurrent selects TestWorkloadConcurrentAll (four callers
 # sharing one Workload, as botserve does), TestWarmServerConcurrentReads
@@ -127,12 +70,12 @@ benchmark:
 benchmark-smoke:
 	$(GO) run ./benchmark -smoke -workload all
 
-# verify is the full pre-merge gate: build, stock vet, project analyzers,
-# formatting, the race-enabled test suite, and the benchmark's smoke run.
+# verify is the full pre-merge gate: build, stock vet, formatting, the
+# race-enabled test suite (the project's static gate, internal/gate, is
+# one of its packages), and the benchmark's smoke run.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
-	$(MAKE) botvet
 	$(MAKE) fmt-check
 	$(GO) test -race ./...
 	$(MAKE) benchmark-smoke
@@ -221,12 +164,12 @@ snapshot-smoke:
 report:
 	$(GO) run ./cmd/botreport -scale 0.2
 
-# fmt and fmt-check cover one file set: every Go file outside vendor/.
+# fmt and fmt-check cover one file set: every Go file in the tree.
 fmt:
-	gofmt -l . | grep -v '^vendor/' | xargs -r gofmt -l -w
+	gofmt -l . | xargs -r gofmt -l -w
 
 fmt-check:
-	@fmtout=$$(gofmt -l . | grep -v '^vendor/' || true); \
+	@fmtout=$$(gofmt -l .); \
 	if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; \
 	fi

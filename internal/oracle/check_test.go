@@ -13,6 +13,7 @@ import (
 	"botscope/internal/dataset"
 	"botscope/internal/experiments"
 	"botscope/internal/serve"
+	"botscope/internal/stream"
 	"botscope/internal/synth"
 )
 
@@ -185,9 +186,22 @@ func checkDaily(t *testing.T, what string, st core.DailyStats, want micro) {
 	}
 }
 
+// streamDaily feeds the records to a fresh live analyzer in launch order
+// and returns its Fig 2 answer.
+func streamDaily(t *testing.T, recs []*dataset.Attack) core.DailyStats {
+	t.Helper()
+	a := stream.New()
+	for _, r := range chronological(recs) {
+		if err := a.Ingest(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return a.Snapshot().Daily
+}
+
 // TestOracleMicro holds the oracle to the hand-worked answers first, then
-// the Workload's held products, then botserve's bodies, on each micro
-// workload.
+// the Workload's held products, the live analyzer's Fig 2 and botserve's
+// bodies, on each micro workload.
 func TestOracleMicro(t *testing.T) {
 	for _, m := range micros {
 		t.Run(m.file, func(t *testing.T) {
@@ -232,6 +246,7 @@ func TestOracleMicro(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkDaily(t, "Workload.Daily", daily, m)
+			checkDaily(t, "stream.Analyzer daily", streamDaily(t, recs), m)
 
 			srv := serve.New(store, 1)
 			var ist core.IntervalStats
@@ -277,7 +292,7 @@ func TestOracleMicro(t *testing.T) {
 
 // TestOracleAgreesOnGeneratedStore holds the Workload's products to the
 // oracle on a small generated workload: every family's intervals, the
-// durations and every day.
+// durations and every day, the last from the live analyzer too.
 func TestOracleAgreesOnGeneratedStore(t *testing.T) {
 	store, err := synth.GenerateStore(synth.Config{Seed: 3, Scale: 0.01})
 	if err != nil {
@@ -303,7 +318,9 @@ func TestOracleAgreesOnGeneratedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := days(recs)
-	checkDaily(t, "daily", daily, micro{days: ds, peak: peak(ds), average: average(recs)})
+	want := micro{days: ds, peak: peak(ds), average: average(recs)}
+	checkDaily(t, "daily", daily, want)
+	checkDaily(t, "stream.Analyzer daily", streamDaily(t, recs), want)
 }
 
 func getJSON(t *testing.T, srv http.Handler, path string, status int, out any) {

@@ -80,7 +80,8 @@ func Profiles(scale float64) []*botnet.Profile {
 	}
 	s := scale
 	// Durations shared across families: lognormal with median 1,766 s and
-	// sigma 1.9 gives mean ~10.7k s and 80% < ~15k s, matching §III-C.
+	// sigma 1.9, resampled below durMax, gives mean ≈ 8.3k s and P80 ≈ 8.5k
+	// s, short of §III-C's 10,308 s and 13,882 s (ROADMAP item 12).
 	const (
 		durMedian = 1766.0
 		durSigma  = 1.9
