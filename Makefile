@@ -40,8 +40,8 @@ race:
 # GOMAXPROCS parity, determinism, and concurrent-access tests — what holds
 # the par.Map/ChunkMap kernels to "any GOMAXPROCS, same answer" (each
 # parity test sets the counts it compares and restores the old one), and
-# what the gate's sharedslice rule reasons about statically — run under the
-# race detector. TestLazy is the build-once holder of every derived
+# the readers sharing one build-once product — run under the race
+# detector. TestLazy is the build-once holder of every derived
 # product; Concurrent selects TestWorkloadConcurrentAll (four callers
 # sharing one Workload, as botserve does), TestWarmServerConcurrentReads
 # (eight clients cycling the explore routes on one warm server, each body

@@ -20,6 +20,7 @@ import (
 	"botscope/internal/dataset"
 	"botscope/internal/experiments"
 	"botscope/internal/geo"
+	"botscope/internal/memo"
 	"botscope/internal/serve"
 	"botscope/internal/stats"
 	"botscope/internal/timeseries"
@@ -285,7 +286,7 @@ func BenchmarkAblationDispersion(b *testing.B) {
 // dirtjumper dispersion series.
 func BenchmarkAblationForecasters(b *testing.B) {
 	w := benchWorkload(b)
-	series := core.DispersionValues(core.DispersionSeries(w.Store, dataset.Dirtjumper))
+	series := core.DispersionValues(memo.ViewOf(core.DispersionSeries(w.Store, dataset.Dirtjumper)))
 	if len(series) < 100 {
 		b.Skip("series too short at this scale")
 	}
@@ -362,7 +363,7 @@ func BenchmarkAblationStoreIndex(b *testing.B) {
 	b.Run("indexed", func(b *testing.B) {
 		var n int
 		for b.Loop() {
-			n = len(w.Store.RowsByFamily(dataset.Pandora))
+			n = w.Store.RowsByFamily(dataset.Pandora).Len()
 		}
 		b.ReportMetric(float64(n), "attacks")
 	})

@@ -271,7 +271,7 @@ func (a *Analyzer) Store() *Store { return a.w.Store }
 func (a *Analyzer) Summary() SummaryCounts { return a.w.Store.Summary() }
 
 // ProtocolBreakdown counts attacks per category (Fig 1).
-func (a *Analyzer) ProtocolBreakdown() []ProtocolCount { return slices.Clone(a.w.Protocols()) }
+func (a *Analyzer) ProtocolBreakdown() []ProtocolCount { return a.w.Protocols().Clone() }
 
 // DailyDistribution buckets attacks per day (Fig 2).
 func (a *Analyzer) DailyDistribution() (DailyStats, error) {
@@ -286,13 +286,13 @@ func (a *Analyzer) DailyDistribution() (DailyStats, error) {
 // AllIntervals returns the global inter-attack gap series in seconds.
 func (a *Analyzer) AllIntervals() []float64 {
 	gaps, _, _ := a.w.AllIntervals()
-	return slices.Clone(gaps)
+	return gaps.Clone()
 }
 
 // FamilyIntervals returns one family's gap series in seconds.
 func (a *Analyzer) FamilyIntervals(f Family) []float64 {
 	gaps, _, _ := a.w.FamilyIntervals(f)
-	return slices.Clone(gaps)
+	return gaps.Clone()
 }
 
 // AnalyzeIntervals summarizes a gap series (§III-B).
@@ -303,7 +303,7 @@ func (a *Analyzer) AnalyzeIntervals(gaps []float64) (IntervalStats, error) {
 // Durations returns all attack durations in seconds, time-ordered.
 func (a *Analyzer) Durations() []float64 {
 	durs, _, _ := a.w.Durations()
-	return slices.Clone(durs)
+	return durs.Clone()
 }
 
 // AnalyzeDurations summarizes a duration series (§III-C).

@@ -49,7 +49,7 @@ func ExampleNewScenario() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, fc := range store.FamilyCounts() {
+	for _, fc := range store.FamilyCounts().All() {
 		fmt.Printf("%s: %d attacks\n", fc.Family, fc.Attacks)
 	}
 	// Output:

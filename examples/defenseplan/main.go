@@ -56,7 +56,7 @@ func run() error {
 		return err
 	}
 	fmt.Println("\nmost prolific bots of the first half:")
-	for _, e := range bl.Entries() {
+	for _, e := range bl.Entries().All() {
 		fmt.Printf("  %-16s %3d attacks, %d families\n", e.IP, e.Occurrences, e.Families)
 	}
 

@@ -56,7 +56,7 @@ func run() error {
 		durations.Median, durations.Mean, durations.FracUnder4h*100)
 
 	counts := make(map[botscope.Family]int)
-	for _, fc := range store.FamilyCounts() {
+	for _, fc := range store.FamilyCounts().All() {
 		counts[fc.Family] = fc.Attacks
 	}
 	fmt.Println("\nmost active families:")

@@ -32,7 +32,7 @@ func run() error {
 
 	fmt.Println("scenario: 2013-era families + a Mirai-like IoT botnet")
 	counts := make(map[botscope.Family]int)
-	for _, fc := range store.FamilyCounts() {
+	for _, fc := range store.FamilyCounts().All() {
 		counts[fc.Family] = fc.Attacks
 	}
 	for _, f := range []botscope.Family{mirai, botscope.Dirtjumper, botscope.Pandora} {

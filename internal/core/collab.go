@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"botscope/internal/dataset"
+	"botscope/internal/memo"
 	"botscope/internal/par"
 )
 
@@ -63,7 +64,7 @@ func DetectCollaborations(s *dataset.Store) []*Collaboration {
 func DetectCollaborationsWindow(s *dataset.Store, startWindow, durationWindow time.Duration) []*Collaboration {
 	tids := s.TargetIDs()
 	starts, durs := attackTimes(s)
-	shards := par.ChunkMap(len(tids), func(lo, hi int) []*Collaboration {
+	shards := par.ChunkMap(tids.Len(), func(lo, hi int) []*Collaboration {
 		d := &collabDetector{s: s, starts: starts, startWindow: startWindow, q: qualifier{
 			durs:   durs,
 			window: int64(durationWindow),
@@ -73,7 +74,8 @@ func DetectCollaborationsWindow(s *dataset.Store, startWindow, durationWindow ti
 			},
 		}}
 		var shard []*Collaboration
-		for _, tid := range tids[lo:hi] {
+		for k := lo; k < hi; k++ {
+			tid := tids.At(k)
 			shard = d.target(shard, s.TargetAddr(tid).String(), s.TargetRows(tid))
 		}
 		return shard
@@ -123,17 +125,20 @@ type collabDetector struct {
 // chronologically ordered attack rows. Grouping and qualification both
 // run on the columns; only the members of a qualifying subset are built
 // as attack records.
-func (d *collabDetector) target(out []*Collaboration, target string, rows []int32) []*Collaboration {
+func (d *collabDetector) target(out []*Collaboration, target string, rows memo.View[int32]) []*Collaboration {
 	starts, window := d.starts, int64(d.startWindow)
 	i := 0
-	for i < len(rows) {
-		si := starts[rows[i]]
+	for i < rows.Len() {
+		si := starts[rows.At(i)]
 		j := i + 1
-		for j < len(rows) && starts[rows[j]]-si < window {
+		for j < rows.Len() && starts[rows.At(j)]-si < window {
 			j++
 		}
 		if j-i >= 2 {
-			d.scratch = append(d.scratch[:0], rows[i:j]...)
+			d.scratch = d.scratch[:0]
+			for k := i; k < j; k++ {
+				d.scratch = append(d.scratch, rows.At(k))
+			}
 			if subset, fams := d.q.qualify(d.scratch); subset != nil {
 				out = append(out, d.collaboration(target, subset, fams))
 			}
@@ -371,15 +376,15 @@ func countFamilyPairs(counts map[string]int, fams []dataset.Family) {
 // CollabStats is Table VI over a detected collaboration list.
 type CollabStats struct {
 	CollabCounts
-	Collaborations []*Collaboration
+	Collaborations memo.View[*Collaboration]
 }
 
 // AnalyzeCollaborationsFrom aggregates Table VI over a detected
 // collaboration list, so callers that need both the table and the
 // per-pair drill-downs detect once and share the result.
-func AnalyzeCollaborationsFrom(collabs []*Collaboration) CollabStats {
+func AnalyzeCollaborationsFrom(collabs memo.View[*Collaboration]) CollabStats {
 	out := CollabStats{CollabCounts: NewCollabCounts(), Collaborations: collabs}
-	for _, c := range collabs {
+	for _, c := range collabs.All() {
 		out.Add(c)
 	}
 	return out
@@ -410,7 +415,7 @@ type PairSummary struct {
 
 // AnalyzePairFrom summarizes the collaborations between two specific
 // families in a detected collaboration list.
-func AnalyzePairFrom(collabs []*Collaboration, a, b dataset.Family) PairSummary {
+func AnalyzePairFrom(collabs memo.View[*Collaboration], a, b dataset.Family) PairSummary {
 	out := PairSummary{A: a, B: b}
 	targets := make(map[string]bool)
 	countries := make(map[string]int)
@@ -422,7 +427,7 @@ func AnalyzePairFrom(collabs []*Collaboration, a, b dataset.Family) PairSummary 
 		first, last  time.Time
 		haveAnyEvent bool
 	)
-	for _, c := range collabs {
+	for _, c := range collabs.All() {
 		if len(c.Families) != 2 || c.Families[0] != minFam(a, b) || c.Families[1] != maxFam(a, b) {
 			continue
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"botscope/internal/dataset"
+	"botscope/internal/memo"
 )
 
 func TestDetectCollaborationsIntra(t *testing.T) {
@@ -110,7 +111,7 @@ func TestAnalyzeCollaborations(t *testing.T) {
 		mkAttack(4, dataset.Pandora, 3, "5.5.5.2", t0.Add(time.Hour), time.Hour),
 	}
 	s := mustStore(t, attacks)
-	st := AnalyzeCollaborationsFrom(DetectCollaborations(s))
+	st := AnalyzeCollaborationsFrom(memo.ViewOf(DetectCollaborations(s)))
 	if st.TotalIntra != 1 || st.TotalInter != 1 {
 		t.Fatalf("intra/inter = %d/%d, want 1/1", st.TotalIntra, st.TotalInter)
 	}
@@ -138,7 +139,7 @@ func TestAnalyzePair(t *testing.T) {
 	attacks[2].TargetCountry = "RU"
 	attacks[3].TargetCountry = "RU"
 	s := mustStore(t, attacks)
-	sum := AnalyzePairFrom(DetectCollaborations(s), dataset.Dirtjumper, dataset.Pandora)
+	sum := AnalyzePairFrom(memo.ViewOf(DetectCollaborations(s)), dataset.Dirtjumper, dataset.Pandora)
 	if sum.Count != 2 {
 		t.Fatalf("pair collaborations = %d, want 2", sum.Count)
 	}
@@ -155,7 +156,7 @@ func TestAnalyzePair(t *testing.T) {
 
 func TestCollabOnSynthWorkload(t *testing.T) {
 	s := synthWorkload(t)
-	st := AnalyzeCollaborationsFrom(DetectCollaborations(s))
+	st := AnalyzeCollaborationsFrom(memo.ViewOf(DetectCollaborations(s)))
 	if st.TotalIntra == 0 {
 		t.Fatal("no intra-family collaborations detected")
 	}

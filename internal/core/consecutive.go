@@ -38,7 +38,7 @@ func DetectChains(s *dataset.Store, minLen int) []*Chain {
 		minLen = 2
 	}
 	var out []*Chain
-	for _, tid := range s.TargetIDs() {
+	for _, tid := range s.TargetIDs().All() {
 		target := s.TargetAddr(tid).String()
 		var cur []int32
 		var gaps []float64
@@ -54,7 +54,9 @@ func DetectChains(s *dataset.Store, minLen int) []*Chain {
 			}
 			cur, gaps = nil, nil
 		}
-		for _, row := range s.TargetRows(tid) {
+		rows := s.TargetRows(tid)
+		for k := 0; k < rows.Len(); k++ {
+			row := rows.At(k)
 			if len(cur) == 0 {
 				cur = []int32{row}
 				continue

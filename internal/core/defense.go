@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"botscope/internal/dataset"
+	"botscope/internal/memo"
 )
 
 // The paper closes §V with a defense insight: "if we could model the
@@ -47,11 +48,8 @@ type Blacklist struct {
 // Len returns the number of blacklisted IPs.
 func (b *Blacklist) Len() int { return len(b.entries) }
 
-// Entries returns the ranked entries (most active first). The slice is
-// shared and must not be modified.
-//
-//botscope:shared
-func (b *Blacklist) Entries() []BlacklistEntry { return b.entries }
+// Entries returns the ranked entries (most active first).
+func (b *Blacklist) Entries() memo.View[BlacklistEntry] { return memo.ViewOf(b.entries) }
 
 // Contains reports whether ip is blacklisted. It is the one membership
 // test that starts from an address, so it alone pays for the index's
@@ -73,10 +71,7 @@ func (b *Blacklist) Truncate(maxSize int) *Blacklist {
 	if maxSize <= 0 || maxSize >= len(b.entries) {
 		return b
 	}
-	// Clip capacity with a three-index slice: the truncated list shares the
-	// receiver's backing array, and a later append through the short view
-	// would otherwise clobber the receiver's tail entries in place.
-	return &Blacklist{entries: b.entries[:maxSize:maxSize], ix: b.ix, rank: b.rank}
+	return &Blacklist{entries: b.entries[:maxSize], ix: b.ix, rank: b.rank}
 }
 
 // rankRec is one bot in the ranking sort, packed so that a compare is a
@@ -105,11 +100,11 @@ func BuildBlacklist(s *dataset.Store, from, to time.Time, maxSize int) (*Blackli
 	}
 	ix := s.BotDense()
 	fams := s.Families()
-	famBit := make(map[dataset.Family]int, len(fams))
-	for i, f := range fams {
+	famBit := make(map[dataset.Family]int, fams.Len())
+	for i, f := range fams.All() {
 		famBit[f] = i
 	}
-	famWords := (len(fams) + 63) / 64
+	famWords := (fams.Len() + 63) / 64
 	counts := make([]int32, ix.NumIDs())
 	famSets := make([]uint64, ix.NumIDs()*famWords)
 	for i := 0; i < n; i++ {
@@ -122,7 +117,9 @@ func BuildBlacklist(s *dataset.Store, from, to time.Time, maxSize int) (*Blackli
 		}
 		bit := famBit[v.Family()]
 		word, mask := bit/64, uint64(1)<<(bit%64)
-		for _, id := range ix.RefsRow(i) {
+		span := ix.RefsRow(i)
+		for k := 0; k < span.Len(); k++ {
+			id := span.At(k)
 			counts[id]++
 			famSets[int(id)*famWords+word] |= mask
 		}
@@ -234,14 +231,14 @@ func EvaluateBlacklist(s *dataset.Store, bl *Blacklist, from, to time.Time) (Bla
 		out.Attacks++
 		hit := 0
 		span := ix.RefsRow(i)
-		for _, id := range span {
-			if uint32(rank[id]) < limit {
+		for k := 0; k < span.Len(); k++ {
+			if uint32(rank[span.At(k)]) < limit {
 				hit++
 			}
 		}
-		refs += len(span)
+		refs += span.Len()
 		blocked += hit
-		frac := float64(hit) / float64(len(span))
+		frac := float64(hit) / float64(span.Len())
 		perAttack = append(perAttack, frac)
 		if frac >= 0.5 {
 			out.AttacksBlunted++
@@ -280,9 +277,9 @@ func PlanMitigation(s *dataset.Store, minAttacks int) []MitigationWindow {
 		minAttacks = 3
 	}
 	var out []MitigationWindow
-	for _, tid := range s.TargetIDs() {
+	for _, tid := range s.TargetIDs().All() {
 		rows := s.TargetRows(tid)
-		if len(rows) < minAttacks {
+		if rows.Len() < minAttacks {
 			continue
 		}
 		gaps := rowIntervals(s, rows)
@@ -292,7 +289,7 @@ func PlanMitigation(s *dataset.Store, minAttacks int) []MitigationWindow {
 			idx := int(p * float64(len(sorted)-1))
 			return sorted[idx]
 		}
-		last := s.AttackAt(int(rows[len(rows)-1]))
+		last := s.AttackAt(int(rows.At(rows.Len() - 1)))
 		median := q(0.5)
 		// Pad the window by 10% of the median gap (at least 5 minutes) so
 		// perfectly periodic targets still get a usable alert interval.

@@ -33,7 +33,7 @@ func TestBuildBlacklistRanking(t *testing.T) {
 	if bl.Len() != 3 {
 		t.Fatalf("blacklist size = %d, want 3", bl.Len())
 	}
-	entries := bl.Entries()
+	entries := bl.Entries().Clone()
 	if entries[0].IP != heavy || entries[0].Occurrences != 3 || entries[0].Families != 2 {
 		t.Errorf("top entry = %+v, want heavy bot with 3 occurrences / 2 families", entries[0])
 	}
@@ -48,7 +48,7 @@ func TestBuildBlacklistRanking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if capped.Len() != 1 || capped.Entries()[0].IP != heavy {
+	if capped.Len() != 1 || capped.Entries().At(0).IP != heavy {
 		t.Errorf("capped blacklist = %+v", capped.Entries())
 	}
 }
@@ -212,9 +212,9 @@ func TestBlacklistTruncate(t *testing.T) {
 		if got.Len() != rebuilt.Len() {
 			t.Fatalf("cap %d: Truncate len %d, rebuild len %d", cap, got.Len(), rebuilt.Len())
 		}
-		for i, e := range got.Entries() {
-			if e != rebuilt.Entries()[i] {
-				t.Fatalf("cap %d: entry %d differs: %+v vs %+v", cap, i, e, rebuilt.Entries()[i])
+		for i, e := range got.Entries().All() {
+			if e != rebuilt.Entries().At(i) {
+				t.Fatalf("cap %d: entry %d differs: %+v vs %+v", cap, i, e, rebuilt.Entries().At(i))
 			}
 			if !got.Contains(e.IP) {
 				t.Fatalf("cap %d: member set missing ranked entry %s", cap, e.IP)
@@ -223,7 +223,7 @@ func TestBlacklistTruncate(t *testing.T) {
 		// The rank array is shared with the full list, so the failure mode
 		// of a truncated list is listing too much, not too little.
 		if cap > 0 && cap < full.Len() {
-			if cut := full.Entries()[cap].IP; got.Contains(cut) || !full.Contains(cut) {
+			if cut := full.Entries().At(cap).IP; got.Contains(cut) || !full.Contains(cut) {
 				t.Fatalf("cap %d: first cut entry %s: truncated contains=%v, full contains=%v",
 					cap, cut, got.Contains(cut), full.Contains(cut))
 			}
@@ -235,40 +235,15 @@ func TestBlacklistTruncate(t *testing.T) {
 
 	half := full.Truncate(full.Len() / 2)
 	twice := half.Truncate(10)
-	if twice.Len() != 10 || twice.Contains(half.Entries()[10].IP) || !twice.Contains(half.Entries()[9].IP) {
+	if twice.Len() != 10 || twice.Contains(half.Entries().At(10).IP) || !twice.Contains(half.Entries().At(9).IP) {
 		t.Errorf("truncating a truncated list: len %d, contains[10]=%v, contains[9]=%v",
-			twice.Len(), twice.Contains(half.Entries()[10].IP), twice.Contains(half.Entries()[9].IP))
+			twice.Len(), twice.Contains(half.Entries().At(10).IP), twice.Contains(half.Entries().At(9).IP))
 	}
 	if half.Truncate(full.Len()) != half {
 		t.Error("a truncated list must not grow back")
 	}
 	if allocs := testing.AllocsPerRun(20, func() { _ = full.Truncate(10) }); allocs > 1 {
 		t.Errorf("Truncate allocates %.0f objects, want the list header only", allocs)
-	}
-}
-
-// TestBlacklistTruncateClipsCapacity guards the aliasing fix: the truncated
-// list shares the receiver's backing array, so its entry slice must have
-// its capacity clipped — an append through the short view would otherwise
-// overwrite the receiver's tail entries in place.
-func TestBlacklistTruncateClipsCapacity(t *testing.T) {
-	s := synthWorkload(t)
-	full, err := BuildBlacklist(s, time.Time{}, time.Time{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Len() < 2 {
-		t.Skip("workload too small to truncate")
-	}
-	keep := full.Len() / 2
-	short := full.Truncate(keep)
-	if got := cap(short.Entries()); got != keep {
-		t.Fatalf("Truncate(%d) entries cap = %d, want %d (capacity must be clipped)", keep, got, keep)
-	}
-	tail := full.Entries()[keep]
-	_ = append(short.Entries(), BlacklistEntry{}) // the clipped append must reallocate
-	if full.Entries()[keep] != tail {
-		t.Fatalf("append through truncated view clobbered receiver entry %d", keep)
 	}
 }
 
@@ -281,7 +256,7 @@ func referenceBlacklist(s *dataset.Store, from, to time.Time, maxSize int) ([]Bl
 		return nil, nil, fmt.Errorf("core: empty workload")
 	}
 	ix := s.BotDense()
-	fams := s.Families()
+	fams := s.Families().Clone()
 	famBit := make(map[dataset.Family]int, len(fams))
 	for i, f := range fams {
 		famBit[f] = i
@@ -299,7 +274,7 @@ func referenceBlacklist(s *dataset.Store, from, to time.Time, maxSize int) ([]Bl
 		}
 		bit := famBit[v.Family()]
 		word, mask := bit/64, uint64(1)<<(bit%64)
-		for _, id := range ix.RefsRow(i) {
+		for _, id := range ix.RefsRow(i).All() {
 			counts[id]++
 			famSets[int(id)*famWords+word] |= mask
 		}
@@ -356,7 +331,7 @@ func referenceEvaluate(s *dataset.Store, members map[netip.Addr]bool, from, to t
 		}
 		out.Attacks++
 		hit := 0
-		span := ix.RefsRow(i)
+		span := ix.RefsRow(i).Clone()
 		for _, id := range span {
 			refs++
 			if members[ix.IP(id)] {
@@ -442,7 +417,7 @@ func TestBlacklistMatchesReference(t *testing.T) {
 				if bl.Len() != len(want) {
 					t.Fatalf("%s: %d entries, reference %d", label, bl.Len(), len(want))
 				}
-				for i, e := range bl.Entries() {
+				for i, e := range bl.Entries().All() {
 					if e != want[i] {
 						t.Fatalf("%s: entry %d = %+v, reference %+v", label, i, e, want[i])
 					}

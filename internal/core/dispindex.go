@@ -14,8 +14,8 @@ import (
 // DispersionIndex memoizes per-family dispersion products over one store.
 // Computing a family's series walks every attack's bot formation, and the
 // figures, Table IV prediction, and the transfer matrix all read the same
-// series; the index computes each family's at most once and serves the
-// shared slice afterwards, with the family's profile beside it.
+// series; the index computes each family's at most once and serves it as
+// a read-only view afterwards, with the family's profile beside it.
 //
 // It also holds ARIMA fits: one slot per (family, order), keyed by the
 // training length it was fitted on. Predict, PredictAll and
@@ -75,7 +75,7 @@ func (ix *DispersionIndex) Store() *dataset.Store { return ix.store }
 // entry returns f's products, creating the entry on first use, or nil when
 // f launched no attacks.
 func (ix *DispersionIndex) entry(f dataset.Family) *famDisp {
-	if len(ix.store.RowsByFamily(f)) == 0 {
+	if ix.store.RowsByFamily(f).Len() == 0 {
 		return nil
 	}
 	ix.mu.Lock()
@@ -89,15 +89,13 @@ func (ix *DispersionIndex) entry(f dataset.Family) *famDisp {
 }
 
 // Series returns the family's chronological dispersion series, computing
-// it on first call. The returned slice is shared and must not be modified.
-//
-//botscope:shared
-func (ix *DispersionIndex) Series(f dataset.Family) []DispersionPoint {
+// it on first call.
+func (ix *DispersionIndex) Series(f dataset.Family) memo.View[DispersionPoint] {
 	e := ix.entry(f)
 	if e == nil {
-		return nil
+		return memo.View[DispersionPoint]{}
 	}
-	return e.series.Get(func() []DispersionPoint { return DispersionSeries(ix.store, f) })
+	return memo.ViewOf(e.series.Get(func() []DispersionPoint { return DispersionSeries(ix.store, f) }))
 }
 
 // Precompute fills the index for every family in the store. Calling it
@@ -108,13 +106,13 @@ func (ix *DispersionIndex) Series(f dataset.Family) []DispersionPoint {
 func (ix *DispersionIndex) Precompute(workers int) {
 	fams := ix.store.Families()
 	if workers == 1 {
-		for _, f := range fams {
+		for _, f := range fams.All() {
 			ix.Series(f)
 		}
 		return
 	}
-	par.Map(len(fams), func(i int) struct{} {
-		ix.Series(fams[i])
+	par.Map(fams.Len(), func(i int) struct{} {
+		ix.Series(fams.At(i))
 		return struct{}{}
 	})
 }
@@ -124,7 +122,7 @@ func (ix *DispersionIndex) Precompute(workers int) {
 func (ix *DispersionIndex) Profile(f dataset.Family) (DispersionProfile, error) {
 	e := ix.entry(f)
 	if e == nil {
-		return profileFromSeries(f, nil)
+		return profileFromSeries(f, memo.View[DispersionPoint]{})
 	}
 	h := e.profile.Get(func() heldProfile {
 		p, err := profileFromSeries(f, ix.Series(f))

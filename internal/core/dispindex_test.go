@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"botscope/internal/dataset"
+	"botscope/internal/memo"
 	"botscope/internal/synth"
 	"botscope/internal/timeseries"
 )
@@ -16,9 +17,9 @@ import (
 func TestDispersionIndexMatchesDirect(t *testing.T) {
 	s := synthWorkload(t)
 	ix := NewDispersionIndex(s)
-	for _, f := range s.Families() {
+	for _, f := range s.Families().All() {
 		want := DispersionSeries(s, f)
-		got := ix.Series(f)
+		got := ix.Series(f).Clone()
 		if len(got) != len(want) {
 			t.Fatalf("%s: index series has %d points, direct %d", f, len(got), len(want))
 		}
@@ -28,11 +29,10 @@ func TestDispersionIndexMatchesDirect(t *testing.T) {
 			}
 		}
 	}
-	// The memoized slice must be the same allocation on repeat calls.
-	f := s.Families()[0]
-	a, b := ix.Series(f), ix.Series(f)
-	if len(a) > 0 && &a[0] != &b[0] {
-		t.Error("repeated Series calls returned different backing arrays; memoization is not working")
+	// A repeat call reads the memoized series: it allocates nothing.
+	f := s.Families().At(0)
+	if n := testing.AllocsPerRun(10, func() { ix.Series(f) }); n != 0 {
+		t.Errorf("a repeated Series call allocates %v times; memoization is not working", n)
 	}
 }
 
@@ -104,7 +104,7 @@ func TestDispersionIndexDerived(t *testing.T) {
 func TestDispersionIndexConcurrent(t *testing.T) {
 	s := synthWorkload(t)
 	ix := NewDispersionIndex(s)
-	fams := s.Families()
+	fams := s.Families().Clone()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -124,8 +124,8 @@ func TestDispersionIndexConcurrent(t *testing.T) {
 	wg.Wait()
 	for _, f := range fams {
 		want := DispersionSeries(s, f)
-		if got := ix.Series(f); len(got) != len(want) {
-			t.Fatalf("%s: concurrent fill produced %d points, want %d", f, len(got), len(want))
+		if got := ix.Series(f); got.Len() != len(want) {
+			t.Fatalf("%s: concurrent fill produced %d points, want %d", f, got.Len(), len(want))
 		}
 	}
 }
@@ -169,7 +169,7 @@ func sweepReference(t *testing.T) (*dataset.Store, map[dataset.Family][]*Predict
 		}
 		sweepWant = make(map[dataset.Family][]*PredictionResult)
 		for _, f := range sweepFams {
-			vals := DispersionValues(DispersionSeries(sweepStore, f))
+			vals := DispersionValues(memo.ViewOf(DispersionSeries(sweepStore, f)))
 			bySplit := make(map[int]*PredictionResult)
 			for tp := 1; tp <= sweepPoints; tp++ {
 				split := len(vals) - min(tp, len(vals)-len(vals)/2)
@@ -261,8 +261,8 @@ func TestDispersionIndexFitSlotConcurrent(t *testing.T) {
 func TestDispersionIndexUnknownFamily(t *testing.T) {
 	ix := NewDispersionIndex(synthWorkload(t))
 	const f = dataset.Family("no-such-family")
-	if got := ix.Series(f); len(got) != 0 {
-		t.Errorf("Series = %d points", len(got))
+	if got := ix.Series(f); got.Len() != 0 {
+		t.Errorf("Series = %d points", got.Len())
 	}
 	if _, err := ix.Profile(f); err == nil {
 		t.Error("Profile succeeded")

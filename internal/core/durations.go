@@ -44,11 +44,6 @@ func AnalyzeDurations(durs []float64) (DurationStats, error) {
 	}, nil
 }
 
-// DurationCDF builds the Fig 7 empirical CDF.
-func DurationCDF(durs []float64) *stats.ECDF {
-	return stats.NewECDF(durs)
-}
-
 // BaselineDurations generates the reference single-ISP alarm workload the
 // paper compares against (Mao et al. [24]: 31,612 alarms over four weeks,
 // 80% shorter than 1.25 hours). It is a deterministic synthetic series

@@ -105,8 +105,8 @@ func TestDurationsOnSynthWorkload(t *testing.T) {
 	}
 	// The Fig 7 comparison: our attacks last longer than the Mao et al.
 	// baseline (80th percentiles ordered).
-	ours := DurationCDF(Durations(s))
-	base := DurationCDF(BaselineDurations(10000))
+	ours := stats.NewECDF(Durations(s))
+	base := stats.NewECDF(BaselineDurations(10000))
 	if ours.Quantile(0.8) <= base.Quantile(0.8) {
 		t.Errorf("our P80 %v not above baseline P80 %v", ours.Quantile(0.8), base.Quantile(0.8))
 	}

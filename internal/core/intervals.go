@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"botscope/internal/dataset"
+	"botscope/internal/memo"
 	"botscope/internal/par"
 	"botscope/internal/stats"
 )
@@ -38,14 +39,14 @@ func FamilyIntervals(s *dataset.Store, f dataset.Family) []float64 {
 
 // rowIntervals returns the gaps in seconds between consecutive starts of
 // a chronologically ordered row list, computed from the start column.
-func rowIntervals(s *dataset.Store, rows []int32) []float64 {
-	if len(rows) < 2 {
+func rowIntervals(s *dataset.Store, rows memo.View[int32]) []float64 {
+	if rows.Len() < 2 {
 		return nil
 	}
-	out := make([]float64, 0, len(rows)-1)
-	prev := s.AttackAt(int(rows[0])).StartNano()
-	for _, row := range rows[1:] {
-		cur := s.AttackAt(int(row)).StartNano()
+	out := make([]float64, 0, rows.Len()-1)
+	prev := s.AttackAt(int(rows.At(0))).StartNano()
+	for i := 1; i < rows.Len(); i++ {
+		cur := s.AttackAt(int(rows.At(i))).StartNano()
 		out = append(out, time.Duration(cur-prev).Seconds())
 		prev = cur
 	}
@@ -81,11 +82,6 @@ func AnalyzeIntervals(gaps []float64) (IntervalStats, error) {
 	st.ExactZeroFrac = float64(zero) / float64(len(gaps))
 	st.SimultaneousFrac = float64(simult) / float64(len(gaps))
 	return st, nil
-}
-
-// IntervalCDF builds the empirical CDF of a gap series (Figs 3, 5).
-func IntervalCDF(gaps []float64) *stats.ECDF {
-	return stats.NewECDF(gaps)
 }
 
 // IntervalCluster is one duration-scale bucket of Fig 4.
@@ -150,11 +146,12 @@ func TargetIntervals(s *dataset.Store, minAttacks int) map[string][]float64 {
 		minAttacks = 2
 	}
 	tids := s.TargetIDs()
-	shards := par.ChunkMap(len(tids), func(lo, hi int) map[string][]float64 {
+	shards := par.ChunkMap(tids.Len(), func(lo, hi int) map[string][]float64 {
 		m := make(map[string][]float64)
-		for _, tid := range tids[lo:hi] {
+		for k := lo; k < hi; k++ {
+			tid := tids.At(k)
 			rows := s.TargetRows(tid)
-			if len(rows) < minAttacks {
+			if rows.Len() < minAttacks {
 				continue
 			}
 			m[s.TargetAddr(tid).String()] = rowIntervals(s, rows)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"botscope/internal/dataset"
+	"botscope/internal/stats"
 )
 
 func TestIntervals(t *testing.T) {
@@ -145,7 +146,7 @@ func TestIntervalsOnSynthWorkload(t *testing.T) {
 	}
 
 	// CDF sanity: monotone with full mass.
-	cdf := IntervalCDF(gaps)
+	cdf := stats.NewECDF(gaps)
 	if p := cdf.Eval(math.Inf(1)); p != 1 {
 		t.Errorf("CDF at +inf = %v", p)
 	}

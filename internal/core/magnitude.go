@@ -30,13 +30,13 @@ type MagnitudeProfile struct {
 // non-nil for a family without attacks.
 func ProfileMagnitudes(s *dataset.Store, f dataset.Family) (MagnitudeProfile, error) {
 	rows := s.RowsByFamily(f)
-	if len(rows) == 0 {
+	if rows.Len() == 0 {
 		return MagnitudeProfile{}, fmt.Errorf("core: family %s has no attacks", f)
 	}
-	mags := make([]float64, len(rows))
-	durs := make([]float64, len(rows))
-	for i, row := range rows {
-		v := s.AttackAt(int(row))
+	mags := make([]float64, rows.Len())
+	durs := make([]float64, rows.Len())
+	for i := range mags {
+		v := s.AttackAt(int(rows.At(i)))
 		mags[i] = float64(v.Magnitude())
 		durs[i] = v.Duration().Seconds()
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"botscope/internal/dataset"
+	"botscope/internal/memo"
 )
 
 // The merge laws behind the shard-count parity: for each keyed
@@ -213,7 +214,7 @@ func TestCollabCountsMergeLaw(t *testing.T) {
 		}
 		collabs[i] = c
 	}
-	want := AnalyzeCollaborationsFrom(collabs).CollabCounts
+	want := AnalyzeCollaborationsFrom(memo.ViewOf(collabs)).CollabCounts
 	lawPartitions(t, rng, len(collabs), func(t *testing.T, parts [][]int) {
 		merged := NewCollabCounts()
 		for _, part := range parts {

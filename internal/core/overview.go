@@ -322,13 +322,13 @@ func FamilyActivity(s *dataset.Store) []ActivityWindow {
 	}
 	span := last.Sub(first).Seconds()
 	var out []ActivityWindow
-	for _, f := range s.Families() {
+	for _, f := range s.Families().All() {
 		rows := s.RowsByFamily(f)
 		w := ActivityWindow{
 			Family:  f,
-			First:   s.AttackAt(int(rows[0])).Start(),
-			Last:    s.AttackAt(int(rows[len(rows)-1])).Start(),
-			Attacks: len(rows),
+			First:   s.AttackAt(int(rows.At(0))).Start(),
+			Last:    s.AttackAt(int(rows.At(rows.Len() - 1))).Start(),
+			Attacks: rows.Len(),
 		}
 		if span > 0 {
 			w.Coverage = w.Last.Sub(w.First).Seconds() / span

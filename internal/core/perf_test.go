@@ -70,10 +70,10 @@ func TestDenseDispersionMatchesMapScan(t *testing.T) {
 	for r := int32(0); r < int32(s.NumBots()); r++ {
 		bots[s.Cols().BotRow(r).IP()] = s.Cols().BotRow(r)
 	}
-	for _, f := range s.Families() {
+	for _, f := range s.Families().All() {
 		got := DispersionSeries(s, f)
 		var want []DispersionPoint
-		for _, row := range s.RowsByFamily(f) {
+		for _, row := range s.RowsByFamily(f).All() {
 			a := s.AttackRecordAt(int(row))
 			pts := make([]geo.LatLon, 0, len(a.BotIPs))
 			for _, ip := range a.BotIPs {
@@ -103,7 +103,7 @@ func TestDenseDispersionMatchesMapScan(t *testing.T) {
 
 func BenchmarkDispersionSeries(b *testing.B) {
 	s := dispersionFixture(b)
-	f := s.Families()[0]
+	f := s.Families().At(0)
 	DispersionSeries(s, f) // build the index outside the timed loop
 	b.ReportAllocs()
 	for b.Loop() {

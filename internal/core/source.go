@@ -6,6 +6,7 @@ import (
 
 	"botscope/internal/dataset"
 	"botscope/internal/geo"
+	"botscope/internal/memo"
 	"botscope/internal/stats"
 )
 
@@ -35,9 +36,10 @@ type DispersionPoint struct {
 func DispersionSeries(s *dataset.Store, f dataset.Family) []DispersionPoint {
 	rows := s.RowsByFamily(f)
 	ix := s.BotDense()
-	out := make([]DispersionPoint, 0, len(rows))
+	out := make([]DispersionPoint, 0, rows.Len())
 	var scratch []geo.CachedPoint
-	for _, row := range rows {
+	for i := 0; i < rows.Len(); i++ {
+		row := rows.At(i)
 		scratch = appendRowPoints(scratch[:0], ix, int(row))
 		if len(scratch) == 0 {
 			continue
@@ -56,18 +58,20 @@ func DispersionSeries(s *dataset.Store, f dataset.Family) []DispersionPoint {
 // record-keyed appendBotPoints, so the scan never touches the record
 // face.
 func appendRowPoints(dst []geo.CachedPoint, ix *dataset.BotIndex, row int) []geo.CachedPoint {
-	for _, id := range ix.RefsRow(row) {
-		if ix.Resolved(id) {
+	refs := ix.RefsRow(row)
+	for i := 0; i < refs.Len(); i++ {
+		if id := refs.At(i); ix.Resolved(id) {
 			dst = append(dst, ix.Point(id))
 		}
 	}
 	return dst
 }
 
-// DispersionValues strips a series down to its float values.
-func DispersionValues(series []DispersionPoint) []float64 {
-	out := make([]float64, len(series))
-	for i, p := range series {
+// DispersionValues strips a series down to its float values, into a
+// slice the caller owns.
+func DispersionValues(series memo.View[DispersionPoint]) []float64 {
+	out := make([]float64, series.Len())
+	for i, p := range series.All() {
 		out[i] = p.Value
 	}
 	return out
@@ -85,13 +89,13 @@ type DispersionProfile struct {
 	Asymmetric stats.Summary
 }
 
-func profileFromSeries(f dataset.Family, series []DispersionPoint) (DispersionProfile, error) {
-	if len(series) == 0 {
+func profileFromSeries(f dataset.Family, series memo.View[DispersionPoint]) (DispersionProfile, error) {
+	if series.Len() == 0 {
 		return DispersionProfile{}, fmt.Errorf("core: family %s has no dispersion data", f)
 	}
-	asym := make([]float64, 0, len(series))
+	asym := make([]float64, 0, series.Len())
 	symmetric := 0
-	for _, p := range series {
+	for _, p := range series.All() {
 		if p.Value <= SymmetryToleranceKm {
 			symmetric++
 		} else {
@@ -100,22 +104,22 @@ func profileFromSeries(f dataset.Family, series []DispersionPoint) (DispersionPr
 	}
 	return DispersionProfile{
 		Family:        f,
-		N:             len(series),
-		SymmetricFrac: float64(symmetric) / float64(len(series)),
+		N:             series.Len(),
+		SymmetricFrac: float64(symmetric) / float64(series.Len()),
 		Asymmetric:    stats.Summarize(asym),
 	}, nil
 }
 
-func cdfFromSeries(f dataset.Family, series []DispersionPoint) (*stats.ECDF, error) {
-	if len(series) == 0 {
+func cdfFromSeries(f dataset.Family, series memo.View[DispersionPoint]) (*stats.ECDF, error) {
+	if series.Len() == 0 {
 		return nil, fmt.Errorf("core: family %s has no dispersion data", f)
 	}
 	return stats.NewECDF(DispersionValues(series)), nil
 }
 
-func histogramFromSeries(f dataset.Family, series []DispersionPoint, bins int) (*stats.Histogram, error) {
-	asym := make([]float64, 0, len(series))
-	for _, p := range series {
+func histogramFromSeries(f dataset.Family, series memo.View[DispersionPoint], bins int) (*stats.Histogram, error) {
+	asym := make([]float64, 0, series.Len())
+	for _, p := range series.All() {
 		if p.Value > SymmetryToleranceKm {
 			asym = append(asym, p.Value)
 		}
@@ -132,14 +136,14 @@ func histogramFromSeries(f dataset.Family, series []DispersionPoint, bins int) (
 	return h, nil
 }
 
-func activeFamiliesFrom(families []dataset.Family, seriesOf func(dataset.Family) []DispersionPoint, minPoints int) []dataset.Family {
+func activeFamiliesFrom(families memo.View[dataset.Family], seriesOf func(dataset.Family) memo.View[DispersionPoint], minPoints int) []dataset.Family {
 	type fc struct {
 		f dataset.Family
 		n int
 	}
 	var list []fc
-	for _, f := range families {
-		if n := len(seriesOf(f)); n >= minPoints {
+	for _, f := range families.All() {
+		if n := seriesOf(f).Len(); n >= minPoints {
 			list = append(list, fc{f: f, n: n})
 		}
 	}

@@ -36,8 +36,9 @@ func (p TargetCountryProfile) Head(n int) TargetCountryProfile {
 // the Top list (the paper shows 5).
 func TargetCountries(s *dataset.Store, f dataset.Family, topN int) TargetCountryProfile {
 	counts := make(map[string]int)
-	for _, row := range s.RowsByFamily(f) {
-		counts[s.AttackAt(int(row)).TargetCountry()]++
+	rows := s.RowsByFamily(f)
+	for i := 0; i < rows.Len(); i++ {
+		counts[s.AttackAt(int(rows.At(i))).TargetCountry()]++
 	}
 	out := TargetCountryProfile{Family: f, Countries: len(counts)}
 	for cc, n := range counts {
@@ -95,8 +96,9 @@ func OrgHotspots(s *dataset.Store, f dataset.Family, from, to time.Time) []OrgHo
 		cc  string
 	}
 	agg := make(map[key]*OrgHotspot)
-	for _, row := range s.RowsByFamily(f) {
-		v := s.AttackAt(int(row))
+	rows := s.RowsByFamily(f)
+	for i := 0; i < rows.Len(); i++ {
+		v := s.AttackAt(int(rows.At(i)))
 		if !from.IsZero() && v.Start().Before(from) {
 			continue
 		}

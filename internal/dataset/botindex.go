@@ -23,8 +23,8 @@ import (
 // index over a snapshot-loaded store never touches the record face.
 //
 // The index is the value of a memo.Lazy on the store: complete before any
-// caller sees it, safe for concurrent readers; returned slices are shared
-// and must not be modified.
+// caller sees it, safe for concurrent readers; a reference span comes
+// out as a memo.View.
 type BotIndex struct {
 	cols *Columns
 	ips  addrCol           // id -> ip (shared with the columnar dense layer)
@@ -109,11 +109,8 @@ func (ix *BotIndex) CountryID(id int32) int32 {
 // value is meaningful only when Resolved(id).
 func (ix *BotIndex) Point(id int32) geo.CachedPoint { return ix.pts[id] }
 
-// RefsRow returns attack row i's source set as dense ids. The span
-// aliases the index's shared refs array and must not be modified.
-//
-//botscope:shared
-func (ix *BotIndex) RefsRow(i int) []int32 {
-	lo, hi := ix.cols.aOff[i], ix.cols.aOff[i+1]
-	return ix.refs[lo:hi:hi]
+// RefsRow returns attack row i's source set as dense ids: a span of the
+// index's shared refs array.
+func (ix *BotIndex) RefsRow(i int) memo.View[int32] {
+	return memo.ViewOf(ix.refs[ix.cols.aOff[i]:ix.cols.aOff[i+1]])
 }

@@ -56,7 +56,7 @@ func TestBotIndexMatchesMaps(t *testing.T) {
 
 	distinct := make(map[netip.Addr]bool)
 	for row, a := range s.Attacks() {
-		refs := ix.RefsRow(row)
+		refs := ix.RefsRow(row).Clone()
 		if len(refs) != len(a.BotIPs) {
 			t.Fatalf("attack %d: RefsRow len %d, BotIPs len %d", a.ID, len(refs), len(a.BotIPs))
 		}

@@ -150,16 +150,16 @@ func TestStoreIndexConsistencyProperty(t *testing.T) {
 		}
 		// Per-family index totals must sum to the store size.
 		sum := 0
-		for _, fam := range s.Families() {
-			sum += len(s.RowsByFamily(fam))
+		for _, fam := range s.Families().All() {
+			sum += s.RowsByFamily(fam).Len()
 		}
 		if sum != n {
 			return false
 		}
 		// Per-target index totals too.
 		sum = 0
-		for _, tid := range s.TargetIDs() {
-			sum += len(s.TargetRows(tid))
+		for _, tid := range s.TargetIDs().All() {
+			sum += s.TargetRows(tid).Len()
 		}
 		return sum == n
 	}

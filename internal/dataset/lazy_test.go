@@ -35,7 +35,7 @@ func TestSnapshotLazyRecords(t *testing.T) {
 	if got.Summary() != s.Summary() {
 		t.Fatalf("lazy summary differs:\n got %+v\nwant %+v", got.Summary(), s.Summary())
 	}
-	if len(got.Families()) != len(s.Families()) {
+	if got.Families().Len() != s.Families().Len() {
 		t.Fatal("lazy family list differs")
 	}
 	gf, gl, _ := got.TimeBounds()
@@ -59,7 +59,7 @@ func TestSnapshotLazyRecords(t *testing.T) {
 			v.TargetLat() != w.TargetLat || v.TargetLon() != w.TargetLon {
 			t.Fatalf("cursor row %d differs from record %+v", i, w)
 		}
-		if len(ix.RefsRow(i)) != len(w.BotIPs) {
+		if ix.RefsRow(i).Len() != len(w.BotIPs) {
 			t.Fatalf("cursor row %d ref span length differs", i)
 		}
 	}
@@ -145,8 +145,8 @@ func TestSnapshotConcurrentMaterialize(t *testing.T) {
 						errs <- "short attack list"
 					}
 				case 1:
-					for _, f := range got.Families() {
-						for _, row := range got.RowsByFamily(f) {
+					for _, f := range got.Families().All() {
+						for _, row := range got.RowsByFamily(f).All() {
 							if got.AttackRecordAt(int(row)).Family != f {
 								errs <- "family bucket row built with another family"
 							}

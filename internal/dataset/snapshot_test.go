@@ -154,7 +154,7 @@ func TestSnapshotDensePreserved(t *testing.T) {
 		}
 	}
 	for row := 0; row < s.NumAttacks(); row++ {
-		wRefs, hRefs := want.RefsRow(row), have.RefsRow(row)
+		wRefs, hRefs := want.RefsRow(row).Clone(), have.RefsRow(row).Clone()
 		if len(wRefs) != len(hRefs) {
 			t.Fatalf("attack row %d ref span length differs", row)
 		}

@@ -22,11 +22,10 @@ import (
 // from records, the snapshot decoder from a file — set cols before the
 // store is published, and every count, index and bound is answered from
 // them. Everything else is a derived product held in a memo.Lazy: built
-// once by the first caller that needs it, shared and read-only afterwards
-// (TestLazyBuildsOnce pins the type; sharedslice reports a write through
-// one of the shared slices). The attack records are one such product — a
-// snapshot-loaded store materializes them on first use, a NewStore store
-// holds the caller's records, already filled.
+// once by the first caller that needs it, shared afterwards, and handed
+// out as a memo.View, which cannot be written through. The attack records
+// are one such product — a snapshot-loaded store materializes them on
+// first use, a NewStore store holds the caller's records, already filled.
 type Store struct {
 	cols *Columns // set at construction, never nil; immutable after
 
@@ -166,11 +165,9 @@ func (s *Store) botRowsByIP() map[netip.Addr]int32 {
 func (s *Store) NumAttacks() int { return len(s.cols.aID) }
 
 // Attacks returns all attacks ordered by start time, materializing every
-// record on first use. The slice is shared and must not be modified;
-// records themselves are shared too.
-//
-//botscope:shared
-func (s *Store) Attacks() []*Attack { return s.recs.Get(s.materializeRecords) }
+// record on first use. The slice is the caller's own copy; the records it
+// points at are shared and must not be modified.
+func (s *Store) Attacks() []*Attack { return slices.Clone(s.recs.Get(s.materializeRecords)) }
 
 // NumBots returns the number of Botlist records.
 func (s *Store) NumBots() int { return s.cols.bIP.len() }
@@ -179,18 +176,16 @@ func (s *Store) NumBots() int { return s.cols.bIP.len() }
 func (s *Store) NumBotnets() int { return len(s.cols.nID) }
 
 // Families returns every family that launched at least one attack,
-// sorted. The slice is computed once and shared: callers must not modify
-// it.
-//
-//botscope:shared
-func (s *Store) Families() []Family { return s.fams.Get(s.buildFamilies).families }
+// sorted.
+func (s *Store) Families() memo.View[Family] {
+	return memo.ViewOf(s.fams.Get(s.buildFamilies).families)
+}
 
 // FamilyCounts returns every family with its attack count, sorted by
-// family. The slice is computed once and shared: callers must not modify
-// it.
-//
-//botscope:shared
-func (s *Store) FamilyCounts() []FamilyCount { return s.fams.Get(s.buildFamilies).counts }
+// family.
+func (s *Store) FamilyCounts() memo.View[FamilyCount] {
+	return memo.ViewOf(s.fams.Get(s.buildFamilies).counts)
+}
 
 func (s *Store) buildFamilies() familyViews {
 	rows := s.famRowsMap()
@@ -241,17 +236,15 @@ func (s *Store) buildFamRows() map[Family][]int32 {
 	return rows
 }
 
-// Targets returns every attacked IP, sorted. The slice is computed once
-// and shared: callers must not modify it.
-//
-//botscope:shared
-func (s *Store) Targets() []netip.Addr { return s.targets.Get(s.buildTargets) }
+// Targets returns every attacked IP, sorted.
+func (s *Store) Targets() memo.View[netip.Addr] { return memo.ViewOf(s.targets.Get(s.buildTargets)) }
 
 func (s *Store) buildTargets() []netip.Addr {
 	c := s.cols
-	out := make([]netip.Addr, 0, len(c.targets))
-	for _, tid := range s.TargetIDs() {
-		out = append(out, c.targets[tid])
+	order := s.tgtRows.Get(s.buildTargetRows).order
+	out := make([]netip.Addr, len(order))
+	for i, tid := range order {
+		out[i] = c.targets[tid]
 	}
 	return out
 }
@@ -260,17 +253,16 @@ func (s *Store) buildTargets() []netip.Addr {
 func (s *Store) NumTargets() int { return len(s.cols.targets) }
 
 // TargetRows returns the ascending attack rows against one column target
-// id. The slice is a shared arena bucket and must not be modified.
-//
-//botscope:shared
-func (s *Store) TargetRows(tid int32) []int32 { return s.tgtRows.Get(s.buildTargetRows).rows[tid] }
+// id: a bucket of one shared arena.
+func (s *Store) TargetRows(tid int32) memo.View[int32] {
+	return memo.ViewOf(s.tgtRows.Get(s.buildTargetRows).rows[tid])
+}
 
 // TargetIDs returns every column target id, ordered by target address
-// (so index i here corresponds to Targets()[i]). The slice is shared and
-// must not be modified.
-//
-//botscope:shared
-func (s *Store) TargetIDs() []int32 { return s.tgtRows.Get(s.buildTargetRows).order }
+// (so index i here corresponds to Targets().At(i)).
+func (s *Store) TargetIDs() memo.View[int32] {
+	return memo.ViewOf(s.tgtRows.Get(s.buildTargetRows).order)
+}
 
 // buildTargetRows buckets attack rows by target id in one counting pass
 // and one fill pass over a shared arena, and sorts the target ids by
@@ -331,11 +323,9 @@ func (s *Store) buildTargetRows() targetRows {
 // TargetAddr resolves a column target id to its address.
 func (s *Store) TargetAddr(tid int32) netip.Addr { return s.Cols().targets[tid] }
 
-// RowsByFamily returns the ascending attack rows of one family. The
-// slice is a shared arena bucket and must not be modified.
-//
-//botscope:shared
-func (s *Store) RowsByFamily(f Family) []int32 { return s.famRowsMap()[f] }
+// RowsByFamily returns the ascending attack rows of one family: a bucket
+// of one shared arena.
+func (s *Store) RowsByFamily(f Family) memo.View[int32] { return memo.ViewOf(s.famRowsMap()[f]) }
 
 // attackBotnets counts the distinct botnet ids that appear across
 // attacks (which may be fewer than the Botnetlist rows), memoized.
@@ -380,7 +370,7 @@ func (s *Store) buildBounds() timeBounds {
 // event through it, so a report run never materializes the records.
 func (s *Store) AttackRecordAt(row int) *Attack {
 	if s.recBuilt.Load() {
-		return s.Attacks()[row]
+		return s.recs.Get(s.materializeRecords)[row]
 	}
 	c := s.cols
 	lo, hi := c.aOff[row], c.aOff[row+1]

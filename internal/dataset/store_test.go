@@ -39,24 +39,24 @@ func TestNewStoreSortsAndIndexes(t *testing.T) {
 			t.Errorf("attacks not sorted at %d", i)
 		}
 	}
-	if got := len(s.RowsByFamily(Dirtjumper)); got != 2 {
+	if got := s.RowsByFamily(Dirtjumper).Len(); got != 2 {
 		t.Errorf("RowsByFamily(dirtjumper) = %d, want 2", got)
 	}
 	// TargetIDs is in address order: 5.5.5.5 first.
-	tid := s.TargetIDs()[0]
+	tid := s.TargetIDs().At(0)
 	if got := s.TargetAddr(tid); got != netip.MustParseAddr("5.5.5.5") {
 		t.Fatalf("first target = %v, want 5.5.5.5", got)
 	}
-	if got := len(s.TargetRows(tid)); got != 2 {
+	if got := s.TargetRows(tid).Len(); got != 2 {
 		t.Errorf("TargetRows(5.5.5.5) = %d, want 2", got)
 	}
 	if got := s.Summary().Botnets; got != 2 {
 		t.Errorf("Summary().Botnets = %d, want 2", got)
 	}
-	if got := s.Families(); len(got) != 2 || got[0] != Dirtjumper || got[1] != Pandora {
+	if got := s.Families().Clone(); len(got) != 2 || got[0] != Dirtjumper || got[1] != Pandora {
 		t.Errorf("Families = %v", got)
 	}
-	if got := s.Targets(); len(got) != 2 {
+	if got := s.Targets(); got.Len() != 2 {
 		t.Errorf("Targets = %v", got)
 	}
 }
@@ -267,16 +267,16 @@ func TestStoreMemoizedAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fams := s.Families()
+	fams := s.Families().Clone()
 	if len(fams) != 2 || fams[0] != Dirtjumper || fams[1] != Pandora {
 		t.Fatalf("Families() = %v, want sorted [dirtjumper pandora]", fams)
 	}
-	counts := s.FamilyCounts()
+	counts := s.FamilyCounts().Clone()
 	if len(counts) != 2 || counts[0] != (FamilyCount{Family: Dirtjumper, Attacks: 2}) ||
 		counts[1] != (FamilyCount{Family: Pandora, Attacks: 1}) {
 		t.Fatalf("FamilyCounts() = %+v", counts)
 	}
-	targets := s.Targets()
+	targets := s.Targets().Clone()
 	if len(targets) != 3 || s.NumTargets() != 3 {
 		t.Fatalf("Targets() = %v, NumTargets = %d", targets, s.NumTargets())
 	}
@@ -285,11 +285,8 @@ func TestStoreMemoizedAccessors(t *testing.T) {
 			t.Fatalf("Targets() not sorted: %v", targets)
 		}
 	}
-	if again := s.Families(); &again[0] != &fams[0] {
-		t.Error("Families() rebuilt its slice on a repeat call; memoization is not working")
-	}
-	if again := s.Targets(); &again[0] != &targets[0] {
-		t.Error("Targets() rebuilt its slice on a repeat call; memoization is not working")
+	if n := testing.AllocsPerRun(10, func() { s.Families(); s.Targets() }); n != 0 {
+		t.Errorf("Families() and Targets() allocate %v times on a repeat call; memoization is not working", n)
 	}
 }
 
@@ -315,13 +312,13 @@ func TestStoreAccessorsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < 5; r++ {
-				if got := len(s.Families()); got != 2 {
+				if got := s.Families().Len(); got != 2 {
 					t.Errorf("Families() = %d families, want 2", got)
 				}
-				if got := len(s.FamilyCounts()); got != 2 {
+				if got := s.FamilyCounts().Len(); got != 2 {
 					t.Errorf("FamilyCounts() = %d rows, want 2", got)
 				}
-				if got := len(s.Targets()); got != 300 {
+				if got := s.Targets().Len(); got != 300 {
 					t.Errorf("Targets() = %d, want 300", got)
 				}
 				if sum := s.Summary(); sum.Attacks != 300 || sum.TargetIPs != 300 {

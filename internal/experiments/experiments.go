@@ -74,8 +74,9 @@ func (r *Result) MetricsText() string {
 // ARIMA fits, and the two §V event lists (collaborations, chains) — for
 // the experiments, the serve tier and the library's Analyzer alike. Each
 // is built once, on first use, and safe for concurrent use (serve's
-// handlers, TestWorkloadConcurrentAll); the slices and maps inside them
-// are shared and must not be modified. Every product is a heap value: a
+// handlers, TestWorkloadConcurrentAll); a product's slice comes out as a
+// memo.View, and the slices and maps inside a returned struct are shared
+// and must not be modified. Every product is a heap value: a
 // closed store's reader gets ErrStoreClosed from the runner or the
 // handler's hold, never a product in its place.
 type Workload struct {
@@ -89,9 +90,9 @@ type Workload struct {
 
 	protocols memo.Lazy[[]core.ProtocolCount]
 	daily     memo.Lazy[dailyProduct]
-	allGaps   memo.Lazy[gapProduct]
-	famGaps   memo.Lazy[map[dataset.Family]gapProduct]
-	durations memo.Lazy[durProduct]
+	allGaps   memo.Lazy[*gapSeries]
+	famGaps   memo.Lazy[map[dataset.Family]*gapSeries]
+	durations memo.Lazy[*durSeries]
 	targets   memo.Lazy[map[dataset.Family]core.TargetCountryProfile]
 
 	collabs memo.Lazy[[]*core.Collaboration]
@@ -106,9 +107,9 @@ func (w *Workload) Collector() *monitor.Collector { return w.collector }
 func (w *Workload) Disp() *core.DispersionIndex { return w.disp }
 
 // Collabs returns the workload's collaboration list (paper criteria),
-// detecting it on first call and serving the shared slice afterwards.
-func (w *Workload) Collabs() []*core.Collaboration {
-	return w.collabs.Get(func() []*core.Collaboration { return core.DetectCollaborations(w.Store) })
+// detecting it on first call and serving the one list afterwards.
+func (w *Workload) Collabs() memo.View[*core.Collaboration] {
+	return memo.ViewOf(w.collabs.Get(func() []*core.Collaboration { return core.DetectCollaborations(w.Store) }))
 }
 
 // Chains returns the workload's multistage-attack summary (Figs 17-18),

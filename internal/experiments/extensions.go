@@ -20,13 +20,13 @@ import (
 // against their calibration targets with two-sample KS and Wasserstein
 // statistics — a self-test of the substitution argument in DESIGN.md.
 func (w *Workload) ExtCalibration() (*Result, error) {
-	durs, _, _ := w.Durations()
-	if len(durs) == 0 {
+	durs := w.durSeries().CDF()
+	if durs.N() == 0 {
 		return nil, fmt.Errorf("no durations")
 	}
 	// Reference: the §III-C lognormal law (median 1,766 s, sigma 1.9),
 	// deterministically quantile-sampled like the Fig 7 baseline.
-	ref := lognormalQuantiles(len(durs), 1766, 1.9)
+	ref := stats.NewECDF(lognormalQuantiles(durs.N(), 1766, 1.9))
 	ks, err := stats.KolmogorovSmirnov(durs, ref)
 	if err != nil {
 		return nil, err

@@ -17,13 +17,13 @@ import (
 // Figure1 regenerates the attack-type popularity chart.
 func (w *Workload) Figure1() (*Result, error) {
 	rows := w.Protocols()
-	if len(rows) == 0 {
+	if rows.Len() == 0 {
 		return nil, fmt.Errorf("no attacks in workload")
 	}
-	labels := make([]string, len(rows))
-	values := make([]float64, len(rows))
+	labels := make([]string, rows.Len())
+	values := make([]float64, rows.Len())
 	total := 0.0
-	for i, r := range rows {
+	for i, r := range rows.All() {
 		labels[i] = r.Category.String()
 		values[i] = float64(r.Count)
 		total += values[i]
@@ -37,7 +37,7 @@ func (w *Workload) Figure1() (*Result, error) {
 	// attacks use connection-oriented transports (48,491/50,704).
 	res.AddPaperMetric("HTTP share", values[0]/total, 0.941)
 	oriented := 0.0
-	for i, r := range rows {
+	for i, r := range rows.All() {
 		if r.Category.ConnectionOriented() {
 			oriented += values[i]
 		}
@@ -83,26 +83,26 @@ func (w *Workload) Figure2() (*Result, error) {
 
 // Figure3 regenerates the all-vs-family interval CDF comparison.
 func (w *Workload) Figure3() (*Result, error) {
-	all, st, err := w.AllIntervals()
-	if err != nil {
-		return nil, err
+	all := w.allGapSeries()
+	if all.err != nil {
+		return nil, all.err
 	}
 	names := []string{"all attacks"}
-	cdfs := []*stats.ECDF{core.IntervalCDF(all)}
+	cdfs := []*stats.ECDF{all.CDF()}
 	famGaps := w.activeFamilyGaps()
 	famStats, err := core.AnalyzeIntervals(famGaps)
 	if err != nil {
 		return nil, err
 	}
 	names = append(names, "family-based")
-	cdfs = append(cdfs, core.IntervalCDF(famGaps))
+	cdfs = append(cdfs, stats.NewECDF(famGaps))
 
 	var b strings.Builder
 	b.WriteString(report.MultiCDFLandmarks("Figure 3 — attack interval CDF (seconds)",
 		names, cdfs, []float64{60, 1081}))
 	b.WriteString(report.CDFChart("family-based interval CDF", cdfs[1], 64, 12))
 	res := &Result{ID: "Figure 3", Title: "Attack interval CDF", Text: b.String()}
-	res.AddPaperMetric("all-attacks concurrent share", st.SimultaneousFrac, 0.55)
+	res.AddPaperMetric("all-attacks concurrent share", all.st.SimultaneousFrac, 0.55)
 	res.AddPaperMetric("family-based concurrent share", famStats.SimultaneousFrac, 0.50)
 	// Scaled workloads stretch gaps linearly (same window, fewer attacks);
 	// compare against the paper's 1,081 s P80 rescaled accordingly.
@@ -116,8 +116,7 @@ func (w *Workload) Figure3() (*Result, error) {
 func (w *Workload) activeFamilyGaps() []float64 {
 	var out []float64
 	for _, f := range dataset.ActiveFamilies {
-		gaps, _, _ := w.FamilyIntervals(f)
-		out = append(out, gaps...)
+		out = append(out, w.famGapSeries(f).xs...)
 	}
 	return out
 }
@@ -164,12 +163,12 @@ func (w *Workload) Figure5() (*Result, error) {
 	)
 	res := &Result{ID: "Figure 5", Title: "Per-family interval CDF"}
 	for _, f := range dataset.ActiveFamilies {
-		gaps, _, _ := w.FamilyIntervals(f)
-		if len(gaps) == 0 {
+		gaps := w.famGapSeries(f)
+		if len(gaps.xs) == 0 {
 			continue
 		}
 		names = append(names, string(f))
-		cdfs = append(cdfs, core.IntervalCDF(gaps))
+		cdfs = append(cdfs, gaps.CDF())
 	}
 	if len(cdfs) == 0 {
 		return nil, fmt.Errorf("no family intervals")
@@ -193,35 +192,36 @@ func (w *Workload) Figure5() (*Result, error) {
 
 // Figure6 regenerates the duration-over-time panel.
 func (w *Workload) Figure6() (*Result, error) {
-	durs, st, err := w.Durations()
-	if len(durs) == 0 {
+	durs := w.durSeries()
+	if len(durs.xs) == 0 {
 		return nil, fmt.Errorf("no durations")
 	}
-	if err != nil {
-		return nil, err
+	if durs.err != nil {
+		return nil, durs.err
 	}
 	res := &Result{
 		ID:    "Figure 6",
 		Title: "Attack durations over time",
-		Text:  report.SeriesPanel("Figure 6 — attack durations over time (seconds)", durs, 72),
+		Text:  report.SeriesPanel("Figure 6 — attack durations over time (seconds)", durs.xs, 72),
 	}
-	res.AddPaperMetric("mean duration (s)", st.Mean, 10308)
-	res.AddPaperMetric("median duration (s)", st.Median, 1766)
-	res.AddPaperMetric("std duration (s)", st.StdDev, 18475)
+	res.AddPaperMetric("mean duration (s)", durs.st.Mean, 10308)
+	res.AddPaperMetric("median duration (s)", durs.st.Median, 1766)
+	res.AddPaperMetric("std duration (s)", durs.st.StdDev, 18475)
 	return res, nil
 }
 
 // Figure7 regenerates the duration CDF with the Mao et al. baseline.
 func (w *Workload) Figure7() (*Result, error) {
-	durs, st, err := w.Durations()
-	if len(durs) == 0 {
+	durs := w.durSeries()
+	if len(durs.xs) == 0 {
 		return nil, fmt.Errorf("no durations")
 	}
-	if err != nil {
-		return nil, err
+	if durs.err != nil {
+		return nil, durs.err
 	}
-	ours := core.DurationCDF(durs)
-	base := core.DurationCDF(core.BaselineDurations(0))
+	st := durs.st
+	ours := durs.CDF()
+	base := stats.NewECDF(core.BaselineDurations(0))
 	var b strings.Builder
 	b.WriteString(report.MultiCDFLandmarks("Figure 7 — duration distribution CDF (seconds)",
 		[]string{"botscope workload", "single-ISP baseline [24]"},
@@ -461,7 +461,7 @@ func (w *Workload) Figure14() (*Result, error) {
 func (w *Workload) Figure15() (*Result, error) {
 	st := core.AnalyzeCollaborationsFrom(w.Collabs())
 	var events []*core.Collaboration
-	for _, c := range st.Collaborations {
+	for _, c := range st.Collaborations.All() {
 		if c.Intra() && c.Families[0] == dataset.Dirtjumper {
 			events = append(events, c)
 		}

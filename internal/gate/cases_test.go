@@ -197,75 +197,6 @@ func goodDraws(rng *rand.Rand, keys []string, weights map[string]float64) float6
 
 func allowedException() time.Time { return time.Now() } //botvet:ignore nodeterm fixture exercises the ignore directive
 `}},
-		{name: "sharedslice/basic", files: map[string]string{"example.com/a/a.go": `package a
-
-import "sort"
-
-type Index struct {
-	families []string
-	counts   []int
-}
-
-//botscope:shared
-func (ix *Index) Families() []string { return ix.families }
-
-//botscope:shared
-func (ix *Index) Counts() []int { return ix.counts }
-
-//botscope:shared
-func Shared() []int { return sharedData }
-
-var sharedData = []int{3, 1, 2}
-
-// Fresh returns a private copy; it is not annotated.
-func Fresh() []int { return append([]int(nil), sharedData...) }
-
-func badIndexWrite(ix *Index) {
-	fams := ix.Families()
-	fams[0] = "zeus"                                                // want "write into shared slice fams"
-	sort.Slice(ix.Families(), func(i, j int) bool { return false }) // want "sort.Slice reorders shared slice Families\(\)"
-}
-
-func badVar() {
-	v := Shared()
-	v[0]++               // want "write into shared slice v"
-	sort.Ints(v)         // want "sort.Ints reorders shared slice v"
-	copy(v, []int{9, 9}) // want "copy into shared slice v"
-	head := Shared()[:2]
-	head[1] = 5 // want "write into shared slice head"
-}
-
-func badAppend(ix *Index) []int {
-	c := ix.Counts()
-	c = append(c, 7) // want "append to shared slice c"
-	return c
-}
-
-func goodCloneThenSort() {
-	v := append([]int(nil), Shared()...)
-	sort.Ints(v)
-	v[0] = 9
-}
-
-func goodRebind() {
-	v := Shared()
-	v = Fresh()
-	v[0] = 1
-}
-
-func goodReadOnly(ix *Index) int {
-	total := len(ix.Families()[0])
-	for _, c := range ix.Counts() {
-		total += c
-	}
-	return total
-}
-
-func allowedException() {
-	v := Shared()
-	v[0] = 1 //botvet:ignore sharedslice fixture exercises the ignore directive
-}
-`}},
 		{name: "sharedslice/rlock", files: map[string]string{"example.com/basic/a.go": `package basic
 
 import "sync"
@@ -327,28 +258,6 @@ func (r *reg) Allowed() []int {
 	//botvet:ignore sharedslice fixture exercises the ignore directive
 	return r.list
 }
-`}},
-		// The producer's directive reaches a caller in another package.
-		{name: "sharedslice/xpkg", files: map[string]string{"example.com/store/store.go": `package store
-
-type Store struct{ rows []int }
-
-//botscope:shared
-func (s *Store) Rows() []int { return s.rows }
-`, "example.com/use/use.go": `package use
-
-import (
-	"slices"
-
-	"example.com/store"
-)
-
-func bad(s *store.Store) {
-	rows := s.Rows()
-	slices.Sort(rows) // want "slices.Sort reorders shared slice rows"
-}
-
-func good(s *store.Store) []int { return slices.Sorted(slices.Values(s.Rows())) }
 `}},
 		{name: "wireframe/basic", files: map[string]string{"fix/fix.go": `package fix
 

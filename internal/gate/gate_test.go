@@ -3,9 +3,8 @@
 // ./internal/gate/` (and so by `go test ./...`). The module is loaded with
 // the standard library alone — go/build picks each package's non-test
 // files, go/parser parses them and go/types checks them into one shared
-// types.Info — so a rule that spans packages (a //botscope:shared
-// producer called elsewhere, a //botvet:wire enum switched on elsewhere)
-// reads the declaring package directly.
+// types.Info — so a rule that spans packages (a //botvet:wire enum
+// switched on elsewhere) reads the declaring package directly.
 //
 // Two report-time rules hold for every rule: a finding in a _test.go file
 // is dropped (tests pin exact floats and read the clock on purpose), and
@@ -64,12 +63,11 @@ type finding struct {
 // program is a set of packages checked into one types.Info, with the
 // directive-marked declarations of all of them.
 type program struct {
-	info   *types.Info
-	units  []unit                   // dependency order
-	shared map[types.Object]bool    // functions whose doc carries //botscope:shared
-	wire   map[*types.TypeName]bool // types whose declaration carries //botvet:wire
-	src    map[string][]*ast.File   // parsed packages by import path
-	pkgs   map[string]*types.Package
+	info  *types.Info
+	units []unit                   // dependency order
+	wire  map[*types.TypeName]bool // types whose declaration carries //botvet:wire
+	src   map[string][]*ast.File   // parsed packages by import path
+	pkgs  map[string]*types.Package
 }
 
 type unit struct {
@@ -151,10 +149,9 @@ func newProgram(src map[string][]*ast.File) (*program, error) {
 			Uses:       map[*ast.Ident]types.Object{},
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		},
-		shared: map[types.Object]bool{},
-		wire:   map[*types.TypeName]bool{},
-		src:    src,
-		pkgs:   map[string]*types.Package{},
+		wire: map[*types.TypeName]bool{},
+		src:  src,
+		pkgs: map[string]*types.Package{},
 	}
 	for _, path := range slices.Sorted(maps.Keys(src)) {
 		if _, err := prog.Import(path); err != nil {
@@ -164,16 +161,13 @@ func newProgram(src map[string][]*ast.File) (*program, error) {
 	for _, u := range prog.units {
 		for _, f := range u.files {
 			for _, decl := range f.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					if hasDirective(d.Doc, "botscope:shared") {
-						prog.shared[prog.info.Defs[d.Name]] = true
-					}
-				case *ast.GenDecl:
-					for _, spec := range d.Specs {
-						if ts, ok := spec.(*ast.TypeSpec); ok && (hasDirective(d.Doc, "botvet:wire") || hasDirective(ts.Doc, "botvet:wire")) {
-							prog.wire[prog.info.Defs[ts.Name].(*types.TypeName)] = true
-						}
+				d, ok := decl.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok && (hasDirective(d.Doc, "botvet:wire") || hasDirective(ts.Doc, "botvet:wire")) {
+						prog.wire[prog.info.Defs[ts.Name].(*types.TypeName)] = true
 					}
 				}
 			}
@@ -266,7 +260,7 @@ func parseIgnore(text string) (name string, reason, ok bool) {
 }
 
 // hasDirective reports whether a doc comment group carries the comment
-// directive exactly ("//botscope:shared": no space after the slashes).
+// directive exactly ("//botvet:wire": no space after the slashes).
 func hasDirective(doc *ast.CommentGroup, directive string) bool {
 	return doc != nil && slices.ContainsFunc(doc.List, func(c *ast.Comment) bool {
 		return strings.TrimSpace(strings.TrimPrefix(c.Text, "//")) == directive
@@ -280,8 +274,8 @@ func TestRepo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(prog.shared) == 0 || len(prog.wire) == 0 {
-		t.Fatalf("loaded %d packages with %d shared producers and %d wire enums; the directives were not found", len(prog.units), len(prog.shared), len(prog.wire))
+	if len(prog.wire) == 0 {
+		t.Fatalf("loaded %d packages with no wire enum; the //botvet:wire directives were not found", len(prog.units))
 	}
 	for _, d := range check(prog, rules) {
 		t.Errorf("%s: %s: %s", fset.Position(d.pos), d.rule, d.text)

@@ -220,21 +220,17 @@ func appendTarget(info *types.Info, as *ast.AssignStmt) types.Object {
 	return selectorBase(info, as.Lhs[0])
 }
 
-// sharedslice guards the two ways one backing store reaches several
-// goroutines. A //botscope:shared producer hands every caller the same
-// array, so in any package a value bound to its result (or a re-slice)
-// may not be written, appended, copied or cleared into, or reordered in
-// place; rebinding it (the clone append([]T(nil), v...)) ends the
-// tracking. And an exported method holding only its receiver's RLock may
-// not let a map or slice field escape by reference; reading through it
-// (index, range, len, an append or copy source, a method call) is fine.
+// sharedslice keeps an exported method holding only its receiver's
+// RLock from letting a map or slice field escape by reference; reading
+// through it (index, range, len, an append or copy source, a method call)
+// is fine. (A build-once product cannot be written through at all: it
+// leaves its producer as a memo.View.)
 func sharedslice(p *pass) {
 	p.inspect(func(n ast.Node) bool {
 		decl, ok := n.(*ast.FuncDecl)
 		if !ok || decl.Body == nil {
 			return true
 		}
-		checkSharedBody(p, decl.Body)
 		if decl.Recv == nil || len(decl.Recv.List[0].Names) == 0 || !decl.Name.IsExported() {
 			return false
 		}
@@ -245,115 +241,6 @@ func sharedslice(p *pass) {
 		}
 		return false
 	})
-}
-
-// checkSharedBody tracks shared-slice bindings through one function body
-// in source order and reports mutations through them.
-func checkSharedBody(p *pass, body *ast.BlockStmt) {
-	shared := map[types.Object]bool{}
-	var isShared func(e ast.Expr) bool
-	isShared = func(e ast.Expr) bool {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.CallExpr:
-			return p.shared[calleeFunc(p.info, x)]
-		case *ast.Ident:
-			return shared[p.info.ObjectOf(x)]
-		case *ast.SliceExpr:
-			return isShared(x.X)
-		}
-		return false
-	}
-	writeInto := func(e ast.Expr) {
-		if idx, ok := ast.Unparen(e).(*ast.IndexExpr); ok && isShared(idx.X) {
-			p.report(e.Pos(), "write into shared slice %s returned by a //botscope:shared accessor; clone it first", exprName(idx.X))
-		}
-	}
-	// checked marks the calls examined at their enclosing assignment,
-	// before it rebinds what they mutate, so the walk does not repeat them.
-	checked := map[*ast.CallExpr]bool{}
-	visit := func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && !checked[call] {
-			checked[call] = true
-			checkSharedCall(p, call, isShared)
-		}
-		return true
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.AssignStmt:
-			// Mutations first, while the old bindings are live (v =
-			// append(v, ...) must see v as shared); then rebind.
-			for _, lhs := range x.Lhs {
-				writeInto(lhs)
-			}
-			for _, rhs := range x.Rhs {
-				ast.Inspect(rhs, visit)
-			}
-			if len(x.Lhs) != len(x.Rhs) {
-				break
-			}
-			for i, lhs := range x.Lhs {
-				if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name != "_" {
-					if obj := p.info.ObjectOf(id); obj != nil && isShared(x.Rhs[i]) {
-						shared[obj] = true
-					} else {
-						delete(shared, obj)
-					}
-				}
-			}
-		case *ast.IncDecStmt:
-			writeInto(x.X)
-		case *ast.CallExpr:
-			visit(x)
-		}
-		return true
-	})
-}
-
-// checkSharedCall reports a call that mutates a shared first argument in
-// place: append, copy or clear into it, or a standard-library sort or
-// reorder.
-func checkSharedCall(p *pass, call *ast.CallExpr, isShared func(ast.Expr) bool) {
-	if len(call.Args) == 0 || !isShared(call.Args[0]) {
-		return
-	}
-	name := exprName(call.Args[0])
-	switch b := builtinName(p.info, call); b {
-	case "append":
-		p.report(call.Pos(), "append to shared slice %s may write the Once-cached backing array; clone with append([]T(nil), s...) first", name)
-	case "copy", "clear":
-		p.report(call.Pos(), "%s into shared slice %s mutates the Once-cached backing array", b, name)
-	}
-	fn := calleeFunc(p.info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return
-	}
-	var mutators []string
-	switch fn.Pkg().Path() {
-	case "sort":
-		mutators = []string{"Slice", "SliceStable", "Sort", "Stable", "Strings", "Ints", "Float64s", "Reverse"}
-	case "slices":
-		mutators = []string{"Sort", "SortFunc", "SortStableFunc", "Reverse", "Delete", "Insert", "Compact", "CompactFunc"}
-	}
-	if slices.Contains(mutators, fn.Name()) {
-		p.report(call.Pos(), "%s.%s reorders shared slice %s in place; clone it before sorting", fn.Pkg().Name(), fn.Name(), name)
-	}
-}
-
-// exprName renders a compact name for a finding: the identifier, the
-// called function's name, or "slice".
-func exprName(e ast.Expr) string {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		return x.Sel.Name
-	case *ast.CallExpr:
-		return exprName(x.Fun) + "()"
-	case *ast.SliceExpr:
-		return exprName(x.X)
-	}
-	return "slice"
 }
 
 // lockCalls reports whether the body calls RLock (and whether Lock) on a

@@ -1,10 +1,12 @@
 // Package memo holds the two shapes a value computed by whoever needs it
-// first and read without a lock ever after takes. Slot is the lock-free
-// publish cell that may be republished (the stream analyzer's
-// per-generation snapshot, the frontend's merged snapshot); Lazy is the
-// build-once holder of every per-store derived product (dataset's indexes
-// and records, core's per-family dispersion series, the workload's §V
-// event lists).
+// first and read without a lock ever after takes, and the read-only face
+// a shared slice is handed out through. Slot is the lock-free publish
+// cell that may be republished (the stream analyzer's per-generation
+// snapshot, the frontend's merged snapshot); Lazy is the build-once
+// holder of every per-store derived product (dataset's indexes and
+// records, core's per-family dispersion series, the workload's §V event
+// lists); View is how a product's slice leaves its producer — Len, At,
+// All and Clone, and nothing that writes.
 package memo
 
 import (
@@ -31,8 +33,8 @@ func (s *Slot[T]) CompareAndSwap(old, new *T) bool { return s.p.CompareAndSwap(o
 
 // Lazy is a derived product built by whoever asks first and shared by
 // everyone after: Get runs build at most once, concurrent callers wait
-// for it, and every caller gets the one value it returned — so a slice or
-// map that comes out of a Lazy is shared and read-only by contract. The
+// for it, and every caller gets the one value it returned — so a slice it
+// holds leaves the producer as a View. The
 // zero Lazy is empty and ready to use; a Lazy must not be copied after
 // first use.
 type Lazy[T any] struct {

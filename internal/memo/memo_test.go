@@ -69,6 +69,30 @@ func TestLazyMethodSet(t *testing.T) {
 	}
 }
 
+// TestViewMethodSet: a View can be counted, read, iterated and copied
+// out, and nothing else — no method and no exported field hands back the
+// slice a producer shares — and a copy is the caller's own.
+func TestViewMethodSet(t *testing.T) {
+	typ := reflect.TypeOf((*View[int])(nil))
+	var got []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		got = append(got, typ.Method(i).Name)
+	}
+	if want := []string{"All", "At", "Clone", "Len"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("*View[T] method set = %v, want exactly %v", got, want)
+	}
+	for i := 0; i < typ.Elem().NumField(); i++ {
+		if f := typ.Elem().Field(i); f.IsExported() {
+			t.Errorf("View field %s is exported; the slice must be reachable through the four methods only", f.Name)
+		}
+	}
+	v := ViewOf([]int{1, 2, 3})
+	v.Clone()[0] = 9
+	if v.At(0) != 1 || v.Len() != 3 {
+		t.Fatalf("a write into Clone() reached the View: At(0) = %d, Len %d", v.At(0), v.Len())
+	}
+}
+
 // TestLazyBuildsOnce races 64 first callers (run under -race by make
 // verify-race): build runs once and everyone gets the value it returned.
 func TestLazyBuildsOnce(t *testing.T) {

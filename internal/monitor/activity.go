@@ -33,13 +33,13 @@ type BotnetActivity struct {
 // family launched nothing.
 func (c *Collector) BotnetActivities(family dataset.Family) ([]BotnetActivity, error) {
 	rows := c.store.RowsByFamily(family)
-	if len(rows) == 0 {
+	if rows.Len() == 0 {
 		return nil, fmt.Errorf("monitor: family %s has no attacks", family)
 	}
 	acc := make(map[dataset.BotnetID]*BotnetActivity)
 	targets := make(map[dataset.BotnetID]map[string]bool)
-	for _, row := range rows {
-		v := c.store.AttackAt(int(row))
+	for i := 0; i < rows.Len(); i++ {
+		v := c.store.AttackAt(int(rows.At(i)))
 		id := v.BotnetID()
 		start := v.Start()
 		act := acc[id]

@@ -52,7 +52,7 @@ func (c *Collector) HourlyReports(family dataset.Family) ([]HourlyReport, error)
 		return nil, fmt.Errorf("monitor: empty workload")
 	}
 	rows := c.store.RowsByFamily(family)
-	if len(rows) == 0 {
+	if rows.Len() == 0 {
 		return nil, fmt.Errorf("monitor: family %s has no attacks", family)
 	}
 
@@ -72,11 +72,12 @@ func (c *Collector) HourlyReports(family dataset.Family) ([]HourlyReport, error)
 	count := make([]int32, cols.NumStrings())
 	seen := make([]bool, cols.NumStrings())
 	var touched, live []int32
-	for _, row := range rows {
-		v := c.store.AttackAt(int(row))
-		span := ix.RefsRow(int(row))
-		for _, id := range span {
-			cid := ix.CountryID(id)
+	for i := 0; i < rows.Len(); i++ {
+		row := int(rows.At(i))
+		v := c.store.AttackAt(row)
+		span := ix.RefsRow(row)
+		for k := 0; k < span.Len(); k++ {
+			cid := ix.CountryID(span.At(k))
 			if cid < 0 {
 				continue
 			}
@@ -87,8 +88,8 @@ func (c *Collector) HourlyReports(family dataset.Family) ([]HourlyReport, error)
 		}
 		add := &deltas[stepIdx(v.Start())]
 		sub := &deltas[stepIdx(v.End().Add(c.Lookback))]
-		add.refs += len(span)
-		sub.refs -= len(span)
+		add.refs += span.Len()
+		sub.refs -= span.Len()
 		for _, cid := range touched {
 			add.countries = append(add.countries, countryCount{cid, count[cid]})
 			sub.countries = append(sub.countries, countryCount{cid, -count[cid]})
@@ -190,7 +191,7 @@ func (w WeekStats) NewShift() int {
 // written once, at flush, from the ids the week touched.
 func (c *Collector) WeeklySources(family dataset.Family) ([]WeekStats, error) {
 	rows := c.store.RowsByFamily(family)
-	if len(rows) == 0 {
+	if rows.Len() == 0 {
 		return nil, fmt.Errorf("monitor: family %s has no attacks", family)
 	}
 	first, _, _ := c.store.TimeBounds()
@@ -225,13 +226,16 @@ func (c *Collector) WeeklySources(family dataset.Family) ([]WeekStats, error) {
 		sort.Strings(fresh)
 		out = append(out, WeekStats{Week: curWeek, BotsByCountry: byCountry, NewCountries: fresh})
 	}
-	for _, row := range rows {
-		w := weekOf(c.store.AttackAt(int(row)).Start())
+	for i := 0; i < rows.Len(); i++ {
+		row := int(rows.At(i))
+		w := weekOf(c.store.AttackAt(row).Start())
 		if w != curWeek {
 			flush()
 			curWeek = w
 		}
-		for _, id := range ix.RefsRow(int(row)) {
+		span := ix.RefsRow(row)
+		for k := 0; k < span.Len(); k++ {
+			id := span.At(k)
 			if stamp[id] == int32(w+1) {
 				continue
 			}

@@ -197,12 +197,12 @@ func referenceWeeklySources(s *dataset.Store, family dataset.Family) []WeekStats
 		bots map[int32]bool
 	}
 	var weeks []weekBots
-	for _, row := range s.RowsByFamily(family) {
+	for _, row := range s.RowsByFamily(family).All() {
 		w := int(s.AttackAt(int(row)).Start().Sub(first).Hours() / (24 * 7))
 		if len(weeks) == 0 || weeks[len(weeks)-1].week != w {
 			weeks = append(weeks, weekBots{w, map[int32]bool{}})
 		}
-		for _, id := range ix.RefsRow(int(row)) {
+		for _, id := range ix.RefsRow(int(row)).All() {
 			weeks[len(weeks)-1].bots[id] = true
 		}
 	}
@@ -254,11 +254,11 @@ func referenceHourlyReports(c *Collector, family dataset.Family) []HourlyReport 
 		}
 	}
 	ix := s.BotDense()
-	for _, row := range s.RowsByFamily(family) {
+	for _, row := range s.RowsByFamily(family).All() {
 		v := s.AttackAt(int(row))
 		countries := map[string]int{}
 		refs := 0
-		for _, id := range ix.RefsRow(int(row)) {
+		for _, id := range ix.RefsRow(int(row)).All() {
 			refs++
 			if cc, ok := countryOf(ix, id); ok {
 				countries[cc]++
@@ -344,7 +344,7 @@ func TestKernelsMatchReference(t *testing.T) {
 	}
 	for name, s := range map[string]*dataset.Store{"synth": synthStore, "unresolved": unresolvedStore(t)} {
 		c := NewCollector(s)
-		for _, f := range s.Families() {
+		for _, f := range s.Families().All() {
 			weeks, err := c.WeeklySources(f)
 			if err != nil {
 				t.Fatal(err)

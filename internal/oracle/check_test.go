@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"botscope/internal/core"
@@ -292,7 +294,8 @@ func TestOracleMicro(t *testing.T) {
 
 // TestOracleAgreesOnGeneratedStore holds the Workload's products to the
 // oracle on a small generated workload: every family's intervals, the
-// durations and every day, the last from the live analyzer too.
+// durations and every day, the last from the live analyzer too, and the
+// §V collaborations and chains.
 func TestOracleAgreesOnGeneratedStore(t *testing.T) {
 	store, err := synth.GenerateStore(synth.Config{Seed: 3, Scale: 0.01})
 	if err != nil {
@@ -303,7 +306,7 @@ func TestOracleAgreesOnGeneratedStore(t *testing.T) {
 
 	_, st, err := w.AllIntervals()
 	checkGaps(t, "all intervals", kernelGaps(st, err), oracleGaps(recs, ""))
-	for _, f := range append(store.Families(), "no-such-family") {
+	for _, f := range append(store.Families().Clone(), "no-such-family") {
 		_, st, err := w.FamilyIntervals(f)
 		checkGaps(t, string(f)+" intervals", kernelGaps(st, err), oracleGaps(recs, f))
 	}
@@ -321,6 +324,106 @@ func TestOracleAgreesOnGeneratedStore(t *testing.T) {
 	want := micro{days: ds, peak: peak(ds), average: average(recs)}
 	checkDaily(t, "daily", daily, want)
 	checkDaily(t, "stream.Analyzer daily", streamDaily(t, recs), want)
+	checkSectionV(t, recs, store)
+}
+
+// sectionV is a §V micro workload under testdata/micro with its
+// collaborations and chains worked out by hand from the records.
+var sectionV = []struct {
+	file            string
+	collabs, chains []event
+}{
+	{
+		// On .10 three botnets launch within 40 s, but only the first two
+		// attacks last within 30 min of each other (60 and 70 min; the
+		// third runs 3 h): the collaboration is theirs, across two
+		// families. Optima launches 60 s after the window's first attack:
+		// outside it, and alone in the next. On .11 two dirtjumper botnets
+		// collaborate; on .12 one pandora botnet attacks twice, which is
+		// no collaboration. On .13 two optima attacks of 3 h and two
+		// blackenergy ones of 1 h fit the band equally; the shorter-lasting
+		// pair is the collaboration. No strike starts within 60 s of
+		// another's end.
+		file: "three_botnet_band.jsonl",
+		collabs: []event{
+			{target: "192.0.2.10", ids: []dataset.DDoSID{1, 2}, families: []dataset.Family{dataset.Dirtjumper, dataset.Pandora}, botnets: 2},
+			{target: "192.0.2.11", ids: []dataset.DDoSID{5, 6}, families: []dataset.Family{dataset.Dirtjumper}, botnets: 2},
+			{target: "192.0.2.13", ids: []dataset.DDoSID{11, 12}, families: []dataset.Family{dataset.Blackenergy}, botnets: 2},
+		},
+	},
+	{
+		// ddoser's third strike on .20 starts 90 s after the second ends
+		// and breaks the run in two; the fifth starts exactly 60 s after
+		// the fourth ends and the sixth 30 s before the fifth ends, and
+		// both still chain. Pandora chains twice on .21. One botnet per
+		// target: no collaboration.
+		file: "late_start_chain.jsonl",
+		chains: []event{
+			{target: "192.0.2.20", ids: []dataset.DDoSID{1, 2}, gaps: []float64{30}},
+			{target: "192.0.2.20", ids: []dataset.DDoSID{3, 4, 5, 6}, gaps: []float64{10, 60, -30}},
+			{target: "192.0.2.21", ids: []dataset.DDoSID{7, 8}, gaps: []float64{20}},
+		},
+	},
+}
+
+// TestOracleSectionVMicro holds the §V oracle to the hand-worked answers,
+// then the kernels to the oracle, on each §V micro workload.
+func TestOracleSectionVMicro(t *testing.T) {
+	for _, m := range sectionV {
+		t.Run(m.file, func(t *testing.T) {
+			recs, store := loadMicro(t, m.file)
+			if got := collaborations(recs); !slices.Equal(keys(got), keys(m.collabs)) {
+				t.Errorf("oracle collaborations: %+v, want %+v", got, m.collabs)
+			}
+			if got := chains(recs); !slices.Equal(keys(got), keys(m.chains)) {
+				t.Errorf("oracle chains: %+v, want %+v", got, m.chains)
+			}
+			checkSectionV(t, recs, store)
+		})
+	}
+}
+
+func idsOf(attacks []*dataset.Attack) (ids []dataset.DDoSID) {
+	for _, a := range attacks {
+		ids = append(ids, a.ID)
+	}
+	return ids
+}
+
+// checkSectionV holds the kernels' §V answers to the oracle's: the
+// detected collaborations, Table VI over the Workload's held list, and
+// the chains with Fig 17's gap shares and the longest chain's length.
+func checkSectionV(t *testing.T, recs []*dataset.Attack, store *dataset.Store) {
+	t.Helper()
+	want, wantChains := collaborations(recs), chains(recs)
+	var got, gotChains []event
+	for _, c := range core.DetectCollaborations(store) {
+		e := event{target: c.Target, ids: idsOf(c.Attacks), families: c.Families, botnets: c.Botnets()}
+		slices.Sort(e.ids)
+		got = append(got, e)
+	}
+	cs := core.AnalyzeChains(store)
+	for _, c := range cs.Chains {
+		gotChains = append(gotChains, event{target: c.Target, ids: idsOf(c.Attacks), gaps: c.Gaps})
+	}
+	if !slices.Equal(keys(got), keys(want)) || !slices.Equal(keys(gotChains), keys(wantChains)) {
+		t.Errorf("kernels: collaborations %+v, chains %+v; oracle: %+v, %+v", got, gotChains, want, wantChains)
+	}
+
+	st := core.AnalyzeCollaborationsFrom(experiments.FromStore(store, 1).Collabs())
+	if table := tableVI(want); !reflect.DeepEqual(st.CollabCounts, table) {
+		t.Errorf("Table VI: %+v, oracle %+v", st.CollabCounts, table)
+	}
+
+	var gaps []float64
+	longest := 0
+	for _, c := range wantChains {
+		gaps, longest = append(gaps, c.gaps...), max(longest, len(c.ids))
+	}
+	if len(gaps) > 0 && (!agree(cs.FracWithin10s, shareAtMost(gaps, 10)) || !agree(cs.FracWithin30s, shareAtMost(gaps, 30)) || cs.Longest.Length() != longest) {
+		t.Errorf("chain stats: within 10 s %v, 30 s %v, longest %d; oracle %v, %v, %d",
+			cs.FracWithin10s, cs.FracWithin30s, cs.Longest.Length(), shareAtMost(gaps, 10), shareAtMost(gaps, 30), longest)
+	}
 }
 
 func getJSON(t *testing.T, srv http.Handler, path string, status int, out any) {

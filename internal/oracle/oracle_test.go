@@ -8,13 +8,20 @@
 // It covers what the Workload holds for §III: the inter-attack intervals
 // (all attacks and per family) with their simultaneous and exact-zero
 // shares, the duration shares and median, and the per-day counts with the
-// peak day's dominant family.
+// peak day's dominant family. For §V it covers the collaborations with
+// their Table VI counts, and the multistage chains with Fig 17's gap
+// shares.
 package oracle
 
 import (
+	"fmt"
+	"maps"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
+	"botscope/internal/core"
 	"botscope/internal/dataset"
 )
 
@@ -170,4 +177,131 @@ func average(attacks []*dataset.Attack) float64 {
 	last, _ := time.Parse("2006-01-02", ds[len(ds)-1].date)
 	span := int(last.Sub(first).Hours()/24) + 1
 	return float64(len(attacks)) / float64(span)
+}
+
+// §V's criteria, in seconds: collaborating attacks on one target launch
+// less than 60 s apart and last within 30 min of each other; a chain's
+// next strike starts within 60 s of the previous one's end, before or
+// after it.
+const collabStart, collabDuration, chainMargin = 60.0, 1800.0, 60.0
+
+// perTarget returns each target's attacks in launch order.
+func perTarget(attacks []*dataset.Attack) map[string][]*dataset.Attack {
+	out := map[string][]*dataset.Attack{}
+	for _, a := range chronological(attacks) {
+		out[a.TargetIP.String()] = append(out[a.TargetIP.String()], a)
+	}
+	return out
+}
+
+// event is one collaboration or chain: its target and its attacks' ids
+// (ascending for a collaboration, in launch order for a chain); a
+// collaboration's distinct families, sorted, and botnet count; a chain's
+// seconds from each strike's end to the next one's start.
+type event struct {
+	target   string
+	ids      []dataset.DDoSID
+	families []dataset.Family
+	botnets  int
+	gaps     []float64
+}
+
+// keys renders events in one order, whatever order they were found in.
+func keys(es []event) []string {
+	out := make([]string, len(es))
+	for i, e := range es {
+		out[i] = fmt.Sprintf("%+v", e)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// collaborations finds §V's collaborative attacks. On one target a window
+// opens at the first attack not yet in one and takes every later attack
+// launched less than 60 s after it. Of the window's attacks, the most
+// whose durations lie within 30 min of each other (on a tie, the
+// shortest-lasting such set) collaborate when two or more distinct
+// botnets launched them.
+func collaborations(attacks []*dataset.Attack) []event {
+	var out []event
+	for target, list := range perTarget(attacks) {
+		for i, j := 0, 0; i < len(list); i = j {
+			for j = i + 1; j < len(list) && list[j].Start.Sub(list[i].Start).Seconds() < collabStart; j++ {
+			}
+			var band []*dataset.Attack
+			for _, lo := range list[i:j] {
+				var b []*dataset.Attack
+				for _, a := range list[i:j] {
+					if d := (a.Duration() - lo.Duration()).Seconds(); d >= 0 && d <= collabDuration {
+						b = append(b, a)
+					}
+				}
+				if len(b) > len(band) || len(b) == len(band) && lo.Duration() < band[0].Duration() {
+					band = b
+				}
+			}
+			e, botnets, fams := event{target: target}, map[dataset.BotnetID]bool{}, map[dataset.Family]bool{}
+			for _, a := range band {
+				e.ids, botnets[a.BotnetID], fams[a.Family] = append(e.ids, a.ID), true, true
+			}
+			if e.botnets = len(botnets); e.botnets >= 2 {
+				slices.Sort(e.ids)
+				e.families = slices.Sorted(maps.Keys(fams))
+				out = append(out, e)
+			}
+		}
+	}
+	return out
+}
+
+// tableVI counts collaborations as Table VI does, in the kernels' shape:
+// a one-family one under that family's intra column, any other under each
+// of its families' inter columns and once under the pair its families
+// form ("a+b", sorted); and the mean distinct botnets per collaboration.
+func tableVI(collabs []event) core.CollabCounts {
+	out := core.CollabCounts{Intra: map[dataset.Family]int{}, Inter: map[dataset.Family]int{}, PairCounts: map[string]int{}, Qualified: len(collabs)}
+	for _, c := range collabs {
+		out.BotnetTotal += c.botnets
+		if len(c.families) == 1 {
+			out.TotalIntra++
+			out.Intra[c.families[0]]++
+			continue
+		}
+		out.TotalInter++
+		for i, f := range c.families {
+			out.Inter[f]++
+			for _, g := range c.families[i+1:] {
+				out.PairCounts[string(f)+"+"+string(g)]++
+			}
+		}
+	}
+	if len(collabs) > 0 {
+		out.MeanBotnets = float64(out.BotnetTotal) / float64(len(collabs))
+	}
+	return out
+}
+
+// chains finds §V-B's multistage attacks: on one target, runs of two or
+// more attacks, each launched within 60 s of the previous one's end.
+func chains(attacks []*dataset.Attack) []event {
+	var out []event
+	for target, list := range perTarget(attacks) {
+		var e event
+		for k, a := range list {
+			if k > 0 {
+				if gap := a.Start.Sub(list[k-1].End).Seconds(); math.Abs(gap) <= chainMargin {
+					e.ids, e.gaps = append(e.ids, a.ID), append(e.gaps, gap)
+					continue
+				}
+			}
+			if len(e.ids) >= 2 {
+				out = append(out, e)
+			}
+			e = event{target: target, ids: []dataset.DDoSID{a.ID}}
+		}
+		if len(e.ids) >= 2 {
+			out = append(out, e)
+		}
+	}
+	return out
 }

@@ -146,8 +146,8 @@ func (s *Server) handleProtocols(w http.ResponseWriter, _ *http.Request) {
 		Protocol string `json:"protocol"`
 		Count    int    `json:"count"`
 	}
-	out := make([]row, len(rows))
-	for i, r := range rows {
+	out := make([]row, rows.Len())
+	for i, r := range rows.All() {
 		out[i] = row{Protocol: r.Category.String(), Count: r.Count}
 	}
 	writeJSON(w, out)
@@ -194,7 +194,7 @@ func (s *Server) handleFamilies(w http.ResponseWriter, _ *http.Request) {
 		Attacks int    `json:"attacks"`
 	}
 	var out []famRow
-	for _, fc := range s.store.FamilyCounts() {
+	for _, fc := range s.store.FamilyCounts().All() {
 		out = append(out, famRow{Family: string(fc.Family), Attacks: fc.Attacks})
 	}
 	writeJSON(w, out)
@@ -203,7 +203,7 @@ func (s *Server) handleFamilies(w http.ResponseWriter, _ *http.Request) {
 // family resolves the path's family and 404s when it launched no attacks.
 func (s *Server) family(w http.ResponseWriter, r *http.Request) (dataset.Family, bool) {
 	f := dataset.Family(r.PathValue("name"))
-	if len(s.store.RowsByFamily(f)) == 0 {
+	if s.store.RowsByFamily(f).Len() == 0 {
 		writeError(w, http.StatusNotFound, fmt.Errorf("family %q has no attacks", f))
 		return "", false
 	}

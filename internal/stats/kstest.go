@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // KSResult is the outcome of a two-sample Kolmogorov-Smirnov test.
@@ -20,19 +19,15 @@ type KSResult struct {
 // rejected at the given significance level.
 func (r KSResult) Reject(alpha float64) bool { return r.PValue < alpha }
 
-// KolmogorovSmirnov runs the two-sample KS test. botscope uses it to
-// compare generated interval/duration distributions against reference
-// shapes. It returns an error when either sample is empty.
-func KolmogorovSmirnov(a, b []float64) (KSResult, error) {
-	if len(a) == 0 || len(b) == 0 {
-		return KSResult{}, fmt.Errorf("stats: KS test needs non-empty samples, got %d and %d", len(a), len(b))
+// KolmogorovSmirnov runs the two-sample KS test on two samples' ECDFs,
+// which hold them sorted. botscope uses it to compare generated
+// interval/duration distributions against reference shapes. It returns an
+// error when either sample is empty.
+func KolmogorovSmirnov(a, b *ECDF) (KSResult, error) {
+	sa, sb := a.sorted, b.sorted
+	if len(sa) == 0 || len(sb) == 0 {
+		return KSResult{}, fmt.Errorf("stats: KS test needs non-empty samples, got %d and %d", len(sa), len(sb))
 	}
-	sa := make([]float64, len(a))
-	copy(sa, a)
-	sort.Float64s(sa)
-	sb := make([]float64, len(b))
-	copy(sb, b)
-	sort.Float64s(sb)
 
 	var (
 		d      float64
@@ -64,7 +59,7 @@ func KolmogorovSmirnov(a, b []float64) (KSResult, error) {
 
 	ne := n1 * n2 / (n1 + n2)
 	lambda := (math.Sqrt(ne) + 0.12 + 0.11/math.Sqrt(ne)) * d
-	return KSResult{Statistic: d, PValue: ksPValue(lambda), N1: len(a), N2: len(b)}, nil
+	return KSResult{Statistic: d, PValue: ksPValue(lambda), N1: len(sa), N2: len(sb)}, nil
 }
 
 // ksPValue evaluates the Kolmogorov distribution's survival function
@@ -98,16 +93,11 @@ func ksPValue(lambda float64) float64 {
 // WassersteinDistance returns the 1-Wasserstein (earth mover's) distance
 // between two empirical distributions — a magnitude-aware complement to KS
 // used in calibration reports.
-func WassersteinDistance(a, b []float64) (float64, error) {
-	if len(a) == 0 || len(b) == 0 {
-		return 0, fmt.Errorf("stats: wasserstein needs non-empty samples, got %d and %d", len(a), len(b))
+func WassersteinDistance(a, b *ECDF) (float64, error) {
+	sa, sb := a.sorted, b.sorted
+	if len(sa) == 0 || len(sb) == 0 {
+		return 0, fmt.Errorf("stats: wasserstein needs non-empty samples, got %d and %d", len(sa), len(sb))
 	}
-	sa := make([]float64, len(a))
-	copy(sa, a)
-	sort.Float64s(sa)
-	sb := make([]float64, len(b))
-	copy(sb, b)
-	sort.Float64s(sb)
 
 	// Integrate |F_a(x) - F_b(x)| dx over the merged support.
 	var (

@@ -18,7 +18,7 @@ func TestKolmogorovSmirnovSameDistribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := normalSample(rng, 800, 0, 1)
 	b := normalSample(rng, 800, 0, 1)
-	res, err := KolmogorovSmirnov(a, b)
+	res, err := KolmogorovSmirnov(NewECDF(a), NewECDF(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestKolmogorovSmirnovDifferentDistributions(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := normalSample(rng, 500, 0, 1)
 	b := normalSample(rng, 500, 1.5, 1)
-	res, err := KolmogorovSmirnov(a, b)
+	res, err := KolmogorovSmirnov(NewECDF(a), NewECDF(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestKolmogorovSmirnovDifferentDistributions(t *testing.T) {
 
 func TestKolmogorovSmirnovIdenticalSamples(t *testing.T) {
 	a := []float64{1, 2, 3, 4, 5}
-	res, err := KolmogorovSmirnov(a, a)
+	res, err := KolmogorovSmirnov(NewECDF(a), NewECDF(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestKolmogorovSmirnovIdenticalSamples(t *testing.T) {
 func TestKolmogorovSmirnovDisjointSamples(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{100, 200, 300}
-	res, err := KolmogorovSmirnov(a, b)
+	res, err := KolmogorovSmirnov(NewECDF(a), NewECDF(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,10 +73,10 @@ func TestKolmogorovSmirnovDisjointSamples(t *testing.T) {
 }
 
 func TestKolmogorovSmirnovErrors(t *testing.T) {
-	if _, err := KolmogorovSmirnov(nil, []float64{1}); err == nil {
+	if _, err := KolmogorovSmirnov(NewECDF(nil), NewECDF([]float64{1})); err == nil {
 		t.Error("empty first sample accepted")
 	}
-	if _, err := KolmogorovSmirnov([]float64{1}, nil); err == nil {
+	if _, err := KolmogorovSmirnov(NewECDF([]float64{1}), NewECDF(nil)); err == nil {
 		t.Error("empty second sample accepted")
 	}
 }
@@ -100,7 +100,7 @@ func TestKSPValueMonotone(t *testing.T) {
 
 func TestWassersteinDistance(t *testing.T) {
 	// Point masses at 0 and at 3: distance is exactly 3.
-	d, err := WassersteinDistance([]float64{0, 0, 0}, []float64{3, 3, 3})
+	d, err := WassersteinDistance(NewECDF([]float64{0, 0, 0}), NewECDF([]float64{3, 3, 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestWassersteinDistance(t *testing.T) {
 
 	// Identical samples: zero distance.
 	same := []float64{1, 5, 9}
-	d, err = WassersteinDistance(same, same)
+	d, err = WassersteinDistance(NewECDF(same), NewECDF(same))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestWassersteinDistance(t *testing.T) {
 	for i := range a {
 		b[i] = a[i] + 2.5
 	}
-	d, err = WassersteinDistance(a, b)
+	d, err = WassersteinDistance(NewECDF(a), NewECDF(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestWassersteinDistance(t *testing.T) {
 		t.Errorf("W1 of 2.5-shift = %v, want about 2.5", d)
 	}
 
-	if _, err := WassersteinDistance(nil, same); err == nil {
+	if _, err := WassersteinDistance(NewECDF(nil), NewECDF(same)); err == nil {
 		t.Error("empty sample accepted")
 	}
 }
@@ -142,11 +142,11 @@ func TestWassersteinSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := normalSample(rng, 300, 0, 2)
 	b := normalSample(rng, 400, 1, 1)
-	d1, err := WassersteinDistance(a, b)
+	d1, err := WassersteinDistance(NewECDF(a), NewECDF(b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := WassersteinDistance(b, a)
+	d2, err := WassersteinDistance(NewECDF(b), NewECDF(a))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"botscope/internal/core"
 	"botscope/internal/dataset"
+	"botscope/internal/memo"
 	"botscope/internal/synth"
 )
 
@@ -183,7 +184,7 @@ func TestParityLoad(t *testing.T) {
 func TestParityCollaborations(t *testing.T) {
 	store := parityWorkload(t)
 	snap := ingestAll(t, store).Snapshot()
-	want := core.AnalyzeCollaborationsFrom(core.DetectCollaborations(store))
+	want := core.AnalyzeCollaborationsFrom(memo.ViewOf(core.DetectCollaborations(store)))
 
 	if snap.Collaborations.TotalIntra != want.TotalIntra {
 		t.Errorf("intra collaborations = %d, want %d", snap.Collaborations.TotalIntra, want.TotalIntra)

@@ -20,7 +20,7 @@ func TestScenarioBuilderPaperFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(store.Families()); got != 2 {
+	if got := store.Families().Len(); got != 2 {
 		t.Errorf("families = %d, want 2", got)
 	}
 	if store.NumAttacks() < 200 {
@@ -83,7 +83,7 @@ func TestMiraiLikeScenario(t *testing.T) {
 	}
 	rows := func(f dataset.Family) []dataset.AttackView {
 		var out []dataset.AttackView
-		for _, row := range store.RowsByFamily(f) {
+		for _, row := range store.RowsByFamily(f).All() {
 			out = append(out, store.AttackAt(int(row)))
 		}
 		return out

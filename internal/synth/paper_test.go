@@ -126,7 +126,7 @@ func TestGenerateSmallWorkload(t *testing.T) {
 		t.Errorf("empty entity counts: %+v", sum)
 	}
 	// All ten active families present.
-	if got := len(store.Families()); got != 10 {
+	if got := store.Families().Len(); got != 10 {
 		t.Errorf("families = %d, want 10", got)
 	}
 }
@@ -169,7 +169,7 @@ func TestGenerateDeterminism(t *testing.T) {
 
 func TestGenerateDirtjumperDominates(t *testing.T) {
 	store := genSmall(t)
-	dj := len(store.RowsByFamily(dataset.Dirtjumper))
+	dj := store.RowsByFamily(dataset.Dirtjumper).Len()
 	if frac := float64(dj) / float64(store.NumAttacks()); frac < 0.5 {
 		t.Errorf("dirtjumper share = %v, want > 0.5 (paper: 68%%)", frac)
 	}

@@ -137,15 +137,15 @@ func TestStoreOriginsAgree(t *testing.T) {
 	}
 	perTarget := func(s *Store) any {
 		var rows [][]int32
-		for _, tid := range s.TargetIDs() {
-			rows = append(rows, s.TargetRows(tid))
+		for _, tid := range s.TargetIDs().All() {
+			rows = append(rows, s.TargetRows(tid).Clone())
 		}
 		return rows
 	}
 	perFamily := func(s *Store) any {
 		var rows [][]int32
-		for _, f := range s.Families() {
-			rows = append(rows, s.RowsByFamily(f))
+		for _, f := range s.Families().All() {
+			rows = append(rows, s.RowsByFamily(f).Clone())
 		}
 		return rows
 	}
@@ -173,7 +173,7 @@ func TestStoreOriginsAgree(t *testing.T) {
 			t.Errorf("%s: reloaded store answers %v, NewStore store %v", tc.name, got, want)
 		}
 	}
-	if built.NumAttacks() == 0 || built.NumBots() == 0 || len(built.Families()) < 2 {
+	if built.NumAttacks() == 0 || built.NumBots() == 0 || built.Families().Len() < 2 {
 		t.Fatal("workload too small; the agreement check is vacuous")
 	}
 	if !bytes.Equal(dataset.EncodeSnapshot(reloaded), snap) {
