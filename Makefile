@@ -85,8 +85,10 @@ bench:
 
 # bench-smoke compiles and single-shots every benchmark so they cannot
 # bit-rot; -short skips the fixed-scale (scale 1/10) kernel benchmarks.
+# internal/botnet's BenchmarkFormation (the generator's formation
+# kernels over a scale-1 Dirtjumper pool) runs too.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -short -run=^$$
+	$(GO) test -bench=. -benchtime=1x -short -run=^$$ . ./internal/botnet
 
 # bench-allocs runs the hot-kernel micro-benchmarks with -benchmem and
 # fails when any exceeds its budget in bench_thresholds.json (see

@@ -1,10 +1,12 @@
 package botnet
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"botscope/internal/dataset"
@@ -15,11 +17,13 @@ import (
 // city. Formations are drawn cluster-first so that the geolocation
 // dispersion of an attack is controllable.
 type cityCluster struct {
-	key     string // cc + "/" + city
-	cc      string
-	center  geo.LatLon
-	centerC geo.CachedPoint // center with precomputed trig, refreshed with it
-	bots    []*dataset.Bot
+	key    string // cc + "/" + city
+	cc     string
+	center geo.CenterPoint // the bots' centroid with its trig, refreshed by recruit
+	bots   []*dataset.Bot
+	// keys[i] is bots[i]'s signed distance from center, NaN until a
+	// symmetric pick first needs it; recruit resets them with the center.
+	keys []float64
 }
 
 // Pool is one family's bot population: bots grouped into city clusters,
@@ -36,13 +40,11 @@ type Pool struct {
 
 	// Per-formation scratch, reused across Formation calls. A pool emits
 	// one formation per attack — hundreds of thousands per family at full
-	// scale — so the per-call weight/candidate/key slices and the distinct-
+	// scale — so the per-call weight/position/pick slices and the distinct-
 	// sampling dedup set are owned by the pool and recycled. None of these
 	// touch the RNG stream: they replace allocations, not draws.
 	weightBuf []float64
-	keyBuf    []float64
-	idxBuf    []int
-	candBuf   []*dataset.Bot
+	posBuf    []int // sampleInto's positions within one cluster
 	pickBuf   []*dataset.Bot
 	stamp     []int64 // sampleInto dedup stamps, indexed by cluster position
 	epoch     int64
@@ -137,10 +139,13 @@ func (pool *Pool) recruit(cc string, n int) error {
 	if !found {
 		pool.countries = append(pool.countries, cc)
 	}
-	// Refresh cluster centers.
+	// Refresh cluster centers; every signed-distance key moves with them.
 	for _, c := range pool.byCountry[cc] {
-		c.center = clusterCenter(c.bots)
-		c.centerC = geo.NewCachedPoint(c.center)
+		c.center = geo.NewCenterPoint(clusterCenter(c.bots))
+		c.keys = slices.Grow(c.keys[:0], len(c.bots))[:len(c.bots)]
+		for i := range c.keys {
+			c.keys[i] = math.NaN()
+		}
 	}
 	return nil
 }
@@ -249,35 +254,31 @@ func (pool *Pool) symmetricPick(c *cityCluster, size int) []*dataset.Bot {
 	if candN > len(c.bots) {
 		candN = len(c.bots)
 	}
-	cands := pool.sampleInto(pool.candBuf[:0], c, candN)
-	pool.candBuf = cands
-	// Sort candidates by their signed distance from the cluster center,
-	// computing each key once: the old comparator re-derived two
-	// Haversines per comparison, which made the sort the dominant cost of
-	// symmetric formations. Sorting an index slice with the same
-	// comparison outcomes yields the same permutation sort.Slice produced
-	// when it moved the candidates directly.
-	keys := pool.keyBuf[:0]
-	for _, b := range cands {
-		keys = append(keys, geo.SignedDistance(c.center, geo.LatLon{Lat: b.Lat, Lon: b.Lon}))
+	cands := pool.sampleInto(pool.posBuf[:0], c, candN)
+	pool.posBuf = cands
+	// Sort candidates by their signed distance from the cluster center.
+	// A key is computed on first use and kept until the center moves.
+	// slices.SortFunc is sort.Slice's pdqsort and tests only cmp < 0,
+	// which cmp.Compare gives exactly when key < key (keys of real
+	// coordinates are never NaN), so the generated permutation holds.
+	keys := c.keys
+	for _, i := range cands {
+		if math.IsNaN(keys[i]) {
+			b := c.bots[i]
+			keys[i] = geo.SignedDistance(c.center.Deg, geo.LatLon{Lat: b.Lat, Lon: b.Lon})
+		}
 	}
-	pool.keyBuf = keys
-	idx := pool.idxBuf[:0]
-	for i := range cands {
-		idx = append(idx, i)
-	}
-	pool.idxBuf = idx
-	sort.Slice(idx, func(i, j int) bool { return keys[idx[i]] < keys[idx[j]] })
+	slices.SortFunc(cands, func(i, j int) int { return cmp.Compare(keys[i], keys[j]) })
 	// Take balanced pairs from the two ends.
 	picked := pool.pickBuf[:0]
 	lo, hi := 0, len(cands)-1
 	for len(picked)+1 < size && lo < hi {
-		picked = append(picked, cands[idx[lo]], cands[idx[hi]])
+		picked = append(picked, c.bots[cands[lo]], c.bots[cands[hi]])
 		lo++
 		hi--
 	}
 	if len(picked) < size && lo <= hi {
-		picked = append(picked, cands[idx[(lo+hi)/2]])
+		picked = append(picked, c.bots[cands[(lo+hi)/2]])
 	}
 	pool.pickBuf = picked
 	return picked
@@ -308,20 +309,25 @@ func (pool *Pool) asymmetricPick(anchor *cityCluster, size int, targetDispKm flo
 
 // pickFrom appends up to n distinct bots from one cluster to dst.
 func (pool *Pool) pickFrom(dst []*dataset.Bot, c *cityCluster, n int) []*dataset.Bot {
-	if n > len(c.bots) {
-		n = len(c.bots)
+	pool.posBuf = pool.sampleInto(pool.posBuf[:0], c, n)
+	for _, i := range pool.posBuf {
+		dst = append(dst, c.bots[i])
 	}
-	return pool.sampleInto(dst, c, n)
+	return dst
 }
 
-// sampleInto appends n distinct bots from a cluster to dst without
-// permuting the whole slice (clusters can hold tens of thousands of bots;
-// a full Perm per attack would dominate generation time). The rejection
-// dedup uses the pool's epoch-stamped scratch array instead of a per-call
-// set; the sequence of Intn draws and retries is exactly the old one.
-func (pool *Pool) sampleInto(dst []*dataset.Bot, c *cityCluster, n int) []*dataset.Bot {
+// sampleInto appends the positions of min(n, len(c.bots)) distinct bots of
+// a cluster to dst without permuting the whole cluster (clusters can hold
+// tens of thousands of bots; a full Perm per attack would dominate
+// generation time). The rejection dedup uses the pool's epoch-stamped
+// scratch array instead of a per-call set; the sequence of Intn draws and
+// retries is exactly the old one.
+func (pool *Pool) sampleInto(dst []int, c *cityCluster, n int) []int {
 	if n >= len(c.bots) {
-		return append(dst, c.bots...)
+		for i := range c.bots {
+			dst = append(dst, i)
+		}
+		return dst
 	}
 	if len(pool.stamp) < len(c.bots) {
 		pool.stamp = make([]int64, len(c.bots))
@@ -334,7 +340,7 @@ func (pool *Pool) sampleInto(dst []*dataset.Bot, c *cityCluster, n int) []*datas
 			continue
 		}
 		pool.stamp[i] = pool.epoch
-		dst = append(dst, c.bots[i])
+		dst = append(dst, i)
 		added++
 	}
 	return dst
@@ -356,7 +362,7 @@ func (pool *Pool) clusterForDispersion(anchor *cityCluster, m1, m2 int, wantKm f
 		// longitude jitter would flip individual signed-distance signs,
 		// making the actual dispersion wildly different from the
 		// prediction (and the resulting series unpredictable).
-		dLon := c.center.Lon - anchor.center.Lon
+		dLon := c.center.Deg.Lon - anchor.center.Deg.Lon
 		for dLon > 180 {
 			dLon -= 360
 		}
@@ -372,7 +378,7 @@ func (pool *Pool) clusterForDispersion(anchor *cityCluster, m1, m2 int, wantKm f
 		if len(c.bots) < m2eff {
 			m2eff = len(c.bots)
 		}
-		d := predictDispersionCached(anchor.centerC, c.centerC, m1, m2eff)
+		d := predictDispersion(anchor.center, c.center, m1, m2eff)
 		diff := d - wantKm
 		if diff < 0 {
 			diff = -diff
@@ -384,38 +390,16 @@ func (pool *Pool) clusterForDispersion(anchor *cityCluster, m1, m2 int, wantKm f
 	return best
 }
 
-// PredictDispersion computes the signed-sum dispersion of an idealized
+// predictDispersion computes the signed-sum dispersion of an idealized
 // two-cluster formation: m1 points exactly at a and m2 points exactly at b.
 // It is the proxy the generator uses to hit per-family dispersion targets;
 // per-bot jitter adds noise around it but preserves the scale.
-func PredictDispersion(a, b geo.LatLon, m1, m2 int) float64 {
-	if m1 <= 0 && m2 <= 0 {
-		return 0
-	}
-	center, ok := geo.WeightedCenter(a, b, float64(m1), float64(m2))
+func predictDispersion(a, b geo.CenterPoint, m1, m2 int) float64 {
+	da, db, ok := geo.WeightedSignedDistances(a, b, float64(m1), float64(m2))
 	if !ok {
 		return 0
 	}
-	sum := float64(m1)*geo.SignedDistance(center, a) + float64(m2)*geo.SignedDistance(center, b)
-	if sum < 0 {
-		return -sum
-	}
-	return sum
-}
-
-// predictDispersionCached is PredictDispersion over precomputed cluster
-// centers; bit-identical to PredictDispersion(a.Deg, b.Deg, m1, m2). The
-// offset-cluster search evaluates every cluster against a fixed anchor per
-// attack, so the cached trig halves that loop's math.
-func predictDispersionCached(a, b geo.CachedPoint, m1, m2 int) float64 {
-	if m1 <= 0 && m2 <= 0 {
-		return 0
-	}
-	center, ok := geo.WeightedCenterCached(a, b, float64(m1), float64(m2))
-	if !ok {
-		return 0
-	}
-	sum := float64(m1)*geo.SignedDistanceTo(center, a) + float64(m2)*geo.SignedDistanceTo(center, b)
+	sum := float64(m1)*da + float64(m2)*db
 	if sum < 0 {
 		return -sum
 	}

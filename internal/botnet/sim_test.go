@@ -1,8 +1,11 @@
 package botnet
 
 import (
+	"cmp"
 	"math/rand"
 	"net/netip"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -459,13 +462,14 @@ func TestPoolSamplingZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	anchor := pool.clusters[0]
-	dst := make([]*dataset.Bot, 0, len(anchor.bots))
+	dst := make([]int, 0, len(anchor.bots))
 	var sink float64
 	for name, kernel := range map[string]func(){
 		"sampleInto":           func() { dst = pool.sampleInto(dst[:0], anchor, len(anchor.bots)/2) },
+		"symmetricPick":        func() { pool.symmetricPick(anchor, len(anchor.bots)/4) },
 		"clusterForDispersion": func() { pool.clusterForDispersion(anchor, 30, 10, 500) },
-		"predictDispersionCached": func() {
-			sink += predictDispersionCached(anchor.centerC, pool.clusters[len(pool.clusters)-1].centerC, 30, 10)
+		"predictDispersion": func() {
+			sink += predictDispersion(anchor.center, pool.clusters[len(pool.clusters)-1].center, 30, 10)
 		},
 	} {
 		if n := testing.AllocsPerRun(100, kernel); n != 0 {
@@ -473,4 +477,81 @@ func TestPoolSamplingZeroAlloc(t *testing.T) {
 		}
 	}
 	_ = sink
+}
+
+// freshSymmetricPick is symmetricPick without the key cache: the same
+// draws, every candidate's key computed from the cluster's current center
+// and sorted the way the generator always has.
+func freshSymmetricPick(pool *Pool, c *cityCluster, size int) []netip.Addr {
+	size = min(size, len(c.bots))
+	cands := pool.sampleInto(nil, c, min(size*3, len(c.bots)))
+	keys := make([]float64, len(cands))
+	idx := make([]int, len(cands))
+	for i, pos := range cands {
+		b := c.bots[pos]
+		keys[i] = geo.SignedDistance(c.center.Deg, geo.LatLon{Lat: b.Lat, Lon: b.Lon})
+		idx[i] = i
+	}
+	sort.Slice(idx, func(i, j int) bool { return keys[idx[i]] < keys[idx[j]] })
+	var picked []netip.Addr
+	lo, hi := 0, len(cands)-1
+	for len(picked)+1 < size && lo < hi {
+		picked = append(picked, c.bots[cands[idx[lo]]].IP, c.bots[cands[idx[hi]]].IP)
+		lo++
+		hi--
+	}
+	if len(picked) < size && lo <= hi {
+		picked = append(picked, c.bots[cands[idx[(lo+hi)/2]]].IP)
+	}
+	return picked
+}
+
+// TestSymmetricPickKeysFollowCenter drives two identical pools through the
+// same recruitments — a new country, then more bots into an existing city,
+// which moves that cluster's center — and holds the cached-key pick on one
+// to the freshly keyed pick on the other after each step.
+func TestSymmetricPickKeysFollowCenter(t *testing.T) {
+	newPool := func() *Pool {
+		p := testProfile(dataset.Optima, 10)
+		pool, err := NewPool(rand.New(rand.NewSource(22)), geo.NewDB(geo.DBConfig{Seed: 22}), p, 3000, make(map[netip.Addr]bool))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pool
+	}
+	cached, fresh := newPool(), newPool()
+	largest := func(pool *Pool) *cityCluster {
+		return slices.MaxFunc(pool.byCountry["RU"], func(a, b *cityCluster) int { return cmp.Compare(len(a.bots), len(b.bots)) })
+	}
+	check := func(step string, c, f *cityCluster) {
+		t.Helper()
+		for _, size := range []int{7, 40} {
+			var got []netip.Addr
+			for _, b := range cached.symmetricPick(c, size) {
+				got = append(got, b.IP)
+			}
+			if want := freshSymmetricPick(fresh, f, size); !slices.Equal(got, want) {
+				t.Fatalf("%s: symmetricPick(%s, %d) = %v, freshly keyed %v", step, c.key, size, got, want)
+			}
+		}
+	}
+	check("initial", largest(cached), largest(fresh))
+
+	cc, ok := cached.RecruitNewCountry(200)
+	if cc2, ok2 := fresh.RecruitNewCountry(200); !ok || !ok2 || cc != cc2 {
+		t.Fatalf("RecruitNewCountry = %s,%v and %s,%v", cc, ok, cc2, ok2)
+	}
+	check("new country", cached.byCountry[cc][0], fresh.byCountry[cc][0])
+
+	before := largest(cached).center
+	if err := cached.recruit("RU", 1500); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.recruit("RU", 1500); err != nil {
+		t.Fatal(err)
+	}
+	if largest(cached).center == before {
+		t.Fatal("recruiting into RU left its largest cluster's center in place; the test checks nothing")
+	}
+	check("center moved", largest(cached), largest(fresh))
 }

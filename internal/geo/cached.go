@@ -114,56 +114,49 @@ func DispersionCached(pts []CachedPoint) (float64, bool) {
 	return math.Abs(sum), true
 }
 
-// WeightedCenterCached is WeightedCenter over precomputed points;
-// bit-identical to WeightedCenter(a.Deg, b.Deg, wa, wb). The generator's
-// cluster-selection loop evaluates every cluster against a fixed anchor,
-// so caching both endpoints' trig halves the loop's math.
-func WeightedCenterCached(a, b CachedPoint, wa, wb float64) (LatLon, bool) {
-	total := wa + wb
-	if total <= 0 {
-		return LatLon{}, false
-	}
-	x := (wa*a.CosLat*math.Cos(a.LonRad) + wb*b.CosLat*math.Cos(b.LonRad)) / total
-	y := (wa*a.CosLat*math.Sin(a.LonRad) + wb*b.CosLat*math.Sin(b.LonRad)) / total
-	z := (wa*math.Sin(a.LatRad) + wb*math.Sin(b.LatRad)) / total
-	norm := math.Sqrt(x*x + y*y + z*z)
-	if norm < 1e-12 {
-		return a.Deg, true // antipodal cancellation; stay deterministic
-	}
-	lat := math.Asin(z / norm)
-	lon := math.Atan2(y, x)
-	return LatLon{Lat: lat * 180 / math.Pi, Lon: lon * 180 / math.Pi}, true
+// CenterPoint is a CachedPoint that also keeps the cosine and sine of its
+// longitude. The generator's cluster centres stay fixed between
+// recruitments and enter thousands of two-point evaluations each, so they
+// carry the trig WeightedSignedDistances would otherwise re-derive per
+// call. Bots stay CachedPoints: the dense bot index holds one per bot, and
+// two more fields there would cost every report pass.
+type CenterPoint struct {
+	CachedPoint
+	CosLon float64 // math.Cos(LonRad)
+	SinLon float64 // math.Sin(LonRad)
 }
 
-// SignedDistanceTo is SignedDistance from an uncached center (typically a
-// freshly computed centroid) to a precomputed point; bit-identical to
-// SignedDistance(center, p.Deg).
-func SignedDistanceTo(center LatLon, p CachedPoint) float64 {
-	lat1, lon1 := degToRad(center.Lat), degToRad(center.Lon)
-	dLat := p.LatRad - lat1
-	dLon := p.LonRad - lon1
-	sinLat := math.Sin(dLat / 2)
-	sinLon := math.Sin(dLon / 2)
-	h := sinLat*sinLat + math.Cos(lat1)*p.CosLat*sinLon*sinLon
-	if h > 1 {
-		h = 1
+// NewCenterPoint precomputes the trigonometry of p.
+func NewCenterPoint(p LatLon) CenterPoint {
+	c := NewCachedPoint(p)
+	return CenterPoint{CachedPoint: c, CosLon: math.Cos(c.LonRad), SinLon: math.Sin(c.LonRad)}
+}
+
+// WeightedSignedDistances returns the signed distances of a and b from
+// their weighted center, and false when wa+wb <= 0. It is bit-identical to
+//
+//	c, ok := WeightedCenter(a.Deg, b.Deg, wa, wb)
+//	SignedDistance(c, a.Deg), SignedDistance(c, b.Deg), ok
+//
+// with both endpoints' trig read from the cache (Z is math.Sin(LatRad))
+// and the center's radians and cos(lat) derived once for both distances.
+func WeightedSignedDistances(a, b CenterPoint, wa, wb float64) (da, db float64, ok bool) {
+	total := wa + wb
+	if total <= 0 {
+		return 0, 0, false
 	}
-	d := 2 * EarthRadiusKm * math.Asin(math.Sqrt(h))
-	dLonDeg := p.Deg.Lon - center.Lon
-	for dLonDeg > 180 {
-		dLonDeg -= 360
+	x := (wa*a.CosLat*a.CosLon + wb*b.CosLat*b.CosLon) / total
+	y := (wa*a.CosLat*a.SinLon + wb*b.CosLat*b.SinLon) / total
+	z := (wa*a.Z + wb*b.Z) / total
+	var center LatLon
+	if norm := math.Sqrt(x*x + y*y + z*z); norm < 1e-12 {
+		center = a.Deg // antipodal cancellation; stay deterministic
+	} else {
+		center = LatLon{Lat: math.Asin(z/norm) * 180 / math.Pi, Lon: math.Atan2(y, x) * 180 / math.Pi}
 	}
-	for dLonDeg <= -180 {
-		dLonDeg += 360
-	}
-	switch {
-	case dLonDeg > 0:
-		return d
-	case dLonDeg < 0:
-		return -d
-	case p.Deg.Lat >= center.Lat:
-		return d
-	default:
-		return -d
-	}
+	// SignedDistanceCached reads only the center's degrees, radians and
+	// cos(lat); its unit vector is never needed here.
+	lat := degToRad(center.Lat)
+	c := CachedPoint{Deg: center, LatRad: lat, LonRad: degToRad(center.Lon), CosLat: math.Cos(lat)}
+	return SignedDistanceCached(c, a.CachedPoint), SignedDistanceCached(c, b.CachedPoint), true
 }

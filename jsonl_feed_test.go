@@ -9,11 +9,34 @@ import (
 	"time"
 )
 
-// jsonlFeedDigests are the SHA-256 of WriteJSONL over GenerateRaw(seed 1)
-// as json.Encoder wrote it before the append encoder, by scale.
-var jsonlFeedDigests = map[float64]string{
-	1.0: "bbd9466a9eb07cbae5c4ebe280e185ac4834d579659fd25d8bbd6476cda20ed3",
-	0.1: "3ad1e5837ff0580bbd264d1f0f317fff0c9c56cd966c482f4b5c0a3f72d8778f",
+// generatedDigests pin the generator's bytes by (seed, scale): feed is the
+// SHA-256 of WriteJSONL over GenerateRaw as json.Encoder wrote it before
+// the append encoder, snapshot that of the same generation's BSCS
+// snapshot (what botgen -snapshot writes). The snapshot also holds what
+// the feed does not: every bot's LastActive and the dense source-IP layer.
+var generatedDigests = map[generation]struct{ feed, snapshot string }{
+	{1, 1.0}: {
+		"bbd9466a9eb07cbae5c4ebe280e185ac4834d579659fd25d8bbd6476cda20ed3",
+		"8a69d2b75fb3d535ac18eb97a0ab3825dfbcaf181d11110c91252fd46b793980",
+	},
+	{1, 0.1}: {
+		"3ad1e5837ff0580bbd264d1f0f317fff0c9c56cd966c482f4b5c0a3f72d8778f",
+		"ee12c1004a66f53835640c8db1bfc999cd4b135160d9265bc4434f5abe704a49",
+	},
+	{4, 0.1}: {
+		"b18babd6765deaf1855e407bf18b4d8390df997632d61728cf83200f2f6e30e0",
+		"41d888b38b57a82546462b0807185f262e1084dc0d4a2726d95efbecfbcf6514",
+	},
+}
+
+type generation struct {
+	seed  int64
+	scale float64
+}
+
+func sha256Hex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // TestJSONLFeedPinned holds the JSONL codec to the generated feed: the
@@ -32,8 +55,7 @@ func TestJSONLFeedPinned(t *testing.T) {
 	if err := WriteJSONL(&feed, attacks); err != nil {
 		t.Fatalf("WriteJSONL: %v", err)
 	}
-	sum := sha256.Sum256(feed.Bytes())
-	if got, want := hex.EncodeToString(sum[:]), jsonlFeedDigests[roundTripScale]; got != want {
+	if got, want := sha256Hex(feed.Bytes()), generatedDigests[generation{1, roundTripScale}].feed; got != want {
 		t.Errorf("feed digest %s, want %s", got, want)
 	}
 
@@ -60,5 +82,38 @@ func TestJSONLFeedPinned(t *testing.T) {
 	})
 	if err != nil || i != len(attacks) {
 		t.Fatalf("decoded %d of %d records: %v", i, len(attacks), err)
+	}
+}
+
+// TestGeneratedBytesPinnedSeed4 holds a second seed's generation to its
+// pinned feed and snapshot bytes, so a generator change that preserves
+// seed 1 by accident still shows.
+func TestGeneratedBytesPinnedSeed4(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generation skipped in -short mode")
+	}
+	key := generation{4, 0.1}
+	attacks, botnets, bots, err := GenerateRaw(GenerateConfig{Seed: key.seed, Scale: key.scale})
+	if err != nil {
+		t.Fatalf("GenerateRaw: %v", err)
+	}
+	var feed bytes.Buffer
+	if err := WriteJSONL(&feed, attacks); err != nil {
+		t.Fatalf("WriteJSONL: %v", err)
+	}
+	store, err := NewStore(attacks, botnets, bots)
+	if err != nil {
+		t.Fatalf("NewStore: %v", err)
+	}
+	var snap bytes.Buffer
+	if err := WriteSnapshot(&snap, store); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	want := generatedDigests[key]
+	if got := sha256Hex(feed.Bytes()); got != want.feed {
+		t.Errorf("feed digest %s, want %s", got, want.feed)
+	}
+	if got := sha256Hex(snap.Bytes()); got != want.snapshot {
+		t.Errorf("snapshot digest %s, want %s", got, want.snapshot)
 	}
 }

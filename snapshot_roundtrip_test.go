@@ -33,6 +33,9 @@ func TestSnapshotRoundTripRunall(t *testing.T) {
 	if err := WriteSnapshot(&snap, store); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
+	if got, want := sha256Hex(snap.Bytes()), generatedDigests[generation{1, scale}].snapshot; got != want {
+		t.Errorf("snapshot digest %s, want %s", got, want)
+	}
 	reloaded, err := ReadSnapshot(bytes.NewReader(snap.Bytes()))
 	if err != nil {
 		t.Fatalf("ReadSnapshot: %v", err)
