@@ -72,12 +72,14 @@ benchmark-smoke:
 
 # verify is the full pre-merge gate: build, stock vet, formatting, the
 # race-enabled test suite (the project's static gate, internal/gate, is
-# one of its packages), and the benchmark's smoke run.
+# one of its packages), the package examples again on one core (their
+# pinned outputs hold at any GOMAXPROCS), and the benchmark's smoke run.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(MAKE) fmt-check
 	$(GO) test -race ./...
+	GOMAXPROCS=1 $(GO) test -count=1 -run '^Example' .
 	$(MAKE) benchmark-smoke
 
 bench:
@@ -135,11 +137,10 @@ bench-update:
 bench-stream:
 	$(GO) test -bench='BenchmarkStream(Ingest|Snapshot)' -benchmem -run=^$$
 
-# fuzz smoke-runs each decoder fuzzer (dataset codecs and the cluster
-# wire protocol) for FUZZTIME. FuzzDecodeJSONL is differential: the JSONL
+# fuzz smoke-runs each decoder fuzzer (the JSONL and snapshot decoders and
+# the cluster wire protocol) for FUZZTIME. FuzzDecodeJSONL is differential: the JSONL
 # scanner and encoder against encoding/json on every input.
 fuzz:
-	$(GO) test -run=NONE -fuzz=FuzzDecodeCSV -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeJSONL -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeWire -fuzztime=$(FUZZTIME) ./internal/cluster/

@@ -6,9 +6,10 @@
 // The library has three layers:
 //
 //   - A workload layer: the Table I attack/bot/botnet schemas, an indexed
-//     in-memory store, CSV/JSON codecs, and a calibrated synthetic
-//     generator standing in for the paper's proprietary 7-month
-//     monitoring feed (50,704 attacks, 674 botnets, 10 active families).
+//     in-memory store, a JSON-lines codec and a binary snapshot, and a
+//     calibrated synthetic generator standing in for the paper's
+//     proprietary 7-month monitoring feed (50,704 attacks, 674 botnets,
+//     10 active families).
 //
 //   - An analysis layer (Analyzer): attack overview (protocol mix, daily
 //     density, inter-attack intervals, durations), source geolocation
@@ -16,12 +17,12 @@
 //     ARIMA forecasting), target affinity (country/organization), and
 //     collaboration detection (concurrent and multistage).
 //
-//   - An experiment layer: one regeneration function per table and figure
-//     of the paper's evaluation, with measured-vs-paper metrics.
-//
 //   - A streaming layer (StreamAnalyzer): a bounded-memory online mirror
 //     of the core analyses that ingests attacks one at a time, for live
 //     feeds where the workload never fits in memory.
+//
+// The paper's tables and figures, regenerated with measured-vs-paper
+// metrics, are the botreport command.
 //
 // Quickstart:
 //
@@ -59,8 +60,6 @@ type (
 	Store = dataset.Store
 	// Family is a malware family name.
 	Family = dataset.Family
-	// Category is an attack's protocol category.
-	Category = dataset.Category
 	// SummaryCounts mirrors the paper's Table III.
 	SummaryCounts = dataset.SummaryCounts
 )
@@ -77,17 +76,6 @@ const (
 	Optima      = dataset.Optima
 	Pandora     = dataset.Pandora
 	YZF         = dataset.YZF
-)
-
-// Attack categories.
-const (
-	CategoryHTTP         = dataset.CategoryHTTP
-	CategoryTCP          = dataset.CategoryTCP
-	CategoryUDP          = dataset.CategoryUDP
-	CategoryUndetermined = dataset.CategoryUndetermined
-	CategoryICMP         = dataset.CategoryICMP
-	CategoryUnknown      = dataset.CategoryUnknown
-	CategorySYN          = dataset.CategorySYN
 )
 
 // ActiveFamilies lists the paper's ten active families.
@@ -116,8 +104,6 @@ type (
 	FamilyProfile = botnet.Profile
 	// InterCollab stages cross-family coordination in a scenario.
 	InterCollab = botnet.InterCollab
-	// BurstSpec injects a one-day attack storm into a scenario.
-	BurstSpec = botnet.BurstSpec
 )
 
 // NewScenario starts a custom-workload builder on the paper's window.
@@ -136,11 +122,16 @@ func GenerateRaw(cfg GenerateConfig) ([]*Attack, []*Botnet, []*Bot, error) {
 	return out.Attacks, out.Botnets, out.Bots, nil
 }
 
-// WriteCSV / ReadCSV / WriteJSONL / ReadJSONL re-export the attack codecs.
-func WriteCSV(w io.Writer, attacks []*Attack) error   { return dataset.WriteCSV(w, attacks) }
-func ReadCSV(r io.Reader) ([]*Attack, error)          { return dataset.ReadCSV(r) }
+// WriteJSONL writes attacks as JSON lines, one record a line, every field
+// exact (floats in shortest round-trip form).
 func WriteJSONL(w io.Writer, attacks []*Attack) error { return dataset.WriteJSONL(w, attacks) }
-func ReadJSONL(r io.Reader) ([]*Attack, error)        { return dataset.ReadJSONL(r) }
+
+// ReadJSONL decodes attacks written by WriteJSONL.
+func ReadJSONL(r io.Reader) ([]*Attack, error) { return dataset.ReadJSONL(r) }
+
+// DecodeJSONL streams attacks record by record without materializing the
+// full slice — the ingestion path for feeds of arbitrary length.
+func DecodeJSONL(r io.Reader, fn func(*Attack) error) error { return dataset.DecodeJSONL(r, fn) }
 
 // WriteSnapshot writes the store's versioned binary columnar snapshot
 // ("BSCS"): the interned string table, the attack/bot/botnet columns, and
@@ -153,20 +144,6 @@ func WriteSnapshot(w io.Writer, s *Store) error { return dataset.WriteSnapshot(w
 // rather than a malformed workload.
 func ReadSnapshot(r io.Reader) (*Store, error) { return dataset.ReadSnapshot(r) }
 
-// ErrStoreClosed is returned by snapshot writes on a store whose mapped
-// region was released with Store.Close.
-var ErrStoreClosed = dataset.ErrStoreClosed
-
-// ErrStop, returned from a Decode* callback, stops decoding early without
-// error.
-var ErrStop = dataset.ErrStop
-
-// DecodeCSV / DecodeJSONL stream attacks record by record without
-// materializing the full slice — the ingestion path for feeds of arbitrary
-// length.
-func DecodeCSV(r io.Reader, fn func(*Attack) error) error   { return dataset.DecodeCSV(r, fn) }
-func DecodeJSONL(r io.Reader, fn func(*Attack) error) error { return dataset.DecodeJSONL(r, fn) }
-
 // Streaming analytics types, re-exported from the stream layer.
 type (
 	// StreamAnalyzer ingests attacks one at a time and maintains online
@@ -175,15 +152,7 @@ type (
 	StreamAnalyzer = stream.Analyzer
 	// StreamSnapshot is a point-in-time view of a StreamAnalyzer.
 	StreamSnapshot = stream.Snapshot
-	// StreamCollabCandidate is one live collaborative-attack candidate.
-	StreamCollabCandidate = stream.CollabCandidate
-	// StreamCollabSummary aggregates live collaboration detection.
-	StreamCollabSummary = stream.CollabSummary
 )
-
-// ErrOutOfOrder is returned by StreamAnalyzer.Ingest for records that
-// regress in event time.
-var ErrOutOfOrder = stream.ErrOutOfOrder
 
 // NewStreamAnalyzer builds an empty streaming analyzer.
 func NewStreamAnalyzer() *StreamAnalyzer { return stream.New() }
@@ -208,12 +177,8 @@ type (
 	TargetCountryProfile = core.TargetCountryProfile
 	// OrgHotspot is one Fig 14 organization-level mark.
 	OrgHotspot = core.OrgHotspot
-	// Collaboration is one detected §V collaborative attack.
-	Collaboration = core.Collaboration
 	// CollabStats is Table VI.
 	CollabStats = core.CollabStats
-	// Chain is one §V-B multistage attack.
-	Chain = core.Chain
 	// ChainStats summarizes multistage attacks (Figs 17-18).
 	ChainStats = core.ChainStats
 	// NextAttackPrediction is a per-target start-time forecast.
@@ -435,23 +400,4 @@ func (a *Analyzer) Churn(f Family) (GenerationChurn, error) {
 // FitARIMA fits an ARIMA model to an arbitrary series.
 func FitARIMA(series []float64, order ARIMAOrder) (*ARIMAModel, error) {
 	return timeseries.Fit(series, order)
-}
-
-// AutoFitARIMA selects an ARIMA order by BIC over a small grid.
-func AutoFitARIMA(series []float64, d, maxP, maxQ int) (*ARIMAModel, error) {
-	return timeseries.AutoFit(series, d, maxP, maxQ)
-}
-
-// Experiment types, re-exported from the experiments layer.
-type (
-	// ExperimentResult is the outcome of one table/figure regeneration.
-	ExperimentResult = experiments.Result
-	// ExperimentWorkload drives per-table/figure regeneration.
-	ExperimentWorkload = experiments.Workload
-)
-
-// NewExperiments wraps a store for table/figure regeneration; scale is the
-// generation scale the count expectations are adjusted by (1.0 = paper).
-func NewExperiments(store *Store, scale float64) *ExperimentWorkload {
-	return experiments.FromStore(store, scale)
 }

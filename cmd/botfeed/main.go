@@ -6,13 +6,14 @@
 //
 //	botfeed -scale 0.05 -seed 1                      # generate + ingest in-process
 //	botfeed -in attacks.jsonl                        # replay a file in-process
-//	botfeed -in attacks.csv -url http://localhost:8080   # feed a botserve
+//	botfeed -in attacks.jsonl -url http://localhost:8080 # feed a botserve
 //	botfeed -scale 0.05 -speedup 100000              # pace by event time / 100000
 //
 // With -speedup 0 (the default) the replay runs at maximum speed; any
 // other value sleeps the inter-attack event-time gap divided by the
-// factor, so -speedup 1 replays in real time. Input files must be sorted
-// by start time (botgen output is); out-of-order records abort the feed.
+// factor, so -speedup 1 replays in real time. Input files are JSON lines
+// sorted by start time (botgen output is); out-of-order records abort the
+// feed.
 package main
 
 import (
@@ -22,7 +23,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -46,9 +46,8 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		seed    = fs.Int64("seed", 1, "generation seed when no -in file is given")
 		scale   = fs.Float64("scale", 0.1, "workload scale; 1.0 = paper size")
-		in      = fs.String("in", "", "replay this attack file instead of generating")
+		in      = fs.String("in", "", "replay this JSONL attack file instead of generating")
 		snap    = fs.String("snapshot", "", "replay this BSCS snapshot instead of generating")
-		format  = fs.String("format", "", "input format: csv or jsonl (default: by extension)")
 		speedup = fs.Float64("speedup", 0, "event-time speedup factor; 0 = max speed, 1 = real time")
 		url     = fs.String("url", "", "feed a running botserve at this base URL instead of in-process")
 		every   = fs.Int("report", 0, "print progress every N attacks (0 = only the final summary)")
@@ -59,6 +58,9 @@ func run(args []string, stdout io.Writer) error {
 	if *speedup < 0 {
 		return fmt.Errorf("speedup must be >= 0, got %v", *speedup)
 	}
+	if *snap != "" && *in != "" {
+		return fmt.Errorf("-snapshot and -in are mutually exclusive")
+	}
 
 	var sink feedSink
 	if *url != "" {
@@ -68,7 +70,12 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	feed := func(fn func(*botscope.Attack) error) error {
-		return feedFromFile(*in, *format, fn)
+		f, err := os.Open(*in)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		return botscope.DecodeJSONL(f, fn)
 	}
 	if *in == "" {
 		var store *botscope.Store
@@ -136,33 +143,6 @@ func run(args []string, stdout io.Writer) error {
 	rate := float64(n) / elapsed.Seconds()
 	fmt.Fprintf(os.Stderr, "fed %d attacks in %s (%.0f attacks/sec)\n", n, elapsed.Round(time.Millisecond), rate)
 	return sink.report(stdout)
-}
-
-// feedFromFile streams a CSV or JSONL attack file through fn.
-func feedFromFile(path, format string, fn func(*botscope.Attack) error) error {
-	if format == "" {
-		switch filepath.Ext(path) {
-		case ".csv":
-			format = "csv"
-		case ".jsonl", ".json":
-			format = "jsonl"
-		default:
-			return fmt.Errorf("cannot infer format from %q; pass -format csv or jsonl", path)
-		}
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	switch format {
-	case "csv":
-		return botscope.DecodeCSV(f, fn)
-	case "jsonl":
-		return botscope.DecodeJSONL(f, fn)
-	default:
-		return fmt.Errorf("unknown format %q (want csv or jsonl)", format)
-	}
 }
 
 // feedSink abstracts where replayed attacks land: an in-process analyzer or

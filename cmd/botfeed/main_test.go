@@ -31,8 +31,22 @@ func TestRunMissingInputFile(t *testing.T) {
 }
 
 func TestRunUnknownFormat(t *testing.T) {
-	if err := run([]string{"-in", "attacks.xml"}, &bytes.Buffer{}); err == nil {
-		t.Error("uninferable format accepted")
+	path := filepath.Join(t.TempDir(), "attacks.csv")
+	if err := os.WriteFile(path, []byte("ddos_id,botnet_id,family\n1,7,optima\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-in", path}, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "jsonl record 1") {
+		t.Errorf("non-JSONL input: %v, want a JSONL decode error", err)
+	}
+}
+
+// TestRunSnapshotAndIn: two replay sources are refused, as botreport and
+// botserve refuse them, rather than one silently winning.
+func TestRunSnapshotAndIn(t *testing.T) {
+	err := run([]string{"-in", "attacks.jsonl", "-snapshot", "work.bscs"}, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
+		t.Errorf("-in with -snapshot: %v, want a mutual-exclusion error", err)
 	}
 }
 

@@ -1,11 +1,11 @@
 // Command botgen generates a synthetic botnet-DDoS workload calibrated to
-// the paper and exports it as CSV or JSON lines.
+// the paper and exports it as JSON lines.
 //
 // Usage:
 //
-//	botgen -scale 0.1 -seed 42 -format csv -out attacks.csv
-//	botgen -scale 1.0 -format jsonl -out attacks.jsonl   # paper-size
-//	botgen -scale 10 -snapshot work.bscs                 # binary snapshot
+//	botgen -scale 0.1 -seed 42 -out attacks.jsonl
+//	botgen -scale 1.0 -out attacks.jsonl   # paper-size
+//	botgen -scale 10 -snapshot work.bscs   # binary snapshot
 //
 // The export carries the DDoSAttack schema (Table I); use -summary to
 // print the Table III entity counts of the generated workload. -snapshot
@@ -37,7 +37,6 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		seed     = fs.Int64("seed", 1, "generation seed (same seed, same workload)")
 		scale    = fs.Float64("scale", 0.1, "workload scale; 1.0 = paper size (50,704 attacks)")
-		format   = fs.String("format", "csv", "output format: csv or jsonl")
 		out      = fs.String("out", "", "output file (default stdout)")
 		summary  = fs.Bool("summary", false, "print Table III-style workload summary to stderr")
 		snapshot = fs.String("snapshot", "", "also write a binary columnar snapshot (.bscs) to this file")
@@ -58,7 +57,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	// A snapshot request without an explicit -out means the caller wants the
-	// binary artifact, not a CSV dump on stdout.
+	// binary artifact, not a record dump on stdout.
 	if *snapshot == "" || *out != "" {
 		var w io.Writer = stdout
 		if *out != "" {
@@ -69,16 +68,7 @@ func run(args []string, stdout io.Writer) error {
 			defer f.Close()
 			w = f
 		}
-
-		switch *format {
-		case "csv":
-			err = botscope.WriteCSV(w, store.Attacks())
-		case "jsonl":
-			err = botscope.WriteJSONL(w, store.Attacks())
-		default:
-			return fmt.Errorf("unknown format %q (want csv or jsonl)", *format)
-		}
-		if err != nil {
+		if err := botscope.WriteJSONL(w, store.Attacks()); err != nil {
 			return err
 		}
 	}

@@ -10,18 +10,18 @@ import (
 	"botscope"
 )
 
-func TestRunCSVToStdout(t *testing.T) {
+func TestRunJSONLToStdout(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-scale", "0.01", "-seed", "3"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	text := out.String()
-	if !strings.HasPrefix(text, "ddos_id,botnet_id,family,category,target_ip") {
-		t.Errorf("missing CSV header: %.120s", text)
+	if !strings.HasPrefix(text, `{"ddos_id":`) {
+		t.Errorf("missing JSONL record: %.120s", text)
 	}
-	attacks, err := botscope.ReadCSV(strings.NewReader(text))
+	attacks, err := botscope.ReadJSONL(strings.NewReader(text))
 	if err != nil {
-		t.Fatalf("generated CSV unreadable: %v", err)
+		t.Fatalf("generated JSONL unreadable: %v", err)
 	}
 	if len(attacks) < 100 {
 		t.Errorf("attacks = %d, want hundreds at scale 0.01", len(attacks))
@@ -31,7 +31,7 @@ func TestRunCSVToStdout(t *testing.T) {
 func TestRunJSONLToFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "attacks.jsonl")
 	var out bytes.Buffer
-	if err := run([]string{"-scale", "0.01", "-format", "jsonl", "-out", path}, &out); err != nil {
+	if err := run([]string{"-scale", "0.01", "-out", path}, &out); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)
@@ -66,9 +66,6 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-format", "xml", "-scale", "0.005"}, &out); err == nil {
-		t.Error("unknown format accepted")
-	}
 	if err := run([]string{"-bogus-flag"}, &out); err == nil {
 		t.Error("unknown flag accepted")
 	}

@@ -1,12 +1,12 @@
 // Command botreport regenerates every table and figure of the paper's
-// evaluation from a synthetic workload (or a previously exported CSV) and
+// evaluation from a synthetic workload (or a botgen JSONL export) and
 // prints them with measured-vs-paper metrics.
 //
 // Usage:
 //
 //	botreport -scale 1.0 -seed 1              # full paper-size run
 //	botreport -scale 0.1 -only "Table VI"     # a single experiment
-//	botreport -in attacks.csv -scale 0.1      # analyze an exported workload
+//	botreport -in attacks.jsonl -scale 0.1    # analyze an exported workload
 //	botreport -snapshot work.bscs -scale 10   # reload a botgen snapshot
 //	botreport -markdown > EXPERIMENTS.md      # metric comparison as markdown
 package main
@@ -35,7 +35,7 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		seed     = fs.Int64("seed", 1, "generation seed")
 		scale    = fs.Float64("scale", 1.0, "workload scale; 1.0 = paper size")
-		in       = fs.String("in", "", "analyze this attack CSV instead of generating")
+		in       = fs.String("in", "", "analyze this JSONL attack file instead of generating")
 		snapshot = fs.String("snapshot", "", "analyze this binary columnar snapshot (.bscs) instead of generating")
 		only     = fs.String("only", "", "run only the experiment with this ID (e.g. 'Figure 3')")
 		markdown = fs.Bool("markdown", false, "emit a markdown metric comparison instead of full text")
@@ -72,7 +72,7 @@ func run(args []string, stdout io.Writer) error {
 			return ferr
 		}
 		defer f.Close()
-		attacks, rerr := botscope.ReadCSV(f)
+		attacks, rerr := botscope.ReadJSONL(f)
 		if rerr != nil {
 			return rerr
 		}

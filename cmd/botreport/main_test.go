@@ -84,18 +84,18 @@ func TestRunReportsFailedExperiments(t *testing.T) {
 	}
 }
 
-func TestRunFromCSV(t *testing.T) {
+func TestRunFromJSONL(t *testing.T) {
 	// Export a workload, then analyze the file instead of regenerating.
 	store, err := botscope.Generate(botscope.GenerateConfig{Seed: 4, Scale: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "attacks.csv")
+	path := filepath.Join(t.TempDir(), "attacks.jsonl")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := botscope.WriteCSV(f, store.Attacks()); err != nil {
+	if err := botscope.WriteJSONL(f, store.Attacks()); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -103,19 +103,19 @@ func TestRunFromCSV(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	// CSV export has no Botlist, so source-side experiments fail; a
+	// A record export has no Botlist, so source-side experiments fail; a
 	// target-side experiment must still work.
 	if err := run([]string{"-in", path, "-scale", "0.02", "-only", "Table V"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "Table V") {
-		t.Errorf("CSV-driven run missing output:\n%.200s", out.String())
+		t.Errorf("JSONL-driven run missing output:\n%.200s", out.String())
 	}
 }
 
 func TestRunBadInputs(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-in", "/nonexistent/file.csv"}, &out); err == nil {
+	if err := run([]string{"-in", "/nonexistent/file.jsonl"}, &out); err == nil {
 		t.Error("missing input file accepted")
 	}
 	if err := run([]string{"-bogus"}, &out); err == nil {

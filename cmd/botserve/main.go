@@ -3,7 +3,7 @@
 // Usage:
 //
 //	botserve -addr :8080 -scale 0.1 -seed 1
-//	botserve -addr :8080 -in attacks.csv
+//	botserve -addr :8080 -in attacks.jsonl
 //	botserve -addr :8080 -snapshot work.bscs        # reload a botgen snapshot
 //	botserve -addr :8080 -shards 4                  # sharded live tier
 //	botserve -shard-listen :9001 -shard-id 0        # one shard worker
@@ -83,7 +83,7 @@ func run(ctx context.Context, args []string) error {
 		addr  = fs.String("addr", ":8080", "listen address")
 		seed  = fs.Int64("seed", 1, "generation seed")
 		scale = fs.Float64("scale", 0.1, "workload scale; 1.0 = paper size")
-		in    = fs.String("in", "", "serve this attack CSV instead of generating")
+		in    = fs.String("in", "", "serve this JSONL attack file instead of generating")
 		snap  = fs.String("snapshot", "", "serve this binary columnar snapshot (.bscs) instead of generating")
 
 		shards      = fs.Int("shards", 0, "boot an in-process sharded live tier with this many workers")
@@ -124,7 +124,7 @@ func run(ctx context.Context, args []string) error {
 		if ferr != nil {
 			return ferr
 		}
-		attacks, rerr := botscope.ReadCSV(f)
+		attacks, rerr := botscope.ReadJSONL(f)
 		_ = f.Close()
 		if rerr != nil {
 			return rerr

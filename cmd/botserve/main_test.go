@@ -13,7 +13,7 @@ func TestRunBadFlag(t *testing.T) {
 }
 
 func TestRunMissingInputFile(t *testing.T) {
-	if err := run(context.Background(), []string{"-in", "/nonexistent/attacks.csv"}); err == nil {
+	if err := run(context.Background(), []string{"-in", "/nonexistent/attacks.jsonl"}); err == nil {
 		t.Error("missing input file accepted")
 	}
 }

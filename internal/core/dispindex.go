@@ -69,9 +69,6 @@ func NewDispersionIndex(s *dataset.Store) *DispersionIndex {
 	}
 }
 
-// Store returns the underlying store.
-func (ix *DispersionIndex) Store() *dataset.Store { return ix.store }
-
 // entry returns f's products, creating the entry on first use, or nil when
 // f launched no attacks.
 func (ix *DispersionIndex) entry(f dataset.Family) *famDisp {

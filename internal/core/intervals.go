@@ -123,19 +123,6 @@ func ClusterIntervals(gaps []float64) []IntervalCluster {
 	return clusters
 }
 
-// ConcurrencyKind distinguishes the paper's two categories of concurrent
-// attacks (§III-B).
-type ConcurrencyKind int
-
-// Concurrency categories.
-const (
-	// SingleFamily means all concurrent attacks in the group come from
-	// one family.
-	SingleFamily ConcurrencyKind = iota + 1
-	// MultiFamily means at least two families launched within the window.
-	MultiFamily
-)
-
 // TargetIntervals returns, for each target attacked at least minAttacks
 // times, the gap series between consecutive attacks on it. The paper uses
 // these to predict the start time of the next anticipated attack. The

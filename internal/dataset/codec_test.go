@@ -62,55 +62,6 @@ func attacksEqual(t *testing.T, got, want []*Attack) {
 	}
 }
 
-func TestCSVRoundTrip(t *testing.T) {
-	want := sampleAttacks()
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	attacksEqual(t, got, want)
-}
-
-func TestCSVHeaderValidation(t *testing.T) {
-	bad := "wrong,header,entirely,a,b,c,d,e,f,g,h,i,j,k\n"
-	if _, err := ReadCSV(strings.NewReader(bad)); err == nil {
-		t.Error("bad header accepted")
-	}
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Error("empty input accepted")
-	}
-}
-
-func TestCSVBadRows(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, sampleAttacks()); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.String()
-	lines := strings.Split(strings.TrimSpace(good), "\n")
-
-	tests := []struct {
-		name string
-		row  string
-	}{
-		{name: "bad id", row: strings.Replace(lines[1], "1,", "xx,", 1)},
-		{name: "bad category", row: strings.Replace(lines[1], "HTTP", "BOGUS", 1)},
-		{name: "bad ip", row: strings.Replace(lines[1], "5.5.5.5", "not-an-ip", 1)},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			input := lines[0] + "\n" + tt.row + "\n"
-			if _, err := ReadCSV(strings.NewReader(input)); err == nil {
-				t.Error("malformed row accepted")
-			}
-		})
-	}
-}
-
 func TestJSONLRoundTrip(t *testing.T) {
 	want := sampleAttacks()
 	var buf bytes.Buffer
@@ -133,6 +84,7 @@ func TestJSONLBadInput(t *testing.T) {
 		input string
 	}{
 		{name: "garbage", input: "{not json}\n"},
+		{name: "bad id", input: `{"ddos_id":"xx","botnet_id":1,"family":"x","category":"HTTP","target_ip":"1.2.3.4","timestamp":"2012-08-29T00:00:00Z","end_time":"2012-08-29T01:00:00Z","botnet_ips":["5.6.7.8"],"asn":1,"cc":"US","city":"a","org":"b","latitude":1,"longitude":2}` + "\n"},
 		{name: "bad category", input: `{"ddos_id":1,"botnet_id":1,"family":"x","category":"NOPE","target_ip":"1.2.3.4","timestamp":"2012-08-29T00:00:00Z","end_time":"2012-08-29T01:00:00Z","botnet_ips":["5.6.7.8"],"asn":1,"cc":"US","city":"a","org":"b","latitude":1,"longitude":2}` + "\n"},
 		{name: "bad target ip", input: `{"ddos_id":1,"botnet_id":1,"family":"x","category":"HTTP","target_ip":"zzz","timestamp":"2012-08-29T00:00:00Z","end_time":"2012-08-29T01:00:00Z","botnet_ips":[],"asn":1,"cc":"US","city":"a","org":"b","latitude":1,"longitude":2}` + "\n"},
 		{name: "bad timestamp", input: `{"ddos_id":1,"botnet_id":1,"family":"x","category":"HTTP","target_ip":"1.2.3.4","timestamp":"yesterday","end_time":"2012-08-29T01:00:00Z","botnet_ips":[],"asn":1,"cc":"US","city":"a","org":"b","latitude":1,"longitude":2}` + "\n"},
@@ -202,39 +154,6 @@ func TestDecodeJSONLErrStop(t *testing.T) {
 		return ErrStop
 	})
 	if err != nil {
-		t.Errorf("ErrStop surfaced as error: %v", err)
-	}
-	if calls != 1 {
-		t.Errorf("decoding continued after ErrStop: %d calls", calls)
-	}
-}
-
-func TestDecodeCSVStreaming(t *testing.T) {
-	want := sampleAttacks()
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	var got []*Attack
-	if err := DecodeCSV(&buf, func(a *Attack) error {
-		got = append(got, a)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	attacksEqual(t, got, want)
-}
-
-func TestDecodeCSVErrStop(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, sampleAttacks()); err != nil {
-		t.Fatal(err)
-	}
-	calls := 0
-	if err := DecodeCSV(&buf, func(*Attack) error {
-		calls++
-		return ErrStop
-	}); err != nil {
 		t.Errorf("ErrStop surfaced as error: %v", err)
 	}
 	if calls != 1 {

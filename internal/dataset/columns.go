@@ -206,15 +206,6 @@ type Columns struct {
 	mmap *mmapRegion
 }
 
-// NumAttacks returns the number of attack rows.
-func (c *Columns) NumAttacks() int { return len(c.aID) }
-
-// NumBots returns the number of Botlist rows.
-func (c *Columns) NumBots() int { return c.bIP.len() }
-
-// NumBotnets returns the number of Botnetlist rows.
-func (c *Columns) NumBotnets() int { return len(c.nID) }
-
 // NumRefs returns the total number of source-IP references across all
 // attacks (the length of the shared reference arena).
 func (c *Columns) NumRefs() int {

@@ -30,9 +30,6 @@ func (s *Store) AttackRows() int { return len(s.Cols().aID) }
 // record face.
 func (s *Store) AttackAt(i int) AttackView { return s.Cols().Attack(i) }
 
-// Row returns the view's attack row.
-func (v AttackView) Row() int { return int(v.row) }
-
 // ID returns the attack's ddos_id.
 func (v AttackView) ID() DDoSID { return DDoSID(v.c.aID[v.row]) }
 

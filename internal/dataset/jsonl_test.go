@@ -211,8 +211,8 @@ func TestDecodeJSONLManyRecordsNoNewline(t *testing.T) {
 }
 
 // TestDecodeRejectsUnwritableYears: a zone offset can push the UTC year
-// out of RFC 3339's four digits. The encoders write UTC and could only
-// write such a time as a line no decoder reads back, so the decoders do
+// out of RFC 3339's four digits. The encoder writes UTC and could only
+// write such a time as a line no decoder reads back, so the decoder does
 // not take it (FuzzDecodeJSONL found the hole).
 func TestDecodeRejectsUnwritableYears(t *testing.T) {
 	for _, ts := range []string{"0000-01-01T00:00:00+01:00", "9999-12-31T23:30:00-01:00"} {
@@ -220,10 +220,6 @@ func TestDecodeRejectsUnwritableYears(t *testing.T) {
 		_, err := ReadJSONL(strings.NewReader(fastRecord + "\n" + line + "\n"))
 		if err == nil || !strings.HasPrefix(err.Error(), "dataset: jsonl record 2: timestamp: ") || !strings.Contains(err.Error(), "outside 0000..9999") {
 			t.Errorf("jsonl %s: %v", ts, err)
-		}
-		csv := strings.Replace(sampleCSV(t), "2012-08-02T00:00:00Z", ts, 1)
-		if _, err := ReadCSV(strings.NewReader(csv)); err == nil || !strings.Contains(err.Error(), "csv line 3: timestamp: ") {
-			t.Errorf("csv %s: %v", ts, err)
 		}
 	}
 	for _, ts := range []string{"0000-01-01T00:00:00Z", "9999-12-31T23:59:59+01:00"} {

@@ -68,7 +68,7 @@ func TestSnapshotLazyRecords(t *testing.T) {
 	}
 
 	// First record-face touch: identical content, flag flips.
-	if !bytes.Equal(csvBytes(t, s), csvBytes(t, got)) {
+	if !bytes.Equal(jsonlBytes(t, s), jsonlBytes(t, got)) {
 		t.Fatal("materialized records differ from the original store")
 	}
 	if !got.RecordsMaterialized() {
@@ -127,7 +127,7 @@ func TestAttackRecordAtMatchesRecords(t *testing.T) {
 func TestSnapshotConcurrentMaterialize(t *testing.T) {
 	s := snapFixtureStore(t)
 	data := EncodeSnapshot(s)
-	want := csvBytes(t, s)
+	want := jsonlBytes(t, s)
 	for round := 0; round < 10; round++ {
 		got, err := DecodeSnapshot(data)
 		if err != nil {
@@ -173,7 +173,7 @@ func TestSnapshotConcurrentMaterialize(t *testing.T) {
 		for msg := range errs {
 			t.Fatal(msg)
 		}
-		if !bytes.Equal(want, csvBytes(t, got)) {
+		if !bytes.Equal(want, jsonlBytes(t, got)) {
 			t.Fatalf("round %d: concurrent materialization corrupted records", round)
 		}
 	}
@@ -187,7 +187,7 @@ func TestSnapshotConcurrentMaterialize(t *testing.T) {
 // first record-face touch, and produces identical records after it.
 func TestReadSnapshotMmapInfo(t *testing.T) {
 	s := snapFixtureStore(t)
-	want := csvBytes(t, s)
+	want := jsonlBytes(t, s)
 	path := filepath.Join(t.TempDir(), "fixture.bscs")
 	var buf bytes.Buffer
 	if err := WriteSnapshot(&buf, s); err != nil {
@@ -260,7 +260,7 @@ func TestReadSnapshotMmapInfo(t *testing.T) {
 				t.Fatal("column-native reads materialized the record view")
 			}
 			// First record-face touch: flag flips, content identical.
-			if !bytes.Equal(want, csvBytes(t, got)) {
+			if !bytes.Equal(want, jsonlBytes(t, got)) {
 				t.Fatalf("%s store differs from the record-built store", tc.name)
 			}
 			if !got.RecordsMaterialized() {

@@ -72,14 +72,14 @@ func snapFixtureStore(t testing.TB) *Store {
 	return s
 }
 
-// csvBytes renders the store's attack list through the CSV codec — the
-// repo's canonical record formatting — so two stores can be compared for
-// byte-identical record content.
-func csvBytes(t testing.TB, s *Store) []byte {
+// jsonlBytes renders the store's attack list through the JSONL codec,
+// which writes every field exactly (floats in shortest round-trip form),
+// so two stores can be compared for byte-identical record content.
+func jsonlBytes(t testing.TB, s *Store) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, s.Attacks()); err != nil {
-		t.Fatalf("write csv: %v", err)
+	if err := WriteJSONL(&buf, s.Attacks()); err != nil {
+		t.Fatalf("write jsonl: %v", err)
 	}
 	return buf.Bytes()
 }
@@ -92,7 +92,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 
-	if !bytes.Equal(csvBytes(t, s), csvBytes(t, got)) {
+	if !bytes.Equal(jsonlBytes(t, s), jsonlBytes(t, got)) {
 		t.Fatalf("attack records differ after snapshot round trip")
 	}
 	if got.NumAttacks() != s.NumAttacks() || got.NumBots() != s.NumBots() ||

@@ -1,6 +1,6 @@
 // Package dataset defines the three schemas of the paper's workload
 // (Table I): the Botlist, the Botnetlist, and the DDoSAttack list, plus an
-// indexed in-memory store and CSV/JSON codecs.
+// indexed in-memory store, a JSON-lines codec and a binary snapshot.
 //
 // Every analysis in botscope consumes these records and nothing else, so a
 // calibrated synthetic workload (internal/synth) can stand in for the

@@ -132,7 +132,7 @@ func NewWorkload(cfg synth.Config) (*Workload, error) {
 	return FromStore(store, cfg.Scale), nil
 }
 
-// FromStore wraps an existing store (e.g. loaded from CSV).
+// FromStore wraps an existing store (e.g. loaded from a snapshot or JSONL).
 func FromStore(store *dataset.Store, scale float64) *Workload {
 	if scale <= 0 {
 		scale = 1

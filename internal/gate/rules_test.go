@@ -37,7 +37,7 @@ func floateq(p *pass) {
 		}
 		xt, yt := p.info.Types[be.X], p.info.Types[be.Y]
 		if (isFloat(xt.Type) || isFloat(yt.Type)) && (xt.Value == nil || yt.Value == nil) {
-			p.report(be.Pos(), "float %s comparison; use an epsilon helper (stats.ApproxEqual) or compare exact representations", be.Op)
+			p.report(be.Pos(), "float %s comparison; test exact zero with stats.IsZero, or compare exact representations", be.Op)
 		}
 		return true
 	})

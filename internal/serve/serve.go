@@ -348,13 +348,6 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	writeError(w, http.StatusNotFound, fmt.Errorf("unknown experiment %q", id))
 }
 
-// ListenAndServe runs the server with sane timeouts until the listener
-// fails. It is the non-cancellable entry point; long-lived callers should
-// prefer ListenAndServeContext.
-func (s *Server) ListenAndServe(addr string) error {
-	return s.ListenAndServeContext(context.Background(), addr)
-}
-
 // ListenAndServeContext runs the server until the listener fails or ctx is
 // cancelled. On cancellation it shuts down gracefully, letting in-flight
 // requests finish within shutdownGrace, and returns nil.

@@ -42,22 +42,6 @@ func (e *ECDF) Quantile(q float64) float64 {
 	return quantileSorted(e.sorted, q)
 }
 
-// Min returns the smallest observation, or NaN for an empty sample.
-func (e *ECDF) Min() float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	return e.sorted[0]
-}
-
-// Max returns the largest observation, or NaN for an empty sample.
-func (e *ECDF) Max() float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	return e.sorted[len(e.sorted)-1]
-}
-
 // Point is a single (x, P(X<=x)) pair of a sampled CDF curve.
 type Point struct {
 	X float64

@@ -20,17 +20,12 @@ type ScenarioBuilder struct {
 	window   botnet.Window
 	profiles []*botnet.Profile
 	collabs  []botnet.InterCollab
-	bursts   map[dataset.Family]*botnet.BurstSpec
 	err      error
 }
 
 // NewScenario starts a builder with the paper's observation window.
 func NewScenario(seed int64) *ScenarioBuilder {
-	return &ScenarioBuilder{
-		seed:   seed,
-		window: botnet.PaperWindow(),
-		bursts: make(map[dataset.Family]*botnet.BurstSpec),
-	}
+	return &ScenarioBuilder{seed: seed, window: botnet.PaperWindow()}
 }
 
 // WithWindow overrides the observation window.
@@ -85,15 +80,6 @@ func (b *ScenarioBuilder) AddCollaboration(ic botnet.InterCollab) *ScenarioBuild
 	return b
 }
 
-// AddBurst attaches a one-day storm to a family.
-func (b *ScenarioBuilder) AddBurst(f dataset.Family, spec *botnet.BurstSpec) *ScenarioBuilder {
-	if b.err != nil {
-		return b
-	}
-	b.bursts[f] = spec
-	return b
-}
-
 // Build runs the simulation and indexes the workload.
 func (b *ScenarioBuilder) Build() (*dataset.Store, error) {
 	if b.err != nil {
@@ -110,9 +96,6 @@ func (b *ScenarioBuilder) Build() (*dataset.Store, error) {
 	}, db, b.profiles)
 	if err != nil {
 		return nil, fmt.Errorf("synth: build scenario: %w", err)
-	}
-	for f, spec := range b.bursts {
-		sim.SetBurst(f, spec)
 	}
 	out, err := sim.Run()
 	if err != nil {

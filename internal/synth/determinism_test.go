@@ -15,48 +15,31 @@ import (
 // map-iteration-ordered output in the synthesis path shows up here as a
 // byte diff.
 func TestGenerateDeterministic(t *testing.T) {
-	encode := func() (csvOut, jsonlOut []byte) {
+	encode := func(seed int64) []byte {
 		t.Helper()
-		store, err := GenerateStore(Config{Seed: 42, Scale: 0.05})
+		store, err := GenerateStore(Config{Seed: seed, Scale: 0.05})
 		if err != nil {
-			t.Fatalf("GenerateStore: %v", err)
+			t.Fatalf("GenerateStore(seed %d): %v", seed, err)
 		}
-		attacks := store.Attacks()
-		var csvBuf, jsonlBuf bytes.Buffer
-		if err := dataset.WriteCSV(&csvBuf, attacks); err != nil {
-			t.Fatalf("WriteCSV: %v", err)
-		}
-		if err := dataset.WriteJSONL(&jsonlBuf, attacks); err != nil {
+		var buf bytes.Buffer
+		if err := dataset.WriteJSONL(&buf, store.Attacks()); err != nil {
 			t.Fatalf("WriteJSONL: %v", err)
 		}
-		return csvBuf.Bytes(), jsonlBuf.Bytes()
+		return buf.Bytes()
 	}
 
-	csv1, jsonl1 := encode()
-	csv2, jsonl2 := encode()
-
-	if !bytes.Equal(csv1, csv2) {
-		t.Errorf("two same-seed runs produced different CSV output (%d vs %d bytes)", len(csv1), len(csv2))
-	}
+	jsonl1, jsonl2 := encode(42), encode(42)
 	if !bytes.Equal(jsonl1, jsonl2) {
 		t.Errorf("two same-seed runs produced different JSONL output (%d vs %d bytes)", len(jsonl1), len(jsonl2))
 	}
-	if len(csv1) == 0 || len(jsonl1) == 0 {
-		t.Fatal("encoded outputs are empty; determinism check is vacuous")
+	if len(jsonl1) == 0 {
+		t.Fatal("encoded output is empty; determinism check is vacuous")
 	}
 
 	// A different seed must actually change the output, otherwise the
 	// equality assertions above prove nothing about the generator.
-	store, err := GenerateStore(Config{Seed: 43, Scale: 0.05})
-	if err != nil {
-		t.Fatalf("GenerateStore(seed 43): %v", err)
-	}
-	var other bytes.Buffer
-	if err := dataset.WriteCSV(&other, store.Attacks()); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	if bytes.Equal(csv1, other.Bytes()) {
-		t.Error("different seeds produced identical CSV output; generator ignores the seed")
+	if bytes.Equal(jsonl1, encode(43)) {
+		t.Error("different seeds produced identical JSONL output; generator ignores the seed")
 	}
 }
 
@@ -76,8 +59,8 @@ func TestGenerateParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("Generate(GOMAXPROCS=%d): %v", procs, err)
 		}
 		var buf bytes.Buffer
-		if err := dataset.WriteCSV(&buf, out.Attacks); err != nil {
-			t.Fatalf("WriteCSV: %v", err)
+		if err := dataset.WriteJSONL(&buf, out.Attacks); err != nil {
+			t.Fatalf("WriteJSONL: %v", err)
 		}
 		for _, b := range out.Botnets {
 			fmt.Fprintf(&buf, "%d,%s,%s,%s\n", b.ID, b.Family, b.Hash, b.ControllerIP)

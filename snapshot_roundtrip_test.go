@@ -66,20 +66,21 @@ func TestSnapshotRoundTripRunall(t *testing.T) {
 
 	// The raw record export must survive the round trip exactly; this is
 	// the first record-face touch, so it also exercises lazy
-	// materialization on a full-size store.
-	var csvGen, csvSnap bytes.Buffer
-	if err := WriteCSV(&csvGen, store.Attacks()); err != nil {
-		t.Fatalf("WriteCSV(generated): %v", err)
+	// materialization on a full-size store. JSONL writes every float in
+	// shortest round-trip form, so a coordinate one ulp off shows.
+	var gen, reread bytes.Buffer
+	if err := WriteJSONL(&gen, store.Attacks()); err != nil {
+		t.Fatalf("WriteJSONL(generated): %v", err)
 	}
-	if err := WriteCSV(&csvSnap, reloaded.Attacks()); err != nil {
-		t.Fatalf("WriteCSV(reloaded): %v", err)
+	if err := WriteJSONL(&reread, reloaded.Attacks()); err != nil {
+		t.Fatalf("WriteJSONL(reloaded): %v", err)
 	}
 	if !reloaded.RecordsMaterialized() {
 		t.Fatal("Attacks() did not materialize the record view")
 	}
-	if !bytes.Equal(csvGen.Bytes(), csvSnap.Bytes()) {
-		t.Fatalf("CSV export differs after snapshot round trip (%d vs %d bytes)",
-			csvGen.Len(), csvSnap.Len())
+	if !bytes.Equal(gen.Bytes(), reread.Bytes()) {
+		t.Fatalf("JSONL export differs after snapshot round trip (%d vs %d bytes)",
+			gen.Len(), reread.Len())
 	}
 	for id, want := range genOut {
 		got, ok := snapOut[id]
