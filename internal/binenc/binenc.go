@@ -142,15 +142,6 @@ func Str[T ~string](c *Codec, p *T) {
 	}
 }
 
-// Byte carries one raw byte.
-func (c *Codec) Byte(p *byte) {
-	if !c.dec {
-		c.Buf = append(c.Buf, *p)
-	} else if b := c.take(1); b != nil {
-		*p = b[0]
-	}
-}
-
 // Bool carries a bool as the byte 0 or 1; a decode refuses any other.
 func (c *Codec) Bool(p *bool) {
 	if !c.dec {
@@ -165,15 +156,6 @@ func (c *Codec) Bool(p *bool) {
 		} else {
 			*p = b[0] == 1
 		}
-	}
-}
-
-// Derived fills a field that is not on the wire from one that is: a decode
-// stores v and an encode does nothing, so encoding a message never writes
-// to the caller's value.
-func Derived[T any](c *Codec, p *T, v T) {
-	if c.dec && c.Err == nil {
-		*p = v
 	}
 }
 
@@ -210,13 +192,13 @@ func (c *Codec) Addr(p *netip.Addr) {
 		}
 		return
 	}
-	var tag byte
-	c.Byte(&tag)
-	switch tag {
+	tag := c.take(1)
+	if tag == nil {
+		return
+	}
+	switch tag[0] {
 	case 0:
-		if c.Err == nil {
-			*p = netip.Addr{}
-		}
+		*p = netip.Addr{}
 	case 4:
 		if b := c.take(4); b != nil {
 			*p = netip.AddrFrom4([4]byte(b))

@@ -7,32 +7,29 @@ import (
 	"botscope/internal/dataset"
 )
 
-// IngestEntry is one element of an msgIngest payload: either an attack's
-// key record (the shard owns this attack's target partition) or a
-// lightweight (id, start, end) tick (the attack is homed elsewhere; the
-// shard folds it into its replicated scalar state only). Entries arrive in
-// global stream order; Seq is the record's 1-based position in the global
-// stream.
+// IngestEntry is one record of an msgIngest payload: an attack of the
+// receiving shard's target partition, and Seq, its 1-based position in the
+// global stream.
 //
 // A decoded Record holds the attack's key — ID, BotnetID, Family,
 // Category, TargetIP, Start, End — and nothing else: no bot IPs and no
 // target geolocation cross the wire (wireAttack), because the shard's
-// analyzer reads none of them.
+// partition reads none of them.
 type IngestEntry struct {
 	Seq    uint64
-	Record *dataset.Attack // nil for a tick
-	ID     dataset.DDoSID
-	Start  time.Time
-	End    time.Time
+	Record *dataset.Attack
 }
 
-// Tick reports whether the entry is a scalar tick rather than a record.
-func (e *IngestEntry) Tick() bool { return e.Record == nil }
-
-const (
-	entryTick   byte = 0
-	entryRecord byte = 1
-)
+// ingestBatch is the msgIngest payload: one chunk of the global stream as
+// one shard receives it. Covered is the number of records in the chunk,
+// Horizon the start of its last, and Entries the shard's own records among
+// them, in global order. The other partitions' records reach the shard
+// only as that count and that horizon (stream.Partition.Advance).
+type ingestBatch struct {
+	Covered uint64
+	Horizon time.Time
+	Entries []IngestEntry
+}
 
 // A BSCW payload is defined once, as a walk over its fields with a
 // binenc.Codec: the same function encodes the message and decodes it, so
@@ -40,51 +37,30 @@ const (
 // unix-nanoseconds, floats as their IEEE-754 bits, and every string and
 // address verbatim, so the far side reconstructs values bit-exactly.
 
-// wireIngest is the msgIngest payload: the entries, in global order, at
-// most ingestChunk of them — the frontend never sends more, and a decode
-// refuses a larger count before making anything, so one ingest frame costs
-// a shard at most ingestChunk entries whatever its length. A tick costs at
-// least 5 bytes (kind + 4 varints).
-func wireIngest(c *binenc.Codec, entries *[]IngestEntry) {
-	binenc.LenMax(c, entries, 5, ingestChunk)
-	for i := range *entries {
-		e := &(*entries)[i]
-		kind := e.wireKind(c)
+// wireIngest is the msgIngest payload. It carries at most ingestChunk
+// entries — the frontend never sends more, and a decode refuses a larger
+// count before making anything, so one ingest frame costs a shard at most
+// ingestChunk entries whatever its length. An entry costs at least 12
+// bytes (a sequence, the key's four varints and two times, and a 5-byte
+// IPv4 target).
+func wireIngest(c *binenc.Codec, b *ingestBatch) {
+	binenc.Uint(c, &b.Covered)
+	c.Time(&b.Horizon)
+	binenc.LenMax(c, &b.Entries, 12, ingestChunk)
+	for i := range b.Entries {
+		e := &b.Entries[i]
 		binenc.Uint(c, &e.Seq)
-		switch kind {
-		case entryTick:
-			binenc.Uint(c, &e.ID)
-			c.Time(&e.Start)
-			c.Time(&e.End)
-		case entryRecord:
-			wireAttack(c, e.Record)
-			// A record entry's tick fields mirror its record.
-			binenc.Derived(c, &e.ID, e.Record.ID)
-			binenc.Derived(c, &e.Start, e.Record.Start)
-			binenc.Derived(c, &e.End, e.Record.End)
-		default:
-			c.Fail()
+		if e.Record == nil {
+			// A decode's: LenMax zeroed the slot, so each record is new and
+			// one an open collaboration window kept is never overwritten.
+			e.Record = new(dataset.Attack)
 		}
+		wireAttack(c, e.Record)
 	}
 }
 
-// wireKind carries the entry-kind byte: what e is when the byte is going
-// out, what e is to become when it came in — a record entry arrives with a
-// Record for the walk to fill.
-func (e *IngestEntry) wireKind(c *binenc.Codec) byte {
-	kind := entryTick
-	if e.Record != nil {
-		kind = entryRecord
-	}
-	c.Byte(&kind)
-	if kind == entryRecord && e.Record == nil {
-		e.Record = new(dataset.Attack)
-	}
-	return kind
-}
-
-// wireAttack is an attack's key: the seven fields the shard's analyzer
-// reads (stream.Analyzer.IngestAt) and checks (dataset.Attack.ValidateKey).
+// wireAttack is an attack's key: the seven fields the shard's partition
+// reads and checks (stream.Partition.Ingest, dataset.Attack.ValidateKey).
 // The bot IPs and target geolocation stay at the frontend, which validated
 // them. The target names a real host (BSCS uses the zero tag for an absent
 // controller; BSCW refuses it).
@@ -99,8 +75,8 @@ func wireAttack(c *binenc.Codec, a *dataset.Attack) {
 }
 
 // helloAck is the shard's session greeting: its identity and how many
-// ingest entries it has applied (the frontend uses the latter to spot a
-// lagging or freshly reset shard).
+// records of the global stream it has covered since it started or last
+// left.
 type helloAck struct {
 	ShardID int
 	Applied uint64
@@ -111,8 +87,8 @@ func wireHelloAck(c *binenc.Codec, h *helloAck) {
 	binenc.Uint(c, &h.Applied)
 }
 
-// ingestAck reports how many entries the shard has applied in total after
-// this batch.
+// ingestAck reports how many records of the global stream the shard has
+// covered after this batch.
 type ingestAck struct {
 	Applied uint64
 }

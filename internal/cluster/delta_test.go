@@ -74,10 +74,10 @@ type shardSession struct {
 func (ss *shardSession) ingest(attacks []*dataset.Attack) {
 	ss.t.Helper()
 	for c := range slices.Chunk(attacks, ingestChunk) {
-		batch := make([]IngestEntry, len(c))
+		batch := ingestBatch{Covered: uint64(len(c)), Horizon: c[len(c)-1].Start, Entries: make([]IngestEntry, len(c))}
 		for i, a := range c {
 			ss.seq++
-			batch[i] = IngestEntry{Seq: ss.seq, Record: a, ID: a.ID, Start: a.Start, End: a.End}
+			batch.Entries[i] = IngestEntry{Seq: ss.seq, Record: a}
 		}
 		ss.req++
 		if resp := ss.send(Frame{Type: msgIngest, ReqID: ss.req, Payload: encodeMsg(wireIngest, &batch)}); resp.Flags != 0 {
@@ -295,47 +295,45 @@ func TestRejoinSendsFromRowZero(t *testing.T) {
 		t.Errorf("after leave and rejoin, Fig 2 = %s\nwant %s", asJSON(t, got.Daily), asJSON(t, want))
 	}
 	if got.Ingested != len(first)+len(second) {
-		t.Errorf("Ingested = %d, want %d from the shard that never left", got.Ingested, len(first)+len(second))
+		t.Errorf("Ingested = %d, want %d from the frontend's scalars", got.Ingested, len(first)+len(second))
 	}
 }
 
 // TestIngestEntriesReused: the shard decodes every ingest frame into one
-// entry slice, yet each record entry gets an Attack of its own — one an
-// open collaboration window kept from an earlier frame is never
-// overwritten by the next.
+// entry slice, yet each record gets an Attack of its own — one an open
+// collaboration window kept from an earlier frame is never overwritten by
+// the next.
 func TestIngestEntriesReused(t *testing.T) {
 	start := time.Date(2012, 8, 1, 12, 0, 0, 0, time.UTC)
-	// frame is a tick and a record, the record first when recordFirst.
-	frame := func(id uint64, recordFirst bool) []byte {
-		a := testAttack(id, "198.51.100.9", start.Add(time.Duration(id)*time.Minute))
-		batch := []IngestEntry{{Seq: id, ID: dataset.DDoSID(1000 + id), Start: a.Start, End: a.End}, {Seq: id + 1, Record: a, ID: a.ID, Start: a.Start, End: a.End}}
-		if recordFirst {
-			batch[0], batch[1] = batch[1], batch[0]
+	// frame carries n records from id on.
+	frame := func(id uint64, n int) []byte {
+		b := ingestBatch{Covered: uint64(n)}
+		for i := range uint64(n) {
+			a := testAttack(id+i, "198.51.100.9", start.Add(time.Duration(id+i)*time.Minute))
+			b.Entries = append(b.Entries, IngestEntry{Seq: id + i, Record: a})
+			b.Horizon = a.Start
 		}
-		return encodeMsg(wireIngest, &batch)
+		return encodeMsg(wireIngest, &b)
 	}
-	var entries []IngestEntry
+	var b ingestBatch
 	decode := func(payload []byte) {
 		t.Helper()
 		c := binenc.Decoder(payload)
-		wireIngest(&c, &entries)
+		wireIngest(&c, &b)
 		if err := payloadErr(&c); err != nil {
 			t.Fatal(err)
 		}
 	}
-	decode(frame(1, false))
-	first, array := entries[1].Record, &entries[0]
+	decode(frame(1, 2))
+	first, array := b.Entries[0].Record, &b.Entries[0]
 	kept := *first
-	decode(frame(3, true))
-	second := entries[0].Record
-	if &entries[0] != array {
+	decode(frame(3, 1))
+	second := b.Entries[0].Record
+	if &b.Entries[0] != array {
 		t.Error("the second frame did not reuse the entry array")
 	}
 	if first == second || !reflect.DeepEqual(*first, kept) || second.ID != 3 {
 		t.Errorf("records of two frames: %p (now %+v) and %p (%+v); want distinct, the first unchanged", first, *first, second, *second)
-	}
-	if entries[1].Record != nil {
-		t.Error("a tick decoded into a slot that held a record kept its pointer")
 	}
 }
 

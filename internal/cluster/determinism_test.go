@@ -251,6 +251,47 @@ func TestClusterLeaveRejoinUnderLoad(t *testing.T) {
 	}
 }
 
+// TestClusterScalarsSurviveShardLoss: the whole-feed panels belong to no
+// shard. Shard 1 leaves and rejoins empty between the two batches, then
+// shard 0 leaves; shard 1, the one left answering, covers only the second
+// batch, yet intervals, durations and load stay byte-identical to the
+// single-process server over both, flagged degraded, and the summary
+// counts the running total.
+func TestClusterScalarsSurviveShardLoss(t *testing.T) {
+	store, batches := replayFeed(t)
+	single := serve.New(store, 0.04)
+	for _, batch := range batches {
+		postIngest(t, single, batch, http.StatusOK)
+	}
+	_, h := startCluster(t, 2)
+	admin := func(path string) {
+		rec := httptest.NewRecorder()
+		if h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/cluster/shards/"+path, nil)); rec.Code != http.StatusOK {
+			t.Fatalf("POST %s = %d", path, rec.Code)
+		}
+	}
+	postIngest(t, h, batches[0], http.StatusOK)
+	admin("1/leave")
+	admin("1/join")
+	_, total := postIngest(t, h, batches[1], http.StatusOK)
+	admin("0/leave")
+
+	for _, route := range []string{"/api/live/intervals", "/api/live/durations", "/api/live/load", "/api/live/summary"} {
+		_, _, want := getBody(t, single, route)
+		code, hdr, body := getBody(t, h, route)
+		if hdr.Get(serve.HeaderMissingShards) != "1" {
+			t.Errorf("GET %s: missing shards %q, want 1", route, hdr.Get(serve.HeaderMissingShards))
+		}
+		if route == "/api/live/summary" {
+			if want := fmt.Sprintf(`"ingested": %d,`, total); !strings.Contains(body, want) {
+				t.Errorf("GET %s = %.200s, want %s", route, body, want)
+			}
+		} else if code != http.StatusOK || body != want {
+			t.Errorf("GET %s = %d after shard loss:\n cluster: %.400s\n single:  %.400s", route, code, body, want)
+		}
+	}
+}
+
 // TestFrontendIngestBusy pins the backpressure contract: a second ingest
 // arriving while one is in flight is refused whole with a 503-shaped
 // error, applying nothing.

@@ -55,14 +55,17 @@ var ErrNoShards = &StatusError{Status: 503, Message: "cluster: no shards reachab
 
 // Frontend is the query/ingest tier over a set of shard workers. It
 // validates whole records and keeps their keys (dataset.DecodeJSONLKeys),
-// orders the global ingest stream, fans each chunk out as owned attacks'
-// keys plus everyone else's ticks, and answers live queries by merging
-// shard snapshots deterministically. Besides routing (the ring and shard
-// sessions) and the global stream cursor, it holds one analytics state:
-// Fig 2's days. Each session holds its shard's day rows, so a snapshot
+// orders the global ingest stream, folds the whole-feed statistics, fans
+// each chunk out to every shard as its own records' keys plus the chunk's
+// length and horizon, and answers live queries by merging shard snapshots
+// deterministically.
+//
+// Besides routing it holds two analytics states: the whole feed's
+// stream.Scalars (§II-B load, §III-B intervals, §III-C durations), which
+// only the one place that sees every record in order can fold, and Fig
+// 2's closed days. Each session holds its shard's day rows, so a snapshot
 // carries only the rows past them, and the closed days of the sessions
-// that answer are folded once into a held core.DailyMerge. Everything
-// else lives on the shards.
+// that answer are folded once into a held core.DailyMerge.
 type Frontend struct {
 	ring          *Ring
 	queryTimeout  time.Duration
@@ -72,20 +75,28 @@ type Frontend struct {
 	clients map[int]*shardClient // connected shards, guarded by mu
 	addrs   map[int]string       // every shard ever seen, for rejoin; guarded by mu
 
-	ingestMu  sync.Mutex    // serializes ingest (the stream is globally ordered)
-	seq       atomic.Uint64 // written under ingestMu; read lock-free by status
-	lastStart time.Time     // guarded by ingestMu
+	ingestMu sync.Mutex // serializes ingest (the stream is globally ordered)
+	// fanned counts the records whose chunk has been fanned out, acked or
+	// not — between ingests, the running total. A shard that has covered
+	// fewer missed frames. Written under ingestMu.
+	fanned atomic.Uint64
 
-	// flushChunk's scratch, kept between chunks: one chunk's owners and
-	// entries (ingestChunk long) and one payload buffer per shard. Guarded
-	// by ingestMu. A payload is free again when its send returns — the
-	// client copies it into the frame it writes.
+	// scalars folds every record LiveIngest accepts, in order. Written
+	// under ingestMu; its own mutex, not snapMu, which a rebuild holds
+	// across the shard fan-out, keeps readers off it.
+	scalarsMu sync.Mutex
+	scalars   *stream.Scalars // guarded by scalarsMu
+
+	// flushChunk's scratch, kept between chunks: one chunk's owners, one
+	// shard's entries (each ingestChunk long) and one payload buffer per
+	// shard. Guarded by ingestMu. A payload is free again when its send
+	// returns — the client copies it into the frame it writes.
 	owners   []int
 	entries  []IngestEntry
 	payloads [][]byte
 
-	// gen invalidates the merged-snapshot cache: bumped on every applied
-	// chunk and every membership change.
+	// gen invalidates the merged-snapshot cache: bumped on every chunk
+	// fanned out and every membership change.
 	gen    atomic.Uint64
 	snapMu sync.Mutex // serializes cache rebuilds only
 	// cache holds the merged snapshot for the current generation,
@@ -122,6 +133,7 @@ func NewFrontend(queryTimeout, ingestTimeout time.Duration) *Frontend {
 		ingestTimeout: ingestTimeout,
 		clients:       make(map[int]*shardClient),
 		addrs:         make(map[int]string),
+		scalars:       stream.NewScalars(),
 		owners:        make([]int, ingestChunk),
 		entries:       make([]IngestEntry, ingestChunk),
 	}
@@ -206,7 +218,9 @@ func (f *Frontend) members() ([]int, []*shardClient) {
 // LiveSnapshot returns the merged live view plus the ids of shards whose
 // data is missing or stale in it (unreachable, timed out, or freshly
 // rejoined and still refilling). The error is non-nil only when no shard
-// answered at all.
+// answered at all. The per-target half is the shards' partials merged;
+// the whole-feed half is the frontend's scalars, which a read racing an
+// ingest may find up to a chunk ahead of it.
 //
 // Responses are cached per (ingest, membership) generation: between
 // writes, every query is served from the same merged snapshot, so a read
@@ -228,6 +242,7 @@ func (f *Frontend) LiveSnapshot(ctx context.Context) (stream.Snapshot, []int, er
 	if len(ids) == 0 {
 		return stream.Snapshot{}, nil, ErrNoShards
 	}
+	fanned := int(f.fanned.Load()) // what every shard fed since it joined has covered
 	snaps := eachShard(len(ids), func(i int) *ShardSnapshot {
 		c := clients[i]
 		if c == nil {
@@ -252,16 +267,19 @@ func (f *Frontend) LiveSnapshot(ctx context.Context) (stream.Snapshot, []int, er
 		f.daily, f.dailyFor = core.DailyMerge{}, answered
 	}
 	merged := mergeSnapshots(snaps, &f.daily)
+	f.scalarsMu.Lock()
+	f.scalars.Fill(&merged)
+	f.scalarsMu.Unlock()
 	var degraded []int
 	ok := 0
 	for i, s := range snaps {
 		switch {
 		case s == nil:
 			degraded = append(degraded, ids[i])
-		case s.Snap.Ingested < merged.Ingested:
-			// The shard answered but has not replicated the full tick
-			// stream (it rejoined after a leave): its partition is
-			// underfilled, so the merged keyed stats undercount.
+		case s.Snap.Ingested < fanned:
+			// The shard answered but missed frames (it rejoined after a
+			// leave): its partition is underfilled, so the merged
+			// per-target stats undercount.
 			degraded = append(degraded, ids[i])
 			ok++
 		default:
@@ -279,12 +297,14 @@ func (f *Frontend) LiveSnapshot(ctx context.Context) (stream.Snapshot, []int, er
 }
 
 // LiveIngest streams JSONL records from body into the cluster: validate
-// whole and order-check at the edge — dataset.DecodeJSONLKeys is the only
-// place a record's bot IPs and target geolocation are checked, and it
-// hands over the key alone, since no shard receives the rest — assign
-// global sequence numbers, fan each chunk out with the attack's key to the
-// owning shard and ticks to the rest, and wait for every ack. It returns
-// how many records this call applied and the cluster's running total.
+// whole at the edge — dataset.DecodeJSONLKeys is the only place a
+// record's bot IPs and target geolocation are checked, and it hands over
+// the key alone, since no shard receives the rest — fold each record into
+// the whole-feed scalars, whose order check is the cluster's one, fan each
+// chunk out with its records' keys to their owning shards and its length
+// and horizon to every shard, and wait for every ack. It returns how many
+// records this call applied and the cluster's running total, a chunk no
+// shard acked included.
 //
 // Semantics match the single-process ingest endpoint: records preceding a
 // malformed or out-of-order record stay applied. A concurrent ingest is
@@ -304,20 +324,21 @@ func (f *Frontend) LiveIngest(ctx context.Context, body io.Reader) (int, int, er
 		if len(chunk) == 0 {
 			return nil
 		}
-		if err := f.flushChunk(ctx, chunk); err != nil {
-			return err
+		err := f.flushChunk(ctx, chunk)
+		if err == nil {
+			ingested += len(chunk)
 		}
-		ingested += len(chunk)
-		chunk = chunk[:0]
-		return nil
+		chunk = chunk[:0] // fanned out either way: never sent twice
+		return err
 	}
 
 	decErr := dataset.DecodeJSONLKeys(body, func(a *dataset.Attack) error {
-		if f.seq.Load() > 0 && a.Start.Before(f.lastStart) {
-			return fmt.Errorf("%w: %v < %v (attack %d)", stream.ErrOutOfOrder, a.Start, f.lastStart, a.ID)
+		f.scalarsMu.Lock()
+		err := f.scalars.Observe(a.ID, a.Start, a.End)
+		f.scalarsMu.Unlock()
+		if err != nil {
+			return err
 		}
-		f.seq.Add(1)
-		f.lastStart = a.Start
 		chunk = append(chunk, a)
 		if len(chunk) >= ingestChunk {
 			return flush()
@@ -326,48 +347,26 @@ func (f *Frontend) LiveIngest(ctx context.Context, body io.Reader) (int, int, er
 	})
 	flushErr := flush()
 
-	total := int(f.seq.Load())
+	total := int(f.fanned.Load())
 	if decErr != nil {
 		return ingested, total, decErr
 	}
 	return ingested, total, flushErr
 }
 
-// flushChunk fans one ordered chunk out to every live shard and waits for
-// all acks.
+// flushChunk fans one ordered chunk, already in the scalars, out to every
+// live shard and waits for all acks. Whatever the fan-out does, the
+// stream has moved on by the chunk, and so has the merged view.
 func (f *Frontend) flushChunk(ctx context.Context, chunk []*dataset.Attack) error {
+	defer func() {
+		f.fanned.Add(uint64(len(chunk)))
+		f.gen.Add(1)
+	}()
 	ids, clients := f.members()
 	if len(ids) == 0 {
 		return ErrNoShards
 	}
-
-	// The chunk entered the stream before the fan-out; seq for record i is
-	// f.seq - len(chunk) + 1 + i.
-	base := f.seq.Load() - uint64(len(chunk))
-
-	// Build each shard's payload: the owner gets the record, of which
-	// wireAttack sends only the key, everyone else gets its scalar tick,
-	// all in global order.
-	owners, entries := f.owners[:len(chunk)], f.entries[:len(chunk)]
-	for i, a := range chunk {
-		owners[i] = f.ring.Owner(a.TargetIP)
-	}
-	if len(f.payloads) < len(ids) {
-		f.payloads = append(f.payloads, make([][]byte, len(ids)-len(f.payloads))...)
-	}
-	for si, id := range ids {
-		for i, a := range chunk {
-			e := IngestEntry{Seq: base + 1 + uint64(i), ID: a.ID, Start: a.Start, End: a.End}
-			if owners[i] == id {
-				e.Record = a
-			}
-			entries[i] = e
-		}
-		w := binenc.Encoder(f.payloads[si][:0])
-		wireIngest(&w, &entries)
-		f.payloads[si] = w.Buf
-	}
-	clear(entries) // keep the array, not the chunk's records
+	f.encodeChunk(ids, chunk)
 
 	errs := eachShard(len(ids), func(i int) error {
 		c := clients[i]
@@ -394,8 +393,35 @@ func (f *Frontend) flushChunk(ctx context.Context, chunk []*dataset.Attack) erro
 	if acked == 0 {
 		return ErrNoShards
 	}
-	f.gen.Add(1)
 	return nil
+}
+
+// encodeChunk builds each member's payload for chunk into f.payloads, in
+// ids' order: the chunk's length and horizon, and the records the member
+// owns — of which wireAttack sends only the key — in global order. Record
+// i of the chunk is record fanned+1+i of the stream.
+func (f *Frontend) encodeChunk(ids []int, chunk []*dataset.Attack) {
+	base := f.fanned.Load()
+	owners := f.owners[:len(chunk)]
+	for i, a := range chunk {
+		owners[i] = f.ring.Owner(a.TargetIP)
+	}
+	if len(f.payloads) < len(ids) {
+		f.payloads = append(f.payloads, make([][]byte, len(ids)-len(f.payloads))...)
+	}
+	b := ingestBatch{Covered: uint64(len(chunk)), Horizon: chunk[len(chunk)-1].Start}
+	for si, id := range ids {
+		b.Entries = f.entries[:0]
+		for i, a := range chunk {
+			if owners[i] == id {
+				b.Entries = append(b.Entries, IngestEntry{Seq: base + 1 + uint64(i), Record: a})
+			}
+		}
+		w := binenc.Encoder(f.payloads[si][:0])
+		wireIngest(&w, &b)
+		f.payloads[si] = w.Buf
+	}
+	clear(f.entries) // keep the array, not the chunk's records
 }
 
 // eachShard runs f(i) for every member index i in [0, n), each on its
@@ -445,7 +471,7 @@ func (f *Frontend) ClusterStatus() any {
 	for _, id := range f.ring.Members() {
 		inRing[id] = true
 	}
-	st := Status{RingVersion: f.ring.Version(), RingSize: f.ring.Size(), Ingested: f.seq.Load()}
+	st := Status{RingVersion: f.ring.Version(), RingSize: f.ring.Size(), Ingested: f.fanned.Load()}
 	for _, id := range ids {
 		st.Shards = append(st.Shards, ShardStatus{
 			ID:        id,

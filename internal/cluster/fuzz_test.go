@@ -16,8 +16,8 @@ import (
 func FuzzDecodeWire(f *testing.F) {
 	f.Add(AppendFrame(nil, &Frame{Type: msgHello, ReqID: 1}))
 	f.Add(AppendFrame(nil, &Frame{Type: msgPing, ReqID: 2}))
-	f.Add([]byte("BSCW\x03"))
-	f.Add([]byte("XXXX\x03\x01\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00"))
+	f.Add([]byte("BSCW\x04"))
+	f.Add([]byte("XXXX\x04\x01\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00"))
 
 	// One seed per payload kind: the golden's, so the fuzzer starts from
 	// every field of every message.

@@ -18,24 +18,24 @@ import (
 // limit, which is the backpressure signal the frontend surfaces as 503.
 const DefaultQueueDepth = 64
 
-// Shard is one worker of the sharded serve tier. It owns a target
-// partition of the live feed in a stream.Analyzer (attack keys for its own
-// partition, scalar ticks for everything else) and speaks the wire
-// protocol over TCP: ingest batches and snapshot requests queue through a
-// single applier goroutine, so reads observe every batch acked before
-// them (FIFO read-your-writes).
+// Shard is one worker of the sharded serve tier. It holds a target
+// partition of the live feed in a stream.Partition — the keys of its own
+// records, and of everyone else's only a count and a horizon per frame —
+// and speaks the wire protocol over TCP: ingest batches and snapshot
+// requests queue through a single applier goroutine, so reads observe
+// every batch acked before them (FIFO read-your-writes). The whole-feed
+// statistics are the frontend's; a shard holds none.
 type Shard struct {
-	id         int
-	queueDepth int
+	id int
 
-	an      *stream.Analyzer // applier goroutine only, after Serve starts
-	applied atomic.Uint64    // total ingest entries applied
+	part    *stream.Partition // applier goroutine only, after Serve starts
+	applied atomic.Uint64     // records of the global stream covered
 
 	work chan shardJob
 
 	// Applier-local scratch, reused from frame to frame: the decoded ingest
-	// entries, and the snapshot response's encoding (writeFrame copies it).
-	entries []IngestEntry
+	// batch, and the snapshot response's encoding (writeFrame copies it).
+	batch   ingestBatch
 	snapBuf []byte
 
 	mu    sync.Mutex
@@ -71,18 +71,18 @@ func NewShard(id, queueDepth int) *Shard {
 		queueDepth = DefaultQueueDepth
 	}
 	return &Shard{
-		id:         id,
-		queueDepth: queueDepth,
-		an:         stream.New(),
-		work:       make(chan shardJob, queueDepth),
-		conns:      make(map[net.Conn]bool),
+		id:    id,
+		part:  stream.NewPartition(),
+		work:  make(chan shardJob, queueDepth),
+		conns: make(map[net.Conn]bool),
 	}
 }
 
 // ID returns the shard's identity.
 func (s *Shard) ID() int { return s.id }
 
-// Applied returns the total number of ingest entries applied.
+// Applied returns the number of records of the global stream the shard
+// has covered since it started or last left.
 func (s *Shard) Applied() uint64 { return s.applied.Load() }
 
 // Serve accepts frontend connections on ln until ctx is cancelled, then
@@ -188,14 +188,14 @@ func (s *Shard) applier() {
 }
 
 // applyIngest decodes a batch into the applier's one entry slice: the
-// decode clears it first, so every record entry gets a fresh Attack —
-// open collaboration windows keep the ones from earlier frames.
+// decode clears it first, so every record gets a fresh Attack — open
+// collaboration windows keep the ones from earlier frames.
 func (s *Shard) applyIngest(job shardJob) {
 	r := binenc.Decoder(job.frame.Payload)
-	wireIngest(&r, &s.entries)
+	wireIngest(&r, &s.batch)
 	err := payloadErr(&r)
 	if err == nil {
-		err = s.apply(s.entries)
+		err = s.apply(&s.batch)
 	}
 	if err != nil {
 		_ = job.conn.writeFrame(&Frame{
@@ -209,30 +209,28 @@ func (s *Shard) applyIngest(job shardJob) {
 	_ = job.conn.writeFrame(&Frame{Type: msgIngestAck, ReqID: job.frame.ReqID, Payload: w.Buf})
 }
 
-// apply folds an ordered batch into the analyzer: key records for the
-// shard's own partition (IngestAt checks each with ValidateKey), ticks
-// for the rest.
-func (s *Shard) apply(entries []IngestEntry) error {
-	for i := range entries {
-		e := &entries[i]
-		var err error
-		if e.Record != nil {
-			err = s.an.IngestAt(e.Record, e.Seq)
-		} else {
-			err = s.an.Tick(e.ID, e.Start, e.End)
-		}
-		if err != nil {
+// apply folds an ordered batch into the partition: its records
+// (Partition.Ingest checks each with ValidateKey), then the chunk they came
+// in as covered. A refused record leaves the chunk uncovered; the records
+// before it stay folded.
+func (s *Shard) apply(b *ingestBatch) error {
+	if b.Covered < uint64(len(b.Entries)) || b.Covered > ingestChunk {
+		return fmt.Errorf("cluster: shard %d: a frame covering %d records carries %d", s.id, b.Covered, len(b.Entries))
+	}
+	for i := range b.Entries {
+		e := &b.Entries[i]
+		if err := s.part.Ingest(e.Record, e.Seq); err != nil {
 			return fmt.Errorf("cluster: shard %d entry %d: %w", s.id, i, err)
 		}
-		s.applied.Add(1)
 	}
+	s.part.Advance(int(b.Covered), b.Horizon)
+	s.applied.Add(b.Covered)
 	return nil
 }
 
 // applySnap answers a snapshot request with the day rows from the
-// request's cursor on, clamped to the shard's newest row. The analyzer
-// caches its snapshot per generation, so a repeated request re-encodes
-// only. A negative or malformed cursor is refused with an error ack.
+// request's cursor on, clamped to the shard's newest row. A negative or
+// malformed cursor is refused with an error ack.
 func (s *Shard) applySnap(job shardJob) {
 	var req snapReq
 	r := binenc.Decoder(job.frame.Payload)
@@ -248,7 +246,7 @@ func (s *Shard) applySnap(job shardJob) {
 		})
 		return
 	}
-	snap := ShardSnapshot{ShardID: s.id, Applied: s.applied.Load(), Snap: s.an.Snapshot()}
+	snap := ShardSnapshot{ShardID: s.id, Applied: s.applied.Load(), Snap: s.part.Snapshot()}
 	days := snap.Snap.Daily.Days
 	snap.DaysFrom = max(min(req.Cursor, len(days)-1), 0)
 	snap.Snap.Daily = core.DailyStats{Days: days[snap.DaysFrom:]}
@@ -259,11 +257,11 @@ func (s *Shard) applySnap(job shardJob) {
 }
 
 // applyLeave resets the shard to empty for a clean rejoin: a shard that
-// left the ring missed ticks while away, so its scalar replica and its
+// left the ring missed frames while away, so its partition's records and
 // collaboration horizon are unrecoverable — the honest state to rejoin
 // with is none, reported as degraded data until the partition refills.
 func (s *Shard) applyLeave(job shardJob) {
-	s.an = stream.New()
+	s.part = stream.NewPartition()
 	s.applied.Store(0)
 	_ = job.conn.writeFrame(&Frame{Type: msgLeaveAck, ReqID: job.frame.ReqID})
 }

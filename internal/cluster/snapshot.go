@@ -3,17 +3,16 @@ package cluster
 import (
 	"botscope/internal/binenc"
 	"botscope/internal/core"
-	"botscope/internal/stats"
 	"botscope/internal/stream"
 )
 
 // ShardSnapshot is one shard's contribution to a merged live view: the
-// shard's identity, how many ingest entries it has applied, and its
-// stream.Snapshot. The snapshot's scalar half (Ingested, time bounds,
-// Intervals, Durations, Load) covers the *global* stream — every shard
-// replicates it from the tick feed — while the keyed half (Protocols,
-// FamilyProtocol, Daily, Collaborations) covers only the shard's target
-// partition.
+// shard's identity, how many records of the global stream it has covered,
+// and its partition's stream.Snapshot — the per-target half (Protocols,
+// FamilyProtocol, Daily, Collaborations) over the shard's target
+// partition, with Ingested the records covered and LastStart their horizon.
+// The whole-feed half is the frontend's own (stream.Scalars) and never
+// crosses the wire.
 //
 // Snap.Daily.Days holds the shard's day rows from DaysFrom on; a session
 // already holds the ones before (Frontend). The Daily headline (Average,
@@ -46,9 +45,7 @@ func wireSnapshot(c *binenc.Codec, s *ShardSnapshot) {
 	sn := &s.Snap
 
 	binenc.Int(c, &sn.Ingested)
-	c.Time(&sn.FirstStart)
 	c.Time(&sn.LastStart)
-	binenc.Int(c, &sn.ActiveAttacks)
 
 	binenc.Len(c, &sn.Protocols, 2)
 	for i := range sn.Protocols {
@@ -67,15 +64,6 @@ func wireSnapshot(c *binenc.Codec, s *ShardSnapshot) {
 
 	binenc.Int(c, &s.DaysFrom)
 	wireDays(c, &sn.Daily.Days)
-	wireSummary(c, &sn.Intervals.Summary)
-	c.F64(&sn.Intervals.SimultaneousFrac)
-	c.F64(&sn.Intervals.ExactZeroFrac)
-	wireSummary(c, &sn.Durations.Summary)
-	c.F64(&sn.Durations.FracUnder4h)
-	c.F64(&sn.Durations.FracUnder60s)
-	binenc.Int(c, &sn.Load.Peak)
-	c.Time(&sn.Load.PeakTime)
-	c.F64(&sn.Load.TimeWeightedMean)
 	wireCollab(c, &sn.Collaborations)
 }
 
@@ -87,17 +75,6 @@ func wireDays(c *binenc.Codec, days *[]core.DailyCount) {
 		binenc.Int(c, &dc.Count)
 		binenc.Counts(c, &dc.ByFamily)
 	}
-}
-
-func wireSummary(c *binenc.Codec, s *stats.Summary) {
-	binenc.Int(c, &s.N)
-	c.F64(&s.Mean)
-	c.F64(&s.Median)
-	c.F64(&s.StdDev)
-	c.F64(&s.Min)
-	c.F64(&s.Max)
-	c.F64(&s.P80)
-	c.F64(&s.P95)
 }
 
 func wireCollab(c *binenc.Codec, s *stream.CollabSummary) {
@@ -129,15 +106,14 @@ func wireCollab(c *binenc.Codec, s *stream.CollabSummary) {
 	binenc.Int(c, &s.BotnetTotal)
 }
 
-// MergeSnapshots reassembles a single-process stream.Snapshot from shard
-// partials. The scalar half comes verbatim from the most advanced shard
-// (highest Ingested, ties to the lowest shard id) — every up-to-date shard
-// replicated the identical tick stream, so their scalars are bit-identical
-// and any one of them is the global truth. The keyed half goes back into
-// the accumulators in internal/core that every shard rendered it from —
-// each a sum over the disjoint target partitions — so the merged snapshot
-// is byte-identical to the one a single analyzer over the whole feed would
-// produce, for any shard count.
+// MergeSnapshots reassembles the per-target half of a single-process
+// stream.Snapshot from shard partials. Each field goes back into the
+// accumulator in internal/core that every shard rendered it from — a sum
+// over the disjoint target partitions — so the merged half is
+// byte-identical to the one a single analyzer over the whole feed would
+// produce, for any shard count. Ingested and LastStart are the most
+// advanced partial's; the other whole-feed fields stay zero, for the
+// frontend's stream.Scalars to fill.
 //
 // Snapshots must be sorted by ShardID (the frontend's fan-out preserves
 // that order) and carry their whole day series (DaysFrom 0). An empty
@@ -153,28 +129,6 @@ func MergeSnapshots(snaps []*ShardSnapshot) stream.Snapshot {
 // call to the next.
 func mergeSnapshots(snaps []*ShardSnapshot, daily *core.DailyMerge) stream.Snapshot {
 	var out stream.Snapshot
-	var src *ShardSnapshot
-	for _, s := range snaps {
-		if s == nil {
-			continue
-		}
-		if src == nil || s.Snap.Ingested > src.Snap.Ingested {
-			src = s
-		}
-	}
-	if src == nil || src.Snap.Ingested == 0 {
-		return out
-	}
-
-	// Global scalar statistics: verbatim from the most advanced shard.
-	out.Ingested = src.Snap.Ingested
-	out.FirstStart = src.Snap.FirstStart
-	out.LastStart = src.Snap.LastStart
-	out.ActiveAttacks = src.Snap.ActiveAttacks
-	out.Intervals = src.Snap.Intervals
-	out.Durations = src.Snap.Durations
-	out.Load = src.Snap.Load
-
 	var types core.TypeCounts
 	parts := make([]core.DailyPart, 0, len(snaps))
 	collab := make([]*stream.CollabSummary, 0, len(snaps))
@@ -182,11 +136,18 @@ func mergeSnapshots(snaps []*ShardSnapshot, daily *core.DailyMerge) stream.Snaps
 		if s == nil {
 			continue
 		}
+		out.Ingested = max(out.Ingested, s.Snap.Ingested)
+		if s.Snap.LastStart.After(out.LastStart) {
+			out.LastStart = s.Snap.LastStart
+		}
 		for _, fp := range s.Snap.FamilyProtocol {
 			types.Add(fp.Category, fp.Family, fp.Count)
 		}
 		parts = append(parts, core.DailyPart{Days: s.Snap.Daily.Days, Through: s.Snap.LastStart})
 		collab = append(collab, &s.Snap.Collaborations)
+	}
+	if out.Ingested == 0 {
+		return stream.Snapshot{}
 	}
 	out.Protocols = types.Protocols()
 	out.FamilyProtocol = types.FamilyProtocol()

@@ -11,16 +11,18 @@ import (
 )
 
 var (
-	mergeOnce   sync.Once
-	mergeStore  *dataset.Store
-	mergeSingle stream.Snapshot
-	mergeSnaps  []*ShardSnapshot
-	mergeErr    error
+	mergeOnce  sync.Once
+	mergeStore *dataset.Store
+	mergeWhole stream.Snapshot
+	mergeSnaps []*ShardSnapshot
+	mergeErr   error
 )
 
-// mergeFixture partitions one seeded workload across 4 shard analyzers the
-// way the frontend would (owner gets the record, everyone else the tick)
-// and snapshots all of them, plus the single-analyzer reference.
+// mergeFixture partitions one seeded workload across 4 shard partitions
+// the way the frontend feeds them — each chunk's records to their owner,
+// the chunk's length and horizon to every shard — and snapshots all of
+// them, plus one partition over the whole feed: the per-target half of a
+// single analyzer's snapshot.
 func mergeFixture(t testing.TB) ([]*ShardSnapshot, stream.Snapshot) {
 	mergeOnce.Do(func() {
 		mergeStore, mergeErr = synth.GenerateStore(synth.Config{Seed: 17, Scale: 0.04})
@@ -29,33 +31,31 @@ func mergeFixture(t testing.TB) ([]*ShardSnapshot, stream.Snapshot) {
 		}
 		const nShards = 4
 		ring := NewRing()
-		shards := make([]*stream.Analyzer, nShards)
+		shards := make([]*stream.Partition, nShards)
 		for id := 0; id < nShards; id++ {
 			ring.Add(id)
-			shards[id] = stream.New()
+			shards[id] = stream.NewPartition()
 		}
-		single := stream.New()
-		seq := uint64(0)
-		for _, a := range mergeStore.Attacks() {
-			if mergeErr = single.Ingest(a); mergeErr != nil {
-				return
-			}
-			seq++
-			owner := ring.Owner(a.TargetIP)
-			for id, an := range shards {
-				if id == owner {
-					mergeErr = an.IngestAt(a, seq)
-				} else {
-					mergeErr = an.Tick(a.ID, a.Start, a.End)
+		whole := stream.NewPartition()
+		attacks := mergeStore.Attacks()
+		for from := 0; from < len(attacks); from += ingestChunk {
+			chunk := attacks[from:min(from+ingestChunk, len(attacks))]
+			for i, a := range chunk {
+				seq := uint64(from + i + 1)
+				if mergeErr = whole.Ingest(a, seq); mergeErr != nil {
+					return
 				}
-				if mergeErr != nil {
+				if mergeErr = shards[ring.Owner(a.TargetIP)].Ingest(a, seq); mergeErr != nil {
 					return
 				}
 			}
+			for _, p := range append(shards, whole) {
+				p.Advance(len(chunk), chunk[len(chunk)-1].Start)
+			}
 		}
-		mergeSingle = single.Snapshot()
-		for id, an := range shards {
-			s := ShardSnapshot{ShardID: id, Applied: seq, Snap: an.Snapshot()}
+		mergeWhole = whole.Snapshot()
+		for id, p := range shards {
+			s := ShardSnapshot{ShardID: id, Applied: uint64(len(attacks)), Snap: p.Snapshot()}
 			// Round-trip through the wire codec so the fixture covers
 			// exactly what the frontend merges: decoded snapshots.
 			dec, err := decodeMsg(wireSnapshot, encodeMsg(wireSnapshot, &s))
@@ -69,7 +69,7 @@ func mergeFixture(t testing.TB) ([]*ShardSnapshot, stream.Snapshot) {
 	if mergeErr != nil {
 		t.Fatal(mergeErr)
 	}
-	return mergeSnaps, mergeSingle
+	return mergeSnaps, mergeWhole
 }
 
 // asJSON renders a snapshot the way the serve layer would observe it —
@@ -84,15 +84,15 @@ func asJSON(t testing.TB, v any) string {
 }
 
 // TestMergeSnapshotsDeterministic: merging 4 wire-decoded shard partials
-// reproduces the single-analyzer snapshot exactly, and the merge is
-// invariant under shard order.
+// reproduces the per-target half of one partition over the whole feed
+// exactly, and the merge is invariant under shard order.
 func TestMergeSnapshotsDeterministic(t *testing.T) {
-	snaps, single := mergeFixture(t)
-	want := asJSON(t, single)
+	snaps, whole := mergeFixture(t)
+	want := asJSON(t, whole)
 
 	merged := MergeSnapshots(snaps)
 	if got := asJSON(t, merged); got != want {
-		t.Errorf("merged snapshot diverges from single analyzer:\n got %.600s\nwant %.600s", got, want)
+		t.Errorf("merged snapshot diverges from one partition over the feed:\n got %.600s\nwant %.600s", got, want)
 	}
 
 	reversed := make([]*ShardSnapshot, len(snaps))
@@ -107,8 +107,9 @@ func TestMergeSnapshotsDeterministic(t *testing.T) {
 	// crash or corrupt the merge shape.
 	partial := []*ShardSnapshot{snaps[0], nil, snaps[2], snaps[3]}
 	p := MergeSnapshots(partial)
-	if p.Ingested != single.Ingested {
-		t.Errorf("partial merge Ingested = %d, want %d (ticks are replicated)", p.Ingested, single.Ingested)
+	if p.Ingested != whole.Ingested || !p.LastStart.Equal(whole.LastStart) {
+		t.Errorf("partial merge covers %d records to %v, want %d to %v (every shard covers the stream)",
+			p.Ingested, p.LastStart, whole.Ingested, whole.LastStart)
 	}
 }
 

@@ -1,25 +1,23 @@
 // Package cluster implements botscope's sharded serve tier: N shard
 // workers each own a consistent-hash partition of the live ingest stream
-// (reusing internal/stream's online analyzer per shard), and a frontend
-// fans /api/live/* queries and /api/ingest batches out over a versioned
-// binary wire protocol, merging shard responses so the cluster's output is
-// byte-identical to a single-process server for any shard count. The
-// frontend's only analytics state is Fig 2's closed days: each session
-// holds its shard's day rows, so a snapshot carries only the open tail.
+// (a stream.Partition per shard), and a frontend fans /api/live/* queries
+// and /api/ingest batches out over a versioned binary wire protocol,
+// merging shard responses so the cluster's output is byte-identical to a
+// single-process server for any shard count.
 //
-// The determinism argument has two halves. Keyed statistics (protocol and
-// family counters, daily buckets, collaboration windows) are partitioned
-// by target IP — the same key the collaboration detector groups by — and
-// driven by each owned attack's key (id, botnet, family, category, target,
-// start, end), sent only to its owner; so each shard's partial is exact
-// over a disjoint partition and the merge is integer addition plus a
-// canonical reorder. Global-order scalar statistics (inter-attack gaps,
-// durations, the concurrent-load sweep) depend on the interleaving of the
-// whole stream and cannot be merged from partitioned accumulators without
-// float reassociation; instead every attack's (id, start, end) tick is
-// replicated to every shard, each shard folds the identical tick sequence
-// through the identical stream.Scalars code, and the merge takes the
-// scalars from any up-to-date shard.
+// The determinism argument has two halves. Per-target statistics
+// (protocol and family counters, daily buckets, collaboration windows)
+// are partitioned by target IP — the key the collaboration detector
+// groups by: each shard gets its own attacks' keys (id, botnet, family,
+// category, target, start, end), and every chunk's length and horizon,
+// which close collaboration windows at the same event times on every
+// layout. So each partial is exact over a disjoint partition and the
+// merge is integer addition plus a canonical reorder. Whole-feed
+// statistics (inter-attack gaps, durations, the concurrent-load sweep)
+// depend on the interleaving of the whole stream and cannot be merged
+// from partitions without float reassociation; the frontend, the one
+// place that sees the stream in order, folds them once through the
+// stream.Scalars the single-process analyzer runs.
 package cluster
 
 import (
@@ -35,11 +33,13 @@ import (
 // frontend and shard from different builds fail fast instead of
 // misinterpreting each other. Version 2 carries an owned attack as its
 // key only (wireAttack); version 3 sends a snapshot's daily series as the
-// rows past the session's cursor (wireSnapReq, wireSnapshot). An older
-// peer is refused with ErrBadVersion.
+// rows past the session's cursor (wireSnapReq, wireSnapshot); version 4
+// sends a shard only its own records plus each chunk's length and horizon
+// (wireIngest), and takes back only the per-target half (wireSnapshot).
+// An older peer is refused with ErrBadVersion.
 const (
 	wireMagic   = "BSCW"
-	wireVersion = 3
+	wireVersion = 4
 
 	// headerLen is magic(4) + version(1) + type(1) + flags(2) + reqID(4) +
 	// payload length(4).
@@ -48,7 +48,7 @@ const (
 	// maxPayload bounds a frame's payload so a corrupt or malicious length
 	// prefix cannot force an arbitrary allocation. An ingest payload is
 	// capped at ingestChunk entries (wireIngest), so its decode costs at
-	// most 256 × ~280 bytes — a ~13-byte key record becomes a 72-byte
+	// most 256 × ~224 bytes — a ~13-byte key record becomes a 16-byte
 	// IngestEntry plus a 208-byte Attack — whatever the frame's length.
 	// Every other slice is made at its declared count (binenc.Len), checked
 	// only against the wire minimum of an element, so a malformed snapshot
@@ -58,11 +58,11 @@ const (
 	maxPayload = 64 << 20
 )
 
-// FrameKind identifies one BSCW frame type. The set is closed: botvet's
-// wireframe analyzer checks every switch over a FrameKind against the
-// constants below, so adding a kind forces every dispatch point to decide
-// how to handle it — protocol drift fails the gate instead of silently
-// falling through a default.
+// FrameKind identifies one BSCW frame type. The set is closed: the
+// wireframe rule of internal/gate checks every switch over a FrameKind
+// against the constants below, so adding a kind forces every dispatch
+// point to decide how to handle it — protocol drift fails the gate
+// instead of silently falling through a default.
 //
 //botvet:wire
 type FrameKind byte
@@ -71,7 +71,7 @@ type FrameKind byte
 const (
 	msgHello     FrameKind = 1 // frontend → shard: open a session
 	msgHelloAck  FrameKind = 2 // shard → frontend: shard id + applied count
-	msgIngest    FrameKind = 3 // frontend → shard: ordered batch of records/ticks
+	msgIngest    FrameKind = 3 // frontend → shard: a chunk's owned records, length and horizon
 	msgIngestAck FrameKind = 4 // shard → frontend: batch applied (or busy)
 	msgSnap      FrameKind = 5 // frontend → shard: request a snapshot past a daily cursor
 	msgSnapResp  FrameKind = 6 // shard → frontend: encoded ShardSnapshot, daily rows from DaysFrom

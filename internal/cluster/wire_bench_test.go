@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"slices"
 	"testing"
 
 	"botscope/internal/binenc"
@@ -10,49 +9,52 @@ import (
 )
 
 // BenchmarkWireCodec budgets the payload walks where the pipeline cannot
-// see them: 5,000 ingest entries from a scale-0.1 feed (half records, half
-// ticks) each way, as the ingestChunk-entry payloads the frontend sends,
-// and that feed's shard snapshot there and back. Encode reuses its buffer
-// and allocates nothing; decode allocates what the message holds (each
-// payload's entry slice; a record and its family string) and nothing for
-// the walk itself — a closure or method value per field shows up here as
-// allocs/op, not downstream as alloc_mb_per_pass.
+// see them: a 5,000-record scale-0.1 feed cut into the ingestChunk-record
+// chunks the frontend fans out, each encoded as one shard of two receives
+// it (its owned half of the records' keys, plus the chunk's length and
+// horizon), each way, and the snapshot of a shard that owns the whole
+// store there and back.
+// Encode reuses its buffer and allocates nothing; decode allocates what the
+// message holds (each payload's entry slice; a record and its family
+// string) and nothing for the walk itself — a closure or method value per
+// field shows up here as allocs/op, not downstream as alloc_mb_per_pass.
 func BenchmarkWireCodec(b *testing.B) {
 	store, err := synth.GenerateStore(synth.Config{Seed: 1, Scale: 0.1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	an := stream.New()
-	var entries []IngestEntry
-	for i, a := range store.Attacks() {
-		if err := an.Ingest(a); err != nil {
-			b.Fatal(err)
-		}
-		if len(entries) < 5000 {
-			e := IngestEntry{Seq: uint64(i + 1), ID: a.ID, Start: a.Start, End: a.End}
-			if i%2 == 0 {
-				e.Record = a
-			}
-			entries = append(entries, e)
-		}
-	}
-	snap := ShardSnapshot{ShardID: 1, Applied: uint64(an.Ingested()), Snap: an.Snapshot()}
-	var chunks [][]IngestEntry
+	attacks := store.Attacks()
+	var batches []ingestBatch
 	var payloads [][]byte
 	longest := 0
-	for c := range slices.Chunk(entries, ingestChunk) {
-		chunks = append(chunks, c)
-		payloads = append(payloads, encodeMsg(wireIngest, &c))
+	for from := 0; from < 5000; from += ingestChunk {
+		chunk := attacks[from:min(from+ingestChunk, 5000)]
+		batch := ingestBatch{Covered: uint64(len(chunk)), Horizon: chunk[len(chunk)-1].Start}
+		for i, a := range chunk {
+			if i%2 == 0 {
+				batch.Entries = append(batch.Entries, IngestEntry{Seq: uint64(from + i + 1), Record: a})
+			}
+		}
+		batches = append(batches, batch)
+		payloads = append(payloads, encodeMsg(wireIngest, &batch))
 		longest = max(longest, len(payloads[len(payloads)-1]))
 	}
+	part := stream.NewPartition()
+	for i, a := range attacks {
+		if err := part.Ingest(a, uint64(i+1)); err != nil {
+			b.Fatal(err)
+		}
+		part.Advance(1, a.Start)
+	}
+	snap := ShardSnapshot{ShardID: 1, Applied: uint64(len(attacks)), Snap: part.Snapshot()}
 
 	b.Run("ingest_encode", func(b *testing.B) {
 		buf := make([]byte, 0, longest)
 		b.ReportAllocs()
 		for b.Loop() {
-			for j := range chunks {
+			for j := range batches {
 				w := binenc.Encoder(buf[:0])
-				wireIngest(&w, &chunks[j])
+				wireIngest(&w, &batches[j])
 				buf = w.Buf
 			}
 		}
@@ -61,7 +63,7 @@ func BenchmarkWireCodec(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
 			for _, payload := range payloads {
-				var got []IngestEntry
+				var got ingestBatch
 				r := binenc.Decoder(payload)
 				wireIngest(&r, &got)
 				if err := payloadErr(&r); err != nil {

@@ -20,9 +20,7 @@ import (
 // three targets across two days, one collaboration window closed (ids 1-2,
 // inter-family) and one still open at snapshot time (ids 4-5), sent to a
 // session that holds both days — so only the second day crosses, as
-// DaysFrom 1, and the daily headline never does. PeakTime is zeroed by
-// hand: the analyzer only leaves it unset when nothing ever ran, and the
-// wire's zero-time rule needs a row.
+// DaysFrom 1, and the daily headline never does.
 func goldenSnapshot(t testing.TB) ShardSnapshot {
 	t.Helper()
 	t0 := time.Date(2012, 8, 29, 23, 59, 30, 0, time.UTC)
@@ -31,7 +29,7 @@ func goldenSnapshot(t testing.TB) ShardSnapshot {
 		a.BotnetID, a.Family, a.Category, a.End = dataset.BotnetID(id), fam, cat, start.Add(dur)
 		return a
 	}
-	an := stream.New()
+	part := stream.NewPartition()
 	for i, a := range []*dataset.Attack{
 		mk(1, dataset.Dirtjumper, dataset.CategoryHTTP, "192.0.2.1", t0, time.Hour),
 		mk(2, dataset.Pandora, dataset.CategoryHTTP, "192.0.2.1", t0.Add(10*time.Second), 65*time.Minute),
@@ -39,30 +37,31 @@ func goldenSnapshot(t testing.TB) ShardSnapshot {
 		mk(4, dataset.Pandora, dataset.CategorySYN, "2001:db8::5", t0.Add(26*time.Hour), 20*time.Minute),
 		mk(5, dataset.Pandora, dataset.CategorySYN, "2001:db8::5", t0.Add(26*time.Hour+5*time.Second), 25*time.Minute),
 	} {
-		if err := an.IngestAt(a, uint64(i+1)); err != nil {
+		if err := part.Ingest(a, uint64(i+1)); err != nil {
 			t.Fatal(err)
 		}
+		part.Advance(1, a.Start)
 	}
-	s := ShardSnapshot{ShardID: 3, Applied: 5, DaysFrom: 1, Snap: an.Snapshot()}
-	s.Snap.Load.PeakTime = time.Time{}
+	s := ShardSnapshot{ShardID: 3, Applied: 5, DaysFrom: 1, Snap: part.Snapshot()}
 	s.Snap.Daily = core.DailyStats{Days: s.Snap.Daily.Days[1:]}
 	return s
 }
 
-// goldenIngest is one batch with every entry shape: a tick, a record on an
-// IPv4 target, a record on an IPv6 target, a zero-duration tick. Its
-// records are keys, as a shard decodes them.
-func goldenIngest() []IngestEntry {
+// goldenIngest is one chunk of four records as the shard that owns two of
+// them receives it: the chunk's length and horizon, and its records on an
+// IPv4 and an IPv6 target as keys, as a shard decodes them.
+func goldenIngest() ingestBatch {
 	start := time.Date(2012, 8, 1, 12, 0, 0, 0, time.UTC)
 	rec := func(seq, id uint64, target string, at time.Time) IngestEntry {
-		a := keyOf(testAttack(id, target, at))
-		return IngestEntry{Seq: seq, Record: a, ID: a.ID, Start: a.Start, End: a.End}
+		return IngestEntry{Seq: seq, Record: keyOf(testAttack(id, target, at))}
 	}
-	return []IngestEntry{
-		{Seq: 1, ID: 5, Start: start, End: start.Add(time.Hour)},
-		rec(2, 6, "198.51.100.9", start.Add(time.Minute)),
-		rec(3, 7, "2001:db8::99", start.Add(2*time.Minute)),
-		{Seq: 4, ID: 8, Start: start.Add(3 * time.Minute), End: start.Add(3 * time.Minute)},
+	return ingestBatch{
+		Covered: 4,
+		Horizon: start.Add(3 * time.Minute),
+		Entries: []IngestEntry{
+			rec(2, 6, "198.51.100.9", start.Add(time.Minute)),
+			rec(3, 7, "2001:db8::99", start.Add(2*time.Minute)),
+		},
 	}
 }
 
@@ -72,15 +71,17 @@ var (
 	goldenSnapReq = snapReq{Cursor: 149}
 )
 
-// goldenPath pins the BSCW v3 payload bytes, one "name hex" line a message.
+// goldenPath pins the BSCW v4 payload bytes, one "name hex" line a message.
 // Its helloAck and ingestAck lines are v1's byte for byte (v1's were
 // written by the hand-paired encoders this package had before the payload
-// walks); v2 moved the ingest line, whose records became keys; v3 moved
-// the snapshot line, whose daily series became the rows past a cursor,
-// and added the snapReq line that carries the cursor. A walk that moves a
-// byte fails here: the fix is the walk, or a wireVersion bump with a new
-// file — never an edit to this one.
-const goldenPath = "testdata/bscw_v3.golden"
+// walks), and its snapReq line is v3's; v2 moved the ingest line, whose
+// records became keys; v3 moved the snapshot line, whose daily series
+// became the rows past a cursor, and added snapReq; v4 moved both again:
+// an ingest frame carries only the receiving shard's records plus the
+// chunk's length and horizon, and a snapshot only the per-target half. A
+// walk that moves a byte fails here: the fix is the walk, or a wireVersion
+// bump with a new file — never an edit to this one.
+const goldenPath = "testdata/bscw_v4.golden"
 
 // readGolden returns the pinned payloads by line name.
 func readGolden(t testing.TB) map[string][]byte {

@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/netip"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -58,11 +57,14 @@ func TestDecodeFrameRejectsMalformedHeaders(t *testing.T) {
 		{"short", valid[:headerLen-1], ErrTruncated},
 		{"bad magic", append([]byte("XSCW"), valid[4:]...), ErrBadMagic},
 		{"bad version", append(append([]byte{}, valid[:4]...), append([]byte{99}, valid[5:]...)...), ErrBadVersion},
-		// v1 sent whole records (bot IPs, target geolocation) and v2 every
-		// day of a snapshot's daily series; v3 peers refuse both at the
-		// header.
+		// v1 sent whole records (bot IPs, target geolocation), v2 every
+		// day of a snapshot's daily series, and v3 every record to every
+		// shard (ticks for the ones it does not own) and the whole-feed
+		// statistics back in each snapshot; v4 peers refuse all three at
+		// the header.
 		{"version 1", append(append([]byte{}, valid[:4]...), append([]byte{1}, valid[5:]...)...), ErrBadVersion},
 		{"version 2", append(append([]byte{}, valid[:4]...), append([]byte{2}, valid[5:]...)...), ErrBadVersion},
+		{"version 3", append(append([]byte{}, valid[:4]...), append([]byte{3}, valid[5:]...)...), ErrBadVersion},
 		{"payload past end", func() []byte {
 			b := append([]byte{}, valid...)
 			b[15] = 10 // declares 10 payload bytes that are not there
@@ -141,53 +143,63 @@ func keyOf(a *dataset.Attack) *dataset.Attack {
 
 func TestIngestCodecRoundTrip(t *testing.T) {
 	start := time.Date(2012, 8, 1, 12, 0, 0, 0, time.UTC)
-	entries := []IngestEntry{
-		{Seq: 1, ID: 5, Start: start, End: start.Add(time.Hour)},
-		{Seq: 2, Record: testAttack(6, "198.51.100.9", start.Add(time.Minute)),
-			ID: 6, Start: start.Add(time.Minute), End: start.Add(time.Minute + 90*time.Minute)},
-		{Seq: 3, ID: 7, Start: start.Add(2 * time.Minute), End: start.Add(2 * time.Minute)},
+	batch := ingestBatch{
+		Covered: 3,
+		Horizon: start.Add(2 * time.Minute),
+		Entries: []IngestEntry{{Seq: 2, Record: testAttack(6, "198.51.100.9", start.Add(time.Minute))}},
 	}
-	payload := encodeMsg(wireIngest, &entries)
+	payload := encodeMsg(wireIngest, &batch)
 
 	got, err := decodeMsg(wireIngest, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The record arrives as its key projection: nil BotIPs, zero geo.
-	want := slices.Clone(entries)
-	want[1].Record = keyOf(entries[1].Record)
+	want := batch
+	want.Entries = []IngestEntry{{Seq: 2, Record: keyOf(batch.Entries[0].Record)}}
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("round trip:\n got %+v\nwant %+v", got, want)
 	}
-	if !got[0].Tick() || got[1].Tick() {
-		t.Errorf("tick flags = %v, %v; want true, false", got[0].Tick(), got[1].Tick())
-	}
-
 	rejectsMalformed(t, "ingest", wireIngest, payload)
-
-	// Encoding only reads: a record entry whose tick fields disagree with
-	// its record keeps them, and arrives mirrored from the record.
-	odd := []IngestEntry{{Seq: 9, Record: testAttack(6, "198.51.100.9", start), ID: 77}}
-	got, err = decodeMsg(wireIngest, encodeMsg(wireIngest, &odd))
-	if err != nil || odd[0].ID != 77 || !odd[0].Start.IsZero() ||
-		got[0].ID != 6 || !got[0].Start.Equal(start) || !got[0].End.Equal(odd[0].Record.End) {
-		t.Errorf("encode stored, or decode did not mirror: sent %+v, got %+v, %v", odd[0], got, err)
-	}
-
-	// An entry is a tick or a record; no third kind decodes.
-	bad := append([]byte{}, payload...)
-	bad[1] = 2 // the first entry's kind byte follows the one-byte count
-	if _, err := decodeMsg(wireIngest, bad); !errors.Is(err, ErrTruncated) {
-		t.Errorf("unknown entry kind: err = %v, want ErrTruncated", err)
-	}
 
 	// BSCW refuses the zero-address tag for a record's target, the one
 	// address the key carries.
 	a := testAttack(8, "198.51.100.9", start)
 	a.TargetIP = netip.Addr{}
-	batch := []IngestEntry{{Seq: 1, Record: a, ID: a.ID, Start: a.Start, End: a.End}}
-	if _, err := decodeMsg(wireIngest, encodeMsg(wireIngest, &batch)); !errors.Is(err, ErrTruncated) {
+	bad := ingestBatch{Covered: 1, Horizon: start, Entries: []IngestEntry{{Seq: 1, Record: a}}}
+	if _, err := decodeMsg(wireIngest, encodeMsg(wireIngest, &bad)); !errors.Is(err, ErrTruncated) {
 		t.Errorf("zero target address: err = %v, want ErrTruncated", err)
+	}
+
+	// A chunk fanned out to three shards: every payload covers the whole
+	// chunk to its horizon, and together they carry each of its records
+	// once, to its owner, at its place in the stream — not shards × records.
+	f := NewFrontend(0, 0)
+	ids := []int{0, 1, 2}
+	for _, id := range ids {
+		f.ring.Add(id)
+	}
+	f.fanned.Store(100)
+	chunk := make([]*dataset.Attack, ingestChunk)
+	for i := range chunk {
+		chunk[i] = ownTarget(uint64(i+1), start.Add(time.Duration(i)*time.Second))
+	}
+	f.encodeChunk(ids, chunk)
+	carried := 0
+	for si, id := range ids {
+		got, err := decodeMsg(wireIngest, f.payloads[si])
+		if err != nil || got.Covered != ingestChunk || !got.Horizon.Equal(chunk[ingestChunk-1].Start) {
+			t.Fatalf("shard %d: payload covers %d records to %v (%v)", id, got.Covered, got.Horizon, err)
+		}
+		for _, e := range got.Entries {
+			if i := int(e.Seq) - 101; i < 0 || i >= ingestChunk || e.Record.ID != chunk[i].ID || f.ring.Owner(e.Record.TargetIP) != id {
+				t.Fatalf("shard %d was sent record %d as seq %d", id, e.Record.ID, e.Seq)
+			}
+		}
+		carried += len(got.Entries)
+	}
+	if carried != ingestChunk {
+		t.Errorf("the payloads carry %d records for a chunk of %d", carried, ingestChunk)
 	}
 }
 
@@ -196,53 +208,57 @@ func TestIngestCodecRoundTrip(t *testing.T) {
 // before anything is made.
 func TestIngestCountCapped(t *testing.T) {
 	start := time.Date(2012, 8, 1, 12, 0, 0, 0, time.UTC)
-	ticks := make([]IngestEntry, ingestChunk+1)
-	for i := range ticks {
-		ticks[i] = IngestEntry{Seq: uint64(i + 1), ID: dataset.DDoSID(i + 1), Start: start, End: start}
+	entries := make([]IngestEntry, ingestChunk+1)
+	for i := range entries {
+		entries[i] = IngestEntry{Seq: uint64(i + 1), Record: ownTarget(uint64(i+1), start)}
 	}
-	full := ticks[:ingestChunk]
-	if got, err := decodeMsg(wireIngest, encodeMsg(wireIngest, &full)); err != nil || len(got) != ingestChunk {
-		t.Fatalf("%d entries: decoded %d, %v", ingestChunk, len(got), err)
+	full := ingestBatch{Covered: ingestChunk, Horizon: start, Entries: entries[:ingestChunk]}
+	if got, err := decodeMsg(wireIngest, encodeMsg(wireIngest, &full)); err != nil || len(got.Entries) != ingestChunk {
+		t.Fatalf("%d entries: decoded %d, %v", ingestChunk, len(got.Entries), err)
 	}
-	forged := encodeMsg(wireIngest, &ticks)
+	forged := encodeMsg(wireIngest, &ingestBatch{Covered: ingestChunk + 1, Horizon: start, Entries: entries})
 	if _, err := decodeMsg(wireIngest, forged); !errors.Is(err, ErrTruncated) {
-		t.Errorf("%d entries: err = %v, want ErrTruncated", len(ticks), err)
+		t.Errorf("%d entries: err = %v, want ErrTruncated", len(entries), err)
 	}
 	if n := testing.AllocsPerRun(10, func() {
-		var got []IngestEntry
+		var got ingestBatch
 		c := binenc.Decoder(forged)
 		wireIngest(&c, &got)
 	}); n != 0 {
-		t.Errorf("%d entries: decode allocates %.0f objects, want 0", len(ticks), n)
+		t.Errorf("%d entries: decode allocates %.0f objects, want 0", len(entries), n)
 	}
 }
 
 // TestShardRefusesInvalidKey sends raw ingest frames whose one record
-// decodes but fails ValidateKey. Each is answered with a flagError ack
-// naming the fault, and nothing is applied.
+// decodes but fails ValidateKey, or that carry more records than they
+// cover. Each is answered with a flagError ack naming the fault, and
+// nothing is applied.
 func TestShardRefusesInvalidKey(t *testing.T) {
 	s := NewShard(0, 4)
 	roundTrip := pipeShard(t, s)
-	send := func(reqID uint32, a *dataset.Attack) Frame {
+	send := func(reqID uint32, covered uint64, a *dataset.Attack) Frame {
 		t.Helper()
-		batch := []IngestEntry{{Seq: uint64(reqID), Record: a}}
+		batch := ingestBatch{Covered: covered, Horizon: a.Start, Entries: []IngestEntry{{Seq: uint64(reqID), Record: a}}}
 		return roundTrip(Frame{Type: msgIngest, ReqID: reqID, Payload: encodeMsg(wireIngest, &batch)})
 	}
 
 	start := time.Date(2012, 8, 1, 12, 0, 0, 0, time.UTC)
-	if resp := send(1, testAttack(1, "198.51.100.9", start)); resp.Flags != 0 {
+	if resp := send(1, 1, testAttack(1, "198.51.100.9", start)); resp.Flags != 0 {
 		t.Fatalf("valid record: ack %+v (%s)", resp, resp.Payload)
 	}
 	for i, tc := range []struct {
 		name, want string
+		covered    uint64
 		mutate     func(*dataset.Attack)
 	}{
-		{"zero botnet id", "zero botnet_id", func(a *dataset.Attack) { a.BotnetID = 0 }},
-		{"end before start", "ends", func(a *dataset.Attack) { a.End = a.Start.Add(-time.Second) }},
+		{"zero botnet id", "zero botnet_id", 1, func(a *dataset.Attack) { a.BotnetID = 0 }},
+		{"end before start", "ends", 1, func(a *dataset.Attack) { a.End = a.Start.Add(-time.Second) }},
+		{"covers none", "covering 0 records carries 1", 0, func(*dataset.Attack) {}},
+		{"covers past a chunk", "covering 257 records", ingestChunk + 1, func(*dataset.Attack) {}},
 	} {
 		a := testAttack(uint64(i+2), "198.51.100.9", start.Add(time.Minute))
 		tc.mutate(a)
-		resp := send(uint32(i+2), a)
+		resp := send(uint32(i+2), tc.covered, a)
 		if resp.Type != msgIngestAck || resp.Flags != flagError || !strings.Contains(string(resp.Payload), tc.want) {
 			t.Errorf("%s: ack %+v (%q), want an error ack naming %q", tc.name, resp, resp.Payload, tc.want)
 		}

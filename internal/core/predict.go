@@ -38,10 +38,11 @@ type PredictConfig struct {
 	// TestPoints caps the evaluation set size; the paper uses the last
 	// 2,700 points. Zero means half the series.
 	TestPoints int
-	// MinSeries is the minimum series length to attempt a fit; the paper
-	// skips Darkshell for lack of data. Zero means 40.
-	MinSeries int
 }
+
+// minPredictSeries is the minimum series length to attempt a fit: the paper
+// skips Darkshell for lack of data.
+const minPredictSeries = 40
 
 // PredictSeries is DispersionIndex.Predict on a pre-extracted series, so
 // callers can forecast any per-attack quantity. It fits afresh on every
@@ -63,13 +64,9 @@ func fitOrder(train []float64, order timeseries.Order) (*timeseries.Model, error
 // which DispersionIndex answers from its held fits. The model fit returns
 // is only read.
 func predict(f dataset.Family, series []float64, cfg PredictConfig, fit func(train []float64, order timeseries.Order) (*timeseries.Model, error)) (*PredictionResult, error) {
-	minSeries := cfg.MinSeries
-	if minSeries <= 0 {
-		minSeries = 40
-	}
-	if len(series) < minSeries {
+	if len(series) < minPredictSeries {
 		return nil, fmt.Errorf("core: family %s has %d points, need %d for prediction (the paper skips such families)",
-			f, len(series), minSeries)
+			f, len(series), minPredictSeries)
 	}
 	split := len(series) / 2
 	if cfg.TestPoints > 0 && len(series)-split > cfg.TestPoints {

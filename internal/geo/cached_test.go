@@ -97,7 +97,7 @@ func TestWeightedSignedDistancesEdges(t *testing.T) {
 
 // TestPickByWeightMatchesLinearScan pins weighted placement to its
 // formula: a linear scan over every allocated /16 finds each country
-// holding round(Weight × BlocksPerWeight) blocks, at least one, plus the
+// holding round(Weight × blocksPerWeight) blocks, at least one, plus the
 // infrastructure block NewDB forces where its draw produced none.
 func TestPickByWeightMatchesLinearScan(t *testing.T) {
 	db := NewDB(DBConfig{Seed: 3})
@@ -110,7 +110,7 @@ func TestPickByWeightMatchesLinearScan(t *testing.T) {
 		held[loc.CountryCode]++
 	}
 	for _, c := range db.Countries().Countries() {
-		want := max(1, int(c.Weight*db.cfg.BlocksPerWeight+0.5))
+		want := max(1, int(c.Weight*blocksPerWeight+0.5))
 		if got := held[c.Code]; got != want && got != want+1 {
 			t.Errorf("%s (weight %v) holds %d blocks, want %d or %d", c.Code, c.Weight, got, want, want+1)
 		}

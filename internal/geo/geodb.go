@@ -96,14 +96,17 @@ type DBConfig struct {
 	// Seed drives all allocation randomness; identical seeds produce
 	// byte-identical databases.
 	Seed int64
-	// BlocksPerWeight scales how many /16 blocks each country receives per
-	// unit of weight. The default (0) means 4.
-	BlocksPerWeight float64
-	// CityJitterDeg is the maximum +/- degree offset applied to an address
-	// inside its city, so individual bots do not collapse onto one point.
-	// The default (0) means 0.35 degrees (roughly a metro area).
-	CityJitterDeg float64
 }
+
+const (
+	// blocksPerWeight scales how many /16 blocks each country receives per
+	// unit of weight.
+	blocksPerWeight = 4
+	// cityJitterDeg is the maximum +/- degree offset applied to an address
+	// inside its city, so individual bots do not collapse onto one point:
+	// roughly a metro area.
+	cityJitterDeg = 0.35
+)
 
 // DB is a deterministic synthetic GeoIP database. It allocates /16 blocks
 // of IPv4 space to (country, city, organization, ASN) tuples and answers
@@ -112,7 +115,7 @@ type DBConfig struct {
 //
 // DB is immutable after construction and safe for concurrent use.
 type DB struct {
-	cfg      DBConfig
+	seed     int64
 	atlas    *Atlas
 	blocks   map[uint32]*block // by high-16 prefix
 	byCC     map[string][]*block
@@ -139,14 +142,8 @@ var orgNameTemplates = []struct {
 
 // NewDB allocates the synthetic address space.
 func NewDB(cfg DBConfig) *DB {
-	if cfg.BlocksPerWeight <= 0 {
-		cfg.BlocksPerWeight = 4
-	}
-	if cfg.CityJitterDeg <= 0 {
-		cfg.CityJitterDeg = 0.35
-	}
 	db := &DB{
-		cfg:     cfg,
+		seed:    cfg.Seed,
 		atlas:   NewAtlas(),
 		blocks:  make(map[uint32]*block),
 		byCC:    make(map[string][]*block),
@@ -168,7 +165,7 @@ func NewDB(cfg DBConfig) *DB {
 	next := 0
 	asn := 1000
 	for _, c := range db.atlas.Countries() {
-		n := int(c.Weight*cfg.BlocksPerWeight + 0.5)
+		n := int(c.Weight*blocksPerWeight + 0.5)
 		if n < 1 {
 			n = 1
 		}
@@ -304,12 +301,12 @@ func (db *DB) Lookup(ip netip.Addr) (Location, bool) {
 func (db *DB) locate(b *block, v uint32) Location {
 	low := v & 0xffff
 	// splitmix-style scramble of the low bits for jitter.
-	h := uint64(low)*0x9e3779b97f4a7c15 + uint64(db.cfg.Seed)
+	h := uint64(low)*0x9e3779b97f4a7c15 + uint64(db.seed)
 	h ^= h >> 31
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 27
-	jLat := (float64(h&0xffff)/65535 - 0.5) * 2 * db.cfg.CityJitterDeg
-	jLon := (float64((h>>16)&0xffff)/65535 - 0.5) * 2 * db.cfg.CityJitterDeg
+	jLat := (float64(h&0xffff)/65535 - 0.5) * 2 * cityJitterDeg
+	jLon := (float64((h>>16)&0xffff)/65535 - 0.5) * 2 * cityJitterDeg
 	pt := LatLon{Lat: b.city.Loc.Lat + jLat, Lon: b.city.Loc.Lon + jLon}
 	if pt.Lat > 90 {
 		pt.Lat = 90

@@ -154,9 +154,9 @@ func (t *collabTracker) ingest(a *dataset.Attack, seq uint64) {
 
 // advance expires every window whose 60 s horizon precedes event time now:
 // no attack at or after now can join it, so it can be finalized and
-// released. ingest calls it with each attack's start and Analyzer.Tick
-// with the start of each attack homed on another shard, so windows close
-// at the same global event times on every shard layout.
+// released. ingest calls it with each attack's start and
+// Partition.Advance with the start of a batch's last attack, own or not,
+// so between batches the windows open are the same on every shard layout.
 func (t *collabTracker) advance(now time.Time) {
 	for len(t.queue) > 0 && now.Sub(t.queue[0].anchor) >= t.startWindow {
 		g := t.queue[0]

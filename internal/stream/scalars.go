@@ -18,17 +18,14 @@ import (
 // durations (§III-C), and the concurrent-load sweep (§II-B), plus the
 // ingested count and event-time bounds.
 //
-// Scalars exists as its own type so the sharded serve tier can replicate
-// exactly this state on every shard from a lightweight (id, start, end)
-// tick per attack: because every shard folds the identical tick sequence
-// through the identical code path, every shard reports bit-identical
-// global scalar statistics, and the cross-shard merge can take them from
-// any one healthy shard. stream.Analyzer embeds a Scalars for the
-// single-process case, so single-process and sharded serving share one
-// implementation by construction.
+// Scalars exists as its own type because only a holder of the whole feed,
+// in order, can fold it: the sharded serve tier's frontend holds one, and
+// its shards hold none. stream.Analyzer holds one beside its Partition, so
+// single-process and sharded serving share one implementation by
+// construction.
 //
 // Scalars is not safe for concurrent use; callers guard it (the Analyzer
-// with its RWMutex, a shard worker with its own lock).
+// with its RWMutex, the frontend with a mutex of its own).
 type Scalars struct {
 	n          int
 	firstStart time.Time
@@ -140,17 +137,21 @@ func (sc *Scalars) advanceSweep(t int64) {
 // N returns the number of attacks observed.
 func (sc *Scalars) N() int { return sc.n }
 
-// FirstStart returns the earliest observed start (zero before the first).
-func (sc *Scalars) FirstStart() time.Time { return sc.firstStart }
+// Fill sets snap's whole-feed fields — Ingested, FirstStart, LastStart,
+// ActiveAttacks, Intervals, Durations and Load — from the attacks observed
+// so far. Before the first they are all zero.
+func (sc *Scalars) Fill(snap *Snapshot) {
+	snap.Ingested = sc.n
+	snap.FirstStart = sc.firstStart
+	snap.LastStart = sc.lastStart
+	snap.ActiveAttacks = sc.active
+	snap.Intervals = sc.intervalStats()
+	snap.Durations = sc.durationStats()
+	snap.Load = sc.loadStats()
+}
 
-// LastStart returns the latest observed start (zero before the first).
-func (sc *Scalars) LastStart() time.Time { return sc.lastStart }
-
-// Active returns the number of attacks in progress at LastStart.
-func (sc *Scalars) Active() int { return sc.active }
-
-// IntervalStats summarizes the inter-attack gaps observed so far.
-func (sc *Scalars) IntervalStats() core.IntervalStats {
+// intervalStats summarizes the inter-attack gaps observed so far.
+func (sc *Scalars) intervalStats() core.IntervalStats {
 	st := core.IntervalStats{Summary: sketchSummary(&sc.gaps, sc.gapSketch)}
 	if n := sc.gaps.N(); n > 0 {
 		st.ExactZeroFrac = float64(sc.gapZero) / float64(n)
@@ -159,8 +160,8 @@ func (sc *Scalars) IntervalStats() core.IntervalStats {
 	return st
 }
 
-// DurationStats summarizes the attack durations observed so far.
-func (sc *Scalars) DurationStats() core.DurationStats {
+// durationStats summarizes the attack durations observed so far.
+func (sc *Scalars) durationStats() core.DurationStats {
 	st := core.DurationStats{Summary: sketchSummary(&sc.durs, sc.durSketch)}
 	if n := sc.durs.N(); n > 0 {
 		st.FracUnder4h = float64(sc.durUnder4h) / float64(n)
@@ -169,11 +170,11 @@ func (sc *Scalars) DurationStats() core.DurationStats {
 	return st
 }
 
-// LoadStats finishes the time-weighted integral over a sorted copy of the
+// loadStats finishes the time-weighted integral over a sorted copy of the
 // active heap (retiring the still-active attacks at their ends, earliest
 // first), so at end of stream TimeWeightedMean matches the batch sweep
 // exactly.
-func (sc *Scalars) LoadStats() core.LoadStats {
+func (sc *Scalars) loadStats() core.LoadStats {
 	st := core.LoadStats{Peak: sc.peak, PeakTime: sc.peakTime}
 	weight, total := sc.weightSum, sc.timeSum
 	if len(sc.ends) > 0 {

@@ -71,21 +71,20 @@ func TestSnapshotPublishedOncePerGeneration(t *testing.T) {
 	}
 	attacks := store.Attacks()
 
-	// One write per record, cycling through the entry points the way a
-	// shard does (its own records in full, the others' as ticks).
+	// One write per record, cycling through the entry points: an explicit
+	// sequence, the running count, and a whole record.
 	write := func(sa *Analyzer, i int) error {
 		a := attacks[i]
-		switch i % 4 {
-		case 0, 2:
+		switch i % 3 {
+		case 0:
 			return sa.IngestAt(a, uint64(i+1))
 		case 1:
-			return sa.Tick(a.ID, a.Start, a.End)
+			return sa.IngestAt(a, 0)
 		}
 		return sa.Ingest(a)
 	}
 
 	sa := New()
-	var keyed []*dataset.Attack // the records whose keyed state was folded in
 	checkpoints := 0
 	for i := range attacks {
 		checkpoint := i%23 == 0 || i == len(attacks)-1
@@ -98,9 +97,6 @@ func TestSnapshotPublishedOncePerGeneration(t *testing.T) {
 		if err := write(sa, i); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
-		if i%4 != 1 {
-			keyed = append(keyed, attacks[i])
-		}
 		if !checkpoint {
 			continue
 		}
@@ -110,10 +106,8 @@ func TestSnapshotPublishedOncePerGeneration(t *testing.T) {
 		if again := sa.Snapshot(); !sharesBacking(got, again) {
 			t.Fatalf("after record %d: two reads with no write between are different values", i)
 		}
-		// Every entry point starts a generation, a Tick alone included:
-		// collaboration windows may have closed.
 		if len(before.Protocols) > 0 && sharesBacking(before, got) {
-			t.Fatalf("after record %d (entry point %d): the write did not start a new generation", i, i%4)
+			t.Fatalf("after record %d (entry point %d): the write did not start a new generation", i, i%3)
 		}
 		twin := New()
 		for j := 0; j <= i; j++ {
@@ -122,9 +116,9 @@ func TestSnapshotPublishedOncePerGeneration(t *testing.T) {
 			}
 		}
 		if want := twin.build(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("after record %d (entry point %d): published snapshot differs from a fresh build\n got %+v\nwant %+v", i, i%4, got, want)
+			t.Fatalf("after record %d (entry point %d): published snapshot differs from a fresh build\n got %+v\nwant %+v", i, i%3, got, want)
 		}
-		if want := refDaily(keyed); !reflect.DeepEqual(got.Daily, want) {
+		if want := refDaily(attacks[:i+1]); !reflect.DeepEqual(got.Daily, want) {
 			t.Fatalf("after record %d: daily = %+v\nwant %+v", i, got.Daily, want)
 		}
 	}
@@ -138,9 +132,6 @@ func TestSnapshotPublishedOncePerGeneration(t *testing.T) {
 	if err := sa.Ingest(attacks[0]); err == nil {
 		t.Fatal("out-of-order record accepted")
 	}
-	if err := sa.Tick(attacks[0].ID, attacks[0].Start, attacks[0].End); err == nil {
-		t.Fatal("out-of-order tick accepted")
-	}
 	if !sharesBacking(before, sa.Snapshot()) {
 		t.Error("a refused record invalidated the published snapshot")
 	}
@@ -149,29 +140,25 @@ func TestSnapshotPublishedOncePerGeneration(t *testing.T) {
 	}
 }
 
-// TestSnapshotTicksOnly is a shard before the first record of its own
-// partition: the global scalars advance, the keyed half stays empty.
-func TestSnapshotTicksOnly(t *testing.T) {
-	sa := New()
+// TestPartitionAdvanceOnly is a shard before the first record of its own
+// partition: the records it covers and their horizon advance, nothing
+// else does.
+func TestPartitionAdvanceOnly(t *testing.T) {
+	p := NewPartition()
 	t0 := time.Date(2012, 8, 29, 23, 0, 0, 0, time.UTC)
-	for i := 1; i <= 3; i++ {
-		start := t0.Add(time.Duration(i) * time.Hour)
-		if err := sa.Tick(dataset.DDoSID(i), start, start.Add(time.Minute)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := sa.Snapshot()
-	if snap.Ingested != 3 || snap.Durations.N != 3 {
-		t.Errorf("scalars: %d ingested, %d durations, want 3 and 3", snap.Ingested, snap.Durations.N)
-	}
-	if len(snap.Protocols) != 0 || len(snap.Daily.Days) != 0 || snap.Daily.Max != 0 {
-		t.Errorf("keyed state from ticks alone: %+v %+v", snap.Protocols, snap.Daily)
+	p.Advance(2, t0)
+	p.Advance(1, t0.Add(time.Hour))
+	snap := p.Snapshot()
+	if snap.Ingested != 3 || !snap.LastStart.Equal(t0.Add(time.Hour)) || !snap.FirstStart.IsZero() ||
+		len(snap.Protocols)+len(snap.Daily.Days)+snap.Collaborations.Qualified != 0 {
+		t.Errorf("advances alone: %+v, want 3 records covered to %v and nothing else", snap, t0.Add(time.Hour))
 	}
 }
 
 // TestSnapshotConcurrentReaders polls from eight readers while one writer
-// feeds: no reader may see the feed go backwards or a snapshot whose
-// parts come from different moments.
+// feeds — under -race, the §II-B "live dashboard" scenario: no reader may
+// see the feed go backwards or a snapshot whose parts come from different
+// moments, and the writer's every record lands.
 func TestSnapshotConcurrentReaders(t *testing.T) {
 	attacks := parityWorkload(t).Attacks()
 	sa := New()
@@ -211,6 +198,10 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 						snap.Ingested, byProtocol, byDay, snap.Durations.N)
 					return
 				}
+				if snap.ActiveAttacks < 0 || snap.ActiveAttacks > snap.Load.Peak {
+					t.Errorf("load: %d active, peak %d", snap.ActiveAttacks, snap.Load.Peak)
+					return
+				}
 				held = snap
 			}
 		}()
@@ -222,6 +213,9 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+	if got := sa.Snapshot().Ingested; got != len(attacks) {
+		t.Fatalf("ingested %d, want %d", got, len(attacks))
+	}
 }
 
 // TestSnapshotPublishDiscipline pins the CompareAndSwap publish on the

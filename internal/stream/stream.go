@@ -28,12 +28,13 @@ var ErrOutOfOrder = errors.New("stream: attack starts before the previously inge
 // buckets (bounded by the value range), currently active attacks, and open collaboration
 // windows — never with the total number of ingested attacks.
 //
-// The global-order scalar statistics (gaps, durations, load) live in an
-// embedded Scalars; the keyed statistics (protocol/family counters, daily
-// buckets, collaboration windows) live here. The sharded serve tier
-// (internal/cluster) splits along exactly this seam: each shard runs the
-// keyed state over its hash partition via IngestAt, and the scalars over
-// the full feed via IngestAt and Tick.
+// An Analyzer is its two halves under one lock: the whole-feed statistics
+// (gaps, durations, load) in a Scalars, and the per-target ones
+// (protocol/family counters, daily buckets, collaboration windows) in a
+// Partition over the whole feed. The sharded serve tier
+// (internal/cluster) splits along exactly this seam: its frontend folds
+// the one Scalars over the feed in order, and each shard holds a
+// Partition over its hash partition.
 type Analyzer struct {
 	mu sync.RWMutex
 
@@ -47,14 +48,8 @@ type Analyzer struct {
 	// snapshot already handed out with an equal copy.
 	published memo.Slot[publishedSnapshot]
 
-	scalars *Scalars // guarded by mu
-
-	// The keyed answers, each held as the accumulator in internal/core
-	// that defines it: Fig 1 and Table II, Fig 2, and (inside collab) §V's
-	// Table VI.
-	types  core.TypeCounts // guarded by mu
-	daily  core.DailyFold  // guarded by mu
-	collab *collabTracker  // guarded by mu
+	scalars *Scalars   // guarded by mu
+	part    *Partition // guarded by mu
 }
 
 type publishedSnapshot struct {
@@ -65,10 +60,7 @@ type publishedSnapshot struct {
 // New builds an empty streaming analyzer with the paper's collaboration
 // windows (60 s start window, 30 min duration window).
 func New() *Analyzer {
-	return &Analyzer{
-		scalars: NewScalars(),
-		collab:  newCollabTracker(core.SimultaneousThreshold, core.CollabDurationWindow),
-	}
+	return &Analyzer{scalars: NewScalars(), part: NewPartition()}
 }
 
 // Ingest folds one attack into the online state. Attacks must arrive in
@@ -83,19 +75,16 @@ func (s *Analyzer) Ingest(a *dataset.Attack) error {
 	return s.ingest(a, 0)
 }
 
-// IngestAt is Ingest with an explicit global sequence number, for shard
-// workers that see only a hash partition of the feed: seq is the record's
-// 1-based position in the *global* stream, so collaboration candidates
-// detected on different shards can be merged back into the exact order a
-// single analyzer over the whole feed would report.
+// IngestAt is Ingest with an explicit global sequence number: seq is the
+// record's 1-based position in the stream, which stamps the collaboration
+// windows it opens (Partition.Ingest).
 //
-// A shard's record holds the attack's key — id, botnet, family, category,
-// target, start and end — and nothing else (the frontend validated the
-// rest at the edge), so IngestAt checks only the key (ValidateKey) and
-// reads no other field. seq 0 means the analyzer's own running count, the
-// sequence Ingest uses: given a record that passes Validate, Ingest(a) is
-// IngestAt(a, 0). The single-process server calls it that way with the
-// keys dataset.DecodeJSONLKeys already validated whole.
+// IngestAt checks only the record's key — id, botnet, family, category,
+// target, start and end (ValidateKey) — and reads no other field. seq 0
+// means the analyzer's own running count, the sequence Ingest uses: given
+// a record that passes Validate, Ingest(a) is IngestAt(a, 0). The
+// single-process server calls it that way with the keys
+// dataset.DecodeJSONLKeys already validated whole.
 func (s *Analyzer) IngestAt(a *dataset.Attack, seq uint64) error {
 	if err := a.ValidateKey(); err != nil {
 		return err
@@ -115,19 +104,16 @@ func (s *Analyzer) ingest(a *dataset.Attack, seq uint64) error {
 	if seq == 0 {
 		seq = uint64(s.scalars.N())
 	}
-
-	s.types.Add(a.Category, a.Family, 1)
-	s.daily.Observe(a.Start, a.Family)
-	s.collab.ingest(a, seq)
+	s.part.fold(a, seq)
+	s.part.Advance(1, a.Start)
 	return nil
 }
 
-// Tick folds a foreign attack's (id, start, end) into the scalar state and
-// advances the collaboration horizon, without touching any keyed state.
-// Shard workers call it for attacks homed on other shards: every shard
-// folds the identical global tick sequence through the identical Scalars
-// code, so every shard reports bit-identical global scalar statistics
-// while its keyed statistics cover only its own hash partition.
+// Tick folds an attack the analyzer holds no key for: its (id, start, end)
+// into the whole-feed statistics, and its start into the per-target half
+// as one more record covered (Partition.Advance). It builds the partials
+// of a partitioned feed from whole analyzers (benchmark/layers.go's merge
+// probe); the serve tiers never call it.
 func (s *Analyzer) Tick(id dataset.DDoSID, start, end time.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -135,12 +121,18 @@ func (s *Analyzer) Tick(id dataset.DDoSID, start, end time.Time) error {
 		return err
 	}
 	s.gen++
-	s.collab.advance(start)
+	s.part.Advance(1, start)
 	return nil
 }
 
 // Snapshot is a point-in-time view of the online state, expressed in the
 // batch result types so stream/batch parity is directly testable.
+//
+// Scalars.Fill writes the whole-feed fields (Ingested, the time bounds,
+// ActiveAttacks, Intervals, Durations, Load); Partition.Snapshot writes the
+// per-target ones (Protocols, FamilyProtocol, Daily, Collaborations), and
+// in a partition's own snapshot Ingested and LastStart are the records it
+// covers and their latest start.
 type Snapshot struct {
 	// Ingested is the number of attacks folded in so far.
 	Ingested int
@@ -200,26 +192,9 @@ func (s *Analyzer) Snapshot() Snapshot {
 }
 
 // build materializes the state from scratch.
-//
-//lockguard:held mu
 func (s *Analyzer) build() Snapshot {
-	snap := Snapshot{
-		Ingested:      s.scalars.N(),
-		FirstStart:    s.scalars.FirstStart(),
-		LastStart:     s.scalars.LastStart(),
-		ActiveAttacks: s.scalars.Active(),
-	}
-	if snap.Ingested == 0 {
-		return snap
-	}
-
-	snap.Protocols = s.types.Protocols()
-	snap.FamilyProtocol = s.types.FamilyProtocol()
-	snap.Daily = s.daily.Result()
-	snap.Intervals = s.scalars.IntervalStats()
-	snap.Durations = s.scalars.DurationStats()
-	snap.Load = s.scalars.LoadStats()
-	snap.Collaborations = s.collab.snapshot()
+	snap := s.part.Snapshot()
+	s.scalars.Fill(&snap)
 	return snap
 }
 

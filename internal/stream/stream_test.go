@@ -207,50 +207,6 @@ func TestParityCollaborations(t *testing.T) {
 	}
 }
 
-// TestConcurrentSnapshots drives one writer and several snapshot readers
-// at once; run under -race this is the §II-B "live dashboard" scenario.
-func TestConcurrentSnapshots(t *testing.T) {
-	store := parityWorkload(t)
-	attacks := store.Attacks()
-	sa := New()
-
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				snap := sa.Snapshot()
-				if snap.Ingested > 0 && len(snap.Protocols) == 0 {
-					t.Error("non-empty snapshot without protocol counts")
-					return
-				}
-				if snap.Load.Peak < 0 || snap.ActiveAttacks < 0 {
-					t.Error("negative load in snapshot")
-					return
-				}
-			}
-		}()
-	}
-	for _, a := range attacks {
-		if err := sa.Ingest(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(done)
-	wg.Wait()
-
-	if got := sa.Snapshot().Ingested; got != len(attacks) {
-		t.Fatalf("ingested %d, want %d", got, len(attacks))
-	}
-}
-
 // TestAnalyzerIngestedMatchesSnapshot holds the O(1) counter the ingest
 // endpoint reports to the snapshot's: equal after every record on the
 // writer, and bracketing a concurrent snapshot on a reader.
