@@ -102,8 +102,8 @@ bench-smoke:
 # per field shows here, not in live_sharded), the columnar store build, the snapshot open (a per-row decode coming back
 # is megabytes; the budget is one), the JSONL feed codec, the live
 # snapshot (the first read of a generation, and every later one), the
-# two report kernels that must stay in dense-id space (Ext: Defense, Ext:
-# Load, at the benches' default scale 0.1), and one warm cycle of
+# report kernel that must stay in dense-id space (Ext: Defense) and Ext:
+# Load over its held fold, at the benches' default scale 0.1, and one warm cycle of
 # botserve's explore routes (every answer a held product: a product
 # rebuilt per request, or an ARIMA refit, shows there). Each alternative
 # selects all of a benchmark's sub-benchmarks; the /scale1 segment belongs
@@ -119,13 +119,12 @@ bench-allocs:
 
 # bench-update re-measures the budgeted kernels and regenerates
 # bench_thresholds.json with headroom (see benchguard -update). Run after
-# a deliberate allocation-profile change, then review the diff — and keep
-# BenchmarkExtLoad's byte budget at 1 MiB (observed 0.44 MB): the 2 MiB
-# -update writes would let the 2n-event sort (1.65 MB) or an unsized
-# append on the load points (~1.1 MB) back in. Its 60 allocs are the
-# sweep's own: re-deriving the daily series and durations it reads from
-# the workload costs ~350 more. BenchmarkExploreCycle's bytes stay at 1 MiB
-# too (observed 0.68 MB; a cycle that rebuilds its products spends 1.9 MB).
+# a deliberate allocation-profile change, then review the diff and keep
+# only the budgets that went down: budgets are never raised.
+# BenchmarkExtLoad reads the held whole-feed fold (observed 3.6 KB, 45
+# allocs): a load sweep per call costs ~0.4 MB and shows there.
+# BenchmarkExploreCycle's bytes stay at 1 MiB (observed 0.63 MB; a cycle
+# that rebuilds its products spends 1.9 MB).
 bench-update:
 	$(GO) test -run=^$$ -bench $(BENCH_ALLOC_PATTERN) \
 		-benchmem -benchtime=10x $(BENCH_ALLOC_PKGS) > bench_allocs.out

@@ -135,8 +135,8 @@ func AnalyzeChains(s *dataset.Store) ChainStats {
 	})
 	if len(gaps) > 0 {
 		out.GapSummary = stats.Summarize(gaps)
-		out.FracWithin10s = stats.FractionBelow(gaps, 10)
-		out.FracWithin30s = stats.FractionBelow(gaps, 30)
+		out.FracWithin10s = stats.FractionAtMost(gaps, 10)
+		out.FracWithin30s = stats.FractionAtMost(gaps, 30)
 	}
 	return out
 }

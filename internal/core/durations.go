@@ -1,48 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-
-	"botscope/internal/dataset"
-	"botscope/internal/stats"
-)
-
-// Durations returns every attack duration in seconds, in start-time order
-// (the Fig 6 series).
-func Durations(s *dataset.Store) []float64 {
-	n := s.AttackRows()
-	out := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, s.AttackAt(i).Duration().Seconds())
-	}
-	return out
-}
-
-// DurationStats carries the §III-C headline numbers: the paper reports
-// mean 10,308 s, median 1,766 s, std 18,475 s, and 80% under 13,882 s
-// (about four hours).
-type DurationStats struct {
-	stats.Summary
-	// FracUnder4h is the fraction of attacks shorter than four hours.
-	FracUnder4h float64
-	// FracUnder60s is the fraction shorter than a minute (the paper keeps
-	// this under 10%, which justifies its 60 s attack-splitting rule).
-	FracUnder60s float64
-}
-
-// AnalyzeDurations summarizes a duration series; the error is non-nil for
-// an empty series.
-func AnalyzeDurations(durs []float64) (DurationStats, error) {
-	if len(durs) == 0 {
-		return DurationStats{}, fmt.Errorf("core: no durations to analyze")
-	}
-	return DurationStats{
-		Summary:      stats.Summarize(durs),
-		FracUnder4h:  stats.FractionBelow(durs, 4*3600),
-		FracUnder60s: stats.FractionBelow(durs, 60),
-	}, nil
-}
+import "math"
 
 // BaselineDurations generates the reference single-ISP alarm workload the
 // paper compares against (Mao et al. [24]: 31,612 alarms over four weeks,

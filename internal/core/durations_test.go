@@ -15,7 +15,7 @@ func TestDurations(t *testing.T) {
 		mkAttack(2, dataset.Pandora, 2, "5.5.5.2", t0.Add(time.Hour), 30*time.Minute),
 	}
 	s := mustStore(t, attacks)
-	durs := Durations(s)
+	durs, _, _ := FoldStore(s).Durations()
 	if len(durs) != 2 || durs[0] != 3600 || durs[1] != 1800 {
 		t.Errorf("durations = %v, want [3600 1800]", durs)
 	}
@@ -44,7 +44,7 @@ func TestBaselineDurations(t *testing.T) {
 		t.Fatalf("default baseline size = %d, want 31612 (Mao et al. alarm count)", len(base))
 	}
 	// The calibration point: 80% of baseline alarms last under 1.25 h.
-	frac := stats.FractionBelow(base, 1.25*3600)
+	frac := stats.FractionAtMost(base, 1.25*3600)
 	if math.Abs(frac-0.8) > 0.02 {
 		t.Errorf("baseline fraction under 1.25h = %v, want about 0.8", frac)
 	}
@@ -53,7 +53,7 @@ func TestBaselineDurations(t *testing.T) {
 	if len(small) != 5000 {
 		t.Fatalf("custom baseline size = %d", len(small))
 	}
-	if f := stats.FractionBelow(small, 1.25*3600); math.Abs(f-0.8) > 0.03 {
+	if f := stats.FractionAtMost(small, 1.25*3600); math.Abs(f-0.8) > 0.03 {
 		t.Errorf("small baseline fraction = %v, want about 0.8", f)
 	}
 }
@@ -85,7 +85,7 @@ func TestNormQuantile(t *testing.T) {
 
 func TestDurationsOnSynthWorkload(t *testing.T) {
 	s := synthWorkload(t)
-	st, err := AnalyzeDurations(Durations(s))
+	durs, st, err := FoldStore(s).Durations()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestDurationsOnSynthWorkload(t *testing.T) {
 	}
 	// The Fig 7 comparison: our attacks last longer than the Mao et al.
 	// baseline (80th percentiles ordered).
-	ours := stats.NewECDF(Durations(s))
+	ours := stats.NewECDF(durs)
 	base := stats.NewECDF(BaselineDurations(10000))
 	if ours.Quantile(0.8) <= base.Quantile(0.8) {
 		t.Errorf("our P80 %v not above baseline P80 %v", ours.Quantile(0.8), base.Quantile(0.8))

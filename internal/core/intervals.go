@@ -1,35 +1,12 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"botscope/internal/dataset"
 	"botscope/internal/memo"
 	"botscope/internal/par"
-	"botscope/internal/stats"
 )
-
-// SimultaneousThreshold is the 60-second window inside which the paper
-// treats two launches as concurrent (§II-D, §V).
-const SimultaneousThreshold = 60 * time.Second
-
-// AllIntervals returns the gaps between consecutive attacks across all
-// families (the "all attacks" curve of Fig 3).
-func AllIntervals(s *dataset.Store) []float64 {
-	n := s.AttackRows()
-	if n < 2 {
-		return nil
-	}
-	out := make([]float64, 0, n-1)
-	prev := s.AttackAt(0).StartNano()
-	for i := 1; i < n; i++ {
-		cur := s.AttackAt(i).StartNano()
-		out = append(out, time.Duration(cur-prev).Seconds())
-		prev = cur
-	}
-	return out
-}
 
 // FamilyIntervals returns the per-family gap series (the family curves of
 // Figs 3 and 5).
@@ -51,37 +28,6 @@ func rowIntervals(s *dataset.Store, rows memo.View[int32]) []float64 {
 		prev = cur
 	}
 	return out
-}
-
-// IntervalStats carries the headline interval numbers the paper reports
-// in §III-B.
-type IntervalStats struct {
-	stats.Summary
-	// SimultaneousFrac is the fraction of gaps below the 60 s threshold.
-	SimultaneousFrac float64
-	// ExactZeroFrac is the fraction of gaps that are exactly zero.
-	ExactZeroFrac float64
-}
-
-// AnalyzeIntervals summarizes a gap series. The error is non-nil for an
-// empty series.
-func AnalyzeIntervals(gaps []float64) (IntervalStats, error) {
-	if len(gaps) == 0 {
-		return IntervalStats{}, fmt.Errorf("core: no intervals to analyze")
-	}
-	st := IntervalStats{Summary: stats.Summarize(gaps)}
-	zero, simult := 0, 0
-	for _, g := range gaps {
-		if stats.IsZero(g) {
-			zero++
-		}
-		if g < SimultaneousThreshold.Seconds() {
-			simult++
-		}
-	}
-	st.ExactZeroFrac = float64(zero) / float64(len(gaps))
-	st.SimultaneousFrac = float64(simult) / float64(len(gaps))
-	return st, nil
 }
 
 // IntervalCluster is one duration-scale bucket of Fig 4.

@@ -16,13 +16,14 @@ func TestIntervals(t *testing.T) {
 		mkAttack(3, dataset.Dirtjumper, 1, "5.5.5.3", t0.Add(10*time.Minute), time.Hour),
 	}
 	s := mustStore(t, attacks)
-	if gaps := AllIntervals(s); len(gaps) != 2 || gaps[0] != 30 || gaps[1] != 570 {
-		t.Errorf("AllIntervals = %v, want [30 570]", gaps)
+	if gaps, _, _ := FoldStore(s).Intervals(); len(gaps) != 2 || gaps[0] != 30 || gaps[1] != 570 {
+		t.Errorf("FoldStore intervals = %v, want [30 570]", gaps)
 	}
 	if gaps := FamilyIntervals(s, dataset.Dirtjumper); len(gaps) != 1 || gaps[0] != 600 {
 		t.Errorf("FamilyIntervals(dirtjumper) = %v, want [600]", gaps)
 	}
-	if FamilyIntervals(s, dataset.Pandora) != nil || AllIntervals(mustStore(t, attacks[:1])) != nil {
+	one, _, err := FoldStore(mustStore(t, attacks[:1])).Intervals()
+	if FamilyIntervals(s, dataset.Pandora) != nil || len(one) != 0 || err == nil {
 		t.Error("a single attack produced gaps")
 	}
 }
@@ -107,8 +108,7 @@ func TestTargetIntervals(t *testing.T) {
 
 func TestIntervalsOnSynthWorkload(t *testing.T) {
 	s := synthWorkload(t)
-	gaps := AllIntervals(s)
-	st, err := AnalyzeIntervals(gaps)
+	gaps, st, err := FoldStore(s).Intervals()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,12 +68,13 @@ func (r *Result) MetricsText() string {
 // Workload bundles the generated dataset with the knobs experiments need.
 //
 // It is the one holder of the derived products that belong to a store but
-// live above dataset — the monitoring collector, the §III overview
+// live above dataset — the monitoring collector, the §II-B/§III overview
 // products (products.go: protocols, daily series, intervals, durations,
-// target-country rankings), the per-family dispersion series, profiles and
-// ARIMA fits, and the two §V event lists (collaborations, chains) — for
-// the experiments, the serve tier and the library's Analyzer alike. Each
-// is built once, on first use, and safe for concurrent use (serve's
+// concurrent load, target-country rankings), the per-family dispersion
+// series, profiles and ARIMA fits, and the two §V event lists
+// (collaborations, chains) — for the experiments, the serve tier and the
+// library's Analyzer alike. Each is built once, on first use, and safe
+// for concurrent use (serve's
 // handlers, TestWorkloadConcurrentAll); a product's slice comes out as a
 // memo.View, and the slices and maps inside a returned struct are shared
 // and must not be modified. Every product is a heap value: a
@@ -90,9 +91,8 @@ type Workload struct {
 
 	protocols memo.Lazy[[]core.ProtocolCount]
 	daily     memo.Lazy[dailyProduct]
-	allGaps   memo.Lazy[*gapSeries]
+	feed      memo.Lazy[*feedProducts]
 	famGaps   memo.Lazy[map[dataset.Family]*gapSeries]
-	durations memo.Lazy[*durSeries]
 	targets   memo.Lazy[map[dataset.Family]core.TargetCountryProfile]
 
 	collabs memo.Lazy[[]*core.Collaboration]

@@ -20,7 +20,7 @@ import (
 // against their calibration targets with two-sample KS and Wasserstein
 // statistics — a self-test of the substitution argument in DESIGN.md.
 func (w *Workload) ExtCalibration() (*Result, error) {
-	durs := w.durSeries().CDF()
+	durs := w.feedProducts().durs.CDF()
 	if durs.N() == 0 {
 		return nil, fmt.Errorf("no durations")
 	}
@@ -166,10 +166,11 @@ func (w *Workload) ExtDiurnal() (*Result, error) {
 // concurrency and cross-checks it against Little's law
 // (active = launch rate x mean duration).
 func (w *Workload) ExtLoad() (*Result, error) {
-	pts, st, err := core.ConcurrentLoad(w.Store)
-	if err != nil {
-		return nil, err
+	load := w.feedProducts()
+	if load.loadErr != nil {
+		return nil, load.loadErr
 	}
+	st := load.load
 	daily, err := w.Daily()
 	if err != nil {
 		return nil, err
@@ -178,12 +179,8 @@ func (w *Workload) ExtLoad() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	series := make([]float64, len(pts))
-	for i, p := range pts {
-		series[i] = float64(p.Active)
-	}
 	var b strings.Builder
-	b.WriteString(report.SeriesPanel("Extension — concurrently active attacks over time", series, 72))
+	b.WriteString(report.SeriesPanel("Extension — concurrently active attacks over time", load.active, 72))
 	fmt.Fprintf(&b, "peak %s active attacks at %s\n",
 		report.FormatInt(st.Peak), st.PeakTime.Format("2006-01-02 15:04"))
 	littles := daily.Average / 86400 * durStats.Mean

@@ -83,7 +83,7 @@ func (w *Workload) Figure2() (*Result, error) {
 
 // Figure3 regenerates the all-vs-family interval CDF comparison.
 func (w *Workload) Figure3() (*Result, error) {
-	all := w.allGapSeries()
+	all := &w.feedProducts().gaps
 	if all.err != nil {
 		return nil, all.err
 	}
@@ -192,7 +192,7 @@ func (w *Workload) Figure5() (*Result, error) {
 
 // Figure6 regenerates the duration-over-time panel.
 func (w *Workload) Figure6() (*Result, error) {
-	durs := w.durSeries()
+	durs := &w.feedProducts().durs
 	if len(durs.xs) == 0 {
 		return nil, fmt.Errorf("no durations")
 	}
@@ -212,7 +212,7 @@ func (w *Workload) Figure6() (*Result, error) {
 
 // Figure7 regenerates the duration CDF with the Mao et al. baseline.
 func (w *Workload) Figure7() (*Result, error) {
-	durs := w.durSeries()
+	durs := &w.feedProducts().durs
 	if len(durs.xs) == 0 {
 		return nil, fmt.Errorf("no durations")
 	}

@@ -39,10 +39,7 @@ func (p *series[S]) CDF() *stats.ECDF { return p.cdf.Get(p.buildCDF) }
 
 func (p *series[S]) buildCDF() *stats.ECDF { return stats.NewECDF(p.xs) }
 
-type (
-	gapSeries = series[core.IntervalStats]
-	durSeries = series[core.DurationStats]
-)
+type gapSeries = series[core.IntervalStats]
 
 type dailyProduct struct {
 	st  core.DailyStats
@@ -68,16 +65,34 @@ func (w *Workload) buildDaily() dailyProduct {
 	return dailyProduct{st, err}
 }
 
+// feedProducts are one exact core.Feed's products: Figure 3's all-attacks
+// gaps, the durations, and Ext: Load's counts of attacks in progress.
+type feedProducts struct {
+	gaps    gapSeries
+	durs    series[core.DurationStats]
+	active  []float64
+	load    core.LoadStats
+	loadErr error
+}
+
+func (w *Workload) feedProducts() *feedProducts { return w.feed.Get(w.buildFeed) }
+
+func (w *Workload) buildFeed() *feedProducts {
+	f, p := core.FoldStore(w.Store), new(feedProducts)
+	p.gaps.xs, p.gaps.st, p.gaps.err = f.Intervals()
+	p.durs.xs, p.durs.st, p.durs.err = f.Durations()
+	pts, load, err := f.Load()
+	p.active, p.load, p.loadErr = make([]float64, len(pts)), load, err
+	for i, pt := range pts {
+		p.active[i] = float64(pt.Active)
+	}
+	return p
+}
+
 // AllIntervals returns the gaps between consecutive attacks across all
 // families (Figure 3's "all attacks" curve) with their summary.
 func (w *Workload) AllIntervals() (memo.View[float64], core.IntervalStats, error) {
-	return w.allGapSeries().view()
-}
-
-func (w *Workload) allGapSeries() *gapSeries { return w.allGaps.Get(w.buildAllGaps) }
-
-func (w *Workload) buildAllGaps() *gapSeries {
-	return newSeries(core.AllIntervals(w.Store), core.AnalyzeIntervals)
+	return w.feedProducts().gaps.view()
 }
 
 // FamilyIntervals returns one family's gap series (Figures 3-5) with its
@@ -106,13 +121,7 @@ func (w *Workload) buildFamGaps() map[dataset.Family]*gapSeries {
 // Durations returns every attack duration in start order (Figures 6-7)
 // with the §III-C summary.
 func (w *Workload) Durations() (memo.View[float64], core.DurationStats, error) {
-	return w.durSeries().view()
-}
-
-func (w *Workload) durSeries() *durSeries { return w.durations.Get(w.buildDurations) }
-
-func (w *Workload) buildDurations() *durSeries {
-	return newSeries(core.Durations(w.Store), core.AnalyzeDurations)
+	return w.feedProducts().durs.view()
 }
 
 // TargetCountries returns one family's full Table V country ranking;

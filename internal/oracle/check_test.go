@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"botscope/internal/core"
 	"botscope/internal/dataset"
@@ -43,6 +44,16 @@ type micro struct {
 	days     []day
 	peak     day
 	average  float64
+	load     load
+}
+
+// at parses an RFC 3339 instant of the micro workloads.
+func at(s string) time.Time {
+	t, err := time.Parse(time.RFC3339, s)
+	if err != nil {
+		panic(err)
+	}
+	return t
 }
 
 var micros = []micro{
@@ -70,6 +81,11 @@ var micros = []micro{
 		},
 		peak:    day{"2012-08-30", 2, dataset.Dirtjumper},
 		average: 5.0 / 4,
+		// 1, 0, 1, 3, 2, 1, 0, 1, 0 in progress at the nine instants: the
+		// two midnight starts join the attack launched a second before.
+		// 3,600 + 1 + 3 x 29 + 2 x 571 + 17,400 + 7,200 attack-seconds
+		// over the 76 h from 10:00 on the 30th to 14:00 on the 2nd.
+		load: load{3, at("2012-08-31T00:00:00Z"), 29430.0 / 273600},
 	},
 	{
 		// A zero-duration attack and one of exactly 60 s: both are short.
@@ -85,6 +101,11 @@ var micros = []micro{
 		days:    []day{{"2012-09-10", 4, dataset.Dirtjumper}},
 		peak:    day{"2012-09-10", 4, dataset.Dirtjumper},
 		average: 4,
+		// The zero-duration attack opens the window but is never in
+		// progress; no two attacks overlap, so the first start of the
+		// 60 s one is the peak. 60 + 3,600 + 21,600 attack-seconds over
+		// 18 h 30 s.
+		load: load{1, at("2012-09-10T08:00:30Z"), 25260.0 / 64830},
 	},
 	{
 		// yzf launches once: it has no intervals, and its route is a 404.
@@ -103,6 +124,10 @@ var micros = []micro{
 		},
 		peak:    day{"2012-10-01", 3, dataset.Nitol},
 		average: 2,
+		// A nitol attack starts as yzf's ends: one in progress, not two.
+		// The 20 s one inside it makes the peak. 300 + 10 + 2 x 20 + 90 +
+		// 3,600 attack-seconds over 25 h 5 min 10 s.
+		load: load{2, at("2012-10-01T00:05:10Z"), 4040.0 / 90310},
 	},
 }
 
@@ -188,9 +213,9 @@ func checkDaily(t *testing.T, what string, st core.DailyStats, want micro) {
 	}
 }
 
-// streamDaily feeds the records to a fresh live analyzer in launch order
-// and returns its Fig 2 answer.
-func streamDaily(t *testing.T, recs []*dataset.Attack) core.DailyStats {
+// streamSnapshot feeds the records to a fresh live analyzer in launch
+// order and returns its snapshot.
+func streamSnapshot(t *testing.T, recs []*dataset.Attack) stream.Snapshot {
 	t.Helper()
 	a := stream.New()
 	for _, r := range chronological(recs) {
@@ -198,7 +223,67 @@ func streamDaily(t *testing.T, recs []*dataset.Attack) core.DailyStats {
 			t.Fatal(err)
 		}
 	}
-	return a.Snapshot().Daily
+	return a.Snapshot()
+}
+
+func checkLoad(t *testing.T, what string, got, want load) {
+	t.Helper()
+	if got.peak != want.peak || !got.peakAt.Equal(want.peakAt) || !agree(got.mean, want.mean) {
+		t.Errorf("%s: peak %d at %v, mean %v; want %d at %v, %v", what, got.peak, got.peakAt, got.mean, want.peak, want.peakAt, want.mean)
+	}
+}
+
+func kernelLoad(st core.LoadStats) load { return load{st.Peak, st.PeakTime, st.TimeWeightedMean} }
+
+// checkWholeFeed holds §II-B's load, from core.ConcurrentLoad and from
+// the live analyzer, to the oracle's, and the live analyzer's interval and
+// duration counts and shares to the oracle's gaps and durations.
+func checkWholeFeed(t *testing.T, recs []*dataset.Attack, store *dataset.Store) {
+	t.Helper()
+	want := concurrentLoad(recs)
+	_, st, err := core.ConcurrentLoad(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLoad(t, "core.ConcurrentLoad", kernelLoad(st), want)
+	snap := streamSnapshot(t, recs)
+	checkLoad(t, "stream.Analyzer load", kernelLoad(snap.Load), want)
+
+	gaps, iv := intervals(recs, ""), snap.Intervals
+	if iv.N != len(gaps) || len(gaps) > 0 &&
+		(!agree(iv.SimultaneousFrac, shareSimultaneous(gaps)) || !agree(iv.ExactZeroFrac, shareExactZero(gaps))) {
+		t.Errorf("stream.Analyzer intervals: %d gaps, simultaneous %v, exact zero %v; oracle %d gaps %v",
+			iv.N, iv.SimultaneousFrac, iv.ExactZeroFrac, len(gaps), gaps)
+	}
+	durs, du := durations(recs), snap.Durations
+	if du.N != len(durs) || !agree(du.FracUnder4h, shareAtMost(durs, 4*3600)) || !agree(du.FracUnder60s, shareAtMost(durs, 60)) {
+		t.Errorf("stream.Analyzer durations: %d, under 4 h %v, under 60 s %v; oracle %d, %v, %v", du.N, du.FracUnder4h,
+			du.FracUnder60s, len(durs), shareAtMost(durs, 4*3600), shareAtMost(durs, 60))
+	}
+}
+
+// TestOracleWholeFeed holds the whole-feed statistics — §II-B's load from
+// the batch kernel and the live analyzer, and the live analyzer's
+// interval and duration counts — to the oracle on every micro workload
+// and a small generated store.
+func TestOracleWholeFeed(t *testing.T) {
+	files, err := os.ReadDir(filepath.Join("testdata", "micro"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		t.Run(f.Name(), func(t *testing.T) {
+			recs, store := loadMicro(t, f.Name())
+			checkWholeFeed(t, recs, store)
+		})
+	}
+	t.Run("generated", func(t *testing.T) {
+		store, err := synth.GenerateStore(synth.Config{Seed: 3, Scale: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkWholeFeed(t, store.Attacks(), store)
+	})
 }
 
 // TestOracleMicro holds the oracle to the hand-worked answers first, then
@@ -230,6 +315,7 @@ func TestOracleMicro(t *testing.T) {
 			if got := average(recs); !agree(got, m.average) {
 				t.Errorf("oracle average: %v, want %v", got, m.average)
 			}
+			checkLoad(t, "oracle load", concurrentLoad(recs), m.load)
 
 			w := experiments.FromStore(store, 1)
 			_, st, err := w.AllIntervals()
@@ -248,7 +334,7 @@ func TestOracleMicro(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkDaily(t, "Workload.Daily", daily, m)
-			checkDaily(t, "stream.Analyzer daily", streamDaily(t, recs), m)
+			checkDaily(t, "stream.Analyzer daily", streamSnapshot(t, recs).Daily, m)
 
 			srv := serve.New(store, 1)
 			var ist core.IntervalStats
@@ -259,9 +345,6 @@ func TestOracleMicro(t *testing.T) {
 				if want == nil {
 					getJSON(t, srv, path, http.StatusNotFound, nil)
 					continue
-				}
-				if want.n < 2 {
-					continue // one gap has no standard deviation, and JSON no NaN
 				}
 				var fst core.IntervalStats
 				getJSON(t, srv, path, http.StatusOK, &fst)
@@ -323,7 +406,7 @@ func TestOracleAgreesOnGeneratedStore(t *testing.T) {
 	ds := days(recs)
 	want := micro{days: ds, peak: peak(ds), average: average(recs)}
 	checkDaily(t, "daily", daily, want)
-	checkDaily(t, "stream.Analyzer daily", streamDaily(t, recs), want)
+	checkDaily(t, "stream.Analyzer daily", streamSnapshot(t, recs).Daily, want)
 	checkSectionV(t, recs, store)
 }
 

@@ -8,7 +8,7 @@
 // It covers what the Workload holds for §III: the inter-attack intervals
 // (all attacks and per family) with their simultaneous and exact-zero
 // shares, the duration shares and median, and the per-day counts with the
-// peak day's dominant family. For §V it covers the collaborations with
+// peak day's dominant family; and §II-B's concurrent load. For §V it covers the collaborations with
 // their Table VI counts, and the multistage chains with Fig 17's gap
 // shares.
 package oracle
@@ -123,6 +123,54 @@ func median(xs []float64) float64 {
 		return s[len(s)/2]
 	}
 	return (s[len(s)/2-1] + s[len(s)/2]) / 2
+}
+
+// load is §II-B's concurrent load: the attacks in progress over time, its
+// peak and its time-weighted mean.
+type load struct {
+	peak   int
+	peakAt time.Time
+	mean   float64
+}
+
+// concurrentLoad counts, at every instant an attack starts or ends, the
+// attacks in progress then: started at or before it and not yet ended
+// (start <= t < end), so a zero-duration attack is never in progress. The
+// peak is the first instant with the most; the mean is the count's
+// integral over [first start, last end] divided by that span.
+func concurrentLoad(attacks []*dataset.Attack) load {
+	var instants []time.Time
+	for _, a := range attacks {
+		instants = append(instants, a.Start, a.End)
+	}
+	sort.Slice(instants, func(i, j int) bool { return instants[i].Before(instants[j]) })
+	var out load
+	var integral float64
+	for i, t := range instants {
+		if i > 0 && t.Equal(instants[i-1]) {
+			continue
+		}
+		n := 0
+		for _, a := range attacks {
+			if !a.Start.After(t) && t.Before(a.End) {
+				n++
+			}
+		}
+		if n > out.peak {
+			out.peak, out.peakAt = n, t
+		}
+		if last := instants[len(instants)-1]; t.Before(last) {
+			next := i + 1
+			for instants[next].Equal(t) {
+				next++
+			}
+			integral += float64(n) * instants[next].Sub(t).Seconds()
+		}
+	}
+	if span := instants[len(instants)-1].Sub(instants[0]).Seconds(); span > 0 {
+		out.mean = integral / span
+	}
+	return out
 }
 
 // day is one UTC calendar day of Fig 2 on which attacks were launched.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -109,5 +110,17 @@ func TestErrorShapesAllRoutes(t *testing.T) {
 				t.Fatalf("missing error field: %.200s", rec.Body.String())
 			}
 		})
+	}
+}
+
+// TestWriteJSONUnencodable holds writeJSON to its contract: a value that
+// does not encode answers 500 with the error, never 200 with an empty
+// body.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, map[string]float64{"stddev": math.NaN()})
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || body["error"] == "" {
+		t.Errorf("NaN: %d %q, want 500 with an error", rec.Code, rec.Body.String())
 	}
 }

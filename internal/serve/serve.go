@@ -118,15 +118,16 @@ func (s *Server) routes() {
 	s.mux.Handle("/healthz", live)
 }
 
-// writeJSON encodes v with a 200 status.
+// writeJSON encodes v with a 200 status, or, when v does not encode (a
+// NaN, say), answers 500 with the error instead of an empty 200.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		// Headers are already out; nothing sensible left to do.
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // writeError encodes a JSON error payload.

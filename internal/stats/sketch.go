@@ -1,13 +1,4 @@
-// Package stream provides bounded-memory online analytics over a live feed
-// of DDoS attack records. A stream.Analyzer ingests dataset.Attack records
-// one at a time (single writer) and maintains incremental state mirroring
-// the batch analyses of internal/core: protocol/family counters and daily
-// buckets (Figs 1-2), streaming quantile sketches for inter-attack
-// intervals and durations (§III-B/C), a heap-based sweep of concurrently
-// active attacks (§II-B), and windowed cross-botnet collaboration
-// detection (§V). Snapshot() returns the same result types the batch
-// Analyzer produces, so parity is directly testable.
-package stream
+package stats
 
 import "math"
 
@@ -42,7 +33,7 @@ type QuantileSketch struct {
 	max    float64
 }
 
-// DefaultAlpha is the relative-error guarantee used by the Analyzer's
+// DefaultAlpha is the relative-error guarantee used by the live fold's
 // sketches: estimates are within 0.5% of the true sample value, well
 // inside the 2% parity tolerance against the batch quantiles.
 const DefaultAlpha = 0.005
@@ -90,7 +81,7 @@ func (s *QuantileSketch) N() int { return int(s.n) }
 func (s *QuantileSketch) Bins() int { return s.live }
 
 // Add folds x into the sketch. Negative values are clamped to zero (the
-// analyzer only feeds non-negative gap/duration seconds).
+// live fold only feeds non-negative gap/duration seconds).
 func (s *QuantileSketch) Add(x float64) {
 	if math.IsNaN(x) {
 		return

@@ -1,4 +1,4 @@
-package stream
+package stats
 
 import (
 	"math"

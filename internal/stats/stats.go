@@ -174,9 +174,9 @@ func Summarize(xs []float64) Summary {
 	}
 }
 
-// FractionBelow returns the fraction of xs that is strictly less than or
-// equal to x. It returns NaN for an empty sample.
-func FractionBelow(xs []float64, x float64) float64 {
+// FractionAtMost returns the fraction of xs that is at most x (v <= x). It
+// returns NaN for an empty sample.
+func FractionAtMost(xs []float64, x float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}

@@ -147,16 +147,16 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestFractionBelow(t *testing.T) {
+func TestFractionAtMost(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
-	if got := FractionBelow(xs, 3); !almostEqual(got, 0.6, 1e-12) {
-		t.Errorf("FractionBelow(3) = %v, want 0.6", got)
+	if got := FractionAtMost(xs, 3); !almostEqual(got, 0.6, 1e-12) {
+		t.Errorf("FractionAtMost(3) = %v, want 0.6", got)
 	}
-	if got := FractionBelow(xs, 0); got != 0 {
-		t.Errorf("FractionBelow(0) = %v, want 0", got)
+	if got := FractionAtMost(xs, 0); got != 0 {
+		t.Errorf("FractionAtMost(0) = %v, want 0", got)
 	}
-	if got := FractionBelow(nil, 1); !math.IsNaN(got) {
-		t.Errorf("FractionBelow(nil) = %v, want NaN", got)
+	if got := FractionAtMost(nil, 1); !math.IsNaN(got) {
+		t.Errorf("FractionAtMost(nil) = %v, want NaN", got)
 	}
 }
 

@@ -1,7 +1,15 @@
+// Package stream provides bounded-memory online analytics over a live feed
+// of DDoS attack records. A stream.Analyzer ingests dataset.Attack records
+// one at a time (single writer) and folds them into the definitions of
+// internal/core: protocol/family counters and daily buckets (Figs 1-2),
+// the whole-feed fold of inter-attack intervals and durations (§III-B/C,
+// with sketched quantiles) and the concurrent load (§II-B), and windowed
+// cross-botnet collaboration detection (§V). Snapshot() returns the same
+// result types the batch Analyzer produces, so parity is directly
+// testable.
 package stream
 
 import (
-	"container/heap"
 	"errors"
 	"sync"
 	"time"
@@ -9,7 +17,6 @@ import (
 	"botscope/internal/core"
 	"botscope/internal/dataset"
 	"botscope/internal/memo"
-	"botscope/internal/stats"
 )
 
 // ErrOutOfOrder is returned by Ingest when an attack starts before the
@@ -152,9 +159,8 @@ type Snapshot struct {
 	Intervals core.IntervalStats
 	// Durations summarizes attack durations (§III-C), same split.
 	Durations core.DurationStats
-	// Load is the §II-B concurrent-attack load summary. Peak and PeakTime
-	// are exact; TimeWeightedMean integrates through the last ingested
-	// attack's end, matching the batch sweep at end of stream.
+	// Load is the §II-B concurrent-attack load summary, exact: the fold's
+	// load half integrates through the last ingested attack's end.
 	Load core.LoadStats
 	// Collaborations summarizes live §V collaboration candidates.
 	Collaborations CollabSummary
@@ -172,8 +178,8 @@ func (s *Analyzer) Ingested() int {
 // concurrently with Ingest. The value is immutable and shared: every
 // caller between two writes gets the same slices and maps, so callers
 // only read them; nothing in it aliases state the analyzer still writes.
-// Unlike the batch summaries, an empty or single-attack snapshot reports
-// zero statistics rather than NaNs, keeping the result JSON-encodable.
+// Where the batch products answer an error, an empty or single-attack
+// snapshot reports zero statistics, keeping the result JSON-encodable.
 func (s *Analyzer) Snapshot() Snapshot {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -197,41 +203,3 @@ func (s *Analyzer) build() Snapshot {
 	s.scalars.Fill(&snap)
 	return snap
 }
-
-// sketchSummary assembles a stats.Summary from exact online moments plus
-// sketched quantiles, with zeros instead of NaNs for tiny samples.
-func sketchSummary(o *stats.Online, sk *QuantileSketch) stats.Summary {
-	if o.N() == 0 {
-		return stats.Summary{}
-	}
-	sum := stats.Summary{
-		N:      o.N(),
-		Mean:   o.Mean(),
-		Min:    o.Min(),
-		Max:    o.Max(),
-		Median: sk.Quantile(0.5),
-		P80:    sk.Quantile(0.8),
-		P95:    sk.Quantile(0.95),
-	}
-	if o.N() >= 2 {
-		sum.StdDev = o.StdDev()
-	}
-	return sum
-}
-
-// endHeap is a min-heap of attack end times in unix nanoseconds.
-type endHeap []int64
-
-func (h endHeap) Len() int           { return len(h) }
-func (h endHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h endHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *endHeap) Push(x any)        { *h = append(*h, x.(int64)) }
-func (h *endHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-var _ = heap.Interface(&endHeap{})

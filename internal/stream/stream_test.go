@@ -12,6 +12,7 @@ import (
 	"botscope/internal/core"
 	"botscope/internal/dataset"
 	"botscope/internal/memo"
+	"botscope/internal/stats"
 	"botscope/internal/synth"
 )
 
@@ -100,85 +101,48 @@ func TestParityDaily(t *testing.T) {
 	}
 }
 
-// Intervals, durations and load stay two implementations by design — the
-// stream answers quantiles from a bounded sketch where the batch sorts the
-// exact ECDF, and Scalars sweeps load online over a heap of end times where
-// core.ConcurrentLoad merges the start and end columns and also emits the
-// 2n-point series — so the three tests below are what ties each pair
-// together; the keyed panels above and below them are one definition in
-// internal/core, held here.
+// Intervals, durations and load are one fold, core.Feed, which the
+// analyzer runs live and the batch products exactly; the oracle holds its
+// counts, shares and load to the paper's text. What is still two
+// implementations is how a live fold summarizes: moments from stats.Online
+// where the exact fold calls stats.Summarize, quantiles from a bounded
+// sketch where it sorts. The two tests below tie those pairs together.
 
 func TestParityIntervals(t *testing.T) {
 	store := parityWorkload(t)
 	snap := ingestAll(t, store).Snapshot()
-	want, err := core.AnalyzeIntervals(core.AllIntervals(store))
+	_, want, err := core.FoldStore(store).Intervals()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if snap.Intervals.N != want.N {
-		t.Fatalf("interval N = %d, want %d", snap.Intervals.N, want.N)
-	}
-	if snap.Intervals.SimultaneousFrac != want.SimultaneousFrac {
-		t.Errorf("simultaneous frac = %v, want %v", snap.Intervals.SimultaneousFrac, want.SimultaneousFrac)
-	}
-	if snap.Intervals.ExactZeroFrac != want.ExactZeroFrac {
-		t.Errorf("zero frac = %v, want %v", snap.Intervals.ExactZeroFrac, want.ExactZeroFrac)
-	}
-	relClose(t, "interval mean", snap.Intervals.Mean, want.Mean, 1e-6)
-	relClose(t, "interval stddev", snap.Intervals.StdDev, want.StdDev, 1e-6)
-	if snap.Intervals.Min != want.Min || snap.Intervals.Max != want.Max {
-		t.Errorf("interval extremes = (%v, %v), want (%v, %v)",
-			snap.Intervals.Min, snap.Intervals.Max, want.Min, want.Max)
-	}
-	// Sketch quantiles: the acceptance bar is <= 2% relative error.
-	relClose(t, "interval median", snap.Intervals.Median, want.Median, 0.02)
-	relClose(t, "interval p80", snap.Intervals.P80, want.P80, 0.02)
-	relClose(t, "interval p95", snap.Intervals.P95, want.P95, 0.02)
+	checkSummary(t, "interval", snap.Intervals.Summary, want.Summary)
 }
 
 func TestParityDurations(t *testing.T) {
 	store := parityWorkload(t)
 	snap := ingestAll(t, store).Snapshot()
-	want, err := core.AnalyzeDurations(core.Durations(store))
+	_, want, err := core.FoldStore(store).Durations()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if snap.Durations.N != want.N {
-		t.Fatalf("duration N = %d, want %d", snap.Durations.N, want.N)
-	}
-	if snap.Durations.FracUnder4h != want.FracUnder4h || snap.Durations.FracUnder60s != want.FracUnder60s {
-		t.Errorf("duration fractions = (%v, %v), want (%v, %v)",
-			snap.Durations.FracUnder4h, snap.Durations.FracUnder60s,
-			want.FracUnder4h, want.FracUnder60s)
-	}
-	relClose(t, "duration mean", snap.Durations.Mean, want.Mean, 1e-6)
-	relClose(t, "duration stddev", snap.Durations.StdDev, want.StdDev, 1e-6)
-	if snap.Durations.Min != want.Min || snap.Durations.Max != want.Max {
-		t.Errorf("duration extremes = (%v, %v), want (%v, %v)",
-			snap.Durations.Min, snap.Durations.Max, want.Min, want.Max)
-	}
-	relClose(t, "duration median", snap.Durations.Median, want.Median, 0.02)
-	relClose(t, "duration p80", snap.Durations.P80, want.P80, 0.02)
-	relClose(t, "duration p95", snap.Durations.P95, want.P95, 0.02)
+	checkSummary(t, "duration", snap.Durations.Summary, want.Summary)
 }
 
-func TestParityLoad(t *testing.T) {
-	store := parityWorkload(t)
-	snap := ingestAll(t, store).Snapshot()
-	_, want, err := core.ConcurrentLoad(store)
-	if err != nil {
-		t.Fatal(err)
+// checkSummary holds a live summary to the exact one: moments within
+// 1e-6, extremes exact, sketch quantiles within 2 %.
+func checkSummary(t *testing.T, what string, got, want stats.Summary) {
+	t.Helper()
+	if got.N != want.N {
+		t.Fatalf("%s N = %d, want %d", what, got.N, want.N)
 	}
-
-	if snap.Load.Peak != want.Peak {
-		t.Errorf("load peak = %d, want %d", snap.Load.Peak, want.Peak)
+	relClose(t, what+" mean", got.Mean, want.Mean, 1e-6)
+	relClose(t, what+" stddev", got.StdDev, want.StdDev, 1e-6)
+	if got.Min != want.Min || got.Max != want.Max {
+		t.Errorf("%s extremes = (%v, %v), want (%v, %v)", what, got.Min, got.Max, want.Min, want.Max)
 	}
-	if !snap.Load.PeakTime.Equal(want.PeakTime) {
-		t.Errorf("load peak time = %v, want %v", snap.Load.PeakTime, want.PeakTime)
-	}
-	relClose(t, "time-weighted mean load", snap.Load.TimeWeightedMean, want.TimeWeightedMean, 1e-6)
+	relClose(t, what+" median", got.Median, want.Median, 0.02)
+	relClose(t, what+" p80", got.P80, want.P80, 0.02)
+	relClose(t, what+" p95", got.P95, want.P95, 0.02)
 }
 
 func TestParityCollaborations(t *testing.T) {
