@@ -186,6 +186,19 @@ func FuzzDecodeJSONL(f *testing.F) {
 	// coordinates; a zoned source the slow path decodes.
 	f.Add(fastRecord + "\n" + strings.Replace(fastRecord, `47.6`, `91`, 1) + "\n")
 	f.Add(fastRecord + strings.NewReplacer(`Example Net`, `Example \"Net\"`, `198.51.100.2`, `fe80::2%eth0`).Replace(fastRecord))
+	// Near-quads, one edit from a source the dotted-quad kernel takes.
+	for _, near := range []string{
+		"198.51.100.02", "198.51.100.256", "198.51.100", "198.51.100.2.5", "198..51.100",
+		"198.51.100.2 ", "1985110012345678", "::198.51.100.2", "198.51.100.2%eth0",
+	} {
+		f.Add(fastRecord + "\n" + strings.Replace(fastRecord, `"198.51.100.2"`, `"`+near+`"`, 1) + "\n")
+	}
+	// A source cut by the end of the first read, inside the quad and
+	// before its closing quote.
+	at := strings.Index(fastRecord, `198.51.100.2`)
+	for _, cut := range []int{4, len(`198.51.100.2`)} {
+		f.Add(strings.Repeat(" ", jsonlBufSize-at-cut) + fastRecord + "\n")
+	}
 
 	f.Fuzz(func(t *testing.T, data string) {
 		decoded := checkDecodeJSONLAgainstReference(t, data)

@@ -2,10 +2,12 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net/netip"
 	"strconv"
 	"sync"
@@ -491,32 +493,90 @@ func categoryOf(b []byte) Category {
 	return 0
 }
 
-// scanAddr scans a string holding an IP address: dotted-quad IPv4 in
-// place, any other form through netip.ParseAddr.
+// scanAddr scans a string holding an IP address: dotted-quad IPv4 by the
+// word kernel dottedQuad, any other form through netip.ParseAddr. The
+// kernel reads the 16 bytes after the opening quote, which hold any quad
+// and its closing quote; near the end of b it reads them from a
+// zero-padded copy, where a cut quad cannot match and the fallback tells
+// scanMore from scanSlow.
 func scanAddr(b []byte, i int) (addr netip.Addr, next int, ok bool) {
 	if i >= len(b) || b[i] != '"' {
 		return netip.Addr{}, i, false
 	}
-	var oct [4]byte
-	j := i + 1
-	for f := 0; f < 4; f++ {
-		// One to three digits, no leading zero, at most 255.
-		start, v := j, uint(0)
-		for j < len(b) && j < start+3 && b[j]-'0' <= 9 {
-			v = v*10 + uint(b[j]-'0')
-			j++
-		}
-		sep := byte('.')
-		if f == 3 {
-			sep = '"'
-		}
-		if j == start || v > 255 || (j > start+1 && b[start] == '0') || j >= len(b) || b[j] != sep {
-			return scanAddrString(b, i)
-		}
-		oct[f] = byte(v)
-		j++
+	var lo, hi uint64
+	if i+17 <= len(b) {
+		lo, hi = binary.LittleEndian.Uint64(b[i+1:]), binary.LittleEndian.Uint64(b[i+9:])
+	} else {
+		var w [16]byte
+		copy(w[:], b[i+1:])
+		lo, hi = binary.LittleEndian.Uint64(w[:]), binary.LittleEndian.Uint64(w[8:])
 	}
-	return netip.AddrFrom4(oct), j, true
+	if ip, n, ok := dottedQuad(lo, hi); ok {
+		return netip.AddrFrom4([4]byte{byte(ip >> 24), byte(ip >> 16), byte(ip >> 8), byte(ip)}), i + 1 + n, true
+	}
+	return scanAddrString(b, i)
+}
+
+// lanes repeats a byte across the eight lanes of a word.
+const lanes = 0x0101010101010101
+
+// Per octet length, 0 to 15: the weights of the two places before the
+// last one, and the least value without a leading zero — above 255 for a
+// length no octet has.
+var octetHundreds, octetTens, octetMin = func() (h, t, m [16]uint32) {
+	for l := range m {
+		m[l] = 256
+	}
+	h[3], t[2], t[3] = 100, 10, 10
+	m[1], m[2], m[3] = 0, 10, 100
+	return
+}()
+
+// dottedQuad decodes the string content held by lo, hi (16 bytes, little
+// endian) when it starts with a quad netip.ParseAddr accepts — four
+// octets of one to three digits, none with a leading zero or above 255 —
+// and its closing quote. It reports the bytes used, quote included.
+func dottedQuad(lo, hi uint64) (ip uint32, n int, ok bool) {
+	// Digit values, after three zero bytes: the octet that ends at the
+	// separator at e has its places in d[e : e+3].
+	var d [19]byte
+	binary.LittleEndian.PutUint64(d[3:], lo^'0'*lanes)
+	binary.LittleEndian.PutUint64(d[11:], hi^'0'*lanes)
+	// The first four non-digits end the four octets.
+	m := nonDigits(lo) | nonDigits(hi)<<8
+	e1 := bits.TrailingZeros64(m)
+	m &= m - 1
+	e2 := bits.TrailingZeros64(m)
+	m &= m - 1
+	e3 := bits.TrailingZeros64(m)
+	m &= m - 1
+	e4 := bits.TrailingZeros64(m) // 64 when there are fewer than four
+	// The separators, as they read in d.
+	const dot, quote = '.' ^ '0', '"' ^ '0'
+	if e4 > 15 || d[e1+3] != dot || d[e2+3] != dot || d[e3+3] != dot || d[e4+3] != quote {
+		return 0, 0, false
+	}
+	l1, l2, l3, l4 := e1, e2-e1-1, e3-e2-1, e4-e3-1
+	v1, v2, v3, v4 := octet(&d, e1, l1), octet(&d, e2, l2), octet(&d, e3, l3), octet(&d, e4, l4)
+	if v1 < octetMin[l1] || v2 < octetMin[l2] || v3 < octetMin[l3] || v4 < octetMin[l4] || (v1|v2|v3|v4) > 255 {
+		return 0, 0, false
+	}
+	return v1<<24 | v2<<16 | v3<<8 | v4, e4 + 1, true
+}
+
+// octet converts the l places before the separator at e.
+func octet(d *[19]byte, e, l int) uint32 {
+	return octetHundreds[l]*uint32(d[e]) + octetTens[l]*uint32(d[e+1]) + uint32(d[e+2])
+}
+
+// nonDigits sets bit k for each byte k of w that is not an ASCII digit.
+func nonDigits(w uint64) uint64 {
+	x := w ^ '0'*lanes // the digits are now the bytes below 10
+	// A byte's top bit is set when it was, or when adding 0x76 to its low
+	// seven bits carries into it: when it is 10 or more.
+	x = (x&(0x7f*lanes) + (0x80-10)*lanes | x) & (0x80 * lanes)
+	// Gather the high bits, byte k's to bit 56+k, and bring them down.
+	return (x >> 7) * 0x0102040810204080 >> 56
 }
 
 func scanAddrString(b []byte, i int) (addr netip.Addr, next int, ok bool) {

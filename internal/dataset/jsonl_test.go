@@ -2,11 +2,13 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -90,6 +92,93 @@ func TestScanRecordGrammar(t *testing.T) {
 		}
 		if got == scanOK && (a == nil || tc.line[used-1] != '}') {
 			t.Errorf("%s: used %d bytes, not up to the closing brace", tc.name, used)
+		}
+	}
+}
+
+// TestScanAddrQuads holds scanAddr's word kernel to netip.ParseAddr on
+// every octet string of one to four digits, in each of the four places,
+// and on quads cut by the end of the bytes on either side of its 16-byte
+// window. scanRecord must answer as TestScanRecordGrammar pins: scanOK
+// for an address, scanSlow for a string that is none, scanMore for one
+// cut short.
+func TestScanAddrQuads(t *testing.T) {
+	s := acquireJSONLScanner(strings.NewReader(""), false)
+	defer s.release()
+	// A string netip.ParseAddr takes is that address, and a dotted quad
+	// among them the kernel's; any other string is slow, not short.
+	check := func(str, tail string) {
+		t.Helper()
+		b := []byte(`"` + str + `"` + tail)
+		addr, next, ok := scanAddr(b, 0)
+		want, err := netip.ParseAddr(str)
+		switch {
+		case err != nil && (ok || addr.IsValid() || next >= len(b)):
+			t.Fatalf("scanAddr(%q) = %v, %d, %v; want a stop inside the bytes", b, addr, next, ok)
+		case err == nil && (!ok || addr != want || next != len(str)+2):
+			t.Fatalf("scanAddr(%q) = %v, %d, %v; want %v, %d, true", b, addr, next, ok, want, len(str)+2)
+		case err == nil && want.Is4():
+			var w [16]byte
+			copy(w[:], b[1:])
+			if _, _, fast := dottedQuad(binary.LittleEndian.Uint64(w[:]), binary.LittleEndian.Uint64(w[8:])); !fast {
+				t.Fatalf("dottedQuad does not take %q", str)
+			}
+		}
+	}
+	record := func(str string) string {
+		return strings.Replace(fastRecord, `"198.51.100.2"`, `"`+str+`"`, 1)
+	}
+	// The bytes either side of the digits, and others no octet holds.
+	octets := []string{"", "/", ":", "1/", "1:", "/1", ":1", "-0", "+1", " 1", "1 ", "x", "\x80", "\xb1", "\xc0", "\xff"}
+	for digits, n := 1, 10; digits <= 4; digits, n = digits+1, n*10 {
+		for v := range n {
+			octets = append(octets, fmt.Sprintf("%0*d", digits, v))
+		}
+	}
+	quad := []string{"192", "0", "2", "1"}
+	for place := range quad {
+		for _, o := range octets {
+			q := slices.Clone(quad)
+			q[place] = o
+			str := strings.Join(q, ".")
+			check(str, `,"9.9.9.9"]`)
+			check(str, "")
+			// Whole, and cut right after the address: an address
+			// asks for the rest of the record, anything else is slow.
+			rec := record(str)
+			whole, cut := scanSlow, scanSlow
+			if _, err := netip.ParseAddr(str); err == nil {
+				whole, cut = scanOK, scanMore
+			}
+			if _, _, got := s.scanRecord([]byte(rec)); got != whole {
+				t.Fatalf("scanRecord with source %q: scan result %d, want %d", str, got, whole)
+			}
+			end := strings.Index(rec, `"`+str+`"]`) + len(str) + 2
+			if _, _, got := s.scanRecord([]byte(rec[:end])); got != cut {
+				t.Fatalf("scanRecord ending in source %q: scan result %d, want %d", str, got, cut)
+			}
+		}
+	}
+
+	for _, str := range []string{
+		"0.0.0.0", "1.2.3.4", "10.200.3.45", "192.168.100.1", "255.255.255.255",
+		"1.2.3.04", "1.2.3.256", "1.2.3.4.5", "1.2.3", "1..2.3", "1.2.3.4 ", "1234567890123456",
+		"255.255.255.2555", "::1", "::ffff:198.51.100.7", "2001:db8::1",
+	} {
+		quoted := `"` + str + `"`
+		for slack := 0; slack <= 17; slack++ {
+			check(str, "0123456789.012345"[:slack])
+		}
+		rec := record(str)
+		at := strings.Index(rec, quoted)
+		for cut := 0; cut < len(quoted); cut++ {
+			b := []byte(quoted[:cut])
+			if addr, next, ok := scanAddr(b, 0); addr.IsValid() || next != cut || ok {
+				t.Fatalf("scanAddr(%q) = %v, %d, %v; want the end of the bytes", b, addr, next, ok)
+			}
+			if _, _, got := s.scanRecord([]byte(rec[:at+cut])); got != scanMore {
+				t.Fatalf("scanRecord cut at %q: scan result %d, want scanMore", rec[at:at+cut], got)
+			}
 		}
 	}
 }
@@ -188,26 +277,66 @@ func TestDecodeJSONLManyRecordsNoNewline(t *testing.T) {
 	}
 	stream := strings.Repeat(fastRecord+" ", size/(len(fastRecord)+1))
 	records := size / (len(fastRecord) + 1)
-	timed := func(decode func(io.Reader, func(*Attack) error) error, r io.Reader) time.Duration {
+	if n, err := checkDecodeTime(t, DecodeJSONL, stream); n != records || err != nil {
+		t.Fatalf("decoded %d of %d records: %v", n, records, err)
+	}
+}
+
+// TestIngestComplexity holds the live tiers' decoder, DecodeJSONLKeys, to
+// the same bound on records built to miss its fast paths. Each holds
+// MaxBotIPs sources of one kind the dotted-quad kernel does not take:
+// near-quads (which fail the record, so the stream stops there with the
+// reference's error), digit runs past the kernel's window, and IPv6.
+func TestIngestComplexity(t *testing.T) {
+	records := 2
+	if testing.Short() {
+		records = 1
+	}
+	for _, src := range []string{`1.2.3.04`, `1.2.3.256`, `1234567890123456`, `1.2.3.4 `, `2001:db8::7`, `::ffff:198.51.100.7`} {
+		t.Run(src, func(t *testing.T) {
+			sources := strings.Repeat(`"`+src+`",`, MaxBotIPs-1) + `"` + src + `"`
+			rec := strings.Replace(fastRecord, `"198.51.100.1","198.51.100.2"`, sources, 1)
+			n, err := checkDecodeTime(t, DecodeJSONLKeys, strings.Repeat(rec+"\n", records))
+			if _, bad := netip.ParseAddr(src); (bad == nil) != (n == records && err == nil) {
+				t.Errorf("decoded %d of %d records: %v", n, records, err)
+			}
+		})
+	}
+}
+
+// checkDecodeTime decodes stream with decode and with the encoding/json
+// reference, whole and trickled in, and fails unless every decode
+// delivers as many records and stops with the same error, and decode
+// takes at most five times as long as the reference. It returns that
+// count and error.
+func checkDecodeTime(t *testing.T, decode func(io.Reader, func(*Attack) error) error, stream string) (int, error) {
+	t.Helper()
+	timed := func(decode func(io.Reader, func(*Attack) error) error, r io.Reader) (int, error, time.Duration) {
 		n := 0
 		t0 := time.Now()
-		if err := decode(r, func(*Attack) error { n++; return nil }); err != nil || n != records {
-			t.Fatalf("decoded %d of %d records: %v", n, records, err)
-		}
-		return time.Since(t0)
+		err := decode(r, func(*Attack) error { n++; return nil })
+		return n, err, time.Since(t0)
 	}
+	n, err := -1, error(nil)
 	for name, wrap := range map[string]func(io.Reader) io.Reader{
 		"whole":      func(r io.Reader) io.Reader { return r },
 		"100 a time": func(r io.Reader) io.Reader { return &chunkReader{r, 100} },
 		"half":       iotest.HalfReader,
 	} {
-		ref := timed(referenceDecodeJSONL, wrap(strings.NewReader(stream)))
-		got := timed(DecodeJSONL, wrap(strings.NewReader(stream)))
-		t.Logf("%s: DecodeJSONL %v, encoding/json reference %v", name, got, ref)
+		refN, refErr, ref := timed(referenceDecodeJSONL, wrap(strings.NewReader(stream)))
+		gotN, gotErr, got := timed(decode, wrap(strings.NewReader(stream)))
+		t.Logf("%s: %v, encoding/json reference %v", name, got, ref)
+		if n < 0 {
+			n, err = refN, refErr
+		}
+		if gotN != n || refN != n || fmt.Sprint(gotErr) != fmt.Sprint(err) || fmt.Sprint(refErr) != fmt.Sprint(err) {
+			t.Fatalf("%s: decoded %d records (%v), reference %d (%v), want %d (%v)", name, gotN, gotErr, refN, refErr, n, err)
+		}
 		if got > 5*ref {
-			t.Errorf("%s: DecodeJSONL took more than five times the reference", name)
+			t.Errorf("%s: took more than five times the reference", name)
 		}
 	}
+	return n, err
 }
 
 // TestDecodeRejectsUnwritableYears: a zone offset can push the UTC year
