@@ -78,8 +78,10 @@ func DecodeJSONL(r io.Reader, fn func(*Attack) error) error {
 // target, start and end. Each record is checked whole (Attack.Validate) —
 // a failure stops decoding with Validate's error, as if fn had returned
 // it — and then reduced to those seven fields before fn sees it: BotIPs is
-// nil and the target geolocation zero. The sources are checked in the
-// decoder's scratch, so no record costs a source list.
+// nil and the target geolocation zero. The scan checks what it drops in
+// place: it counts the dotted-quad sources instead of building them, and
+// converts the coordinates only when one could be out of range, so no
+// record costs a source list.
 func DecodeJSONLKeys(r io.Reader, fn func(*Attack) error) error {
 	return decodeJSONL(r, true, fn)
 }
@@ -95,7 +97,7 @@ func decodeJSONL(r io.Reader, keys bool, fn func(*Attack) error) error {
 			return err
 		}
 		if keys {
-			if err := a.Validate(); err != nil {
+			if err := a.validate(s.quads); err != nil {
 				return err
 			}
 			*a = Attack{ID: a.ID, BotnetID: a.BotnetID, Family: a.Family, Category: a.Category,

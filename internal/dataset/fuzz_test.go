@@ -33,21 +33,15 @@ func fuzzSeedAttacks() []*Attack {
 }
 
 // referenceDecodeJSONL is DecodeJSONL as it was before the scanner: one
-// json.Decoder over the whole stream into attackJSON, then attack(). The
-// scanner's own fallback decodes single values the same way; this keeps
-// the whole-stream loop so the two can be compared end to end.
+// json.Decoder over the whole stream, each value by referenceRecord.
 func referenceDecodeJSONL(r io.Reader, fn func(*Attack) error) error {
 	dec := json.NewDecoder(r)
 	for n := 1; ; n++ {
-		var rec attackJSON
-		if err := dec.Decode(&rec); err == io.EOF {
+		a, err := referenceRecord(dec, n)
+		if err == io.EOF {
 			return nil
 		} else if err != nil {
-			return fmt.Errorf("dataset: decode jsonl record %d: %w", n, err)
-		}
-		a, err := rec.attack()
-		if err != nil {
-			return fmt.Errorf("dataset: jsonl record %d: %w", n, err)
+			return err
 		}
 		if err := fn(a); err != nil {
 			return err
@@ -194,10 +188,19 @@ func FuzzDecodeJSONL(f *testing.F) {
 		f.Add(fastRecord + "\n" + strings.Replace(fastRecord, `"198.51.100.2"`, `"`+near+`"`, 1) + "\n")
 	}
 	// A source cut by the end of the first read, inside the quad and
-	// before its closing quote.
+	// before its closing quote; a source list the first read cuts.
 	at := strings.Index(fastRecord, `198.51.100.2`)
 	for _, cut := range []int{4, len(`198.51.100.2`)} {
 		f.Add(strings.Repeat(" ", jsonlBufSize-at-cut) + fastRecord + "\n")
+	}
+	f.Add(strings.Replace(fastRecord, `"198.51.100.2"`, strings.Repeat(`"198.51.100.9",`, jsonlBufSize/15)+`"198.51.100.2"`, 1) + "\n")
+	// Coordinates at the edges of the range check a keys scan makes
+	// without converting them.
+	for _, v := range []string{"90", "-90", "89.99999999999999999", "90.0000000000001", "8.9e1", "9.1e1", "-0", "089"} {
+		f.Add(fastRecord + "\n" + strings.Replace(fastRecord, `"latitude":47.6`, `"latitude":`+v, 1) + "\n")
+	}
+	for _, v := range []string{"180", "-180", "179.99999999999999999", "-180.0000000000001", "1.8E+2", "-0", "0180"} {
+		f.Add(fastRecord + "\n" + strings.Replace(fastRecord, `"longitude":-122.3`, `"longitude":`+v, 1) + "\n")
 	}
 
 	f.Fuzz(func(t *testing.T, data string) {

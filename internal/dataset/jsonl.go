@@ -65,9 +65,14 @@ type jsonlScanner struct {
 	ips    []netip.Addr // scratch for the record being scanned
 	intern map[string]string
 
-	// keys marks a DecodeJSONLKeys scan: a record's BotIPs alias ips, and
-	// cc, city and org are scanned but not kept.
-	keys bool
+	// keys marks a DecodeJSONLKeys scan, which keeps of a record only what
+	// Attack.validate reads. Its BotIPs alias ips, which hold only the
+	// sources dottedQuad does not take: quads counts the rest, and is zero
+	// for a record the reference decodes. The coordinates are converted
+	// only when one could be out of range; cc, city and org are scanned
+	// but not kept.
+	keys  bool
+	quads int
 }
 
 // The pool keeps the read buffers and nothing else: the scratch and the
@@ -154,21 +159,26 @@ func (s *jsonlScanner) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// decodeReference decodes exactly one value from the current stream
-// position the way DecodeJSONL always used to — encoding/json into
-// attackJSON, then attackJSON.attack — and hands the bytes json.Decoder
-// read ahead back to the scanner. Every DecodeJSONL decode error is built
-// here.
+// decodeReference is referenceRecord at the scanner's read position.
 func (s *jsonlScanner) decodeReference(n int) (*Attack, error) {
+	s.quads = 0
 	dec := json.NewDecoder(s)
+	a, err := referenceRecord(dec, n)
+	tail, _ := io.ReadAll(dec.Buffered()) // in memory: cannot fail
+	s.unread(tail)
+	return a, err
+}
+
+// referenceRecord decodes dec's next value as record n the way DecodeJSONL
+// always did: encoding/json into attackJSON, then attack. It builds every
+// DecodeJSONL decode error; the slow path and the fuzz oracle call it.
+func referenceRecord(dec *json.Decoder, n int) (*Attack, error) {
 	var rec attackJSON
 	if err := dec.Decode(&rec); err == io.EOF {
 		return nil, io.EOF
 	} else if err != nil {
 		return nil, fmt.Errorf("dataset: decode jsonl record %d: %w", n, err)
 	}
-	tail, _ := io.ReadAll(dec.Buffered()) // in memory: cannot fail
-	s.unread(tail)
 	a, err := rec.attack()
 	if err != nil {
 		return nil, fmt.Errorf("dataset: jsonl record %d: %w", n, err)
@@ -241,11 +251,12 @@ func moreOrSlow(b []byte, i int) scanResult {
 func (s *jsonlScanner) scanRecord(b []byte) (a *Attack, used int, res scanResult) {
 	const maxKey = len(`"botnet_ips"`)
 	var (
-		rec  Attack
-		seen uint
-		i    = 1 // past the '{' the caller saw
+		rec      Attack
+		seen     uint
+		lat, lon coordinate
+		i        = 1 // past the '{' the caller saw
 	)
-	s.ips = s.ips[:0]
+	s.ips, s.quads = s.ips[:0], 0
 	for {
 		i = skipSpace(b, i)
 		if i >= len(b) || b[i] != '"' {
@@ -295,10 +306,10 @@ func (s *jsonlScanner) scanRecord(b []byte) (a *Attack, used int, res scanResult
 			}
 		case "latitude":
 			bit = keyLatitude
-			rec.TargetLat, i, ok = scanFloat(b, i)
+			lat, i, ok = scanCoordinate(b, i, 90)
 		case "longitude":
 			bit = keyLongitude
-			rec.TargetLon, i, ok = scanFloat(b, i)
+			lon, i, ok = scanCoordinate(b, i, 180)
 		case "family":
 			bit = keyFamily
 			str, i, ok = scanPlainString(b, i)
@@ -355,11 +366,23 @@ func (s *jsonlScanner) scanRecord(b []byte) (a *Attack, used int, res scanResult
 		}
 		break
 	}
+	// A keys scan reads the coordinates only for Validate's range check,
+	// so it converts them when one could fail it, and then both: the error
+	// prints them.
+	if !s.keys || !lat.inside || !lon.inside {
+		var latErr, lonErr error
+		rec.TargetLat, latErr = strconv.ParseFloat(string(lat.text), 64)
+		rec.TargetLon, lonErr = strconv.ParseFloat(string(lon.text), 64)
+		if latErr != nil || lonErr != nil {
+			return nil, 0, scanSlow
+		}
+	}
 	// One allocation each for the record and its sources, the latter at
 	// its exact length. Neither is pooled: the stream analyzer keeps
 	// records that sit in an open collaboration window. A keys scan lends
 	// the record the scratch instead: DecodeJSONLKeys validates the sources
-	// there and drops them before the record leaves the decoder.
+	// that are not dotted quads there and drops them before the record
+	// leaves the decoder.
 	if s.keys {
 		rec.BotIPs = s.ips
 	} else {
@@ -394,43 +417,54 @@ func scanUint(b []byte, i int) (v uint64, next int, ok bool) {
 	return v, i, true
 }
 
-// scanFloat checks the JSON number grammar, which is narrower than what
-// strconv accepts, and converts with strconv as encoding/json does.
-func scanFloat(b []byte, i int) (v float64, next int, ok bool) {
+// coordinate is a latitude or longitude as written, for scanRecord to
+// convert with strconv as encoding/json does. inside marks one within
+// ±limit however it rounds: no exponent, and an integer part below limit.
+type coordinate struct {
+	text   []byte
+	inside bool
+}
+
+// scanCoordinate checks the JSON number grammar, which is narrower than
+// what strconv accepts.
+func scanCoordinate(b []byte, i int, limit uint64) (c coordinate, next int, ok bool) {
 	start := i
 	if i < len(b) && b[i] == '-' {
 		i++
 	}
 	from := i
-	if i = skipDigits(b, i); i > from+1 && b[from] == '0' {
-		return 0, from, false
+	var whole uint64 // the integer part, up to limit
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		if whole < limit {
+			whole = whole*10 + uint64(b[i]-'0')
+		}
+	}
+	if i > from+1 && b[from] == '0' {
+		return c, from, false
 	} else if i == from {
-		return 0, i, false
+		return c, i, false
 	}
 	if i < len(b) && b[i] == '.' {
 		from = i + 1
 		if i = skipDigits(b, from); i == from {
-			return 0, i, false
+			return c, i, false
 		}
 	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+	exp := i < len(b) && (b[i] == 'e' || b[i] == 'E')
+	if exp {
 		i++
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
 		from = i
 		if i = skipDigits(b, from); i == from {
-			return 0, i, false
+			return c, i, false
 		}
 	}
 	if i == len(b) {
-		return 0, i, false
+		return c, i, false
 	}
-	v, err := strconv.ParseFloat(string(b[start:i]), 64)
-	if err != nil {
-		return 0, start, false
-	}
-	return v, i, true
+	return coordinate{b[start:i], !exp && whole < limit}, i, true
 }
 
 func skipDigits(b []byte, i int) int {
@@ -494,14 +528,27 @@ func categoryOf(b []byte) Category {
 }
 
 // scanAddr scans a string holding an IP address: dotted-quad IPv4 by the
-// word kernel dottedQuad, any other form through netip.ParseAddr. The
-// kernel reads the 16 bytes after the opening quote, which hold any quad
-// and its closing quote; near the end of b it reads them from a
-// zero-padded copy, where a cut quad cannot match and the fallback tells
-// scanMore from scanSlow.
+// word kernel (quadAt), any other form through netip.ParseAddr, which also
+// tells a string cut by the end of b (scanMore) from one that is not an
+// address (scanSlow).
 func scanAddr(b []byte, i int) (addr netip.Addr, next int, ok bool) {
+	if ip, next, ok := quadAt(b, i); ok {
+		return addr4(ip), next, true
+	}
+	return scanAddrString(b, i)
+}
+
+func addr4(ip uint32) netip.Addr {
+	return netip.AddrFrom4([4]byte{byte(ip >> 24), byte(ip >> 16), byte(ip >> 8), byte(ip)})
+}
+
+// quadAt decodes the string at b[i] when dottedQuad takes it. The kernel
+// reads the 16 bytes after the opening quote, which hold any quad and its
+// closing quote; near the end of b it reads them from a zero-padded copy,
+// where a cut quad cannot match.
+func quadAt(b []byte, i int) (ip uint32, next int, ok bool) {
 	if i >= len(b) || b[i] != '"' {
-		return netip.Addr{}, i, false
+		return 0, i, false
 	}
 	var lo, hi uint64
 	if i+17 <= len(b) {
@@ -512,9 +559,9 @@ func scanAddr(b []byte, i int) (addr netip.Addr, next int, ok bool) {
 		lo, hi = binary.LittleEndian.Uint64(w[:]), binary.LittleEndian.Uint64(w[8:])
 	}
 	if ip, n, ok := dottedQuad(lo, hi); ok {
-		return netip.AddrFrom4([4]byte{byte(ip >> 24), byte(ip >> 16), byte(ip >> 8), byte(ip)}), i + 1 + n, true
+		return ip, i + 1 + n, true
 	}
-	return scanAddrString(b, i)
+	return 0, i, false
 }
 
 // lanes repeats a byte across the eight lanes of a word.
@@ -591,7 +638,8 @@ func scanAddrString(b []byte, i int) (addr netip.Addr, next int, ok bool) {
 	return addr, next, true
 }
 
-// scanAddrs scans an array of address strings into s.ips.
+// scanAddrs scans an array of address strings into s.ips; a keys scan
+// only counts the dotted quads, in s.quads.
 func (s *jsonlScanner) scanAddrs(b []byte, i int) (next int, ok bool) {
 	if i >= len(b) || b[i] != '[' {
 		return i, false
@@ -601,12 +649,24 @@ func (s *jsonlScanner) scanAddrs(b []byte, i int) (next int, ok bool) {
 		return i + 1, true
 	}
 	for {
-		var addr netip.Addr
-		addr, i, ok = scanAddr(b, i)
-		if !ok {
-			return i, false
+		ip, n, quad := quadAt(b, i)
+		switch {
+		case quad && s.keys:
+			s.quads++
+		case quad:
+			s.ips = append(s.ips, addr4(ip))
+		default:
+			var addr netip.Addr
+			if addr, n, ok = scanAddrString(b, i); !ok {
+				return n, false
+			}
+			s.ips = append(s.ips, addr)
 		}
-		s.ips = append(s.ips, addr)
+		i = n
+		if i+1 < len(b) && b[i] == ',' && b[i+1] == '"' {
+			i++ // at the next address's quote
+			continue
+		}
 		i = skipSpace(b, i)
 		if i >= len(b) {
 			return i, false

@@ -265,6 +265,68 @@ func TestDecodeJSONLKeysRetention(t *testing.T) {
 	}
 }
 
+// TestDecodeJSONLKeysMatchesValidate holds DecodeJSONLKeys, which checks
+// the sources and coordinates it drops without building them, to
+// DecodeJSONL + Validate at the edges of those checks: the same records
+// and the same error, whole and trickled in.
+func TestDecodeJSONLKeysMatchesValidate(t *testing.T) {
+	quads := strings.Repeat(`,"198.51.100.9"`, MaxBotIPs)[1:]
+	sources := func(list string) string {
+		return strings.Replace(fastRecord, `"198.51.100.1","198.51.100.2"`, list, 1)
+	}
+	lat := func(v string) string { return strings.Replace(fastRecord, `"latitude":47.6`, `"latitude":`+v, 1) }
+	lon := func(v string) string { return strings.Replace(fastRecord, `"longitude":-122.3`, `"longitude":`+v, 1) }
+	const outOfRange, undecodable = "out-of-range coordinates", "decode jsonl record 2"
+	tests := []struct{ name, line, err string }{
+		{"no sources", sources(``), "has no source IPs"},
+		{"MaxBotIPs quads", sources(quads), ""},
+		{"MaxBotIPs+1 quads", sources(quads + `,"198.51.100.1"`), "has 65537 source IPs, more than 65536"},
+		{"zoned source after ten quads", sources(strings.Repeat(`"198.51.100.9",`, 10) + `"fe80::2%eth0"`), "source IP fe80::2%eth0 has a zone"},
+		{"latitude 91", lat(`91`), outOfRange + " (91, -122.3)"},
+		{"longitude 180.5", lon(`180.5`), outOfRange + " (47.6, 180.5)"},
+		{"latitude 90", lat(`90`), ""},
+		{"latitude -90", lat(`-90`), ""},
+		{"latitude rounding to 90", lat(`89.99999999999999999`), ""},
+		{"latitude past 90", lat(`90.0000000000001`), outOfRange + " (90.0000000000001, -122.3)"},
+		{"latitude exponent", lat(`8.9e1`), ""},
+		{"latitude exponent past 90", lat(`9.1e1`), outOfRange + " (91, -122.3)"},
+		{"latitude -0", lat(`-0`), ""},
+		{"latitude leading zero", lat(`089`), undecodable},
+		{"longitude 180", lon(`180`), ""},
+		{"longitude -180", lon(`-180`), ""},
+		{"longitude rounding to 180", lon(`179.99999999999999999`), ""},
+		{"longitude past -180", lon(`-180.0000000000001`), outOfRange + " (47.6, -180.0000000000001)"},
+		{"longitude exponent", lon(`1.8E+2`), ""},
+		{"longitude -0", lon(`-0`), ""},
+		{"longitude leading zero", lon(`0180`), undecodable},
+	}
+	readers := map[string]func(io.Reader) io.Reader{
+		"whole":      func(r io.Reader) io.Reader { return r },
+		"100 a time": func(r io.Reader) io.Reader { return &chunkReader{r, 100} },
+		"half":       iotest.HalfReader,
+	}
+	for _, tc := range tests {
+		stream := fastRecord + "\n" + tc.line + "\n" + fastRecord + "\n"
+		for name, wrap := range readers {
+			var want, got int
+			wantErr := DecodeJSONL(wrap(strings.NewReader(stream)), func(a *Attack) error {
+				if err := a.Validate(); err != nil {
+					return err
+				}
+				want++
+				return nil
+			})
+			gotErr := DecodeJSONLKeys(wrap(strings.NewReader(stream)), func(*Attack) error { got++; return nil })
+			if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Errorf("%s, %s: DecodeJSONLKeys took %d records (%v), DecodeJSONL + Validate %d (%v)", tc.name, name, got, gotErr, want, wantErr)
+			}
+			if (gotErr == nil) != (tc.err == "") || !strings.Contains(fmt.Sprint(gotErr), tc.err) {
+				t.Errorf("%s, %s: error %v, want one with %q", tc.name, name, gotErr, tc.err)
+			}
+		}
+	}
+}
+
 // TestDecodeJSONLManyRecordsNoNewline holds DecodeJSONL to linear time on
 // a stream that never breaks a line: 16 MiB of records set apart by a
 // space, whole and trickled in. Scanning or moving the rest of the buffer
@@ -286,7 +348,8 @@ func TestDecodeJSONLManyRecordsNoNewline(t *testing.T) {
 // the same bound on records built to miss its fast paths. Each holds
 // MaxBotIPs sources of one kind the dotted-quad kernel does not take:
 // near-quads (which fail the record, so the stream stops there with the
-// reference's error), digit runs past the kernel's window, and IPv6.
+// reference's error), digit runs past the kernel's window, and IPv6. Or a
+// latitude a megabyte long, of each shape the range check reads.
 func TestIngestComplexity(t *testing.T) {
 	records := 2
 	if testing.Short() {
@@ -299,6 +362,22 @@ func TestIngestComplexity(t *testing.T) {
 			n, err := checkDecodeTime(t, DecodeJSONLKeys, strings.Repeat(rec+"\n", records))
 			if _, bad := netip.ParseAddr(src); (bad == nil) != (n == records && err == nil) {
 				t.Errorf("decoded %d of %d records: %v", n, records, err)
+			}
+		})
+	}
+	mib := strings.Repeat("0", 1<<20)
+	for _, lat := range []struct{ name, v string }{
+		{"fraction", "89." + mib + "1"},
+		{"integer part past float64", "1" + mib},
+		{"exponent", "8.9e" + mib + "1"},
+		{"fraction and exponent", "-0." + mib + "89E+" + mib + "1"},
+		{"exponent past float64", "1e" + mib + "999"},
+	} {
+		t.Run("latitude "+lat.name, func(t *testing.T) {
+			rec := strings.Replace(fastRecord, `"latitude":47.6`, `"latitude":`+lat.v, 1)
+			n, err := checkDecodeTime(t, DecodeJSONLKeys, strings.Repeat(rec+"\n", records))
+			if bad := strings.Contains(lat.name, "past"); bad == (n == records && err == nil) {
+				t.Errorf("decoded %d of %d records: %.100v", n, records, err)
 			}
 		})
 	}

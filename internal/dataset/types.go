@@ -191,15 +191,19 @@ const MaxBotIPs = 1 << 16
 
 // Validate checks the structural invariants a well-formed record obeys:
 // its key (ValidateKey), then its source IPs and target coordinates.
-func (a *Attack) Validate() error {
+func (a *Attack) Validate() error { return a.validate(0) }
+
+// validate is Validate for a record with quads sources besides BotIPs: a
+// keys scan counts the dotted quads it reads instead of keeping them
+// (jsonl.go), and a dotted quad has no zone.
+func (a *Attack) validate(quads int) error {
 	if err := a.ValidateKey(); err != nil {
 		return err
 	}
-	if len(a.BotIPs) == 0 {
+	if n := quads + len(a.BotIPs); n == 0 {
 		return fmt.Errorf("dataset: attack %d has no source IPs", a.ID)
-	}
-	if len(a.BotIPs) > MaxBotIPs {
-		return fmt.Errorf("dataset: attack %d has %d source IPs, more than %d", a.ID, len(a.BotIPs), MaxBotIPs)
+	} else if n > MaxBotIPs {
+		return fmt.Errorf("dataset: attack %d has %d source IPs, more than %d", a.ID, n, MaxBotIPs)
 	}
 	for _, ip := range a.BotIPs {
 		if ip.Zone() != "" {
