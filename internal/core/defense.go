@@ -1,12 +1,10 @@
 package core
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"net/netip"
-	"slices"
 	"sort"
 	"time"
 
@@ -36,20 +34,33 @@ type BlacklistEntry struct {
 
 // Blacklist is an ordered bot blacklist with fast membership checks. It
 // stays in the dense-id space of the store it was ranked over: a bot is
-// listed when its position in the full ranking falls inside entries, so a
-// truncated list is the same rank array behind a shorter entries prefix.
-// Both are read-only after BuildBlacklist returns.
+// listed when its position in the full ranking falls inside the listed
+// prefix, so a truncated list is the same rank array behind a shorter
+// prefix. Everything is read-only after BuildBlacklist returns; the
+// entries are built from the ranking the first time they are read.
 type Blacklist struct {
-	entries []BlacklistEntry
+	ranked  []rankRec         // the listed prefix of the ranking, most active first
 	ix      *dataset.BotIndex // the index rank is addressed by; nil only in the zero Blacklist
 	rank    []int32           // dense id -> position in the full ranking, -1 unlisted
+	entries memo.Lazy[[]BlacklistEntry]
 }
 
 // Len returns the number of blacklisted IPs.
-func (b *Blacklist) Len() int { return len(b.entries) }
+func (b *Blacklist) Len() int { return len(b.ranked) }
 
 // Entries returns the ranked entries (most active first).
-func (b *Blacklist) Entries() memo.View[BlacklistEntry] { return memo.ViewOf(b.entries) }
+func (b *Blacklist) Entries() memo.View[BlacklistEntry] {
+	return memo.ViewOf(b.entries.Get(b.buildEntries))
+}
+
+func (b *Blacklist) buildEntries() []BlacklistEntry {
+	entries := make([]BlacklistEntry, len(b.ranked))
+	for pos, r := range b.ranked {
+		key := ^r.w[2]
+		entries[pos] = BlacklistEntry{IP: b.ix.IP(r.id), Occurrences: int(key >> 32), Families: int(uint32(key) >> 8)}
+	}
+	return entries
+}
 
 // Contains reports whether ip is blacklisted. It is the one membership
 // test that starts from an address, so it alone pays for the index's
@@ -59,28 +70,29 @@ func (b *Blacklist) Contains(ip netip.Addr) bool {
 		return false
 	}
 	id, ok := b.ix.ID(ip)
-	return ok && uint32(b.rank[id]) < uint32(len(b.entries))
+	return ok && uint32(b.rank[id]) < uint32(len(b.ranked))
 }
 
 // Truncate returns a blacklist keeping only the top maxSize entries.
 // Entries are already ranked, so this equals rebuilding with
-// BuildBlacklist(..., maxSize) without rescanning the workload; the entry
-// slice and the rank array are shared with the receiver. maxSize <= 0 or
-// >= Len returns the receiver unchanged.
+// BuildBlacklist(..., maxSize) without rescanning the workload; the
+// ranking and the rank array are shared with the receiver. maxSize <= 0
+// or >= Len returns the receiver unchanged.
 func (b *Blacklist) Truncate(maxSize int) *Blacklist {
-	if maxSize <= 0 || maxSize >= len(b.entries) {
+	if maxSize <= 0 || maxSize >= len(b.ranked) {
 		return b
 	}
-	return &Blacklist{entries: b.entries[:maxSize], ix: b.ix, rank: b.rank}
+	return &Blacklist{ranked: b.ranked[:maxSize], ix: b.ix, rank: b.rank}
 }
 
-// rankRec is one bot in the ranking sort, packed so that a compare is a
-// few integer tests. key is occurrences<<32 | families<<8 | ^BitLen: the
-// larger key ranks first, the shorter address family first among ties.
+// rankRec is one bot in the ranking. Its words, least significant first,
+// are the address as a 128-bit integer (lo, hi of netip.Addr.As16) and
+// ^key, where key is occurrences<<32 | families<<8 | ^BitLen: ascending
+// (w[2], w[1], w[0]) is the ranking order, larger key first and the
+// shorter address family first among ties.
 type rankRec struct {
-	key    uint64
-	hi, lo uint64 // the address as a 128-bit integer (netip.Addr.As16)
-	id     int32
+	w  [3]uint64
+	id int32
 }
 
 // BuildBlacklist ranks every bot seen in attacks starting inside
@@ -144,20 +156,13 @@ func BuildBlacklist(s *dataset.Store, from, to time.Time, maxSize int) (*Blackli
 		}
 		ip := ix.IP(int32(id))
 		b := ip.As16()
+		key := uint64(c)<<32 | uint64(nf)<<8 | uint64(^uint8(ip.BitLen()))
 		recs = append(recs, rankRec{
-			key: uint64(c)<<32 | uint64(nf)<<8 | uint64(^uint8(ip.BitLen())), id: int32(id),
-			hi: binary.BigEndian.Uint64(b[:8]), lo: binary.BigEndian.Uint64(b[8:]),
+			w:  [3]uint64{binary.BigEndian.Uint64(b[8:]), binary.BigEndian.Uint64(b[:8]), ^key},
+			id: int32(id),
 		})
 	}
-	slices.SortFunc(recs, func(a, b rankRec) int {
-		switch {
-		case a.key != b.key:
-			return cmp.Compare(b.key, a.key)
-		case a.hi != b.hi:
-			return cmp.Compare(a.hi, b.hi)
-		}
-		return cmp.Compare(a.lo, b.lo)
-	})
+	recs = sortRanking(recs)
 	rank := make([]int32, len(counts))
 	for id := range rank {
 		rank[id] = -1
@@ -168,11 +173,56 @@ func BuildBlacklist(s *dataset.Store, from, to time.Time, maxSize int) (*Blackli
 	if maxSize > 0 && len(recs) > maxSize {
 		recs = recs[:maxSize]
 	}
-	entries := make([]BlacklistEntry, len(recs))
-	for pos, r := range recs {
-		entries[pos] = BlacklistEntry{IP: ix.IP(r.id), Occurrences: int(r.key >> 32), Families: int(uint32(r.key) >> 8)}
+	return &Blacklist{ranked: recs, ix: ix, rank: rank}, nil
+}
+
+// sortRanking returns recs in ascending (w[2], w[1], w[0]) order, in recs
+// or in a second buffer of the same length. It is a least-significant-
+// digit radix sort over bytes: stable counting passes from w[0]'s low
+// byte up, skipping every byte all the records share, which no pass could
+// reorder. Ranked bots differ mostly in the low address bytes and the
+// count, so a handful of passes remain.
+func sortRanking(recs []rankRec) []rankRec {
+	tmp := make([]rankRec, len(recs))
+	var varies [3]uint64
+	for _, r := range recs {
+		for w := range varies {
+			varies[w] |= r.w[w] ^ recs[0].w[w]
+		}
 	}
-	return &Blacklist{entries: entries, ix: ix, rank: rank}, nil
+	type digit struct {
+		w     int
+		shift uint
+	}
+	var hist [24][256]int
+	digits := make([]digit, 0, len(hist))
+	for w, v := range varies {
+		for shift := uint(0); shift < 64; shift += 8 {
+			if uint8(v>>shift) != 0 {
+				digits = append(digits, digit{w, shift})
+			}
+		}
+	}
+	for _, r := range recs {
+		for d, g := range digits {
+			hist[d][uint8(r.w[g.w]>>g.shift)]++
+		}
+	}
+	for d, g := range digits {
+		next := &hist[d]
+		pos := 0
+		for b, c := range next {
+			next[b] = pos
+			pos += c
+		}
+		for _, r := range recs {
+			b := uint8(r.w[g.w] >> g.shift)
+			tmp[next[b]] = r
+			next[b]++
+		}
+		recs, tmp = tmp, recs
+	}
+	return recs
 }
 
 // BlacklistEvaluation scores a blacklist against a held-out attack window.
@@ -202,14 +252,14 @@ func EvaluateBlacklist(s *dataset.Store, bl *Blacklist, from, to time.Time) (Bla
 		return BlacklistEvaluation{}, fmt.Errorf("core: empty blacklist")
 	}
 	ix := s.BotDense()
-	rank, limit := bl.rank, uint32(len(bl.entries))
+	rank, limit := bl.rank, uint32(len(bl.ranked))
 	if bl.ix != ix {
 		rank = make([]int32, ix.NumIDs())
 		for id := range rank {
 			rank[id] = -1
 		}
-		for pos, e := range bl.entries {
-			if id, ok := ix.ID(e.IP); ok {
+		for pos, r := range bl.ranked {
+			if id, ok := ix.ID(bl.ix.IP(r.id)); ok {
 				rank[id] = int32(pos)
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"net/netip"
 	"testing"
 	"time"
@@ -43,21 +44,71 @@ func dispersionFixture(t testing.TB) *dataset.Store {
 	return s
 }
 
-// TestDispersionScanZeroAlloc pins the tentpole property of the scan: once
-// the per-family scratch buffer has grown to the largest formation,
+// TestDispersionScanZeroAlloc pins what the scan is built for:
 // computing one attack's dispersion allocates nothing.
 func TestDispersionScanZeroAlloc(t *testing.T) {
 	s := dispersionFixture(t)
 	ix := s.BotDense()
-	scratch := make([]geo.CachedPoint, 0, s.AttackAt(0).Magnitude())
 	allocs := testing.AllocsPerRun(100, func() {
-		pts := appendRowPoints(scratch[:0], ix, 0)
-		if _, ok := geo.DispersionCached(pts); !ok {
+		if _, ok := rowDispersion(ix, 0); !ok {
 			t.Fatal("dispersion not ok")
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("per-attack dispersion allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestRowDispersionMatchesDispersion holds the in-place scan to
+// geo.Dispersion over the resolved bots' locations, bit for bit, on 200
+// random formations of 2 to 31 bots anywhere on the globe, a tenth of
+// them an antipodal pair and some sources unresolved.
+func TestRowDispersionMatchesDispersion(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	var (
+		attacks []*dataset.Attack
+		bots    []*dataset.Bot
+		want    [][]geo.LatLon
+	)
+	for trial := 0; trial < 200; trial++ {
+		pts := make([]geo.LatLon, 2+rng.Intn(30))
+		for j := range pts {
+			pts[j] = geo.LatLon{Lat: rng.Float64()*180 - 90, Lon: rng.Float64()*360 - 180}
+		}
+		if trial%10 == 0 {
+			lon := pts[0].Lon + 180
+			if lon > 180 {
+				lon -= 360
+			}
+			pts = append(pts[:1], geo.LatLon{Lat: -pts[0].Lat, Lon: lon})
+		}
+		a := mkAttack(dataset.DDoSID(trial+1), dataset.Dirtjumper, 1, "5.5.5.5", t0.Add(time.Duration(trial)*time.Minute), time.Minute)
+		a.BotIPs = nil
+		var resolved []geo.LatLon
+		for j, p := range pts {
+			ip := netip.AddrFrom4([4]byte{10, byte(trial), byte(j), 1})
+			a.BotIPs = append(a.BotIPs, ip)
+			if j > 1 && rng.Intn(8) == 0 {
+				continue // not in the Botlist
+			}
+			resolved = append(resolved, p)
+			bots = append(bots, &dataset.Bot{IP: ip, ASN: 1, CountryCode: "BR", City: "Sao Paulo", Org: "Net", Lat: p.Lat, Lon: p.Lon})
+		}
+		attacks = append(attacks, a)
+		want = append(want, resolved)
+	}
+	s, err := dataset.NewStore(attacks, nil, bots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := s.BotDense()
+	for row := 0; row < s.AttackRows(); row++ {
+		pts := want[s.AttackAt(row).ID()-1]
+		got, gok := rowDispersion(ix, row)
+		wd, wok := geo.Dispersion(pts)
+		if gok != wok || got != wd {
+			t.Fatalf("attack %d (%d bots): scan %v,%v; geo.Dispersion %v,%v", row, len(pts), got, gok, wd, wok)
+		}
 	}
 }
 

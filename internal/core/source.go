@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"botscope/internal/dataset"
@@ -30,41 +31,43 @@ type DispersionPoint struct {
 //
 // The scan runs on the store's dense bot index: resolving a bot is an
 // array load instead of a map lookup, its trigonometry is precomputed,
-// and one scratch buffer serves every attack in the family — the loop
-// allocates nothing beyond the result slice once the scratch has grown to
-// the largest formation.
+// and the loop allocates nothing beyond the result slice.
 func DispersionSeries(s *dataset.Store, f dataset.Family) []DispersionPoint {
 	rows := s.RowsByFamily(f)
 	ix := s.BotDense()
 	out := make([]DispersionPoint, 0, rows.Len())
-	var scratch []geo.CachedPoint
 	for i := 0; i < rows.Len(); i++ {
-		row := rows.At(i)
-		scratch = appendRowPoints(scratch[:0], ix, int(row))
-		if len(scratch) == 0 {
-			continue
+		row := int(rows.At(i))
+		if d, ok := rowDispersion(ix, row); ok {
+			out = append(out, DispersionPoint{AttackID: s.AttackAt(row).ID(), Value: d})
 		}
-		d, ok := geo.DispersionCached(scratch)
-		if !ok {
-			continue
-		}
-		out = append(out, DispersionPoint{AttackID: s.AttackAt(int(row)).ID(), Value: d})
 	}
 	return out
 }
 
-// appendRowPoints appends attack row i's resolvable bot locations to
-// dst, in source order — the column-cursor equivalent of the old
-// record-keyed appendBotPoints, so the scan never touches the record
-// face.
-func appendRowPoints(dst []geo.CachedPoint, ix *dataset.BotIndex, row int) []geo.CachedPoint {
+// rowDispersion is geo.Dispersion over attack row's resolvable bots, bit
+// for bit, and false when none resolves. It walks the row's id span
+// twice, reading each bot's cached point in place: once for the centroid,
+// once for the signed distances from it.
+func rowDispersion(ix *dataset.BotIndex, row int) (float64, bool) {
 	refs := ix.RefsRow(row)
+	var c geo.Centroid
 	for i := 0; i < refs.Len(); i++ {
 		if id := refs.At(i); ix.Resolved(id) {
-			dst = append(dst, ix.Point(id))
+			c.Add(ix.Point(id))
 		}
 	}
-	return dst
+	center, ok := c.Center()
+	if !ok {
+		return 0, false
+	}
+	var sum float64
+	for i := 0; i < refs.Len(); i++ {
+		if id := refs.At(i); ix.Resolved(id) {
+			sum += geo.SignedDistanceCached(&center, ix.Point(id))
+		}
+	}
+	return math.Abs(sum), true
 }
 
 // DispersionValues strips a series down to its float values, into a

@@ -105,9 +105,10 @@ func (ix *BotIndex) CountryID(id int32) int32 {
 	return ix.cols.bCC[row]
 }
 
-// Point returns the precomputed location of a resolved dense id. The
-// value is meaningful only when Resolved(id).
-func (ix *BotIndex) Point(id int32) geo.CachedPoint { return ix.pts[id] }
+// Point returns a read-only reference to the precomputed location of a
+// resolved dense id, read in place. It is meaningful only when
+// Resolved(id).
+func (ix *BotIndex) Point(id int32) geo.Ref { return geo.RefOf(&ix.pts[id]) }
 
 // RefsRow returns attack row i's source set as dense ids: a span of the
 // index's shared refs array.

@@ -35,83 +35,42 @@ func NewCachedPoint(p LatLon) CachedPoint {
 	}
 }
 
-// HaversineCached is Haversine over precomputed points; bit-identical to
-// Haversine(a.Deg, b.Deg).
-func HaversineCached(a, b CachedPoint) float64 {
-	dLat := b.LatRad - a.LatRad
-	dLon := b.LonRad - a.LonRad
-	sinLat := math.Sin(dLat / 2)
-	sinLon := math.Sin(dLon / 2)
-	h := sinLat*sinLat + a.CosLat*b.CosLat*sinLon*sinLon
-	if h > 1 {
-		h = 1
+// Ref is a read-only reference to a CachedPoint held in a table other
+// readers share, such as the dense bot index's: a formation's points are
+// read in place, by reference, and nothing writes through a Ref.
+type Ref struct{ p *CachedPoint }
+
+// RefOf makes a read-only reference to *p.
+func RefOf(p *CachedPoint) Ref { return Ref{p} }
+
+// Add adds a point to the centroid; the point's unit vector is read from
+// its cache.
+func (c *Centroid) Add(r Ref) { c.add(r.p.X, r.p.Y, r.p.Z, r.p.Deg) }
+
+// Center returns Center over the points added so far, bit for bit, with
+// the trig SignedDistanceCached reads from it, and false when none was
+// added.
+func (c *Centroid) Center() (CachedPoint, bool) {
+	center, ok := c.center()
+	if !ok {
+		return CachedPoint{}, false
 	}
-	return 2 * EarthRadiusKm * math.Asin(math.Sqrt(h))
+	return distanceOrigin(center), true
 }
 
-// CenterCached is Center over precomputed points; bit-identical to
-// Center over the same points in degrees.
-func CenterCached(pts []CachedPoint) (LatLon, bool) {
-	if len(pts) == 0 {
-		return LatLon{}, false
-	}
-	var x, y, z float64
-	for _, p := range pts {
-		x += p.X
-		y += p.Y
-		z += p.Z
-	}
-	n := float64(len(pts))
-	x, y, z = x/n, y/n, z/n
-	norm := math.Sqrt(x*x + y*y + z*z)
-	if norm < 1e-12 {
-		// Antipodal cancellation; fall back to the first point to keep the
-		// result deterministic rather than undefined.
-		return pts[0].Deg, true
-	}
-	lat := math.Asin(z / norm)
-	lon := math.Atan2(y, x)
-	return LatLon{Lat: lat * 180 / math.Pi, Lon: lon * 180 / math.Pi}, true
+// distanceOrigin is center with the fields SignedDistanceCached reads from
+// its first argument: degrees, radians and cos(lat). The unit vector is
+// left zero; a center is never summed into a Centroid.
+func distanceOrigin(center LatLon) CachedPoint {
+	lat := degToRad(center.Lat)
+	return CachedPoint{Deg: center, LatRad: lat, LonRad: degToRad(center.Lon), CosLat: math.Cos(lat)}
 }
 
 // SignedDistanceCached is SignedDistance from a precomputed center to a
-// precomputed point; bit-identical to SignedDistance(center.Deg, p.Deg).
-func SignedDistanceCached(center, p CachedPoint) float64 {
-	d := HaversineCached(center, p)
-	dLon := p.Deg.Lon - center.Deg.Lon
-	// Normalize to (-180, 180] so "east" means the short way around.
-	for dLon > 180 {
-		dLon -= 360
-	}
-	for dLon <= -180 {
-		dLon += 360
-	}
-	switch {
-	case dLon > 0:
-		return d
-	case dLon < 0:
-		return -d
-	case p.Deg.Lat >= center.Deg.Lat:
-		return d
-	default:
-		return -d
-	}
-}
-
-// DispersionCached is Dispersion over precomputed points; bit-identical to
-// Dispersion over the same points in degrees. The center's trigonometry is
-// computed once instead of once per point.
-func DispersionCached(pts []CachedPoint) (float64, bool) {
-	center, ok := CenterCached(pts)
-	if !ok {
-		return 0, false
-	}
-	cc := NewCachedPoint(center)
-	var sum float64
-	for _, p := range pts {
-		sum += SignedDistanceCached(cc, p)
-	}
-	return math.Abs(sum), true
+// point read in place; bit-identical to SignedDistance(center.Deg, p.Deg).
+func SignedDistanceCached(center *CachedPoint, p Ref) float64 {
+	d := haversine(p.p.LatRad-center.LatRad, p.p.LonRad-center.LonRad, center.CosLat, p.p.CosLat)
+	return signed(d, center.Deg, p.p.Deg)
 }
 
 // CenterPoint is a CachedPoint that also keeps the cosine and sine of its
@@ -154,9 +113,6 @@ func WeightedSignedDistances(a, b CenterPoint, wa, wb float64) (da, db float64, 
 	} else {
 		center = LatLon{Lat: math.Asin(z/norm) * 180 / math.Pi, Lon: math.Atan2(y, x) * 180 / math.Pi}
 	}
-	// SignedDistanceCached reads only the center's degrees, radians and
-	// cos(lat); its unit vector is never needed here.
-	lat := degToRad(center.Lat)
-	c := CachedPoint{Deg: center, LatRad: lat, LonRad: degToRad(center.Lon), CosLat: math.Cos(lat)}
-	return SignedDistanceCached(c, a.CachedPoint), SignedDistanceCached(c, b.CachedPoint), true
+	c := distanceOrigin(center)
+	return SignedDistanceCached(&c, RefOf(&a.CachedPoint)), SignedDistanceCached(&c, RefOf(&b.CachedPoint)), true
 }

@@ -21,38 +21,46 @@ func cachePoints(pts []LatLon) []CachedPoint {
 	return out
 }
 
-// TestCachedVariantsBitIdentical pins the contract the dispersion index
-// relies on: every *Cached function returns the exact float64 bits of its
+// centroidOf adds every point to a Centroid, read in place.
+func centroidOf(pts []CachedPoint) (CachedPoint, bool) {
+	var c Centroid
+	for i := range pts {
+		c.Add(RefOf(&pts[i]))
+	}
+	return c.Center()
+}
+
+// TestCachedVariantsBitIdentical pins the contract the dispersion scan
+// relies on: every cached kernel returns the exact float64 bits of its
 // uncached original, so switching the scan kernels to cached points cannot
-// move any statistic by even one ulp.
+// move any statistic by even one ulp. core's TestRowDispersionMatchesDispersion
+// holds the scan they make up to Dispersion.
 func TestCachedVariantsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
 		pts := randPoints(rng, 2+rng.Intn(30))
+		antipodal := trial%10 == 0
+		if antipodal {
+			pts = append(pts[:1], LatLon{Lat: -pts[0].Lat, Lon: pts[0].Lon + 180})
+		}
 		cached := cachePoints(pts)
-
-		a, b := pts[0], pts[1]
-		ca, cb := cached[0], cached[1]
-		if got, want := HaversineCached(ca, cb), Haversine(a, b); got != want {
-			t.Fatalf("HaversineCached = %v, Haversine = %v", got, want)
-		}
-		gc, gok := CenterCached(cached)
+		gc, gok := centroidOf(cached)
 		wc, wok := Center(pts)
-		if gok != wok || gc != wc {
-			t.Fatalf("CenterCached = %v,%v; Center = %v,%v", gc, gok, wc, wok)
+		if gok != wok || gc.Deg != wc {
+			t.Fatalf("Centroid = %v,%v; Center = %v,%v", gc.Deg, gok, wc, wok)
 		}
-		cc := NewCachedPoint(wc)
+		if antipodal && wc != pts[0] {
+			t.Fatalf("antipodal pair %v: center %v, want the first point", pts, wc)
+		}
 		for i := range pts {
-			if got, want := SignedDistanceCached(cc, cached[i]), SignedDistance(wc, pts[i]); got != want {
+			if got, want := SignedDistanceCached(&gc, RefOf(&cached[i])), SignedDistance(wc, pts[i]); got != want {
 				t.Fatalf("SignedDistanceCached = %v, SignedDistance = %v", got, want)
 			}
 		}
-		gd, gok := DispersionCached(cached)
-		wd, wok := Dispersion(pts)
-		if gok != wok || gd != wd {
-			t.Fatalf("DispersionCached = %v,%v; Dispersion = %v,%v", gd, gok, wd, wok)
-		}
-		checkWeightedSignedDistances(t, a, b, rng.Float64()*10, rng.Float64()*10)
+		checkWeightedSignedDistances(t, pts[0], pts[1], rng.Float64()*10, rng.Float64()*10)
+	}
+	if _, ok := centroidOf(nil); ok {
+		t.Error("empty Centroid has a center")
 	}
 }
 
@@ -118,17 +126,15 @@ func TestPickByWeightMatchesLinearScan(t *testing.T) {
 }
 
 // TestCachedKernelsZeroAlloc holds every cached kernel to zero
-// allocations (DESIGN §5b): the dispersion scan calls the first four per
+// allocations (DESIGN §5b): the dispersion scan calls the first two per
 // bot reference, the generator's cluster search the last one per cluster.
 func TestCachedKernelsZeroAlloc(t *testing.T) {
 	pts := cachePoints(randPoints(rand.New(rand.NewSource(5)), 64))
 	centers := []CenterPoint{NewCenterPoint(pts[0].Deg), NewCenterPoint(pts[1].Deg)}
 	var sink float64
 	for name, kernel := range map[string]func(){
-		"HaversineCached":      func() { sink += HaversineCached(pts[0], pts[1]) },
-		"CenterCached":         func() { c, _ := CenterCached(pts); sink += c.Lat },
-		"SignedDistanceCached": func() { sink += SignedDistanceCached(pts[0], pts[1]) },
-		"DispersionCached":     func() { d, _ := DispersionCached(pts); sink += d },
+		"Centroid":             func() { c, _ := centroidOf(pts); sink += c.Deg.Lat },
+		"SignedDistanceCached": func() { sink += SignedDistanceCached(&pts[0], RefOf(&pts[1])) },
 		"WeightedSignedDistances": func() {
 			da, db, _ := WeightedSignedDistances(centers[0], centers[1], 3, 1)
 			sink += da + db

@@ -40,13 +40,16 @@ func degToRad(d float64) float64 { return d * math.Pi / 180 }
 // Haversine returns the great-circle distance between a and b in km, using
 // the haversine formula the paper cites for its distance computations.
 func Haversine(a, b LatLon) float64 {
-	lat1, lon1 := degToRad(a.Lat), degToRad(a.Lon)
-	lat2, lon2 := degToRad(b.Lat), degToRad(b.Lon)
-	dLat := lat2 - lat1
-	dLon := lon2 - lon1
+	lat1, lat2 := degToRad(a.Lat), degToRad(b.Lat)
+	return haversine(lat2-lat1, degToRad(b.Lon)-degToRad(a.Lon), math.Cos(lat1), math.Cos(lat2))
+}
+
+// haversine is the formula itself, from the latitude and longitude
+// differences in radians and both endpoints' cos(lat).
+func haversine(dLat, dLon, cosLat1, cosLat2 float64) float64 {
 	sinLat := math.Sin(dLat / 2)
 	sinLon := math.Sin(dLon / 2)
-	h := sinLat*sinLat + math.Cos(lat1)*math.Cos(lat2)*sinLon*sinLon
+	h := sinLat*sinLat + cosLat1*cosLat2*sinLon*sinLon
 	if h > 1 {
 		h = 1
 	}
@@ -57,23 +60,45 @@ func Haversine(a, b LatLon) float64 {
 // computed by averaging 3-D unit vectors. It returns the zero point and
 // false when pts is empty.
 func Center(pts []LatLon) (LatLon, bool) {
-	if len(pts) == 0 {
-		return LatLon{}, false
-	}
-	var x, y, z float64
+	var c Centroid
 	for _, p := range pts {
 		lat, lon := degToRad(p.Lat), degToRad(p.Lon)
-		x += math.Cos(lat) * math.Cos(lon)
-		y += math.Cos(lat) * math.Sin(lon)
-		z += math.Sin(lat)
+		c.add(math.Cos(lat)*math.Cos(lon), math.Cos(lat)*math.Sin(lon), math.Sin(lat), p)
 	}
-	n := float64(len(pts))
-	x, y, z = x/n, y/n, z/n
+	return c.center()
+}
+
+// Centroid accumulates Center one point at a time: the unit-vector sums,
+// the count, and the first point, which is the center when the vectors
+// cancel. The zero value is empty.
+type Centroid struct {
+	x, y, z float64
+	n       int
+	first   LatLon
+}
+
+func (c *Centroid) add(x, y, z float64, p LatLon) {
+	if c.n == 0 {
+		c.first = p
+	}
+	c.x += x
+	c.y += y
+	c.z += z
+	c.n++
+}
+
+// center is Center's answer for the points added so far.
+func (c *Centroid) center() (LatLon, bool) {
+	if c.n == 0 {
+		return LatLon{}, false
+	}
+	n := float64(c.n)
+	x, y, z := c.x/n, c.y/n, c.z/n
 	norm := math.Sqrt(x*x + y*y + z*z)
 	if norm < 1e-12 {
 		// Antipodal cancellation; fall back to the first point to keep the
 		// result deterministic rather than undefined.
-		return pts[0], true
+		return c.first, true
 	}
 	lat := math.Asin(z / norm)
 	lon := math.Atan2(y, x)
@@ -107,7 +132,11 @@ func WeightedCenter(a, b LatLon, wa, wb float64) (LatLon, bool) {
 // meridian, north) of the center, negative for west/south. Longitude
 // differences are taken the short way around the antimeridian.
 func SignedDistance(center, p LatLon) float64 {
-	d := Haversine(center, p)
+	return signed(Haversine(center, p), center, p)
+}
+
+// signed gives the distance d from center to p the paper's sign.
+func signed(d float64, center, p LatLon) float64 {
 	dLon := p.Lon - center.Lon
 	// Normalize to (-180, 180] so "east" means the short way around.
 	for dLon > 180 {

@@ -2,9 +2,11 @@ package oracle
 
 import (
 	"encoding/json"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -521,4 +523,137 @@ func getJSON(t *testing.T, srv http.Handler, path string, status int, out any) {
 			t.Fatalf("GET %s: %v: %s", path, err, rec.Body.String())
 		}
 	}
+}
+
+// dispersionCase is one attack of the §IV-A micro store: its sources, in
+// order, and its dispersion worked out by hand (NaN: no closed form, the
+// kernels are held to the oracle only; dropped: no source resolves).
+type dispersionCase struct {
+	family  dataset.Family
+	sources []string
+	want    float64
+	dropped bool
+}
+
+// dispersionBotlist locates the micro store's bots; the 10.9.x addresses
+// are missing from it.
+var dispersionBotlist = map[string]place{
+	"10.0.0.1": {30, 45}, "10.0.0.2": {-30, -135}, "10.0.0.3": {60, 45}, "10.0.0.4": {-60, -135},
+	"10.0.1.1": {0, 179}, "10.0.1.2": {0, -179}, "10.0.1.3": {10, -179}, "10.0.1.4": {-5, 178}, "10.0.1.5": {20, -177.5},
+	"10.0.2.1": {0, 0}, "10.0.2.2": {0, 0}, "10.0.2.3": {60, 0},
+	"10.0.3.1": {48.85, 2.35},
+	"10.0.4.1": {0, 10}, "10.0.4.2": {0, 30},
+}
+
+// πR: half the circumference, the distance between antipodes.
+var halfCircumference = math.Pi * earthRadiusKm
+
+var dispersionCases = []dispersionCase{
+	// An antipodal pair: the unit vectors cancel, the centre is the first
+	// bot, and the second lies πR away, 180° east. (Centred on (0, 0)
+	// instead, the two would read 52° east and 128° west: 8,397 km.)
+	{family: dataset.Dirtjumper, sources: []string{"10.0.0.1", "10.0.0.2"}, want: halfCircumference},
+	// Two antipodal pairs, the first source unresolved: the centre is the
+	// first resolved bot, (30, 45). Its antipode is πR east; (60, 45) is
+	// due north, +πR/6 by its latitude; that bot's antipode is 5πR/6
+	// east: 2πR. Signing the due-north bot south would give 5πR/3.
+	{family: dataset.Dirtjumper, sources: []string{"10.9.0.1", "10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4"}, want: 2 * halfCircumference},
+	// Straddling ±180° on the equator: the centre is at 180°, one bot a
+	// degree west and one a degree east, the short way round. The long
+	// way round both would read west: 222.4 km. The second formation is
+	// centred west of -179°, so its 178° bot lies east of 180° the long
+	// way and west the short way.
+	{family: dataset.Dirtjumper, sources: []string{"10.0.1.1", "10.0.1.2"}, want: 0},
+	{family: dataset.Dirtjumper, sources: []string{"10.0.1.3", "10.0.1.4", "10.0.1.5"}, want: math.NaN()},
+	// Due north and south on the prime meridian: two bots at (0, 0) and
+	// one at (60, 0) centre at φ = atan2(√3/2, 5/2) = 19.107°; the sum is
+	// R(60° − 3φ) in radians.
+	{family: dataset.Pandora, sources: []string{"10.0.2.1", "10.0.2.2", "10.0.2.3"}, want: 298.0228574242566},
+	// One bot is its own centre.
+	{family: dataset.Pandora, sources: []string{"10.0.3.1"}, want: 0},
+	// The unresolved source is left out: the centre is (0, 20), 10° from
+	// each resolved bot, one west and one east.
+	{family: dataset.Pandora, sources: []string{"10.0.4.1", "10.9.0.2", "10.0.4.2"}, want: 0},
+	// No source resolves: the attack has no value.
+	{family: dataset.Pandora, sources: []string{"10.9.0.3", "10.9.0.4"}, dropped: true},
+}
+
+// dispersionMicro builds the §IV-A micro store: one attack a case, an
+// hour apart, and the Botlist.
+func dispersionMicro(t *testing.T) ([]*dataset.Attack, []*dataset.Bot, *dataset.Store) {
+	t.Helper()
+	var recs []*dataset.Attack
+	for i, c := range dispersionCases {
+		start := at("2012-09-01T00:00:00Z").Add(time.Duration(i) * time.Hour)
+		a := &dataset.Attack{ID: dataset.DDoSID(i + 1), BotnetID: dataset.BotnetID(i + 1), Family: c.family,
+			Category: dataset.CategoryHTTP, TargetIP: netip.MustParseAddr("192.0.2.1"), Start: start, End: start.Add(time.Minute)}
+		for _, ip := range c.sources {
+			a.BotIPs = append(a.BotIPs, netip.MustParseAddr(ip))
+		}
+		recs = append(recs, a)
+	}
+	var bots []*dataset.Bot
+	for _, ip := range slices.Sorted(maps.Keys(dispersionBotlist)) {
+		p := dispersionBotlist[ip]
+		bots = append(bots, &dataset.Bot{IP: netip.MustParseAddr(ip), ASN: 64500, CountryCode: "US", City: "Seattle", Org: "Example Net", Lat: p.lat, Lon: p.lon})
+	}
+	store, err := dataset.NewStore(recs, nil, bots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs, bots, store
+}
+
+// checkDispersion holds every family's held dispersion series — attack
+// ids and values — to the oracle's.
+func checkDispersion(t *testing.T, recs []*dataset.Attack, bots []*dataset.Bot, store *dataset.Store) {
+	t.Helper()
+	disp := experiments.FromStore(store, 1).Disp()
+	for _, f := range append(store.Families().Clone(), "no-such-family") {
+		want, got := dispersion(recs, bots, f), disp.Series(f)
+		if got.Len() != len(want) {
+			t.Fatalf("%s: %d dispersion points, oracle %d", f, got.Len(), len(want))
+		}
+		for i, p := range got.All() {
+			if p.AttackID != want[i].id || !agree(p.Value, want[i].value) {
+				t.Errorf("%s point %d: attack %d, %v km; oracle attack %d, %v km", f, i, p.AttackID, p.Value, want[i].id, want[i].value)
+			}
+		}
+	}
+}
+
+// TestOracleDispersion holds the §IV-A oracle to the hand-worked
+// dispersions of the micro store, then the held series to the oracle on
+// it and on a small generated store.
+func TestOracleDispersion(t *testing.T) {
+	t.Run("micro", func(t *testing.T) {
+		recs, bots, store := dispersionMicro(t)
+		values := make(map[dataset.DDoSID]float64)
+		for _, f := range []dataset.Family{dataset.Dirtjumper, dataset.Pandora} {
+			for _, p := range dispersion(recs, bots, f) {
+				values[p.id] = p.value
+			}
+		}
+		for i, c := range dispersionCases {
+			got, ok := values[dataset.DDoSID(i+1)]
+			switch {
+			case ok == c.dropped:
+				t.Errorf("case %d (%v): oracle has a value %v, want dropped %v", i+1, c.sources, ok, c.dropped)
+			case ok && !math.IsNaN(c.want) && !agree(got, c.want):
+				t.Errorf("case %d (%v): oracle dispersion %v km, hand-worked %v", i+1, c.sources, got, c.want)
+			}
+		}
+		checkDispersion(t, recs, bots, store)
+	})
+	t.Run("generated", func(t *testing.T) {
+		out, err := synth.Generate(synth.Config{Seed: 3, Scale: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, err := out.Store()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDispersion(t, out.Attacks, out.Bots, store)
+	})
 }

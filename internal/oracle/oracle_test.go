@@ -10,13 +10,15 @@
 // shares, the duration shares and median, and the per-day counts with the
 // peak day's dominant family; and §II-B's concurrent load. For §V it covers the collaborations with
 // their Table VI counts, and the multistage chains with Fig 17's gap
-// shares.
+// shares. For §IV-A it covers the geographic centre of an attack's bots
+// and the signed dispersion around it (Figures 9-13's series).
 package oracle
 
 import (
 	"fmt"
 	"maps"
 	"math"
+	"net/netip"
 	"slices"
 	"sort"
 	"time"
@@ -350,6 +352,95 @@ func chains(attacks []*dataset.Attack) []event {
 		if len(e.ids) >= 2 {
 			out = append(out, e)
 		}
+	}
+	return out
+}
+
+// place is a bot's location in degrees.
+type place struct{ lat, lon float64 }
+
+// earthRadiusKm is the sphere §IV-A's distances are measured on.
+const earthRadiusKm = 6371.0
+
+func radians(deg float64) float64 { return deg * math.Pi / 180 }
+
+// centre is the geographic centre of §IV-A: the mean of the places' unit
+// vectors, pointed back at the sphere's surface. When the vectors cancel
+// (an antipodal pair) there is no direction to point at, and the centre
+// is the first place.
+func centre(ps []place) place {
+	var x, y, z float64
+	for _, p := range ps {
+		x += math.Cos(radians(p.lat)) * math.Cos(radians(p.lon))
+		y += math.Cos(radians(p.lat)) * math.Sin(radians(p.lon))
+		z += math.Sin(radians(p.lat))
+	}
+	n := float64(len(ps))
+	x, y, z = x/n, y/n, z/n
+	if math.Sqrt(x*x+y*y+z*z) < 1e-12 {
+		return ps[0]
+	}
+	return place{lat: math.Atan2(z, math.Hypot(x, y)) * 180 / math.Pi, lon: math.Atan2(y, x) * 180 / math.Pi}
+}
+
+// greatCircle is the haversine distance between two places, in km.
+func greatCircle(a, b place) float64 {
+	h := math.Pow(math.Sin(radians(b.lat-a.lat)/2), 2) +
+		math.Cos(radians(a.lat))*math.Cos(radians(b.lat))*math.Pow(math.Sin(radians(b.lon-a.lon)/2), 2)
+	return 2 * earthRadiusKm * math.Atan2(math.Sqrt(h), math.Sqrt(1-h))
+}
+
+// signedDistance is p's distance from c, positive when p lies east of c
+// the short way around the globe and negative when west; a place on c's
+// meridian is positive north of c (or level with it) and negative south.
+func signedDistance(c, p place) float64 {
+	d := greatCircle(c, p)
+	east := p.lon - c.lon
+	if east > 180 {
+		east -= 360
+	} else if east <= -180 {
+		east += 360
+	}
+	if east < 0 || east == 0 && p.lat < c.lat {
+		return -d
+	}
+	return d
+}
+
+// dispersionPoint is one attack's §IV-A value.
+type dispersionPoint struct {
+	id    dataset.DDoSID
+	value float64
+}
+
+// dispersion is §IV-A's series for one family, in launch order: for each
+// attack, the absolute sum of its bots' signed distances from their
+// centre. A source missing from the Botlist has no location and is left
+// out; an attack none of whose sources is in it has no value.
+func dispersion(attacks []*dataset.Attack, botlist []*dataset.Bot, family dataset.Family) []dispersionPoint {
+	where := make(map[netip.Addr]place)
+	for _, b := range botlist {
+		where[b.IP] = place{b.Lat, b.Lon}
+	}
+	var out []dispersionPoint
+	for _, a := range chronological(attacks) {
+		if a.Family != family {
+			continue
+		}
+		var ps []place
+		for _, ip := range a.BotIPs {
+			if p, ok := where[ip]; ok {
+				ps = append(ps, p)
+			}
+		}
+		if len(ps) == 0 {
+			continue
+		}
+		c, sum := centre(ps), 0.0
+		for _, p := range ps {
+			sum += signedDistance(c, p)
+		}
+		out = append(out, dispersionPoint{a.ID, math.Abs(sum)})
 	}
 	return out
 }
