@@ -46,7 +46,9 @@ var (
 func benchWorkload(b *testing.B) *experiments.Workload {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchWl, benchErr = experiments.NewWorkload(GenerateConfig{Seed: 1, Scale: benchScale()})
+		var store *Store
+		store, benchErr = Generate(GenerateConfig{Seed: 1, Scale: benchScale()})
+		benchWl = experiments.FromStore(store, benchScale())
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -279,11 +281,11 @@ func BenchmarkAblationDispersion(b *testing.B) {
 	}
 }
 
-// --- Ablation 3: ARIMA vs baseline forecasters -------------------------
+// --- Ablation 3: ARIMA vs persistence ----------------------------------
 //
 // DESIGN.md choice: ARIMA for the §IV-A dispersion forecast. The metric is
 // the cosine similarity of one-step forecasts on the bench workload's
-// dirtjumper dispersion series.
+// dirtjumper dispersion series, against persistence ("next = last").
 func BenchmarkAblationForecasters(b *testing.B) {
 	w := benchWorkload(b)
 	series := core.DispersionValues(memo.ViewOf(core.DispersionSeries(w.Store, dataset.Dirtjumper)))
@@ -311,29 +313,22 @@ func BenchmarkAblationForecasters(b *testing.B) {
 		}
 		b.ReportMetric(sim, "similarity")
 	})
-	baselines := []timeseries.Forecaster{
-		timeseries.Naive{},
-		timeseries.HistoricalMean{},
-		timeseries.Drift{},
-		timeseries.SES{Alpha: 0.3},
-		timeseries.SlidingWindowMean{Window: 10},
-	}
-	for _, f := range baselines {
-		b.Run(f.Name(), func(b *testing.B) {
-			var sim float64
-			for b.Loop() {
-				preds, err := timeseries.Rolling(f, series, split)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sim, err = stats.CosineSimilarity(preds, truth)
-				if err != nil {
-					b.Fatal(err)
-				}
+	// Persistence: each point is forecast as the one before it.
+	b.Run("naive", func(b *testing.B) {
+		var sim float64
+		pred := make([]float64, len(truth))
+		for b.Loop() {
+			for i := range pred {
+				pred[i] = series[split+i-1]
 			}
-			b.ReportMetric(sim, "similarity")
-		})
-	}
+			var err error
+			sim, err = stats.CosineSimilarity(pred, truth)
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(sim, "similarity")
+	})
 }
 
 // --- Ablation 4: collaboration window sensitivity -----------------------

@@ -33,8 +33,10 @@
 package botscope
 
 import (
+	"errors"
 	"io"
 	"maps"
+	"os"
 	"slices"
 	"time"
 
@@ -102,8 +104,6 @@ type (
 	ScenarioBuilder = synth.ScenarioBuilder
 	// FamilyProfile is the full behavioural parameterization of a family.
 	FamilyProfile = botnet.Profile
-	// InterCollab stages cross-family coordination in a scenario.
-	InterCollab = botnet.InterCollab
 )
 
 // NewScenario starts a custom-workload builder on the paper's window.
@@ -143,6 +143,48 @@ func WriteSnapshot(w io.Writer, s *Store) error { return dataset.WriteSnapshot(w
 // re-validating every record, so a corrupt snapshot yields an error
 // rather than a malformed workload.
 func ReadSnapshot(r io.Reader) (*Store, error) { return dataset.ReadSnapshot(r) }
+
+// Source names where a command's store comes from: a BSCS snapshot file,
+// a JSON-lines attack file, or, when neither is set, a workload generated
+// from Seed and Scale. Its fields are the commands' -seed, -scale, -in
+// and -snapshot flags.
+type Source struct {
+	Seed     int64
+	Scale    float64
+	In       string // JSON-lines attack file
+	Snapshot string // BSCS snapshot file
+}
+
+// Open builds the store src names; the caller closes it. A snapshot is
+// mapped where the platform allows. Setting both In and Snapshot is an
+// error.
+func (src Source) Open() (*Store, error) {
+	switch {
+	case src.In != "" && src.Snapshot != "":
+		return nil, errors.New("-snapshot and -in are mutually exclusive")
+	case src.Snapshot != "":
+		return readFile(src.Snapshot, ReadSnapshot)
+	case src.In != "":
+		return readFile(src.In, func(r io.Reader) (*Store, error) {
+			attacks, err := ReadJSONL(r)
+			if err != nil {
+				return nil, err
+			}
+			return NewStore(attacks, nil, nil)
+		})
+	}
+	return Generate(GenerateConfig{Seed: src.Seed, Scale: src.Scale})
+}
+
+// readFile opens name and builds a store from it with read.
+func readFile(name string, read func(io.Reader) (*Store, error)) (*Store, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return read(f)
+}
 
 // Streaming analytics types, re-exported from the stream layer.
 type (

@@ -2,7 +2,13 @@ package botscope
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io/fs"
 	"maps"
+	"os"
+	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -268,20 +274,78 @@ func TestExtendedAnalyzerAPIs(t *testing.T) {
 	}
 }
 
-func TestForecastIntervalsViaAPI(t *testing.T) {
-	store := apiWorkload(t)
-	a := NewAnalyzer(store)
-	series := a.DispersionSeries(Dirtjumper)
-	m, err := FitARIMA(series, ARIMAOrder{P: 1})
-	if err != nil {
+// TestSourceOpen holds the commands' one store source: each source opens
+// to the workload it names, byte for byte, a snapshot file is mapped on a
+// little-endian unix host, and the bad sources fail with the error the
+// commands print.
+func TestSourceOpen(t *testing.T) {
+	dir := t.TempDir()
+	jsonl, snap := filepath.Join(dir, "attacks.jsonl"), filepath.Join(dir, "work.bscs")
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, apiWorkload(t).Attacks()); err != nil {
 		t.Fatal(err)
 	}
-	fc, err := m.ForecastWithIntervals(5, 0.95)
-	if err != nil {
+	if err := os.WriteFile(jsonl, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if len(fc) != 5 || fc[0].Lower >= fc[0].Upper {
-		t.Errorf("forecast intervals = %+v", fc)
+	buf.Reset()
+	if err := WriteSnapshot(&buf, apiWorkload(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snap, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mapped := binary.NativeEndian.Uint16([]byte{1, 0}) == 1 && os.Getenv("BOTSCOPE_NO_MMAP") != "1"
+	switch runtime.GOOS {
+	case "windows", "plan9", "js", "wasip1":
+		mapped = false
+	}
+
+	for _, tc := range []struct {
+		name   string
+		src    Source
+		file   string // what the store writes back out, in that file's format
+		mapped bool
+		fail   func(error) bool
+	}{
+		{name: "generate", src: Source{Seed: 123, Scale: 0.04}, file: snap},
+		{name: "jsonl", src: Source{In: jsonl}, file: jsonl},
+		{name: "snapshot", src: Source{Snapshot: snap}, file: snap, mapped: mapped},
+		{name: "both", src: Source{In: jsonl, Snapshot: snap}, fail: func(err error) bool {
+			return err.Error() == "-snapshot and -in are mutually exclusive"
+		}},
+		{name: "missing", src: Source{Snapshot: filepath.Join(dir, "none.bscs")}, fail: func(err error) bool {
+			return errors.Is(err, fs.ErrNotExist)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := tc.src.Open()
+			if tc.fail != nil {
+				if err == nil || !tc.fail(err) {
+					t.Fatalf("Open = %v, want the %s error", err, tc.name)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			if got := store.SnapshotInfo().Mapped; got != tc.mapped {
+				t.Errorf("SnapshotInfo().Mapped = %t, want %t", got, tc.mapped)
+			}
+			var out bytes.Buffer
+			if tc.file == jsonl {
+				err = WriteJSONL(&out, store.Attacks())
+			} else {
+				err = WriteSnapshot(&out, store)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, err := os.ReadFile(tc.file); err != nil || !bytes.Equal(out.Bytes(), want) {
+				t.Errorf("the opened store writes %d bytes that differ from %s (%v)", out.Len(), filepath.Base(tc.file), err)
+			}
+		})
 	}
 }
 

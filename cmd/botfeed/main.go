@@ -58,9 +58,6 @@ func run(args []string, stdout io.Writer) error {
 	if *speedup < 0 {
 		return fmt.Errorf("speedup must be >= 0, got %v", *speedup)
 	}
-	if *snap != "" && *in != "" {
-		return fmt.Errorf("-snapshot and -in are mutually exclusive")
-	}
 
 	var sink feedSink
 	if *url != "" {
@@ -77,26 +74,18 @@ func run(args []string, stdout io.Writer) error {
 		defer f.Close()
 		return botscope.DecodeJSONL(f, fn)
 	}
-	if *in == "" {
-		var store *botscope.Store
-		if *snap != "" {
-			f, err := os.Open(*snap)
-			if err != nil {
-				return err
-			}
-			store, err = botscope.ReadSnapshot(f)
-			f.Close()
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "replaying snapshot %s (%d attacks)\n", *snap, store.NumAttacks())
-		} else {
+	// -in streams its file record by record; every other source is a
+	// store, and Open refuses -in together with -snapshot.
+	if *in == "" || *snap != "" {
+		if *snap == "" {
 			fmt.Fprintf(os.Stderr, "generating workload (seed %d, scale %.3f)...\n", *seed, *scale)
-			var err error
-			store, err = botscope.Generate(botscope.GenerateConfig{Seed: *seed, Scale: *scale})
-			if err != nil {
-				return err
-			}
+		}
+		store, err := botscope.Source{Seed: *seed, Scale: *scale, In: *in, Snapshot: *snap}.Open()
+		if err != nil {
+			return err
+		}
+		if *snap != "" {
+			fmt.Fprintf(os.Stderr, "replaying snapshot %s (%d attacks)\n", *snap, store.NumAttacks())
 		}
 		defer store.Close()
 		// Replay row by row: each row builds one attack record that the

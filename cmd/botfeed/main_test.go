@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -99,7 +100,10 @@ func TestRunRemoteFeed(t *testing.T) {
 	if err := run([]string{"-scale", "0.01", "-seed", "3", "-url", ts.URL}, &out); err != nil {
 		t.Fatal(err)
 	}
-	snap := srv.Live().Snapshot()
+	snap, _, err := srv.LiveSnapshot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if snap.Ingested != store.NumAttacks() {
 		t.Errorf("remote ingested %d attacks, want %d", snap.Ingested, store.NumAttacks())
 	}

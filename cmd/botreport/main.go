@@ -44,50 +44,20 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	var (
-		w   *experiments.Workload
-		err error
-	)
-	if *snapshot != "" && *in != "" {
-		return fmt.Errorf("-snapshot and -in are mutually exclusive")
+	if *in == "" && *snapshot == "" {
+		fmt.Fprintf(os.Stderr, "generating workload (seed %d, scale %.3f)...\n", *seed, *scale)
 	}
+	store, err := botscope.Source{Seed: *seed, Scale: *scale, In: *in, Snapshot: *snapshot}.Open()
+	if err != nil {
+		return err
+	}
+	defer store.Close()
 	if *snapshot != "" {
-		f, ferr := os.Open(*snapshot)
-		if ferr != nil {
-			return ferr
-		}
-		store, serr := botscope.ReadSnapshot(f)
-		_ = f.Close()
-		if serr != nil {
-			return serr
-		}
-		defer store.Close()
 		info := store.SnapshotInfo()
 		fmt.Fprintf(os.Stderr, "loaded snapshot %s (v%d, %d bytes, mmap=%t)\n",
 			*snapshot, info.Version, info.Bytes, info.Mapped)
-		w = experiments.FromStore(store, *scale)
-	} else if *in != "" {
-		f, ferr := os.Open(*in)
-		if ferr != nil {
-			return ferr
-		}
-		defer f.Close()
-		attacks, rerr := botscope.ReadJSONL(f)
-		if rerr != nil {
-			return rerr
-		}
-		store, serr := botscope.NewStore(attacks, nil, nil)
-		if serr != nil {
-			return serr
-		}
-		w = experiments.FromStore(store, *scale)
-	} else {
-		fmt.Fprintf(os.Stderr, "generating workload (seed %d, scale %.3f)...\n", *seed, *scale)
-		w, err = experiments.NewWorkload(botscope.GenerateConfig{Seed: *seed, Scale: *scale})
-		if err != nil {
-			return err
-		}
 	}
+	w := experiments.FromStore(store, *scale)
 
 	exps := w.All()
 	if *only != "" {

@@ -105,35 +105,10 @@ func run(ctx context.Context, args []string) error {
 		return runCluster(ctx, *addr, *shards, *join, *queueDepth, *rateLimit, *rateBurst)
 	}
 
-	var (
-		store *botscope.Store
-		err   error
-	)
-	if *snap != "" && *in != "" {
-		return fmt.Errorf("-snapshot and -in are mutually exclusive")
-	}
-	if *snap != "" {
-		f, ferr := os.Open(*snap)
-		if ferr != nil {
-			return ferr
-		}
-		store, err = botscope.ReadSnapshot(f)
-		_ = f.Close()
-	} else if *in != "" {
-		f, ferr := os.Open(*in)
-		if ferr != nil {
-			return ferr
-		}
-		attacks, rerr := botscope.ReadJSONL(f)
-		_ = f.Close()
-		if rerr != nil {
-			return rerr
-		}
-		store, err = botscope.NewStore(attacks, nil, nil)
-	} else {
+	if *in == "" && *snap == "" {
 		fmt.Fprintf(os.Stderr, "generating workload (seed %d, scale %.3f)...\n", *seed, *scale)
-		store, err = botscope.Generate(botscope.GenerateConfig{Seed: *seed, Scale: *scale})
 	}
+	store, err := botscope.Source{Seed: *seed, Scale: *scale, In: *in, Snapshot: *snap}.Open()
 	if err != nil {
 		return err
 	}

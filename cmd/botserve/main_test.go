@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 )
@@ -15,6 +16,15 @@ func TestRunBadFlag(t *testing.T) {
 func TestRunMissingInputFile(t *testing.T) {
 	if err := run(context.Background(), []string{"-in", "/nonexistent/attacks.jsonl"}); err == nil {
 		t.Error("missing input file accepted")
+	}
+}
+
+// TestRunSnapshotAndIn: two store sources are refused rather than one
+// silently winning.
+func TestRunSnapshotAndIn(t *testing.T) {
+	err := run(context.Background(), []string{"-in", "attacks.jsonl", "-snapshot", "work.bscs"})
+	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
+		t.Errorf("-in with -snapshot: %v, want a mutual-exclusion error", err)
 	}
 }
 

@@ -177,16 +177,6 @@ func (pool *Pool) RecruitNewCountry(n int) (string, bool) {
 // Bots returns every bot in the pool.
 func (pool *Pool) Bots() []*dataset.Bot { return pool.bots }
 
-// Size returns the pool population.
-func (pool *Pool) Size() int { return len(pool.bots) }
-
-// Countries returns the recruitment-ordered country codes.
-func (pool *Pool) Countries() []string {
-	out := make([]string, len(pool.countries))
-	copy(out, pool.countries)
-	return out
-}
-
 // anchorCluster draws a cluster in cc weighted by population, so the whole
 // bot pool participates in attacks over time rather than only each
 // country's largest city.

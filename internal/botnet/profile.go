@@ -155,9 +155,6 @@ type Window struct {
 // Duration returns the window length.
 func (w Window) Duration() time.Duration { return w.End.Sub(w.Start) }
 
-// Days returns the number of whole days in the window.
-func (w Window) Days() int { return int(w.Duration().Hours() / 24) }
-
 // PaperWindow is the paper's observation period: 2012-08-29 through
 // 2013-03-24, 207 days.
 func PaperWindow() Window {

@@ -343,12 +343,11 @@ func TestPoolRecruitment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pool.Size() < 150 {
-		t.Errorf("pool size = %d, want close to 200", pool.Size())
+	if len(pool.bots) < 150 {
+		t.Errorf("pool size = %d, want close to 200", len(pool.bots))
 	}
-	ccs := pool.Countries()
-	if len(ccs) != 2 {
-		t.Errorf("countries = %v, want [RU UA]", ccs)
+	if len(pool.countries) != 2 {
+		t.Errorf("countries = %v, want [RU UA]", pool.countries)
 	}
 	cc, ok := pool.RecruitNewCountry(10)
 	if !ok {
@@ -357,8 +356,8 @@ func TestPoolRecruitment(t *testing.T) {
 	if cc == "RU" || cc == "UA" {
 		t.Errorf("new country %s is not new", cc)
 	}
-	if len(pool.Countries()) != 3 {
-		t.Errorf("countries after recruitment = %v", pool.Countries())
+	if len(pool.countries) != 3 {
+		t.Errorf("countries after recruitment = %v", pool.countries)
 	}
 }
 

@@ -78,13 +78,6 @@ func NewShard(id, queueDepth int) *Shard {
 	}
 }
 
-// ID returns the shard's identity.
-func (s *Shard) ID() int { return s.id }
-
-// Applied returns the number of records of the global stream the shard
-// has covered since it started or last left.
-func (s *Shard) Applied() uint64 { return s.applied.Load() }
-
 // Serve accepts frontend connections on ln until ctx is cancelled, then
 // closes every connection and returns. It runs the applier goroutine for
 // the shard's lifetime.

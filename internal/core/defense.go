@@ -62,17 +62,6 @@ func (b *Blacklist) buildEntries() []BlacklistEntry {
 	return entries
 }
 
-// Contains reports whether ip is blacklisted. It is the one membership
-// test that starts from an address, so it alone pays for the index's
-// reverse map. The unsigned compare rejects -1 and truncated positions.
-func (b *Blacklist) Contains(ip netip.Addr) bool {
-	if b.ix == nil {
-		return false
-	}
-	id, ok := b.ix.ID(ip)
-	return ok && uint32(b.rank[id]) < uint32(len(b.ranked))
-}
-
 // Truncate returns a blacklist keeping only the top maxSize entries.
 // Entries are already ranked, so this equals rebuilding with
 // BuildBlacklist(..., maxSize) without rescanning the workload; the

@@ -149,8 +149,8 @@ func (ix *DispersionIndex) ActiveFamilies(minPoints int) []dataset.Family {
 
 // Predict runs the paper's experiment for one family: fit ARIMA on the
 // first half of its dispersion series, predict the second half
-// one-step-ahead, score with mean/std/cosine similarity. It equals
-// PredictSeries on the family's values; the fit is the held one when the
+// one-step-ahead, score with mean/std/cosine similarity. It equals a
+// fresh fit on the family's values; the fit is the held one when the
 // family's slot for cfg's order holds a fit on the same split.
 func (ix *DispersionIndex) Predict(f dataset.Family, cfg PredictConfig) (*PredictionResult, error) {
 	return predict(f, DispersionValues(ix.Series(f)), cfg, func(train []float64, order timeseries.Order) (*timeseries.Model, error) {

@@ -214,18 +214,6 @@ func (d *DailyFold) Result() DailyStats {
 	return st
 }
 
-// MergeDaily is the distribution over the union of disjoint partitions of
-// one feed, from each partition's result: their ascending day series,
-// merged in day order. It is a DailyMerge's first call.
-func MergeDaily(parts ...DailyStats) DailyStats {
-	in := make([]DailyPart, len(parts))
-	for i, p := range parts {
-		in[i].Days = p.Days
-	}
-	var m DailyMerge
-	return m.Merge(in)
-}
-
 // DailyPart is one partition's side of a DailyMerge: its whole ascending
 // day series, and Through, the start of the latest attack of the whole
 // feed — its own or another partition's — the partition has seen (zero:
@@ -235,7 +223,8 @@ type DailyPart struct {
 	Through time.Time
 }
 
-// DailyMerge is MergeDaily held across calls, for one fixed set of
+// DailyMerge merges, in day order, the ascending day series of disjoint
+// partitions of one feed, held across calls. It is for one fixed set of
 // partitions of a feed that arrives in start order, each of whose series
 // only grows and changes only in its days from Through's on. A call folds
 // into the held fold, once, every row on a day before the earliest
@@ -248,8 +237,8 @@ type DailyMerge struct {
 	next []int // per partition: its rows already in held
 }
 
-// Merge returns the distribution over parts, equal to MergeDaily over
-// their series, and keeps their closed rows folded for the next call.
+// Merge returns the distribution over parts, equal to merging their
+// whole series afresh, and keeps their closed rows folded for the next call.
 // Nothing the next call writes is shared with the result.
 func (m *DailyMerge) Merge(parts []DailyPart) DailyStats {
 	if len(m.next) != len(parts) {

@@ -15,18 +15,7 @@ import (
 // for.
 func dispersionFixture(t testing.TB) *dataset.Store {
 	t.Helper()
-	bots := make([]*dataset.Bot, 0, 200)
-	for i := 0; i < 200; i++ {
-		bots = append(bots, &dataset.Bot{
-			IP:          netip.AddrFrom4([4]byte{10, 1, byte(i / 200), byte(i % 200)}),
-			ASN:         100,
-			CountryCode: "BR",
-			City:        "Sao Paulo",
-			Org:         "Sao Paulo Net 1",
-			Lat:         float64(i%90) - 45,
-			Lon:         float64((i*7)%360) - 180,
-		})
-	}
+	bots := dispersionBots()
 	attacks := make([]*dataset.Attack, 0, 50)
 	for i := 0; i < 50; i++ {
 		a := mkAttack(dataset.DDoSID(i+1), dataset.Dirtjumper, 1, "5.5.5.5",
@@ -42,6 +31,24 @@ func dispersionFixture(t testing.TB) *dataset.Store {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// dispersionBots is the fixture's Botlist: 200 bots in one country,
+// spread over the globe.
+func dispersionBots() []*dataset.Bot {
+	bots := make([]*dataset.Bot, 0, 200)
+	for i := 0; i < 200; i++ {
+		bots = append(bots, &dataset.Bot{
+			IP:          netip.AddrFrom4([4]byte{10, 1, byte(i / 200), byte(i % 200)}),
+			ASN:         100,
+			CountryCode: "BR",
+			City:        "Sao Paulo",
+			Org:         "Sao Paulo Net 1",
+			Lat:         float64(i%90) - 45,
+			Lon:         float64((i*7)%360) - 180,
+		})
+	}
+	return bots
 }
 
 // TestDispersionScanZeroAlloc pins what the scan is built for:
@@ -117,9 +124,9 @@ func TestRowDispersionMatchesDispersion(t *testing.T) {
 // values: the dense index is a pure representation change.
 func TestDenseDispersionMatchesMapScan(t *testing.T) {
 	s := dispersionFixture(t)
-	bots := make(map[netip.Addr]dataset.BotView, s.NumBots())
-	for r := int32(0); r < int32(s.NumBots()); r++ {
-		bots[s.Cols().BotRow(r).IP()] = s.Cols().BotRow(r)
+	bots := map[netip.Addr]geo.LatLon{}
+	for _, b := range dispersionBots() {
+		bots[b.IP] = geo.LatLon{Lat: b.Lat, Lon: b.Lon}
 	}
 	for _, f := range s.Families().All() {
 		got := DispersionSeries(s, f)
@@ -128,8 +135,8 @@ func TestDenseDispersionMatchesMapScan(t *testing.T) {
 			a := s.AttackRecordAt(int(row))
 			pts := make([]geo.LatLon, 0, len(a.BotIPs))
 			for _, ip := range a.BotIPs {
-				if b, ok := bots[ip]; ok {
-					pts = append(pts, geo.LatLon{Lat: b.Lat(), Lon: b.Lon()})
+				if p, ok := bots[ip]; ok {
+					pts = append(pts, p)
 				}
 			}
 			if len(pts) == 0 {

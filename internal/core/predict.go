@@ -44,13 +44,6 @@ type PredictConfig struct {
 // skips Darkshell for lack of data.
 const minPredictSeries = 40
 
-// PredictSeries is DispersionIndex.Predict on a pre-extracted series, so
-// callers can forecast any per-attack quantity. It fits afresh on every
-// call.
-func PredictSeries(f dataset.Family, series []float64, cfg PredictConfig) (*PredictionResult, error) {
-	return predict(f, series, cfg, fitOrder)
-}
-
 // fitOrder fits order on train; the zero order selects one via AutoFit over
 // a small grid with d = 0.
 func fitOrder(train []float64, order timeseries.Order) (*timeseries.Model, error) {
@@ -60,7 +53,7 @@ func fitOrder(train []float64, order timeseries.Order) (*timeseries.Model, error
 	return timeseries.Fit(train, order)
 }
 
-// predict is PredictSeries with the fit of the training split left to fit,
+// predict forecasts series, the fit of the training split left to fit,
 // which DispersionIndex answers from its held fits. The model fit returns
 // is only read.
 func predict(f dataset.Family, series []float64, cfg PredictConfig, fit func(train []float64, order timeseries.Order) (*timeseries.Model, error)) (*PredictionResult, error) {

@@ -82,17 +82,6 @@ func (ix *BotIndex) IP(id int32) netip.Addr { return ix.ips.at(id) }
 // Resolved reports whether a dense id has a Botlist row.
 func (ix *BotIndex) Resolved(id int32) bool { return ix.rows[id] >= 0 }
 
-// Bot returns a cursor over the Botlist row of a resolved dense id. ok
-// is false when the IP never resolved in the Botlist. The view reads the
-// store's columns in place and must not outlive it.
-func (ix *BotIndex) Bot(id int32) (BotView, bool) {
-	row := ix.rows[id]
-	if row < 0 {
-		return BotView{}, false
-	}
-	return ix.cols.BotRow(row), true
-}
-
 // CountryID returns the interned-string id of a dense id's country code
 // (Columns.NumStrings bounds it, Columns.Str resolves it), or -1 when
 // unresolved — so kernels count per country in a flat array and touch

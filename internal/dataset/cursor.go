@@ -70,9 +70,6 @@ func (v AttackView) Magnitude() int {
 	return int(v.c.aOff[v.row+1] - v.c.aOff[v.row])
 }
 
-// TargetASN returns the victim ASN.
-func (v AttackView) TargetASN() int { return int(v.c.aASN[v.row]) }
-
 // TargetCountry returns the victim country code.
 func (v AttackView) TargetCountry() string { return v.c.strs[v.c.aCC[v.row]] }
 
@@ -87,39 +84,6 @@ func (v AttackView) TargetLat() float64 { return v.c.aLat[v.row] }
 
 // TargetLon returns the victim longitude.
 func (v AttackView) TargetLon() float64 { return v.c.aLon[v.row] }
-
-// BotView is a cursor over one Botlist row.
-type BotView struct {
-	c   *Columns
-	row int32
-}
-
-// BotRow returns a cursor over Botlist row i.
-func (c *Columns) BotRow(i int32) BotView { return BotView{c: c, row: i} }
-
-// IP returns the bot's address.
-func (v BotView) IP() netip.Addr { return v.c.bIP.at(v.row) }
-
-// ASN returns the bot's ASN.
-func (v BotView) ASN() int { return int(v.c.bASN[v.row]) }
-
-// CountryCode returns the bot's country code.
-func (v BotView) CountryCode() string { return v.c.strs[v.c.bCC[v.row]] }
-
-// City returns the bot's city.
-func (v BotView) City() string { return v.c.strs[v.c.bCity[v.row]] }
-
-// Org returns the bot's organization.
-func (v BotView) Org() string { return v.c.strs[v.c.bOrg[v.row]] }
-
-// Lat returns the bot's latitude.
-func (v BotView) Lat() float64 { return v.c.bLat[v.row] }
-
-// Lon returns the bot's longitude.
-func (v BotView) Lon() float64 { return v.c.bLon[v.row] }
-
-// LastActive returns the bot's last-active time.
-func (v BotView) LastActive() time.Time { return nanoTime(v.c.bLast[v.row]) }
 
 // BotnetView is a cursor over one Botnetlist row.
 type BotnetView struct {
@@ -138,20 +102,5 @@ func (s *Store) BotnetByID(id BotnetID) (BotnetView, bool) {
 	return BotnetView{c: c, row: row}, true
 }
 
-// ID returns the botnet id.
-func (v BotnetView) ID() BotnetID { return BotnetID(v.c.nID[v.row]) }
-
-// Family returns the botnet's malware family.
-func (v BotnetView) Family() Family { return Family(v.c.strs[v.c.nFam[v.row]]) }
-
 // Hash returns the botnet's sample hash.
 func (v BotnetView) Hash() string { return v.c.strs[v.c.nHash[v.row]] }
-
-// ControllerIP returns the C2 controller address.
-func (v BotnetView) ControllerIP() netip.Addr { return v.c.nCtrl[v.row] }
-
-// FirstSeen returns the botnet's first-seen time.
-func (v BotnetView) FirstSeen() time.Time { return nanoTime(v.c.nFirst[v.row]) }
-
-// LastSeen returns the botnet's last-seen time.
-func (v BotnetView) LastSeen() time.Time { return nanoTime(v.c.nLast[v.row]) }

@@ -532,16 +532,6 @@ func readSnapshotMapped(f *os.File, pos, size int64) (s *Store, err error, done 
 	return s, nil, true
 }
 
-// DecodeSnapshot parses a BSCS snapshot and returns a lazy store over
-// the decoded columns, validating every column invariant, so a corrupt
-// or hostile snapshot yields an error rather than a malformed store.
-// This is the fuzzer's entry point. The caller keeps ownership of data:
-// nothing in the returned store aliases it.
-func DecodeSnapshot(data []byte) (*Store, error) {
-	s, _, err := decodeSnapshot(data, false)
-	return s, err
-}
-
 // decodeSnapshot is the shared decode core. alias permits columns to
 // reference data directly (the caller guarantees data is immutable and
 // outlives the store); aliased reports whether they do, which also takes

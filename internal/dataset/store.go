@@ -172,9 +172,6 @@ func (s *Store) Attacks() []*Attack { return slices.Clone(s.recs.Get(s.materiali
 // NumBots returns the number of Botlist records.
 func (s *Store) NumBots() int { return s.cols.bIP.len() }
 
-// NumBotnets returns the number of Botnetlist records.
-func (s *Store) NumBotnets() int { return len(s.cols.nID) }
-
 // Families returns every family that launched at least one attack,
 // sorted.
 func (s *Store) Families() memo.View[Family] {
@@ -248,9 +245,6 @@ func (s *Store) buildTargets() []netip.Addr {
 	}
 	return out
 }
-
-// NumTargets returns the number of distinct attacked IPs.
-func (s *Store) NumTargets() int { return len(s.cols.targets) }
 
 // TargetRows returns the ascending attack rows against one column target
 // id: a bucket of one shared arena.
@@ -337,16 +331,6 @@ func (s *Store) countAttackBotnets() int {
 		seen[id] = struct{}{}
 	}
 	return len(seen)
-}
-
-// RowsInRange returns the half-open attack row range [lo, hi) whose
-// starts fall in [from, to), using the column start ordering.
-func (s *Store) RowsInRange(from, to time.Time) (lo, hi int) {
-	c := s.Cols()
-	fromNS, toNS := from.UnixNano(), to.UnixNano()
-	lo = sort.Search(len(c.aStart), func(i int) bool { return c.aStart[i] >= fromNS })
-	hi = sort.Search(len(c.aStart), func(i int) bool { return c.aStart[i] >= toNS })
-	return lo, hi
 }
 
 // TimeBounds returns the earliest start and the latest end across all

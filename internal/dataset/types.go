@@ -111,14 +111,6 @@ var ActiveFamilies = []Family{
 	Dirtjumper, Nitol, Optima, Pandora, YZF,
 }
 
-// InactiveFamilies are the remaining 13 of the paper's 23 tracked families.
-// They appear in the Botnetlist but launch no attacks during the window.
-var InactiveFamilies = []Family{
-	"armageddon", "athena", "madness", "drive", "gbot", "illusion",
-	"infinity", "russkill", "solarbot", "tornado", "vertexnet", "warbot",
-	"zemra",
-}
-
 // DDoSID is the globally unique identifier of one DDoS attack.
 type DDoSID uint64
 

@@ -14,7 +14,6 @@ import (
 	"botscope/internal/dataset"
 	"botscope/internal/memo"
 	"botscope/internal/monitor"
-	"botscope/internal/synth"
 )
 
 // Metric is one measurable quantity of an experiment, with the paper's
@@ -117,19 +116,6 @@ func (w *Workload) Collabs() memo.View[*core.Collaboration] {
 // afterwards.
 func (w *Workload) Chains() core.ChainStats {
 	return w.chains.Get(func() core.ChainStats { return core.AnalyzeChains(w.Store) })
-}
-
-// NewWorkload generates the synthetic workload cfg describes; a Scale
-// <= 0 means paper size.
-func NewWorkload(cfg synth.Config) (*Workload, error) {
-	if cfg.Scale <= 0 {
-		cfg.Scale = 1
-	}
-	store, err := synth.GenerateStore(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: generate workload: %w", err)
-	}
-	return FromStore(store, cfg.Scale), nil
 }
 
 // FromStore wraps an existing store (e.g. loaded from a snapshot or JSONL).

@@ -37,7 +37,8 @@ func toy(p *pass) {
 func TestRules(t *testing.T) {
 	cases := []struct {
 		name  string
-		extra []rule // run with the gate's
+		extra []rule            // run with the gate's
+		audit map[string]string // deadexport's table for the case
 		files map[string]string
 	}{
 		{name: "floateq/scoped", files: map[string]string{"botscope/internal/stats/a.go": `package stats
@@ -365,6 +366,68 @@ func handleAll(k wire.Kind) {
 	}
 }
 `}},
+		// deadexport: an export no non-test file uses, unless the table
+		// keeps it; a method an interface reaches, or one used only
+		// through a generic instantiation, is used; a row for a used name
+		// or for nothing is stale.
+		{name: "deadexport", audit: map[string]string{
+			"fix.Kept": "fixture: a test elsewhere reads it",
+			"fix.Used": "fixture: product code uses it now",
+			"fix.Gone": "fixture: names nothing",
+		}, files: map[string]string{"botscope/internal/fix/a.go": `package fix // want "audit row fix.Gone names nothing this package declares"
+
+import "net/http"
+
+func Dead() {} // want "fix.Dead is exported but no non-test code uses it"
+func Kept() {}
+func Used() {} // want "audit row fix.Used is stale"
+func local() { Shared() }
+func Shared() {}
+
+type T struct{}
+
+func (T) Dead()  {} // want "fix.T.Dead is exported but no non-test code uses it"
+func (*T) Live() {}
+
+// An interface's methods reach these: error, the error chain's Unwrap, a
+// standard library interface of an imported package, an interface
+// literal the program writes.
+type Err struct{}
+
+func (Err) Error() string { return "" }
+func (Err) Unwrap() error { return nil }
+
+type H struct{}
+
+func (H) ServeHTTP(http.ResponseWriter, *http.Request) {}
+
+type S struct{}
+
+func (S) Status() int { return 0 }
+
+// A generic type's methods are used through an instantiation.
+type Box[V any] struct{ v V }
+
+func (b Box[V]) Get() V       { return b.v }
+func NewBox[V any](v V) Box[V] { return Box[V]{v} }
+`, "botscope/internal/use/b.go": `package use
+
+import "botscope/internal/fix"
+
+var _ = []any{fix.Err{}, fix.H{}, fix.S{}}
+
+func run(t *fix.T, s any) int {
+	fix.Used()
+	t.Live()
+	if st, ok := s.(interface{ Status() int }); ok {
+		return st.Status()
+	}
+	return fix.NewBox(1).Get()
+}
+`, "botscope/internal/fix/a_test.go": `package fix
+
+func testOnly() { Dead(); T{}.Dead() }
+`}},
 		// An audit drops a gate rule's finding; one without a reason does not.
 		{name: "ignore/audited", files: map[string]string{"botscope/internal/stats/a.go": `package stats
 func eq(a, b float64) bool { return a == b } //botvet:ignore floateq audited: fixture
@@ -427,6 +490,7 @@ func inTest() {
 			if err != nil {
 				t.Fatal(err)
 			}
+			prog.audit = tc.audit
 			checkWants(t, prog, check(prog, append(tc.extra, rules...)))
 		})
 	}

@@ -1,0 +1,15 @@
+package gate
+
+// exportAudit is every exported name under internal/ that no non-test
+// code uses and that stays anyway, keyed as deadexport names it
+// (package.Name or package.Type.Method), with the reason it stays. A name
+// only its own package's tests read moves into a _test.go file there; a
+// row is for a name a test elsewhere, a bench or a facade Example needs.
+var exportAudit = map[string]string{
+	"core.Blacklist.Entries":               "TestBlacklistMatchesReference checks the radix ranking through it; the facade's Blacklist carries it",
+	"geo.Dispersion":                       "the point-list reference the core dispersion scan, botnet's formations and the ablation bench are held to",
+	"geo.MeanDistanceToCenter":             "BenchmarkAblationDispersion's alternative metric",
+	"synth.ScenarioBuilder.AddProfile":     "ExampleNewScenario chains it (facade ScenarioBuilder)",
+	"synth.ScenarioBuilder.AddPaperFamily": "ExampleNewScenario chains it (facade ScenarioBuilder)",
+	"synth.ScenarioBuilder.Build":          "ExampleNewScenario chains it (facade ScenarioBuilder)",
+}

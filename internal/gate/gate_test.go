@@ -1,4 +1,4 @@
-// Package gate is the repository's static gate: four rules over the
+// Package gate is the repository's static gate: five rules over the
 // typed syntax of every package in the module, run by `go test
 // ./internal/gate/` (and so by `go test ./...`). The module is loaded with
 // the standard library alone — go/build picks each package's non-test
@@ -41,6 +41,7 @@ var rules = []rule{
 	{"nodeterm", nodeterm},
 	{"sharedslice", sharedslice},
 	{"wireframe", wireframe},
+	{"deadexport", deadexport},
 }
 
 // fset and std are shared by every load in the test binary, so the
@@ -68,6 +69,10 @@ type program struct {
 	wire  map[*types.TypeName]bool // types whose declaration carries //botvet:wire
 	src   map[string][]*ast.File   // parsed packages by import path
 	pkgs  map[string]*types.Package
+	audit map[string]string // deadexport's kept names and why (nil: none)
+
+	used   map[types.Object]bool // every object referenced, generic origins folded; built on first use
+	ifaces []*types.Interface    // the interfaces a method may be kept alive by; built with used
 }
 
 type unit struct {
@@ -243,9 +248,14 @@ func check(prog *program, rules []rule) []finding {
 			out = append(out, d)
 		}
 	}
-	out = slices.DeleteFunc(out, func(d finding) bool { return strings.HasSuffix(fset.Position(d.pos).Filename, "_test.go") })
+	out = slices.DeleteFunc(out, func(d finding) bool { return inTestFile(d.pos) })
 	slices.SortFunc(out, func(a, b finding) int { return int(a.pos - b.pos) })
 	return out
+}
+
+// inTestFile reports whether pos lies in a _test.go file.
+func inTestFile(pos token.Pos) bool {
+	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }
 
 // parseIgnore splits "//botvet:ignore <rule> <reason>" into the rule it
@@ -268,11 +278,18 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 }
 
 // TestRepo holds every package in the module to the gate: no finding, the
-// six audited floateq sites in internal/stats excepted by their ignores.
+// six audited floateq sites in internal/stats excepted by their ignores
+// and the exports exportAudit keeps.
 func TestRepo(t *testing.T) {
 	prog, err := loadModule(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
+	}
+	prog.audit = exportAudit
+	for key := range exportAudit {
+		if pkg, _, _ := strings.Cut(key, "."); prog.pkgs[module+"/internal/"+pkg] == nil {
+			t.Errorf("exportAudit row %s names a package the module no longer has; remove the row", key)
+		}
 	}
 	if len(prog.wire) == 0 {
 		t.Fatalf("loaded %d packages with no wire enum; the //botvet:wire directives were not found", len(prog.units))

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"slices"
 	"strings"
 )
@@ -439,4 +440,147 @@ func selectorBase(info *types.Info, e ast.Expr) types.Object {
 			return nil
 		}
 	}
+}
+
+// deadexport keeps the internal packages' surface to what the product
+// calls: an exported name under internal/ (a package-level declaration,
+// or a method of a package-level type) that no non-test file of the
+// module references is a finding, unless exportAudit keeps it with a
+// reason. A use through a generic instantiation counts for its origin,
+// and a method is used when its type implements an interface that has
+// it (error, http.Handler, any the program declares or imports). A row
+// whose name is used, or names nothing, is a finding too: the table only
+// shrinks.
+func deadexport(p *pass) {
+	rel, ok := strings.CutPrefix(p.path, module+"/internal/")
+	if !ok {
+		return
+	}
+	used, ifaces := p.usage()
+	rows := map[string]bool{}
+	for key := range p.audit {
+		if pkg, _, _ := strings.Cut(key, "."); pkg == rel {
+			rows[key] = true
+		}
+	}
+	check := func(obj types.Object, key string) {
+		live := used[obj] || implements(obj, ifaces)
+		switch {
+		case !rows[key] && !live:
+			p.report(obj.Pos(), "%s is exported but no non-test code uses it; delete it, move it into a _test.go file, or keep it with a row in the audit table", key)
+		case rows[key] && live:
+			p.report(obj.Pos(), "audit row %s is stale: non-test code uses it now; remove the row", key)
+		}
+		delete(rows, key)
+	}
+	scope := p.pkgs[p.path].Scope()
+	for _, name := range scope.Names() {
+		obj := scope.Lookup(name)
+		if obj.Exported() {
+			check(obj, rel+"."+name)
+		}
+		tn, ok := obj.(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		named := tn.Type().(*types.Named)
+		for i := range named.NumMethods() {
+			if m := named.Method(i); m.Exported() {
+				check(m, rel+"."+name+"."+m.Name())
+			}
+		}
+	}
+	for _, key := range slices.Sorted(maps.Keys(rows)) {
+		p.report(p.files[0].Name.Pos(), "audit row %s names nothing this package declares; remove the row", key)
+	}
+}
+
+// usage returns, built once per program, every object a non-test file
+// references (an instantiated function, method or field as its generic
+// origin) and the non-empty interfaces a method can satisfy: every
+// interface type the program writes, every named one in its packages,
+// their imports and the universe (error), and the error-chain Unwrap.
+func (prog *program) usage() (map[types.Object]bool, []*types.Interface) {
+	if prog.used != nil {
+		return prog.used, prog.ifaces
+	}
+	prog.used = map[types.Object]bool{}
+	mark := func(obj types.Object) {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			obj = o.Origin()
+		}
+		prog.used[obj] = true
+	}
+	for id, obj := range prog.info.Uses {
+		if !inTestFile(id.Pos()) {
+			mark(obj)
+		}
+	}
+	for x, sel := range prog.info.Selections {
+		if !inTestFile(x.Pos()) {
+			mark(sel.Obj())
+		}
+	}
+	seen := map[*types.Interface]bool{}
+	add := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 && !seen[it] {
+			seen[it] = true
+			prog.ifaces = append(prog.ifaces, it)
+		}
+	}
+	for _, tv := range prog.info.Types {
+		if tv.Type != nil {
+			add(tv.Type) // interface literals: var sc interface{ HTTPStatus() int }
+		}
+	}
+	add(unwrapper) // the errors package asserts it in function bodies
+	scopes := []*types.Scope{types.Universe}
+	for _, pkg := range prog.pkgs {
+		scopes = append(scopes, pkg.Scope())
+		for _, imp := range pkg.Imports() {
+			scopes = append(scopes, imp.Scope())
+		}
+	}
+	for _, scope := range scopes {
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				add(tn.Type())
+			}
+		}
+	}
+	return prog.used, prog.ifaces
+}
+
+// unwrapper is interface{ Unwrap() error }, the error-chain step
+// errors.Is and errors.As take.
+var unwrapper = types.NewInterfaceType([]*types.Func{
+	types.NewFunc(token.NoPos, nil, "Unwrap", types.NewSignatureType(nil, nil, nil, nil,
+		types.NewTuple(types.NewParam(token.NoPos, nil, "", types.Universe.Lookup("error").Type())), false)),
+}, nil).Complete()
+
+// implements reports whether obj is a method of a non-generic type that,
+// by value or by pointer, implements one of ifaces through that method.
+func implements(obj types.Object, ifaces []*types.Interface) bool {
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Signature().Recv() == nil {
+		return false
+	}
+	recv := fn.Signature().Recv().Type()
+	if ptr, ok := recv.(*types.Pointer); ok {
+		recv = ptr.Elem()
+	}
+	named, ok := recv.(*types.Named)
+	if !ok || named.TypeParams().Len() > 0 {
+		return false
+	}
+	return slices.ContainsFunc(ifaces, func(it *types.Interface) bool {
+		has := false
+		for i := range it.NumMethods() {
+			has = has || it.Method(i).Name() == fn.Name()
+		}
+		return has && (types.Implements(named, it) || types.Implements(types.NewPointer(named), it))
+	})
 }

@@ -376,18 +376,9 @@ func NewAtlas() *Atlas {
 	return a
 }
 
-// Country returns the country with the given ISO code.
-func (a *Atlas) Country(code string) (*Country, bool) {
-	c, ok := a.byCode[code]
-	return c, ok
-}
-
 // Countries returns all countries ordered by ISO code.
 func (a *Atlas) Countries() []*Country {
 	out := make([]*Country, len(a.ordered))
 	copy(out, a.ordered)
 	return out
 }
-
-// Len returns the number of countries in the atlas.
-func (a *Atlas) Len() int { return len(a.ordered) }

@@ -97,7 +97,8 @@ func NewCenterPoint(p LatLon) CenterPoint {
 //	c, ok := WeightedCenter(a.Deg, b.Deg, wa, wb)
 //	SignedDistance(c, a.Deg), SignedDistance(c, b.Deg), ok
 //
-// with both endpoints' trig read from the cache (Z is math.Sin(LatRad))
+// (WeightedCenter is the two-point centroid its tests keep in
+// export_test.go), with both endpoints' trig read from the cache (Z is math.Sin(LatRad))
 // and the center's radians and cos(lat) derived once for both distances.
 func WeightedSignedDistances(a, b CenterPoint, wa, wb float64) (da, db float64, ok bool) {
 	total := wa + wb

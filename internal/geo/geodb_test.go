@@ -20,7 +20,7 @@ func TestAtlasLookup(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.code, func(t *testing.T) {
-			c, ok := a.Country(tt.code)
+			c, ok := a.byCode[tt.code]
 			if !ok {
 				t.Fatalf("country %q missing from atlas", tt.code)
 			}
@@ -40,7 +40,7 @@ func TestAtlasLookup(t *testing.T) {
 			}
 		})
 	}
-	if _, ok := a.Country("XX"); ok {
+	if _, ok := a.byCode["XX"]; ok {
 		t.Error("unknown country XX resolved")
 	}
 }
@@ -54,7 +54,7 @@ func TestAtlasCoversPaperCountries(t *testing.T) {
 	}
 	a := NewAtlas()
 	for _, cc := range paperCountries {
-		if _, ok := a.Country(cc); !ok {
+		if _, ok := a.byCode[cc]; !ok {
 			t.Errorf("paper country %q missing from atlas", cc)
 		}
 	}

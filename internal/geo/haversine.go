@@ -29,12 +29,6 @@ func (p LatLon) String() string {
 	return fmt.Sprintf("%.4f,%.4f", p.Lat, p.Lon)
 }
 
-// Valid reports whether the point lies in the legal coordinate ranges.
-func (p LatLon) Valid() bool {
-	return p.Lat >= -90 && p.Lat <= 90 && p.Lon >= -180 && p.Lon <= 180 &&
-		!math.IsNaN(p.Lat) && !math.IsNaN(p.Lon)
-}
-
 func degToRad(d float64) float64 { return d * math.Pi / 180 }
 
 // Haversine returns the great-circle distance between a and b in km, using
@@ -99,28 +93,6 @@ func (c *Centroid) center() (LatLon, bool) {
 		// Antipodal cancellation; fall back to the first point to keep the
 		// result deterministic rather than undefined.
 		return c.first, true
-	}
-	lat := math.Asin(z / norm)
-	lon := math.Atan2(y, x)
-	return LatLon{Lat: lat * 180 / math.Pi, Lon: lon * 180 / math.Pi}, true
-}
-
-// WeightedCenter returns the spherical centroid of two points with the
-// given non-negative weights. It is the allocation-free two-point analogue
-// of Center, used on the workload generator's hot path.
-func WeightedCenter(a, b LatLon, wa, wb float64) (LatLon, bool) {
-	total := wa + wb
-	if total <= 0 {
-		return LatLon{}, false
-	}
-	latA, lonA := degToRad(a.Lat), degToRad(a.Lon)
-	latB, lonB := degToRad(b.Lat), degToRad(b.Lon)
-	x := (wa*math.Cos(latA)*math.Cos(lonA) + wb*math.Cos(latB)*math.Cos(lonB)) / total
-	y := (wa*math.Cos(latA)*math.Sin(lonA) + wb*math.Cos(latB)*math.Sin(lonB)) / total
-	z := (wa*math.Sin(latA) + wb*math.Sin(latB)) / total
-	norm := math.Sqrt(x*x + y*y + z*z)
-	if norm < 1e-12 {
-		return a, true // antipodal cancellation; stay deterministic
 	}
 	lat := math.Asin(z / norm)
 	lon := math.Atan2(y, x)

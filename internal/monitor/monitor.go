@@ -167,19 +167,6 @@ func (w WeekStats) Shifts() (existing, fresh int) {
 	return existing, fresh
 }
 
-// ExistingShift returns the number of bot observations in countries
-// already known from earlier weeks.
-func (w WeekStats) ExistingShift() int {
-	existing, _ := w.Shifts()
-	return existing
-}
-
-// NewShift returns the number of bot observations in newly seen countries.
-func (w WeekStats) NewShift() int {
-	_, fresh := w.Shifts()
-	return fresh
-}
-
 // WeeklySources computes the week-by-week source aggregation for a family.
 // An error is returned when the family has no attacks.
 //

@@ -134,12 +134,12 @@ func TestWeeklySources(t *testing.T) {
 	if len(w0.NewCountries) != 1 || w0.NewCountries[0] != "RU" {
 		t.Errorf("week 0 new countries = %v, want [RU]", w0.NewCountries)
 	}
-	if w0.NewShift() != 2 || w0.ExistingShift() != 0 {
-		t.Errorf("week 0 shifts = new %d / existing %d, want 2/0", w0.NewShift(), w0.ExistingShift())
+	if existing, fresh := w0.Shifts(); fresh != 2 || existing != 0 {
+		t.Errorf("week 0 shifts = new %d / existing %d, want 2/0", fresh, existing)
 	}
 	// Week 1: RU existing (1 bot), UA new (1 bot).
-	if w1.ExistingShift() != 1 || w1.NewShift() != 1 {
-		t.Errorf("week 1 shifts = new %d / existing %d, want 1/1", w1.NewShift(), w1.ExistingShift())
+	if existing, fresh := w1.Shifts(); existing != 1 || fresh != 1 {
+		t.Errorf("week 1 shifts = new %d / existing %d, want 1/1", fresh, existing)
 	}
 	if len(w1.NewCountries) != 1 || w1.NewCountries[0] != "UA" {
 		t.Errorf("week 1 new countries = %v, want [UA]", w1.NewCountries)
@@ -180,12 +180,12 @@ func TestWeeklySourcesDedupWithinWeek(t *testing.T) {
 
 // countryOf is the string-space lookup the kernels used per bot
 // reference before they counted by interned id.
-func countryOf(ix *dataset.BotIndex, id int32) (string, bool) {
-	b, ok := ix.Bot(id)
-	if !ok {
+func countryOf(s *dataset.Store, id int32) (string, bool) {
+	cid := s.BotDense().CountryID(id)
+	if cid < 0 {
 		return "", false
 	}
-	return b.CountryCode(), true
+	return s.Cols().Str(cid), true
 }
 
 // referenceWeeklySources is the map-per-week scan WeeklySources replaced.
@@ -211,7 +211,7 @@ func referenceWeeklySources(s *dataset.Store, family dataset.Family) []WeekStats
 	for _, wb := range weeks {
 		ws := WeekStats{Week: wb.week, BotsByCountry: map[string]int{}}
 		for id := range wb.bots {
-			if cc, ok := countryOf(ix, id); ok {
+			if cc, ok := countryOf(s, id); ok {
 				ws.BotsByCountry[cc]++
 			}
 		}
@@ -260,7 +260,7 @@ func referenceHourlyReports(c *Collector, family dataset.Family) []HourlyReport 
 		refs := 0
 		for _, id := range ix.RefsRow(int(row)).All() {
 			refs++
-			if cc, ok := countryOf(ix, id); ok {
+			if cc, ok := countryOf(s, id); ok {
 				countries[cc]++
 			}
 		}

@@ -86,7 +86,7 @@ func TestIngestResponsesUnchanged(t *testing.T) {
 			}
 			// The single-process total is the analyzer's O(1) counter, and
 			// the counter is what a snapshot would have said.
-			if got, snap := single.Live().Ingested(), single.Live().Snapshot().Ingested; got != snap {
+			if got, snap := single.live.Ingested(), single.live.Snapshot().Ingested; got != snap {
 				t.Errorf("Ingested() = %d, Snapshot().Ingested = %d", got, snap)
 			}
 		})

@@ -65,9 +65,6 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Live returns the server's streaming analyzer (for in-process feeders).
-func (s *Server) Live() *stream.Analyzer { return s.live }
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.h.ServeHTTP(w, r) }
 

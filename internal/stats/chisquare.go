@@ -14,9 +14,6 @@ type ChiSquareResult struct {
 	PValue float64
 }
 
-// Reject reports whether the null hypothesis is rejected at alpha.
-func (r ChiSquareResult) Reject(alpha float64) bool { return r.PValue < alpha }
-
 // ChiSquareUniform tests observed bin counts against a uniform expectation.
 // botscope uses it for the paper's §III-A observation that daily/hourly
 // attack counts show none of the diurnal patterns of user-driven traffic —

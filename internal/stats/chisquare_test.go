@@ -21,7 +21,7 @@ func TestChiSquareUniformOnUniformCounts(t *testing.T) {
 	if res.DegreesOfFreedom != 3 {
 		t.Errorf("dof = %d, want 3", res.DegreesOfFreedom)
 	}
-	if res.Reject(0.05) {
+	if res.PValue < 0.05 {
 		t.Error("uniform counts rejected")
 	}
 }
@@ -32,7 +32,7 @@ func TestChiSquareUniformOnSkewedCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Reject(0.001) {
+	if res.PValue >= 0.001 {
 		t.Errorf("heavily skewed counts not rejected: p = %v", res.PValue)
 	}
 }
@@ -51,7 +51,7 @@ func TestChiSquareUniformSampledUniform(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Reject(0.01) {
+		if res.PValue < 0.01 {
 			rejections++
 		}
 	}

@@ -10,7 +10,6 @@ type Histogram struct {
 	counts []int
 	under  int // observations below lo
 	over   int // observations at or above hi
-	total  int
 }
 
 // NewHistogram creates a histogram with bins equal-width bins over [lo, hi).
@@ -32,7 +31,6 @@ func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
 
 // Add records one observation.
 func (h *Histogram) Add(x float64) {
-	h.total++
 	switch {
 	case x < h.lo:
 		h.under++
@@ -65,9 +63,6 @@ func (h *Histogram) Underflow() int { return h.under }
 
 // Overflow returns the number of observations at or above the range.
 func (h *Histogram) Overflow() int { return h.over }
-
-// Total returns the number of observations added, including out-of-range.
-func (h *Histogram) Total() int { return h.total }
 
 // BinEdges returns the lower and upper edge of bin i.
 func (h *Histogram) BinEdges(i int) (lo, hi float64) {

@@ -15,10 +15,6 @@ type KSResult struct {
 	N1, N2 int
 }
 
-// Reject reports whether the null hypothesis (same distribution) is
-// rejected at the given significance level.
-func (r KSResult) Reject(alpha float64) bool { return r.PValue < alpha }
-
 // KolmogorovSmirnov runs the two-sample KS test on two samples' ECDFs,
 // which hold them sorted. botscope uses it to compare generated
 // interval/duration distributions against reference shapes. It returns an

@@ -22,7 +22,7 @@ func TestKolmogorovSmirnovSameDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reject(0.001) {
+	if res.PValue < 0.001 {
 		t.Errorf("same distribution rejected: D=%v p=%v", res.Statistic, res.PValue)
 	}
 	if res.N1 != 800 || res.N2 != 800 {
@@ -38,7 +38,7 @@ func TestKolmogorovSmirnovDifferentDistributions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Reject(0.01) {
+	if res.PValue >= 0.01 {
 		t.Errorf("shifted distribution not rejected: D=%v p=%v", res.Statistic, res.PValue)
 	}
 	if res.Statistic < 0.3 {

@@ -51,34 +51,3 @@ func PearsonCorrelation(a, b []float64) (float64, error) {
 	}
 	return cov / math.Sqrt(va*vb), nil
 }
-
-// MAE returns the mean absolute error between predictions and truth.
-func MAE(pred, truth []float64) (float64, error) {
-	if len(pred) != len(truth) {
-		return 0, fmt.Errorf("stats: MAE needs equal lengths, got %d and %d", len(pred), len(truth))
-	}
-	if len(pred) == 0 {
-		return 0, ErrEmpty
-	}
-	var sum float64
-	for i := range pred {
-		sum += math.Abs(pred[i] - truth[i])
-	}
-	return sum / float64(len(pred)), nil
-}
-
-// RMSE returns the root mean squared error between predictions and truth.
-func RMSE(pred, truth []float64) (float64, error) {
-	if len(pred) != len(truth) {
-		return 0, fmt.Errorf("stats: RMSE needs equal lengths, got %d and %d", len(pred), len(truth))
-	}
-	if len(pred) == 0 {
-		return 0, ErrEmpty
-	}
-	var sum float64
-	for i := range pred {
-		d := pred[i] - truth[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(pred))), nil
-}

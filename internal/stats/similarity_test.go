@@ -72,31 +72,6 @@ func TestPearsonCorrelation(t *testing.T) {
 	}
 }
 
-func TestMAEAndRMSE(t *testing.T) {
-	pred := []float64{1, 2, 3}
-	truth := []float64{2, 2, 5}
-	mae, err := MAE(pred, truth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(mae, 1, 1e-12) { // (1+0+2)/3
-		t.Errorf("MAE = %v, want 1", mae)
-	}
-	rmse, err := RMSE(pred, truth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(rmse, math.Sqrt(5.0/3.0), 1e-12) {
-		t.Errorf("RMSE = %v, want %v", rmse, math.Sqrt(5.0/3.0))
-	}
-	if _, err := MAE([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("MAE length mismatch succeeded, want error")
-	}
-	if _, err := RMSE(nil, nil); err == nil {
-		t.Error("RMSE on empty succeeded, want error")
-	}
-}
-
 // Property: cosine similarity is symmetric, bounded by [-1, 1], and
 // invariant under positive scaling.
 func TestCosineSimilarityProperties(t *testing.T) {

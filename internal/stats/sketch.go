@@ -70,16 +70,6 @@ func newQuantileSketch(alpha float64, maxBins int) *QuantileSketch {
 	}
 }
 
-// Alpha returns the sketch's relative-error guarantee.
-func (s *QuantileSketch) Alpha() float64 { return s.alpha }
-
-// N returns the number of values added.
-func (s *QuantileSketch) N() int { return int(s.n) }
-
-// Bins returns the number of live log buckets (excluding the zero bucket),
-// the sketch's accuracy-relevant size.
-func (s *QuantileSketch) Bins() int { return s.live }
-
 // Add folds x into the sketch. Negative values are clamped to zero (the
 // live fold only feeds non-negative gap/duration seconds).
 func (s *QuantileSketch) Add(x float64) {
@@ -195,20 +185,4 @@ func clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// Min returns the smallest value added, or NaN for an empty sketch.
-func (s *QuantileSketch) Min() float64 {
-	if s.n == 0 {
-		return math.NaN()
-	}
-	return s.min
-}
-
-// Max returns the largest value added, or NaN for an empty sketch.
-func (s *QuantileSketch) Max() float64 {
-	if s.n == 0 {
-		return math.NaN()
-	}
-	return s.max
 }

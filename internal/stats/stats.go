@@ -255,25 +255,3 @@ func (o *Online) Max() float64 {
 	}
 	return o.max
 }
-
-// Merge folds another accumulator into o (parallel aggregation).
-func (o *Online) Merge(other Online) {
-	if other.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = other
-		return
-	}
-	n := o.n + other.n
-	delta := other.mean - o.mean
-	o.m2 += other.m2 + delta*delta*float64(o.n)*float64(other.n)/float64(n)
-	o.mean += delta * float64(other.n) / float64(n)
-	if other.min < o.min {
-		o.min = other.min
-	}
-	if other.max > o.max {
-		o.max = other.max
-	}
-	o.n = n
-}

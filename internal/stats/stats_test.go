@@ -182,47 +182,6 @@ func TestOnlineMatchesBatch(t *testing.T) {
 	}
 }
 
-func TestOnlineMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var a, b, whole Online
-	var xs []float64
-	for i := 0; i < 500; i++ {
-		x := rng.ExpFloat64()
-		xs = append(xs, x)
-		if i < 200 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-		whole.Add(x)
-	}
-	a.Merge(b)
-	if a.N() != whole.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), whole.N())
-	}
-	if !almostEqual(a.Mean(), whole.Mean(), 1e-9) {
-		t.Errorf("merged mean %v != whole mean %v", a.Mean(), whole.Mean())
-	}
-	if !almostEqual(a.Variance(), whole.Variance(), 1e-9) {
-		t.Errorf("merged variance %v != whole variance %v", a.Variance(), whole.Variance())
-	}
-}
-
-func TestOnlineMergeEmpty(t *testing.T) {
-	var a, b Online
-	a.Add(1)
-	a.Add(2)
-	saved := a
-	a.Merge(b) // merging empty is a no-op
-	if a != saved {
-		t.Errorf("merge with empty changed accumulator: %+v -> %+v", saved, a)
-	}
-	b.Merge(a) // merging into empty copies
-	if b.N() != 2 || !almostEqual(b.Mean(), 1.5, 1e-12) {
-		t.Errorf("merge into empty = %+v, want N=2 mean=1.5", b)
-	}
-}
-
 // Property: for any sample, Min <= Quantile(q) <= Max for q in [0,1], and
 // quantiles are monotone in q.
 func TestQuantileProperties(t *testing.T) {

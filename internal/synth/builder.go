@@ -2,7 +2,6 @@ package synth
 
 import (
 	"fmt"
-	"time"
 
 	"botscope/internal/botnet"
 	"botscope/internal/dataset"
@@ -17,28 +16,13 @@ import (
 // The zero value is not usable; start with NewScenario.
 type ScenarioBuilder struct {
 	seed     int64
-	window   botnet.Window
 	profiles []*botnet.Profile
-	collabs  []botnet.InterCollab
 	err      error
 }
 
-// NewScenario starts a builder with the paper's observation window.
+// NewScenario starts a builder over the paper's observation window.
 func NewScenario(seed int64) *ScenarioBuilder {
-	return &ScenarioBuilder{seed: seed, window: botnet.PaperWindow()}
-}
-
-// WithWindow overrides the observation window.
-func (b *ScenarioBuilder) WithWindow(start, end time.Time) *ScenarioBuilder {
-	if b.err != nil {
-		return b
-	}
-	if !end.After(start) {
-		b.err = fmt.Errorf("synth: window end %v not after start %v", end, start)
-		return b
-	}
-	b.window = botnet.Window{Start: start, End: end}
-	return b
+	return &ScenarioBuilder{seed: seed}
 }
 
 // AddProfile appends a custom family profile.
@@ -70,16 +54,6 @@ func (b *ScenarioBuilder) AddPaperFamily(f dataset.Family, scale float64) *Scena
 	return b
 }
 
-// AddCollaboration stages cross-family coordination between two added
-// families.
-func (b *ScenarioBuilder) AddCollaboration(ic botnet.InterCollab) *ScenarioBuilder {
-	if b.err != nil {
-		return b
-	}
-	b.collabs = append(b.collabs, ic)
-	return b
-}
-
 // Build runs the simulation and indexes the workload.
 func (b *ScenarioBuilder) Build() (*dataset.Store, error) {
 	if b.err != nil {
@@ -89,11 +63,7 @@ func (b *ScenarioBuilder) Build() (*dataset.Store, error) {
 		return nil, fmt.Errorf("synth: scenario has no families")
 	}
 	db := geo.NewDB(geo.DBConfig{Seed: b.seed})
-	sim, err := botnet.New(botnet.Config{
-		Seed:         b.seed,
-		Window:       b.window,
-		InterCollabs: b.collabs,
-	}, db, b.profiles)
+	sim, err := botnet.New(botnet.Config{Seed: b.seed, Window: botnet.PaperWindow()}, db, b.profiles)
 	if err != nil {
 		return nil, fmt.Errorf("synth: build scenario: %w", err)
 	}

@@ -2,7 +2,6 @@ package synth
 
 import (
 	"testing"
-	"time"
 
 	"botscope/internal/botnet"
 	"botscope/internal/dataset"
@@ -12,10 +11,6 @@ func TestScenarioBuilderPaperFamilies(t *testing.T) {
 	store, err := NewScenario(3).
 		AddPaperFamily(dataset.Dirtjumper, 0.01).
 		AddPaperFamily(dataset.Pandora, 0.01).
-		AddCollaboration(botnet.InterCollab{
-			Initiator: dataset.Dirtjumper, Partner: dataset.Pandora,
-			Pairs: 2, MatchDuration: true,
-		}).
 		Build()
 	if err != nil {
 		t.Fatal(err)
@@ -39,33 +34,10 @@ func TestScenarioBuilderErrors(t *testing.T) {
 	if _, err := NewScenario(1).AddProfile(bad).Build(); err == nil {
 		t.Error("invalid profile accepted")
 	}
-	start := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
-	if _, err := NewScenario(1).WithWindow(start, start).Build(); err == nil {
-		t.Error("empty window accepted")
-	}
 	// The first error wins and is sticky across later calls.
 	b := NewScenario(1).AddPaperFamily("mirai", 0.1).AddPaperFamily(dataset.Pandora, 0.1)
 	if _, err := b.Build(); err == nil {
 		t.Error("sticky error lost")
-	}
-}
-
-func TestScenarioBuilderCustomWindow(t *testing.T) {
-	start := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
-	end := start.AddDate(0, 2, 0)
-	store, err := NewScenario(4).
-		WithWindow(start, end).
-		AddPaperFamily(dataset.Darkshell, 0.02).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, _, ok := store.TimeBounds()
-	if !ok {
-		t.Fatal("empty store")
-	}
-	if first.Before(start) {
-		t.Errorf("first attack %v before custom window start %v", first, start)
 	}
 }
 

@@ -216,11 +216,6 @@ func (m *Model) residualsInto(w, resid []float64) []float64 {
 	return resid
 }
 
-// Residuals returns the in-sample CSS residuals in differenced space.
-func (m *Model) Residuals() []float64 {
-	return m.residuals(m.diffed)
-}
-
 // Forecast returns h future values in the original (level) space.
 func (m *Model) Forecast(h int) ([]float64, error) {
 	if h <= 0 {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"botscope/internal/dataset"
 	"botscope/internal/experiments"
@@ -46,9 +45,6 @@ func TestSnapshotRoundTripRunall(t *testing.T) {
 	}
 	if got, want := reloaded.NumBots(), store.NumBots(); got != want {
 		t.Fatalf("reloaded store has %d bots, want %d", got, want)
-	}
-	if got, want := reloaded.NumBotnets(), store.NumBotnets(); got != want {
-		t.Fatalf("reloaded store has %d botnets, want %d", got, want)
 	}
 
 	// Render the full experiment suite from both stores before touching
@@ -133,12 +129,6 @@ func TestStoreOriginsAgree(t *testing.T) {
 		t.Fatalf("ReadSnapshot: %v", err)
 	}
 
-	first, last, _ := built.TimeBounds()
-	mid := first.Add(last.Sub(first) / 2)
-	rowsInRange := func(s *Store) any {
-		lo, hi := s.RowsInRange(first.Add(time.Hour), mid)
-		return [2]int{lo, hi}
-	}
 	perTarget := func(s *Store) any {
 		var rows [][]int32
 		for _, tid := range s.TargetIDs().All() {
@@ -159,8 +149,6 @@ func TestStoreOriginsAgree(t *testing.T) {
 	}{
 		{"NumAttacks", func(s *Store) any { return s.NumAttacks() }},
 		{"NumBots", func(s *Store) any { return s.NumBots() }},
-		{"NumBotnets", func(s *Store) any { return s.NumBotnets() }},
-		{"NumTargets", func(s *Store) any { return s.NumTargets() }},
 		{"Families", func(s *Store) any { return s.Families() }},
 		{"FamilyCounts", func(s *Store) any { return s.FamilyCounts() }},
 		{"Targets", func(s *Store) any { return s.Targets() }},
@@ -171,7 +159,6 @@ func TestStoreOriginsAgree(t *testing.T) {
 		{"Summary", func(s *Store) any { return s.Summary() }},
 		{"RowsByFamily", perFamily},
 		{"TargetRows", perTarget},
-		{"RowsInRange", rowsInRange},
 	} {
 		if got, want := tc.get(reloaded), tc.get(built); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: reloaded store answers %v, NewStore store %v", tc.name, got, want)
