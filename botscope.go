@@ -382,7 +382,7 @@ func (a *Analyzer) MagnitudeProfile(f Family) (MagnitudeProfile, error) {
 }
 
 // ConcurrentLoad sweeps the workload for the number of simultaneously
-// active attacks over time (§II-B's "243 simultaneous attacks" figure).
+// active attacks over time (§II-B's "simultaneous attacks" figure).
 func (a *Analyzer) ConcurrentLoad() ([]core.LoadPoint, LoadStats, error) {
 	return core.ConcurrentLoad(a.w.Store)
 }

@@ -93,7 +93,7 @@ func run(args []string, stdout io.Writer) error {
 		// building the full record arena, and a record is garbage once
 		// the sink is done with it.
 		feed = func(fn func(*botscope.Attack) error) error {
-			for i, n := 0, store.AttackRows(); i < n; i++ {
+			for i, n := 0, store.NumAttacks(); i < n; i++ {
 				if err := fn(store.AttackRecordAt(i)); err != nil {
 					return err
 				}

@@ -12,8 +12,9 @@ import (
 
 // LogNormal samples a lognormal value with the given median and log-space
 // sigma, optionally truncated to max (ignored when max <= 0). Attack
-// durations and magnitudes follow this law: the paper reports median 1,766 s
-// against mean 10,308 s — the classic heavy-right-tail signature.
+// durations and magnitudes follow this law: the paper's duration median
+// is a sixth of its mean (published.DurationMedianSec, DurationMeanSec) —
+// the classic heavy-right-tail signature.
 func LogNormal(rng *rand.Rand, median, sigma, max float64) float64 {
 	mu := math.Log(median)
 	for i := 0; i < 64; i++ {

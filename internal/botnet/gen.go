@@ -169,7 +169,7 @@ func (g *familyGen) run(used map[netip.Addr]bool, nextBotnetID *dataset.BotnetID
 	}
 	for i := 0; i < p.IntraCollab; i++ {
 		size := 2
-		if g.rng.Float64() < 0.19 { // mean group size 2.19, as observed
+		if g.rng.Float64() < 0.19 { // mean group size published.MeanBotnets
 			size = 3
 		}
 		if consumed+size > remaining*3/4 {

@@ -205,7 +205,7 @@ func (pool *Pool) anchorCluster(cc string) *cityCluster {
 // observed in >40% of Dirtjumper and Pandora attacks. Asymmetric
 // formations split bots across two cities chosen so that the formation's
 // predicted signed-sum dispersion lands near targetDispKm (the per-family
-// means of the paper's Figs 10-11: Pandora ~566 km, Blackenergy ~4,304 km).
+// means of the paper's Figs 10-11, published.Dispersions).
 func (pool *Pool) Formation(anchorCC string, size int, symmetric bool, targetDispKm float64, when time.Time) []netip.Addr {
 	if size < 1 {
 		size = 1

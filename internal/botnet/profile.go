@@ -76,9 +76,9 @@ type Profile struct {
 	// 89.5% for Blackenergy in the paper.
 	SymmetricProb float64
 	// DispersionTargetKm is the per-family mean of the signed-sum
-	// geolocation dispersion for asymmetric formations (Table IV /
-	// Figs 10-11 of the paper: 566 km for Pandora, 4,304 km for
-	// Blackenergy, ...). The generator picks offset clusters whose
+	// geolocation dispersion for asymmetric formations (Figs 10-11 of the
+	// paper for Pandora and Blackenergy, published.Dispersions). The
+	// generator picks offset clusters whose
 	// predicted dispersion lands near this value.
 	DispersionTargetKm float64
 

@@ -14,8 +14,8 @@ import (
 )
 
 // BurstSpec injects a one-day attack storm, reproducing the paper's
-// maximum of 983 Dirtjumper attacks on 2012-08-30 against targets in a
-// single Russian subnet.
+// busiest day (published.DailyMax attacks, nearly all Dirtjumper's) on
+// 2012-08-30 against targets in a single Russian subnet.
 type BurstSpec struct {
 	// DayOffset is the day index inside the window (0 = first day).
 	DayOffset int

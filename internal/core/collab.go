@@ -30,8 +30,8 @@ type Collaboration struct {
 // (different botnet generations of the same malware).
 func (c *Collaboration) Intra() bool { return len(c.Families) == 1 }
 
-// Botnets returns the number of distinct botnet IDs involved — the paper's
-// Fig 15 reports an average of 2.19.
+// Botnets returns the number of distinct botnet IDs involved — Fig 15's
+// average is published.MeanBotnets.
 func (c *Collaboration) Botnets() int {
 	var buf [8]dataset.BotnetID
 	seen := buf[:0]
@@ -282,7 +282,7 @@ func QualifyCollaboration(target string, group []*dataset.Attack, durationWindow
 
 // CollabCounts is Table VI as a mergeable count: per-family intra- and
 // inter-family collaborations, inter-family pairs, and the mean botnets per
-// collaboration (paper: 2.19) kept as its integer numerator and
+// collaboration (published.MeanBotnets) kept as its integer numerator and
 // denominator. The batch table adds detected collaborations, the streaming
 // tracker holds one, and the cluster frontend merges the shards'; every
 // field is a sum, so disjoint target partitions merge to the whole in any

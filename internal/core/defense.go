@@ -95,7 +95,7 @@ type rankRec struct {
 // the way Compare does for zone-free addresses (bit length, then the
 // 128-bit value).
 func BuildBlacklist(s *dataset.Store, from, to time.Time, maxSize int) (*Blacklist, error) {
-	n := s.AttackRows()
+	n := s.NumAttacks()
 	if n == 0 {
 		return nil, fmt.Errorf("core: empty workload")
 	}
@@ -259,7 +259,7 @@ func EvaluateBlacklist(s *dataset.Store, bl *Blacklist, from, to time.Time) (Bla
 		blocked int
 	)
 	perAttack := make([]float64, 0, s.NumAttacks())
-	for i, n := 0, s.AttackRows(); i < n; i++ {
+	for i, n := 0, s.NumAttacks(); i < n; i++ {
 		v := s.AttackAt(i)
 		if !from.IsZero() && v.Start().Before(from) {
 			continue

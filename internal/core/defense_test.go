@@ -251,7 +251,7 @@ func TestBlacklistTruncate(t *testing.T) {
 // replaced (sort.Slice over entries with an Addr.Less tie-break, then a
 // member map), kept as the oracle for the dense-id one.
 func referenceBlacklist(s *dataset.Store, from, to time.Time, maxSize int) ([]BlacklistEntry, map[netip.Addr]bool, error) {
-	n := s.AttackRows()
+	n := s.NumAttacks()
 	if n == 0 {
 		return nil, nil, fmt.Errorf("core: empty workload")
 	}
@@ -321,7 +321,7 @@ func referenceEvaluate(s *dataset.Store, members map[netip.Addr]bool, from, to t
 		perAttack     []float64
 	)
 	ix := s.BotDense()
-	for i, n := 0, s.AttackRows(); i < n; i++ {
+	for i, n := 0, s.NumAttacks(); i < n; i++ {
 		v := s.AttackAt(i)
 		if !from.IsZero() && v.Start().Before(from) {
 			continue

@@ -19,7 +19,7 @@ import (
 // sharded over contiguous attack ranges; integer bucket sums are
 // order-independent, so the result matches a sequential pass.
 func HourOfDayCounts(s *dataset.Store) [24]int {
-	n := s.AttackRows()
+	n := s.NumAttacks()
 	var out [24]int
 	for _, shard := range par.ChunkMap(n, func(lo, hi int) [24]int {
 		var c [24]int
@@ -38,7 +38,7 @@ func HourOfDayCounts(s *dataset.Store) [24]int {
 // DayOfWeekCounts buckets attack starts into 7 weekdays (Sunday = 0),
 // sharded the same way as HourOfDayCounts.
 func DayOfWeekCounts(s *dataset.Store) [7]int {
-	n := s.AttackRows()
+	n := s.NumAttacks()
 	var out [7]int
 	for _, shard := range par.ChunkMap(n, func(lo, hi int) [7]int {
 		var c [7]int

@@ -56,7 +56,7 @@ func NewLiveFeed() *Feed {
 
 // FoldStore folds the workload's attacks, in row order, into an exact Feed.
 func FoldStore(s *dataset.Store) *Feed {
-	n := s.AttackRows()
+	n := s.NumAttacks()
 	f := NewFeed(n)
 	for i := 0; i < n; i++ {
 		v := s.AttackAt(i)
@@ -217,9 +217,9 @@ func AnalyzeIntervals(gaps []float64) (IntervalStats, error) {
 	return h.intervals()
 }
 
-// DurationStats carries the §III-C headline numbers: the paper reports
-// mean 10,308 s, median 1,766 s, std 18,475 s, and 80% under 13,882 s
-// (about four hours).
+// DurationStats carries the §III-C headline numbers, which the paper
+// reports as published.DurationMeanSec, DurationMedianSec, DurationStdSec
+// and DurationP80Sec (80% of attacks end within about four hours).
 type DurationStats struct {
 	stats.Summary
 	// FracUnder4h is the fraction of attacks shorter than LongDuration.
@@ -265,8 +265,8 @@ type LoadStats struct {
 	// PeakTime is when the peak was first reached.
 	PeakTime time.Time
 	// TimeWeightedMean is the average number of active attacks from the
-	// first start to the last end (the paper reports 243 simultaneous
-	// attacks on average).
+	// first start to the last end (the paper's "simultaneous attacks on
+	// average" is its daily launch count, published.DailyMean).
 	TimeWeightedMean float64
 }
 

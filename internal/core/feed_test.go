@@ -13,7 +13,7 @@ import (
 // fold's.
 func TestFeedReadsDoNotMutate(t *testing.T) {
 	s := synthWorkload(t)
-	n := s.AttackRows()
+	n := s.NumAttacks()
 	read, once, live := NewFeed(n), NewFeed(n), NewLiveFeed()
 	for i := 0; i < n; i++ {
 		v := s.AttackAt(i)

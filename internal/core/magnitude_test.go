@@ -120,7 +120,7 @@ func referenceConcurrentLoad(s *dataset.Store) ([]LoadPoint, LoadStats) {
 		delta int
 	}
 	var events []boundary
-	for i, n := 0, s.AttackRows(); i < n; i++ {
+	for i, n := 0, s.NumAttacks(); i < n; i++ {
 		v := s.AttackAt(i)
 		events = append(events, boundary{v.Start(), 1}, boundary{v.End(), -1})
 	}

@@ -91,7 +91,7 @@ func (t *TypeCounts) FamilyProtocol() []FamilyProtocolRow {
 // typeCounts folds the store's rows.
 func typeCounts(s *dataset.Store) *TypeCounts {
 	var t TypeCounts
-	for i, n := 0, s.AttackRows(); i < n; i++ {
+	for i, n := 0, s.NumAttacks(); i < n; i++ {
 		v := s.AttackAt(i)
 		t.Add(v.Category(), v.Family(), 1)
 	}
@@ -114,8 +114,9 @@ type DailyCount struct {
 	ByFamily map[dataset.Family]int
 }
 
-// DailyStats summarizes the daily distribution: the paper reports an
-// average of 243 attacks/day and a 983-attack maximum on Aug 30, 2012.
+// DailyStats summarizes the daily distribution: the paper reports
+// published.DailyMean attacks a day on average and published.DailyMax on
+// Aug 30, 2012.
 type DailyStats struct {
 	Days    []DailyCount
 	Average float64
@@ -280,7 +281,7 @@ func foldDays(d *DailyFold, parts []DailyPart, next []int, until *time.Time) {
 // returns the Fig 2 series with its headline statistics. The error is
 // non-nil for an empty store.
 func DailyDistribution(s *dataset.Store) (DailyStats, error) {
-	n := s.AttackRows()
+	n := s.NumAttacks()
 	if n == 0 {
 		return DailyStats{}, fmt.Errorf("core: empty workload")
 	}

@@ -109,7 +109,7 @@ func TestRowDispersionMatchesDispersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := s.BotDense()
-	for row := 0; row < s.AttackRows(); row++ {
+	for row := 0; row < s.NumAttacks(); row++ {
 		pts := want[s.AttackAt(row).ID()-1]
 		got, gok := rowDispersion(ix, row)
 		wd, wok := geo.Dispersion(pts)

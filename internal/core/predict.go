@@ -36,7 +36,7 @@ type PredictConfig struct {
 	// small grid with d = 0.
 	Order timeseries.Order
 	// TestPoints caps the evaluation set size; the paper uses the last
-	// 2,700 points. Zero means half the series.
+	// published.TestPoints points. Zero means half the series.
 	TestPoints int
 }
 
@@ -70,21 +70,14 @@ func predict(f dataset.Family, series []float64, cfg PredictConfig, fit func(tra
 	if err != nil {
 		return nil, fmt.Errorf("core: fit dispersion model for %s: %w", f, err)
 	}
-	preds, err := model.OneStepForecasts(series, split)
-	if err != nil {
-		return nil, fmt.Errorf("core: forecast for %s: %w", f, err)
+	preds, sim, fcErr, err := scoreOneStep(model, series, split)
+	if fcErr != nil {
+		return nil, fmt.Errorf("core: forecast for %s: %w", f, fcErr)
 	}
-	// Dispersion is a magnitude; clamp negative one-step forecasts.
-	for i, p := range preds {
-		if p < 0 {
-			preds[i] = 0
-		}
-	}
-	truth := series[split:]
-	sim, err := stats.CosineSimilarity(preds, truth)
 	if err != nil {
 		return nil, fmt.Errorf("core: score forecasts for %s: %w", f, err)
 	}
+	truth := series[split:]
 	errs := make([]float64, len(preds))
 	for i := range preds {
 		errs[i] = math.Abs(preds[i] - truth[i])
@@ -101,6 +94,29 @@ func predict(f dataset.Family, series []float64, cfg PredictConfig, fit func(tra
 		StdTruth:   stats.StdDev(truth),
 		Similarity: sim,
 	}, nil
+}
+
+// scoreOneStep is §IV-A's scoring step, shared by the prediction
+// experiment and the transfer matrix: model's one-step forecasts of series
+// from split on, clamped at zero (dispersion is a distance), and their
+// cosine similarity to the truth, series[split:]. A forecast failure comes
+// back as fcErr and a scoring failure as err, so each caller keeps its
+// own message for each.
+func scoreOneStep(model *timeseries.Model, series []float64, split int) (preds []float64, sim float64, fcErr, err error) {
+	if preds, fcErr = model.OneStepForecasts(series, split); fcErr != nil {
+		return nil, 0, fcErr, nil
+	}
+	clampNonNegative(preds)
+	sim, err = stats.CosineSimilarity(preds, series[split:])
+	return preds, sim, nil, err
+}
+
+func clampNonNegative(xs []float64) {
+	for i, x := range xs {
+		if x < 0 {
+			xs[i] = 0
+		}
+	}
 }
 
 // NextAttackPrediction is the target-side §III insight: for a repeatedly

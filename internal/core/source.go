@@ -82,8 +82,8 @@ func DispersionValues(series memo.View[DispersionPoint]) []float64 {
 
 // DispersionProfile is the per-family §IV-A characterization: how often
 // the formation is symmetric, and the statistics of the asymmetric part.
-// The paper reports Pandora 76.7% symmetric with asymmetric mean ~566 km,
-// and Blackenergy 89.5% symmetric with asymmetric mean ~4,304 km.
+// The paper reports both for Pandora and Blackenergy
+// (published.Dispersions).
 type DispersionProfile struct {
 	Family        dataset.Family
 	N             int

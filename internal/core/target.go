@@ -58,7 +58,7 @@ func TargetCountries(s *dataset.Store, f dataset.Family, topN int) TargetCountry
 // Netherlands 2,816).
 func GlobalTargetCountries(s *dataset.Store, topN int) []CountryCount {
 	counts := make(map[string]int)
-	for i, n := 0, s.AttackRows(); i < n; i++ {
+	for i, n := 0, s.NumAttacks(); i < n; i++ {
 		counts[s.AttackAt(i).TargetCountry()]++
 	}
 	out := make([]CountryCount, 0, len(counts))

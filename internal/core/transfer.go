@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"botscope/internal/dataset"
@@ -37,13 +38,8 @@ type TransferResult struct {
 // source.
 func nativeScore(tgt []float64, nativeModel *timeseries.Model) (muTrain, nativeSim float64, err error) {
 	split := len(tgt) / 2
-	nativePreds, err := nativeModel.OneStepForecasts(tgt, split)
-	if err != nil {
-		return 0, 0, err
-	}
-	clampNonNegative(nativePreds)
-	nativeSim, err = stats.CosineSimilarity(nativePreds, tgt[split:])
-	if err != nil {
+	_, nativeSim, fcErr, err := scoreOneStep(nativeModel, tgt, split)
+	if err = cmp.Or(fcErr, err); err != nil {
 		return 0, 0, err
 	}
 	return stats.Mean(tgt[:split]), nativeSim, nil
@@ -54,8 +50,6 @@ func nativeScore(tgt []float64, nativeModel *timeseries.Model) (muTrain, nativeS
 // re-anchored to the target's training mean (levels differ per family,
 // shapes transfer).
 func transferScore(source, target dataset.Family, srcModel *timeseries.Model, tgt []float64, muTrain, nativeSim float64) (*TransferResult, error) {
-	split := len(tgt) / 2
-	truth := tgt[split:]
 	transferred := &timeseries.Model{
 		Order:  srcModel.Order,
 		Mu:     muTrain,
@@ -63,12 +57,10 @@ func transferScore(source, target dataset.Family, srcModel *timeseries.Model, tg
 		MA:     srcModel.MA,
 		Sigma2: srcModel.Sigma2,
 	}
-	transferPreds, err := transferred.OneStepForecasts(tgt, split)
-	if err != nil {
-		return nil, fmt.Errorf("core: transfer forecast %s->%s: %w", source, target, err)
+	_, transferSim, fcErr, err := scoreOneStep(transferred, tgt, len(tgt)/2)
+	if fcErr != nil {
+		return nil, fmt.Errorf("core: transfer forecast %s->%s: %w", source, target, fcErr)
 	}
-	clampNonNegative(transferPreds)
-	transferSim, err := stats.CosineSimilarity(transferPreds, truth)
 	if err != nil {
 		return nil, err
 	}
@@ -83,12 +75,4 @@ func transferScore(source, target dataset.Family, srcModel *timeseries.Model, tg
 		res.Retention = transferSim / nativeSim
 	}
 	return res, nil
-}
-
-func clampNonNegative(xs []float64) {
-	for i, x := range xs {
-		if x < 0 {
-			xs[i] = 0
-		}
-	}
 }

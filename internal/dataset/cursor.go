@@ -23,9 +23,6 @@ type AttackView struct {
 // order).
 func (c *Columns) Attack(i int) AttackView { return AttackView{c: c, row: int32(i)} }
 
-// AttackRows returns the number of attack rows, for cursor loops.
-func (s *Store) AttackRows() int { return len(s.Cols().aID) }
-
 // AttackAt returns a cursor over attack row i without touching the
 // record face.
 func (s *Store) AttackAt(i int) AttackView { return s.Cols().Attack(i) }

@@ -48,7 +48,7 @@ func TestSnapshotLazyRecords(t *testing.T) {
 		t.Fatal("lazy dense index differs")
 	}
 	want := s.Attacks()
-	for i, n := 0, got.AttackRows(); i < n; i++ {
+	for i, n := 0, got.NumAttacks(); i < n; i++ {
 		v, w := got.AttackAt(i), want[i]
 		if v.ID() != w.ID || v.BotnetID() != w.BotnetID || v.Family() != w.Family ||
 			v.Category() != w.Category || v.TargetIP() != w.TargetIP ||
@@ -153,7 +153,7 @@ func TestSnapshotConcurrentMaterialize(t *testing.T) {
 						}
 					}
 				case 2:
-					for i := 0; i < got.AttackRows(); i++ {
+					for i := 0; i < got.NumAttacks(); i++ {
 						if got.AttackRecordAt(i) == nil {
 							errs <- "nil record"
 						}
@@ -253,7 +253,7 @@ func TestReadSnapshotMmapInfo(t *testing.T) {
 			if got.NumAttacks() != s.NumAttacks() {
 				t.Fatalf("NumAttacks = %d, want %d", got.NumAttacks(), s.NumAttacks())
 			}
-			for i, n := 0, got.AttackRows(); i < n; i++ {
+			for i, n := 0, got.NumAttacks(); i < n; i++ {
 				_ = got.AttackAt(i).Family()
 			}
 			if got.RecordsMaterialized() {

@@ -108,7 +108,7 @@ func TestSnapshotPathsAgree(t *testing.T) {
 					t.Fatalf("BotIndex.Bot(%d) resolves differently", id)
 				}
 			}
-			for i := 0; i < built.AttackRows(); i++ {
+			for i := 0; i < built.NumAttacks(); i++ {
 				if w, h := built.AttackAt(i), got.AttackAt(i); w.TargetIP() != h.TargetIP() {
 					t.Fatalf("attack row %d targets %v, want %v", i, h.TargetIP(), w.TargetIP())
 				}

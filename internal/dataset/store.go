@@ -161,7 +161,8 @@ func (s *Store) botRowsByIP() map[netip.Addr]int32 {
 	return m
 }
 
-// NumAttacks returns the number of attack records.
+// NumAttacks returns the number of attacks: the record count, and the row
+// count cursor loops run to.
 func (s *Store) NumAttacks() int { return len(s.cols.aID) }
 
 // Attacks returns all attacks ordered by start time, materializing every

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"botscope/internal/core"
+	"botscope/internal/published"
 	"botscope/internal/report"
 	"botscope/internal/stats"
 	"botscope/internal/timeseries"
@@ -24,9 +25,10 @@ func (w *Workload) ExtCalibration() (*Result, error) {
 	if durs.N() == 0 {
 		return nil, fmt.Errorf("no durations")
 	}
-	// Reference: the §III-C lognormal law (median 1,766 s, sigma 1.9),
-	// deterministically quantile-sampled like the Fig 7 baseline.
-	ref := stats.NewECDF(lognormalQuantiles(durs.N(), 1766, 1.9))
+	// Reference: the §III-C lognormal law (median
+	// published.DurationMedianSec, sigma 1.9), deterministically
+	// quantile-sampled like the Fig 7 baseline.
+	ref := stats.NewECDF(lognormalQuantiles(durs.N(), published.DurationMedianSec, 1.9))
 	ks, err := stats.KolmogorovSmirnov(durs, ref)
 	if err != nil {
 		return nil, err
@@ -161,9 +163,9 @@ func (w *Workload) ExtDiurnal() (*Result, error) {
 }
 
 // ExtLoad regenerates the §II-B concurrent-load observation. The paper's
-// "243 simultaneous attacks on average" conflates the daily launch count
-// (which is 243) with concurrency; the sweep-line here measures true
-// concurrency and cross-checks it against Little's law
+// "simultaneous attacks on average" is its daily launch count
+// (published.DailyMean), not a concurrency; the sweep-line here measures
+// true concurrency and cross-checks it against Little's law
 // (active = launch rate x mean duration).
 func (w *Workload) ExtLoad() (*Result, error) {
 	load := w.feedProducts()
@@ -190,7 +192,6 @@ func (w *Workload) ExtLoad() (*Result, error) {
 	res.AddMetric("mean concurrently active attacks", st.TimeWeightedMean)
 	res.AddMetric("little's-law expectation", littles)
 	res.AddMetric("peak simultaneous attacks", float64(st.Peak))
-	// The paper's 243 "simultaneous" figure is its daily launch count.
-	res.AddPaperMetric("daily launches (the paper's 243)", daily.Average, 243*w.Scale)
+	res.AddPaperMetric("daily launches (the paper's 243)", daily.Average, published.DailyMean*w.Scale)
 	return res, nil
 }

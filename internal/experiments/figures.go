@@ -9,9 +9,9 @@ import (
 	"botscope/internal/dataset"
 	"botscope/internal/monitor"
 	"botscope/internal/par"
+	"botscope/internal/published"
 	"botscope/internal/report"
 	"botscope/internal/stats"
-	"botscope/internal/timeseries"
 )
 
 // Figure1 regenerates the attack-type popularity chart.
@@ -33,16 +33,16 @@ func (w *Workload) Figure1() (*Result, error) {
 		Title: "Popularity of attack types",
 		Text:  report.BarChart("Figure 1 — popularity of attack types", labels, values, 50),
 	}
-	// The paper: HTTP dominates (Table II sums: 47,734/50,704) and most
-	// attacks use connection-oriented transports (48,491/50,704).
-	res.AddPaperMetric("HTTP share", values[0]/total, 0.941)
+	// The paper: HTTP dominates, and most attacks use connection-oriented
+	// transports (both shares are Table II sums).
+	res.AddPaperMetric("HTTP share", values[0]/total, published.HTTPShare)
 	oriented := 0.0
 	for i, r := range rows.All() {
 		if r.Category.ConnectionOriented() {
 			oriented += values[i]
 		}
 	}
-	res.AddPaperMetric("connection-oriented share", oriented/total, 0.956)
+	res.AddPaperMetric("connection-oriented share", oriented/total, published.ConnectionOrientedShare)
 	return res, nil
 }
 
@@ -71,8 +71,8 @@ func (w *Workload) Figure2() (*Result, error) {
 	}
 	b.WriteString(t.String())
 	res := &Result{ID: "Figure 2", Title: "Daily attack distribution", Text: b.String()}
-	res.AddPaperMetric("average attacks/day", st.Average, 243*w.Scale)
-	res.AddPaperMetric("max attacks/day", float64(st.Max), 983*w.Scale)
+	res.AddPaperMetric("average attacks/day", st.Average, published.DailyMean*w.Scale)
+	res.AddPaperMetric("max attacks/day", float64(st.Max), published.DailyMax*w.Scale)
 	if st.MaxDominantFamily == dataset.Dirtjumper {
 		res.AddPaperMetric("peak dominated by dirtjumper", 1, 1)
 	} else {
@@ -99,15 +99,15 @@ func (w *Workload) Figure3() (*Result, error) {
 
 	var b strings.Builder
 	b.WriteString(report.MultiCDFLandmarks("Figure 3 — attack interval CDF (seconds)",
-		names, cdfs, []float64{60, 1081}))
+		names, cdfs, []float64{60, published.FamilyIntervalP80Sec}))
 	b.WriteString(report.CDFChart("family-based interval CDF", cdfs[1], 64, 12))
 	res := &Result{ID: "Figure 3", Title: "Attack interval CDF", Text: b.String()}
-	res.AddPaperMetric("all-attacks concurrent share", all.st.SimultaneousFrac, 0.55)
-	res.AddPaperMetric("family-based concurrent share", famStats.SimultaneousFrac, 0.50)
+	res.AddPaperMetric("all-attacks concurrent share", all.st.SimultaneousFrac, published.SimultaneousShare)
+	res.AddPaperMetric("family-based concurrent share", famStats.SimultaneousFrac, published.FamilySimultaneousShare)
 	// Scaled workloads stretch gaps linearly (same window, fewer attacks);
-	// compare against the paper's 1,081 s P80 rescaled accordingly.
-	res.AddPaperMetric("family-based P80 (s)", famStats.P80, 1081/w.Scale)
-	res.AddPaperMetric("family-based mean (s)", famStats.Mean, 3060/w.Scale)
+	// compare against the paper's P80 and mean rescaled accordingly.
+	res.AddPaperMetric("family-based P80 (s)", famStats.P80, published.FamilyIntervalP80Sec/w.Scale)
+	res.AddPaperMetric("family-based mean (s)", famStats.Mean, published.FamilyIntervalMeanSec/w.Scale)
 	return res, nil
 }
 
@@ -179,12 +179,11 @@ func (w *Workload) Figure5() (*Result, error) {
 		frac := cdfs[i].Eval(59.999)
 		switch name {
 		case string(dataset.Aldibot), string(dataset.Optima):
-			// These two families launch nothing within 60 s (paper Fig 5).
-			res.AddPaperMetric(name+" share below 60s", frac, 0)
+			res.AddPaperMetric(name+" share below 60s", frac, published.OptimaAldibotBelow60s)
 		case string(dataset.Blackenergy):
-			res.AddPaperMetric(name+" share below 60s", frac, 0.40)
+			res.AddPaperMetric(name+" share below 60s", frac, published.BlackenergyBelow60s)
 		case string(dataset.Dirtjumper):
-			res.AddPaperMetric(name+" share below 60s", frac, 0.55)
+			res.AddPaperMetric(name+" share below 60s", frac, published.DirtjumperBelow60s)
 		}
 	}
 	return res, nil
@@ -204,9 +203,9 @@ func (w *Workload) Figure6() (*Result, error) {
 		Title: "Attack durations over time",
 		Text:  report.SeriesPanel("Figure 6 — attack durations over time (seconds)", durs.xs, 72),
 	}
-	res.AddPaperMetric("mean duration (s)", durs.st.Mean, 10308)
-	res.AddPaperMetric("median duration (s)", durs.st.Median, 1766)
-	res.AddPaperMetric("std duration (s)", durs.st.StdDev, 18475)
+	res.AddPaperMetric("mean duration (s)", durs.st.Mean, published.DurationMeanSec)
+	res.AddPaperMetric("median duration (s)", durs.st.Median, published.DurationMedianSec)
+	res.AddPaperMetric("std duration (s)", durs.st.StdDev, published.DurationStdSec)
 	return res, nil
 }
 
@@ -225,13 +224,13 @@ func (w *Workload) Figure7() (*Result, error) {
 	var b strings.Builder
 	b.WriteString(report.MultiCDFLandmarks("Figure 7 — duration distribution CDF (seconds)",
 		[]string{"botscope workload", "single-ISP baseline [24]"},
-		[]*stats.ECDF{ours, base}, []float64{60, 4500, 13882}))
+		[]*stats.ECDF{ours, base}, []float64{60, 4500, published.DurationP80Sec}))
 	b.WriteString(report.CDFChart("duration CDF", ours, 64, 12))
 	res := &Result{ID: "Figure 7", Title: "Duration CDF vs baseline", Text: b.String()}
-	res.AddPaperMetric("share under 4 hours", st.FracUnder4h, 0.8)
-	res.AddPaperMetric("share under 60 s", st.FracUnder60s, 0.10)
-	res.AddPaperMetric("P80 duration (s)", st.P80, 13882)
-	res.AddPaperMetric("baseline share under 1.25 h", base.Eval(1.25*3600), 0.8)
+	res.AddPaperMetric("share under 4 hours", st.FracUnder4h, published.DurationUnder4h)
+	res.AddPaperMetric("share under 60 s", st.FracUnder60s, published.DurationUnder60s)
+	res.AddPaperMetric("P80 duration (s)", st.P80, published.DurationP80Sec)
+	res.AddPaperMetric("baseline share under 1.25 h", base.Eval(1.25*3600), published.BaselineUnder75m)
 	return res, nil
 }
 
@@ -292,10 +291,8 @@ func (w *Workload) Figure8() (*Result, error) {
 	b.WriteString(report.BarChart("Figure 8 — weekly shifts into existing countries", labels, existVals, 40))
 	b.WriteString(report.BarChart("Figure 8 — weekly shifts into new countries", labels, freshVals, 40))
 	res := &Result{ID: "Figure 8", Title: "Weekly source shift patterns", Text: b.String()}
-	// The paper: existing-country shifts dwarf new-country shifts by about
-	// an order of magnitude (left axis 1e4, right axis 1e3).
 	ratio := totalExist / (totalNew + 1)
-	res.AddPaperMetric("existing/new shift ratio", ratio, 10)
+	res.AddPaperMetric("existing/new shift ratio", ratio, published.SourceShiftRatio)
 	res.AddMetric("total existing-country bot shifts", totalExist)
 	res.AddMetric("total new-country bot shifts", totalNew)
 	return res, nil
@@ -332,8 +329,7 @@ func (w *Workload) Figure9() (*Result, error) {
 		frac := cdfs[i].Eval(core.SymmetryToleranceKm)
 		switch name {
 		case string(dataset.Dirtjumper), string(dataset.Pandora):
-			// ">40% of distances at zero" for these two families.
-			res.AddPaperMetric(name+" symmetric share", frac, 0.4)
+			res.AddPaperMetric(name+" symmetric share", frac, published.SymmetricFloor)
 		default:
 			res.AddMetric(name+" symmetric share", frac)
 		}
@@ -342,7 +338,7 @@ func (w *Workload) Figure9() (*Result, error) {
 }
 
 // dispersionHistogram builds the Figs 10/11 result for one family.
-func (w *Workload) dispersionHistogram(id string, f dataset.Family, paperMean, paperSymmetric float64) (*Result, error) {
+func (w *Workload) dispersionHistogram(id string, f dataset.Family) (*Result, error) {
 	prof, err := w.Disp().Profile(f)
 	if err != nil {
 		return nil, err
@@ -356,31 +352,25 @@ func (w *Workload) dispersionHistogram(id string, f dataset.Family, paperMean, p
 	fmt.Fprintf(&b, "symmetric share removed: %s\n", report.PercentString(prof.SymmetricFrac))
 	b.WriteString(report.HistogramChart("", h, 50))
 	res := &Result{ID: id, Title: fmt.Sprintf("%s dispersion histogram", f), Text: b.String()}
-	res.AddPaperMetric("asymmetric mean (km)", prof.Asymmetric.Mean, paperMean)
-	res.AddPaperMetric("symmetric share", prof.SymmetricFrac, paperSymmetric)
+	paper := published.Dispersions[string(f)]
+	res.AddPaperMetric("asymmetric mean (km)", prof.Asymmetric.Mean, paper.MeanKm)
+	res.AddPaperMetric("symmetric share", prof.SymmetricFrac, paper.Symmetric)
 	return res, nil
 }
 
 // Figure10 regenerates Pandora's dispersion histogram.
 func (w *Workload) Figure10() (*Result, error) {
-	return w.dispersionHistogram("Figure 10", dataset.Pandora, 566, 0.767)
+	return w.dispersionHistogram("Figure 10", dataset.Pandora)
 }
 
 // Figure11 regenerates Blackenergy's dispersion histogram.
 func (w *Workload) Figure11() (*Result, error) {
-	return w.dispersionHistogram("Figure 11", dataset.Blackenergy, 4304, 0.895)
+	return w.dispersionHistogram("Figure 11", dataset.Blackenergy)
 }
 
 // dispersionPrediction builds the Figs 12/13 result for one family.
-func (w *Workload) dispersionPrediction(id string, f dataset.Family, paperSim float64) (*Result, error) {
-	cfg := core.PredictConfig{
-		Order:      timeseries.Order{P: 1},
-		TestPoints: int(2700 * w.Scale),
-	}
-	if cfg.TestPoints < 20 {
-		cfg.TestPoints = 20
-	}
-	pred, err := w.Disp().Predict(f, cfg)
+func (w *Workload) dispersionPrediction(id string, f dataset.Family) (*Result, error) {
+	pred, err := w.Disp().Predict(f, w.predictConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -390,19 +380,19 @@ func (w *Workload) dispersionPrediction(id string, f dataset.Family, paperSim fl
 	b.WriteString(report.SeriesPanel("prediction (km)", pred.Predicted, 72))
 	b.WriteString(report.SeriesPanel("absolute error (km)", pred.Errors, 72))
 	res := &Result{ID: id, Title: fmt.Sprintf("%s dispersion prediction", f), Text: b.String()}
-	res.AddPaperMetric("cosine similarity", pred.Similarity, paperSim)
+	res.AddPaperMetric("cosine similarity", pred.Similarity, published.Similarity[string(f)])
 	res.AddMetric("mean abs error (km)", stats.Mean(pred.Errors))
 	return res, nil
 }
 
 // Figure12 regenerates Pandora's prediction panels.
 func (w *Workload) Figure12() (*Result, error) {
-	return w.dispersionPrediction("Figure 12", dataset.Pandora, 0.946)
+	return w.dispersionPrediction("Figure 12", dataset.Pandora)
 }
 
 // Figure13 regenerates Blackenergy's prediction panels.
 func (w *Workload) Figure13() (*Result, error) {
-	return w.dispersionPrediction("Figure 13", dataset.Blackenergy, 0.960)
+	return w.dispersionPrediction("Figure 13", dataset.Blackenergy)
 }
 
 // Figure14 regenerates the Pandora organization-level hotspot map
@@ -492,8 +482,8 @@ func (w *Workload) Figure15() (*Result, error) {
 		}
 	}
 	res := &Result{ID: "Figure 15", Title: "Dirtjumper intra-family collaborations", Text: t.String()}
-	res.AddPaperMetric("collaborations", float64(len(events)), 756*w.Scale)
-	res.AddPaperMetric("mean botnets per collaboration", float64(totBotnets)/float64(len(events)), 2.19)
+	res.AddPaperMetric("collaborations", float64(len(events)), published.IntraDirtjumper*w.Scale)
+	res.AddPaperMetric("mean botnets per collaboration", float64(totBotnets)/float64(len(events)), published.MeanBotnets)
 	// "for most bars along the same timestamp, they have the same height".
 	res.AddMetric("share with equal magnitudes", float64(magEqual)/float64(len(events)))
 	return res, nil
@@ -531,11 +521,11 @@ func (w *Workload) Figure16() (*Result, error) {
 	t.AddRow("span", fmt.Sprintf("%.1f weeks", pair.Span.Hours()/(24*7)))
 	b.WriteString(t.String())
 	res := &Result{ID: "Figure 16", Title: "Dirtjumper x Pandora collaborations", Text: b.String()}
-	res.AddPaperMetric("collaborations", float64(pair.Count), 118*w.Scale)
-	res.AddPaperMetric("unique targets", float64(pair.UniqueTargets), 96*w.Scale)
-	res.AddPaperMetric("pandora mean duration (s)", pair.MeanDurationB, 6420)
-	res.AddPaperMetric("dirtjumper mean duration (s)", pair.MeanDurationA, 5083)
-	res.AddPaperMetric("span (weeks)", pair.Span.Hours()/(24*7), 16)
+	res.AddPaperMetric("collaborations", float64(pair.Count), published.InterPandora*w.Scale)
+	res.AddPaperMetric("unique targets", float64(pair.UniqueTargets), published.PairTargets*w.Scale)
+	res.AddPaperMetric("pandora mean duration (s)", pair.MeanDurationB, published.PairPandoraMeanDurationSec)
+	res.AddPaperMetric("dirtjumper mean duration (s)", pair.MeanDurationA, published.PairDirtjumperMeanDurationSec)
+	res.AddPaperMetric("span (weeks)", pair.Span.Hours()/(24*7), published.PairSpanWeeks)
 	return res, nil
 }
 
@@ -549,8 +539,8 @@ func (w *Workload) Figure17() (*Result, error) {
 	var b strings.Builder
 	b.WriteString(report.CDFChart("Figure 17 — consecutive attack gap CDF (seconds)", cdf, 64, 12))
 	res := &Result{ID: "Figure 17", Title: "Consecutive attack gap CDF", Text: b.String()}
-	res.AddPaperMetric("share within 10 s", st.FracWithin10s, 0.65)
-	res.AddPaperMetric("share within 30 s", st.FracWithin30s, 0.80)
+	res.AddPaperMetric("share within 10 s", st.FracWithin10s, published.ChainGapWithin10s)
+	res.AddPaperMetric("share within 30 s", st.FracWithin30s, published.ChainGapWithin30s)
 	res.AddMetric("chains", float64(len(st.Chains)))
 	return res, nil
 }
@@ -587,6 +577,6 @@ func (w *Workload) Figure18() (*Result, error) {
 	}
 	res := &Result{ID: "Figure 18", Title: "Consecutive attacks over time", Text: b.String()}
 	res.AddMetric("chain events", float64(len(events)))
-	res.AddPaperMetric("longest chain length", float64(st.Longest.Length()), 22)
+	res.AddPaperMetric("longest chain length", float64(st.Longest.Length()), published.LongestChain)
 	return res, nil
 }

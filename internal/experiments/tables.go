@@ -6,6 +6,7 @@ import (
 
 	"botscope/internal/core"
 	"botscope/internal/dataset"
+	"botscope/internal/published"
 	"botscope/internal/report"
 	"botscope/internal/timeseries"
 )
@@ -29,22 +30,15 @@ func (w *Workload) TableII() (*Result, error) {
 	for _, r := range rows {
 		counts[r.Category.String()+"/"+string(r.Family)] = float64(r.Count)
 	}
-	paper := []struct {
-		key  string
-		want float64
-	}{
-		{key: "HTTP/dirtjumper", want: 34620},
-		{key: "HTTP/pandora", want: 6906},
-		{key: "HTTP/blackenergy", want: 3048},
-		{key: "UNDETERMINED/darkshell", want: 1530},
-		{key: "TCP/nitol", want: 345},
-		{key: "UDP/yzf", want: 187},
-		{key: "UDP/ddoser", want: 126},
-		{key: "SYN/blackenergy", want: 31},
-	}
-	for _, p := range paper {
-		res.AddPaperMetric(p.key, counts[p.key], p.want*w.Scale)
-	}
+	cell := func(key string, paper float64) { res.AddPaperMetric(key, counts[key], paper*w.Scale) }
+	cell("HTTP/dirtjumper", published.DirtjumperHTTP)
+	cell("HTTP/pandora", published.PandoraHTTP)
+	cell("HTTP/blackenergy", published.BlackenergyHTTP)
+	cell("UNDETERMINED/darkshell", published.DarkshellUndetermined)
+	cell("TCP/nitol", published.NitolTCP)
+	cell("UDP/yzf", published.YZFUDP)
+	cell("UDP/ddoser", published.DdoserUDP)
+	cell("SYN/blackenergy", published.BlackenergySYN)
 	return res, nil
 }
 
@@ -72,28 +66,31 @@ func (w *Workload) TableIII() (*Result, error) {
 	t.AddRow("victims", "# of asn", report.FormatInt(sum.TargetASNs))
 
 	res := &Result{ID: "Table III", Title: "Workload summary", Text: t.String()}
-	res.AddPaperMetric("attacks", float64(sum.Attacks), 50704*w.Scale)
-	res.AddPaperMetric("botnets", float64(sum.Botnets), 674*w.Scale)
-	res.AddPaperMetric("bot IPs", float64(sum.BotIPs), 310950*w.Scale)
-	res.AddPaperMetric("target IPs", float64(sum.TargetIPs), 9026*w.Scale)
-	res.AddPaperMetric("target countries", float64(sum.TargetCountries), 84)
-	res.AddPaperMetric("target orgs", float64(sum.TargetOrgs), 1074*w.Scale)
-	res.AddPaperMetric("traffic types", float64(sum.TrafficTypes), 7)
+	res.AddPaperMetric("attacks", float64(sum.Attacks), published.Attacks*w.Scale)
+	res.AddPaperMetric("botnets", float64(sum.Botnets), published.Botnets*w.Scale)
+	res.AddPaperMetric("bot IPs", float64(sum.BotIPs), published.BotIPs*w.Scale)
+	res.AddPaperMetric("target IPs", float64(sum.TargetIPs), published.TargetIPs*w.Scale)
+	res.AddPaperMetric("target countries", float64(sum.TargetCountries), published.TargetCountries)
+	res.AddPaperMetric("target orgs", float64(sum.TargetOrgs), published.TargetOrgs*w.Scale)
+	res.AddPaperMetric("traffic types", float64(sum.TrafficTypes), published.TrafficTypes)
 	return res, nil
 }
 
-// TableIV regenerates the geolocation-dispersion prediction statistics.
-func (w *Workload) TableIV() (*Result, error) {
-	// The paper evaluates on the last 2,700 points of each family series
-	// and skips families with too little data (Darkshell).
-	cfg := core.PredictConfig{
+// predictConfig is the §IV-A forecasting setup of Table IV and Figures 12
+// and 13: ARIMA(1,0,0) scored on the paper's last published.TestPoints
+// points, scaled with the workload (at least 20).
+func (w *Workload) predictConfig() core.PredictConfig {
+	return core.PredictConfig{
 		Order:      timeseries.Order{P: 1},
-		TestPoints: int(2700 * w.Scale),
+		TestPoints: max(int(published.TestPoints*w.Scale), 20),
 	}
-	if cfg.TestPoints < 20 {
-		cfg.TestPoints = 20
-	}
-	results := w.Disp().PredictAll(cfg)
+}
+
+// TableIV regenerates the geolocation-dispersion prediction statistics.
+// Families with too little data are skipped, as the paper skips
+// Darkshell.
+func (w *Workload) TableIV() (*Result, error) {
+	results := w.Disp().PredictAll(w.predictConfig())
 	if len(results) == 0 {
 		return nil, fmt.Errorf("no family had enough dispersion data")
 	}
@@ -103,20 +100,13 @@ func (w *Workload) TableIV() (*Result, error) {
 		t.SetAlign(i, report.AlignRight)
 	}
 	res := &Result{ID: "Table IV", Title: "Dispersion prediction per family"}
-	paperSim := map[dataset.Family]float64{
-		dataset.Blackenergy: 0.960,
-		dataset.Pandora:     0.946,
-		dataset.Dirtjumper:  0.848,
-		dataset.Optima:      0.941,
-		dataset.Colddeath:   0.809,
-	}
 	for _, r := range results {
 		t.AddRow(string(r.Family), "prediction",
 			report.FormatFloat(r.MeanPred, 1), report.FormatFloat(r.StdPred, 1),
 			fmt.Sprintf("%.3f", r.Similarity))
 		t.AddRow("", "ground truth",
 			report.FormatFloat(r.MeanTruth, 1), report.FormatFloat(r.StdTruth, 1), "")
-		if paper, ok := paperSim[r.Family]; ok {
+		if paper, ok := published.Similarity[string(r.Family)]; ok {
 			res.AddPaperMetric("similarity "+string(r.Family), r.Similarity, paper)
 		} else {
 			res.AddMetric("similarity "+string(r.Family), r.Similarity)
@@ -152,18 +142,15 @@ func (w *Workload) TableV() (*Result, error) {
 		return nil, fmt.Errorf("no attacks in workload")
 	}
 	res.Text = t.String()
-	paperGlobal := map[string]float64{
-		"US": 13738, "RU": 11451, "DE": 5048, "UA": 4078, "NL": 2816,
-	}
 	for _, g := range global {
-		if paper, ok := paperGlobal[g.CC]; ok {
+		if paper, ok := published.CountryAttacks[g.CC]; ok {
 			res.AddPaperMetric("global attacks on "+g.CC, float64(g.Count), paper*w.Scale)
 		} else {
 			res.AddMetric("global attacks on "+g.CC, float64(g.Count))
 		}
 	}
 	res.AddPaperMetric("dirtjumper target countries",
-		float64(w.TargetCountries(dataset.Dirtjumper).Countries), 71)
+		float64(w.TargetCountries(dataset.Dirtjumper).Countries), published.DirtjumperCountries)
 	return res, nil
 }
 
@@ -194,23 +181,18 @@ func (w *Workload) TableVI() (*Result, error) {
 	}
 	res := &Result{ID: "Table VI", Title: "Intra-/inter-family collaborations", Text: t.String()}
 
-	paperIntra := []struct {
-		family dataset.Family
-		count  float64
-	}{
-		{family: dataset.Darkshell, count: 253},
-		{family: dataset.Ddoser, count: 134},
-		{family: dataset.Dirtjumper, count: 756},
-		{family: dataset.Nitol, count: 17},
-		{family: dataset.Optima, count: 1},
-		{family: dataset.Pandora, count: 10},
-		{family: dataset.YZF, count: 66},
+	intra := func(f dataset.Family, paper float64) {
+		res.AddPaperMetric("intra "+string(f), float64(st.Intra[f]), paper*w.Scale)
 	}
-	for _, p := range paperIntra {
-		res.AddPaperMetric("intra "+string(p.family), float64(st.Intra[p.family]), p.count*w.Scale)
-	}
-	res.AddPaperMetric("inter dirtjumper", float64(st.Inter[dataset.Dirtjumper]), 121*w.Scale)
-	res.AddPaperMetric("inter pandora", float64(st.Inter[dataset.Pandora]), 118*w.Scale)
-	res.AddPaperMetric("mean botnets per collaboration", st.MeanBotnets, 2.19)
+	intra(dataset.Darkshell, published.IntraDarkshell)
+	intra(dataset.Ddoser, published.IntraDdoser)
+	intra(dataset.Dirtjumper, published.IntraDirtjumper)
+	intra(dataset.Nitol, published.IntraNitol)
+	intra(dataset.Optima, published.IntraOptima)
+	intra(dataset.Pandora, published.IntraPandora)
+	intra(dataset.YZF, published.IntraYZF)
+	res.AddPaperMetric("inter dirtjumper", float64(st.Inter[dataset.Dirtjumper]), published.InterDirtjumper*w.Scale)
+	res.AddPaperMetric("inter pandora", float64(st.Inter[dataset.Pandora]), published.InterPandora*w.Scale)
+	res.AddPaperMetric("mean botnets per collaboration", st.MeanBotnets, published.MeanBotnets)
 	return res, nil
 }

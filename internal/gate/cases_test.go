@@ -39,6 +39,7 @@ func TestRules(t *testing.T) {
 		name  string
 		extra []rule            // run with the gate's
 		audit map[string]string // deadexport's table for the case
+		lits  map[string]string // paperlit's table for the case
 		files map[string]string
 	}{
 		{name: "floateq/scoped", files: map[string]string{"botscope/internal/stats/a.go": `package stats
@@ -428,6 +429,52 @@ func run(t *fix.T, s any) int {
 
 func testOnly() { Dead(); T{}.Dead() }
 `}},
+		// paperlit: a salient literal outside internal/published that
+		// equals a value published declares (a constant, a table row, a
+		// field of one) is a copy, whatever its spelling; small or coarse
+		// literals are not checked, published itself and tests are exempt,
+		// and a table row keeps a coincidence until it matches nothing.
+		{name: "paperlit", lits: map[string]string{
+			"botscope/internal/synth:345": "fixture: a weight that equals a count by chance",
+			"botscope/internal/synth:999": "fixture: matches nothing",
+		}, files: map[string]string{"botscope/internal/published/p.go": `package published
+
+const (
+	MedianSec = 1766
+	Share     = 0.767
+	Count     = 345
+	Small     = 7
+	Coarse    = 0.55
+	Copy      = 1766.0
+)
+
+var Table = map[string]float64{"US": 13738}
+
+var Nested = map[string]struct{ Km float64 }{"pandora": {Km: 566}}
+`, "botscope/internal/synth/a.go": `package synth // want "audit row botscope/internal/synth:999 matches no literal"
+
+import "botscope/internal/published"
+
+const durMedian = 1766.0 // want "1766.0 copies published.MedianSec"
+
+var (
+	median = 1766   // want "1766 copies published.MedianSec"
+	hex    = 0x6e6  // want "0x6e6 copies published.MedianSec"
+	share  = 0.767  // want "0.767 copies published.Share"
+	us     = 13738  // want "13738 copies published.Table\[.US.\]"
+	km     = 566.0  // want "566.0 copies published.Nested\[.pandora.\].Km"
+	weight = 345
+	near   = 1767
+	small  = 7
+	coarse = 0.55
+	short  = 0.77
+	read   = []any{published.MedianSec, published.Share, published.Count, published.Small, published.Coarse, published.Copy, published.Table, published.Nested}
+	kept   = 1766 //botvet:ignore paperlit fixture exercises the ignore directive
+)
+`, "botscope/internal/synth/a_test.go": `package synth
+
+var pinned = 1766
+`}},
 		// An audit drops a gate rule's finding; one without a reason does not.
 		{name: "ignore/audited", files: map[string]string{"botscope/internal/stats/a.go": `package stats
 func eq(a, b float64) bool { return a == b } //botvet:ignore floateq audited: fixture
@@ -490,7 +537,7 @@ func inTest() {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog.audit = tc.audit
+			prog.audit, prog.lits = tc.audit, tc.lits
 			checkWants(t, prog, check(prog, append(tc.extra, rules...)))
 		})
 	}

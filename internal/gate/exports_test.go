@@ -13,3 +13,11 @@ var exportAudit = map[string]string{
 	"synth.ScenarioBuilder.AddPaperFamily": "ExampleNewScenario chains it (facade ScenarioBuilder)",
 	"synth.ScenarioBuilder.Build":          "ExampleNewScenario chains it (facade ScenarioBuilder)",
 }
+
+// paperlitAudit is every literal outside internal/published that equals
+// a published value and is not a copy of it, keyed as paperlit names it
+// (<import path>:<literal as written>), with what the literal is instead.
+var paperlitAudit = map[string]string{
+	"botscope/internal/geo:121.0": "Taiwan's centroid longitude in the atlas, not a collaboration count",
+	"botscope/internal/synth:345": "Colddeath's weight on Pakistan among its top-5 victim countries (Table V), not Table II's Nitol TCP count",
+}

@@ -1,4 +1,4 @@
-// Package gate is the repository's static gate: five rules over the
+// Package gate is the repository's static gate: six rules over the
 // typed syntax of every package in the module, run by `go test
 // ./internal/gate/` (and so by `go test ./...`). The module is loaded with
 // the standard library alone — go/build picks each package's non-test
@@ -42,6 +42,7 @@ var rules = []rule{
 	{"sharedslice", sharedslice},
 	{"wireframe", wireframe},
 	{"deadexport", deadexport},
+	{"paperlit", paperlit},
 }
 
 // fset and std are shared by every load in the test binary, so the
@@ -70,9 +71,11 @@ type program struct {
 	src   map[string][]*ast.File   // parsed packages by import path
 	pkgs  map[string]*types.Package
 	audit map[string]string // deadexport's kept names and why (nil: none)
+	lits  map[string]string // paperlit's kept literals and why (nil: none)
 
 	used   map[types.Object]bool // every object referenced, generic origins folded; built on first use
 	ifaces []*types.Interface    // the interfaces a method may be kept alive by; built with used
+	paper  map[string]string     // published's salient values (exact) and their names; built on first use
 }
 
 type unit struct {
@@ -278,18 +281,26 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 }
 
 // TestRepo holds every package in the module to the gate: no finding, the
-// six audited floateq sites in internal/stats excepted by their ignores
-// and the exports exportAudit keeps.
+// six audited floateq sites in internal/stats excepted by their ignores,
+// the exports exportAudit keeps and the literals paperlitAudit keeps.
 func TestRepo(t *testing.T) {
 	prog, err := loadModule(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog.audit = exportAudit
+	prog.audit, prog.lits = exportAudit, paperlitAudit
 	for key := range exportAudit {
 		if pkg, _, _ := strings.Cut(key, "."); prog.pkgs[module+"/internal/"+pkg] == nil {
 			t.Errorf("exportAudit row %s names a package the module no longer has; remove the row", key)
 		}
+	}
+	for key := range paperlitAudit {
+		if pkg, _, _ := strings.Cut(key, ":"); prog.pkgs[pkg] == nil {
+			t.Errorf("paperlitAudit row %s names a package the module no longer has; remove the row", key)
+		}
+	}
+	if len(prog.published()) == 0 {
+		t.Fatalf("%s holds no salient value; paperlit checks nothing", publishedPkg)
 	}
 	if len(prog.wire) == 0 {
 		t.Fatalf("loaded %d packages with no wire enum; the //botvet:wire directives were not found", len(prog.units))

@@ -2,6 +2,7 @@ package gate
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 	"maps"
@@ -15,6 +16,7 @@ var (
 	deterministicPkgs = []string{module + "/internal/synth", module + "/internal/botnet", module + "/internal/geo", module + "/internal/core"}
 	generatorPkgs     = []string{module + "/internal/synth", module + "/internal/botnet"}
 	statsPkgs         = []string{module + "/internal/stats", module + "/internal/core", module + "/internal/stream"}
+	publishedPkg      = module + "/internal/published" // the one home of the paper's numbers
 )
 
 // inScope reports whether path is one of paths or lies beneath one of
@@ -583,4 +585,124 @@ func implements(obj types.Object, ifaces []*types.Interface) bool {
 		}
 		return has && (types.Implements(named, it) || types.Implements(types.NewPointer(named), it))
 	})
+}
+
+// paperlit keeps each number the paper publishes in one place,
+// internal/published, where the generator and the experiments both read
+// it: a literal elsewhere with the same value is a copy that can drift.
+// Only a literal that is plausibly a copy counts, on both sides: an
+// integer of 100 or more, or a float written with three or more
+// significant digits. A literal that equals a published value by
+// coincidence stays with a row in the audit table, keyed "<import
+// path>:<literal>" (it covers that spelling package-wide); a row that
+// matches no literal is a finding too.
+func paperlit(p *pass) {
+	values := p.published()
+	if p.path == publishedPkg || len(values) == 0 {
+		return
+	}
+	rows := map[string]bool{}
+	for key := range p.lits {
+		if pkg, _, _ := strings.Cut(key, ":"); pkg == p.path {
+			rows[key] = true
+		}
+	}
+	matched := map[string]bool{}
+	p.inspect(func(n ast.Node) bool {
+		lit, ok := n.(*ast.BasicLit)
+		if !ok || !salient(lit) {
+			return true
+		}
+		name, ok := values[exact(lit)]
+		if !ok {
+			return true
+		}
+		if key := p.path + ":" + lit.Value; rows[key] {
+			matched[key] = true
+		} else {
+			p.report(lit.Pos(), "%s copies published.%s; read the name (a coincidence needs a row in the audit table)", lit.Value, name)
+		}
+		return true
+	})
+	for _, key := range slices.Sorted(maps.Keys(rows)) {
+		if !matched[key] {
+			p.report(p.files[0].Name.Pos(), "audit row %s matches no literal; remove the row", key)
+		}
+	}
+}
+
+// salient reports whether a numeric literal is specific enough to be a
+// copied published number: an integer of 100 or more, or a decimal float
+// with three or more significant digits.
+func salient(lit *ast.BasicLit) bool {
+	switch lit.Kind {
+	case token.INT:
+		return constant.Compare(constant.MakeFromLiteral(lit.Value, lit.Kind, 0), token.GEQ, constant.MakeInt64(100))
+	case token.FLOAT:
+		mant := strings.ToLower(strings.ReplaceAll(lit.Value, "_", ""))
+		if strings.HasPrefix(mant, "0x") {
+			return false
+		}
+		mant, _, _ = strings.Cut(mant, "e")
+		return len(strings.TrimLeft(strings.ReplaceAll(mant, ".", ""), "0")) >= 3
+	}
+	return false
+}
+
+// exact is a numeric literal's exact value, spelled so that equal values
+// (1766, 1766.0, 0x6e6) compare equal as strings.
+func exact(lit *ast.BasicLit) string {
+	v := constant.MakeFromLiteral(lit.Value, lit.Kind, 0)
+	if i := constant.ToInt(v); i.Kind() == constant.Int {
+		return i.ExactString()
+	}
+	return v.ExactString()
+}
+
+// published returns, built once per program, the salient literal values
+// the published package declares, each with the name that holds it: a
+// constant (Share), a table row (Table["US"]) or a field of one
+// (Table["pandora"].MeanKm). The first name to hold a value is the one a
+// finding cites.
+func (prog *program) published() map[string]string {
+	if prog.paper != nil {
+		return prog.paper
+	}
+	prog.paper = map[string]string{}
+	var walk func(e ast.Expr, name string)
+	walk = func(e ast.Expr, name string) {
+		switch x := e.(type) {
+		case *ast.BasicLit:
+			if _, ok := prog.paper[exact(x)]; !ok && salient(x) {
+				prog.paper[exact(x)] = name
+			}
+		case *ast.CompositeLit:
+			for _, elt := range x.Elts {
+				kv, ok := elt.(*ast.KeyValueExpr)
+				if !ok {
+					continue
+				}
+				switch k := kv.Key.(type) {
+				case *ast.BasicLit:
+					walk(kv.Value, name+"["+k.Value+"]")
+				case *ast.Ident:
+					walk(kv.Value, name+"."+k.Name)
+				}
+			}
+		}
+	}
+	for _, f := range prog.src[publishedPkg] {
+		for _, decl := range f.Decls {
+			if d, ok := decl.(*ast.GenDecl); ok {
+				for _, spec := range d.Specs {
+					if vs, ok := spec.(*ast.ValueSpec); ok {
+						for i, v := range vs.Values {
+							walk(v, vs.Names[i].Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	return prog.paper
 }

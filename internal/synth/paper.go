@@ -2,18 +2,16 @@
 // statistics and generates the synthetic stand-in for its proprietary
 // 7-month workload.
 //
-// Calibration sources, all from the paper:
-//   - Table II: exact per-(family, protocol) attack counts (they sum to the
-//     50,704 total).
-//   - Table III: entity counts on both sides (9,026 victim IPs, 310,950
-//     bot IPs, 674 botnets, ...).
-//   - Table V: top-5 victim countries and country diversity per family.
-//   - Table VI: intra-/inter-family collaboration counts.
-//   - §III: interval mixture (simultaneous share, 6-7 min / 20-40 min /
-//     2-3 h modes), duration law (median 1,766 s, mean 10,308 s, 80% < 4 h),
-//     the 983-attack Dirtjumper burst on 2012-08-30.
-//   - §IV: per-family geolocation dispersion (Pandora mean 566 km with
-//     76.7% symmetric, Blackenergy 4,304 km with 89.5% symmetric).
+// The targets that are published numbers come from internal/published,
+// which the experiments check against too: Table II's per-(family,
+// protocol) counts (summing to published.Attacks), Table V's Dirtjumper
+// country count, Table VI's collaboration counts, the §III-C duration
+// median, §IV's Pandora and Blackenergy dispersion, and §V's longest
+// chain. What stays here are the tuned knobs: pool sizes sized to Table
+// III's entity counts, the top-5 victim countries per family (Table V),
+// the interval mixture (§III-B's simultaneous share and Figure 4's 6-7
+// min / 20-40 min / 2-3 h modes), the duration sigma, the other
+// families' dispersion, and the Dirtjumper burst on 2012-08-30.
 //
 // Every quantity scales down with Config.Scale so tests can run on small
 // workloads while cmd/botreport regenerates the full-size dataset.
@@ -32,6 +30,7 @@ import (
 	"botscope/internal/botnet"
 	"botscope/internal/dataset"
 	"botscope/internal/geo"
+	"botscope/internal/published"
 )
 
 // Config parameterizes workload generation.
@@ -39,7 +38,7 @@ type Config struct {
 	// Seed drives all randomness. The same seed reproduces the workload
 	// byte for byte.
 	Seed int64
-	// Scale multiplies every count; 1.0 is paper scale (50,704 attacks),
+	// Scale multiplies every count; 1.0 is paper scale (published.Attacks),
 	// 0.05 is a fast test workload. Zero means 1.0.
 	Scale float64
 }
@@ -79,20 +78,22 @@ func Profiles(scale float64) []*botnet.Profile {
 		scale = 1
 	}
 	s := scale
-	// Durations shared across families: lognormal with median 1,766 s and
-	// sigma 1.9, resampled below durMax, gives mean ≈ 8.3k s and P80 ≈ 8.5k
-	// s, short of §III-C's 10,308 s and 13,882 s (ROADMAP item 12).
+	// Durations shared across families: lognormal with the published
+	// median and sigma 1.9, resampled below durMax, gives mean ≈ 8.3k s and
+	// P80 ≈ 8.5k s, short of §III-C's published.DurationMeanSec and
+	// DurationP80Sec (ROADMAP item 12).
 	const (
-		durMedian = 1766.0
+		durMedian = published.DurationMedianSec
 		durSigma  = 1.9
 		durMax    = 260000.0
 	)
+	pandora, blackenergy := published.Dispersions[string(dataset.Pandora)], published.Dispersions[string(dataset.Blackenergy)]
 	return []*botnet.Profile{
 		{
 			Family:          dataset.Dirtjumper,
 			ActiveStartFrac: 0, ActiveEndFrac: 1,
 			Protocols: []botnet.ProtocolShare{
-				{Category: dataset.CategoryHTTP, Count: scaled(34620, s, 40)},
+				{Category: dataset.CategoryHTTP, Count: scaled(published.DirtjumperHTTP, s, 40)},
 			},
 			Botnets: scaled(300, s, 6),
 			TargetCountries: []botnet.CountryShare{
@@ -100,7 +101,7 @@ func Profiles(scale float64) []*botnet.Profile {
 				{CC: "DE", Weight: 3750}, {CC: "UA", Weight: 3412},
 				{CC: "NL", Weight: 1626},
 			},
-			TargetCountryCount: 71,
+			TargetCountryCount: published.DirtjumperCountries,
 			TargetPoolSize:     scaled(7600, s, 25),
 			TargetZipf:         1.0,
 			DurationMedianSec:  durMedian, DurationSigma: durSigma, DurationMaxSec: durMax,
@@ -116,7 +117,7 @@ func Profiles(scale float64) []*botnet.Profile {
 			NewCountryPerWeek:  0.6,
 			SymmetricProb:      0.55,
 			DispersionTargetKm: 1203,
-			IntraCollab:        scaled(756, s, 4),
+			IntraCollab:        scaled(published.IntraDirtjumper, s, 4),
 			ConsecutiveChains:  scaled(50, s, 2),
 			ChainLengthMean:    4,
 		},
@@ -124,7 +125,7 @@ func Profiles(scale float64) []*botnet.Profile {
 			Family:          dataset.Pandora,
 			ActiveStartFrac: 0.10, ActiveEndFrac: 0.95,
 			Protocols: []botnet.ProtocolShare{
-				{Category: dataset.CategoryHTTP, Count: scaled(6906, s, 30)},
+				{Category: dataset.CategoryHTTP, Count: scaled(published.PandoraHTTP, s, 30)},
 			},
 			Botnets: scaled(120, s, 4),
 			TargetCountries: []botnet.CountryShare{
@@ -144,19 +145,19 @@ func Profiles(scale float64) []*botnet.Profile {
 			BotPoolSize:     scaled(45000, s, 2500),
 			MagnitudeMedian: 30, MagnitudeSigma: 0.8, MagnitudeMax: 250,
 			NewCountryPerWeek:  0.4,
-			SymmetricProb:      0.767,
-			DispersionTargetKm: 566,
-			IntraCollab:        scaled(10, s, 1),
+			SymmetricProb:      pandora.Symmetric,
+			DispersionTargetKm: pandora.MeanKm,
+			IntraCollab:        scaled(published.IntraPandora, s, 1),
 		},
 		{
 			Family:          dataset.Blackenergy,
 			ActiveStartFrac: 0.05, ActiveEndFrac: 0.38, // active about a third of the window
 			Protocols: []botnet.ProtocolShare{
-				{Category: dataset.CategoryHTTP, Count: scaled(3048, s, 20)},
-				{Category: dataset.CategoryTCP, Count: scaled(199, s, 4)},
-				{Category: dataset.CategoryICMP, Count: scaled(147, s, 3)},
-				{Category: dataset.CategoryUDP, Count: scaled(71, s, 2)},
-				{Category: dataset.CategorySYN, Count: scaled(31, s, 1)},
+				{Category: dataset.CategoryHTTP, Count: scaled(published.BlackenergyHTTP, s, 20)},
+				{Category: dataset.CategoryTCP, Count: scaled(published.BlackenergyTCP, s, 4)},
+				{Category: dataset.CategoryICMP, Count: scaled(published.BlackenergyICMP, s, 3)},
+				{Category: dataset.CategoryUDP, Count: scaled(published.BlackenergyUDP, s, 2)},
+				{Category: dataset.CategorySYN, Count: scaled(published.BlackenergySYN, s, 1)},
 			},
 			Botnets: scaled(80, s, 3),
 			TargetCountries: []botnet.CountryShare{
@@ -178,15 +179,15 @@ func Profiles(scale float64) []*botnet.Profile {
 			BotPoolSize:     scaled(30000, s, 2500),
 			MagnitudeMedian: 40, MagnitudeSigma: 0.8, MagnitudeMax: 300,
 			NewCountryPerWeek:  0.5,
-			SymmetricProb:      0.895,
-			DispersionTargetKm: 4304,
+			SymmetricProb:      blackenergy.Symmetric,
+			DispersionTargetKm: blackenergy.MeanKm,
 		},
 		{
 			Family:          dataset.Darkshell,
 			ActiveStartFrac: 0, ActiveEndFrac: 0.8,
 			Protocols: []botnet.ProtocolShare{
-				{Category: dataset.CategoryUndetermined, Count: scaled(1530, s, 10)},
-				{Category: dataset.CategoryHTTP, Count: scaled(999, s, 10)},
+				{Category: dataset.CategoryUndetermined, Count: scaled(published.DarkshellUndetermined, s, 10)},
+				{Category: dataset.CategoryHTTP, Count: scaled(published.DarkshellHTTP, s, 10)},
 			},
 			Botnets: scaled(60, s, 3),
 			TargetCountries: []botnet.CountryShare{
@@ -208,7 +209,7 @@ func Profiles(scale float64) []*botnet.Profile {
 			NewCountryPerWeek:  0.3,
 			SymmetricProb:      0.5,
 			DispersionTargetKm: 900,
-			IntraCollab:        scaled(253, s, 2),
+			IntraCollab:        scaled(published.IntraDarkshell, s, 2),
 			ConsecutiveChains:  scaled(30, s, 1),
 			ChainLengthMean:    5,
 		},
@@ -216,7 +217,7 @@ func Profiles(scale float64) []*botnet.Profile {
 			Family:          dataset.Colddeath,
 			ActiveStartFrac: 0.2, ActiveEndFrac: 0.9,
 			Protocols: []botnet.ProtocolShare{
-				{Category: dataset.CategoryHTTP, Count: scaled(826, s, 12)},
+				{Category: dataset.CategoryHTTP, Count: scaled(published.ColddeathHTTP, s, 12)},
 			},
 			Botnets: scaled(25, s, 2),
 			TargetCountries: []botnet.CountryShare{
@@ -243,8 +244,8 @@ func Profiles(scale float64) []*botnet.Profile {
 			Family:          dataset.Nitol,
 			ActiveStartFrac: 0.3, ActiveEndFrac: 1,
 			Protocols: []botnet.ProtocolShare{
-				{Category: dataset.CategoryHTTP, Count: scaled(591, s, 8)},
-				{Category: dataset.CategoryTCP, Count: scaled(345, s, 6)},
+				{Category: dataset.CategoryHTTP, Count: scaled(published.NitolHTTP, s, 8)},
+				{Category: dataset.CategoryTCP, Count: scaled(published.NitolTCP, s, 6)},
 			},
 			Botnets: scaled(25, s, 2),
 			TargetCountries: []botnet.CountryShare{
@@ -265,7 +266,7 @@ func Profiles(scale float64) []*botnet.Profile {
 			NewCountryPerWeek:  0.2,
 			SymmetricProb:      0.5,
 			DispersionTargetKm: 1100,
-			IntraCollab:        scaled(17, s, 1),
+			IntraCollab:        scaled(published.IntraNitol, s, 1),
 			ConsecutiveChains:  scaled(4, s, 1),
 			ChainLengthMean:    4,
 		},
@@ -273,8 +274,8 @@ func Profiles(scale float64) []*botnet.Profile {
 			Family:          dataset.Optima,
 			ActiveStartFrac: 0, ActiveEndFrac: 0.7,
 			Protocols: []botnet.ProtocolShare{
-				{Category: dataset.CategoryHTTP, Count: scaled(567, s, 8)},
-				{Category: dataset.CategoryUnknown, Count: scaled(126, s, 3)},
+				{Category: dataset.CategoryHTTP, Count: scaled(published.OptimaHTTP, s, 8)},
+				{Category: dataset.CategoryUnknown, Count: scaled(published.OptimaUnknown, s, 3)},
 			},
 			Botnets: scaled(20, s, 2),
 			TargetCountries: []botnet.CountryShare{
@@ -298,15 +299,15 @@ func Profiles(scale float64) []*botnet.Profile {
 			NewCountryPerWeek:  0.2,
 			SymmetricProb:      0.30,
 			DispersionTargetKm: 3526,
-			IntraCollab:        1,
+			IntraCollab:        published.IntraOptima,
 		},
 		{
 			Family:          dataset.YZF,
 			ActiveStartFrac: 0.4, ActiveEndFrac: 0.9,
 			Protocols: []botnet.ProtocolShare{
-				{Category: dataset.CategoryUDP, Count: scaled(187, s, 4)},
-				{Category: dataset.CategoryTCP, Count: scaled(182, s, 4)},
-				{Category: dataset.CategoryHTTP, Count: scaled(177, s, 4)},
+				{Category: dataset.CategoryUDP, Count: scaled(published.YZFUDP, s, 4)},
+				{Category: dataset.CategoryTCP, Count: scaled(published.YZFTCP, s, 4)},
+				{Category: dataset.CategoryHTTP, Count: scaled(published.YZFHTTP, s, 4)},
 			},
 			Botnets: scaled(20, s, 2),
 			TargetCountries: []botnet.CountryShare{
@@ -327,13 +328,13 @@ func Profiles(scale float64) []*botnet.Profile {
 			NewCountryPerWeek:  0.2,
 			SymmetricProb:      0.5,
 			DispersionTargetKm: 800,
-			IntraCollab:        scaled(66, s, 1),
+			IntraCollab:        scaled(published.IntraYZF, s, 1),
 		},
 		{
 			Family:          dataset.Ddoser,
 			ActiveStartFrac: 0, ActiveEndFrac: 0.15,
 			Protocols: []botnet.ProtocolShare{
-				{Category: dataset.CategoryUDP, Count: scaled(126, s, 20)},
+				{Category: dataset.CategoryUDP, Count: scaled(published.DdoserUDP, s, 20)},
 			},
 			Botnets: scaled(14, s, 2),
 			TargetCountries: []botnet.CountryShare{
@@ -355,16 +356,16 @@ func Profiles(scale float64) []*botnet.Profile {
 			NewCountryPerWeek:  0.2,
 			SymmetricProb:      0.5,
 			DispersionTargetKm: 1000,
-			IntraCollab:        scaled(20, s, 1), // capped: Table VI's 134 exceeds the family's attack budget
+			IntraCollab:        scaled(20, s, 1), // capped: published.IntraDdoser exceeds the family's attack budget
 			ConsecutiveChains:  scaled(5, s, 2),
 			ChainLengthMean:    8,
-			RecordChainLength:  22, // the record chain: 22 attacks in 18 minutes
+			RecordChainLength:  published.LongestChain, // the record chain, 18 minutes long
 		},
 		{
 			Family:          dataset.Aldibot,
 			ActiveStartFrac: 0.5, ActiveEndFrac: 0.8,
 			Protocols: []botnet.ProtocolShare{
-				{Category: dataset.CategoryUDP, Count: scaled(26, s, 10)},
+				{Category: dataset.CategoryUDP, Count: scaled(published.AldibotUDP, s, 10)},
 			},
 			Botnets: scaled(10, s, 2),
 			TargetCountries: []botnet.CountryShare{
@@ -398,7 +399,7 @@ func InterCollabs(scale float64) []botnet.InterCollab {
 		scale = 1
 	}
 	return []botnet.InterCollab{
-		{Initiator: dataset.Dirtjumper, Partner: dataset.Pandora, Pairs: scaled(118, scale, 2), MatchDuration: true, StartFrac: 0.15, EndFrac: 0.70},
+		{Initiator: dataset.Dirtjumper, Partner: dataset.Pandora, Pairs: scaled(published.InterPandora, scale, 2), MatchDuration: true, StartFrac: 0.15, EndFrac: 0.70},
 		{Initiator: dataset.Dirtjumper, Partner: dataset.Blackenergy, Pairs: scaled(1, scale, 1), MatchDuration: true, StartFrac: 0.08, EndFrac: 0.35},
 		{Initiator: dataset.Dirtjumper, Partner: dataset.Colddeath, Pairs: scaled(1, scale, 1), MatchDuration: true, StartFrac: 0.25, EndFrac: 0.85},
 		{Initiator: dataset.Dirtjumper, Partner: dataset.Optima, Pairs: scaled(1, scale, 1), MatchDuration: true, StartFrac: 0.05, EndFrac: 0.65},
@@ -409,7 +410,8 @@ func InterCollabs(scale float64) []botnet.InterCollab {
 }
 
 // Burst returns the Dirtjumper burst of 2012-08-30 (day offset 1): the
-// paper's 983-attack peak day against one Russian subnet.
+// paper's peak day (published.DailyMax attacks) against one Russian
+// subnet.
 func Burst(scale float64) *botnet.BurstSpec {
 	if scale <= 0 {
 		scale = 1

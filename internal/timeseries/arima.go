@@ -38,11 +38,9 @@ type Model struct {
 	MA []float64
 	// Sigma2 is the innovation variance estimated from CSS residuals.
 	Sigma2 float64
-	// AIC is the Akaike information criterion of the fit.
-	AIC float64
 	// BIC is the Bayesian information criterion; AutoFit minimizes it
 	// because its stronger parsimony penalty resists the ARMA-redundancy
-	// overfitting that plain AIC permits on near-white series.
+	// overfitting that the Akaike criterion permits on near-white series.
 	BIC float64
 	// N is the number of observations the model was fitted on.
 	N int
@@ -146,7 +144,6 @@ func fitDiffed(xs, w []float64, order Order, warm []float64, sc *fitScratch) (*M
 	if m.Sigma2 <= 0 {
 		m.Sigma2 = 1e-300
 	}
-	m.AIC = n*math.Log(m.Sigma2) + 2*k
 	m.BIC = n*math.Log(m.Sigma2) + k*math.Log(n)
 	return m, nil
 }

@@ -265,9 +265,9 @@ func TestAutoFitAllFail(t *testing.T) {
 	}
 }
 
-func TestAICPrefersParsimony(t *testing.T) {
-	// On pure white noise, AIC of ARMA(2,2) must not be much better than
-	// ARMA(1,0) — and AutoFit should not pick a huge order.
+func TestAutoFitPrefersParsimony(t *testing.T) {
+	// On pure white noise, BIC's parsimony penalty must keep AutoFit from
+	// picking a large order.
 	rng := rand.New(rand.NewSource(12))
 	xs := make([]float64, 1500)
 	for i := range xs {

@@ -59,6 +59,9 @@ func TestSnapshotRoundTripRunall(t *testing.T) {
 	if len(genOut) == 0 {
 		t.Fatal("runall produced no output; byte-identity check is vacuous")
 	}
+	if got, want := reportDigest(genOut), generatedDigests[generation{1, scale}].report; got != want {
+		t.Errorf("report digest %s, want %s", got, want)
+	}
 
 	// The raw record export must survive the round trip exactly; this is
 	// the first record-face touch, so it also exercises lazy
