@@ -95,7 +95,8 @@ bench-smoke:
 # bench-allocs runs the hot-kernel micro-benchmarks with -benchmem and
 # fails when any exceeds its budget in bench_thresholds.json (see
 # cmd/benchguard). This is the CI gate against allocation regressions in
-# the ARIMA fitter, the dispersion scan, the cross-shard merge, the
+# the ARIMA fitter (the report's ARIMA(1,0,0), whose kernel needs no
+# residual buffer, and the general ARMA path), the dispersion scan, the cross-shard merge, the
 # snapshot fan-out after an ingest (120 held days: a day series sent or
 # merged whole again shows here), the BSCW
 # payload walks (encode nothing, decode what the message holds: a closure
@@ -108,7 +109,7 @@ bench-smoke:
 # rebuilt per request, or an ARIMA refit, shows there). Each alternative
 # selects all of a benchmark's sub-benchmarks; the /scale1 segment belongs
 # to the last alternative only.
-BENCH_ALLOC_PATTERN := 'BenchmarkFit$$|BenchmarkAutoFit$$|BenchmarkDispersionSeries$$|BenchmarkMergeSnapshots$$|BenchmarkFrontendSnapshotAfterIngest$$|BenchmarkWireCodec$$|BenchmarkNewStore$$|BenchmarkReadSnapshot$$|BenchmarkDecodeJSONL$$|BenchmarkAnalyzerSnapshot$$|BenchmarkExtDefense$$|BenchmarkExtLoad$$|BenchmarkExploreCycle$$|BenchmarkWriteJSONL$$/scale1$$'
+BENCH_ALLOC_PATTERN := 'BenchmarkFit$$|BenchmarkFitAR1$$|BenchmarkAutoFit$$|BenchmarkDispersionSeries$$|BenchmarkMergeSnapshots$$|BenchmarkFrontendSnapshotAfterIngest$$|BenchmarkWireCodec$$|BenchmarkNewStore$$|BenchmarkReadSnapshot$$|BenchmarkDecodeJSONL$$|BenchmarkAnalyzerSnapshot$$|BenchmarkExtDefense$$|BenchmarkExtLoad$$|BenchmarkExploreCycle$$|BenchmarkWriteJSONL$$/scale1$$'
 BENCH_ALLOC_PKGS := ./internal/timeseries ./internal/core ./internal/cluster ./internal/stream .
 bench-allocs:
 	$(GO) test -run=^$$ -bench $(BENCH_ALLOC_PATTERN) \
@@ -123,8 +124,11 @@ bench-allocs:
 # only the budgets that went down: budgets are never raised.
 # BenchmarkExtLoad reads the held whole-feed fold (observed 3.6 KB, 45
 # allocs): a load sweep per call costs ~0.4 MB and shows there.
-# BenchmarkExploreCycle's bytes stay at 1 MiB (observed 0.63 MB; a cycle
-# that rebuilds its products spends 1.9 MB).
+# BenchmarkExploreCycle's bytes are 768 KiB by hand (observed 0.55 MB; a
+# cycle that rebuilds its products spends 1.9 MB). BenchmarkFitAR1's bytes
+# are 96 KiB by hand (observed 66 KB, the one differenced copy of its
+# 8,000 points): a residual buffer coming back adds 64 KB, which the
+# doubled headroom would hide.
 bench-update:
 	$(GO) test -run=^$$ -bench $(BENCH_ALLOC_PATTERN) \
 		-benchmem -benchtime=10x $(BENCH_ALLOC_PKGS) > bench_allocs.out

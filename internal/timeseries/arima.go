@@ -45,14 +45,16 @@ type Model struct {
 	// N is the number of observations the model was fitted on.
 	N int
 
-	series []float64 // original (undifferenced) training series
+	tail   []float64 // the training series' last D observations, for Integrate
 	diffed []float64 // differenced, for forecasting state
 }
 
 // fitScratch is the working memory of one fit (or one AutoFit grid): the
-// CSS residual buffer reused by every objective evaluation. Nelder-Mead
-// calls the objective thousands of times per fit, so allocating the
-// residual slice inside cssObjective used to dominate the fit's profile.
+// CSS residual buffer reused by every objective evaluation of the general
+// recursion. Nelder-Mead calls the objective 209-257 times (93-120
+// iterations) per AR(1) fit on the seed-1, scale-1 dispersion series, so
+// allocating the residual slice inside cssObjective used to dominate the
+// fit's profile. The AR(1) kernel needs no buffer.
 type fitScratch struct {
 	resid []float64
 }
@@ -72,15 +74,22 @@ func Fit(xs []float64, order Order) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.series = append([]float64(nil), xs...)
+	m.keepTail(xs)
 	return m, nil
+}
+
+// keepTail attaches the last D observations of the training series xs,
+// which Forecast integrates from; with D == 0 there are none, and the
+// model holds only its differenced series.
+func (m *Model) keepTail(xs []float64) {
+	m.tail = append([]float64(nil), xs[len(xs)-m.Order.D:]...)
 }
 
 // fitDiffed is Fit over a possibly pre-differenced series. w may be nil
 // (it is then derived from xs), warm may be nil (Yule-Walker cold start),
 // and sc supplies reusable working memory. The returned model has no
-// series copy: callers that keep the model attach one (Fit, AutoFit's
-// winner), so losing grid candidates never copy the input.
+// tail: callers that keep the model attach one (Fit, AutoFit's winner),
+// so losing grid candidates never copy the input.
 func fitDiffed(xs, w []float64, order Order, warm []float64, sc *fitScratch) (*Model, error) {
 	if err := order.validate(); err != nil {
 		return nil, err
@@ -116,12 +125,20 @@ func fitDiffed(xs, w []float64, order Order, warm []float64, sc *fitScratch) (*M
 		}
 	}
 
-	resid := sc.residBuf(len(w))
-	css := func(params []float64) float64 {
-		return cssObjective(w, p, q, params, resid)
+	var css Objective
+	if p == 1 && q == 0 {
+		css = func(params []float64) float64 {
+			return cssAR1(w, params[0], params[1])
+		}
+	} else {
+		resid := sc.residBuf(len(w))
+		css = func(params []float64) float64 {
+			return cssObjective(w, p, q, params, resid)
+		}
 	}
 
-	best, _, err := NelderMead(css, x0, NelderMeadConfig{MaxIter: 4000, Tol: 1e-12, Step: 0.2})
+	// sse is the objective at best: Sigma2 needs no second residual pass.
+	best, sse, err := NelderMead(css, x0, NelderMeadConfig{MaxIter: 4000, Tol: 1e-12, Step: 0.2})
 	if err != nil {
 		return nil, fmt.Errorf("timeseries: fit %v: %w", order, err)
 	}
@@ -133,10 +150,6 @@ func fitDiffed(xs, w []float64, order Order, warm []float64, sc *fitScratch) (*M
 		MA:     append([]float64(nil), best[1+p:]...),
 		N:      len(xs),
 		diffed: w,
-	}
-	sse := 0.0
-	for _, e := range m.residualsInto(w, resid) {
-		sse += e * e
 	}
 	n := float64(len(w))
 	m.Sigma2 = sse / n
@@ -185,15 +198,33 @@ func cssObjective(w []float64, p, q int, params, resid []float64) float64 {
 	return sse
 }
 
-// residuals runs the CSS recursion with the fitted parameters.
-func (m *Model) residuals(w []float64) []float64 {
-	return m.residualsInto(w, make([]float64, len(w)))
+// cssAR1 is cssObjective for p == 1, q == 0 (every fit the report makes):
+// the same floating-point operations in the same order, so the same bits,
+// without the lag loops or the residual store AR never reads.
+func cssAR1(w []float64, mu, phi float64) float64 {
+	e := w[0] - mu
+	if !(math.Abs(e) <= 1e150) {
+		return math.Inf(1)
+	}
+	sse := e * e
+	prev := w[0]
+	for _, x := range w[1:] {
+		pred := mu
+		pred += phi * (prev - mu)
+		e := x - pred
+		if !(math.Abs(e) <= 1e150) {
+			return math.Inf(1)
+		}
+		sse += e * e
+		prev = x
+	}
+	return sse
 }
 
-// residualsInto is residuals writing into caller-owned scratch.
-func (m *Model) residualsInto(w, resid []float64) []float64 {
+// residuals runs the CSS recursion with the fitted parameters.
+func (m *Model) residuals(w []float64) []float64 {
 	p, q := m.Order.P, m.Order.Q
-	resid = resid[:len(w)]
+	resid := make([]float64, len(w))
 	for t := range w {
 		pred := m.Mu
 		for i := 0; i < p; i++ {
@@ -219,42 +250,43 @@ func (m *Model) Forecast(h int) ([]float64, error) {
 		return nil, fmt.Errorf("timeseries: forecast horizon must be positive, got %d", h)
 	}
 	p, q := m.Order.P, m.Order.Q
-	resid := m.residuals(m.diffed)
-	// Extended differenced series: history + forecasts, preallocated to the
-	// final n+h size so the forecast loop never regrows either slice.
-	n := len(m.diffed)
-	w := make([]float64, n, n+h)
-	copy(w, m.diffed)
-	e := make([]float64, n, n+h)
-	copy(e, resid)
+	hist := m.diffed
+	n := len(hist)
+	var resid []float64
+	if q > 0 {
+		resid = m.residuals(hist)
+	}
+	fc := make([]float64, h)
+	// at reads the differenced series extended by the forecasts so far,
+	// in place: the history is never copied.
+	at := func(k int) float64 {
+		if k < n {
+			return hist[k]
+		}
+		return fc[k-n]
+	}
 	for t := n; t < n+h; t++ {
 		pred := m.Mu
 		for i := 0; i < p; i++ {
 			if t-1-i < 0 {
 				break
 			}
-			pred += m.AR[i] * (w[t-1-i] - m.Mu)
+			pred += m.AR[i] * (at(t-1-i) - m.Mu)
 		}
 		for j := 0; j < q; j++ {
 			idx := t - 1 - j
 			if idx < 0 {
 				break
 			}
-			var ev float64
-			if idx < len(e) {
-				ev = e[idx]
+			var ev float64 // future innovations are zero in expectation
+			if idx < n {
+				ev = resid[idx]
 			}
 			pred += m.MA[j] * ev
 		}
-		w = append(w, pred)
-		e = append(e, 0) // future innovations are zero in expectation
+		fc[t-n] = pred
 	}
-	diffForecast := w[n:]
-	tail := m.series
-	if len(tail) > m.Order.D && m.Order.D > 0 {
-		tail = tail[len(tail)-m.Order.D:]
-	}
-	return Integrate(diffForecast, tail, m.Order.D)
+	return Integrate(fc, m.tail, m.Order.D)
 }
 
 // OneStepForecasts produces one-step-ahead level-space predictions for
@@ -269,12 +301,18 @@ func (m *Model) OneStepForecasts(full []float64, start int) ([]float64, error) {
 	if start >= len(full) {
 		return nil, fmt.Errorf("timeseries: start %d out of range for series of length %d", start, len(full))
 	}
-	w, err := Difference(full, d)
-	if err != nil {
-		return nil, err
+	w := full // read in place when there is nothing to difference
+	if d > 0 {
+		var err error
+		if w, err = Difference(full, d); err != nil {
+			return nil, err
+		}
 	}
-	resid := m.residuals(w)
 	p, q := m.Order.P, m.Order.Q
+	var resid []float64
+	if q > 0 {
+		resid = m.residuals(w)
+	}
 	preds := make([]float64, 0, len(full)-start)
 	for t := start; t < len(full); t++ {
 		wi := t - d // index of full[t] in differenced space
@@ -344,7 +382,7 @@ func yuleWalker(w []float64, p int) ([]float64, error) {
 // to fit are skipped; an error is returned only if every order fails.
 //
 // The grid shares one differenced series and one residual scratch across
-// every candidate, defers the training-series copy to the single winner,
+// every candidate, defers the training tail's copy to the single winner,
 // and warm-starts each fit from the parameters of its already-fitted
 // neighbor ((p, q-1), falling back to (p-1, q)) padded with a zero for the
 // new coefficient — neighboring ARMA orders have near-identical optima, so
@@ -399,7 +437,7 @@ func AutoFit(xs []float64, d, maxP, maxQ int) (*Model, error) {
 		}
 		return nil, fmt.Errorf("timeseries: auto fit found no viable order: %w", lastErr)
 	}
-	best.series = append([]float64(nil), xs...)
+	best.keepTail(xs)
 	return best, nil
 }
 

@@ -281,3 +281,79 @@ func TestAutoFitPrefersParsimony(t *testing.T) {
 		t.Errorf("AutoFit picked %v on white noise, want a small order", m.Order)
 	}
 }
+
+// TestCSSAR1BitEqualsGeneralRecursion holds the AR(1) kernel to the general
+// CSS recursion bit for bit, on random series and parameters that include
+// a NaN, 1e160 and 1e152 spikes, |phi| > 1 and a huge mu, so the
+// divergence guard trips on both sides as well as not.
+func TestCSSAR1BitEqualsGeneralRecursion(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var series [][]float64
+	for _, n := range []int{1, 2, 5, 60, 400} {
+		series = append(series, genARMA([]float64{0.8}, nil, 3, n, rng.Int63()))
+	}
+	nan := genARMA([]float64{0.5}, nil, 0, 200, 32)
+	nan[137] = math.NaN()
+	spike := genARMA([]float64{0.5}, nil, 0, 200, 33)
+	spike[61] = 1e160 // e*e overflows
+	bump := genARMA([]float64{0.5}, nil, 0, 200, 38)
+	bump[90] = 1e152 // past the guard with e*e finite
+	huge := genARMA([]float64{0.9}, nil, 1e151, 200, 34)
+	series = append(series, nan, spike, bump, huge)
+
+	var inf, finite int
+	for si, w := range series {
+		resid := make([]float64, len(w))
+		for range 300 {
+			mu := rng.NormFloat64() * 5
+			phi := (rng.Float64()*2 - 1) * 3 // |phi| up to 3: explodes on long series
+			switch rng.Intn(8) {
+			case 0: // |e| past the guard, e*e finite or not
+				mu = []float64{1e152, 1e155}[rng.Intn(2)] * rng.NormFloat64()
+			case 1:
+				mu = w[rng.Intn(len(w))]
+			}
+			got := cssAR1(w, mu, phi)
+			want := cssObjective(w, 1, 0, []float64{mu, phi}, resid)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("series %d, mu %v, phi %v: cssAR1 = %v (%#x), general = %v (%#x)",
+					si, mu, phi, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			if math.IsInf(got, 1) {
+				inf++
+			} else {
+				finite++
+			}
+		}
+	}
+	if inf == 0 || finite == 0 {
+		t.Errorf("guard tripped on %d of %d evaluations; the inputs must reach both outcomes", inf, inf+finite)
+	}
+}
+
+// TestSigma2IsResidualSumOfSquares holds the innovation variance taken from
+// Nelder-Mead's returned value to the residual pass it replaced, bit for
+// bit, through the AR(1) kernel and through the general recursion.
+func TestSigma2IsResidualSumOfSquares(t *testing.T) {
+	for _, tt := range []struct {
+		order Order
+		xs    []float64
+	}{
+		{Order{P: 1}, genARMA([]float64{0.7}, nil, 4, 3000, 35)},
+		{Order{P: 1, D: 1}, genARMA([]float64{0.4}, nil, 0, 500, 36)},
+		{Order{P: 1, Q: 1}, genARMA([]float64{0.5}, []float64{0.3}, 5, 3000, 37)},
+	} {
+		m, err := Fit(tt.xs, tt.order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sse := 0.0
+		for _, e := range m.residuals(m.diffed) {
+			sse += e * e
+		}
+		want := sse / float64(len(m.diffed))
+		if math.Float64bits(m.Sigma2) != math.Float64bits(want) {
+			t.Errorf("%v: Sigma2 = %v, residual pass gives %v", tt.order, m.Sigma2, want)
+		}
+	}
+}

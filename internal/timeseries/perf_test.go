@@ -5,10 +5,11 @@ import (
 )
 
 // TestCSSObjectiveZeroAlloc pins the tentpole property of the fitter: one
-// objective evaluation with a caller-owned residual buffer allocates
-// nothing. Nelder-Mead calls the objective thousands of times per fit and
-// the transfer matrix runs 2n fits, so a single allocation here multiplies
-// into millions.
+// objective evaluation allocates nothing, the general recursion with a
+// caller-owned residual buffer and the AR(1) kernel with none. Nelder-Mead
+// calls the objective 209-257 times per AR(1) fit on the seed-1, scale-1
+// dispersion series and the transfer matrix runs 2n fits, so a single
+// allocation here multiplies into tens of thousands.
 func TestCSSObjectiveZeroAlloc(t *testing.T) {
 	xs := genARMA([]float64{0.6}, []float64{0.3}, 5, 2000, 21)
 	params := []float64{5, 0.6, 0.3}
@@ -19,12 +20,8 @@ func TestCSSObjectiveZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("cssObjective allocates %.1f objects per evaluation, want 0", allocs)
 	}
-	m, err := Fit(xs, Order{P: 1, Q: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(100, func() { m.residualsInto(xs, resid) }); n != 0 {
-		t.Errorf("residualsInto allocates %.1f objects per pass, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { cssAR1(xs, 5, 0.6) }); n != 0 {
+		t.Errorf("cssAR1 allocates %.1f objects per evaluation, want 0", n)
 	}
 }
 
@@ -50,6 +47,18 @@ func BenchmarkFit(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		if _, err := Fit(xs, Order{P: 1, Q: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFitAR1 is the report's fit: ARIMA(1,0,0) through the AR(1)
+// kernel, which needs no residual buffer.
+func BenchmarkFitAR1(b *testing.B) {
+	xs := genARMA([]float64{0.6}, nil, 5, 8000, 25)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Fit(xs, Order{P: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
