@@ -124,11 +124,11 @@ bench-allocs:
 # only the budgets that went down: budgets are never raised.
 # BenchmarkExtLoad reads the held whole-feed fold (observed 3.6 KB, 45
 # allocs): a load sweep per call costs ~0.4 MB and shows there.
-# BenchmarkExploreCycle's bytes are 768 KiB by hand (observed 0.55 MB; a
-# cycle that rebuilds its products spends 1.9 MB). BenchmarkFitAR1's bytes
-# are 96 KiB by hand (observed 66 KB, the one differenced copy of its
-# 8,000 points): a residual buffer coming back adds 64 KB, which the
-# doubled headroom would hide.
+# BenchmarkExploreCycle's bytes are 512 KiB by hand (observed 0.46 MB;
+# forecasts per /predict spend 0.55 MB, rebuilt products 1.9 MB).
+# BenchmarkFitAR1's bytes are 96 KiB by hand (observed 66 KB, the one
+# differenced copy of its 8,000 points): a residual buffer coming back
+# adds 64 KB, which the doubled headroom would hide.
 bench-update:
 	$(GO) test -run=^$$ -bench $(BENCH_ALLOC_PATTERN) \
 		-benchmem -benchtime=10x $(BENCH_ALLOC_PKGS) > bench_allocs.out

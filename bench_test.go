@@ -161,8 +161,8 @@ func BenchmarkExtTransfer(b *testing.B)    { benchExperiment(b, benchWorkload(b)
 // batch GETs a dashboard repeats over a fixed store) on a warm server over
 // the bench workload. Every answer is read from a product the workload
 // built on the cycle before the loop, so an op allocates the JSON bodies
-// and /predict's per-call forecasts; a product rebuilt per request shows
-// here (bench_thresholds.json).
+// alone; a product rebuilt or a forecast rescored per request shows here
+// (bench_thresholds.json).
 func BenchmarkExploreCycle(b *testing.B) {
 	w := benchWorkload(b)
 	srv := serve.New(w.Store, w.Scale)

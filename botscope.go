@@ -330,13 +330,29 @@ func (a *Analyzer) DispersionSeries(f Family) []float64 {
 
 // PredictDispersion runs the §IV-A ARIMA forecasting experiment.
 func (a *Analyzer) PredictDispersion(f Family, cfg PredictConfig) (*PredictionResult, error) {
-	return a.w.Disp().Predict(f, cfg)
+	res, err := a.w.Disp().Predict(f, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return clonePrediction(res), nil
 }
 
 // PredictAllFamilies runs the forecasting experiment for every family with
 // enough data (Table IV).
 func (a *Analyzer) PredictAllFamilies(cfg PredictConfig) []*PredictionResult {
-	return a.w.Disp().PredictAll(cfg)
+	results := a.w.Disp().PredictAll(cfg)
+	for i, r := range results {
+		results[i] = clonePrediction(r)
+	}
+	return results
+}
+
+// clonePrediction copies the series of a result the dispersion index
+// holds.
+func clonePrediction(r *PredictionResult) *PredictionResult {
+	c := *r
+	c.Truth, c.Predicted, c.Errors = slices.Clone(r.Truth), slices.Clone(r.Predicted), slices.Clone(r.Errors)
+	return &c
 }
 
 // PredictNextAttacks forecasts the next-attack start gap per repeat target.
@@ -364,7 +380,9 @@ func (a *Analyzer) OrgHotspots(f Family, from, to time.Time) []OrgHotspot {
 
 // Collaborations detects and summarizes §V collaborative attacks.
 func (a *Analyzer) Collaborations() CollabStats {
-	return core.AnalyzeCollaborationsFrom(a.w.Collabs())
+	st := a.w.CollabStats()
+	st.CollabCounts = st.Clone()
+	return st
 }
 
 // Pair analyzes the collaborations between two families (Fig 16).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io/fs"
 	"maps"
 	"os"
@@ -471,5 +472,31 @@ func TestAnalyzerCopiesSharedProducts(t *testing.T) {
 	}
 	if again.day.Count != want.day.Count || !maps.Equal(again.day.ByFamily, want.day.ByFamily) {
 		t.Error("a write into DailyDistribution's days reached the next call")
+	}
+
+	// The held forecasts and Table VI statistics.
+	cfg := PredictConfig{Order: ARIMAOrder{P: 1}}
+	readHeld := func() (pred, first *PredictionResult, st CollabStats) {
+		pred, err := a.PredictDispersion(Dirtjumper, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := a.PredictAllFamilies(cfg)
+		if len(all) == 0 || len(pred.Truth) == 0 {
+			t.Fatal("no forecast; the checks below are vacuous")
+		}
+		return pred, all[0], a.Collaborations()
+	}
+	text := func(pred, first *PredictionResult, st CollabStats) string {
+		return fmt.Sprint(*pred, *first, st.CollabCounts)
+	}
+	pred, first, st := readHeld()
+	wantHeld := text(pred, first, st)
+	for _, r := range []*PredictionResult{pred, first} {
+		r.Truth[0], r.Predicted[0], r.Errors[0] = -1, -1, -1
+	}
+	st.Intra["mutated"], st.Inter["mutated"], st.PairCounts["mutated"] = 1, 1, 1
+	if got := text(readHeld()); got != wantHeld {
+		t.Error("a write into PredictDispersion's or PredictAllFamilies' series, or Collaborations' maps, reached the next call")
 	}
 }

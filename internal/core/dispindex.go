@@ -17,11 +17,11 @@ import (
 // series; the index computes each family's at most once and serves it as
 // a read-only view afterwards, with the family's profile beside it.
 //
-// It also holds ARIMA fits: one slot per (family, order), keyed by the
-// training length it was fitted on. Predict, PredictAll and
-// TransferMatrix's native fits read through it, and a miss replaces the
-// slot, so the index holds at most one fit per family and order asked of
-// it whatever splits callers ask for. Forecasts stay per call.
+// It also holds ARIMA fits: one slot per (family, order), with the fit on
+// one training length and Predict's scored result on that split. Predict,
+// PredictAll and TransferMatrix's native fits read through it, and a miss
+// replaces the slot, so at most one fit and one result per family and
+// order are held whatever splits callers ask for.
 //
 // It is safe for concurrent use: the maps are guarded by mu, while each
 // product is its own memo.Lazy or memo.Slot, so a slow computation never
@@ -52,11 +52,15 @@ type heldProfile struct {
 }
 
 // heldFit is a fit slot's value: the model (or the error) a fit on the
-// first n points of the family's series gave.
+// first n points of the family's series gave and, when scored is set,
+// Predict's result on that split (or its error).
 type heldFit struct {
-	n     int
-	model *timeseries.Model
-	err   error
+	n      int
+	model  *timeseries.Model
+	err    error
+	scored bool
+	res    *PredictionResult
+	resErr error
 }
 
 // NewDispersionIndex creates an empty index over s. Series are computed
@@ -150,34 +154,46 @@ func (ix *DispersionIndex) ActiveFamilies(minPoints int) []dataset.Family {
 // Predict runs the paper's experiment for one family: fit ARIMA on the
 // first half of its dispersion series, predict the second half
 // one-step-ahead, score with mean/std/cosine similarity. It equals a
-// fresh fit on the family's values; the fit is the held one when the
-// family's slot for cfg's order holds a fit on the same split.
+// fresh fit and score on the family's values. The result is the held one
+// when the family's slot for cfg's order was scored on the same split,
+// and is shared: its slices must not be modified. Otherwise it scores the
+// slot's fit when that is on the same split, or a fresh one, and the
+// result replaces the slot. Two callers that miss together both compute;
+// the slot keeps one of the equal answers.
 func (ix *DispersionIndex) Predict(f dataset.Family, cfg PredictConfig) (*PredictionResult, error) {
-	return predict(f, DispersionValues(ix.Series(f)), cfg, func(train []float64, order timeseries.Order) (*timeseries.Model, error) {
-		return ix.fit(f, train, order)
-	})
+	series := ix.Series(f)
+	split, err := predictSplit(f, series.Len(), cfg)
+	if err != nil {
+		return nil, err
+	}
+	slot := ix.fitSlot(f, cfg.Order)
+	held := slot.Load()
+	if held != nil && held.n == split && held.scored {
+		return held.res, held.resErr
+	}
+	vals := DispersionValues(series)
+	next := &heldFit{n: split, scored: true}
+	if held != nil && held.n == split {
+		next.model, next.err = held.model, held.err
+	} else {
+		next.model, next.err = fitOrder(vals[:split], cfg.Order)
+	}
+	next.res, next.resErr = scorePrediction(f, vals, split, next.model, next.err)
+	slot.CompareAndSwap(held, next)
+	return next.res, next.resErr
 }
 
-// fit returns the order model fitted on train, the first len(train) points
-// of f's series: the held one when f's slot for order holds a fit on that
-// many points, otherwise a fresh fit, which replaces it. Two callers that
-// miss together both fit; the slot keeps one of the equal answers. Callers
+// fitSlot returns f's slot for order, creating it on first use. Callers
 // hold points of f's series, so f has attacks.
-func (ix *DispersionIndex) fit(f dataset.Family, train []float64, order timeseries.Order) (*timeseries.Model, error) {
+func (ix *DispersionIndex) fitSlot(f dataset.Family, order timeseries.Order) *memo.Slot[heldFit] {
 	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	slot, ok := ix.fits[fitKey{f, order}]
 	if !ok {
 		slot = new(memo.Slot[heldFit])
 		ix.fits[fitKey{f, order}] = slot
 	}
-	ix.mu.Unlock()
-	held := slot.Load()
-	if held != nil && held.n == len(train) {
-		return held.model, held.err
-	}
-	model, err := fitOrder(train, order)
-	slot.CompareAndSwap(held, &heldFit{n: len(train), model: model, err: err})
-	return model, err
+	return slot
 }
 
 // PredictAll runs Predict for every family with enough data, in count
@@ -230,9 +246,20 @@ func (ix *DispersionIndex) Transfer(source, target dataset.Family, order timeser
 }
 
 // nativeFit scores f's own order model, fitted on the training half of its
-// values tgt, as nativeScore does.
+// values tgt, as nativeScore does. The model is the held one when f's slot
+// for order holds a fit on that half; otherwise a fresh fit replaces the
+// slot, as in Predict.
 func (ix *DispersionIndex) nativeFit(f dataset.Family, tgt []float64, order timeseries.Order) (muTrain, nativeSim float64, err error) {
-	model, err := ix.fit(f, tgt[:len(tgt)/2], order)
+	split := len(tgt) / 2
+	slot := ix.fitSlot(f, order)
+	held := slot.Load()
+	var model *timeseries.Model
+	if held != nil && held.n == split {
+		model, err = held.model, held.err
+	} else {
+		model, err = fitOrder(tgt[:split], order)
+		slot.CompareAndSwap(held, &heldFit{n: split, model: model, err: err})
+	}
 	if err != nil {
 		return 0, 0, fmt.Errorf("core: fit native %s: %w", f, err)
 	}

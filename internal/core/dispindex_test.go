@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -130,17 +132,19 @@ func TestDispersionIndexConcurrent(t *testing.T) {
 	}
 }
 
-// heldFits counts the fits the index holds.
-func (ix *DispersionIndex) heldFits() int {
+// held counts the fits and the scored results the index holds.
+func (ix *DispersionIndex) held() (fits, results int) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	n := 0
 	for _, slot := range ix.fits {
-		if slot.Load() != nil {
-			n++
+		if h := slot.Load(); h != nil {
+			fits++
+			if h.scored {
+				results++
+			}
 		}
 	}
-	return n
+	return fits, results
 }
 
 // sweepFams and sweepPoints are the hostile /predict sweep: every
@@ -216,9 +220,10 @@ func TestDispersionIndexFitSlotBounded(t *testing.T) {
 	for _, f := range sweepFams {
 		for tp := 1; tp <= sweepPoints; tp++ {
 			checkSweepAnswer(t, ix, want, f, tp)
-			checkSweepAnswer(t, ix, want, f, tp) // the held fit
-			if n := ix.heldFits(); n > len(sweepFams) {
-				t.Fatalf("%d fits held after %s test_points %d, want at most %d", n, f, tp, len(sweepFams))
+			checkSweepAnswer(t, ix, want, f, tp) // the held result
+			if fits, results := ix.held(); fits > len(sweepFams) || results > fits {
+				t.Fatalf("%d fits and %d results held after %s test_points %d, want at most %d fits and a result each",
+					fits, results, f, tp, len(sweepFams))
 			}
 		}
 	}
@@ -227,8 +232,8 @@ func TestDispersionIndexFitSlotBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := ix.heldFits(); n != 2*len(sweepFams) {
-		t.Errorf("%d fits held over two orders, want %d", n, 2*len(sweepFams))
+	if fits, results := ix.held(); fits != 2*len(sweepFams) || results != fits {
+		t.Errorf("%d fits and %d results held over two orders, want %d of each", fits, results, 2*len(sweepFams))
 	}
 }
 
@@ -251,9 +256,135 @@ func TestDispersionIndexFitSlotConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := ix.heldFits(); n > len(sweepFams) {
-		t.Errorf("%d fits held, want at most %d", n, len(sweepFams))
+	if fits, results := ix.held(); fits > len(sweepFams) || results > fits {
+		t.Errorf("%d fits and %d results held, want at most %d of each", fits, results, len(sweepFams))
 	}
+}
+
+// samePrediction reports how got differs from want, bit for bit in every
+// float and series, or "" when it does not.
+func samePrediction(got, want *PredictionResult) string {
+	if got.Family != want.Family || got.Order != want.Order {
+		return fmt.Sprintf("%s %s, want %s %s", got.Family, got.Order, want.Family, want.Order)
+	}
+	scalars := [][2]float64{{got.MeanPred, want.MeanPred}, {got.StdPred, want.StdPred},
+		{got.MeanTruth, want.MeanTruth}, {got.StdTruth, want.StdTruth}, {got.Similarity, want.Similarity}}
+	for i, x := range scalars {
+		if math.Float64bits(x[0]) != math.Float64bits(x[1]) {
+			return fmt.Sprintf("score %d is %v, want %v", i, x[0], x[1])
+		}
+	}
+	series := [][2][]float64{{got.Truth, want.Truth}, {got.Predicted, want.Predicted}, {got.Errors, want.Errors}}
+	for i, x := range series {
+		if !slices.EqualFunc(x[0], x[1], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			return fmt.Sprintf("series %d (truth, predicted, errors) differs", i)
+		}
+	}
+	return ""
+}
+
+// TestDispersionIndexHeldPredict holds Predict's held result to a fresh
+// PredictSeries on the family's values, bit for bit, and checks that a
+// repeat on the same split is the held result itself: on the default and
+// a TestPoints split, across splits that alternate and replace the slot,
+// on a slot TransferMatrix's native fit filled first (its fit is scored,
+// not refitted), and with PredictAll and Predict callers racing.
+func TestDispersionIndexHeldPredict(t *testing.T) {
+	s, _ := sweepReference(t)
+	order := timeseries.Order{P: 1}
+	cfgs := []PredictConfig{{Order: order}, {Order: order, TestPoints: 25}, {Order: order, TestPoints: 10}}
+	// check compares ix's answer with a fresh one; it reports with Errorf,
+	// so the concurrent callers below may use it, and returns nil on error.
+	check := func(t *testing.T, ix *DispersionIndex, f dataset.Family, cfg PredictConfig) *PredictionResult {
+		t.Helper()
+		got, err := ix.Predict(f, cfg)
+		want, wantErr := PredictSeries(f, DispersionValues(ix.Series(f)), cfg)
+		if err != nil || wantErr != nil {
+			t.Errorf("%s test_points %d: %v (fresh: %v)", f, cfg.TestPoints, err, wantErr)
+			return nil
+		}
+		if diff := samePrediction(got, want); diff != "" {
+			t.Errorf("%s test_points %d: %s", f, cfg.TestPoints, diff)
+		}
+		return got
+	}
+
+	t.Run("splits", func(t *testing.T) {
+		ix := NewDispersionIndex(s)
+		for _, f := range sweepFams {
+			splits := make(map[int]bool)
+			for round := range 2 { // the second round finds every slot replaced by the last split
+				for _, cfg := range cfgs {
+					first := check(t, ix, f, cfg)
+					if first == nil {
+						continue
+					}
+					if again := check(t, ix, f, cfg); again != first {
+						t.Errorf("%s test_points %d round %d: a repeat on the same split is not the held result", f, cfg.TestPoints, round)
+					}
+					splits[len(first.Truth)] = true
+				}
+			}
+			if len(splits) != len(cfgs) {
+				t.Fatalf("%s: %d distinct splits, want %d; the replacement above is vacuous", f, len(splits), len(cfgs))
+			}
+		}
+	})
+
+	t.Run("transfer", func(t *testing.T) {
+		ix := NewDispersionIndex(s)
+		if res := ix.TransferMatrix(sweepFams, order, 0); len(res) == 0 {
+			t.Fatal("TransferMatrix gave no pairs; the native fits below are vacuous")
+		}
+		for _, f := range sweepFams {
+			native := ix.fitSlot(f, order).Load()
+			if native == nil || native.scored {
+				t.Fatalf("%s: TransferMatrix left slot %+v, want an unscored native fit", f, native)
+			}
+			check(t, ix, f, cfgs[0]) // the default split is the native fit's half
+			if h := ix.fitSlot(f, order).Load(); h.model != native.model || !h.scored {
+				t.Errorf("%s: the default split refitted or did not hold its result", f)
+			}
+		}
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		ix := NewDispersionIndex(s)
+		want := make(map[dataset.Family]*PredictionResult)
+		for _, f := range ix.ActiveFamilies(1) {
+			if res, err := PredictSeries(f, DispersionValues(ix.Series(f)), cfgs[0]); err == nil {
+				want[f] = res
+			}
+		}
+		if len(want) < len(sweepFams) {
+			t.Fatalf("%d families forecast; the race below is vacuous", len(want))
+		}
+		var wg sync.WaitGroup
+		for g := range 8 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if g%2 == 0 {
+					for _, got := range ix.PredictAll(cfgs[0]) {
+						if want[got.Family] == nil {
+							t.Errorf("PredictAll forecast %s, which a fresh fit fails", got.Family)
+						} else if diff := samePrediction(got, want[got.Family]); diff != "" {
+							t.Errorf("PredictAll %s: %s", got.Family, diff)
+						}
+					}
+					return
+				}
+				f := sweepFams[g/2%len(sweepFams)]
+				for _, cfg := range cfgs {
+					check(t, ix, f, cfg)
+				}
+			}()
+		}
+		wg.Wait()
+		if fits, results := ix.held(); fits > len(want) || results > fits {
+			t.Errorf("%d fits and %d results held, want at most %d of each", fits, results, len(want))
+		}
+	})
 }
 
 // TestDispersionIndexUnknownFamily pins that a family with no attacks —

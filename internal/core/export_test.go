@@ -26,7 +26,12 @@ func MergeDaily(parts ...DailyStats) DailyStats {
 // callers can forecast any per-attack quantity. It fits afresh on every
 // call.
 func PredictSeries(f dataset.Family, series []float64, cfg PredictConfig) (*PredictionResult, error) {
-	return predict(f, series, cfg, fitOrder)
+	split, err := predictSplit(f, len(series), cfg)
+	if err != nil {
+		return nil, err
+	}
+	model, err := fitOrder(series[:split], cfg.Order)
+	return scorePrediction(f, series, split, model, err)
 }
 
 // Contains reports whether ip is blacklisted. It is the one membership

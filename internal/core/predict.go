@@ -53,22 +53,26 @@ func fitOrder(train []float64, order timeseries.Order) (*timeseries.Model, error
 	return timeseries.Fit(train, order)
 }
 
-// predict forecasts series, the fit of the training split left to fit,
-// which DispersionIndex answers from its held fits. The model fit returns
-// is only read.
-func predict(f dataset.Family, series []float64, cfg PredictConfig, fit func(train []float64, order timeseries.Order) (*timeseries.Model, error)) (*PredictionResult, error) {
-	if len(series) < minPredictSeries {
-		return nil, fmt.Errorf("core: family %s has %d points, need %d for prediction (the paper skips such families)",
-			f, len(series), minPredictSeries)
+// predictSplit is where the evaluation split of f's n-point series
+// starts: half way, or TestPoints from the end when that is later.
+func predictSplit(f dataset.Family, n int, cfg PredictConfig) (int, error) {
+	if n < minPredictSeries {
+		return 0, fmt.Errorf("core: family %s has %d points, need %d for prediction (the paper skips such families)",
+			f, n, minPredictSeries)
 	}
-	split := len(series) / 2
-	if cfg.TestPoints > 0 && len(series)-split > cfg.TestPoints {
-		split = len(series) - cfg.TestPoints
+	split := n / 2
+	if cfg.TestPoints > 0 && n-split > cfg.TestPoints {
+		split = n - cfg.TestPoints
 	}
+	return split, nil
+}
 
-	model, err := fit(series[:split], cfg.Order)
-	if err != nil {
-		return nil, fmt.Errorf("core: fit dispersion model for %s: %w", f, err)
+// scorePrediction is the experiment's result from the fit of
+// series[:split]: model, or fitErr when the fit failed. Truth is
+// series[split:] itself.
+func scorePrediction(f dataset.Family, series []float64, split int, model *timeseries.Model, fitErr error) (*PredictionResult, error) {
+	if fitErr != nil {
+		return nil, fmt.Errorf("core: fit dispersion model for %s: %w", f, fitErr)
 	}
 	preds, sim, fcErr, err := scoreOneStep(model, series, split)
 	if fcErr != nil {

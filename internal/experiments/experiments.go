@@ -70,10 +70,10 @@ func (r *Result) MetricsText() string {
 // live above dataset — the monitoring collector, the §II-B/§III overview
 // products (products.go: protocols, daily series, intervals, durations,
 // concurrent load, target-country rankings), the per-family dispersion
-// series, profiles and ARIMA fits, and the two §V event lists
-// (collaborations, chains) — for the experiments, the serve tier and the
-// library's Analyzer alike. Each is built once, on first use, and safe
-// for concurrent use (serve's
+// series, profiles, ARIMA fits and scored forecasts, and the §V products
+// (collaborations with their Table VI statistics, chains) — for the
+// experiments, the serve tier and the library's Analyzer alike. Each is
+// built once, on first use, and safe for concurrent use (serve's
 // handlers, TestWorkloadConcurrentAll); a product's slice comes out as a
 // memo.View, and the slices and maps inside a returned struct are shared
 // and must not be modified. Every product is a heap value: a
@@ -94,8 +94,9 @@ type Workload struct {
 	famGaps   memo.Lazy[map[dataset.Family]*gapSeries]
 	targets   memo.Lazy[map[dataset.Family]core.TargetCountryProfile]
 
-	collabs memo.Lazy[[]*core.Collaboration]
-	chains  memo.Lazy[core.ChainStats]
+	collabs     memo.Lazy[[]*core.Collaboration]
+	collabStats memo.Lazy[core.CollabStats]
+	chains      memo.Lazy[core.ChainStats]
 }
 
 // Collector returns the workload's monitoring collector (Fig 8, the
@@ -109,6 +110,16 @@ func (w *Workload) Disp() *core.DispersionIndex { return w.disp }
 // detecting it on first call and serving the one list afterwards.
 func (w *Workload) Collabs() memo.View[*core.Collaboration] {
 	return memo.ViewOf(w.collabs.Get(func() []*core.Collaboration { return core.DetectCollaborations(w.Store) }))
+}
+
+// CollabStats returns Table VI over Collabs, aggregated on first call and
+// shared afterwards: its maps must not be modified.
+func (w *Workload) CollabStats() core.CollabStats {
+	return w.collabStats.Get(w.buildCollabStats)
+}
+
+func (w *Workload) buildCollabStats() core.CollabStats {
+	return core.AnalyzeCollaborationsFrom(w.Collabs())
 }
 
 // Chains returns the workload's multistage-attack summary (Figs 17-18),

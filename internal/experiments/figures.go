@@ -449,7 +449,7 @@ func (w *Workload) Figure14() (*Result, error) {
 
 // Figure15 regenerates the Dirtjumper intra-family collaboration view.
 func (w *Workload) Figure15() (*Result, error) {
-	st := core.AnalyzeCollaborationsFrom(w.Collabs())
+	st := w.CollabStats()
 	var events []*core.Collaboration
 	for _, c := range st.Collaborations.All() {
 		if c.Intra() && c.Families[0] == dataset.Dirtjumper {

@@ -156,7 +156,7 @@ func (w *Workload) TableV() (*Result, error) {
 
 // TableVI regenerates the collaboration statistics.
 func (w *Workload) TableVI() (*Result, error) {
-	st := core.AnalyzeCollaborationsFrom(w.Collabs())
+	st := w.CollabStats()
 	t := report.NewTable("Table VI — botnets collaboration statistics",
 		"family", "intra-family", "inter-family")
 	t.SetAlign(1, report.AlignRight)

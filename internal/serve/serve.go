@@ -279,7 +279,7 @@ func (s *Server) handleTargets(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCollaborations(w http.ResponseWriter, _ *http.Request) {
-	st := core.AnalyzeCollaborationsFrom(s.workload.Collabs())
+	st := s.workload.CollabStats()
 	writeJSON(w, struct {
 		TotalIntra  int                    `json:"total_intra"`
 		TotalInter  int                    `json:"total_inter"`
