@@ -17,10 +17,8 @@ type victim struct {
 	loc geo.Location
 }
 
-// targetCountry is a victim country with its weighted victim pool.
+// targetCountry is one victim country's weighted victim pool.
 type targetCountry struct {
-	cc            string
-	weight        float64
 	victims       []victim
 	victimWeights []float64
 }
@@ -305,7 +303,7 @@ func (g *familyGen) buildTargets() error {
 		if n < 1 {
 			n = 1
 		}
-		tc := targetCountry{cc: cs.CC, weight: cs.Weight}
+		var tc targetCountry
 		for v := 0; v < n; v++ {
 			ip, ok := g.db.SampleInfrastructureIP(g.rng, cs.CC)
 			if !ok {

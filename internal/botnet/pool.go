@@ -17,8 +17,7 @@ import (
 // city. Formations are drawn cluster-first so that the geolocation
 // dispersion of an attack is controllable.
 type cityCluster struct {
-	key    string // cc + "/" + city
-	cc     string
+	key    string          // cc + "/" + city
 	center geo.CenterPoint // the bots' centroid with its trig, refreshed by recruit
 	bots   []*dataset.Bot
 	// keys[i] is bots[i]'s signed distance from center, NaN until a
@@ -29,7 +28,6 @@ type cityCluster struct {
 // Pool is one family's bot population: bots grouped into city clusters,
 // with weekly recruitment of new countries (the shift pattern of Fig 8).
 type Pool struct {
-	family    dataset.Family
 	clusters  []*cityCluster
 	byCountry map[string][]*cityCluster
 	countries []string // recruitment order, base countries first
@@ -56,7 +54,6 @@ type Pool struct {
 // generate concurrently (cross-family duplicates collapse at merge time).
 func NewPool(rng *rand.Rand, db *geo.DB, p *Profile, size int, used map[netip.Addr]bool) (*Pool, error) {
 	pool := &Pool{
-		family:    p.Family,
 		byCountry: make(map[string][]*cityCluster),
 		rng:       rng,
 		db:        db,
@@ -118,7 +115,7 @@ func (pool *Pool) recruit(cc string, n int) error {
 			}
 		}
 		if cluster == nil {
-			cluster = &cityCluster{key: key, cc: cc}
+			cluster = &cityCluster{key: key}
 			pool.byCountry[cc] = append(pool.byCountry[cc], cluster)
 			pool.clusters = append(pool.clusters, cluster)
 		}

@@ -25,8 +25,7 @@ var (
 // connection multiplexing concurrent requests by ReqID (a reader
 // goroutine routes acks back to waiting callers).
 type shardClient struct {
-	id   int
-	addr string
+	id int
 
 	wmu  sync.Mutex // serializes frame writes
 	wbuf []byte     // guarded by wmu: each frame is built here, then written
@@ -51,7 +50,7 @@ func dialShard(ctx context.Context, id int, addr string) (*shardClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &shardClient{id: id, addr: addr, conn: conn, pending: make(map[uint32]chan Frame)}
+	c := &shardClient{id: id, conn: conn, pending: make(map[uint32]chan Frame)}
 	// The reader ends when close() (run on any error, by Frontend
 	// teardown, and by markDown) closes the conn and fails ReadFrame;
 	// reply sends target the per-request 1-buffered channels and cannot

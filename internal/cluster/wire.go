@@ -102,18 +102,6 @@ func (k FrameKind) ack() FrameKind {
 	return k
 }
 
-// isRequest reports whether k is a frontend-originated request kind (as
-// opposed to a shard-originated ack).
-func (k FrameKind) isRequest() bool {
-	switch k {
-	case msgHello, msgIngest, msgSnap, msgLeave, msgPing:
-		return true
-	case msgHelloAck, msgIngestAck, msgSnapResp, msgLeaveAck, msgPong:
-		return false
-	}
-	return false
-}
-
 // Frame flags.
 const (
 	// flagBusy marks an ack for a request the shard had to refuse because

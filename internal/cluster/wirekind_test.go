@@ -32,3 +32,15 @@ func TestFrameKindAck(t *testing.T) {
 		t.Errorf("unknown kind must map to itself and not be a request")
 	}
 }
+
+// isRequest reports whether k is a frontend-originated request kind (as
+// opposed to a shard-originated ack).
+func (k FrameKind) isRequest() bool {
+	switch k {
+	case msgHello, msgIngest, msgSnap, msgLeave, msgPing:
+		return true
+	case msgHelloAck, msgIngestAck, msgSnapResp, msgLeaveAck, msgPong:
+		return false
+	}
+	return false
+}

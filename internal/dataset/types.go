@@ -19,9 +19,9 @@ import (
 // unknown type.
 //
 // Category values cross the cluster wire inside ingest payloads, so the
-// set is closed and botvet's wireframe analyzer keeps every switch over it
-// exhaustive: a category added for a new paper figure cannot silently fall
-// through classification code.
+// set is closed and internal/gate's wireframe rule keeps every switch over
+// it exhaustive: a category added for a new paper figure cannot silently
+// fall through classification code.
 //
 //botvet:wire
 type Category int

@@ -39,12 +39,12 @@ func (w *Workload) ExtCalibration() (*Result, error) {
 	}
 
 	t := report.NewTable("Extension — calibration self-test", "check", "value")
-	t.AddRow("duration KS statistic vs lognormal target", fmt.Sprintf("%.4f", ks.Statistic))
+	t.AddRow("duration KS statistic vs lognormal target", fmt.Sprintf("%.4f", ks))
 	t.AddRow("duration W1 distance (s)", report.FormatFloat(w1, 1))
-	t.AddRow("duration sample size", report.FormatInt(ks.N1))
+	t.AddRow("duration sample size", report.FormatInt(durs.N()))
 
 	res := &Result{ID: "Ext: Calibration", Title: "Workload calibration self-test", Text: t.String()}
-	res.AddMetric("duration KS statistic", ks.Statistic)
+	res.AddMetric("duration KS statistic", ks)
 	res.AddMetric("duration W1 distance (s)", w1)
 	return res, nil
 }

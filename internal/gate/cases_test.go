@@ -429,6 +429,83 @@ func run(t *fix.T, s any) int {
 
 func testOnly() { Dead(); T{}.Dead() }
 `}},
+		// deadexport's field half: a field, exported or not, that no
+		// non-test selector reads is a finding; an assignment, op=, ++/--
+		// or a composite-literal key writes and does not read; an embedded
+		// field is not checked. Fields are read outside the program's
+		// selectors when their struct is converted to an empty interface
+		// (fmt, encoding/json), hashed as a map key or compared, or reached
+		// from the facade's exported API by a library user.
+		{name: "deadexport/fields", audit: map[string]string{
+			"fix.w.Kept":  "fixture: a test elsewhere reads it",
+			"fix.w.Stale": "fixture: product code reads it now",
+			"fix.w.Gone":  "fixture: names no field",
+		}, files: map[string]string{"botscope/internal/fix/a.go": `package fix // want "audit row fix.w.Gone names nothing this package declares"
+
+import "fmt"
+
+type inner struct{ Promoted int }
+
+type w struct {
+	inner
+	Dead  int // want "fix.w.Dead is a field no non-test code reads"
+	dead  int // want "fix.w.dead is a field no non-test code reads"
+	Read  int
+	Kept  int
+	Stale int // want "audit row fix.w.Stale is stale"
+}
+
+func write() int {
+	v := &w{Dead: 1, Kept: 2}
+	v.dead = 3
+	v.dead++
+	v.Dead += 4
+	return v.Read + v.Stale + v.Promoted
+}
+
+// fmt reads every field of what it prints, through pointers.
+type printed struct {
+	shown int
+	sub   *nested
+}
+
+type nested struct{ deep int }
+
+// A value passed as a non-empty interface is read through its methods.
+type method struct{ n int } // want "fix.method.n is a field no non-test code reads"
+
+func (method) String() string { return "" }
+
+type pair struct{ a, b int }
+
+func convert(seen map[pair]bool) string {
+	var s fmt.Stringer = method{n: 1}
+	seen[pair{a: 1, b: 2}] = true
+	return fmt.Sprint(printed{shown: 1, sub: &nested{deep: 2}}) + s.String()
+}
+
+// The root package aliases Facade: a library user reads its exported
+// fields, and the types they reach, but not its unexported ones.
+type Facade struct {
+	Out    int
+	Sub    []Nested
+	hidden int // want "fix.Facade.hidden is a field no non-test code reads"
+}
+
+type Nested struct{ Deep int }
+
+func Open() Facade { return Facade{hidden: 1} }
+`, "botscope/a.go": `package botscope
+
+import "botscope/internal/fix"
+
+type View = fix.Facade
+
+func Open() View { return fix.Open() }
+`, "botscope/internal/fix/a_test.go": `package fix
+
+func testRead(v w) int { return v.Dead + v.dead }
+`}},
 		// paperlit: a salient literal outside internal/published that
 		// equals a value published declares (a constant, a table row, a
 		// field of one) is a copy, whatever its spelling; small or coarse

@@ -117,6 +117,7 @@ type program struct {
 	used   map[types.Object]bool // every object referenced, generic origins folded; built on first use
 	ifaces []*types.Interface    // the interfaces a method may be kept alive by; built with used
 	paper  map[string]string     // published's salient values (exact) and their names; built on first use
+	fields map[*types.Var]bool   // the struct fields live without an audit row; built on first use
 }
 
 type unit struct {

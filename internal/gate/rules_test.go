@@ -1,6 +1,7 @@
 package gate
 
 import (
+	"cmp"
 	"go/ast"
 	"go/constant"
 	"go/token"
@@ -447,29 +448,38 @@ func selectorBase(info *types.Info, e ast.Expr) types.Object {
 // deadexport keeps the internal packages' surface to what the product
 // calls: an exported name under internal/ (a package-level declaration,
 // or a method of a package-level type) that no non-test file of the
-// module references is a finding, unless exportAudit keeps it with a
-// reason. A use through a generic instantiation counts for its origin,
-// and a method is used when its type implements an interface that has
-// it (error, http.Handler, any the program declares or imports). A row
-// whose name is used, or names nothing, is a finding too: the table only
-// shrinks.
+// module references is a finding, and so is a struct field declared
+// under internal/, exported or not, that no non-test file reads; unless
+// exportAudit keeps it with a reason. A use through a generic
+// instantiation counts for its origin, and a method is used when its type
+// implements an interface that has it (error, http.Handler, any the
+// program declares or imports). A field is read by a selector that is not
+// the target of an assignment or ++/--; a composite-literal key writes. A
+// field is live without a read when its struct is reachable from the
+// facade's exported API, converted to an empty interface, or compared
+// (fieldUsage). Embedded fields are not checked. A row whose name is live, or names
+// nothing, is a finding too: the table only shrinks.
 func deadexport(p *pass) {
 	rel, ok := strings.CutPrefix(p.path, module+"/internal/")
 	if !ok {
 		return
 	}
 	used, ifaces := p.usage()
+	reads := p.fieldUsage()
 	rows := map[string]bool{}
 	for key := range p.audit {
 		if pkg, _, _ := strings.Cut(key, "."); pkg == rel {
 			rows[key] = true
 		}
 	}
-	check := func(obj types.Object, key string) {
-		live := used[obj] || implements(obj, ifaces)
+	const (
+		deadName  = "is exported but no non-test code uses it; delete it, move it into a _test.go file, or keep it with a row in the audit table"
+		deadField = "is a field no non-test code reads; delete it, or keep it with a row in the audit table"
+	)
+	check := func(obj types.Object, key string, live bool, dead string) {
 		switch {
 		case !rows[key] && !live:
-			p.report(obj.Pos(), "%s is exported but no non-test code uses it; delete it, move it into a _test.go file, or keep it with a row in the audit table", key)
+			p.report(obj.Pos(), "%s %s", key, dead)
 		case rows[key] && live:
 			p.report(obj.Pos(), "audit row %s is stale: non-test code uses it now; remove the row", key)
 		}
@@ -479,7 +489,7 @@ func deadexport(p *pass) {
 	for _, name := range scope.Names() {
 		obj := scope.Lookup(name)
 		if obj.Exported() {
-			check(obj, rel+"."+name)
+			check(obj, rel+"."+name, used[obj] || implements(obj, ifaces), deadName)
 		}
 		tn, ok := obj.(*types.TypeName)
 		if !ok || tn.IsAlias() {
@@ -488,10 +498,28 @@ func deadexport(p *pass) {
 		named := tn.Type().(*types.Named)
 		for i := range named.NumMethods() {
 			if m := named.Method(i); m.Exported() {
-				check(m, rel+"."+name+"."+m.Name())
+				check(m, rel+"."+name+"."+m.Name(), used[m] || implements(m, ifaces), deadName)
 			}
 		}
 	}
+	owners := map[*ast.StructType]string{} // a named struct's type name; an anonymous one is "struct"
+	p.inspect(func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.TypeSpec:
+			if st, ok := x.Type.(*ast.StructType); ok {
+				owners[st] = x.Name.Name
+			}
+		case *ast.StructType:
+			owner := cmp.Or(owners[x], "struct")
+			for _, f := range x.Fields.List {
+				for _, name := range f.Names {
+					v := p.info.Defs[name]
+					check(v, rel+"."+owner+"."+name.Name, reads[v.(*types.Var)], deadField)
+				}
+			}
+		}
+		return true
+	})
 	for _, key := range slices.Sorted(maps.Keys(rows)) {
 		p.report(p.files[0].Name.Pos(), "audit row %s names nothing this package declares; remove the row", key)
 	}
@@ -554,6 +582,202 @@ func (prog *program) usage() (map[types.Object]bool, []*types.Interface) {
 		}
 	}
 	return prog.used, prog.ifaces
+}
+
+// fieldUsage returns, built once per program, the struct fields (as
+// their generic origins) live without an audit row: read by a selector in
+// a non-test file, or belonging to a struct that something outside the
+// program's selectors reads. That is every struct reachable from the
+// facade's exported API (the root package: a library user reads it),
+// every struct in a value non-test code converts to an empty interface
+// (encoding/json and fmt read it: writeJSON's v, ClusterStatus() any),
+// and every struct compared with == or hashed as a map key. A value
+// converted to a non-empty interface is read through its methods, whose
+// selectors count already.
+func (prog *program) fieldUsage() map[*types.Var]bool {
+	if prog.fields != nil {
+		return prog.fields
+	}
+	live := map[*types.Var]bool{}
+	// walker returns a walk that marks the fields of every struct t
+	// reaches. The facade's walk follows what a library user can name:
+	// exported fields and methods. An interface's walk follows what
+	// encoding/json and fmt read: every field, no method.
+	walker := func(api bool) func(types.Type) {
+		seen := map[types.Type]bool{}
+		var reach func(t types.Type)
+		reach = func(t types.Type) {
+			if t = types.Unalias(t); t == nil || seen[t] {
+				return
+			}
+			seen[t] = true
+			switch x := t.(type) {
+			case *types.Named:
+				reach(x.Underlying())
+				for i := range x.TypeArgs().Len() {
+					reach(x.TypeArgs().At(i))
+				}
+				for i := range x.NumMethods() {
+					if api && x.Method(i).Exported() {
+						reach(x.Method(i).Type())
+					}
+				}
+			case *types.Struct:
+				for i := range x.NumFields() {
+					if f := x.Field(i); !api || f.Exported() {
+						live[f.Origin()] = true
+						reach(f.Type())
+					}
+				}
+			case *types.Tuple:
+				for i := range x.Len() {
+					reach(x.At(i).Type())
+				}
+			case *types.Signature:
+				reach(x.Params())
+				reach(x.Results())
+			case *types.Map:
+				reach(x.Key())
+				reach(x.Elem())
+			case interface{ Elem() types.Type }: // pointer, slice, array, chan
+				reach(x.Elem())
+			}
+		}
+		return reach
+	}
+	facade, dumped := walker(true), walker(false)
+	if root := prog.pkgs[module]; root != nil {
+		for _, name := range root.Scope().Names() {
+			if obj := root.Scope().Lookup(name); obj.Exported() {
+				facade(obj.Type())
+			}
+		}
+	}
+	// compared is a value hashed as a map key or compared with ==, which
+	// reads every field of a struct or array.
+	compared := func(t types.Type) {
+		switch t.Underlying().(type) {
+		case *types.Struct, *types.Array:
+			dumped(t)
+		}
+	}
+	// conv is an assignment of e to a dst-typed slot.
+	conv := func(dst types.Type, e ast.Expr) {
+		if dst == nil {
+			return
+		}
+		it, ok := dst.Underlying().(*types.Interface)
+		if src := prog.info.TypeOf(e); ok && it.Empty() && src != nil && !types.IsInterface(src) {
+			dumped(src)
+		}
+	}
+	writes := map[*ast.SelectorExpr]bool{}
+	write := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			writes[sel] = true
+		}
+	}
+	var walk func(root ast.Node, sig *types.Signature)
+	walk = func(root ast.Node, sig *types.Signature) {
+		ast.Inspect(root, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.FuncDecl:
+				if x.Body != nil {
+					walk(x.Body, prog.info.Defs[x.Name].Type().(*types.Signature))
+				}
+				return false
+			case *ast.FuncLit:
+				walk(x.Body, prog.info.TypeOf(x).(*types.Signature))
+				return false
+			case *ast.ReturnStmt:
+				if sig != nil && len(x.Results) == sig.Results().Len() {
+					for i, r := range x.Results {
+						conv(sig.Results().At(i).Type(), r)
+					}
+				}
+			case *ast.AssignStmt:
+				for i, lhs := range x.Lhs {
+					if x.Tok != token.DEFINE {
+						write(lhs)
+					}
+					if x.Tok == token.ASSIGN && len(x.Lhs) == len(x.Rhs) {
+						conv(prog.info.TypeOf(lhs), x.Rhs[i])
+					}
+				}
+			case *ast.IncDecStmt:
+				write(x.X)
+			case *ast.BinaryExpr:
+				if x.Op == token.EQL || x.Op == token.NEQ {
+					compared(prog.info.TypeOf(x.X))
+				}
+			case *ast.IndexExpr:
+				if m, ok := prog.info.TypeOf(x.X).Underlying().(*types.Map); ok {
+					compared(m.Key())
+				}
+			case *ast.ValueSpec:
+				if x.Type != nil {
+					for _, v := range x.Values {
+						conv(prog.info.TypeOf(x.Type), v)
+					}
+				}
+			case *ast.CallExpr:
+				tv := prog.info.Types[x.Fun]
+				if tv.IsType() { // a conversion T(v)
+					conv(tv.Type, x.Args[0])
+					break
+				}
+				fn, ok := tv.Type.Underlying().(*types.Signature)
+				if !ok {
+					break
+				}
+				params := fn.Params()
+				for i, arg := range x.Args {
+					switch last := params.Len() - 1; {
+					case fn.Variadic() && i >= last && !x.Ellipsis.IsValid():
+						conv(params.At(last).Type().Underlying().(*types.Slice).Elem(), arg)
+					case i <= last:
+						conv(params.At(i).Type(), arg)
+					}
+				}
+			case *ast.CompositeLit:
+				t := prog.info.TypeOf(x).Underlying()
+				for i, elt := range x.Elts {
+					key, val := ast.Expr(nil), elt
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						key, val = kv.Key, kv.Value
+					}
+					switch u := t.(type) {
+					case *types.Struct:
+						if id, ok := key.(*ast.Ident); ok {
+							conv(prog.info.ObjectOf(id).Type(), val)
+						} else {
+							conv(u.Field(i).Type(), val)
+						}
+					case *types.Map:
+						conv(u.Key(), key)
+						conv(u.Elem(), val)
+					case interface{ Elem() types.Type }: // slice, array
+						conv(u.Elem(), val)
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, u := range prog.units {
+		for _, f := range u.files {
+			if !inTestFile(f.Pos()) {
+				walk(f, nil)
+			}
+		}
+	}
+	for x, sel := range prog.info.Selections {
+		if sel.Kind() == types.FieldVal && !writes[x] && !inTestFile(x.Pos()) {
+			live[sel.Obj().(*types.Var).Origin()] = true
+		}
+	}
+	prog.fields = live
+	return live
 }
 
 // unwrapper is interface{ Unwrap() error }, the error-chain step

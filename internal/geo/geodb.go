@@ -64,22 +64,19 @@ func (k OrgKind) InfrastructureKind() bool {
 
 // Org is an organization owning one or more address blocks.
 type Org struct {
-	Name        string
-	Kind        OrgKind
-	CountryCode string
-	ASN         int
+	Name string
+	Kind OrgKind
+	ASN  int
 }
 
-// Location is the full geo answer for an IP: what the commercial mapping
-// service of the paper would have returned.
+// Location is the geo answer for an IP that the analyses read: the point,
+// country, city, organization and ASN the paper's commercial mapping
+// service returned.
 type Location struct {
-	IP          netip.Addr
 	Point       LatLon
 	CountryCode string
-	Country     string
 	City        string
 	Org         string
-	OrgKind     OrgKind
 	ASN         int
 }
 
@@ -200,10 +197,9 @@ func NewDB(cfg DBConfig) *DB {
 			}
 			asn++
 			org := &Org{
-				Name:        base + " " + tpl.suffix + " " + strconv.Itoa(i+1),
-				Kind:        tpl.kind,
-				CountryCode: c.Code,
-				ASN:         asn,
+				Name: base + " " + tpl.suffix + " " + strconv.Itoa(i+1),
+				Kind: tpl.kind,
+				ASN:  asn,
 			}
 			if rng.Float64() < 0.12 { // a slice of orgs announce 2 ASNs
 				asn++
@@ -223,10 +219,9 @@ func NewDB(cfg DBConfig) *DB {
 		if !hasInfra {
 			asn++
 			org := &Org{
-				Name:        fmt.Sprintf("%s Hosting 0", c.Name),
-				Kind:        OrgHosting,
-				CountryCode: c.Code,
-				ASN:         asn,
+				Name: fmt.Sprintf("%s Hosting 0", c.Name),
+				Kind: OrgHosting,
+				ASN:  asn,
 			}
 			orgs = append(orgs, org)
 			db.orgs = append(db.orgs, org)
@@ -321,13 +316,10 @@ func (db *DB) locate(b *block, v uint32) Location {
 		pt.Lon += 360
 	}
 	return Location{
-		IP:          addrFromUint32(v),
 		Point:       pt,
 		CountryCode: b.country.Code,
-		Country:     b.country.Name,
 		City:        b.city.Name,
 		Org:         b.org.Name,
-		OrgKind:     b.org.Kind,
 		ASN:         b.org.ASN,
 	}
 }

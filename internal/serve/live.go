@@ -47,7 +47,7 @@ type ClusterAdmin interface {
 }
 
 // AdminVerb names one cluster shard-management action. The set is closed:
-// botvet's wireframe analyzer keeps every switch over an AdminVerb
+// internal/gate's wireframe rule keeps every switch over an AdminVerb
 // exhaustive, so a new verb cannot reach the mux without every dispatch
 // point handling it.
 //

@@ -6,34 +6,33 @@ import (
 	"testing"
 )
 
+// criticalScore is the UniformityScore at which a chi-square
+// goodness-of-fit test rejects uniformity, given the statistic's critical
+// value for bins-1 degrees of freedom: the score is monotone in the
+// statistic, so score > criticalScore is the test's rejection.
+func criticalScore(critical float64, total, bins int) float64 {
+	return math.Sqrt(critical / (float64(total) * float64(bins-1)))
+}
+
 func TestChiSquareUniformOnUniformCounts(t *testing.T) {
-	counts := []int{100, 100, 100, 100}
-	res, err := ChiSquareUniform(counts)
+	score, err := UniformityScore([]int{100, 100, 100, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Statistic != 0 {
-		t.Errorf("statistic = %v, want 0", res.Statistic)
-	}
-	if res.PValue != 1 {
-		t.Errorf("p = %v, want 1", res.PValue)
-	}
-	if res.DegreesOfFreedom != 3 {
-		t.Errorf("dof = %d, want 3", res.DegreesOfFreedom)
-	}
-	if res.PValue < 0.05 {
-		t.Error("uniform counts rejected")
+	if score != 0 {
+		t.Errorf("score = %v, want 0", score)
 	}
 }
 
 func TestChiSquareUniformOnSkewedCounts(t *testing.T) {
 	counts := []int{1000, 10, 10, 10}
-	res, err := ChiSquareUniform(counts)
+	score, err := UniformityScore(counts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PValue >= 0.001 {
-		t.Errorf("heavily skewed counts not rejected: p = %v", res.PValue)
+	// 16.266 is the chi-square(3) critical value at alpha 0.001.
+	if crit := criticalScore(16.266, 1030, len(counts)); score <= crit {
+		t.Errorf("heavily skewed counts not rejected: score %v <= %v", score, crit)
 	}
 }
 
@@ -42,16 +41,18 @@ func TestChiSquareUniformSampledUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	rejections := 0
 	const trials = 50
+	// 41.638 is the chi-square(23) critical value at alpha 0.01.
+	crit := criticalScore(41.638, 2400, 24)
 	for trial := 0; trial < trials; trial++ {
 		counts := make([]int, 24)
 		for i := 0; i < 2400; i++ {
 			counts[rng.Intn(24)]++
 		}
-		res, err := ChiSquareUniform(counts)
+		score, err := UniformityScore(counts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.PValue < 0.01 {
+		if score > crit {
 			rejections++
 		}
 	}
@@ -62,46 +63,14 @@ func TestChiSquareUniformSampledUniform(t *testing.T) {
 }
 
 func TestChiSquareUniformErrors(t *testing.T) {
-	if _, err := ChiSquareUniform([]int{5}); err == nil {
+	if _, err := UniformityScore([]int{5}); err == nil {
 		t.Error("single bin accepted")
 	}
-	if _, err := ChiSquareUniform([]int{0, 0, 0}); err == nil {
+	if _, err := UniformityScore([]int{0, 0, 0}); err == nil {
 		t.Error("empty counts accepted")
 	}
-	if _, err := ChiSquareUniform([]int{5, -1}); err == nil {
+	if _, err := UniformityScore([]int{5, -1}); err == nil {
 		t.Error("negative count accepted")
-	}
-}
-
-func TestChiSquareSurvivalKnownValues(t *testing.T) {
-	// Chi-square with 1 dof: P(X >= 3.841) = 0.05.
-	tests := []struct {
-		x, k, want, tol float64
-	}{
-		{x: 3.841, k: 1, want: 0.05, tol: 1e-3},
-		{x: 5.991, k: 2, want: 0.05, tol: 1e-3},
-		{x: 16.919, k: 9, want: 0.05, tol: 1e-3},
-		{x: 2.558, k: 10, want: 0.99, tol: 1e-3},
-		{x: 0, k: 5, want: 1, tol: 0},
-	}
-	for _, tt := range tests {
-		if got := chiSquareSurvival(tt.x, tt.k); math.Abs(got-tt.want) > tt.tol {
-			t.Errorf("chiSquareSurvival(%v, %v) = %v, want %v", tt.x, tt.k, got, tt.want)
-		}
-	}
-}
-
-func TestChiSquareSurvivalMonotone(t *testing.T) {
-	prev := 1.0
-	for x := 0.5; x < 40; x += 0.5 {
-		p := chiSquareSurvival(x, 6)
-		if p > prev+1e-12 {
-			t.Fatalf("survival not decreasing at x=%v: %v > %v", x, p, prev)
-		}
-		if p < 0 || p > 1 {
-			t.Fatalf("survival %v out of range at x=%v", p, x)
-		}
-		prev = p
 	}
 }
 

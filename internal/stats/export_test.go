@@ -4,8 +4,9 @@ import "math"
 
 // The sketch's accessors below are read only by its tests.
 
-// Alpha returns the sketch's relative-error guarantee.
-func (s *QuantileSketch) Alpha() float64 { return s.alpha }
+// Alpha returns the sketch's relative-error guarantee, recovered from
+// gamma = (1+alpha)/(1-alpha).
+func (s *QuantileSketch) Alpha() float64 { return (s.gamma - 1) / (s.gamma + 1) }
 
 // N returns the number of values added.
 func (s *QuantileSketch) N() int { return int(s.n) }

@@ -14,19 +14,22 @@ func normalSample(rng *rand.Rand, n int, mean, std float64) []float64 {
 	return out
 }
 
+// ksCritical is the asymptotic two-sample critical value of D at level
+// alpha: c(alpha)·sqrt((n1+n2)/(n1·n2)), with c(alpha) = sqrt(-ln(alpha/2)/2).
+func ksCritical(alpha float64, n1, n2 int) float64 {
+	return math.Sqrt(-math.Log(alpha/2)/2) * math.Sqrt(float64(n1+n2)/float64(n1*n2))
+}
+
 func TestKolmogorovSmirnovSameDistribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := normalSample(rng, 800, 0, 1)
 	b := normalSample(rng, 800, 0, 1)
-	res, err := KolmogorovSmirnov(NewECDF(a), NewECDF(b))
+	d, err := KolmogorovSmirnov(NewECDF(a), NewECDF(b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PValue < 0.001 {
-		t.Errorf("same distribution rejected: D=%v p=%v", res.Statistic, res.PValue)
-	}
-	if res.N1 != 800 || res.N2 != 800 {
-		t.Errorf("sizes = %d/%d", res.N1, res.N2)
+	if crit := ksCritical(0.001, 800, 800); d >= crit {
+		t.Errorf("same distribution rejected: D=%v >= %v", d, crit)
 	}
 }
 
@@ -34,41 +37,38 @@ func TestKolmogorovSmirnovDifferentDistributions(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := normalSample(rng, 500, 0, 1)
 	b := normalSample(rng, 500, 1.5, 1)
-	res, err := KolmogorovSmirnov(NewECDF(a), NewECDF(b))
+	d, err := KolmogorovSmirnov(NewECDF(a), NewECDF(b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PValue >= 0.01 {
-		t.Errorf("shifted distribution not rejected: D=%v p=%v", res.Statistic, res.PValue)
+	if crit := ksCritical(0.01, 500, 500); d <= crit {
+		t.Errorf("shifted distribution not rejected: D=%v <= %v", d, crit)
 	}
-	if res.Statistic < 0.3 {
-		t.Errorf("D = %v, want large for a 1.5-sigma shift", res.Statistic)
+	if d < 0.3 {
+		t.Errorf("D = %v, want large for a 1.5-sigma shift", d)
 	}
 }
 
 func TestKolmogorovSmirnovIdenticalSamples(t *testing.T) {
 	a := []float64{1, 2, 3, 4, 5}
-	res, err := KolmogorovSmirnov(NewECDF(a), NewECDF(a))
+	d, err := KolmogorovSmirnov(NewECDF(a), NewECDF(a))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Statistic != 0 {
-		t.Errorf("D on identical samples = %v, want 0", res.Statistic)
-	}
-	if res.PValue != 1 {
-		t.Errorf("p on identical samples = %v, want 1", res.PValue)
+	if d != 0 {
+		t.Errorf("D on identical samples = %v, want 0", d)
 	}
 }
 
 func TestKolmogorovSmirnovDisjointSamples(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{100, 200, 300}
-	res, err := KolmogorovSmirnov(NewECDF(a), NewECDF(b))
+	d, err := KolmogorovSmirnov(NewECDF(a), NewECDF(b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Statistic != 1 {
-		t.Errorf("D on disjoint samples = %v, want 1", res.Statistic)
+	if d != 1 {
+		t.Errorf("D on disjoint samples = %v, want 1", d)
 	}
 }
 
@@ -78,23 +78,6 @@ func TestKolmogorovSmirnovErrors(t *testing.T) {
 	}
 	if _, err := KolmogorovSmirnov(NewECDF([]float64{1}), NewECDF(nil)); err == nil {
 		t.Error("empty second sample accepted")
-	}
-}
-
-func TestKSPValueMonotone(t *testing.T) {
-	prev := 1.0
-	for _, lambda := range []float64{0.1, 0.5, 1.0, 1.5, 2.0, 3.0} {
-		p := ksPValue(lambda)
-		if p > prev+1e-12 {
-			t.Errorf("p-value not decreasing at lambda %v: %v > %v", lambda, p, prev)
-		}
-		if p < 0 || p > 1 {
-			t.Errorf("p-value %v out of range at lambda %v", p, lambda)
-		}
-		prev = p
-	}
-	if got := ksPValue(0); got != 1 {
-		t.Errorf("ksPValue(0) = %v, want 1", got)
 	}
 }
 

@@ -19,7 +19,6 @@ import "math"
 // The zero value is not usable; construct with NewQuantileSketch. A sketch
 // is not safe for concurrent mutation; Quantile and friends are read-only.
 type QuantileSketch struct {
-	alpha   float64
 	gamma   float64
 	lnGamma float64
 	maxBins int
@@ -63,7 +62,6 @@ func newQuantileSketch(alpha float64, maxBins int) *QuantileSketch {
 	}
 	gamma := (1 + alpha) / (1 - alpha)
 	return &QuantileSketch{
-		alpha:   alpha,
 		gamma:   gamma,
 		lnGamma: math.Log(gamma),
 		maxBins: maxBins,
