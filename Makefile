@@ -95,8 +95,8 @@ bench-smoke:
 # bench-allocs runs the hot-kernel micro-benchmarks with -benchmem and
 # fails when any exceeds its budget in bench_thresholds.json (see
 # cmd/benchguard). This is the CI gate against allocation regressions in
-# the ARIMA fitter (the report's ARIMA(1,0,0), whose kernel needs no
-# residual buffer, and the general ARMA path), the dispersion scan, the cross-shard merge, the
+# the ARIMA fitter (the report's ARIMA(1,0,0), an exact least-squares
+# fit with no residual buffer, and the general ARMA path), the dispersion scan, the cross-shard merge, the
 # snapshot fan-out after an ingest (120 held days: a day series sent or
 # merged whole again shows here), the BSCW
 # payload walks (encode nothing, decode what the message holds: a closure
@@ -128,7 +128,9 @@ bench-allocs:
 # forecasts per /predict spend 0.55 MB, rebuilt products 1.9 MB).
 # BenchmarkFitAR1's bytes are 96 KiB by hand (observed 66 KB, the one
 # differenced copy of its 8,000 points): a residual buffer coming back
-# adds 64 KB, which the doubled headroom would hide.
+# adds 64 KB, which the doubled headroom would hide. Its 7 allocs are 3
+# observed (that copy, the model, its AR slice) plus the minimum slack: an
+# iterative search coming back allocates per step.
 bench-update:
 	$(GO) test -run=^$$ -bench $(BENCH_ALLOC_PATTERN) \
 		-benchmem -benchtime=10x $(BENCH_ALLOC_PKGS) > bench_allocs.out

@@ -284,8 +284,10 @@ func samePrediction(got, want *PredictionResult) string {
 }
 
 // TestDispersionIndexHeldPredict holds Predict's held result to a fresh
-// PredictSeries on the family's values, bit for bit, and checks that a
-// repeat on the same split is the held result itself: on the default and
+// PredictSeries on the family's values, bit for bit, with a Truth that
+// owns its points (a view of the values would pin their training half),
+// and checks that a repeat on the same split is the held result itself:
+// on the default and
 // a TestPoints split, across splits that alternate and replace the slot,
 // on a slot TransferMatrix's native fit filled first (its fit is scored,
 // not refitted), and with PredictAll and Predict callers racing.
@@ -305,6 +307,9 @@ func TestDispersionIndexHeldPredict(t *testing.T) {
 		}
 		if diff := samePrediction(got, want); diff != "" {
 			t.Errorf("%s test_points %d: %s", f, cfg.TestPoints, diff)
+		}
+		if cap(got.Truth) != len(got.Truth) {
+			t.Errorf("%s test_points %d: Truth has cap %d beyond its %d points", f, cfg.TestPoints, cap(got.Truth), len(got.Truth))
 		}
 		return got
 	}

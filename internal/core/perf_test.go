@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -66,9 +67,30 @@ func TestDispersionScanZeroAlloc(t *testing.T) {
 	}
 }
 
+// dispersionAgrees reports whether a scanned dispersion got matches
+// geo.Dispersion over pts: the scan's chord distances agree with the
+// haversine formula to rounding, so the sums agree within 1e-9 of the
+// distances' total, Σ|dᵢ|. A bound relative to |Σdᵢ| would fail where the
+// signed distances cancel (2.7e-12 km against 9.1e-13 km on a two-bot
+// attack). Near an antipode the haversine reference is the inexact side:
+// asin(√h) turns a rounding of 4ε in h into up to 2R·√(4ε) ≈ 4e-4 km, so
+// each distance adds that loss at its own h to the bound.
+func dispersionAgrees(got float64, pts []geo.LatLon) (want float64, ok bool) {
+	want, _ = geo.Dispersion(pts)
+	c, _ := geo.Center(pts)
+	var total, slack float64
+	for _, p := range pts {
+		d := geo.Haversine(c, p)
+		h := math.Pow(math.Sin(d/(2*geo.EarthRadiusKm)), 2)
+		total += d
+		slack += 2 * geo.EarthRadiusKm * (math.Asin(math.Sqrt(h)) - math.Asin(math.Sqrt(max(0, h-4*0x1p-52))))
+	}
+	return want, math.Abs(got-want) <= 1e-9*total+slack
+}
+
 // TestRowDispersionMatchesDispersion holds the in-place scan to
-// geo.Dispersion over the resolved bots' locations, bit for bit, on 200
-// random formations of 2 to 31 bots anywhere on the globe, a tenth of
+// geo.Dispersion over the resolved bots' locations (dispersionAgrees) on
+// 200 random formations of 2 to 31 bots anywhere on the globe, a tenth of
 // them an antipodal pair and some sources unresolved.
 func TestRowDispersionMatchesDispersion(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -112,16 +134,15 @@ func TestRowDispersionMatchesDispersion(t *testing.T) {
 	for row := 0; row < s.NumAttacks(); row++ {
 		pts := want[s.AttackAt(row).ID()-1]
 		got, gok := rowDispersion(ix, row)
-		wd, wok := geo.Dispersion(pts)
-		if gok != wok || got != wd {
-			t.Fatalf("attack %d (%d bots): scan %v,%v; geo.Dispersion %v,%v", row, len(pts), got, gok, wd, wok)
+		if wd, ok := dispersionAgrees(got, pts); !gok || !ok {
+			t.Fatalf("attack %d (%d bots): scan %v,%v; geo.Dispersion %v", row, len(pts), got, gok, wd)
 		}
 	}
 }
 
 // TestDenseDispersionMatchesMapScan recomputes the series with the old
-// map-resolving, per-attack-allocating approach and requires bit-equal
-// values: the dense index is a pure representation change.
+// map-resolving, per-attack-allocating approach over geo.Dispersion and
+// requires the same attacks, with values that agree (dispersionAgrees).
 func TestDenseDispersionMatchesMapScan(t *testing.T) {
 	s := dispersionFixture(t)
 	bots := map[netip.Addr]geo.LatLon{}
@@ -130,7 +151,8 @@ func TestDenseDispersionMatchesMapScan(t *testing.T) {
 	}
 	for _, f := range s.Families().All() {
 		got := DispersionSeries(s, f)
-		var want []DispersionPoint
+		var want [][]geo.LatLon
+		var ids []dataset.DDoSID
 		for _, row := range s.RowsByFamily(f).All() {
 			a := s.AttackRecordAt(int(row))
 			pts := make([]geo.LatLon, 0, len(a.BotIPs))
@@ -142,18 +164,15 @@ func TestDenseDispersionMatchesMapScan(t *testing.T) {
 			if len(pts) == 0 {
 				continue
 			}
-			d, ok := geo.Dispersion(pts)
-			if !ok {
-				continue
-			}
-			want = append(want, DispersionPoint{AttackID: a.ID, Value: d})
+			want = append(want, pts)
+			ids = append(ids, a.ID)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("family %s: %d points dense, %d points reference", f, len(got), len(want))
 		}
 		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("family %s point %d: dense %+v, reference %+v", f, i, got[i], want[i])
+			if wd, ok := dispersionAgrees(got[i].Value, want[i]); got[i].AttackID != ids[i] || !ok {
+				t.Fatalf("family %s point %d: dense %+v, reference attack %d, %v km", f, i, got[i], ids[i], wd)
 			}
 		}
 	}

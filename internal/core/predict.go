@@ -68,8 +68,8 @@ func predictSplit(f dataset.Family, n int, cfg PredictConfig) (int, error) {
 }
 
 // scorePrediction is the experiment's result from the fit of
-// series[:split]: model, or fitErr when the fit failed. Truth is
-// series[split:] itself.
+// series[:split]: model, or fitErr when the fit failed. Truth is a copy of
+// series[split:], so a held result does not keep the training half alive.
 func scorePrediction(f dataset.Family, series []float64, split int, model *timeseries.Model, fitErr error) (*PredictionResult, error) {
 	if fitErr != nil {
 		return nil, fmt.Errorf("core: fit dispersion model for %s: %w", f, fitErr)
@@ -81,7 +81,8 @@ func scorePrediction(f dataset.Family, series []float64, split int, model *times
 	if err != nil {
 		return nil, fmt.Errorf("core: score forecasts for %s: %w", f, err)
 	}
-	truth := series[split:]
+	truth := make([]float64, len(series)-split)
+	copy(truth, series[split:])
 	errs := make([]float64, len(preds))
 	for i := range preds {
 		errs[i] = math.Abs(preds[i] - truth[i])

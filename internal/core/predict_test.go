@@ -62,7 +62,10 @@ func TestPredictSeriesTestPointsCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.Truth) != 50 {
-		t.Errorf("test points = %d, want capped at 50", len(res.Truth))
+		t.Fatalf("test points = %d, want capped at 50", len(res.Truth))
+	}
+	if &res.Truth[0] == &series[len(series)-50] {
+		t.Error("Truth is a view of the input series; a held result would pin its training half")
 	}
 }
 

@@ -30,7 +30,7 @@ type DispersionPoint struct {
 // resolvable bots are dropped.
 //
 // The scan runs on the store's dense bot index: resolving a bot is an
-// array load instead of a map lookup, its trigonometry is precomputed,
+// array load instead of a map lookup, its unit vector is precomputed,
 // and the loop allocates nothing beyond the result slice.
 func DispersionSeries(s *dataset.Store, f dataset.Family) []DispersionPoint {
 	rows := s.RowsByFamily(f)
@@ -45,10 +45,11 @@ func DispersionSeries(s *dataset.Store, f dataset.Family) []DispersionPoint {
 	return out
 }
 
-// rowDispersion is geo.Dispersion over attack row's resolvable bots, bit
-// for bit, and false when none resolves. It walks the row's id span
-// twice, reading each bot's cached point in place: once for the centroid,
-// once for the signed distances from it.
+// rowDispersion is geo.Dispersion over attack row's resolvable bots, to
+// rounding, and false when none resolves. It walks the row's id span
+// twice, reading each bot's cached unit vector: once for the centroid,
+// whose degrees are Center's bit for bit, once for the chord distances
+// from it.
 func rowDispersion(ix *dataset.BotIndex, row int) (float64, bool) {
 	refs := ix.RefsRow(row)
 	var c geo.Centroid
@@ -64,7 +65,7 @@ func rowDispersion(ix *dataset.BotIndex, row int) (float64, bool) {
 	var sum float64
 	for i := 0; i < refs.Len(); i++ {
 		if id := refs.At(i); ix.Resolved(id) {
-			sum += geo.SignedDistanceCached(&center, ix.Point(id))
+			sum += geo.SignedDistanceCached(center, ix.Point(id))
 		}
 	}
 	return math.Abs(sum), true

@@ -13,8 +13,8 @@ import (
 // kernels that used to resolve map[netip.Addr]*Bot per bot reference —
 // dispersion scans, Table III's distinct-entity counts, Figure 8's weekly
 // dedup, the blacklist builder — instead walk flat arrays indexed by id:
-// a hash lookup per 24-byte key becomes an array load, and per-bot
-// geolocation trigonometry is precomputed once for the store's lifetime.
+// a hash lookup per 24-byte key becomes an array load, and each bot's
+// unit vector is precomputed once for the store's lifetime.
 //
 // The id numbering and reference spans come straight from the columnar
 // core's dense layer, which a snapshot carries in the file, so a reloaded
@@ -29,7 +29,7 @@ type BotIndex struct {
 	cols *Columns
 	ips  addrCol           // id -> ip (shared with the columnar dense layer)
 	rows []int32           // id -> Botlist row, -1 when unresolved
-	pts  []geo.CachedPoint // id -> cached location; zero when unresolved
+	pts  []geo.CachedPoint // id -> location and unit vector; zero when unresolved
 	refs []int32           // per-attack id spans, concatenated in attack order
 
 	ids memo.Lazy[map[netip.Addr]int32] // ip -> dense id
@@ -94,10 +94,9 @@ func (ix *BotIndex) CountryID(id int32) int32 {
 	return ix.cols.bCC[row]
 }
 
-// Point returns a read-only reference to the precomputed location of a
-// resolved dense id, read in place. It is meaningful only when
-// Resolved(id).
-func (ix *BotIndex) Point(id int32) geo.Ref { return geo.RefOf(&ix.pts[id]) }
+// Point returns the location of a resolved dense id with its unit vector
+// precomputed. It is meaningful only when Resolved(id).
+func (ix *BotIndex) Point(id int32) geo.CachedPoint { return ix.pts[id] }
 
 // RefsRow returns attack row i's source set as dense ids: a span of the
 // index's shared refs array.

@@ -463,6 +463,21 @@ func write() int {
 	return v.Read + v.Stale + v.Promoted
 }
 
+// Appending to a field and assigning it back writes it; any other use of
+// the field, the append's elements included, reads it.
+type grown struct {
+	list []int // want "fix.grown.list is a field no non-test code reads"
+	read []int
+	into []int
+}
+
+func grow(g *grown) int {
+	g.list = append(g.list, 1)
+	g.read = append(g.read, 3)
+	g.into = append(g.into, g.into...)
+	return len(g.read)
+}
+
 // fmt reads every field of what it prints, through pointers.
 type printed struct {
 	shown int

@@ -7,6 +7,7 @@ package gate
 // package's tests read moves into a _test.go file there; a row is for a
 // name a test elsewhere, a bench or a facade Example needs.
 var exportAudit = map[string]string{
+	"cluster.Local.Shards":                 "the admin and frame-cap tests read each shard's Applied count through it; StartLocal builds the shards, so no test can hold them otherwise",
 	"core.Blacklist.Entries":               "TestBlacklistMatchesReference checks the radix ranking through it; the facade's Blacklist carries it",
 	"core.DispersionPoint.AttackID":        "TestOracleDispersion aligns the scan's points with the oracle's by it",
 	"geo.Dispersion":                       "the point-list reference the core dispersion scan, botnet's formations and the ablation bench are held to",

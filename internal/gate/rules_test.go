@@ -454,7 +454,8 @@ func selectorBase(info *types.Info, e ast.Expr) types.Object {
 // instantiation counts for its origin, and a method is used when its type
 // implements an interface that has it (error, http.Handler, any the
 // program declares or imports). A field is read by a selector that is not
-// the target of an assignment or ++/--; a composite-literal key writes. A
+// the target of an assignment or ++/--, nor the first argument of an
+// append assigned back to itself; a composite-literal key writes. A
 // field is live without a read when its struct is reachable from the
 // facade's exported API, converted to an empty interface, or compared
 // (fieldUsage). Embedded fields are not checked. A row whose name is live, or names
@@ -677,6 +678,19 @@ func (prog *program) fieldUsage() map[*types.Var]bool {
 			writes[sel] = true
 		}
 	}
+	// selfAppend marks the first argument of lhs = append(lhs, ...) a
+	// write: growing a field reads it only to write it back.
+	selfAppend := func(lhs, rhs ast.Expr) {
+		call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return
+		}
+		fn, _ := ast.Unparen(call.Fun).(*ast.Ident)
+		if b, ok := prog.info.Uses[fn].(*types.Builtin); ok && b.Name() == "append" &&
+			types.ExprString(ast.Unparen(call.Args[0])) == types.ExprString(ast.Unparen(lhs)) {
+			write(call.Args[0])
+		}
+	}
 	var walk func(root ast.Node, sig *types.Signature)
 	walk = func(root ast.Node, sig *types.Signature) {
 		ast.Inspect(root, func(n ast.Node) bool {
@@ -702,6 +716,7 @@ func (prog *program) fieldUsage() map[*types.Var]bool {
 					}
 					if x.Tok == token.ASSIGN && len(x.Lhs) == len(x.Rhs) {
 						conv(prog.info.TypeOf(lhs), x.Rhs[i])
+						selfAppend(lhs, x.Rhs[i])
 					}
 				}
 			case *ast.IncDecStmt:

@@ -2,93 +2,70 @@ package geo
 
 import "math"
 
-// CachedPoint is a LatLon with its trigonometry precomputed: radians,
-// cos(lat), and the 3-D unit vector. The dispersion kernels evaluate the
-// same bot locations across thousands of attacks, so hoisting the
-// per-point trig out of Center/Haversine removes most of the scan's math
-// work. Every cached field is derived with exactly the expressions (and
-// operation order) of the uncached functions, so the *Cached variants
-// below are bit-identical to their originals — callers may mix them
-// freely without perturbing any statistic.
+// CachedPoint is a LatLon with its 3-D unit vector precomputed. The
+// dispersion scan reads the same bot locations across thousands of
+// attacks, so the dense bot index holds one per bot: the centroid sums the
+// vectors, and the distance from the centroid is the chord between two
+// vectors, with no per-bot trigonometry left in the scan.
 type CachedPoint struct {
-	Deg    LatLon  // original coordinates in degrees
-	LatRad float64 // degToRad(Deg.Lat)
-	LonRad float64 // degToRad(Deg.Lon)
-	CosLat float64 // math.Cos(LatRad)
-	X      float64 // math.Cos(LatRad) * math.Cos(LonRad)
-	Y      float64 // math.Cos(LatRad) * math.Sin(LonRad)
-	Z      float64 // math.Sin(LatRad)
+	Deg     LatLon  // original coordinates in degrees
+	X, Y, Z float64 // the unit vector, as Center derives it
 }
 
-// NewCachedPoint precomputes the trigonometry of p.
+// NewCachedPoint precomputes the unit vector of p.
 func NewCachedPoint(p LatLon) CachedPoint {
 	lat, lon := degToRad(p.Lat), degToRad(p.Lon)
 	cosLat := math.Cos(lat)
-	return CachedPoint{
-		Deg:    p,
-		LatRad: lat,
-		LonRad: lon,
-		CosLat: cosLat,
-		X:      cosLat * math.Cos(lon),
-		Y:      cosLat * math.Sin(lon),
-		Z:      math.Sin(lat),
-	}
+	return CachedPoint{Deg: p, X: cosLat * math.Cos(lon), Y: cosLat * math.Sin(lon), Z: math.Sin(lat)}
 }
 
-// Ref is a read-only reference to a CachedPoint held in a table other
-// readers share, such as the dense bot index's: a formation's points are
-// read in place, by reference, and nothing writes through a Ref.
-type Ref struct{ p *CachedPoint }
-
-// RefOf makes a read-only reference to *p.
-func RefOf(p *CachedPoint) Ref { return Ref{p} }
-
-// Add adds a point to the centroid; the point's unit vector is read from
-// its cache.
-func (c *Centroid) Add(r Ref) { c.add(r.p.X, r.p.Y, r.p.Z, r.p.Deg) }
+// Add adds a point to the centroid by its cached unit vector: Center's
+// sums, bit for bit.
+func (c *Centroid) Add(p CachedPoint) { c.add(p.X, p.Y, p.Z, p.Deg) }
 
 // Center returns Center over the points added so far, bit for bit, with
-// the trig SignedDistanceCached reads from it, and false when none was
+// its unit vector derived from those degrees, and false when none was
 // added.
 func (c *Centroid) Center() (CachedPoint, bool) {
 	center, ok := c.center()
 	if !ok {
 		return CachedPoint{}, false
 	}
-	return distanceOrigin(center), true
+	return NewCachedPoint(center), true
 }
 
-// distanceOrigin is center with the fields SignedDistanceCached reads from
-// its first argument: degrees, radians and cos(lat). The unit vector is
-// left zero; a center is never summed into a Centroid.
-func distanceOrigin(center LatLon) CachedPoint {
-	lat := degToRad(center.Lat)
-	return CachedPoint{Deg: center, LatRad: lat, LonRad: degToRad(center.Lon), CosLat: math.Cos(lat)}
+// SignedDistanceCached is SignedDistance from center to p, taken from
+// their unit vectors u and v: 2R·atan2(|u−v|, |u+v|) is R times the
+// central angle, since |u−v| and |u+v| are twice its half-angle's sine
+// and cosine. The atan2 form is well conditioned at every angle, where
+// asin of the half chord loses digits near antipodes. It agrees with the
+// haversine formula to rounding, not bit for bit.
+func SignedDistanceCached(center, p CachedPoint) float64 {
+	dx, dy, dz := center.X-p.X, center.Y-p.Y, center.Z-p.Z
+	sx, sy, sz := center.X+p.X, center.Y+p.Y, center.Z+p.Z
+	d := 2 * EarthRadiusKm * math.Atan2(math.Sqrt(dx*dx+dy*dy+dz*dz), math.Sqrt(sx*sx+sy*sy+sz*sz))
+	return signed(d, center.Deg, p.Deg)
 }
 
-// SignedDistanceCached is SignedDistance from a precomputed center to a
-// point read in place; bit-identical to SignedDistance(center.Deg, p.Deg).
-func SignedDistanceCached(center *CachedPoint, p Ref) float64 {
-	d := haversine(p.p.LatRad-center.LatRad, p.p.LonRad-center.LonRad, center.CosLat, p.p.CosLat)
-	return signed(d, center.Deg, p.p.Deg)
-}
-
-// CenterPoint is a CachedPoint that also keeps the cosine and sine of its
-// longitude. The generator's cluster centres stay fixed between
+// CenterPoint is a point with the trigonometry of its radians
+// precomputed. The generator's cluster centres stay fixed between
 // recruitments and enter thousands of two-point evaluations each, so they
-// carry the trig WeightedSignedDistances would otherwise re-derive per
-// call. Bots stay CachedPoints: the dense bot index holds one per bot, and
-// two more fields there would cost every report pass.
+// carry what WeightedSignedDistances would otherwise re-derive per call.
 type CenterPoint struct {
-	CachedPoint
-	CosLon float64 // math.Cos(LonRad)
-	SinLon float64 // math.Sin(LonRad)
+	Deg            LatLon
+	LatRad, LonRad float64
+	CosLat, SinLat float64
+	CosLon, SinLon float64
 }
 
 // NewCenterPoint precomputes the trigonometry of p.
 func NewCenterPoint(p LatLon) CenterPoint {
-	c := NewCachedPoint(p)
-	return CenterPoint{CachedPoint: c, CosLon: math.Cos(c.LonRad), SinLon: math.Sin(c.LonRad)}
+	lat, lon := degToRad(p.Lat), degToRad(p.Lon)
+	return CenterPoint{
+		Deg: p, LatRad: lat, LonRad: lon,
+		CosLat: math.Cos(lat), SinLat: math.Sin(lat),
+		CosLon: math.Cos(lon), SinLon: math.Sin(lon),
+	}
 }
 
 // WeightedSignedDistances returns the signed distances of a and b from
@@ -98,8 +75,10 @@ func NewCenterPoint(p LatLon) CenterPoint {
 //	SignedDistance(c, a.Deg), SignedDistance(c, b.Deg), ok
 //
 // (WeightedCenter is the two-point centroid its tests keep in
-// export_test.go), with both endpoints' trig read from the cache (Z is math.Sin(LatRad))
-// and the center's radians and cos(lat) derived once for both distances.
+// export_test.go), with both endpoints' trig read from the cache and the
+// center's radians and cos(lat) derived once for both distances. The
+// generated workload depends on its bits, so it keeps the haversine
+// formula.
 func WeightedSignedDistances(a, b CenterPoint, wa, wb float64) (da, db float64, ok bool) {
 	total := wa + wb
 	if total <= 0 {
@@ -107,13 +86,16 @@ func WeightedSignedDistances(a, b CenterPoint, wa, wb float64) (da, db float64, 
 	}
 	x := (wa*a.CosLat*a.CosLon + wb*b.CosLat*b.CosLon) / total
 	y := (wa*a.CosLat*a.SinLon + wb*b.CosLat*b.SinLon) / total
-	z := (wa*a.Z + wb*b.Z) / total
+	z := (wa*a.SinLat + wb*b.SinLat) / total
 	var center LatLon
 	if norm := math.Sqrt(x*x + y*y + z*z); norm < 1e-12 {
 		center = a.Deg // antipodal cancellation; stay deterministic
 	} else {
 		center = LatLon{Lat: math.Asin(z/norm) * 180 / math.Pi, Lon: math.Atan2(y, x) * 180 / math.Pi}
 	}
-	c := distanceOrigin(center)
-	return SignedDistanceCached(&c, RefOf(&a.CachedPoint)), SignedDistanceCached(&c, RefOf(&b.CachedPoint)), true
+	lat, lon := degToRad(center.Lat), degToRad(center.Lon)
+	cosLat := math.Cos(lat)
+	da = signed(haversine(a.LatRad-lat, a.LonRad-lon, cosLat, a.CosLat), center, a.Deg)
+	db = signed(haversine(b.LatRad-lat, b.LonRad-lon, cosLat, b.CosLat), center, b.Deg)
+	return da, db, true
 }

@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -21,20 +22,21 @@ func cachePoints(pts []LatLon) []CachedPoint {
 	return out
 }
 
-// centroidOf adds every point to a Centroid, read in place.
+// centroidOf adds every point to a Centroid.
 func centroidOf(pts []CachedPoint) (CachedPoint, bool) {
 	var c Centroid
-	for i := range pts {
-		c.Add(RefOf(&pts[i]))
+	for _, p := range pts {
+		c.Add(p)
 	}
 	return c.Center()
 }
 
-// TestCachedVariantsBitIdentical pins the contract the dispersion scan
-// relies on: every cached kernel returns the exact float64 bits of its
-// uncached original, so switching the scan kernels to cached points cannot
-// move any statistic by even one ulp. core's TestRowDispersionMatchesDispersion
-// holds the scan they make up to Dispersion.
+// TestCachedVariantsBitIdentical pins the kernels whose bits the outputs
+// depend on: the Centroid the dispersion scan sums is Center bit for bit,
+// and the generator's two-point kernel is WeightedCenter then
+// SignedDistance bit for bit (the generated workload depends on it).
+// SignedDistanceCached is not bit-identical to SignedDistance;
+// TestSignedDistanceCachedMatchesHaversine holds it.
 func TestCachedVariantsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
@@ -43,24 +45,50 @@ func TestCachedVariantsBitIdentical(t *testing.T) {
 		if antipodal {
 			pts = append(pts[:1], LatLon{Lat: -pts[0].Lat, Lon: pts[0].Lon + 180})
 		}
-		cached := cachePoints(pts)
-		gc, gok := centroidOf(cached)
+		gc, gok := centroidOf(cachePoints(pts))
 		wc, wok := Center(pts)
-		if gok != wok || gc.Deg != wc {
-			t.Fatalf("Centroid = %v,%v; Center = %v,%v", gc.Deg, gok, wc, wok)
+		if gok != wok || gc != NewCachedPoint(wc) {
+			t.Fatalf("Centroid = %v,%v; Center = %v,%v", gc, gok, wc, wok)
 		}
 		if antipodal && wc != pts[0] {
 			t.Fatalf("antipodal pair %v: center %v, want the first point", pts, wc)
-		}
-		for i := range pts {
-			if got, want := SignedDistanceCached(&gc, RefOf(&cached[i])), SignedDistance(wc, pts[i]); got != want {
-				t.Fatalf("SignedDistanceCached = %v, SignedDistance = %v", got, want)
-			}
 		}
 		checkWeightedSignedDistances(t, pts[0], pts[1], rng.Float64()*10, rng.Float64()*10)
 	}
 	if _, ok := centroidOf(nil); ok {
 		t.Error("empty Centroid has a center")
+	}
+}
+
+// TestSignedDistanceCachedMatchesHaversine holds the chord kernel to
+// SignedDistance: the same sign everywhere, the same distance within 1e-9
+// relative (1e-9 km near zero) on random pairs, and half the
+// circumference to 1e-12 relative on antipodal pairs, where the haversine
+// formula itself is off by up to 2e-4 km.
+func TestSignedDistanceCachedMatchesHaversine(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 5000; trial++ {
+		pts := randPoints(rng, 2)
+		a, b := pts[0], pts[1]
+		if trial%3 == 0 { // near neighbours, down to centimetres
+			b = LatLon{Lat: a.Lat + rng.NormFloat64()*math.Pow(10, -rng.Float64()*7), Lon: a.Lon + rng.NormFloat64()*1e-3}
+			b.Lat = max(-90, min(90, b.Lat))
+		}
+		got, want := SignedDistanceCached(NewCachedPoint(a), NewCachedPoint(b)), SignedDistance(a, b)
+		if math.Abs(got-want) > 1e-9*max(math.Abs(want), 1) || math.Signbit(got) != math.Signbit(want) {
+			t.Fatalf("SignedDistanceCached(%v, %v) = %v, SignedDistance = %v", a, b, got, want)
+		}
+	}
+	half := math.Pi * EarthRadiusKm
+	for _, a := range append(randPoints(rng, 100), LatLon{Lat: 90}, LatLon{Lat: 0, Lon: 180}, LatLon{Lat: 37, Lon: -180}) {
+		lon := a.Lon + 180
+		if lon > 180 {
+			lon -= 360
+		}
+		b := LatLon{Lat: -a.Lat, Lon: lon}
+		if got := math.Abs(SignedDistanceCached(NewCachedPoint(a), NewCachedPoint(b))); math.Abs(got-half) > 1e-12*half {
+			t.Fatalf("antipodes %v, %v: |SignedDistanceCached| = %v, want πR = %v", a, b, got, half)
+		}
 	}
 }
 
@@ -134,7 +162,7 @@ func TestCachedKernelsZeroAlloc(t *testing.T) {
 	var sink float64
 	for name, kernel := range map[string]func(){
 		"Centroid":             func() { c, _ := centroidOf(pts); sink += c.Deg.Lat },
-		"SignedDistanceCached": func() { sink += SignedDistanceCached(&pts[0], RefOf(&pts[1])) },
+		"SignedDistanceCached": func() { sink += SignedDistanceCached(pts[0], pts[1]) },
 		"WeightedSignedDistances": func() {
 			da, db, _ := WeightedSignedDistances(centers[0], centers[1], 3, 1)
 			sink += da + db

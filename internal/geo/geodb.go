@@ -117,8 +117,7 @@ type DB struct {
 	blocks   map[uint32]*block // by high-16 prefix
 	byCC     map[string][]*block
 	infraCC  map[string][]*block // infrastructure-kind blocks by country
-	orgs     []*Org
-	prefixes []uint32 // sorted, for deterministic iteration
+	prefixes []uint32            // sorted, for deterministic iteration
 }
 
 var orgNameTemplates = []struct {
@@ -205,7 +204,6 @@ func NewDB(cfg DBConfig) *DB {
 				asn++
 			}
 			orgs = append(orgs, org)
-			db.orgs = append(db.orgs, org)
 		}
 		// Guarantee every country has at least one infrastructure org so
 		// victims can always be placed.
@@ -224,7 +222,6 @@ func NewDB(cfg DBConfig) *DB {
 				ASN:  asn,
 			}
 			orgs = append(orgs, org)
-			db.orgs = append(db.orgs, org)
 		}
 
 		for i := 0; i < n && next < len(pool); i++ {

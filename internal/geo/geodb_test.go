@@ -79,9 +79,9 @@ func TestAtlasPickByWeight(t *testing.T) {
 func TestDBDeterminism(t *testing.T) {
 	db1 := NewDB(DBConfig{Seed: 42})
 	db2 := NewDB(DBConfig{Seed: 42})
-	if !slices.Equal(db1.prefixes, db2.prefixes) || len(db1.orgs) != len(db2.orgs) {
+	if !slices.Equal(db1.prefixes, db2.prefixes) || !slices.Equal(blockOrgs(db1), blockOrgs(db2)) {
 		t.Fatalf("same seed produced different databases: %d/%d blocks, %d/%d orgs",
-			len(db1.prefixes), len(db2.prefixes), len(db1.orgs), len(db2.orgs))
+			len(db1.prefixes), len(db2.prefixes), len(orgsOf(db1)), len(orgsOf(db2)))
 	}
 	ip := netip.MustParseAddr("93.158.1.7")
 	l1, ok1 := db1.Lookup(ip)
@@ -202,9 +202,27 @@ func TestDBScale(t *testing.T) {
 	if len(db.blocks) < 500 {
 		t.Errorf("%d blocks, want >= 500", len(db.blocks))
 	}
-	if len(db.orgs) < 300 {
-		t.Errorf("%d orgs, want >= 300", len(db.orgs))
+	if n := len(orgsOf(db)); n < 300 {
+		t.Errorf("%d orgs, want >= 300", n)
 	}
+}
+
+// blockOrgs is the owning org's name of every block, in prefix order.
+func blockOrgs(db *DB) []string {
+	names := make([]string, len(db.prefixes))
+	for i, prefix := range db.prefixes {
+		names[i] = db.blocks[prefix].org.Name
+	}
+	return names
+}
+
+// orgsOf is the set of orgs that own a block.
+func orgsOf(db *DB) map[*Org]bool {
+	orgs := make(map[*Org]bool)
+	for _, b := range db.blocks {
+		orgs[b.org] = true
+	}
+	return orgs
 }
 
 func TestOrgKindString(t *testing.T) {

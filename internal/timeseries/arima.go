@@ -51,10 +51,8 @@ type Model struct {
 
 // fitScratch is the working memory of one fit (or one AutoFit grid): the
 // CSS residual buffer reused by every objective evaluation of the general
-// recursion. Nelder-Mead calls the objective 209-257 times (93-120
-// iterations) per AR(1) fit on the seed-1, scale-1 dispersion series, so
-// allocating the residual slice inside cssObjective used to dominate the
-// fit's profile. The AR(1) kernel needs no buffer.
+// recursion, which Nelder-Mead calls hundreds of times a fit. The exact
+// AR(1) fit needs no buffer.
 type fitScratch struct {
 	resid []float64
 }
@@ -66,9 +64,10 @@ func (sc *fitScratch) residBuf(n int) []float64 {
 	return sc.resid[:n]
 }
 
-// Fit estimates an ARIMA model on xs by conditional sum of squares.
-// AR coefficients start at Yule-Walker estimates, MA coefficients at zero,
-// and Nelder-Mead refines everything jointly.
+// Fit estimates an ARIMA model on xs by conditional sum of squares. An
+// AR(1) (p = 1, q = 0, any d) is fitted exactly (fitAR1); every other
+// order starts its AR coefficients at Yule-Walker estimates and its MA
+// coefficients at zero, and Nelder-Mead refines everything jointly.
 func Fit(xs []float64, order Order) (*Model, error) {
 	m, err := fitDiffed(xs, nil, order, nil, &fitScratch{})
 	if err != nil {
@@ -86,10 +85,11 @@ func (m *Model) keepTail(xs []float64) {
 }
 
 // fitDiffed is Fit over a possibly pre-differenced series. w may be nil
-// (it is then derived from xs), warm may be nil (Yule-Walker cold start),
-// and sc supplies reusable working memory. The returned model has no
-// tail: callers that keep the model attach one (Fit, AutoFit's winner),
-// so losing grid candidates never copy the input.
+// (it is then derived from xs), warm may be nil (Yule-Walker cold start;
+// the exact AR(1) fit needs none), and sc supplies reusable working
+// memory. The returned model has no tail: callers that keep the model
+// attach one (Fit, AutoFit's winner), so losing grid candidates never
+// copy the input.
 func fitDiffed(xs, w []float64, order Order, warm []float64, sc *fitScratch) (*Model, error) {
 	if err := order.validate(); err != nil {
 		return nil, err
@@ -110,6 +110,13 @@ func fitDiffed(xs, w []float64, order Order, warm []float64, sc *fitScratch) (*M
 	}
 
 	p, q := order.P, order.Q
+	if p == 1 && q == 0 {
+		mu, phi, err := fitAR1(w)
+		if err != nil {
+			return nil, fmt.Errorf("timeseries: fit %v: %w", order, err)
+		}
+		return newModel(xs, w, order, []float64{mu, phi}, cssAR1(w, mu, phi)), nil
+	}
 
 	// Parameter vector layout: [mu, phi_1..phi_p, theta_1..theta_q].
 	x0 := make([]float64, 1+p+q)
@@ -125,16 +132,9 @@ func fitDiffed(xs, w []float64, order Order, warm []float64, sc *fitScratch) (*M
 		}
 	}
 
-	var css Objective
-	if p == 1 && q == 0 {
-		css = func(params []float64) float64 {
-			return cssAR1(w, params[0], params[1])
-		}
-	} else {
-		resid := sc.residBuf(len(w))
-		css = func(params []float64) float64 {
-			return cssObjective(w, p, q, params, resid)
-		}
+	resid := sc.residBuf(len(w))
+	css := func(params []float64) float64 {
+		return cssObjective(w, p, q, params, resid)
 	}
 
 	// sse is the objective at best: Sigma2 needs no second residual pass.
@@ -142,12 +142,18 @@ func fitDiffed(xs, w []float64, order Order, warm []float64, sc *fitScratch) (*M
 	if err != nil {
 		return nil, fmt.Errorf("timeseries: fit %v: %w", order, err)
 	}
+	return newModel(xs, w, order, best, sse), nil
+}
 
+// newModel is the model with parameters [mu, phi..., theta...] fitted on
+// xs, differenced to w, whose conditional sum of squares is sse.
+func newModel(xs, w []float64, order Order, params []float64, sse float64) *Model {
+	p, q := order.P, order.Q
 	m := &Model{
 		Order:  order,
-		Mu:     best[0],
-		AR:     append([]float64(nil), best[1:1+p]...),
-		MA:     append([]float64(nil), best[1+p:]...),
+		Mu:     params[0],
+		AR:     append([]float64(nil), params[1:1+p]...),
+		MA:     append([]float64(nil), params[1+p:]...),
 		N:      len(xs),
 		diffed: w,
 	}
@@ -158,7 +164,7 @@ func fitDiffed(xs, w []float64, order Order, warm []float64, sc *fitScratch) (*M
 		m.Sigma2 = 1e-300
 	}
 	m.BIC = n*math.Log(m.Sigma2) + k*math.Log(n)
-	return m, nil
+	return m
 }
 
 // cssObjective computes the conditional sum of squares for the parameter
@@ -200,7 +206,8 @@ func cssObjective(w []float64, p, q int, params, resid []float64) float64 {
 
 // cssAR1 is cssObjective for p == 1, q == 0 (every fit the report makes):
 // the same floating-point operations in the same order, so the same bits,
-// without the lag loops or the residual store AR never reads.
+// without the lag loops or the residual store AR never reads. An AR(1)
+// fit's Sigma2 is one pass of it at the exact minimum.
 func cssAR1(w []float64, mu, phi float64) float64 {
 	e := w[0] - mu
 	if !(math.Abs(e) <= 1e150) {
@@ -219,6 +226,115 @@ func cssAR1(w []float64, mu, phi float64) float64 {
 		prev = x
 	}
 	return sse
+}
+
+// fitAR1 is the exact conditional least-squares fit of an AR(1) with mean
+// (Box and Jenkins): the (mu, phi) that minimise cssAR1(w, mu, phi), with
+// no iteration over mu and none over the series per phi.
+//
+// Write y = w − m for the series centred on its mean m, k = n − 1,
+// a = 1 − φ and d_t = y_t − φ·y_{t−1}. For a fixed φ the sum of squares
+// (y_0 − ν)² + Σ_{t≥1} (d_t − a·ν)² is a quadratic in ν = mu − m, least
+// at ν*(φ) = (y_0 + a·Σd)/(1 + k·a²). Splitting Σ(d_t − aν)² into its
+// spread about d̄ = Σd/k plus k(d̄ − aν)² gives the profile
+//
+//	CSS*(φ) = Qmin + c00·(φ − φ̂)² + k·L(φ)²/(1 + k·a²),  L(φ) = a·y_0 − d̄,
+//
+// where c00 and c10 are the lag-1 regression's sums of squares and
+// products about their means (of y_{t−1}, and of y_t with y_{t−1}, over
+// t ≥ 1), φ̂ = c10/c00 its slope and Qmin its residual sum of squares.
+// c00, c10, Σd and L come from four lagged sums of y (Σy_{t−1}, Σy_t,
+// Σy_{t−1}², Σy_t·y_{t−1}), so the search evaluates the excess over Qmin
+// in O(1), and Qmin, a constant, drops out. Centring keeps the sums and
+// the excess free of the cancellation that raw dispersion series (CSS of
+// order 1e6-1e9) suffer.
+func fitAR1(w []float64) (mu, phi float64, err error) {
+	m := stats.Mean(w)
+	y0 := w[0] - m
+	var s0, s1, s00, s10 float64
+	prev := y0
+	for _, x := range w[1:] {
+		y := x - m
+		s0 += prev
+		s1 += y
+		s00 += prev * prev
+		s10 += y * prev
+		prev = y
+	}
+	k := float64(len(w) - 1)
+	c00 := s00 - s0*s0/k
+	hat := (s10 - s1*s0/k) / c00
+	excess := func(phi float64) float64 {
+		a := 1 - phi
+		l := a*y0 - (s1-phi*s0)/k
+		return c00*(phi-hat)*(phi-hat) + k*l*l/(1+k*a*a)
+	}
+	// The bracket: the excess is at least c00·(φ − φ̂)², and at the
+	// minimum it is at most its value at φ̂, so the minimiser lies within
+	// r = √(excess(φ̂)/c00) of φ̂.
+	r := math.Sqrt(excess(hat) / c00)
+	if !(c00 > 0) || math.IsInf(r, 0) || math.IsNaN(r) {
+		return 0, 0, fmt.Errorf("AR(1) sum of squares has no finite minimum (series not finite, or constant before its last point)")
+	}
+	phi = ar1Minimise(excess, hat-r, hat+r)
+	a := 1 - phi
+	return m + (y0+a*(s1-phi*s0))/(1+k*a*a), phi, nil
+}
+
+// ar1Grid is the number of points ar1Minimise samples its bracket at.
+// The excess's derivative is a quintic's ratio to a positive quartic, so
+// it has at most three local minima; the grid separates basins wider
+// than a 63rd of the bracket.
+const ar1Grid = 64
+
+// ar1Minimise returns the minimiser of f on [lo, hi]: it samples the
+// bracket at ar1Grid points and polishes every grid point no higher than
+// its neighbours by golden-section search over the cells beside it. Each
+// search runs 80 steps, which shrink its cell by 0.618^80 ≈ 2e-17, below
+// the spacing of float64 near φ.
+func ar1Minimise(f func(float64) float64, lo, hi float64) float64 {
+	var xs, fs [ar1Grid]float64
+	step := (hi - lo) / (ar1Grid - 1)
+	for i := range xs {
+		xs[i] = lo + float64(i)*step
+		fs[i] = f(xs[i])
+	}
+	best, fbest := xs[0], math.Inf(1)
+	for i := range xs {
+		l, r := max(i-1, 0), min(i+1, ar1Grid-1)
+		if fs[i] > fs[l] || fs[i] > fs[r] {
+			continue
+		}
+		x := golden(f, xs[l], xs[r])
+		for _, c := range [2]float64{xs[i], x} {
+			if fc := f(c); fc < fbest {
+				best, fbest = c, fc
+			}
+		}
+	}
+	return best
+}
+
+// golden is golden-section search for the minimiser of f on [lo, hi].
+func golden(f func(float64) float64, lo, hi float64) float64 {
+	const inv = 0.6180339887498949 // (√5 − 1)/2
+	x1, x2 := hi-inv*(hi-lo), lo+inv*(hi-lo)
+	f1, f2 := f(x1), f(x2)
+	for range 80 {
+		if f1 <= f2 {
+			hi, x2, f2 = x2, x1, f1
+			x1 = hi - inv*(hi-lo)
+			f1 = f(x1)
+		} else {
+			lo, x1, f1 = x1, x2, f2
+			x2 = lo + inv*(hi-lo)
+			f2 = f(x2)
+		}
+	}
+	if f1 <= f2 {
+		return x1
+	}
+	return x2
 }
 
 // residuals runs the CSS recursion with the fitted parameters.

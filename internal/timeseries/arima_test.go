@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"botscope/internal/stats"
 )
 
 // genARMA simulates an ARMA(p,q) process with the given coefficients.
@@ -331,9 +333,9 @@ func TestCSSAR1BitEqualsGeneralRecursion(t *testing.T) {
 	}
 }
 
-// TestSigma2IsResidualSumOfSquares holds the innovation variance taken from
-// Nelder-Mead's returned value to the residual pass it replaced, bit for
-// bit, through the AR(1) kernel and through the general recursion.
+// TestSigma2IsResidualSumOfSquares holds the innovation variance to the
+// residual pass, bit for bit: the exact AR(1) fit's one cssAR1 pass and
+// the value Nelder-Mead returns from the general recursion.
 func TestSigma2IsResidualSumOfSquares(t *testing.T) {
 	for _, tt := range []struct {
 		order Order
@@ -354,6 +356,127 @@ func TestSigma2IsResidualSumOfSquares(t *testing.T) {
 		want := sse / float64(len(m.diffed))
 		if math.Float64bits(m.Sigma2) != math.Float64bits(want) {
 			t.Errorf("%v: Sigma2 = %v, residual pass gives %v", tt.order, m.Sigma2, want)
+		}
+	}
+}
+
+// nelderMeadAR1 is the AR(1) fit the exact one replaced: Nelder-Mead over
+// cssAR1 from the series mean and the Yule-Walker phi, with the settings
+// the fitter used.
+func nelderMeadAR1(t *testing.T, w []float64) (mu, phi float64) {
+	t.Helper()
+	x0 := []float64{stats.Mean(w), 0}
+	if yw, err := yuleWalker(w, 1); err == nil {
+		x0[1] = yw[0]
+	}
+	css := func(p []float64) float64 { return cssAR1(w, p[0], p[1]) }
+	best, _, err := NelderMead(css, x0, NelderMeadConfig{MaxIter: 4000, Tol: 1e-12, Step: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return best[0], best[1]
+}
+
+// cssCentred is the conditional sum of squares cssAR1 computes, with each
+// residual formed as (w_t − mu) − phi·(w_{t−1} − mu): the differences are
+// exact when mu is within a factor 2 of the series, so rounding falls at
+// the residuals' scale. cssAR1 rounds its prediction at the series'
+// magnitude instead, which at an offset of 1e4 and a spread of 0.01 is
+// noise of 1e-11 relative, and Nelder-Mead's search settles on it.
+func cssCentred(w []float64, mu, phi float64) float64 {
+	e := w[0] - mu
+	sse := e * e
+	for t := 1; t < len(w); t++ {
+		e := (w[t] - mu) - phi*(w[t-1]-mu)
+		sse += e * e
+	}
+	return sse
+}
+
+// TestFitAR1IsExactMinimum holds the exact AR(1) fit to Nelder-Mead's: on
+// random AR(1) series its conditional sum of squares (cssCentred) is
+// never above Nelder-Mead's by more than 1e-12 relative. The series cover
+// phi near and at ±1 and past 1, the shortest series Fit takes, a mean
+// offset of 1e6 at dispersion-like spread, a near-constant series, and
+// the long series the report fits.
+func TestFitAR1IsExactMinimum(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	type series struct {
+		phi, offset, scale float64
+		n                  int
+	}
+	var cases []series
+	for _, phi := range []float64{-0.999, -0.9, -0.4, 0, 0.3, 0.7, 0.95, 0.99, 0.999, 1, 1.02} {
+		for _, n := range []int{4, 5, 9, 40, 300, 2700} {
+			if phi > 1 && n > 300 {
+				continue // explodes past float64
+			}
+			cases = append(cases,
+				series{phi, 0, 1, n},
+				series{phi, 1e6 + rng.Float64()*1e5, 300 + rng.Float64()*3000, n},
+				series{phi, 7, 1e-4, n})
+		}
+	}
+	for i := 0; i < 200; i++ {
+		cases = append(cases, series{rng.Float64()*1.998 - 0.999, rng.NormFloat64() * 1e4, math.Exp(rng.NormFloat64() * 3), 4 + rng.Intn(1000)})
+	}
+	var worse int
+	for i, c := range cases {
+		xs := genARMA([]float64{c.phi}, nil, 0, c.n, int64(1000+i))
+		for j := range xs {
+			xs[j] = c.offset + c.scale*xs[j]
+		}
+		m, err := Fit(xs, Order{P: 1})
+		if err != nil {
+			t.Fatalf("case %d %+v: %v", i, c, err)
+		}
+		nmMu, nmPhi := nelderMeadAR1(t, xs)
+		exact, nm := cssCentred(xs, m.Mu, m.AR[0]), cssCentred(xs, nmMu, nmPhi)
+		if exact > nm*(1+1e-12) {
+			t.Errorf("case %d %+v: exact fit (mu %v, phi %v) CSS %v, Nelder-Mead (mu %v, phi %v) CSS %v",
+				i, c, m.Mu, m.AR[0], exact, nmMu, nmPhi, nm)
+		}
+		if exact < nm*(1-1e-9) {
+			worse++
+		}
+	}
+	t.Logf("%d cases; Nelder-Mead stopped above the exact minimum by more than 1e-9 relative on %d", len(cases), worse)
+}
+
+// TestFitAR1FindsTheGlobalMinimum holds the exact fit to a scan of the
+// profiled sum of squares over phi in [-1.5, 1.5] at steps of 1e-3, on
+// series whose first value lies far from the rest. Their profile can
+// have two basins, one near phi = 1 where mu follows the outlier, and a
+// search that polishes the whole bracket at once (or Nelder-Mead from
+// Yule-Walker) settles in the higher one on many of them.
+func TestFitAR1FindsTheGlobalMinimum(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for i := 0; i < 40; i++ {
+		n := 50 + rng.Intn(1500)
+		xs := genARMA([]float64{0.8 + 0.2*rng.Float64()}, nil, 0, n, int64(2000+i))
+		xs[0] = rng.NormFloat64() * 30
+		m, err := Fit(xs, Order{P: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// mu*(phi) = (w_0 + a·Σd)/(1 + (n−1)a²), with a = 1 − phi and
+		// Σd = Σ_{t≥1} w_t − phi·Σ_{t≤n−2} w_t.
+		var s0, s1 float64
+		for t := 1; t < n; t++ {
+			s0 += xs[t-1]
+			s1 += xs[t]
+		}
+		scan, scanPhi := math.Inf(1), 0.0
+		for j := -1500; j <= 1500; j++ {
+			phi := float64(j) / 1000
+			a := 1 - phi
+			mu := (xs[0] + a*(s1-phi*s0)) / (1 + float64(n-1)*a*a)
+			if css := cssCentred(xs, mu, phi); css < scan {
+				scan, scanPhi = css, phi
+			}
+		}
+		if got := cssCentred(xs, m.Mu, m.AR[0]); got > scan*(1+1e-12) {
+			t.Errorf("series %d (n %d): fit phi %v CSS %v, scan phi %v CSS %v", i, n, m.AR[0], got, scanPhi, scan)
 		}
 	}
 }

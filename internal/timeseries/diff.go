@@ -1,7 +1,7 @@
 // Package timeseries implements the time-series forecasting substrate for
-// botscope: ARIMA(p,d,q) fitted by conditional sum of squares with a
-// Nelder-Mead optimizer, Yule-Walker initialization and BIC order
-// selection.
+// botscope: ARIMA(p,d,q) fitted by conditional sum of squares (exactly
+// for AR(1), otherwise with a Nelder-Mead optimizer from a Yule-Walker
+// start) and BIC order selection.
 //
 // The paper predicts per-family geolocation-dispersion series with ARIMA
 // (§IV-A, Figures 12-13, Table IV). Go has no ARIMA library, so this

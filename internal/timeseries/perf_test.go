@@ -7,9 +7,8 @@ import (
 // TestCSSObjectiveZeroAlloc pins the tentpole property of the fitter: one
 // objective evaluation allocates nothing, the general recursion with a
 // caller-owned residual buffer and the AR(1) kernel with none. Nelder-Mead
-// calls the objective 209-257 times per AR(1) fit on the seed-1, scale-1
-// dispersion series and the transfer matrix runs 2n fits, so a single
-// allocation here multiplies into tens of thousands.
+// calls the objective hundreds of times per ARMA fit, and every AR(1)
+// fit's Sigma2 is one cssAR1 pass, so a single allocation here multiplies.
 func TestCSSObjectiveZeroAlloc(t *testing.T) {
 	xs := genARMA([]float64{0.6}, []float64{0.3}, 5, 2000, 21)
 	params := []float64{5, 0.6, 0.3}
@@ -52,8 +51,8 @@ func BenchmarkFit(b *testing.B) {
 	}
 }
 
-// BenchmarkFitAR1 is the report's fit: ARIMA(1,0,0) through the AR(1)
-// kernel, which needs no residual buffer.
+// BenchmarkFitAR1 is the report's fit: ARIMA(1,0,0) by the exact
+// least-squares fit, which needs no residual buffer and no search state.
 func BenchmarkFitAR1(b *testing.B) {
 	xs := genARMA([]float64{0.6}, nil, 5, 8000, 25)
 	b.ReportAllocs()
