@@ -104,12 +104,15 @@ bench-smoke:
 # is megabytes; the budget is one), the JSONL feed codec, the live
 # snapshot (the first read of a generation, and every later one), the
 # report kernel that must stay in dense-id space (Ext: Defense) and Ext:
-# Load over its held fold, at the benches' default scale 0.1, and one warm cycle of
+# Load over its held fold, §V's collaboration and chain detectors
+# (BenchmarkCollaborations, BenchmarkChains: members held as store rows, so
+# an attack record built per member shows here), at the benches' default
+# scale 0.1, and one warm cycle of
 # botserve's explore routes (every answer a held product: a product
 # rebuilt per request, or an ARIMA refit, shows there). Each alternative
 # selects all of a benchmark's sub-benchmarks; the /scale1 segment belongs
 # to the last alternative only.
-BENCH_ALLOC_PATTERN := 'BenchmarkFit$$|BenchmarkFitAR1$$|BenchmarkAutoFit$$|BenchmarkDispersionSeries$$|BenchmarkMergeSnapshots$$|BenchmarkFrontendSnapshotAfterIngest$$|BenchmarkWireCodec$$|BenchmarkNewStore$$|BenchmarkReadSnapshot$$|BenchmarkDecodeJSONL$$|BenchmarkAnalyzerSnapshot$$|BenchmarkExtDefense$$|BenchmarkExtLoad$$|BenchmarkExploreCycle$$|BenchmarkWriteJSONL$$/scale1$$'
+BENCH_ALLOC_PATTERN := 'BenchmarkFit$$|BenchmarkFitAR1$$|BenchmarkAutoFit$$|BenchmarkDispersionSeries$$|BenchmarkCollaborations$$|BenchmarkChains$$|BenchmarkMergeSnapshots$$|BenchmarkFrontendSnapshotAfterIngest$$|BenchmarkWireCodec$$|BenchmarkNewStore$$|BenchmarkReadSnapshot$$|BenchmarkDecodeJSONL$$|BenchmarkAnalyzerSnapshot$$|BenchmarkExtDefense$$|BenchmarkExtLoad$$|BenchmarkExploreCycle$$|BenchmarkWriteJSONL$$/scale1$$'
 BENCH_ALLOC_PKGS := ./internal/timeseries ./internal/core ./internal/cluster ./internal/stream .
 bench-allocs:
 	$(GO) test -run=^$$ -bench $(BENCH_ALLOC_PATTERN) \
@@ -126,6 +129,9 @@ bench-allocs:
 # allocs): a load sweep per call costs ~0.4 MB and shows there.
 # BenchmarkExploreCycle's bytes are 512 KiB by hand (observed 0.46 MB;
 # forecasts per /predict spend 0.55 MB, rebuilt products 1.9 MB).
+# BenchmarkCollaborations' allocs are 1,024 by hand (observed 607 at
+# GOMAXPROCS=2; the target fan-out adds about 12 a P, 772 at 16; 2,128 when
+# every member was an attack record).
 # BenchmarkFitAR1's bytes are 96 KiB by hand (observed 66 KB, the one
 # differenced copy of its 8,000 points): a residual buffer coming back
 # adds 64 KB, which the doubled headroom would hide. Its 7 allocs are 3

@@ -387,7 +387,7 @@ func (a *Analyzer) Collaborations() CollabStats {
 
 // Pair analyzes the collaborations between two families (Fig 16).
 func (a *Analyzer) Pair(x, y Family) core.PairSummary {
-	return core.AnalyzePairFrom(a.w.Collabs(), x, y)
+	return core.AnalyzePairFrom(a.w.Store, a.w.Collabs(), x, y)
 }
 
 // Chains summarizes §V-B multistage attacks. The chains are detected on

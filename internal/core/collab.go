@@ -19,9 +19,15 @@ const CollabDurationWindow = 30 * time.Minute
 // by distinct botnets on the same target, starting within 60 seconds, with
 // durations within half an hour of each other.
 type Collaboration struct {
-	Target  string
-	Start   time.Time
-	Attacks []*dataset.Attack
+	Target string
+	Start  time.Time
+	// Rows are the members in qualifier order: store rows (read through
+	// Store.AttackAt) for a detected collaboration, positions in the group
+	// for QualifyCollaboration.
+	Rows []int32
+	// Botnets is the number of distinct botnet IDs involved — Fig 15's
+	// average is published.MeanBotnets.
+	Botnets int
 	// Families lists the distinct families involved, sorted.
 	Families []dataset.Family
 }
@@ -29,19 +35,6 @@ type Collaboration struct {
 // Intra reports whether the collaboration stays inside one family
 // (different botnet generations of the same malware).
 func (c *Collaboration) Intra() bool { return len(c.Families) == 1 }
-
-// Botnets returns the number of distinct botnet IDs involved — Fig 15's
-// average is published.MeanBotnets.
-func (c *Collaboration) Botnets() int {
-	var buf [8]dataset.BotnetID
-	seen := buf[:0]
-	for _, a := range c.Attacks {
-		if !containsBotnet(seen, a.BotnetID) {
-			seen = append(seen, a.BotnetID)
-		}
-	}
-	return len(seen)
-}
 
 // DetectCollaborations scans the workload for collaborative attacks using
 // the paper's criteria (60 s start window, 30 min duration window).
@@ -75,8 +68,13 @@ func DetectCollaborationsWindow(s *dataset.Store, startWindow, durationWindow ti
 		}}
 		var shard []*Collaboration
 		for k := lo; k < hi; k++ {
-			tid := tids.At(k)
-			shard = d.target(shard, s.TargetAddr(tid).String(), s.TargetRows(tid))
+			tid, n := tids.At(k), len(shard)
+			if shard = d.target(shard, s.TargetRows(tid)); len(shard) > n {
+				target := s.TargetAddr(tid).String()
+				for _, c := range shard[n:] {
+					c.Target = target
+				}
+			}
 		}
 		return shard
 	})
@@ -122,10 +120,10 @@ type collabDetector struct {
 }
 
 // target appends the qualifying collaborations of one target's
-// chronologically ordered attack rows. Grouping and qualification both
-// run on the columns; only the members of a qualifying subset are built
-// as attack records.
-func (d *collabDetector) target(out []*Collaboration, target string, rows memo.View[int32]) []*Collaboration {
+// chronologically ordered attack rows, with their Target left for the
+// caller to fill. Grouping and qualification both run on the columns, and
+// an event holds its members as rows.
+func (d *collabDetector) target(out []*Collaboration, rows memo.View[int32]) []*Collaboration {
 	starts, window := d.starts, int64(d.startWindow)
 	i := 0
 	for i < rows.Len() {
@@ -139,8 +137,8 @@ func (d *collabDetector) target(out []*Collaboration, target string, rows memo.V
 			for k := i; k < j; k++ {
 				d.scratch = append(d.scratch, rows.At(k))
 			}
-			if subset, fams := d.q.qualify(d.scratch); subset != nil {
-				out = append(out, d.collaboration(target, subset, fams))
+			if subset, fams, botnets := d.q.qualify(d.scratch); subset != nil {
+				out = append(out, d.collaboration(subset, fams, botnets))
 			}
 		}
 		i = j
@@ -148,19 +146,16 @@ func (d *collabDetector) target(out []*Collaboration, target string, rows memo.V
 	return out
 }
 
-// collaboration builds the records of one qualifying subset, in subset
-// order; the event starts with its earliest member.
-func (d *collabDetector) collaboration(target string, subset []int32, fams []dataset.Family) *Collaboration {
-	c := &Collaboration{Target: target, Attacks: make([]*dataset.Attack, len(subset)), Families: fams}
-	first := 0
-	for k, row := range subset {
-		c.Attacks[k] = d.s.AttackRecordAt(int(row))
-		if d.starts[row] < d.starts[subset[first]] {
-			first = k
+// collaboration holds one qualifying subset as its rows, in subset order;
+// the event starts with its earliest member.
+func (d *collabDetector) collaboration(subset []int32, fams []dataset.Family, botnets int) *Collaboration {
+	first := subset[0]
+	for _, row := range subset[1:] {
+		if d.starts[row] < d.starts[first] {
+			first = row
 		}
 	}
-	c.Start = c.Attacks[first].Start
-	return c
+	return &Collaboration{Start: d.s.AttackAt(int(first)).Start(), Rows: slices.Clone(subset), Botnets: botnets, Families: fams}
 }
 
 // qualifier is the §V criterion over one start-window group on a single
@@ -179,9 +174,9 @@ type qualifier struct {
 }
 
 // qualify sorts group by duration in place and returns the qualifying
-// subset — a sub-slice of group — with its distinct families, sorted, or
-// nil when the group does not qualify.
-func (q *qualifier) qualify(group []int32) ([]int32, []dataset.Family) {
+// subset — a sub-slice of group — with its distinct families, sorted, and
+// its distinct-botnet count, or nil when the group does not qualify.
+func (q *qualifier) qualify(group []int32) ([]int32, []dataset.Family, int) {
 	durs := q.durs
 	// Candidate groups are almost always tiny. sort.Slice hands any range
 	// of <= 12 elements straight to its insertion sort, so the inlined
@@ -208,7 +203,7 @@ func (q *qualifier) qualify(group []int32) ([]int32, []dataset.Family) {
 	}
 	subset := group[bestLo : bestHi+1]
 	if len(subset) < 2 {
-		return nil, nil
+		return nil, nil, 0
 	}
 	// Distinctness over a handful of members: linear-scan dedup into
 	// reused scratch slices.
@@ -224,11 +219,11 @@ func (q *qualifier) qualify(group []int32) ([]int32, []dataset.Family) {
 	}
 	q.botnets, q.fams = botnets, fams
 	if len(botnets) < 2 {
-		return nil, nil
+		return nil, nil, 0
 	}
 	famList := append([]dataset.Family(nil), fams...)
 	slices.Sort(famList)
-	return subset, famList
+	return subset, famList, len(botnets)
 }
 
 func containsBotnet(list []dataset.BotnetID, b dataset.BotnetID) bool {
@@ -251,9 +246,9 @@ func containsFamily(list []dataset.Family, f dataset.Family) bool {
 
 // QualifyCollaboration applies the §V criterion to one start-window group
 // of attack records on a single target, trimming the group to the largest
-// duration-compatible subset; nil when the group does not qualify. It is
-// the record face of the detector's qualifier, for the streaming analyzer's
-// windowed candidate groups.
+// duration-compatible subset, whose Rows are positions in group; nil when
+// the group does not qualify. It is the record face of the detector's
+// qualifier, for the streaming analyzer's windowed candidate groups.
 func QualifyCollaboration(target string, group []*dataset.Attack, durationWindow time.Duration) *Collaboration {
 	idx, durs := make([]int32, len(group)), make([]int64, len(group))
 	for i, a := range group {
@@ -266,13 +261,12 @@ func QualifyCollaboration(target string, group []*dataset.Attack, durationWindow
 		botnets: make([]dataset.BotnetID, 0, len(group)),
 		fams:    make([]dataset.Family, 0, len(group)),
 	}
-	subset, fams := q.qualify(idx)
+	subset, fams, botnets := q.qualify(idx)
 	if subset == nil {
 		return nil
 	}
-	c := &Collaboration{Target: target, Start: group[subset[0]].Start, Attacks: make([]*dataset.Attack, len(subset)), Families: fams}
-	for k, i := range subset {
-		c.Attacks[k] = group[i]
+	c := &Collaboration{Target: target, Start: group[subset[0]].Start, Rows: subset, Botnets: botnets, Families: fams}
+	for _, i := range subset {
 		if group[i].Start.Before(c.Start) {
 			c.Start = group[i].Start
 		}
@@ -312,12 +306,10 @@ func NewCollabCounts() CollabCounts {
 	}
 }
 
-// Add counts one collaboration and returns its distinct-botnet count, for
-// callers that report it per collaboration too.
-func (cc *CollabCounts) Add(c *Collaboration) (botnets int) {
-	botnets = c.Botnets()
+// Add counts one collaboration.
+func (cc *CollabCounts) Add(c *Collaboration) {
 	cc.Qualified++
-	cc.BotnetTotal += botnets
+	cc.BotnetTotal += c.Botnets
 	if c.Intra() {
 		cc.TotalIntra++
 		cc.Intra[c.Families[0]]++
@@ -329,7 +321,6 @@ func (cc *CollabCounts) Add(c *Collaboration) (botnets int) {
 		countFamilyPairs(cc.PairCounts, c.Families)
 	}
 	cc.mean()
-	return botnets
 }
 
 // Merge adds o's counts.
@@ -414,8 +405,8 @@ type PairSummary struct {
 }
 
 // AnalyzePairFrom summarizes the collaborations between two specific
-// families in a detected collaboration list.
-func AnalyzePairFrom(collabs memo.View[*Collaboration], a, b dataset.Family) PairSummary {
+// families in a collaboration list detected on s.
+func AnalyzePairFrom(s *dataset.Store, collabs memo.View[*Collaboration], a, b dataset.Family) PairSummary {
 	out := PairSummary{A: a, B: b}
 	targets := make(map[string]bool)
 	countries := make(map[string]int)
@@ -434,16 +425,17 @@ func AnalyzePairFrom(collabs memo.View[*Collaboration], a, b dataset.Family) Pai
 		out.Count++
 		out.Events = append(out.Events, c)
 		targets[c.Target] = true
-		for _, at := range c.Attacks {
-			countries[at.TargetCountry]++
-			orgs[at.TargetOrg] = true
-			asns[at.TargetASN] = true
-			switch at.Family {
+		for _, row := range c.Rows {
+			v := s.AttackAt(int(row))
+			countries[v.TargetCountry()]++
+			orgs[v.TargetOrg()] = true
+			asns[v.TargetASN()] = true
+			switch v.Family() {
 			case a:
-				sumA += at.Duration().Seconds()
+				sumA += v.Duration().Seconds()
 				nA++
 			case b:
-				sumB += at.Duration().Seconds()
+				sumB += v.Duration().Seconds()
 				nB++
 			}
 		}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"net/netip"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -25,11 +28,8 @@ func TestDetectCollaborationsIntra(t *testing.T) {
 	if !c.Intra() || c.Families[0] != dataset.Dirtjumper {
 		t.Errorf("collab = %+v, want intra dirtjumper", c)
 	}
-	if c.Botnets() != 2 {
-		t.Errorf("botnets = %d, want 2", c.Botnets())
-	}
-	if n := testing.AllocsPerRun(100, func() { c.Botnets() }); n != 0 {
-		t.Errorf("Botnets allocates %v times a call", n)
+	if c.Botnets != 2 {
+		t.Errorf("botnets = %d, want 2", c.Botnets)
 	}
 }
 
@@ -96,7 +96,7 @@ func TestQualifyCollaborationPicksCompatibleSubset(t *testing.T) {
 	if len(collabs) != 1 {
 		t.Fatalf("collaborations = %d, want 1", len(collabs))
 	}
-	if got := len(collabs[0].Attacks); got != 2 {
+	if got := len(collabs[0].Rows); got != 2 {
 		t.Errorf("collab size = %d, want 2 (outlier dropped)", got)
 	}
 }
@@ -139,7 +139,7 @@ func TestAnalyzePair(t *testing.T) {
 	attacks[2].TargetCountry = "RU"
 	attacks[3].TargetCountry = "RU"
 	s := mustStore(t, attacks)
-	sum := AnalyzePairFrom(memo.ViewOf(DetectCollaborations(s)), dataset.Dirtjumper, dataset.Pandora)
+	sum := AnalyzePairFrom(s, memo.ViewOf(DetectCollaborations(s)), dataset.Dirtjumper, dataset.Pandora)
 	if sum.Count != 2 {
 		t.Fatalf("pair collaborations = %d, want 2", sum.Count)
 	}
@@ -188,7 +188,7 @@ func TestCollabOnSynthWorkload(t *testing.T) {
 		t.Errorf("mean botnets per collaboration = %v, want about 2.19", st.MeanBotnets)
 	}
 
-	pair := AnalyzePairFrom(st.Collaborations, dataset.Dirtjumper, dataset.Pandora)
+	pair := AnalyzePairFrom(s, st.Collaborations, dataset.Dirtjumper, dataset.Pandora)
 	if pair.Count == 0 {
 		t.Fatal("no dirtjumper-pandora pair events")
 	}
@@ -216,16 +216,45 @@ func TestDetectCollaborationsParallelMatchesSequential(t *testing.T) {
 		}
 		for i := range seq {
 			a, b := seq[i], par[i]
-			if a.Target != b.Target || !a.Start.Equal(b.Start) || len(a.Attacks) != len(b.Attacks) {
-				t.Fatalf("GOMAXPROCS=%d: collaboration %d differs: %s@%v (%d attacks) vs %s@%v (%d attacks)",
-					procs, i, b.Target, b.Start, len(b.Attacks), a.Target, a.Start, len(a.Attacks))
-			}
-			for j := range a.Attacks {
-				if a.Attacks[j].ID != b.Attacks[j].ID {
-					t.Fatalf("GOMAXPROCS=%d: collaboration %d attack %d: ID %d vs %d",
-						procs, i, j, b.Attacks[j].ID, a.Attacks[j].ID)
-				}
+			if a.Target != b.Target || !a.Start.Equal(b.Start) || !slices.Equal(a.Rows, b.Rows) {
+				t.Fatalf("GOMAXPROCS=%d: collaboration %d differs: %s@%v (rows %v) vs %s@%v (rows %v)",
+					procs, i, b.Target, b.Start, b.Rows, a.Target, a.Start, a.Rows)
 			}
 		}
+	}
+}
+
+// TestSectionVResultsHoldNoRecords pins the layout of the held §V results
+// (DESIGN §5b.2): no type among them can reach an attack record or an
+// address, so a collection over a warm store marks no member's bots.
+func TestSectionVResultsHoldNoRecords(t *testing.T) {
+	banned := []reflect.Type{reflect.TypeFor[dataset.Attack](), reflect.TypeFor[netip.Addr]()}
+	for _, root := range []reflect.Type{reflect.TypeFor[Collaboration](), reflect.TypeFor[Chain](), reflect.TypeFor[ChainStats](), reflect.TypeFor[PairSummary]()} {
+		seen := make(map[reflect.Type]bool)
+		var walk func(ty reflect.Type, path string)
+		walk = func(ty reflect.Type, path string) {
+			switch {
+			case seen[ty]:
+				return
+			case slices.Contains(banned, ty):
+				t.Errorf("%s is a %s", path, ty)
+				return
+			}
+			seen[ty] = true
+			switch ty.Kind() {
+			case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Chan:
+				walk(ty.Elem(), path+"[]")
+			case reflect.Map:
+				walk(ty.Key(), path+"[key]")
+				walk(ty.Elem(), path+"[]")
+			case reflect.Struct:
+				for i := range ty.NumField() {
+					walk(ty.Field(i).Type, path+"."+ty.Field(i).Name)
+				}
+			case reflect.Interface, reflect.Func:
+				t.Errorf("%s is a %s, which can reach anything", path, ty)
+			}
+		}
+		walk(root, root.Name())
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -15,81 +16,82 @@ const ConsecutiveMargin = 60 * time.Second
 
 // Chain is one multistage attack: back-to-back strikes on one target.
 type Chain struct {
-	Target  string
-	Family  dataset.Family
-	Attacks []*dataset.Attack
+	Target string
+	Family dataset.Family
+	// Rows are the members' store rows in start order; read them through
+	// Store.AttackAt.
+	Rows []int32
+	// Start is the first member's start and End the last member's end.
+	Start, End time.Time
 	// Gaps are the start-minus-previous-end intervals in seconds (>= -60).
 	Gaps []float64
 }
 
 // Length returns the number of attacks in the chain.
-func (c *Chain) Length() int { return len(c.Attacks) }
+func (c *Chain) Length() int { return len(c.Rows) }
 
 // Duration returns first start to last end.
-func (c *Chain) Duration() time.Duration {
-	return c.Attacks[len(c.Attacks)-1].End.Sub(c.Attacks[0].Start)
-}
+func (c *Chain) Duration() time.Duration { return c.End.Sub(c.Start) }
 
 // DetectChains finds multistage attacks: per target, consecutive attacks
 // whose gap |start - previous end| stays within the margin. Only chains of
-// at least minLen attacks are returned (the paper implies 2).
+// at least minLen attacks are returned (the paper implies 2). The scan
+// runs on the columns over one reused run buffer; a kept chain copies its
+// rows and gaps, and a target's address is formatted for its first kept
+// chain only.
 func DetectChains(s *dataset.Store, minLen int) []*Chain {
 	if minLen < 2 {
 		minLen = 2
 	}
-	var out []*Chain
+	var (
+		out  []*Chain
+		run  []int32
+		gaps []float64
+	)
 	for _, tid := range s.TargetIDs().All() {
-		target := s.TargetAddr(tid).String()
-		var cur []int32
-		var gaps []float64
+		target := ""
 		flush := func() {
-			if len(cur) >= minLen {
-				// Only qualifying chains materialize attack records; the
-				// scan itself stays on the columns.
-				attacks := make([]*dataset.Attack, len(cur))
-				for k, row := range cur {
-					attacks[k] = s.AttackRecordAt(int(row))
+			if len(run) >= minLen {
+				if target == "" {
+					target = s.TargetAddr(tid).String()
 				}
-				out = append(out, buildChain(target, attacks, gaps))
+				out = append(out, buildChain(s, target, run, gaps))
 			}
-			cur, gaps = nil, nil
+			run, gaps = run[:0], gaps[:0]
 		}
 		rows := s.TargetRows(tid)
 		for k := 0; k < rows.Len(); k++ {
 			row := rows.At(k)
-			if len(cur) == 0 {
-				cur = []int32{row}
-				continue
-			}
-			prevEnd := s.AttackAt(int(cur[len(cur)-1])).EndNano()
-			gap := time.Duration(s.AttackAt(int(row)).StartNano() - prevEnd)
-			if gap >= -ConsecutiveMargin && gap <= ConsecutiveMargin {
-				cur = append(cur, row)
-				gaps = append(gaps, gap.Seconds())
-			} else {
+			if len(run) > 0 {
+				gap := time.Duration(s.AttackAt(int(row)).StartNano() - s.AttackAt(int(run[len(run)-1])).EndNano())
+				if gap >= -ConsecutiveMargin && gap <= ConsecutiveMargin {
+					run, gaps = append(run, row), append(gaps, gap.Seconds())
+					continue
+				}
 				flush()
-				cur = []int32{row}
 			}
+			run = append(run, row)
 		}
 		flush()
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Attacks[0].Start.Equal(out[j].Attacks[0].Start) {
-			return out[i].Attacks[0].Start.Before(out[j].Attacks[0].Start)
+		if !out[i].Start.Equal(out[j].Start) {
+			return out[i].Start.Before(out[j].Start)
 		}
 		return out[i].Target < out[j].Target
 	})
 	return out
 }
 
-func buildChain(target string, attacks []*dataset.Attack, gaps []float64) *Chain {
-	// A chain is intra-family in the paper's data; attribute it to the
-	// majority family.
+// buildChain keeps one run, attributed to its majority family: a chain is
+// intra-family in the paper's data.
+func buildChain(s *dataset.Store, target string, run []int32, gaps []float64) *Chain {
 	counts := make(map[dataset.Family]int)
-	for _, a := range attacks {
-		counts[a.Family]++
+	for _, row := range run {
+		counts[s.AttackAt(int(row)).Family()]++
 	}
-	return &Chain{Target: target, Family: dominantFamily(counts), Attacks: attacks, Gaps: gaps}
+	first, last := s.AttackAt(int(run[0])), s.AttackAt(int(run[len(run)-1]))
+	return &Chain{Target: target, Family: dominantFamily(counts), Rows: slices.Clone(run), Start: first.Start(), End: last.End(), Gaps: slices.Clone(gaps)}
 }
 
 // ChainStats summarizes §V-B: which families run multistage attacks, the
@@ -165,16 +167,17 @@ type ChainEvent struct {
 	Magnitude int
 }
 
-// ChainEvents flattens chains into the Fig 18 scatter.
-func ChainEvents(chains []*Chain) []ChainEvent {
+// ChainEvents flattens chains detected on s into the Fig 18 scatter.
+func ChainEvents(s *dataset.Store, chains []*Chain) []ChainEvent {
 	var out []ChainEvent
 	for _, c := range chains {
-		for _, a := range c.Attacks {
+		for _, row := range c.Rows {
+			v := s.AttackAt(int(row))
 			out = append(out, ChainEvent{
 				Target:    c.Target,
 				Family:    c.Family,
-				Start:     a.Start,
-				Magnitude: a.Magnitude(),
+				Start:     v.Start(),
+				Magnitude: v.Magnitude(),
 			})
 		}
 	}

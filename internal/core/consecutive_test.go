@@ -121,7 +121,7 @@ func TestGapCDFAndEvents(t *testing.T) {
 	if p := cdf.Eval(10); p != 1 {
 		t.Errorf("CDF(10s) = %v, want 1", p)
 	}
-	events := ChainEvents(chains)
+	events := ChainEvents(s, chains)
 	if len(events) != 3 {
 		t.Fatalf("events = %d, want 3", len(events))
 	}

@@ -209,9 +209,7 @@ func TestCollabCountsMergeLaw(t *testing.T) {
 				}
 			}
 		}
-		for n := 2 + rng.Intn(4); n > 0; n-- {
-			c.Attacks = append(c.Attacks, &dataset.Attack{BotnetID: dataset.BotnetID(1 + rng.Intn(5))})
-		}
+		c.Botnets = 1 + rng.Intn(5)
 		collabs[i] = c
 	}
 	want := AnalyzeCollaborationsFrom(memo.ViewOf(collabs)).CollabCounts
@@ -268,8 +266,8 @@ func TestQualifierFacesAgree(t *testing.T) {
 		t.Fatalf("%d duration ties, %d groups past twelve members: the test has lost its cases", ties, large)
 	}
 
-	byTarget := make(map[string]*Collaboration)
-	for _, c := range DetectCollaborations(mustStore(t, all)) {
+	store, byTarget := mustStore(t, all), make(map[string]*Collaboration)
+	for _, c := range DetectCollaborations(store) {
 		byTarget[c.Target] = c
 	}
 	qualified := 0
@@ -282,13 +280,13 @@ func TestQualifierFacesAgree(t *testing.T) {
 			continue
 		}
 		qualified++
-		if !reflect.DeepEqual(rows.Families, recs.Families) || !rows.Start.Equal(recs.Start) || len(rows.Attacks) != len(recs.Attacks) {
-			t.Fatalf("target %s: row face (%v, %v, %d members), record face (%v, %v, %d)", target,
-				rows.Families, rows.Start, len(rows.Attacks), recs.Families, recs.Start, len(recs.Attacks))
+		if !reflect.DeepEqual(rows.Families, recs.Families) || !rows.Start.Equal(recs.Start) || rows.Botnets != recs.Botnets || len(rows.Rows) != len(recs.Rows) {
+			t.Fatalf("target %s: row face (%v, %v, %d botnets, %d members), record face (%v, %v, %d, %d)", target,
+				rows.Families, rows.Start, rows.Botnets, len(rows.Rows), recs.Families, recs.Start, recs.Botnets, len(recs.Rows))
 		}
-		for i := range rows.Attacks {
-			if rows.Attacks[i].ID != recs.Attacks[i].ID {
-				t.Fatalf("target %s: member %d is attack %d by rows, %d by records", target, i, rows.Attacks[i].ID, recs.Attacks[i].ID)
+		for i := range rows.Rows {
+			if id, want := store.AttackAt(int(rows.Rows[i])).ID(), group[recs.Rows[i]].ID; id != want {
+				t.Fatalf("target %s: member %d is attack %d by rows, %d by records", target, i, id, want)
 			}
 		}
 	}

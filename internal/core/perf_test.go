@@ -1,14 +1,19 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"net/netip"
+	"os"
+	"strconv"
+	"sync"
 	"testing"
 	"time"
 
 	"botscope/internal/dataset"
 	"botscope/internal/geo"
+	"botscope/internal/synth"
 )
 
 // dispersionFixture builds a store whose attacks have overlapping
@@ -186,6 +191,64 @@ func BenchmarkDispersionSeries(b *testing.B) {
 	for b.Loop() {
 		if got := DispersionSeries(s, f); len(got) == 0 {
 			b.Fatal("empty series")
+		}
+	}
+}
+
+var (
+	benchOnce  sync.Once
+	benchSt    *dataset.Store
+	benchStErr error
+)
+
+// benchStore is the benches' fixture: seed 1 at scale 0.1
+// (BOTSCOPE_BENCH_SCALE=1.0 for a paper-size run), read back from its
+// snapshot as a report run opens one, so no attack record exists until a
+// kernel builds it.
+func benchStore(b *testing.B) *dataset.Store {
+	b.Helper()
+	benchOnce.Do(func() {
+		scale := 0.1
+		if v, err := strconv.ParseFloat(os.Getenv("BOTSCOPE_BENCH_SCALE"), 64); err == nil && v > 0 {
+			scale = v
+		}
+		s, err := synth.GenerateStore(synth.Config{Seed: 1, Scale: scale})
+		if err != nil {
+			benchStErr = err
+			return
+		}
+		var buf bytes.Buffer
+		if benchStErr = dataset.WriteSnapshot(&buf, s); benchStErr == nil {
+			benchSt, benchStErr = dataset.ReadSnapshot(&buf)
+		}
+	})
+	if benchStErr != nil {
+		b.Fatal(benchStErr)
+	}
+	return benchSt
+}
+
+// BenchmarkCollaborations detects §V's collaborations; its budget is the
+// two per-row time arrays and the events.
+func BenchmarkCollaborations(b *testing.B) {
+	s := benchStore(b)
+	DetectCollaborations(s) // build the store's target index outside the timed loop
+	b.ReportAllocs()
+	for b.Loop() {
+		if len(DetectCollaborations(s)) == 0 {
+			b.Fatal("no collaborations")
+		}
+	}
+}
+
+// BenchmarkChains detects and summarizes §V's multistage chains.
+func BenchmarkChains(b *testing.B) {
+	s := benchStore(b)
+	AnalyzeChains(s) // build the store's target index outside the timed loop
+	b.ReportAllocs()
+	for b.Loop() {
+		if len(AnalyzeChains(s).Chains) == 0 {
+			b.Fatal("no chains")
 		}
 	}
 }

@@ -61,14 +61,17 @@ func (v AttackView) Duration() time.Duration {
 	return time.Duration(v.c.aEnd[v.row] - v.c.aStart[v.row])
 }
 
-// Magnitude returns the number of source IPs, i.e. the reference-span
-// length — the cursor form of Attack.Magnitude.
+// Magnitude returns the number of source IPs, the paper's proxy for
+// attack strength: the reference-span length, len(BotIPs) on the record.
 func (v AttackView) Magnitude() int {
 	return int(v.c.aOff[v.row+1] - v.c.aOff[v.row])
 }
 
 // TargetCountry returns the victim country code.
 func (v AttackView) TargetCountry() string { return v.c.strs[v.c.aCC[v.row]] }
+
+// TargetASN returns the victim ASN.
+func (v AttackView) TargetASN() int { return int(v.c.aASN[v.row]) }
 
 // TargetCity returns the victim city.
 func (v AttackView) TargetCity() string { return v.c.strs[v.c.aCity[v.row]] }

@@ -77,6 +77,10 @@ var InactiveFamilies = []Family{
 	"zemra",
 }
 
+// Magnitude returns the number of source IPs, the paper's proxy for attack
+// strength.
+func (a *Attack) Magnitude() int { return len(a.BotIPs) }
+
 // NumBotnets returns the number of Botnetlist records.
 func (s *Store) NumBotnets() int { return len(s.cols.nID) }
 
@@ -136,9 +140,6 @@ func (v BotView) Lon() float64 { return v.c.bLon[v.row] }
 
 // LastActive returns the bot's last-active time.
 func (v BotView) LastActive() time.Time { return nanoTime(v.c.bLast[v.row]) }
-
-// TargetASN returns the victim ASN.
-func (v AttackView) TargetASN() int { return int(v.c.aASN[v.row]) }
 
 // ID returns the botnet id.
 func (v BotnetView) ID() BotnetID { return BotnetID(v.c.nID[v.row]) }

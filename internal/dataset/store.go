@@ -351,8 +351,8 @@ func (s *Store) buildBounds() timeBounds {
 // AttackRecordAt returns the attack record for one column row: the shared
 // record once Attacks has materialized them, otherwise a fresh one
 // (including its own BotIPs, expanded from the dense layer) that nothing
-// else holds. The §V detectors build only the rows that qualify for an
-// event through it, so a report run never materializes the records.
+// else holds. Its only product caller is cmd/botfeed's replay; analyses
+// read rows through AttackAt.
 func (s *Store) AttackRecordAt(row int) *Attack {
 	if s.recBuilt.Load() {
 		return s.recs.Get(s.materializeRecords)[row]

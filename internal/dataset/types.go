@@ -173,10 +173,6 @@ type Attack struct {
 // Duration returns End - Start.
 func (a *Attack) Duration() time.Duration { return a.End.Sub(a.Start) }
 
-// Magnitude returns the number of source IPs, the paper's proxy for attack
-// strength.
-func (a *Attack) Magnitude() int { return len(a.BotIPs) }
-
 // MaxBotIPs bounds an attack's source list, so one hostile record cannot
 // cost the ingest edge an unbounded slice; generated data tops out near 300.
 const MaxBotIPs = 1 << 16

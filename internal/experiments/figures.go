@@ -464,21 +464,20 @@ func (w *Workload) Figure15() (*Result, error) {
 	t := report.NewTable("Figure 15 — dirtjumper intra-family collaborations (first rows)",
 		"date", "target", "botnets", "magnitudes")
 	for i, c := range events {
-		mags := make([]string, len(c.Attacks))
-		equal := true
-		for j, a := range c.Attacks {
-			mags[j] = report.FormatInt(a.Magnitude())
-			if a.Magnitude() != c.Attacks[0].Magnitude() {
-				equal = false
-			}
+		mags := make([]string, len(c.Rows))
+		equal, first := true, w.Store.AttackAt(int(c.Rows[0])).Magnitude()
+		for j, row := range c.Rows {
+			m := w.Store.AttackAt(int(row)).Magnitude()
+			mags[j] = report.FormatInt(m)
+			equal = equal && m == first
 		}
-		totBotnets += c.Botnets()
+		totBotnets += c.Botnets
 		if equal {
 			magEqual++
 		}
 		if i < 12 {
 			t.AddRow(c.Start.Format("2006-01-02"), c.Target,
-				report.FormatInt(c.Botnets()), strings.Join(mags, "/"))
+				report.FormatInt(c.Botnets), strings.Join(mags, "/"))
 		}
 	}
 	res := &Result{ID: "Figure 15", Title: "Dirtjumper intra-family collaborations", Text: t.String()}
@@ -491,20 +490,21 @@ func (w *Workload) Figure15() (*Result, error) {
 
 // Figure16 regenerates the Dirtjumper-Pandora inter-family analysis.
 func (w *Workload) Figure16() (*Result, error) {
-	pair := core.AnalyzePairFrom(w.Collabs(), dataset.Dirtjumper, dataset.Pandora)
+	pair := core.AnalyzePairFrom(w.Store, w.Collabs(), dataset.Dirtjumper, dataset.Pandora)
 	if pair.Count == 0 {
 		return nil, fmt.Errorf("no dirtjumper-pandora collaborations")
 	}
 	var durA, durB, mags []float64
 	for _, c := range pair.Events {
-		for _, a := range c.Attacks {
-			switch a.Family {
+		for _, row := range c.Rows {
+			v := w.Store.AttackAt(int(row))
+			switch v.Family() {
 			case dataset.Dirtjumper:
-				durA = append(durA, a.Duration().Seconds())
+				durA = append(durA, v.Duration().Seconds())
 			case dataset.Pandora:
-				durB = append(durB, a.Duration().Seconds())
+				durB = append(durB, v.Duration().Seconds())
 			}
-			mags = append(mags, float64(a.Magnitude()))
+			mags = append(mags, float64(v.Magnitude()))
 		}
 	}
 	var b strings.Builder
@@ -551,7 +551,7 @@ func (w *Workload) Figure18() (*Result, error) {
 	if len(st.Chains) == 0 {
 		return nil, fmt.Errorf("no multistage chains")
 	}
-	events := core.ChainEvents(st.Chains)
+	events := core.ChainEvents(w.Store, st.Chains)
 	t := report.NewTable("Figure 18 — consecutive attacks over time (first rows)",
 		"start", "family", "target", "magnitude")
 	t.SetAlign(3, report.AlignRight)

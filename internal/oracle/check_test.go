@@ -468,9 +468,9 @@ func TestOracleSectionVMicro(t *testing.T) {
 	}
 }
 
-func idsOf(attacks []*dataset.Attack) (ids []dataset.DDoSID) {
-	for _, a := range attacks {
-		ids = append(ids, a.ID)
+func idsOf(store *dataset.Store, rows []int32) (ids []dataset.DDoSID) {
+	for _, row := range rows {
+		ids = append(ids, store.AttackAt(int(row)).ID())
 	}
 	return ids
 }
@@ -483,13 +483,13 @@ func checkSectionV(t *testing.T, recs []*dataset.Attack, store *dataset.Store) {
 	want, wantChains := collaborations(recs), chains(recs)
 	var got, gotChains []event
 	for _, c := range core.DetectCollaborations(store) {
-		e := event{target: c.Target, ids: idsOf(c.Attacks), families: c.Families, botnets: c.Botnets()}
+		e := event{target: c.Target, ids: idsOf(store, c.Rows), families: c.Families, botnets: c.Botnets}
 		slices.Sort(e.ids)
 		got = append(got, e)
 	}
 	cs := core.AnalyzeChains(store)
 	for _, c := range cs.Chains {
-		gotChains = append(gotChains, event{target: c.Target, ids: idsOf(c.Attacks), gaps: c.Gaps})
+		gotChains = append(gotChains, event{target: c.Target, ids: idsOf(store, c.Rows), gaps: c.Gaps})
 	}
 	if !slices.Equal(keys(got), keys(want)) || !slices.Equal(keys(gotChains), keys(wantChains)) {
 		t.Errorf("kernels: collaborations %+v, chains %+v; oracle: %+v, %+v", got, gotChains, want, wantChains)

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -598,6 +599,16 @@ func TestServeKeepsRecordsLazy(t *testing.T) {
 	}
 }
 
+// mallocs counts the heap objects one call of f allocates: unlike
+// testing.AllocsPerRun, it measures the first call.
+func mallocs(f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs - before.Mallocs)
+}
+
 // TestWorkloadBuildsEventsOnce pins that the chains are a product of the
 // workload: Figure 17 builds them, and Figure 18 and GET /api/chains read
 // that one ChainStats instead of detecting again.
@@ -618,17 +629,26 @@ func TestWorkloadBuildsEventsOnce(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { w.Chains() }); n != 0 {
 		t.Errorf("Chains after Figure 17 allocated %v objects, want 0: Figure 17 did not build the workload's chains", n)
 	}
+	// On a fresh server the first read builds the workload's chains and a
+	// second one only renders them; a read that detected for itself would
+	// leave them unbuilt and cost the same twice.
 	detect := testing.AllocsPerRun(1, func() { core.AnalyzeChains(store) })
 	for _, read := range []struct {
 		name string
-		run  func()
+		run  func(*Server)
 	}{
-		{"Figure 18", func() { w.Figure18() }},
-		{"GET /api/chains", func() { get(t, s, "/api/chains", http.StatusOK, nil) }},
+		{"Figure 18", func(s *Server) { s.workload.Figure18() }},
+		{"GET /api/chains", func(s *Server) { get(t, s, "/api/chains", http.StatusOK, nil) }},
 	} {
-		if n := testing.AllocsPerRun(1, read.run); n*2 > detect {
-			t.Errorf("%s allocated %v objects, a chain detection %v: it detected again", read.name, n, detect)
+		fresh := New(store, 0.03)
+		first := mallocs(func() { read.run(fresh) })
+		if n := mallocs(func() { fresh.workload.Chains() }); n != 0 {
+			t.Errorf("Chains after a first %s allocated %v objects, want 0: the read did not build the workload's chains", read.name, n)
 		}
+		if again := mallocs(func() { read.run(fresh) }); first-again < detect/2 {
+			t.Errorf("%s allocated %v objects first and %v again, a chain detection %v: it detected again", read.name, first, again, detect)
+		}
+		read.run(s)
 	}
 	if again := w.Chains(); &again.Chains[0] != &st.Chains[0] || again.Longest != st.Longest {
 		t.Error("the workload's ChainStats changed after Figure 18 and GET /api/chains")

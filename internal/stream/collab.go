@@ -175,7 +175,8 @@ func (t *collabTracker) finalize(g *openGroup) {
 		delete(t.open, g.target)
 	}
 	if c := t.qualify(g); c != nil {
-		t.recent = lastCandidates(append(t.recent, candidate(c, t.counts.Add(c), g.seq, false)))
+		t.counts.Add(c)
+		t.recent = lastCandidates(append(t.recent, candidate(c, g.seq, false)))
 	}
 	g.attacks = nil
 }
@@ -189,13 +190,13 @@ func (t *collabTracker) qualify(g *openGroup) *core.Collaboration {
 }
 
 // candidate trims a qualified collaboration to its ring entry.
-func candidate(c *core.Collaboration, botnets int, seq uint64, open bool) CollabCandidate {
+func candidate(c *core.Collaboration, seq uint64, open bool) CollabCandidate {
 	return CollabCandidate{
 		Target:   c.Target,
 		Start:    c.Start,
 		Families: c.Families,
-		Botnets:  botnets,
-		Attacks:  len(c.Attacks),
+		Botnets:  c.Botnets,
+		Attacks:  len(c.Rows),
 		Seq:      seq,
 		Open:     open,
 	}
@@ -224,7 +225,8 @@ func (t *collabTracker) snapshot() CollabSummary {
 	})
 	for _, g := range pending {
 		if c := t.qualify(g); c != nil {
-			out.Recent = append(out.Recent, candidate(c, out.CollabCounts.Add(c), g.seq, true))
+			out.CollabCounts.Add(c)
+			out.Recent = append(out.Recent, candidate(c, g.seq, true))
 		}
 	}
 	out.Recent = lastCandidates(out.Recent)

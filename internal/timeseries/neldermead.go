@@ -13,7 +13,8 @@ type Objective func(x []float64) float64
 type NelderMeadConfig struct {
 	// MaxIter bounds the number of simplex iterations; default 2000.
 	MaxIter int
-	// Tol is the convergence tolerance on the objective spread; default 1e-10.
+	// Tol is the convergence tolerance on the objective spread, relative
+	// to max(1, |best objective|); default 1e-10.
 	Tol float64
 	// Step is the initial simplex edge length; default 0.1.
 	Step float64
@@ -88,7 +89,10 @@ func NelderMead(f Objective, x0 []float64, cfg NelderMeadConfig) ([]float64, flo
 	for iter := 0; iter < cfg.MaxIter; iter++ {
 		sortSimplex()
 		best, worst := simplex[0], simplex[n]
-		if spread := math.Abs(worst.f - best.f); spread < cfg.Tol && !math.IsInf(best.f, 1) {
+		// The spread is relative: an absolute one below float64 spacing at
+		// the objective's magnitude holds only when the vertices are
+		// bit-equal, and rounding noise can keep that from ever happening.
+		if spread := math.Abs(worst.f - best.f); spread < cfg.Tol*math.Max(1, math.Abs(best.f)) && !math.IsInf(best.f, 1) {
 			// Equal objective values can still mean a wide simplex (e.g.
 			// symmetric points around a V-shaped minimum); require the
 			// simplex itself to have collapsed too.

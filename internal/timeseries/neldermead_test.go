@@ -82,3 +82,44 @@ func TestNelderMeadEmptyDimension(t *testing.T) {
 		t.Error("zero-dimensional optimization succeeded, want error")
 	}
 }
+
+// TestNelderMeadStopsAtAnyMagnitude holds the stopping test to the
+// objective's magnitude: shifting the objective by 1e8, or scaling its
+// residuals by 1e6 (values near 1e14, where the sum's rounding moves the
+// low bits from one vertex to the next and an absolute spread of Tol never
+// holds), must cost about the objective calls of the plain one.
+func TestNelderMeadStopsAtAnyMagnitude(t *testing.T) {
+	ys := make([]float64, 500)
+	for i := range ys {
+		ys[i] = 3 + 0.5*float64(i%17) + math.Sin(float64(i))
+	}
+	run := func(shift, scale float64) (calls int, x []float64) {
+		f := func(p []float64) float64 {
+			calls++
+			s := shift
+			for i, y := range ys {
+				r := scale * (y - p[0] - p[1]*float64(i%17))
+				s += r * r
+			}
+			return s
+		}
+		x, _, err := NelderMead(f, []float64{0, 0}, NelderMeadConfig{MaxIter: 4000, Tol: 1e-12, Step: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return calls, x
+	}
+	plain, px := run(0, 1)
+	for _, c := range []struct {
+		name         string
+		shift, scale float64
+	}{{"shifted by 1e8", 1e8, 1}, {"scaled by 1e12", 0, 1e6}} {
+		calls, x := run(c.shift, c.scale)
+		if calls > 3*plain/2 {
+			t.Errorf("%s: %d objective calls, the plain objective %d", c.name, calls, plain)
+		}
+		if math.Abs(x[0]-px[0]) > 1e-3 || math.Abs(x[1]-px[1]) > 1e-3 {
+			t.Errorf("%s: minimum at %v, the plain objective's at %v", c.name, x, px)
+		}
+	}
+}
