@@ -111,12 +111,16 @@ bench-smoke:
 # botserve's explore routes (every answer a held product: a product
 # rebuilt per request, or an ARIMA refit, shows there). Each alternative
 # selects all of a benchmark's sub-benchmarks; the /scale1 segment belongs
-# to the last alternative only.
+# to the last alternative only. Both targets run the benchmarks at -cpu 2,
+# the core count the budgets were set at: a kernel that fans out per P
+# (BenchmarkCollaborations' target fan-out) reads a different count on a
+# wider host, so an unpinned run on 64 cores failed a budget no change
+# had moved.
 BENCH_ALLOC_PATTERN := 'BenchmarkFit$$|BenchmarkFitAR1$$|BenchmarkAutoFit$$|BenchmarkDispersionSeries$$|BenchmarkCollaborations$$|BenchmarkChains$$|BenchmarkMergeSnapshots$$|BenchmarkFrontendSnapshotAfterIngest$$|BenchmarkWireCodec$$|BenchmarkNewStore$$|BenchmarkReadSnapshot$$|BenchmarkDecodeJSONL$$|BenchmarkAnalyzerSnapshot$$|BenchmarkExtDefense$$|BenchmarkExtLoad$$|BenchmarkExploreCycle$$|BenchmarkWriteJSONL$$/scale1$$'
 BENCH_ALLOC_PKGS := ./internal/timeseries ./internal/core ./internal/cluster ./internal/stream .
 bench-allocs:
 	$(GO) test -run=^$$ -bench $(BENCH_ALLOC_PATTERN) \
-		-benchmem -benchtime=10x $(BENCH_ALLOC_PKGS) > bench_allocs.out
+		-benchmem -benchtime=10x -cpu 2 $(BENCH_ALLOC_PKGS) > bench_allocs.out
 	@cat bench_allocs.out
 	$(GO) run ./cmd/benchguard -in bench_allocs.out -thresholds bench_thresholds.json
 	@rm -f bench_allocs.out
@@ -139,7 +143,7 @@ bench-allocs:
 # iterative search coming back allocates per step.
 bench-update:
 	$(GO) test -run=^$$ -bench $(BENCH_ALLOC_PATTERN) \
-		-benchmem -benchtime=10x $(BENCH_ALLOC_PKGS) > bench_allocs.out
+		-benchmem -benchtime=10x -cpu 2 $(BENCH_ALLOC_PKGS) > bench_allocs.out
 	@cat bench_allocs.out
 	$(GO) run ./cmd/benchguard -in bench_allocs.out -thresholds bench_thresholds.json -update
 	@rm -f bench_allocs.out

@@ -151,11 +151,10 @@ func BenchmarkFigure17(b *testing.B) { benchExperiment(b, benchWorkload(b).Figur
 func BenchmarkFigure18(b *testing.B) { benchExperiment(b, benchWorkload(b).Figure18) }
 
 // Extension experiments.
-func BenchmarkExtLoad(b *testing.B)        { benchExperiment(b, benchWorkload(b).ExtLoad) }
-func BenchmarkExtDiurnal(b *testing.B)     { benchExperiment(b, benchWorkload(b).ExtDiurnal) }
-func BenchmarkExtCalibration(b *testing.B) { benchExperiment(b, benchWorkload(b).ExtCalibration) }
-func BenchmarkExtDefense(b *testing.B)     { benchExperiment(b, benchWorkload(b).ExtDefense) }
-func BenchmarkExtTransfer(b *testing.B)    { benchExperiment(b, benchWorkload(b).ExtTransfer) }
+func BenchmarkExtLoad(b *testing.B)     { benchExperiment(b, benchWorkload(b).ExtLoad) }
+func BenchmarkExtDiurnal(b *testing.B)  { benchExperiment(b, benchWorkload(b).ExtDiurnal) }
+func BenchmarkExtDefense(b *testing.B)  { benchExperiment(b, benchWorkload(b).ExtDefense) }
+func BenchmarkExtTransfer(b *testing.B) { benchExperiment(b, benchWorkload(b).ExtTransfer) }
 
 // BenchmarkExploreCycle is one cycle of botserve's explore routes (the
 // batch GETs a dashboard repeats over a fixed store) on a warm server over

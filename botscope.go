@@ -40,7 +40,6 @@ import (
 	"slices"
 	"time"
 
-	"botscope/internal/botnet"
 	"botscope/internal/core"
 	"botscope/internal/dataset"
 	"botscope/internal/experiments"
@@ -97,21 +96,6 @@ type GenerateConfig = synth.Config
 func Generate(cfg GenerateConfig) (*Store, error) {
 	return synth.GenerateStore(cfg)
 }
-
-// Scenario-construction types for custom (what-if) workloads.
-type (
-	// ScenarioBuilder composes custom workloads family by family.
-	ScenarioBuilder = synth.ScenarioBuilder
-	// FamilyProfile is the full behavioural parameterization of a family.
-	FamilyProfile = botnet.Profile
-)
-
-// NewScenario starts a custom-workload builder on the paper's window.
-func NewScenario(seed int64) *ScenarioBuilder { return synth.NewScenario(seed) }
-
-// MiraiLikeProfile sketches a Mirai-style IoT botnet for what-if scenarios
-// (the paper's §II-C discussion of generality to newer families).
-func MiraiLikeProfile(attacks int) *FamilyProfile { return synth.MiraiLikeProfile(attacks) }
 
 // GenerateRaw returns the raw record lists instead of an indexed store.
 func GenerateRaw(cfg GenerateConfig) ([]*Attack, []*Botnet, []*Bot, error) {
@@ -223,16 +207,10 @@ type (
 	CollabStats = core.CollabStats
 	// ChainStats summarizes multistage attacks (Figs 17-18).
 	ChainStats = core.ChainStats
-	// NextAttackPrediction is a per-target start-time forecast.
-	NextAttackPrediction = core.NextAttackPrediction
 	// Blacklist is a ranked bot blacklist (the paper's §V defense insight).
 	Blacklist = core.Blacklist
 	// BlacklistEvaluation scores a blacklist on future attacks.
 	BlacklistEvaluation = core.BlacklistEvaluation
-	// MitigationWindow is a per-target high-alert window (§III-D).
-	MitigationWindow = core.MitigationWindow
-	// MagnitudeProfile summarizes a family's attack-strength law.
-	MagnitudeProfile = core.MagnitudeProfile
 	// LoadStats summarizes the concurrent-attack load sweep.
 	LoadStats = core.LoadStats
 	// TransferResult scores cross-family model transfer.
@@ -247,10 +225,6 @@ type (
 	WeekStats = monitor.WeekStats
 	// HourlyReport is one snapshot of the paper's collection pipeline.
 	HourlyReport = monitor.HourlyReport
-	// BotnetActivity profiles one botnet generation's observed behaviour.
-	BotnetActivity = monitor.BotnetActivity
-	// GenerationChurn measures generation concentration within a family.
-	GenerationChurn = monitor.GenerationChurn
 )
 
 // Analyzer exposes every analysis of the paper over one workload.
@@ -355,11 +329,6 @@ func clonePrediction(r *PredictionResult) *PredictionResult {
 	return &c
 }
 
-// PredictNextAttacks forecasts the next-attack start gap per repeat target.
-func (a *Analyzer) PredictNextAttacks(minAttacks int) []NextAttackPrediction {
-	return core.PredictNextAttacks(a.w.Store, minAttacks)
-}
-
 // TargetCountries computes one family's Table V profile.
 func (a *Analyzer) TargetCountries(f Family, topN int) TargetCountryProfile {
 	p := a.w.TargetCountries(f).Head(topN)
@@ -394,11 +363,6 @@ func (a *Analyzer) Pair(x, y Family) core.PairSummary {
 // the first call and shared afterwards: callers must not modify them.
 func (a *Analyzer) Chains() ChainStats { return a.w.Chains() }
 
-// MagnitudeProfile characterizes one family's attack magnitudes.
-func (a *Analyzer) MagnitudeProfile(f Family) (MagnitudeProfile, error) {
-	return core.ProfileMagnitudes(a.w.Store, f)
-}
-
 // ConcurrentLoad sweeps the workload for the number of simultaneously
 // active attacks over time (§II-B's "simultaneous attacks" figure).
 func (a *Analyzer) ConcurrentLoad() ([]core.LoadPoint, LoadStats, error) {
@@ -429,32 +393,16 @@ func (a *Analyzer) EvaluateBlacklist(bl *Blacklist, from, to time.Time) (Blackli
 	return core.EvaluateBlacklist(a.w.Store, bl, from, to)
 }
 
-// PlanMitigation derives per-target high-alert windows from historical
-// inter-attack gaps for targets with at least minAttacks attacks.
-func (a *Analyzer) PlanMitigation(minAttacks int) []MitigationWindow {
-	return core.PlanMitigation(a.w.Store, minAttacks)
-}
-
 // WeeklySources computes the Fig 8 week-by-week source aggregation.
 func (a *Analyzer) WeeklySources(f Family) ([]WeekStats, error) {
 	return a.w.Collector().WeeklySources(f)
 }
 
-// HourlyReports replays the paper's hourly collection pipeline (§II-B).
+// HourlyReports replays the paper's collection pipeline for one family.
+// It checks §II-B's hourly reports whose bot sets are cumulative over the
+// trailing 24 hours.
 func (a *Analyzer) HourlyReports(f Family) ([]HourlyReport, error) {
 	return a.w.Collector().HourlyReports(f)
-}
-
-// BotnetActivities profiles every generation of a family (activity spans,
-// targets, peak magnitudes), most active first.
-func (a *Analyzer) BotnetActivities(f Family) ([]BotnetActivity, error) {
-	return a.w.Collector().BotnetActivities(f)
-}
-
-// Churn measures how concentrated a family's attacks are across its
-// botnet generations.
-func (a *Analyzer) Churn(f Family) (GenerationChurn, error) {
-	return a.w.Collector().Churn(f)
 }
 
 // FitARIMA fits an ARIMA model to an arbitrary series.

@@ -135,10 +135,6 @@ func TestGenerateAndAnalyzeEndToEnd(t *testing.T) {
 		t.Error("no weekly source data")
 	}
 
-	preds := a.PredictNextAttacks(5)
-	if len(preds) == 0 {
-		t.Error("no next-attack predictions")
-	}
 }
 
 func TestPredictDispersionViaAPI(t *testing.T) {
@@ -201,22 +197,14 @@ func TestARIMAHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fc, err := m.Forecast(3); err != nil || len(fc) != 3 {
-		t.Errorf("forecast = %v, %v", fc, err)
+	if fc, err := m.OneStepForecasts(series, 297); err != nil || len(fc) != 3 {
+		t.Errorf("one-step forecasts = %v, %v", fc, err)
 	}
 }
 
 func TestExtendedAnalyzerAPIs(t *testing.T) {
 	store := apiWorkload(t)
 	a := NewAnalyzer(store)
-
-	prof, err := a.MagnitudeProfile(Dirtjumper)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prof.N == 0 || prof.Mean <= 0 {
-		t.Errorf("magnitude profile = %+v", prof)
-	}
 
 	pts, load, err := a.ConcurrentLoad()
 	if err != nil {
@@ -242,21 +230,6 @@ func TestExtendedAnalyzerAPIs(t *testing.T) {
 		t.Errorf("transfer = %+v", transfer)
 	}
 
-	acts, err := a.BotnetActivities(Dirtjumper)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(acts) == 0 || acts[0].Attacks == 0 {
-		t.Errorf("activities = %+v", acts)
-	}
-	churn, err := a.Churn(Dirtjumper)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if churn.TopShare <= 0 || churn.P90Generations == 0 {
-		t.Errorf("churn = %+v", churn)
-	}
-
 	first, last, _ := store.TimeBounds()
 	split := first.Add(last.Sub(first) / 2)
 	bl, err := a.BuildBlacklist(time.Time{}, split, 0)
@@ -269,9 +242,6 @@ func TestExtendedAnalyzerAPIs(t *testing.T) {
 	}
 	if ev.BotCoverage <= 0 {
 		t.Errorf("blacklist eval = %+v", ev)
-	}
-	if plans := a.PlanMitigation(5); len(plans) == 0 {
-		t.Error("no mitigation plans")
 	}
 }
 

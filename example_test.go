@@ -193,22 +193,6 @@ func ExampleAnalyzer_PredictDispersion() {
 		log.Fatal(err)
 	}
 	fmt.Printf("pandora, order by BIC: %s similarity %.3f\n", res.Order, res.Similarity)
-
-	// The ARIMA engine is general purpose: forecast Pandora's dispersion
-	// five attacks ahead.
-	model, err := botscope.FitARIMA(a.DispersionSeries(botscope.Pandora), botscope.ARIMAOrder{P: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fc, err := model.Forecast(5)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print("pandora, next 5 (km):")
-	for _, v := range fc {
-		fmt.Printf(" %.0f", max(v, 0))
-	}
-	fmt.Println()
 	// Output:
 	// family           n  symmetric  asym mean (km)
 	// aldibot         10      80.0%            1516
@@ -230,12 +214,10 @@ func ExampleAnalyzer_PredictDispersion() {
 	// optima       ARIMA(1,0,0) similarity 0.830
 	// yzf          ARIMA(1,0,0) similarity 0.824
 	// pandora, order by BIC: ARIMA(1,0,0) similarity 0.912
-	// pandora, next 5 (km): 23 37 49 59 67
 }
 
 // ExampleAnalyzer_TargetCountries is the victim side: country affinity
-// (Table V), organization hotspots (Fig 14), and next-attack start-time
-// prediction for repeatedly hit targets (§III-D).
+// (Table V) and organization hotspots (Fig 14).
 func ExampleAnalyzer_TargetCountries() {
 	a := paperAnalyzer()
 
@@ -258,15 +240,6 @@ func ExampleAnalyzer_TargetCountries() {
 	for _, h := range hotspots[:min(3, len(hotspots))] {
 		fmt.Printf("  %-28s %s %3d attacks\n", h.Org, h.CC, h.Attacks)
 	}
-
-	preds := a.PredictNextAttacks(6)
-	var sumErr, sumGap float64
-	for _, p := range preds {
-		sumErr += p.AbsError
-		sumGap += p.ActualGap
-	}
-	fmt.Printf("next attack on %d repeat targets: mean abs error %.0fs against mean gap %.0fs\n",
-		len(preds), sumErr/float64(len(preds)), sumGap/float64(len(preds)))
 	// Output:
 	// global: US=1359 RU=1233 DE=515 UA=415 NL=269
 	// dirtjumper   (69 countries): US=1027 RU=935 DE=385
@@ -277,13 +250,11 @@ func ExampleAnalyzer_TargetCountries() {
 	//   Novosibirsk Cloud 127        RU  45 attacks
 	//   Chicago Datacenter 55        US  36 attacks
 	//   Hamburg Registry 54          DE  23 attacks
-	// next attack on 241 repeat targets: mean abs error 900690s against mean gap 1024956s
 }
 
 // ExampleAnalyzer_BuildBlacklist makes the paper's defense insight
-// operational: train bot blacklists on the first half of the window, score
-// them on the second, and derive per-target high-alert windows from the
-// inter-attack gaps (§III-D, §V).
+// operational: train bot blacklists on the first half of the window and
+// score them on the second (§V).
 func ExampleAnalyzer_BuildBlacklist() {
 	a := paperAnalyzer()
 	first, last, ok := a.Store().TimeBounds()
@@ -304,25 +275,14 @@ func ExampleAnalyzer_BuildBlacklist() {
 		fmt.Printf("%5d bots: blocks %.1f%% of future sources, blunts %.1f%% of future attacks\n",
 			bl.Len(), ev.BotCoverage*100, ev.AttacksBlunted*100)
 	}
-
-	plans := a.PlanMitigation(6)
-	fmt.Printf("mitigation windows for %d repeat targets; first to arm:\n", len(plans))
-	for _, p := range plans[:min(3, len(plans))] {
-		fmt.Printf("  %-15s arm %s .. %s\n", p.Target, p.ArmFrom.Format("01-02 15:04"), p.ArmUntil.Format("01-02 15:04"))
-	}
 	// Output:
 	// 21199 bots: blocks 87.3% of future sources, blunts 83.2% of future attacks
 	//  1000 bots: blocks 9.5% of future sources, blunts 7.4% of future attacks
-	// mitigation windows for 241 repeat targets; first to arm:
-	//   70.184.202.5    arm 08-30 17:50 .. 08-30 20:50
-	//   70.184.116.242  arm 08-30 19:24 .. 08-31 00:36
-	//   70.184.160.16   arm 08-30 21:14 .. 08-31 01:26
 }
 
 // ExampleAnalyzer_WeeklySources replays the paper's monitoring view of
-// one family: the week-by-week source countries (Fig 8), the hourly
-// collection pipeline (§II-B), and how its attacks spread over botnet
-// generations.
+// one family: the week-by-week source countries (Fig 8) and the hourly
+// collection pipeline (§II-B).
 func ExampleAnalyzer_WeeklySources() {
 	a := paperAnalyzer()
 
@@ -343,82 +303,10 @@ func ExampleAnalyzer_WeeklySources() {
 	busiest := slices.MaxFunc(reports, func(x, y botscope.HourlyReport) int { return x.BotRefs - y.BotRefs })
 	fmt.Printf("%d hourly reports; busiest %s with %d bot references\n",
 		len(reports), busiest.Time.Format("2006-01-02 15:04"), busiest.BotRefs)
-
-	acts, err := a.BotnetActivities(botscope.Dirtjumper)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, b := range acts[:min(3, len(acts))] {
-		fmt.Printf("botnet %d: %d attacks on %d targets, peak %d bots\n", b.ID, b.Attacks, b.UniqueTargets, b.PeakMagnitude)
-	}
-	churn, err := a.Churn(botscope.Dirtjumper)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("dirtjumper: %d generations, top one %.0f%% of attacks, %d cover 90%%\n",
-		churn.Generations, churn.TopShare*100, churn.P90Generations)
 	// Output:
 	// week 3: 1 source countries, 1 new; bots in known countries 0, in new 1175
 	// week 4: 3 source countries, 2 new; bots in known countries 743, in new 404
 	// week 5: 1 source countries, 0 new; bots in known countries 283, in new 0
 	// week 6: 1 source countries, 0 new; bots in known countries 34, in new 0
 	// 4735 hourly reports; busiest 2012-09-22 22:00 with 980 bot references
-	// botnet 1: 960 attacks on 372 targets, peak 227 bots
-	// botnet 2: 453 attacks on 224 targets, peak 217 bots
-	// botnet 3: 311 attacks on 174 targets, peak 197 bots
-	// dirtjumper: 30 generations, top one 28% of attacks, 19 cover 90%
-}
-
-// ExampleNewScenario composes a custom what-if workload: a Mirai-like IoT
-// family alongside a calibrated 2013 family, and asks which of the paper's
-// analyses carry over to it (§II-C): source dispersion and its forecast,
-// a model transferred from Dirtjumper, and target affinity.
-func ExampleNewScenario() {
-	store, err := botscope.NewScenario(42).
-		AddProfile(botscope.MiraiLikeProfile(100)).
-		AddPaperFamily(botscope.Dirtjumper, 0.005).
-		Build()
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, fc := range store.FamilyCounts().All() {
-		fmt.Printf("%s: %d attacks\n", fc.Family, fc.Attacks)
-	}
-
-	a := botscope.NewAnalyzer(store)
-	const mirai = botscope.Family("mirailike")
-	mag, err := a.MagnitudeProfile(mirai)
-	if err != nil {
-		log.Fatal(err)
-	}
-	prof, err := a.DispersionProfile(mirai)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("mirailike: median %.0f bots an attack, %.0f%% symmetric dispersion\n",
-		mag.Median, prof.SymmetricFrac*100)
-
-	order := botscope.ARIMAOrder{P: 1}
-	pred, err := a.PredictDispersion(mirai, botscope.PredictConfig{Order: order})
-	if err != nil {
-		log.Fatal(err)
-	}
-	tr, err := a.TransferPredict(botscope.Dirtjumper, mirai, order, 40)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("forecast similarity %.3f; a dirtjumper-trained model keeps %.2f of it\n",
-		pred.Similarity, tr.Retention)
-
-	fmt.Print("mirailike targets:")
-	for _, cc := range a.TargetCountries(mirai, 3).Top {
-		fmt.Printf(" %s=%d", cc.CC, cc.Count)
-	}
-	fmt.Println()
-	// Output:
-	// dirtjumper: 173 attacks
-	// mirailike: 100 attacks
-	// mirailike: median 48 bots an attack, 19% symmetric dispersion
-	// forecast similarity 0.879; a dirtjumper-trained model keeps 0.98 of it
-	// mirailike targets: US=48 FR=19 DE=11
 }

@@ -292,64 +292,3 @@ func EvaluateBlacklist(s *dataset.Store, bl *Blacklist, from, to time.Time) (Bla
 	out.MedianCoverage = perAttack[len(perAttack)/2]
 	return out, nil
 }
-
-// MitigationWindow is the §III-D deployment insight for one repeat target:
-// when to have defenses armed, derived from the target's gap distribution.
-type MitigationWindow struct {
-	Target string
-	// LastSeen is the end of the target's most recent attack.
-	LastSeen time.Time
-	// ExpectedNext is the forecast start of the next attack.
-	ExpectedNext time.Time
-	// ArmFrom/ArmUntil bound the suggested high-alert window (the 25th to
-	// 95th percentile of historical gaps after the last attack).
-	ArmFrom  time.Time
-	ArmUntil time.Time
-	// HistoryGaps is the number of gaps backing the estimate.
-	HistoryGaps int
-}
-
-// PlanMitigation builds mitigation windows for every target attacked at
-// least minAttacks times, ordered by how soon defenses should be armed.
-func PlanMitigation(s *dataset.Store, minAttacks int) []MitigationWindow {
-	if minAttacks < 3 {
-		minAttacks = 3
-	}
-	var out []MitigationWindow
-	for _, tid := range s.TargetIDs().All() {
-		rows := s.TargetRows(tid)
-		if rows.Len() < minAttacks {
-			continue
-		}
-		gaps := rowIntervals(s, rows)
-		sorted := append([]float64(nil), gaps...)
-		sort.Float64s(sorted)
-		q := func(p float64) float64 {
-			idx := int(p * float64(len(sorted)-1))
-			return sorted[idx]
-		}
-		last := s.AttackAt(int(rows.At(rows.Len() - 1)))
-		median := q(0.5)
-		// Pad the window by 10% of the median gap (at least 5 minutes) so
-		// perfectly periodic targets still get a usable alert interval.
-		pad := time.Duration(median * 0.1 * float64(time.Second))
-		if pad < 5*time.Minute {
-			pad = 5 * time.Minute
-		}
-		out = append(out, MitigationWindow{
-			Target:       s.TargetAddr(tid).String(),
-			LastSeen:     last.End(),
-			ExpectedNext: last.Start().Add(time.Duration(median * float64(time.Second))),
-			ArmFrom:      last.Start().Add(time.Duration(q(0.25)*float64(time.Second)) - pad),
-			ArmUntil:     last.Start().Add(time.Duration(q(0.95)*float64(time.Second)) + pad),
-			HistoryGaps:  len(gaps),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].ArmFrom.Equal(out[j].ArmFrom) {
-			return out[i].ArmFrom.Before(out[j].ArmFrom)
-		}
-		return out[i].Target < out[j].Target
-	})
-	return out
-}

@@ -114,37 +114,6 @@ func TestEvaluateBlacklist(t *testing.T) {
 	}
 }
 
-func TestPlanMitigation(t *testing.T) {
-	// Target hit every 2 hours, five times.
-	var attacks []*dataset.Attack
-	for i := 0; i < 5; i++ {
-		attacks = append(attacks, mkAttack(dataset.DDoSID(i+1), dataset.Dirtjumper, 1,
-			"5.5.5.1", t0.Add(time.Duration(i)*2*time.Hour), 30*time.Minute))
-	}
-	// A one-off target that must not appear.
-	attacks = append(attacks, mkAttack(99, dataset.Pandora, 2, "5.5.5.9", t0, time.Hour))
-	s := mustStore(t, attacks)
-
-	plans := PlanMitigation(s, 3)
-	if len(plans) != 1 {
-		t.Fatalf("plans = %d, want 1", len(plans))
-	}
-	p := plans[0]
-	if p.Target != "5.5.5.1" || p.HistoryGaps != 4 {
-		t.Errorf("plan = %+v", p)
-	}
-	lastStart := t0.Add(8 * time.Hour)
-	if !p.ExpectedNext.Equal(lastStart.Add(2 * time.Hour)) {
-		t.Errorf("ExpectedNext = %v, want last start + median gap (2h)", p.ExpectedNext)
-	}
-	if !p.ArmFrom.Before(p.ArmUntil) {
-		t.Errorf("arm window inverted: %v .. %v", p.ArmFrom, p.ArmUntil)
-	}
-	if p.ArmFrom.After(p.ExpectedNext) {
-		t.Errorf("arm window starts after the expected attack")
-	}
-}
-
 func TestDefenseOnSynthWorkload(t *testing.T) {
 	s := synthWorkload(t)
 	first, last, _ := s.TimeBounds()
@@ -175,23 +144,6 @@ func TestDefenseOnSynthWorkload(t *testing.T) {
 	if evSmall.BotCoverage <= 0 || evSmall.BotCoverage > ev.BotCoverage+1e-9 {
 		t.Errorf("capped coverage %v vs full %v inconsistent", evSmall.BotCoverage, ev.BotCoverage)
 	}
-
-	plans := PlanMitigation(s, 5)
-	if len(plans) == 0 {
-		t.Fatal("no mitigation plans for repeat targets")
-	}
-	for _, p := range plans[:min(5, len(plans))] {
-		if p.ArmFrom.After(p.ArmUntil) {
-			t.Errorf("plan window inverted for %s", p.Target)
-		}
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // TestBlacklistTruncate pins Truncate against rebuilding with a cap: the

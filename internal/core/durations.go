@@ -7,10 +7,8 @@ import "math"
 // 80% shorter than 1.25 hours). It is a deterministic synthetic series
 // whose CDF reproduces that comparison point, letting the Fig 7 discussion
 // ("attacks are becoming more persistent") be regenerated.
-func BaselineDurations(n int) []float64 {
-	if n <= 0 {
-		n = 31612
-	}
+func BaselineDurations() []float64 {
+	const n = 31612 // one value per alarm
 	out := make([]float64, n)
 	// Deterministic quantile sampling of a lognormal calibrated so the
 	// 80th percentile sits at 1.25 h = 4,500 s: median 900 s, sigma ~1.9

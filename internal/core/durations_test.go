@@ -39,22 +39,14 @@ func TestAnalyzeDurations(t *testing.T) {
 }
 
 func TestBaselineDurations(t *testing.T) {
-	base := BaselineDurations(0)
+	base := BaselineDurations()
 	if len(base) != 31612 {
-		t.Fatalf("default baseline size = %d, want 31612 (Mao et al. alarm count)", len(base))
+		t.Fatalf("baseline size = %d, want 31612 (Mao et al. alarm count)", len(base))
 	}
 	// The calibration point: 80% of baseline alarms last under 1.25 h.
 	frac := stats.FractionAtMost(base, 1.25*3600)
 	if math.Abs(frac-0.8) > 0.02 {
 		t.Errorf("baseline fraction under 1.25h = %v, want about 0.8", frac)
-	}
-	// Custom size works and stays calibrated.
-	small := BaselineDurations(5000)
-	if len(small) != 5000 {
-		t.Fatalf("custom baseline size = %d", len(small))
-	}
-	if f := stats.FractionAtMost(small, 1.25*3600); math.Abs(f-0.8) > 0.03 {
-		t.Errorf("small baseline fraction = %v, want about 0.8", f)
 	}
 }
 
@@ -106,7 +98,7 @@ func TestDurationsOnSynthWorkload(t *testing.T) {
 	// The Fig 7 comparison: our attacks last longer than the Mao et al.
 	// baseline (80th percentiles ordered).
 	ours := stats.NewECDF(durs)
-	base := stats.NewECDF(BaselineDurations(10000))
+	base := stats.NewECDF(BaselineDurations())
 	if ours.Quantile(0.8) <= base.Quantile(0.8) {
 		t.Errorf("our P80 %v not above baseline P80 %v", ours.Quantile(0.8), base.Quantile(0.8))
 	}

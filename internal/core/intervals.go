@@ -5,7 +5,6 @@ import (
 
 	"botscope/internal/dataset"
 	"botscope/internal/memo"
-	"botscope/internal/par"
 )
 
 // FamilyIntervals returns the per-family gap series (the family curves of
@@ -67,35 +66,4 @@ func ClusterIntervals(gaps []float64) []IntervalCluster {
 		}
 	}
 	return clusters
-}
-
-// TargetIntervals returns, for each target attacked at least minAttacks
-// times, the gap series between consecutive attacks on it. The paper uses
-// these to predict the start time of the next anticipated attack. The
-// per-target extraction is sharded over disjoint target ranges; shard maps
-// have disjoint key sets, so their union is order-independent.
-func TargetIntervals(s *dataset.Store, minAttacks int) map[string][]float64 {
-	if minAttacks < 2 {
-		minAttacks = 2
-	}
-	tids := s.TargetIDs()
-	shards := par.ChunkMap(tids.Len(), func(lo, hi int) map[string][]float64 {
-		m := make(map[string][]float64)
-		for k := lo; k < hi; k++ {
-			tid := tids.At(k)
-			rows := s.TargetRows(tid)
-			if rows.Len() < minAttacks {
-				continue
-			}
-			m[s.TargetAddr(tid).String()] = rowIntervals(s, rows)
-		}
-		return m
-	})
-	out := make(map[string][]float64)
-	for _, m := range shards {
-		for k, v := range m {
-			out[k] = v
-		}
-	}
-	return out
 }

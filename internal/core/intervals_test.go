@@ -88,24 +88,6 @@ func TestClusterIntervals(t *testing.T) {
 	}
 }
 
-func TestTargetIntervals(t *testing.T) {
-	attacks := []*dataset.Attack{
-		mkAttack(1, dataset.Dirtjumper, 1, "5.5.5.1", t0, time.Hour),
-		mkAttack(2, dataset.Dirtjumper, 1, "5.5.5.1", t0.Add(time.Hour), time.Hour),
-		mkAttack(3, dataset.Dirtjumper, 1, "5.5.5.1", t0.Add(3*time.Hour), time.Hour),
-		mkAttack(4, dataset.Dirtjumper, 1, "5.5.5.2", t0, time.Hour),
-	}
-	s := mustStore(t, attacks)
-	got := TargetIntervals(s, 3)
-	if len(got) != 1 {
-		t.Fatalf("targets = %d, want 1 (only 5.5.5.1 has >= 3 attacks)", len(got))
-	}
-	gaps := got["5.5.5.1"]
-	if len(gaps) != 2 || gaps[0] != 3600 || gaps[1] != 7200 {
-		t.Errorf("gaps = %v, want [3600 7200]", gaps)
-	}
-}
-
 func TestIntervalsOnSynthWorkload(t *testing.T) {
 	s := synthWorkload(t)
 	gaps, st, err := FoldStore(s).Intervals()

@@ -1,47 +1,12 @@
 package core
 
 import (
-	"net/netip"
 	"sort"
 	"testing"
 	"time"
 
 	"botscope/internal/dataset"
 )
-
-// withMagnitude sets an attack's source count.
-func withMagnitude(a *dataset.Attack, n int) *dataset.Attack {
-	ips := make([]netip.Addr, n)
-	base := netip.MustParseAddr("9.1.0.0").As4()
-	for i := range ips {
-		ips[i] = netip.AddrFrom4([4]byte{base[0], base[1], byte(i >> 8), byte(i)})
-	}
-	a.BotIPs = ips
-	return a
-}
-
-func TestProfileMagnitudes(t *testing.T) {
-	// Magnitude strictly grows with duration -> correlation 1.
-	attacks := []*dataset.Attack{
-		withMagnitude(mkAttack(1, dataset.Dirtjumper, 1, "5.5.5.1", t0, 1*time.Hour), 10),
-		withMagnitude(mkAttack(2, dataset.Dirtjumper, 1, "5.5.5.2", t0.Add(time.Hour), 2*time.Hour), 20),
-		withMagnitude(mkAttack(3, dataset.Dirtjumper, 1, "5.5.5.3", t0.Add(2*time.Hour), 3*time.Hour), 30),
-	}
-	s := mustStore(t, attacks)
-	prof, err := ProfileMagnitudes(s, dataset.Dirtjumper)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prof.N != 3 || prof.Mean != 20 {
-		t.Errorf("profile = %+v", prof)
-	}
-	if prof.DurationCorrelation < 0.999 {
-		t.Errorf("correlation = %v, want 1", prof.DurationCorrelation)
-	}
-	if _, err := ProfileMagnitudes(s, dataset.Optima); err == nil {
-		t.Error("family without attacks succeeded")
-	}
-}
 
 func TestConcurrentLoad(t *testing.T) {
 	attacks := []*dataset.Attack{

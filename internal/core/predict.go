@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"botscope/internal/dataset"
 	"botscope/internal/stats"
@@ -122,57 +121,4 @@ func clampNonNegative(xs []float64) {
 			xs[i] = 0
 		}
 	}
-}
-
-// NextAttackPrediction is the target-side §III insight: for a repeatedly
-// attacked target, the inter-attack gap distribution predicts when the
-// next attack starts.
-type NextAttackPrediction struct {
-	Target string
-	// PredictedGap is the forecast gap (seconds) to the next attack.
-	PredictedGap float64
-	// ActualGap is the held-out true gap.
-	ActualGap float64
-	// AbsError is |predicted - actual|.
-	AbsError float64
-}
-
-// PredictNextAttacks evaluates start-time prediction per target: for each
-// target with at least minAttacks attacks, hold out the last gap, forecast
-// it from the earlier gaps (ARIMA when the history is long enough, median
-// gap otherwise), and report the error.
-func PredictNextAttacks(s *dataset.Store, minAttacks int) []NextAttackPrediction {
-	if minAttacks < 4 {
-		minAttacks = 4
-	}
-	intervals := TargetIntervals(s, minAttacks)
-	targets := make([]string, 0, len(intervals))
-	for target := range intervals {
-		targets = append(targets, target)
-	}
-	sort.Strings(targets)
-	var out []NextAttackPrediction
-	for _, target := range targets {
-		gaps := intervals[target]
-		if len(gaps) < 3 {
-			continue
-		}
-		history := gaps[:len(gaps)-1]
-		actual := gaps[len(gaps)-1]
-		pred := stats.Median(history)
-		if len(history) >= 30 {
-			if m, err := timeseries.Fit(history, timeseries.Order{P: 1}); err == nil {
-				if fc, err := m.Forecast(1); err == nil && fc[0] >= 0 {
-					pred = fc[0]
-				}
-			}
-		}
-		out = append(out, NextAttackPrediction{
-			Target:       target,
-			PredictedGap: pred,
-			ActualGap:    actual,
-			AbsError:     math.Abs(pred - actual),
-		})
-	}
-	return out
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"botscope/internal/dataset"
 	"botscope/internal/timeseries"
@@ -101,41 +100,6 @@ func TestPredictAllFamilies(t *testing.T) {
 		// measures 0.76-0.98 across families.
 		if r.Similarity < 0.35 {
 			t.Errorf("family %s similarity = %v, implausibly low", r.Family, r.Similarity)
-		}
-	}
-}
-
-func TestPredictNextAttacks(t *testing.T) {
-	// A target hit every hour: the median predictor nails the final gap.
-	var attacks []*dataset.Attack
-	for i := 0; i < 8; i++ {
-		attacks = append(attacks, mkAttack(dataset.DDoSID(i+1), dataset.Dirtjumper, 1,
-			"5.5.5.1", t0.Add(time.Duration(i)*time.Hour), 10*time.Minute))
-	}
-	s := mustStore(t, attacks)
-	preds := PredictNextAttacks(s, 4)
-	if len(preds) != 1 {
-		t.Fatalf("predictions = %d, want 1", len(preds))
-	}
-	p := preds[0]
-	if p.ActualGap != 3600 {
-		t.Errorf("actual gap = %v, want 3600", p.ActualGap)
-	}
-	if p.AbsError > 1 {
-		t.Errorf("abs error = %v, want ~0 for perfectly periodic target", p.AbsError)
-	}
-}
-
-func TestPredictNextAttacksOnSynthWorkload(t *testing.T) {
-	s := synthWorkload(t)
-	preds := PredictNextAttacks(s, 5)
-	if len(preds) == 0 {
-		t.Fatal("no repeat targets to predict")
-	}
-	// At minimum the predictions must be finite and non-negative.
-	for _, p := range preds {
-		if p.PredictedGap < 0 {
-			t.Errorf("negative predicted gap for %s", p.Target)
 		}
 	}
 }

@@ -195,8 +195,7 @@ type Columns struct {
 	nFirst []int64
 	nLast  []int64
 
-	nRowByID memo.Lazy[map[uint32]int32] // botnet id -> row
-	dense    memo.Lazy[*denseBots]       // filled by the snapshot decoder, else derived from refIPs on first use
+	dense memo.Lazy[*denseBots] // filled by the snapshot decoder, else derived from refIPs on first use
 
 	// mmap is the mapped snapshot every fixed-width column above aliases
 	// (strs, targets and nCtrl are always heap copies); holding it here
@@ -220,23 +219,6 @@ func (c *Columns) NumStrings() int { return len(c.strs) }
 
 // Str resolves an interned-string id; distinct ids are distinct strings.
 func (c *Columns) Str(id int32) string { return c.strs[id] }
-
-// botnetRow resolves a botnet id to its column row. The reverse map is
-// built lazily: most analyses only walk attack columns.
-func (c *Columns) botnetRow(id uint32) (int32, bool) {
-	row, ok := c.nRowByID.Get(c.buildBotnetRows)[id]
-	return row, ok
-}
-
-func (c *Columns) buildBotnetRows() map[uint32]int32 {
-	m := make(map[uint32]int32, len(c.nID))
-	for i, v := range c.nID {
-		if _, ok := m[v]; !ok {
-			m[v] = int32(i)
-		}
-	}
-	return m
-}
 
 // denseBots is the dense addressing layer over the reference arena:
 // every distinct source IP gets one int32 id assigned at its first

@@ -8,10 +8,7 @@ package dataset
 // valid while the caller holds the owning Store (close.go): on a mapped
 // store the columns they read are the file's bytes, which Close unmaps.
 
-import (
-	"net/netip"
-	"time"
-)
+import "time"
 
 // AttackView is a cursor over one attack row.
 type AttackView struct {
@@ -38,9 +35,6 @@ func (v AttackView) Family() Family { return Family(v.c.strs[v.c.aFam[v.row]]) }
 
 // Category returns the traffic category.
 func (v AttackView) Category() Category { return Category(v.c.aCat[v.row]) }
-
-// TargetIP returns the victim address.
-func (v AttackView) TargetIP() netip.Addr { return v.c.targets[v.c.aTgt[v.row]] }
 
 // Start returns the attack start time.
 func (v AttackView) Start() time.Time { return nanoTime(v.c.aStart[v.row]) }
@@ -84,23 +78,3 @@ func (v AttackView) TargetLat() float64 { return v.c.aLat[v.row] }
 
 // TargetLon returns the victim longitude.
 func (v AttackView) TargetLon() float64 { return v.c.aLon[v.row] }
-
-// BotnetView is a cursor over one Botnetlist row.
-type BotnetView struct {
-	c   *Columns
-	row int32
-}
-
-// BotnetByID returns a cursor over the botnet with the given id. ok is
-// false when the id has no Botnetlist row.
-func (s *Store) BotnetByID(id BotnetID) (BotnetView, bool) {
-	c := s.Cols()
-	row, ok := c.botnetRow(uint32(id))
-	if !ok {
-		return BotnetView{}, false
-	}
-	return BotnetView{c: c, row: row}, true
-}
-
-// Hash returns the botnet's sample hash.
-func (v BotnetView) Hash() string { return v.c.strs[v.c.nHash[v.row]] }

@@ -11,8 +11,8 @@ import (
 
 // notColumns are the fields of Columns that hold no snapshot column:
 // what NewStore keeps until the dense layer is derived from it, the
-// mapping, and the two derived products.
-var notColumns = map[string]bool{"Columns.refIPs": true, "Columns.mmap": true, "Columns.nRowByID": true, "Columns.dense": true}
+// mapping, and the derived dense layer.
+var notColumns = map[string]bool{"Columns.refIPs": true, "Columns.mmap": true, "Columns.dense": true}
 
 // DiffColumns compares two stores' columns and dense layers cell by cell
 // and describes the first difference, "" when there is none. It walks the
@@ -140,6 +140,30 @@ func (v BotView) Lon() float64 { return v.c.bLon[v.row] }
 
 // LastActive returns the bot's last-active time.
 func (v BotView) LastActive() time.Time { return nanoTime(v.c.bLast[v.row]) }
+
+// TargetIP returns the victim address.
+func (v AttackView) TargetIP() netip.Addr { return v.c.targets[v.c.aTgt[v.row]] }
+
+// BotnetView is a cursor over one Botnetlist row.
+type BotnetView struct {
+	c   *Columns
+	row int32
+}
+
+// BotnetByID returns a cursor over the first Botnetlist row with the
+// given id. ok is false when the id has no row.
+func (s *Store) BotnetByID(id BotnetID) (BotnetView, bool) {
+	c := s.Cols()
+	for i, v := range c.nID {
+		if v == uint32(id) {
+			return BotnetView{c: c, row: int32(i)}, true
+		}
+	}
+	return BotnetView{}, false
+}
+
+// Hash returns the botnet's sample hash.
+func (v BotnetView) Hash() string { return v.c.strs[v.c.nHash[v.row]] }
 
 // ID returns the botnet id.
 func (v BotnetView) ID() BotnetID { return BotnetID(v.c.nID[v.row]) }

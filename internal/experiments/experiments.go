@@ -180,7 +180,6 @@ func (w *Workload) All() []Experiment {
 		// Extensions: analyses the paper proposes but does not evaluate.
 		{ID: "Ext: Load", Run: w.ExtLoad},
 		{ID: "Ext: Diurnal", Run: w.ExtDiurnal},
-		{ID: "Ext: Calibration", Run: w.ExtCalibration},
 		{ID: "Ext: Defense", Run: w.ExtDefense},
 		{ID: "Ext: Transfer", Run: w.ExtTransfer},
 	}

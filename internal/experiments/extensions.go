@@ -2,66 +2,18 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
 	"botscope/internal/core"
 	"botscope/internal/published"
 	"botscope/internal/report"
-	"botscope/internal/stats"
 	"botscope/internal/timeseries"
 )
 
 // This file holds the extension experiments: analyses the paper proposes
 // as insights or future work but does not itself evaluate. They are part
 // of All(), so cmd/botreport and the benches cover them too.
-
-// ExtCalibration checks the generated workload's distribution shapes
-// against their calibration targets with two-sample KS and Wasserstein
-// statistics — a self-test of the substitution argument in DESIGN.md.
-func (w *Workload) ExtCalibration() (*Result, error) {
-	durs := w.feedProducts().durs.CDF()
-	if durs.N() == 0 {
-		return nil, fmt.Errorf("no durations")
-	}
-	// Reference: the §III-C lognormal law (median
-	// published.DurationMedianSec, sigma 1.9), deterministically
-	// quantile-sampled like the Fig 7 baseline.
-	ref := stats.NewECDF(lognormalQuantiles(durs.N(), published.DurationMedianSec, 1.9))
-	ks, err := stats.KolmogorovSmirnov(durs, ref)
-	if err != nil {
-		return nil, err
-	}
-	w1, err := stats.WassersteinDistance(durs, ref)
-	if err != nil {
-		return nil, err
-	}
-
-	t := report.NewTable("Extension — calibration self-test", "check", "value")
-	t.AddRow("duration KS statistic vs lognormal target", fmt.Sprintf("%.4f", ks))
-	t.AddRow("duration W1 distance (s)", report.FormatFloat(w1, 1))
-	t.AddRow("duration sample size", report.FormatInt(durs.N()))
-
-	res := &Result{ID: "Ext: Calibration", Title: "Workload calibration self-test", Text: t.String()}
-	res.AddMetric("duration KS statistic", ks)
-	res.AddMetric("duration W1 distance (s)", w1)
-	return res, nil
-}
-
-// lognormalQuantiles deterministically samples n quantiles of a lognormal
-// distribution, truncated like the generator's duration law.
-func lognormalQuantiles(n int, median, sigma float64) []float64 {
-	out := core.BaselineDurations(n) // baseline is lognormal(900, 1.912)...
-	// ...rescale to the requested law: x -> median * (x/900)^(sigma/1.912).
-	for i, x := range out {
-		out[i] = median * math.Pow(x/900, sigma/1.912)
-		if out[i] > 260000 {
-			out[i] = 260000
-		}
-	}
-	return out
-}
 
 // ExtDefense trains the §V blacklist on the first half of the window and
 // scores it on the second half.

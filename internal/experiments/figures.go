@@ -220,7 +220,7 @@ func (w *Workload) Figure7() (*Result, error) {
 	}
 	st := durs.st
 	ours := durs.CDF()
-	base := stats.NewECDF(core.BaselineDurations(0))
+	base := stats.NewECDF(core.BaselineDurations())
 	var b strings.Builder
 	b.WriteString(report.MultiCDFLandmarks("Figure 7 — duration distribution CDF (seconds)",
 		[]string{"botscope workload", "single-ISP baseline [24]"},

@@ -18,8 +18,7 @@ import (
 // series is one float series (the gaps of §III-B, the durations of
 // §III-C) in chronological order with its summary, or the error the
 // summary gave, and its empirical CDF, sorted once on first read: the
-// interval and duration figures and the calibration tests all read that
-// one sorted copy.
+// interval and duration figures all read that one sorted copy.
 type series[S any] struct {
 	xs  []float64
 	st  S

@@ -7,14 +7,11 @@ package gate
 // package's tests read moves into a _test.go file there; a row is for a
 // name a test elsewhere, a bench or a facade Example needs.
 var exportAudit = map[string]string{
-	"cluster.Local.Shards":                 "the admin and frame-cap tests read each shard's Applied count through it; StartLocal builds the shards, so no test can hold them otherwise",
-	"core.Blacklist.Entries":               "TestBlacklistMatchesReference checks the radix ranking through it; the facade's Blacklist carries it",
-	"core.DispersionPoint.AttackID":        "TestOracleDispersion aligns the scan's points with the oracle's by it",
-	"geo.Dispersion":                       "the point-list reference the core dispersion scan, botnet's formations and the ablation bench are held to",
-	"geo.MeanDistanceToCenter":             "BenchmarkAblationDispersion's alternative metric",
-	"synth.ScenarioBuilder.AddProfile":     "ExampleNewScenario chains it (facade ScenarioBuilder)",
-	"synth.ScenarioBuilder.AddPaperFamily": "ExampleNewScenario chains it (facade ScenarioBuilder)",
-	"synth.ScenarioBuilder.Build":          "ExampleNewScenario chains it (facade ScenarioBuilder)",
+	"cluster.Local.Shards":          "the admin and frame-cap tests read each shard's Applied count through it; StartLocal builds the shards, so no test can hold them otherwise",
+	"core.Blacklist.Entries":        "TestBlacklistMatchesReference checks the radix ranking through it; the facade's Blacklist carries it",
+	"core.DispersionPoint.AttackID": "TestOracleDispersion aligns the scan's points with the oracle's by it",
+	"geo.Dispersion":                "the point-list reference the core dispersion scan, botnet's formations and the ablation bench are held to",
+	"geo.MeanDistanceToCenter":      "BenchmarkAblationDispersion's alternative metric",
 }
 
 // paperlitAudit is every literal outside internal/published that equals

@@ -326,7 +326,7 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 }
 
 // TestRepo holds every package in the module to the gate: no finding, the
-// six audited floateq sites in internal/stats excepted by their ignores,
+// one audited floateq site (stats.IsZero) excepted by its ignore,
 // the exports exportAudit keeps and the literals paperlitAudit keeps.
 func TestRepo(t *testing.T) {
 	prog, err := loadModule(filepath.Join("..", ".."))

@@ -26,27 +26,27 @@ type HourlyReport struct {
 	CountryRefs map[string]int
 }
 
+// The paper's service reported hourly (reportStep), each report
+// cumulative over the trailing 24 hours (reportLookback).
+const (
+	reportLookback = 24 * time.Hour
+	reportStep     = time.Hour
+)
+
 // Collector derives monitoring reports from a workload store.
 type Collector struct {
 	store *dataset.Store
-	// Lookback is the cumulative window per report; the paper's service
-	// used 24 hours.
-	Lookback time.Duration
-	// Step is the report cadence; the paper's service reported hourly.
-	Step time.Duration
 }
 
-// NewCollector builds a collector with the paper's 24-hour/1-hour cadence.
+// NewCollector builds a collector over store.
 func NewCollector(store *dataset.Store) *Collector {
-	return &Collector{store: store, Lookback: 24 * time.Hour, Step: time.Hour}
+	return &Collector{store: store}
 }
 
-// HourlyReports replays the window and emits one report per step for the
-// family. It returns an error for an empty workload or non-positive cadence.
+// HourlyReports replays the window and emits one report per hour for the
+// family. It returns an error for an empty workload or a family without
+// attacks.
 func (c *Collector) HourlyReports(family dataset.Family) ([]HourlyReport, error) {
-	if c.Step <= 0 || c.Lookback <= 0 {
-		return nil, fmt.Errorf("monitor: non-positive step or lookback")
-	}
 	first, last, ok := c.store.TimeBounds()
 	if !ok {
 		return nil, fmt.Errorf("monitor: empty workload")
@@ -57,11 +57,12 @@ func (c *Collector) HourlyReports(family dataset.Family) ([]HourlyReport, error)
 	}
 
 	// Sweep: every attack contributes its bot references to reports in
-	// [Start, End+Lookback). Build signed per-step deltas, then prefix-sum.
-	steps := int(last.Add(c.Lookback).Sub(first)/c.Step) + 1
+	// [Start, End+reportLookback). Build signed per-step deltas, then
+	// prefix-sum.
+	steps := int(last.Add(reportLookback).Sub(first)/reportStep) + 1
 	deltas := make([]delta, steps+1)
 	stepIdx := func(t time.Time) int {
-		return max(0, min(steps, int(t.Sub(first)/c.Step)))
+		return max(0, min(steps, int(t.Sub(first)/reportStep)))
 	}
 
 	// Countries are counted by interned-string id in one scratch array
@@ -87,7 +88,7 @@ func (c *Collector) HourlyReports(family dataset.Family) ([]HourlyReport, error)
 			count[cid]++
 		}
 		add := &deltas[stepIdx(v.Start())]
-		sub := &deltas[stepIdx(v.End().Add(c.Lookback))]
+		sub := &deltas[stepIdx(v.End().Add(reportLookback))]
 		add.refs += span.Len()
 		sub.refs -= span.Len()
 		for _, cid := range touched {
@@ -121,7 +122,7 @@ func (c *Collector) HourlyReports(family dataset.Family) ([]HourlyReport, error)
 		}
 		reports = append(reports, HourlyReport{
 			Family:        family,
-			Time:          first.Add(time.Duration(i) * c.Step),
+			Time:          first.Add(time.Duration(i) * reportStep),
 			ActiveAttacks: curActive,
 			BotRefs:       curRefs,
 			CountryRefs:   snapshot,

@@ -99,10 +99,6 @@ func TestHourlyReportsErrors(t *testing.T) {
 	if _, err := c.HourlyReports(dataset.Optima); err == nil {
 		t.Error("family without attacks succeeded")
 	}
-	c.Step = 0
-	if _, err := c.HourlyReports(dataset.Dirtjumper); err == nil {
-		t.Error("zero step succeeded")
-	}
 
 	empty, err := dataset.NewStore(nil, nil, nil)
 	if err != nil {
@@ -230,11 +226,11 @@ func referenceWeeklySources(s *dataset.Store, family dataset.Family) []WeekStats
 }
 
 // referenceHourlyReports is the map-per-attack sweep HourlyReports
-// replaced, at the collector's cadence.
+// replaced, at the paper's cadence.
 func referenceHourlyReports(c *Collector, family dataset.Family) []HourlyReport {
 	s := c.store
 	first, last, _ := s.TimeBounds()
-	steps := int(last.Add(c.Lookback).Sub(first)/c.Step) + 1
+	steps := int(last.Add(reportLookback).Sub(first)/reportStep) + 1
 	type delta struct {
 		refs    int
 		country map[string]int
@@ -242,7 +238,7 @@ func referenceHourlyReports(c *Collector, family dataset.Family) []HourlyReport 
 	add, sub := make([]delta, steps+1), make([]delta, steps+1)
 	activeAdd, activeSub := make([]int, steps+1), make([]int, steps+1)
 	stepIdx := func(t time.Time) int {
-		return max(0, min(steps, int(t.Sub(first)/c.Step)))
+		return max(0, min(steps, int(t.Sub(first)/reportStep)))
 	}
 	merge := func(d *delta, refs int, countries map[string]int) {
 		d.refs += refs
@@ -265,7 +261,7 @@ func referenceHourlyReports(c *Collector, family dataset.Family) []HourlyReport 
 			}
 		}
 		merge(&add[stepIdx(v.Start())], refs, countries)
-		merge(&sub[stepIdx(v.End().Add(c.Lookback))], refs, countries)
+		merge(&sub[stepIdx(v.End().Add(reportLookback))], refs, countries)
 		activeAdd[stepIdx(v.Start())]++
 		activeSub[stepIdx(v.End())]++
 	}
@@ -287,7 +283,7 @@ func referenceHourlyReports(c *Collector, family dataset.Family) []HourlyReport 
 			}
 		}
 		out = append(out, HourlyReport{
-			Family: family, Time: first.Add(time.Duration(i) * c.Step),
+			Family: family, Time: first.Add(time.Duration(i) * reportStep),
 			ActiveAttacks: curActive, BotRefs: curRefs, CountryRefs: snapshot,
 		})
 	}

@@ -27,27 +27,3 @@ func CosineSimilarity(a, b []float64) (float64, error) {
 	}
 	return dot / (math.Sqrt(na) * math.Sqrt(nb)), nil
 }
-
-// PearsonCorrelation returns the sample Pearson correlation coefficient of
-// a and b. It returns an error if the lengths differ, fewer than two points
-// are given, or either sample is constant.
-func PearsonCorrelation(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("stats: correlation needs equal lengths, got %d and %d", len(a), len(b))
-	}
-	if len(a) < 2 {
-		return 0, fmt.Errorf("stats: correlation needs at least 2 points, got %d", len(a))
-	}
-	ma, mb := Mean(a), Mean(b)
-	var cov, va, vb float64
-	for i := range a {
-		da, db := a[i]-ma, b[i]-mb
-		cov += da * db
-		va += da * da
-		vb += db * db
-	}
-	if IsZero(va) || IsZero(vb) {
-		return 0, fmt.Errorf("stats: correlation undefined for constant sample")
-	}
-	return cov / math.Sqrt(va*vb), nil
-}

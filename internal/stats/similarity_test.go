@@ -40,38 +40,6 @@ func TestCosineSimilarity(t *testing.T) {
 	}
 }
 
-func TestPearsonCorrelation(t *testing.T) {
-	tests := []struct {
-		name    string
-		a, b    []float64
-		want    float64
-		wantErr bool
-	}{
-		{name: "perfect positive", a: []float64{1, 2, 3}, b: []float64{2, 4, 6}, want: 1},
-		{name: "perfect negative", a: []float64{1, 2, 3}, b: []float64{3, 2, 1}, want: -1},
-		{name: "constant sample", a: []float64{1, 1, 1}, b: []float64{1, 2, 3}, wantErr: true},
-		{name: "too short", a: []float64{1}, b: []float64{1}, wantErr: true},
-		{name: "length mismatch", a: []float64{1, 2}, b: []float64{1}, wantErr: true},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got, err := PearsonCorrelation(tt.a, tt.b)
-			if tt.wantErr {
-				if err == nil {
-					t.Fatalf("PearsonCorrelation = %v, want error", got)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !almostEqual(got, tt.want, 1e-12) {
-				t.Errorf("PearsonCorrelation = %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
 // Property: cosine similarity is symmetric, bounded by [-1, 1], and
 // invariant under positive scaling.
 func TestCosineSimilarityProperties(t *testing.T) {

@@ -104,25 +104,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Median returns the middle value of xs (mean of the two middle values for
-// even-sized samples), or NaN if xs is empty. xs is not modified.
-func Median(xs []float64) float64 {
-	return Quantile(xs, 0.5)
-}
-
-// Quantile returns the q-th quantile of xs (0 <= q <= 1) using linear
-// interpolation between order statistics (type-7, the R/NumPy default).
-// It returns NaN if xs is empty or q is outside [0, 1]. xs is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 || q < 0 || q > 1 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
 // quantileSorted computes the type-7 quantile of an already-sorted sample.
 func quantileSorted(sorted []float64, q float64) float64 {
 	n := len(sorted)

@@ -44,9 +44,6 @@ type Model struct {
 	BIC float64
 	// N is the number of observations the model was fitted on.
 	N int
-
-	tail   []float64 // the training series' last D observations, for Integrate
-	diffed []float64 // differenced, for forecasting state
 }
 
 // fitScratch is the working memory of one fit (or one AutoFit grid): the
@@ -69,27 +66,13 @@ func (sc *fitScratch) residBuf(n int) []float64 {
 // order starts its AR coefficients at Yule-Walker estimates and its MA
 // coefficients at zero, and Nelder-Mead refines everything jointly.
 func Fit(xs []float64, order Order) (*Model, error) {
-	m, err := fitDiffed(xs, nil, order, nil, &fitScratch{})
-	if err != nil {
-		return nil, err
-	}
-	m.keepTail(xs)
-	return m, nil
-}
-
-// keepTail attaches the last D observations of the training series xs,
-// which Forecast integrates from; with D == 0 there are none, and the
-// model holds only its differenced series.
-func (m *Model) keepTail(xs []float64) {
-	m.tail = append([]float64(nil), xs[len(xs)-m.Order.D:]...)
+	return fitDiffed(xs, nil, order, nil, &fitScratch{})
 }
 
 // fitDiffed is Fit over a possibly pre-differenced series. w may be nil
 // (it is then derived from xs), warm may be nil (Yule-Walker cold start;
 // the exact AR(1) fit needs none), and sc supplies reusable working
-// memory. The returned model has no tail: callers that keep the model
-// attach one (Fit, AutoFit's winner), so losing grid candidates never
-// copy the input.
+// memory.
 func fitDiffed(xs, w []float64, order Order, warm []float64, sc *fitScratch) (*Model, error) {
 	if err := order.validate(); err != nil {
 		return nil, err
@@ -150,12 +133,11 @@ func fitDiffed(xs, w []float64, order Order, warm []float64, sc *fitScratch) (*M
 func newModel(xs, w []float64, order Order, params []float64, sse float64) *Model {
 	p, q := order.P, order.Q
 	m := &Model{
-		Order:  order,
-		Mu:     params[0],
-		AR:     append([]float64(nil), params[1:1+p]...),
-		MA:     append([]float64(nil), params[1+p:]...),
-		N:      len(xs),
-		diffed: w,
+		Order: order,
+		Mu:    params[0],
+		AR:    append([]float64(nil), params[1:1+p]...),
+		MA:    append([]float64(nil), params[1+p:]...),
+		N:     len(xs),
 	}
 	n := float64(len(w))
 	m.Sigma2 = sse / n
@@ -360,51 +342,6 @@ func (m *Model) residuals(w []float64) []float64 {
 	return resid
 }
 
-// Forecast returns h future values in the original (level) space.
-func (m *Model) Forecast(h int) ([]float64, error) {
-	if h <= 0 {
-		return nil, fmt.Errorf("timeseries: forecast horizon must be positive, got %d", h)
-	}
-	p, q := m.Order.P, m.Order.Q
-	hist := m.diffed
-	n := len(hist)
-	var resid []float64
-	if q > 0 {
-		resid = m.residuals(hist)
-	}
-	fc := make([]float64, h)
-	// at reads the differenced series extended by the forecasts so far,
-	// in place: the history is never copied.
-	at := func(k int) float64 {
-		if k < n {
-			return hist[k]
-		}
-		return fc[k-n]
-	}
-	for t := n; t < n+h; t++ {
-		pred := m.Mu
-		for i := 0; i < p; i++ {
-			if t-1-i < 0 {
-				break
-			}
-			pred += m.AR[i] * (at(t-1-i) - m.Mu)
-		}
-		for j := 0; j < q; j++ {
-			idx := t - 1 - j
-			if idx < 0 {
-				break
-			}
-			var ev float64 // future innovations are zero in expectation
-			if idx < n {
-				ev = resid[idx]
-			}
-			pred += m.MA[j] * ev
-		}
-		fc[t-n] = pred
-	}
-	return Integrate(fc, m.tail, m.Order.D)
-}
-
 // OneStepForecasts produces one-step-ahead level-space predictions for
 // full[start:], using the fitted parameters and the observed history up to
 // each point — the protocol behind the paper's Figures 12-13, where the
@@ -498,8 +435,7 @@ func yuleWalker(w []float64, p int) ([]float64, error) {
 // to fit are skipped; an error is returned only if every order fails.
 //
 // The grid shares one differenced series and one residual scratch across
-// every candidate, defers the training tail's copy to the single winner,
-// and warm-starts each fit from the parameters of its already-fitted
+// every candidate, and warm-starts each fit from the parameters of its already-fitted
 // neighbor ((p, q-1), falling back to (p-1, q)) padded with a zero for the
 // new coefficient — neighboring ARMA orders have near-identical optima, so
 // the simplex starts close and converges in far fewer evaluations than a
@@ -553,7 +489,6 @@ func AutoFit(xs []float64, d, maxP, maxQ int) (*Model, error) {
 		}
 		return nil, fmt.Errorf("timeseries: auto fit found no viable order: %w", lastErr)
 	}
-	best.keepTail(xs)
 	return best, nil
 }
 

@@ -127,7 +127,7 @@ func TestForecastMeanReversion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc, err := m.Forecast(100)
+	fc, err := m.Forecast(xs, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestForecastRandomWalkIsFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc, err := m.Forecast(10)
+	fc, err := m.Forecast(xs, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,10 +169,10 @@ func TestForecastValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Forecast(0); err == nil {
+	if _, err := m.Forecast(xs, 0); err == nil {
 		t.Error("Forecast(0) succeeded, want error")
 	}
-	if _, err := m.Forecast(-5); err == nil {
+	if _, err := m.Forecast(xs, -5); err == nil {
 		t.Error("Forecast(-5) succeeded, want error")
 	}
 }
@@ -228,7 +228,7 @@ func TestResidualsAreWhiteForCorrectModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resid := m.residuals(m.diffed)
+	resid := m.residuals(xs)
 	// Lag-1 autocorrelation of residuals should be near zero.
 	var num, den, mean float64
 	for _, e := range resid {
@@ -349,11 +349,15 @@ func TestSigma2IsResidualSumOfSquares(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		w, err := Difference(tt.xs, tt.order.D)
+		if err != nil {
+			t.Fatal(err)
+		}
 		sse := 0.0
-		for _, e := range m.residuals(m.diffed) {
+		for _, e := range m.residuals(w) {
 			sse += e * e
 		}
-		want := sse / float64(len(m.diffed))
+		want := sse / float64(len(w))
 		if math.Float64bits(m.Sigma2) != math.Float64bits(want) {
 			t.Errorf("%v: Sigma2 = %v, residual pass gives %v", tt.order, m.Sigma2, want)
 		}

@@ -24,16 +24,16 @@ func TestCSSObjectiveZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestAutoFitMatchesFitSelection guards the shared-scratch/warm-start grid:
-// the winner AutoFit returns must carry a usable series copy (Forecast
-// needs it) and the same order must refit standalone.
+// TestAutoFitWinnerIsSelfContained guards the shared-scratch/warm-start
+// grid: the winner AutoFit returns must forecast its series and the same
+// order must refit standalone.
 func TestAutoFitWinnerIsSelfContained(t *testing.T) {
 	xs := genARMA([]float64{0.7}, nil, 3, 1500, 22)
 	m, err := AutoFit(xs, 0, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Forecast(5); err != nil {
+	if _, err := m.Forecast(xs, 5); err != nil {
 		t.Errorf("AutoFit winner cannot forecast: %v", err)
 	}
 	if _, err := Fit(xs, m.Order); err != nil {

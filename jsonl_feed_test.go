@@ -23,17 +23,17 @@ var generatedDigests = map[generation]struct{ feed, snapshot, report string }{
 	{1, 1.0}: {
 		"bbd9466a9eb07cbae5c4ebe280e185ac4834d579659fd25d8bbd6476cda20ed3",
 		"8a69d2b75fb3d535ac18eb97a0ab3825dfbcaf181d11110c91252fd46b793980",
-		"5e5fdfdc36e56bcb5a4ae9ce53544f1ac1223e931b8157b0ba2c19b837e485c9",
+		"a6cde9bb89244a6759a84f2a0ced55ab88892b7a6fb4ebcb64d5f7b17f1f4bb1",
 	},
 	{1, 0.1}: {
 		"3ad1e5837ff0580bbd264d1f0f317fff0c9c56cd966c482f4b5c0a3f72d8778f",
 		"ee12c1004a66f53835640c8db1bfc999cd4b135160d9265bc4434f5abe704a49",
-		"adbf2042f5ce8d57d30a940e7784090e024e04261413e2ae9ec83738c76a43ed",
+		"70609f5bc67875ec2ee9286103c463f76cb30af6b62fbdeeee2fc83e4c47d149",
 	},
 	{4, 0.1}: {
 		"b18babd6765deaf1855e407bf18b4d8390df997632d61728cf83200f2f6e30e0",
 		"41d888b38b57a82546462b0807185f262e1084dc0d4a2726d95efbecfbcf6514",
-		"789cd597edee7d384bf2aeeff6b3dd84c879494621c2d76933b02634ad91fdbb",
+		"2a9a71f11e5a8e3d147e4fe6fd9dd9863bde437062cec8016588500085f0997d",
 	},
 }
 
